@@ -11,12 +11,14 @@ test:
 # Fast robustness gate: vet everything, race-test the sweep runtime
 # (including the supervised executor, journal recovery and
 # kill-resume tests), the fault injector, and the observability layer
-# (the concurrency-heavy packages) plus the CLIs, then smoke the fuzz
-# targets.
+# (the concurrency-heavy packages) plus the CLIs, vet and short-test
+# the end-to-end benchmark (its own module, so ./... never builds it),
+# then smoke the fuzz targets.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/sweep/... ./internal/fault/... ./internal/obs/... ./internal/serve/... ./internal/dist/... ./cmd/gpusweep/... ./cmd/gpuscaled/... ./cmd/sweeptrace/...
-	$(GO) test -race -run 'TestPreparedRowMatchesPerCell|TestResidentSetMatchesReference' ./internal/gcn/
+	$(GO) test -race -run 'TestPreparedRowMatchesPerCell|TestResidentSetMatchesReference|TestBudget' ./internal/gcn/
+	cd cmd/benche2e && $(GO) vet . && $(GO) test -short .
 	$(MAKE) fuzz-smoke
 
 # Extended chaos soak of the sweep service: concurrent clients, fault
@@ -73,9 +75,9 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Row-evaluation benchmark: measures every engine over the study grid
-# in the legacy per-cell, prepared-row, and batched modes and archives
-# the numbers in BENCH_sweep.json (schema documented in README.md).
+# Row-evaluation benchmark: measures every engine's batched row
+# evaluation over the study grid and archives the numbers in
+# BENCH_sweep.json (schema documented in README.md).
 # bench-smoke is the quick variant: a 27-config grid, one iteration,
 # stdout only — a sanity check that the harness still runs.
 bench-sweep:
@@ -84,13 +86,11 @@ bench-sweep:
 bench-smoke:
 	$(GO) run ./cmd/benchsweep -quick -o -
 
-# Per-cell throughput gate: re-measure the analytic engines' prepared
-# and batched modes and fail if any (engine, mode) pair runs more than
-# 25% slower per cell than the committed BENCH_sweep.json ledger. Only
-# the fast modes are gated (the per-cell event engines take minutes
-# and their variance would drown the signal).
+# Per-cell throughput gate: re-measure the round and pipeline engines
+# and fail if either runs more than 25% slower per cell than the
+# committed BENCH_sweep.json ledger.
 bench-gate:
-	$(GO) run ./cmd/benchsweep -engines round,pipeline -modes prepared,batch -budget 3s -gate BENCH_sweep.json
+	$(GO) run ./cmd/benchsweep -engines round,pipeline -budget 3s -gate BENCH_sweep.json
 
 # Observer-overhead gates: the disabled (no-op) observer must add less
 # than 5% to the sweep hot path, and the full distributed-tracing path

@@ -363,12 +363,13 @@ func BenchmarkSweepNopObserver(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepPath prices the prepared row path against the legacy
-// per-cell path for every engine. Round runs the full 891-config study
-// grid on the 4096-workgroup bench kernel; the event-driven engines
-// run a 256-workgroup kernel on a 27-config grid so a single iteration
-// stays in benchmark territory (cmd/benchsweep measures the full grid
-// and archives the numbers in BENCH_sweep.json).
+// BenchmarkSweepPath prices the sweep's row path — one Prepare and one
+// whole-axis EvalBatch per row — for every engine. Round runs the full
+// 891-config study grid on the 4096-workgroup bench kernel; the
+// event-driven engines run a 256-workgroup kernel on a 27-config grid
+// so a single iteration stays in benchmark territory (cmd/benchsweep
+// measures the full grid and archives the numbers in
+// BENCH_sweep.json).
 func BenchmarkSweepPath(b *testing.B) {
 	small, err := hw.NewSpace([]int{8, 24, 44}, []float64{300, 600, 1000}, []float64{300, 700, 1250})
 	if err != nil {
@@ -386,8 +387,8 @@ func BenchmarkSweepPath(b *testing.B) {
 		{sweep.Pipeline, []*kernel.Kernel{smallK}, small},
 	}
 	for _, c := range cases {
-		run := func(b *testing.B, opts sweep.Options) {
-			opts.Workers = 1
+		b.Run(c.engine.String()+"/batch", func(b *testing.B) {
+			opts := sweep.Options{Engine: c.engine, Workers: 1}
 			cells := int64(len(c.ks) * c.space.Size())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -398,12 +399,6 @@ func BenchmarkSweepPath(b *testing.B) {
 				sink = m
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*cells), "ns/cell")
-		}
-		b.Run(c.engine.String()+"/percell", func(b *testing.B) {
-			run(b, sweep.Options{Engine: c.engine, Sim: c.engine.Func()})
-		})
-		b.Run(c.engine.String()+"/prepared", func(b *testing.B) {
-			run(b, sweep.Options{Engine: c.engine})
 		})
 	}
 }

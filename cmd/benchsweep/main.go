@@ -1,14 +1,12 @@
-// Command benchsweep measures sweep throughput for every engine on
-// the three evaluation paths — the legacy per-cell path (one full
-// validate/lower/derive per cell), the prepared row path (one Prepare
-// per kernel, memoized per-config evaluations), and the batched row
-// path (the default: one whole-axis EvalBatch call per row) — and
-// archives the numbers as machine-readable JSON.
+// Command benchsweep measures sweep throughput for every engine on the
+// sweep's one evaluation path — one Prepare per kernel row, then one
+// whole-axis EvalBatch call — and archives the numbers as
+// machine-readable JSON.
 //
 // The output file (BENCH_sweep.json, schema "gpuscale/bench-sweep/v2")
 // is the repository's performance ledger for the data-collection hot
 // path: cells per second, nanoseconds per cell, and allocation rates
-// per engine and mode, measured on a single worker so the numbers
+// per engine, measured on a single worker so the numbers
 // price the evaluation pipeline rather than the scheduler. Re-run it
 // after touching the engines or the sweep runtime and compare against
 // the checked-in copy; see README.md ("Benchmarking the sweep").
@@ -17,15 +15,14 @@
 // a committed baseline ledger and exits non-zero when any matching
 // (engine, mode) entry regressed by more than -gate-slack — the CI
 // guard (`make bench-gate`) that keeps the hot path from silently
-// losing its speed. v1 baselines gate their shared entries; modes
-// absent from the baseline pass vacuously.
+// losing its speed. Entries absent from the baseline pass vacuously.
 //
 // Usage:
 //
 //	benchsweep                  # full 891-config study grid
 //	benchsweep -quick           # 27-config grid, one iteration (smoke)
 //	benchsweep -o bench.json    # write somewhere else
-//	benchsweep -engines round,pipeline -modes prepared,batch
+//	benchsweep -engines round,pipeline
 //	benchsweep -gate BENCH_sweep.json -engines round,pipeline
 package main
 
@@ -43,20 +40,14 @@ import (
 	"gpuscale/internal/sweep"
 )
 
-// Schema identifies the report format for downstream tooling. v2 adds
-// the "batch" mode (whole-axis EvalBatch rows); v1 reports carry only
-// the percell and prepared modes and remain valid gate baselines for
-// those.
+// Schema identifies the report format for downstream tooling.
 const Schema = "gpuscale/bench-sweep/v2"
-
-// schemaV1 is accepted read-only as a gate baseline.
-const schemaV1 = "gpuscale/bench-sweep/v1"
 
 // Entry is one (engine, mode) measurement.
 type Entry struct {
 	// Engine is the simulator engine name (round, detailed, wave,
-	// pipeline); Mode is "percell" (legacy path), "prepared" (row path,
-	// batching disabled) or "batch" (row path, whole-axis EvalBatch).
+	// pipeline); Mode is always "batch" (row path, whole-axis
+	// EvalBatch).
 	Engine string `json:"engine"`
 	Mode   string `json:"mode"`
 	// Kernel geometry and grid size describe the workload.
@@ -88,13 +79,12 @@ func main() {
 	out := flag.String("o", "BENCH_sweep.json", "write the JSON report here (\"-\" for stdout)")
 	quick := flag.Bool("quick", false, "27-config grid and a single iteration per entry (CI smoke, not a ledger run)")
 	engines := flag.String("engines", "round,detailed,wave,pipeline", "comma-separated engines to measure")
-	modes := flag.String("modes", "percell,prepared,batch", "comma-separated modes to measure (percell, prepared, batch)")
 	budget := flag.Duration("budget", 2*time.Second, "per-entry time budget (at least one iteration always runs)")
 	gate := flag.String("gate", "", "baseline ledger to gate against; exits non-zero on regression instead of writing a report")
 	slack := flag.Float64("gate-slack", 0.25, "allowed fractional ns/cell regression before the gate fails")
 	flag.Parse()
 
-	rep, err := run(*quick, splitList(*engines), splitList(*modes), *budget)
+	rep, err := run(*quick, splitList(*engines), *budget)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsweep:", err)
 		os.Exit(1)
@@ -135,9 +125,8 @@ func splitList(s string) []string {
 
 // runGate compares fresh measurements against the baseline ledger and
 // fails on any matching (engine, mode) pair whose ns/cell grew by more
-// than slack. Entries without a baseline counterpart (a v1 ledger has
-// no batch mode) pass with a notice: a gate can only hold a line that
-// was drawn.
+// than slack. Entries without a baseline counterpart pass with a
+// notice: a gate can only hold a line that was drawn.
 func runGate(fresh *Report, baselinePath string, slack float64) error {
 	buf, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -147,7 +136,7 @@ func runGate(fresh *Report, baselinePath string, slack float64) error {
 	if err := json.Unmarshal(buf, &base); err != nil {
 		return fmt.Errorf("gate baseline %s: %w", baselinePath, err)
 	}
-	if base.Schema != Schema && base.Schema != schemaV1 {
+	if base.Schema != Schema {
 		return fmt.Errorf("gate baseline %s: unknown schema %q", baselinePath, base.Schema)
 	}
 	byKey := map[string]Entry{}
@@ -176,7 +165,7 @@ func runGate(fresh *Report, baselinePath string, slack float64) error {
 	return nil
 }
 
-func run(quick bool, engineNames, modes []string, budget time.Duration) (*Report, error) {
+func run(quick bool, engineNames []string, budget time.Duration) (*Report, error) {
 	space := hw.StudySpace()
 	if quick {
 		var err error
@@ -186,8 +175,8 @@ func run(quick bool, engineNames, modes []string, budget time.Duration) (*Report
 		}
 	}
 	// Round gets the full-size bench kernel; the event-driven engines
-	// get a 256-workgroup one so a per-cell iteration over the grid
-	// finishes in tens of seconds, not hours.
+	// get a 256-workgroup one so an iteration over the grid finishes in
+	// seconds.
 	bigK := kernel.New("bench", "bench", "k4096").Geometry(4096, 256).MustBuild()
 	smallK := kernel.New("bench", "bench", "k256").Geometry(256, 256).MustBuild()
 
@@ -201,27 +190,13 @@ func run(quick bool, engineNames, modes []string, budget time.Duration) (*Report
 		if e == sweep.Round {
 			k = bigK
 		}
-		for _, mode := range modes {
-			opts := sweep.Options{Engine: e, Workers: 1}
-			switch mode {
-			case "percell":
-				opts.Sim = e.Func()
-			case "prepared":
-				opts.DisableBatch = true
-			case "batch":
-				// The default options: prepared rows with whole-axis
-				// EvalBatch first attempts.
-			default:
-				return nil, fmt.Errorf("unknown mode %q (want percell, prepared or batch)", mode)
-			}
-			ent, err := measure(e.String(), mode, k, space, opts, quick, budget)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "%-8s %-8s %9.0f cells/s  %10.0f ns/cell  %8.0f B/cell  %6.1f allocs/cell  (%d iter)\n",
-				ent.Engine, ent.Mode, ent.CellsPerSec, ent.NsPerCell, ent.BytesPerCell, ent.AllocsPerCell, ent.Iterations)
-			rep.Entries = append(rep.Entries, ent)
+		ent, err := measure(e.String(), k, space, sweep.Options{Engine: e, Workers: 1}, quick, budget)
+		if err != nil {
+			return nil, err
 		}
+		fmt.Fprintf(os.Stderr, "%-8s %-8s %9.0f cells/s  %10.0f ns/cell  %8.0f B/cell  %6.1f allocs/cell  (%d iter)\n",
+			ent.Engine, ent.Mode, ent.CellsPerSec, ent.NsPerCell, ent.BytesPerCell, ent.AllocsPerCell, ent.Iterations)
+		rep.Entries = append(rep.Entries, ent)
 	}
 	return rep, nil
 }
@@ -231,11 +206,11 @@ func run(quick bool, engineNames, modes []string, budget time.Duration) (*Report
 // and allocation rates per cell. A single untimed warm-up run
 // excludes one-time costs (scheduler spin-up, first-touch pages) from
 // the rates.
-func measure(engine, mode string, k *kernel.Kernel, space hw.Space, opts sweep.Options, quick bool, budget time.Duration) (Entry, error) {
+func measure(engine string, k *kernel.Kernel, space hw.Space, opts sweep.Options, quick bool, budget time.Duration) (Entry, error) {
 	ks := []*kernel.Kernel{k}
 	cells := space.Size()
 	if _, err := sweep.Run(ks, space, opts); err != nil {
-		return Entry{}, fmt.Errorf("%s/%s warm-up: %w", engine, mode, err)
+		return Entry{}, fmt.Errorf("%s warm-up: %w", engine, err)
 	}
 	if quick {
 		budget = 0 // one iteration
@@ -248,7 +223,7 @@ func measure(engine, mode string, k *kernel.Kernel, space hw.Space, opts sweep.O
 	start := time.Now()
 	for {
 		if _, err := sweep.Run(ks, space, opts); err != nil {
-			return Entry{}, fmt.Errorf("%s/%s: %w", engine, mode, err)
+			return Entry{}, fmt.Errorf("%s: %w", engine, err)
 		}
 		iters++
 		if time.Since(start) >= budget || iters >= 1000 {
@@ -261,7 +236,7 @@ func measure(engine, mode string, k *kernel.Kernel, space hw.Space, opts sweep.O
 	total := float64(iters) * float64(cells)
 	return Entry{
 		Engine:        engine,
-		Mode:          mode,
+		Mode:          "batch",
 		Kernel:        k.Name,
 		Workgroups:    k.Workgroups,
 		WGSize:        k.WGSize,

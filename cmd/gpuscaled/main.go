@@ -106,7 +106,6 @@ type cliOptions struct {
 	retries      int
 	backoff      time.Duration
 	simTimeout   time.Duration
-	stallGrace   time.Duration
 	breaker      int
 	faultRate    float64
 	panicRate    float64
@@ -154,7 +153,6 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 0, "extra attempts per cell after a failed or corrupt simulation")
 	flag.DurationVar(&o.backoff, "backoff", 0, "initial retry backoff (doubles per retry, capped)")
 	flag.DurationVar(&o.simTimeout, "sim-timeout", 0, "per-simulation timeout (0 = none)")
-	flag.DurationVar(&o.stallGrace, "stall-grace", 0, "abandon engine calls this long after cancellation (0 = wait forever)")
 	flag.IntVar(&o.breaker, "breaker", 0, "quarantine a kernel row after this many consecutive hard failures (0 disables)")
 	flag.Float64Var(&o.faultRate, "fault-rate", 0, "inject transient faults at this rate (chaos drills)")
 	flag.Float64Var(&o.panicRate, "fault-panic-rate", 0, "inject engine panics at this rate (chaos drills)")
@@ -447,7 +445,6 @@ func run(ctx context.Context, o cliOptions) error {
 		Retries:      o.retries,
 		Backoff:      o.backoff,
 		SimTimeout:   o.simTimeout,
-		StallGrace:   o.stallGrace,
 		Breaker:      o.breaker,
 		Injector: fault.Injector{
 			ErrorRate: o.faultRate, PanicRate: o.panicRate, TornWriteRate: o.tornRate,

@@ -3,9 +3,9 @@
 // step of the study.
 //
 // The runtime is built for flaky measurement campaigns: per-cell
-// retries with backoff, per-simulation timeouts, panic isolation and
-// a stall watchdog, a per-kernel circuit breaker that quarantines
-// pathological rows, Ctrl-C cancellation that keeps completed work, a
+// retries with backoff, per-simulation timeouts, panic isolation, a
+// per-kernel circuit breaker that quarantines pathological rows,
+// prompt Ctrl-C cancellation on every engine that keeps completed work, a
 // deterministic fault injector for robustness drills, and a journaled
 // resume mode (checksummed journal v2) that recomputes only the rows
 // a previous (crashed or canceled) run did not finish. A corrupt or
@@ -31,7 +31,6 @@
 //	gpusweep -noise 0.05 -seed 7      # inject measurement noise
 //	gpusweep -retries 3 -backoff 2ms  # retry faulty cells
 //	gpusweep -sim-timeout 5s          # bound each simulation
-//	gpusweep -sim-timeout 5s -stall-grace 1s  # abandon stuck engine calls
 //	gpusweep -fault-rate 0.05 -fault-seed 1  # fault-injection drill
 //	gpusweep -fault-panic-rate 0.01   # drill engine panics too
 //	gpusweep -breaker 5               # quarantine a kernel row after
@@ -72,7 +71,6 @@ type cliOptions struct {
 	retries     int
 	backoff     time.Duration
 	simTimeout  time.Duration
-	stallGrace  time.Duration
 	breaker     int
 	quarantine  int
 	faultRate   float64
@@ -104,7 +102,6 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 0, "extra attempts per cell after a failed or corrupt simulation")
 	flag.DurationVar(&o.backoff, "backoff", 0, "initial retry backoff (doubles per retry, capped)")
 	flag.DurationVar(&o.simTimeout, "sim-timeout", 0, "per-simulation timeout (0 = none)")
-	flag.DurationVar(&o.stallGrace, "stall-grace", 0, "abandon engine calls this long after cancellation and mark the cell stalled (0 = wait forever)")
 	flag.IntVar(&o.breaker, "breaker", 0, "quarantine the rest of a kernel row after this many consecutive hard failures (0 disables)")
 	flag.IntVar(&o.quarantine, "quarantine", 0, "quarantine all unstarted kernels after this many breaker trips (0 disables)")
 	flag.Float64Var(&o.faultRate, "fault-rate", 0, "inject transient faults at this rate (robustness drills)")
@@ -186,7 +183,6 @@ func run(ctx context.Context, o cliOptions) (salvaged bool, err error) {
 		Retries:         o.retries,
 		Backoff:         o.backoff,
 		SimTimeout:      o.simTimeout,
-		StallGrace:      o.stallGrace,
 		Breaker:         o.breaker,
 		QuarantineAfter: o.quarantine,
 	}
@@ -240,10 +236,6 @@ func run(ctx context.Context, o cliOptions) (salvaged bool, err error) {
 		}
 	}
 	if in.Active() {
-		// Wrap the row engine, not the EngineFunc: the sweep derives its
-		// per-cell fallback from the same wrapped engine, so both paths
-		// draw from one attempt-counter stream and the injected faults
-		// are identical whichever path evaluates a cell.
 		opts.Row = in.WrapRow(opts.Engine.Row())
 	}
 

@@ -47,8 +47,8 @@ type (
 	KernelBuilder = kernel.Builder
 	// SimResult is one simulated execution.
 	SimResult = gcn.Result
-	// EngineFunc is the simulator signature shared by every engine
-	// (and by fault-injecting wrappers around them).
+	// EngineFunc is the per-cell simulator signature shared by every
+	// engine's Simulate entry point.
 	EngineFunc = gcn.EngineFunc
 	// SweepOptions configures RunSweep.
 	SweepOptions = sweep.Options
@@ -64,9 +64,9 @@ type (
 	// journal file so interrupted runs resume where they stopped;
 	// torn or corrupt tails are salvaged, not fatal.
 	SweepJournal = sweep.Journal
-	// FaultInjector wraps an engine with deterministic, seed-driven
-	// transient errors, corrupt results, and stalls — the test rig
-	// for flaky-hardware robustness drills.
+	// FaultInjector wraps a row engine (WrapRow) with deterministic,
+	// seed-driven transient errors, corrupt results, and stalls — the
+	// test rig for flaky-hardware robustness drills.
 	FaultInjector = fault.Injector
 	// Surface is one kernel's performance over the grid.
 	Surface = core.Surface
@@ -113,7 +113,8 @@ const (
 	CellFailed   = sweep.StatusFailed
 	CellCanceled = sweep.StatusCanceled
 	// CellStalled marks a cell whose engine call ignored cancellation
-	// and was abandoned by the stall watchdog.
+	// and was abandoned by a watchdog; only matrices written by earlier
+	// versions carry it.
 	CellStalled = sweep.StatusStalled
 	// CellQuarantined marks a cell skipped by the circuit breaker
 	// after too many consecutive hard failures in its kernel's row.

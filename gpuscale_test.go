@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"gpuscale/internal/gcn"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -109,7 +111,7 @@ func TestFaultToleranceAcceptance(t *testing.T) {
 	// With retries: every cell recovers.
 	in := FaultInjector{ErrorRate: 0.05, Seed: 4}
 	recovered, rep, err := RunSweepContext(context.Background(), ks, space,
-		SweepOptions{Sim: in.Wrap(Simulate), Retries: 3})
+		SweepOptions{Row: in.WrapRow(gcn.RoundRow), Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestFaultToleranceAcceptance(t *testing.T) {
 	// at 5% per cell no 891-cell row would ever survive intact.
 	in2 := FaultInjector{ErrorRate: 0.001, Seed: 4}
 	partial, rep2, err := RunSweepContext(context.Background(), ks, space,
-		SweepOptions{Sim: in2.Wrap(Simulate)})
+		SweepOptions{Row: in2.WrapRow(gcn.RoundRow)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,32 @@ func partialKernels() []*kernel.Kernel {
 	}
 }
 
+// downEngine is the round row engine with one kernel's device lost:
+// every cell of that kernel's row fails.
+type downEngine struct{ bad string }
+
+func (e downEngine) PrepareRow(k *kernel.Kernel) (gcn.PreparedRow, error) {
+	pr, err := gcn.RoundRow.PrepareRow(k)
+	if err != nil || k.Name != e.bad {
+		return pr, err
+	}
+	return downRow{pr}, nil
+}
+
+type downRow struct{ gcn.PreparedRow }
+
+func (downRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []error) error {
+	for i := range cfgs {
+		out[i], errs[i] = gcn.Result{}, errors.New("device lost")
+	}
+	return nil
+}
+
 func TestSurfacesMaskFailedCells(t *testing.T) {
 	space := partialSpace(t)
 	in := fault.Injector{ErrorRate: 0.3, Seed: 21}
 	m, rep, err := sweep.RunContext(context.Background(), partialKernels(), space,
-		sweep.Options{Sim: in.Wrap(gcn.Simulate)})
+		sweep.Options{Row: in.WrapRow(gcn.RoundRow)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,15 +94,7 @@ func TestSurfacesMaskQuarantinedCells(t *testing.T) {
 	space := partialSpace(t)
 	ks := partialKernels()
 	bad := ks[1].Name
-	opts := sweep.Options{
-		Breaker: 3,
-		Sim: func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
-			if k.Name == bad {
-				return gcn.Result{}, errors.New("device lost")
-			}
-			return gcn.Simulate(k, cfg)
-		},
-	}
+	opts := sweep.Options{Breaker: 3, Row: downEngine{bad}}
 	m, rep, err := sweep.RunContext(context.Background(), ks, space, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +262,7 @@ func TestPartialClassificationMatchesCleanForCoveredKernels(t *testing.T) {
 	}
 	in := fault.Injector{ErrorRate: 0.05, Seed: 2}
 	faulty, rep, err := sweep.RunContext(context.Background(), ks, space,
-		sweep.Options{Sim: in.Wrap(gcn.Simulate)})
+		sweep.Options{Row: in.WrapRow(gcn.RoundRow)})
 	if err != nil {
 		t.Fatal(err)
 	}

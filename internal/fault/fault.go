@@ -2,14 +2,14 @@
 // for simulator engines — the test rig that stands in for the flaky
 // hardware runs a weeks-long measurement campaign has to survive.
 //
-// An Injector wraps any gcn.EngineFunc and, per invocation, may inject
-// a transient error, corrupt the result (NaN, negative or infinite
-// throughput — the "garbage readings" failure mode), stall the call
-// for a configurable duration (the "hung run" failure mode), delay it
-// by a seeded variable latency (the "slow rig" failure mode overload
-// tests lean on), or panic outright (the "driver crash" failure mode
-// the executor's recover isolation must absorb). Every decision is a
-// pure function of
+// An Injector wraps any gcn.RowEngine (WrapRow) and, per cell
+// evaluation, may inject a transient error, corrupt the result (NaN,
+// negative or infinite throughput — the "garbage readings" failure
+// mode), stall the cell for a configurable duration (the "hung run"
+// failure mode), delay it by a seeded variable latency (the "slow rig"
+// failure mode overload tests lean on), or fail it as an engine panic
+// (the "driver crash" failure mode the executor must settle). Every
+// decision is a pure function of
 // (kernel, configuration, attempt number, seed), so a faulty sweep is
 // reproducible regardless of worker count or scheduling, and a retry
 // of the same cell sees an independent roll — exactly how re-running
@@ -29,6 +29,7 @@ package fault
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -36,6 +37,7 @@ import (
 	"math"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpuscale/internal/gcn"
@@ -77,9 +79,9 @@ var ErrPartitioned = errors.New("fault: injected network partition")
 var ErrWriteFail = errors.New("fault: injected write error (device full)")
 
 // Injector describes a fault model. The zero value injects nothing and
-// wraps an engine into itself (modulo attempt accounting). Rates are
-// probabilities in [0,1] evaluated in order: error, then corruption,
-// then stall — at most one fault fires per invocation.
+// wraps an engine into itself. Rates are probabilities in [0,1]
+// evaluated in order: error, then corruption, then stall — at most one
+// fault fires per invocation.
 type Injector struct {
 	// ErrorRate is the probability an invocation fails with a
 	// transient error wrapping ErrInjected.
@@ -88,16 +90,18 @@ type Injector struct {
 	// returns a corrupted Result (NaN, negative or +Inf throughput,
 	// rotating deterministically per cell).
 	CorruptRate float64
-	// StallRate is the probability an invocation is delayed by Stall
-	// before running — emulates a hung run that a per-simulation
-	// timeout must reap.
+	// StallRate is the probability an invocation is held for Stall —
+	// emulates a hung run that a per-cell timeout must reap. The stall
+	// is cooperative: it ends early, failing the cell, when the row's
+	// budget (gcn.PreparedRow.SetBudget) expires or is canceled.
 	StallRate float64
-	// PanicRate is the probability an invocation panics instead of
-	// returning — emulates an engine/driver crash that the executor's
-	// recover isolation must convert into a CellFailure.
+	// PanicRate is the probability an invocation fails as an engine
+	// panic (an error wrapping gcn.ErrBatchPanic) — emulates an
+	// engine/driver crash that the executor must settle as a final
+	// CellFailure.
 	PanicRate float64
 	// LatencyRate is the probability an invocation is delayed by a
-	// deterministic, seeded amount of added latency before running —
+	// deterministic, seeded amount of added latency —
 	// emulates slow runs (thermal throttling, contended rigs) without
 	// real slow engines, so overload tests stay fast and reproducible.
 	// Unlike a stall, the delay varies per call: each fired decision
@@ -107,7 +111,7 @@ type Injector struct {
 	// TornWriteRate is the probability a WrapWriter write is cut
 	// short: a deterministic prefix reaches the underlying writer and
 	// the call returns ErrTornWrite. Independent of the engine-side
-	// rates; it never fires through Wrap.
+	// rates; it never fires through WrapRow.
 	TornWriteRate float64
 	// WriteErrRate is the probability a WrapWriter write fails with
 	// ErrWriteFail after a deterministic prefix landed — the ENOSPC /
@@ -119,7 +123,7 @@ type Injector struct {
 	// shipping it — the lying-fleet-member model distributed
 	// attestation exists to catch. The tampered values stay plausible
 	// (positive, finite), so only digest comparison against an honest
-	// re-execution can expose them. Never fires through Wrap,
+	// re-execution can expose them. Never fires through WrapRow,
 	// WrapWriter or WrapTransport.
 	CorruptRowRate float64
 	// StaleVersion, when non-empty, is the protocol version string a
@@ -184,13 +188,13 @@ const (
 	KindError Kind = iota
 	// KindCorrupt is a corrupted (NaN/negative/Inf) result.
 	KindCorrupt
-	// KindStall is an artificial pre-run delay.
+	// KindStall is an artificial delay.
 	KindStall
 	// KindPanic is an injected engine panic.
 	KindPanic
 	// KindTornWrite is an injected short write through WrapWriter.
 	KindTornWrite
-	// KindLatency is an injected seeded pre-run delay.
+	// KindLatency is an injected seeded delay.
 	KindLatency
 	// KindDropResponse is a delivered request whose response was lost
 	// (WrapTransport).
@@ -269,196 +273,148 @@ func (in Injector) Validate() error {
 	return nil
 }
 
-// Active reports whether the injector can fire through Wrap at all.
+// Active reports whether the injector can fire through WrapRow at all.
 // TornWriteRate does not count: it fires through WrapWriter, not the
 // engine path.
 func (in Injector) Active() bool {
 	return in.ErrorRate > 0 || in.CorruptRate > 0 || in.StallRate > 0 || in.PanicRate > 0 || in.LatencyRate > 0
 }
 
-// Wrap returns an engine that runs sim under this fault model. The
-// returned engine tracks attempt counts per (kernel, configuration)
-// cell and is safe for concurrent use; wrap once per sweep so retries
-// of a cell advance its attempt counter.
-func (in Injector) Wrap(sim gcn.EngineFunc) gcn.EngineFunc {
-	if !in.Active() {
-		return sim
-	}
-	st := in.newState()
-	return func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
-		return st.invoke(k.Name, cfg, func() (gcn.Result, error) { return sim(k, cfg) })
-	}
-}
-
 // WrapRow returns a row engine that runs re under this fault model.
-// Decisions are the same pure function of (kernel, configuration,
-// attempt, seed) that Wrap uses, so a sweep sees identical faults on
-// the row path and the per-cell path given the same invocation
-// sequence. One attempt counter per cell is shared across every row
-// the returned engine prepares — and across any per-cell fallback
-// built over it with gcn.PerCell — so retries keep advancing the same
-// stream no matter which path evaluates them. PrepareRow itself never
-// faults: the model covers engine invocations, not kernel analysis.
+// Each batch the returned rows evaluate runs through re first; then
+// the injector rolls one decision per cell, in config order, and
+// overlays it on the cell's outcome. Decisions are a pure function of
+// (kernel, configuration, attempt, seed), and one attempt counter per
+// cell is shared across every row the returned engine prepares, so a
+// retry — a one-cell batch — continues its cell's stream wherever it
+// runs. PrepareRow itself never faults: the model covers engine
+// invocations, not kernel analysis.
 func (in Injector) WrapRow(re gcn.RowEngine) gcn.RowEngine {
 	if !in.Active() {
 		return re
 	}
-	return &faultRowEngine{st: in.newState(), re: re}
+	e := &faultRowEngine{in: in, re: re, stall: in.Stall, latency: in.Latency}
+	if e.stall <= 0 {
+		e.stall = 10 * time.Millisecond
+	}
+	if e.latency <= 0 {
+		e.latency = 5 * time.Millisecond
+	}
+	return e
 }
 
-// faultState is the per-Wrap/WrapRow shared decision state: the model,
-// the resolved stall and latency durations, and the cross-cell attempt
-// counters.
-type faultState struct {
+// faultRowEngine wraps a RowEngine with the decision state its rows
+// share: the model, the resolved stall and latency durations, and the
+// cross-cell attempt counters. Retries of one cell are sequential
+// within a sweep worker, but the counters stay safe for arbitrary
+// concurrent callers.
+type faultRowEngine struct {
 	in       Injector
+	re       gcn.RowEngine
 	stall    time.Duration
 	latency  time.Duration
-	attempts sync.Map // cell key -> *attemptCounter
+	attempts sync.Map // cell key -> *atomic.Uint64
 }
 
-func (in Injector) newState() *faultState {
-	stall := in.Stall
-	if stall <= 0 {
-		stall = 10 * time.Millisecond
-	}
-	latency := in.Latency
-	if latency <= 0 {
-		latency = 5 * time.Millisecond
-	}
-	return &faultState{in: in, stall: stall, latency: latency}
-}
-
-// invoke rolls one fault decision for the cell's next attempt and runs
-// call under it — the single implementation behind Wrap and WrapRow.
-func (s *faultState) invoke(name string, cfg hw.Config, call func() (gcn.Result, error)) (gcn.Result, error) {
-	key := cellKey(name, cfg)
-	v, _ := s.attempts.LoadOrStore(key, new(attemptCounter))
-	attempt := v.(*attemptCounter).next()
-	in := s.in
-	roll, sub := in.roll(name, cfg, attempt)
-	switch {
-	case roll < in.ErrorRate:
-		in.decided(name, cfg, attempt, KindError)
-		// The caller (CellFailure) already names the cell; only the
-		// attempt number is new information here.
-		return gcn.Result{}, fmt.Errorf("attempt %d: %w", attempt, ErrInjected)
-	case roll < in.ErrorRate+in.CorruptRate:
-		in.decided(name, cfg, attempt, KindCorrupt)
-		r, err := call()
-		if err != nil {
-			return r, err
-		}
-		return corrupt(r, sub), nil
-	case roll < in.ErrorRate+in.CorruptRate+in.StallRate:
-		in.decided(name, cfg, attempt, KindStall)
-		time.Sleep(s.stall)
-	case roll < in.ErrorRate+in.CorruptRate+in.StallRate+in.PanicRate:
-		in.decided(name, cfg, attempt, KindPanic)
-		panic(fmt.Sprintf("fault: injected engine panic (%s attempt %d)", key, attempt))
-	case roll < in.ErrorRate+in.CorruptRate+in.StallRate+in.PanicRate+in.LatencyRate:
-		in.decided(name, cfg, attempt, KindLatency)
-		// The delay is a pure function of the same roll that fired the
-		// fault: (0, Latency] in 1% steps, reproducible per cell/attempt.
-		time.Sleep(s.latency * time.Duration(1+sub%100) / 100)
-	}
-	return call()
-}
-
-// faultRowEngine wraps a RowEngine with a shared fault state.
-type faultRowEngine struct {
-	st *faultState
-	re gcn.RowEngine
-}
-
-func (f *faultRowEngine) PrepareRow(k *kernel.Kernel) (gcn.PreparedRow, error) {
-	pr, err := f.re.PrepareRow(k)
+func (e *faultRowEngine) PrepareRow(k *kernel.Kernel) (gcn.PreparedRow, error) {
+	pr, err := e.re.PrepareRow(k)
 	if err != nil {
 		return nil, err
 	}
-	fr := faultRow{st: f.st, name: k.Name, pr: pr}
-	if br, ok := pr.(gcn.BatchRow); ok {
-		// Only advertise the batch seam when the row underneath has it,
-		// so wrapping never upgrades an engine's capabilities.
-		return &faultBatchRow{faultRow: fr, br: br}, nil
-	}
-	return &fr, nil
+	return &faultRow{PreparedRow: pr, e: e, name: k.Name, ctx: context.Background()}, nil
 }
 
-// faultRow interposes the fault roll on every Eval; Stats passes
-// through to the prepared row underneath.
+// faultRow overlays the fault model on every batch of the prepared row
+// it embeds; Stats passes through. It keeps the row's budget so that
+// stalls and latency faults end when the budget does.
 type faultRow struct {
-	st   *faultState
-	name string
-	pr   gcn.PreparedRow
+	gcn.PreparedRow
+	e       *faultRowEngine
+	name    string
+	ctx     context.Context
+	perCell time.Duration
 }
 
-func (f *faultRow) Eval(cfg hw.Config) (gcn.Result, error) {
-	return f.st.invoke(f.name, cfg, func() (gcn.Result, error) { return f.pr.Eval(cfg) })
-}
-
-func (f *faultRow) Stats() gcn.PreparedStats { return f.pr.Stats() }
-
-// faultBatchRow additionally exposes the batch seam when the wrapped
-// row has one.
-type faultBatchRow struct {
-	faultRow
-	br gcn.BatchRow
+func (f *faultRow) SetBudget(ctx context.Context, perCell time.Duration) {
+	f.ctx, f.perCell = ctx, perCell
+	f.PreparedRow.SetBudget(ctx, perCell)
 }
 
 // EvalBatch implements gcn.BatchRow under the fault model: the
-// underlying batch evaluates every cell once, then the injector rolls
-// one decision per cell in config order and overlays it on the cell's
-// outcome. Each roll advances the same per-cell attempt counter and is
-// the same pure function of (kernel, configuration, attempt, seed)
-// that Eval rolls, so a sweep draws an identical fault stream whether
-// a row's first attempts run batched or per-cell — and retries, which
-// always run per-cell, continue each cell's stream seamlessly.
-func (f *faultBatchRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []error) error {
-	if err := f.br.EvalBatch(cfgs, out, errs); err != nil {
+// underlying row evaluates every cell once, then each cell's rolled
+// decision is overlaid on its outcome.
+func (f *faultRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []error) error {
+	if err := f.PreparedRow.EvalBatch(cfgs, out, errs); err != nil {
 		return err
 	}
 	for i := range cfgs {
-		f.st.overlay(f.name, cfgs[i], &out[i], &errs[i])
+		f.overlay(cfgs[i], &out[i], &errs[i])
 	}
 	return nil
 }
 
-// overlay applies one rolled fault decision to an already-computed
-// batched outcome, mirroring invoke kind for kind. The mechanics
-// differ only where a batch forces them to: an injected panic cannot
-// unwind the stack without losing the rest of the row, so it surfaces
-// as an error wrapping gcn.ErrBatchPanic — which the sweep maps onto
-// the same final engine-panic classification the per-cell recover
-// produces — and stall/latency sleeps happen after the engine ran
-// rather than before (the delay reaches the caller either way).
-func (s *faultState) overlay(name string, cfg hw.Config, r *gcn.Result, cellErr *error) {
-	key := cellKey(name, cfg)
-	v, _ := s.attempts.LoadOrStore(key, new(attemptCounter))
-	attempt := v.(*attemptCounter).next()
-	in := s.in
-	roll, sub := in.roll(name, cfg, attempt)
+// overlay rolls one fault decision for the cell's next attempt and
+// applies it to the already-computed outcome. An injected panic cannot
+// unwind the stack without losing the rest of the batch, so it
+// surfaces as an error wrapping gcn.ErrBatchPanic, which the sweep
+// settles as a final engine panic.
+func (f *faultRow) overlay(cfg hw.Config, r *gcn.Result, cellErr *error) {
+	e := f.e
+	key := cellKey(f.name, cfg)
+	v, _ := e.attempts.LoadOrStore(key, new(atomic.Uint64))
+	attempt := v.(*atomic.Uint64).Add(1) - 1
+	in := e.in
+	roll, sub := in.roll(f.name, cfg, attempt)
+	var err error
 	switch {
 	case roll < in.ErrorRate:
-		in.decided(name, cfg, attempt, KindError)
-		*r = gcn.Result{}
-		*cellErr = fmt.Errorf("attempt %d: %w", attempt, ErrInjected)
+		in.decided(f.name, cfg, attempt, KindError)
+		// The caller (CellFailure) already names the cell; only the
+		// attempt number is new information here.
+		err = fmt.Errorf("attempt %d: %w", attempt, ErrInjected)
 	case roll < in.ErrorRate+in.CorruptRate:
-		in.decided(name, cfg, attempt, KindCorrupt)
-		// Like invoke: corruption only lands on a result the engine
-		// actually produced; an engine-side failure passes through.
+		in.decided(f.name, cfg, attempt, KindCorrupt)
+		// Corruption only lands on a result the engine actually
+		// produced; an engine-side failure passes through.
 		if *cellErr == nil {
 			*r = corrupt(*r, sub)
 		}
 	case roll < in.ErrorRate+in.CorruptRate+in.StallRate:
-		in.decided(name, cfg, attempt, KindStall)
-		time.Sleep(s.stall)
+		in.decided(f.name, cfg, attempt, KindStall)
+		err = f.hold(e.stall)
 	case roll < in.ErrorRate+in.CorruptRate+in.StallRate+in.PanicRate:
-		in.decided(name, cfg, attempt, KindPanic)
-		*r = gcn.Result{}
-		*cellErr = fmt.Errorf("%w: fault: injected engine panic (%s attempt %d)", gcn.ErrBatchPanic, key, attempt)
+		in.decided(f.name, cfg, attempt, KindPanic)
+		err = fmt.Errorf("%w: fault: injected engine panic (%s attempt %d)", gcn.ErrBatchPanic, key, attempt)
 	case roll < in.ErrorRate+in.CorruptRate+in.StallRate+in.PanicRate+in.LatencyRate:
-		in.decided(name, cfg, attempt, KindLatency)
-		time.Sleep(s.latency * time.Duration(1+sub%100) / 100)
+		in.decided(f.name, cfg, attempt, KindLatency)
+		// The delay is a pure function of the same roll that fired the
+		// fault: (0, Latency] in 1% steps, reproducible per cell/attempt.
+		err = f.hold(e.latency * time.Duration(1+sub%100) / 100)
+	}
+	if err != nil {
+		*r, *cellErr = gcn.Result{}, err
+	}
+}
+
+// hold delays the cell by d unless the row's budget ends first: a
+// per-cell limit shorter than d fails the cell with gcn.ErrSimTimeout
+// once it passes, and a canceled sweep fails it with the context's
+// error at once. It waits on a timer; no goroutine outlives the call.
+func (f *faultRow) hold(d time.Duration) error {
+	timeout := f.perCell > 0 && f.perCell < d
+	if timeout {
+		d = f.perCell
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		if timeout {
+			return fmt.Errorf("%w after %v", gcn.ErrSimTimeout, f.perCell)
+		}
+		return nil
+	case <-f.ctx.Done():
+		return f.ctx.Err()
 	}
 }
 
@@ -714,22 +670,6 @@ func (in Injector) decided(name string, cfg hw.Config, attempt uint64, kind Kind
 	if in.OnDecision != nil {
 		in.OnDecision(Decision{Kernel: name, Config: cfg, Attempt: attempt, Kind: kind})
 	}
-}
-
-// attemptCounter is a per-cell attempt sequence. Retries of one cell
-// are sequential within a sweep worker, but the wrapper stays safe for
-// arbitrary concurrent callers.
-type attemptCounter struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-func (c *attemptCounter) next() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.n
-	c.n++
-	return n
 }
 
 // cellKey identifies one (kernel, configuration) cell.

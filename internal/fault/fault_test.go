@@ -2,6 +2,7 @@ package fault
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -29,11 +30,38 @@ func testCells(t *testing.T) ([]*kernel.Kernel, []hw.Config) {
 	return ks, space.Configs()
 }
 
+// cellEngine runs one cell at a time through in.WrapRow over the
+// round engine, as one-element batches on freshly prepared rows. The
+// injector's attempt counters live in the wrapped engine, so repeated
+// calls on one cell advance its stream exactly like sweep retries.
+type cellEngine func(*kernel.Kernel, hw.Config) (gcn.Result, error)
+
+func wrapCell(in Injector) cellEngine {
+	return wrapCellBudget(in, context.Background(), 0)
+}
+
+// wrapCellBudget is wrapCell with every row's budget armed.
+func wrapCellBudget(in Injector, ctx context.Context, perCell time.Duration) cellEngine {
+	re := in.WrapRow(gcn.RoundRow)
+	return func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
+		row, err := re.PrepareRow(k)
+		if err != nil {
+			return gcn.Result{}, err
+		}
+		row.SetBudget(ctx, perCell)
+		out, errs := make([]gcn.Result, 1), make([]error, 1)
+		if err := row.EvalBatch([]hw.Config{cfg}, out, errs); err != nil {
+			return gcn.Result{}, err
+		}
+		return out[0], errs[0]
+	}
+}
+
 // faultPattern sweeps every cell once through a fresh wrap and records
 // which cells errored.
 func faultPattern(t *testing.T, in Injector, ks []*kernel.Kernel, cfgs []hw.Config) map[string]bool {
 	t.Helper()
-	eng := in.Wrap(gcn.Simulate)
+	eng := wrapCell(in)
 	out := map[string]bool{}
 	for _, k := range ks {
 		for _, cfg := range cfgs {
@@ -94,7 +122,7 @@ func TestInjectorRetrySeesIndependentRoll(t *testing.T) {
 	ks, cfgs := testCells(t)
 	// With a 50% error rate, some cell must fail on attempt 0 and
 	// succeed on attempt 1 within a handful of cells.
-	eng := Injector{ErrorRate: 0.5, Seed: 1}.Wrap(gcn.Simulate)
+	eng := wrapCell(Injector{ErrorRate: 0.5, Seed: 1})
 	recovered := false
 	for _, k := range ks {
 		for _, cfg := range cfgs {
@@ -112,7 +140,7 @@ func TestInjectorRetrySeesIndependentRoll(t *testing.T) {
 
 func TestInjectorCorruptsResults(t *testing.T) {
 	ks, cfgs := testCells(t)
-	eng := Injector{CorruptRate: 1, Seed: 2}.Wrap(gcn.Simulate)
+	eng := wrapCell(Injector{CorruptRate: 1, Seed: 2})
 	sawNaN, sawNeg, sawInf := false, false, false
 	for _, k := range ks {
 		for _, cfg := range cfgs {
@@ -139,13 +167,28 @@ func TestInjectorCorruptsResults(t *testing.T) {
 
 func TestInjectorStalls(t *testing.T) {
 	ks, cfgs := testCells(t)
-	eng := Injector{StallRate: 1, Stall: 20 * time.Millisecond, Seed: 4}.Wrap(gcn.Simulate)
+	in := Injector{StallRate: 1, Stall: 20 * time.Millisecond, Seed: 4}
 	start := time.Now()
-	if _, err := eng(ks[0], cfgs[0]); err != nil {
+	if _, err := wrapCell(in)(ks[0], cfgs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Fatalf("stalled call returned in %v, want >= 20ms", d)
+	}
+	// The stall is cooperative: a shorter per-cell budget ends it with
+	// a timeout, and a canceled context ends it at once.
+	in.Stall = time.Minute
+	start = time.Now()
+	if _, err := wrapCellBudget(in, context.Background(), 5*time.Millisecond)(ks[0], cfgs[0]); !errors.Is(err, gcn.ErrSimTimeout) {
+		t.Fatalf("stall under a 5ms budget: err = %v, want gcn.ErrSimTimeout", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := wrapCellBudget(in, ctx, 0)(ks[0], cfgs[0]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stall under a canceled context: err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("budgeted stalls took %v; they ran to completion", d)
 	}
 }
 
@@ -155,13 +198,13 @@ func TestInjectorLatencyIsDeterministicAndBounded(t *testing.T) {
 	var decisions []Decision
 	in := Injector{LatencyRate: 1, Latency: max, Seed: 5,
 		OnDecision: func(d Decision) { decisions = append(decisions, d) }}
-	eng := in.Wrap(gcn.Simulate)
+	eng := wrapCell(in)
 	// Same cell, fresh wraps: attempt 0's delay must reproduce exactly,
 	// and every call must be delayed but never past the configured max
 	// (plus the simulation itself, which is microseconds here).
 	var first [2]time.Duration
 	for i := range first {
-		eng2 := in.Wrap(gcn.Simulate)
+		eng2 := wrapCell(in)
 		start := time.Now()
 		if _, err := eng2(ks[0], cfgs[0]); err != nil {
 			t.Fatal(err)
@@ -206,7 +249,7 @@ func TestInjectorLatencyIsDeterministicAndBounded(t *testing.T) {
 
 func TestInjectorZeroValueIsPassthrough(t *testing.T) {
 	ks, cfgs := testCells(t)
-	eng := Injector{}.Wrap(gcn.Simulate)
+	eng := wrapCell(Injector{})
 	for _, k := range ks {
 		for _, cfg := range cfgs {
 			got, err := eng(k, cfg)
@@ -253,18 +296,12 @@ func TestInjectorPanics(t *testing.T) {
 	ks, cfgs := testCells(t)
 	var decisions []Kind
 	in := Injector{PanicRate: 1, Seed: 6, OnDecision: func(d Decision) { decisions = append(decisions, d.Kind) }}
-	eng := in.Wrap(gcn.Simulate)
-	panicked := func() (p any) {
-		defer func() { p = recover() }()
-		eng(ks[0], cfgs[0])
-		return nil
-	}()
-	if panicked == nil {
-		t.Fatal("PanicRate 1 did not panic")
+	_, err := wrapCell(in)(ks[0], cfgs[0])
+	if !errors.Is(err, gcn.ErrBatchPanic) {
+		t.Fatalf("PanicRate 1: err = %v, want gcn.ErrBatchPanic", err)
 	}
-	msg, ok := panicked.(string)
-	if !ok || !strings.Contains(msg, "injected engine panic") {
-		t.Fatalf("panic value %v does not identify the injector", panicked)
+	if !strings.Contains(err.Error(), "injected engine panic") {
+		t.Fatalf("panic error %v does not identify the injector", err)
 	}
 	if len(decisions) != 1 || decisions[0] != KindPanic {
 		t.Fatalf("decisions %v, want [panic]", decisions)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"gpuscale/internal/gcn"
 	"gpuscale/internal/obs"
 )
 
@@ -23,7 +22,7 @@ func TestOnDecisionFiresForEveryFault(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	eng := in.Wrap(gcn.Simulate)
+	eng := wrapCell(in)
 	faults := 0
 	for _, k := range ks {
 		for _, cfg := range cfgs {
@@ -66,7 +65,7 @@ func TestObserveCountsByKindAndEmitsSpans(t *testing.T) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	in := Injector{ErrorRate: 0.1, CorruptRate: 0.1, Seed: 7, OnDecision: Observe(reg, tw)}
-	eng := in.Wrap(gcn.Simulate)
+	eng := wrapCell(in)
 	for _, k := range ks {
 		for _, cfg := range cfgs {
 			eng(k, cfg) //nolint:errcheck // outcomes audited via counters

@@ -44,13 +44,12 @@ import (
 // identical statuses.
 var ErrBatchPanic = errors.New("gcn: engine panicked during batch evaluation")
 
-// BatchRow is the optional batch extension of PreparedRow: evaluating
-// the whole config axis in one call. Implementations must fill
-// out[i]/errs[i] for every i < len(cfgs); a non-nil return value is a
-// row-level failure (undersized buffers, lowering failure) after which
-// the per-cell contents are unspecified and the caller should fall
-// back to Eval. Configurations must already be validated, exactly as
-// for Eval.
+// BatchRow evaluates a prepared kernel over a slice of the config
+// axis in one call. Implementations must fill out[i]/errs[i] for every
+// i < len(cfgs); a non-nil return value is a row-level failure
+// (undersized buffers, a wrapper that cannot batch) after which the
+// per-cell contents are unspecified and the caller re-evaluates the
+// cells one by one. Configurations must already be validated.
 type BatchRow interface {
 	EvalBatch(cfgs []hw.Config, out []Result, errs []error) error
 }
@@ -320,20 +319,31 @@ func (p *Prepared) EvalRoundBatch(cfgs []hw.Config, out []Result) error {
 	return nil
 }
 
-// roundBatchRow adapts EvalRoundBatch to the BatchRow seam. The round
-// engine has no per-cell failure modes, so errs stays all-nil (the
-// caller zeroed it).
-func roundBatchRow(p *Prepared, cfgs []hw.Config, out []Result, errs []error) error {
-	return p.EvalRoundBatch(cfgs, out)
-}
-
-// evalCellIsolated runs one per-cell evaluation with panic isolation,
-// so a panicking cell inside a batch poisons only its own slot.
-func evalCellIsolated(p *Prepared, eval func(*Prepared, hw.Config) (Result, error), cfg hw.Config) (res Result, err error) {
+// evalCell runs one cell of a batch with panic isolation, so a
+// panicking cell poisons only its own slot. Under a budget, a cell that
+// fails — in particular one cut off by the budget — is rolled back: the
+// hit-rate memo entries and counters it added are taken out again, so
+// the row is exactly as if the cell had never started. (The
+// resident-set memo only ever stores completed simulations, and every
+// engine resets its scratch before use.)
+func (p *Prepared) evalCell(eval func(*Prepared, hw.Config) (Result, error), cfg hw.Config) (res Result, err error) {
+	stats := p.stats
+	p.hrAdded = p.hrAdded[:0]
 	defer func() {
 		if rec := recover(); rec != nil {
 			res = Result{}
 			err = fmt.Errorf("%w: %v\n%s", ErrBatchPanic, rec, debug.Stack())
+		}
+		if err != nil && p.bud != nil {
+			for _, key := range p.hrAdded {
+				if p.dense(key) {
+					p.hrSeen[key.cus] = false
+				} else {
+					delete(p.hrMemo, key)
+				}
+			}
+			p.hrLastOK = false
+			p.stats = stats
 		}
 	}()
 	return eval(p, cfg)
@@ -341,18 +351,26 @@ func evalCellIsolated(p *Prepared, eval func(*Prepared, hw.Config) (Result, erro
 
 // EvalBatch implements BatchRow for every engine's prepared row. The
 // round engine dispatches to its columnar evaluator; the event-driven
-// engines loop the per-cell evaluator with panic isolation, which
-// still amortizes prepare, memo, and scratch reuse across the axis.
+// engines loop the per-cell evaluator with panic isolation under the
+// row's budget, which still amortizes prepare, memo, and scratch reuse
+// across the axis. Once the budget's context ends, the remaining cells
+// are not started: they fail with the context's error.
 func (r preparedRow) EvalBatch(cfgs []hw.Config, out []Result, errs []error) error {
 	if len(out) < len(cfgs) || len(errs) < len(cfgs) {
 		return fmt.Errorf("gcn: EvalBatch: %d configs, %d results, %d errors", len(cfgs), len(out), len(errs))
 	}
 	clear(errs[:len(cfgs)])
 	if r.batch != nil {
-		return r.batch(r.p, cfgs, out, errs)
+		// The columnar evaluator has no per-cell failure modes, so errs
+		// stays all-nil.
+		return r.batch(r.p, cfgs, out)
 	}
 	for i := range cfgs {
-		out[i], errs[i] = evalCellIsolated(r.p, r.eval, cfgs[i])
+		if err := r.p.bud.begin(); err != nil {
+			out[i], errs[i] = Result{}, err
+			continue
+		}
+		out[i], errs[i] = r.p.evalCell(r.eval, cfgs[i])
 	}
 	return nil
 }

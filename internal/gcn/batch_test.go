@@ -141,14 +141,17 @@ func TestEvalRoundBatchBufferContract(t *testing.T) {
 
 // TestEvalBatchSeamMatchesEvalAllEngines proves the generic BatchRow
 // seam (per-cell loop with panic isolation) agrees bit for bit with
-// per-cell Eval on every engine, not just the round engine's columnar
-// path.
+// the per-cell Simulate* entry points on every engine, not just the
+// round engine's columnar path.
 func TestEvalBatchSeamMatchesEvalAllEngines(t *testing.T) {
-	engines := map[string]RowEngine{
-		"round":    RoundRow,
-		"wave":     WaveRow,
-		"pipeline": PipelineRow,
-		"detailed": DetailedRow,
+	engines := map[string]struct {
+		row RowEngine
+		sim EngineFunc
+	}{
+		"round":    {RoundRow, Simulate},
+		"wave":     {WaveRow, SimulateWave},
+		"pipeline": {PipelineRow, SimulatePipeline},
+		"detailed": {DetailedRow, SimulateDetailed},
 	}
 	kernels := []*kernel.Kernel{
 		smaller(computeBoundKernel(), 256),
@@ -163,25 +166,17 @@ func TestEvalBatchSeamMatchesEvalAllEngines(t *testing.T) {
 	}
 	for name, e := range engines {
 		for _, k := range kernels {
-			rowB, err := e.PrepareRow(k)
+			row, err := e.row.PrepareRow(k)
 			if err != nil {
 				t.Fatalf("%s PrepareRow(%s): %v", name, k.Name, err)
-			}
-			rowS, err := e.PrepareRow(k)
-			if err != nil {
-				t.Fatalf("%s PrepareRow(%s): %v", name, k.Name, err)
-			}
-			br, ok := rowB.(BatchRow)
-			if !ok {
-				t.Fatalf("%s prepared row does not implement BatchRow", name)
 			}
 			out := make([]Result, len(cfgs))
 			errs := make([]error, len(cfgs))
-			if err := br.EvalBatch(cfgs, out, errs); err != nil {
+			if err := row.EvalBatch(cfgs, out, errs); err != nil {
 				t.Fatalf("%s EvalBatch(%s): %v", name, k.Name, err)
 			}
 			for i, cfg := range cfgs {
-				want, werr := rowS.Eval(cfg)
+				want, werr := e.sim(k, cfg)
 				if (werr == nil) != (errs[i] == nil) {
 					t.Fatalf("%s %s cell %d: batch err %v, scalar err %v", name, k.Name, i, errs[i], werr)
 				}

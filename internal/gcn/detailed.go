@@ -136,7 +136,12 @@ func (p *Prepared) EvalDetailed(cfg hw.Config) (Result, error) {
 	var boundNS boundTimes
 	var lastHR memory.HitRates
 
-	for inFlight > 0 {
+	for quanta := 1; inFlight > 0; quanta++ {
+		if quanta&(budgetEvery-1) == 0 {
+			if err := p.bud.check(); err != nil {
+				return Result{}, err
+			}
+		}
 		// Per-CU rates for this quantum; the buffer is reused across
 		// quanta, so clear it first (idle CUs must stay at zero).
 		for i := range rates {

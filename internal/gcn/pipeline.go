@@ -171,7 +171,12 @@ func (p *Prepared) EvalPipeline(cfg hw.Config) (Result, error) {
 	kernelNS := 0.0
 	var boundNS boundTimes
 	remaining := k.Workgroups
-	for remaining > 0 {
+	for batches := 1; remaining > 0; batches++ {
+		if batches&(budgetEvery-1) == 0 {
+			if err := p.bud.check(); err != nil {
+				return Result{}, err
+			}
+		}
 		batch := fullBatch
 		if remaining < batch {
 			batch = remaining
@@ -257,14 +262,16 @@ func SimulateResidentSetPolicy(prog *isa.Program, wgs, wavesPerWG int, latencyCy
 	if err := prog.Validate(); err != nil {
 		return 0, err
 	}
-	return runResidentSet(&cuPipeline{}, prog, wgs, wavesPerWG, latencyCycles, policy)
+	return runResidentSet(&cuPipeline{}, nil, prog, wgs, wavesPerWG, latencyCycles, policy)
 }
 
 // runResidentSet runs wgs workgroups (wavesPerWG waves each) of prog
 // on one CU, cycle by cycle, and returns the cycles to drain them
-// all. The program must already be validated. p is reset completely
-// before use, so callers may hand in a reused scratch pipeline.
-func runResidentSet(p *cuPipeline, prog *isa.Program, wgs, wavesPerWG int, latencyCycles int64, policy SchedPolicy) (int64, error) {
+// all, or the budget's error if it expires first. The program must
+// already be validated. p is reset completely before use, so callers
+// may hand in a reused scratch pipeline — including one a cut-off run
+// left mid-simulation.
+func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPerWG int, latencyCycles int64, policy SchedPolicy) (int64, error) {
 	p.prog = prog
 	p.wavesPerWG = wavesPerWG
 	p.policy = policy
@@ -300,9 +307,14 @@ func runResidentSet(p *cuPipeline, prog *isa.Program, wgs, wavesPerWG int, laten
 	live := len(p.waves)
 	rrVec, rrMem, rrScalar := 0, 0, 0
 	const safety = int64(1) << 40
-	for live > 0 {
+	for steps := 1; live > 0; steps++ {
 		if p.cycle > safety {
 			return 0, fmt.Errorf("gcn: pipeline engine ran away on %s", prog.Name)
+		}
+		if steps&(budgetEvery-1) == 0 {
+			if err := bud.check(); err != nil {
+				return 0, err
+			}
 		}
 		// Retire loads completing at or before this cycle.
 		for p.loadHead < len(p.loadDone) && p.loadDone[p.loadHead].cycle <= p.cycle {

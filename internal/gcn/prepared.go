@@ -1,7 +1,9 @@
 package gcn
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"gpuscale/internal/hw"
 	"gpuscale/internal/isa"
@@ -91,6 +93,12 @@ type Prepared struct {
 	hrLastOK bool
 	stats    PreparedStats
 
+	// bud is the row's cooperative supervision (nil: none). While it is
+	// set, hrAdded lists the hit-rate memo entries the current cell
+	// added, so a cell cut off by its budget can take them back.
+	bud     *budget
+	hrAdded []hrKey
+
 	wave *waveScratch
 	pipe *cuPipeline
 	det  *detailedScratch
@@ -147,7 +155,8 @@ func (p *Prepared) demandFor(cfg hw.Config) demand {
 // tuple; across a row only a handful of (residency, CU, L2) triples
 // occur.
 func (p *Prepared) hitRates(resident, cus, l2Bytes int) memory.HitRates {
-	if resident == p.occWGs && l2Bytes == hw.L2Bytes && cus >= 1 && cus <= hw.MaxCUs {
+	key := hrKey{resident, cus, l2Bytes}
+	if p.dense(key) {
 		if p.hrSeen[cus] {
 			p.stats.HitRateHits++
 			return p.hrByCU[cus]
@@ -156,9 +165,11 @@ func (p *Prepared) hitRates(resident, cus, l2Bytes int) memory.HitRates {
 		p.hrByCU[cus] = hr
 		p.hrSeen[cus] = true
 		p.stats.HitRateMisses++
+		if p.bud != nil {
+			p.hrAdded = append(p.hrAdded, key)
+		}
 		return hr
 	}
-	key := hrKey{resident, cus, l2Bytes}
 	if p.hrLastOK && key == p.hrLast {
 		p.stats.HitRateHits++
 		return p.hrLastV
@@ -175,7 +186,16 @@ func (p *Prepared) hitRates(resident, cus, l2Bytes int) memory.HitRates {
 	p.hrMemo[key] = hr
 	p.hrLast, p.hrLastV, p.hrLastOK = key, hr, true
 	p.stats.HitRateMisses++
+	if p.bud != nil {
+		p.hrAdded = append(p.hrAdded, key)
+	}
 	return hr
+}
+
+// dense reports whether a hit-rate key lives in the dense per-CU memo
+// rather than the map.
+func (p *Prepared) dense(key hrKey) bool {
+	return key.resident == p.occWGs && key.l2Bytes == hw.L2Bytes && key.cus >= 1 && key.cus <= hw.MaxCUs
 }
 
 // program lowers the kernel on first use and caches the result.
@@ -201,7 +221,7 @@ func (p *Prepared) residentSetCycles(prog *isa.Program, wgs, wavesPerWG int, lat
 	if p.pipe == nil {
 		p.pipe = &cuPipeline{}
 	}
-	c, err := runResidentSet(p.pipe, prog, wgs, wavesPerWG, latencyCycles, policy)
+	c, err := runResidentSet(p.pipe, p.bud, prog, wgs, wavesPerWG, latencyCycles, policy)
 	if err != nil {
 		return 0, err
 	}
@@ -214,21 +234,25 @@ func (p *Prepared) residentSetCycles(prog *isa.Program, wgs, wavesPerWG int, lat
 }
 
 // PreparedRow is one kernel prepared for a row of evaluations on one
-// engine.
+// engine. Its EvalBatch is the only way a sweep evaluates a cell: the
+// whole config axis in one call, and single cells (retries) as
+// one-element batches. Like Prepared, a PreparedRow reuses internal
+// scratch and is NOT safe for concurrent use.
 type PreparedRow interface {
-	// Eval evaluates the prepared kernel on one configuration. The
-	// configuration must already be validated; Eval skips the
-	// re-check. Like Prepared, a PreparedRow reuses internal scratch
-	// and is NOT safe for concurrent use.
-	Eval(cfg hw.Config) (Result, error)
+	BatchRow
 	// Stats reports the memoization counters accumulated so far.
 	Stats() PreparedStats
+	// SetBudget arms cooperative supervision for later EvalBatch
+	// calls: once ctx ends, the cell in flight and every cell after it
+	// fail with ctx.Err(); a cell still running perCell after it began
+	// fails with ErrSimTimeout (perCell <= 0: no limit). Wrappers
+	// forward it to the row they wrap.
+	SetBudget(ctx context.Context, perCell time.Duration)
 }
 
 // RowEngine is the row-granular form of an engine: one PrepareRow per
-// kernel, then per-configuration evaluations that share prepared
-// state. Wrappers (fault injection) interpose at this seam just as
-// they do on EngineFunc.
+// kernel, then evaluations that share prepared state. Wrappers (fault
+// injection, instrumentation) interpose at this seam.
 type RowEngine interface {
 	// PrepareRow validates the kernel and hoists every
 	// config-independent quantity, returning the row evaluator.
@@ -239,7 +263,7 @@ type RowEngine interface {
 // implements BatchRow; the round engine additionally routes batches
 // through its columnar evaluator.
 var (
-	RoundRow    RowEngine = rowEngine{eval: (*Prepared).EvalRound, batch: roundBatchRow}
+	RoundRow    RowEngine = rowEngine{eval: (*Prepared).EvalRound, batch: (*Prepared).EvalRoundBatch}
 	WaveRow     RowEngine = rowEngine{eval: (*Prepared).EvalWave}
 	PipelineRow RowEngine = rowEngine{eval: (*Prepared).EvalPipeline}
 	DetailedRow RowEngine = rowEngine{eval: (*Prepared).EvalDetailed}
@@ -247,7 +271,7 @@ var (
 
 type rowEngine struct {
 	eval  func(*Prepared, hw.Config) (Result, error)
-	batch func(*Prepared, []hw.Config, []Result, []error) error
+	batch func(*Prepared, []hw.Config, []Result) error
 }
 
 func (e rowEngine) PrepareRow(k *kernel.Kernel) (PreparedRow, error) {
@@ -261,29 +285,15 @@ func (e rowEngine) PrepareRow(k *kernel.Kernel) (PreparedRow, error) {
 type preparedRow struct {
 	p     *Prepared
 	eval  func(*Prepared, hw.Config) (Result, error)
-	batch func(*Prepared, []hw.Config, []Result, []error) error
+	batch func(*Prepared, []hw.Config, []Result) error
 }
 
-func (r preparedRow) Eval(cfg hw.Config) (Result, error) { return r.eval(r.p, cfg) }
-func (r preparedRow) Stats() PreparedStats               { return r.p.Stats() }
+func (r preparedRow) Stats() PreparedStats { return r.p.Stats() }
 
-// PerCell adapts a row engine back to the per-cell EngineFunc
-// contract: every call prepares afresh, shares no state with any
-// other call, and re-validates the configuration. It is the
-// degradation path the sweep falls back to when a prepared row must
-// be abandoned (an abandoned engine call may still own the row's
-// scratch), and wrapping a fault-injected row engine with it keeps
-// both paths drawing from the same fault decision stream.
-func PerCell(e RowEngine) EngineFunc {
-	return func(k *kernel.Kernel, cfg hw.Config) (Result, error) {
-		row, err := e.PrepareRow(k)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := cfg.Validate(); err != nil {
-			return Result{}, err
-		}
-		return row.Eval(cfg)
+func (r preparedRow) SetBudget(ctx context.Context, perCell time.Duration) {
+	r.p.bud = nil
+	if ctx.Done() != nil || perCell > 0 {
+		r.p.bud = &budget{ctx: ctx, perCell: perCell}
 	}
 }
 

@@ -75,6 +75,16 @@ func bitsEqual(a, b Result) bool {
 		fe(a.BoundShare, b.BoundShare)
 }
 
+// evalOne evaluates one cell through the row seam, as a one-element
+// batch.
+func evalOne(row PreparedRow, cfg hw.Config) (Result, error) {
+	out, errs := make([]Result, 1), make([]error, 1)
+	if err := row.EvalBatch([]hw.Config{cfg}, out, errs); err != nil {
+		return Result{}, err
+	}
+	return out[0], errs[0]
+}
+
 func TestPreparedRowMatchesPerCell(t *testing.T) {
 	engines := []struct {
 		name string
@@ -100,7 +110,7 @@ func TestPreparedRowMatchesPerCell(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s on %v: %v", k.Name, cfg, err)
 					}
-					got, err := row.Eval(cfg)
+					got, err := evalOne(row, cfg)
 					if err != nil {
 						t.Fatalf("%s on %v: Eval: %v", k.Name, cfg, err)
 					}
@@ -111,7 +121,7 @@ func TestPreparedRowMatchesPerCell(t *testing.T) {
 				// Re-evaluate in reverse on the now fully dirtied scratch
 				// and warm memos: results must not drift.
 				for i := len(cfgs) - 1; i >= 0; i-- {
-					got, err := row.Eval(cfgs[i])
+					got, err := evalOne(row, cfgs[i])
 					if err != nil {
 						t.Fatalf("%s on %v: re-Eval: %v", k.Name, cfgs[i], err)
 					}
@@ -121,27 +131,6 @@ func TestPreparedRowMatchesPerCell(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestPerCellAdapterMatchesSimulate(t *testing.T) {
-	sim := PerCell(PipelineRow)
-	k := cuIntolerantKernel()
-	for _, cfg := range preparedTestConfigs()[:4] {
-		want, err := SimulatePipeline(k, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sim(k, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitsEqual(got, want) {
-			t.Fatalf("PerCell %+v != SimulatePipeline %+v on %v", got, want, cfg)
-		}
-	}
-	if _, err := sim(k, hw.Config{}); err == nil {
-		t.Fatal("PerCell accepted an invalid config")
 	}
 }
 
@@ -173,14 +162,14 @@ func TestPreparedStatsCountMemoTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cfgWith(16, 1000, 1250)
-	if _, err := row.Eval(cfg); err != nil {
+	if _, err := evalOne(row, cfg); err != nil {
 		t.Fatal(err)
 	}
 	first := row.Stats()
 	if first.HitRateMisses == 0 || first.ResidentSetMisses == 0 {
 		t.Fatalf("first eval recorded no memo misses: %+v", first)
 	}
-	if _, err := row.Eval(cfg); err != nil {
+	if _, err := evalOne(row, cfg); err != nil {
 		t.Fatal(err)
 	}
 	second := row.Stats()

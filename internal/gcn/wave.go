@@ -404,6 +404,11 @@ func (p *Prepared) EvalWave(cfg hw.Config) (Result, error) {
 			return Result{}, fmt.Errorf("gcn: wave engine exceeded %d events on %s (launch too large)",
 				maxWaveEvents, k.Name)
 		}
+		if processed&(budgetEvery-1) == 0 {
+			if err := p.bud.check(); err != nil {
+				return Result{}, err
+			}
+		}
 		ev := q.pop()
 		now = ev.at
 		w := &waves[ev.wave]

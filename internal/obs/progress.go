@@ -24,6 +24,10 @@ type Progress struct {
 	total uint64
 	start time.Time
 	last  time.Time
+
+	// wmu serializes emitted lines: sweep workers emit concurrently,
+	// and the writer need not be safe for concurrent use.
+	wmu sync.Mutex
 }
 
 // NewProgress returns a reporter whose completion count comes from
@@ -125,7 +129,7 @@ func (p *Progress) MaybeEmit(w io.Writer) bool {
 	}
 	p.last = now
 	p.mu.Unlock()
-	fmt.Fprintln(w, p.Line())
+	p.write(w)
 	return true
 }
 
@@ -135,5 +139,12 @@ func (p *Progress) Emit(w io.Writer) {
 	p.mu.Lock()
 	p.last = p.now()
 	p.mu.Unlock()
-	fmt.Fprintln(w, p.Line())
+	p.write(w)
+}
+
+func (p *Progress) write(w io.Writer) {
+	line := p.Line()
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	fmt.Fprintln(w, line)
 }

@@ -49,12 +49,11 @@ type Config struct {
 	// crash-only persistence makes that safe, it just recomputes more
 	// rows on the next start.
 	DrainGrace time.Duration
-	// Retries, Backoff, SimTimeout and StallGrace are the per-cell
-	// executor knobs applied to every job (see sweep.Options).
+	// Retries, Backoff and SimTimeout are the per-cell executor knobs
+	// applied to every job (see sweep.Options).
 	Retries    int
 	Backoff    time.Duration
 	SimTimeout time.Duration
-	StallGrace time.Duration
 	// Breaker is the per-kernel circuit breaker threshold (0 disables).
 	Breaker int
 	// RunSweep, when non-nil, executes each job's sweep in place of
@@ -481,6 +480,9 @@ func (s *Service) SubmitTraced(client string, spec JobSpec, caller obs.SpanConte
 		s.caps.release(client)
 		return JobStatus{}, fmt.Errorf("serve: persisting admission: %w", err)
 	}
+	// The admission reply reports the job as admitted: snapshot it
+	// before a runner can pick it up.
+	st := j.status()
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.open++
@@ -498,7 +500,7 @@ func (s *Service) SubmitTraced(client string, spec JobSpec, caller obs.SpanConte
 			"job": id, "client": client, "trace": sc.TraceID})
 	}
 	s.cfg.Logf("serve: admitted %s for %s (%d kernels, %d configs)", id, client, len(res.kernels), res.space.Size())
-	return j.status(), nil
+	return st, nil
 }
 
 // ErrNoSuchJob marks lookups of unknown job IDs.
@@ -754,7 +756,6 @@ func (s *Service) runJob(j *job) {
 		Retries:     maxInt(j.spec.Retries, s.cfg.Retries),
 		Backoff:     s.cfg.Backoff,
 		SimTimeout:  s.cfg.SimTimeout,
-		StallGrace:  s.cfg.StallGrace,
 		Breaker:     s.cfg.Breaker,
 	}
 	if s.cfg.Injector.Active() {

@@ -14,9 +14,11 @@ import (
 
 // The batched config-axis path must be invisible in the data: a sweep
 // whose rows evaluate through one EvalBatch call has to produce
-// matrices and accounting byte-identical to the per-cell prepared
-// path, with or without fault injection, and its instruments have to
-// say how much work actually batched.
+// matrices and accounting byte-identical to evaluating every cell on
+// its own — as one-element batches when the whole-row call is
+// unavailable, and through the per-cell gcn.Simulate* reference — with
+// or without fault injection, and its instruments have to say how much
+// work actually batched.
 
 func TestBatchPathMatchesDisabledBatchAllEngines(t *testing.T) {
 	space := testSpace(t)
@@ -33,13 +35,22 @@ func TestBatchPathMatchesDisabledBatchAllEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// With the whole-row call disabled every cell runs as its own
+			// one-element batch.
 			scalar, srep, err := RunContext(context.Background(), ks, space,
-				Options{Engine: e, DisableBatch: true})
+				Options{Row: rowLevelBatchFail{e.Row()}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _, err := RunContext(context.Background(), ks, space, Options{Row: simulateFunc(e)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if a, b := csvBytes(t, batch), csvBytes(t, scalar); !bytes.Equal(a, b) {
 				t.Fatalf("engine %s: batched matrix differs from per-cell prepared matrix", e)
+			}
+			if a, b := csvBytes(t, batch), csvBytes(t, ref); !bytes.Equal(a, b) {
+				t.Fatalf("engine %s: batched matrix differs from the per-cell Simulate reference", e)
 			}
 			if brep.Prepared.BatchedRows != len(ks) {
 				t.Fatalf("batched rows = %d, want %d (%+v)", brep.Prepared.BatchedRows, len(ks), brep.Prepared)
@@ -47,8 +58,8 @@ func TestBatchPathMatchesDisabledBatchAllEngines(t *testing.T) {
 			if brep.Prepared.BatchFallbackCells != 0 {
 				t.Fatalf("fault-free batch reported %d fallback cells", brep.Prepared.BatchFallbackCells)
 			}
-			if srep.Prepared.BatchedRows != 0 || srep.Prepared.BatchFallbackCells != 0 {
-				t.Fatalf("DisableBatch still batched: %+v", srep.Prepared)
+			if srep.Prepared.BatchedRows != 0 || srep.Prepared.BatchFallbackCells != srep.Cells {
+				t.Fatalf("disabled batch still batched: %+v", srep.Prepared)
 			}
 			if brep.OK != srep.OK || brep.Attempts != srep.Attempts {
 				t.Fatalf("accounting diverged: batch %+v vs scalar %+v", brep, srep)
@@ -60,9 +71,10 @@ func TestBatchPathMatchesDisabledBatchAllEngines(t *testing.T) {
 // TestBatchPathFaultEquivalence storms the batch path with every
 // engine-side fault kind — including injected panics mid-batch — and
 // requires byte-identical matrices and identical retry accounting
-// against both the per-cell prepared path and the legacy per-cell
-// path. This is what proves the fault overlay advances the same
-// per-(cell, attempt) decision stream the per-cell roll does.
+// against both one-element batches on the prepared row and the
+// per-cell Simulate reference. This is what proves the fault overlay
+// advances the same per-(cell, attempt) decision stream however the
+// cells are grouped into calls.
 func TestBatchPathFaultEquivalence(t *testing.T) {
 	space := testSpace(t)
 	model := fault.Injector{ErrorRate: 0.15, CorruptRate: 0.1, PanicRate: 0.04, LatencyRate: 0.02,
@@ -77,15 +89,14 @@ func TestBatchPathFaultEquivalence(t *testing.T) {
 	}
 
 	scalarOpts := base
-	scalarOpts.Row = model.WrapRow(Round.Row())
-	scalarOpts.DisableBatch = true
+	scalarOpts.Row = rowLevelBatchFail{model.WrapRow(Round.Row())}
 	scalar, scalarRep, err := RunContext(context.Background(), testKernels(), space, scalarOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	perOpts := base
-	perOpts.Sim = model.Wrap(Round.Func())
+	perOpts.Row = model.WrapRow(simulateFunc(Round))
 	perCell, perRep, err := RunContext(context.Background(), testKernels(), space, perOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +106,7 @@ func TestBatchPathFaultEquivalence(t *testing.T) {
 		t.Fatal("fault-injected batch matrix differs from per-cell prepared matrix")
 	}
 	if a, b := csvBytes(t, batch), csvBytes(t, perCell); !bytes.Equal(a, b) {
-		t.Fatal("fault-injected batch matrix differs from legacy per-cell matrix")
+		t.Fatal("fault-injected batch matrix differs from the per-cell Simulate reference")
 	}
 	for _, pair := range []struct {
 		name string
@@ -149,8 +160,9 @@ func TestBatchInjectedPanicIsFinal(t *testing.T) {
 	}
 }
 
-// rowLevelBatchFail wraps a row engine so every EvalBatch fails at the
-// row level, forcing the sweep's whole-row per-cell fallback.
+// rowLevelBatchFail wraps a row engine so every multi-cell EvalBatch
+// fails at the row level, forcing the sweep to evaluate each cell as a
+// one-element batch.
 type rowLevelBatchFail struct{ re gcn.RowEngine }
 
 type rowLevelBatchFailRow struct{ gcn.PreparedRow }
@@ -165,8 +177,11 @@ func (e rowLevelBatchFail) PrepareRow(k *kernel.Kernel) (gcn.PreparedRow, error)
 	return rowLevelBatchFailRow{pr}, nil
 }
 
-func (rowLevelBatchFailRow) EvalBatch([]hw.Config, []gcn.Result, []error) error {
-	return errRowBatch
+func (r rowLevelBatchFailRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []error) error {
+	if len(cfgs) > 1 {
+		return errRowBatch
+	}
+	return r.PreparedRow.EvalBatch(cfgs, out, errs)
 }
 
 func TestRowLevelBatchFailureFallsBackPerCell(t *testing.T) {
@@ -177,8 +192,7 @@ func TestRowLevelBatchFailureFallsBackPerCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, _, err := RunContext(context.Background(), ks, space,
-		Options{Engine: Round, DisableBatch: true})
+	scalar, _, err := RunContext(context.Background(), ks, space, Options{Row: simulateFunc(Round)})
 	if err != nil {
 		t.Fatal(err)
 	}

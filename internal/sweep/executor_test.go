@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
@@ -33,12 +32,12 @@ func TestPanicIsolation(t *testing.T) {
 	space := testSpace(t)
 	opts := Options{
 		Workers: 2,
-		Sim: func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
+		Row: cellFunc(func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
 			if k.Name == "p.b" {
 				panic("engine bug: nil dereference in " + k.Name)
 			}
 			return gcn.Simulate(k, cfg)
-		},
+		}),
 	}
 	m, rep, err := RunContext(context.Background(), testKernels(), space, opts)
 	if err != nil {
@@ -81,14 +80,14 @@ func TestPanicIsNotRetried(t *testing.T) {
 	var once sync.Once
 	opts := Options{
 		Retries: 2,
-		Sim: func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
+		Row: cellFunc(func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
 			panicked := false
 			once.Do(func() { panicked = true })
 			if panicked {
 				panic("one-shot")
 			}
 			return gcn.Simulate(k, cfg)
-		},
+		}),
 	}
 	_, rep, err := RunContext(context.Background(), testKernels(), space, opts)
 	if err != nil {
@@ -102,89 +101,24 @@ func TestPanicIsNotRetried(t *testing.T) {
 	}
 }
 
-// TestStallWatchdog: an engine call that ignores cancellation is
-// abandoned StallGrace after the context dies and its cell is marked
-// stalled, not canceled; the sweep itself returns promptly.
-func TestStallWatchdog(t *testing.T) {
-	space := testSpace(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	release := make(chan struct{})
-	defer close(release)
-	var entered sync.Once
-	opts := Options{
-		Workers:    2,
-		StallGrace: 5 * time.Millisecond,
-		Sim: func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
-			if k.Name == "p.b" {
-				// Deaf engine: cancel the sweep, then sleep through it.
-				entered.Do(cancel)
-				<-release
-				return gcn.Result{}, errors.New("woke up late")
-			}
-			return gcn.Simulate(k, cfg)
-		},
-	}
-	done := make(chan struct{})
-	var rep *RunReport
-	var m *Matrix
-	go func() {
-		defer close(done)
-		m, rep, _ = RunContext(ctx, testKernels(), space, opts)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog did not abandon the deaf engine call")
-	}
-	checkAccounting(t, rep)
-	if rep.Stalled == 0 {
-		t.Fatalf("no stalled cell recorded: %s", rep.Summary())
-	}
-	stalled := 0
-	for _, f := range rep.Failures {
-		if errors.Is(f.Err, ErrStalled) {
-			stalled++
-			if f.Kernel != "p.b" {
-				t.Fatalf("healthy kernel %s reported stalled", f.Kernel)
-			}
-		}
-	}
-	if stalled != rep.Stalled {
-		t.Fatalf("%d stalled failures in report, counter says %d", stalled, rep.Stalled)
-	}
-	b := m.Row("p.b")
-	found := false
-	for _, s := range m.Status[b] {
-		if s == StatusStalled {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no cell in the deaf row carries StatusStalled")
-	}
-	if strings.Contains(rep.Summary(), "0 stalled") {
-		t.Fatalf("summary hides the stall: %s", rep.Summary())
-	}
-}
-
 // TestCircuitBreakerQuarantinesRow: after Breaker consecutive hard
 // failures the rest of the kernel's row is quarantined without
-// touching the engine, and the trip is observable.
+// spending retries on it, and the trip is observable.
 func TestCircuitBreakerQuarantinesRow(t *testing.T) {
 	space := testSpace(t)
 	obs := &trippedObserver{}
 	calls := 0
 	opts := Options{
 		Breaker:  3,
+		Retries:  2,
 		Observer: obs,
-		Sim: func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
+		Row: cellFunc(func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
 			if k.Name == "p.b" {
 				calls++
 				return gcn.Result{}, errors.New("bad kernel")
 			}
 			return gcn.Simulate(k, cfg)
-		},
+		}),
 	}
 	m, rep, err := RunContext(context.Background(), testKernels(), space, opts)
 	if err != nil {
@@ -201,8 +135,10 @@ func TestCircuitBreakerQuarantinesRow(t *testing.T) {
 	if rep.BreakerTrips != 1 {
 		t.Fatalf("breaker trips = %d, want 1", rep.BreakerTrips)
 	}
-	if calls != 3 {
-		t.Fatalf("engine called %d times for the bad kernel after trip, want 3", calls)
+	// One batched pass over the row, then retries for the three cells
+	// that opened the breaker and none for the quarantined rest.
+	if want := space.Size() + 3*2; calls != want {
+		t.Fatalf("engine called %d times for the bad kernel, want %d", calls, want)
 	}
 	if len(obs.trips) != 1 || obs.trips[0] != "p.b" {
 		t.Fatalf("observer saw trips %v, want [p.b]", obs.trips)
@@ -229,13 +165,13 @@ func TestCircuitBreakerResetsOnSuccess(t *testing.T) {
 	n := 0
 	opts := Options{
 		Breaker: 3,
-		Sim: func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
+		Row: cellFunc(func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
 			n++
 			if n%3 == 0 { // every third call fails: streak never exceeds 1
 				return gcn.Result{}, errors.New("flaky")
 			}
 			return gcn.Simulate(k, cfg)
-		},
+		}),
 		Workers: 1,
 	}
 	_, rep, err := RunContext(context.Background(), testKernels(), space, opts)
@@ -252,12 +188,12 @@ func TestCircuitBreakerResetsOnSuccess(t *testing.T) {
 func TestBreakerDisabledByDefault(t *testing.T) {
 	space := testSpace(t)
 	opts := Options{
-		Sim: func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
+		Row: cellFunc(func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
 			if k.Name == "p.b" {
 				return gcn.Result{}, errors.New("always down")
 			}
 			return gcn.Simulate(k, cfg)
-		},
+		}),
 	}
 	_, rep, err := RunContext(context.Background(), testKernels(), space, opts)
 	if err != nil {
@@ -276,9 +212,9 @@ func TestQuarantineAfterBrakesSweep(t *testing.T) {
 		Workers:         1, // deterministic row order
 		Breaker:         2,
 		QuarantineAfter: 1,
-		Sim: func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
+		Row: cellFunc(func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
 			return gcn.Result{}, errors.New("fleet down")
-		},
+		}),
 	}
 	m, rep, err := RunContext(context.Background(), testKernels(), space, opts)
 	if err != nil {

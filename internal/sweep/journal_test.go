@@ -327,7 +327,7 @@ func TestJournalTornWriteSelfHeals(t *testing.T) {
 
 // TestKillResumeEquivalence is the acceptance drill: one sweep is
 // interrupted by all three simulated failure modes — an engine panic,
-// a stalled engine call abandoned by the watchdog, and a torn journal
+// a stalled engine call cut short by cancellation, and a torn journal
 // write left on disk by the "crash" — and the resumed run must
 // produce a matrix byte-identical to an uninterrupted sweep.
 func TestKillResumeEquivalence(t *testing.T) {
@@ -342,9 +342,8 @@ func TestKillResumeEquivalence(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Fault model: rare panics, one long stall. The first stall
-	// decision cancels the sweep mid-flight; the stalled engine call
-	// ignores the cancellation (it is asleep) and the watchdog
-	// abandons it after the grace.
+	// decision cancels the sweep mid-flight; the cooperative stall
+	// returns at once with the context's error.
 	var once sync.Once
 	in := fault.Injector{PanicRate: 0.01, StallRate: 0.005, Stall: 300 * time.Millisecond, Seed: 7}
 	in.OnDecision = func(d fault.Decision) {
@@ -358,16 +357,15 @@ func TestKillResumeEquivalence(t *testing.T) {
 	}
 	opts := journalOpts()
 	opts.Workers = 3
-	opts.Sim = in.Wrap(gcn.Simulate)
-	opts.StallGrace = 10 * time.Millisecond
+	opts.Row = in.WrapRow(gcn.RoundRow)
 	opts.OnRow = func(m *Matrix, r int) { _ = j.AppendRow(m, r) }
 	_, rep1, err := RunContext(ctx, testKernels(), space, opts)
 	if err == nil {
 		t.Fatalf("interrupted sweep reported success: %s", rep1.Summary())
 	}
 	checkAccounting(t, rep1)
-	if rep1.Stalled == 0 {
-		t.Fatalf("no stalled cell despite watchdog drill: %s", rep1.Summary())
+	if rep1.Canceled == 0 {
+		t.Fatalf("no canceled cell despite the stall drill: %s", rep1.Summary())
 	}
 	panicked := false
 	for _, f := range rep1.Failures {

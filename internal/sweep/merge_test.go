@@ -23,6 +23,9 @@ func sweepToJournal(t *testing.T, dir, name string, ks []*kernel.Kernel, space h
 	}
 	opts := journalOpts()
 	opts.Seed = seed
+	// One worker appends rows in kernel order, so a journal's record
+	// positions are deterministic.
+	opts.Workers = 1
 	opts.OnRow = func(m *Matrix, r int) {
 		if err := j.AppendRow(m, r); err != nil {
 			t.Errorf("AppendRow: %v", err)

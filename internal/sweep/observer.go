@@ -99,9 +99,9 @@ const (
 	// MetricBreakerTrips counts kernel rows whose circuit breaker
 	// opened (Options.Breaker consecutive hard failures).
 	MetricBreakerTrips = "sweep_breaker_trips_total"
-	// MetricPreparedRows counts kernel rows evaluated through the
-	// prepared row path (Options.Row, or the engine default). Published
-	// at SweepEnd, and only when the sweep used that path.
+	// MetricPreparedRows counts kernel rows prepared and evaluated
+	// (Options.Row, or the engine default). Published at SweepEnd, and
+	// only when the sweep evaluated at least one row.
 	MetricPreparedRows = "sweep_prepared_rows_total"
 	// MetricResidentSetMemoHits / MetricResidentSetMemoMisses count
 	// resident-set pipeline simulations served from (or inserted into)
@@ -115,13 +115,11 @@ const (
 	MetricHitRateMemoHits   = "sweep_hitrate_memo_hits_total"
 	MetricHitRateMemoMisses = "sweep_hitrate_memo_misses_total"
 	// MetricBatchedRows counts kernel rows whose first attempts ran
-	// through one whole-axis EvalBatch call. Published at SweepEnd,
-	// only when the sweep batched (or tried to batch) at least one row.
+	// through one whole-axis EvalBatch call.
 	MetricBatchedRows = "sweep_batched_rows_total"
-	// MetricBatchFallbackCells counts per-cell engine invocations that
-	// batching rows still needed: retries of batched cells whose first
-	// attempt faulted, plus every cell of rows whose batch call failed
-	// at the row level.
+	// MetricBatchFallbackCells counts cells that needed one-cell
+	// EvalBatch calls of their own: retried cells, plus every cell of
+	// rows whose whole-row call failed.
 	MetricBatchFallbackCells = "sweep_batch_fallback_cells_total"
 )
 
@@ -375,8 +373,8 @@ func (t *Telemetry) RowDone(row int, kernel string, queueWait, d time.Duration) 
 }
 
 // SweepEnd implements Observer. Prepared-row counters are registered
-// here rather than in NewTelemetry so sweeps on the legacy per-cell
-// path don't export always-zero series.
+// here rather than in NewTelemetry so sweeps that evaluate no row (a
+// resume with every row reused) don't export always-zero series.
 func (t *Telemetry) SweepEnd(rep *RunReport) {
 	if p := rep.Prepared; p.Rows > 0 {
 		t.reg.Counter(MetricPreparedRows, "kernel rows evaluated via the prepared row path").Add(uint64(p.Rows))
@@ -384,10 +382,8 @@ func (t *Telemetry) SweepEnd(rep *RunReport) {
 		t.reg.Counter(MetricResidentSetMemoMisses, "resident-set simulations computed and memoized").Add(uint64(p.ResidentSetMisses))
 		t.reg.Counter(MetricHitRateMemoHits, "hit-rate model evaluations served from a row memo").Add(uint64(p.HitRateHits))
 		t.reg.Counter(MetricHitRateMemoMisses, "hit-rate model evaluations computed and memoized").Add(uint64(p.HitRateMisses))
-		if p.BatchedRows > 0 || p.BatchFallbackCells > 0 {
-			t.reg.Counter(MetricBatchedRows, "kernel rows evaluated via one whole-axis batch call").Add(uint64(p.BatchedRows))
-			t.reg.Counter(MetricBatchFallbackCells, "per-cell invocations batching rows still needed").Add(uint64(p.BatchFallbackCells))
-		}
+		t.reg.Counter(MetricBatchedRows, "kernel rows evaluated via one whole-axis batch call").Add(uint64(p.BatchedRows))
+		t.reg.Counter(MetricBatchFallbackCells, "cells that needed one-cell batch calls").Add(uint64(p.BatchFallbackCells))
 	}
 	if t.tw != nil {
 		t.emitComplete("sweep", "sweep", 0, t.sweepStart, rep.WallTime, map[string]any{

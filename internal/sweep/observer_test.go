@@ -23,7 +23,7 @@ import (
 // deterministic fault storm with enough retries to recover fully.
 func faultyOpts(extra func(*Options)) Options {
 	in := fault.Injector{ErrorRate: 0.2, Seed: 5}
-	o := Options{Workers: 4, Sim: in.Wrap(gcn.Simulate), Retries: 8}
+	o := Options{Workers: 4, Row: in.WrapRow(gcn.RoundRow), Retries: 8}
 	if extra != nil {
 		extra(&o)
 	}
@@ -214,7 +214,7 @@ func TestJournalResumeWithObserverUnderCancellation(t *testing.T) {
 	}
 	opts := Options{
 		Workers: 1, // one row at a time => first row journals before cancel
-		Sim:     slowSim,
+		Row:     cellFunc(slowSim),
 		OnRow: func(m *Matrix, r int) {
 			start := time.Now()
 			err := j.AppendRow(m, r)

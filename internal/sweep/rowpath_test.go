@@ -16,7 +16,8 @@ import (
 
 // Golden equivalence for the prepared row path: a sweep through
 // Options.Row (or the Engine.Row default) must produce a matrix
-// byte-identical to the legacy per-cell path — same throughput, time,
+// byte-identical to a per-cell reference that calls the public
+// gcn.Simulate* entry points cell by cell — same throughput, time,
 // bound and status planes — for every engine, with noise, under fault
 // injection, and across resume. The CSV encoding covers all four
 // planes, so comparing serialized bytes is the strictest cheap check.
@@ -63,7 +64,7 @@ func TestRowPathMatchesPerCellPathAllEngines(t *testing.T) {
 					noise = 0.05
 				}
 				perCell, _, err := RunContext(context.Background(), ks, space,
-					Options{Engine: e, Sim: e.Func(), NoiseStdDev: noise, Seed: seed})
+					Options{Row: simulateFunc(e), NoiseStdDev: noise, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,7 +97,7 @@ func TestRowPathFaultEquivalence(t *testing.T) {
 	base := Options{Retries: 2, Breaker: 4}
 
 	perOpts := base
-	perOpts.Sim = model.Wrap(Round.Func())
+	perOpts.Row = model.WrapRow(simulateFunc(Round))
 	perCell, perRep, err := RunContext(context.Background(), testKernels(), space, perOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func TestRowPathResumeEquivalence(t *testing.T) {
 		}
 		return gcn.Simulate(k, cfg)
 	}
-	partial, _, err := RunContext(context.Background(), testKernels(), space, Options{Sim: failB})
+	partial, _, err := RunContext(context.Background(), testKernels(), space, Options{Row: cellFunc(failB)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestRowQuarantinedReplacesPerCellEvents(t *testing.T) {
 	// Breaker trips after 2 failures per row; with QuarantineAfter 1
 	// and a single worker, later rows are quarantined wholesale.
 	_, rep, err := RunContext(context.Background(), testKernels(), space, Options{
-		Sim: alwaysFail, Breaker: 2, QuarantineAfter: 1, Workers: 1, Observer: rec,
+		Row: cellFunc(alwaysFail), Breaker: 2, QuarantineAfter: 1, Workers: 1, Observer: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,83 +243,6 @@ func TestSweepValidatesConfigAxisUpfront(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "config 1 of 1") {
 		t.Fatalf("error %q does not position the bad config", err)
-	}
-}
-
-// slowFirstEvalEngine wraps the round row engine but blocks the first
-// Eval long enough for the supervisor to abandon it. done is closed
-// when that abandoned call finally returns, so tests can wait for the
-// orphaned goroutine deterministically instead of sleeping.
-type slowFirstEvalEngine struct {
-	stall time.Duration
-	fired atomic.Bool
-	done  chan struct{}
-}
-
-func newSlowFirstEvalEngine(stall time.Duration) *slowFirstEvalEngine {
-	return &slowFirstEvalEngine{stall: stall, done: make(chan struct{})}
-}
-
-func (e *slowFirstEvalEngine) PrepareRow(k *kernel.Kernel) (gcn.PreparedRow, error) {
-	pr, err := gcn.RoundRow.PrepareRow(k)
-	if err != nil {
-		return nil, err
-	}
-	return &slowFirstEvalRow{e: e, pr: pr}, nil
-}
-
-type slowFirstEvalRow struct {
-	e  *slowFirstEvalEngine
-	pr gcn.PreparedRow
-}
-
-func (r *slowFirstEvalRow) Eval(cfg hw.Config) (gcn.Result, error) {
-	if r.e.fired.CompareAndSwap(false, true) {
-		defer close(r.e.done)
-		time.Sleep(r.e.stall)
-	}
-	return r.pr.Eval(cfg)
-}
-
-func (r *slowFirstEvalRow) Stats() gcn.PreparedStats { return r.pr.Stats() }
-
-func TestAbandonedEvalPoisonsRowAndFallsBack(t *testing.T) {
-	space := testSpace(t)
-	ks := testKernels()[:1]
-	re := newSlowFirstEvalEngine(300 * time.Millisecond)
-	m, rep, err := RunContext(context.Background(), ks, space, Options{
-		Row:        re,
-		SimTimeout: 20 * time.Millisecond,
-		Retries:    1,
-		Workers:    1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAccounting(t, rep)
-	// The timed-out attempt was abandoned; its retry — and every later
-	// cell — must go through the per-cell fallback and still succeed.
-	if rep.OK != space.Size() {
-		t.Fatalf("ok = %d, want %d (%+v)", rep.OK, space.Size(), rep)
-	}
-	if rep.Prepared.Rows != 1 || rep.Prepared.Abandoned != 1 {
-		t.Fatalf("prepared totals %+v, want 1 row abandoned", rep.Prepared)
-	}
-	clean, _, err := RunContext(context.Background(), ks, space, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(csvBytes(t, clean), csvBytes(t, m)) {
-		t.Fatal("poisoned-row fallback produced a different matrix")
-	}
-	// Wait for the abandoned goroutine's actual completion — not a
-	// "give it time" sleep, which flakes under -race on slow runners —
-	// so the race detector sees the full interleaving before the test
-	// (and its shared prepared-row scratch) goes away.
-	select {
-	case <-re.done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("abandoned engine call never completed")
 	}
 }
 

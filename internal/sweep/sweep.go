@@ -12,11 +12,12 @@
 //
 // The executor is additionally crash-only: a panicking engine is
 // isolated per cell (the panic becomes a CellFailure with a captured
-// stack), a stall watchdog abandons engine calls that ignore context
-// cancellation past Options.StallGrace, and a per-kernel circuit
-// breaker quarantines the rest of a row after Options.Breaker
-// consecutive hard failures instead of burning retry budgets on a
-// kernel that is clearly down.
+// stack), supervision is cooperative — the engines themselves return
+// once the sweep is canceled or a cell outlives Options.SimTimeout, so
+// no engine call is ever abandoned — and a per-kernel circuit breaker
+// quarantines the rest of a row after Options.Breaker consecutive hard
+// failures instead of burning retry budgets on a kernel that is
+// clearly down.
 package sweep
 
 import (
@@ -47,10 +48,9 @@ const (
 	// Wave uses the wavefront-level event engine (slowest; only for
 	// small spaces or validation runs).
 	Wave
-	// Pipeline uses the execution-driven cycle-level engine. Only
-	// practical for sweeps through the prepared row path, where the
-	// resident-set memo collapses most of a row onto a few cycle
-	// simulations.
+	// Pipeline uses the execution-driven cycle-level engine. Practical
+	// for sweeps because the prepared row's resident-set memo collapses
+	// most of a row onto a few cycle simulations.
 	Pipeline
 )
 
@@ -74,22 +74,8 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("sweep: unknown engine %q (want round, detailed, wave or pipeline)", s)
 }
 
-// Func returns the engine's per-cell simulator function.
-func (e Engine) Func() gcn.EngineFunc {
-	switch e {
-	case Detailed:
-		return gcn.SimulateDetailed
-	case Wave:
-		return gcn.SimulateWave
-	case Pipeline:
-		return gcn.SimulatePipeline
-	default:
-		return gcn.Simulate
-	}
-}
-
 // Row returns the engine's row-granular form: one Prepare per kernel,
-// then per-configuration evaluations sharing memoized state.
+// then batched evaluations sharing memoized state.
 func (e Engine) Row() gcn.RowEngine {
 	switch e {
 	case Detailed:
@@ -109,7 +95,7 @@ func (e Engine) Row() gcn.RowEngine {
 var ErrCorruptResult = errors.New("sweep: corrupt result")
 
 // ErrSimTimeout marks a simulation that exceeded Options.SimTimeout.
-var ErrSimTimeout = errors.New("sweep: simulation timed out")
+var ErrSimTimeout = gcn.ErrSimTimeout
 
 // ErrEnginePanic marks a simulator invocation that panicked. The panic
 // is confined to its cell: the wrapped error carries the panic value
@@ -118,43 +104,19 @@ var ErrSimTimeout = errors.New("sweep: simulation timed out")
 // and the sweep continues.
 var ErrEnginePanic = errors.New("sweep: engine panicked")
 
-// ErrStalled marks an engine call that kept running past context
-// cancellation plus Options.StallGrace. The call's goroutine is
-// abandoned (Go cannot kill it) and the cell is marked StatusStalled
-// so the row settles instead of hanging the sweep.
-var ErrStalled = errors.New("sweep: engine ignored cancellation")
-
 // Options configures a sweep run.
 type Options struct {
 	// Workers is the parallel worker count; <= 0 uses GOMAXPROCS.
 	Workers int
 	// Engine selects the simulator fidelity.
 	Engine Engine
-	// Sim, when non-nil, overrides Engine with an arbitrary per-cell
-	// simulator function — the seam where fault injection and custom
-	// engines plug in. Setting Sim alone forces the legacy per-cell
-	// path for every cell.
-	Sim gcn.EngineFunc
-	// Row, when non-nil, overrides Engine with a row-granular engine:
-	// each kernel row is prepared once (validation, lowering, derived
-	// state) and then evaluated per configuration with shared memoized
-	// state. When neither Sim nor Row is set the sweep defaults to
-	// Engine.Row() — the prepared path — with gcn.PerCell(Row) as the
-	// per-cell fallback used after an abandoned engine call (timeout
-	// or stall) poisons a row's shared scratch. When both are set, Row
-	// drives the cells and Sim is the fallback. Retry, fault,
-	// breaker, observer and journal semantics are identical on both
-	// paths.
+	// Row, when non-nil, overrides Engine with a row-granular engine —
+	// the seam where fault injection, instrumentation and custom
+	// engines plug in. Each kernel row is prepared once (validation,
+	// lowering, derived state) and its whole config axis evaluated in
+	// one EvalBatch call; retries re-evaluate single cells through the
+	// same call. nil uses Engine.Row().
 	Row gcn.RowEngine
-	// DisableBatch forces per-cell evaluation even when the row engine
-	// implements gcn.BatchRow. By default a prepared row that supports
-	// batching evaluates the whole config axis in one EvalBatch call
-	// (results are bit-identical; per-cell faults, retries, status and
-	// observer events are preserved), which amortizes the per-cell call
-	// overhead across the row. Batching is automatically skipped when
-	// SimTimeout or StallGrace is set: supervision needs one goroutine
-	// per engine invocation, which is exactly the per-cell shape.
-	DisableBatch bool
 	// NoiseStdDev, when positive, multiplies every measured throughput
 	// by a lognormal factor exp(N(0, stddev)) to emulate run-to-run
 	// measurement noise for robustness experiments. The factor's
@@ -172,27 +134,18 @@ type Options struct {
 	// MaxBackoff caps the exponential backoff; defaults to 100 ms
 	// when Backoff is set.
 	MaxBackoff time.Duration
-	// SimTimeout bounds each simulator invocation; expiry counts as a
-	// retryable fault. Zero means no bound. The expired invocation's
-	// goroutine is abandoned and finishes in the background (Go
-	// cannot kill it), so pair timeouts with engines that eventually
-	// return.
+	// SimTimeout bounds each cell's evaluation; expiry counts as a
+	// retryable fault. Zero means no bound. The budget is cooperative
+	// (gcn.PreparedRow.SetBudget): the cycle-level engines check it in
+	// their event loops and return ErrSimTimeout themselves, and the
+	// round engine finishes a whole row in microseconds.
 	SimTimeout time.Duration
-	// StallGrace arms the stall watchdog: once the sweep's context is
-	// canceled, an in-flight engine call gets this long to return
-	// before it is abandoned and its cell marked StatusStalled. Zero
-	// disables the watchdog (a canceled in-flight call is abandoned
-	// immediately and its cell marked StatusCanceled, the historical
-	// behaviour). Like SimTimeout, arming it moves each invocation
-	// onto a supervising goroutine.
-	StallGrace time.Duration
 	// Breaker is the per-kernel circuit breaker: after this many
-	// consecutive hard failures (failed or stalled cells) within one
-	// kernel row, the row's remaining cells are marked
-	// StatusQuarantined without invoking the engine, so one
-	// pathologically broken kernel cannot burn the whole retry budget.
-	// 0 disables the breaker. Quarantined rows are incomplete, so a
-	// later Resume recomputes them.
+	// consecutive failed cells within one kernel row, the row's
+	// remaining cells are marked StatusQuarantined without spending any
+	// retries on them, so one pathologically broken kernel cannot burn
+	// the whole retry budget. 0 disables the breaker. Quarantined rows
+	// are incomplete, so a later Resume recomputes them.
 	Breaker int
 	// QuarantineAfter is the sweep-level emergency brake: once this
 	// many kernel rows have tripped their circuit breaker, every row
@@ -227,12 +180,13 @@ const (
 	// context ended before it could run.
 	StatusCanceled
 	// StatusStalled marks a cell whose engine call ignored context
-	// cancellation past Options.StallGrace and was abandoned by the
-	// watchdog.
+	// cancellation and was abandoned by a watchdog. Sweeps no longer
+	// produce it (every engine honours cancellation); it remains so
+	// journals and CSVs written by earlier versions still decode.
 	StatusStalled
 	// StatusQuarantined marks a cell skipped by the circuit breaker
-	// after too many consecutive hard failures in its kernel row; the
-	// engine was never invoked for it.
+	// after too many consecutive hard failures in its kernel row; no
+	// retry was spent on it and no result is kept for it.
 	StatusQuarantined
 )
 
@@ -373,8 +327,7 @@ type RunReport struct {
 	// BreakerTrips counts kernel rows whose circuit breaker opened
 	// (Options.Breaker consecutive hard failures).
 	BreakerTrips int
-	// Prepared aggregates row-engine memoization across the sweep; its
-	// Rows field is zero when the sweep ran purely per-cell.
+	// Prepared aggregates row-engine memoization across the sweep.
 	Prepared PreparedTotals
 	// Failures lists each failed or stalled cell with its final error.
 	// A row whose preparation failed contributes a single record
@@ -389,13 +342,8 @@ type RunReport struct {
 // PreparedTotals sums gcn.PreparedStats over every prepared row of a
 // sweep.
 type PreparedTotals struct {
-	// Rows is how many kernel rows ran through the prepared path.
+	// Rows is how many kernel rows were prepared.
 	Rows int
-	// Abandoned is how many of those rows fell back to the per-cell
-	// engine after an abandoned (timed-out or stalled) call poisoned
-	// the row's shared scratch. Their memo counters are not collected
-	// (the abandoned call may still be mutating them).
-	Abandoned int
 	// ResidentSetHits/Misses count resident-set cycle simulations
 	// served from / added to the per-kernel memo.
 	ResidentSetHits, ResidentSetMisses int
@@ -405,10 +353,9 @@ type PreparedTotals struct {
 	// BatchedRows counts rows whose first attempts ran through one
 	// EvalBatch call over the whole config axis.
 	BatchedRows int
-	// BatchFallbackCells counts per-cell engine invocations that a
-	// batching row still needed: retries of batched cells whose first
-	// attempt faulted, plus every cell of a row whose batch call failed
-	// at the row level.
+	// BatchFallbackCells counts cells that needed one-cell EvalBatch
+	// calls of their own: retried cells, plus every cell of a row whose
+	// whole-row call failed.
 	BatchFallbackCells int
 }
 
@@ -523,18 +470,9 @@ func resume(ctx context.Context, kernels []*kernel.Kernel, space hw.Space, opts 
 		}
 	}
 
-	// Engine selection: the prepared row path is the default; an
-	// explicit Sim without a Row keeps the legacy per-cell path. With
-	// a row engine, the per-cell fallback is its own PerCell adapter
-	// so wrappers (fault injection) see one decision stream on both
-	// paths.
 	re := opts.Row
-	sim := opts.Sim
-	if sim == nil && re == nil {
+	if re == nil {
 		re = opts.Engine.Row()
-	}
-	if sim == nil {
-		sim = gcn.PerCell(re)
 	}
 	o := opts.Observer
 	if o != nil {
@@ -557,7 +495,7 @@ func resume(ctx context.Context, kernels []*kernel.Kernel, space hw.Space, opts 
 			// started rather than grind through them.
 			quarantineRow(kernels[row], configs, opts, m, row, rep, &mu)
 		} else {
-			sweepRow(ctx, sim, re, kernels[row], configs, opts, m, row, rep, &mu, start, &trips)
+			sweepRow(ctx, re, kernels[row], configs, opts, m, row, rep, &mu, start, &trips)
 		}
 		if o != nil {
 			o.RowDone(row, kernels[row].Name, pickup.Sub(start), time.Since(pickup))
@@ -668,57 +606,31 @@ func failRowPrepare(k *kernel.Kernel, configs []hw.Config, opts Options,
 // instrumentation has to stay within a few percent of a ~1µs cell.
 // trips is the sweep-wide count of opened circuit breakers.
 //
-// When re is non-nil the row runs through the prepared path: one
-// PrepareRow hoists the kernel-invariant work, and each cell
-// evaluates against the shared prepared state. A prepared row is
-// owned by this goroutine only — if the supervisor abandons an engine
-// call (timeout, stall), the abandoned goroutine may still be using
-// the row's scratch, so the row is poisoned and every later call
-// degrades to the per-cell sim, which shares no state.
-//
-// When the prepared row additionally implements gcn.BatchRow (and
-// batching is not disabled or preempted by supervision), the whole
-// config axis evaluates in one EvalBatch call up front and the cell
-// loop consumes each cell's first attempt from the batch planes.
-// Everything downstream — validation, retry with backoff, breaker,
-// status classification, observer events — is shared with the
-// per-cell path: a batched cell whose first attempt faulted re-enters
-// runCell at attempt two, drawing from the same fault decision stream
-// (injectors roll per (cell, attempt), and the batch advanced each
-// cell's counter exactly once). A row-level batch failure falls back
-// to pure per-cell evaluation for the entire row.
-func sweepRow(ctx context.Context, sim gcn.EngineFunc, re gcn.RowEngine, k *kernel.Kernel, configs []hw.Config,
+// Every cell is evaluated through the prepared row's EvalBatch, the
+// one evaluation path: one PrepareRow hoists the kernel-invariant
+// work, SetBudget hands the row the sweep's context and SimTimeout,
+// and one call evaluates the whole config axis up front. The cell
+// loop consumes each cell's first attempt from the batch planes;
+// retries re-evaluate a single cell as a one-element batch into the
+// same planes (fault injectors roll per (cell, attempt), and the
+// batch advanced each cell's counter exactly once, so the decision
+// stream continues seamlessly). A whole-row call that fails at the
+// row level sends every cell through its own one-element call.
+func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs []hw.Config,
 	opts Options, m *Matrix, row int, rep *RunReport, mu *sync.Mutex, base time.Time, trips *atomic.Int64) {
-	cellSim := sim
-	var prow gcn.PreparedRow
-	var poisoned atomic.Bool
-	if re != nil {
-		pr, err := re.PrepareRow(k)
-		if err != nil {
-			failRowPrepare(k, configs, opts, m, row, rep, mu, err)
-			return
-		}
-		prow = pr
-		cellSim = func(_ *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
-			if poisoned.Load() {
-				return sim(k, cfg)
-			}
-			return prow.Eval(cfg)
-		}
+	prow, err := re.PrepareRow(k)
+	if err != nil {
+		failRowPrepare(k, configs, opts, m, row, rep, mu, err)
+		return
 	}
+	prow.SetBudget(ctx, opts.SimTimeout)
 
-	// Batched first attempts. The buffers come from a pool so the batch
-	// path allocates nothing per row once warm.
-	var bbuf *batchBuf
-	batched, batchTried := false, false
-	if prow != nil && !opts.DisableBatch && opts.SimTimeout <= 0 && opts.StallGrace <= 0 {
-		if br, ok := prow.(gcn.BatchRow); ok && ctx.Err() == nil {
-			batchTried = true
-			bbuf = getBatchBuf(len(configs))
-			defer putBatchBuf(bbuf)
-			batched = safeBatch(br, configs, bbuf.res, bbuf.errs) == nil
-		}
-	}
+	// The planes come from a pool so the batch path allocates nothing
+	// per row once warm.
+	buf := getBatchBuf(len(configs))
+	defer putBatchBuf(buf)
+	ev := &cellEval{row: prow, configs: configs, buf: buf}
+	batched := ctx.Err() == nil && safeBatch(prow, configs, buf.res, buf.errs) == nil
 
 	tput := make([]float64, len(configs))
 	times := make([]float64, len(configs))
@@ -735,26 +647,15 @@ func sweepRow(ctx context.Context, sim gcn.EngineFunc, re gcn.RowEngine, k *kern
 
 	o := opts.Observer
 	timed := o != nil && o.CellTiming()
-	// With no retries, supervision, or observer, runCell reduces to one
-	// guarded engine call per cell; take that path directly rather than
-	// paying its bookkeeping frame 891 times per row.
-	fastCell := opts.Retries == 0 && opts.SimTimeout <= 0 && opts.StallGrace <= 0 && o == nil
 	var prev time.Duration // monotonic offset at the current cell's start
 	if timed {
 		prev = time.Since(base)
 	}
-	var ok, failed, canceled, stalled, quarantined, attempts, retries, fellBack int
+	var ok, failed, canceled, quarantined, attempts, retries, fellBack int
 	var failures []CellFailure
-	// streak counts consecutive hard failures (failed or stalled
-	// cells); Options.Breaker of them in a row opens the breaker and
-	// quarantines the rest of the row.
+	// streak counts consecutive failed cells; Options.Breaker of them
+	// in a row opens the breaker and quarantines the rest of the row.
 	streak, tripped := 0, false
-	// cellRes is the per-cell scratch for the unbatched paths; every
-	// producer overwrites it whole, so it never needs re-zeroing. The
-	// batched fast path bypasses it entirely and reads results straight
-	// out of the batch buffer — the wide Result struct is never copied
-	// per cell.
-	var cellRes gcn.Result
 	for c := range configs {
 		cfg := &configs[c]
 		noise := 1.0
@@ -769,50 +670,40 @@ func sweepRow(ctx context.Context, sim gcn.EngineFunc, re gcn.RowEngine, k *kern
 			quarantined++
 			continue
 		}
-		if ctx.Err() != nil {
+		// Attempt one: the cell's slot of the whole-row batch, or its
+		// own one-element call when the row-level call failed. A batched
+		// outcome is kept even if the sweep was canceled since (cells the
+		// batch never started carry the context's error); an unbatched
+		// cell is not started once the sweep is canceled. Results are
+		// read in place from the batch planes — the wide Result struct
+		// is never copied per cell.
+		if batched {
+			if err = buf.errs[c]; err != nil {
+				err = panicErr(err)
+			}
+		} else if ctx.Err() != nil {
 			status[c] = StatusCanceled
 			canceled++
 			if o != nil {
 				o.CellDone(row, k.Name, *cfg, StatusCanceled, 0, 0)
 			}
 			continue
-		}
-		rp := &cellRes
-		var n int
-		var end time.Duration
-		var err error
-		var first *batchOutcome
-		if batched {
-			// The cell's first attempt already ran inside the batch; an
-			// isolated per-cell panic maps onto the same engine-panic
-			// classification the per-cell recover produces (final, no
-			// retry).
-			rp, err = &bbuf.res[c], bbuf.errs[c]
-			if err != nil && errors.Is(err, gcn.ErrBatchPanic) {
-				err = fmt.Errorf("%w: %v", ErrEnginePanic, err)
-			}
-			if !fastCell {
-				first = &batchOutcome{r: *rp, err: err}
-			}
-		}
-		if fastCell {
-			// A fast cell can never be abandoned, so the row can never
-			// be poisoned: evaluate the prepared row directly instead of
-			// going through cellSim's poison check.
-			n = 1
-			if !batched {
-				if prow != nil {
-					cellRes, err = safeEval(prow, *cfg)
-				} else {
-					cellRes, err = safeCall(cellSim, k, *cfg)
-				}
-			}
-			if err == nil {
-				err = validate(rp)
-			}
 		} else {
-			cellRes, n, end, err = runCell(ctx, cellSim, k, *cfg, opts, row, timed, base, prev, &poisoned, first)
-			rp = &cellRes
+			err = ev.eval(c)
+		}
+		rp := &buf.res[c]
+		if err == nil {
+			err = validate(rp)
+		}
+		n, end := 1, prev
+		if o != nil {
+			if timed {
+				end = time.Since(base)
+			}
+			o.CellAttempt(row, k.Name, *cfg, 1, end-prev, err)
+		}
+		if err != nil && opts.Retries > 0 {
+			n, end, err = retryCell(ctx, ev, c, err, opts, row, k.Name, timed, base, end)
 		}
 		var cellDur time.Duration
 		if timed {
@@ -823,30 +714,23 @@ func sweepRow(ctx context.Context, sim gcn.EngineFunc, re gcn.RowEngine, k *kern
 		if n > 1 {
 			retries += n - 1
 		}
-		if batchTried && (!batched || n > 1) {
-			// Per-cell work a batching row still needed: the whole row
-			// after a row-level batch failure, or retries of a batched
-			// cell whose first attempt faulted.
+		if !batched || n > 1 {
 			fellBack++
 		}
 		if err != nil {
-			if errors.Is(err, ErrStalled) {
-				status[c] = StatusStalled
-				stalled++
-			} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				status[c] = StatusCanceled
 				canceled++
 				if o != nil {
 					o.CellDone(row, k.Name, *cfg, StatusCanceled, n, cellDur)
 				}
 				continue
-			} else {
-				status[c] = StatusFailed
-				failed++
 			}
+			status[c] = StatusFailed
+			failed++
 			failures = append(failures, CellFailure{Kernel: k.Name, Config: *cfg, Attempts: n, Err: err})
 			if o != nil {
-				o.CellDone(row, k.Name, *cfg, status[c], n, cellDur)
+				o.CellDone(row, k.Name, *cfg, StatusFailed, n, cellDur)
 			}
 			streak++
 			if opts.Breaker > 0 && streak >= opts.Breaker {
@@ -875,11 +759,11 @@ func sweepRow(ctx context.Context, sim gcn.EngineFunc, re gcn.RowEngine, k *kern
 	m.Bound[row] = bounds
 	m.Status[row] = status
 
+	s := prow.Stats()
 	mu.Lock()
 	rep.OK += ok
 	rep.Failed += failed
 	rep.Canceled += canceled
-	rep.Stalled += stalled
 	rep.Quarantined += quarantined
 	rep.Attempts += attempts
 	rep.Retries += retries
@@ -887,146 +771,111 @@ func sweepRow(ctx context.Context, sim gcn.EngineFunc, re gcn.RowEngine, k *kern
 		rep.BreakerTrips++
 	}
 	rep.Failures = append(rep.Failures, failures...)
-	if prow != nil {
-		rep.Prepared.Rows++
-		if batched {
-			rep.Prepared.BatchedRows++
-		}
-		rep.Prepared.BatchFallbackCells += fellBack
-		if poisoned.Load() {
-			// The abandoned call may still be mutating the row's
-			// scratch and stats; counting the row as abandoned is the
-			// only safe read.
-			rep.Prepared.Abandoned++
-		} else {
-			s := prow.Stats()
-			rep.Prepared.ResidentSetHits += s.ResidentSetHits
-			rep.Prepared.ResidentSetMisses += s.ResidentSetMisses
-			rep.Prepared.HitRateHits += s.HitRateHits
-			rep.Prepared.HitRateMisses += s.HitRateMisses
-		}
+	rep.Prepared.Rows++
+	if batched {
+		rep.Prepared.BatchedRows++
 	}
+	rep.Prepared.BatchFallbackCells += fellBack
+	rep.Prepared.ResidentSetHits += s.ResidentSetHits
+	rep.Prepared.ResidentSetMisses += s.ResidentSetMisses
+	rep.Prepared.HitRateHits += s.HitRateHits
+	rep.Prepared.HitRateMisses += s.HitRateMisses
 	mu.Unlock()
 }
 
-// batchOutcome carries a cell's already-evaluated first attempt (from
-// a row-level EvalBatch) into runCell, so the retry machinery treats
-// it exactly like an attempt it ran itself.
-type batchOutcome struct {
-	r   gcn.Result
-	err error
-}
-
-// runCell runs one simulation with validation, retry and backoff.
-// It returns the validated result, the number of attempts consumed,
-// the monotonic offset (from base) at which the last attempt ended
-// when an observer is attached, and the final error if every attempt
-// failed. Each simulator invocation is reported to the observer with
-// its duration and error. Timing chains off the caller-supplied start
-// offset so a single-attempt cell costs one clock read; retry
-// attempts (rare) re-read the clock after the backoff sleep so the
-// sleep never pollutes an attempt's duration. timed caches
-// Observer.CellTiming: when false every clock read is skipped and
-// the observer receives zero durations. A non-nil first supplies the
-// result of attempt one (batched rows evaluate it up front); retries
-// then proceed per-cell with the usual backoff ramp.
-func runCell(ctx context.Context, sim gcn.EngineFunc, k *kernel.Kernel, cfg hw.Config,
-	opts Options, row int, timed bool, base time.Time, startOff time.Duration, abandoned *atomic.Bool,
-	first *batchOutcome) (gcn.Result, int, time.Duration, error) {
+// retryCell retries a cell whose first attempt failed with err, with
+// validation and backoff, while it fails retryably; each retry is a
+// one-cell EvalBatch through ev and is reported to the observer with
+// its duration and error. It returns the number of attempts, the
+// monotonic offset (from base) at which the last attempt ended, and
+// the final error. Each retry re-reads the clock after its backoff
+// sleep so the sleep never pollutes an attempt's duration; timed
+// caches Observer.CellTiming, and when it is false every clock read is
+// skipped and the observer receives zero durations.
+func retryCell(ctx context.Context, ev *cellEval, c int, err error, opts Options, row int, name string,
+	timed bool, base time.Time, end time.Duration) (int, time.Duration, error) {
 	backoff := opts.Backoff
 	maxBackoff := opts.MaxBackoff
 	if maxBackoff <= 0 {
 		maxBackoff = 100 * time.Millisecond
 	}
 	o := opts.Observer
-	var lastErr error
-	attempts := 0
-	attemptStart := startOff
-	end := startOff
-	for try := 0; try <= opts.Retries; try++ {
-		if try > 0 {
-			if backoff > 0 {
-				t := time.NewTimer(backoff)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return gcn.Result{}, attempts, end, ctx.Err()
-				}
-				backoff *= 2
-				if backoff > maxBackoff {
-					backoff = maxBackoff
-				}
+	cfg := ev.configs[c]
+	attempt := 1
+	// Panics are final: a panicking engine is broken, not flaky. A
+	// canceled cell only surfaces once the sweep is being torn down.
+	// Retrying either wastes the budget.
+	for attempt <= opts.Retries && !errors.Is(err, ErrEnginePanic) &&
+		!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		if ctx.Err() != nil {
+			return attempt, end, ctx.Err()
+		}
+		if backoff > 0 {
+			t := time.NewTimer(backoff)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return attempt, end, ctx.Err()
 			}
-			if timed {
-				attemptStart = time.Since(base)
+			backoff *= 2
+			if backoff > maxBackoff {
+				backoff = maxBackoff
 			}
 		}
-		attempts++
-		var r gcn.Result
-		var err error
-		if try == 0 && first != nil {
-			r, err = first.r, first.err
-		} else if opts.SimTimeout <= 0 && opts.StallGrace <= 0 {
-			// No supervision requested: skip the wrapper frame in the
-			// hot path (simulate would take the same branch, but each
-			// frame copies the full Result back up).
-			r, err = safeCall(sim, k, cfg)
-		} else {
-			r, err = simulate(ctx, sim, k, cfg, opts.SimTimeout, opts.StallGrace, abandoned)
+		attempt++
+		var start time.Duration
+		if timed {
+			start = time.Since(base)
 		}
-		if err == nil {
-			err = validate(&r)
+		if err = ev.eval(c); err == nil {
+			err = validate(&ev.buf.res[c])
 		}
 		if o != nil {
 			if timed {
 				end = time.Since(base)
 			}
-			o.CellAttempt(row, k.Name, cfg, attempts, end-attemptStart, err)
+			o.CellAttempt(row, name, cfg, attempt, end-start, err)
 		}
 		if err == nil {
-			return r, attempts, end, nil
+			break
 		}
-		// Panics and stalls are final: a panicking engine is broken,
-		// not flaky, and a stalled call only surfaces once the sweep is
-		// already being torn down — retrying either wastes the budget.
-		if errors.Is(err, ErrEnginePanic) || errors.Is(err, ErrStalled) ||
-			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return gcn.Result{}, attempts, end, err
-		}
-		lastErr = err
 	}
-	return gcn.Result{}, attempts, end, lastErr
+	return attempt, end, err
 }
 
-// safeCall invokes the engine with panic isolation: a panic is
-// converted into an ErrEnginePanic carrying the panic value and the
-// goroutine stack, so one broken kernel model cannot take down a
-// multi-hour campaign.
-func safeCall(sim gcn.EngineFunc, k *kernel.Kernel, cfg hw.Config) (r gcn.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%w: %v\n%s", ErrEnginePanic, p, debug.Stack())
-		}
-	}()
-	return sim(k, cfg)
+// cellEval re-evaluates single cells of a prepared row through the
+// same EvalBatch seam the whole-row call uses, writing into the row's
+// batch planes in place.
+type cellEval struct {
+	row     gcn.PreparedRow
+	configs []hw.Config
+	buf     *batchBuf
 }
 
-// safeEval is safeCall for a prepared row: same panic isolation, no
-// per-cell closure in between.
-func safeEval(row gcn.PreparedRow, cfg hw.Config) (r gcn.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%w: %v\n%s", ErrEnginePanic, p, debug.Stack())
-		}
-	}()
-	return row.Eval(cfg)
+func (e *cellEval) eval(c int) error {
+	if err := safeBatch(e.row, e.configs[c:c+1], e.buf.res[c:c+1], e.buf.errs[c:c+1]); err != nil {
+		return err
+	}
+	return panicErr(e.buf.errs[c])
 }
 
-// safeBatch runs a whole-row batch evaluation with panic isolation. A
+// panicErr maps a per-cell panic isolated inside a batch onto the
+// sweep's engine-panic classification (final, no retry); other errors,
+// and nil, pass through.
+func panicErr(err error) error {
+	if errors.Is(err, gcn.ErrBatchPanic) {
+		return fmt.Errorf("%w: %v", ErrEnginePanic, err)
+	}
+	return err
+}
+
+// safeBatch runs a batch evaluation with panic isolation, so one
+// broken kernel model cannot take down a multi-hour campaign. A
 // non-nil return (row-level batch failure, or a panic that escaped the
-// engine's own per-cell isolation) makes the caller fall back to pure
-// per-cell evaluation for the row — nothing is lost but the speedup.
+// engine's own per-cell isolation) fails the call as a whole: for the
+// whole-row call the caller then evaluates every cell on its own, and
+// for a one-cell call it is that cell's error.
 func safeBatch(br gcn.BatchRow, cfgs []hw.Config, out []gcn.Result, errs []error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -1085,67 +934,6 @@ func getBatchBuf(n int) *batchBuf {
 }
 
 func putBatchBuf(b *batchBuf) { batchPool.Put(b) }
-
-// simulate invokes the engine, bounded by timeout when one is set and
-// supervised by the stall watchdog when grace is set. A timed-out or
-// abandoned invocation's goroutine finishes in the background; its
-// buffered channel lets it exit without a receiver. Every abandonment
-// path sets abandoned (when non-nil) before returning, so a caller
-// sharing row-level state with the engine knows the state may still
-// be in use by the orphaned goroutine.
-func simulate(ctx context.Context, sim gcn.EngineFunc, k *kernel.Kernel, cfg hw.Config, timeout, grace time.Duration, abandoned *atomic.Bool) (gcn.Result, error) {
-	if timeout <= 0 && grace <= 0 {
-		return safeCall(sim, k, cfg)
-	}
-	abandon := func() {
-		if abandoned != nil {
-			abandoned.Store(true)
-		}
-	}
-	type outcome struct {
-		r   gcn.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		r, err := safeCall(sim, k, cfg)
-		ch <- outcome{r, err}
-	}()
-	var expire <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expire = t.C
-	}
-	select {
-	case o := <-ch:
-		return o.r, o.err
-	case <-expire:
-		abandon()
-		return gcn.Result{}, fmt.Errorf("%w after %v", ErrSimTimeout, timeout)
-	case <-ctx.Done():
-		if grace <= 0 {
-			abandon()
-			return gcn.Result{}, ctx.Err()
-		}
-		// Watchdog: the engine is expected to return promptly once the
-		// context ends (cooperative engines poll it; ours just finish
-		// the cell). One that keeps running past the grace is wedged —
-		// abandon it and report the stall rather than hanging the row.
-		g := time.NewTimer(grace)
-		defer g.Stop()
-		select {
-		case o := <-ch:
-			if o.err != nil {
-				return gcn.Result{}, o.err
-			}
-			return gcn.Result{}, ctx.Err()
-		case <-g.C:
-			abandon()
-			return gcn.Result{}, fmt.Errorf("%w (no return within %v of cancellation)", ErrStalled, grace)
-		}
-	}
-}
 
 // validate rejects measurements no hardware run could produce —
 // exactly the garbage a flaky rig emits. Corruption is retryable.

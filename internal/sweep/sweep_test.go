@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,6 +35,60 @@ func testKernels() []*kernel.Kernel {
 		kernel.New("s", "p", "a").Geometry(512, 256).MustBuild(),
 		kernel.New("s", "p", "b").Geometry(512, 256).Compute(30000, 100).MustBuild(),
 		kernel.New("s", "p", "c").Geometry(64, 256).MustBuild(),
+	}
+}
+
+// cellFunc adapts a per-cell test engine to the row seam: a prepared
+// row evaluates each cell of a batch by calling the function, isolating
+// per-cell panics the way the gcn engines do and starting no cell once
+// the row's context has ended.
+type cellFunc func(*kernel.Kernel, hw.Config) (gcn.Result, error)
+
+func (f cellFunc) PrepareRow(k *kernel.Kernel) (gcn.PreparedRow, error) {
+	return &cellFuncRow{f: f, k: k}, nil
+}
+
+type cellFuncRow struct {
+	f   cellFunc
+	k   *kernel.Kernel
+	ctx context.Context
+}
+
+func (r *cellFuncRow) Stats() gcn.PreparedStats                       { return gcn.PreparedStats{} }
+func (r *cellFuncRow) SetBudget(ctx context.Context, _ time.Duration) { r.ctx = ctx }
+
+func (r *cellFuncRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []error) error {
+	for i, cfg := range cfgs {
+		if r.ctx != nil && r.ctx.Err() != nil {
+			out[i], errs[i] = gcn.Result{}, r.ctx.Err()
+			continue
+		}
+		out[i], errs[i] = r.call(cfg)
+	}
+	return nil
+}
+
+func (r *cellFuncRow) call(cfg hw.Config) (res gcn.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = gcn.Result{}, fmt.Errorf("%w: %v\n%s", gcn.ErrBatchPanic, p, debug.Stack())
+		}
+	}()
+	return r.f(r.k, cfg)
+}
+
+// simulateFunc is the per-cell reference for engine e: the public
+// gcn.Simulate* entry point, which prepares afresh for every cell.
+func simulateFunc(e Engine) cellFunc {
+	switch e {
+	case Detailed:
+		return gcn.SimulateDetailed
+	case Wave:
+		return gcn.SimulateWave
+	case Pipeline:
+		return gcn.SimulatePipeline
+	default:
+		return gcn.Simulate
 	}
 }
 
@@ -209,7 +264,7 @@ func TestRunContextRetriesRecoverFaults(t *testing.T) {
 	}
 	in := fault.Injector{ErrorRate: 0.2, Seed: 5}
 	m, rep, err := RunContext(context.Background(), testKernels(), space,
-		Options{Sim: in.Wrap(gcn.Simulate), Retries: 6})
+		Options{Row: in.WrapRow(gcn.RoundRow), Retries: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +285,7 @@ func TestRunContextPartialMatrixDeterministic(t *testing.T) {
 	sweepOnce := func(workers int) (*Matrix, *RunReport) {
 		in := fault.Injector{ErrorRate: 0.3, Seed: 21}
 		m, rep, err := RunContext(context.Background(), testKernels(), space,
-			Options{Workers: workers, Sim: in.Wrap(gcn.Simulate)})
+			Options{Workers: workers, Row: in.WrapRow(gcn.RoundRow)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +314,7 @@ func TestRunContextCorruptResultsRejectedAndRetried(t *testing.T) {
 	// caught by validation, never stored.
 	in := fault.Injector{CorruptRate: 0.4, Seed: 13}
 	m, rep, err := RunContext(context.Background(), testKernels(), space,
-		Options{Sim: in.Wrap(gcn.Simulate)})
+		Options{Row: in.WrapRow(gcn.RoundRow)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +341,7 @@ func TestRunContextCorruptResultsRejectedAndRetried(t *testing.T) {
 	}
 	in2 := fault.Injector{CorruptRate: 0.4, Seed: 13}
 	m2, rep2, err := RunContext(context.Background(), testKernels(), space,
-		Options{Sim: in2.Wrap(gcn.Simulate), Retries: 8})
+		Options{Row: in2.WrapRow(gcn.RoundRow), Retries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +355,13 @@ func TestRunContextCorruptResultsRejectedAndRetried(t *testing.T) {
 
 func TestRunContextSimTimeout(t *testing.T) {
 	space := testSpace(t)
-	slow := func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
-		time.Sleep(30 * time.Millisecond)
-		return gcn.Simulate(k, cfg)
-	}
+	// Every cell stalls for 30ms; the injector's cooperative stall ends
+	// at the cell's 1ms budget instead.
+	stall := fault.Injector{StallRate: 1, Stall: 30 * time.Millisecond, Seed: 1}
 	ks := testKernels()[:1]
-	m, rep, err := RunContext(context.Background(), ks, space,
-		Options{Sim: slow, SimTimeout: time.Millisecond, Workers: 4})
+	start := time.Now()
+	_, rep, err := RunContext(context.Background(), ks, space,
+		Options{Row: stall.WrapRow(gcn.RoundRow), SimTimeout: time.Millisecond, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +374,9 @@ func TestRunContextSimTimeout(t *testing.T) {
 			t.Fatalf("failure not a timeout: %v", f.Err)
 		}
 	}
-	_ = m
+	if d := time.Since(start); d >= time.Duration(space.Size())*30*time.Millisecond {
+		t.Fatalf("sweep took %v: the stalls ran to completion instead of ending at the budget", d)
+	}
 }
 
 func TestRunContextCancellation(t *testing.T) {
@@ -342,7 +399,7 @@ func TestRunContextCancellation(t *testing.T) {
 	}()
 	start := time.Now()
 	m, rep, err := RunContext(ctx, testKernels(), space,
-		Options{Sim: slow, Workers: 2, Retries: 3, Backoff: 10 * time.Millisecond})
+		Options{Row: cellFunc(slow), Workers: 2, Retries: 3, Backoff: 10 * time.Millisecond})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -380,7 +437,7 @@ func TestRunBackoffRespectsCancel(t *testing.T) {
 	start := time.Now()
 	// An hour of backoff per retry: only cancellation can end this.
 	_, rep, err := RunContext(ctx, testKernels(), space,
-		Options{Sim: failing, Retries: 5, Backoff: time.Hour, Workers: 2})
+		Options{Row: cellFunc(failing), Retries: 5, Backoff: time.Hour, Workers: 2})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -400,7 +457,7 @@ func TestResumeRecomputesOnlyMissingRows(t *testing.T) {
 		}
 		return gcn.Simulate(k, cfg)
 	}
-	first, rep1, err := RunContext(context.Background(), ks, space, Options{Sim: bDown})
+	first, rep1, err := RunContext(context.Background(), ks, space, Options{Row: cellFunc(bDown)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +471,7 @@ func TestResumeRecomputesOnlyMissingRows(t *testing.T) {
 		calls.Add(1)
 		return gcn.Simulate(k, cfg)
 	}
-	m, rep2, err := Resume(context.Background(), ks, space, Options{Sim: counting}, first)
+	m, rep2, err := Resume(context.Background(), ks, space, Options{Row: cellFunc(counting)}, first)
 	if err != nil {
 		t.Fatal(err)
 	}
