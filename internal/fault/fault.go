@@ -342,13 +342,16 @@ func (f *faultRow) SetBudget(ctx context.Context, perCell time.Duration) {
 
 // EvalBatch implements gcn.BatchRow under the fault model: the
 // underlying row evaluates every cell once, then each cell's rolled
-// decision is overlaid on its outcome.
+// decision is overlaid on its outcome. A cell the sweep's cancellation
+// stopped was no attempt: it rolls nothing and stays canceled.
 func (f *faultRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []error) error {
 	if err := f.PreparedRow.EvalBatch(cfgs, out, errs); err != nil {
 		return err
 	}
 	for i := range cfgs {
-		f.overlay(cfgs[i], &out[i], &errs[i])
+		if !errors.Is(errs[i], context.Canceled) && !errors.Is(errs[i], context.DeadlineExceeded) {
+			f.overlay(cfgs[i], &out[i], &errs[i])
+		}
 	}
 	return nil
 }

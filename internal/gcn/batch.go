@@ -320,30 +320,16 @@ func (p *Prepared) EvalRoundBatch(cfgs []hw.Config, out []Result) error {
 }
 
 // evalCell runs one cell of a batch with panic isolation, so a
-// panicking cell poisons only its own slot. Under a budget, a cell that
-// fails — in particular one cut off by the budget — is rolled back: the
-// hit-rate memo entries and counters it added are taken out again, so
-// the row is exactly as if the cell had never started. (The
-// resident-set memo only ever stores completed simulations, and every
-// engine resets its scratch before use.)
+// panicking cell poisons only its own slot. A cell cut off by its
+// budget needs no cleanup: the memos only ever hold complete values (a
+// hit rate is stored in one step, a resident-set simulation only once
+// it finished), each a pure function of its key, and every engine
+// resets its scratch before use.
 func (p *Prepared) evalCell(eval func(*Prepared, hw.Config) (Result, error), cfg hw.Config) (res Result, err error) {
-	stats := p.stats
-	p.hrAdded = p.hrAdded[:0]
 	defer func() {
 		if rec := recover(); rec != nil {
 			res = Result{}
 			err = fmt.Errorf("%w: %v\n%s", ErrBatchPanic, rec, debug.Stack())
-		}
-		if err != nil && p.bud != nil {
-			for _, key := range p.hrAdded {
-				if p.dense(key) {
-					p.hrSeen[key.cus] = false
-				} else {
-					delete(p.hrMemo, key)
-				}
-			}
-			p.hrLastOK = false
-			p.stats = stats
 		}
 	}()
 	return eval(p, cfg)

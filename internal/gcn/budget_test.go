@@ -7,48 +7,102 @@ import (
 	"time"
 
 	"gpuscale/internal/hw"
+	"gpuscale/internal/kernel"
 )
 
-// A cell cut off by its budget must leave nothing behind: no memo
-// entry, no counter, no scratch state that could change a later
-// evaluation on the same row.
+// expiringCtx is a live context whose Err reports cancellation once n
+// calls have passed, cutting a cell off at a chosen budget check.
+type expiringCtx struct {
+	context.Context
+	n int
+}
+
+func (c *expiringCtx) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// A cell cut off by its budget must leave nothing partial behind: no
+// half-built memo entry and no scratch state that could change a later
+// evaluation on the same row. Each engine's cell is cut by a 1ns
+// budget, then at its first budget check inside the engine and at its
+// last; after every cut the row must evaluate bit-identically to a
+// freshly prepared one. The pipeline's first in-engine check falls
+// inside its resident-set simulation, its last in the launch loop after
+// that simulation was memoized.
 func TestBudgetCutOffLeavesRowClean(t *testing.T) {
 	cfgs := preparedTestConfigs()
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for name, re := range map[string]RowEngine{"wave": WaveRow, "pipeline": PipelineRow, "detailed": DetailedRow} {
-		// Each engine needs a cell long enough to reach its first
-		// budget check: the detailed engine drains identical workgroups
-		// a whole resident batch per quantum, so it gets a longer launch.
+		// Each engine needs a cell long enough to reach a budget check
+		// inside the engine: the detailed engine drains identical
+		// workgroups a whole resident batch per quantum, and the
+		// pipeline's launch loop handles a resident batch per iteration,
+		// so both get longer launches.
 		k := capVALU(capWGs(computeBoundKernel(), 2048), 2000)
-		if name == "detailed" {
+		switch name {
+		case "detailed":
 			k.Workgroups = 1 << 16
+		case "pipeline":
+			k.Workgroups = 1 << 20
 		}
 		t.Run(name, func(t *testing.T) {
-			used, err := re.PrepareRow(k)
-			if err != nil {
-				t.Fatal(err)
+			prepare := func(ctx context.Context, perCell time.Duration) PreparedRow {
+				row, err := re.PrepareRow(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				row.SetBudget(ctx, perCell)
+				return row
 			}
-			used.SetBudget(context.Background(), time.Nanosecond)
+			used := prepare(context.Background(), time.Nanosecond)
 			if _, err := evalOne(used, cfgs[0]); !errors.Is(err, ErrSimTimeout) {
 				t.Fatalf("1ns budget: err = %v, want ErrSimTimeout", err)
 			}
-			if s := used.Stats(); s != (PreparedStats{}) {
-				t.Fatalf("cut-off cell left memo traffic behind: %+v", s)
-			}
 			used.SetBudget(context.Background(), 0)
-			fresh, err := re.PrepareRow(k)
-			if err != nil {
+			matchesFreshRow(t, used, re, k, cfgs)
+
+			const plenty = 1 << 30
+			probe := &expiringCtx{Context: live, n: plenty}
+			if _, err := evalOne(prepare(probe, 0), cfgs[0]); err != nil {
 				t.Fatal(err)
 			}
-			got, want := evalAll(t, used, cfgs), evalAll(t, fresh, cfgs)
-			for i := range cfgs {
-				if !bitsEqual(got[i], want[i]) {
-					t.Fatalf("cell %d after a cut-off: %+v, fresh row %+v", i, got[i], want[i])
-				}
+			checks := plenty - probe.n // the first is the cell's start
+			if checks < 3 {
+				t.Fatalf("the cell reaches %d budget checks inside the engine, want at least 2", checks-1)
 			}
-			if used.Stats() != fresh.Stats() {
-				t.Fatalf("stats after a cut-off %+v, fresh row %+v", used.Stats(), fresh.Stats())
+			for i, n := range []int{1, checks - 1} {
+				used := prepare(&expiringCtx{Context: live, n: n}, 0)
+				if _, err := evalOne(used, cfgs[0]); !errors.Is(err, context.Canceled) {
+					t.Fatalf("cut at check %d: err = %v, want context.Canceled", n+1, err)
+				}
+				if s := used.Stats(); name == "pipeline" && s.ResidentSetMisses != i {
+					t.Fatalf("cut at check %d: %d resident sets memoized, want %d", n+1, s.ResidentSetMisses, i)
+				}
+				used.SetBudget(context.Background(), 0)
+				matchesFreshRow(t, used, re, k, cfgs)
 			}
 		})
+	}
+}
+
+// matchesFreshRow asserts that row evaluates cfgs bit-identically to a
+// row freshly prepared from re.
+func matchesFreshRow(t *testing.T, row PreparedRow, re RowEngine, k *kernel.Kernel, cfgs []hw.Config) {
+	t.Helper()
+	fresh, err := re.PrepareRow(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := evalAll(t, row, cfgs), evalAll(t, fresh, cfgs)
+	for i := range cfgs {
+		if !bitsEqual(got[i], want[i]) {
+			t.Fatalf("cell %d after a cut-off: %+v, fresh row %+v", i, got[i], want[i])
+		}
 	}
 }
 

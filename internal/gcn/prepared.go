@@ -93,11 +93,8 @@ type Prepared struct {
 	hrLastOK bool
 	stats    PreparedStats
 
-	// bud is the row's cooperative supervision (nil: none). While it is
-	// set, hrAdded lists the hit-rate memo entries the current cell
-	// added, so a cell cut off by its budget can take them back.
-	bud     *budget
-	hrAdded []hrKey
+	// bud is the row's cooperative supervision (nil: none).
+	bud *budget
 
 	wave *waveScratch
 	pipe *cuPipeline
@@ -155,8 +152,7 @@ func (p *Prepared) demandFor(cfg hw.Config) demand {
 // tuple; across a row only a handful of (residency, CU, L2) triples
 // occur.
 func (p *Prepared) hitRates(resident, cus, l2Bytes int) memory.HitRates {
-	key := hrKey{resident, cus, l2Bytes}
-	if p.dense(key) {
+	if resident == p.occWGs && l2Bytes == hw.L2Bytes && cus >= 1 && cus <= hw.MaxCUs {
 		if p.hrSeen[cus] {
 			p.stats.HitRateHits++
 			return p.hrByCU[cus]
@@ -165,11 +161,9 @@ func (p *Prepared) hitRates(resident, cus, l2Bytes int) memory.HitRates {
 		p.hrByCU[cus] = hr
 		p.hrSeen[cus] = true
 		p.stats.HitRateMisses++
-		if p.bud != nil {
-			p.hrAdded = append(p.hrAdded, key)
-		}
 		return hr
 	}
+	key := hrKey{resident, cus, l2Bytes}
 	if p.hrLastOK && key == p.hrLast {
 		p.stats.HitRateHits++
 		return p.hrLastV
@@ -186,16 +180,7 @@ func (p *Prepared) hitRates(resident, cus, l2Bytes int) memory.HitRates {
 	p.hrMemo[key] = hr
 	p.hrLast, p.hrLastV, p.hrLastOK = key, hr, true
 	p.stats.HitRateMisses++
-	if p.bud != nil {
-		p.hrAdded = append(p.hrAdded, key)
-	}
 	return hr
-}
-
-// dense reports whether a hit-rate key lives in the dense per-CU memo
-// rather than the map.
-func (p *Prepared) dense(key hrKey) bool {
-	return key.resident == p.occWGs && key.l2Bytes == hw.L2Bytes && key.cus >= 1 && key.cus <= hw.MaxCUs
 }
 
 // program lowers the kernel on first use and caches the result.

@@ -24,10 +24,6 @@ type Progress struct {
 	total uint64
 	start time.Time
 	last  time.Time
-
-	// wmu serializes emitted lines: sweep workers emit concurrently,
-	// and the writer need not be safe for concurrent use.
-	wmu sync.Mutex
 }
 
 // NewProgress returns a reporter whose completion count comes from
@@ -129,7 +125,7 @@ func (p *Progress) MaybeEmit(w io.Writer) bool {
 	}
 	p.last = now
 	p.mu.Unlock()
-	p.write(w)
+	fmt.Fprintln(w, p.Line())
 	return true
 }
 
@@ -139,12 +135,5 @@ func (p *Progress) Emit(w io.Writer) {
 	p.mu.Lock()
 	p.last = p.now()
 	p.mu.Unlock()
-	p.write(w)
-}
-
-func (p *Progress) write(w io.Writer) {
-	line := p.Line()
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	fmt.Fprintln(w, line)
+	fmt.Fprintln(w, p.Line())
 }

@@ -480,9 +480,6 @@ func (s *Service) SubmitTraced(client string, spec JobSpec, caller obs.SpanConte
 		s.caps.release(client)
 		return JobStatus{}, fmt.Errorf("serve: persisting admission: %w", err)
 	}
-	// The admission reply reports the job as admitted: snapshot it
-	// before a runner can pick it up.
-	st := j.status()
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.open++
@@ -500,7 +497,7 @@ func (s *Service) SubmitTraced(client string, spec JobSpec, caller obs.SpanConte
 			"job": id, "client": client, "trace": sc.TraceID})
 	}
 	s.cfg.Logf("serve: admitted %s for %s (%d kernels, %d configs)", id, client, len(res.kernels), res.space.Size())
-	return st, nil
+	return j.status(), nil
 }
 
 // ErrNoSuchJob marks lookups of unknown job IDs.

@@ -103,14 +103,13 @@ func TestPanicIsNotRetried(t *testing.T) {
 
 // TestCircuitBreakerQuarantinesRow: after Breaker consecutive hard
 // failures the rest of the kernel's row is quarantined without
-// spending retries on it, and the trip is observable.
+// touching the engine, and the trip is observable.
 func TestCircuitBreakerQuarantinesRow(t *testing.T) {
 	space := testSpace(t)
 	obs := &trippedObserver{}
 	calls := 0
 	opts := Options{
 		Breaker:  3,
-		Retries:  2,
 		Observer: obs,
 		Row: cellFunc(func(k *kernel.Kernel, cfg hw.Config) (gcn.Result, error) {
 			if k.Name == "p.b" {
@@ -135,10 +134,8 @@ func TestCircuitBreakerQuarantinesRow(t *testing.T) {
 	if rep.BreakerTrips != 1 {
 		t.Fatalf("breaker trips = %d, want 1", rep.BreakerTrips)
 	}
-	// One batched pass over the row, then retries for the three cells
-	// that opened the breaker and none for the quarantined rest.
-	if want := space.Size() + 3*2; calls != want {
-		t.Fatalf("engine called %d times for the bad kernel, want %d", calls, want)
+	if calls != 3 {
+		t.Fatalf("engine called %d times for the bad kernel after trip, want 3", calls)
 	}
 	if len(obs.trips) != 1 || obs.trips[0] != "p.b" {
 		t.Fatalf("observer saw trips %v, want [p.b]", obs.trips)

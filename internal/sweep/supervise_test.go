@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gpuscale/internal/fault"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
@@ -140,5 +141,107 @@ func TestSupervisedSweepBatches(t *testing.T) {
 				t.Fatalf("%d goroutines during the sweep, want at most %d before + %d workers", got, before, workers)
 			}
 		})
+	}
+}
+
+// cellCounter wraps a row engine and counts the cells it is asked to
+// evaluate.
+type cellCounter struct {
+	re    gcn.RowEngine
+	cells atomic.Int64
+}
+
+type cellCounterRow struct {
+	gcn.PreparedRow
+	c *cellCounter
+}
+
+func (c *cellCounter) PrepareRow(k *kernel.Kernel) (gcn.PreparedRow, error) {
+	pr, err := c.re.PrepareRow(k)
+	if err != nil {
+		return nil, err
+	}
+	return cellCounterRow{pr, c}, nil
+}
+
+func (r cellCounterRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []error) error {
+	r.c.cells.Add(int64(len(cfgs)))
+	return r.PreparedRow.EvalBatch(cfgs, out, errs)
+}
+
+// TestBreakerStopsSupervisedRow: in a supervised row whose every cell
+// times out, the tripped breaker stops engine work, so the row costs
+// Breaker timeouts rather than one per cell.
+func TestBreakerStopsSupervisedRow(t *testing.T) {
+	space := testSpace(t)
+	const breaker, timeout = 3, 20 * time.Millisecond
+	stall := fault.Injector{StallRate: 1, Stall: time.Hour, Seed: 1}
+	count := &cellCounter{re: stall.WrapRow(gcn.RoundRow)}
+	start := time.Now()
+	_, rep, err := RunContext(context.Background(), testKernels()[:1], space,
+		Options{Row: count, SimTimeout: timeout, Breaker: breaker})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAccounting(t, rep)
+	if rep.Failed != breaker || rep.Quarantined != space.Size()-breaker || rep.BreakerTrips != 1 {
+		t.Fatalf("want %d timeouts, then the rest quarantined: %s", breaker, rep.Summary())
+	}
+	for _, f := range rep.Failures {
+		if !errors.Is(f.Err, ErrSimTimeout) {
+			t.Fatalf("failure not a timeout: %v", f.Err)
+		}
+	}
+	if got := count.cells.Load(); got != breaker {
+		t.Fatalf("engine asked for %d cells, want only the %d that tripped the breaker", got, breaker)
+	}
+	if limit := time.Duration(space.Size()) * timeout / 2; elapsed >= limit {
+		t.Fatalf("row took %v: the quarantined cells were served their timeouts too", elapsed)
+	}
+}
+
+// cancelOnBatch wraps a row engine and cancels the sweep as each batch
+// starts, so the rows beneath it see a context that has already ended.
+type cancelOnBatch struct {
+	re     gcn.RowEngine
+	cancel context.CancelFunc
+}
+
+type cancelOnBatchRow struct {
+	gcn.PreparedRow
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnBatch) PrepareRow(k *kernel.Kernel) (gcn.PreparedRow, error) {
+	pr, err := c.re.PrepareRow(k)
+	if err != nil {
+		return nil, err
+	}
+	return cancelOnBatchRow{pr, c.cancel}, nil
+}
+
+func (r cancelOnBatchRow) EvalBatch(cfgs []hw.Config, out []gcn.Result, errs []error) error {
+	r.cancel()
+	return r.PreparedRow.EvalBatch(cfgs, out, errs)
+}
+
+// TestCanceledCellsEscapeFaultOverlay: cells the engine never started
+// because the sweep was canceled are canceled, not failed, even when
+// the injector would fail or panic every attempt.
+func TestCanceledCellsEscapeFaultOverlay(t *testing.T) {
+	space := testSpace(t)
+	for _, in := range []fault.Injector{{ErrorRate: 1, Seed: 1}, {PanicRate: 1, Seed: 1}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		row := in.WrapRow(&cancelOnBatch{re: gcn.WaveRow, cancel: cancel})
+		_, rep, err := RunContext(ctx, lightKernels()[:1], space, Options{Row: row})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		checkAccounting(t, rep)
+		if rep.Failed != 0 || rep.Canceled != space.Size() {
+			t.Fatalf("want every cell canceled and none failed: %s", rep.Summary())
+		}
 	}
 }

@@ -114,8 +114,8 @@ type Options struct {
 	// the seam where fault injection, instrumentation and custom
 	// engines plug in. Each kernel row is prepared once (validation,
 	// lowering, derived state) and its whole config axis evaluated in
-	// one EvalBatch call; retries re-evaluate single cells through the
-	// same call. nil uses Engine.Row().
+	// one EvalBatch call (see Breaker); retries re-evaluate single
+	// cells through the same call. nil uses Engine.Row().
 	Row gcn.RowEngine
 	// NoiseStdDev, when positive, multiplies every measured throughput
 	// by a lognormal factor exp(N(0, stddev)) to emulate run-to-run
@@ -142,10 +142,12 @@ type Options struct {
 	SimTimeout time.Duration
 	// Breaker is the per-kernel circuit breaker: after this many
 	// consecutive failed cells within one kernel row, the row's
-	// remaining cells are marked StatusQuarantined without spending any
-	// retries on them, so one pathologically broken kernel cannot burn
-	// the whole retry budget. 0 disables the breaker. Quarantined rows
-	// are incomplete, so a later Resume recomputes them.
+	// remaining cells are marked StatusQuarantined without reaching the
+	// engine, so one pathologically broken kernel cannot burn the whole
+	// retry or time budget: an armed breaker has the row evaluated
+	// Breaker cells per EvalBatch call, and no call follows a trip. 0
+	// disables the breaker. Quarantined rows are incomplete, so a later
+	// Resume recomputes them.
 	Breaker int
 	// QuarantineAfter is the sweep-level emergency brake: once this
 	// many kernel rows have tripped their circuit breaker, every row
@@ -350,12 +352,13 @@ type PreparedTotals struct {
 	// HitRateHits/Misses count cache hit-rate estimates served from /
 	// added to the per-kernel memo.
 	HitRateHits, HitRateMisses int
-	// BatchedRows counts rows whose first attempts ran through one
-	// EvalBatch call over the whole config axis.
+	// BatchedRows counts rows whose first attempts all ran through the
+	// row's batch calls: one EvalBatch over the whole config axis, or
+	// one per chunk of Options.Breaker cells.
 	BatchedRows int
 	// BatchFallbackCells counts cells that needed one-cell EvalBatch
-	// calls of their own: retried cells, plus every cell of a row whose
-	// whole-row call failed.
+	// calls of their own: retried cells, plus every cell of a call that
+	// failed at the row level.
 	BatchFallbackCells int
 }
 
@@ -609,13 +612,16 @@ func failRowPrepare(k *kernel.Kernel, configs []hw.Config, opts Options,
 // Every cell is evaluated through the prepared row's EvalBatch, the
 // one evaluation path: one PrepareRow hoists the kernel-invariant
 // work, SetBudget hands the row the sweep's context and SimTimeout,
-// and one call evaluates the whole config axis up front. The cell
-// loop consumes each cell's first attempt from the batch planes;
-// retries re-evaluate a single cell as a one-element batch into the
-// same planes (fault injectors roll per (cell, attempt), and the
-// batch advanced each cell's counter exactly once, so the decision
-// stream continues seamlessly). A whole-row call that fails at the
-// row level sends every cell through its own one-element call.
+// and one call evaluates the whole config axis up front — or, with
+// the circuit breaker armed, one chunk of Breaker cells at a time, so
+// a tripped breaker stops engine work after at most Breaker-1 wasted
+// cells. The cell loop consumes each cell's first attempt from the
+// batch planes; retries re-evaluate a single cell as a one-element
+// batch into the same planes (fault injectors roll per (cell,
+// attempt), and the batch advanced each cell's counter exactly once,
+// so the decision stream continues seamlessly). A call that fails at
+// the row level sends each of its cells through its own one-element
+// call.
 func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs []hw.Config,
 	opts Options, m *Matrix, row int, rep *RunReport, mu *sync.Mutex, base time.Time, trips *atomic.Int64) {
 	prow, err := re.PrepareRow(k)
@@ -630,7 +636,14 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 	buf := getBatchBuf(len(configs))
 	defer putBatchBuf(buf)
 	ev := &cellEval{row: prow, configs: configs, buf: buf}
-	batched := ctx.Err() == nil && safeBatch(prow, configs, buf.res, buf.errs) == nil
+	// chunk is the width of one EvalBatch call; hi ends the chunk in
+	// flight and chunkOK says whether its call succeeded. batched
+	// records that every call did.
+	chunk := len(configs)
+	if opts.Breaker > 0 && opts.Breaker < chunk {
+		chunk = opts.Breaker
+	}
+	hi, chunkOK, batched := 0, false, true
 
 	tput := make([]float64, len(configs))
 	times := make([]float64, len(configs))
@@ -670,14 +683,20 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 			quarantined++
 			continue
 		}
-		// Attempt one: the cell's slot of the whole-row batch, or its
-		// own one-element call when the row-level call failed. A batched
+		if c == hi {
+			lo := c
+			hi = min(c+chunk, len(configs))
+			chunkOK = ctx.Err() == nil && safeBatch(prow, configs[lo:hi], buf.res[lo:hi], buf.errs[lo:hi]) == nil
+			batched = batched && chunkOK
+		}
+		// Attempt one: the cell's slot of its chunk's batch, or its own
+		// one-element call when the chunk's call failed. A batched
 		// outcome is kept even if the sweep was canceled since (cells the
 		// batch never started carry the context's error); an unbatched
 		// cell is not started once the sweep is canceled. Results are
 		// read in place from the batch planes — the wide Result struct
 		// is never copied per cell.
-		if batched {
+		if chunkOK {
 			if err = buf.errs[c]; err != nil {
 				err = panicErr(err)
 			}
@@ -714,7 +733,7 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 		if n > 1 {
 			retries += n - 1
 		}
-		if !batched || n > 1 {
+		if !chunkOK || n > 1 {
 			fellBack++
 		}
 		if err != nil {
