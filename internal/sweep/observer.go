@@ -248,7 +248,8 @@ func (t *Telemetry) Progress() *obs.Progress { return t.progress }
 
 // EmitProgress turns on the throttled progress line: at most one line
 // per interval is written to w as cells settle, plus a final
-// unthrottled line at SweepEnd.
+// unthrottled line at SweepEnd. Sweep workers emit concurrently, so w
+// must be safe for concurrent use (os.Stderr is).
 func (t *Telemetry) EmitProgress(w io.Writer, interval time.Duration) {
 	t.progress.Interval = interval
 	t.progressW = w

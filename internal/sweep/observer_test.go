@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,6 +116,19 @@ func TestObservedSweepByteIdenticalMatrix(t *testing.T) {
 type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// lockedBuilder is a strings.Builder that is safe for concurrent use,
+// as EmitProgress requires of its writer.
+type lockedBuilder struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuilder) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
 
 func TestTelemetryTraceEvents(t *testing.T) {
 	space := testSpace(t)
@@ -371,14 +385,14 @@ func TestTracedSweepOverhead(t *testing.T) {
 
 func TestTelemetryProgressLine(t *testing.T) {
 	space := testSpace(t)
-	var sb strings.Builder
+	var sb lockedBuilder
 	tel := NewTelemetry(nil, nil)
 	tel.EmitProgress(&sb, 0)
 	_, rep, err := RunContext(context.Background(), testKernels(), space, Options{Observer: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
+	out := sb.b.String()
 	if !strings.Contains(out, "cells/s") {
 		t.Fatalf("no progress lines emitted:\n%s", out)
 	}
