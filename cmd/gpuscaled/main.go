@@ -174,7 +174,7 @@ func main() {
 	flag.Float64Var(&o.verifyFraction, "verify-fraction", 0, "fraction of rows re-executed on a second worker before acceptance; digest mismatches strike the loser (-coordinator)")
 	flag.IntVar(&o.quarantineN, "quarantine-after", 1, "digest-mismatch strikes that quarantine a worker fleet-wide (-coordinator)")
 	flag.StringVar(&o.workerName, "worker-name", "", "worker identity in leases and traces (default host-pid)")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write lease/steal/complete/renew spans to this JSONL trace file (see sweeptrace)")
+	flag.StringVar(&o.traceOut, "trace-out", "", "write this process's events (leases, rows, retries, renewals, ...) to this JSONL trace file (see sweeptrace)")
 	flag.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/ (off by default)")
 	flag.StringVar(&o.diagAddr, "diag-addr", "", "worker diagnostics listen address serving /metrics, /debug/flight and (with -pprof) /debug/pprof/; advertised to the coordinator for /metrics/fleet")
 	flag.StringVar(&o.flightDump, "flight-dump", "", "dump a flight recorder and exit: a daemon base URL (fetches /debug/flight) or a flight.ring file path (post-mortem after kill -9)")
@@ -260,16 +260,44 @@ func runFlightDump(target string) error {
 	return nil
 }
 
-// openFlight opens the state directory's file-backed flight ring. The
-// ring is written on every record with no fsync: cheap enough for the
-// hot path, durable enough that a kill -9's dirty pages still reach
-// the file via the page cache.
-func openFlight(stateDir string) (*obs.FlightRecorder, error) {
-	if err := os.MkdirAll(stateDir, 0o755); err != nil {
-		return nil, err
+// openSink opens the process's event sink: the state directory's
+// file-backed flight ring, plus the -trace-out writer when one is asked
+// for, stamped with the process name proc. The ring is written on
+// every event with no fsync: cheap enough for the hot path, durable
+// enough that a kill -9's dirty pages still reach the file via the
+// page cache; SIGQUIT dumps it to disk. The returned close flushes the
+// trace and closes both files; defer dumpOnPanic after it, so a panic
+// is recorded and dumped first.
+func openSink(o cliOptions, proc string) (*obs.Sink, *obs.FlightRecorder, func(), error) {
+	if err := os.MkdirAll(o.stateDir, 0o755); err != nil {
+		return nil, nil, nil, err
 	}
-	return obs.OpenFlightRecorder(filepath.Join(stateDir, "flight.ring"),
+	flight, err := obs.OpenFlightRecorder(filepath.Join(o.stateDir, "flight.ring"),
 		obs.DefaultFlightSlots, obs.DefaultFlightSlotSize)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var tw *obs.TraceWriter
+	var f *os.File
+	if o.traceOut != "" {
+		if f, err = os.Create(o.traceOut); err != nil {
+			flight.Close()
+			return nil, nil, nil, err
+		}
+		tw = obs.NewTraceWriter(f)
+		tw.SetProcess(proc)
+	}
+	armSigquit(flight, o.stateDir)
+	closeSink := func() {
+		flight.Close()
+		if f != nil {
+			if err := tw.Flush(); err != nil {
+				fmt.Fprintln(os.Stderr, "gpuscaled: trace:", err)
+			}
+			f.Close()
+		}
+	}
+	return obs.NewSink(tw, flight), flight, closeSink, nil
 }
 
 // dumpPath is where signal- and panic-triggered dumps land.
@@ -294,14 +322,14 @@ func armSigquit(fr *obs.FlightRecorder, stateDir string) {
 	}()
 }
 
-// dumpOnPanic must be deferred: it records the panic into the ring,
-// dumps it, and re-panics so the crash still crashes.
-func dumpOnPanic(fr *obs.FlightRecorder, stateDir string) {
+// dumpOnPanic must be deferred: it records the panic through the
+// sink, dumps the ring, and re-panics so the crash still crashes.
+func dumpOnPanic(sink *obs.Sink, fr *obs.FlightRecorder, stateDir string) {
 	p := recover()
 	if p == nil {
 		return
 	}
-	fr.Record("panic", map[string]any{"panic": fmt.Sprint(p)})
+	sink.Emit("panic", "gpuscaled", 0, obs.SpanContext{}, "", time.Now(), 0, obs.KS("panic", fmt.Sprint(p)))
 	path := dumpPath(stateDir)
 	if err := fr.DumpToFile(path, "panic"); err == nil {
 		fmt.Fprintln(os.Stderr, "gpuscaled: flight recorder dumped to", path)
@@ -320,25 +348,6 @@ func mountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// openTrace opens the -trace-out writer, or returns nils when no
-// trace was requested.
-func openTrace(path string) (*obs.TraceWriter, func(), error) {
-	if path == "" {
-		return nil, func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	tw := obs.NewTraceWriter(f)
-	return tw, func() {
-		if err := tw.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "gpuscaled: trace:", err)
-		}
-		f.Close()
-	}, nil
-}
-
 // run builds the service, serves it until ctx ends (SIGTERM/SIGINT),
 // then drains: readiness flips, in-flight jobs get their grace, the
 // HTTP server shuts down cleanly, and unfinished work stays journaled
@@ -354,21 +363,12 @@ func run(ctx context.Context, o cliOptions) error {
 	if o.join != "" {
 		return fmt.Errorf("-join only makes sense with -worker or -standby")
 	}
-	trace, closeTrace, err := openTrace(o.traceOut)
+	sink, flight, closeSink, err := openSink(o, "coordinator")
 	if err != nil {
 		return err
 	}
-	defer closeTrace()
-	if trace != nil {
-		trace.SetProcess("coordinator")
-	}
-	flight, err := openFlight(o.stateDir)
-	if err != nil {
-		return err
-	}
-	defer flight.Close()
-	defer dumpOnPanic(flight, o.stateDir)
-	armSigquit(flight, o.stateDir)
+	defer closeSink()
+	defer dumpOnPanic(sink, flight, o.stateDir)
 
 	// One registry feeds /metrics for both the service and, in
 	// coordinator mode, the lease protocol; the federation re-exports
@@ -380,8 +380,7 @@ func run(ctx context.Context, o cliOptions) error {
 	if o.coordinator {
 		coord, err = dist.NewCoordinator(filepath.Join(o.stateDir, "dist"), dist.CoordinatorOptions{
 			ID:         coordinatorID(o),
-			DefaultTTL: o.leaseTTL, Metrics: reg, Trace: trace,
-			Flight:          flight,
+			DefaultTTL: o.leaseTTL, Metrics: reg, Sink: sink,
 			OnWorker:        fed.SetTarget,
 			VerifyFraction:  o.verifyFraction,
 			QuarantineAfter: o.quarantineN,
@@ -431,8 +430,7 @@ func run(ctx context.Context, o cliOptions) error {
 		Registry:     reg,
 		RunSweep:     runSweep,
 		Replicate:    replicate,
-		Trace:        trace,
-		Flight:       flight,
+		Sink:         sink,
 		Dir:          o.stateDir,
 		Runners:      o.runners,
 		SweepWorkers: o.workers,
@@ -555,21 +553,12 @@ func runStandby(ctx context.Context, o cliOptions) error {
 	}
 	primaries := splitList(o.join)
 	name := coordinatorID(o)
-	trace, closeTrace, err := openTrace(o.traceOut)
+	sink, flight, closeSink, err := openSink(o, name)
 	if err != nil {
 		return err
 	}
-	defer closeTrace()
-	if trace != nil {
-		trace.SetProcess(name)
-	}
-	flight, err := openFlight(o.stateDir)
-	if err != nil {
-		return err
-	}
-	defer flight.Close()
-	defer dumpOnPanic(flight, o.stateDir)
-	armSigquit(flight, o.stateDir)
+	defer closeSink()
+	defer dumpOnPanic(sink, flight, o.stateDir)
 
 	reg := obs.NewRegistry()
 	fed := obs.NewFederation(reg, nil)
@@ -581,7 +570,7 @@ func runStandby(ctx context.Context, o cliOptions) error {
 		Metrics:      reg,
 		Coordinator: dist.CoordinatorOptions{
 			ID:         name,
-			DefaultTTL: o.leaseTTL, Metrics: reg, Trace: trace, Flight: flight,
+			DefaultTTL: o.leaseTTL, Metrics: reg, Sink: sink,
 			OnWorker:        fed.SetTarget,
 			VerifyFraction:  o.verifyFraction,
 			QuarantineAfter: o.quarantineN,
@@ -680,21 +669,12 @@ func runWorker(ctx context.Context, o cliOptions) error {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	trace, closeTrace, err := openTrace(o.traceOut)
+	sink, flight, closeSink, err := openSink(o, name)
 	if err != nil {
 		return err
 	}
-	defer closeTrace()
-	if trace != nil {
-		trace.SetProcess(name)
-	}
-	flight, err := openFlight(o.stateDir)
-	if err != nil {
-		return err
-	}
-	defer flight.Close()
-	defer dumpOnPanic(flight, o.stateDir)
-	armSigquit(flight, o.stateDir)
+	defer closeSink()
+	defer dumpOnPanic(sink, flight, o.stateDir)
 
 	// The optional diagnostics listener is what makes a worker a
 	// first-class federation member: the coordinator scrapes its
@@ -733,10 +713,9 @@ func runWorker(ctx context.Context, o cliOptions) error {
 		Retries:      o.retries,
 		Backoff:      o.backoff,
 		SimTimeout:   o.simTimeout,
-		Trace:        trace,
+		Sink:         sink,
 		Metrics:      reg,
 		MetricsURL:   metricsURL,
-		Flight:       flight,
 		Fault: fault.Injector{
 			CorruptRowRate: o.corruptRate, StaleVersion: o.staleVersion, Seed: o.faultSeed,
 		},

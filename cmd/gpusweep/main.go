@@ -14,8 +14,9 @@
 // can detect that truncation happened.
 //
 // Long campaigns are observable while they run: -trace-out streams a
-// span per cell, attempt, journal append and injected fault as JSONL
-// (Chrome trace-event schema; summarize with sweeptrace), -metrics-addr
+// span per kernel row, retry and journal append and an instant per
+// injected fault as JSONL (Chrome trace-event schema; summarize with
+// sweeptrace), -metrics-addr
 // serves Prometheus-style /metrics and a JSON /progress ETA over HTTP,
 // and -progress prints a throttled progress line. All diagnostics go to
 // stderr; stdout carries only data (the summary table, or the CSV when
@@ -111,7 +112,7 @@ func main() {
 	flag.Float64Var(&o.latencyRate, "fault-latency-rate", 0, "inject seeded per-call latency at this rate (robustness drills)")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed")
 	flag.BoolVar(&o.resume, "resume", false, "journal completed rows to -o and, on rerun, recompute only missing rows")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write per-cell/attempt/fault spans to this JSONL trace file (see sweeptrace)")
+	flag.StringVar(&o.traceOut, "trace-out", "", "write per-row, per-retry and per-fault events to this JSONL trace file (see sweeptrace)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /progress over HTTP on this address")
 	flag.BoolVar(&o.progress, "progress", false, "print a throttled progress/ETA line to stderr")
 	dumpCorpus := flag.String("dump-corpus", "", "write the built-in corpus as JSON to this file and exit")
@@ -205,21 +206,19 @@ func run(ctx context.Context, o cliOptions) (salvaged bool, err error) {
 	// metrics endpoints and the progress line; absent all three flags
 	// the sweep runs the uninstrumented (nil observer) hot path.
 	var (
-		tel       *sweep.Telemetry
-		tw        *obs.TraceWriter
-		traceFile *os.File
+		tel  *sweep.Telemetry
+		sink *obs.Sink
 	)
 	if o.traceOut != "" || o.metricsAddr != "" || o.progress {
 		if o.traceOut != "" {
-			var err error
-			traceFile, err = os.Create(o.traceOut)
+			traceFile, err := os.Create(o.traceOut)
 			if err != nil {
 				return false, err
 			}
 			defer traceFile.Close()
-			tw = obs.NewTraceWriter(traceFile)
+			sink = obs.NewSink(obs.NewTraceWriter(traceFile), nil)
 		}
-		tel = sweep.NewTelemetry(obs.NewRegistry(), tw)
+		tel = sweep.NewTelemetry(obs.NewRegistry(), sink)
 		if o.progress {
 			tel.EmitProgress(info, time.Second)
 		}
@@ -232,7 +231,7 @@ func run(ctx context.Context, o cliOptions) (salvaged bool, err error) {
 	}
 	if in.Active() || in.TornWriteRate > 0 {
 		if tel != nil {
-			in.OnDecision = fault.Observe(tel.Registry(), tw)
+			in.OnDecision = fault.Observe(tel.Registry(), sink)
 		}
 	}
 	if in.Active() {
@@ -241,10 +240,6 @@ func run(ctx context.Context, o cliOptions) (salvaged bool, err error) {
 
 	var metricsURL string
 	if o.metricsAddr != "" {
-		if tel == nil {
-			tel = sweep.NewTelemetry(obs.NewRegistry(), nil)
-			opts.Observer = tel
-		}
 		ln, err := net.Listen("tcp", o.metricsAddr)
 		if err != nil {
 			return false, err
@@ -341,8 +336,8 @@ func run(ctx context.Context, o cliOptions) (salvaged bool, err error) {
 			printFailures(info, rep)
 		}
 	}
-	if tw != nil {
-		if terr := tw.Flush(); terr != nil {
+	if sink != nil {
+		if terr := sink.Flush(); terr != nil {
 			fmt.Fprintln(os.Stderr, "gpusweep: trace:", terr)
 		} else {
 			fmt.Fprintf(info, "wrote trace %s\n", o.traceOut)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -160,7 +161,8 @@ func metricValue(t *testing.T, text, series string) uint64 {
 // and -progress must produce (1) a parseable JSONL trace, (2) a live
 // /metrics exposition whose retry and fault counters agree with the
 // trace, (3) a /progress ETA — and (4) a CSV byte-identical to the
-// same sweep run with no observability at all.
+// same sweep run with no observability at all. (5) Without faults the
+// trace holds row events and the sweep's start and end, nothing else.
 func TestObservedFaultySweepEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	plainCSV := filepath.Join(dir, "plain.csv")
@@ -240,24 +242,18 @@ func TestObservedFaultySweepEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trace not parseable JSONL: %v", err)
 	}
+	// The trace is row-grained: one row event per kernel, and the only
+	// per-cell events are the retries and the faults that caused them.
 	spans := map[string]int{}
-	traceRetries := 0
-	traceFaults := 0
 	for _, e := range evs {
 		spans[e.Name]++
-		if e.Name == "attempt" {
-			if n, ok := e.Args["attempt"].(float64); ok && n > 1 {
-				traceRetries++
-			}
-		}
-		if e.Name == "fault" {
-			traceFaults++
+		if n, _ := e.Args["attempt"].(float64); e.Name == "attempt" && n < 2 {
+			t.Fatalf("first attempt traced: %+v", e)
 		}
 	}
-	if spans["cell"] != 24*891 {
-		t.Fatalf("trace has %d cell spans, want %d", spans["cell"], 24*891)
-	}
-	if spans["sweep"] != 1 || traceFaults == 0 || traceRetries == 0 {
+	traceRetries, traceFaults := spans["attempt"], spans["fault"]
+	if spans["row"] != 24 || spans["sweep"] != 1 || spans["sweep.start"] != 1 || traceFaults == 0 || traceRetries == 0 ||
+		len(evs) != 24+2+traceRetries+traceFaults+spans["journal.append"] {
 		t.Fatalf("trace span census %v (retries %d, faults %d)", spans, traceRetries, traceFaults)
 	}
 
@@ -290,6 +286,29 @@ func TestObservedFaultySweepEndToEnd(t *testing.T) {
 	line, _ := progress["line"].(string)
 	if !strings.Contains(line, "cells/s") {
 		t.Fatalf("/progress line = %q", line)
+	}
+
+	// (5) A fault-free traced sweep writes one row event per kernel
+	// plus the sweep's start and end, and nothing per cell.
+	clean := cliOptions{suite: "graphana", engine: "round", traceOut: filepath.Join(dir, "clean.trace")}
+	if _, err := run(context.Background(), clean); err != nil {
+		t.Fatalf("fault-free traced run: %v", err)
+	}
+	cf, err := os.Open(clean.traceOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanEvs, err := obs.ReadEvents(cf)
+	cf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	census := map[string]int{}
+	for _, e := range cleanEvs {
+		census[e.Name]++
+	}
+	if want := map[string]int{"row": 24, "sweep.start": 1, "sweep": 1}; !reflect.DeepEqual(census, want) {
+		t.Fatalf("fault-free trace census %v, want %v", census, want)
 	}
 }
 

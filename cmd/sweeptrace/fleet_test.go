@@ -54,7 +54,7 @@ func writeFleetTraces(t *testing.T) []string {
 		return tw
 	}
 
-	coord, err := dist.NewCoordinator(dir+"/coord", dist.CoordinatorOptions{Trace: newTrace("coord")})
+	coord, err := dist.NewCoordinator(dir+"/coord", dist.CoordinatorOptions{Sink: obs.NewSink(newTrace("coord"), nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func writeFleetTraces(t *testing.T) []string {
 			Name: name, Coordinator: srv.URL, Dir: dir + "/" + name,
 			Client:       &http.Client{Timeout: 10 * time.Second},
 			SweepWorkers: 2, IdleSleep: 2 * time.Millisecond,
-			Trace: newTrace(name),
+			Sink: obs.NewSink(newTrace(name), nil),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,9 @@
 // Command sweeptrace summarizes a sweep trace written by
-// `gpusweep -trace-out` or `gpuscaled -trace-out`: per-kernel
-// cell-latency percentiles, retry hotspots (the cells that burned the
-// most attempts), a breakdown of injected fault kinds, and — when the
-// trace carries distributed-sweep events — a per-worker fleet table
+// `gpusweep -trace-out` or `gpuscaled -trace-out`: the kernel rows by
+// compute time, with their queue wait and retries, retry hotspots (the
+// cells that burned the most attempts), cell statuses and a breakdown
+// of injected fault kinds, and — when the trace carries
+// distributed-sweep events — a per-worker fleet table
 // (rows completed, leases stolen, stale completes fenced, renewal
 // latency percentiles) so stragglers are diagnosable from the trace
 // alone. Several trace files can be summarized together, e.g. a
@@ -13,7 +14,7 @@
 // Usage:
 //
 //	sweeptrace run.trace                  # summary tables
-//	sweeptrace -top 5 run.trace           # cap the hotspot listing
+//	sweeptrace -top 5 run.trace           # cap the row and hotspot listings
 //	sweeptrace -kernel graphana run.trace # restrict to matching kernels
 //	sweeptrace -chrome run.json run.trace # convert for trace viewers
 //	sweeptrace coord.trace w0.trace w1.trace  # merge a fleet's traces
@@ -36,7 +37,7 @@ import (
 )
 
 func main() {
-	top := flag.Int("top", 10, "rows to show in the retry-hotspot table")
+	top := flag.Int("top", 10, "entries to show in the row and retry-hotspot tables")
 	kernelFilter := flag.String("kernel", "", "only summarize kernels whose name contains this substring")
 	chromeOut := flag.String("chrome", "", "also write the events as a Chrome-viewer JSON array to this file")
 	stitchView := flag.Bool("stitch", false, "stitch multi-process traces by trace ID: per-job workers, exactly-once row accounting, critical path")
@@ -87,8 +88,8 @@ func run(w io.Writer, paths []string, kernelFilter string, top int, chromeOut st
 		return renderStitched(w, evs, traceFilter)
 	}
 	s := summarize(evs, kernelFilter)
-	if kernelFilter != "" && len(s.perKernel) == 0 {
-		return fmt.Errorf("no cell spans match kernel filter %q", kernelFilter)
+	if kernelFilter != "" && len(s.rows) == 0 {
+		return fmt.Errorf("no row events match kernel filter %q", kernelFilter)
 	}
 	return s.render(w, top)
 }
@@ -132,11 +133,11 @@ func (w *workerStats) rowsDone() int {
 
 // summary aggregates one trace.
 type summary struct {
-	// perKernel holds cell-span durations (in microseconds) by kernel.
-	perKernel map[string][]float64
-	// attempts holds per-cell attempt totals from cell spans.
+	// rows holds the sweep's row events (category "sweep").
+	rows []obs.Event
+	// attempts holds the highest attempt each retried cell reached.
 	attempts map[cellID]int
-	// statuses counts cell terminal statuses.
+	// statuses sums the row events' cell counts by terminal status.
 	statuses map[string]int
 	// faults counts injected faults by kind.
 	faults map[string]int
@@ -163,11 +164,10 @@ func str(args map[string]any, key string) string {
 
 func summarize(evs []obs.Event, kernelFilter string) *summary {
 	s := &summary{
-		perKernel: map[string][]float64{},
-		attempts:  map[cellID]int{},
-		statuses:  map[string]int{},
-		faults:    map[string]int{},
-		fleet:     map[string]*workerStats{},
+		attempts: map[cellID]int{},
+		statuses: map[string]int{},
+		faults:   map[string]int{},
+		fleet:    map[string]*workerStats{},
 	}
 	worker := func(e obs.Event) *workerStats {
 		name := str(e.Args, "worker")
@@ -191,12 +191,10 @@ func summarize(evs []obs.Event, kernelFilter string) *summary {
 		}
 		s.events++
 		switch e.Name {
-		case "cell":
-			s.perKernel[kernel] = append(s.perKernel[kernel], e.Dur)
+		case "attempt":
 			id := cellID{kernel: kernel, cus: int(num(e.Args, "cus")),
 				core: num(e.Args, "core_mhz"), mem: num(e.Args, "mem_mhz")}
-			s.attempts[id] = int(num(e.Args, "attempts"))
-			s.statuses[str(e.Args, "status")]++
+			s.attempts[id] = max(s.attempts[id], int(num(e.Args, "attempt")))
 		case "fault":
 			s.faults[str(e.Args, "kind")]++
 		case "breaker":
@@ -216,7 +214,14 @@ func summarize(evs []obs.Event, kernelFilter string) *summary {
 		case "renew":
 			worker(e).renews = append(worker(e).renews, e.Dur)
 		case "row":
-			if ok, _ := e.Args["accepted"].(bool); ok {
+			if e.Cat == "sweep" {
+				s.rows = append(s.rows, e)
+				for _, st := range statusArgs {
+					if n := int(num(e.Args, st)); n > 0 {
+						s.statuses[st] += n
+					}
+				}
+			} else if ok, _ := e.Args["accepted"].(bool); ok {
 				worker(e).rows++
 			}
 		}
@@ -224,53 +229,44 @@ func summarize(evs []obs.Event, kernelFilter string) *summary {
 	return s
 }
 
+// statusArgs are the cell statuses a row event counts.
+var statusArgs = []string{"ok", "failed", "canceled", "quarantined"}
+
 func (s *summary) render(w io.Writer, top int) error {
 	if s.events == 0 {
 		return fmt.Errorf("no matching events in trace")
 	}
 	if s.sweep != nil {
 		a := s.sweep.Args
-		fmt.Fprintf(w, "sweep: %.0f cells (%.0f ok, %.0f failed, %.0f canceled, %.0f stalled, %.0f quarantined, %.0f reused), %.0f attempts, %.0f retries, %.0f breaker trips, wall %.1fms\n\n",
+		fmt.Fprintf(w, "sweep: %.0f cells (%.0f ok, %.0f failed, %.0f canceled, %.0f quarantined, %.0f reused), %.0f attempts, %.0f retries, %.0f breaker trips, wall %.1fms\n\n",
 			num(a, "cells"), num(a, "ok"), num(a, "failed"), num(a, "canceled"),
-			num(a, "stalled"), num(a, "quarantined"),
-			num(a, "skipped"), num(a, "attempts"), num(a, "retries"),
+			num(a, "quarantined"), num(a, "skipped"), num(a, "attempts"), num(a, "retries"),
 			num(a, "breaker_trips"), s.sweep.Dur/1000)
 	}
 
-	// Per-kernel latency percentiles, slowest p99 first.
-	lat := &report.Table{
-		Title:  "Per-kernel cell latency (us)",
-		Header: []string{"kernel", "cells", "p50", "p90", "p99", "max"},
-	}
-	kernels := make([]string, 0, len(s.perKernel))
-	for k := range s.perKernel {
-		kernels = append(kernels, k)
-	}
-	p99 := map[string]float64{}
-	for k, ds := range s.perKernel {
-		p99[k] = stats.Quantile(ds, 0.99)
-	}
-	sort.Slice(kernels, func(i, j int) bool {
-		if p99[kernels[i]] != p99[kernels[j]] {
-			return p99[kernels[i]] > p99[kernels[j]]
+	// Rows, slowest compute first: where the sweep's time went.
+	sort.SliceStable(s.rows, func(i, j int) bool {
+		if s.rows[i].Dur != s.rows[j].Dur {
+			return s.rows[i].Dur > s.rows[j].Dur
 		}
-		return kernels[i] < kernels[j]
+		return str(s.rows[i].Args, "kernel") < str(s.rows[j].Args, "kernel")
 	})
-	for _, k := range kernels {
-		ds := s.perKernel[k]
-		mx := 0.0
-		for _, d := range ds {
-			if d > mx {
-				mx = d
-			}
-		}
-		lat.AddRow(k, len(ds),
-			report.FormatFloat(stats.Quantile(ds, 0.5)),
-			report.FormatFloat(stats.Quantile(ds, 0.9)),
-			report.FormatFloat(p99[k]),
-			report.FormatFloat(mx))
+	rt := &report.Table{
+		Title:  fmt.Sprintf("Rows by compute time in us (top %d of %d)", min(top, len(s.rows)), len(s.rows)),
+		Header: []string{"kernel", "compute", "queue wait", "cells", "retries"},
 	}
-	if err := lat.Render(w); err != nil {
+	for i, r := range s.rows {
+		if i == top {
+			break
+		}
+		cells := 0
+		for _, st := range statusArgs {
+			cells += int(num(r.Args, st))
+		}
+		rt.AddRow(str(r.Args, "kernel"), report.FormatFloat(r.Dur),
+			report.FormatFloat(num(r.Args, "queue_wait_us")), cells, int(num(r.Args, "retries")))
+	}
+	if err := rt.Render(w); err != nil {
 		return err
 	}
 	fmt.Fprintln(w)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -36,8 +37,9 @@ func writeTestTrace(t *testing.T) (string, *sweep.RunReport) {
 		t.Fatal(err)
 	}
 	tw := obs.NewTraceWriter(f)
-	tel := sweep.NewTelemetry(nil, tw)
-	in := fault.Injector{ErrorRate: 0.2, Seed: 5, OnDecision: fault.Observe(tel.Registry(), tw)}
+	sink := obs.NewSink(tw, nil)
+	tel := sweep.NewTelemetry(nil, sink)
+	in := fault.Injector{ErrorRate: 0.2, Seed: 5, OnDecision: fault.Observe(tel.Registry(), sink)}
 	opts := sweep.Options{Workers: 4, Row: in.WrapRow(gcn.RoundRow), Retries: 8, Observer: tel}
 	_, rep, err := sweep.RunContext(context.Background(), kernels, space, opts)
 	if err != nil {
@@ -69,11 +71,11 @@ func TestSummaryMatchesReport(t *testing.T) {
 	out := runToString(t, path, "", 10, "")
 
 	for _, want := range []string{
-		"Per-kernel cell latency (us)",
+		"Rows by compute time in us (top 2 of 2)",
+		"queue wait",
 		"Retry hotspots",
 		"Cell statuses and injected faults",
 		"alpha", "beta",
-		"p50", "p99",
 		"fault error",
 		"status ok",
 	} {
@@ -93,6 +95,26 @@ func TestSummaryMatchesReport(t *testing.T) {
 	}
 	if rep.Cells != 54 || rep.OK != 54 {
 		t.Fatalf("test sweep changed shape: %+v", rep)
+	}
+	// The row table: one line per kernel with its 27 cells, whose
+	// retries add up to the report's.
+	_, rows, _ := strings.Cut(out, "Rows by compute time")
+	rows, _, _ = strings.Cut(rows, "\n\n")
+	lines, retries := 0, 0
+	for _, ln := range strings.Split(rows, "\n") {
+		f := strings.Fields(ln)
+		if len(f) != 5 || (f[0] != "p.alpha" && f[0] != "p.beta") {
+			continue
+		}
+		lines++
+		n, err := strconv.Atoi(f[4])
+		if f[3] != "27" || err != nil {
+			t.Fatalf("row line %q: want 27 cells and a retry count", ln)
+		}
+		retries += n
+	}
+	if lines != 2 || retries != rep.Retries {
+		t.Fatalf("row table has %d kernel lines with %d retries, report says 2 and %d:\n%s", lines, retries, rep.Retries, rows)
 	}
 }
 

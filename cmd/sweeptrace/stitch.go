@@ -11,7 +11,7 @@ import (
 
 // stitched is one distributed trace reassembled from any number of
 // per-process trace files: the serve-side job span, the coordinator's
-// lease grants, the workers' row spans, and the leaf cell events, all
+// lease grants, the workers' row spans, and the row sweeps' events, all
 // linked by span parentage. The stitcher is deliberately tolerant —
 // a partial fleet (a missing worker file, a crashed process) still
 // renders, with the gaps called out instead of papered over.
@@ -25,8 +25,9 @@ type stitched struct {
 	leases map[string]obs.Event
 	// rows holds worker row spans (ph "X", category "dist").
 	rows []obs.Event
-	// cells maps a row span ID -> that row's cell events.
-	cells map[string][]obs.Event
+	// sweepRows holds the row sweeps' row events (category "sweep"):
+	// their compute time, queue wait and retries.
+	sweepRows []obs.Event
 	// completes counts coordinator-accepted completions per row index;
 	// exactly-once accounting checks every value is 1.
 	completes map[int]int
@@ -68,7 +69,6 @@ func stitch(evs []obs.Event) []*stitched {
 			st = &stitched{
 				id:           id,
 				leases:       map[string]obs.Event{},
-				cells:        map[string][]obs.Event{},
 				completes:    map[int]int{},
 				leasedRows:   map[int]bool{},
 				procs:        map[string]bool{},
@@ -123,14 +123,12 @@ func stitch(evs []obs.Event) []*stitched {
 			}
 			st.termCoord[t][str(e.Args, "coordinator")] = true
 		case "row":
-			// Only the dist-layer row span: the sweep executor emits its
-			// own "row" leaf event (category "sweep") under the same name.
+			// The dist-layer row span and the sweep executor's row event
+			// share the name; the category tells them apart.
 			if e.Cat == "dist" {
 				st.rows = append(st.rows, e)
-			}
-		case "cell":
-			if e.Parent != "" {
-				st.cells[e.Parent] = append(st.cells[e.Parent], e)
+			} else {
+				st.sweepRows = append(st.sweepRows, e)
 			}
 		case "complete":
 			st.completes[int(num(e.Args, "row"))]++
@@ -172,8 +170,8 @@ func accepted(e obs.Event) bool {
 
 // render prints one stitched trace: the job header, per-worker
 // contribution, exactly-once row accounting, and the critical path —
-// the chain job -> latest-finishing row -> slowest cell that bounded
-// the job's wall-clock, named by worker, lease and epoch.
+// the latest-finishing row, named by worker, lease and epoch, and the
+// slowest row the sweeps computed.
 func (st *stitched) render(w io.Writer) error {
 	fmt.Fprintf(w, "trace %s: %d events from %d processes (%s)\n",
 		st.id, st.events, len(st.procs), joinSorted(st.procs))
@@ -345,45 +343,40 @@ func (st *stitched) renderAccounting(w io.Writer) {
 }
 
 // renderCriticalPath names what bounded wall-clock: the accepted row
-// span that finished last, the lease it ran under, and the slowest
-// cell inside it. This is the "why was this job slow" answer — the
-// straggler worker and the straggler cell, read straight off the
-// stitched trace.
+// span that finished last and the lease it ran under, then the slowest
+// row the sweeps computed — its compute time, queue wait and retries.
+// This is the "why was this job slow" answer: the straggler worker and
+// the heaviest kernel, read straight off the stitched trace.
 func (st *stitched) renderCriticalPath(w io.Writer) {
-	var last *obs.Event
+	var last, slow *obs.Event
 	for i := range st.rows {
 		r := &st.rows[i]
-		if !accepted(*r) {
-			continue
-		}
-		if last == nil || end(*r) > end(*last) {
+		if accepted(*r) && (last == nil || end(*r) > end(*last)) {
 			last = r
 		}
 	}
-	if last == nil {
-		return
-	}
-	fmt.Fprintln(w, "  critical path (latest-finishing accepted row):")
-	lease := "?"
-	epoch := num(last.Args, "epoch")
-	if l, ok := st.leases[last.Parent]; ok && l.Span != "" {
-		lease = l.Span
-	}
-	fmt.Fprintf(w, "    row %.0f on %s: %.1fms (lease %s epoch %.0f, proc %s)\n",
-		num(last.Args, "row"), str(last.Args, "worker"), last.Dur/1000,
-		lease, epoch, last.Proc)
-	var slow *obs.Event
-	cells := st.cells[last.Span]
-	for i := range cells {
-		if slow == nil || cells[i].Dur > slow.Dur {
-			slow = &cells[i]
+	for i := range st.sweepRows {
+		if r := &st.sweepRows[i]; slow == nil || r.Dur > slow.Dur {
+			slow = r
 		}
 	}
+	if last == nil && slow == nil {
+		return
+	}
+	fmt.Fprintln(w, "  critical path:")
+	if last != nil {
+		lease := "?"
+		if l, ok := st.leases[last.Parent]; ok && l.Span != "" {
+			lease = l.Span
+		}
+		fmt.Fprintf(w, "    latest-finishing accepted row %.0f on %s: %.1fms (lease %s epoch %.0f, proc %s)\n",
+			num(last.Args, "row"), str(last.Args, "worker"), last.Dur/1000,
+			lease, num(last.Args, "epoch"), last.Proc)
+	}
 	if slow != nil {
-		fmt.Fprintf(w, "    slowest cell: %s @ cu=%.0f core=%g mem=%g — %.1fus, %.0f attempts (of %d cells in the row)\n",
-			str(slow.Args, "kernel"), num(slow.Args, "cus"),
-			num(slow.Args, "core_mhz"), num(slow.Args, "mem_mhz"),
-			slow.Dur, num(slow.Args, "attempts"), len(cells))
+		fmt.Fprintf(w, "    slowest row: %s on %s — compute %.1fms, queue wait %.1fms, %.0f retries (of %d rows)\n",
+			str(slow.Args, "kernel"), slow.Proc, slow.Dur/1000, num(slow.Args, "queue_wait_us")/1000,
+			num(slow.Args, "retries"), len(st.sweepRows))
 	}
 }
 

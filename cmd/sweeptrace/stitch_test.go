@@ -9,8 +9,9 @@ import (
 
 // fleetEvents synthesizes one job's multi-process trace the way a
 // coordinator + two workers would emit it: a serve job span, lease
-// grants (one stolen), worker row spans, leaf cells, and coordinator
-// completes — all linked by span parentage under one trace ID.
+// grants (one stolen), worker row spans, the row sweeps' row events,
+// and coordinator completes — all linked by span parentage under one
+// trace ID.
 func fleetEvents(traceID string) []obs.Event {
 	ev := func(name, cat, ph, span, parent, proc string, ts, dur float64, args map[string]any) obs.Event {
 		return obs.Event{Name: name, Cat: cat, Phase: ph, TS: ts, Dur: dur,
@@ -27,10 +28,10 @@ func fleetEvents(traceID string) []obs.Event {
 			map[string]any{"job": "job-1", "row": 0.0, "epoch": 1.0, "worker": "w0", "accepted": true}),
 		ev("row", "dist", "X", "c000000000000002", "b000000000000002", "w1", 40, 4000,
 			map[string]any{"job": "job-1", "row": 1.0, "epoch": 2.0, "worker": "w1", "accepted": true}),
-		ev("cell", "sweep", "X", "", "c000000000000002", "w1", 50, 900,
-			map[string]any{"kernel": "hotspot", "cus": 64.0, "core_mhz": 1000.0, "mem_mhz": 1750.0, "attempts": 3.0, "status": "ok"}),
-		ev("cell", "sweep", "X", "", "c000000000000002", "w1", 60, 100,
-			map[string]any{"kernel": "hotspot", "cus": 32.0, "core_mhz": 1000.0, "mem_mhz": 1750.0, "attempts": 1.0, "status": "ok"}),
+		ev("row", "sweep", "X", "", "c000000000000001", "w0", 35, 900,
+			map[string]any{"kernel": "bfs", "queue_wait_us": 5.0, "ok": 891.0, "retries": 0.0}),
+		ev("row", "sweep", "X", "", "c000000000000002", "w1", 50, 3500,
+			map[string]any{"kernel": "hotspot", "queue_wait_us": 12.0, "ok": 891.0, "retries": 2.0}),
 		ev("complete", "dist", "i", "", "b000000000000001", "coordinator", 1100, 0,
 			map[string]any{"job": "job-1", "row": 0.0, "epoch": 1.0, "worker": "w0"}),
 		ev("complete", "dist", "i", "", "b000000000000002", "coordinator", 4100, 0,
@@ -49,8 +50,8 @@ func TestStitchExactlyOnceAndCriticalPath(t *testing.T) {
 		"job job-1: state=complete",
 		"every row exactly once",
 		"critical path",
-		"row 1 on w1",     // the 4000us row bounds wall-clock
-		"hotspot @ cu=64", // its slowest cell
+		"accepted row 1 on w1", // the 4000us row bounds wall-clock
+		"slowest row: hotspot on w1 — compute 3.5ms, queue wait 0.0ms, 2 retries (of 2 rows)",
 		"w0", "w1", "coordinator",
 	} {
 		if !strings.Contains(out, want) {

@@ -56,14 +56,14 @@ type CoordinatorOptions struct {
 	// DefaultTTL is the lease TTL for jobs that do not set one;
 	// defaults to 10s.
 	DefaultTTL time.Duration
-	// Metrics, when non-nil, receives lease/steal/complete counters.
+	// Metrics receives lease/steal/complete counters; nil keeps them in
+	// a private registry.
 	Metrics *obs.Registry
-	// Trace, when non-nil, receives lease lifecycle instants.
-	Trace *obs.TraceWriter
-	// Flight, when non-nil, records lease transitions (grants, steals,
-	// fences, completes, requeues) into the crash flight recorder, so a
-	// dead coordinator's last moves are reconstructable from its ring.
-	Flight *obs.FlightRecorder
+	// Sink, when non-nil, receives lease lifecycle events (grants,
+	// steals, fences, completes, requeues, votes, strikes) for the
+	// process's trace and flight recorder, so a dead coordinator's last
+	// moves are reconstructable from its ring.
+	Sink *obs.Sink
 	// OnWorker, when non-nil, is invoked whenever a worker's acquire
 	// advertises a metrics URL — the hook gpuscaled uses to register
 	// the worker with the metrics federation. Called outside the
@@ -206,6 +206,9 @@ type Coordinator struct {
 	strikes     map[string]int
 	quarantined map[string]bool
 
+	// reg holds the instruments: Options.Metrics, or a private registry.
+	reg *obs.Registry
+
 	mGranted, mStolen, mCompleted, mDuplicate, mFenced, mRequeued            *obs.Counter
 	mVersionFenced, mVerified, mMismatch, mQuarantined, mInvalid, mBadAttest *obs.Counter
 	mTermFenced, mReplTimeouts                                               *obs.Counter
@@ -262,25 +265,28 @@ func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	if r := opt.Metrics; r != nil {
-		c.mGranted = r.Counter("dist_leases_granted_total", "Row leases granted, including steals.")
-		c.mStolen = r.Counter("dist_leases_stolen_total", "Leases re-granted after expiry displaced an unfinished epoch.")
-		c.mCompleted = r.Counter("dist_rows_completed_total", "Rows completed exactly once.")
-		c.mDuplicate = r.Counter("dist_completes_duplicate_total", "Idempotent duplicate completes acknowledged.")
-		c.mFenced = r.Counter("dist_completes_fenced_total", "Stale-epoch completes rejected by fencing.")
-		c.mRequeued = r.Counter("dist_rows_requeued_total", "Not-OK completes that released a row for re-lease.")
-		c.mVersionFenced = r.Counter("dist_workers_version_fenced_total", "Acquires rejected by the version/fingerprint handshake.")
-		c.mVerified = r.Counter("dist_rows_verified_total", "Rows settled by independent digest agreement.")
-		c.mMismatch = r.Counter("dist_verify_mismatches_total", "Re-verification votes whose digest lost — one strike each.")
-		c.mQuarantined = r.Counter("dist_workers_quarantined_total", "Workers fenced fleet-wide after crossing the strike threshold.")
-		c.mInvalid = r.Counter("dist_rows_invalidated_total", "Unverified completes retracted from quarantined workers.")
-		c.mBadAttest = r.Counter("dist_completes_badattest_total", "OK completes rejected because the digest does not hash the shipped planes.")
-		c.mTermFenced = r.Counter("dist_completes_term_fenced_total", "Renews and completes rejected because their lease belongs to a deposed coordinator's term.")
-		c.mReplTimeouts = r.Counter("dist_repl_sync_timeouts_total", "Append-before-ack barriers that timed out waiting for the standby and degraded to async.")
-		c.mTerm = r.Gauge("dist_ha_term", "Coordinator term this process believes is current.")
-		c.mReplLag = r.Gauge("dist_repl_lag_records", "Replication-stream records the attached standby has not yet acknowledged.")
-		c.mTerm.Set(float64(c.term))
+	c.reg = opt.Metrics
+	if c.reg == nil {
+		c.reg = obs.NewRegistry()
 	}
+	r := c.reg
+	c.mGranted = r.Counter("dist_leases_granted_total", "Row leases granted, including steals.")
+	c.mStolen = r.Counter("dist_leases_stolen_total", "Leases re-granted after expiry displaced an unfinished epoch.")
+	c.mCompleted = r.Counter("dist_rows_completed_total", "Rows completed exactly once.")
+	c.mDuplicate = r.Counter("dist_completes_duplicate_total", "Idempotent duplicate completes acknowledged.")
+	c.mFenced = r.Counter("dist_completes_fenced_total", "Stale-epoch completes rejected by fencing.")
+	c.mRequeued = r.Counter("dist_rows_requeued_total", "Not-OK completes that released a row for re-lease.")
+	c.mVersionFenced = r.Counter("dist_workers_version_fenced_total", "Acquires rejected by the version/fingerprint handshake.")
+	c.mVerified = r.Counter("dist_rows_verified_total", "Rows settled by independent digest agreement.")
+	c.mMismatch = r.Counter("dist_verify_mismatches_total", "Re-verification votes whose digest lost — one strike each.")
+	c.mQuarantined = r.Counter("dist_workers_quarantined_total", "Workers fenced fleet-wide after crossing the strike threshold.")
+	c.mInvalid = r.Counter("dist_rows_invalidated_total", "Unverified completes retracted from quarantined workers.")
+	c.mBadAttest = r.Counter("dist_completes_badattest_total", "OK completes rejected because the digest does not hash the shipped planes.")
+	c.mTermFenced = r.Counter("dist_completes_term_fenced_total", "Renews and completes rejected because their lease belongs to a deposed coordinator's term.")
+	c.mReplTimeouts = r.Counter("dist_repl_sync_timeouts_total", "Append-before-ack barriers that timed out waiting for the standby and degraded to async.")
+	c.mTerm = r.Gauge("dist_ha_term", "Coordinator term this process believes is current.")
+	c.mReplLag = r.Gauge("dist_repl_lag_records", "Replication-stream records the attached standby has not yet acknowledged.")
+	c.mTerm.Set(float64(c.term))
 	return c, nil
 }
 
@@ -305,9 +311,15 @@ func (c *Coordinator) stepDownLocked(reason string) {
 	}
 	c.deposed = true
 	close(c.deposedCh)
-	if fr := c.opt.Flight; fr != nil {
-		fr.Record("deposed", map[string]any{"coordinator": c.id, "term": c.term, "reason": reason})
-	}
+	c.opt.Sink.Emit("deposed", "dist", 0, obs.SpanContext{}, "", time.Now(), 0,
+		obs.KS("coordinator", c.id), obs.KN("term", float64(c.term)), obs.KS("reason", reason))
+}
+
+// emit records an instant coordinator event on js's trace, parented
+// under parent: the lease span of the row it concerns, or the job's
+// own span.
+func (c *Coordinator) emit(name string, js *jobState, parent string, kvs ...obs.KV) {
+	c.opt.Sink.Emit(name, "dist", 0, obs.SpanContext{TraceID: js.job.Trace.TraceID}, parent, time.Now(), 0, kvs...)
 }
 
 // logAppend writes one record to the ledger under the current term
@@ -334,12 +346,10 @@ func (c *Coordinator) logAppend(rec LedgerRecord) error {
 // the fencing rules absorb whatever a failover then loses.
 func (c *Coordinator) replBarrier() {
 	target := c.repl.latest()
-	if !c.repl.waitAcked(target, c.opt.ReplTimeout) && c.mReplTimeouts != nil {
+	if !c.repl.waitAcked(target, c.opt.ReplTimeout) {
 		c.mReplTimeouts.Inc()
 	}
-	if c.mReplLag != nil {
-		c.mReplLag.Set(float64(c.repl.lag()))
-	}
+	c.mReplLag.Set(float64(c.repl.lag()))
 }
 
 // ReplicateServeSpec publishes a serve-level admission (the raw job
@@ -388,9 +398,7 @@ func (c *Coordinator) StartHA(ctx context.Context) error {
 			if err := c.probePeers(ctx, client); err != nil {
 				return
 			}
-			if c.mReplLag != nil {
-				c.mReplLag.Set(float64(c.repl.lag()))
-			}
+			c.mReplLag.Set(float64(c.repl.lag()))
 		}
 	}()
 	return nil
@@ -491,10 +499,8 @@ func (c *Coordinator) addJob(job Job) error {
 	}
 	js := &jobState{job: job, ttl: ttl, journal: j, rows: make([]rowState, len(job.Kernels))}
 	js.added = c.now()
-	if r := c.opt.Metrics; r != nil {
-		js.rate = r.Gauge("dist_job_cells_per_second", "Completed cells per second since the job was registered.",
-			obs.L("job", job.Name))
-	}
+	js.rate = c.reg.Gauge("dist_job_cells_per_second", "Completed cells per second since the job was registered.",
+		obs.L("job", job.Name))
 	js.matrix = newMatrix(job.Space, job.Kernels)
 	for _, k := range job.Kernels {
 		js.order = append(js.order, k.Name)
@@ -579,10 +585,8 @@ func (c *Coordinator) addJob(job Job) error {
 	}
 	// A per-job term instant: the stitched trace shows which
 	// coordinator, under which term, served this job's grants.
-	if tw := c.opt.Trace; tw != nil {
-		tw.InstantSpan("term", "dist", 0, job.Trace.Child(), job.Trace.SpanID, map[string]any{
-			"job": job.Name, "term": c.term, "coordinator": c.id})
-	}
+	c.opt.Sink.Emit("term", "dist", 0, job.Trace.Child(), job.Trace.SpanID, time.Now(), 0,
+		obs.KS("job", job.Name), obs.KN("term", float64(c.term)), obs.KS("coordinator", c.id))
 	return nil
 }
 
@@ -737,13 +741,9 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.R
 func (c *Coordinator) acquire(req acquireRequest) (*Lease, error) {
 	worker := req.Worker
 	if req.Proto != ProtoVersion || req.Fingerprint != EngineFingerprint() {
-		if c.mVersionFenced != nil {
-			c.mVersionFenced.Inc()
-		}
-		if fr := c.opt.Flight; fr != nil {
-			fr.Record("version-fence", map[string]any{
-				"worker": worker, "proto": req.Proto, "fingerprint": req.Fingerprint})
-		}
+		c.mVersionFenced.Inc()
+		c.opt.Sink.Emit("version-fence", "dist", 0, obs.SpanContext{}, "", time.Now(), 0,
+			obs.KS("worker", worker), obs.KS("proto", req.Proto), obs.KS("fingerprint", req.Fingerprint))
 		return nil, fmt.Errorf("%w: worker %s speaks %q fingerprint %q, coordinator %q fingerprint %q",
 			errVersionMismatch, worker, req.Proto, req.Fingerprint, ProtoVersion, EngineFingerprint())
 	}
@@ -813,24 +813,15 @@ func (c *Coordinator) acquire(req acquireRequest) (*Lease, error) {
 			if err != nil {
 				return nil, err
 			}
-			if c.mGranted != nil {
-				c.mGranted.Inc()
-				if steal {
-					c.mStolen.Inc()
-				}
-			}
+			c.mGranted.Inc()
 			ev := "lease"
 			if steal {
+				c.mStolen.Inc()
 				ev = "steal"
 			}
-			if tw := c.opt.Trace; tw != nil {
-				tw.InstantSpan(ev, "dist", 0, leaseSC, js.job.Trace.SpanID, map[string]any{
-					"job": name, "row": r, "epoch": epoch, "worker": worker, "term": c.term})
-			}
-			if fr := c.opt.Flight; fr != nil {
-				fr.Record(ev, map[string]any{
-					"job": name, "row": r, "epoch": epoch, "worker": worker, "term": c.term})
-			}
+			c.opt.Sink.Emit(ev, "dist", 0, leaseSC, js.job.Trace.SpanID, time.Now(), 0,
+				obs.KS("job", name), obs.KN("row", float64(r)), obs.KN("epoch", float64(epoch)),
+				obs.KS("worker", worker), obs.KN("term", float64(c.term)))
 			return &Lease{
 				Job: name, Row: r, Epoch: epoch, Term: c.term, Kernel: kraw,
 				Space: SpecFor(js.job.Space),
@@ -904,9 +895,7 @@ func (c *Coordinator) renew(req renewRequest) (renewResponse, error) {
 		return renewResponse{Done: true}, nil
 	}
 	if req.Term != rs.term {
-		if c.mTermFenced != nil {
-			c.mTermFenced.Inc()
-		}
+		c.mTermFenced.Inc()
 		return renewResponse{}, fmt.Errorf("%w: lease for %s row %d holds term %d, current is %d",
 			errStaleTerm, req.Job, req.Row, req.Term, rs.term)
 	}
@@ -944,9 +933,7 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 		// Idempotent even across a failover: a retried complete for a
 		// row that already landed acks as a duplicate regardless of
 		// which term granted it.
-		if c.mDuplicate != nil {
-			c.mDuplicate.Inc()
-		}
+		c.mDuplicate.Inc()
 		return completeResponse{Duplicate: true}, nil
 	}
 	if req.Term != rs.term {
@@ -955,20 +942,10 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 		// epoch fence one level down, the result would be bit-identical
 		// — rejecting it is what keeps "which primary granted which
 		// rows" answerable from the ledger.
-		if c.mTermFenced != nil {
-			c.mTermFenced.Inc()
-		}
-		if tw := c.opt.Trace; tw != nil {
-			tw.InstantSpan("fence", "dist", 0,
-				obs.SpanContext{TraceID: js.job.Trace.TraceID}, rs.span, map[string]any{
-					"job": req.Job, "row": req.Row, "epoch": req.Epoch, "worker": req.Worker,
-					"term": req.Term, "current_term": rs.term})
-		}
-		if fr := c.opt.Flight; fr != nil {
-			fr.Record("term-fence", map[string]any{
-				"job": req.Job, "row": req.Row, "worker": req.Worker,
-				"term": req.Term, "current_term": rs.term})
-		}
+		c.mTermFenced.Inc()
+		c.emit("fence", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(req.Row)),
+			obs.KN("epoch", float64(req.Epoch)), obs.KS("worker", req.Worker),
+			obs.KN("term", float64(req.Term)), obs.KN("current_term", float64(rs.term)))
 		return completeResponse{}, fmt.Errorf("%w: lease for %s row %d holds term %d, current is %d",
 			errStaleTerm, req.Job, req.Row, req.Term, rs.term)
 	}
@@ -977,18 +954,9 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 		// Its numbers are bit-identical to the thief's (seeded noise),
 		// but accepting them would hide real protocol bugs — reject
 		// and let the live epoch's complete land.
-		if c.mFenced != nil {
-			c.mFenced.Inc()
-		}
-		if tw := c.opt.Trace; tw != nil {
-			tw.InstantSpan("fence", "dist", 0,
-				obs.SpanContext{TraceID: js.job.Trace.TraceID}, rs.span, map[string]any{
-					"job": req.Job, "row": req.Row, "epoch": req.Epoch, "current": rs.epoch, "worker": req.Worker})
-		}
-		if fr := c.opt.Flight; fr != nil {
-			fr.Record("fence", map[string]any{
-				"job": req.Job, "row": req.Row, "epoch": req.Epoch, "current": rs.epoch, "worker": req.Worker})
-		}
+		c.mFenced.Inc()
+		c.emit("fence", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(req.Row)),
+			obs.KN("epoch", float64(req.Epoch)), obs.KN("current", float64(rs.epoch)), obs.KS("worker", req.Worker))
 		return completeResponse{}, errStale
 	}
 	if !req.OK {
@@ -997,13 +965,9 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 		// take the row.
 		rs.expiry = c.now()
 		rs.releasedEarly = true
-		if c.mRequeued != nil {
-			c.mRequeued.Inc()
-		}
-		if fr := c.opt.Flight; fr != nil {
-			fr.Record("requeue", map[string]any{
-				"job": req.Job, "row": req.Row, "epoch": req.Epoch, "worker": req.Worker})
-		}
+		c.mRequeued.Inc()
+		c.emit("requeue", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(req.Row)),
+			obs.KN("epoch", float64(req.Epoch)), obs.KS("worker", req.Worker))
 		return completeResponse{Requeued: true}, nil
 	}
 	if err := validatePlanes(js.job.Space.Size(), req); err != nil {
@@ -1019,14 +983,9 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 		return completeResponse{}, err
 	}
 	if req.Digest != want {
-		if c.mBadAttest != nil {
-			c.mBadAttest.Inc()
-		}
-		if fr := c.opt.Flight; fr != nil {
-			fr.Record("bad-attest", map[string]any{
-				"job": req.Job, "row": req.Row, "worker": req.Worker,
-				"digest": req.Digest, "want": want})
-		}
+		c.mBadAttest.Inc()
+		c.emit("bad-attest", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(req.Row)),
+			obs.KS("worker", req.Worker), obs.KS("digest", req.Digest), obs.KS("want", want))
 		return completeResponse{}, fmt.Errorf("%w: %s row %d digest %q does not hash the shipped planes (%s)",
 			errBadAttest, req.Job, req.Row, req.Digest, want)
 	}
@@ -1082,32 +1041,21 @@ func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeReque
 	if js.job.OnRow != nil {
 		js.job.OnRow(js.matrix, r)
 	}
-	if c.mCompleted != nil {
-		c.mCompleted.Inc()
-	}
-	if verified && c.mVerified != nil {
+	c.mCompleted.Inc()
+	if verified {
 		c.mVerified.Inc()
 	}
-	if js.rate != nil {
-		done := 0
-		for i := range js.rows {
-			if js.rows[i].done {
-				done++
-			}
-		}
-		if secs := c.now().Sub(js.added).Seconds(); secs > 0 {
-			js.rate.Set(float64(done*js.job.Space.Size()) / secs)
+	done := 0
+	for i := range js.rows {
+		if js.rows[i].done {
+			done++
 		}
 	}
-	if tw := c.opt.Trace; tw != nil {
-		tw.InstantSpan("complete", "dist", 0,
-			obs.SpanContext{TraceID: js.job.Trace.TraceID}, rs.span, map[string]any{
-				"job": req.Job, "row": r, "epoch": req.Epoch, "worker": req.Worker, "verified": verified})
+	if secs := c.now().Sub(js.added).Seconds(); secs > 0 {
+		js.rate.Set(float64(done*js.job.Space.Size()) / secs)
 	}
-	if fr := c.opt.Flight; fr != nil {
-		fr.Record("complete", map[string]any{
-			"job": req.Job, "row": r, "epoch": req.Epoch, "worker": req.Worker, "verified": verified})
-	}
+	c.emit("complete", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(r)),
+		obs.KN("epoch", float64(req.Epoch)), obs.KS("worker", req.Worker), obs.KB("verified", verified))
 	return completeResponse{Verified: verified}, nil
 }
 
@@ -1141,15 +1089,8 @@ func (c *Coordinator) voteLocked(js *jobState, rs *rowState, req completeRequest
 		Epoch: req.Epoch, Worker: req.Worker, Digest: req.Digest}); err != nil {
 		return completeResponse{}, err
 	}
-	if tw := c.opt.Trace; tw != nil {
-		tw.InstantSpan("attest", "dist", 0,
-			obs.SpanContext{TraceID: js.job.Trace.TraceID}, rs.span, map[string]any{
-				"job": req.Job, "row": req.Row, "epoch": req.Epoch, "worker": req.Worker, "digest": req.Digest})
-	}
-	if fr := c.opt.Flight; fr != nil {
-		fr.Record("attest", map[string]any{
-			"job": req.Job, "row": req.Row, "epoch": req.Epoch, "worker": req.Worker, "digest": req.Digest})
-	}
+	c.emit("attest", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(req.Row)),
+		obs.KN("epoch", float64(req.Epoch)), obs.KS("worker", req.Worker), obs.KS("digest", req.Digest))
 	if agree >= 2 {
 		// Independent agreement: accept verified, and every dissenting
 		// vote is now a proven lie.
@@ -1199,13 +1140,9 @@ func (c *Coordinator) strikeLocked(js *jobState, worker, job string, row int, di
 	}
 	c.strikes[worker]++
 	c.logAppend(LedgerRecord{Kind: "strike", Job: job, Row: row, Worker: worker, Digest: digest}) //nolint:errcheck // best-effort audit
-	if c.mMismatch != nil {
-		c.mMismatch.Inc()
-	}
-	if fr := c.opt.Flight; fr != nil {
-		fr.Record("strike", map[string]any{
-			"job": job, "row": row, "worker": worker, "digest": digest, "strikes": c.strikes[worker]})
-	}
+	c.mMismatch.Inc()
+	c.emit("strike", js, js.job.Trace.SpanID, obs.KS("job", job), obs.KN("row", float64(row)),
+		obs.KS("worker", worker), obs.KS("digest", digest), obs.KN("strikes", float64(c.strikes[worker])))
 	threshold := c.opt.QuarantineAfter
 	if threshold <= 0 {
 		threshold = 1
@@ -1227,18 +1164,9 @@ func (c *Coordinator) quarantineLocked(js *jobState, worker, job string, row int
 	}
 	c.quarantined[worker] = true
 	c.logAppend(LedgerRecord{Kind: "quarantine", Job: job, Row: row, Worker: worker, Digest: digest}) //nolint:errcheck // best-effort audit
-	if c.mQuarantined != nil {
-		c.mQuarantined.Inc()
-	}
-	if tw := c.opt.Trace; tw != nil {
-		tw.InstantSpan("quarantine", "dist", 0,
-			obs.SpanContext{TraceID: js.job.Trace.TraceID}, js.job.Trace.SpanID, map[string]any{
-				"job": job, "row": row, "worker": worker, "digest": digest})
-	}
-	if fr := c.opt.Flight; fr != nil {
-		fr.Record("quarantine", map[string]any{
-			"job": job, "row": row, "worker": worker, "digest": digest})
-	}
+	c.mQuarantined.Inc()
+	c.emit("quarantine", js, js.job.Trace.SpanID, obs.KS("job", job), obs.KN("row", float64(row)),
+		obs.KS("worker", worker), obs.KS("digest", digest))
 	if c.opt.OnQuarantine != nil {
 		c.opt.OnQuarantine(worker)
 	}
@@ -1282,13 +1210,9 @@ func (c *Coordinator) invalidateLocked(js *jobState, r int) {
 	rs.expiry = now
 	rs.releasedEarly = true
 	zeroRow(js.matrix, r)
-	if c.mInvalid != nil {
-		c.mInvalid.Inc()
-	}
-	if fr := c.opt.Flight; fr != nil {
-		fr.Record("invalidate", map[string]any{
-			"job": js.job.Name, "row": r, "epoch": rs.epoch})
-	}
+	c.mInvalid.Inc()
+	c.emit("invalidate", js, rs.span, obs.KS("job", js.job.Name), obs.KN("row", float64(r)),
+		obs.KN("epoch", float64(rs.epoch)))
 }
 
 // zeroRow resets one matrix row to its never-measured state.

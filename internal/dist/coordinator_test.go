@@ -359,3 +359,21 @@ func TestLedgerTornTailSalvage(t *testing.T) {
 		t.Fatalf("grant lost to torn tail: %v", err)
 	}
 }
+
+// TestReportForCountsStalledAsCanceled: a stalled cell, decoded from an
+// earlier version's journal, was never measured — the report counts it
+// canceled, so the run reads incomplete and Resume recomputes its row.
+func TestReportForCountsStalledAsCanceled(t *testing.T) {
+	job := testJob(t, "stalled", 2)
+	m := newMatrix(job.Space, job.Kernels)
+	for r := range m.Kernels {
+		for c := range m.Status[r] {
+			m.Status[r][c] = sweep.StatusOK
+		}
+	}
+	m.Status[1][0] = sweep.StatusStalled
+	rep := reportFor(m)
+	if rep.Canceled != 1 || rep.OK != rep.Cells-1 || rep.Complete() {
+		t.Fatalf("report for one stalled cell = %s", rep.Summary())
+	}
+}

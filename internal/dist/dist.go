@@ -229,7 +229,9 @@ type errorBody struct {
 
 // reportFor synthesizes a sweep report from a finished distributed
 // matrix: every cell was measured exactly once from the caller's view
-// (worker-side retries are the workers' business).
+// (worker-side retries are the workers' business). A stalled cell,
+// decoded from an earlier version's journal, was never measured and
+// counts as canceled: Resume recomputes its row.
 func reportFor(m *sweep.Matrix) *sweep.RunReport {
 	rep := &sweep.RunReport{
 		Kernels: len(m.Kernels),
@@ -243,8 +245,6 @@ func reportFor(m *sweep.Matrix) *sweep.RunReport {
 				rep.OK++
 			case sweep.StatusFailed:
 				rep.Failed++
-			case sweep.StatusStalled:
-				rep.Stalled++
 			case sweep.StatusQuarantined:
 				rep.Quarantined++
 			default:

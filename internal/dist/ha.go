@@ -371,8 +371,8 @@ type StandbyOptions struct {
 	// built from — metrics, traces, hooks, TTLs, and its own HA wiring
 	// all carry over.
 	Coordinator CoordinatorOptions
-	// Metrics, when non-nil, receives the standby-side HA instruments
-	// (term, applied cursor, failover count).
+	// Metrics receives the standby-side HA instruments (term, applied
+	// cursor, failover count); nil keeps them in a private registry.
 	Metrics *obs.Registry
 	// Logf receives replication and promotion log lines; nil discards.
 	Logf func(format string, args ...any)
@@ -459,12 +459,14 @@ func NewStandby(dir string, o StandbyOptions) (*Standby, error) {
 		return nil, err
 	}
 	s.lastContact = s.now()
-	if r := o.Metrics; r != nil {
-		s.mTerm = r.Gauge("dist_ha_term", "Coordinator term this process believes is current.")
-		s.mCursor = r.Gauge("dist_repl_applied_cursor", "Replication cursor durably applied by this standby.")
-		s.mFailovers = r.Counter("dist_ha_failovers_total", "Standby promotions performed by this process.")
-		s.mTerm.Set(float64(s.term))
+	r := o.Metrics
+	if r == nil {
+		r = obs.NewRegistry()
 	}
+	s.mTerm = r.Gauge("dist_ha_term", "Coordinator term this process believes is current.")
+	s.mCursor = r.Gauge("dist_repl_applied_cursor", "Replication cursor durably applied by this standby.")
+	s.mFailovers = r.Counter("dist_ha_failovers_total", "Standby promotions performed by this process.")
+	s.mTerm.Set(float64(s.term))
 	return s, nil
 }
 
@@ -667,10 +669,8 @@ func (s *Standby) applySnapshotLocked(snap haSnapshot) error {
 	}
 	s.cursor = snap.Cursor
 	s.synced = true
-	if s.mTerm != nil {
-		s.mTerm.Set(float64(s.term))
-		s.mCursor.Set(float64(s.cursor))
-	}
+	s.mTerm.Set(float64(s.term))
+	s.mCursor.Set(float64(s.cursor))
 	return nil
 }
 
@@ -734,9 +734,7 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 		s.cursor++
 	}
 	s.touchLocked()
-	if s.mCursor != nil {
-		s.mCursor.Set(float64(s.cursor))
-	}
+	s.mCursor.Set(float64(s.cursor))
 	return nil
 }
 
@@ -756,9 +754,7 @@ func (s *Standby) applyMsgLocked(m *replMsg) error {
 		}
 		if rec.Kind == "term" && rec.Term > s.term {
 			s.term = rec.Term
-			if s.mTerm != nil {
-				s.mTerm.Set(float64(s.term))
-			}
+			s.mTerm.Set(float64(s.term))
 		}
 	case "job":
 		if m.Job == nil {
@@ -894,10 +890,8 @@ func (s *Standby) Promote() (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	if s.mFailovers != nil {
-		s.mFailovers.Inc()
-		s.mTerm.Set(float64(c.Term()))
-	}
+	s.mFailovers.Inc()
+	s.mTerm.Set(float64(c.Term()))
 	s.o.Logf("dist standby %s: promoted to primary at term %d (%d jobs)", s.o.ID, c.Term(), len(names))
 	s.promoted = c
 	return c, nil

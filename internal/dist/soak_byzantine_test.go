@@ -157,7 +157,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 	var traceBuf bytes.Buffer
 	tw := obs.NewTraceWriter(&traceBuf)
 	tw.SetProcess("coordinator")
-	opts := CoordinatorOptions{VerifyFraction: 0.5, Trace: tw,
+	opts := CoordinatorOptions{VerifyFraction: 0.5, Sink: obs.NewSink(tw, nil),
 		OnWorker: fed.SetTarget, OnQuarantine: fed.Depart}
 
 	p := startCoordWith(t, coordDir, "127.0.0.1:0", job, opts)

@@ -13,8 +13,8 @@ import (
 )
 
 // tracedFleet runs a coordinator plus n workers, each process with its
-// own TraceWriter (as separate OS processes would have) and each
-// worker with a file-backed flight recorder, until the job completes
+// own sink (as separate OS processes would have): a trace writer, and
+// for each worker a file-backed flight recorder, until the job completes
 // or ctx fires. It returns the per-process event streams and the
 // flight-ring paths.
 func tracedFleet(t *testing.T, job Job, n int) (coordEvs []obs.Event, workerEvs [][]obs.Event, flightPaths []string, coord *Coordinator) {
@@ -25,7 +25,7 @@ func tracedFleet(t *testing.T, job Job, n int) (coordEvs []obs.Event, workerEvs 
 	coordTW := obs.NewTraceWriter(&coordBuf)
 	coordTW.SetProcess("coordinator")
 
-	coord, err := NewCoordinator(dir+"/coord", CoordinatorOptions{Trace: coordTW})
+	coord, err := NewCoordinator(dir+"/coord", CoordinatorOptions{Sink: obs.NewSink(coordTW, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func tracedFleet(t *testing.T, job Job, n int) (coordEvs []obs.Event, workerEvs 
 			Name: name, Coordinator: srv.URL, Dir: dir + "/w" + name,
 			Client: srv.Client(), SweepWorkers: 2, Retries: 2,
 			IdleSleep: 5 * time.Millisecond,
-			Trace:     tw, Flight: fr,
+			Sink:      obs.NewSink(tw, fr),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -104,8 +104,8 @@ func tracedFleet(t *testing.T, job Job, n int) (coordEvs []obs.Event, workerEvs 
 // check: one job through a coordinator and two workers yields a single
 // trace ID whose spans link parent-to-child across process boundaries
 // — job root -> lease grants (coordinator) -> row spans (workers) ->
-// leaf cells — and the coordinator's complete instants account for
-// every row exactly once.
+// the row sweeps' events — and the coordinator's complete instants
+// account for every row exactly once.
 func TestFleetTraceStitchesAcrossProcesses(t *testing.T) {
 	job := testJob(t, "traced", 4)
 	coordEvs, workerEvs, _, coord := tracedFleet(t, job, 2)
@@ -157,7 +157,10 @@ func TestFleetTraceStitchesAcrossProcesses(t *testing.T) {
 	}
 
 	// Cross-process links: every worker row span hangs off a
-	// coordinator-minted lease span; every worker cell hangs off a row.
+	// coordinator-minted lease span; every sweep event — one sweep row
+	// per dist row — hangs off a dist row span and has no span of its
+	// own.
+	sweepRows := 0
 	for i, evs := range workerEvs {
 		for _, e := range evs {
 			if e.Trace == "" {
@@ -168,12 +171,18 @@ func TestFleetTraceStitchesAcrossProcesses(t *testing.T) {
 				if !leaseSpans[e.Parent] {
 					t.Fatalf("worker %d row span parent %q is not a coordinator lease span", i, e.Parent)
 				}
-			case e.Name == "cell":
-				if !rowSpans[e.Parent] {
-					t.Fatalf("worker %d cell parent %q is not a row span", i, e.Parent)
+			case e.Cat == "sweep":
+				if !rowSpans[e.Parent] || e.Span != "" {
+					t.Fatalf("worker %d sweep event %s hangs off %q, not a dist row span (own span %q)", i, e.Name, e.Parent, e.Span)
+				}
+				if e.Name == "row" {
+					sweepRows++
 				}
 			}
 		}
+	}
+	if sweepRows < len(rowSpans) || len(rowSpans) < len(job.Kernels) {
+		t.Fatalf("%d sweep row events for %d dist row spans of %d rows", sweepRows, len(rowSpans), len(job.Kernels))
 	}
 
 	// Exactly-once: every row completed once, no more, no less.
@@ -192,7 +201,9 @@ func TestFleetTraceStitchesAcrossProcesses(t *testing.T) {
 // flight ring is written per-event, never at exit) leaves a ring whose
 // lease history matches the coordinator's view of that worker's
 // leases — every row the flight claims completed-and-accepted is a row
-// the coordinator's trace shows accepted from that worker.
+// the coordinator's trace shows accepted from that worker. The ring
+// names the completion "row", like the trace: the dist row event is
+// the one carrying the coordinator's verdict.
 func TestKilledWorkerFlightMatchesLedger(t *testing.T) {
 	job := testJob(t, "killed", 5)
 	coordEvs, _, flightPaths, _ := tracedFleet(t, job, 2)
@@ -220,16 +231,19 @@ func TestKilledWorkerFlightMatchesLedger(t *testing.T) {
 		switch fe.Kind {
 		case "lease.acquired":
 			acquired++
-		case "lease.completed":
+		case "row":
+			acc, dist := fe.Args["accepted"].(bool)
+			if !dist {
+				continue // the row sweep's own row event
+			}
 			completed++
-			row := int(fe.Args["row"].(float64))
-			if acc, _ := fe.Args["accepted"].(bool); acc && !ledger[row] {
+			if row := int(fe.Args["row"].(float64)); acc && !ledger[row] {
 				t.Fatalf("flight says row %d accepted, coordinator ledger disagrees", row)
 			}
 		}
 	}
-	if acquired == 0 {
-		t.Fatal("flight ring recorded no lease.acquired events")
+	if acquired == 0 || completed == 0 {
+		t.Fatalf("flight ring recorded %d lease.acquired and %d completed row events", acquired, completed)
 	}
 	if completed > acquired {
 		t.Fatalf("flight ring: %d completes for %d acquires", completed, acquired)

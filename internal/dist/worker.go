@@ -56,17 +56,17 @@ type WorkerOptions struct {
 	// spreads its retries instead of thundering-herding the new
 	// primary. Defaults to 2s.
 	MaxBackoff time.Duration
-	// Metrics, when non-nil, receives worker-side counters and the
-	// renewal latency histogram.
+	// Metrics receives worker-side counters, the renewal latency
+	// histogram and the row sweeps' telemetry; nil keeps them in a
+	// private registry.
 	Metrics *obs.Registry
-	// Trace, when non-nil, receives per-row and per-renewal spans.
-	Trace *obs.TraceWriter
+	// Sink, when non-nil, receives lease transitions, per-row and
+	// per-renewal spans and the row sweeps' events, for the process's
+	// trace and flight recorder.
+	Sink *obs.Sink
 	// MetricsURL, when set, is advertised on every lease acquire so the
 	// coordinator can federate this worker's /metrics.
 	MetricsURL string
-	// Flight, when non-nil, records lease transitions and sweep
-	// retries/breaker trips into the crash flight recorder.
-	Flight *obs.FlightRecorder
 	// Fault is the chaos seam: CorruptRowRate makes this worker lie
 	// (tamper a computed row before journaling and attesting it, so
 	// journal, wire and digest are consistently wrong), StaleVersion
@@ -103,6 +103,8 @@ type Worker struct {
 	// it.
 	rng *rand.Rand
 
+	// reg holds the instruments: Options.Metrics, or a private registry.
+	reg          *obs.Registry
 	mRows, mLost *obs.Counter
 	hRenew       *obs.Histogram
 }
@@ -139,12 +141,14 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 30 * time.Second}
 	}
-	if r := o.Metrics; r != nil {
-		w.mRows = r.Counter("dist_worker_rows_completed_total", "Rows this worker completed and had accepted.")
-		w.mLost = r.Counter("dist_worker_leases_lost_total", "Leases this worker lost to fencing (stolen mid-row).")
-		w.hRenew = r.Histogram("dist_worker_renew_seconds", "Lease renewal round-trip latency.",
-			[]float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1})
+	w.reg = o.Metrics
+	if w.reg == nil {
+		w.reg = obs.NewRegistry()
 	}
+	w.mRows = w.reg.Counter("dist_worker_rows_completed_total", "Rows this worker completed and had accepted.")
+	w.mLost = w.reg.Counter("dist_worker_leases_lost_total", "Leases this worker lost to fencing (stolen mid-row).")
+	w.hRenew = w.reg.Histogram("dist_worker_renew_seconds", "Lease renewal round-trip latency.",
+		[]float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1})
 	return w, nil
 }
 
@@ -300,10 +304,7 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) {
 	if leaseSC.Valid() {
 		rowSC = leaseSC.Child()
 	}
-	if fr := w.o.Flight; fr != nil {
-		fr.Record("lease.acquired", map[string]any{
-			"job": lease.Job, "row": lease.Row, "epoch": lease.Epoch, "worker": w.o.Name})
-	}
+	w.emit("lease.acquired", leaseSC, time.Now(), 0, lease)
 
 	// Background renewal at a third of the TTL. A fenced renewal means
 	// the lease was stolen: abandon the row — the thief owns it now.
@@ -325,11 +326,7 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) {
 			Term: lease.Term, Worker: w.o.Name, OK: false}
 		var resp completeResponse
 		w.post(ctx, "/v1/dist/complete", req, &resp) //nolint:errcheck // best-effort release
-		if fr := w.o.Flight; fr != nil {
-			fr.Record("lease.abandoned", map[string]any{
-				"job": lease.Job, "row": lease.Row, "epoch": lease.Epoch,
-				"worker": w.o.Name, "err": err.Error()})
-		}
+		w.emit("lease.abandoned", leaseSC, time.Now(), 0, lease, obs.KS("err", err.Error()))
 		return
 	}
 
@@ -349,25 +346,26 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) {
 		Term: lease.Term, Worker: w.o.Name, OK: true,
 		Tput: m.Throughput[r], TimeNS: m.TimeNS[r], Bound: bounds, Digest: digest}
 	accepted := w.completeWithRetry(ctx, req)
-	if accepted && w.mRows != nil {
+	if accepted {
 		w.mRows.Inc()
 	}
-	if fr := w.o.Flight; fr != nil {
-		fr.Record("lease.completed", map[string]any{
-			"job": lease.Job, "row": lease.Row, "epoch": lease.Epoch,
-			"worker": w.o.Name, "accepted": accepted})
-	}
-	if tw := w.o.Trace; tw != nil {
-		tw.CompleteSpan("row", "dist", 0, rowSC, leaseSC.SpanID, start, time.Since(start), map[string]any{
-			"job": lease.Job, "row": lease.Row, "epoch": lease.Epoch,
-			"worker": w.o.Name, "accepted": accepted})
-	}
+	w.o.Sink.Emit("row", "dist", 0, rowSC, leaseSC.SpanID, start, time.Since(start),
+		obs.KS("job", lease.Job), obs.KN("row", float64(lease.Row)), obs.KN("epoch", float64(lease.Epoch)),
+		obs.KS("worker", w.o.Name), obs.KB("accepted", accepted))
+}
+
+// emit records a lease event under the lease's span: the lease's
+// job, row, epoch and this worker, then extra.
+func (w *Worker) emit(name string, leaseSC obs.SpanContext, start time.Time, d time.Duration, lease *Lease, extra ...obs.KV) {
+	kvs := append([]obs.KV{obs.KS("job", lease.Job), obs.KN("row", float64(lease.Row)),
+		obs.KN("epoch", float64(lease.Epoch)), obs.KS("worker", w.o.Name)}, extra...)
+	w.o.Sink.Emit(name, "dist", 0, obs.SpanContext{TraceID: leaseSC.TraceID}, leaseSC.SpanID, start, d, kvs...)
 }
 
 // executeRow produces the leased row's matrix, serving it from the
 // worker journal when this worker already completed the same kernel
 // (a re-lease after a lost ack or a steal of our own expired lease).
-// rowSC, when valid, joins the row's cell/attempt spans to the job's
+// rowSC, when valid, joins the row sweep's events to the job's
 // distributed trace.
 func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanContext) (*sweep.Matrix, int, error) {
 	k, err := lease.DecodeKernel()
@@ -418,14 +416,9 @@ func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanCon
 			}
 		},
 	}
-	// Observer wiring only when a sink exists: the nil-observer fast
-	// path in the sweep executor stays untouched otherwise.
-	if w.o.Metrics != nil || w.o.Trace != nil {
-		tel := sweep.NewTelemetry(w.o.Metrics, w.o.Trace)
-		tel.SetSpanContext(rowSC)
-		tel.SetFlight(w.o.Flight)
-		opts.Observer = tel
-	}
+	tel := sweep.NewTelemetry(w.reg, w.o.Sink)
+	tel.SetSpanContext(rowSC)
+	opts.Observer = tel
 	m, _, err := sweep.Resume(ctx, []*kernel.Kernel{k}, space, opts, j.Prior())
 	if err != nil {
 		return nil, 0, err
@@ -467,13 +460,9 @@ func (w *Worker) renewLoop(ctx context.Context, lease *Lease, leaseSC obs.SpanCo
 			renewRequest{Job: lease.Job, Row: lease.Row, Epoch: lease.Epoch,
 				Term: lease.Term, Worker: w.o.Name}, &resp)
 		d := time.Since(start)
-		if w.hRenew != nil && err == nil {
+		if err == nil {
 			w.hRenew.Observe(d.Seconds())
-		}
-		if tw := w.o.Trace; tw != nil && err == nil {
-			tw.CompleteSpan("renew", "dist", 0,
-				obs.SpanContext{TraceID: leaseSC.TraceID}, leaseSC.SpanID, start, d, map[string]any{
-					"job": lease.Job, "row": lease.Row, "worker": w.o.Name, "status": status})
+			w.emit("renew", leaseSC, start, d, lease, obs.KN("status", float64(status)))
 		}
 		switch {
 		case err != nil:
@@ -490,13 +479,8 @@ func (w *Worker) renewLoop(ctx context.Context, lease *Lease, leaseSC obs.SpanCo
 			// abandoning the row.
 			w.rotate()
 		case status == http.StatusConflict:
-			if w.mLost != nil {
-				w.mLost.Inc()
-			}
-			if fr := w.o.Flight; fr != nil {
-				fr.Record("lease.lost", map[string]any{
-					"job": lease.Job, "row": lease.Row, "epoch": lease.Epoch, "worker": w.o.Name})
-			}
+			w.mLost.Inc()
+			w.emit("lease.lost", leaseSC, time.Now(), 0, lease)
 			cancel()
 			return
 		case resp.Done:
@@ -525,9 +509,7 @@ func (w *Worker) completeWithRetry(ctx context.Context, req completeRequest) boo
 			// accept this complete. Rotate and retry.
 			w.rotate()
 		case err == nil && status == http.StatusConflict:
-			if w.mLost != nil {
-				w.mLost.Inc()
-			}
+			w.mLost.Inc()
 			return false
 		case err == nil && (status == http.StatusNotFound || status == http.StatusBadRequest):
 			return false

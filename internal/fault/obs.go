@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"time"
+
 	"gpuscale/internal/obs"
 )
 
@@ -10,12 +12,12 @@ const MetricInjected = "fault_injected_total"
 
 // Observe returns an OnDecision hook that turns injector decisions
 // into telemetry: one MetricInjected counter increment per fired
-// fault, and (when tw is non-nil) one instant "fault" span in the
-// fault category carrying the cell, attempt and kind. Either sink may
-// be nil. Counters are pre-registered so even a clean run exposes the
-// series at zero — dashboards should not have to guess whether a
-// missing counter means "no faults" or "no instrumentation".
-func Observe(reg *obs.Registry, tw *obs.TraceWriter) func(Decision) {
+// fault, and one instant "fault" event in the fault category, carrying
+// the cell, attempt and kind, to sink. Either may be nil. Counters are
+// pre-registered so even a clean run exposes the series at zero —
+// dashboards should not have to guess whether a missing counter means
+// "no faults" or "no instrumentation".
+func Observe(reg *obs.Registry, sink *obs.Sink) func(Decision) {
 	var counters [len(kindNames)]*obs.Counter
 	if reg != nil {
 		for k := range counters {
@@ -27,15 +29,12 @@ func Observe(reg *obs.Registry, tw *obs.TraceWriter) func(Decision) {
 		if reg != nil && int(d.Kind) < len(counters) {
 			counters[d.Kind].Inc()
 		}
-		if tw != nil {
-			tw.Instant("fault", "fault", 0, map[string]any{
-				"kind":     d.Kind.String(),
-				"kernel":   d.Kernel,
-				"cus":      d.Config.CUs,
-				"core_mhz": d.Config.CoreClockMHz,
-				"mem_mhz":  d.Config.MemClockMHz,
-				"attempt":  d.Attempt,
-			})
-		}
+		sink.Emit("fault", "fault", 0, obs.SpanContext{}, "", time.Now(), 0,
+			obs.KS("kind", d.Kind.String()),
+			obs.KS("kernel", d.Kernel),
+			obs.KN("cus", float64(d.Config.CUs)),
+			obs.KN("core_mhz", d.Config.CoreClockMHz),
+			obs.KN("mem_mhz", d.Config.MemClockMHz),
+			obs.KN("attempt", float64(d.Attempt)))
 	}
 }

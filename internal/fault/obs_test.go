@@ -64,7 +64,7 @@ func TestObserveCountsByKindAndEmitsSpans(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
-	in := Injector{ErrorRate: 0.1, CorruptRate: 0.1, Seed: 7, OnDecision: Observe(reg, tw)}
+	in := Injector{ErrorRate: 0.1, CorruptRate: 0.1, Seed: 7, OnDecision: Observe(reg, obs.NewSink(tw, nil))}
 	eng := wrapCell(in)
 	for _, k := range ks {
 		for _, cfg := range cfgs {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -24,27 +25,38 @@ import (
 //
 //   - In-memory (NewFlightRecorder): events live in the ring until
 //     someone dumps them — on panic, on SIGQUIT, or over HTTP.
-//   - File-backed (OpenFlightRecorder): every Record also overwrites
-//     one fixed-size CRC-framed slot in a preallocated file via
-//     pwrite, with no fsync. The kernel's page cache makes the slots
-//     survive kill -9 — the process dies, the dirty pages don't —
-//     which is exactly the black-box semantics the name promises.
-//     Only machine loss loses the ring. A torn slot (kill mid-pwrite)
-//     fails its CRC and is skipped at recovery, like journal v2's
-//     torn tail.
+//   - File-backed (OpenFlightRecorder): every event also overwrites
+//     one fixed-size CRC-framed slot in a preallocated file, with no
+//     fsync: a store into the file's shared memory mapping, or a
+//     pwrite where the platform cannot map it. The kernel's page cache
+//     makes the slots survive kill -9 — the process dies, the dirty
+//     pages don't — which is exactly the black-box semantics the name
+//     promises. Only machine loss loses the ring. A torn slot (kill
+//     mid-store) fails its CRC and is skipped at recovery, like
+//     journal v2's torn tail.
 //
-// Record is mutex-serialized and does one small JSON encode plus (for
-// the file backing) one pwrite; events are control-plane-rate (leases,
-// sheds, retries), never per-cell, so this stays far off the sweep
-// hot path.
+// Events reach the ring through the process's Sink, so the ring and
+// the trace record the same events under the same names. Recording is
+// mutex-serialized and does one small JSON encode, into the slot's
+// reused buffer, plus (for the file backing) one slot store; events
+// are row- and control-plane-rate (rows, leases, sheds, retries),
+// never one per cell. With the mapping, an event costs no system call,
+// which is what keeps a traced sweep within its budget on the round
+// engine, where a whole row takes tens of microseconds.
 type FlightRecorder struct {
-	mu   sync.Mutex
-	ring []FlightEvent
+	mu sync.Mutex
+	// ring holds each slot's encoded FlightEvent JSON, the same bytes
+	// the file backing writes.
+	ring [][]byte
 	next uint64 // total events ever recorded; ring index = (next-1) % len
 
 	f        *os.File // nil for the in-memory backing
 	slotSize int
-	buf      []byte // reusable pwrite buffer, len slotSize
+	// mapped is the whole file mapped shared into memory, or nil where
+	// the platform cannot map it; then buf (len slotSize) stages each
+	// slot for its pwrite.
+	mapped []byte
+	buf    []byte
 }
 
 // FlightEvent is one recorded moment.
@@ -57,8 +69,9 @@ type FlightEvent struct {
 	// processes, and the ring survives the process whose monotonic
 	// clock defined it.
 	TimeNS int64 `json:"t"`
-	// Kind classifies the event ("lease", "steal", "complete", "fence",
-	// "shed", "retry", "breaker", ...).
+	// Kind is the event's name, the same one its trace line carries
+	// ("lease", "steal", "complete", "fence", "shed", "attempt",
+	// "row", ...).
 	Kind string `json:"kind"`
 	// Args carries the event payload (job, row, epoch, worker, ...).
 	Args map[string]any `json:"args,omitempty"`
@@ -83,7 +96,7 @@ func NewFlightRecorder(slots int) *FlightRecorder {
 	if slots <= 0 {
 		slots = DefaultFlightSlots
 	}
-	return &FlightRecorder{ring: make([]FlightEvent, slots)}
+	return &FlightRecorder{ring: make([][]byte, slots)}
 }
 
 // OpenFlightRecorder returns a file-backed recorder at path,
@@ -117,67 +130,83 @@ func OpenFlightRecorder(path string, slots, slotSize int) (*FlightRecorder, erro
 		f.Close()
 		return nil, fmt.Errorf("obs: sizing flight file: %w", err)
 	}
-	return &FlightRecorder{
-		ring: make([]FlightEvent, slots),
-		f:    f, slotSize: slotSize, buf: make([]byte, slotSize),
-	}, nil
+	fr := &FlightRecorder{ring: make([][]byte, slots), f: f, slotSize: slotSize}
+	if fr.mapped, err = mapFlightFile(f, flightHeaderSize+slots*slotSize); err != nil || fr.mapped == nil {
+		fr.mapped, fr.buf = nil, make([]byte, slotSize)
+	}
+	return fr, nil
 }
 
-// Record appends one event to the ring (and its file slot, when
-// file-backed). Safe for concurrent use; never fails — a write error
-// on the file backing degrades that slot to its CRC check, it does
-// not lose the in-memory copy.
-func (fr *FlightRecorder) Record(kind string, args map[string]any) {
+// record appends one event that happened at t to the ring (and its
+// file slot, when file-backed); args is the event's encoded arguments
+// object (appendArgs), or empty. Safe for concurrent use; never fails
+// — a write error on the file backing degrades that slot to its CRC
+// check, it does not lose the in-memory copy.
+func (fr *FlightRecorder) record(kind string, t time.Time, args []byte) {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
 	fr.next++
-	ev := FlightEvent{Seq: fr.next, TimeNS: time.Now().UnixNano(), Kind: kind, Args: args}
-	fr.ring[int((fr.next-1)%uint64(len(fr.ring)))] = ev
+	i := int((fr.next - 1) % uint64(len(fr.ring)))
+	b := append(fr.ring[i][:0], `{"seq":`...)
+	b = strconv.AppendUint(b, fr.next, 10)
+	b = append(b, `,"t":`...)
+	b = strconv.AppendInt(b, t.UnixNano(), 10)
+	b = append(b, `,"kind":`...)
+	b = appendJSONString(b, kind)
+	if len(args) > 0 {
+		b = append(b, `,"args":`...)
+		b = append(b, args...)
+	}
+	b = append(b, '}')
+	fr.ring[i] = b
 	if fr.f == nil {
 		return
 	}
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
+	payload := b
 	if len(payload) > fr.slotSize-flightSlotHeader {
 		payload = payload[:fr.slotSize-flightSlotHeader] // oversized events degrade to torn slots
 	}
-	for i := range fr.buf {
-		fr.buf[i] = 0
+	off := flightHeaderSize + i*fr.slotSize
+	slot := fr.buf
+	if fr.mapped != nil {
+		slot = fr.mapped[off : off+fr.slotSize]
 	}
-	binary.LittleEndian.PutUint64(fr.buf[0:], ev.Seq)
-	binary.LittleEndian.PutUint32(fr.buf[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(fr.buf[12:], crc32.ChecksumIEEE(payload))
-	copy(fr.buf[flightSlotHeader:], payload)
-	off := int64(flightHeaderSize + int((ev.Seq-1)%uint64(len(fr.ring)))*fr.slotSize)
-	// Deliberately no fsync: the page cache IS the durability model.
-	fr.f.WriteAt(fr.buf, off)
+	binary.LittleEndian.PutUint64(slot[0:], fr.next)
+	binary.LittleEndian.PutUint32(slot[8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(slot[12:], crc32.ChecksumIEEE(payload))
+	// Bytes past the payload are a previous event's leftovers; the
+	// length in the header excludes them.
+	n := flightSlotHeader + copy(slot[flightSlotHeader:], payload)
+	if fr.mapped == nil {
+		// Deliberately no fsync: the page cache IS the durability model.
+		fr.f.WriteAt(slot[:n], int64(off))
+	}
 }
 
-// Events returns the ring's current contents, oldest first.
-func (fr *FlightRecorder) Events() []FlightEvent {
+// payloads returns copies of the ring's encoded events, oldest first.
+func (fr *FlightRecorder) payloads() [][]byte {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
 	n := fr.next
 	cap64 := uint64(len(fr.ring))
-	count := n
-	if count > cap64 {
-		count = cap64
-	}
-	out := make([]FlightEvent, 0, count)
-	for i := uint64(0); i < count; i++ {
-		seq := n - count + i + 1
-		out = append(out, fr.ring[int((seq-1)%cap64)])
+	count := min(n, cap64)
+	out := make([][]byte, 0, count)
+	for seq := n - count + 1; seq <= n; seq++ {
+		out = append(out, append([]byte(nil), fr.ring[int((seq-1)%cap64)]...))
 	}
 	return out
 }
 
-// Recorded returns the total number of events ever recorded.
-func (fr *FlightRecorder) Recorded() uint64 {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return fr.next
+// Events returns the ring's current contents, oldest first.
+func (fr *FlightRecorder) Events() []FlightEvent {
+	var out []FlightEvent
+	for _, p := range fr.payloads() {
+		var ev FlightEvent
+		if err := json.Unmarshal(p, &ev); err == nil {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 // WriteDump renders the ring as JSONL, oldest first, prefixed with
@@ -192,8 +221,8 @@ func (fr *FlightRecorder) WriteDump(w io.Writer, reason string) error {
 	}); err != nil {
 		return err
 	}
-	for _, ev := range fr.Events() {
-		if err := enc.Encode(ev); err != nil {
+	for _, p := range fr.payloads() {
+		if _, err := bw.Write(append(p, '\n')); err != nil {
 			return err
 		}
 	}
@@ -226,7 +255,14 @@ func (fr *FlightRecorder) Close() error {
 	if fr.f == nil {
 		return nil
 	}
-	err := fr.f.Close()
+	var err error
+	if fr.mapped != nil {
+		err = unmapFlightFile(fr.mapped)
+		fr.mapped = nil
+	}
+	if cerr := fr.f.Close(); err == nil {
+		err = cerr
+	}
 	fr.f = nil
 	return err
 }

@@ -7,12 +7,13 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestFlightRingWrapsAndOrders(t *testing.T) {
 	fr := NewFlightRecorder(4)
 	for i := 1; i <= 10; i++ {
-		fr.Record("tick", map[string]any{"i": i})
+		fr.record("tick", time.Now(), appendArgs(nil, []KV{KN("i", float64(i))}))
 	}
 	evs := fr.Events()
 	if len(evs) != 4 {
@@ -24,15 +25,12 @@ func TestFlightRingWrapsAndOrders(t *testing.T) {
 			t.Fatalf("event %d = seq %d kind %q, want seq %d", i, ev.Seq, ev.Kind, wantSeq)
 		}
 	}
-	if fr.Recorded() != 10 {
-		t.Fatalf("Recorded() = %d, want 10", fr.Recorded())
-	}
 }
 
 func TestFlightDumpRoundTrip(t *testing.T) {
 	fr := NewFlightRecorder(8)
-	fr.Record("lease", map[string]any{"job": "j", "row": 3})
-	fr.Record("shed", map[string]any{"reason": "queue_full"})
+	fr.record("lease", time.Now(), appendArgs(nil, []KV{KS("job", "j"), KN("row", 3)}))
+	fr.record("shed", time.Now(), appendArgs(nil, []KV{KS("reason", "queue_full")}))
 	var buf bytes.Buffer
 	if err := fr.WriteDump(&buf, "test"); err != nil {
 		t.Fatal(err)
@@ -58,7 +56,7 @@ func TestFlightFileSurvivesWithoutClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 12; i++ {
-		fr.Record("lease", map[string]any{"row": i})
+		fr.record("lease", time.Now(), appendArgs(nil, []KV{KN("row", float64(i))}))
 	}
 	// No Close, no Sync — read the file as a fresh process would.
 	evs, err := ReadFlightFile(path)
@@ -79,6 +77,36 @@ func TestFlightFileSurvivesWithoutClose(t *testing.T) {
 	fr.Close()
 }
 
+// TestFlightFilePwriteFallback: where the platform cannot map the
+// file, each record pwrites its slot instead — the same file, read back
+// the same way.
+func TestFlightFilePwriteFallback(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.ring")
+	fr, err := OpenFlightRecorder(path, 4, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.mapped != nil {
+		if err := unmapFlightFile(fr.mapped); err != nil {
+			t.Fatal(err)
+		}
+		fr.mapped, fr.buf = nil, make([]byte, 256)
+	}
+	for i := 1; i <= 6; i++ {
+		fr.record("lease", time.Now(), appendArgs(nil, []KV{KN("row", float64(i))}))
+	}
+	evs, err := ReadFlightFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 4 || evs[0].Seq != 3 || evs[3].Args["row"] != 6.0 {
+		t.Fatalf("pwritten ring recovered %+v", evs)
+	}
+	if err := fr.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFlightFileTornSlotSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.ring")
 	fr, err := OpenFlightRecorder(path, 4, 256)
@@ -86,7 +114,7 @@ func TestFlightFileTornSlotSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 4; i++ {
-		fr.Record("ev", map[string]any{"i": i})
+		fr.record("ev", time.Now(), appendArgs(nil, []KV{KN("i", float64(i))}))
 	}
 	fr.Close()
 	// Tear slot 1 (seq 2): flip a payload byte so the CRC fails.
@@ -140,17 +168,14 @@ func TestFlightConcurrentRecord(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				fr.Record("ev", map[string]any{"g": g, "i": i})
+				fr.record("ev", time.Now(), appendArgs(nil, []KV{KN("g", float64(g)), KN("i", float64(i))}))
 			}
 		}(g)
 	}
 	wg.Wait()
-	if fr.Recorded() != 400 {
-		t.Fatalf("Recorded() = %d, want 400", fr.Recorded())
-	}
 	evs := fr.Events()
-	if len(evs) != 64 {
-		t.Fatalf("ring holds %d, want 64", len(evs))
+	if len(evs) != 64 || evs[63].Seq != 400 {
+		t.Fatalf("ring holds %d events ending at seq %d, want 64 ending at 400", len(evs), evs[len(evs)-1].Seq)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq != evs[i-1].Seq+1 {
@@ -173,9 +198,9 @@ func TestFlightOversizedEventDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr.Record("small", nil)
-	fr.Record("big", map[string]any{"blob": string(make([]byte, 4096))})
-	fr.Record("small2", nil)
+	fr.record("small", time.Now(), nil)
+	fr.record("big", time.Now(), appendArgs(nil, []KV{KS("blob", string(make([]byte, 4096)))}))
+	fr.record("small2", time.Now(), nil)
 	fr.Close()
 	evs, err := ReadFlightFile(path)
 	if err != nil {
@@ -194,7 +219,7 @@ func TestFlightOversizedEventDegrades(t *testing.T) {
 
 func TestFlightHandler(t *testing.T) {
 	fr := NewFlightRecorder(8)
-	fr.Record("lease", map[string]any{"row": 1})
+	fr.record("lease", time.Now(), appendArgs(nil, []KV{KN("row", 1)}))
 	rr := httptest.NewRecorder()
 	FlightHandler(fr).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/flight", nil))
 	evs, err := ReadFlightDump(rr.Body)
@@ -213,9 +238,9 @@ func BenchmarkFlightRecordFile(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer fr.Close()
-	args := map[string]any{"job": "job-000001", "row": 17, "epoch": 3, "worker": "w0"}
+	args := appendArgs(nil, []KV{KS("job", "job-000001"), KN("row", 17), KN("epoch", 3), KS("worker", "w0")})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fr.Record("lease", args)
+		fr.record("lease", time.Now(), args)
 	}
 }

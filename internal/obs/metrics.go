@@ -207,11 +207,11 @@ func seriesKey(name string, labels []Label) string {
 }
 
 // register returns the series for (name, labels), creating it (and its
-// family) on first use. A name reused with a different kind panics:
-// that is a programming error, not a runtime condition.
+// family) on first use; the caller holds r.mu and sets the series'
+// instrument before unlocking, so a published series always has one. A
+// name reused with a different kind panics: that is a programming
+// error, not a runtime condition.
 func (r *Registry) register(name, help string, kind metricKind, labels []Label) *series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: kind}
@@ -235,9 +235,9 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label) 
 // Counter returns (registering on first use) the counter series for
 // name and labels.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.register(name, help, kindCounter, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.register(name, help, kindCounter, labels)
 	if s.c == nil {
 		s.c = &Counter{}
 	}
@@ -247,9 +247,9 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // Gauge returns (registering on first use) the gauge series for name
 // and labels.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(name, help, kindGauge, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.register(name, help, kindGauge, labels)
 	if s.g == nil {
 		s.g = &Gauge{}
 	}
@@ -260,9 +260,9 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // for name and labels. buckets is used only on first registration; nil
 // means DefBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	s := r.register(name, help, kindHistogram, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.register(name, help, kindHistogram, labels)
 	if s.h == nil {
 		if buckets == nil {
 			buckets = DefBuckets
@@ -371,9 +371,11 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for i, k := range keys {
 		ss[i] = r.series[k]
 	}
-	fams := map[string]*family{}
+	// Families are copied: a later registration may still fill in a
+	// help string.
+	fams := map[string]family{}
 	for n, f := range r.families {
-		fams[n] = f
+		fams[n] = *f
 	}
 	r.mu.Unlock()
 

@@ -11,15 +11,16 @@ import (
 // Distributed trace identity, W3C Trace Context style. A trace is one
 // logical operation — a sweep job — however many processes execute
 // pieces of it; a span is one timed piece (the job run, a lease, a
-// row, a cell). Identity travels between processes as a `traceparent`
+// row). Identity travels between processes as a `traceparent`
 // header (https://www.w3.org/TR/trace-context/):
 //
 //	traceparent: 00-<32 hex trace-id>-<16 hex span-id>-01
 //
 // The coordinator mints the trace ID when a job is admitted, every
 // lease carries it plus the lease's own span ID, and workers stamp
-// their row and cell spans with the same trace ID and the lease span
-// as parent — so one job submission yields a single stitched trace
+// their row spans with the same trace ID and the lease span as parent,
+// and their row sweeps' events with the row span as parent — so one
+// job submission yields a single stitched trace
 // across the whole fleet (see cmd/sweeptrace).
 
 // SpanContext identifies one span within one trace. The zero value is

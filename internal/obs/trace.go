@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -18,9 +19,9 @@ import (
 // line-oriented tools; wrap the lines in [] (sweeptrace -chrome does)
 // to load the file in a Chrome-compatible trace viewer.
 type Event struct {
-	// Name identifies the span type, e.g. "cell", "attempt", "fault".
+	// Name identifies the event, e.g. "row", "attempt", "lease".
 	Name string `json:"name"`
-	// Cat is the span category, used by viewers for filtering.
+	// Cat is the event category, used by viewers for filtering.
 	Cat string `json:"cat,omitempty"`
 	// Phase is "X" (complete span) or "i" (instant).
 	Phase string `json:"ph"`
@@ -43,23 +44,18 @@ type Event struct {
 	// Proc names the emitting process ("coordinator", a worker name),
 	// so a stitched multi-process trace keeps its provenance.
 	Proc string `json:"proc,omitempty"`
-	// Args carries span-specific payload (kernel, config, attempt,
-	// status, error, fault kind, ...).
+	// Args carries the event payload (kernel, status counts, error,
+	// fault kind, ...).
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// SpanContext returns the event's own span identity.
-func (e *Event) SpanContext() SpanContext {
-	return SpanContext{TraceID: e.Trace, SpanID: e.Span}
-}
-
-// TraceWriter emits Events as JSONL. It is safe for concurrent use;
+// TraceWriter writes events as JSONL. It is safe for concurrent use;
 // each event is one buffered, atomically written line. The zero
-// timestamp is the writer's creation time.
+// timestamp is the writer's creation time. Events reach it through a
+// Sink, which also hands them to the process's flight recorder.
 type TraceWriter struct {
 	mu      sync.Mutex
 	bw      *bufio.Writer
-	enc     *json.Encoder
 	start   time.Time
 	proc    string
 	err     error
@@ -69,99 +65,80 @@ type TraceWriter struct {
 // NewTraceWriter wraps w; events are buffered, call Flush (or Close on
 // the underlying file after Flush) when done.
 func NewTraceWriter(w io.Writer) *TraceWriter {
-	bw := bufio.NewWriter(w)
-	return &TraceWriter{bw: bw, enc: json.NewEncoder(bw), start: time.Now()}
+	return &TraceWriter{bw: bufio.NewWriter(w), start: time.Now()}
 }
 
-// SetProcess names the emitting process; every subsequent event whose
-// Proc is empty is stamped with it. Call once at startup, before
-// concurrent emitters exist.
+// SetProcess names the emitting process; it is stamped into every
+// subsequent event. Call once at startup, before concurrent emitters
+// exist.
 func (tw *TraceWriter) SetProcess(name string) {
 	tw.mu.Lock()
 	tw.proc = name
 	tw.mu.Unlock()
 }
 
-// Since returns the trace-relative timestamp of t in microseconds.
-func (tw *TraceWriter) Since(t time.Time) float64 {
-	return float64(t.Sub(tw.start)) / float64(time.Microsecond)
-}
-
-// Emit writes one event. Write errors are sticky: the first is kept
-// and every later Emit is a no-op, so hot paths need no error
-// handling; check Err or Flush at the end.
-func (tw *TraceWriter) Emit(e Event) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if tw.err != nil {
-		return
-	}
-	if e.Proc == "" {
-		e.Proc = tw.proc
-	}
-	tw.err = tw.enc.Encode(e)
-}
-
-// Complete emits a completed span that started at start and lasted d.
-func (tw *TraceWriter) Complete(name, cat string, tid int64, start time.Time, d time.Duration, args map[string]any) {
-	tw.Emit(Event{
-		Name: name, Cat: cat, Phase: "X",
-		TS: tw.Since(start), Dur: float64(d) / float64(time.Microsecond),
-		TID: tid, Args: args,
-	})
-}
-
-// Instant emits a zero-duration marker stamped now.
-func (tw *TraceWriter) Instant(name, cat string, tid int64, args map[string]any) {
-	tw.Emit(Event{
-		Name: name, Cat: cat, Phase: "i",
-		TS: tw.Since(time.Now()), TID: tid, Args: args,
-	})
-}
-
-// CompleteSpan emits a completed span carrying distributed-trace
-// identity: sc names the span itself, parent (may be "") links it to
-// its causal parent, possibly in another process.
-func (tw *TraceWriter) CompleteSpan(name, cat string, tid int64, sc SpanContext, parent string, start time.Time, d time.Duration, args map[string]any) {
-	tw.Emit(Event{
-		Name: name, Cat: cat, Phase: "X",
-		TS: tw.Since(start), Dur: float64(d) / float64(time.Microsecond),
-		TID: tid, Trace: sc.TraceID, Span: sc.SpanID, Parent: parent, Args: args,
-	})
-}
-
-// InstantSpan emits a zero-duration marker carrying trace identity.
-func (tw *TraceWriter) InstantSpan(name, cat string, tid int64, sc SpanContext, parent string, args map[string]any) {
-	tw.Emit(Event{
-		Name: name, Cat: cat, Phase: "i",
-		TS: tw.Since(time.Now()), TID: tid,
-		Trace: sc.TraceID, Span: sc.SpanID, Parent: parent, Args: args,
-	})
-}
-
-// KV is one typed key/value argument for the hot-path emitters. A
-// stack-built []KV replaces the map[string]any allocation per leaf
-// event — on a sweep emitting two events per cell, that map plus the
-// reflective JSON marshal is the difference between tracing costing
-// microseconds per cell and a fraction of one.
+// KV is one typed event argument. A stack-built []KV and a hand-rolled
+// encoder replace a map[string]any plus a reflective marshal per event.
 type KV struct {
-	Key string
-	s   string
-	n   float64
-	str bool
+	Key  string
+	s    string
+	n    float64
+	kind kvKind
 }
+
+type kvKind uint8
+
+const (
+	kvNum kvKind = iota
+	kvStr
+	kvBool
+)
 
 // KS builds a string-valued argument.
-func KS(k, v string) KV { return KV{Key: k, s: v, str: true} }
+func KS(k, v string) KV { return KV{Key: k, s: v, kind: kvStr} }
 
 // KN builds a numeric argument.
 func KN(k string, v float64) KV { return KV{Key: k, n: v} }
 
-// EmitFast writes one event through a hand-rolled JSON encoder:
-// no reflection, no args map, one buffered write. The output is
-// line-for-line parseable by ReadEvents exactly like Emit's; dur 0 is
-// omitted (instant markers), as are empty trace identity fields.
-func (tw *TraceWriter) EmitFast(name, cat, phase string, tid int64, traceID, span, parent string, ts, dur float64, kvs []KV) {
+// KB builds a boolean argument.
+func KB(k string, v bool) KV {
+	kv := KV{Key: k, kind: kvBool}
+	if v {
+		kv.n = 1
+	}
+	return kv
+}
+
+// appendArgs appends kvs as a JSON object.
+func appendArgs(b []byte, kvs []KV) []byte {
+	b = append(b, '{')
+	for i, kv := range kvs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, kv.Key)
+		b = append(b, ':')
+		switch kv.kind {
+		case kvStr:
+			b = appendJSONString(b, kv.s)
+		case kvBool:
+			b = strconv.AppendBool(b, kv.n != 0)
+		default:
+			b = appendJSONFloat(b, kv.n)
+		}
+	}
+	return append(b, '}')
+}
+
+// emit writes one event line; args is the event's encoded arguments
+// object (appendArgs), or empty. A positive d makes it a complete span
+// (ph "X") covering [start, start+d]; zero makes it an instant marker
+// (ph "i") at start. sc names the event's own span (an empty SpanID
+// for events without one) and parent its causal parent; empty identity
+// fields are omitted. Write errors are sticky: the first is kept and
+// every later event is dropped, so emitters need no error handling;
+// Flush reports it at the end.
+func (tw *TraceWriter) emit(name, cat string, tid int64, sc SpanContext, parent string, start time.Time, d time.Duration, args []byte) {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
 	if tw.err != nil {
@@ -172,23 +149,25 @@ func (tw *TraceWriter) EmitFast(name, cat, phase string, tid int64, traceID, spa
 	b = appendJSONString(b, name)
 	b = append(b, `,"cat":`...)
 	b = appendJSONString(b, cat)
-	b = append(b, `,"ph":`...)
-	b = appendJSONString(b, phase)
-	b = append(b, `,"ts":`...)
-	b = appendJSONFloat(b, ts)
-	if dur != 0 {
+	if d > 0 {
+		b = append(b, `,"ph":"X","ts":`...)
+	} else {
+		b = append(b, `,"ph":"i","ts":`...)
+	}
+	b = appendJSONFloat(b, float64(start.Sub(tw.start))/float64(time.Microsecond))
+	if d > 0 {
 		b = append(b, `,"dur":`...)
-		b = appendJSONFloat(b, dur)
+		b = appendJSONFloat(b, float64(d)/float64(time.Microsecond))
 	}
 	b = append(b, `,"pid":0,"tid":`...)
 	b = strconv.AppendInt(b, tid, 10)
-	if traceID != "" {
+	if sc.TraceID != "" {
 		b = append(b, `,"trace":`...)
-		b = appendJSONString(b, traceID)
+		b = appendJSONString(b, sc.TraceID)
 	}
-	if span != "" {
+	if sc.SpanID != "" {
 		b = append(b, `,"span":`...)
-		b = appendJSONString(b, span)
+		b = appendJSONString(b, sc.SpanID)
 	}
 	if parent != "" {
 		b = append(b, `,"parent":`...)
@@ -198,21 +177,9 @@ func (tw *TraceWriter) EmitFast(name, cat, phase string, tid int64, traceID, spa
 		b = append(b, `,"proc":`...)
 		b = appendJSONString(b, tw.proc)
 	}
-	if len(kvs) > 0 {
-		b = append(b, `,"args":{`...)
-		for i, kv := range kvs {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, kv.Key)
-			b = append(b, ':')
-			if kv.str {
-				b = appendJSONString(b, kv.s)
-			} else {
-				b = appendJSONFloat(b, kv.n)
-			}
-		}
-		b = append(b, '}')
+	if len(args) > 0 {
+		b = append(b, `,"args":`...)
+		b = append(b, args...)
 	}
 	b = append(b, '}', '\n')
 	if _, err := tw.bw.Write(b); err != nil {
@@ -221,49 +188,56 @@ func (tw *TraceWriter) EmitFast(name, cat, phase string, tid int64, traceID, spa
 	tw.scratch = b
 }
 
-// CompleteSpanFast is CompleteSpan on the EmitFast path. Empty traceID
-// and parent degrade to a plain single-process span, so one call site
-// serves both traced and untraced sweeps.
-func (tw *TraceWriter) CompleteSpanFast(name, cat string, tid int64, traceID, parent string, start time.Time, d time.Duration, kvs ...KV) {
-	tw.EmitFast(name, cat, "X", tid, traceID, "", parent,
-		tw.Since(start), float64(d)/float64(time.Microsecond), kvs)
-}
-
 // appendJSONString appends s as a JSON string literal. Multi-byte
 // UTF-8 passes through raw (valid JSON); quotes, backslashes and
-// control bytes are escaped.
+// control bytes are escaped. Runs of bytes that need no escape are
+// copied in one append.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
+	start := 0
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"' || c == '\\':
+		c := s[i]
+		if c >= 0x20 && c != '"' && c != '\\' {
+			continue
+		}
+		b = append(b, s[start:i]...)
+		start = i + 1
+		switch c {
+		case '"', '\\':
 			b = append(b, '\\', c)
-		case c >= 0x20:
-			b = append(b, c)
-		case c == '\n':
+		case '\n':
 			b = append(b, '\\', 'n')
-		case c == '\t':
+		case '\t':
 			b = append(b, '\\', 't')
-		case c == '\r':
+		case '\r':
 			b = append(b, '\\', 'r')
 		default:
 			const hex = "0123456789abcdef"
 			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		}
 	}
+	b = append(b, s[start:]...)
 	return append(b, '"')
 }
 
 // appendJSONFloat appends v as a JSON number; integral values take
 // the integer fast path, everything else fixed-point with three
-// decimals — nanosecond resolution for microsecond timestamps, and
-// several times cheaper than shortest-round-trip formatting.
+// decimals — nanosecond resolution for microsecond timestamps —
+// written from the integer v*1000, which is exact below 2^53 and
+// several times cheaper than strconv's fixed-precision formatting.
 func appendJSONFloat(b []byte, v float64) []byte {
 	if v == float64(int64(v)) {
 		return strconv.AppendInt(b, int64(v), 10)
 	}
-	if v > -1e15 && v < 1e15 {
-		return strconv.AppendFloat(b, v, 'f', 3, 64)
+	if v > -1e12 && v < 1e12 {
+		m := int64(math.Round(v * 1000))
+		if m < 0 {
+			b = append(b, '-')
+			m = -m
+		}
+		b = strconv.AppendInt(b, m/1000, 10)
+		f := m % 1000
+		return append(b, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
 	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
@@ -278,15 +252,8 @@ func (tw *TraceWriter) Flush() error {
 	return tw.err
 }
 
-// Err returns the sticky write error, if any.
-func (tw *TraceWriter) Err() error {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	return tw.err
-}
-
 // ReadEvents parses a JSONL trace stream back into events — the
-// inverse of Emit, used by sweeptrace and tests. Blank lines are
+// inverse of the writer, used by sweeptrace and tests. Blank lines are
 // skipped; a malformed line aborts with its line number.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,9 +15,9 @@ func TestTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)
 	start := time.Now()
-	tw.Complete("cell", "sweep", 3, start, 42*time.Microsecond,
-		map[string]any{"kernel": "k1", "attempts": 2.0})
-	tw.Instant("fault", "fault", 3, map[string]any{"kind": "error"})
+	tw.emit("row", "sweep", 3, SpanContext{}, "", start, 42*time.Microsecond,
+		appendArgs(nil, []KV{KS("kernel", "k1"), KN("retries", 2)}))
+	tw.emit("fault", "fault", 3, SpanContext{}, "", time.Now(), 0, appendArgs(nil, []KV{KS("kind", "error")}))
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +41,15 @@ func TestTraceRoundTrip(t *testing.T) {
 	if len(evs) != 2 {
 		t.Fatalf("read %d events, want 2", len(evs))
 	}
-	cell := evs[0]
-	if cell.Name != "cell" || cell.Phase != "X" || cell.TID != 3 {
-		t.Errorf("cell event = %+v", cell)
+	row := evs[0]
+	if row.Name != "row" || row.Phase != "X" || row.TID != 3 {
+		t.Errorf("row event = %+v", row)
 	}
-	if cell.Dur != 42 {
-		t.Errorf("cell dur = %g us, want 42", cell.Dur)
+	if row.Dur != 42 {
+		t.Errorf("row dur = %g us, want 42", row.Dur)
 	}
-	if cell.Args["kernel"] != "k1" {
-		t.Errorf("cell args = %v", cell.Args)
+	if row.Args["kernel"] != "k1" || row.Args["retries"] != 2.0 {
+		t.Errorf("row args = %v", row.Args)
 	}
 	if evs[1].Phase != "i" || evs[1].Args["kind"] != "error" {
 		t.Errorf("instant event = %+v", evs[1])
@@ -69,7 +70,7 @@ func TestReadEventsRejectsGarbageWithLineNumber(t *testing.T) {
 func TestTraceWriterStickyError(t *testing.T) {
 	tw := NewTraceWriter(failWriter{})
 	for i := 0; i < 100; i++ {
-		tw.Instant("x", "", 0, nil)
+		tw.emit("x", "", 0, SpanContext{}, "", time.Now(), 0, nil)
 	}
 	if tw.Flush() == nil {
 		t.Fatal("write error swallowed")
@@ -89,7 +90,7 @@ func TestTraceWriterConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tw.Complete("cell", "sweep", int64(w), time.Now(), time.Microsecond, nil)
+				tw.emit("row", "sweep", int64(w), SpanContext{}, "", time.Now(), time.Microsecond, nil)
 			}
 		}(w)
 	}
@@ -127,15 +128,15 @@ func TestTraceWriterConcurrentSpansComplete(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				args := map[string]any{"g": w, "i": i}
+				args := appendArgs(nil, []KV{KN("g", float64(w)), KN("i", float64(i))})
 				switch i % 3 {
 				case 0:
-					tw.CompleteSpan("cell", "sweep", int64(w), scs[w].Child(), scs[w].SpanID,
+					tw.emit("row", "sweep", int64(w), scs[w].Child(), scs[w].SpanID,
 						time.Now(), time.Microsecond, args)
 				case 1:
-					tw.InstantSpan("fault", "fault", int64(w), scs[w], "", args)
+					tw.emit("fault", "fault", int64(w), scs[w], "", time.Now(), 0, args)
 				default:
-					tw.Complete("cell", "sweep", int64(w), time.Now(), time.Microsecond, args)
+					tw.emit("row", "sweep", int64(w), SpanContext{}, "", time.Now(), time.Microsecond, args)
 				}
 			}
 		}(w)
@@ -166,7 +167,7 @@ func TestTraceWriterConcurrentSpansComplete(t *testing.T) {
 		}
 		seen[g][i] = true
 		if i%3 == 0 {
-			if e.Trace != scs[g].TraceID || e.Parent != scs[g].SpanID || !e.SpanContext().Valid() {
+			if e.Trace != scs[g].TraceID || e.Parent != scs[g].SpanID || !(SpanContext{TraceID: e.Trace, SpanID: e.Span}).Valid() {
 				t.Fatalf("span identity mangled: %+v (want trace %s parent %s)", e, scs[g].TraceID, scs[g].SpanID)
 			}
 		}
@@ -184,7 +185,7 @@ func TestTraceSpanFieldsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)
 	sc := NewSpanContext()
-	tw.CompleteSpan("job", "serve", 0, sc, "feedbeefcafe0001", time.Now(), time.Millisecond, nil)
+	tw.emit("job", "serve", 0, sc, "feedbeefcafe0001", time.Now(), time.Millisecond, nil)
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,5 +196,81 @@ func TestTraceSpanFieldsRoundTrip(t *testing.T) {
 	e := evs[0]
 	if e.Trace != sc.TraceID || e.Span != sc.SpanID || e.Parent != "feedbeefcafe0001" {
 		t.Fatalf("span fields did not round-trip: %+v", e)
+	}
+}
+
+// TestEncoderRoundTrip drives the one event encoder through a sink to
+// both artifacts: escapes, fractional and integral numbers, booleans
+// and empty span fields must decode to the same values from the trace
+// line and from the flight slot.
+func TestEncoderRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	fr := NewFlightRecorder(4)
+	sink := NewSink(tw, fr)
+	nasty := "q\"b\\s\n\t\r\x01é"
+	sink.Emit("row", "sweep", 0, SpanContext{}, "", time.Now(), 1500*time.Nanosecond,
+		KS("kernel", nasty), KN("frac", 0.125), KN("neg", -3), KN("big", 1e300),
+		KB("accepted", true), KB("verified", false))
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := ReadEvents(&buf)
+	if err != nil || len(evs) != 1 {
+		t.Fatalf("ReadEvents = %v, %d events", err, len(evs))
+	}
+	e := evs[0]
+	if e.Trace != "" || e.Span != "" || e.Parent != "" || e.Proc != "" {
+		t.Fatalf("empty identity fields were written: %+v", e)
+	}
+	if e.Phase != "X" || e.Dur != 1.5 {
+		t.Fatalf("phase %q dur %g, want X and 1.5us", e.Phase, e.Dur)
+	}
+	flight := fr.Events()
+	if len(flight) != 1 || flight[0].Kind != "row" {
+		t.Fatalf("flight ring = %+v", flight)
+	}
+	want := map[string]any{"kernel": nasty, "frac": 0.125, "neg": -3.0, "big": 1e300,
+		"accepted": true, "verified": false}
+	for name, args := range map[string]map[string]any{"trace": e.Args, "flight": flight[0].Args} {
+		if !reflect.DeepEqual(args, want) {
+			t.Errorf("%s args = %#v, want %#v", name, args, want)
+		}
+	}
+}
+
+// TestSinkFansOutAndNilIsSafe: one Emit lands in both artifacts under
+// one name, a sink with one artifact records only there, and the nil
+// sink records nothing without a guard at the call site.
+func TestSinkFansOutAndNilIsSafe(t *testing.T) {
+	if NewSink(nil, nil) != nil {
+		t.Fatal("a sink over no artifact is not nil")
+	}
+	var none *Sink
+	none.Emit("lease", "dist", 0, NewSpanContext(), "", time.Now(), 0, KN("row", 1))
+	if err := none.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	fr := NewFlightRecorder(8)
+	sc := NewSpanContext()
+	both := NewSink(tw, fr)
+	both.Emit("lease", "dist", 0, sc, "feedbeefcafe0001", time.Now(), 0, KN("row", 7))
+	NewSink(nil, fr).Emit("shed", "serve", 0, SpanContext{}, "", time.Now(), 0, KS("reason", "queue_full"))
+	if err := both.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := ReadEvents(&buf)
+	if err != nil || len(evs) != 1 {
+		t.Fatalf("trace holds %d events (%v), want the lease only", len(evs), err)
+	}
+	if e := evs[0]; e.Name != "lease" || e.Phase != "i" || e.Span != sc.SpanID || e.Parent != "feedbeefcafe0001" {
+		t.Fatalf("trace event = %+v", e)
+	}
+	flight := fr.Events()
+	if len(flight) != 2 || flight[0].Kind != "lease" || flight[0].Args["row"] != 7.0 || flight[1].Kind != "shed" {
+		t.Fatalf("flight ring = %+v", flight)
 	}
 }

@@ -68,14 +68,12 @@ type Config struct {
 	RunSweep func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error)
 	// Registry receives service metrics; nil creates a private one.
 	Registry *obs.Registry
-	// Trace, when non-nil, receives job spans and — via the sweep
-	// Observer — per-cell spans, all carrying the job's distributed
-	// trace identity. Nil keeps the executor on its nil-observer fast
-	// path.
-	Trace *obs.TraceWriter
-	// Flight, when non-nil, records admissions, shed decisions and job
-	// terminal transitions into the crash flight recorder.
-	Flight *obs.FlightRecorder
+	// Sink, when non-nil, receives shed decisions, admissions, job spans
+	// and — via the sweep Observer — the local executor's row and retry
+	// events, all carrying the job's distributed trace identity, for the
+	// process's trace and flight recorder. Nil keeps the executor on its
+	// nil-observer path.
+	Sink *obs.Sink
 	// Injector, when active, injects deterministic faults into every
 	// job's engine calls and journal writes — the chaos-drill hook.
 	Injector fault.Injector
@@ -403,9 +401,8 @@ func (s *Service) matrixPath(id string) string  { return filepath.Join(s.cfg.Dir
 // decision in the flight recorder before returning the typed error.
 func (s *Service) shedding(reason ShedReason, client string, retry time.Duration) error {
 	s.met.shed[reason].Inc()
-	if s.cfg.Flight != nil {
-		s.cfg.Flight.Record("shed", map[string]any{"reason": string(reason), "client": client})
-	}
+	s.cfg.Sink.Emit("shed", "serve", 0, obs.SpanContext{}, "", time.Now(), 0,
+		obs.KS("reason", string(reason)), obs.KS("client", client))
 	return &ShedError{Reason: reason, RetryAfter: retry}
 }
 
@@ -487,17 +484,18 @@ func (s *Service) SubmitTraced(client string, spec JobSpec, caller obs.SpanConte
 	s.met.openJobs.Set(float64(s.open))
 	s.met.queueDepth.Set(float64(len(s.queue)))
 	s.met.admitted.Inc()
+	// The reply is snapshotted before a runner can pick the job up, so
+	// it says queued however fast the job starts.
+	st := j.status()
 	s.cond.Signal()
 	s.mu.Unlock()
 	if s.cfg.Replicate != nil {
 		s.cfg.Replicate(id, b)
 	}
-	if s.cfg.Flight != nil {
-		s.cfg.Flight.Record("job.admit", map[string]any{
-			"job": id, "client": client, "trace": sc.TraceID})
-	}
+	s.cfg.Sink.Emit("job.admit", "serve", 0, obs.SpanContext{TraceID: sc.TraceID}, sc.SpanID, time.Now(), 0,
+		obs.KS("job", id), obs.KS("client", client), obs.KS("trace", sc.TraceID))
 	s.cfg.Logf("serve: admitted %s for %s (%d kernels, %d configs)", id, client, len(res.kernels), res.space.Size())
-	return j.status(), nil
+	return st, nil
 }
 
 // ErrNoSuchJob marks lookups of unknown job IDs.
@@ -758,13 +756,12 @@ func (s *Service) runJob(j *job) {
 	if s.cfg.Injector.Active() {
 		opts.Row = s.cfg.Injector.WrapRow(j.res.engine.Row())
 	}
-	if s.cfg.Trace != nil {
-		// The local executor's cell/row events join the job's trace; a
-		// distributed RunSweep gets the same identity via req.Trace
-		// instead (its workers emit their own spans).
-		tel := sweep.NewTelemetry(s.reg, s.cfg.Trace)
+	if s.cfg.Sink != nil {
+		// The local executor's row and retry events join the job's
+		// trace; a distributed RunSweep gets the same identity via
+		// req.Trace instead (its workers emit their own events).
+		tel := sweep.NewTelemetry(s.reg, s.cfg.Sink)
 		tel.SetSpanContext(j.trace)
-		tel.SetFlight(s.cfg.Flight)
 		opts.Observer = tel
 	}
 	// A distributed executor may deliver the same row more than once —
@@ -847,14 +844,8 @@ func (s *Service) runJob(j *job) {
 	j.mu.Lock()
 	state, rows := j.state, j.rowsDone
 	j.mu.Unlock()
-	if tw := s.cfg.Trace; tw != nil {
-		tw.CompleteSpan("job", "serve", 0, j.trace, j.parent, runStart, time.Since(runStart), map[string]any{
-			"job": j.id, "client": j.client, "state": string(state), "rows_done": rows})
-	}
-	if s.cfg.Flight != nil {
-		s.cfg.Flight.Record("job.done", map[string]any{
-			"job": j.id, "state": string(state), "rows_done": rows})
-	}
+	s.cfg.Sink.Emit("job", "serve", 0, j.trace, j.parent, runStart, time.Since(runStart),
+		obs.KS("job", j.id), obs.KS("client", j.client), obs.KS("state", string(state)), obs.KN("rows_done", float64(rows)))
 }
 
 func userCanceledJob(j *job) bool {

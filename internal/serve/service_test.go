@@ -120,6 +120,28 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestSubmitReplySaysQueued admits jobs to idle runners: the admission
+// reply is a snapshot taken before any runner can pick the job up, so
+// it says queued however fast a runner starts it.
+func TestSubmitReplySaysQueued(t *testing.T) {
+	const jobs = 64
+	s, err := New(Config{Dir: t.TempDir(), Runners: 8, MaxJobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	spec := testSpec(t)
+	for i := 0; i < jobs; i++ {
+		st, err := s.Submit("alice", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateQueued {
+			t.Fatalf("admission %d replied %s, want queued", i, st.State)
+		}
+	}
+}
+
 func TestQueueBoundSheds(t *testing.T) {
 	s, err := New(Config{Dir: t.TempDir(), Runners: -1, MaxJobs: 2})
 	if err != nil {

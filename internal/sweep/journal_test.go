@@ -473,3 +473,43 @@ func TestJournalRecordFraming(t *testing.T) {
 		t.Fatalf("round-tripped record %+v", got)
 	}
 }
+
+// TestResumeRecomputesStalledRow: an archive written by an earlier
+// version can hold stalled cells. It still decodes, and Resume
+// recomputes the stalled cell's row — reusing every other row — to the
+// uninterrupted run's matrix, whether the archive is read as a prior
+// matrix or reopened as a journal.
+func TestResumeRecomputesStalledRow(t *testing.T) {
+	space := tinySpace(t)
+	m, err := Run(testKernels(), space, journalOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := matrixBytes(t, m)
+	m.Status[1][2], m.Throughput[1][2], m.TimeNS[1][2] = StatusStalled, 0, 0
+	old := matrixBytes(t, m)
+	prior, err := ReadCSV(bytes.NewReader(old), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prior.Status[1][2] != StatusStalled {
+		t.Fatal("stalled cell did not decode from the archive")
+	}
+	got, rep, err := Resume(context.Background(), testKernels(), space, journalOpts(), prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Complete() || rep.Skipped != (len(m.Kernels)-1)*space.Size() {
+		t.Fatalf("resume did not recompute exactly the stalled row: %s", rep.Summary())
+	}
+	if !bytes.Equal(matrixBytes(t, got), baseline) {
+		t.Fatal("resumed matrix differs from the uninterrupted run")
+	}
+	path := filepath.Join(t.TempDir(), "old.csv")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumeFromFile(t, path, space), baseline) {
+		t.Fatal("journal resume differs from the uninterrupted run")
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -186,52 +186,67 @@ func TestPrepareFailureSettlesRowOnce(t *testing.T) {
 	}
 }
 
-// rowQuarantineRecorder captures the batched row-settlement events.
-type rowQuarantineRecorder struct {
+// rowRecorder captures the row and retry events.
+type rowRecorder struct {
 	NopObserver
-	events   atomic.Int64
-	cells    atomic.Int64
-	cellDone atomic.Int64 // CellDone calls with StatusQuarantined
+	mu      sync.Mutex
+	rows    []RowReport
+	retries int
 }
 
-func (r *rowQuarantineRecorder) RowQuarantined(row int, kernel string, status CellStatus, cells int) {
-	r.events.Add(1)
-	r.cells.Add(int64(cells))
+func (r *rowRecorder) RowDone(rr RowReport) {
+	r.mu.Lock()
+	r.rows = append(r.rows, rr)
+	r.mu.Unlock()
 }
 
-func (r *rowQuarantineRecorder) CellDone(row int, kernel string, cfg hw.Config, status CellStatus, attempts int, d time.Duration) {
-	if status == StatusQuarantined {
-		r.cellDone.Add(1)
-	}
+func (r *rowRecorder) Retry(int, string, hw.Config, int, time.Duration, error) {
+	r.mu.Lock()
+	r.retries++
+	r.mu.Unlock()
 }
 
-func TestRowQuarantinedReplacesPerCellEvents(t *testing.T) {
+// TestRowEventsAccountForEveryCell: each row settles with exactly one
+// RowDone — breaker-quarantined remainders and rows the sweep-level
+// brake quarantines wholesale included — whose status counts add up to
+// the report, and each retry fires one Retry.
+func TestRowEventsAccountForEveryCell(t *testing.T) {
 	space := testSpace(t)
-	alwaysFail := func(*kernel.Kernel, hw.Config) (gcn.Result, error) {
-		return gcn.Result{}, fault.ErrInjected
+	calls := 0
+	flaky := func(*kernel.Kernel, hw.Config) (gcn.Result, error) {
+		calls++
+		if calls%3 != 0 {
+			return gcn.Result{}, fault.ErrInjected
+		}
+		return gcn.Result{Throughput: 1, TimeNS: 1}, nil
 	}
-	rec := &rowQuarantineRecorder{}
-	// Breaker trips after 2 failures per row; with QuarantineAfter 1
-	// and a single worker, later rows are quarantined wholesale.
+	rec := &rowRecorder{}
+	// One retry recovers some cells; the breaker trips after 2
+	// consecutive failures, and with QuarantineAfter 1 and a single
+	// worker, later rows are quarantined wholesale.
 	_, rep, err := RunContext(context.Background(), testKernels(), space, Options{
-		Row: cellFunc(alwaysFail), Breaker: 2, QuarantineAfter: 1, Workers: 1, Observer: rec,
+		Row: cellFunc(flaky), Retries: 1, Breaker: 2, QuarantineAfter: 1, Workers: 1, Observer: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkAccounting(t, rep)
-	if rep.Quarantined == 0 {
-		t.Fatal("scenario quarantined nothing; test proves nothing")
+	if rep.Quarantined == 0 || rep.Retries == 0 || rep.OK == 0 {
+		t.Fatalf("scenario lacks a quarantine, a retry or a success; test proves nothing: %s", rep.Summary())
 	}
-	if got := rec.cellDone.Load(); got != 0 {
-		t.Fatalf("%d per-cell CellDone events for quarantined cells, want 0 (batched)", got)
+	if len(rec.rows) != len(testKernels()) {
+		t.Fatalf("%d RowDone events for %d rows", len(rec.rows), len(testKernels()))
 	}
-	if got := rec.cells.Load(); got != int64(rep.Quarantined) {
-		t.Fatalf("RowQuarantined events cover %d cells, report says %d", got, rep.Quarantined)
+	var sum RunReport
+	for _, rr := range rec.rows {
+		sum.add(rr)
 	}
-	// One event per settled row or remainder — never per cell.
-	if ev := rec.events.Load(); ev == 0 || ev > int64(len(testKernels())) {
-		t.Fatalf("%d RowQuarantined events for %d rows", ev, len(testKernels()))
+	if sum.OK != rep.OK || sum.Failed != rep.Failed || sum.Canceled != rep.Canceled ||
+		sum.Quarantined != rep.Quarantined || sum.Attempts != rep.Attempts || sum.Retries != rep.Retries {
+		t.Fatalf("row events add up to %s, report says %s", sum.Summary(), rep.Summary())
+	}
+	if rec.retries != rep.Retries {
+		t.Fatalf("%d Retry events, report says %d retries", rec.retries, rep.Retries)
 	}
 }
 

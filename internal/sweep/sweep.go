@@ -161,11 +161,11 @@ type Options struct {
 	// concurrent use and should only read row r of m. Journals hook
 	// in here to checkpoint completed rows.
 	OnRow func(m *Matrix, r int)
-	// Observer, when non-nil, receives runtime telemetry events
-	// (sweep/cell/attempt lifecycle) from worker goroutines; see the
-	// Observer interface. It is a read-only tap: results are
-	// byte-identical with or without one. nil disables all
-	// instrumentation at the cost of one branch per event site.
+	// Observer, when non-nil, receives runtime telemetry events (sweep
+	// start and end, one per row, one per retry, breaker trips) from
+	// worker goroutines; see the Observer interface. It is a read-only
+	// tap: results are byte-identical with or without one. nil disables
+	// all instrumentation at the cost of one branch per row.
 	Observer Observer
 }
 
@@ -183,8 +183,10 @@ const (
 	StatusCanceled
 	// StatusStalled marks a cell whose engine call ignored context
 	// cancellation and was abandoned by a watchdog. Sweeps no longer
-	// produce it (every engine honours cancellation); it remains so
-	// journals and CSVs written by earlier versions still decode.
+	// produce it (every engine honours cancellation) and reports do not
+	// count it; it remains so journals and CSVs written by earlier
+	// versions still decode, and Resume recomputes its row like any
+	// other incomplete one.
 	StatusStalled
 	// StatusQuarantined marks a cell skipped by the circuit breaker
 	// after too many consecutive hard failures in its kernel row; no
@@ -318,11 +320,10 @@ type RunReport struct {
 	Kernels, Configs int
 	// Cells is Kernels * Configs.
 	Cells int
-	// OK, Failed, Canceled, Stalled and Quarantined partition the
-	// cells this run attempted; Skipped counts cells reused from a
-	// prior matrix by Resume. OK + Failed + Canceled + Stalled +
-	// Quarantined + Skipped == Cells.
-	OK, Failed, Canceled, Stalled, Quarantined, Skipped int
+	// OK, Failed, Canceled and Quarantined partition the cells this
+	// run attempted; Skipped counts cells reused from a prior matrix by
+	// Resume. OK + Failed + Canceled + Quarantined + Skipped == Cells.
+	OK, Failed, Canceled, Quarantined, Skipped int
 	// Attempts is the total simulator invocations; Retries is the
 	// portion beyond each cell's first attempt.
 	Attempts, Retries int
@@ -331,11 +332,11 @@ type RunReport struct {
 	BreakerTrips int
 	// Prepared aggregates row-engine memoization across the sweep.
 	Prepared PreparedTotals
-	// Failures lists each failed or stalled cell with its final error.
-	// A row whose preparation failed contributes a single record
-	// covering every cell in the row (the engine never ran per cell, so
-	// there is only one error to report), so len(Failures) can be
-	// smaller than Failed+Stalled but is never zero when they are not.
+	// Failures lists each failed cell with its final error. A row whose
+	// preparation failed contributes a single record covering every
+	// cell in the row (the engine never ran per cell, so there is only
+	// one error to report), so len(Failures) can be smaller than Failed
+	// but is never zero when it is not.
 	Failures []CellFailure
 	// WallTime is the end-to-end sweep duration.
 	WallTime time.Duration
@@ -364,18 +365,47 @@ type PreparedTotals struct {
 
 // Complete reports whether every cell holds a validated measurement.
 func (r *RunReport) Complete() bool {
-	return r.Failed == 0 && r.Canceled == 0 && r.Stalled == 0 && r.Quarantined == 0
+	return r.Failed == 0 && r.Canceled == 0 && r.Quarantined == 0
 }
 
 // Summary renders a one-line accounting suitable for CLI output.
 func (r *RunReport) Summary() string {
-	s := fmt.Sprintf("%d cells: %d ok, %d failed, %d canceled, %d stalled, %d quarantined, %d reused (%d attempts, %d retries) in %v",
-		r.Cells, r.OK, r.Failed, r.Canceled, r.Stalled, r.Quarantined, r.Skipped,
+	s := fmt.Sprintf("%d cells: %d ok, %d failed, %d canceled, %d quarantined, %d reused (%d attempts, %d retries) in %v",
+		r.Cells, r.OK, r.Failed, r.Canceled, r.Quarantined, r.Skipped,
 		r.Attempts, r.Retries, r.WallTime.Round(time.Millisecond))
 	if r.BreakerTrips > 0 {
 		s += fmt.Sprintf("; %d breaker trip(s)", r.BreakerTrips)
 	}
 	return s
+}
+
+// RowReport accounts for one kernel row a sweep settled: its cells by
+// terminal status, the engine work they took, and — measured only when
+// an Observer is attached — its timing. Observer.RowDone receives one
+// per row.
+type RowReport struct {
+	// Row is the matrix row and Kernel its kernel name.
+	Row    int
+	Kernel string
+	// QueueWait is how long the row waited between sweep start and
+	// worker pickup; Compute is pickup to settlement.
+	QueueWait, Compute time.Duration
+	// OK, Failed, Canceled and Quarantined partition the row's cells.
+	OK, Failed, Canceled, Quarantined int
+	// Attempts is the row's simulator invocations; Retries is the
+	// portion beyond each cell's first attempt.
+	Attempts, Retries int
+}
+
+// add merges one settled row's cell and attempt counts into the
+// report.
+func (r *RunReport) add(rr RowReport) {
+	r.OK += rr.OK
+	r.Failed += rr.Failed
+	r.Canceled += rr.Canceled
+	r.Quarantined += rr.Quarantined
+	r.Attempts += rr.Attempts
+	r.Retries += rr.Retries
 }
 
 // Run sweeps every kernel over every configuration of the space with
@@ -492,16 +522,18 @@ func resume(ctx context.Context, kernels []*kernel.Kernel, space hw.Space, opts 
 		if o != nil {
 			pickup = time.Now()
 		}
+		var rr RowReport
 		if opts.QuarantineAfter > 0 && trips.Load() >= int64(opts.QuarantineAfter) {
 			// Enough kernels have tripped their breakers that the
 			// failure is systemic: quarantine rows that have not
 			// started rather than grind through them.
-			quarantineRow(kernels[row], configs, opts, m, row, rep, &mu)
+			rr = quarantineRow(kernels[row], len(configs), m, row, rep, &mu)
 		} else {
-			sweepRow(ctx, re, kernels[row], configs, opts, m, row, rep, &mu, start, &trips)
+			rr = sweepRow(ctx, re, kernels[row], configs, opts, m, row, rep, &mu, &trips)
 		}
 		if o != nil {
-			o.RowDone(row, kernels[row].Name, pickup.Sub(start), time.Since(pickup))
+			rr.QueueWait, rr.Compute = pickup.Sub(start), time.Since(pickup)
+			o.RowDone(rr)
 		}
 		if opts.OnRow != nil {
 			opts.OnRow(m, row)
@@ -562,36 +594,29 @@ func settleRow(m *Matrix, row, cells int, status CellStatus) {
 	m.Status[row] = st
 }
 
-// quarantineRow settles a whole kernel row as StatusQuarantined
-// without invoking the engine — the sweep-level brake once
-// Options.QuarantineAfter kernels have tripped their breakers. The
-// observer sees one RowQuarantined event instead of a per-cell
-// CellDone stream, so tracing a quarantined 891-cell row does not
-// emit 891 redundant spans.
-func quarantineRow(k *kernel.Kernel, configs []hw.Config, opts Options,
-	m *Matrix, row int, rep *RunReport, mu *sync.Mutex) {
-	settleRow(m, row, len(configs), StatusQuarantined)
-	if o := opts.Observer; o != nil {
-		o.RowQuarantined(row, k.Name, StatusQuarantined, len(configs))
-	}
+// quarantineRow settles every one of a kernel row's cells as
+// StatusQuarantined without invoking the engine — the sweep-level
+// brake once Options.QuarantineAfter kernels have tripped their
+// breakers.
+func quarantineRow(k *kernel.Kernel, cells int, m *Matrix, row int, rep *RunReport, mu *sync.Mutex) RowReport {
+	settleRow(m, row, cells, StatusQuarantined)
+	rr := RowReport{Row: row, Kernel: k.Name, Quarantined: cells}
 	mu.Lock()
-	rep.Quarantined += len(configs)
+	rep.add(rr)
 	mu.Unlock()
+	return rr
 }
 
 // failRowPrepare settles a whole row as failed when its kernel cannot
 // be prepared (an invalid kernel, or one that does not fit on a CU).
 // No configuration can change either condition, so the row fails once
-// with a clear positional error and one observer event instead of
-// len(configs) identical per-cell failures.
-func failRowPrepare(k *kernel.Kernel, configs []hw.Config, opts Options,
-	m *Matrix, row int, rep *RunReport, mu *sync.Mutex, err error) {
+// with a clear positional error instead of len(configs) identical
+// per-cell failures.
+func failRowPrepare(k *kernel.Kernel, configs []hw.Config, m *Matrix, row int, rep *RunReport, mu *sync.Mutex, err error) RowReport {
 	settleRow(m, row, len(configs), StatusFailed)
-	if o := opts.Observer; o != nil {
-		o.RowQuarantined(row, k.Name, StatusFailed, len(configs))
-	}
+	rr := RowReport{Row: row, Kernel: k.Name, Failed: len(configs)}
 	mu.Lock()
-	rep.Failed += len(configs)
+	rep.add(rr)
 	rep.Failures = append(rep.Failures, CellFailure{
 		Kernel:   k.Name,
 		Config:   configs[0],
@@ -599,15 +624,13 @@ func failRowPrepare(k *kernel.Kernel, configs []hw.Config, opts Options,
 		Err:      fmt.Errorf("prepare failed for whole row (%d cells): %w", len(configs), err),
 	})
 	mu.Unlock()
+	return rr
 }
 
 // sweepRow measures one kernel over every configuration, retrying
-// faulty cells, and merges the row's accounting into the report.
-// base anchors observer timing: cell and attempt durations are
-// differences of monotonic offsets from it, chained so the common
-// single-attempt cell costs exactly one clock read — per-cell
-// instrumentation has to stay within a few percent of a ~1µs cell.
-// trips is the sweep-wide count of opened circuit breakers.
+// faulty cells, merges the row's accounting into the report and
+// returns it. trips is the sweep-wide count of opened circuit
+// breakers.
 //
 // Every cell is evaluated through the prepared row's EvalBatch, the
 // one evaluation path: one PrepareRow hoists the kernel-invariant
@@ -621,13 +644,13 @@ func failRowPrepare(k *kernel.Kernel, configs []hw.Config, opts Options,
 // attempt), and the batch advanced each cell's counter exactly once,
 // so the decision stream continues seamlessly). A call that fails at
 // the row level sends each of its cells through its own one-element
-// call.
+// call. The loop itself carries no observer branch: the observer
+// hears about the row once it settles, and about each retry.
 func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs []hw.Config,
-	opts Options, m *Matrix, row int, rep *RunReport, mu *sync.Mutex, base time.Time, trips *atomic.Int64) {
+	opts Options, m *Matrix, row int, rep *RunReport, mu *sync.Mutex, trips *atomic.Int64) RowReport {
 	prow, err := re.PrepareRow(k)
 	if err != nil {
-		failRowPrepare(k, configs, opts, m, row, rep, mu, err)
-		return
+		return failRowPrepare(k, configs, m, row, rep, mu, err)
 	}
 	prow.SetBudget(ctx, opts.SimTimeout)
 
@@ -658,13 +681,8 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 		rng = rand.New(rand.NewSource(opts.Seed + int64(row)))
 	}
 
-	o := opts.Observer
-	timed := o != nil && o.CellTiming()
-	var prev time.Duration // monotonic offset at the current cell's start
-	if timed {
-		prev = time.Since(base)
-	}
-	var ok, failed, canceled, quarantined, attempts, retries, fellBack int
+	rr := RowReport{Row: row, Kernel: k.Name}
+	fellBack := 0
 	var failures []CellFailure
 	// streak counts consecutive failed cells; Options.Breaker of them
 	// in a row opens the breaker and quarantines the rest of the row.
@@ -676,11 +694,8 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 			noise = math.Exp(rng.NormFloat64() * opts.NoiseStdDev)
 		}
 		if tripped {
-			// The remainder is settled wholesale; one RowQuarantined
-			// event after the loop replaces the per-cell CellDone
-			// stream.
 			status[c] = StatusQuarantined
-			quarantined++
+			rr.Quarantined++
 			continue
 		}
 		if c == hi {
@@ -702,10 +717,7 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 			}
 		} else if ctx.Err() != nil {
 			status[c] = StatusCanceled
-			canceled++
-			if o != nil {
-				o.CellDone(row, k.Name, *cfg, StatusCanceled, 0, 0)
-			}
+			rr.Canceled++
 			continue
 		} else {
 			err = ev.eval(c)
@@ -714,48 +726,29 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 		if err == nil {
 			err = validate(rp)
 		}
-		n, end := 1, prev
-		if o != nil {
-			if timed {
-				end = time.Since(base)
-			}
-			o.CellAttempt(row, k.Name, *cfg, 1, end-prev, err)
-		}
+		n := 1
 		if err != nil && opts.Retries > 0 {
-			n, end, err = retryCell(ctx, ev, c, err, opts, row, k.Name, timed, base, end)
+			n, err = retryCell(ctx, ev, c, err, opts, row, k.Name)
 		}
-		var cellDur time.Duration
-		if timed {
-			cellDur = end - prev
-			prev = end
-		}
-		attempts += n
-		if n > 1 {
-			retries += n - 1
-		}
+		rr.Attempts += n
+		rr.Retries += n - 1
 		if !chunkOK || n > 1 {
 			fellBack++
 		}
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				status[c] = StatusCanceled
-				canceled++
-				if o != nil {
-					o.CellDone(row, k.Name, *cfg, StatusCanceled, n, cellDur)
-				}
+				rr.Canceled++
 				continue
 			}
 			status[c] = StatusFailed
-			failed++
+			rr.Failed++
 			failures = append(failures, CellFailure{Kernel: k.Name, Config: *cfg, Attempts: n, Err: err})
-			if o != nil {
-				o.CellDone(row, k.Name, *cfg, StatusFailed, n, cellDur)
-			}
 			streak++
 			if opts.Breaker > 0 && streak >= opts.Breaker {
 				tripped = true
 				trips.Add(1)
-				if o != nil {
+				if o := opts.Observer; o != nil {
 					o.BreakerTripped(row, k.Name, streak)
 				}
 			}
@@ -765,13 +758,7 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 		tput[c] = rp.Throughput * noise
 		times[c] = rp.TimeNS
 		bounds[c] = rp.Bound
-		ok++
-		if o != nil {
-			o.CellDone(row, k.Name, *cfg, StatusOK, n, cellDur)
-		}
-	}
-	if tripped && quarantined > 0 && o != nil {
-		o.RowQuarantined(row, k.Name, StatusQuarantined, quarantined)
+		rr.OK++
 	}
 	m.Throughput[row] = tput
 	m.TimeNS[row] = times
@@ -780,12 +767,7 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 
 	s := prow.Stats()
 	mu.Lock()
-	rep.OK += ok
-	rep.Failed += failed
-	rep.Canceled += canceled
-	rep.Quarantined += quarantined
-	rep.Attempts += attempts
-	rep.Retries += retries
+	rep.add(rr)
 	if tripped {
 		rep.BreakerTrips++
 	}
@@ -800,26 +782,21 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 	rep.Prepared.HitRateHits += s.HitRateHits
 	rep.Prepared.HitRateMisses += s.HitRateMisses
 	mu.Unlock()
+	return rr
 }
 
 // retryCell retries a cell whose first attempt failed with err, with
 // validation and backoff, while it fails retryably; each retry is a
-// one-cell EvalBatch through ev and is reported to the observer with
-// its duration and error. It returns the number of attempts, the
-// monotonic offset (from base) at which the last attempt ended, and
-// the final error. Each retry re-reads the clock after its backoff
-// sleep so the sleep never pollutes an attempt's duration; timed
-// caches Observer.CellTiming, and when it is false every clock read is
-// skipped and the observer receives zero durations.
-func retryCell(ctx context.Context, ev *cellEval, c int, err error, opts Options, row int, name string,
-	timed bool, base time.Time, end time.Duration) (int, time.Duration, error) {
+// one-cell EvalBatch through ev, reported to the observer with the
+// call's duration and the error it retried. It returns the number of
+// attempts and the final error.
+func retryCell(ctx context.Context, ev *cellEval, c int, err error, opts Options, row int, name string) (int, error) {
 	backoff := opts.Backoff
 	maxBackoff := opts.MaxBackoff
 	if maxBackoff <= 0 {
 		maxBackoff = 100 * time.Millisecond
 	}
 	o := opts.Observer
-	cfg := ev.configs[c]
 	attempt := 1
 	// Panics are final: a panicking engine is broken, not flaky. A
 	// canceled cell only surfaces once the sweep is being torn down.
@@ -827,7 +804,7 @@ func retryCell(ctx context.Context, ev *cellEval, c int, err error, opts Options
 	for attempt <= opts.Retries && !errors.Is(err, ErrEnginePanic) &&
 		!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		if ctx.Err() != nil {
-			return attempt, end, ctx.Err()
+			return attempt, ctx.Err()
 		}
 		if backoff > 0 {
 			t := time.NewTimer(backoff)
@@ -835,7 +812,7 @@ func retryCell(ctx context.Context, ev *cellEval, c int, err error, opts Options
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				return attempt, end, ctx.Err()
+				return attempt, ctx.Err()
 			}
 			backoff *= 2
 			if backoff > maxBackoff {
@@ -843,24 +820,22 @@ func retryCell(ctx context.Context, ev *cellEval, c int, err error, opts Options
 			}
 		}
 		attempt++
-		var start time.Duration
-		if timed {
-			start = time.Since(base)
+		cause := err
+		var start time.Time
+		if o != nil {
+			start = time.Now()
 		}
 		if err = ev.eval(c); err == nil {
 			err = validate(&ev.buf.res[c])
 		}
 		if o != nil {
-			if timed {
-				end = time.Since(base)
-			}
-			o.CellAttempt(row, name, cfg, attempt, end-start, err)
+			o.Retry(row, name, ev.configs[c], attempt, time.Since(start), cause)
 		}
 		if err == nil {
 			break
 		}
 	}
-	return attempt, end, err
+	return attempt, err
 }
 
 // cellEval re-evaluates single cells of a prepared row through the

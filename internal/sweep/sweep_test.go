@@ -95,21 +95,19 @@ func simulateFunc(e Engine) cellFunc {
 // checkAccounting asserts the report partitions every cell exactly.
 func checkAccounting(t *testing.T, rep *RunReport) {
 	t.Helper()
-	got := rep.OK + rep.Failed + rep.Canceled + rep.Stalled + rep.Quarantined + rep.Skipped
+	got := rep.OK + rep.Failed + rep.Canceled + rep.Quarantined + rep.Skipped
 	if got != rep.Cells {
-		t.Fatalf("report does not partition the matrix: ok %d + failed %d + canceled %d + stalled %d + quarantined %d + skipped %d = %d, want %d",
-			rep.OK, rep.Failed, rep.Canceled, rep.Stalled, rep.Quarantined, rep.Skipped, got, rep.Cells)
+		t.Fatalf("report does not partition the matrix: ok %d + failed %d + canceled %d + quarantined %d + skipped %d = %d, want %d",
+			rep.OK, rep.Failed, rep.Canceled, rep.Quarantined, rep.Skipped, got, rep.Cells)
 	}
 	// Rows that fail preparation settle wholesale with one record for
 	// the whole row, so records can undercount cells — but never
 	// overcount, and never drop to zero while failures exist.
-	if len(rep.Failures) > rep.Failed+rep.Stalled {
-		t.Fatalf("%d failure records for %d failed + %d stalled cells",
-			len(rep.Failures), rep.Failed, rep.Stalled)
+	if len(rep.Failures) > rep.Failed {
+		t.Fatalf("%d failure records for %d failed cells", len(rep.Failures), rep.Failed)
 	}
-	if rep.Failed+rep.Stalled > 0 && len(rep.Failures) == 0 {
-		t.Fatalf("no failure records for %d failed + %d stalled cells",
-			rep.Failed, rep.Stalled)
+	if rep.Failed > 0 && len(rep.Failures) == 0 {
+		t.Fatalf("no failure records for %d failed cells", rep.Failed)
 	}
 }
 
@@ -583,20 +581,23 @@ func TestRowLookupConcurrent(t *testing.T) {
 }
 
 func TestReportSummary(t *testing.T) {
-	rep := &RunReport{Cells: 12, OK: 7, Failed: 2, Canceled: 1, Stalled: 1, Quarantined: 1,
+	rep := &RunReport{Cells: 12, OK: 8, Failed: 2, Canceled: 1, Quarantined: 1,
 		Attempts: 12, Retries: 2, BreakerTrips: 1}
 	s := rep.Summary()
-	for _, want := range []string{"12 cells", "7 ok", "2 failed", "1 canceled",
-		"1 stalled", "1 quarantined", "12 attempts", "2 retries", "1 breaker trip"} {
+	for _, want := range []string{"12 cells", "8 ok", "2 failed", "1 canceled",
+		"1 quarantined", "12 attempts", "2 retries", "1 breaker trip"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary %q missing %q", s, want)
 		}
+	}
+	if strings.Contains(s, "stalled") {
+		t.Errorf("summary %q still reports stalled cells", s)
 	}
 	if rep.Complete() {
 		t.Error("report with failures claims completeness")
 	}
 	for _, bad := range []*RunReport{
-		{Cells: 4, OK: 3, Stalled: 1},
+		{Cells: 4, OK: 3, Canceled: 1},
 		{Cells: 4, OK: 3, Quarantined: 1},
 	} {
 		if bad.Complete() {
