@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fuzz-smoke soak-smoke soak-dist soak-byzantine soak-failover bench bench-obs bench-sweep bench-smoke bench-gate
+.PHONY: build test check fuzz-smoke soak-smoke soak-dist soak-byzantine soak-failover bench bench-obs bench-sweep bench-smoke bench-gate bench-e2e
 
 build:
 	$(GO) build ./...
@@ -91,6 +91,23 @@ bench-smoke:
 # committed BENCH_sweep.json ledger.
 bench-gate:
 	$(GO) run ./cmd/benchsweep -engines round,pipeline -budget 3s -gate BENCH_sweep.json
+
+# End-to-end study benchmark (cmd/benche2e, declared in
+# BENCHMARK.json): one untraced 15 s run of each workload at seed SEED,
+# printing each run's result line, the JSON object the benchmark ends
+# its output with. A workload's log goes to .bench_build/. Compare the
+# lines with cmd/benche2e/baseline.json; not a CI gate, because
+# absolute times on shared runners are too noisy.
+SEED ?= 1
+
+bench-e2e:
+	@mkdir -p .bench_build
+	@for w in round-library round-node round-fleet-ha pipeline-fleet-ha; do \
+		log=.bench_build/bench-e2e-$$w.log; \
+		out=$$(bash cmd/benche2e/run.sh --workload $$w --seed $(SEED) --seconds 15 --trace 0 2>$$log) || \
+			{ tail -n 20 $$log; exit 1; }; \
+		echo "$$w $$(echo "$$out" | tail -n 1)"; \
+	done
 
 # Observer-overhead gates: the disabled (no-op) observer must add less
 # than 5% to the sweep hot path, and the full distributed-tracing path

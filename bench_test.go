@@ -11,7 +11,10 @@ package gpuscale
 // artifact.
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -401,6 +404,53 @@ func BenchmarkSweepPath(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*cells), "ns/cell")
 		})
 	}
+}
+
+// benchStudyMatrix is the seed-1 study matrix: the whole corpus in
+// seed-1 order on the study grid, round engine, 2% noise under seed 1
+// — what one gpuscaled job of the end-to-end benchmark archives.
+var benchStudyMatrix = sync.OnceValues(func() (*sweep.Matrix, error) {
+	entries := suites.AllEntries(suites.Corpus())
+	ks := make([]*kernel.Kernel, len(entries))
+	for i, j := range rand.New(rand.NewSource(1)).Perm(len(entries)) {
+		ks[i] = entries[j].Kernel
+	}
+	return sweep.Run(ks, hw.StudySpace(), sweep.Options{Engine: sweep.Round, NoiseStdDev: 0.02, Seed: 1})
+})
+
+// BenchmarkMatrixCSV prices the matrix CSV codec on the seed-1 study
+// matrix (267×891 cells, about 20 MB): write is the export a finished
+// job archives, read is the parse a client runs on the fetched body.
+func BenchmarkMatrixCSV(b *testing.B) {
+	m, err := benchStudyMatrix()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.WriteCSV(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.Run("write", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := m.WriteCSV(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			got, err := sweep.ReadCSV(bytes.NewReader(data), m.Space)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink = got
+		}
+	})
 }
 
 func BenchmarkCorpusConstruction(b *testing.B) {

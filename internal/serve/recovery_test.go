@@ -9,7 +9,10 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -296,5 +299,74 @@ func TestRecoverOpenJobsRespectAdmissionBound(t *testing.T) {
 	var shed *ShedError
 	if !errors.As(err, &shed) || shed.Reason != ShedQueueFull {
 		t.Fatalf("submit over recovered bound: %v, want queue_full shed", err)
+	}
+}
+
+// TestFailedPersistSettlesJobFailed: a job whose terminal record cannot
+// be made durable settles failed with the persistence error as its
+// reason, answers /matrix with a 404 and writes no state record — so
+// a restart on the same directory re-enqueues it and its journal
+// resumes it to complete, with the matrix an uninterrupted run gives.
+func TestFailedPersistSettlesJobFailed(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(t)
+	cfg := Config{Dir: dir, SweepWorkers: 2}
+	want := referenceMatrix(t, cfg, spec)
+
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the archive goes makes its rename fail.
+	const id = "job-000000"
+	if err := os.Mkdir(s1.matrixPath(id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s1.Submit("alice", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != id {
+		t.Fatalf("first job is %s, want %s", st.ID, id)
+	}
+	got := waitTerminal(t, s1, id)
+	if got.State != StateFailed || !strings.Contains(got.Reason, "persisting terminal state") {
+		t.Fatalf("job after a failed persist = %+v, want failed with the persistence error", got)
+	}
+	ts := httptest.NewServer(s1.Handler())
+	res, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/matrix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	ts.Close()
+	if res.StatusCode != http.StatusNotFound {
+		t.Fatalf("matrix of a job with no archive = %d, want 404", res.StatusCode)
+	}
+	if _, err := os.Stat(s1.statePath(id)); !os.IsNotExist(err) {
+		t.Fatalf("failed persist left a state record (err=%v)", err)
+	}
+	drain(t, s1)
+
+	if err := os.Remove(s1.matrixPath(id)); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s2)
+	if got := s2.met.recovered.Value(); got != 1 {
+		t.Fatalf("serve_jobs_recovered_total = %d, want 1", got)
+	}
+	got = waitTerminal(t, s2, id)
+	if got.State != StateComplete {
+		t.Fatalf("restarted job = %+v", got)
+	}
+	if !strings.Contains(got.Summary, "16 reused") {
+		t.Fatalf("restarted job did not resume from its journal: %s", got.Summary)
+	}
+	if !bytes.Equal(jobMatrix(t, s2, id), want) {
+		t.Fatal("resumed matrix differs from an uninterrupted run")
 	}
 }

@@ -176,8 +176,7 @@ type job struct {
 	summary      string
 	rowsDone     int
 	okCells      int
-	snapshot     *sweep.Matrix // partial results, row-settled under mu
-	final        *sweep.Matrix // terminal matrix (in-memory runs only)
+	snapshot     *sweep.Matrix // partial results, row-settled under mu; nil once terminal
 	cancel       context.CancelFunc
 	userCanceled bool
 }
@@ -571,8 +570,9 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 	return j.status(), nil
 }
 
-// MatrixCSV streams the job's matrix as CSV: the archived file for
-// terminal jobs, the live row-settled snapshot for running ones.
+// MatrixCSV streams the job's matrix as CSV: for terminal jobs the
+// bytes of the archive persistTerminal fsynced, for running ones the
+// live row-settled snapshot.
 func (s *Service) MatrixCSV(id string, w io.Writer) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -582,17 +582,18 @@ func (s *Service) MatrixCSV(id string, w io.Writer) error {
 	}
 	j.mu.Lock()
 	switch {
-	case j.final != nil:
-		m := j.final
-		j.mu.Unlock()
-		return m.WriteCSV(w)
 	case j.state.Terminal():
 		j.mu.Unlock()
 		f, err := os.Open(s.matrixPath(id))
-		if err != nil {
+		var fi os.FileInfo
+		if err == nil {
+			defer f.Close()
+			fi, err = f.Stat()
+		}
+		// A failed persist may leave something other than a file there.
+		if err != nil || !fi.Mode().IsRegular() {
 			return fmt.Errorf("%w: job %s has no archived matrix", ErrNoSuchJob, id)
 		}
-		defer f.Close()
 		_, err = io.Copy(w, f)
 		return err
 	case j.snapshot != nil:
@@ -650,16 +651,18 @@ func (s *Service) persistTerminal(id string, m *sweep.Matrix, sf stateFile) erro
 
 // finish settles a job terminally: persistence first, the in-memory
 // flip second, so a poller never observes a terminal state whose
-// record is not yet durable.
+// record is not yet durable. A job whose record could not be persisted
+// settles as failed for this process's lifetime; with no state record
+// on disk, the next start re-enqueues it and its journal resumes it.
+// Either way the job lets go of its matrix: /matrix serves the archive.
 func (s *Service) finish(j *job, m *sweep.Matrix, state State, reason, summary string) {
 	if err := s.persistTerminal(j.id, m, stateFile{State: state, Reason: reason, Summary: summary}); err != nil {
 		s.cfg.Logf("serve: %s: persisting terminal state: %v", j.id, err)
+		state, reason = StateFailed, fmt.Sprintf("persisting terminal state: %v", err)
 	}
 	j.mu.Lock()
 	j.state, j.reason, j.summary = state, reason, summary
-	if m != nil {
-		j.final = m
-	}
+	j.snapshot = nil
 	j.cancel = nil
 	j.mu.Unlock()
 	s.settle(j)

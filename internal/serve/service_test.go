@@ -111,6 +111,20 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	if !strings.HasPrefix(csvBuf.String(), "kernel,") {
 		t.Fatalf("matrix does not look like sweep CSV: %.40q", csvBuf.String())
 	}
+	// A finished job serves its archive's bytes and keeps no matrix in
+	// memory.
+	if archived, err := os.ReadFile(s.matrixPath(st.ID)); err != nil || !bytes.Equal(csvBuf.Bytes(), archived) {
+		t.Fatalf("served matrix differs from the archive (err=%v)", err)
+	}
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	j.mu.Lock()
+	held := j.snapshot != nil
+	j.mu.Unlock()
+	if held {
+		t.Fatal("finished job still holds its matrix")
+	}
 	// Crash-only persistence: admission record, journal, archived
 	// matrix and terminal state are all on disk.
 	for _, p := range []string{s.jobPath(st.ID), s.journalPath(st.ID), s.matrixPath(st.ID), s.statePath(st.ID)} {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -21,22 +22,71 @@ import (
 var csvHeader = []string{"kernel", "cus", "core_mhz", "mem_mhz", "throughput", "time_ns", "bound", "status"}
 
 // WriteCSV persists a matrix as long-form CSV, one row per
-// (kernel, configuration) measurement including its status.
+// (kernel, configuration) measurement including its status. The bytes
+// are exactly those encoding/csv's Writer produces for these records.
+// Of the eight fields only the kernel name can need quoting — the rest
+// are numbers and fixed lower-case names — so encoding/csv renders the
+// name once per kernel, each configuration's text is rendered once per
+// call, and a cell formats just its two measurements. A kernel's lines
+// go out in one Write.
 func (m *Matrix) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	var rec bytes.Buffer
+	cw := csv.NewWriter(&rec)
+	// record renders fields as encoding/csv does, newline included; the
+	// result is valid until the next call.
+	record := func(fields ...string) []byte {
+		rec.Reset()
+		cw.Write(fields) // writes to a bytes.Buffer cannot fail
+		cw.Flush()
+		return rec.Bytes()
+	}
+	if _, err := w.Write(record(csvHeader...)); err != nil {
 		return fmt.Errorf("sweep: writing header: %w", err)
 	}
-	configs := m.Space.Configs()
-	for r := range m.Kernels {
-		for c := range configs {
-			if err := cw.Write(m.record(r, c, configs)); err != nil {
-				return fmt.Errorf("sweep: writing row: %w", err)
+	cfgText := configSpellings(m.Space)
+	var lines []byte
+	for r, name := range m.Kernels {
+		kernel := record(name)
+		kernel[len(kernel)-1] = ',' // the record's newline becomes the separator
+		var status []CellStatus
+		if m.Status != nil {
+			status = m.Status[r]
+		}
+		lines = lines[:0]
+		for c, text := range cfgText {
+			lines = append(lines, kernel...)
+			lines = append(lines, text...)
+			lines = append(lines, ',')
+			lines = strconv.AppendFloat(lines, m.Throughput[r][c], 'g', -1, 64)
+			lines = append(lines, ',')
+			lines = strconv.AppendFloat(lines, m.TimeNS[r][c], 'g', -1, 64)
+			lines = append(lines, ',')
+			lines = append(lines, m.Bound[r][c].String()...)
+			lines = append(lines, ',')
+			st := StatusOK
+			if status != nil {
+				st = status[c]
 			}
+			lines = append(lines, st.String()...)
+			lines = append(lines, '\n')
+		}
+		if _, err := w.Write(lines); err != nil {
+			return fmt.Errorf("sweep: writing row: %w", err)
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return nil
+}
+
+// configSpellings returns the cus,core_mhz,mem_mhz fields of each of
+// space's configurations as WriteCSV writes them.
+func configSpellings(space hw.Space) []string {
+	configs := space.Configs()
+	out := make([]string, len(configs))
+	for c, cfg := range configs {
+		out[c] = strconv.Itoa(cfg.CUs) + "," + strconv.FormatFloat(cfg.CoreClockMHz, 'g', -1, 64) + "," +
+			strconv.FormatFloat(cfg.MemClockMHz, 'g', -1, 64)
+	}
+	return out
 }
 
 // WriteCSVFile archives the matrix at path atomically: the CSV is
@@ -76,25 +126,6 @@ func syncDir(dir string) {
 	}
 }
 
-// record renders one cell as a CSV record.
-func (m *Matrix) record(r, c int, configs []hw.Config) []string {
-	cfg := configs[c]
-	status := StatusOK
-	if m.Status != nil && m.Status[r] != nil {
-		status = m.Status[r][c]
-	}
-	return []string{
-		m.Kernels[r],
-		strconv.Itoa(cfg.CUs),
-		strconv.FormatFloat(cfg.CoreClockMHz, 'g', -1, 64),
-		strconv.FormatFloat(cfg.MemClockMHz, 'g', -1, 64),
-		strconv.FormatFloat(m.Throughput[r][c], 'g', -1, 64),
-		strconv.FormatFloat(m.TimeNS[r][c], 'g', -1, 64),
-		m.Bound[r][c].String(),
-		status.String(),
-	}
-}
-
 // ReadCSV loads a matrix written by WriteCSV. The configuration space
 // must be supplied (the CSV stores points, not the grid definition)
 // and every (kernel, configuration) cell must be present; use
@@ -121,24 +152,53 @@ type csvCell struct {
 	status CellStatus
 }
 
-// boundNames inverts gcn.Bound.String for the CSV decoder.
-func boundNames() map[string]gcn.Bound {
-	byName := map[string]gcn.Bound{}
-	for b := gcn.BoundCompute; b <= gcn.BoundLaunch; b++ {
-		byName[b.String()] = b
-	}
-	return byName
+// csvDecoder parses and validates the data records of one CSV file
+// against a grid. WriteCSV lists each kernel's cells in grid order, so
+// the decoder first compares a record's configuration fields with the
+// configuration after the previous record's, as WriteCSV spells it.
+// Any other spelling or order ("1e3", "044", cells shuffled) is parsed
+// and looked up in the grid, which gives the same configuration
+// whenever the comparison would have matched.
+type csvDecoder struct {
+	space  hw.Space
+	legacy bool // 7-column archives written before the status column
+	// canon[c] is configuration c as WriteCSV spells it, or "" where
+	// that spelling does not look up to c (a NaN or repeated axis
+	// value), so that its records always take the parse.
+	canon []string
+	// next is the configuration a well-ordered file holds next.
+	next int
 }
 
-// decodeCSVRecord parses and validates one data record. line is the
-// 1-based file line for positional errors; legacy marks 7-column
-// pre-status archives. Malformed numbers, off-grid configurations,
-// NaN/negative/infinite measurements and unknown bound or status
-// names are all rejected here so garbage never propagates into core.
-func decodeCSVRecord(rec []string, line int, space hw.Space, bounds map[string]gcn.Bound, legacy bool) (csvCell, error) {
+func newCSVDecoder(space hw.Space, legacy bool) *csvDecoder {
+	canon := configSpellings(space)
+	for c, cfg := range space.Configs() {
+		if space.Index(cfg) != c {
+			canon[c] = ""
+		}
+	}
+	return &csvDecoder{space: space, legacy: legacy, canon: canon}
+}
+
+// parseBound inverts gcn.Bound.String over the named bounds.
+func parseBound(s string) (gcn.Bound, bool) {
+	for b := gcn.BoundCompute; b <= gcn.BoundLaunch; b++ {
+		if b.String() == s {
+			return b, true
+		}
+	}
+	return 0, false
+}
+
+// decode parses and validates one data record. line is the 1-based
+// file line for positional errors. Malformed numbers, off-grid
+// configurations, NaN/negative/infinite measurements and unknown bound
+// or status names are all rejected here so garbage never propagates
+// into core.
+func (d *csvDecoder) decode(rec []string, line int) (csvCell, error) {
 	var cell csvCell
 	want := len(csvHeader)
-	if legacy {
+	if d.legacy {
 		want--
 	}
 	if len(rec) != want {
@@ -148,22 +208,32 @@ func decodeCSVRecord(rec []string, line int, space hw.Space, bounds map[string]g
 		return cell, fmt.Errorf("sweep: line %d: empty kernel name", line)
 	}
 	cell.kernel = rec[0]
-	cus, err := strconv.Atoi(rec[1])
-	if err != nil {
-		return cell, fmt.Errorf("sweep: line %d: bad cu count %q: %w", line, rec[1], err)
+	// A spelling holds no commas but its two separators, so this
+	// matches exactly when each of the three fields does.
+	if d.next < len(d.canon) && rec[1]+","+rec[2]+","+rec[3] == d.canon[d.next] {
+		cell.ci = d.next
+	} else {
+		cus, err := strconv.Atoi(rec[1])
+		if err != nil {
+			return cell, fmt.Errorf("sweep: line %d: bad cu count %q: %w", line, rec[1], err)
+		}
+		core, err := strconv.ParseFloat(rec[2], 64)
+		if err != nil {
+			return cell, fmt.Errorf("sweep: line %d: bad core clock %q: %w", line, rec[2], err)
+		}
+		mem, err := strconv.ParseFloat(rec[3], 64)
+		if err != nil {
+			return cell, fmt.Errorf("sweep: line %d: bad mem clock %q: %w", line, rec[3], err)
+		}
+		cell.ci = d.space.Index(hw.Config{CUs: cus, CoreClockMHz: core, MemClockMHz: mem})
+		if cell.ci < 0 {
+			return cell, fmt.Errorf("sweep: line %d: config %s/%s/%s not in space", line, rec[1], rec[2], rec[3])
+		}
 	}
-	core, err := strconv.ParseFloat(rec[2], 64)
-	if err != nil {
-		return cell, fmt.Errorf("sweep: line %d: bad core clock %q: %w", line, rec[2], err)
+	if d.next = cell.ci + 1; d.next == len(d.canon) {
+		d.next = 0
 	}
-	mem, err := strconv.ParseFloat(rec[3], 64)
-	if err != nil {
-		return cell, fmt.Errorf("sweep: line %d: bad mem clock %q: %w", line, rec[3], err)
-	}
-	cell.ci = space.Index(hw.Config{CUs: cus, CoreClockMHz: core, MemClockMHz: mem})
-	if cell.ci < 0 {
-		return cell, fmt.Errorf("sweep: line %d: config %s/%s/%s not in space", line, rec[1], rec[2], rec[3])
-	}
+	var err error
 	cell.tput, err = strconv.ParseFloat(rec[4], 64)
 	if err != nil {
 		return cell, fmt.Errorf("sweep: line %d: bad throughput %q: %w", line, rec[4], err)
@@ -181,13 +251,13 @@ func decodeCSVRecord(rec []string, line int, space hw.Space, bounds map[string]g
 	if math.IsNaN(cell.tns) || math.IsInf(cell.tns, 0) || cell.tns < 0 {
 		return cell, fmt.Errorf("sweep: line %d: time %g ns out of range", line, cell.tns)
 	}
-	b, ok := bounds[rec[6]]
+	b, ok := parseBound(rec[6])
 	if !ok {
 		return cell, fmt.Errorf("sweep: line %d: unknown bound %q", line, rec[6])
 	}
 	cell.bound = b
 	cell.status = StatusOK
-	if !legacy {
+	if !d.legacy {
 		if cell.status, err = ParseStatus(rec[7]); err != nil {
 			return cell, fmt.Errorf("sweep: line %d: %w", line, err)
 		}
@@ -201,7 +271,10 @@ func decodeCSVRecord(rec []string, line int, space hw.Space, bounds map[string]g
 
 func readCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
 	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1 // field-count errors carry line numbers via decodeCSVRecord
+	cr.FieldsPerRecord = -1 // field-count errors carry line numbers via decode
+	// Only the record slice is reused: each record's fields are fresh
+	// strings, so a kernel name may be kept.
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("sweep: reading header: %w", err)
@@ -210,11 +283,12 @@ func readCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
 	if (len(header) != 8 && !legacy) || header[0] != "kernel" {
 		return nil, fmt.Errorf("sweep: unexpected header %v", header)
 	}
+	d := newCSVDecoder(space, legacy)
 	m := &Matrix{Space: space}
 	rows := map[string]int{}
 	nCfg := space.Size()
-	bounds := boundNames()
 	var filled [][]bool
+	ri := -1
 	line := 1
 	for {
 		rec, err := cr.Read()
@@ -225,20 +299,24 @@ func readCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: line %d: %w", line, err)
 		}
-		cell, err := decodeCSVRecord(rec, line, space, bounds, legacy)
+		cell, err := d.decode(rec, line)
 		if err != nil {
 			return nil, err
 		}
-		ri, ok := rows[cell.kernel]
-		if !ok {
-			ri = len(m.Kernels)
-			rows[cell.kernel] = ri
-			m.Kernels = append(m.Kernels, cell.kernel)
-			m.Throughput = append(m.Throughput, make([]float64, nCfg))
-			m.TimeNS = append(m.TimeNS, make([]float64, nCfg))
-			m.Bound = append(m.Bound, make([]gcn.Bound, nCfg))
-			m.Status = append(m.Status, failedRow(nCfg))
-			filled = append(filled, make([]bool, nCfg))
+		// A kernel's cells arrive together: only a change of name needs
+		// the lookup.
+		if ri < 0 || cell.kernel != m.Kernels[ri] {
+			var ok bool
+			if ri, ok = rows[cell.kernel]; !ok {
+				ri = len(m.Kernels)
+				rows[cell.kernel] = ri
+				m.Kernels = append(m.Kernels, cell.kernel)
+				m.Throughput = append(m.Throughput, make([]float64, nCfg))
+				m.TimeNS = append(m.TimeNS, make([]float64, nCfg))
+				m.Bound = append(m.Bound, make([]gcn.Bound, nCfg))
+				m.Status = append(m.Status, failedRow(nCfg))
+				filled = append(filled, make([]bool, nCfg))
+			}
 		}
 		m.Throughput[ri][cell.ci] = cell.tput
 		m.TimeNS[ri][cell.ci] = cell.tns

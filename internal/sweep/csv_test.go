@@ -3,18 +3,131 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"errors"
+	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"gpuscale/internal/fault"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
+	"gpuscale/internal/suites"
 )
+
+// refWriteCSV is the encoder WriteCSV replaced, kept as its oracle:
+// every cell rendered as an eight-field record and written through
+// encoding/csv.
+func refWriteCSV(m *Matrix, w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(csvHeader); err != nil {
+		return err
+	}
+	configs := m.Space.Configs()
+	for r := range m.Kernels {
+		for c := range configs {
+			if err := cw.Write(refRecord(m, r, c, configs)); err != nil {
+				return err
+			}
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// refRecord renders one cell as a CSV record.
+func refRecord(m *Matrix, r, c int, configs []hw.Config) []string {
+	cfg := configs[c]
+	status := StatusOK
+	if m.Status != nil && m.Status[r] != nil {
+		status = m.Status[r][c]
+	}
+	return []string{
+		m.Kernels[r],
+		strconv.Itoa(cfg.CUs),
+		strconv.FormatFloat(cfg.CoreClockMHz, 'g', -1, 64),
+		strconv.FormatFloat(cfg.MemClockMHz, 'g', -1, 64),
+		strconv.FormatFloat(m.Throughput[r][c], 'g', -1, 64),
+		strconv.FormatFloat(m.TimeNS[r][c], 'g', -1, 64),
+		m.Bound[r][c].String(),
+		status.String(),
+	}
+}
+
+// studyMatrix is the seed-1 study: the whole corpus in seed-1 order on
+// the study grid, round engine, 2% noise under seed 1 — the matrix one
+// job of the end-to-end benchmark archives.
+var studyMatrix = sync.OnceValues(func() (*Matrix, error) {
+	entries := suites.AllEntries(suites.Corpus())
+	ks := make([]*kernel.Kernel, len(entries))
+	for i, j := range rand.New(rand.NewSource(1)).Perm(len(entries)) {
+		ks[i] = entries[j].Kernel
+	}
+	return Run(ks, hw.StudySpace(), Options{Engine: Round, NoiseStdDev: 0.02, Seed: 1})
+})
+
+// TestWriteCSVMatchesReference: WriteCSV emits exactly the bytes of the
+// per-cell encoding/csv renderer it replaced — for kernel names
+// encoding/csv must quote, every cell status and bound (named or not),
+// a row without a status plane, a matrix without one, and the full
+// seed-1 study.
+func TestWriteCSVMatchesReference(t *testing.T) {
+	space := testSpace(t)
+	names := []string{"p,comma", `p"quote"`, " leading", "\tk", "new\nline", `\.`, "cr\r\nlf", "", "plain"}
+	values := []float64{0, 1, 1.5, 1e21, 1e-7, 123456789.125, math.MaxFloat64, 5e-324, math.Copysign(0, -1)}
+	n := space.Size()
+	m := &Matrix{Space: space, Kernels: names}
+	for r := range names {
+		tput, tns := make([]float64, n), make([]float64, n)
+		bound, status := make([]gcn.Bound, n), make([]CellStatus, n)
+		for c := 0; c < n; c++ {
+			tput[c] = values[(r+c)%len(values)]
+			tns[c] = values[(2*r+c+3)%len(values)]
+			// Every named bound and status, and unnamed ones around them.
+			bound[c] = gcn.Bound(c%(int(gcn.BoundLaunch)+2) - r%2)
+			status[c] = CellStatus(c % (int(StatusQuarantined) + 2))
+		}
+		bound[n-1] = 9
+		m.Throughput = append(m.Throughput, tput)
+		m.TimeNS = append(m.TimeNS, tns)
+		m.Bound = append(m.Bound, bound)
+		m.Status = append(m.Status, status)
+	}
+	m.Status[1] = nil
+	noStatus := &Matrix{Space: space, Kernels: m.Kernels, Throughput: m.Throughput, TimeNS: m.TimeNS, Bound: m.Bound}
+	study, err := studyMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		m    *Matrix
+	}{{"quoting", m}, {"nil status plane", noStatus}, {"seed-1 study", study}} {
+		var got, want bytes.Buffer
+		if err := c.m.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := refWriteCSV(c.m, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			i := 0
+			for i < got.Len() && i < want.Len() && got.Bytes()[i] == want.Bytes()[i] {
+				i++
+			}
+			t.Errorf("%s: WriteCSV differs from encoding/csv at byte %d of %d: %.60q vs %.60q",
+				c.name, i, want.Len(), got.Bytes()[i:], want.Bytes()[i:])
+		}
+	}
+}
 
 // partialMatrix sweeps the test kernels under a fault storm with no
 // retries, guaranteeing a mix of ok and failed cells.
@@ -59,6 +172,41 @@ func TestCSVRoundTripWithStatus(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Status, m.Status) {
 		t.Fatal("status plane differs after round trip")
+	}
+}
+
+// TestReadCSVDegenerateGrids: on grids where an axis value's spelling
+// does not name its own position — a repeated value, NaN, a zero of
+// either sign — both loaders decode WriteCSV's output exactly as the
+// reference decoder does.
+func TestReadCSVDegenerateGrids(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, space := range []hw.Space{
+		{CUCounts: []int{4, 4}, CoreClocksMHz: []float64{200}, MemClocksMHz: []float64{150, 700, 150}},
+		{CUCounts: []int{4}, CoreClocksMHz: []float64{math.NaN(), 200}, MemClocksMHz: []float64{150}},
+		{CUCounts: []int{4}, CoreClocksMHz: []float64{0, negZero}, MemClocksMHz: []float64{negZero, 0}},
+	} {
+		n := space.Size()
+		m := &Matrix{Space: space, Kernels: []string{"k"}, Bound: [][]gcn.Bound{make([]gcn.Bound, n)}}
+		m.Throughput = [][]float64{make([]float64, n)}
+		m.TimeNS = [][]float64{make([]float64, n)}
+		for c := 0; c < n; c++ {
+			m.Throughput[0][c], m.TimeNS[0][c] = float64(c+1), float64(10*c+1)
+		}
+		var buf bytes.Buffer
+		if err := m.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, strict := range []bool{false, true} {
+			got, err := readCSV(bytes.NewReader(buf.Bytes()), space, strict)
+			want, werr := refReadCSV(bytes.NewReader(buf.Bytes()), space, strict)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("grid %v strict=%v: error %v, the reference decoder %v", space, strict, err, werr)
+			}
+			if err == nil && !sameMatrix(got, want) {
+				t.Fatalf("grid %v strict=%v: matrix differs from the reference decoder's", space, strict)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,18 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
 	"math"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 )
 
@@ -100,8 +108,11 @@ func FuzzJournalScan(f *testing.F) {
 	})
 }
 
-// FuzzReadCSV hammers both CSV loaders: no panics, and any matrix the
-// lenient loader accepts must have sane statuses and measurements.
+// FuzzReadCSV hammers both CSV loaders: no panics; both agree with
+// the decode loop they replaced on which inputs are errors, with the
+// same message, and on the matrix of every other; any matrix the
+// lenient loader accepts has sane statuses and measurements and reads
+// back unchanged from its own WriteCSV bytes.
 func FuzzReadCSV(f *testing.F) {
 	space := fuzzSpace(f)
 	const hdr = "kernel,cus,core_mhz,mem_mhz,throughput,time_ns,bound,status\n"
@@ -111,7 +122,18 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add(hdr + "k,4,200,150,1.5,100,teapot,ok\n")
 	f.Add("kernel,cus,core_mhz,mem_mhz,throughput,time_ns,bound\nk,4,200,150,1,1,compute\n")
 	f.Add("not,a,sweep\n1,2,3\n")
+	f.Add(hdr + "\"a\r\r\nb\",4,200,150,1.5,100,compute,ok\n") // reads back as "a\r\nb", then "a\nb"
 	f.Fuzz(func(t *testing.T, data string) {
+		for _, strict := range []bool{false, true} {
+			got, err := readCSV(strings.NewReader(data), space, strict)
+			want, werr := refReadCSV(strings.NewReader(data), space, strict)
+			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+				t.Fatalf("strict=%v: error %v, the reference decoder %v", strict, err, werr)
+			}
+			if err == nil && !sameMatrix(got, want) {
+				t.Fatalf("strict=%v: matrix differs from the reference decoder's", strict)
+			}
+		}
 		m, err := ReadCSVPartial(strings.NewReader(data), space)
 		if err == nil {
 			nCfg := space.Size()
@@ -133,6 +155,21 @@ func FuzzReadCSV(f *testing.F) {
 					}
 				}
 			}
+			// encoding/csv reads a "\r\n" inside a quoted field back as
+			// "\n", so only names without one can round-trip.
+			if !slices.ContainsFunc(m.Kernels, func(k string) bool { return strings.Contains(k, "\r\n") }) {
+				var buf bytes.Buffer
+				if err := m.WriteCSV(&buf); err != nil {
+					t.Fatal(err)
+				}
+				back, err := ReadCSVPartial(&buf, space)
+				if err != nil {
+					t.Fatalf("WriteCSV of an accepted matrix does not read back: %v", err)
+				}
+				if !sameMatrix(back, m) {
+					t.Fatal("WriteCSV of an accepted matrix reads back different")
+				}
+			}
 		}
 		// The strict loader must agree with the lenient one about what
 		// parses at all, and only ever accepts complete grids.
@@ -149,4 +186,156 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameMatrix reports whether two matrices hold the same kernels and
+// bit-identical planes.
+func sameMatrix(a, b *Matrix) bool {
+	if !slices.Equal(a.Kernels, b.Kernels) || !reflect.DeepEqual(a.Bound, b.Bound) ||
+		!reflect.DeepEqual(a.Status, b.Status) {
+		return false
+	}
+	bits := func(p [][]float64) [][]uint64 {
+		out := make([][]uint64, len(p))
+		for r, row := range p {
+			for _, v := range row {
+				out[r] = append(out[r], math.Float64bits(v))
+			}
+		}
+		return out
+	}
+	return reflect.DeepEqual(bits(a.Throughput), bits(b.Throughput)) &&
+		reflect.DeepEqual(bits(a.TimeNS), bits(b.TimeNS))
+}
+
+// refReadCSV is the decode loop ReadCSV and ReadCSVPartial replaced,
+// kept as their oracle: a fresh record per line, and every field of
+// every record parsed and looked up.
+func refReadCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	header, err := cr.Read()
+	if err != nil {
+		return nil, fmt.Errorf("sweep: reading header: %w", err)
+	}
+	legacy := len(header) == 7
+	if (len(header) != 8 && !legacy) || header[0] != "kernel" {
+		return nil, fmt.Errorf("sweep: unexpected header %v", header)
+	}
+	m := &Matrix{Space: space}
+	rows := map[string]int{}
+	nCfg := space.Size()
+	bounds := map[string]gcn.Bound{}
+	for b := gcn.BoundCompute; b <= gcn.BoundLaunch; b++ {
+		bounds[b.String()] = b
+	}
+	var filled [][]bool
+	line := 1
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		line++
+		if err != nil {
+			return nil, fmt.Errorf("sweep: line %d: %w", line, err)
+		}
+		cell, err := refDecodeCSVRecord(rec, line, space, bounds, legacy)
+		if err != nil {
+			return nil, err
+		}
+		ri, ok := rows[cell.kernel]
+		if !ok {
+			ri = len(m.Kernels)
+			rows[cell.kernel] = ri
+			m.Kernels = append(m.Kernels, cell.kernel)
+			m.Throughput = append(m.Throughput, make([]float64, nCfg))
+			m.TimeNS = append(m.TimeNS, make([]float64, nCfg))
+			m.Bound = append(m.Bound, make([]gcn.Bound, nCfg))
+			m.Status = append(m.Status, failedRow(nCfg))
+			filled = append(filled, make([]bool, nCfg))
+		}
+		m.Throughput[ri][cell.ci] = cell.tput
+		m.TimeNS[ri][cell.ci] = cell.tns
+		m.Bound[ri][cell.ci] = cell.bound
+		m.Status[ri][cell.ci] = cell.status
+		filled[ri][cell.ci] = true
+	}
+	if strict {
+		for i, cells := range filled {
+			n := 0
+			for _, f := range cells {
+				if f {
+					n++
+				}
+			}
+			if n != nCfg {
+				return nil, fmt.Errorf("sweep: kernel %s has %d/%d cells", m.Kernels[i], n, nCfg)
+			}
+		}
+	}
+	if strict && len(m.Kernels) == 0 {
+		return nil, fmt.Errorf("sweep: empty CSV")
+	}
+	return m, nil
+}
+
+func refDecodeCSVRecord(rec []string, line int, space hw.Space, bounds map[string]gcn.Bound, legacy bool) (csvCell, error) {
+	var cell csvCell
+	want := len(csvHeader)
+	if legacy {
+		want--
+	}
+	if len(rec) != want {
+		return cell, fmt.Errorf("sweep: line %d: %d fields, want %d", line, len(rec), want)
+	}
+	if rec[0] == "" {
+		return cell, fmt.Errorf("sweep: line %d: empty kernel name", line)
+	}
+	cell.kernel = rec[0]
+	cus, err := strconv.Atoi(rec[1])
+	if err != nil {
+		return cell, fmt.Errorf("sweep: line %d: bad cu count %q: %w", line, rec[1], err)
+	}
+	core, err := strconv.ParseFloat(rec[2], 64)
+	if err != nil {
+		return cell, fmt.Errorf("sweep: line %d: bad core clock %q: %w", line, rec[2], err)
+	}
+	mem, err := strconv.ParseFloat(rec[3], 64)
+	if err != nil {
+		return cell, fmt.Errorf("sweep: line %d: bad mem clock %q: %w", line, rec[3], err)
+	}
+	cell.ci = space.Index(hw.Config{CUs: cus, CoreClockMHz: core, MemClockMHz: mem})
+	if cell.ci < 0 {
+		return cell, fmt.Errorf("sweep: line %d: config %s/%s/%s not in space", line, rec[1], rec[2], rec[3])
+	}
+	cell.tput, err = strconv.ParseFloat(rec[4], 64)
+	if err != nil {
+		return cell, fmt.Errorf("sweep: line %d: bad throughput %q: %w", line, rec[4], err)
+	}
+	cell.tns, err = strconv.ParseFloat(rec[5], 64)
+	if err != nil {
+		return cell, fmt.Errorf("sweep: line %d: bad time %q: %w", line, rec[5], err)
+	}
+	if math.IsNaN(cell.tput) || math.IsInf(cell.tput, 0) || cell.tput < 0 {
+		return cell, fmt.Errorf("sweep: line %d: throughput %g out of range", line, cell.tput)
+	}
+	if math.IsNaN(cell.tns) || math.IsInf(cell.tns, 0) || cell.tns < 0 {
+		return cell, fmt.Errorf("sweep: line %d: time %g ns out of range", line, cell.tns)
+	}
+	b, ok := bounds[rec[6]]
+	if !ok {
+		return cell, fmt.Errorf("sweep: line %d: unknown bound %q", line, rec[6])
+	}
+	cell.bound = b
+	cell.status = StatusOK
+	if !legacy {
+		if cell.status, err = ParseStatus(rec[7]); err != nil {
+			return cell, fmt.Errorf("sweep: line %d: %w", line, err)
+		}
+	}
+	if cell.status == StatusOK && (cell.tput <= 0 || cell.tns <= 0) {
+		return cell, fmt.Errorf("sweep: line %d: ok cell with non-positive measurement %g/%g", line, cell.tput, cell.tns)
+	}
+	return cell, nil
 }

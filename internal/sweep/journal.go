@@ -550,7 +550,7 @@ func salvageV1CSV(data []byte, space hw.Space) (*Matrix, int64, int) {
 	}
 	legacy := len(header) == 7
 	nCfg := space.Size()
-	bounds := boundNames()
+	d := newCSVDecoder(space, legacy)
 	m := &Matrix{Space: space}
 	rows := map[string]int{}
 	var filled [][]bool
@@ -568,7 +568,7 @@ func salvageV1CSV(data []byte, space hw.Space) (*Matrix, int64, int) {
 			tornLines = countRecords(data[goodOffset:])
 			break
 		}
-		cell, derr := decodeCSVRecord(rec, line, space, bounds, legacy)
+		cell, derr := d.decode(rec, line)
 		if derr != nil {
 			tornLines = countRecords(data[goodOffset:])
 			break
