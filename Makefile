@@ -8,13 +8,14 @@ build:
 test:
 	$(GO) test ./...
 
-# Fast robustness gate: vet everything, race-test the sweep runtime
-# (including the supervised executor, journal recovery and
-# kill-resume tests), the fault injector, and the observability layer
-# (the concurrency-heavy packages) plus the CLIs, vet and short-test
-# the end-to-end benchmark (its own module, so ./... never builds it),
-# then smoke the fuzz targets.
+# Fast robustness gate: require gofmt-clean sources, vet everything,
+# race-test the sweep runtime (including the supervised executor,
+# journal recovery and kill-resume tests), the fault injector, and the
+# observability layer (the concurrency-heavy packages) plus the CLIs,
+# vet and short-test the end-to-end benchmark (its own module, so
+# ./... never builds it), then smoke the fuzz targets.
 check:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./internal/sweep/... ./internal/fault/... ./internal/obs/... ./internal/serve/... ./internal/dist/... ./cmd/gpusweep/... ./cmd/gpuscaled/... ./cmd/sweeptrace/...
 	$(GO) test -race -run 'TestPreparedRowMatchesPerCell|TestResidentSetMatchesReference|TestBudget' ./internal/gcn/
@@ -64,13 +65,14 @@ soak-byzantine:
 soak-failover:
 	GPUSCALE_SOAK_MS=10000 $(GO) test -race -run TestChaosSoakFailover -v -count=1 ./internal/dist/
 
-# Short coverage-guided fuzz of the journal decoder, the CSV loaders
-# and the lease-ledger scanner (go test takes one -fuzz target per
-# invocation).
+# Short coverage-guided fuzz of the journal decoder, the CSV loaders,
+# the lease-ledger scanner and the packed-plane wire decoder (go test
+# takes one -fuzz target per invocation).
 fuzz-smoke:
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzJournalScan$$' -fuzztime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzReadCSV$$' -fuzztime 5s
 	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzLedgerScan$$' -fuzztime 5s
+	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzUnpackPlanes$$' -fuzztime 5s
 
 bench:
 	$(GO) test -bench=. -benchmem

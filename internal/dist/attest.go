@@ -37,8 +37,10 @@ import (
 // pre-attestation binary sends — is fenced with a typed 409 before
 // any work is granted. /3 added coordinator terms to every lease,
 // renew and complete: a /2 binary would drop the second fencing
-// factor, so it must not mix rows with an HA fleet.
-const ProtoVersion = "gpuscale-dist/3"
+// factor, so it must not mix rows with an HA fleet. /4 ships a
+// complete's planes, and the replication stream's, packed (see
+// packPlanes) where /3 sent JSON arrays.
+const ProtoVersion = "gpuscale-dist/4"
 
 var (
 	fpOnce sync.Once

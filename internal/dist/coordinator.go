@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -43,12 +42,13 @@ type Job struct {
 	Trace obs.SpanContext
 	// OnRow, when non-nil, is invoked as each row's complete is
 	// accepted (after the row is durably journaled), with the job's
-	// matrix and the row index — the hook internal/serve uses to keep
-	// its own journal and live snapshot current. Not invoked for rows
-	// recovered already-done from the journal at AddJob. Called with
-	// the coordinator's lock held: it must not call back into the
-	// Coordinator.
-	OnRow func(m *sweep.Matrix, r int)
+	// matrix, the row index and the row's rendered journal record — the
+	// bytes the coordinator journaled, which internal/serve appends to
+	// its own journal verbatim as it keeps its live snapshot current.
+	// Not invoked for rows recovered already-done from the journal at
+	// AddJob. Called with the coordinator's lock held: it must not call
+	// back into the Coordinator.
+	OnRow func(m *sweep.Matrix, r int, rec sweep.RowRecord)
 }
 
 // CoordinatorOptions tunes a Coordinator; the zero value is usable.
@@ -916,6 +916,15 @@ func (c *Coordinator) renew(req renewRequest) (renewResponse, error) {
 // re-verification sample is held as a vote until an independent
 // worker agrees on its digest.
 func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
+	// Unpacking, validating, rendering and digesting the row is most of
+	// a complete's CPU, and it reads only the job's space and kernel
+	// names, which never change once the job is registered (jobs are
+	// never replaced or removed). So it runs before c.mu is taken; the
+	// verdict below still applies its outcome in the same check order.
+	c.mu.Lock()
+	pre := c.jobs[req.Job]
+	c.mu.Unlock()
+	row := renderComplete(pre, req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.deposed {
@@ -970,42 +979,70 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 			obs.KN("epoch", float64(req.Epoch)), obs.KS("worker", req.Worker))
 		return completeResponse{Requeued: true}, nil
 	}
-	if err := validatePlanes(js.job.Space.Size(), req); err != nil {
-		return completeResponse{}, err
+	if js != pre {
+		// Registered between the two looks at c.jobs.
+		row = renderComplete(js, req)
+	}
+	if row.err != nil {
+		return completeResponse{}, row.err
 	}
 	// Attestation: the digest must hash exactly the planes shipped.
 	// A mismatch means the payload was damaged in flight or the worker
 	// attested bytes it did not send — either way these planes must
 	// not reach the matrix, and retrying the identical payload cannot
 	// succeed (400, not 409).
-	want, err := sweep.RowPlanesDigest(js.order[req.Row], req.Tput, req.TimeNS, req.Bound)
-	if err != nil {
-		return completeResponse{}, err
-	}
-	if req.Digest != want {
+	if req.Digest != row.digest {
 		c.mBadAttest.Inc()
 		c.emit("bad-attest", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(req.Row)),
-			obs.KS("worker", req.Worker), obs.KS("digest", req.Digest), obs.KS("want", want))
+			obs.KS("worker", req.Worker), obs.KS("digest", req.Digest), obs.KS("want", row.digest))
 		return completeResponse{}, fmt.Errorf("%w: %s row %d digest %q does not hash the shipped planes (%s)",
-			errBadAttest, req.Job, req.Row, req.Digest, want)
+			errBadAttest, req.Job, req.Row, req.Digest, row.digest)
 	}
 	if rs.pending || verifySelected(js.job.Seed, req.Row, c.opt.VerifyFraction) {
-		return c.voteLocked(js, rs, req)
+		return c.voteLocked(js, rs, req, row)
 	}
-	return c.acceptLocked(js, rs, req, false)
+	return c.acceptLocked(js, rs, req, row, false)
+}
+
+// completeRow is an OK complete's row as the coordinator accepts it:
+// the planes unpacked and validated, rendered once as the row's
+// journal record, and that record's digest. err is the verdict on a
+// payload that failed validation.
+type completeRow struct {
+	planes planes
+	rec    sweep.RowRecord
+	digest string
+	err    error
+}
+
+// renderComplete prepares an OK complete's row for the verdict. It
+// reads only js's immutable registration (space and kernel names), so
+// it needs no lock; a nil job, an out-of-range row or a not-OK complete
+// prepare nothing, because the verdict rejects them first.
+func renderComplete(js *jobState, req completeRequest) completeRow {
+	if js == nil || !req.OK || req.Row < 0 || req.Row >= len(js.order) {
+		return completeRow{}
+	}
+	p, err := unpackPlanes(js.job.Space.Size(), req.Planes)
+	if err != nil {
+		return completeRow{err: fmt.Errorf("dist: complete for %s row %d has %v", req.Job, req.Row, err)}
+	}
+	rec, err := sweep.EncodePlanes(js.order[req.Row], p.tput, p.timeNS, p.bound)
+	if err != nil {
+		return completeRow{err: err}
+	}
+	return completeRow{planes: p, rec: rec, digest: sweep.RecordDigest(rec)}
 }
 
 // acceptLocked lands an attested OK complete: planes into the
-// matrix, row into the journal, complete into the ledger — fsynced in
-// that order before the ack — then the OnRow hook and instruments.
-// Caller holds c.mu.
-func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeRequest, verified bool) (completeResponse, error) {
+// matrix, the rendered record into the journal, complete into the
+// ledger — fsynced in that order before the ack — then the OnRow hook
+// and instruments. Caller holds c.mu.
+func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeRequest, row completeRow, verified bool) (completeResponse, error) {
 	r := req.Row
-	copy(js.matrix.Throughput[r], req.Tput)
-	copy(js.matrix.TimeNS[r], req.TimeNS)
-	for i, b := range req.Bound {
-		js.matrix.Bound[r][i] = gcn.Bound(b)
-	}
+	copy(js.matrix.Throughput[r], row.planes.tput)
+	copy(js.matrix.TimeNS[r], row.planes.timeNS)
+	copy(js.matrix.Bound[r], row.planes.bound)
 	for i := range js.matrix.Status[r] {
 		js.matrix.Status[r][i] = sweep.StatusOK
 	}
@@ -1016,21 +1053,18 @@ func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeReque
 	// best-effort audit, not load-bearing state. If the row was
 	// invalidated earlier, this append supersedes the retracted bytes:
 	// journal replay is last-record-wins per kernel.
-	if err := js.journal.AppendRow(js.matrix, r); err != nil {
+	if err := js.journal.AppendRecord(row.rec); err != nil {
 		// Roll the in-memory row back so a retry can try again.
 		zeroRow(js.matrix, r)
 		return completeResponse{}, err
 	}
-	// Replicate the planes before the complete record, mirroring the
-	// local journal-then-ledger order: the standby's journal append for
-	// this row lands at a lower cursor than its complete frame, so a
-	// promotion between the two recovers done-ness from the journal
-	// exactly like a local crash would.
+	// Replicate the planes as received before the complete record,
+	// mirroring the local journal-then-ledger order: the standby's
+	// journal append for this row lands at a lower cursor than its
+	// complete frame, so a promotion between the two recovers done-ness
+	// from the journal exactly like a local crash would.
 	c.repl.publish(replMsg{Kind: "row", Row: &RowPlanes{
-		Job: req.Job, Row: r, Kernel: js.order[r],
-		Tput:   append([]float64(nil), req.Tput...),
-		TimeNS: append([]float64(nil), req.TimeNS...),
-		Bound:  append([]int(nil), req.Bound...)}})
+		Job: req.Job, Row: r, Kernel: js.order[r], Planes: req.Planes}})
 	if err := c.logAppend(LedgerRecord{Kind: "complete", Job: req.Job, Row: r,
 		Epoch: req.Epoch, Worker: req.Worker, Digest: req.Digest, Verified: verified}); err != nil {
 		return completeResponse{}, err
@@ -1039,7 +1073,7 @@ func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeReque
 	rs.digest, rs.verified, rs.completedBy = req.Digest, verified, req.Worker
 	rs.pending, rs.votes = false, nil
 	if js.job.OnRow != nil {
-		js.job.OnRow(js.matrix, r)
+		js.job.OnRow(js.matrix, r, row.rec)
 	}
 	c.mCompleted.Inc()
 	if verified {
@@ -1067,7 +1101,7 @@ func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeReque
 // grace window settles the row unverified (availability over
 // byzantine safety when no independent worker exists). Caller holds
 // c.mu.
-func (c *Coordinator) voteLocked(js *jobState, rs *rowState, req completeRequest) (completeResponse, error) {
+func (c *Coordinator) voteLocked(js *jobState, rs *rowState, req completeRequest, row completeRow) (completeResponse, error) {
 	now := c.now()
 	agree := 1 // the incoming claim
 	revote := false
@@ -1094,7 +1128,7 @@ func (c *Coordinator) voteLocked(js *jobState, rs *rowState, req completeRequest
 	if agree >= 2 {
 		// Independent agreement: accept verified, and every dissenting
 		// vote is now a proven lie.
-		resp, err := c.acceptLocked(js, rs, req, true)
+		resp, err := c.acceptLocked(js, rs, req, row, true)
 		if err != nil {
 			return resp, err
 		}
@@ -1108,7 +1142,7 @@ func (c *Coordinator) voteLocked(js *jobState, rs *rowState, req completeRequest
 		// re-executed the row (fresh lease, fresh computation) and got
 		// the same digest. Accept unverified rather than deadlock a
 		// one-worker fleet.
-		return c.acceptLocked(js, rs, req, false)
+		return c.acceptLocked(js, rs, req, row, false)
 	}
 	replaced := false
 	for i := range rs.votes {
@@ -1223,26 +1257,6 @@ func zeroRow(m *sweep.Matrix, r int) {
 		m.Bound[r][i] = 0
 		m.Status[r][i] = sweep.StatusCanceled
 	}
-}
-
-// validatePlanes applies journal-grade hygiene to a complete's
-// payload before it can reach the matrix.
-func validatePlanes(nCfg int, req completeRequest) error {
-	if len(req.Tput) != nCfg || len(req.TimeNS) != nCfg || len(req.Bound) != nCfg {
-		return fmt.Errorf("dist: complete for %s row %d has wrong plane length", req.Job, req.Row)
-	}
-	for i := range req.Tput {
-		if !(req.Tput[i] > 0) || math.IsInf(req.Tput[i], 0) {
-			return fmt.Errorf("dist: complete for %s row %d has out-of-range throughput", req.Job, req.Row)
-		}
-		if !(req.TimeNS[i] > 0) || math.IsInf(req.TimeNS[i], 0) {
-			return fmt.Errorf("dist: complete for %s row %d has out-of-range time", req.Job, req.Row)
-		}
-		if req.Bound[i] < int(gcn.BoundCompute) || req.Bound[i] > int(gcn.BoundLaunch) {
-			return fmt.Errorf("dist: complete for %s row %d has unknown bound", req.Job, req.Row)
-		}
-	}
-	return nil
 }
 
 // Handler serves the lease protocol under /v1/dist/.
@@ -1394,15 +1408,8 @@ func (c *Coordinator) snapshot() (*haSnapshot, error) {
 			if !js.rows[r].done {
 				continue
 			}
-			bound := make([]int, len(js.matrix.Bound[r]))
-			for i, b := range js.matrix.Bound[r] {
-				bound[i] = int(b)
-			}
-			snap.Rows = append(snap.Rows, RowPlanes{
-				Job: name, Row: r, Kernel: js.order[r],
-				Tput:   append([]float64(nil), js.matrix.Throughput[r]...),
-				TimeNS: append([]float64(nil), js.matrix.TimeNS[r]...),
-				Bound:  bound})
+			snap.Rows = append(snap.Rows, RowPlanes{Job: name, Row: r, Kernel: js.order[r],
+				Planes: packPlanes(js.matrix.Throughput[r], js.matrix.TimeNS[r], js.matrix.Bound[r])})
 		}
 	}
 	var ids []string

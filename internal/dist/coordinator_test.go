@@ -1,11 +1,15 @@
 package dist
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/sweep"
@@ -73,17 +77,12 @@ func okComplete(t *testing.T, l *Lease, worker string) completeRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := space.Size()
-	bounds := make([]int, n)
-	for c := 0; c < n; c++ {
-		bounds[c] = int(m.Bound[0][c])
-	}
-	digest, err := sweep.RowPlanesDigest(k.Name, m.Throughput[0], m.TimeNS[0], bounds)
+	digest, err := sweep.RowDigest(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return completeRequest{Job: l.Job, Row: l.Row, Epoch: l.Epoch, Term: l.Term, Worker: worker, OK: true,
-		Tput: m.Throughput[0], TimeNS: m.TimeNS[0], Bound: bounds, Digest: digest}
+		Planes: packPlanes(m.Throughput[0], m.TimeNS[0], m.Bound[0]), Digest: digest}
 }
 
 func TestLeaseGrantCompleteDuplicate(t *testing.T) {
@@ -304,27 +303,74 @@ func TestNotOKCompleteRequeues(t *testing.T) {
 	}
 }
 
-// TestCompleteValidation: garbage planes never reach the matrix.
+// badPlane is one way a packed plane set breaks a validation rule.
+type badPlane struct {
+	name   string
+	planes []byte
+	want   string // a fragment of the rejection
+}
+
+// badPlanes derives, from valid packed planes for an nCfg-config row,
+// one case per validation rule unpackPlanes enforces: too short and
+// too long a byte length; a zero, negative, NaN or infinite
+// throughput; the same values for time; an out-of-range bound byte.
+func badPlanes(valid []byte, nCfg int) []badPlane {
+	with := func(off int, bits []byte) []byte {
+		b := append([]byte(nil), valid...)
+		copy(b[off:], bits)
+		return b
+	}
+	f64 := func(v float64) []byte {
+		return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))
+	}
+	cases := []badPlane{
+		{"short", valid[:len(valid)-1], "plane length"},
+		{"long", append(append([]byte(nil), valid...), 0), "plane length"},
+		{"bound-out-of-range", with(16*nCfg+nCfg-1, []byte{byte(gcn.BoundLaunch) + 1}), "unknown bound"},
+		{"bound-byte-max", with(16*nCfg, []byte{0xff}), "unknown bound"},
+	}
+	for _, v := range []struct {
+		name string
+		v    float64
+	}{{"zero", 0}, {"negative", -1}, {"nan", math.NaN()}, {"+inf", math.Inf(1)}, {"-inf", math.Inf(-1)}} {
+		// The last cell, so every earlier cell passes first.
+		cases = append(cases,
+			badPlane{"tput-" + v.name, with(8*(nCfg-1), f64(v.v)), "out-of-range throughput"},
+			badPlane{"time-" + v.name, with(8*(2*nCfg-1), f64(v.v)), "out-of-range time"})
+	}
+	return cases
+}
+
+// TestCompleteValidation: garbage planes never reach the matrix. Every
+// packed-plane rule rejects its case with the validation error (a 500,
+// ahead of the attestation check), and the row still completes with
+// valid planes afterwards.
 func TestCompleteValidation(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
 	defer c.Close()
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	job := testJob(t, "j", 1)
+	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
 	l, _ := c.acquire(acq("w1"))
-	req := okComplete(t, l, "w1")
-	req.Tput = req.Tput[:len(req.Tput)-1]
-	if _, err := c.complete(req); err == nil || !strings.Contains(err.Error(), "plane length") {
-		t.Fatalf("short planes should be rejected, got %v", err)
+	valid := okComplete(t, l, "w1")
+	for _, tc := range badPlanes(valid.Planes, job.Space.Size()) {
+		req := valid
+		req.Planes = tc.planes
+		_, err := c.complete(req)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want a %q rejection, got %v", tc.name, tc.want, err)
+		}
+		if errors.Is(err, errBadAttest) {
+			t.Errorf("%s: planes reached the attestation check", tc.name)
+		}
 	}
-	req = okComplete(t, l, "w1")
-	req.Tput[0] = -1
-	if _, err := c.complete(req); err == nil || !strings.Contains(err.Error(), "throughput") {
-		t.Fatalf("negative throughput should be rejected, got %v", err)
+	if st, _ := c.Status("j"); st.Done != 0 {
+		t.Fatalf("a rejected complete landed: %+v", st)
 	}
 	// And the row is still leasable/completable afterwards.
-	if _, err := c.complete(okComplete(t, l, "w1")); err != nil {
+	if _, err := c.complete(valid); err != nil {
 		t.Fatalf("valid complete after rejected ones: %v", err)
 	}
 }

@@ -42,9 +42,13 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 
+	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/sweep"
@@ -163,25 +167,74 @@ type renewResponse struct {
 }
 
 // completeRequest reports a row's terminal state. OK rows carry the
-// three measurement planes; a failed row carries none and just
-// releases the lease for re-issue.
+// row's measurement planes in the packed wire form (see packPlanes); a
+// failed row carries none and just releases the lease for re-issue.
 type completeRequest struct {
-	Job    string    `json:"job"`
-	Row    int       `json:"row"`
-	Epoch  uint64    `json:"epoch"`
-	Term   uint64    `json:"term,omitempty"`
-	Worker string    `json:"worker"`
-	OK     bool      `json:"ok"`
-	Tput   []float64 `json:"tput,omitempty"`
-	TimeNS []float64 `json:"time_ns,omitempty"`
-	Bound  []int     `json:"bound,omitempty"`
-	// Digest attests the row: sweep.RowPlanesDigest over exactly the
-	// planes above, computed by the worker from the bytes it journaled.
-	// The coordinator recomputes it from the received planes and
-	// rejects any OK complete where the two disagree (payload damaged
-	// in flight, or a worker attesting bytes it did not send). Required
-	// on every OK complete.
+	Job    string `json:"job"`
+	Row    int    `json:"row"`
+	Epoch  uint64 `json:"epoch"`
+	Term   uint64 `json:"term,omitempty"`
+	Worker string `json:"worker"`
+	OK     bool   `json:"ok"`
+	Planes []byte `json:"planes,omitempty"`
+	// Digest attests the row: sweep.RecordDigest over the journal
+	// record the worker rendered from these planes and journaled. The
+	// coordinator renders the received planes itself and rejects any
+	// OK complete whose record hashes differently (payload damaged in
+	// flight, or a worker attesting bytes it did not send). Required on
+	// every OK complete.
 	Digest string `json:"digest,omitempty"`
+}
+
+// packPlanes renders one row's measurement planes in the packed wire
+// form: every throughput, then every time, as little-endian float64
+// bits, then one byte per bound — 17 bytes per configuration. The
+// planes cross each process boundary as these exact bits, so no
+// process parses text to learn a row, and each renders the row's
+// journal record exactly once.
+func packPlanes(tput, timeNS []float64, bound []gcn.Bound) []byte {
+	n := len(tput)
+	b := make([]byte, 17*n)
+	for c := 0; c < n; c++ {
+		binary.LittleEndian.PutUint64(b[8*c:], math.Float64bits(tput[c]))
+		binary.LittleEndian.PutUint64(b[8*(n+c):], math.Float64bits(timeNS[c]))
+		b[16*n+c] = byte(bound[c])
+	}
+	return b
+}
+
+// planes is one row's measurement planes, unpacked from the wire.
+type planes struct {
+	tput, timeNS []float64
+	bound        []gcn.Bound
+}
+
+// unpackPlanes decodes packed planes for an nCfg-configuration space
+// and applies journal-grade hygiene before they can reach a matrix or
+// a journal: the exact length, every measurement a positive finite
+// number, every bound a known one — checked cell by cell in that
+// order, so the first offending cell names the error.
+func unpackPlanes(nCfg int, b []byte) (planes, error) {
+	if len(b) != 17*nCfg {
+		return planes{}, errors.New("wrong plane length")
+	}
+	p := planes{tput: make([]float64, nCfg), timeNS: make([]float64, nCfg), bound: make([]gcn.Bound, nCfg)}
+	for c := 0; c < nCfg; c++ {
+		tput := math.Float64frombits(binary.LittleEndian.Uint64(b[8*c:]))
+		timeNS := math.Float64frombits(binary.LittleEndian.Uint64(b[8*(nCfg+c):]))
+		bound := gcn.Bound(b[16*nCfg+c])
+		if !(tput > 0) || math.IsInf(tput, 0) {
+			return planes{}, errors.New("out-of-range throughput")
+		}
+		if !(timeNS > 0) || math.IsInf(timeNS, 0) {
+			return planes{}, errors.New("out-of-range time")
+		}
+		if bound < gcn.BoundCompute || bound > gcn.BoundLaunch {
+			return planes{}, errors.New("unknown bound")
+		}
+		p.tput[c], p.timeNS[c], p.bound[c] = tput, timeNS, bound
+	}
+	return p, nil
 }
 
 // completeResponse acknowledges a complete.

@@ -2,7 +2,13 @@ package dist
 
 import (
 	"bytes"
+	"math"
+	"path/filepath"
 	"testing"
+
+	"gpuscale/internal/gcn"
+	"gpuscale/internal/hw"
+	"gpuscale/internal/sweep"
 )
 
 // FuzzLedgerScan hammers the lease-ledger recovery scanner with
@@ -36,10 +42,10 @@ func FuzzLedgerScan(f *testing.F) {
 	badCRC := append([]byte(nil), full...)
 	badCRC[len(ledgerMagic)] ^= 0x40 // corrupt the first frame's checksum
 	f.Add(badCRC)
-	f.Add([]byte(ledgerMagic))           // header only
-	f.Add([]byte(ledgerMagic[:7]))       // torn magic
-	f.Add([]byte("deadbeef 2 {}\n"))     // frame without magic
-	f.Add([]byte("00000000 0 \n"))       // zero-length payload
+	f.Add([]byte(ledgerMagic))            // header only
+	f.Add([]byte(ledgerMagic[:7]))        // torn magic
+	f.Add([]byte("deadbeef 2 {}\n"))      // frame without magic
+	f.Add([]byte("00000000 0 \n"))        // zero-length payload
 	f.Add([]byte("ffffffff 999999999 x")) // absurd length field
 	f.Add([]byte(nil))
 
@@ -84,5 +90,64 @@ func FuzzLedgerScan(f *testing.F) {
 		// Whatever was salvaged must be auditable without panicking —
 		// a verdict either way is fine, a crash is not.
 		AuditLedger(recs)
+	})
+}
+
+// FuzzUnpackPlanes hammers the packed-plane decoder — the one parser
+// between the wire and every fleet journal — with arbitrary bytes. It
+// must never panic; every input it accepts must round-trip bit-exactly
+// through packPlanes; and every accepted plane set must render to a
+// record the journal's own validation accepts on reload, so nothing
+// the wire admits can truncate a journal at recovery.
+func FuzzUnpackPlanes(f *testing.F) {
+	space, err := hw.NewSpace([]int{4, 44}, []float64{200}, []float64{150, 1250})
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := space.Size()
+	valid := packPlanes(
+		[]float64{1, 2.5, 1e-300, math.MaxFloat64},
+		[]float64{math.SmallestNonzeroFloat64, 3, 1e21, 7e-7},
+		[]gcn.Bound{gcn.BoundCompute, gcn.BoundDRAM, gcn.BoundLatency, gcn.BoundLaunch})
+	f.Add(valid)
+	for _, tc := range badPlanes(valid, n) {
+		f.Add(tc.planes)
+	}
+	f.Add([]byte(nil))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := unpackPlanes(n, b)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(packPlanes(p.tput, p.timeNS, p.bound), b) {
+			t.Fatal("accepted planes do not round-trip bit-exactly")
+		}
+		rec, err := sweep.EncodePlanes("fuzz", p.tput, p.timeNS, p.bound)
+		if err != nil {
+			t.Fatalf("accepted planes do not render: %v", err)
+		}
+		path := filepath.Join(t.TempDir(), "fuzz.journal")
+		j, err := sweep.OpenJournal(path, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = j.AppendRecord(rec)
+		if cerr := j.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sweep.ReadJournal(path, space)
+		if err != nil || m == nil || len(m.Kernels) != 1 {
+			t.Fatalf("the journal refused a record rendered from accepted planes: %v", err)
+		}
+		for c := 0; c < n; c++ {
+			if math.Float64bits(m.Throughput[0][c]) != math.Float64bits(p.tput[c]) ||
+				math.Float64bits(m.TimeNS[0][c]) != math.Float64bits(p.timeNS[c]) || m.Bound[0][c] != p.bound[c] {
+				t.Fatalf("config %d changed on its way through the journal", c)
+			}
+		}
 	})
 }

@@ -33,9 +33,10 @@ package dist
 //     its deposition from peer probes, worker traffic carrying a
 //     newer term, or tail silence — and exits through ErrDeposed.
 //
-// Because the standby appends the primary's exact ledger frames and
-// rebuilds journals through the same sweep.Journal append path, the
-// promoted coordinator's durable state is byte-compatible with the
+// Because the standby appends the primary's exact ledger frames, and
+// validates each row's packed planes with the primary's checks before
+// rendering the same journal record the primary journaled, the
+// promoted coordinator's durable state is byte-identical to the
 // primary's — the merged matrix stays byte-identical to a single-node
 // run across a failover, which is the repo's north-star invariant.
 
@@ -54,7 +55,6 @@ import (
 	"sync"
 	"time"
 
-	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
@@ -126,15 +126,14 @@ func (s JobSpec) job() (Job, error) {
 
 // RowPlanes is one completed row's measurement planes on the
 // replication stream — the ledger's complete record carries only the
-// digest, so the planes travel as their own message and the standby
-// re-appends them through the ordinary journal path.
+// digest, so the planes travel as their own message, in the packed
+// form a complete carries them (see packPlanes), and the standby
+// renders and appends the row's journal record itself.
 type RowPlanes struct {
-	Job    string    `json:"job"`
-	Row    int       `json:"row"`
-	Kernel string    `json:"kernel"`
-	Tput   []float64 `json:"tput"`
-	TimeNS []float64 `json:"time_ns"`
-	Bound  []int     `json:"bound"`
+	Job    string `json:"job"`
+	Row    int    `json:"row"`
+	Kernel string `json:"kernel"`
+	Planes []byte `json:"planes"`
 }
 
 // serveSpec is a serve-level admission riding the replication stream:
@@ -380,17 +379,13 @@ type StandbyOptions struct {
 	now func() time.Time
 }
 
-// standbyJob is one replicated job on the standby: its spec, its
-// rebuilt journal, and the matrix the journal appends read from.
+// standbyJob is one replicated job on the standby: its spec and its
+// replica journal.
 type standbyJob struct {
 	spec    JobSpec
 	space   hw.Space
 	kernels []*kernel.Kernel
 	journal *sweep.Journal
-	matrix  *sweep.Matrix
-	// appended tracks which rows this incarnation journaled, so a
-	// snapshot re-apply does not double-append.
-	appended map[int]bool
 }
 
 // Standby is a warm coordinator replica: it tails the primary's
@@ -412,8 +407,8 @@ type Standby struct {
 	specs       map[string][]byte
 	promoted    *Coordinator
 
-	mTerm, mCursor *obs.Gauge
-	mFailovers     *obs.Counter
+	mTerm, mCursor          *obs.Gauge
+	mFailovers, mApplyFails *obs.Counter
 }
 
 // NewStandby opens (or resumes) a standby rooted at dir. Existing
@@ -466,6 +461,7 @@ func NewStandby(dir string, o StandbyOptions) (*Standby, error) {
 	s.mTerm = r.Gauge("dist_ha_term", "Coordinator term this process believes is current.")
 	s.mCursor = r.Gauge("dist_repl_applied_cursor", "Replication cursor durably applied by this standby.")
 	s.mFailovers = r.Counter("dist_ha_failovers_total", "Standby promotions performed by this process.")
+	s.mApplyFails = r.Counter("dist_repl_apply_failures_total", "Answered tails and snapshots this standby could not apply.")
 	s.mTerm.Set(float64(s.term))
 	return s, nil
 }
@@ -496,8 +492,8 @@ func (s *Standby) reloadJobs() error {
 	return nil
 }
 
-// registerJob opens (or reopens) one replicated job's journal and
-// matrix. Idempotent per name.
+// registerJob opens (or reopens) one replicated job's journal.
+// Idempotent per name.
 func (s *Standby) registerJob(spec JobSpec) error {
 	if _, ok := s.jobs[spec.Name]; ok {
 		return nil
@@ -511,17 +507,7 @@ func (s *Standby) registerJob(spec JobSpec) error {
 	if err != nil {
 		return err
 	}
-	sj := &standbyJob{spec: spec, space: j.Space, kernels: j.Kernels,
-		journal: journal, matrix: newMatrix(j.Space, j.Kernels), appended: map[int]bool{}}
-	if prior := journal.Prior(); prior != nil {
-		for r, k := range j.Kernels {
-			if pr := prior.Row(k.Name); pr >= 0 && prior.RowComplete(pr) {
-				copyRow(sj.matrix, r, prior, pr)
-				sj.appended[r] = true
-			}
-		}
-	}
-	s.jobs[spec.Name] = sj
+	s.jobs[spec.Name] = &standbyJob{spec: spec, space: j.Space, kernels: j.Kernels, journal: journal}
 	return nil
 }
 
@@ -614,10 +600,14 @@ func (s *Standby) syncOnce(ctx context.Context) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// An answered snapshot is contact even when it cannot be applied:
+	// the primary is alive, and promoting over it would depose it. The
+	// standby stays unsynced and fetches a fresh snapshot next round.
+	s.touchLocked()
 	if err := s.applySnapshotLocked(snap); err != nil {
+		s.mApplyFails.Inc()
 		return err
 	}
-	s.touchLocked()
 	s.o.Logf("dist standby %s: synced snapshot from %s (term %d, cursor %d, %d jobs)",
 		s.o.ID, snap.ID, snap.Term, snap.Cursor, len(snap.Jobs))
 	return nil
@@ -719,6 +709,13 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// An answered tail is contact even when a message fails to apply:
+	// the primary is alive, and promoting over it would depose it. The
+	// failing message is counted (Run logs it) and the cursor stays on
+	// it, so the next tail retries it and the primary's barrier sees
+	// the standby fall behind.
+	s.touchLocked()
+	defer func() { s.mCursor.Set(float64(s.cursor)) }()
 	for i := range tr.Msgs {
 		m := &tr.Msgs[i]
 		if m.Cursor < s.cursor {
@@ -729,12 +726,11 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 			return nil
 		}
 		if err := s.applyMsgLocked(m); err != nil {
+			s.mApplyFails.Inc()
 			return err
 		}
 		s.cursor++
 	}
-	s.touchLocked()
-	s.mCursor.Set(float64(s.cursor))
 	return nil
 }
 
@@ -780,7 +776,10 @@ func (s *Standby) applyMsgLocked(m *replMsg) error {
 	return nil
 }
 
-// applyRowLocked lands one completed row in the replica journal.
+// applyRowLocked validates one completed row's packed planes with the
+// checks the primary applied to the worker's complete, renders the
+// row's journal record — the bytes the primary journaled — and
+// appends it to the replica journal.
 func (s *Standby) applyRowLocked(rp *RowPlanes) error {
 	sj := s.jobs[rp.Job]
 	if sj == nil {
@@ -790,20 +789,15 @@ func (s *Standby) applyRowLocked(rp *RowPlanes) error {
 	if r < 0 || r >= len(sj.kernels) || sj.kernels[r].Name != rp.Kernel {
 		return fmt.Errorf("dist: row planes for %s name a row/kernel mismatch (%d/%s)", rp.Job, r, rp.Kernel)
 	}
-	n := sj.space.Size()
-	if len(rp.Tput) != n || len(rp.TimeNS) != n || len(rp.Bound) != n {
-		return fmt.Errorf("dist: row planes for %s row %d have wrong length", rp.Job, r)
+	p, err := unpackPlanes(sj.space.Size(), rp.Planes)
+	if err != nil {
+		return fmt.Errorf("dist: row planes for %s row %d have %v", rp.Job, r, err)
 	}
-	copy(sj.matrix.Throughput[r], rp.Tput)
-	copy(sj.matrix.TimeNS[r], rp.TimeNS)
-	for i, b := range rp.Bound {
-		sj.matrix.Bound[r][i] = gcn.Bound(b)
+	rec, err := sweep.EncodePlanes(rp.Kernel, p.tput, p.timeNS, p.bound)
+	if err != nil {
+		return err
 	}
-	for i := range sj.matrix.Status[r] {
-		sj.matrix.Status[r][i] = sweep.StatusOK
-	}
-	sj.appended[r] = true
-	return sj.journal.AppendRow(sj.matrix, r)
+	return sj.journal.AppendRecord(rec)
 }
 
 func (s *Standby) persistServeSpecLocked(sp serveSpec) error {

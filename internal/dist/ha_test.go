@@ -10,8 +10,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"gpuscale/internal/sweep"
 )
 
 // newHAPair builds a primary coordinator behind a real HTTP server and
@@ -124,8 +127,23 @@ func TestReplicaLedgerByteIdentical(t *testing.T) {
 	if len(audit.Terms) != 1 || audit.Terms[0].Term != 1 || audit.Completes != 2 {
 		t.Fatalf("replica audit: terms %v completes %d", audit.Terms, audit.Completes)
 	}
-	if sj := s.jobs["j"]; sj == nil || len(sj.appended) != 2 {
-		t.Fatalf("standby should hold both replicated rows, got %+v", s.jobs["j"])
+	// The standby validated each row's packed planes and rendered the
+	// record the primary journaled: the replica journal is the
+	// primary's coordinator journal, byte for byte.
+	replica := filepath.Join(s.dir, sanitize("j")+".journal")
+	pj, err := os.ReadFile(c.JournalPath("j"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sjb, err := os.ReadFile(replica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pj, sjb) {
+		t.Fatalf("replica journal diverged: primary %d bytes, replica %d bytes", len(pj), len(sjb))
+	}
+	if m, err := sweep.ReadJournal(replica, testSpace(t)); err != nil || m == nil || len(m.Kernels) != 2 {
+		t.Fatalf("standby should hold both replicated rows: %v", err)
 	}
 }
 
@@ -534,6 +552,94 @@ func TestStandbyRestartResyncs(t *testing.T) {
 	sb, _ := os.ReadFile(filepath.Join(dir, "lease.ledger"))
 	if !bytes.Equal(pb, sb) {
 		t.Fatalf("restarted replica diverged: primary %d bytes, replica %d bytes", len(pb), len(sb))
+	}
+}
+
+// TestUnappliableTailIsStillContact: a primary that answers every
+// tail is alive even when what it sends cannot be applied (a standby
+// built from another protocol version takes exactly this path). The
+// answers count as contact, so the standby never reaches its promotion
+// deadline over a live primary; each failure is counted and the cursor
+// holds on the failing message.
+func TestUnappliableTailIsStillContact(t *testing.T) {
+	clk := newTestClock()
+	c, _, s := newHAPair(t, clk, CoordinatorOptions{})
+	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+		t.Fatal(err)
+	}
+	syncStandby(t, s)
+	// A row for a job the standby never replicated cannot apply.
+	c.repl.publish(replMsg{Kind: "row", Row: &RowPlanes{Job: "ghost", Row: 0, Kernel: "x"}})
+	s.mu.Lock()
+	cursor := s.cursor
+	s.mu.Unlock()
+	for i := 0; i < 5; i++ {
+		clk.advance(time.Second)
+		if err := s.tailOnce(context.Background()); err == nil {
+			t.Fatalf("tail %d applied a row for an unreplicated job", i)
+		}
+	}
+	s.mu.Lock()
+	quiet, after := s.now().Sub(s.lastContact), s.cursor
+	s.mu.Unlock()
+	if quiet >= s.o.PromoteAfter {
+		t.Fatalf("standby counts a primary that answered every tail as silent for %v (promotes after %v)",
+			quiet, s.o.PromoteAfter)
+	}
+	if after != cursor {
+		t.Fatalf("cursor moved past the unappliable message: %d -> %d", cursor, after)
+	}
+	if got := s.mApplyFails.Value(); got != 5 {
+		t.Fatalf("apply failures counted %d, want 5", got)
+	}
+}
+
+// TestStandbyRefusesBadPlanes: the standby validates replicated packed
+// planes with the checks the primary applies to a complete. Every case
+// of the validation table is refused with its error, the cursor holds
+// on the refused message, and the replica journal is untouched.
+func TestStandbyRefusesBadPlanes(t *testing.T) {
+	clk := newTestClock()
+	c, _, s := newHAPair(t, clk, CoordinatorOptions{})
+	job := testJob(t, "j", 2)
+	if err := c.AddJob(job); err != nil {
+		t.Fatal(err)
+	}
+	syncStandby(t, s)
+	l, err := c.acquire(acq("w1"))
+	if err != nil || l == nil {
+		t.Fatalf("acquire: %+v %v", l, err)
+	}
+	valid := okComplete(t, l, "w1")
+	if _, err := c.complete(valid); err != nil {
+		t.Fatal(err)
+	}
+	drainTail(t, s, c)
+	journal := filepath.Join(s.dir, sanitize("j")+".journal")
+	other := 1 - l.Row
+	for _, tc := range badPlanes(valid.Planes, job.Space.Size()) {
+		syncStandby(t, s) // re-base past the previous case's refused message
+		before, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		cursor := s.cursor
+		s.mu.Unlock()
+		c.repl.publish(replMsg{Kind: "row", Row: &RowPlanes{
+			Job: "j", Row: other, Kernel: job.Kernels[other].Name, Planes: tc.planes}})
+		if err := s.tailOnce(context.Background()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want a %q refusal, got %v", tc.name, tc.want, err)
+		}
+		s.mu.Lock()
+		after := s.cursor
+		s.mu.Unlock()
+		if after != cursor {
+			t.Errorf("%s: cursor moved past the refused row: %d -> %d", tc.name, cursor, after)
+		}
+		if got, err := os.ReadFile(journal); err != nil || !bytes.Equal(got, before) {
+			t.Errorf("%s: refused row changed the replica journal (%v)", tc.name, err)
+		}
 	}
 }
 

@@ -25,16 +25,25 @@ import (
 func tamperedComplete(t *testing.T, l *Lease, worker string) completeRequest {
 	t.Helper()
 	req := okComplete(t, l, worker)
-	req.Tput[0] *= 1 + 1.0/1024
 	k, err := l.DecodeKernel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest, err := sweep.RowPlanesDigest(k.Name, req.Tput, req.TimeNS, req.Bound)
+	space, err := l.Space.Space()
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Digest = digest
+	p, err := unpackPlanes(space.Size(), req.Planes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.tput[0] *= 1 + 1.0/1024
+	rec, err := sweep.EncodePlanes(k.Name, p.tput, p.timeNS, p.bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Planes = packPlanes(p.tput, p.timeNS, p.bound)
+	req.Digest = sweep.RecordDigest(rec)
 	return req
 }
 

@@ -316,7 +316,7 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) {
 	}()
 	defer func() { cancel(); <-renewDone }()
 
-	m, r, err := w.executeRow(rowCtx, lease, rowSC)
+	m, r, rec, err := w.executeRow(rowCtx, lease, rowSC)
 	if err != nil {
 		// Row incomplete (canceled, fenced, or engine trouble past the
 		// retry budget): tell the coordinator so the row re-leases
@@ -330,21 +330,13 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) {
 		return
 	}
 
-	nCfg := m.Space.Size()
-	bounds := make([]int, nCfg)
-	for c := 0; c < nCfg; c++ {
-		bounds[c] = int(m.Bound[r][c])
-	}
-	// Attest the row: the digest hashes exactly the bytes this worker
-	// journaled (and is now shipping), so the coordinator — and later
-	// the attested merge — can hold these planes to this claim.
-	digest, err := sweep.RowPlanesDigest(m.Kernels[r], m.Throughput[r], m.TimeNS[r], bounds)
-	if err != nil {
-		return
-	}
+	// Attest the row: the digest hashes exactly the record this worker
+	// journaled, rendered from the planes it is now shipping, so the
+	// coordinator — and later the attested merge — can hold these
+	// planes to this claim.
 	req := completeRequest{Job: lease.Job, Row: lease.Row, Epoch: lease.Epoch,
 		Term: lease.Term, Worker: w.o.Name, OK: true,
-		Tput: m.Throughput[r], TimeNS: m.TimeNS[r], Bound: bounds, Digest: digest}
+		Planes: packPlanes(m.Throughput[r], m.TimeNS[r], m.Bound[r]), Digest: sweep.RecordDigest(rec)}
 	accepted := w.completeWithRetry(ctx, req)
 	if accepted {
 		w.mRows.Inc()
@@ -362,32 +354,34 @@ func (w *Worker) emit(name string, leaseSC obs.SpanContext, start time.Time, d t
 	w.o.Sink.Emit(name, "dist", 0, obs.SpanContext{TraceID: leaseSC.TraceID}, leaseSC.SpanID, start, d, kvs...)
 }
 
-// executeRow produces the leased row's matrix, serving it from the
-// worker journal when this worker already completed the same kernel
-// (a re-lease after a lost ack or a steal of our own expired lease).
-// rowSC, when valid, joins the row sweep's events to the job's
-// distributed trace.
-func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanContext) (*sweep.Matrix, int, error) {
+// executeRow produces the leased row's matrix and its journal record,
+// serving the row from the worker journal when this worker already
+// completed the same kernel (a re-lease after a lost ack or a steal of
+// our own expired lease). rowSC, when valid, joins the row sweep's
+// events to the job's distributed trace.
+func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanContext) (*sweep.Matrix, int, sweep.RowRecord, error) {
+	var rec sweep.RowRecord
 	k, err := lease.DecodeKernel()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, rec, err
 	}
 	space, err := lease.Space.Space()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, rec, err
 	}
 	j := w.journals[lease.Job]
 	if j == nil {
 		j, err = sweep.OpenJournal(w.JournalPath(lease.Job), space)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, rec, err
 		}
 		w.journals[lease.Job] = j
 	}
 	engine, err := sweep.ParseEngine(lease.Engine)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, rec, err
 	}
+	rendered := false
 	opts := sweep.Options{
 		Workers:     w.o.SweepWorkers,
 		Engine:      engine,
@@ -408,7 +402,17 @@ func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanCon
 			if hit, sub := w.o.Fault.RowTamper(lease.Job+"/"+m.Kernels[r], 0); hit {
 				tamperRow(m, r, sub)
 			}
-			if err := j.AppendRow(m, r); err != nil {
+			if !m.RowComplete(r) {
+				return
+			}
+			// Render once: the same record goes to the journal here and
+			// into the attested digest after the sweep.
+			var err error
+			if rec, err = sweep.EncodeRow(m, r); err == nil {
+				rendered = true
+				err = j.AppendRecord(rec)
+			}
+			if err != nil {
 				// A torn local journal is survivable — the row is still
 				// in memory and completes over the wire; only a worker
 				// crash before the ack would cost a recompute.
@@ -421,18 +425,25 @@ func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanCon
 	opts.Observer = tel
 	m, _, err := sweep.Resume(ctx, []*kernel.Kernel{k}, space, opts, j.Prior())
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, rec, err
 	}
 	r := m.Row(k.Name)
 	if r < 0 || !m.RowComplete(r) {
-		return nil, 0, fmt.Errorf("dist: row %s incomplete after sweep", k.Name)
+		return nil, 0, rec, fmt.Errorf("dist: row %s incomplete after sweep", k.Name)
 	}
-	return m, r, nil
+	if !rendered {
+		// Served from the worker journal: Resume never ran the row, so
+		// its record is rendered now, from the journaled planes.
+		if rec, err = sweep.EncodeRow(m, r); err != nil {
+			return nil, 0, rec, err
+		}
+	}
+	return m, r, rec, nil
 }
 
 // tamperRow is the injected lie: one cell's throughput nudged by one
 // part in 1024 — small enough to stay positive, finite and
-// plausible (it sails through validatePlanes), large enough to change
+// plausible (it sails through unpackPlanes), large enough to change
 // the float64 bit pattern and therefore the digest. Which cell is
 // chosen by the injector's sub-roll, deterministically.
 func tamperRow(m *sweep.Matrix, r int, sub uint64) {

@@ -3,8 +3,10 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -141,6 +143,55 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 	if !bytes.Equal(want, mb) {
 		t.Fatal("merged worker journals differ from single-node run")
 	}
+
+	// Render once: every framed record a worker journaled for a kernel
+	// is byte-identical to the coordinator's record for that kernel, so
+	// the digest the worker attested hashes exactly the bytes the
+	// coordinator journaled.
+	coordRecs := journalRecords(t, coord.JournalPath(job.Name))
+	seen := map[string]bool{}
+	for _, path := range workerJournals {
+		for k, recs := range journalRecords(t, path) {
+			for _, rec := range recs {
+				if want := coordRecs[k]; len(want) != 1 || rec != want[0] {
+					t.Fatalf("worker journal %s: record for %s differs from the coordinator's", path, k)
+				}
+			}
+			seen[k] = true
+		}
+	}
+	if len(seen) != len(job.Kernels) {
+		t.Fatalf("worker journals hold %d of %d kernels", len(seen), len(job.Kernels))
+	}
+}
+
+// journalRecords maps each kernel in a v2 journal file to its framed
+// row records, exactly as appended ("<crc> <len> <payload>\n").
+func journalRecords(t *testing.T, path string) map[string][]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if len(lines) < 2 {
+		t.Fatalf("journal %s has no space record", path)
+	}
+	out := map[string][]string{}
+	for _, line := range lines[2:] { // past the magic and the space record
+		if len(line) == 0 {
+			continue
+		}
+		fields := bytes.SplitN(line, []byte(" "), 3)
+		var rec struct {
+			Kernel string `json:"kernel"`
+		}
+		if len(fields) != 3 || json.Unmarshal(fields[2], &rec) != nil || rec.Kernel == "" {
+			t.Fatalf("journal %s: unparsable row record %q", path, line)
+		}
+		out[rec.Kernel] = append(out[rec.Kernel], string(line))
+	}
+	return out
 }
 
 // TestFleetUnderNetworkFaults: dropped acks, duplicated deliveries
@@ -254,14 +305,14 @@ func TestWorkerServesReleasedRowFromJournal(t *testing.T) {
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	m1, r1, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
+	m1, r1, rec1, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second execution of the same lease must come from the journal:
 	// identical planes, and Resume's Skipped accounting is invisible
 	// here, so prove it by byte-equality of the rows.
-	m2, r2, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
+	m2, r2, rec2, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,5 +320,10 @@ func TestWorkerServesReleasedRowFromJournal(t *testing.T) {
 		if m1.Throughput[r1][c] != m2.Throughput[r2][c] {
 			t.Fatal("re-executed row differs from journaled row")
 		}
+	}
+	// The journal-served row is rendered on demand into the record the
+	// sweep rendered, so its attestation is unchanged.
+	if d1, d2 := sweep.RecordDigest(rec1), sweep.RecordDigest(rec2); d1 != d2 {
+		t.Fatalf("journal-served record digest %s, computed %s", d2, d1)
 	}
 }

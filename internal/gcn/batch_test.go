@@ -74,9 +74,9 @@ func randomBatchKernel(r *rand.Rand) *kernel.Kernel {
 		Access(kernel.AccessPattern(r.Intn(5)), r.Intn(512), r.Intn(128), 1<<uint(r.Intn(4))).
 		Locality(int64(r.Intn(1<<21)), r.Float64(), 4*r.Float64()).
 		Coalescing(r.Float64()).
-		MLP(1 + 15*r.Float64()).
+		MLP(1+15*r.Float64()).
 		DepChain(r.Float64()).
-		Divergence(0.05 + 0.95*r.Float64()).
+		Divergence(0.05+0.95*r.Float64()).
 		Launch(float64(r.Intn(20000)), 1)
 	if r.Intn(2) == 0 {
 		b = b.Resources(16+r.Intn(112), 16+r.Intn(80), r.Intn(48*1024))

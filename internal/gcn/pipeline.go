@@ -86,10 +86,10 @@ type cuPipeline struct {
 }
 
 type pipeWave struct {
-	wg        int // resident workgroup index
-	instr     int // index into prog.Body
-	remaining int // repetitions left of the current instruction
-	loads     int // outstanding loads
+	wg        int   // resident workgroup index
+	instr     int   // index into prog.Body
+	remaining int   // repetitions left of the current instruction
+	loads     int   // outstanding loads
 	cls       uint8 // class of Body[instr], clsBlocked when parked/done
 	dep       bool  // Body[instr].DependsOnLoad
 	atBarrier bool

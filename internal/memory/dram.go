@@ -1,7 +1,6 @@
 package memory
 
 import (
-
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 )

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
 
+	"gpuscale/internal/hw"
 	"gpuscale/internal/sweep"
 )
 
@@ -28,10 +31,17 @@ func TestRunSweepSeam(t *testing.T) {
 		}
 		// A stand-in executor: run locally, but through the request's
 		// parameters and hooks only — exactly what a distributed
-		// coordinator does.
+		// coordinator does, rendering each row's record once.
 		return sweep.Resume(ctx, req.Kernels, req.Space, sweep.Options{
 			Workers: 2, Engine: req.Engine, Seed: req.Seed,
-			NoiseStdDev: req.Noise, OnRow: req.OnRow,
+			NoiseStdDev: req.Noise, OnRow: func(m *sweep.Matrix, r int) {
+				rec, err := sweep.EncodeRow(m, r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				req.OnRow(m, r, rec)
+			},
 		}, req.Prior)
 	}
 	s, err := New(cfg)
@@ -59,6 +69,77 @@ func TestRunSweepSeam(t *testing.T) {
 	// the service never called the local executor itself.
 	if _, err := os.Stat(s.journalPath(st.ID)); err != nil {
 		t.Fatalf("missing journal after seam-run job: %v", err)
+	}
+}
+
+// TestRunSweepSeamJournalsExecutorRecords: the job journal receives
+// the executor's rendered records verbatim — the coordinator's bytes,
+// not a second render. The stand-in executor hands OnRow records
+// rendered from planes that differ from the matrix it reports (one
+// cell nudged), so a journal that re-rendered the matrix would differ
+// from one that appended the records; the job journal must equal a
+// reference journal built by appending the same records in order.
+func TestRunSweepSeamJournalsExecutorRecords(t *testing.T) {
+	var (
+		space hw.Space
+		recs  []sweep.RowRecord
+	)
+	cfg := Config{Dir: t.TempDir(), SweepWorkers: 1}
+	cfg.RunSweep = func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+		space = req.Space
+		return sweep.Resume(ctx, req.Kernels, req.Space, sweep.Options{
+			Workers: 1, Engine: req.Engine, Seed: req.Seed,
+			NoiseStdDev: req.Noise, OnRow: func(m *sweep.Matrix, r int) {
+				tput := append([]float64(nil), m.Throughput[r]...)
+				tput[0] *= 1 + 1.0/1024
+				rec, err := sweep.EncodePlanes(m.Kernels[r], tput, m.TimeNS[r], m.Bound[r])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				recs = append(recs, rec)
+				req.OnRow(m, r, rec)
+			},
+		}, req.Prior)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	st, err := s.Submit("alice", testSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitTerminal(t, s, st.ID); st.State != StateComplete {
+		t.Fatalf("state = %s (%s), want complete", st.State, st.Reason)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("executor rendered %d records, want 2", len(recs))
+	}
+	ref := filepath.Join(t.TempDir(), "ref.journal")
+	rj, err := sweep.OpenJournal(ref, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := rj.AppendRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(s.journalPath(st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("job journal (%d bytes) is not the executor's records (%d bytes)", len(got), len(want))
 	}
 }
 

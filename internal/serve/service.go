@@ -108,14 +108,17 @@ type SweepRequest struct {
 	// Prior is the matrix recovered from the job's journal; rows
 	// already complete there need not be recomputed.
 	Prior *sweep.Matrix
-	// OnRow persists a settled row into the job's journal and live
-	// snapshot; safe for concurrent use. A distributed executor may
-	// invoke it MORE than once for the same row: when a quarantined
-	// worker's complete is retracted and a healthy worker re-executes
-	// the row, the corrected planes arrive through a second OnRow call.
-	// The journal absorbs this naturally — replay is last-record-wins
-	// per kernel, so the corrected append supersedes the retracted one.
-	OnRow func(m *sweep.Matrix, r int)
+	// OnRow persists a settled, complete row into the job's journal and
+	// live snapshot; safe for concurrent use. rec is the row's journal
+	// record as the executor rendered it (sweep.EncodeRow's form), and
+	// the journal appends exactly those bytes, so the executor's render
+	// is the only one. A distributed executor may invoke it MORE than
+	// once for the same row: when a quarantined worker's complete is
+	// retracted and a healthy worker re-executes the row, the corrected
+	// planes arrive through a second OnRow call. The journal absorbs
+	// this naturally — replay is last-record-wins per kernel, so the
+	// corrected append supersedes the retracted one.
+	OnRow func(m *sweep.Matrix, r int, rec sweep.RowRecord)
 	// Trace is the job's span context; a distributed executor hands it
 	// to the coordinator so lease grants become children of the job
 	// span and the whole fleet run stitches into one trace.
@@ -773,10 +776,7 @@ func (s *Service) runJob(j *job) {
 	// second delivery replaces the first instead of double-counting.
 	rowSeen := make([]bool, len(j.res.kernels))
 	rowOK := make([]int, len(j.res.kernels))
-	opts.OnRow = func(m *sweep.Matrix, r int) {
-		if err := journal.AppendRow(m, r); err != nil {
-			s.cfg.Logf("serve: %s: journal: %v", j.id, err)
-		}
+	settle := func(m *sweep.Matrix, r int) {
 		ok := 0
 		for c := 0; c < nCfg; c++ {
 			if m.CellOK(r, c) {
@@ -796,6 +796,18 @@ func (s *Service) runJob(j *job) {
 		rowOK[r] = ok
 		j.mu.Unlock()
 	}
+	opts.OnRow = func(m *sweep.Matrix, r int) {
+		if err := journal.AppendRow(m, r); err != nil {
+			s.cfg.Logf("serve: %s: journal: %v", j.id, err)
+		}
+		settle(m, r)
+	}
+	onRecord := func(m *sweep.Matrix, r int, rec sweep.RowRecord) {
+		if err := journal.AppendRecord(rec); err != nil {
+			s.cfg.Logf("serve: %s: journal: %v", j.id, err)
+		}
+		settle(m, r)
+	}
 
 	runStart := time.Now()
 	var (
@@ -806,7 +818,7 @@ func (s *Service) runJob(j *job) {
 		m, rep, err = s.cfg.RunSweep(ctx, SweepRequest{
 			JobID: j.id, Kernels: j.res.kernels, Space: j.res.space,
 			Engine: j.res.engine, Seed: j.spec.Seed, Noise: j.spec.Noise,
-			Prior: journal.Prior(), OnRow: opts.OnRow, Trace: j.trace,
+			Prior: journal.Prior(), OnRow: onRecord, Trace: j.trace,
 		})
 	} else {
 		m, rep, err = sweep.Resume(ctx, j.res.kernels, j.res.space, opts, journal.Prior())

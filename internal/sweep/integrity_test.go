@@ -213,3 +213,77 @@ func TestRowDigestSensitivity(t *testing.T) {
 		t.Fatal("digest unchanged after tampering with a cell")
 	}
 }
+
+// TestAppendRecordMatchesAppendRow: a row rendered once with EncodeRow
+// and appended with AppendRecord writes exactly the bytes AppendRow
+// writes, and its RecordDigest is the row's RowDigest — the identity
+// that lets a fleet process render a row once and hand the same
+// record to its journal and its attestation. AppendRecord refuses an
+// empty record and one rendered for another space, leaving the file
+// untouched, and an incomplete row has no record at all.
+func TestAppendRecordMatchesAppendRow(t *testing.T) {
+	space := tinySpace(t)
+	m, rep, err := RunContext(context.Background(), testKernels(), space, journalOpts())
+	if err != nil || !rep.Complete() {
+		t.Fatalf("clean sweep: %v %s", err, rep.Summary())
+	}
+	dir := t.TempDir()
+	viaRow, err := OpenJournal(filepath.Join(dir, "row.journal"), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viaRow.Close()
+	viaRecord, err := OpenJournal(filepath.Join(dir, "record.journal"), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viaRecord.Close()
+	for r := range m.Kernels {
+		if err := viaRow.AppendRow(m, r); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := EncodeRow(m, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := viaRecord.AppendRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+		want, err := RowDigest(m, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := RecordDigest(rec); got != want {
+			t.Fatalf("row %d: RecordDigest %s, RowDigest %s", r, got, want)
+		}
+	}
+	a, err := os.ReadFile(filepath.Join(dir, "row.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "record.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("AppendRecord wrote different bytes than AppendRow")
+	}
+
+	if err := viaRecord.AppendRecord(RowRecord{}); err == nil {
+		t.Fatal("an empty record was journaled")
+	}
+	short, err := EncodePlanes("short", m.Throughput[0][:2], m.TimeNS[0][:2], m.Bound[0][:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := viaRecord.AppendRecord(short); err == nil {
+		t.Fatal("a record rendered for another space was journaled")
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, "record.journal")); err != nil || !bytes.Equal(after, b) {
+		t.Fatalf("refused records changed the journal (%v)", err)
+	}
+	m.Status[1][0] = StatusFailed
+	if _, err := EncodeRow(m, 1); err == nil {
+		t.Fatal("an incomplete row rendered a record")
+	}
+}

@@ -60,7 +60,7 @@ type journalRecord struct {
 	Kernel string        `json:"kernel,omitempty"`
 	Tput   []float64     `json:"tput,omitempty"`
 	TimeNS []float64     `json:"time_ns,omitempty"`
-	Bound  []int         `json:"bound,omitempty"`
+	Bound  []gcn.Bound   `json:"bound,omitempty"`
 }
 
 // journalSpace pins the configuration grid a journal was written for.
@@ -330,15 +330,10 @@ func scanJournal(data []byte, space hw.Space) (m *Matrix, good int64, reason str
 			m.Bound = append(m.Bound, nil)
 			m.Status = append(m.Status, nil)
 		}
-		bounds := make([]gcn.Bound, nCfg)
-		status := make([]CellStatus, nCfg) // all StatusOK
-		for i, b := range rec.Bound {
-			bounds[i] = gcn.Bound(b)
-		}
 		m.Throughput[ri] = rec.Tput
 		m.TimeNS[ri] = rec.TimeNS
-		m.Bound[ri] = bounds
-		m.Status[ri] = status
+		m.Bound[ri] = rec.Bound
+		m.Status[ri] = make([]CellStatus, nCfg) // all StatusOK
 		off = next
 	}
 	if !sawSpace {
@@ -421,7 +416,7 @@ func validateRowRecord(rec journalRecord, nCfg int) string {
 		if !(rec.TimeNS[i] > 0) || math.IsInf(rec.TimeNS[i], 0) {
 			return fmt.Sprintf("row record for %q has out-of-range time", rec.Kernel)
 		}
-		if rec.Bound[i] < int(gcn.BoundCompute) || rec.Bound[i] > int(gcn.BoundLaunch) {
+		if rec.Bound[i] < gcn.BoundCompute || rec.Bound[i] > gcn.BoundLaunch {
 			return fmt.Sprintf("row record for %q has unknown bound", rec.Kernel)
 		}
 	}
@@ -435,7 +430,14 @@ func frameRecord(rec journalRecord) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: encoding journal record: %w", err)
 	}
-	return []byte(fmt.Sprintf("%08x %d %s\n", crc32.ChecksumIEEE(payload), len(payload), payload)), nil
+	return framePayload(payload), nil
+}
+
+// framePayload wraps a record payload in its CRC frame.
+func framePayload(payload []byte) []byte {
+	b := fmt.Appendf(make([]byte, 0, len(payload)+20), "%08x %d ", crc32.ChecksumIEEE(payload), len(payload))
+	b = append(b, payload...)
+	return append(b, '\n')
 }
 
 // writeAt appends b at offset off through the (possibly wrapped)
@@ -624,52 +626,87 @@ func salvageV1CSV(data []byte, space hw.Space) (*Matrix, int64, int) {
 
 // rowRecord frames row r of m as a v2 row record.
 func rowRecord(m *Matrix, r int) ([]byte, error) {
-	nCfg := m.Space.Size()
-	bounds := make([]int, nCfg)
-	for c := 0; c < nCfg; c++ {
-		bounds[c] = int(m.Bound[r][c])
+	rec, err := EncodeRow(m, r)
+	if err != nil {
+		return nil, err
 	}
-	return frameRecord(journalRecord{
-		Kernel: m.Kernels[r],
-		Tput:   m.Throughput[r],
-		TimeNS: m.TimeNS[r],
-		Bound:  bounds,
-	})
+	return framePayload(rec.payload), nil
 }
 
-// RowPlanesDigest hashes one row's measurement planes in their
-// journal wire form: FNV-64a over the JSON payload of the v2 row
-// record those planes would frame as. Because the digest covers
-// exactly the bytes a journal append writes (modulo the CRC frame,
-// which the CRC already guards), "the digest matches" and "the
-// journaled bytes match" are the same statement — which is what lets
-// a coordinator attest a row it received over the wire and a merge
-// verify the row a worker journaled, without either re-running the
-// engine. Honest re-executions of a row are bit-identical (seeded
-// noise), so equal digests mean equal rows, and the hash itself rides
-// the marshaling the append path already pays.
-func RowPlanesDigest(kernelName string, tput, timeNS []float64, bound []int) (string, error) {
+// RowRecord is one complete kernel row's v2 journal record payload:
+// the bytes a journal frames and fsyncs, and the bytes a row digest
+// hashes. Only EncodeRow and EncodePlanes produce one, so a journal
+// append can carry nothing but a rendered row. A process renders each
+// row once and hands the same record to every journal and digest that
+// needs it.
+type RowRecord struct {
+	kernel  string
+	cells   int
+	payload []byte
+}
+
+// EncodeRow renders row r of m as its v2 record payload. The row must
+// be complete (all StatusOK) — the only kind of row a journal holds.
+func EncodeRow(m *Matrix, r int) (RowRecord, error) {
+	if !m.RowComplete(r) {
+		return RowRecord{}, fmt.Errorf("sweep: incomplete row %s has no journal record", m.Kernels[r])
+	}
+	return EncodePlanes(m.Kernels[r], m.Throughput[r], m.TimeNS[r], m.Bound[r])
+}
+
+// EncodePlanes renders one complete row's measurement planes as the
+// v2 record payload EncodeRow would give the same row: the planes must
+// be equally long, one entry per configuration. Rendering is the JSON
+// encoding the journal has always written, so records — and the
+// digests over them — are byte-stable across versions.
+func EncodePlanes(kernelName string, tput, timeNS []float64, bound []gcn.Bound) (RowRecord, error) {
+	if len(timeNS) != len(tput) || len(bound) != len(tput) {
+		return RowRecord{}, fmt.Errorf("sweep: encoding %s: planes of unequal length", kernelName)
+	}
 	payload, err := json.Marshal(journalRecord{Kernel: kernelName, Tput: tput, TimeNS: timeNS, Bound: bound})
 	if err != nil {
-		return "", fmt.Errorf("sweep: encoding row for digest: %w", err)
+		return RowRecord{}, fmt.Errorf("sweep: encoding journal record: %w", err)
 	}
-	h := fnv.New64a()
-	h.Write(payload)
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return RowRecord{kernel: kernelName, cells: len(tput), payload: payload}, nil
 }
 
-// RowDigest is RowPlanesDigest over row r of m. The row must be
-// complete (all StatusOK) — the only kind of row a journal holds.
+// RecordDigest hashes a row record: FNV-64a over its payload, as 16
+// hex digits. Because the digest covers exactly the bytes a journal
+// append writes (modulo the CRC frame, which the CRC already guards),
+// "the digest matches" and "the journaled bytes match" are the same
+// statement — which is what lets a coordinator attest a row it
+// received over the wire and a merge verify the row a worker
+// journaled, without either re-running the engine. Honest
+// re-executions of a row are bit-identical (seeded noise), so equal
+// digests mean equal rows.
+func RecordDigest(rec RowRecord) string {
+	h := fnv.New64a()
+	h.Write(rec.payload)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// RowPlanesDigest is RecordDigest over the record the given planes
+// render as.
+func RowPlanesDigest(kernelName string, tput, timeNS []float64, bound []int) (string, error) {
+	bounds := make([]gcn.Bound, len(bound))
+	for c, b := range bound {
+		bounds[c] = gcn.Bound(b)
+	}
+	rec, err := EncodePlanes(kernelName, tput, timeNS, bounds)
+	if err != nil {
+		return "", err
+	}
+	return RecordDigest(rec), nil
+}
+
+// RowDigest is RecordDigest over row r of m. The row must be complete
+// (all StatusOK) — the only kind of row a journal holds.
 func RowDigest(m *Matrix, r int) (string, error) {
-	if !m.RowComplete(r) {
-		return "", fmt.Errorf("sweep: digest of incomplete row %s", m.Kernels[r])
+	rec, err := EncodeRow(m, r)
+	if err != nil {
+		return "", err
 	}
-	nCfg := m.Space.Size()
-	bounds := make([]int, nCfg)
-	for c := 0; c < nCfg; c++ {
-		bounds[c] = int(m.Bound[r][c])
-	}
-	return RowPlanesDigest(m.Kernels[r], m.Throughput[r], m.TimeNS[r], bounds)
+	return RecordDigest(rec), nil
 }
 
 // Prior returns the matrix recovered from an existing journal file,
@@ -692,14 +729,27 @@ func (j *Journal) AppendRow(m *Matrix, r int) error {
 	if !m.RowComplete(r) {
 		return nil
 	}
-	framed, err := rowRecord(m, r)
+	rec, err := EncodeRow(m, r)
 	if err != nil {
 		return err
 	}
+	return j.AppendRecord(rec)
+}
+
+// AppendRecord frames a rendered row record, appends it and fsyncs it
+// before returning; a failed or torn write is rolled back so the file
+// stays clean. The record must have been rendered for this journal's
+// configuration space. Safe for concurrent use.
+func (j *Journal) AppendRecord(rec RowRecord) error {
+	if rec.payload == nil || rec.cells != j.space.Size() {
+		return fmt.Errorf("sweep: journaling %s: record holds %d cells, the journal's space has %d",
+			rec.kernel, rec.cells, j.space.Size())
+	}
+	framed := framePayload(rec.payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.writeAt(j.good, framed); err != nil {
-		return fmt.Errorf("sweep: journaling %s: %w", m.Kernels[r], err)
+		return fmt.Errorf("sweep: journaling %s: %w", rec.kernel, err)
 	}
 	return nil
 }

@@ -447,7 +447,7 @@ func TestScanJournalRejectsForeignSpace(t *testing.T) {
 // TestJournalRecordFraming pins the v2 wire format: CRC over the JSON
 // payload, decimal length, one record per line.
 func TestJournalRecordFraming(t *testing.T) {
-	rec := journalRecord{Kernel: "k", Tput: []float64{1}, TimeNS: []float64{2}, Bound: []int{0}}
+	rec := journalRecord{Kernel: "k", Tput: []float64{1}, TimeNS: []float64{2}, Bound: []gcn.Bound{0}}
 	framed, err := frameRecord(rec)
 	if err != nil {
 		t.Fatal(err)
