@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
@@ -187,7 +188,7 @@ type Coordinator struct {
 	repl *replLog
 
 	mu        sync.Mutex
-	ledger    *ledger
+	ledger    *durable.Log
 	jobs      map[string]*jobState
 	recovered *ledgerRecovery
 	// term is this coordinator's reign, asserted in the ledger at
@@ -261,7 +262,7 @@ func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 	}
 	if c.term != rec.term {
 		if err := c.logAppend(LedgerRecord{Kind: "term", Worker: c.id, GrantedNS: c.now().UnixNano()}); err != nil {
-			led.close()
+			led.Close()
 			return nil, err
 		}
 	}
@@ -331,8 +332,8 @@ func (c *Coordinator) logAppend(rec LedgerRecord) error {
 	if err != nil {
 		return err
 	}
-	if err := c.ledger.appendFrame(framed); err != nil {
-		return err
+	if err := c.ledger.Append(framed); err != nil {
+		return fmt.Errorf("dist: appending ledger record: %w", err)
 	}
 	c.repl.publish(replMsg{Kind: "rec", Frame: framed})
 	return nil
@@ -629,7 +630,7 @@ func copyRow(to *sweep.Matrix, dst int, from *sweep.Matrix, src int) {
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := c.ledger.close()
+	err := c.ledger.Close()
 	for _, js := range c.jobs {
 		if cerr := js.journal.Close(); err == nil {
 			err = cerr
@@ -1382,14 +1383,10 @@ func (c *Coordinator) snapshot() (*haSnapshot, error) {
 	if c.deposed {
 		return nil, ErrDeposed
 	}
-	ledgerBytes, err := os.ReadFile(c.LedgerPath())
+	// Ship only what was acked, never a failed append's partial bytes.
+	ledgerBytes, err := c.ledger.Prefix()
 	if err != nil {
 		return nil, fmt.Errorf("dist: reading ledger for snapshot: %w", err)
-	}
-	// The file may extend past the clean prefix if a recent append
-	// failed mid-write; ship only what was acked.
-	if int64(len(ledgerBytes)) > c.ledger.good {
-		ledgerBytes = ledgerBytes[:c.ledger.good]
 	}
 	snap := &haSnapshot{ID: c.id, Term: c.term, Cursor: c.repl.latest(), Ledger: ledgerBytes}
 	var names []string

@@ -55,6 +55,7 @@ import (
 	"sync"
 	"time"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
@@ -398,7 +399,7 @@ type Standby struct {
 	now    func() time.Time
 
 	mu          sync.Mutex
-	led         *ledger
+	led         *durable.Log
 	term        uint64
 	cursor      int64
 	synced      bool
@@ -450,7 +451,7 @@ func NewStandby(dir string, o StandbyOptions) (*Standby, error) {
 	s.led = led
 	s.term = rec.term
 	if err := s.reloadJobs(); err != nil {
-		led.close()
+		led.Close()
 		return nil, err
 	}
 	s.lastContact = s.now()
@@ -514,29 +515,6 @@ func (s *Standby) registerJob(spec JobSpec) error {
 // specPath is where one replicated job spec is persisted.
 func (s *Standby) specPath(name string) string {
 	return filepath.Join(s.dir, sanitize(name)+".jobspec")
-}
-
-// persistFile writes b at path via temp + fsync + rename, the same
-// all-or-nothing discipline internal/serve uses for admissions.
-func persistFile(path string, b []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(b); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
 }
 
 // Run replicates until ctx ends or the standby promotes. It returns
@@ -619,12 +597,12 @@ func (s *Standby) applySnapshotLocked(snap haSnapshot) error {
 	if !bytes.HasPrefix(snap.Ledger, []byte(ledgerMagic)) {
 		return fmt.Errorf("dist: snapshot ledger is not a lease ledger")
 	}
-	s.led.close()
+	s.led.Close()
 	for _, sj := range s.jobs {
 		sj.journal.Close()
 	}
 	path := filepath.Join(s.dir, "lease.ledger")
-	if err := persistFile(path, snap.Ledger); err != nil {
+	if err := durable.WriteFile(path, durable.Bytes(snap.Ledger)); err != nil {
 		return fmt.Errorf("dist: persisting snapshot ledger: %w", err)
 	}
 	led, rec, err := openLedger(path)
@@ -635,7 +613,7 @@ func (s *Standby) applySnapshotLocked(snap haSnapshot) error {
 	s.term = rec.term
 	s.jobs = map[string]*standbyJob{}
 	for _, spec := range snap.Jobs {
-		if err := persistFile(s.specPath(spec.Name), mustJSON(spec)); err != nil {
+		if err := durable.WriteFile(s.specPath(spec.Name), durable.Bytes(mustJSON(spec))); err != nil {
 			return err
 		}
 		// Journals are rebuilt from the snapshot's rows, not the old
@@ -745,8 +723,8 @@ func (s *Standby) applyMsgLocked(m *replMsg) error {
 		if !ok {
 			return fmt.Errorf("dist: replicated ledger frame failed its checksum")
 		}
-		if err := s.led.appendFrame(m.Frame); err != nil {
-			return err
+		if err := s.led.Append(m.Frame); err != nil {
+			return fmt.Errorf("dist: appending ledger record: %w", err)
 		}
 		if rec.Kind == "term" && rec.Term > s.term {
 			s.term = rec.Term
@@ -756,7 +734,7 @@ func (s *Standby) applyMsgLocked(m *replMsg) error {
 		if m.Job == nil {
 			return fmt.Errorf("dist: job message without a spec")
 		}
-		if err := persistFile(s.specPath(m.Job.Name), mustJSON(*m.Job)); err != nil {
+		if err := durable.WriteFile(s.specPath(m.Job.Name), durable.Bytes(mustJSON(*m.Job))); err != nil {
 			return err
 		}
 		return s.registerJob(*m.Job)
@@ -806,7 +784,7 @@ func (s *Standby) persistServeSpecLocked(sp serveSpec) error {
 		return err
 	}
 	s.specs[sp.ID] = append([]byte(nil), sp.Bytes...)
-	return persistFile(filepath.Join(dir, sanitize(sp.ID)+".json"), sp.Bytes)
+	return durable.WriteFile(filepath.Join(dir, sanitize(sp.ID)+".json"), durable.Bytes(sp.Bytes))
 }
 
 // Status reports this standby's probe view.
@@ -852,7 +830,7 @@ func (s *Standby) Promote() (*Coordinator, error) {
 	if s.promoted != nil {
 		return s.promoted, nil
 	}
-	s.led.close()
+	s.led.Close()
 	for _, sj := range s.jobs {
 		sj.journal.Close()
 	}
@@ -899,7 +877,7 @@ func (s *Standby) Close() error {
 	if s.promoted != nil {
 		return nil
 	}
-	err := s.led.close()
+	err := s.led.Close()
 	for _, sj := range s.jobs {
 		if cerr := sj.journal.Close(); err == nil {
 			err = cerr

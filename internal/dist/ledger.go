@@ -2,7 +2,7 @@ package dist
 
 // The lease ledger: the coordinator's crash-only record of every
 // grant and complete, in the same CRC-framed, fsync-before-ack,
-// torn-tail-salvaging format as sweep's journal v2:
+// torn-tail-salvaging internal/durable log as sweep's journal v2:
 //
 //	gpuscale-lease v1\n
 //	<crc32:8-hex> <len:decimal> <json-payload>\n
@@ -23,14 +23,12 @@ package dist
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sort"
-	"strconv"
 
-	"encoding/json"
+	"gpuscale/internal/durable"
 )
 
 // ledgerMagic is the version header.
@@ -82,13 +80,6 @@ type LedgerRecord struct {
 	Verified bool `json:"verified,omitempty"`
 }
 
-// ledger is the append side. Not safe for concurrent use; the
-// coordinator serializes access under its own mutex.
-type ledger struct {
-	f    *os.File
-	good int64
-}
-
 // ledgerRecovery is what replay yields: the last grant per row, each
 // row's verification state, and the fleet-wide strike/quarantine
 // state — everything a restarted coordinator needs to resume the
@@ -104,8 +95,6 @@ type ledgerRecovery struct {
 	// term is the highest coordinator term asserted in the ledger; 0
 	// when the ledger predates the HA plane.
 	term uint64
-	// Dropped is the salvage report: bytes of torn tail cut off.
-	dropped int64
 }
 
 // rowRecovery is one row's replayed integrity state.
@@ -144,41 +133,20 @@ func (rec *ledgerRecovery) row(k rowKey) *rowRecovery {
 
 // openLedger opens or creates the ledger at path, replaying existing
 // records and truncating any torn tail (a crash mid-append costs at
-// most the record being written — which was never acked).
-func openLedger(path string) (*ledger, *ledgerRecovery, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// most the record being written — which was never acked). A ledger
+// torn during creation starts afresh: nothing in it was ever acked.
+func openLedger(path string) (*durable.Log, *ledgerRecovery, error) {
+	l, data, _, err := durable.OpenLog(path, ledgerMagic, []byte(ledgerMagic), nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: opening lease ledger: %w", err)
 	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("dist: reading lease ledger: %w", err)
-	}
-	l := &ledger{f: f}
 	rec := &ledgerRecovery{grants: map[rowKey]LedgerRecord{}, rows: map[rowKey]*rowRecovery{},
 		strikes: map[string]int{}, quarantined: map[string]bool{}}
-	if len(data) == 0 {
-		if err := l.writeAt(0, []byte(ledgerMagic)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("dist: initializing lease ledger: %w", err)
-		}
+	if data == nil {
 		return l, rec, nil
 	}
 	if !bytes.HasPrefix(data, []byte(ledgerMagic)) {
-		if len(data) < len(ledgerMagic) && bytes.HasPrefix([]byte(ledgerMagic), data) {
-			// Torn during creation: nothing was ever acked.
-			if err := f.Truncate(0); err != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("dist: resetting torn ledger header: %w", err)
-			}
-			if err := l.writeAt(0, []byte(ledgerMagic)); err != nil {
-				f.Close()
-				return nil, nil, err
-			}
-			return l, rec, nil
-		}
-		f.Close()
+		l.Close()
 		return nil, nil, fmt.Errorf("dist: %s is not a lease ledger (delete it to start over)", path)
 	}
 	records, good := scanLedger(data)
@@ -216,20 +184,10 @@ func openLedger(path string) (*ledger, *ledgerRecovery, error) {
 		}
 	}
 	if good < int64(len(data)) {
-		rec.dropped = int64(len(data)) - good
-		if err := f.Truncate(good); err != nil {
-			f.Close()
+		if err := l.Cut(good); err != nil {
+			l.Close()
 			return nil, nil, fmt.Errorf("dist: truncating torn ledger tail: %w", err)
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("dist: truncating torn ledger tail: %w", err)
-		}
-	}
-	l.good = good
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("dist: seeking ledger: %w", err)
 	}
 	return l, rec, nil
 }
@@ -253,39 +211,11 @@ func scanLedger(data []byte) ([]LedgerRecord, int64) {
 // parseLedgerRecord decodes one framed record at off; ok is false on
 // any framing, checksum or parse failure.
 func parseLedgerRecord(data []byte, off int64) (rec LedgerRecord, next int64, ok bool) {
-	rest := data[off:]
-	sp1 := bytes.IndexByte(rest, ' ')
-	if sp1 != 8 {
+	payload, next, reason := durable.Parse(data, off)
+	if reason != "" || json.Unmarshal(payload, &rec) != nil {
 		return rec, 0, false
 	}
-	crcWant, err := strconv.ParseUint(string(rest[:8]), 16, 32)
-	if err != nil {
-		return rec, 0, false
-	}
-	rest2 := rest[9:]
-	sp2 := bytes.IndexByte(rest2, ' ')
-	if sp2 <= 0 || sp2 > 10 {
-		return rec, 0, false
-	}
-	plen, err := strconv.ParseInt(string(rest2[:sp2]), 10, 32)
-	if err != nil || plen <= 0 {
-		return rec, 0, false
-	}
-	start := int64(9 + sp2 + 1)
-	if start+plen+1 > int64(len(rest)) {
-		return rec, 0, false
-	}
-	payload := rest[start : start+plen]
-	if rest[start+plen] != '\n' {
-		return rec, 0, false
-	}
-	if crc32.ChecksumIEEE(payload) != uint32(crcWant) {
-		return rec, 0, false
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, 0, false
-	}
-	return rec, off + start + plen + 1, true
+	return rec, next, true
 }
 
 // frameRecord renders one record in the ledger's CRC wire framing.
@@ -297,52 +227,8 @@ func frameRecord(rec LedgerRecord) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: encoding ledger record: %w", err)
 	}
-	return []byte(fmt.Sprintf("%08x %d %s\n", crc32.ChecksumIEEE(payload), len(payload), payload)), nil
+	return durable.Frame(payload), nil
 }
-
-// append frames, writes and fsyncs one record; on any failure the
-// file is truncated back to the clean prefix so the ledger never
-// accumulates garbage in-process.
-func (l *ledger) append(rec LedgerRecord) error {
-	framed, err := frameRecord(rec)
-	if err != nil {
-		return err
-	}
-	return l.appendFrame(framed)
-}
-
-// appendFrame writes and fsyncs an already-framed record — the
-// replication receive path, where the standby appends the primary's
-// exact bytes.
-func (l *ledger) appendFrame(framed []byte) error {
-	if err := l.writeAt(l.good, framed); err != nil {
-		return fmt.Errorf("dist: appending ledger record: %w", err)
-	}
-	return nil
-}
-
-func (l *ledger) writeAt(off int64, b []byte) error {
-	if _, err := l.f.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	n, err := l.f.Write(b)
-	if err == nil && n != len(b) {
-		err = io.ErrShortWrite
-	}
-	if err == nil {
-		err = l.f.Sync()
-	}
-	if err != nil {
-		l.f.Truncate(off)
-		l.f.Sync()
-		l.f.Seek(off, io.SeekStart)
-		return err
-	}
-	l.good = off + int64(len(b))
-	return nil
-}
-
-func (l *ledger) close() error { return l.f.Close() }
 
 // ReadLedger reads every clean record from a ledger file — the audit
 // surface chaos tests and operators use.

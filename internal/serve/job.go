@@ -25,8 +25,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"gpuscale/internal/hw"
@@ -179,42 +177,12 @@ type jobFile struct {
 // transitions are persisted — queued/running are implicit in the
 // absence of this file, which is what makes the store crash-only: a
 // kill at any instant leaves either "recoverable" or "terminal",
-// never a half-written in-between (writes are temp+fsync+rename).
+// never a half-written in-between (writes are atomic replacements).
 type stateFile struct {
 	State    State   `json:"state"`
 	Reason   string  `json:"reason,omitempty"`
 	Summary  string  `json:"summary,omitempty"`
 	Coverage float64 `json:"coverage"`
-}
-
-// writeAtomic persists b at path via temp file + fsync + rename, the
-// same crash discipline the journal's v1 migration uses.
-func writeAtomic(path string, b []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
 
 // JobStatus is the client-visible view of one job.

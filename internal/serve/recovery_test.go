@@ -9,10 +9,12 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -139,10 +141,28 @@ func TestRecoverJobInterruptedMidSweep(t *testing.T) {
 	if gotMid.State.Terminal() {
 		t.Fatalf("interrupted job settled terminally: %+v", gotMid)
 	}
+	// A crash mid-append leaves a torn frame after the journaled rows;
+	// the restart must salvage past it and say so in its log.
+	torn := []byte("0badf00d 4096 {\"kernel\":\"torn")
+	jf, err := os.OpenFile(s1.journalPath(st.ID), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jf.Write(torn); err != nil {
+		t.Fatal(err)
+	}
+	jf.Close()
 
+	var logMu sync.Mutex
+	var logs []string
 	second := cfg
 	second.Dir = dir
 	second.Runners = 1
+	second.Logf = func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
 	s2, err := New(second)
 	if err != nil {
 		t.Fatal(err)
@@ -162,6 +182,21 @@ func TestRecoverJobInterruptedMidSweep(t *testing.T) {
 	}
 	if !bytes.Equal(jobMatrix(t, s2, st.ID), want) {
 		t.Fatal("resumed matrix differs from uninterrupted run")
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	salvaged := 0
+	for _, l := range logs {
+		if strings.Contains(l, "salvaged") {
+			salvaged++
+			wantLine := fmt.Sprintf("%s: journal salvaged: dropped %d bytes (torn record at byte", st.ID, len(torn))
+			if !strings.Contains(l, wantLine) {
+				t.Fatalf("salvage log line %q does not contain %q", l, wantLine)
+			}
+		}
+	}
+	if salvaged != 1 {
+		t.Fatalf("%d salvage log lines, want 1; log:\n%s", salvaged, strings.Join(logs, "\n"))
 	}
 }
 

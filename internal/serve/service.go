@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/fault"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
@@ -471,7 +472,7 @@ func (s *Service) SubmitTraced(client string, spec JobSpec, caller obs.SpanConte
 	b, err := json.MarshalIndent(jobFile{ID: id, Client: client, Spec: spec,
 		Trace: sc.Traceparent(), Parent: parent}, "", "  ")
 	if err == nil {
-		err = writeAtomic(s.jobPath(id), b)
+		err = durable.WriteFile(s.jobPath(id), durable.Bytes(b))
 	}
 	if err != nil {
 		s.nextID-- // the slot was never used
@@ -649,7 +650,7 @@ func (s *Service) persistTerminal(id string, m *sweep.Matrix, sf stateFile) erro
 	if err != nil {
 		return err
 	}
-	return writeAtomic(s.statePath(id), b)
+	return durable.WriteFile(s.statePath(id), durable.Bytes(b))
 }
 
 // finish settles a job terminally: persistence first, the in-memory
@@ -748,6 +749,9 @@ func (s *Service) runJob(j *job) {
 		return
 	}
 	defer journal.Close()
+	if rep := journal.Salvage(); rep != nil && rep.DroppedBytes > 0 {
+		s.cfg.Logf("serve: %s: journal salvaged: dropped %d bytes (%s)", j.id, rep.DroppedBytes, rep.Reason)
+	}
 
 	opts := sweep.Options{
 		Workers:     s.cfg.SweepWorkers,

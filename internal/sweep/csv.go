@@ -6,10 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 )
@@ -89,41 +88,15 @@ func configSpellings(space hw.Space) []string {
 	return out
 }
 
-// WriteCSVFile archives the matrix at path atomically: the CSV is
-// written to a temp file in the same directory, fsynced, and renamed
-// into place, so a crash mid-write can never leave a torn archive —
-// readers see either the old file or the complete new one.
+// WriteCSVFile archives the matrix at path atomically, streaming the
+// CSV into the replacement file, so a crash mid-write can never leave
+// a torn archive — readers see either the old file or the complete
+// new one.
 func (m *Matrix) WriteCSVFile(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := durable.WriteFile(path, m.WriteCSV); err != nil {
 		return fmt.Errorf("sweep: archiving %s: %w", path, err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := m.WriteCSV(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sweep: archiving %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("sweep: archiving %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("sweep: archiving %s: %w", path, err)
-	}
-	syncDir(filepath.Dir(path))
 	return nil
-}
-
-// syncDir fsyncs a directory so a rename within it survives a crash.
-// Best-effort: some filesystems reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // ReadCSV loads a matrix written by WriteCSV. The configuration space

@@ -19,13 +19,13 @@ package sweep
 // completed kernel row. Recovery scans records in order and truncates
 // the file at the first framing, checksum, parse, or validation
 // failure instead of erroring — a torn tail costs at most the row
-// that was being written. Appends are fsynced and self-healing: a
-// failed write truncates back to the last known-good offset so the
-// in-process journal never accumulates garbage.
+// that was being written. The frame, the fsynced self-healing append
+// and the atomic rewrite are internal/durable's; this file owns the
+// payloads and what recovery makes of them.
 //
 // v1 CSV journals (and completed WriteCSV archives) are still
 // accepted: complete all-OK rows are salvaged and the file is
-// migrated to v2 atomically (temp file + fsync + rename).
+// migrated to v2 atomically.
 
 import (
 	"bytes"
@@ -33,15 +33,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
-	"strconv"
 	"sync"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 )
@@ -123,14 +120,11 @@ type JournalOptions struct {
 // corrupt tail — so a Resume only recomputes what is missing.
 type Journal struct {
 	space   hw.Space
-	path    string
 	prior   *Matrix
 	salvage *SalvageReport
 
-	mu   sync.Mutex
-	f    *os.File
-	w    io.Writer // f, possibly wrapped for fault injection
-	good int64     // clean prefix length; appends truncate back here on error
+	mu  sync.Mutex
+	log *durable.Log
 }
 
 // OpenJournal opens or creates a sweep journal at path. An existing
@@ -148,53 +142,34 @@ func OpenJournalWith(path string, space hw.Space, opts JournalOptions) (*Journal
 	if space.Size() == 0 {
 		return nil, fmt.Errorf("sweep: journal %s: empty configuration space", path)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	header, err := journalHeader(space)
+	if err != nil {
+		return nil, err
+	}
+	log, data, torn, err := durable.OpenLog(path, journalMagic, header, opts.WrapWriter)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: opening journal: %w", err)
 	}
-	j := &Journal{space: space, path: path, f: f, w: io.Writer(f)}
-	if opts.WrapWriter != nil {
-		j.w = opts.WrapWriter(f)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sweep: reading journal: %w", err)
-	}
+	j := &Journal{space: space, log: log}
 	switch {
-	case len(data) == 0:
-		if err := j.writeHeader(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	case isTornMagic(data):
-		// Crash during the very first header write: nothing of value
-		// was ever in the file.
-		if err := j.reset(int64(len(data)), "torn journal header"); err != nil {
-			f.Close()
-			return nil, err
+	case data == nil:
+		if torn > 0 {
+			// Crash during the very first header write: nothing of
+			// value was ever in the file.
+			j.salvage = &SalvageReport{DroppedBytes: torn, DroppedRecords: 1, Reason: "torn journal header"}
 		}
 	case bytes.HasPrefix(data, []byte(journalMagic)):
-		if err := j.recoverV2(data); err != nil {
-			f.Close()
-			return nil, err
-		}
+		err = j.recoverV2(data)
 	case looksLikeSweepCSV(data):
-		if err := j.migrateV1(data); err != nil {
-			f.Close()
-			return nil, err
-		}
+		err = j.migrateV1(data)
 	default:
-		f.Close()
-		return nil, fmt.Errorf("sweep: journal %s is neither a v2 journal nor a sweep CSV (delete it to start over)", path)
+		err = fmt.Errorf("sweep: journal %s is neither a v2 journal nor a sweep CSV (delete it to start over)", path)
+	}
+	if err != nil {
+		log.Close()
+		return nil, err
 	}
 	return j, nil
-}
-
-// isTornMagic reports whether data is a proper prefix of the magic
-// header — the signature of a crash during journal creation.
-func isTornMagic(data []byte) bool {
-	return len(data) < len(journalMagic) && bytes.HasPrefix([]byte(journalMagic), data)
 }
 
 // looksLikeSweepCSV sniffs a v1 journal / WriteCSV archive by its
@@ -203,69 +178,41 @@ func looksLikeSweepCSV(data []byte) bool {
 	return bytes.HasPrefix(data, []byte("kernel,"))
 }
 
-// writeHeader initializes a fresh journal: magic line plus the space
-// record, in one write, fsynced.
-func (j *Journal) writeHeader() error {
-	rec := journalRecord{Space: &journalSpace{
-		CUs:  j.space.CUCounts,
-		Core: j.space.CoreClocksMHz,
-		Mem:  j.space.MemClocksMHz,
-	}}
-	framed, err := frameRecord(rec)
+// journalHeader is a fresh journal's first write: the magic line
+// plus the record pinning its configuration space.
+func journalHeader(space hw.Space) ([]byte, error) {
+	framed, err := frameRecord(journalRecord{Space: &journalSpace{
+		CUs:  space.CUCounts,
+		Core: space.CoreClocksMHz,
+		Mem:  space.MemClocksMHz,
+	}})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	header := append([]byte(journalMagic), framed...)
-	if err := j.writeAt(j.good, header); err != nil {
-		return fmt.Errorf("sweep: writing journal header: %w", err)
-	}
-	return nil
-}
-
-// reset truncates the file to empty and writes a fresh header,
-// recording what was dropped.
-func (j *Journal) reset(droppedBytes int64, reason string) error {
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("sweep: resetting journal: %w", err)
-	}
-	j.good = 0
-	if err := j.writeHeader(); err != nil {
-		return err
-	}
-	if droppedBytes > 0 {
-		j.salvage = &SalvageReport{DroppedBytes: droppedBytes, DroppedRecords: 1, Reason: reason}
-	}
-	return nil
+	return append([]byte(journalMagic), framed...), nil
 }
 
 // recoverV2 scans an existing v2 file, truncating at the first bad
 // record. A clean file costs one pass and no writes.
 func (j *Journal) recoverV2(data []byte) error {
 	prior, good, reason, err := scanJournal(data, j.space)
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
-	}
-	if good == 0 {
+	case good == 0:
 		// Header or space record was torn/corrupt — start over.
-		return j.reset(int64(len(data)), reason)
-	}
-	if good < int64(len(data)) {
-		dropped := data[good:]
-		if err := j.f.Truncate(good); err != nil {
-			return fmt.Errorf("sweep: truncating corrupt journal tail: %w", err)
-		}
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("sweep: truncating corrupt journal tail: %w", err)
-		}
+		err = j.log.Reset()
+		j.salvage = &SalvageReport{DroppedBytes: int64(len(data)), DroppedRecords: 1, Reason: reason}
+	case good < int64(len(data)):
+		err = j.log.Cut(good)
 		j.salvage = &SalvageReport{
-			DroppedBytes:   int64(len(dropped)),
-			DroppedRecords: countRecords(dropped),
+			DroppedBytes:   int64(len(data)) - good,
+			DroppedRecords: countRecords(data[good:]),
 			Reason:         reason,
 		}
 	}
-	j.good = good
-	if _, err := j.f.Seek(good, io.SeekStart); err != nil {
-		return fmt.Errorf("sweep: seeking journal: %w", err)
+	if err != nil {
+		return fmt.Errorf("sweep: salvaging journal: %w", err)
 	}
 	j.prior = prior
 	return nil
@@ -357,35 +304,9 @@ func journalGood(sawSpace bool, off int64) int64 {
 // the record, the offset just past its trailing newline, and a
 // non-empty reason on any framing/checksum/parse failure.
 func parseRecord(data []byte, off int64) (rec journalRecord, next int64, reason string) {
-	rest := data[off:]
-	// Framing: 8 hex digits, space, decimal length, space.
-	sp1 := bytes.IndexByte(rest, ' ')
-	if sp1 != 8 {
-		return rec, 0, "bad record framing"
-	}
-	crcWant, err := strconv.ParseUint(string(rest[:8]), 16, 32)
-	if err != nil {
-		return rec, 0, "bad record checksum field"
-	}
-	rest2 := rest[9:]
-	sp2 := bytes.IndexByte(rest2, ' ')
-	if sp2 <= 0 || sp2 > 10 {
-		return rec, 0, "bad record framing"
-	}
-	plen, err := strconv.ParseInt(string(rest2[:sp2]), 10, 32)
-	if err != nil || plen <= 0 {
-		return rec, 0, "bad record length field"
-	}
-	payloadStart := int64(9 + sp2 + 1)
-	if payloadStart+plen+1 > int64(len(rest)) {
-		return rec, 0, "torn record"
-	}
-	payload := rest[payloadStart : payloadStart+plen]
-	if rest[payloadStart+plen] != '\n' {
-		return rec, 0, "bad record framing"
-	}
-	if crc32.ChecksumIEEE(payload) != uint32(crcWant) {
-		return rec, 0, "record checksum mismatch"
+	payload, next, reason := durable.Parse(data, off)
+	if reason != "" {
+		return rec, 0, reason
 	}
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
@@ -395,7 +316,7 @@ func parseRecord(data []byte, off int64) (rec journalRecord, next int64, reason 
 	if dec.More() {
 		return rec, 0, "trailing data in record payload"
 	}
-	return rec, off + payloadStart + plen + 1, ""
+	return rec, next, ""
 }
 
 // validateRowRecord applies the same hygiene as the CSV loader:
@@ -423,47 +344,13 @@ func validateRowRecord(rec journalRecord, nCfg int) string {
 	return ""
 }
 
-// frameRecord renders a record in wire format:
-// "<crc32:8hex> <len> <payload>\n".
+// frameRecord renders a record in its durable frame.
 func frameRecord(rec journalRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: encoding journal record: %w", err)
 	}
-	return framePayload(payload), nil
-}
-
-// framePayload wraps a record payload in its CRC frame.
-func framePayload(payload []byte) []byte {
-	b := fmt.Appendf(make([]byte, 0, len(payload)+20), "%08x %d ", crc32.ChecksumIEEE(payload), len(payload))
-	b = append(b, payload...)
-	return append(b, '\n')
-}
-
-// writeAt appends b at offset off through the (possibly wrapped)
-// writer, fsyncs, and advances the clean-prefix marker. On any
-// failure — including a short (torn) write — the file is truncated
-// back to the clean prefix so the journal self-heals in process.
-func (j *Journal) writeAt(off int64, b []byte) error {
-	if _, err := j.f.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	n, err := j.w.Write(b)
-	if err == nil && n != len(b) {
-		err = io.ErrShortWrite
-	}
-	if err == nil {
-		err = j.f.Sync()
-	}
-	if err != nil {
-		// Cut whatever partial bytes landed; keep the journal clean.
-		j.f.Truncate(off)
-		j.f.Sync()
-		j.f.Seek(off, io.SeekStart)
-		return err
-	}
-	j.good = off + int64(len(b))
-	return nil
+	return durable.Frame(payload), nil
 }
 
 // migrateV1 salvages a v1 CSV journal (or a completed WriteCSV
@@ -472,60 +359,17 @@ func (j *Journal) writeAt(off int64, b []byte) error {
 // ever wrote — and a torn CSV tail is dropped rather than fatal.
 func (j *Journal) migrateV1(data []byte) error {
 	prior, droppedBytes, droppedRecords := salvageV1CSV(data, j.space)
-	var buf bytes.Buffer
-	buf.WriteString(journalMagic)
-	framed, err := frameRecord(journalRecord{Space: &journalSpace{
-		CUs:  j.space.CUCounts,
-		Core: j.space.CoreClocksMHz,
-		Mem:  j.space.MemClocksMHz,
-	}})
+	image, err := journalHeader(j.space)
+	if prior != nil {
+		image, err = canonicalJournalBytes(prior, prior.Kernels)
+	}
 	if err != nil {
 		return err
 	}
-	buf.Write(framed)
-	if prior != nil {
-		for r := range prior.Kernels {
-			framed, err := rowRecord(prior, r)
-			if err != nil {
-				return err
-			}
-			buf.Write(framed)
-		}
-	}
-	// Atomic replace: a crash mid-migration leaves the old v1 file,
-	// which simply migrates again next open.
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), filepath.Base(j.path)+".v2*")
-	if err != nil {
+	// A crash mid-migration leaves the old v1 file, which simply
+	// migrates again next open.
+	if err := j.log.Replace(image); err != nil {
 		return fmt.Errorf("sweep: migrating v1 journal: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sweep: migrating v1 journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sweep: migrating v1 journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sweep: migrating v1 journal: %w", err)
-	}
-	syncDir(filepath.Dir(j.path))
-	// The old handle points at the unlinked v1 file; reopen the v2 one.
-	old := j.f
-	f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
-	tmp.Close()
-	if err != nil {
-		return fmt.Errorf("sweep: reopening migrated journal: %w", err)
-	}
-	old.Close()
-	j.f = f
-	j.w = io.Writer(f)
-	j.good = int64(buf.Len())
-	if _, err := f.Seek(j.good, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("sweep: seeking migrated journal: %w", err)
 	}
 	j.prior = prior
 	j.salvage = &SalvageReport{
@@ -630,7 +474,7 @@ func rowRecord(m *Matrix, r int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return framePayload(rec.payload), nil
+	return durable.Frame(rec.payload), nil
 }
 
 // RowRecord is one complete kernel row's v2 journal record payload:
@@ -745,10 +589,10 @@ func (j *Journal) AppendRecord(rec RowRecord) error {
 		return fmt.Errorf("sweep: journaling %s: record holds %d cells, the journal's space has %d",
 			rec.kernel, rec.cells, j.space.Size())
 	}
-	framed := framePayload(rec.payload)
+	framed := durable.Frame(rec.payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.writeAt(j.good, framed); err != nil {
+	if err := j.log.Append(framed); err != nil {
 		return fmt.Errorf("sweep: journaling %s: %w", rec.kernel, err)
 	}
 	return nil
@@ -758,24 +602,20 @@ func (j *Journal) AppendRecord(rec RowRecord) error {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.log.Close()
 }
 
 // ErrJournalIncomplete is returned by VerifyComplete when the journal
 // is missing kernels or cells.
 var ErrJournalIncomplete = errors.New("sweep: journal incomplete")
 
-// VerifyComplete re-reads the journal from disk and checks that it
-// now covers every named kernel with a fully OK row — the post-Resume
+// VerifyComplete re-reads the journal's clean prefix from disk and
+// checks that it now covers every named kernel with a fully OK row — the post-Resume
 // sanity check before the journal is archived.
 func (j *Journal) VerifyComplete(kernels []string) error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	defer j.f.Seek(j.good, io.SeekStart)
-	data, err := io.ReadAll(j.f)
+	data, err := j.log.Prefix()
+	j.mu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -16,11 +16,10 @@ package sweep
 // WriteCanonicalJournal.
 
 import (
-	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/hw"
 )
 
@@ -130,34 +129,16 @@ func rowsDiff(ma *Matrix, a int, mb *Matrix, b int) int {
 // WriteCanonicalJournal writes m as a v2 journal at path with rows in
 // the given kernel order — the byte-stable rendering two journals are
 // compared through. Every named kernel must be present in m with a
-// fully OK row. The file is replaced atomically (temp + fsync +
-// rename), so a crash mid-write leaves either the old file or the new
-// one, never a hybrid.
+// fully OK row. The file is replaced atomically, so a crash mid-write
+// leaves either the old file or the new one, never a hybrid.
 func WriteCanonicalJournal(path string, m *Matrix, order []string) error {
 	buf, err := canonicalJournalBytes(m, order)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".merge*")
-	if err != nil {
+	if err := durable.WriteFile(path, durable.Bytes(buf)); err != nil {
 		return fmt.Errorf("sweep: writing canonical journal: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sweep: writing canonical journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sweep: writing canonical journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("sweep: writing canonical journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("sweep: writing canonical journal: %w", err)
-	}
-	syncDir(filepath.Dir(path))
 	return nil
 }
 
@@ -172,17 +153,10 @@ func canonicalJournalBytes(m *Matrix, order []string) ([]byte, error) {
 	if m == nil {
 		return nil, fmt.Errorf("sweep: canonical journal: nil matrix")
 	}
-	var buf bytes.Buffer
-	buf.WriteString(journalMagic)
-	framed, err := frameRecord(journalRecord{Space: &journalSpace{
-		CUs:  m.Space.CUCounts,
-		Core: m.Space.CoreClocksMHz,
-		Mem:  m.Space.MemClocksMHz,
-	}})
+	buf, err := journalHeader(m.Space)
 	if err != nil {
 		return nil, err
 	}
-	buf.Write(framed)
 	for _, k := range order {
 		r := m.Row(k)
 		if r < 0 {
@@ -195,7 +169,7 @@ func canonicalJournalBytes(m *Matrix, order []string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf.Write(rec)
+		buf = append(buf, rec...)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
