@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fuzz-smoke soak-smoke soak-dist soak-byzantine soak-failover bench bench-obs bench-sweep bench-smoke bench-gate bench-e2e
+.PHONY: build test check loc fuzz-smoke soak-smoke soak-dist soak-byzantine soak-failover bench bench-obs bench-sweep bench-smoke bench-gate bench-e2e
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ check:
 	$(GO) test -race -run 'TestPreparedRowMatchesPerCell|TestResidentSetMatchesReference|TestBudget' ./internal/gcn/
 	cd cmd/benche2e && $(GO) vet . && $(GO) test -short .
 	$(MAKE) fuzz-smoke
+
+# Production Go line count, the figure ROADMAP tracks: every *.go
+# file except tests, the end-to-end benchmark module (cmd/benche2e)
+# and its build directory. A measurement, not a CI gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/benche2e/*' \
+		! -path './.bench_build/*' ! -path './.git/*' -print0 | xargs -0 cat | wc -l
 
 # Extended chaos soak of the sweep service: concurrent clients, fault
 # injection and a mid-soak restart, under the race detector. The

@@ -9,8 +9,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +111,22 @@ func TestDaemonFleetMode(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusOK || !strings.HasPrefix(string(csv), "kernel,") {
 		t.Fatalf("matrix = %d %.40q", res.StatusCode, csv)
+	}
+
+	// One journal per job on the primary: serve's, which the
+	// coordinator appended the fleet's rows to.
+	var journals []string
+	err = filepath.WalkDir(co.stateDir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".journal") {
+			journals = append(journals, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(co.stateDir, st.ID+".journal"); len(journals) != 1 || journals[0] != want {
+		t.Fatalf("coordinator state holds journals %v, want only %s", journals, want)
 	}
 
 	// Lease-protocol metrics ride the shared /metrics endpoint.

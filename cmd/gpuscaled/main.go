@@ -406,15 +406,16 @@ func run(ctx context.Context, o cliOptions) error {
 			return err
 		}
 		// The fan-out seam: every admitted job becomes a dist job whose
-		// rows the fleet leases; serve's OnRow hook keeps the service's
-		// own journal and live snapshot current as completes land. The
-		// job's trace context rides along so every lease grant is a
+		// rows the fleet leases. The coordinator appends each accepted
+		// row to the job's one journal, which serve owns, and serve's
+		// OnRow hook keeps its live snapshot current as completes land.
+		// The job's trace context rides along so every lease grant is a
 		// child span of the job.
 		runSweep = func(ctx context.Context, req serve.SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
 			return coord.Run(ctx, dist.Job{
 				Name: req.JobID, Kernels: req.Kernels, Space: req.Space,
 				Engine: req.Engine, Seed: req.Seed, NoiseStdDev: req.Noise,
-				OnRow: req.OnRow, Trace: req.Trace,
+				Journal: req.Journal, OnRow: req.OnRow, Trace: req.Trace,
 			})
 		}
 	}

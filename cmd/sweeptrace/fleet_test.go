@@ -20,6 +20,7 @@ import (
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
+	"gpuscale/internal/sweep"
 )
 
 // writeFleetTraces runs a 2-worker distributed sweep with every party
@@ -59,6 +60,10 @@ func writeFleetTraces(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	if job.Journal, err = sweep.OpenJournal(dir+"/coord/trace.journal", space); err != nil {
+		t.Fatal(err)
+	}
+	defer job.Journal.Close()
 	if err := coord.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +75,7 @@ func writeFleetTraces(t *testing.T) []string {
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("w%d", i)
 		w, err := dist.NewWorker(dist.WorkerOptions{
-			Name: name, Coordinator: srv.URL, Dir: dir + "/" + name,
+			Name: name, Peers: []string{srv.URL}, Dir: dir + "/" + name,
 			Client:       &http.Client{Timeout: 10 * time.Second},
 			SweepWorkers: 2, IdleSleep: 2 * time.Millisecond,
 			Sink: obs.NewSink(newTrace(name), nil),

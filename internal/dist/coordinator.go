@@ -41,15 +41,18 @@ type Job struct {
 	// invalid (zero) context gets a fresh root at AddJob, so directly
 	// registered jobs trace too.
 	Trace obs.SpanContext
+	// Journal is the job's journal, opened and closed by the job's owner
+	// (required). AddJob recovers done rows from its Prior, and each
+	// accepted complete is appended to it before the ack.
+	Journal *sweep.Journal
 	// OnRow, when non-nil, is invoked as each row's complete is
 	// accepted (after the row is durably journaled), with the job's
-	// matrix, the row index and the row's rendered journal record — the
-	// bytes the coordinator journaled, which internal/serve appends to
-	// its own journal verbatim as it keeps its live snapshot current.
-	// Not invoked for rows recovered already-done from the journal at
-	// AddJob. Called with the coordinator's lock held: it must not call
-	// back into the Coordinator.
-	OnRow func(m *sweep.Matrix, r int, rec sweep.RowRecord)
+	// matrix and the row index — the hook internal/serve keeps its live
+	// snapshot current with. Not invoked for rows recovered
+	// already-done from the journal at AddJob. Called with the
+	// coordinator's lock held: it must not call back into the
+	// Coordinator.
+	OnRow func(m *sweep.Matrix, r int)
 }
 
 // CoordinatorOptions tunes a Coordinator; the zero value is usable.
@@ -162,22 +165,21 @@ type rowState struct {
 	releasedEarly bool
 }
 
-// jobState is one registered job plus its durable matrix journal.
+// jobState is one registered job's lease state and matrix.
 type jobState struct {
-	job     Job
-	ttl     time.Duration
-	rows    []rowState
-	matrix  *sweep.Matrix
-	journal *sweep.Journal
-	order   []string // kernel names, row order
-	added   time.Time
-	rate    *obs.Gauge // dist_job_cells_per_second SLO instrument
+	job    Job
+	ttl    time.Duration
+	rows   []rowState
+	matrix *sweep.Matrix
+	order  []string // kernel names, row order
+	added  time.Time
+	rate   *obs.Gauge // dist_job_cells_per_second SLO instrument
 }
 
 // Coordinator owns lease state for registered jobs and serves the
-// /v1/dist lease protocol. All durable state lives under one
-// directory: lease.ledger plus one <job>.journal per job, so pointing
-// a new Coordinator at the directory of a crashed one resumes it.
+// /v1/dist lease protocol. Its durable state is the lease ledger in
+// one directory (a job's journal belongs to the job's owner), so a new
+// Coordinator on a crashed one's directory resumes it.
 type Coordinator struct {
 	dir string
 	opt CoordinatorOptions
@@ -218,8 +220,8 @@ type Coordinator struct {
 
 // NewCoordinator opens (or resumes) a coordinator rooted at dir. Lease
 // epochs and completions are recovered from dir's ledger; per-job
-// done-ness is recovered from each job's matrix journal when the job
-// is registered with AddJob.
+// done-ness is recovered from each job's journal when the job is
+// registered with AddJob.
 func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 	if opt.DefaultTTL <= 0 {
 		opt.DefaultTTL = 10 * time.Second
@@ -443,11 +445,6 @@ func (c *Coordinator) Quarantined() []string {
 // LedgerPath returns the coordinator's lease ledger file.
 func (c *Coordinator) LedgerPath() string { return filepath.Join(c.dir, "lease.ledger") }
 
-// JournalPath returns the matrix journal file for a job.
-func (c *Coordinator) JournalPath(job string) string {
-	return filepath.Join(c.dir, sanitize(job)+".journal")
-}
-
 // sanitize maps a job name to a filename.
 func sanitize(s string) string {
 	return strings.Map(func(r rune) rune {
@@ -460,11 +457,12 @@ func sanitize(s string) string {
 	}, s)
 }
 
-// AddJob registers a job, resuming from its matrix journal and the
-// lease ledger: rows already journaled are done and will never be
-// granted again; rows with a recovered grant keep their epoch (so a
-// worker that outlived the coordinator crash can still renew and
-// complete) with a conservative fresh TTL from now.
+// AddJob registers a job, resuming from its journal and the lease
+// ledger: rows already journaled are done and will never be granted
+// again; rows with a recovered grant keep their epoch (so a worker
+// that outlived the coordinator crash can still renew and complete)
+// with a conservative fresh TTL from now. A job registered here stays
+// until Run takes it out.
 func (c *Coordinator) AddJob(job Job) error {
 	if err := c.addJob(job); err != nil {
 		return err
@@ -482,6 +480,9 @@ func (c *Coordinator) addJob(job Job) error {
 	if len(job.Kernels) == 0 {
 		return fmt.Errorf("dist: job %s has no kernels", job.Name)
 	}
+	if job.Journal == nil {
+		return fmt.Errorf("dist: job %s has no journal", job.Name)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.jobs[job.Name]; ok {
@@ -494,11 +495,7 @@ func (c *Coordinator) addJob(job Job) error {
 	if !job.Trace.Valid() {
 		job.Trace = obs.NewSpanContext()
 	}
-	j, err := sweep.OpenJournal(c.JournalPath(job.Name), job.Space)
-	if err != nil {
-		return err
-	}
-	js := &jobState{job: job, ttl: ttl, journal: j, rows: make([]rowState, len(job.Kernels))}
+	js := &jobState{job: job, ttl: ttl, rows: make([]rowState, len(job.Kernels))}
 	js.added = c.now()
 	js.rate = c.reg.Gauge("dist_job_cells_per_second", "Completed cells per second since the job was registered.",
 		obs.L("job", job.Name))
@@ -507,6 +504,7 @@ func (c *Coordinator) addJob(job Job) error {
 		js.order = append(js.order, k.Name)
 	}
 	now := c.now()
+	prior := job.Journal.Prior()
 	for r, k := range job.Kernels {
 		key := rowKey{job.Name, r}
 		if g, ok := c.recovered.grants[key]; ok {
@@ -527,7 +525,6 @@ func (c *Coordinator) addJob(job Job) error {
 			}
 			continue
 		}
-		prior := j.Prior()
 		havePrior := false
 		var pr int
 		if prior != nil {
@@ -626,17 +623,11 @@ func copyRow(to *sweep.Matrix, dst int, from *sweep.Matrix, src int) {
 	copy(to.Status[dst], from.Status[src])
 }
 
-// Close closes the ledger and every job journal.
+// Close closes the ledger. Job journals belong to their owners.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := c.ledger.Close()
-	for _, js := range c.jobs {
-		if cerr := js.journal.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return c.ledger.Close()
 }
 
 // Status reports a job's progress.
@@ -694,43 +685,52 @@ func (c *Coordinator) Matrix(job string) (*sweep.Matrix, bool) {
 	return js.matrix, true
 }
 
-// Run registers job — tolerating a prior registration of the same
-// name, the requeue-after-crash path — and blocks until every row is
-// done or ctx ends. On cancellation the partial matrix and its report
-// are returned alongside the context error, mirroring
-// sweep.RunContext.
+// Run registers job and blocks until every row is done or ctx ends.
+// On cancellation the partial matrix and its report are returned
+// alongside the context error, mirroring sweep.RunContext. However
+// Run returns, the job has left the coordinator (see retire), so the
+// caller owns the returned matrix and may close the job's journal.
 func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.RunReport, error) {
-	c.mu.Lock()
-	_, exists := c.jobs[job.Name]
-	c.mu.Unlock()
-	if !exists {
-		if err := c.AddJob(job); err != nil {
-			return nil, nil, err
-		}
+	if err := c.AddJob(job); err != nil {
+		return nil, nil, err
 	}
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		if m, ok := c.Matrix(job.Name); ok {
+		if m, ok := c.retire(job.Name, false); ok {
 			return m, reportFor(m), nil
 		}
+		var err error
 		select {
 		case <-ctx.Done():
-			c.mu.Lock()
-			m := c.jobs[job.Name].matrix
-			c.mu.Unlock()
-			return m, reportFor(m), ctx.Err()
+			err = ctx.Err()
 		case <-c.deposedCh:
 			// A newer term is live: this coordinator will never see the
 			// job finish. Surface the partial matrix and the deposed
 			// error so the process can exit with the distinct code.
-			c.mu.Lock()
-			m := c.jobs[job.Name].matrix
-			c.mu.Unlock()
-			return m, reportFor(m), ErrDeposed
+			err = ErrDeposed
 		case <-tick.C:
+			continue
 		}
+		m, _ := c.retire(job.Name, true)
+		return m, reportFor(m), err
 	}
+}
+
+// retire takes a job out of the coordinator in the critical section
+// that reads its final matrix: its rows are never granted again,
+// renews and completes for it answer 404, the HA snapshot drops it and
+// no quarantine can retract its rows. Without force, a job with rows
+// outstanding stays and retire reports false.
+func (c *Coordinator) retire(name string, force bool) (*sweep.Matrix, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	js := c.jobs[name]
+	if !force && !c.statusLocked(js).Complete {
+		return nil, false
+	}
+	delete(c.jobs, name)
+	return js.matrix, true
 }
 
 // acquire grants the next available row to the requesting worker,
@@ -919,9 +919,10 @@ func (c *Coordinator) renew(req renewRequest) (renewResponse, error) {
 func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 	// Unpacking, validating, rendering and digesting the row is most of
 	// a complete's CPU, and it reads only the job's space and kernel
-	// names, which never change once the job is registered (jobs are
-	// never replaced or removed). So it runs before c.mu is taken; the
-	// verdict below still applies its outcome in the same check order.
+	// names, which never change once the job is registered. So it runs
+	// before c.mu is taken; the verdict below still applies its outcome
+	// in the same check order, and a job retired or re-registered
+	// between the two looks is caught there.
 	c.mu.Lock()
 	pre := c.jobs[req.Job]
 	c.mu.Unlock()
@@ -1036,9 +1037,9 @@ func renderComplete(js *jobState, req completeRequest) completeRow {
 }
 
 // acceptLocked lands an attested OK complete: planes into the
-// matrix, the rendered record into the journal, complete into the
-// ledger — fsynced in that order before the ack — then the OnRow hook
-// and instruments. Caller holds c.mu.
+// matrix, the rendered record into the job's journal, complete into
+// the ledger — fsynced in that order before the ack — then the OnRow
+// hook and instruments. Caller holds c.mu.
 func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeRequest, row completeRow, verified bool) (completeResponse, error) {
 	r := req.Row
 	copy(js.matrix.Throughput[r], row.planes.tput)
@@ -1047,14 +1048,14 @@ func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeReque
 	for i := range js.matrix.Status[r] {
 		js.matrix.Status[r][i] = sweep.StatusOK
 	}
-	// Fsync-before-ack, twice: the row into the matrix journal (the
+	// Fsync-before-ack, twice: the row into the job's journal (the
 	// source of truth for done-ness), then the complete into the
 	// ledger (the audit trail). A crash between the two recovers as
 	// done from the journal, so the ledger's complete record is
 	// best-effort audit, not load-bearing state. If the row was
 	// invalidated earlier, this append supersedes the retracted bytes:
 	// journal replay is last-record-wins per kernel.
-	if err := js.journal.AppendRecord(row.rec); err != nil {
+	if err := js.job.Journal.AppendRecord(row.rec); err != nil {
 		// Roll the in-memory row back so a retry can try again.
 		zeroRow(js.matrix, r)
 		return completeResponse{}, err
@@ -1074,7 +1075,7 @@ func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeReque
 	rs.digest, rs.verified, rs.completedBy = req.Digest, verified, req.Worker
 	rs.pending, rs.votes = false, nil
 	if js.job.OnRow != nil {
-		js.job.OnRow(js.matrix, r, row.rec)
+		js.job.OnRow(js.matrix, r)
 	}
 	c.mCompleted.Inc()
 	if verified {
@@ -1189,10 +1190,11 @@ func (c *Coordinator) strikeLocked(js *jobState, worker, job string, row int, di
 
 // quarantineLocked fences worker fleet-wide: future acquires, renews
 // and completes are rejected; its live leases are revoked for
-// immediate re-lease; and every unverified row it completed is
-// retracted and reopened — graceful degradation, because healthy
-// workers pick the rows back up on their next acquire. Caller holds
-// c.mu.
+// immediate re-lease; and every unverified row it completed in a job
+// still registered is retracted and reopened — graceful degradation,
+// because healthy workers pick the rows back up on their next
+// acquire. A job Run has returned is out of reach: its matrix belongs
+// to the caller. Caller holds c.mu.
 func (c *Coordinator) quarantineLocked(js *jobState, worker, job string, row int, digest string) {
 	if c.quarantined[worker] {
 		return
@@ -1373,7 +1375,7 @@ func (c *Coordinator) haStatus() HAStatus {
 
 // snapshot builds a consistent full copy of the durable state for a
 // standby that cannot catch up from the tail: the exact ledger bytes,
-// every job's spec and completed rows, every replicated serve
+// every registered job's spec and completed rows, every replicated serve
 // admission, and the cursor at which tailing resumes. Taken under
 // c.mu, so no publish can interleave — the cursor and the state
 // describe the same instant.

@@ -1,10 +1,15 @@
 package dist
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +47,36 @@ func testJob(t *testing.T, name string, n int) Job {
 	}
 	return Job{Name: name, Kernels: ks, Space: testSpace(t), Seed: 42, NoiseStdDev: 0.05,
 		TTL: time.Second}
+}
+
+// journalPath is where the tests keep a job's journal: in the
+// coordinator's directory, next to its ledger.
+func journalPath(dir, job string) string {
+	return filepath.Join(dir, sanitize(job)+".journal")
+}
+
+// withJournal opens job's journal at journalPath(dir, job.Name), as
+// the job's owner does before registering it, and closes it when the
+// test ends.
+func withJournal(t *testing.T, dir string, job Job) Job {
+	t.Helper()
+	j, err := sweep.OpenJournal(journalPath(dir, job.Name), job.Space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	job.Journal = j
+	return job
+}
+
+// reopened closes job's journal and opens it again at the same path,
+// as a restarted owner does.
+func reopened(t *testing.T, dir string, job Job) Job {
+	t.Helper()
+	if err := job.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return withJournal(t, dir, job)
 }
 
 func newTestCoordinator(t *testing.T, dir string, clk *testClock) *Coordinator {
@@ -89,7 +124,7 @@ func TestLeaseGrantCompleteDuplicate(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
 	defer c.Close()
-	if err := c.AddJob(testJob(t, "j", 2)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 2))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,7 +162,7 @@ func TestExpiryRacesLateComplete(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
 	defer c.Close()
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,7 +218,7 @@ func TestExpiredButUnstolenCompleteAccepted(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
 	defer c.Close()
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 	l, _ := c.acquire(acq("slow"))
@@ -200,7 +235,7 @@ func TestRenewalAfterCoordinatorRestart(t *testing.T) {
 	dir := t.TempDir()
 	clk := newTestClock()
 	c := newTestCoordinator(t, dir, clk)
-	job := testJob(t, "j", 2)
+	job := withJournal(t, dir, testJob(t, "j", 2))
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +251,7 @@ func TestRenewalAfterCoordinatorRestart(t *testing.T) {
 	clk.advance(100 * time.Millisecond)
 	c2 := newTestCoordinator(t, dir, clk)
 	defer c2.Close()
-	if err := c2.AddJob(job); err != nil {
+	if err := c2.AddJob(reopened(t, dir, job)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := c2.renew(renewRequest{Job: l.Job, Row: l.Row, Epoch: l.Epoch, Term: l.Term, Worker: "w1"})
@@ -241,7 +276,7 @@ func TestRestartAfterCompleteNeverRegrants(t *testing.T) {
 	dir := t.TempDir()
 	clk := newTestClock()
 	c := newTestCoordinator(t, dir, clk)
-	job := testJob(t, "j", 2)
+	job := withJournal(t, dir, testJob(t, "j", 2))
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +289,7 @@ func TestRestartAfterCompleteNeverRegrants(t *testing.T) {
 	clk.advance(time.Hour) // every lease long expired
 	c2 := newTestCoordinator(t, dir, clk)
 	defer c2.Close()
-	if err := c2.AddJob(job); err != nil {
+	if err := c2.AddJob(reopened(t, dir, job)); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
@@ -286,7 +321,7 @@ func TestNotOKCompleteRequeues(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
 	defer c.Close()
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 	l, _ := c.acquire(acq("w1"))
@@ -349,7 +384,7 @@ func TestCompleteValidation(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
 	defer c.Close()
-	job := testJob(t, "j", 1)
+	job := withJournal(t, c.dir, testJob(t, "j", 1))
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +416,8 @@ func TestLedgerTornTailSalvage(t *testing.T) {
 	dir := t.TempDir()
 	clk := newTestClock()
 	c := newTestCoordinator(t, dir, clk)
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	job := withJournal(t, dir, testJob(t, "j", 1))
+	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
 	l, _ := c.acquire(acq("w1"))
@@ -397,7 +433,7 @@ func TestLedgerTornTailSalvage(t *testing.T) {
 
 	c2 := newTestCoordinator(t, dir, clk)
 	defer c2.Close()
-	if err := c2.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c2.AddJob(reopened(t, dir, job)); err != nil {
 		t.Fatal(err)
 	}
 	// The acked grant survived the torn tail.
@@ -421,5 +457,177 @@ func TestReportForCountsStalledAsCanceled(t *testing.T) {
 	rep := reportFor(m)
 	if rep.Canceled != 1 || rep.OK != rep.Cells-1 || rep.Complete() {
 		t.Fatalf("report for one stalled cell = %s", rep.Summary())
+	}
+}
+
+// runInBackground starts c.Run(ctx, job) and waits until the job is
+// registered. The returned channel yields Run's matrix and error.
+func runInBackground(t *testing.T, ctx context.Context, c *Coordinator, job Job) <-chan runResult {
+	t.Helper()
+	done := make(chan runResult, 1)
+	go func() {
+		m, _, err := c.Run(ctx, job)
+		done <- runResult{m, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, ok := c.Status(job.Name); ok {
+			return done
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Run never registered %s", job.Name)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+type runResult struct {
+	m   *sweep.Matrix
+	err error
+}
+
+// TestCanceledRunLeavesCoordinator: once Run returns context.Canceled
+// its job is gone. Nothing of it is granted again, a complete for a
+// lease granted before the cancel answers 404 (so completeWithRetry
+// gives up at once), a late renew answers 404 too, and the job's
+// journal does not grow.
+func TestCanceledRunLeavesCoordinator(t *testing.T) {
+	clk := newTestClock()
+	dir := t.TempDir()
+	c := newTestCoordinator(t, dir, clk)
+	defer c.Close()
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	job := withJournal(t, dir, testJob(t, "j", 3))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := runInBackground(t, ctx, c, job)
+	l, err := c.acquire(acq("w1"))
+	if err != nil || l == nil {
+		t.Fatalf("acquire before the cancel: %+v %v", l, err)
+	}
+	cancel()
+	res := <-done
+	if !errors.Is(res.err, context.Canceled) || res.m == nil {
+		t.Fatalf("Run after cancel = %v, %v; want the partial matrix and context.Canceled", res.m, res.err)
+	}
+	before, err := os.Stat(journalPath(dir, job.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if l2, err := c.acquire(acq("w2")); err != nil || l2 != nil {
+		t.Fatalf("acquire after Run returned: granted %v, error %v; want neither", l2 != nil, err)
+	}
+	w, err := NewWorker(WorkerOptions{Name: "w1", Peers: []string{srv.URL}, Dir: t.TempDir(),
+		Client: srv.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	req := okComplete(t, l, "w1")
+	if status, _ := postJSON(t, srv.URL+"/v1/dist/complete", req); status != http.StatusNotFound {
+		t.Fatalf("late complete answered %d, want 404", status)
+	}
+	cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer ccancel()
+	if w.completeWithRetry(cctx, req) || cctx.Err() != nil {
+		t.Fatalf("completeWithRetry should give up on the 404 (accepted or timed out instead)")
+	}
+	renew := renewRequest{Job: l.Job, Row: l.Row, Epoch: l.Epoch, Term: l.Term, Worker: "w1"}
+	if status, _ := postJSON(t, srv.URL+"/v1/dist/renew", renew); status != http.StatusNotFound {
+		t.Fatalf("late renew answered %d, want 404", status)
+	}
+	resp, err := http.Get(srv.URL + "/v1/dist/job?name=j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("status poll for a returned job answered %d, want 404", resp.StatusCode)
+	}
+	after, err := os.Stat(journalPath(dir, job.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() {
+		t.Fatalf("the canceled job's journal grew from %d to %d bytes", before.Size(), after.Size())
+	}
+}
+
+// TestQuarantineSparesReturnedMatrix: a worker computes every row of a
+// job, Run returns that job's matrix, and the worker is then
+// quarantined for lying on another job. Its rows in the returned job
+// were accepted unverified, but that job has left the coordinator, so
+// the matrix Run returned stays unchanged and complete.
+func TestQuarantineSparesReturnedMatrix(t *testing.T) {
+	clk := newTestClock()
+	dir := t.TempDir()
+	c, err := NewCoordinator(dir, CoordinatorOptions{now: clk.now, VerifyFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Seeds for the 50% sample: the finished job's one row is accepted
+	// on the worker's word, the other job's row is held for a vote.
+	seedDone, seedVote := int64(-1), int64(-1)
+	for s := int64(0); seedDone < 0 || seedVote < 0; s++ {
+		switch {
+		case verifySelected(s, 0, 0.5) && seedVote < 0:
+			seedVote = s
+		case !verifySelected(s, 0, 0.5) && seedDone < 0:
+			seedDone = s
+		}
+	}
+	finished := withJournal(t, dir, testJob(t, "finished", 1))
+	finished.Seed = seedDone
+	live := withJournal(t, dir, testJob(t, "live", 1))
+	live.Seed = seedVote
+
+	done := runInBackground(t, context.Background(), c, finished)
+	l, err := c.acquire(acq("liar"))
+	if err != nil || l == nil || l.Job != finished.Name {
+		t.Fatalf("acquire: %+v %v", l, err)
+	}
+	if resp, err := c.complete(okComplete(t, l, "liar")); err != nil || resp.Verified || resp.PendingVerify {
+		t.Fatalf("unsampled complete should be accepted unverified: %+v %v", resp, err)
+	}
+	res := <-done
+	if res.err != nil || !reportFor(res.m).Complete() {
+		t.Fatalf("Run = %v; want the complete matrix", res.err)
+	}
+	want, err := sweep.CanonicalJournalBytes(res.m, res.m.Kernels)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same worker lies on the live job and loses the vote to two
+	// honest workers: quarantine.
+	if err := c.AddJob(live); err != nil {
+		t.Fatal(err)
+	}
+	lr, _ := c.acquire(acq("liar"))
+	if resp, err := c.complete(tamperedComplete(t, lr, "liar")); err != nil || !resp.PendingVerify {
+		t.Fatalf("sampled tampered complete should be held: %+v %v", resp, err)
+	}
+	for _, h := range []string{"h1", "h2"} {
+		lh, err := c.acquire(acq(h))
+		if err != nil || lh == nil {
+			t.Fatalf("%s acquire: %+v %v", h, lh, err)
+		}
+		if _, err := c.complete(okComplete(t, lh, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
+		t.Fatalf("liar should be quarantined, got %v", q)
+	}
+
+	got, err := sweep.CanonicalJournalBytes(res.m, res.m.Kernels)
+	if err != nil || !reportFor(res.m).Complete() {
+		t.Fatalf("the returned matrix lost rows after the quarantine: %v (%s)", err, reportFor(res.m).Summary())
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the returned matrix changed after the quarantine")
 	}
 }

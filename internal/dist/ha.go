@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"gpuscale/internal/durable"
-	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
 	"gpuscale/internal/sweep"
@@ -74,8 +73,9 @@ var ErrDeposed = errors.New("dist: coordinator deposed: a newer term is live")
 var errNotPrimary = errors.New("dist: not primary: warm standby has not promoted")
 
 // JobSpec is the wire form of a dist Job — everything a standby needs
-// to re-register the job at promotion (the OnRow hook, which belongs
-// to the primary's serve layer, does not replicate).
+// to re-register the job at promotion (the OnRow hook and the journal
+// handle, which belong to the primary's serve layer, do not
+// replicate).
 type JobSpec struct {
 	Name        string          `json:"name"`
 	Kernels     json.RawMessage `json:"kernels"` // kernel.WriteAll wire form
@@ -380,15 +380,6 @@ type StandbyOptions struct {
 	now func() time.Time
 }
 
-// standbyJob is one replicated job on the standby: its spec and its
-// replica journal.
-type standbyJob struct {
-	spec    JobSpec
-	space   hw.Space
-	kernels []*kernel.Kernel
-	journal *sweep.Journal
-}
-
 // Standby is a warm coordinator replica: it tails the primary's
 // replication stream into its own directory and can promote itself
 // into a full Coordinator when the primary goes silent.
@@ -404,9 +395,11 @@ type Standby struct {
 	cursor      int64
 	synced      bool
 	lastContact time.Time
-	jobs        map[string]*standbyJob
-	specs       map[string][]byte
-	promoted    *Coordinator
+	// jobs are the replicated jobs; each one's Journal is its replica
+	// journal.
+	jobs     map[string]*Job
+	specs    map[string][]byte
+	promoted *Coordinator
 
 	mTerm, mCursor          *obs.Gauge
 	mFailovers, mApplyFails *obs.Counter
@@ -437,7 +430,7 @@ func NewStandby(dir string, o StandbyOptions) (*Standby, error) {
 		return nil, fmt.Errorf("dist: creating standby dir: %w", err)
 	}
 	s := &Standby{dir: dir, o: o, client: o.Client, now: o.now,
-		jobs: map[string]*standbyJob{}, specs: map[string][]byte{}}
+		jobs: map[string]*Job{}, specs: map[string][]byte{}}
 	if s.client == nil {
 		s.client = &http.Client{Timeout: 10 * time.Second}
 	}
@@ -503,18 +496,21 @@ func (s *Standby) registerJob(spec JobSpec) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(s.dir, sanitize(spec.Name)+".journal")
-	journal, err := sweep.OpenJournal(path, j.Space)
-	if err != nil {
+	if j.Journal, err = sweep.OpenJournal(s.journalPath(spec.Name), j.Space); err != nil {
 		return err
 	}
-	s.jobs[spec.Name] = &standbyJob{spec: spec, space: j.Space, kernels: j.Kernels, journal: journal}
+	s.jobs[spec.Name] = &j
 	return nil
 }
 
 // specPath is where one replicated job spec is persisted.
 func (s *Standby) specPath(name string) string {
 	return filepath.Join(s.dir, sanitize(name)+".jobspec")
+}
+
+// journalPath is one replicated job's replica journal.
+func (s *Standby) journalPath(name string) string {
+	return filepath.Join(s.dir, sanitize(name)+".journal")
 }
 
 // Run replicates until ctx ends or the standby promotes. It returns
@@ -598,8 +594,8 @@ func (s *Standby) applySnapshotLocked(snap haSnapshot) error {
 		return fmt.Errorf("dist: snapshot ledger is not a lease ledger")
 	}
 	s.led.Close()
-	for _, sj := range s.jobs {
-		sj.journal.Close()
+	for _, j := range s.jobs {
+		j.Journal.Close()
 	}
 	path := filepath.Join(s.dir, "lease.ledger")
 	if err := durable.WriteFile(path, durable.Bytes(snap.Ledger)); err != nil {
@@ -611,14 +607,14 @@ func (s *Standby) applySnapshotLocked(snap haSnapshot) error {
 	}
 	s.led = led
 	s.term = rec.term
-	s.jobs = map[string]*standbyJob{}
+	s.jobs = map[string]*Job{}
 	for _, spec := range snap.Jobs {
 		if err := durable.WriteFile(s.specPath(spec.Name), durable.Bytes(mustJSON(spec))); err != nil {
 			return err
 		}
 		// Journals are rebuilt from the snapshot's rows, not the old
 		// replica file: remove first so stale rows cannot linger.
-		if err := os.Remove(filepath.Join(s.dir, sanitize(spec.Name)+".journal")); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := os.Remove(s.journalPath(spec.Name)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
 		if err := s.registerJob(spec); err != nil {
@@ -759,15 +755,15 @@ func (s *Standby) applyMsgLocked(m *replMsg) error {
 // row's journal record — the bytes the primary journaled — and
 // appends it to the replica journal.
 func (s *Standby) applyRowLocked(rp *RowPlanes) error {
-	sj := s.jobs[rp.Job]
-	if sj == nil {
+	j := s.jobs[rp.Job]
+	if j == nil {
 		return fmt.Errorf("dist: row planes for unreplicated job %s", rp.Job)
 	}
 	r := rp.Row
-	if r < 0 || r >= len(sj.kernels) || sj.kernels[r].Name != rp.Kernel {
+	if r < 0 || r >= len(j.Kernels) || j.Kernels[r].Name != rp.Kernel {
 		return fmt.Errorf("dist: row planes for %s name a row/kernel mismatch (%d/%s)", rp.Job, r, rp.Kernel)
 	}
-	p, err := unpackPlanes(sj.space.Size(), rp.Planes)
+	p, err := unpackPlanes(j.Space.Size(), rp.Planes)
 	if err != nil {
 		return fmt.Errorf("dist: row planes for %s row %d have %v", rp.Job, r, err)
 	}
@@ -775,7 +771,7 @@ func (s *Standby) applyRowLocked(rp *RowPlanes) error {
 	if err != nil {
 		return err
 	}
-	return sj.journal.AppendRecord(rec)
+	return j.Journal.AppendRecord(rec)
 }
 
 func (s *Standby) persistServeSpecLocked(sp serveSpec) error {
@@ -821,9 +817,10 @@ func (s *Standby) Handler() http.Handler {
 
 // Promote turns the replica into a live Coordinator: the replica
 // ledger is replayed with the same conservative-expiry recovery a
-// crash-restart uses, every replicated job is re-registered, and the
-// new coordinator asserts term+1 in the ledger — from which point the
-// old primary's term is fenced everywhere.
+// crash-restart uses, every replicated job is re-registered with its
+// reopened replica journal, and the new coordinator asserts term+1 in
+// the ledger — from which point the old primary's term is fenced
+// everywhere.
 func (s *Standby) Promote() (*Coordinator, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -831,9 +828,6 @@ func (s *Standby) Promote() (*Coordinator, error) {
 		return s.promoted, nil
 	}
 	s.led.Close()
-	for _, sj := range s.jobs {
-		sj.journal.Close()
-	}
 	opt := s.o.Coordinator
 	if opt.ID == "" {
 		opt.ID = s.o.ID
@@ -852,12 +846,17 @@ func (s *Standby) Promote() (*Coordinator, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		job, err := s.jobs[name].spec.job()
-		if err != nil {
-			c.Close()
-			return nil, err
+		// A journal's Prior is read when its file is opened: reopen the
+		// replica so the promoted coordinator recovers every row
+		// streamed since the standby opened it.
+		job := s.jobs[name]
+		job.Journal.Close()
+		j, err := sweep.OpenJournal(s.journalPath(name), job.Space)
+		if err == nil {
+			job.Journal = j
+			err = c.AddJob(*job)
 		}
-		if err := c.AddJob(job); err != nil {
+		if err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -869,17 +868,18 @@ func (s *Standby) Promote() (*Coordinator, error) {
 	return c, nil
 }
 
-// Close releases the replica's files (a promoted standby's files
-// belong to the Coordinator instead).
+// Close releases the replica's files. A promoted standby's ledger
+// belongs to the Coordinator, but its job journals stay the
+// standby's: close the promoted Coordinator first.
 func (s *Standby) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.promoted != nil {
-		return nil
+	var err error
+	if s.promoted == nil {
+		err = s.led.Close()
 	}
-	err := s.led.Close()
-	for _, sj := range s.jobs {
-		if cerr := sj.journal.Close(); err == nil {
+	for _, j := range s.jobs {
+		if cerr := j.Journal.Close(); err == nil {
 			err = cerr
 		}
 	}

@@ -87,7 +87,7 @@ func drainTail(t *testing.T, s *Standby, c *Coordinator) {
 func TestReplicaLedgerByteIdentical(t *testing.T) {
 	clk := newTestClock()
 	c, _, s := newHAPair(t, clk, CoordinatorOptions{})
-	if err := c.AddJob(testJob(t, "j", 2)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 2))); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -129,9 +129,9 @@ func TestReplicaLedgerByteIdentical(t *testing.T) {
 	}
 	// The standby validated each row's packed planes and rendered the
 	// record the primary journaled: the replica journal is the
-	// primary's coordinator journal, byte for byte.
-	replica := filepath.Join(s.dir, sanitize("j")+".journal")
-	pj, err := os.ReadFile(c.JournalPath("j"))
+	// primary's job journal, byte for byte.
+	replica := s.journalPath("j")
+	pj, err := os.ReadFile(journalPath(c.dir, "j"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestReplicaLedgerByteIdentical(t *testing.T) {
 func TestPromotionMidGrantKeepsLeaseLive(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -201,7 +201,7 @@ func TestPromotionMidGrantKeepsLeaseLive(t *testing.T) {
 func TestPromotionAfterUnackedComplete(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -238,7 +238,7 @@ func TestPromotionAfterUnackedComplete(t *testing.T) {
 func TestPromotionDuringVerifyRevote(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{VerifyFraction: 1})
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -286,7 +286,7 @@ func TestPromotionDuringVerifyRevote(t *testing.T) {
 func TestStaleTermCompleteFenced(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -328,7 +328,7 @@ func TestStaleTermCompleteFenced(t *testing.T) {
 func TestDeposedByPeerProbe(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -378,7 +378,7 @@ func TestDeposedByWorkerCarriedTerm(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
 	defer c.Close()
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 	req := acq("w1")
@@ -511,7 +511,7 @@ func TestBackoffDelaySchedule(t *testing.T) {
 func TestStandbyRestartResyncs(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
-	if err := c.AddJob(testJob(t, "j", 2)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 2))); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -564,7 +564,7 @@ func TestStandbyRestartResyncs(t *testing.T) {
 func TestUnappliableTailIsStillContact(t *testing.T) {
 	clk := newTestClock()
 	c, _, s := newHAPair(t, clk, CoordinatorOptions{})
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -602,7 +602,7 @@ func TestStandbyRefusesBadPlanes(t *testing.T) {
 	clk := newTestClock()
 	c, _, s := newHAPair(t, clk, CoordinatorOptions{})
 	job := testJob(t, "j", 2)
-	if err := c.AddJob(job); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, job)); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -615,7 +615,7 @@ func TestStandbyRefusesBadPlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainTail(t, s, c)
-	journal := filepath.Join(s.dir, sanitize("j")+".journal")
+	journal := s.journalPath("j")
 	other := 1 - l.Row
 	for _, tc := range badPlanes(valid.Planes, job.Space.Size()) {
 		syncStandby(t, s) // re-base past the previous case's refused message

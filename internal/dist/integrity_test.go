@@ -55,7 +55,7 @@ func TestVersionHandshakeFencesOverHTTP(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
 	defer c.Close()
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(c.Handler())
@@ -106,7 +106,7 @@ func TestBadAttestationRejected(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
 	defer c.Close()
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 	l, _ := c.acquire(acq("w1"))
@@ -137,7 +137,7 @@ func TestSampledRowSettlesByIndependentAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,7 +194,7 @@ func TestSingleWorkerGraceSettlesUnverified(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.AddJob(testJob(t, "j", 1)); err != nil { // TTL 1s
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil { // TTL 1s
 		t.Fatal(err)
 	}
 
@@ -233,7 +233,7 @@ func TestDissentStrikesAndQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	job := testJob(t, "j", 2)
+	job := withJournal(t, c.dir, testJob(t, "j", 2))
 	want := singleNodeCanonical(t, job)
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
@@ -345,7 +345,7 @@ func TestQuarantineInvalidatesUnverifiedRows(t *testing.T) {
 	job := testJob(t, "j", 2)
 	job.Seed = seed
 	want := singleNodeCanonical(t, job)
-	if err := c.AddJob(job); err != nil {
+	if err := c.AddJob(withJournal(t, c.dir, job)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -436,6 +436,7 @@ func TestIntegrityPlaneRecoveredAcrossRestarts(t *testing.T) {
 
 	// Stage 1: the liar's tampered vote, then crash.
 	c := open()
+	job = withJournal(t, dir, job)
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
@@ -450,6 +451,7 @@ func TestIntegrityPlaneRecoveredAcrossRestarts(t *testing.T) {
 	// the liar's recovered grant by a fresh TTL from reopen time, so
 	// wait it out before another worker can take the row.
 	c = open()
+	job = reopened(t, dir, job)
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
@@ -473,6 +475,7 @@ func TestIntegrityPlaneRecoveredAcrossRestarts(t *testing.T) {
 	// row, which proves the liar's restored vote a lie — strike and
 	// quarantine, all from replayed state.
 	c = open()
+	job = reopened(t, dir, job)
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
@@ -492,6 +495,7 @@ func TestIntegrityPlaneRecoveredAcrossRestarts(t *testing.T) {
 	// Stage 4: quarantine membership itself is durable.
 	c = open()
 	defer c.Close()
+	job = reopened(t, dir, job)
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ package dist
 //     are invalidated, and healthy workers re-execute every one,
 //   - quarantine membership, open votes and strikes survive the
 //     coordinator crash,
-//   - the final matrix, the coordinator journal, and the attested
+//   - the final matrix, the job journal, and the attested
 //     merge of the honest workers' journals are all byte-identical to
 //     the single-node run, while the liar's journal is refused by the
 //     attested merge,
@@ -99,7 +99,7 @@ func spawnByzWorker(t *testing.T, ctx context.Context, url, dir, name string, in
 	msrv := httptest.NewServer(obs.Handler(reg, nil))
 	t.Cleanup(msrv.Close)
 	w, err := NewWorker(WorkerOptions{
-		Name: name, Coordinator: url, Dir: dir,
+		Name: name, Peers: []string{url}, Dir: dir,
 		Client:       &http.Client{Timeout: 10 * time.Second},
 		SweepWorkers: 2, Retries: 2, IdleSleep: 10 * time.Millisecond,
 		MetricsURL: msrv.URL + "/metrics", Fault: in,
@@ -237,7 +237,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 		}
 	}
 
-	// 1. Byte-identity: matrix and coordinator journal match the
+	// 1. Byte-identity: matrix and job journal match the
 	// single-node run despite six corrupt completions.
 	m, ok := p.coord.Matrix(job.Name)
 	if !ok {
@@ -250,7 +250,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatalf("matrix differs from single-node run (seed %d)", seed)
 	}
-	jm, err := sweep.ReadJournal(p.coord.JournalPath(job.Name), job.Space)
+	jm, err := sweep.ReadJournal(journalPath(coordDir, job.Name), job.Space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, jb) {
-		t.Fatalf("coordinator journal differs from single-node run (seed %d)", seed)
+		t.Fatalf("job journal differs from single-node run (seed %d)", seed)
 	}
 
 	// 2. The attested merge: the coordinator's recorded digests accept

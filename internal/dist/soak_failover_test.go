@@ -108,6 +108,9 @@ func TestChaosSoakFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Deferred before the promoted coordinator's Close, so it runs
+	// after it: the replica journals stay the standby's.
+	defer sb.Close()
 
 	// The standby's address serves "not-primary" refusals until
 	// promotion swaps the promoted coordinator's handler in — the same
@@ -260,7 +263,7 @@ func TestChaosSoakFailover(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatalf("promoted coordinator matrix differs from single-node run (seed %d)", seed)
 	}
-	raw, err := os.ReadFile(pc.JournalPath(job.Name))
+	raw, err := os.ReadFile(sb.journalPath(job.Name))
 	if err != nil {
 		t.Fatal(err)
 	}

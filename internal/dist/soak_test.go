@@ -4,16 +4,17 @@ package dist
 //
 // Workers run as real child processes (this test binary re-exec'd
 // with GPUSCALE_DIST_WORKER=1) and die by SIGKILL; the coordinator is
-// crashed by abruptly closing its listener, ledger and journals and
-// resuming a fresh Coordinator from the same directory on the same
-// address. Worker HTTP clients run under injected network faults
-// (dropped responses, duplicated deliveries, seeded delays). The soak
-// asserts the protocol's whole contract afterwards:
+// crashed by abruptly closing its listener, ledger and job journal and
+// resuming a fresh Coordinator from the same directory, with the
+// journal reopened at the same path, on the same address. Worker HTTP
+// clients run under injected network faults (dropped responses,
+// duplicated deliveries, seeded delays). The soak asserts the
+// protocol's whole contract afterwards:
 //
 //   - every row completed exactly once (ledger audit + one journal
 //     record per kernel),
-//   - the coordinator's matrix and journal are byte-identical to a
-//     single-node run of the same job,
+//   - the coordinator's matrix and the job journal are byte-identical
+//     to a single-node run of the same job,
 //   - the merged worker journals reproduce the same bytes,
 //   - no lease was ever held by two live epochs (grant[n+1] starts at
 //     or after grant[n]'s recorded expiry).
@@ -63,16 +64,20 @@ func workerMain() int {
 		in.PartitionFor = 150 * time.Millisecond
 	}
 	// GPUSCALE_DIST_PEERS lists every coordinator (primary + standbys)
-	// comma separated; the worker rotates through them on error.
+	// comma separated; the worker rotates through them on error. Without
+	// it the worker knows only GPUSCALE_DIST_URL.
+	list := os.Getenv("GPUSCALE_DIST_PEERS")
+	if list == "" {
+		list = os.Getenv("GPUSCALE_DIST_URL")
+	}
 	var peers []string
-	for _, p := range strings.Split(os.Getenv("GPUSCALE_DIST_PEERS"), ",") {
+	for _, p := range strings.Split(list, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			peers = append(peers, p)
 		}
 	}
 	w, err := NewWorker(WorkerOptions{
 		Name:         os.Getenv("GPUSCALE_DIST_NAME"),
-		Coordinator:  os.Getenv("GPUSCALE_DIST_URL"),
 		Peers:        peers,
 		Dir:          os.Getenv("GPUSCALE_DIST_DIR"),
 		Client:       &http.Client{Transport: in.WrapTransport(nil), Timeout: 10 * time.Second},
@@ -101,6 +106,7 @@ func soakJob(t *testing.T) Job {
 
 // coordProc is the crashable coordinator: listener + server + state,
 // all torn down and rebuilt on the same address from the same dir.
+// job carries the journal the incarnation opened.
 type coordProc struct {
 	dir   string
 	addr  string
@@ -124,8 +130,14 @@ func startCoordWith(t *testing.T, dir, addr string, job Job, opts CoordinatorOpt
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The job's owner opens its journal, as a restarted gpuscaled does.
+	if job.Journal, err = sweep.OpenJournal(journalPath(dir, job.Name), job.Space); err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
 	if err := c.AddJob(job); err != nil {
 		c.Close()
+		job.Journal.Close()
 		t.Fatal(err)
 	}
 	var ln net.Listener
@@ -137,6 +149,7 @@ func startCoordWith(t *testing.T, dir, addr string, job Job, opts CoordinatorOpt
 		}
 		if i > 200 {
 			c.Close()
+			job.Journal.Close()
 			t.Fatalf("rebinding %s: %v", addr, err)
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -151,6 +164,7 @@ func (p *coordProc) crash() {
 	p.ln.Close()
 	p.srv.Close()
 	p.coord.Close()
+	p.job.Journal.Close()
 }
 
 // workerProc is one child worker.
@@ -278,18 +292,18 @@ func TestChaosSoakDistributed(t *testing.T) {
 		t.Fatalf("coordinator matrix differs from single-node run (seed %d)", seed)
 	}
 
-	// 2. Exactly-once at the byte level: the coordinator journal holds
+	// 2. Exactly-once at the byte level: the job journal holds
 	// magic + space + exactly one record per kernel row, and re-reads
 	// to the same canonical bytes.
-	raw, err := os.ReadFile(p.coord.JournalPath(job.Name))
+	raw, err := os.ReadFile(journalPath(coordDir, job.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lines := bytes.Count(raw, []byte{'\n'}); lines != 2+len(job.Kernels) {
-		t.Fatalf("coordinator journal has %d lines, want %d — a row completed twice (seed %d)",
+		t.Fatalf("job journal has %d lines, want %d — a row completed twice (seed %d)",
 			lines, 2+len(job.Kernels), seed)
 	}
-	jm, err := sweep.ReadJournal(p.coord.JournalPath(job.Name), job.Space)
+	jm, err := sweep.ReadJournal(journalPath(coordDir, job.Name), job.Space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +312,7 @@ func TestChaosSoakDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, jb) {
-		t.Fatalf("coordinator journal differs from single-node run (seed %d)", seed)
+		t.Fatalf("job journal differs from single-node run (seed %d)", seed)
 	}
 
 	// 3. Merge: worker journals — after crash-repair opens, since a

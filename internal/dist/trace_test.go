@@ -30,7 +30,7 @@ func tracedFleet(t *testing.T, job Job, n int) (coordEvs []obs.Event, workerEvs 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	if err := coord.AddJob(job); err != nil {
+	if err := coord.AddJob(withJournal(t, coord.dir, job)); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(coord.Handler())
@@ -51,7 +51,7 @@ func tracedFleet(t *testing.T, job Job, n int) (coordEvs []obs.Event, workerEvs 
 		}
 		flightPaths = append(flightPaths, fp)
 		w, err := NewWorker(WorkerOptions{
-			Name: name, Coordinator: srv.URL, Dir: dir + "/w" + name,
+			Name: name, Peers: []string{srv.URL}, Dir: dir + "/w" + name,
 			Client: srv.Client(), SweepWorkers: 2, Retries: 2,
 			IdleSleep: 5 * time.Millisecond,
 			Sink:      obs.NewSink(tw, fr),

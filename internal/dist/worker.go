@@ -25,14 +25,12 @@ import (
 type WorkerOptions struct {
 	// Name identifies the worker in leases, ledger records and traces.
 	Name string
-	// Coordinator is the coordinator's base URL (http://host:port).
-	Coordinator string
-	// Peers lists every coordinator this worker may talk to — the
-	// primary plus any warm standbys. The worker sticks to one until it
-	// errors (transport failure, 503 not-primary, 409 deposed), then
-	// rotates to the next: after a failover the fleet re-joins the
-	// promoted standby without operator action, and in-flight leases
-	// within TTL complete there. Empty means just Coordinator.
+	// Peers lists the base URLs (http://host:port) of every coordinator
+	// this worker may talk to — the primary plus any warm standbys.
+	// The worker sticks to one until it errors (transport failure, 503
+	// not-primary, 409 deposed), then rotates to the next: after a
+	// failover the fleet re-joins the promoted standby without operator
+	// action, and in-flight leases within TTL complete there. Required.
 	Peers []string
 	// Dir is where the worker keeps its per-job row journals; pointing
 	// a restarted worker at the same directory lets it serve re-leased
@@ -114,11 +112,8 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	if o.Name == "" {
 		return nil, fmt.Errorf("dist: worker needs a name")
 	}
-	if len(o.Peers) == 0 && o.Coordinator != "" {
-		o.Peers = []string{o.Coordinator}
-	}
 	if len(o.Peers) == 0 {
-		return nil, fmt.Errorf("dist: worker needs a coordinator URL or peer list")
+		return nil, fmt.Errorf("dist: worker needs a coordinator peer list")
 	}
 	if o.Dir == "" {
 		return nil, fmt.Errorf("dist: worker needs a journal dir")

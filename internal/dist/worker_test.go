@@ -48,7 +48,7 @@ func runFleet(t *testing.T, job Job, n int, clientFor func(i int) *http.Client) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	if err := coord.AddJob(job); err != nil {
+	if err := coord.AddJob(withJournal(t, coord.dir, job)); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(coord.Handler())
@@ -63,7 +63,7 @@ func runFleet(t *testing.T, job Job, n int, clientFor func(i int) *http.Client) 
 			client = clientFor(i)
 		}
 		w, err := NewWorker(WorkerOptions{
-			Name: string(rune('A' + i)), Coordinator: srv.URL,
+			Name: string(rune('A' + i)), Peers: []string{srv.URL},
 			Dir: dir + "/w" + string(rune('A'+i)), Client: client,
 			SweepWorkers: 2, Retries: 2, IdleSleep: 5 * time.Millisecond,
 		})
@@ -118,8 +118,9 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 		t.Fatal("coordinator matrix differs from single-node run")
 	}
 
-	// The coordinator's own journal re-reads to the same bytes.
-	jm, err := sweep.ReadJournal(coord.JournalPath(job.Name), job.Space)
+	// The job's journal, which the coordinator appended to, re-reads to
+	// the same bytes.
+	jm, err := sweep.ReadJournal(journalPath(coord.dir, job.Name), job.Space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 	// is byte-identical to the coordinator's record for that kernel, so
 	// the digest the worker attested hashes exactly the bytes the
 	// coordinator journaled.
-	coordRecs := journalRecords(t, coord.JournalPath(job.Name))
+	coordRecs := journalRecords(t, journalPath(coord.dir, job.Name))
 	seen := map[string]bool{}
 	for _, path := range workerJournals {
 		for k, recs := range journalRecords(t, path) {
@@ -207,7 +208,7 @@ func TestFleetUnderNetworkFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	if err := coord.AddJob(job); err != nil {
+	if err := coord.AddJob(withJournal(t, coordDir, job)); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(coord.Handler())
@@ -220,7 +221,7 @@ func TestFleetUnderNetworkFaults(t *testing.T) {
 		in := fault.Injector{DropResponseRate: 0.15, DuplicateRate: 0.15, DelayRate: 0.2,
 			Delay: 2 * time.Millisecond, Seed: int64(100 + i)}
 		w, err := NewWorker(WorkerOptions{
-			Name: string(rune('A' + i)), Coordinator: srv.URL,
+			Name: string(rune('A' + i)), Peers: []string{srv.URL},
 			Dir:          t.TempDir(),
 			Client:       &http.Client{Transport: in.WrapTransport(nil), Timeout: 10 * time.Second},
 			SweepWorkers: 2, Retries: 2, IdleSleep: 5 * time.Millisecond,
@@ -288,13 +289,13 @@ func TestWorkerServesReleasedRowFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coordA.Close()
-	if err := coordA.AddJob(job); err != nil {
+	if err := coordA.AddJob(withJournal(t, coordA.dir, job)); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(coordA.Handler())
 	defer srv.Close()
 
-	w, err := NewWorker(WorkerOptions{Name: "W", Coordinator: srv.URL, Dir: dir + "/w",
+	w, err := NewWorker(WorkerOptions{Name: "W", Peers: []string{srv.URL}, Dir: dir + "/w",
 		Client: srv.Client(), SweepWorkers: 1})
 	if err != nil {
 		t.Fatal(err)

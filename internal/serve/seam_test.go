@@ -1,22 +1,38 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"os"
-	"path/filepath"
+	"errors"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
 
-	"gpuscale/internal/hw"
 	"gpuscale/internal/sweep"
 )
 
+// standIn is a stand-in distributed executor: it runs the sweep
+// locally, but through the request's parameters and hooks only —
+// resuming from req.Journal's Prior, appending each settled row to
+// req.Journal and then calling req.OnRow, exactly what a distributed
+// coordinator does.
+func standIn(ctx context.Context, t *testing.T, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+	return sweep.Resume(ctx, req.Kernels, req.Space, sweep.Options{
+		Workers: 2, Engine: req.Engine, Seed: req.Seed,
+		NoiseStdDev: req.Noise, OnRow: func(m *sweep.Matrix, r int) {
+			if err := req.Journal.AppendRow(m, r); err != nil {
+				t.Error(err)
+				return
+			}
+			req.OnRow(m, r)
+		},
+	}, req.Journal.Prior())
+}
+
 // TestRunSweepSeam: a Config.RunSweep override receives the resolved
-// job and the OnRow hook, and driving OnRow keeps the service's
-// journal, snapshot and terminal bookkeeping exactly as the local
-// path would.
+// job, its open journal and the OnRow hook, and an executor that
+// journals each row and drives OnRow keeps the service's journal,
+// snapshot and terminal bookkeeping exactly as the local path would.
 func TestRunSweepSeam(t *testing.T) {
 	var (
 		gotJob string
@@ -26,23 +42,11 @@ func TestRunSweepSeam(t *testing.T) {
 	cfg.RunSweep = func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
 		calls++
 		gotJob = req.JobID
-		if req.OnRow == nil {
-			t.Error("SweepRequest.OnRow is nil; the seam cannot keep the journal current")
+		if req.Journal == nil || req.OnRow == nil {
+			t.Error("SweepRequest lacks its journal or OnRow; the seam cannot keep the job durable")
+			return nil, nil, errors.New("incomplete SweepRequest")
 		}
-		// A stand-in executor: run locally, but through the request's
-		// parameters and hooks only — exactly what a distributed
-		// coordinator does, rendering each row's record once.
-		return sweep.Resume(ctx, req.Kernels, req.Space, sweep.Options{
-			Workers: 2, Engine: req.Engine, Seed: req.Seed,
-			NoiseStdDev: req.Noise, OnRow: func(m *sweep.Matrix, r int) {
-				rec, err := sweep.EncodeRow(m, r)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				req.OnRow(m, r, rec)
-			},
-		}, req.Prior)
+		return standIn(ctx, t, req)
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -65,81 +69,85 @@ func TestRunSweepSeam(t *testing.T) {
 	if st.RowsDone != 2 || st.Coverage != 1 {
 		t.Fatalf("rows done %d coverage %g, want 2 and 1", st.RowsDone, st.Coverage)
 	}
-	// ...and the journal: the crash-only record is on disk even though
-	// the service never called the local executor itself.
-	if _, err := os.Stat(s.journalPath(st.ID)); err != nil {
-		t.Fatalf("missing journal after seam-run job: %v", err)
+	// ...and the executor's appends landed in the job's journal: the
+	// crash-only record is on disk even though the service never
+	// called the local executor itself.
+	spec := testSpec(t)
+	res, err := spec.resolve(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sweep.ReadJournal(s.journalPath(st.ID), res.space)
+	if err != nil || m == nil || len(m.Kernels) != 2 {
+		t.Fatalf("job journal after a seam-run job: %v", err)
 	}
 }
 
-// TestRunSweepSeamJournalsExecutorRecords: the job journal receives
-// the executor's rendered records verbatim — the coordinator's bytes,
-// not a second render. The stand-in executor hands OnRow records
-// rendered from planes that differ from the matrix it reports (one
-// cell nudged), so a journal that re-rendered the matrix would differ
-// from one that appended the records; the job journal must equal a
-// reference journal built by appending the same records in order.
-func TestRunSweepSeamJournalsExecutorRecords(t *testing.T) {
-	var (
-		space hw.Space
-		recs  []sweep.RowRecord
-	)
+// TestRunSweepSeamResumesFromJournal: the journal a RunSweep executor
+// appends to is the one the job resumes from. A job interrupted by a
+// shutdown after k journaled rows hands the next process's RunSweep a
+// req.Journal whose Prior holds exactly those k rows.
+func TestRunSweepSeamResumesFromJournal(t *testing.T) {
+	const k = 1
 	cfg := Config{Dir: t.TempDir(), SweepWorkers: 1}
+	var first *sweep.Matrix
 	cfg.RunSweep = func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
-		space = req.Space
-		return sweep.Resume(ctx, req.Kernels, req.Space, sweep.Options{
-			Workers: 1, Engine: req.Engine, Seed: req.Seed,
-			NoiseStdDev: req.Noise, OnRow: func(m *sweep.Matrix, r int) {
-				tput := append([]float64(nil), m.Throughput[r]...)
-				tput[0] *= 1 + 1.0/1024
-				rec, err := sweep.EncodePlanes(m.Kernels[r], tput, m.TimeNS[r], m.Bound[r])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				recs = append(recs, rec)
-				req.OnRow(m, r, rec)
-			},
-		}, req.Prior)
+		m, err := sweep.Run(req.Kernels, req.Space, sweep.Options{
+			Workers: 1, Engine: req.Engine, Seed: req.Seed, NoiseStdDev: req.Noise})
+		if err != nil {
+			return nil, nil, err
+		}
+		for r := 0; r < k; r++ {
+			if err := req.Journal.AppendRow(m, r); err != nil {
+				return nil, nil, err
+			}
+			req.OnRow(m, r)
+		}
+		first = m
+		<-ctx.Done() // interrupted before the other rows land
+		return m, nil, ctx.Err()
 	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer drain(t, s)
 	st, err := s.Submit("alice", testSpec(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st = waitTerminal(t, s, st.ID); st.State != StateComplete {
-		t.Fatalf("state = %s (%s), want complete", st.State, st.Reason)
+	waitFor(t, 30*time.Second, "the first rows to land", func() bool {
+		got, err := s.Get(st.ID)
+		return err == nil && got.RowsDone == k
+	})
+	drain(t, s)
+	if got, _ := s.Get(st.ID); got.State.Terminal() {
+		t.Fatalf("an interrupted job settled %s", got.State)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("executor rendered %d records, want 2", len(recs))
+
+	var prior *sweep.Matrix
+	cfg.RunSweep = func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+		prior = req.Journal.Prior()
+		return standIn(ctx, t, req)
 	}
-	ref := filepath.Join(t.TempDir(), "ref.journal")
-	rj, err := sweep.OpenJournal(ref, space)
+	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		if err := rj.AppendRecord(rec); err != nil {
-			t.Fatal(err)
+	if got := waitTerminal(t, s2, st.ID); got.State != StateComplete {
+		t.Fatalf("resumed job state = %s (%s), want complete", got.State, got.Reason)
+	}
+	drain(t, s2)
+	if prior == nil || len(prior.Kernels) != k {
+		t.Fatalf("resumed RunSweep's journal Prior = %v, want the %d journaled rows", prior, k)
+	}
+	for r := 0; r < k; r++ {
+		pr := prior.Row(first.Kernels[r])
+		if pr < 0 || !prior.RowComplete(pr) ||
+			!reflect.DeepEqual(prior.Throughput[pr], first.Throughput[r]) ||
+			!reflect.DeepEqual(prior.TimeNS[pr], first.TimeNS[r]) ||
+			!reflect.DeepEqual(prior.Bound[pr], first.Bound[r]) {
+			t.Fatalf("Prior row for %s is not the journaled row", first.Kernels[r])
 		}
-	}
-	if err := rj.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(s.journalPath(st.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("job journal (%d bytes) is not the executor's records (%d bytes)", len(got), len(want))
 	}
 }
 

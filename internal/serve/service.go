@@ -60,12 +60,12 @@ type Config struct {
 	// RunSweep, when non-nil, executes each job's sweep in place of
 	// the local executor — the fan-out seam a distributed coordinator
 	// (internal/dist) plugs into. The callback receives everything the
-	// local path would use, including the job's recovered prior matrix
-	// and the OnRow hook that keeps the service's journal and live
-	// snapshot current; implementations must invoke OnRow as rows
-	// settle (or accept that partial fetches stay empty). Admission,
-	// journaling, terminal-state and recovery semantics are identical
-	// on both paths.
+	// local path would use, including the job's open journal and the
+	// OnRow hook that keeps the service's live snapshot current;
+	// implementations must append each settled row to the journal and
+	// invoke OnRow (or accept that restarts recompute and partial
+	// fetches stay empty). Admission, journaling, terminal-state and
+	// recovery semantics are identical on both paths.
 	RunSweep func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error)
 	// Registry receives service metrics; nil creates a private one.
 	Registry *obs.Registry
@@ -106,20 +106,19 @@ type SweepRequest struct {
 	Engine sweep.Engine
 	Seed   int64
 	Noise  float64
-	// Prior is the matrix recovered from the job's journal; rows
-	// already complete there need not be recomputed.
-	Prior *sweep.Matrix
-	// OnRow persists a settled, complete row into the job's journal and
-	// live snapshot; safe for concurrent use. rec is the row's journal
-	// record as the executor rendered it (sweep.EncodeRow's form), and
-	// the journal appends exactly those bytes, so the executor's render
-	// is the only one. A distributed executor may invoke it MORE than
-	// once for the same row: when a quarantined worker's complete is
-	// retracted and a healthy worker re-executes the row, the corrected
-	// planes arrive through a second OnRow call. The journal absorbs
-	// this naturally — replay is last-record-wins per kernel, so the
-	// corrected append supersedes the retracted one.
-	OnRow func(m *sweep.Matrix, r int, rec sweep.RowRecord)
+	// Journal is the job's open journal, its only one: Prior holds the
+	// rows recovered from earlier runs, which need not be recomputed,
+	// and the executor appends each settled, complete row to it before
+	// calling OnRow. The service closes it once RunSweep returns.
+	Journal *sweep.Journal
+	// OnRow copies a settled, complete row into the job's live snapshot;
+	// safe for concurrent use. A distributed executor may invoke it MORE
+	// than once for the same row: when a quarantined worker's complete
+	// is retracted and a healthy worker re-executes the row, the
+	// corrected planes arrive through a second call (and a second
+	// journal append, which supersedes the retracted one: replay is
+	// last-record-wins per kernel).
+	OnRow func(m *sweep.Matrix, r int)
 	// Trace is the job's span context; a distributed executor hands it
 	// to the coordinator so lease grants become children of the job
 	// span and the whole fleet run stitches into one trace.
@@ -806,12 +805,6 @@ func (s *Service) runJob(j *job) {
 		}
 		settle(m, r)
 	}
-	onRecord := func(m *sweep.Matrix, r int, rec sweep.RowRecord) {
-		if err := journal.AppendRecord(rec); err != nil {
-			s.cfg.Logf("serve: %s: journal: %v", j.id, err)
-		}
-		settle(m, r)
-	}
 
 	runStart := time.Now()
 	var (
@@ -822,7 +815,7 @@ func (s *Service) runJob(j *job) {
 		m, rep, err = s.cfg.RunSweep(ctx, SweepRequest{
 			JobID: j.id, Kernels: j.res.kernels, Space: j.res.space,
 			Engine: j.res.engine, Seed: j.spec.Seed, Noise: j.spec.Noise,
-			Prior: journal.Prior(), OnRow: onRecord, Trace: j.trace,
+			Journal: journal, OnRow: settle, Trace: j.trace,
 		})
 	} else {
 		m, rep, err = sweep.Resume(ctx, j.res.kernels, j.res.space, opts, journal.Prior())
