@@ -40,21 +40,21 @@ soak-smoke:
 # Multi-process distributed chaos soak: a coordinator plus three
 # child-process workers, with SIGKILLs, coordinator crash-restarts and
 # injected network faults (dropped acks, duplicated deliveries,
-# delays), race-enabled. Asserts exactly-once completion, a merged
-# matrix byte-identical to a single-node run, and the no-two-live-
-# epochs ledger invariant. On failure the log prints the chaos seed;
+# delays), race-enabled. Asserts exactly-once completion, a matrix and
+# job journal byte-identical to a single-node run, and the
+# no-two-live-epochs ledger invariant. On failure the log prints the chaos seed;
 # replay it with GPUSCALE_FAULT_SEED=<seed> make soak-dist.
 soak-dist:
 	GPUSCALE_SOAK_MS=10000 $(GO) test -race -run TestChaosSoakDistributed -v -count=1 ./internal/dist/
 
 # Byzantine fleet soak: a worker that corrupts every row it computes
-# (journal, wire and attested digest consistently wrong), a worker on
+# (wire payload and attested digest consistently wrong), a worker on
 # a stale protocol version, two honest workers, and a coordinator
 # crash-restart after the quarantine lands — race-enabled. Asserts the
 # stale worker is fenced before computing, the liar is quarantined
-# with its rows invalidated and re-executed, the merged result stays
-# byte-identical to a single-node run, and the ledger audit names
-# every corrupt row. On failure the log prints the seed; replay it
+# with its rows invalidated and re-executed, the matrix and job
+# journal stay byte-identical to a single-node run, and the ledger
+# audit names every corrupt row. On failure the log prints the seed; replay it
 # with GPUSCALE_FAULT_SEED=<seed> make soak-byzantine.
 soak-byzantine:
 	GPUSCALE_SOAK_MS=10000 $(GO) test -race -run TestChaosSoakByzantine -v -count=1 ./internal/dist/
@@ -66,8 +66,8 @@ soak-byzantine:
 # term, workers re-join it through peer rotation with jittered
 # backoff, and the deposed primary is term-fenced when it limps back —
 # race-enabled. Asserts exactly-once completion across the failover, a
-# merged matrix byte-identical to a single-node run, and the
-# monotonic-terms / no-two-live-primaries ledger audit. On failure the
+# promoted coordinator's matrix byte-identical to a single-node run,
+# and the monotonic-terms / no-two-live-primaries ledger audit. On failure the
 # log prints the seed; replay with GPUSCALE_FAULT_SEED=<seed> make
 # soak-failover.
 soak-failover:

@@ -115,17 +115,8 @@ func TestDaemonFleetMode(t *testing.T) {
 
 	// One journal per job on the primary: serve's, which the
 	// coordinator appended the fleet's rows to.
-	var journals []string
-	err = filepath.WalkDir(co.stateDir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && strings.HasSuffix(path, ".journal") {
-			journals = append(journals, path)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := filepath.Join(co.stateDir, st.ID+".journal"); len(journals) != 1 || journals[0] != want {
+	want := filepath.Join(co.stateDir, st.ID+".journal")
+	if journals := journalsUnder(t, co.stateDir); len(journals) != 1 || journals[0] != want {
 		t.Fatalf("coordinator state holds journals %v, want only %s", journals, want)
 	}
 
@@ -152,6 +143,13 @@ func TestDaemonFleetMode(t *testing.T) {
 			t.Fatal("worker never stopped")
 		}
 	}
+	// Workers are stateless: a finished row lives only in the job's
+	// journal on the primary.
+	for i := 0; i < 2; i++ {
+		if journals := journalsUnder(t, dir+"/w"+string(rune('0'+i))); len(journals) != 0 {
+			t.Fatalf("worker w%d state holds journals %v", i, journals)
+		}
+	}
 	cancel()
 	select {
 	case err := <-coordErr:
@@ -170,4 +168,20 @@ func TestDaemonFleetMode(t *testing.T) {
 	if !strings.Contains(string(trace), `"lease"`) || !strings.Contains(string(trace), `"complete"`) {
 		t.Fatalf("trace missing lease lifecycle events:\n%.400s", trace)
 	}
+}
+
+// journalsUnder lists every *.journal file below dir.
+func journalsUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	var journals []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".journal") {
+			journals = append(journals, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return journals
 }

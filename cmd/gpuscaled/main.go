@@ -26,9 +26,11 @@
 // API unchanged but executes each admitted job by leasing kernel rows
 // to a fleet over `/v1/dist/` (internal/dist): monotonic lease epochs,
 // expiry + work-stealing, fsync-before-ack completion. `-worker -join
-// URL` runs the complementary process: an API-less worker that
-// acquires leases, sweeps rows with the same journaled executor, and
-// reports back; kill -9 it at any instant and its lease just expires.
+// URL` runs the complementary process: an API-less, stateless worker
+// that acquires leases, sweeps rows with the same executor, and
+// reports back; it writes no journal (a finished row lives only in
+// the job's journal on the coordinator), so kill -9 it at any instant
+// and its lease just expires.
 //
 // Usage:
 //
@@ -47,8 +49,8 @@
 // The fleet defends itself against byzantine members, not just
 // crashed ones. Every acquire carries a version + engine-fingerprint
 // handshake (mixed binaries are fenced before computing anything),
-// every completed row is attested with a digest of its journaled
-// bytes, and `-verify-fraction` re-executes a seed-deterministic
+// every completed row is attested with a digest of its journal record,
+// and `-verify-fraction` re-executes a seed-deterministic
 // sample of rows on a second worker — a digest mismatch quarantines
 // the lying worker (`-quarantine-after`), revokes its leases, retracts
 // its unverified rows, and drops it from /metrics/fleet.
@@ -160,7 +162,7 @@ func main() {
 	flag.DurationVar(&o.latency, "fault-latency", 0, "maximum injected per-call latency (needs -fault-latency-rate)")
 	flag.Float64Var(&o.latencyRate, "fault-latency-rate", 0, "inject seeded per-call latency at this rate (chaos drills)")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed")
-	flag.Float64Var(&o.corruptRate, "fault-corrupt-row-rate", 0, "make this -worker byzantine: tamper computed rows at this rate before journaling and attesting them (chaos drills)")
+	flag.Float64Var(&o.corruptRate, "fault-corrupt-row-rate", 0, "make this -worker byzantine: tamper computed rows at this rate before rendering and attesting them (chaos drills)")
 	flag.StringVar(&o.staleVersion, "fault-stale-version", "", "make this -worker present the given protocol version on acquire instead of its real one (chaos drills)")
 	flag.BoolVar(&o.coordinator, "coordinator", false, "execute jobs by leasing kernel rows to a worker fleet over /v1/dist/")
 	flag.BoolVar(&o.standby, "standby", false, "run as a warm standby coordinator replicating from -join; promotes after -promote-after of primary silence")
@@ -420,17 +422,9 @@ func run(ctx context.Context, o cliOptions) error {
 		}
 	}
 
-	// Job specs replicate alongside lease records: a promoted standby
-	// cannot serve the job API, but the admission files it mirrored let
-	// an operator rebuild a primary without re-asking clients.
-	var replicate func(string, []byte)
-	if coord != nil {
-		replicate = coord.ReplicateServeSpec
-	}
 	svc, err := serve.New(serve.Config{
 		Registry:     reg,
 		RunSweep:     runSweep,
-		Replicate:    replicate,
 		Sink:         sink,
 		Dir:          o.stateDir,
 		Runners:      o.runners,
@@ -657,7 +651,8 @@ func runStandby(ctx context.Context, o cliOptions) error {
 }
 
 // runWorker joins a coordinator's fleet: acquire a row lease, sweep
-// it with the journaled executor, report it, repeat until SIGTERM.
+// it, report it, repeat until SIGTERM. Its -state holds only the
+// flight ring.
 // There is no job API and no drain protocol — a worker is crash-only
 // by design, so a clean exit and a kill -9 differ only in how fast
 // the lease it held gets re-granted.
@@ -708,7 +703,6 @@ func runWorker(ctx context.Context, o cliOptions) error {
 	w, err := dist.NewWorker(dist.WorkerOptions{
 		Name:         name,
 		Peers:        peers,
-		Dir:          o.stateDir,
 		Client:       &http.Client{Timeout: 30 * time.Second},
 		SweepWorkers: o.workers,
 		Retries:      o.retries,
@@ -724,8 +718,7 @@ func runWorker(ctx context.Context, o cliOptions) error {
 	if err != nil {
 		return err
 	}
-	defer w.Close()
-	fmt.Fprintf(os.Stderr, "gpuscaled: worker %s joining %s (journals in %s)\n", name, o.join, o.stateDir)
+	fmt.Fprintf(os.Stderr, "gpuscaled: worker %s joining %s\n", name, o.join)
 	err = w.Run(ctx)
 	fmt.Fprintf(os.Stderr, "gpuscaled: worker %s stopped\n", name)
 	return err

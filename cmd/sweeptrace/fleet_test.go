@@ -75,7 +75,7 @@ func writeFleetTraces(t *testing.T) []string {
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("w%d", i)
 		w, err := dist.NewWorker(dist.WorkerOptions{
-			Name: name, Peers: []string{srv.URL}, Dir: dir + "/" + name,
+			Name: name, Peers: []string{srv.URL},
 			Client:       &http.Client{Timeout: 10 * time.Second},
 			SweepWorkers: 2, IdleSleep: 2 * time.Millisecond,
 			Sink: obs.NewSink(newTrace(name), nil),
@@ -86,7 +86,6 @@ func writeFleetTraces(t *testing.T) []string {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer w.Close()
 			w.Run(ctx)
 		}()
 	}

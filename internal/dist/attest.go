@@ -16,9 +16,9 @@ package dist
 // speak the same protocol but compute different numbers — a stale
 // build, a different rounding under a miscompile, a patched engine —
 // disagree on the fingerprint and never mix rows in one matrix.
-// Byte-identity of the merged journal is the repo's north star; the
-// fingerprint is that invariant checked at admission time instead of
-// merge time.
+// Byte-identity of the job's journal with a single-node run is the
+// repo's north star; the fingerprint is that invariant checked at
+// admission time instead of after the job.
 
 import (
 	"fmt"

@@ -200,10 +200,6 @@ type Coordinator struct {
 	term      uint64
 	deposed   bool
 	deposedCh chan struct{}
-	// serveSpecs are the serve-level admissions replicated alongside
-	// the lease state, keyed by job ID, so an admitted job survives
-	// primary loss.
-	serveSpecs map[string][]byte
 	// strikes and quarantined are fleet-wide (cross-job) integrity
 	// state, recovered from the ledger on restart.
 	strikes     map[string]int
@@ -235,7 +231,7 @@ func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 	}
 	c := &Coordinator{dir: dir, opt: opt, ledger: led, jobs: map[string]*jobState{}, recovered: rec,
 		strikes: rec.strikes, quarantined: rec.quarantined,
-		repl: newReplLog(), deposedCh: make(chan struct{}), serveSpecs: map[string][]byte{}}
+		repl: newReplLog(), deposedCh: make(chan struct{})}
 	c.now = opt.now
 	if c.now == nil {
 		c.now = time.Now
@@ -353,21 +349,6 @@ func (c *Coordinator) replBarrier() {
 		c.mReplTimeouts.Inc()
 	}
 	c.mReplLag.Set(float64(c.repl.lag()))
-}
-
-// ReplicateServeSpec publishes a serve-level admission (the raw job
-// file bytes internal/serve persisted) to the replication stream and
-// waits for the standby to hold it, so a job acked 202 survives
-// primary loss.
-func (c *Coordinator) ReplicateServeSpec(id string, raw []byte) {
-	c.mu.Lock()
-	if !c.deposed {
-		b := append([]byte(nil), raw...)
-		c.serveSpecs[id] = b
-		c.repl.publish(replMsg{Kind: "servespec", Spec: &serveSpec{ID: id, Bytes: b}})
-	}
-	c.mu.Unlock()
-	c.replBarrier()
 }
 
 // StartHA begins this coordinator's term bookkeeping against its
@@ -577,9 +558,15 @@ func (c *Coordinator) addJob(job Job) error {
 	}
 	c.jobs[job.Name] = js
 	// Put the registration on the replication stream so a standby can
-	// re-register the job at promotion (the OnRow hook stays local).
+	// re-register the job at promotion (the OnRow hook stays local),
+	// followed by the rows the job's journal already held: a standby
+	// forgets a job once its Run returns, so a job resumed after a
+	// restart reaches the standby's replica journal whole only this way.
 	if spec, err := specForJob(job, ttl); err == nil {
 		c.repl.publish(replMsg{Kind: "job", Job: &spec})
+		for _, rp := range js.doneRows() {
+			c.repl.publish(replMsg{Kind: "row", Row: &rp})
+		}
 	}
 	// A per-job term instant: the stitched trace shows which
 	// coordinator, under which term, served this job's grants.
@@ -720,8 +707,10 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.R
 // retire takes a job out of the coordinator in the critical section
 // that reads its final matrix: its rows are never granted again,
 // renews and completes for it answer 404, the HA snapshot drops it and
-// no quarantine can retract its rows. Without force, a job with rows
-// outstanding stays and retire reports false.
+// no quarantine can retract its rows. The "left" message it publishes
+// follows the job's last row and complete frames on the replication
+// stream, and tells the standby to forget the job too. Without force,
+// a job with rows outstanding stays and retire reports false.
 func (c *Coordinator) retire(name string, force bool) (*sweep.Matrix, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -730,6 +719,7 @@ func (c *Coordinator) retire(name string, force bool) (*sweep.Matrix, bool) {
 		return nil, false
 	}
 	delete(c.jobs, name)
+	c.repl.publish(replMsg{Kind: "left", Left: name})
 	return js.matrix, true
 }
 
@@ -1375,10 +1365,9 @@ func (c *Coordinator) haStatus() HAStatus {
 
 // snapshot builds a consistent full copy of the durable state for a
 // standby that cannot catch up from the tail: the exact ledger bytes,
-// every registered job's spec and completed rows, every replicated serve
-// admission, and the cursor at which tailing resumes. Taken under
-// c.mu, so no publish can interleave — the cursor and the state
-// describe the same instant.
+// every registered job's spec and completed rows, and the cursor at
+// which tailing resumes. Taken under c.mu, so no publish can
+// interleave — the cursor and the state describe the same instant.
 func (c *Coordinator) snapshot() (*haSnapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1403,23 +1392,22 @@ func (c *Coordinator) snapshot() (*haSnapshot, error) {
 			return nil, err
 		}
 		snap.Jobs = append(snap.Jobs, spec)
-		for r := range js.rows {
-			if !js.rows[r].done {
-				continue
-			}
-			snap.Rows = append(snap.Rows, RowPlanes{Job: name, Row: r, Kernel: js.order[r],
+		snap.Rows = append(snap.Rows, js.doneRows()...)
+	}
+	return snap, nil
+}
+
+// doneRows packs every done row of js for the replication stream.
+// Caller holds c.mu.
+func (js *jobState) doneRows() []RowPlanes {
+	var out []RowPlanes
+	for r := range js.rows {
+		if js.rows[r].done {
+			out = append(out, RowPlanes{Job: js.job.Name, Row: r, Kernel: js.order[r],
 				Planes: packPlanes(js.matrix.Throughput[r], js.matrix.TimeNS[r], js.matrix.Bound[r])})
 		}
 	}
-	var ids []string
-	for id := range c.serveSpecs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		snap.Specs = append(snap.Specs, serveSpec{ID: id, Bytes: c.serveSpecs[id]})
-	}
-	return snap, nil
+	return out
 }
 
 // decodeInto parses a POST body, answering 4xx itself on failure.

@@ -519,12 +519,10 @@ func TestCanceledRunLeavesCoordinator(t *testing.T) {
 	if l2, err := c.acquire(acq("w2")); err != nil || l2 != nil {
 		t.Fatalf("acquire after Run returned: granted %v, error %v; want neither", l2 != nil, err)
 	}
-	w, err := NewWorker(WorkerOptions{Name: "w1", Peers: []string{srv.URL}, Dir: t.TempDir(),
-		Client: srv.Client()})
+	w, err := NewWorker(WorkerOptions{Name: "w1", Peers: []string{srv.URL}, Client: srv.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
 	req := okComplete(t, l, "w1")
 	if status, _ := postJSON(t, srv.URL+"/v1/dist/complete", req); status != http.StatusNotFound {
 		t.Fatalf("late complete answered %d, want 404", status)

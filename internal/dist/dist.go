@@ -1,8 +1,9 @@
 // Package dist shards a sweep's kernel axis across a fleet: a
 // coordinator leases kernel rows to workers over HTTP, workers run
-// each row through the ordinary sweep executor + journal, and a merge
-// step folds the per-worker row journals back into one canonical
-// matrix journal that is byte-identical to a single-node run.
+// each row through the ordinary sweep executor and ship its planes
+// back, and the coordinator appends each accepted row to the job's
+// journal — the fleet's only row record, byte-identical to a
+// single-node run's once rendered in kernel order.
 //
 // The protocol is built from the row up on the repo's crash-only
 // primitives. A kernel row is already the unit of idempotent,
@@ -31,12 +32,12 @@
 //     a single-node sweep derives, so any two honest executions of a
 //     row — original and thief, before and after a crash — produce
 //     bit-identical planes. Exactly-once completion is then checkable
-//     after the fact: the merged journal must equal the single-node
+//     after the fact: the job's journal must equal the single-node
 //     journal byte for byte.
 //
-// Workers are crash-only too: each keeps a local row journal, so a
-// re-leased row a worker already finished is served from its journal
-// instead of recomputed, and a worker kill mid-row just lets the
+// Workers are stateless: a row is a pure function of its lease, so a
+// worker computes, attests and forgets, and writes no journal. A
+// re-leased row is recomputed, and a worker kill mid-row just lets the
 // lease expire and the row get re-leased.
 package dist
 

@@ -8,9 +8,11 @@ package dist
 // this repo:
 //
 //   - The primary publishes every durable event — ledger frames (the
-//     exact CRC-framed bytes it fsynced), completed row planes, job
-//     specs, serve-level admissions — into an in-memory replication
-//     log with a monotonically increasing cursor.
+//     exact CRC-framed bytes it fsynced), job specs, completed row
+//     planes, and a job's departure once its Run returns — into an
+//     in-memory replication log with a monotonically increasing
+//     cursor. A departed job leaves the standby too, so the replica
+//     holds only the jobs the primary still runs.
 //   - The standby long-polls GET /v1/ha/tail?cursor=N, applies each
 //     message exactly once (fsync before advancing its cursor), and
 //     the next tail request's cursor acknowledges everything before
@@ -37,7 +39,7 @@ package dist
 // validates each row's packed planes with the primary's checks before
 // rendering the same journal record the primary journaled, the
 // promoted coordinator's durable state is byte-identical to the
-// primary's — the merged matrix stays byte-identical to a single-node
+// primary's — the job's matrix stays byte-identical to a single-node
 // run across a failover, which is the repo's north-star invariant.
 
 import (
@@ -137,24 +139,18 @@ type RowPlanes struct {
 	Planes []byte `json:"planes"`
 }
 
-// serveSpec is a serve-level admission riding the replication stream:
-// the raw job file internal/serve fsyncs before answering 202, so an
-// admitted-but-not-yet-started job survives primary loss too.
-type serveSpec struct {
-	ID    string `json:"id"`
-	Bytes []byte `json:"bytes"`
-}
-
 // replMsg is one replication-stream message.
 type replMsg struct {
 	Cursor int64  `json:"cursor"`
-	Kind   string `json:"kind"` // "rec" | "job" | "row" | "servespec"
+	Kind   string `json:"kind"` // "rec" | "job" | "row" | "left"
 	// Frame is the exact framed ledger bytes for "rec" — appended
 	// verbatim on the standby, so the replica ledger is byte-identical.
 	Frame []byte     `json:"frame,omitempty"`
 	Job   *JobSpec   `json:"job,omitempty"`
 	Row   *RowPlanes `json:"row,omitempty"`
-	Spec  *serveSpec `json:"spec,omitempty"`
+	// Left names the job a "left" message retires: its Run returned on
+	// the primary, so the standby forgets it.
+	Left string `json:"left,omitempty"`
 }
 
 // tailResponse answers GET /v1/ha/tail.
@@ -174,7 +170,6 @@ type haSnapshot struct {
 	Ledger []byte      `json:"ledger"`
 	Jobs   []JobSpec   `json:"jobs,omitempty"`
 	Rows   []RowPlanes `json:"rows,omitempty"`
-	Specs  []serveSpec `json:"specs,omitempty"`
 }
 
 // HAStatus answers GET /v1/ha/status — the probe surface peers (and
@@ -395,10 +390,9 @@ type Standby struct {
 	cursor      int64
 	synced      bool
 	lastContact time.Time
-	// jobs are the replicated jobs; each one's Journal is its replica
-	// journal.
+	// jobs are the replicated jobs the primary still runs; each one's
+	// Journal is its replica journal.
 	jobs     map[string]*Job
-	specs    map[string][]byte
 	promoted *Coordinator
 
 	mTerm, mCursor          *obs.Gauge
@@ -429,8 +423,7 @@ func NewStandby(dir string, o StandbyOptions) (*Standby, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dist: creating standby dir: %w", err)
 	}
-	s := &Standby{dir: dir, o: o, client: o.Client, now: o.now,
-		jobs: map[string]*Job{}, specs: map[string][]byte{}}
+	s := &Standby{dir: dir, o: o, client: o.Client, now: o.now, jobs: map[string]*Job{}}
 	if s.client == nil {
 		s.client = &http.Client{Timeout: 10 * time.Second}
 	}
@@ -500,6 +493,23 @@ func (s *Standby) registerJob(spec JobSpec) error {
 		return err
 	}
 	s.jobs[spec.Name] = &j
+	return nil
+}
+
+// forgetJobLocked drops a job the primary retired: its replica journal
+// is closed, and its spec and journal files are removed, so neither a
+// restart (reloadJobs) nor a promotion brings it back. A job the
+// standby does not hold is already forgotten. Caller holds s.mu.
+func (s *Standby) forgetJobLocked(name string) error {
+	if j := s.jobs[name]; j != nil {
+		j.Journal.Close()
+		delete(s.jobs, name)
+	}
+	for _, path := range []string{s.specPath(name), s.journalPath(name)} {
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("dist: forgetting job %s: %w", name, err)
+		}
+	}
 	return nil
 }
 
@@ -588,13 +598,25 @@ func (s *Standby) syncOnce(ctx context.Context) error {
 }
 
 // applySnapshotLocked replaces the replica state wholesale with the
-// snapshot: ledger bytes verbatim, journals rebuilt row by row.
+// snapshot: ledger bytes verbatim, journals rebuilt row by row. A job
+// the standby held that the snapshot no longer lists left the primary
+// while the standby was away, and is forgotten.
 func (s *Standby) applySnapshotLocked(snap haSnapshot) error {
 	if !bytes.HasPrefix(snap.Ledger, []byte(ledgerMagic)) {
 		return fmt.Errorf("dist: snapshot ledger is not a lease ledger")
 	}
 	s.led.Close()
-	for _, j := range s.jobs {
+	listed := map[string]bool{}
+	for _, spec := range snap.Jobs {
+		listed[spec.Name] = true
+	}
+	for name, j := range s.jobs {
+		if !listed[name] {
+			if err := s.forgetJobLocked(name); err != nil {
+				return err
+			}
+			continue
+		}
 		j.Journal.Close()
 	}
 	path := filepath.Join(s.dir, "lease.ledger")
@@ -623,11 +645,6 @@ func (s *Standby) applySnapshotLocked(snap haSnapshot) error {
 	}
 	for i := range snap.Rows {
 		if err := s.applyRowLocked(&snap.Rows[i]); err != nil {
-			return err
-		}
-	}
-	for _, sp := range snap.Specs {
-		if err := s.persistServeSpecLocked(sp); err != nil {
 			return err
 		}
 	}
@@ -739,11 +756,8 @@ func (s *Standby) applyMsgLocked(m *replMsg) error {
 			return fmt.Errorf("dist: row message without planes")
 		}
 		return s.applyRowLocked(m.Row)
-	case "servespec":
-		if m.Spec == nil {
-			return fmt.Errorf("dist: servespec message without a spec")
-		}
-		return s.persistServeSpecLocked(*m.Spec)
+	case "left":
+		return s.forgetJobLocked(m.Left)
 	default:
 		return fmt.Errorf("dist: unknown replication message kind %q", m.Kind)
 	}
@@ -772,15 +786,6 @@ func (s *Standby) applyRowLocked(rp *RowPlanes) error {
 		return err
 	}
 	return j.Journal.AppendRecord(rec)
-}
-
-func (s *Standby) persistServeSpecLocked(sp serveSpec) error {
-	dir := filepath.Join(s.dir, "serve-jobs")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	s.specs[sp.ID] = append([]byte(nil), sp.Bytes...)
-	return durable.WriteFile(filepath.Join(dir, sanitize(sp.ID)+".json"), durable.Bytes(sp.Bytes))
 }
 
 // Status reports this standby's probe view.
@@ -817,10 +822,10 @@ func (s *Standby) Handler() http.Handler {
 
 // Promote turns the replica into a live Coordinator: the replica
 // ledger is replayed with the same conservative-expiry recovery a
-// crash-restart uses, every replicated job is re-registered with its
-// reopened replica journal, and the new coordinator asserts term+1 in
-// the ledger — from which point the old primary's term is fenced
-// everywhere.
+// crash-restart uses, every job the primary still ran is re-registered
+// with its reopened replica journal, and the new coordinator asserts
+// term+1 in the ledger — from which point the old primary's term is
+// fenced everywhere.
 func (s *Standby) Promote() (*Coordinator, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -147,6 +147,155 @@ func TestReplicaLedgerByteIdentical(t *testing.T) {
 	}
 }
 
+// TestStandbyForgetsRetiredJob: once the primary's Run returns, the
+// standby forgets the job too. A job canceled with one of three rows
+// done leaves no spec or replica journal in the standby's directory,
+// and the promoted standby neither knows the job nor grants its
+// remaining rows.
+func TestStandbyForgetsRetiredJob(t *testing.T) {
+	clk := newTestClock()
+	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
+	job := withJournal(t, c.dir, testJob(t, "j", 3))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := runInBackground(t, ctx, c, job)
+	syncStandby(t, s)
+	l, err := c.acquire(acq("w1"))
+	if err != nil || l == nil {
+		t.Fatalf("acquire: %+v %v", l, err)
+	}
+	if _, err := c.complete(okComplete(t, l, "w1")); err != nil {
+		t.Fatal(err)
+	}
+	drainTail(t, s, c)
+	if _, err := os.Stat(s.journalPath("j")); err != nil {
+		t.Fatalf("the standby should hold the live job's replica journal: %v", err)
+	}
+
+	cancel()
+	if res := <-done; !errors.Is(res.err, context.Canceled) {
+		t.Fatalf("Run after cancel = %v, want context.Canceled", res.err)
+	}
+	drainTail(t, s, c)
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "j.") {
+			t.Errorf("standby still holds %s for the retired job", e.Name())
+		}
+	}
+
+	srv.Close()
+	c2, err := s.Promote()
+	if err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	defer c2.Close()
+	if st, ok := c2.Status("j"); ok {
+		t.Fatalf("the promoted standby re-registered the retired job: %+v", st)
+	}
+	if l, err := c2.acquire(acq("w2")); err != nil || l != nil {
+		t.Fatalf("the promoted standby granted %+v (%v) after the job left", l, err)
+	}
+}
+
+// TestStandbyReplicaHoldsResumedRows: a job resumed after its Run
+// returned, as a restarted owner resumes an interrupted job, brings the
+// rows its journal already held back to the standby, which forgot the
+// job when the first Run returned. The replica journal holds them
+// again, and a promotion counts them done instead of re-granting them.
+func TestStandbyReplicaHoldsResumedRows(t *testing.T) {
+	clk := newTestClock()
+	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
+	job := withJournal(t, c.dir, testJob(t, "j", 3))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := runInBackground(t, ctx, c, job)
+	syncStandby(t, s)
+	l, err := c.acquire(acq("w1"))
+	if err != nil || l == nil {
+		t.Fatalf("acquire: %+v %v", l, err)
+	}
+	if _, err := c.complete(okComplete(t, l, "w1")); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	<-done
+	drainTail(t, s, c)
+
+	if err := c.AddJob(reopened(t, c.dir, job)); err != nil {
+		t.Fatal(err)
+	}
+	drainTail(t, s, c)
+	m, err := sweep.ReadJournal(s.journalPath("j"), job.Space)
+	if err != nil || m == nil || len(m.Kernels) != 1 || m.Kernels[0] != job.Kernels[l.Row].Name {
+		t.Fatalf("the standby's replica should hold the resumed job's finished row: %v", err)
+	}
+
+	srv.Close()
+	c2, err := s.Promote()
+	if err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	defer c2.Close()
+	if st, ok := c2.Status("j"); !ok || st.Done != 1 {
+		t.Fatalf("the promoted standby should resume the job with its finished row: %+v", st)
+	}
+}
+
+// TestSelfFenceAfterStandbySilence: a primary whose standby tailed it
+// once steps down when the standby then stays silent past
+// SelfFenceAfter — it cannot tell a dead standby from one that promoted
+// across a partition — and answers lease requests 409 "deposed" from
+// then on. A primary whose standby never tailed is not armed and stays
+// primary over the same window.
+func TestSelfFenceAfterStandbySilence(t *testing.T) {
+	opt := CoordinatorOptions{SelfFenceAfter: 150 * time.Millisecond, CheckEvery: 10 * time.Millisecond}
+	armed, err := NewCoordinator(t.TempDir(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer armed.Close()
+	solo, err := NewCoordinator(t.TempDir(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer solo.Close()
+	srv := httptest.NewServer(armed.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []*Coordinator{armed, solo} {
+		if err := c.StartHA(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/v1/ha/tail?cursor=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("tail answered %d", resp.StatusCode)
+	}
+	select {
+	case <-armed.Deposed():
+	case <-time.After(2 * time.Second):
+		t.Fatal("a primary whose standby went silent never self-fenced")
+	}
+	if status, eb := postJSON(t, srv.URL+"/v1/dist/lease", acq("w1")); status != http.StatusConflict || eb.Code != "deposed" {
+		t.Fatalf("self-fenced lease should be 409/deposed, got %d/%q", status, eb.Code)
+	}
+	select {
+	case <-solo.Deposed():
+		t.Fatal("a primary whose standby never tailed self-fenced")
+	case <-time.After(2 * opt.SelfFenceAfter):
+	}
+}
+
 // TestPromotionMidGrantKeepsLeaseLive: a lease granted under term N
 // completes on the term-N+1 promoted standby — the grant record's term
 // rides the replica ledger, so the fence admits the old lease instead

@@ -4,7 +4,7 @@ package dist
 // produce a canonical journal byte-identical to a single-node run.
 //
 // The cast: one "liar" whose fault injector corrupts every row it
-// computes (journal, wire and attested digest consistently wrong, so
+// computes (wire payload and attested digest consistently wrong, so
 // only independent re-execution can expose it), one worker running a
 // stale protocol version, two honest workers, and a coordinator that
 // crashes and restarts mid-soak after the quarantine lands. The soak
@@ -17,10 +17,8 @@ package dist
 //     are invalidated, and healthy workers re-execute every one,
 //   - quarantine membership, open votes and strikes survive the
 //     coordinator crash,
-//   - the final matrix, the job journal, and the attested
-//     merge of the honest workers' journals are all byte-identical to
-//     the single-node run, while the liar's journal is refused by the
-//     attested merge,
+//   - the final matrix and the job journal are byte-identical to the
+//     single-node run,
 //   - the ledger audit passes and names the quarantine, the strikes,
 //     and every one of the liar's corrupt rows,
 //   - /metrics/fleet pins the quarantined worker's scrape to 0, and
@@ -87,19 +85,18 @@ func byzJobSeed(t *testing.T) int64 {
 // byzWorker is one in-process fleet worker plus the channel its Run
 // error lands on.
 type byzWorker struct {
-	w       *Worker
-	journal string
-	done    chan error
+	w    *Worker
+	done chan error
 }
 
-func spawnByzWorker(t *testing.T, ctx context.Context, url, dir, name string, in fault.Injector, job Job) *byzWorker {
+func spawnByzWorker(t *testing.T, ctx context.Context, url, name string, in fault.Injector) *byzWorker {
 	t.Helper()
 	reg := obs.NewRegistry()
 	reg.Counter("worker_alive", "liveness marker").Add(1)
 	msrv := httptest.NewServer(obs.Handler(reg, nil))
 	t.Cleanup(msrv.Close)
 	w, err := NewWorker(WorkerOptions{
-		Name: name, Peers: []string{url}, Dir: dir,
+		Name: name, Peers: []string{url},
 		Client:       &http.Client{Timeout: 10 * time.Second},
 		SweepWorkers: 2, Retries: 2, IdleSleep: 10 * time.Millisecond,
 		MetricsURL: msrv.URL + "/metrics", Fault: in,
@@ -107,9 +104,8 @@ func spawnByzWorker(t *testing.T, ctx context.Context, url, dir, name string, in
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw := &byzWorker{w: w, journal: w.JournalPath(job.Name), done: make(chan error, 1)}
+	bw := &byzWorker{w: w, done: make(chan error, 1)}
 	go func() {
-		defer w.Close()
 		bw.done <- w.Run(ctx)
 	}()
 	return bw
@@ -170,8 +166,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 
 	// Phase 1: the liar runs alone and claims every row — sampled rows
 	// become held votes, unsampled rows are accepted on its word.
-	liar := spawnByzWorker(t, ctx, url, root+"/liar", "liar",
-		fault.Injector{CorruptRowRate: 1, Seed: seed}, job)
+	liar := spawnByzWorker(t, ctx, url, "liar", fault.Injector{CorruptRowRate: 1, Seed: seed})
 	phase1 := time.Now().Add(budget)
 	for {
 		st, ok := p.coord.Status(job.Name)
@@ -191,8 +186,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 
 	// Phase 2: a mixed-version worker is fenced before computing
 	// anything.
-	stale := spawnByzWorker(t, ctx, url, root+"/stale", "stale",
-		fault.Injector{StaleVersion: "gpuscale-dist/0-ancient"}, job)
+	stale := spawnByzWorker(t, ctx, url, "stale", fault.Injector{StaleVersion: "gpuscale-dist/0-ancient"})
 	if err := stale.waitErr(t, "stale worker", 30*time.Second); !errors.Is(err, ErrVersionFenced) {
 		t.Fatalf("stale worker should exit ErrVersionFenced, got %v (seed %d)", err, seed)
 	}
@@ -201,8 +195,8 @@ func TestChaosSoakByzantine(t *testing.T) {
 	// proves the liar's vote a lie — strike, quarantine, and the
 	// liar's unverified rows are retracted for re-execution. The liar
 	// itself learns on its next acquire.
-	h1 := spawnByzWorker(t, ctx, url, root+"/h1", "h1", fault.Injector{}, job)
-	h2 := spawnByzWorker(t, ctx, url, root+"/h2", "h2", fault.Injector{}, job)
+	h1 := spawnByzWorker(t, ctx, url, "h1", fault.Injector{})
+	h2 := spawnByzWorker(t, ctx, url, "h2", fault.Injector{})
 	if err := liar.waitErr(t, "liar", budget); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("liar should exit ErrQuarantined, got %v (seed %d)", err, seed)
 	}
@@ -262,34 +256,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 		t.Fatalf("job journal differs from single-node run (seed %d)", seed)
 	}
 
-	// 2. The attested merge: the coordinator's recorded digests accept
-	// the honest journals — which re-render the single-node bytes —
-	// and refuse the liar's journal by name.
-	attest := map[string]string{}
-	for r, k := range m.Kernels {
-		d, err := sweep.RowDigest(m, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		attest[k] = d
-	}
-	merged, err := sweep.MergeJournalsAttested(job.Space, attest, h1.journal, h2.journal)
-	if err != nil {
-		t.Fatalf("honest journals failed attested merge: %v (seed %d)", err, seed)
-	}
-	mb, err := sweep.CanonicalJournalBytes(merged, m.Kernels)
-	if err != nil {
-		t.Fatalf("honest journals incomplete: %v (seed %d)", err, seed)
-	}
-	if !bytes.Equal(want, mb) {
-		t.Fatalf("merged honest journals differ from single-node run (seed %d)", seed)
-	}
-	if _, err := sweep.MergeJournalsAttested(job.Space, attest, liar.journal); err == nil ||
-		!strings.Contains(err.Error(), "does not match attested") {
-		t.Fatalf("liar journal should be refused by the attested merge, got %v (seed %d)", err, seed)
-	}
-
-	// 3. The ledger audit passes and names the whole story: the
+	// 2. The ledger audit passes and names the whole story: the
 	// quarantine with its triggering row, at least one strike, and —
 	// via the liar's attest/complete/invalidate records — every row
 	// the liar corrupted.
@@ -326,7 +293,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 		t.Fatalf("ledger names %d of the liar's %d corrupt rows (seed %d)", len(corrupt), rows, seed)
 	}
 
-	// 4. /metrics/fleet: the quarantined worker is pinned down, never
+	// 3. /metrics/fleet: the quarantined worker is pinned down, never
 	// scraped; the fenced stale worker never joined; honest workers
 	// scrape up.
 	var fleet bytes.Buffer
@@ -347,7 +314,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 		t.Fatalf("version-fenced worker leaked into the federation (seed %d):\n%s", seed, page)
 	}
 
-	// 5. The coordinator trace carries the quarantine instant and at
+	// 4. The coordinator trace carries the quarantine instant and at
 	// least one verified complete, so the stitched view can tell the
 	// story.
 	if err := tw.Flush(); err != nil {

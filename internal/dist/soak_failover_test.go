@@ -20,7 +20,8 @@ package dist
 //  5. the promoted coordinator's ledger audit proves terms increased
 //     monotonically with no record written under a stale term
 //     (no-two-live-primaries), every row completed exactly once, and
-//     the merged matrix is byte-identical to a single-node run.
+//     the promoted coordinator's matrix is byte-identical to a
+//     single-node run.
 //
 // Runs short by default; GPUSCALE_SOAK_MS extends the post-promotion
 // worker-kill chaos window and GPUSCALE_FAULT_SEED replays a failure.
@@ -142,12 +143,9 @@ func TestChaosSoakFailover(t *testing.T) {
 	}
 	const nWorkers = 3
 	workers := make([]*workerProc, nWorkers)
-	workerDirs := make([]string, nWorkers)
 	respawns := 0
 	for i := range workers {
-		workerDirs[i] = fmt.Sprintf("%s/w%d", root, i)
-		workers[i] = spawnWorker(t, url1, workerDirs[i], fmt.Sprintf("w%d", i),
-			seed+int64(i), peersEnv...)
+		workers[i] = spawnWorker(t, url1, fmt.Sprintf("w%d", i), seed+int64(i), peersEnv...)
 	}
 	defer func() {
 		for _, w := range workers {
@@ -210,8 +208,7 @@ func TestChaosSoakFailover(t *testing.T) {
 		workers[i].kill()
 		workerKills++
 		respawns++
-		workers[i] = spawnWorker(t, url1, workerDirs[i], fmt.Sprintf("w%d", i),
-			seed+int64(1000*respawns+i), peersEnv...)
+		workers[i] = spawnWorker(t, url1, fmt.Sprintf("w%d", i), seed+int64(1000*respawns+i), peersEnv...)
 	}
 	t.Logf("post-promotion chaos: %d worker kills", workerKills)
 
@@ -320,31 +317,5 @@ func TestChaosSoakFailover(t *testing.T) {
 	if byTerm[oldTerm] == 0 || byTerm[newTerm] == 0 {
 		t.Fatalf("completes by term %v: want work under both term %d and term %d (seed %d)",
 			byTerm, oldTerm, newTerm, seed)
-	}
-
-	// Phase 5c: the merged worker journals reproduce the same bytes.
-	var repaired []string
-	for i, dir := range workerDirs {
-		path := dir + "/" + sanitize(job.Name) + ".journal"
-		if _, err := os.Stat(path); err != nil {
-			continue
-		}
-		j, err := sweep.OpenJournal(path, job.Space)
-		if err != nil {
-			t.Fatalf("repairing worker %d journal: %v (seed %d)", i, err, seed)
-		}
-		j.Close()
-		repaired = append(repaired, path)
-	}
-	merged, err := sweep.MergeJournals(job.Space, repaired...)
-	if err != nil {
-		t.Fatalf("merging worker journals: %v (seed %d)", err, seed)
-	}
-	mb, err := sweep.CanonicalJournalBytes(merged, m.Kernels)
-	if err != nil {
-		t.Fatalf("merged journals incomplete: %v (seed %d)", err, seed)
-	}
-	if !bytes.Equal(want, mb) {
-		t.Fatalf("merged worker journals differ from single-node run (seed %d)", seed)
 	}
 }

@@ -15,7 +15,6 @@ package dist
 //     record per kernel),
 //   - the coordinator's matrix and the job journal are byte-identical
 //     to a single-node run of the same job,
-//   - the merged worker journals reproduce the same bytes,
 //   - no lease was ever held by two live epochs (grant[n+1] starts at
 //     or after grant[n]'s recorded expiry).
 //
@@ -79,7 +78,6 @@ func workerMain() int {
 	w, err := NewWorker(WorkerOptions{
 		Name:         os.Getenv("GPUSCALE_DIST_NAME"),
 		Peers:        peers,
-		Dir:          os.Getenv("GPUSCALE_DIST_DIR"),
 		Client:       &http.Client{Transport: in.WrapTransport(nil), Timeout: 10 * time.Second},
 		SweepWorkers: 2, Retries: 2, IdleSleep: 10 * time.Millisecond,
 	})
@@ -87,7 +85,6 @@ func workerMain() int {
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		return 1
 	}
-	defer w.Close()
 	w.Run(context.Background())
 	return 0
 }
@@ -170,17 +167,15 @@ func (p *coordProc) crash() {
 // workerProc is one child worker.
 type workerProc struct {
 	cmd  *exec.Cmd
-	dir  string
 	name string
 }
 
-func spawnWorker(t *testing.T, url, dir, name string, faultSeed int64, extraEnv ...string) *workerProc {
+func spawnWorker(t *testing.T, url, name string, faultSeed int64, extraEnv ...string) *workerProc {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(),
 		"GPUSCALE_DIST_WORKER=1",
 		"GPUSCALE_DIST_URL="+url,
-		"GPUSCALE_DIST_DIR="+dir,
 		"GPUSCALE_DIST_NAME="+name,
 		"GPUSCALE_DIST_FAULT_SEED="+strconv.FormatInt(faultSeed, 10),
 	)
@@ -189,7 +184,7 @@ func spawnWorker(t *testing.T, url, dir, name string, faultSeed int64, extraEnv 
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("spawning worker %s: %v", name, err)
 	}
-	return &workerProc{cmd: cmd, dir: dir, name: name}
+	return &workerProc{cmd: cmd, name: name}
 }
 
 func (w *workerProc) kill() {
@@ -226,11 +221,9 @@ func TestChaosSoakDistributed(t *testing.T) {
 
 	const nWorkers = 3
 	workers := make([]*workerProc, nWorkers)
-	workerDirs := make([]string, nWorkers)
 	respawns := 0
 	for i := range workers {
-		workerDirs[i] = fmt.Sprintf("%s/w%d", root, i)
-		workers[i] = spawnWorker(t, url, workerDirs[i], fmt.Sprintf("w%d", i), seed+int64(i))
+		workers[i] = spawnWorker(t, url, fmt.Sprintf("w%d", i), seed+int64(i))
 	}
 	defer func() {
 		for _, w := range workers {
@@ -260,8 +253,7 @@ func TestChaosSoakDistributed(t *testing.T) {
 			workers[i].kill()
 			workerKills++
 			respawns++
-			workers[i] = spawnWorker(t, url, workerDirs[i], fmt.Sprintf("w%d", i),
-				seed+int64(1000*respawns+i))
+			workers[i] = spawnWorker(t, url, fmt.Sprintf("w%d", i), seed+int64(1000*respawns+i))
 		}
 	}
 	t.Logf("chaos: %d coordinator crashes, %d worker kills", coordCrashes, workerKills)
@@ -315,34 +307,7 @@ func TestChaosSoakDistributed(t *testing.T) {
 		t.Fatalf("job journal differs from single-node run (seed %d)", seed)
 	}
 
-	// 3. Merge: worker journals — after crash-repair opens, since a
-	// SIGKILL can tear a tail — reproduce the same bytes.
-	var repaired []string
-	for i, dir := range workerDirs {
-		path := dir + "/" + sanitize(job.Name) + ".journal"
-		if _, err := os.Stat(path); err != nil {
-			continue // a worker that never completed a row has no journal
-		}
-		j, err := sweep.OpenJournal(path, job.Space)
-		if err != nil {
-			t.Fatalf("repairing worker %d journal: %v (seed %d)", i, err, seed)
-		}
-		j.Close()
-		repaired = append(repaired, path)
-	}
-	merged, err := sweep.MergeJournals(job.Space, repaired...)
-	if err != nil {
-		t.Fatalf("merging worker journals: %v (seed %d)", err, seed)
-	}
-	mb, err := sweep.CanonicalJournalBytes(merged, m.Kernels)
-	if err != nil {
-		t.Fatalf("merged journals incomplete: %v (seed %d)", err, seed)
-	}
-	if !bytes.Equal(want, mb) {
-		t.Fatalf("merged worker journals differ from single-node run (seed %d)", seed)
-	}
-
-	// 4. Lease-protocol audit: epochs monotonic, no two live epochs,
+	// 3. Lease-protocol audit: epochs monotonic, no two live epochs,
 	// at most one complete per row — and exactly one actually landed.
 	recs, err := ReadLedger(p.coord.LedgerPath())
 	if err != nil {

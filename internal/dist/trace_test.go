@@ -51,7 +51,7 @@ func tracedFleet(t *testing.T, job Job, n int) (coordEvs []obs.Event, workerEvs 
 		}
 		flightPaths = append(flightPaths, fp)
 		w, err := NewWorker(WorkerOptions{
-			Name: name, Peers: []string{srv.URL}, Dir: dir + "/w" + name,
+			Name: name, Peers: []string{srv.URL},
 			Client: srv.Client(), SweepWorkers: 2, Retries: 2,
 			IdleSleep: 5 * time.Millisecond,
 			Sink:      obs.NewSink(tw, fr),
@@ -64,7 +64,6 @@ func tracedFleet(t *testing.T, job Job, n int) (coordEvs []obs.Event, workerEvs 
 			defer wg.Done()
 			defer fr.Close()
 			defer tw.Flush()
-			defer w.Close()
 			w.Run(ctx)
 		}()
 	}

@@ -10,8 +10,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -32,10 +30,6 @@ type WorkerOptions struct {
 	// failover the fleet re-joins the promoted standby without operator
 	// action, and in-flight leases within TTL complete there. Required.
 	Peers []string
-	// Dir is where the worker keeps its per-job row journals; pointing
-	// a restarted worker at the same directory lets it serve re-leased
-	// rows it already finished from disk instead of recomputing.
-	Dir string
 	// Client is the HTTP client; nil uses a default with a sane
 	// timeout. Chaos tests hand in a fault.Injector-wrapped transport.
 	Client *http.Client
@@ -48,12 +42,6 @@ type WorkerOptions struct {
 	// IdleSleep is the pause after "no work available"; defaults to
 	// 50ms.
 	IdleSleep time.Duration
-	// MaxBackoff caps the acquire-error backoff window. Errors back off
-	// exponentially from IdleSleep with full jitter (a uniform draw
-	// over the window), so a whole fleet reconnecting after a failover
-	// spreads its retries instead of thundering-herding the new
-	// primary. Defaults to 2s.
-	MaxBackoff time.Duration
 	// Metrics receives worker-side counters, the renewal latency
 	// histogram and the row sweeps' telemetry; nil keeps them in a
 	// private registry.
@@ -66,12 +54,18 @@ type WorkerOptions struct {
 	// coordinator can federate this worker's /metrics.
 	MetricsURL string
 	// Fault is the chaos seam: CorruptRowRate makes this worker lie
-	// (tamper a computed row before journaling and attesting it, so
-	// journal, wire and digest are consistently wrong), StaleVersion
+	// (tamper a computed row before rendering and attesting it, so its
+	// wire payload and digest are consistently wrong), StaleVersion
 	// makes it present that protocol version on acquire. Zero value
 	// injects nothing.
 	Fault fault.Injector
 }
+
+// maxBackoff caps the acquire-error backoff window. Errors back off
+// exponentially from IdleSleep with full jitter (a uniform draw over
+// the window), so a whole fleet reconnecting after a failover spreads
+// its retries instead of thundering-herding the new primary.
+const maxBackoff = 2 * time.Second
 
 // ErrVersionFenced reports the coordinator refused this worker's
 // version/fingerprint handshake. Permanent for this binary pair:
@@ -84,11 +78,13 @@ var ErrVersionFenced = errors.New("dist: worker fenced: version/fingerprint mism
 var ErrQuarantined = errors.New("dist: worker quarantined by coordinator")
 
 // Worker runs the lease-acquire / sweep / complete loop against one
-// coordinator.
+// coordinator. It keeps no row state: a row is a pure function of its
+// lease (kernel, configuration space and seed), so a re-leased row is
+// recomputed, and a finished row lives only in its job's journal on
+// the coordinator.
 type Worker struct {
-	o        WorkerOptions
-	client   *http.Client
-	journals map[string]*sweep.Journal
+	o      WorkerOptions
+	client *http.Client
 	// peer indexes o.Peers: the coordinator currently being used.
 	// Rotated (atomically — the renew loop and the complete retries run
 	// on their own goroutines) whenever that coordinator errors.
@@ -115,19 +111,10 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	if len(o.Peers) == 0 {
 		return nil, fmt.Errorf("dist: worker needs a coordinator peer list")
 	}
-	if o.Dir == "" {
-		return nil, fmt.Errorf("dist: worker needs a journal dir")
-	}
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("dist: creating worker dir: %w", err)
-	}
 	if o.IdleSleep <= 0 {
 		o.IdleSleep = 50 * time.Millisecond
 	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
-	w := &Worker{o: o, client: o.Client, journals: map[string]*sweep.Journal{}}
+	w := &Worker{o: o, client: o.Client}
 	// Seed from the worker name so chaos runs replay; distinct names
 	// give distinct jitter streams, which is the whole point.
 	h := fnv.New64a()
@@ -145,22 +132,6 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	w.hRenew = w.reg.Histogram("dist_worker_renew_seconds", "Lease renewal round-trip latency.",
 		[]float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1})
 	return w, nil
-}
-
-// Close closes the worker's journals.
-func (w *Worker) Close() error {
-	var err error
-	for _, j := range w.journals {
-		if cerr := j.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// JournalPath returns the worker's row journal for a job.
-func (w *Worker) JournalPath(job string) string {
-	return filepath.Join(w.o.Dir, sanitize(job)+".journal")
 }
 
 // Run loops until ctx ends: acquire a lease, execute the row, report
@@ -188,7 +159,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// thundering-herd the new primary.
 			w.rotate()
 			failures++
-			if !sleepCtx(ctx, backoffDelay(w.o.IdleSleep, w.o.MaxBackoff, failures-1, w.rng.Float64())) {
+			if !sleepCtx(ctx, backoffDelay(w.o.IdleSleep, maxBackoff, failures-1, w.rng.Float64())) {
 				return nil
 			}
 			continue
@@ -283,9 +254,8 @@ func (w *Worker) acquire(ctx context.Context) (*Lease, error) {
 	return &lease, nil
 }
 
-// runLease executes one leased row end to end: compute (or recover
-// from the worker journal), renew in the background, complete with
-// fencing-aware retries.
+// runLease executes one leased row end to end: compute, renew in the
+// background, complete with fencing-aware retries.
 func (w *Worker) runLease(ctx context.Context, lease *Lease) {
 	start := time.Now()
 	rowCtx, cancel := context.WithCancel(ctx)
@@ -326,9 +296,8 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) {
 	}
 
 	// Attest the row: the digest hashes exactly the record this worker
-	// journaled, rendered from the planes it is now shipping, so the
-	// coordinator — and later the attested merge — can hold these
-	// planes to this claim.
+	// rendered from the planes it is now shipping, so the coordinator
+	// can hold these planes to this claim.
 	req := completeRequest{Job: lease.Job, Row: lease.Row, Epoch: lease.Epoch,
 		Term: lease.Term, Worker: w.o.Name, OK: true,
 		Planes: packPlanes(m.Throughput[r], m.TimeNS[r], m.Bound[r]), Digest: sweep.RecordDigest(rec)}
@@ -349,11 +318,9 @@ func (w *Worker) emit(name string, leaseSC obs.SpanContext, start time.Time, d t
 	w.o.Sink.Emit(name, "dist", 0, obs.SpanContext{TraceID: leaseSC.TraceID}, leaseSC.SpanID, start, d, kvs...)
 }
 
-// executeRow produces the leased row's matrix and its journal record,
-// serving the row from the worker journal when this worker already
-// completed the same kernel (a re-lease after a lost ack or a steal of
-// our own expired lease). rowSC, when valid, joins the row sweep's
-// events to the job's distributed trace.
+// executeRow computes the leased row and renders its journal record
+// once, for the attested digest. rowSC, when valid, joins the row
+// sweep's events to the job's distributed trace.
 func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanContext) (*sweep.Matrix, int, sweep.RowRecord, error) {
 	var rec sweep.RowRecord
 	k, err := lease.DecodeKernel()
@@ -364,19 +331,10 @@ func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanCon
 	if err != nil {
 		return nil, 0, rec, err
 	}
-	j := w.journals[lease.Job]
-	if j == nil {
-		j, err = sweep.OpenJournal(w.JournalPath(lease.Job), space)
-		if err != nil {
-			return nil, 0, rec, err
-		}
-		w.journals[lease.Job] = j
-	}
 	engine, err := sweep.ParseEngine(lease.Engine)
 	if err != nil {
 		return nil, 0, rec, err
 	}
-	rendered := false
 	opts := sweep.Options{
 		Workers:     w.o.SweepWorkers,
 		Engine:      engine,
@@ -388,37 +346,11 @@ func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanCon
 		Retries:    w.o.Retries,
 		Backoff:    w.o.Backoff,
 		SimTimeout: w.o.SimTimeout,
-		OnRow: func(m *sweep.Matrix, r int) {
-			// The byzantine seam: a lying worker corrupts the row BEFORE
-			// journaling it, so its journal, its wire payload and its
-			// digest are consistent — the lie is only catchable by
-			// independent re-execution, which is exactly what sampled
-			// re-verification does.
-			if hit, sub := w.o.Fault.RowTamper(lease.Job+"/"+m.Kernels[r], 0); hit {
-				tamperRow(m, r, sub)
-			}
-			if !m.RowComplete(r) {
-				return
-			}
-			// Render once: the same record goes to the journal here and
-			// into the attested digest after the sweep.
-			var err error
-			if rec, err = sweep.EncodeRow(m, r); err == nil {
-				rendered = true
-				err = j.AppendRecord(rec)
-			}
-			if err != nil {
-				// A torn local journal is survivable — the row is still
-				// in memory and completes over the wire; only a worker
-				// crash before the ack would cost a recompute.
-				fmt.Fprintf(os.Stderr, "dist worker %s: journal append: %v\n", w.o.Name, err)
-			}
-		},
 	}
 	tel := sweep.NewTelemetry(w.reg, w.o.Sink)
 	tel.SetSpanContext(rowSC)
 	opts.Observer = tel
-	m, _, err := sweep.Resume(ctx, []*kernel.Kernel{k}, space, opts, j.Prior())
+	m, _, err := sweep.RunContext(ctx, []*kernel.Kernel{k}, space, opts)
 	if err != nil {
 		return nil, 0, rec, err
 	}
@@ -426,12 +358,15 @@ func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanCon
 	if r < 0 || !m.RowComplete(r) {
 		return nil, 0, rec, fmt.Errorf("dist: row %s incomplete after sweep", k.Name)
 	}
-	if !rendered {
-		// Served from the worker journal: Resume never ran the row, so
-		// its record is rendered now, from the journaled planes.
-		if rec, err = sweep.EncodeRow(m, r); err != nil {
-			return nil, 0, rec, err
-		}
+	// The byzantine seam: a lying worker corrupts the row BEFORE
+	// rendering it, so its wire payload and its digest are consistent —
+	// the lie is only catchable by independent re-execution, which is
+	// exactly what sampled re-verification does.
+	if hit, sub := w.o.Fault.RowTamper(lease.Job+"/"+m.Kernels[r], 0); hit {
+		tamperRow(m, r, sub)
+	}
+	if rec, err = sweep.EncodeRow(m, r); err != nil {
+		return nil, 0, rec, err
 	}
 	return m, r, rec, nil
 }

@@ -3,10 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -38,9 +36,8 @@ func singleNodeCanonical(t *testing.T, job Job) []byte {
 }
 
 // runFleet drives a coordinator plus n in-process workers until the
-// job completes, then returns the coordinator and the worker journal
-// paths.
-func runFleet(t *testing.T, job Job, n int, clientFor func(i int) *http.Client) (*Coordinator, []string) {
+// job completes, then returns the coordinator.
+func runFleet(t *testing.T, job Job, n int, clientFor func(i int) *http.Client) *Coordinator {
 	t.Helper()
 	dir := t.TempDir()
 	coord, err := NewCoordinator(dir+"/coord", CoordinatorOptions{})
@@ -56,25 +53,21 @@ func runFleet(t *testing.T, job Job, n int, clientFor func(i int) *http.Client) 
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	var paths []string
 	for i := 0; i < n; i++ {
 		client := srv.Client()
 		if clientFor != nil {
 			client = clientFor(i)
 		}
 		w, err := NewWorker(WorkerOptions{
-			Name: string(rune('A' + i)), Peers: []string{srv.URL},
-			Dir: dir + "/w" + string(rune('A'+i)), Client: client,
+			Name: string(rune('A' + i)), Peers: []string{srv.URL}, Client: client,
 			SweepWorkers: 2, Retries: 2, IdleSleep: 5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths = append(paths, w.JournalPath(job.Name))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer w.Close()
 			w.Run(ctx)
 		}()
 	}
@@ -94,17 +87,18 @@ func runFleet(t *testing.T, job Job, n int, clientFor func(i int) *http.Client) 
 	}
 	cancel()
 	wg.Wait()
-	return coord, paths
+	return coord
 }
 
 // TestFleetMatchesSingleNode: two clean workers produce a coordinator
-// journal byte-identical to the single-node run, and the merged
-// worker journals agree.
+// matrix and job journal byte-identical to the single-node run, and
+// every row's attested digest hashes exactly the record the job's
+// journal holds for it.
 func TestFleetMatchesSingleNode(t *testing.T) {
 	job := testJob(t, "fleet", 4)
 	want := singleNodeCanonical(t, job)
 
-	coord, workerJournals := runFleet(t, job, 2, nil)
+	coord := runFleet(t, job, 2, nil)
 
 	m, ok := coord.Matrix(job.Name)
 	if !ok {
@@ -132,67 +126,31 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 		t.Fatal("coordinator journal differs from single-node run")
 	}
 
-	// Merging the worker journals reproduces it again.
-	merged, err := sweep.MergeJournals(job.Space, workerJournals...)
+	// Render once: the digest each worker attested, which the ledger's
+	// complete record keeps, is the digest of the record the job's
+	// journal holds for that kernel.
+	recs, err := ReadLedger(coord.LedgerPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := sweep.CanonicalJournalBytes(merged, m.Kernels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, mb) {
-		t.Fatal("merged worker journals differ from single-node run")
-	}
-
-	// Render once: every framed record a worker journaled for a kernel
-	// is byte-identical to the coordinator's record for that kernel, so
-	// the digest the worker attested hashes exactly the bytes the
-	// coordinator journaled.
-	coordRecs := journalRecords(t, journalPath(coord.dir, job.Name))
-	seen := map[string]bool{}
-	for _, path := range workerJournals {
-		for k, recs := range journalRecords(t, path) {
-			for _, rec := range recs {
-				if want := coordRecs[k]; len(want) != 1 || rec != want[0] {
-					t.Fatalf("worker journal %s: record for %s differs from the coordinator's", path, k)
-				}
-			}
-			seen[k] = true
+	attested := map[int]string{}
+	for _, r := range recs {
+		if r.Kind == "complete" {
+			attested[r.Row] = r.Digest
 		}
 	}
-	if len(seen) != len(job.Kernels) {
-		t.Fatalf("worker journals hold %d of %d kernels", len(seen), len(job.Kernels))
+	if len(attested) != len(job.Kernels) {
+		t.Fatalf("ledger attests %d of %d rows", len(attested), len(job.Kernels))
 	}
-}
-
-// journalRecords maps each kernel in a v2 journal file to its framed
-// row records, exactly as appended ("<crc> <len> <payload>\n").
-func journalRecords(t *testing.T, path string) map[string][]string {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	if len(lines) < 2 {
-		t.Fatalf("journal %s has no space record", path)
-	}
-	out := map[string][]string{}
-	for _, line := range lines[2:] { // past the magic and the space record
-		if len(line) == 0 {
-			continue
+	for row, k := range job.Kernels {
+		rec, err := sweep.EncodeRow(jm, jm.Row(k.Name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		fields := bytes.SplitN(line, []byte(" "), 3)
-		var rec struct {
-			Kernel string `json:"kernel"`
+		if d := sweep.RecordDigest(rec); attested[row] != d {
+			t.Fatalf("row %d (%s): attested digest %s, journal record digest %s", row, k.Name, attested[row], d)
 		}
-		if len(fields) != 3 || json.Unmarshal(fields[2], &rec) != nil || rec.Kernel == "" {
-			t.Fatalf("journal %s: unparsable row record %q", path, line)
-		}
-		out[rec.Kernel] = append(out[rec.Kernel], string(line))
 	}
-	return out
 }
 
 // TestFleetUnderNetworkFaults: dropped acks, duplicated deliveries
@@ -222,7 +180,6 @@ func TestFleetUnderNetworkFaults(t *testing.T) {
 			Delay: 2 * time.Millisecond, Seed: int64(100 + i)}
 		w, err := NewWorker(WorkerOptions{
 			Name: string(rune('A' + i)), Peers: []string{srv.URL},
-			Dir:          t.TempDir(),
 			Client:       &http.Client{Transport: in.WrapTransport(nil), Timeout: 10 * time.Second},
 			SweepWorkers: 2, Retries: 2, IdleSleep: 5 * time.Millisecond,
 		})
@@ -232,7 +189,6 @@ func TestFleetUnderNetworkFaults(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer w.Close()
 			w.Run(ctx)
 		}()
 	}
@@ -278,53 +234,41 @@ func TestFleetUnderNetworkFaults(t *testing.T) {
 	}
 }
 
-// TestWorkerServesReleasedRowFromJournal: a worker that finished a
-// row but lost the lease (or the ack) serves the re-lease from its
-// journal instead of recomputing.
-func TestWorkerServesReleasedRowFromJournal(t *testing.T) {
-	job := testJob(t, "rejournal", 1)
+// TestWorkerRecomputesReleasedRow: a worker keeps no row state, so a
+// row it finished but lost the lease (or the ack) for is recomputed
+// when it is leased again — and the recomputation renders the same
+// record, so its attestation is unchanged.
+func TestWorkerRecomputesReleasedRow(t *testing.T) {
+	job := testJob(t, "recompute", 1)
 	dir := t.TempDir()
-	coordA, err := NewCoordinator(dir+"/c", CoordinatorOptions{})
+	coord, err := NewCoordinator(dir, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coordA.Close()
-	if err := coordA.AddJob(withJournal(t, coordA.dir, job)); err != nil {
+	defer coord.Close()
+	if err := coord.AddJob(withJournal(t, dir, job)); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coordA.Handler())
+	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	w, err := NewWorker(WorkerOptions{Name: "W", Peers: []string{srv.URL}, Dir: dir + "/w",
-		Client: srv.Client(), SweepWorkers: 1})
+	w, err := NewWorker(WorkerOptions{Name: "W", Peers: []string{srv.URL}, Client: srv.Client(), SweepWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-
 	lease, err := w.acquire(context.Background())
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	m1, r1, rec1, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
+	_, _, rec1, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Second execution of the same lease must come from the journal:
-	// identical planes, and Resume's Skipped accounting is invisible
-	// here, so prove it by byte-equality of the rows.
-	m2, r2, rec2, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
+	_, _, rec2, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := 0; c < job.Space.Size(); c++ {
-		if m1.Throughput[r1][c] != m2.Throughput[r2][c] {
-			t.Fatal("re-executed row differs from journaled row")
-		}
-	}
-	// The journal-served row is rendered on demand into the record the
-	// sweep rendered, so its attestation is unchanged.
 	if d1, d2 := sweep.RecordDigest(rec1), sweep.RecordDigest(rec2); d1 != d2 {
-		t.Fatalf("journal-served record digest %s, computed %s", d2, d1)
+		t.Fatalf("recomputed row's record digest %s, first execution %s", d2, d1)
 	}
 }

@@ -119,7 +119,7 @@ type Injector struct {
 	// TornWriteRate + WriteErrRate must not exceed 1.
 	WriteErrRate float64
 	// CorruptRowRate is the probability RowTamper tells a byzantine
-	// worker to corrupt one completed row before journaling and
+	// worker to corrupt one completed row before rendering and
 	// shipping it — the lying-fleet-member model distributed
 	// attestation exists to catch. The tampered values stay plausible
 	// (positive, finite), so only digest comparison against an honest
@@ -208,7 +208,8 @@ const (
 	// WrapWriter.
 	KindWriteErr
 	// KindCorruptRow is a RowTamper decision to corrupt a completed
-	// row's planes before journal and wire.
+	// row's planes before its record is rendered, attested and
+	// shipped.
 	KindCorruptRow
 	// KindPartition is a WrapTransport decision to open a network
 	// partition window (symmetric or one-way).
@@ -476,7 +477,7 @@ func (t *tornWriter) Write(b []byte) (int, error) {
 // RowTamper rolls a byzantine row-corruption decision for one
 // completed row: key identifies the row (job plus kernel is the
 // natural choice), seq distinguishes repeat executions. It returns
-// whether the caller should tamper with the row before journaling and
+// whether the caller should tamper with the row before rendering and
 // shipping it, plus a sub-roll to pick the corruption shape. The
 // decision is a pure function of (key, seq, seed) under its own
 // stream label, so a lying worker lies about the same rows on every

@@ -78,12 +78,6 @@ type Config struct {
 	// Injector, when active, injects deterministic faults into every
 	// job's engine calls and journal writes — the chaos-drill hook.
 	Injector fault.Injector
-	// Replicate, when non-nil, receives every persisted job-spec file
-	// (admissions and recovered non-terminal jobs) so an HA coordinator
-	// can stream it to a warm standby. The bytes are the exact contents
-	// of the `.job` file; the callback must not block for long — it is
-	// invoked outside the service lock but on the submit path.
-	Replicate func(jobID string, spec []byte)
 	// Now is the clock (tests inject a fake one for the rate limiter).
 	Now func() time.Time
 	// Logf receives operational log lines; nil discards them.
@@ -373,11 +367,6 @@ func (s *Service) recover() error {
 		s.open++
 		s.queue = append(s.queue, j)
 		s.met.recovered.Inc()
-		if s.cfg.Replicate != nil {
-			// Re-announce recovered non-terminal jobs so a standby that
-			// attached after the original admission still learns them.
-			s.cfg.Replicate(id, b)
-		}
 		s.cfg.Logf("serve: recovered %s (%d kernels, %d configs)", id, len(res.kernels), res.space.Size())
 	}
 	s.met.openJobs.Set(float64(s.open))
@@ -491,9 +480,6 @@ func (s *Service) SubmitTraced(client string, spec JobSpec, caller obs.SpanConte
 	st := j.status()
 	s.cond.Signal()
 	s.mu.Unlock()
-	if s.cfg.Replicate != nil {
-		s.cfg.Replicate(id, b)
-	}
 	s.cfg.Sink.Emit("job.admit", "serve", 0, obs.SpanContext{TraceID: sc.TraceID}, sc.SpanID, time.Now(), 0,
 		obs.KS("job", id), obs.KS("client", client), obs.KS("trace", sc.TraceID))
 	s.cfg.Logf("serve: admitted %s for %s (%d kernels, %d configs)", id, client, len(res.kernels), res.space.Size())

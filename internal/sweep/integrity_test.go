@@ -1,10 +1,8 @@
 package sweep
 
-// Integrity-facing journal and merge coverage: ENOSPC-style write
-// failures must self-heal like torn writes, and the merge must name
-// exactly which row of which journal broke which promise — a
-// conflicting duplicate, a row lost to a salvaged tail, or an
-// attested-digest mismatch.
+// Integrity-facing journal coverage: ENOSPC-style write failures must
+// self-heal like torn writes, a row lost to a salvaged tail must
+// surface by name, and a row's digest must see a one-cell change.
 
 import (
 	"bytes"
@@ -80,71 +78,10 @@ func TestJournalWriteErrorSelfHeals(t *testing.T) {
 	}
 }
 
-// TestMergeAttested: the attested merge accepts journals whose rows
-// hash to the coordinator's recorded digests, and refuses — naming
-// journal, row and kernel — a journal whose bytes disagree with the
-// attestation, even though the rows are internally consistent.
-func TestMergeAttested(t *testing.T) {
-	space := tinySpace(t)
-	ks := testKernels()[:2]
-	dir := t.TempDir()
-	p, m := sweepToJournal(t, dir, "w.journal", ks, space, 9)
-
-	attest := map[string]string{}
-	for r, k := range m.Kernels {
-		d, err := RowDigest(m, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		attest[k] = d
-	}
-	merged, err := MergeJournalsAttested(space, attest, p)
-	if err != nil {
-		t.Fatalf("truthful journal should pass attestation: %v", err)
-	}
-	if _, err := CanonicalJournalBytes(merged, m.Kernels); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same journal, but the coordinator attested different bytes for
-	// the second kernel — the merge must refuse that row by name.
-	attest[m.Kernels[1]] = "0123456789abcdef"
-	_, err = MergeJournalsAttested(space, attest, p)
-	if err == nil || !strings.Contains(err.Error(), "does not match attested") {
-		t.Fatalf("tampered attestation should be refused, got %v", err)
-	}
-	if !strings.Contains(err.Error(), m.Kernels[1]) || !strings.Contains(err.Error(), "row 1") {
-		t.Fatalf("refusal should name the kernel and row: %v", err)
-	}
-	// Rows without an attestation entry are accepted on the journal's
-	// own CRC — partial coverage must not refuse honest rows.
-	delete(attest, m.Kernels[1])
-	if _, err := MergeJournalsAttested(space, attest, p); err != nil {
-		t.Fatalf("unattested rows should merge on their own checksums: %v", err)
-	}
-}
-
-// TestMergeConflictNamesConfig: a duplicate row whose copies disagree
-// is refused with the first disagreeing config position named.
-func TestMergeConflictNamesConfig(t *testing.T) {
-	space := tinySpace(t)
-	ks := testKernels()[:1]
-	dir := t.TempDir()
-	pa, _ := sweepToJournal(t, dir, "a.journal", ks, space, 9)
-	pc, _ := sweepToJournal(t, dir, "c.journal", ks, space, 10)
-	_, err := MergeJournals(space, pa, pc)
-	if err == nil || !strings.Contains(err.Error(), "merge conflict") {
-		t.Fatalf("conflicting duplicate should be refused: %v", err)
-	}
-	if !strings.Contains(err.Error(), "at config") || !strings.Contains(err.Error(), ks[0].Name) {
-		t.Fatalf("conflict should name the kernel and config position: %v", err)
-	}
-}
-
-// TestMergeSalvagedTailDropsRow: a worker journal whose last record
-// was torn by a crash salvages on reopen to a clean-but-shorter file;
-// the merge accepts it, and the missing kernel surfaces positionally
-// when the merged matrix is asked for canonical bytes.
+// TestMergeSalvagedTailDropsRow: a journal whose last record was torn
+// by a crash salvages on reopen to a clean-but-shorter file; the
+// strict reader accepts it, and the missing kernel surfaces by name
+// when its matrix is asked for canonical bytes.
 func TestMergeSalvagedTailDropsRow(t *testing.T) {
 	space := tinySpace(t)
 	ks := testKernels()[:2]
@@ -168,21 +105,22 @@ func TestMergeSalvagedTailDropsRow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	merged, err := MergeJournals(space, p)
+	salvaged, err := ReadJournal(p, space)
 	if err != nil {
-		t.Fatalf("salvaged journal should merge cleanly: %v", err)
+		t.Fatalf("salvaged journal should read cleanly: %v", err)
 	}
-	if len(merged.Kernels) != 1 {
-		t.Fatalf("salvage should have dropped exactly the torn row: %d rows", len(merged.Kernels))
+	if len(salvaged.Kernels) != 1 {
+		t.Fatalf("salvage should have dropped exactly the torn row: %d rows", len(salvaged.Kernels))
 	}
-	_, err = CanonicalJournalBytes(merged, m.Kernels)
+	_, err = CanonicalJournalBytes(salvaged, m.Kernels)
 	if err == nil || !strings.Contains(err.Error(), "missing") || !strings.Contains(err.Error(), m.Kernels[1]) {
 		t.Fatalf("canonical render should name the dropped kernel, got %v", err)
 	}
 }
 
-// TestRowDigestSensitivity: RowDigest and RowPlanesDigest agree on
-// the same row, and a one-ULP change to a single cell changes the
+// TestRowDigestSensitivity: RowDigest and the EncodePlanes +
+// RecordDigest pair the coordinator digests a shipped row with agree
+// on the same row, and a small change to a single cell changes the
 // digest — the property the fleet's attestation hangs on.
 func TestRowDigestSensitivity(t *testing.T) {
 	space := tinySpace(t)
@@ -193,16 +131,12 @@ func TestRowDigestSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := make([]int, space.Size())
-	for c := range bounds {
-		bounds[c] = int(m.Bound[0][c])
-	}
-	d2, err := RowPlanesDigest(m.Kernels[0], m.Throughput[0], m.TimeNS[0], bounds)
+	rec, err := EncodePlanes(m.Kernels[0], m.Throughput[0], m.TimeNS[0], m.Bound[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1 != d2 {
-		t.Fatalf("RowDigest %s and RowPlanesDigest %s disagree on the same row", d1, d2)
+	if d2 := RecordDigest(rec); d1 != d2 {
+		t.Fatalf("RowDigest %s and EncodePlanes+RecordDigest %s disagree on the same row", d1, d2)
 	}
 	m.Throughput[0][0] *= 1 + 1.0/1024
 	d3, err := RowDigest(m, 0)

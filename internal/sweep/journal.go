@@ -361,7 +361,7 @@ func (j *Journal) migrateV1(data []byte) error {
 	prior, droppedBytes, droppedRecords := salvageV1CSV(data, j.space)
 	image, err := journalHeader(j.space)
 	if prior != nil {
-		image, err = canonicalJournalBytes(prior, prior.Kernels)
+		image, err = CanonicalJournalBytes(prior, prior.Kernels)
 	}
 	if err != nil {
 		return err
@@ -519,28 +519,13 @@ func EncodePlanes(kernelName string, tput, timeNS []float64, bound []gcn.Bound) 
 // append writes (modulo the CRC frame, which the CRC already guards),
 // "the digest matches" and "the journaled bytes match" are the same
 // statement — which is what lets a coordinator attest a row it
-// received over the wire and a merge verify the row a worker
-// journaled, without either re-running the engine. Honest
+// received over the wire without re-running the engine. Honest
 // re-executions of a row are bit-identical (seeded noise), so equal
 // digests mean equal rows.
 func RecordDigest(rec RowRecord) string {
 	h := fnv.New64a()
 	h.Write(rec.payload)
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// RowPlanesDigest is RecordDigest over the record the given planes
-// render as.
-func RowPlanesDigest(kernelName string, tput, timeNS []float64, bound []int) (string, error) {
-	bounds := make([]gcn.Bound, len(bound))
-	for c, b := range bound {
-		bounds[c] = gcn.Bound(b)
-	}
-	rec, err := EncodePlanes(kernelName, tput, timeNS, bounds)
-	if err != nil {
-		return "", err
-	}
-	return RecordDigest(rec), nil
 }
 
 // RowDigest is RecordDigest over row r of m. The row must be complete

@@ -5,7 +5,6 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"gpuscale/internal/hw"
@@ -47,8 +46,9 @@ func sweepToJournal(t *testing.T, dir, name string, ks []*kernel.Kernel, space h
 // TestMergeByteIdenticalToSingleNode is the distributed sweep's core
 // invariant in miniature: three "workers" each sweep one kernel row
 // with the per-row seed offset a dist worker uses (base seed + global
-// row index), and the merged journal renders byte-identical to the
-// single-node run's canonical journal.
+// row index), each row's record is appended to one job journal the
+// way the coordinator appends an accepted row, and that journal
+// renders byte-identical to the single-node run's canonical journal.
 func TestMergeByteIdenticalToSingleNode(t *testing.T) {
 	space := tinySpace(t)
 	ks := testKernels()
@@ -57,17 +57,37 @@ func TestMergeByteIdenticalToSingleNode(t *testing.T) {
 
 	_, single := sweepToJournal(t, dir, "single.journal", ks, space, baseSeed)
 
-	var workerFiles []string
-	for row, k := range ks {
-		// A dist worker sweeps its leased kernel at local row 0, so the
-		// global row's noise stream is recovered by offsetting the seed.
-		p, _ := sweepToJournal(t, dir, k.Name+".journal", []*kernel.Kernel{k}, space, baseSeed+int64(row))
-		workerFiles = append(workerFiles, p)
-	}
-
-	merged, err := MergeJournals(space, workerFiles...)
+	path := filepath.Join(dir, "job.journal")
+	job, err := OpenJournal(path, space)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Completion order, which worker scheduling picks, is not kernel
+	// order: the canonical rendering must not care.
+	for row := len(ks) - 1; row >= 0; row-- {
+		// A dist worker sweeps its leased kernel at local row 0, so the
+		// global row's noise stream is recovered by offsetting the seed.
+		opts := journalOpts()
+		opts.Seed = baseSeed + int64(row)
+		m, rep, err := RunContext(context.Background(), []*kernel.Kernel{ks[row]}, space, opts)
+		if err != nil || !rep.Complete() {
+			t.Fatalf("row %d sweep: %v", row, err)
+		}
+		rec, err := EncodeRow(m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.AppendRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := job.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	merged, err := ReadJournal(path, space)
+	if err != nil {
+		t.Fatalf("job journal does not re-read cleanly: %v", err)
 	}
 	order := single.Kernels
 	want, err := CanonicalJournalBytes(single, order)
@@ -79,54 +99,13 @@ func TestMergeByteIdenticalToSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, got) {
-		t.Fatal("merged journal differs from single-node canonical journal")
-	}
-
-	// And the on-disk form round-trips through ReadJournal.
-	out := filepath.Join(dir, "merged.journal")
-	if err := WriteCanonicalJournal(out, merged, order); err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, onDisk) {
-		t.Fatal("WriteCanonicalJournal bytes differ from CanonicalJournalBytes")
-	}
-	if _, err := ReadJournal(out, space); err != nil {
-		t.Fatalf("merged journal does not re-read cleanly: %v", err)
+		t.Fatal("job journal differs from single-node canonical journal")
 	}
 }
 
-// TestMergeOverlapAgreement: a row completed by two workers (the
-// steal-then-original-finishes shape) merges cleanly when the copies
-// agree and fails loudly when they do not.
-func TestMergeOverlapAgreement(t *testing.T) {
-	space := tinySpace(t)
-	ks := testKernels()[:1]
-	dir := t.TempDir()
-
-	pa, _ := sweepToJournal(t, dir, "a.journal", ks, space, 9)
-	pb, _ := sweepToJournal(t, dir, "b.journal", ks, space, 9)
-	m, err := MergeJournals(space, pa, pb)
-	if err != nil {
-		t.Fatalf("identical overlap should merge: %v", err)
-	}
-	if len(m.Kernels) != 1 {
-		t.Fatalf("overlap should dedupe to one row, got %d", len(m.Kernels))
-	}
-
-	// Different seed → different noise → a disagreement the merge must
-	// refuse to paper over.
-	pc, _ := sweepToJournal(t, dir, "c.journal", ks, space, 10)
-	if _, err := MergeJournals(space, pa, pc); err == nil || !strings.Contains(err.Error(), "merge conflict") {
-		t.Fatalf("conflicting overlap should fail with a merge conflict, got %v", err)
-	}
-}
-
-// TestReadJournalStrict: the merge-side reader rejects what OpenJournal
-// would salvage — a torn tail means a worker's claim is unverifiable.
+// TestReadJournalStrict: the comparison reader rejects what
+// OpenJournal would salvage — a torn tail means the journal's claim is
+// unverifiable.
 func TestReadJournalStrict(t *testing.T) {
 	space := tinySpace(t)
 	dir := t.TempDir()
@@ -155,8 +134,7 @@ func TestWriteCanonicalJournalValidation(t *testing.T) {
 	dir := t.TempDir()
 	_, m := sweepToJournal(t, dir, "w.journal", testKernels()[:2], space, 9)
 
-	out := filepath.Join(dir, "out.journal")
-	if err := WriteCanonicalJournal(out, m, []string{"s/p/nope"}); err == nil {
+	if _, err := CanonicalJournalBytes(m, []string{"s/p/nope"}); err == nil {
 		t.Fatal("missing kernel should fail")
 	}
 	if _, err := CanonicalJournalBytes(nil, nil); err == nil {
