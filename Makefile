@@ -23,12 +23,16 @@ check:
 	cd cmd/benche2e && $(GO) vet . && $(GO) test -short .
 	$(MAKE) fuzz-smoke
 
-# Production Go line count, the figure ROADMAP tracks: every *.go
-# file except tests, the end-to-end benchmark module (cmd/benche2e)
-# and its build directory. A measurement, not a CI gate.
+# Production Go line counts, the two figures ROADMAP tracks: every
+# *.go file except tests, the end-to-end benchmark module
+# (cmd/benche2e) and its build directory; then the same count for
+# internal/dist alone. A measurement, not a CI gate.
+LOC_FILES = -name '*.go' ! -name '*_test.go' ! -path './cmd/benche2e/*' \
+	! -path './.bench_build/*' ! -path './.git/*'
+
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/benche2e/*' \
-		! -path './.bench_build/*' ! -path './.git/*' -print0 | xargs -0 cat | wc -l
+	@echo "$$(find . $(LOC_FILES) -print0 | xargs -0 cat | wc -l) production Go lines"
+	@echo "$$(find ./internal/dist $(LOC_FILES) -print0 | xargs -0 cat | wc -l) of them in internal/dist"
 
 # Extended chaos soak of the sweep service: concurrent clients, fault
 # injection and a mid-soak restart, under the race detector. The

@@ -51,9 +51,9 @@
 // handshake (mixed binaries are fenced before computing anything),
 // every completed row is attested with a digest of its journal record,
 // and `-verify-fraction` re-executes a seed-deterministic
-// sample of rows on a second worker — a digest mismatch quarantines
-// the lying worker (`-quarantine-after`), revokes its leases, retracts
-// its unverified rows, and drops it from /metrics/fleet.
+// sample of rows on a second worker — the first digest mismatch
+// quarantines the lying worker, revokes its leases, retracts its
+// unverified rows, and drops it from /metrics/fleet.
 //
 // Coordinators come in pairs. `-standby -join URL` runs a warm
 // replica that tails the primary's lease ledger over `/v1/ha/` and
@@ -128,7 +128,6 @@ type cliOptions struct {
 	selfFenceAfter time.Duration
 	leaseTTL       time.Duration
 	verifyFraction float64
-	quarantineN    int
 	workerName     string
 	traceOut       string
 	pprof          bool
@@ -174,7 +173,6 @@ func main() {
 	flag.DurationVar(&o.selfFenceAfter, "self-fence-after", 0, "a -coordinator whose standby once tailed it steps down after this long without any tail contact (0 disables)")
 	flag.DurationVar(&o.leaseTTL, "lease-ttl", 10*time.Second, "how long a row lease lives without renewal before it is stolen (-coordinator)")
 	flag.Float64Var(&o.verifyFraction, "verify-fraction", 0, "fraction of rows re-executed on a second worker before acceptance; digest mismatches strike the loser (-coordinator)")
-	flag.IntVar(&o.quarantineN, "quarantine-after", 1, "digest-mismatch strikes that quarantine a worker fleet-wide (-coordinator)")
 	flag.StringVar(&o.workerName, "worker-name", "", "worker identity in leases and traces (default host-pid)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write this process's events (leases, rows, retries, renewals, ...) to this JSONL trace file (see sweeptrace)")
 	flag.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/ (off by default)")
@@ -383,12 +381,11 @@ func run(ctx context.Context, o cliOptions) error {
 		coord, err = dist.NewCoordinator(filepath.Join(o.stateDir, "dist"), dist.CoordinatorOptions{
 			ID:         coordinatorID(o),
 			DefaultTTL: o.leaseTTL, Metrics: reg, Sink: sink,
-			OnWorker:        fed.SetTarget,
-			VerifyFraction:  o.verifyFraction,
-			QuarantineAfter: o.quarantineN,
-			Peers:           splitList(o.peers),
-			CheckEvery:      o.heartbeatEvery,
-			SelfFenceAfter:  o.selfFenceAfter,
+			OnWorker:       fed.SetTarget,
+			VerifyFraction: o.verifyFraction,
+			Peers:          splitList(o.peers),
+			CheckEvery:     o.heartbeatEvery,
+			SelfFenceAfter: o.selfFenceAfter,
 			// A quarantined worker leaves the federation too: its target
 			// is never scraped again, and fleet_scrape_up pins to 0 so
 			// the departure is visible on /metrics/fleet.
@@ -566,9 +563,8 @@ func runStandby(ctx context.Context, o cliOptions) error {
 		Coordinator: dist.CoordinatorOptions{
 			ID:         name,
 			DefaultTTL: o.leaseTTL, Metrics: reg, Sink: sink,
-			OnWorker:        fed.SetTarget,
-			VerifyFraction:  o.verifyFraction,
-			QuarantineAfter: o.quarantineN,
+			OnWorker:       fed.SetTarget,
+			VerifyFraction: o.verifyFraction,
 			// After promotion the old primary is a peer to keep probing:
 			// if an operator wrongly restarts it as primary, whoever holds
 			// the older term steps down.

@@ -36,8 +36,7 @@ func writeFleetTraces(t *testing.T) []string {
 	for i := 0; i < 4; i++ {
 		ks = append(ks, kernel.New("s", "p", fmt.Sprintf("k%d", i)).Geometry(256+64*i, 256).MustBuild())
 	}
-	job := dist.Job{Name: "trace", Kernels: ks, Space: space, Seed: 11, NoiseStdDev: 0.05,
-		TTL: 5 * time.Second}
+	job := dist.Job{Name: "trace", Kernels: ks, Space: space, Seed: 11, NoiseStdDev: 0.05}
 
 	var paths []string
 	var files []*os.File
@@ -55,7 +54,8 @@ func writeFleetTraces(t *testing.T) []string {
 		return tw
 	}
 
-	coord, err := dist.NewCoordinator(dir+"/coord", dist.CoordinatorOptions{Sink: obs.NewSink(newTrace("coord"), nil)})
+	coord, err := dist.NewCoordinator(dir+"/coord", dist.CoordinatorOptions{DefaultTTL: 5 * time.Second,
+		Sink: obs.NewSink(newTrace("coord"), nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

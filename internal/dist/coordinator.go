@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"gpuscale/internal/durable"
-	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
@@ -32,9 +31,6 @@ type Job struct {
 	Seed        int64
 	NoiseStdDev float64
 	Engine      sweep.Engine
-	// TTL is how long a lease lives without renewal; expired leases
-	// are stolen. Zero uses the coordinator default.
-	TTL time.Duration
 	// Trace is the job's span context (usually minted by internal/serve
 	// at admission). Every lease grant becomes a child span of it, so
 	// one submission yields one stitched trace across the fleet. An
@@ -48,17 +44,19 @@ type Job struct {
 	// OnRow, when non-nil, is invoked as each row's complete is
 	// accepted (after the row is durably journaled), with the job's
 	// matrix and the row index — the hook internal/serve keeps its live
-	// snapshot current with. Not invoked for rows recovered
-	// already-done from the journal at AddJob. Called with the
-	// coordinator's lock held: it must not call back into the
-	// Coordinator.
+	// snapshot current with. A settled row is assigned whole and never
+	// written again, so OnRow may keep the row's slices: a quarantine
+	// that retracts the row assigns a fresh all-canceled row and calls
+	// OnRow again. Not invoked for rows recovered already-done from the
+	// journal at AddJob. Called with the coordinator's lock held: it
+	// must not call back into the Coordinator.
 	OnRow func(m *sweep.Matrix, r int)
 }
 
 // CoordinatorOptions tunes a Coordinator; the zero value is usable.
 type CoordinatorOptions struct {
-	// DefaultTTL is the lease TTL for jobs that do not set one;
-	// defaults to 10s.
+	// DefaultTTL is how long a lease lives without renewal before it is
+	// stolen, for every job; defaults to 10s.
 	DefaultTTL time.Duration
 	// Metrics receives lease/steal/complete counters; nil keeps them in
 	// a private registry.
@@ -83,12 +81,6 @@ type CoordinatorOptions struct {
 	// survives restarts. 0 disables re-verification; 1 verifies every
 	// row.
 	VerifyFraction float64
-	// QuarantineAfter is how many conclusive digest mismatches
-	// (strikes) fence a worker; <= 0 means 1 — the first proven lie
-	// quarantines, because honest workers essentially never lose a
-	// vote (seeded determinism makes honest re-executions
-	// bit-identical).
-	QuarantineAfter int
 	// OnQuarantine, when non-nil, is invoked as a worker is
 	// quarantined — the hook gpuscaled uses to drop the worker from
 	// the metrics federation. Called with the coordinator lock held:
@@ -168,12 +160,8 @@ type rowState struct {
 // jobState is one registered job's lease state and matrix.
 type jobState struct {
 	job    Job
-	ttl    time.Duration
 	rows   []rowState
 	matrix *sweep.Matrix
-	order  []string // kernel names, row order
-	added  time.Time
-	rate   *obs.Gauge // dist_job_cells_per_second SLO instrument
 }
 
 // Coordinator owns lease state for registered jobs and serves the
@@ -200,13 +188,9 @@ type Coordinator struct {
 	term      uint64
 	deposed   bool
 	deposedCh chan struct{}
-	// strikes and quarantined are fleet-wide (cross-job) integrity
-	// state, recovered from the ledger on restart.
-	strikes     map[string]int
+	// quarantined is fleet-wide (cross-job) integrity state, recovered
+	// from the ledger on restart.
 	quarantined map[string]bool
-
-	// reg holds the instruments: Options.Metrics, or a private registry.
-	reg *obs.Registry
 
 	mGranted, mStolen, mCompleted, mDuplicate, mFenced, mRequeued            *obs.Counter
 	mVersionFenced, mVerified, mMismatch, mQuarantined, mInvalid, mBadAttest *obs.Counter
@@ -230,8 +214,7 @@ func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{dir: dir, opt: opt, ledger: led, jobs: map[string]*jobState{}, recovered: rec,
-		strikes: rec.strikes, quarantined: rec.quarantined,
-		repl: newReplLog(), deposedCh: make(chan struct{})}
+		quarantined: rec.quarantined, repl: newReplLog(), deposedCh: make(chan struct{})}
 	c.now = opt.now
 	if c.now == nil {
 		c.now = time.Now
@@ -264,11 +247,11 @@ func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	c.reg = opt.Metrics
-	if c.reg == nil {
-		c.reg = obs.NewRegistry()
+	// The instruments live in Options.Metrics, or a private registry.
+	r := opt.Metrics
+	if r == nil {
+		r = obs.NewRegistry()
 	}
-	r := c.reg
 	c.mGranted = r.Counter("dist_leases_granted_total", "Row leases granted, including steals.")
 	c.mStolen = r.Counter("dist_leases_stolen_total", "Leases re-granted after expiry displaced an unfinished epoch.")
 	c.mCompleted = r.Counter("dist_rows_completed_total", "Rows completed exactly once.")
@@ -278,7 +261,7 @@ func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 	c.mVersionFenced = r.Counter("dist_workers_version_fenced_total", "Acquires rejected by the version/fingerprint handshake.")
 	c.mVerified = r.Counter("dist_rows_verified_total", "Rows settled by independent digest agreement.")
 	c.mMismatch = r.Counter("dist_verify_mismatches_total", "Re-verification votes whose digest lost — one strike each.")
-	c.mQuarantined = r.Counter("dist_workers_quarantined_total", "Workers fenced fleet-wide after crossing the strike threshold.")
+	c.mQuarantined = r.Counter("dist_workers_quarantined_total", "Workers fenced fleet-wide after a proven lie.")
 	c.mInvalid = r.Counter("dist_rows_invalidated_total", "Unverified completes retracted from quarantined workers.")
 	c.mBadAttest = r.Counter("dist_completes_badattest_total", "OK completes rejected because the digest does not hash the shipped planes.")
 	c.mTermFenced = r.Counter("dist_completes_term_fenced_total", "Renews and completes rejected because their lease belongs to a deposed coordinator's term.")
@@ -469,28 +452,17 @@ func (c *Coordinator) addJob(job Job) error {
 	if _, ok := c.jobs[job.Name]; ok {
 		return fmt.Errorf("dist: job %s already registered", job.Name)
 	}
-	ttl := job.TTL
-	if ttl <= 0 {
-		ttl = c.opt.DefaultTTL
-	}
 	if !job.Trace.Valid() {
 		job.Trace = obs.NewSpanContext()
 	}
-	js := &jobState{job: job, ttl: ttl, rows: make([]rowState, len(job.Kernels))}
-	js.added = c.now()
-	js.rate = c.reg.Gauge("dist_job_cells_per_second", "Completed cells per second since the job was registered.",
-		obs.L("job", job.Name))
-	js.matrix = newMatrix(job.Space, job.Kernels)
-	for _, k := range job.Kernels {
-		js.order = append(js.order, k.Name)
-	}
+	js := &jobState{job: job, rows: make([]rowState, len(job.Kernels)), matrix: sweep.NewMatrix(job.Space, job.Kernels)}
 	now := c.now()
 	prior := job.Journal.Prior()
 	for r, k := range job.Kernels {
 		key := rowKey{job.Name, r}
 		if g, ok := c.recovered.grants[key]; ok {
 			js.rows[r] = rowState{epoch: g.Epoch, worker: g.Worker, term: g.Term,
-				expiry: laterOf(now.Add(ttl), time.Unix(0, g.ExpiryNS))}
+				expiry: laterOf(now.Add(c.opt.DefaultTTL), time.Unix(0, g.ExpiryNS))}
 		}
 		rs := &js.rows[r]
 		rr := c.recovered.rows[key]
@@ -515,7 +487,8 @@ func (c *Coordinator) addJob(job Job) error {
 		}
 		switch {
 		case havePrior:
-			copyRow(js.matrix, r, prior, pr)
+			js.matrix.Throughput[r], js.matrix.TimeNS[r] = prior.Throughput[pr], prior.TimeNS[pr]
+			js.matrix.Bound[r], js.matrix.Status[r] = prior.Bound[pr], prior.Status[pr]
 			rs.done = true
 			if rr != nil && rr.completed {
 				rs.digest, rs.verified, rs.completedBy = rr.digest, rr.verified, rr.completedBy
@@ -562,7 +535,7 @@ func (c *Coordinator) addJob(job Job) error {
 	// followed by the rows the job's journal already held: a standby
 	// forgets a job once its Run returns, so a job resumed after a
 	// restart reaches the standby's replica journal whole only this way.
-	if spec, err := specForJob(job, ttl); err == nil {
+	if spec, err := specForJob(job); err == nil {
 		c.repl.publish(replMsg{Kind: "job", Job: &spec})
 		for _, rp := range js.doneRows() {
 			c.repl.publish(replMsg{Kind: "row", Row: &rp})
@@ -580,34 +553,6 @@ func laterOf(a, b time.Time) time.Time {
 		return a
 	}
 	return b
-}
-
-// newMatrix allocates a job's result matrix with every cell canceled
-// until a worker completes its row.
-func newMatrix(space hw.Space, ks []*kernel.Kernel) *sweep.Matrix {
-	n := space.Size()
-	m := &sweep.Matrix{Space: space}
-	for _, k := range ks {
-		m.Kernels = append(m.Kernels, k.Name)
-		m.Throughput = append(m.Throughput, make([]float64, n))
-		m.TimeNS = append(m.TimeNS, make([]float64, n))
-		m.Bound = append(m.Bound, make([]gcn.Bound, n))
-		st := make([]sweep.CellStatus, n)
-		for i := range st {
-			st[i] = sweep.StatusCanceled
-		}
-		m.Status = append(m.Status, st)
-	}
-	return m
-}
-
-// copyRow copies row src of from into row dst of to, statuses
-// included.
-func copyRow(to *sweep.Matrix, dst int, from *sweep.Matrix, src int) {
-	copy(to.Throughput[dst], from.Throughput[src])
-	copy(to.TimeNS[dst], from.TimeNS[src])
-	copy(to.Bound[dst], from.Bound[src])
-	copy(to.Status[dst], from.Status[src])
 }
 
 // Close closes the ledger. Job journals belong to their owners.
@@ -777,7 +722,7 @@ func (c *Coordinator) acquire(req acquireRequest) (*Lease, error) {
 			if rs.done || (rs.epoch > 0 && now.Before(rs.expiry)) {
 				continue
 			}
-			if rs.pending && voteBlocked(rs, worker, now, js.ttl) {
+			if rs.pending && voteBlocked(rs, worker, now, c.opt.DefaultTTL) {
 				// The requester already voted on this row: re-verification
 				// needs an independent worker, so hold the row back from
 				// this one while the grace window is open.
@@ -785,7 +730,7 @@ func (c *Coordinator) acquire(req acquireRequest) (*Lease, error) {
 			}
 			steal := rs.epoch > 0
 			epoch := rs.epoch + 1
-			expiry := now.Add(js.ttl)
+			expiry := now.Add(c.opt.DefaultTTL)
 			rec := LedgerRecord{Kind: "grant", Job: name, Row: r, Epoch: epoch,
 				Worker: worker, GrantedNS: now.UnixNano(), ExpiryNS: expiry.UnixNano(),
 				Steal: steal, Early: rs.releasedEarly}
@@ -814,10 +759,9 @@ func (c *Coordinator) acquire(req acquireRequest) (*Lease, error) {
 				obs.KS("job", name), obs.KN("row", float64(r)), obs.KN("epoch", float64(epoch)),
 				obs.KS("worker", worker), obs.KN("term", float64(c.term)))
 			return &Lease{
-				Job: name, Row: r, Epoch: epoch, Term: c.term, Kernel: kraw,
-				Space: SpecFor(js.job.Space),
-				Seed:  js.job.Seed + int64(r), NoiseStdDev: js.job.NoiseStdDev,
-				Engine: js.job.Engine.String(), TTLMillis: js.ttl.Milliseconds(),
+				Job: name, Row: r, Epoch: epoch, Term: c.term, Kernel: kraw, Space: js.job.Space,
+				Seed: js.job.Seed + int64(r), NoiseStdDev: js.job.NoiseStdDev,
+				Engine: js.job.Engine.String(), TTLMillis: c.opt.DefaultTTL.Milliseconds(),
 				Traceparent: leaseSC.Traceparent(),
 			}, nil
 		}
@@ -893,9 +837,9 @@ func (c *Coordinator) renew(req renewRequest) (renewResponse, error) {
 	if req.Epoch != rs.epoch {
 		return renewResponse{}, errStale
 	}
-	rs.expiry = c.now().Add(js.ttl)
+	rs.expiry = c.now().Add(c.opt.DefaultTTL)
 	rs.worker = req.Worker
-	return renewResponse{TTLMillis: js.ttl.Milliseconds()}, nil
+	return renewResponse{}, nil
 }
 
 // complete records a row's terminal state. Exactly-once discipline:
@@ -1012,32 +956,27 @@ type completeRow struct {
 // it needs no lock; a nil job, an out-of-range row or a not-OK complete
 // prepare nothing, because the verdict rejects them first.
 func renderComplete(js *jobState, req completeRequest) completeRow {
-	if js == nil || !req.OK || req.Row < 0 || req.Row >= len(js.order) {
+	if js == nil || !req.OK || req.Row < 0 || req.Row >= len(js.rows) {
 		return completeRow{}
 	}
 	p, err := unpackPlanes(js.job.Space.Size(), req.Planes)
 	if err != nil {
 		return completeRow{err: fmt.Errorf("dist: complete for %s row %d has %v", req.Job, req.Row, err)}
 	}
-	rec, err := sweep.EncodePlanes(js.order[req.Row], p.tput, p.timeNS, p.bound)
+	rec, err := sweep.EncodePlanes(js.job.Kernels[req.Row].Name, p.tput, p.timeNS, p.bound)
 	if err != nil {
 		return completeRow{err: err}
 	}
 	return completeRow{planes: p, rec: rec, digest: sweep.RecordDigest(rec)}
 }
 
-// acceptLocked lands an attested OK complete: planes into the
-// matrix, the rendered record into the job's journal, complete into
-// the ledger — fsynced in that order before the ack — then the OnRow
-// hook and instruments. Caller holds c.mu.
+// acceptLocked lands an attested OK complete: the rendered record into
+// the job's journal, complete into the ledger — fsynced in that order
+// before the ack — and the planes, assigned whole, into the matrix
+// once the journal holds them; then the OnRow hook and instruments.
+// Caller holds c.mu.
 func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeRequest, row completeRow, verified bool) (completeResponse, error) {
 	r := req.Row
-	copy(js.matrix.Throughput[r], row.planes.tput)
-	copy(js.matrix.TimeNS[r], row.planes.timeNS)
-	copy(js.matrix.Bound[r], row.planes.bound)
-	for i := range js.matrix.Status[r] {
-		js.matrix.Status[r][i] = sweep.StatusOK
-	}
 	// Fsync-before-ack, twice: the row into the job's journal (the
 	// source of truth for done-ness), then the complete into the
 	// ledger (the audit trail). A crash between the two recovers as
@@ -1046,17 +985,20 @@ func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeReque
 	// invalidated earlier, this append supersedes the retracted bytes:
 	// journal replay is last-record-wins per kernel.
 	if err := js.job.Journal.AppendRecord(row.rec); err != nil {
-		// Roll the in-memory row back so a retry can try again.
-		zeroRow(js.matrix, r)
 		return completeResponse{}, err
 	}
+	// The planes unpackPlanes allocated for this complete become the
+	// row; a fresh status row is all StatusOK, the zero value.
+	m := js.matrix
+	m.Throughput[r], m.TimeNS[r], m.Bound[r] = row.planes.tput, row.planes.timeNS, row.planes.bound
+	m.Status[r] = make([]sweep.CellStatus, len(row.planes.tput))
 	// Replicate the planes as received before the complete record,
 	// mirroring the local journal-then-ledger order: the standby's
 	// journal append for this row lands at a lower cursor than its
 	// complete frame, so a promotion between the two recovers done-ness
 	// from the journal exactly like a local crash would.
 	c.repl.publish(replMsg{Kind: "row", Row: &RowPlanes{
-		Job: req.Job, Row: r, Kernel: js.order[r], Planes: req.Planes}})
+		Job: req.Job, Row: r, Kernel: js.job.Kernels[r].Name, Planes: req.Planes}})
 	if err := c.logAppend(LedgerRecord{Kind: "complete", Job: req.Job, Row: r,
 		Epoch: req.Epoch, Worker: req.Worker, Digest: req.Digest, Verified: verified}); err != nil {
 		return completeResponse{}, err
@@ -1071,15 +1013,6 @@ func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeReque
 	if verified {
 		c.mVerified.Inc()
 	}
-	done := 0
-	for i := range js.rows {
-		if js.rows[i].done {
-			done++
-		}
-	}
-	if secs := c.now().Sub(js.added).Seconds(); secs > 0 {
-		js.rate.Set(float64(done*js.job.Space.Size()) / secs)
-	}
 	c.emit("complete", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(r)),
 		obs.KN("epoch", float64(req.Epoch)), obs.KS("worker", req.Worker), obs.KB("verified", verified))
 	return completeResponse{Verified: verified}, nil
@@ -1088,8 +1021,8 @@ func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeReque
 // voteLocked handles an attested complete for a row in the
 // re-verification sample: the claim is ledgered as a vote, and the
 // row settles only when two distinct workers agree on its digest.
-// Dissenting votes at settlement are proven lies — each costs its
-// worker a strike. A lone worker re-voting its own digest after the
+// Dissenting votes at settlement are proven lies, and each quarantines
+// its worker. A lone worker re-voting its own digest after the
 // grace window settles the row unverified (availability over
 // byzantine safety when no independent worker exists). Caller holds
 // c.mu.
@@ -1125,11 +1058,11 @@ func (c *Coordinator) voteLocked(js *jobState, rs *rowState, req completeRequest
 			return resp, err
 		}
 		for _, v := range dissent {
-			c.strikeLocked(js, v.worker, req.Job, req.Row, v.digest)
+			c.quarantineLocked(js, v.worker, req.Job, req.Row, v.digest)
 		}
 		return resp, nil
 	}
-	if revote && !rs.lastVote.IsZero() && now.Sub(rs.lastVote) >= 2*js.ttl {
+	if revote && !rs.lastVote.IsZero() && now.Sub(rs.lastVote) >= 2*c.opt.DefaultTTL {
 		// Grace elapsed with no independent worker: the same worker
 		// re-executed the row (fresh lease, fresh computation) and got
 		// the same digest. Accept unverified rather than deadlock a
@@ -1155,41 +1088,28 @@ func (c *Coordinator) voteLocked(js *jobState, rs *rowState, req completeRequest
 	return completeResponse{PendingVerify: true}, nil
 }
 
-// strikeLocked charges worker one conclusive digest mismatch and
-// quarantines it at the threshold. Ledger appends here are
-// best-effort: the strike already landed in memory, and failing the
-// accepted complete over an audit record would trade integrity for
-// bookkeeping. Caller holds c.mu.
-func (c *Coordinator) strikeLocked(js *jobState, worker, job string, row int, digest string) {
-	if c.quarantined[worker] {
-		return
-	}
-	c.strikes[worker]++
-	c.logAppend(LedgerRecord{Kind: "strike", Job: job, Row: row, Worker: worker, Digest: digest}) //nolint:errcheck // best-effort audit
-	c.mMismatch.Inc()
-	c.emit("strike", js, js.job.Trace.SpanID, obs.KS("job", job), obs.KN("row", float64(row)),
-		obs.KS("worker", worker), obs.KS("digest", digest), obs.KN("strikes", float64(c.strikes[worker])))
-	threshold := c.opt.QuarantineAfter
-	if threshold <= 0 {
-		threshold = 1
-	}
-	if c.strikes[worker] >= threshold {
-		c.quarantineLocked(js, worker, job, row, digest)
-	}
-}
-
-// quarantineLocked fences worker fleet-wide: future acquires, renews
-// and completes are rejected; its live leases are revoked for
-// immediate re-lease; and every unverified row it completed in a job
-// still registered is retracted and reopened — graceful degradation,
-// because healthy workers pick the rows back up on their next
-// acquire. A job Run has returned is out of reach: its matrix belongs
-// to the caller. Caller holds c.mu.
+// quarantineLocked charges worker a proven lie — its digest lost a
+// vote on job's row — and fences it fleet-wide, because honest workers
+// never lose a vote (seeded determinism makes honest re-executions
+// bit-identical). Future acquires, renews and completes are rejected;
+// its live leases are revoked for immediate re-lease; and every
+// unverified row it completed in a job still registered is retracted
+// and reopened — graceful degradation, because healthy workers pick the
+// rows back up on their next acquire. A job Run has returned is out of
+// reach: its matrix belongs to the caller. The strike and quarantine
+// records are best-effort audit: the quarantine already holds in
+// memory, failing the accepted complete over an audit record would
+// trade integrity for bookkeeping, and replay quarantines on either
+// record. Caller holds c.mu.
 func (c *Coordinator) quarantineLocked(js *jobState, worker, job string, row int, digest string) {
 	if c.quarantined[worker] {
 		return
 	}
 	c.quarantined[worker] = true
+	c.logAppend(LedgerRecord{Kind: "strike", Job: job, Row: row, Worker: worker, Digest: digest}) //nolint:errcheck // best-effort audit
+	c.mMismatch.Inc()
+	c.emit("strike", js, js.job.Trace.SpanID, obs.KS("job", job), obs.KN("row", float64(row)),
+		obs.KS("worker", worker), obs.KS("digest", digest))
 	c.logAppend(LedgerRecord{Kind: "quarantine", Job: job, Row: row, Worker: worker, Digest: digest}) //nolint:errcheck // best-effort audit
 	c.mQuarantined.Inc()
 	c.emit("quarantine", js, js.job.Trace.SpanID, obs.KS("job", job), obs.KN("row", float64(row)),
@@ -1219,11 +1139,11 @@ func (c *Coordinator) quarantineLocked(js *jobState, worker, job string, row int
 }
 
 // invalidateLocked retracts a done row: its ledgered invalidate names
-// the worker and digest being withdrawn, the matrix row is zeroed,
-// and the row reopens pending with the retracted claim seeded as a
-// vote — if an honest worker reproduces the digest, the values were
-// right after all and one agreement settles the row verified. Caller
-// holds c.mu.
+// the worker and digest being withdrawn, the matrix row is settled
+// anew as all-canceled and handed to OnRow, and the row reopens
+// pending with the retracted claim seeded as a vote — if an honest
+// worker reproduces the digest, the values were right after all and
+// one agreement settles the row verified. Caller holds c.mu.
 func (c *Coordinator) invalidateLocked(js *jobState, r int) {
 	rs := &js.rows[r]
 	c.logAppend(LedgerRecord{Kind: "invalidate", Job: js.job.Name, Row: r,
@@ -1236,20 +1156,13 @@ func (c *Coordinator) invalidateLocked(js *jobState, r int) {
 	rs.lastVote = now
 	rs.expiry = now
 	rs.releasedEarly = true
-	zeroRow(js.matrix, r)
+	js.matrix.SettleRow(r, sweep.StatusCanceled)
+	if js.job.OnRow != nil {
+		js.job.OnRow(js.matrix, r)
+	}
 	c.mInvalid.Inc()
 	c.emit("invalidate", js, rs.span, obs.KS("job", js.job.Name), obs.KN("row", float64(r)),
 		obs.KN("epoch", float64(rs.epoch)))
-}
-
-// zeroRow resets one matrix row to its never-measured state.
-func zeroRow(m *sweep.Matrix, r int) {
-	for i := range m.Status[r] {
-		m.Throughput[r][i] = 0
-		m.TimeNS[r][i] = 0
-		m.Bound[r][i] = 0
-		m.Status[r][i] = sweep.StatusCanceled
-	}
 }
 
 // Handler serves the lease protocol under /v1/dist/.
@@ -1304,18 +1217,6 @@ func (c *Coordinator) Handler() http.Handler {
 		// said so on the instruments).
 		c.replBarrier()
 		writeJSON(w, http.StatusOK, resp)
-	})
-	mux.HandleFunc("/v1/dist/job", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
-			return
-		}
-		st, ok := c.Status(r.URL.Query().Get("name"))
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("/v1/ha/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, c.haStatus())
@@ -1387,7 +1288,7 @@ func (c *Coordinator) snapshot() (*haSnapshot, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		js := c.jobs[name]
-		spec, err := specForJob(js.job, js.ttl)
+		spec, err := specForJob(js.job)
 		if err != nil {
 			return nil, err
 		}
@@ -1403,7 +1304,7 @@ func (js *jobState) doneRows() []RowPlanes {
 	var out []RowPlanes
 	for r := range js.rows {
 		if js.rows[r].done {
-			out = append(out, RowPlanes{Job: js.job.Name, Row: r, Kernel: js.order[r],
+			out = append(out, RowPlanes{Job: js.job.Name, Row: r, Kernel: js.job.Kernels[r].Name,
 				Planes: packPlanes(js.matrix.Throughput[r], js.matrix.TimeNS[r], js.matrix.Bound[r])})
 		}
 	}

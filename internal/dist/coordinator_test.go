@@ -45,9 +45,13 @@ func testJob(t *testing.T, name string, n int) Job {
 	for i := 0; i < n; i++ {
 		ks = append(ks, kernel.New("s", "p", string(rune('a'+i))).Geometry(64+64*i, 256).MustBuild())
 	}
-	return Job{Name: name, Kernels: ks, Space: testSpace(t), Seed: 42, NoiseStdDev: 0.05,
-		TTL: time.Second}
+	return Job{Name: name, Kernels: ks, Space: testSpace(t), Seed: 42, NoiseStdDev: 0.05}
 }
+
+// testTTL is the lease TTL of the tests' coordinators: every
+// coordinator a test builds, a promoted standby's included, sets it as
+// its DefaultTTL.
+const testTTL = time.Second
 
 // journalPath is where the tests keep a job's journal: in the
 // coordinator's directory, next to its ledger.
@@ -81,7 +85,7 @@ func reopened(t *testing.T, dir string, job Job) Job {
 
 func newTestCoordinator(t *testing.T, dir string, clk *testClock) *Coordinator {
 	t.Helper()
-	c, err := NewCoordinator(dir, CoordinatorOptions{now: clk.now})
+	c, err := NewCoordinator(dir, CoordinatorOptions{DefaultTTL: testTTL, now: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +107,7 @@ func okComplete(t *testing.T, l *Lease, worker string) completeRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space, err := l.Space.Space()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sweep.Run([]*kernel.Kernel{k}, space,
+	m, err := sweep.Run([]*kernel.Kernel{k}, l.Space,
 		sweep.Options{Workers: 1, NoiseStdDev: l.NoiseStdDev, Seed: l.Seed})
 	if err != nil {
 		t.Fatal(err)
@@ -255,11 +255,8 @@ func TestRenewalAfterCoordinatorRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := c2.renew(renewRequest{Job: l.Job, Row: l.Row, Epoch: l.Epoch, Term: l.Term, Worker: "w1"})
-	if err != nil {
-		t.Fatalf("renewal with pre-crash epoch should succeed after restart: %v", err)
-	}
-	if resp.TTLMillis <= 0 {
-		t.Fatalf("renewal should return a fresh TTL: %+v", resp)
+	if err != nil || resp.Done {
+		t.Fatalf("renewal with pre-crash epoch should extend the open lease after restart: %+v %v", resp, err)
 	}
 	// A wrong epoch is still fenced after restart.
 	if _, err := c2.renew(renewRequest{Job: l.Job, Row: l.Row, Epoch: l.Epoch + 7, Term: l.Term, Worker: "x"}); err != errStale {
@@ -447,13 +444,11 @@ func TestLedgerTornTailSalvage(t *testing.T) {
 // canceled, so the run reads incomplete and Resume recomputes its row.
 func TestReportForCountsStalledAsCanceled(t *testing.T) {
 	job := testJob(t, "stalled", 2)
-	m := newMatrix(job.Space, job.Kernels)
-	for r := range m.Kernels {
-		for c := range m.Status[r] {
-			m.Status[r][c] = sweep.StatusOK
-		}
-	}
-	m.Status[1][0] = sweep.StatusStalled
+	m := sweep.NewMatrix(job.Space, job.Kernels)
+	n := job.Space.Size()
+	stalled := make([]sweep.CellStatus, n) // all StatusOK
+	stalled[0] = sweep.StatusStalled
+	m.Status[0], m.Status[1] = make([]sweep.CellStatus, n), stalled
 	rep := reportFor(m)
 	if rep.Canceled != 1 || rep.OK != rep.Cells-1 || rep.Complete() {
 		t.Fatalf("report for one stalled cell = %s", rep.Summary())
@@ -489,8 +484,8 @@ type runResult struct {
 // TestCanceledRunLeavesCoordinator: once Run returns context.Canceled
 // its job is gone. Nothing of it is granted again, a complete for a
 // lease granted before the cancel answers 404 (so completeWithRetry
-// gives up at once), a late renew answers 404 too, and the job's
-// journal does not grow.
+// gives up at once), a late renew answers 404 too, Status no longer
+// knows the job, and the job's journal does not grow.
 func TestCanceledRunLeavesCoordinator(t *testing.T) {
 	clk := newTestClock()
 	dir := t.TempDir()
@@ -536,13 +531,8 @@ func TestCanceledRunLeavesCoordinator(t *testing.T) {
 	if status, _ := postJSON(t, srv.URL+"/v1/dist/renew", renew); status != http.StatusNotFound {
 		t.Fatalf("late renew answered %d, want 404", status)
 	}
-	resp, err := http.Get(srv.URL + "/v1/dist/job?name=j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status poll for a returned job answered %d, want 404", resp.StatusCode)
+	if st, ok := c.Status(job.Name); ok {
+		t.Fatalf("the returned job is still registered: %+v", st)
 	}
 	after, err := os.Stat(journalPath(dir, job.Name))
 	if err != nil {
@@ -561,7 +551,7 @@ func TestCanceledRunLeavesCoordinator(t *testing.T) {
 func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 	clk := newTestClock()
 	dir := t.TempDir()
-	c, err := NewCoordinator(dir, CoordinatorOptions{now: clk.now, VerifyFraction: 0.5})
+	c, err := NewCoordinator(dir, CoordinatorOptions{DefaultTTL: testTTL, now: clk.now, VerifyFraction: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

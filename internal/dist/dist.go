@@ -55,23 +55,6 @@ import (
 	"gpuscale/internal/sweep"
 )
 
-// SpaceSpec is the wire form of a configuration space.
-type SpaceSpec struct {
-	CUs  []int     `json:"cus"`
-	Core []float64 `json:"core_mhz"`
-	Mem  []float64 `json:"mem_mhz"`
-}
-
-// SpecFor captures a space for the wire.
-func SpecFor(s hw.Space) SpaceSpec {
-	return SpaceSpec{CUs: s.CUCounts, Core: s.CoreClocksMHz, Mem: s.MemClocksMHz}
-}
-
-// Space validates and rebuilds the configuration space.
-func (s SpaceSpec) Space() (hw.Space, error) {
-	return hw.NewSpace(s.CUs, s.Core, s.Mem)
-}
-
 // Lease is a coordinator's grant of one kernel row to one worker.
 type Lease struct {
 	// Job and Row name the work; Epoch is the fencing token every
@@ -87,14 +70,17 @@ type Lease struct {
 	// Kernel is the row's kernel as a one-element kernel JSON array
 	// (the kernel.WriteAll wire form).
 	Kernel json.RawMessage `json:"kernel"`
-	Space  SpaceSpec       `json:"space"`
+	// Space is the job's configuration space; the worker validates it
+	// with hw.NewSpace before sweeping.
+	Space hw.Space `json:"space"`
 	// Seed is the row's noise seed — already offset by the row index,
 	// so the worker uses it verbatim and its local row 0 reproduces
 	// the global row's noise stream.
 	Seed        int64   `json:"seed"`
 	NoiseStdDev float64 `json:"noise_stddev,omitempty"`
 	Engine      string  `json:"engine"`
-	// TTLMillis is how long the lease lives without a renewal.
+	// TTLMillis is how long the lease lives without a renewal; the
+	// worker renews at a third of it.
 	TTLMillis int64 `json:"ttl_ms"`
 	// Traceparent carries the lease span's W3C trace context: the
 	// coordinator mints a span per grant (a child of the job's span)
@@ -157,11 +143,9 @@ type renewRequest struct {
 	Worker string `json:"worker"`
 }
 
-// renewResponse acknowledges a renewal.
+// renewResponse acknowledges a renewal: the lease lives a fresh TTL
+// from the coordinator's clock.
 type renewResponse struct {
-	// TTLMillis is the fresh time-to-live from the coordinator's
-	// clock at renewal.
-	TTLMillis int64 `json:"ttl_ms"`
 	// Done reports the row completed under this epoch already — the
 	// worker's own complete, acked or not, landed. Stop renewing.
 	Done bool `json:"done,omitempty"`

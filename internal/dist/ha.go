@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"gpuscale/internal/durable"
+	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
 	"gpuscale/internal/sweep"
@@ -81,24 +82,23 @@ var errNotPrimary = errors.New("dist: not primary: warm standby has not promoted
 type JobSpec struct {
 	Name        string          `json:"name"`
 	Kernels     json.RawMessage `json:"kernels"` // kernel.WriteAll wire form
-	Space       SpaceSpec       `json:"space"`
+	Space       hw.Space        `json:"space"`
 	Seed        int64           `json:"seed"`
 	NoiseStdDev float64         `json:"noise_stddev,omitempty"`
 	Engine      string          `json:"engine"`
-	TTLMillis   int64           `json:"ttl_ms"`
 	Traceparent string          `json:"traceparent,omitempty"`
 }
 
 // specForJob captures a registered job for the replication stream.
-func specForJob(job Job, ttl time.Duration) (JobSpec, error) {
+func specForJob(job Job) (JobSpec, error) {
 	var buf bytes.Buffer
 	if err := kernel.WriteAll(&buf, job.Kernels); err != nil {
 		return JobSpec{}, fmt.Errorf("dist: encoding job spec: %w", err)
 	}
 	return JobSpec{
-		Name: job.Name, Kernels: buf.Bytes(), Space: SpecFor(job.Space),
+		Name: job.Name, Kernels: buf.Bytes(), Space: job.Space,
 		Seed: job.Seed, NoiseStdDev: job.NoiseStdDev, Engine: job.Engine.String(),
-		TTLMillis: ttl.Milliseconds(), Traceparent: job.Trace.Traceparent(),
+		Traceparent: job.Trace.Traceparent(),
 	}, nil
 }
 
@@ -110,7 +110,7 @@ func (s JobSpec) job() (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("dist: decoding job spec %s: %w", s.Name, err)
 	}
-	space, err := s.Space.Space()
+	space, err := hw.NewSpace(s.Space.CUCounts, s.Space.CoreClocksMHz, s.Space.MemClocksMHz)
 	if err != nil {
 		return Job{}, fmt.Errorf("dist: job spec %s: %w", s.Name, err)
 	}
@@ -119,8 +119,7 @@ func (s JobSpec) job() (Job, error) {
 		return Job{}, fmt.Errorf("dist: job spec %s: %w", s.Name, err)
 	}
 	j := Job{Name: s.Name, Kernels: ks, Space: space, Seed: s.Seed,
-		NoiseStdDev: s.NoiseStdDev, Engine: engine,
-		TTL: time.Duration(s.TTLMillis) * time.Millisecond}
+		NoiseStdDev: s.NoiseStdDev, Engine: engine}
 	if sc, err := obs.ParseTraceparent(s.Traceparent); err == nil {
 		j.Trace = sc
 	}

@@ -27,6 +27,7 @@ func newHAPair(t *testing.T, clk *testClock, copt CoordinatorOptions) (*Coordina
 	if copt.ID == "" {
 		copt.ID = "primary-1"
 	}
+	copt.DefaultTTL = testTTL
 	copt.ReplTimeout = 50 * time.Millisecond
 	c, err := NewCoordinator(t.TempDir(), copt)
 	if err != nil {
@@ -39,9 +40,8 @@ func newHAPair(t *testing.T, clk *testClock, copt CoordinatorOptions) (*Coordina
 		ID:      "standby-1",
 		Primary: srv.URL,
 		Coordinator: CoordinatorOptions{
-			ID: "standby-1", now: clk.now,
-			VerifyFraction:  copt.VerifyFraction,
-			QuarantineAfter: copt.QuarantineAfter,
+			ID: "standby-1", DefaultTTL: testTTL, now: clk.now,
+			VerifyFraction: copt.VerifyFraction,
 		},
 		now: clk.now,
 	})
@@ -592,7 +592,7 @@ func TestAuditLedgerTermRules(t *testing.T) {
 // job a promoted standby re-registers.
 func TestJobSpecRoundtrip(t *testing.T) {
 	job := testJob(t, "jr", 2)
-	spec, err := specForJob(job, job.TTL)
+	spec, err := specForJob(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +612,7 @@ func TestJobSpecRoundtrip(t *testing.T) {
 	}
 	if got.Name != job.Name || len(got.Kernels) != len(job.Kernels) ||
 		got.Space.Size() != job.Space.Size() || got.Seed != job.Seed ||
-		got.NoiseStdDev != job.NoiseStdDev || got.TTL != job.TTL {
+		got.NoiseStdDev != job.NoiseStdDev {
 		t.Fatalf("job spec roundtrip mangled the job: %+v vs %+v", got, job)
 	}
 	for i := range got.Kernels {
@@ -688,7 +688,7 @@ func TestStandbyRestartResyncs(t *testing.T) {
 
 	s2, err := NewStandby(dir, StandbyOptions{
 		ID: "standby-1", Primary: srv.URL,
-		Coordinator: CoordinatorOptions{ID: "standby-1", now: clk.now},
+		Coordinator: CoordinatorOptions{ID: "standby-1", DefaultTTL: testTTL, now: clk.now},
 		now:         clk.now,
 	})
 	if err != nil {

@@ -11,10 +11,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"gpuscale/internal/gcn"
 	"gpuscale/internal/sweep"
 )
 
@@ -29,11 +32,7 @@ func tamperedComplete(t *testing.T, l *Lease, worker string) completeRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space, err := l.Space.Space()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := unpackPlanes(space.Size(), req.Planes)
+	p, err := unpackPlanes(l.Space.Size(), req.Planes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestBadAttestationRejected(t *testing.T) {
 // matching digest settles the row verified.
 func TestSampledRowSettlesByIndependentAgreement(t *testing.T) {
 	clk := newTestClock()
-	c, err := NewCoordinator(t.TempDir(), CoordinatorOptions{now: clk.now, VerifyFraction: 1})
+	c, err := NewCoordinator(t.TempDir(), CoordinatorOptions{DefaultTTL: testTTL, now: clk.now, VerifyFraction: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +188,12 @@ func TestSampledRowSettlesByIndependentAgreement(t *testing.T) {
 // accepted, explicitly unverified.
 func TestSingleWorkerGraceSettlesUnverified(t *testing.T) {
 	clk := newTestClock()
-	c, err := NewCoordinator(t.TempDir(), CoordinatorOptions{now: clk.now, VerifyFraction: 1})
+	c, err := NewCoordinator(t.TempDir(), CoordinatorOptions{DefaultTTL: testTTL, now: clk.now, VerifyFraction: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil { // TTL 1s
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -227,7 +226,7 @@ func TestSingleWorkerGraceSettlesUnverified(t *testing.T) {
 func TestDissentStrikesAndQuarantines(t *testing.T) {
 	clk := newTestClock()
 	quarantined := make([]string, 0, 1)
-	c, err := NewCoordinator(t.TempDir(), CoordinatorOptions{now: clk.now, VerifyFraction: 1,
+	c, err := NewCoordinator(t.TempDir(), CoordinatorOptions{DefaultTTL: testTTL, now: clk.now, VerifyFraction: 1,
 		OnQuarantine: func(w string) { quarantined = append(quarantined, w) }})
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +258,8 @@ func TestDissentStrikesAndQuarantines(t *testing.T) {
 		t.Fatalf("lone honest dissent should stay pending: %+v %v", resp, err)
 	}
 	// Second honest worker agrees with h1: the row settles verified and
-	// the liar's dissenting vote is a proven lie — one strike, and at
-	// the default threshold, quarantine.
+	// the liar's dissenting vote is a proven lie — one strike, and the
+	// first proven lie quarantines.
 	h2r0, _ := c.acquire(acq("h2"))
 	if h2r0 == nil || h2r0.Row != lr0.Row {
 		t.Fatalf("h2 should get the pending row, got %+v", h2r0)
@@ -337,7 +336,7 @@ func TestQuarantineInvalidatesUnverifiedRows(t *testing.T) {
 	// row 1 — so the liar's row 0 is accepted unverified and its row 1
 	// lie is caught by the sample.
 	seed := splitSeed(t)
-	c, err := NewCoordinator(t.TempDir(), CoordinatorOptions{now: clk.now, VerifyFraction: 0.5})
+	c, err := NewCoordinator(t.TempDir(), CoordinatorOptions{DefaultTTL: testTTL, now: clk.now, VerifyFraction: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,6 +416,173 @@ func TestQuarantineInvalidatesUnverifiedRows(t *testing.T) {
 	}
 }
 
+// TestRetractionLeavesDeliveredRowIntact: a quarantine retracts a row
+// the coordinator accepted on the liar's word and already handed to
+// OnRow. The retraction settles a fresh all-canceled row and hands it
+// to OnRow in a second call; the slices the first call delivered are
+// never written again, so a reader still holding them — as serve's
+// live snapshot does — reads them unchanged, concurrently with the
+// retraction, without a data race.
+func TestRetractionLeavesDeliveredRowIntact(t *testing.T) {
+	clk := newTestClock()
+	c, err := NewCoordinator(t.TempDir(), CoordinatorOptions{DefaultTTL: testTTL, now: clk.now, VerifyFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	type delivery struct {
+		tput, timeNS []float64
+		bound        []gcn.Bound
+		status       []sweep.CellStatus
+	}
+	var row0 []delivery
+	job := testJob(t, "j", 2)
+	job.Seed = splitSeed(t) // row 0 outside the sample, row 1 inside
+	job.OnRow = func(m *sweep.Matrix, r int) {
+		if r == 0 {
+			row0 = append(row0, delivery{m.Throughput[r], m.TimeNS[r], m.Bound[r], m.Status[r]})
+		}
+	}
+	if err := c.AddJob(withJournal(t, c.dir, job)); err != nil {
+		t.Fatal(err)
+	}
+	lr0, _ := c.acquire(acq("liar"))
+	if resp, err := c.complete(tamperedComplete(t, lr0, "liar")); err != nil || lr0.Row != 0 || resp.PendingVerify {
+		t.Fatalf("row 0 should be accepted on the liar's word: %+v %v", resp, err)
+	}
+	if len(row0) != 1 {
+		t.Fatalf("OnRow saw row 0 %d times on its accept, want 1", len(row0))
+	}
+	first := row0[0]
+	want := delivery{slices.Clone(first.tput), slices.Clone(first.timeNS), slices.Clone(first.bound), slices.Clone(first.status)}
+
+	stop, sum := make(chan struct{}), make(chan float64)
+	go func() {
+		total := 0.0
+		for {
+			for i := range first.tput {
+				total += first.tput[i] + first.timeNS[i] + float64(first.bound[i]) + float64(first.status[i])
+			}
+			select {
+			case <-stop:
+				sum <- total
+				return
+			default:
+			}
+		}
+	}()
+	// Row 1's lie loses the vote to two honest workers: quarantine,
+	// which retracts row 0.
+	lr1, _ := c.acquire(acq("liar"))
+	if resp, err := c.complete(tamperedComplete(t, lr1, "liar")); err != nil || !resp.PendingVerify {
+		t.Fatalf("sampled tampered complete should be held: %+v %v", resp, err)
+	}
+	for _, h := range []string{"h1", "h2"} {
+		l, err := c.acquire(acq(h))
+		if err != nil || l == nil || l.Row != 1 {
+			t.Fatalf("%s should get row 1: %+v %v", h, l, err)
+		}
+		if _, err := c.complete(okComplete(t, l, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-sum
+	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
+		t.Fatalf("liar should be quarantined, got %v", q)
+	}
+
+	if !slices.Equal(first.tput, want.tput) || !slices.Equal(first.timeNS, want.timeNS) ||
+		!slices.Equal(first.bound, want.bound) || !slices.Equal(first.status, want.status) {
+		t.Fatal("the retraction wrote into the row an earlier OnRow call delivered")
+	}
+	if len(row0) != 2 {
+		t.Fatalf("OnRow saw row 0 %d times, want its accept and then its retraction", len(row0))
+	}
+	for i, st := range row0[1].status {
+		if st != sweep.StatusCanceled || row0[1].tput[i] != 0 || row0[1].timeNS[i] != 0 {
+			t.Fatalf("the retraction delivered cell %d as %v (%g, %g), want an all-canceled row",
+				i, st, row0[1].tput[i], row0[1].timeNS[i])
+		}
+	}
+}
+
+// TestReplayedStrikeQuarantines: a crash between a strike record and
+// its quarantine record leaves a ledger that names the liar only in
+// the strike. The first proven lie quarantines, so replay fences the
+// liar on the strike alone: after the restart its acquire is refused,
+// and an honest worker gets the open row.
+func TestReplayedStrikeQuarantines(t *testing.T) {
+	dir := t.TempDir()
+	clk := newTestClock()
+	open := func() *Coordinator {
+		t.Helper()
+		c, err := NewCoordinator(dir, CoordinatorOptions{DefaultTTL: testTTL, now: clk.now, VerifyFraction: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c := open()
+	job := withJournal(t, dir, testJob(t, "j", 2))
+	if err := c.AddJob(job); err != nil {
+		t.Fatal(err)
+	}
+	lr, _ := c.acquire(acq("liar"))
+	if resp, err := c.complete(tamperedComplete(t, lr, "liar")); err != nil || !resp.PendingVerify {
+		t.Fatalf("tampered vote: %+v %v", resp, err)
+	}
+	for _, h := range []string{"h1", "h2"} {
+		l, err := c.acquire(acq(h))
+		if err != nil || l == nil || l.Row != lr.Row {
+			t.Fatalf("%s should get the liar's row: %+v %v", h, l, err)
+		}
+		if _, err := c.complete(okComplete(t, l, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
+		t.Fatalf("liar should be quarantined, got %v", q)
+	}
+	c.Close()
+
+	// The crash: the ledger ends where the quarantine record began.
+	data, err := os.ReadFile(c.LedgerPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64(len(ledgerMagic))
+	for {
+		rec, next, ok := parseLedgerRecord(data, off)
+		if !ok {
+			t.Fatal("the ledger holds no quarantine record")
+		}
+		if rec.Kind == "quarantine" {
+			break
+		}
+		off = next
+	}
+	if err := os.Truncate(c.LedgerPath(), off); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadLedger(c.LedgerPath())
+	if err != nil || recs[len(recs)-1].Kind != "strike" || recs[len(recs)-1].Worker != "liar" {
+		t.Fatalf("the cut ledger should end in the liar's strike: %v", err)
+	}
+
+	c = open()
+	defer c.Close()
+	if err := c.AddJob(reopened(t, dir, job)); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := c.acquire(acq("liar")); !errors.Is(err, errQuarantined) {
+		t.Fatalf("a replayed strike should fence the liar: granted %v, error %v", l != nil, err)
+	}
+	if l, err := c.acquire(acq("h3")); err != nil || l == nil || l.Row == lr.Row {
+		t.Fatalf("an honest worker should get the open row: %+v %v", l, err)
+	}
+}
+
 // TestIntegrityPlaneRecoveredAcrossRestarts: open votes, strikes and
 // quarantine membership all survive coordinator crashes — at every
 // stage of a verification flow.
@@ -425,13 +591,13 @@ func TestIntegrityPlaneRecoveredAcrossRestarts(t *testing.T) {
 	clk := newTestClock()
 	open := func() *Coordinator {
 		t.Helper()
-		c, err := NewCoordinator(dir, CoordinatorOptions{now: clk.now, VerifyFraction: 1})
+		c, err := NewCoordinator(dir, CoordinatorOptions{DefaultTTL: testTTL, now: clk.now, VerifyFraction: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	job := testJob(t, "j", 1) // TTL 1s
+	job := testJob(t, "j", 1)
 	want := singleNodeCanonical(t, job)
 
 	// Stage 1: the liar's tampered vote, then crash.

@@ -38,8 +38,8 @@ const ledgerMagic = "gpuscale-lease v1\n"
 type LedgerRecord struct {
 	// Kind is the event: "grant", "complete", or — the integrity
 	// plane — "attest" (a re-verification vote), "strike" (a worker's
-	// digest lost a vote), "quarantine" (a worker crossed the strike
-	// threshold and is fenced fleet-wide), "invalidate" (a quarantined
+	// digest lost a vote), "quarantine" (the strike's worker is fenced
+	// fleet-wide; it follows every strike), "invalidate" (a quarantined
 	// worker's unverified complete was retracted and the row reopened)
 	// — or "term", the HA plane: a coordinator (named in Worker)
 	// asserting it now serves the fleet under Term. Terms increase
@@ -81,16 +81,15 @@ type LedgerRecord struct {
 }
 
 // ledgerRecovery is what replay yields: the last grant per row, each
-// row's verification state, and the fleet-wide strike/quarantine
-// state — everything a restarted coordinator needs to resume the
-// integrity plane where it left off.
+// row's verification state, and the fleet-wide quarantine state —
+// everything a restarted coordinator needs to resume the integrity
+// plane where it left off.
 type ledgerRecovery struct {
 	grants map[rowKey]LedgerRecord
 	rows   map[rowKey]*rowRecovery
-	// strikes and quarantined are per-worker: strike counts replayed
-	// from "strike" records, quarantine membership from "quarantine"
-	// records.
-	strikes     map[string]int
+	// quarantined names every worker a "strike" or "quarantine" record
+	// names: the first proven lie quarantines, so a strike whose
+	// quarantine record a crash cut off still fences its worker.
 	quarantined map[string]bool
 	// term is the highest coordinator term asserted in the ledger; 0
 	// when the ledger predates the HA plane.
@@ -141,7 +140,7 @@ func openLedger(path string) (*durable.Log, *ledgerRecovery, error) {
 		return nil, nil, fmt.Errorf("dist: opening lease ledger: %w", err)
 	}
 	rec := &ledgerRecovery{grants: map[rowKey]LedgerRecord{}, rows: map[rowKey]*rowRecovery{},
-		strikes: map[string]int{}, quarantined: map[string]bool{}}
+		quarantined: map[string]bool{}}
 	if data == nil {
 		return l, rec, nil
 	}
@@ -167,9 +166,7 @@ func openLedger(path string) (*durable.Log, *ledgerRecovery, error) {
 			rr.votes = nil
 		case "attest":
 			rec.row(k).votes = append(rec.row(k).votes, r)
-		case "strike":
-			rec.strikes[r.Worker]++
-		case "quarantine":
+		case "strike", "quarantine":
 			rec.quarantined[r.Worker] = true
 		case "invalidate":
 			rr := rec.row(k)

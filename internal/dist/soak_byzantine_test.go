@@ -46,10 +46,13 @@ import (
 	"gpuscale/internal/sweep"
 )
 
-// byzJob builds the soak job. The TTL is deliberately generous: the
-// single-voter revote grace opens at 2xTTL, and the soak must prove
+// byzTTL is the soak coordinators' lease TTL, deliberately generous:
+// the single-voter revote grace opens at 2xTTL, and the soak must prove
 // rows settle by independent agreement, not by the liar waiting out
 // its own grace window.
+const byzTTL = 2 * time.Second
+
+// byzJob builds the soak job.
 func byzJob(t *testing.T, seed int64) Job {
 	t.Helper()
 	var ks []*kernel.Kernel
@@ -57,8 +60,7 @@ func byzJob(t *testing.T, seed int64) Job {
 		ks = append(ks, kernel.New("byz", "p", fmt.Sprintf("k%02d", i)).
 			Geometry(64+64*i, 256).Compute(10000+3000*i, 100).MustBuild())
 	}
-	return Job{Name: "byz", Kernels: ks, Space: testSpace(t), Seed: seed, NoiseStdDev: 0.05,
-		TTL: 2 * time.Second}
+	return Job{Name: "byz", Kernels: ks, Space: testSpace(t), Seed: seed, NoiseStdDev: 0.05}
 }
 
 // byzJobSeed finds a job seed whose 50% verification sample covers at
@@ -153,7 +155,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 	var traceBuf bytes.Buffer
 	tw := obs.NewTraceWriter(&traceBuf)
 	tw.SetProcess("coordinator")
-	opts := CoordinatorOptions{VerifyFraction: 0.5, Sink: obs.NewSink(tw, nil),
+	opts := CoordinatorOptions{DefaultTTL: byzTTL, VerifyFraction: 0.5, Sink: obs.NewSink(tw, nil),
 		OnWorker: fed.SetTarget, OnQuarantine: fed.Depart}
 
 	p := startCoordWith(t, coordDir, "127.0.0.1:0", job, opts)

@@ -73,7 +73,7 @@ func TestChaosSoakFailover(t *testing.T) {
 	root := t.TempDir()
 	primaryDir := root + "/primary"
 
-	p := startCoordWith(t, primaryDir, "127.0.0.1:0", job, CoordinatorOptions{ID: "primary-1"})
+	p := startCoordWith(t, primaryDir, "127.0.0.1:0", job, CoordinatorOptions{ID: "primary-1", DefaultTTL: soakTTL})
 	url1 := "http://" + p.addr
 
 	// The standby's address is bound before any worker starts so the
@@ -103,7 +103,7 @@ func TestChaosSoakFailover(t *testing.T) {
 		// a partition window with margin, or an idle-but-healthy
 		// primary reads as silent and the standby promotes early.
 		PromoteAfter: 1200 * time.Millisecond,
-		Coordinator:  CoordinatorOptions{ID: "standby-1"},
+		Coordinator:  CoordinatorOptions{ID: "standby-1", DefaultTTL: soakTTL},
 		Logf:         t.Logf,
 	})
 	if err != nil {
@@ -228,8 +228,9 @@ func TestChaosSoakFailover(t *testing.T) {
 	// with the standby in its peer list. The initial probe must fence
 	// it with ErrDeposed before it serves anything.
 	old, err := NewCoordinator(primaryDir, CoordinatorOptions{
-		ID:    "primary-1",
-		Peers: []string{url2},
+		ID:         "primary-1",
+		DefaultTTL: soakTTL,
+		Peers:      []string{url2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -89,6 +89,10 @@ func workerMain() int {
 	return 0
 }
 
+// soakTTL is the soak coordinators' lease TTL: short, so leases a
+// killed worker held are stolen within the soak.
+const soakTTL = 500 * time.Millisecond
+
 // soakJob is bigger than the unit-test jobs so crashes land mid-sweep.
 func soakJob(t *testing.T) Job {
 	t.Helper()
@@ -97,8 +101,7 @@ func soakJob(t *testing.T) Job {
 		ks = append(ks, kernel.New("soak", "p", fmt.Sprintf("k%02d", i)).
 			Geometry(64+64*i, 256).Compute(10000+3000*i, 100).MustBuild())
 	}
-	return Job{Name: "soak", Kernels: ks, Space: testSpace(t), Seed: 7, NoiseStdDev: 0.05,
-		TTL: 500 * time.Millisecond}
+	return Job{Name: "soak", Kernels: ks, Space: testSpace(t), Seed: 7, NoiseStdDev: 0.05}
 }
 
 // coordProc is the crashable coordinator: listener + server + state,
@@ -115,7 +118,7 @@ type coordProc struct {
 
 func startCoord(t *testing.T, dir, addr string, job Job) *coordProc {
 	t.Helper()
-	return startCoordWith(t, dir, addr, job, CoordinatorOptions{})
+	return startCoordWith(t, dir, addr, job, CoordinatorOptions{DefaultTTL: soakTTL})
 }
 
 // startCoordWith is startCoord with explicit coordinator options —

@@ -25,7 +25,7 @@ func tracedFleet(t *testing.T, job Job, n int) (coordEvs []obs.Event, workerEvs 
 	coordTW := obs.NewTraceWriter(&coordBuf)
 	coordTW.SetProcess("coordinator")
 
-	coord, err := NewCoordinator(dir+"/coord", CoordinatorOptions{Sink: obs.NewSink(coordTW, nil)})
+	coord, err := NewCoordinator(dir+"/coord", CoordinatorOptions{DefaultTTL: testTTL, Sink: obs.NewSink(coordTW, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gpuscale/internal/fault"
+	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
 	"gpuscale/internal/sweep"
@@ -327,7 +328,7 @@ func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanCon
 	if err != nil {
 		return nil, 0, rec, err
 	}
-	space, err := lease.Space.Space()
+	space, err := hw.NewSpace(lease.Space.CUCounts, lease.Space.CoreClocksMHz, lease.Space.MemClocksMHz)
 	if err != nil {
 		return nil, 0, rec, err
 	}

@@ -40,7 +40,7 @@ func singleNodeCanonical(t *testing.T, job Job) []byte {
 func runFleet(t *testing.T, job Job, n int, clientFor func(i int) *http.Client) *Coordinator {
 	t.Helper()
 	dir := t.TempDir()
-	coord, err := NewCoordinator(dir+"/coord", CoordinatorOptions{})
+	coord, err := NewCoordinator(dir+"/coord", CoordinatorOptions{DefaultTTL: testTTL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestFleetUnderNetworkFaults(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	coordDir := t.TempDir()
-	coord, err := NewCoordinator(coordDir, CoordinatorOptions{Metrics: reg})
+	coord, err := NewCoordinator(coordDir, CoordinatorOptions{DefaultTTL: testTTL, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestFleetUnderNetworkFaults(t *testing.T) {
 func TestWorkerRecomputesReleasedRow(t *testing.T) {
 	job := testJob(t, "recompute", 1)
 	dir := t.TempDir()
-	coord, err := NewCoordinator(dir, CoordinatorOptions{})
+	coord, err := NewCoordinator(dir, CoordinatorOptions{DefaultTTL: testTTL})
 	if err != nil {
 		t.Fatal(err)
 	}

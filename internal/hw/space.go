@@ -7,14 +7,17 @@ import (
 
 // Space is a rectangular sweep grid over the three hardware knobs.
 // The zero value is empty; use StudySpace for the paper's 891-point
-// grid or NewSpace to build a custom one.
+// grid or NewSpace to build a custom one. Its JSON form is the one
+// every wire and file uses: a journal's space record, the job API's
+// space field, and the lease and replication messages. Decoding does
+// not validate; pass the axes through NewSpace.
 type Space struct {
 	// CUCounts are the compute-unit settings, ascending.
-	CUCounts []int
+	CUCounts []int `json:"cus"`
 	// CoreClocksMHz are the core-clock settings, ascending.
-	CoreClocksMHz []float64
+	CoreClocksMHz []float64 `json:"core_mhz"`
 	// MemClocksMHz are the memory-clock settings, ascending.
-	MemClocksMHz []float64
+	MemClocksMHz []float64 `json:"mem_mhz"`
 }
 
 // StudySpace returns the reconstruction of the paper's configuration

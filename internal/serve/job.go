@@ -61,13 +61,6 @@ func (s State) Terminal() bool {
 	return s == StateComplete || s == StateCanceled || s == StateFailed
 }
 
-// SpaceSpec is the JSON form of a configuration grid.
-type SpaceSpec struct {
-	CUs     []int     `json:"cus"`
-	CoreMHz []float64 `json:"core_mhz"`
-	MemMHz  []float64 `json:"mem_mhz"`
-}
-
 // JobSpec is the client-supplied description of one sweep job. Either
 // Suite names a built-in corpus suite or Kernels carries an inline
 // kernel list (the kernel.ReadAll JSON schema); exactly one must be
@@ -77,8 +70,8 @@ type JobSpec struct {
 	Suite string `json:"suite,omitempty"`
 	// Kernels is an inline kernel list (kernel JSON array).
 	Kernels json.RawMessage `json:"kernels,omitempty"`
-	// Space overrides the configuration grid.
-	Space *SpaceSpec `json:"space,omitempty"`
+	// Space overrides the configuration grid; admission validates it.
+	Space *hw.Space `json:"space,omitempty"`
 	// Engine is the simulator fidelity ("round" when empty).
 	Engine string `json:"engine,omitempty"`
 	// Noise and Seed configure measurement-noise emulation.
@@ -132,7 +125,7 @@ func (spec *JobSpec) resolve(maxDeadline time.Duration) (*resolved, error) {
 		return nil, fmt.Errorf("spec needs a suite or an inline kernel list")
 	}
 	if spec.Space != nil {
-		s, err := hw.NewSpace(spec.Space.CUs, spec.Space.CoreMHz, spec.Space.MemMHz)
+		s, err := hw.NewSpace(spec.Space.CUCounts, spec.Space.CoreClocksMHz, spec.Space.MemClocksMHz)
 		if err != nil {
 			return nil, err
 		}

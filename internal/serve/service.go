@@ -105,13 +105,15 @@ type SweepRequest struct {
 	// and the executor appends each settled, complete row to it before
 	// calling OnRow. The service closes it once RunSweep returns.
 	Journal *sweep.Journal
-	// OnRow copies a settled, complete row into the job's live snapshot;
-	// safe for concurrent use. A distributed executor may invoke it MORE
-	// than once for the same row: when a quarantined worker's complete
-	// is retracted and a healthy worker re-executes the row, the
-	// corrected planes arrive through a second call (and a second
-	// journal append, which supersedes the retracted one: replay is
-	// last-record-wins per kernel).
+	// OnRow puts a settled row into the job's live snapshot; safe for
+	// concurrent use. A settled row is assigned whole and never written
+	// again, so the snapshot keeps the row's slices rather than copying
+	// them. A distributed executor may invoke it more than once for the
+	// same row: when a quarantined worker's complete is retracted, the
+	// retraction arrives as a second call with an all-canceled row, and
+	// a healthy worker's re-execution as a third, with the corrected
+	// planes (and a second journal append, which supersedes the
+	// retracted one: replay is last-record-wins per kernel).
 	OnRow func(m *sweep.Matrix, r int)
 	// Trace is the job's span context; a distributed executor hands it
 	// to the coordinator so lease grants become children of the job
@@ -699,27 +701,9 @@ func (s *Service) runJob(j *job) {
 	}
 	j.cancel = cancel
 	nCfg := j.res.space.Size()
-	// Snapshot rows start as canceled ("not yet run"); OnRow overwrites
+	// Snapshot rows start as canceled ("not yet run"); OnRow replaces
 	// each as it settles, so partial fetches never show phantom OK cells.
-	snap := &sweep.Matrix{
-		Space:      j.res.space,
-		Kernels:    make([]string, len(j.res.kernels)),
-		Throughput: make([][]float64, len(j.res.kernels)),
-		TimeNS:     make([][]float64, len(j.res.kernels)),
-		Bound:      make([][]gcn.Bound, len(j.res.kernels)),
-		Status:     make([][]sweep.CellStatus, len(j.res.kernels)),
-	}
-	for i, k := range j.res.kernels {
-		snap.Kernels[i] = k.Name
-		snap.Throughput[i] = make([]float64, nCfg)
-		snap.TimeNS[i] = make([]float64, nCfg)
-		snap.Bound[i] = make([]gcn.Bound, nCfg)
-		st := make([]sweep.CellStatus, nCfg)
-		for c := range st {
-			st[c] = sweep.StatusCanceled
-		}
-		snap.Status[i] = st
-	}
+	snap := sweep.NewMatrix(j.res.space, j.res.kernels)
 	j.snapshot = snap
 	j.mu.Unlock()
 	defer cancel()

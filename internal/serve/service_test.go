@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gpuscale/internal/fault"
+	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 )
 
@@ -27,10 +28,10 @@ func testSpec(t *testing.T) JobSpec {
 	}
 	return JobSpec{
 		Kernels: json.RawMessage(buf.Bytes()),
-		Space: &SpaceSpec{
-			CUs:     []int{4, 24},
-			CoreMHz: []float64{200, 1000},
-			MemMHz:  []float64{150, 1250},
+		Space: &hw.Space{
+			CUCounts:      []int{4, 24},
+			CoreClocksMHz: []float64{200, 1000},
+			MemClocksMHz:  []float64{150, 1250},
 		},
 	}
 }
@@ -360,7 +361,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"unknown engine":    {Kernels: good.Kernels, Engine: "warp-speed"},
 		"negative noise":    {Kernels: good.Kernels, Noise: -1},
 		"negative deadline": {Kernels: good.Kernels, DeadlineMS: -1},
-		"bad space":         {Kernels: good.Kernels, Space: &SpaceSpec{CUs: []int{0}, CoreMHz: []float64{1}, MemMHz: []float64{1}}},
+		"bad space":         {Kernels: good.Kernels, Space: &hw.Space{CUCounts: []int{0}, CoreClocksMHz: []float64{1}, MemClocksMHz: []float64{1}}},
 		"empty kernel list": {Kernels: json.RawMessage("[]")},
 		"garbage kernels":   {Kernels: json.RawMessage("{nope")},
 	}

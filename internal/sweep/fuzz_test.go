@@ -41,9 +41,7 @@ func FuzzJournalScan(f *testing.F) {
 		}
 		var b []byte
 		b = append(b, journalMagic...)
-		sp, err := frameRecord(journalRecord{Space: &journalSpace{
-			CUs: space.CUCounts, Core: space.CoreClocksMHz, Mem: space.MemClocksMHz,
-		}})
+		sp, err := frameRecord(journalRecord{Space: &space})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -53,40 +53,11 @@ const journalMagic = "gpuscale-journal v2\n"
 // by construction — AppendRow refuses incomplete rows — so status is
 // not stored.
 type journalRecord struct {
-	Space  *journalSpace `json:"space,omitempty"`
-	Kernel string        `json:"kernel,omitempty"`
-	Tput   []float64     `json:"tput,omitempty"`
-	TimeNS []float64     `json:"time_ns,omitempty"`
-	Bound  []gcn.Bound   `json:"bound,omitempty"`
-}
-
-// journalSpace pins the configuration grid a journal was written for.
-type journalSpace struct {
-	CUs  []int     `json:"cus"`
-	Core []float64 `json:"core_mhz"`
-	Mem  []float64 `json:"mem_mhz"`
-}
-
-func (js *journalSpace) matches(s hw.Space) bool {
-	if len(js.CUs) != len(s.CUCounts) || len(js.Core) != len(s.CoreClocksMHz) || len(js.Mem) != len(s.MemClocksMHz) {
-		return false
-	}
-	for i, v := range js.CUs {
-		if v != s.CUCounts[i] {
-			return false
-		}
-	}
-	for i, v := range js.Core {
-		if v != s.CoreClocksMHz[i] {
-			return false
-		}
-	}
-	for i, v := range js.Mem {
-		if v != s.MemClocksMHz[i] {
-			return false
-		}
-	}
-	return true
+	Space  *hw.Space   `json:"space,omitempty"`
+	Kernel string      `json:"kernel,omitempty"`
+	Tput   []float64   `json:"tput,omitempty"`
+	TimeNS []float64   `json:"time_ns,omitempty"`
+	Bound  []gcn.Bound `json:"bound,omitempty"`
 }
 
 // SalvageReport describes what recovery had to discard to make a
@@ -181,11 +152,7 @@ func looksLikeSweepCSV(data []byte) bool {
 // journalHeader is a fresh journal's first write: the magic line
 // plus the record pinning its configuration space.
 func journalHeader(space hw.Space) ([]byte, error) {
-	framed, err := frameRecord(journalRecord{Space: &journalSpace{
-		CUs:  space.CUCounts,
-		Core: space.CoreClocksMHz,
-		Mem:  space.MemClocksMHz,
-	}})
+	framed, err := frameRecord(journalRecord{Space: &space})
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +218,7 @@ func scanJournal(data []byte, space hw.Space) (m *Matrix, good int64, reason str
 			if sawSpace {
 				return m, off, fmt.Sprintf("duplicate space record at byte %d", off), nil
 			}
-			if !rec.Space.matches(space) {
+			if !rec.Space.Equal(space) {
 				return nil, 0, "", fmt.Errorf("sweep: journal was written for a different configuration space")
 			}
 			sawSpace = true

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/fault"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
@@ -471,6 +472,25 @@ func TestJournalRecordFraming(t *testing.T) {
 	}
 	if got.Kernel != "k" || len(got.Tput) != 1 || got.Tput[0] != 1 {
 		t.Fatalf("round-tripped record %+v", got)
+	}
+
+	// The space record is hw.Space's JSON form, and the decoder refuses
+	// an unknown field inside it as it does at the top level.
+	space := hw.Space{CUCounts: []int{4}, CoreClocksMHz: []float64{200}, MemClocksMHz: []float64{150.5}}
+	framed, err = frameRecord(journalRecord{Space: &space})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"space":{"cus":[4],"core_mhz":[200],"mem_mhz":[150.5]}}`
+	if !bytes.HasSuffix(framed, []byte(want+"\n")) {
+		t.Fatalf("space record %q, want payload %s", framed, want)
+	}
+	if got, _, reason := parseRecord(framed, 0); reason != "" || !got.Space.Equal(space) {
+		t.Fatalf("space record round trip: %+v %q", got.Space, reason)
+	}
+	extra := durable.Frame([]byte(`{"space":{"cus":[4],"core_mhz":[200],"mem_mhz":[150.5],"l2_kb":[1024]}}`))
+	if _, _, reason := parseRecord(extra, 0); reason == "" {
+		t.Fatal("a space record with an unknown field was accepted")
 	}
 }
 

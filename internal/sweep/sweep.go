@@ -129,11 +129,8 @@ type Options struct {
 	// or corrupt simulation. 0 means every fault is final.
 	Retries int
 	// Backoff is the sleep before the first retry; it doubles per
-	// retry up to MaxBackoff. Zero retries immediately.
+	// retry up to maxBackoff. Zero retries immediately.
 	Backoff time.Duration
-	// MaxBackoff caps the exponential backoff; defaults to 100 ms
-	// when Backoff is set.
-	MaxBackoff time.Duration
 	// SimTimeout bounds each cell's evaluation; expiry counts as a
 	// retryable fault. Zero means no bound. The budget is cooperative
 	// (gcn.PreparedRow.SetBudget): the cycle-level engines check it in
@@ -234,6 +231,40 @@ type Matrix struct {
 
 	rowOnce sync.Once
 	rowIdx  map[string]int
+}
+
+// NewMatrix returns the matrix of kernels over space with every cell
+// canceled: not yet measured. All rows share one canceled row, so the
+// matrix costs one row of storage until its rows are settled.
+func NewMatrix(space hw.Space, kernels []*kernel.Kernel) *Matrix {
+	n := len(kernels)
+	m := &Matrix{Space: space, Kernels: make([]string, n), Throughput: make([][]float64, n),
+		TimeNS: make([][]float64, n), Bound: make([][]gcn.Bound, n), Status: make([][]CellStatus, n)}
+	for r, k := range kernels {
+		m.Kernels[r] = k.Name
+		if r == 0 {
+			m.SettleRow(0, StatusCanceled)
+		}
+		m.Throughput[r], m.TimeNS[r], m.Bound[r], m.Status[r] = m.Throughput[0], m.TimeNS[0], m.Bound[0], m.Status[0]
+	}
+	return m
+}
+
+// SettleRow replaces row r with a fresh row of NaN-free zeros and one
+// uniform status: how a row that holds no measurements is settled (a
+// canceled, quarantined or unpreparable row). A settled row is a value:
+// it is replaced whole, by assigning new slices, and never written in
+// place, so a reader holding an earlier row keeps reading it unchanged.
+func (m *Matrix) SettleRow(r int, status CellStatus) {
+	cells := m.Space.Size()
+	st := make([]CellStatus, cells)
+	for c := range st {
+		st[c] = status
+	}
+	m.Throughput[r] = make([]float64, cells)
+	m.TimeNS[r] = make([]float64, cells)
+	m.Bound[r] = make([]gcn.Bound, cells)
+	m.Status[r] = st
 }
 
 // Row returns the row index of a kernel name, or -1. The lookup map is
@@ -580,26 +611,12 @@ func resume(ctx context.Context, kernels []*kernel.Kernel, space hw.Space, opts 
 // okRow returns a row of StatusOK cells.
 func okRow(n int) []CellStatus { return make([]CellStatus, n) }
 
-// settleRow stamps every plane of row with NaN-free zeros and a
-// uniform status — the wholesale settlement used when a row never
-// reaches the engine (sweep-level quarantine, failed preparation).
-func settleRow(m *Matrix, row, cells int, status CellStatus) {
-	st := make([]CellStatus, cells)
-	for c := range st {
-		st[c] = status
-	}
-	m.Throughput[row] = make([]float64, cells)
-	m.TimeNS[row] = make([]float64, cells)
-	m.Bound[row] = make([]gcn.Bound, cells)
-	m.Status[row] = st
-}
-
 // quarantineRow settles every one of a kernel row's cells as
 // StatusQuarantined without invoking the engine — the sweep-level
 // brake once Options.QuarantineAfter kernels have tripped their
 // breakers.
 func quarantineRow(k *kernel.Kernel, cells int, m *Matrix, row int, rep *RunReport, mu *sync.Mutex) RowReport {
-	settleRow(m, row, cells, StatusQuarantined)
+	m.SettleRow(row, StatusQuarantined)
 	rr := RowReport{Row: row, Kernel: k.Name, Quarantined: cells}
 	mu.Lock()
 	rep.add(rr)
@@ -613,7 +630,7 @@ func quarantineRow(k *kernel.Kernel, cells int, m *Matrix, row int, rep *RunRepo
 // with a clear positional error instead of len(configs) identical
 // per-cell failures.
 func failRowPrepare(k *kernel.Kernel, configs []hw.Config, m *Matrix, row int, rep *RunReport, mu *sync.Mutex, err error) RowReport {
-	settleRow(m, row, len(configs), StatusFailed)
+	m.SettleRow(row, StatusFailed)
 	rr := RowReport{Row: row, Kernel: k.Name, Failed: len(configs)}
 	mu.Lock()
 	rep.add(rr)
@@ -785,6 +802,9 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 	return rr
 }
 
+// maxBackoff caps a cell's doubling retry backoff.
+const maxBackoff = 100 * time.Millisecond
+
 // retryCell retries a cell whose first attempt failed with err, with
 // validation and backoff, while it fails retryably; each retry is a
 // one-cell EvalBatch through ev, reported to the observer with the
@@ -792,10 +812,6 @@ func sweepRow(ctx context.Context, re gcn.RowEngine, k *kernel.Kernel, configs [
 // attempts and the final error.
 func retryCell(ctx context.Context, ev *cellEval, c int, err error, opts Options, row int, name string) (int, error) {
 	backoff := opts.Backoff
-	maxBackoff := opts.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 100 * time.Millisecond
-	}
 	o := opts.Observer
 	attempt := 1
 	// Panics are final: a panicking engine is broken, not flaky. A
