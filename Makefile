@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check loc fuzz-smoke soak-smoke soak-dist soak-byzantine soak-failover bench bench-obs bench-sweep bench-smoke bench-gate bench-e2e
+.PHONY: build test check loc fuzz-smoke soak-smoke soak-dist soak-byzantine soak-failover e2e-smoke bench bench-obs bench-sweep bench-smoke bench-gate bench-e2e
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,23 @@ soak-byzantine:
 # soak-failover.
 soak-failover:
 	GPUSCALE_SOAK_MS=10000 $(GO) test -race -run TestChaosSoakFailover -v -count=1 ./internal/dist/
+
+# End-to-end fleet smoke: the real gpuscaled processes — a primary, a
+# warm standby and two workers — run the end-to-end benchmark's fleet
+# workloads for one second each, and every study is compared with the
+# in-process reference. A correctness check, not a timing one: it
+# fails unless the result line reads "correct":true and "failed":0.
+# Logs go to .bench_build/.
+e2e-smoke:
+	@mkdir -p .bench_build
+	@for w in round-fleet-ha pipeline-fleet-ha; do \
+		log=.bench_build/e2e-smoke-$$w.log; \
+		out=$$(bash cmd/benche2e/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 2>$$log | tail -n 1) || \
+			{ tail -n 20 $$log; exit 1; }; \
+		echo "$$w $$out"; \
+		case "$$out" in *'"correct":true'*'"failed":0'*) ;; \
+			*) echo "e2e-smoke: $$w did not run correctly"; tail -n 20 $$log; exit 1;; esac; \
+	done
 
 # Short coverage-guided fuzz of the journal decoder, the CSV loaders,
 # the lease-ledger scanner and the packed-plane wire decoder (go test

@@ -24,7 +24,6 @@ func TestDaemonFleetMode(t *testing.T) {
 		addr:        "127.0.0.1:0",
 		stateDir:    dir + "/coord",
 		runners:     1,
-		workers:     2,
 		maxJobs:     4,
 		burst:       4,
 		drainGrace:  2 * time.Second,

@@ -24,13 +24,18 @@
 //
 // The daemon also scales out. `-coordinator` keeps the whole client
 // API unchanged but executes each admitted job by leasing kernel rows
-// to a fleet over `/v1/dist/` (internal/dist): monotonic lease epochs,
-// expiry + work-stealing, fsync-before-ack completion. `-worker -join
-// URL` runs the complementary process: an API-less, stateless worker
-// that acquires leases, sweeps rows with the same executor, and
-// reports back; it writes no journal (a finished row lives only in
-// the job's journal on the coordinator), so kill -9 it at any instant
-// and its lease just expires.
+// to a fleet over `/v1/dist/` (internal/dist, protocol
+// gpuscale-dist/5): monotonic lease epochs, expiry + work-stealing,
+// fsync-before-ack completion, with rows leased in batches sized from
+// their measured cost — one fsync per file, one replication barrier
+// and one round trip per batch. `-worker -join URL` runs the
+// complementary process: an API-less, stateless worker that acquires
+// lease batches (an acquire with nothing to grant waits at the
+// coordinator instead of polling), sweeps rows with the same executor
+// — its -retries, -backoff, -sim-timeout, -workers and engine fault
+// flags included — and reports back; it writes no journal (a finished
+// row lives only in the job's journal on the coordinator), so kill -9
+// it at any instant and its leases just expire.
 //
 // Usage:
 //
@@ -64,9 +69,19 @@
 // between coordinators on failure, so a failover loses no in-flight
 // lease that completes within its TTL.
 //
-// Exit codes: 0 clean drain, 1 startup or serve error, 4 worker
-// fenced by the version/fingerprint handshake, 5 worker quarantined
-// by the coordinator, 6 coordinator deposed by a newer term.
+// Every mode either uses an executor flag (-retries, -backoff,
+// -sim-timeout, -breaker, -workers and the five -fault-* engine and
+// journal flags) or refuses it at start-up, naming it: a plain daemon
+// uses them all; a -worker uses all but -breaker and -fault-torn-rate,
+// so its row sweeps retry, time out and take injected faults exactly as
+// a plain daemon's do; a -coordinator uses only -fault-torn-rate (its
+// jobs' journals); a -standby uses none. A job's "retries" field is
+// ignored under -coordinator: the workers' -retries applies.
+//
+// Exit codes: 0 clean drain, 1 startup or serve error, 2 a flag the
+// mode refuses, 4 worker fenced by the version/fingerprint handshake,
+// 5 worker quarantined by the coordinator, 6 coordinator deposed by a
+// newer term.
 package main
 
 import (
@@ -200,9 +215,12 @@ func main() {
 // join that fleet), "investigate me" (5: the coordinator proved this
 // worker computes wrong answers) and "do not restart me as primary"
 // (6: a newer coordinator term is live; restart as -standby or not at
-// all) from generic failure (1).
+// all) from a usage error (2, as for a bad flag) and generic failure
+// (1).
 func exitCodeFor(err error) int {
 	switch {
+	case errors.Is(err, errUsage):
+		return 2
 	case errors.Is(err, dist.ErrVersionFenced):
 		return 4
 	case errors.Is(err, dist.ErrQuarantined):
@@ -212,6 +230,45 @@ func exitCodeFor(err error) int {
 	default:
 		return 1
 	}
+}
+
+// errUsage marks a flag combination gpuscaled refuses at start-up.
+var errUsage = errors.New("usage")
+
+// checkExecutorFlags refuses, by name, every executor flag the mode
+// would accept and then ignore. Plain serving uses them all; a worker
+// sweeps rows with all but -breaker (it has no breaker) and
+// -fault-torn-rate (it writes no journal); a coordinator's only journal
+// is serve's, so it uses -fault-torn-rate and leaves the sweeps — and
+// the other nine — to its workers; a standby runs no sweep at all.
+func checkExecutorFlags(o cliOptions) error {
+	set := map[string]bool{
+		"-retries": o.retries != 0, "-backoff": o.backoff != 0, "-sim-timeout": o.simTimeout != 0,
+		"-breaker": o.breaker != 0, "-workers": o.workers != 0, "-fault-rate": o.faultRate != 0,
+		"-fault-panic-rate": o.panicRate != 0, "-fault-torn-rate": o.tornRate != 0,
+		"-fault-latency": o.latency != 0, "-fault-latency-rate": o.latencyRate != 0,
+	}
+	var mode, why string
+	var refused []string
+	switch {
+	case o.worker:
+		mode, why = "-worker", "a worker has no breaker and writes no journal"
+		refused = []string{"-breaker", "-fault-torn-rate"}
+	case o.standby:
+		mode, why = "-standby", "a standby runs no sweep"
+		refused = []string{"-retries", "-backoff", "-sim-timeout", "-breaker", "-workers", "-fault-rate",
+			"-fault-panic-rate", "-fault-torn-rate", "-fault-latency", "-fault-latency-rate"}
+	case o.coordinator:
+		mode, why = "-coordinator", "the fleet's workers run the sweeps: start them with it"
+		refused = []string{"-retries", "-backoff", "-sim-timeout", "-breaker", "-workers", "-fault-rate",
+			"-fault-panic-rate", "-fault-latency", "-fault-latency-rate"}
+	}
+	for _, f := range refused {
+		if set[f] {
+			return fmt.Errorf("%w: %s does nothing with %s (%s)", errUsage, f, mode, why)
+		}
+	}
+	return nil
 }
 
 // splitList parses a comma-separated URL list, dropping empties and
@@ -354,6 +411,9 @@ func mountPprof(mux *http.ServeMux) {
 // for the next start. With -worker it instead joins a coordinator's
 // fleet and never serves the job API.
 func run(ctx context.Context, o cliOptions) error {
+	if err := checkExecutorFlags(o); err != nil {
+		return err
+	}
 	if o.worker {
 		return runWorker(ctx, o)
 	}
@@ -708,6 +768,7 @@ func runWorker(ctx context.Context, o cliOptions) error {
 		Metrics:      reg,
 		MetricsURL:   metricsURL,
 		Fault: fault.Injector{
+			ErrorRate: o.faultRate, PanicRate: o.panicRate, LatencyRate: o.latencyRate, Latency: o.latency,
 			CorruptRowRate: o.corruptRate, StaleVersion: o.staleVersion, Seed: o.faultSeed,
 		},
 	})

@@ -138,3 +138,58 @@ func TestExitCodeFor(t *testing.T) {
 		}
 	}
 }
+
+// TestExecutorFlagRefusals: in every mode an executor flag is either
+// used or refused at start-up with a usage error naming it — never
+// accepted and ignored. A -coordinator uses only -fault-torn-rate, a
+// -standby none, a -worker all but -breaker and -fault-torn-rate, and a
+// plain daemon all ten.
+func TestExecutorFlagRefusals(t *testing.T) {
+	flags := []struct {
+		name string
+		set  func(*cliOptions)
+	}{
+		{"-retries", func(o *cliOptions) { o.retries = 2 }},
+		{"-backoff", func(o *cliOptions) { o.backoff = time.Millisecond }},
+		{"-sim-timeout", func(o *cliOptions) { o.simTimeout = time.Second }},
+		{"-breaker", func(o *cliOptions) { o.breaker = 3 }},
+		{"-workers", func(o *cliOptions) { o.workers = 1 }},
+		{"-fault-rate", func(o *cliOptions) { o.faultRate = 0.1 }},
+		{"-fault-panic-rate", func(o *cliOptions) { o.panicRate = 0.1 }},
+		{"-fault-torn-rate", func(o *cliOptions) { o.tornRate = 0.1 }},
+		{"-fault-latency", func(o *cliOptions) { o.latency = time.Millisecond }},
+		{"-fault-latency-rate", func(o *cliOptions) { o.latencyRate = 0.1 }},
+	}
+	modes := []struct {
+		name  string
+		set   func(*cliOptions)
+		usesF func(flag string) bool
+	}{
+		{"plain", func(*cliOptions) {}, func(string) bool { return true }},
+		{"-coordinator", func(o *cliOptions) { o.coordinator = true }, func(f string) bool { return f == "-fault-torn-rate" }},
+		{"-standby", func(o *cliOptions) { o.standby = true; o.join = "http://127.0.0.1:1" }, func(string) bool { return false }},
+		{"-worker", func(o *cliOptions) { o.worker = true; o.join = "http://127.0.0.1:1" },
+			func(f string) bool { return f != "-breaker" && f != "-fault-torn-rate" }},
+	}
+	for _, m := range modes {
+		for _, f := range flags {
+			o := cliOptions{stateDir: t.TempDir()}
+			m.set(&o)
+			f.set(&o)
+			err := checkExecutorFlags(o)
+			if m.usesF(f.name) {
+				if err != nil {
+					t.Errorf("%s %s: refused (%v), want it used", m.name, f.name, err)
+				}
+				continue
+			}
+			// run refuses it before it opens or serves anything.
+			err = run(context.Background(), o)
+			if err == nil || !strings.Contains(err.Error(), f.name) || !strings.Contains(err.Error(), m.name) ||
+				exitCodeFor(err) != 2 {
+				t.Errorf("%s %s: run = %v (exit %d), want a usage error naming the flag and the mode",
+					m.name, f.name, err, exitCodeFor(err))
+			}
+		}
+	}
+}

@@ -39,8 +39,10 @@ import (
 // renew and complete: a /2 binary would drop the second fencing
 // factor, so it must not mix rows with an HA fleet. /4 ships a
 // complete's planes, and the replication stream's, packed (see
-// packPlanes) where /3 sent JSON arrays.
-const ProtoVersion = "gpuscale-dist/4"
+// packPlanes) where /3 sent JSON arrays. /5 leases rows in batches: an
+// acquire answers a list of leases, and renew and complete carry lists
+// of rows, which a /4 binary cannot read.
+const ProtoVersion = "gpuscale-dist/5"
 
 var (
 	fpOnce sync.Once

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -157,11 +158,16 @@ type rowState struct {
 	releasedEarly bool
 }
 
-// jobState is one registered job's lease state and matrix.
+// jobState is one registered job's lease state and matrix, and what
+// sizes its lease batches: the workers that have leased from it and
+// the compute-and-render time its completes reported.
 type jobState struct {
-	job    Job
-	rows   []rowState
-	matrix *sweep.Matrix
+	job      Job
+	rows     []rowState
+	matrix   *sweep.Matrix
+	workers  map[string]bool
+	costNS   int64
+	costRows int64
 }
 
 // Coordinator owns lease state for registered jobs and serves the
@@ -191,10 +197,17 @@ type Coordinator struct {
 	// quarantined is fleet-wide (cross-job) integrity state, recovered
 	// from the ledger on restart.
 	quarantined map[string]bool
+	// changed is closed, and replaced, whenever a row may have become
+	// grantable or a job may have finished (signalLocked): a waiting
+	// acquire and Run wake on it instead of polling. closed ends every
+	// such wait once Close runs.
+	changed chan struct{}
+	closed  chan struct{}
 
 	mGranted, mStolen, mCompleted, mDuplicate, mFenced, mRequeued            *obs.Counter
 	mVersionFenced, mVerified, mMismatch, mQuarantined, mInvalid, mBadAttest *obs.Counter
-	mTermFenced, mReplTimeouts                                               *obs.Counter
+	mTermFenced, mReplTimeouts, mBatches                                     *obs.Counter
+	mLedgerAppends, mJournalAppends, mBarriers                               *obs.Counter
 	mTerm, mReplLag                                                          *obs.Gauge
 }
 
@@ -214,7 +227,8 @@ func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{dir: dir, opt: opt, ledger: led, jobs: map[string]*jobState{}, recovered: rec,
-		quarantined: rec.quarantined, repl: newReplLog(), deposedCh: make(chan struct{})}
+		quarantined: rec.quarantined, repl: newReplLog(), deposedCh: make(chan struct{}),
+		changed: make(chan struct{}), closed: make(chan struct{})}
 	c.now = opt.now
 	if c.now == nil {
 		c.now = time.Now
@@ -228,24 +242,6 @@ func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 	}
 	if c.opt.CheckEvery <= 0 {
 		c.opt.CheckEvery = 250 * time.Millisecond
-	}
-	// Adopt the reign: a crash-restart resumes the ledger's recovered
-	// term; a promoting standby asserts its own, higher one; a fresh
-	// ledger starts at 1. The term record is appended (and fsynced)
-	// before any lease can be granted under it, so the ledger's term
-	// history is complete by construction.
-	c.term = rec.term
-	if opt.initialTerm > c.term {
-		c.term = opt.initialTerm
-	}
-	if c.term == 0 {
-		c.term = 1
-	}
-	if c.term != rec.term {
-		if err := c.logAppend(LedgerRecord{Kind: "term", Worker: c.id, GrantedNS: c.now().UnixNano()}); err != nil {
-			led.Close()
-			return nil, err
-		}
 	}
 	// The instruments live in Options.Metrics, or a private registry.
 	r := opt.Metrics
@@ -266,8 +262,30 @@ func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 	c.mBadAttest = r.Counter("dist_completes_badattest_total", "OK completes rejected because the digest does not hash the shipped planes.")
 	c.mTermFenced = r.Counter("dist_completes_term_fenced_total", "Renews and completes rejected because their lease belongs to a deposed coordinator's term.")
 	c.mReplTimeouts = r.Counter("dist_repl_sync_timeouts_total", "Append-before-ack barriers that timed out waiting for the standby and degraded to async.")
+	c.mBatches = r.Counter("dist_lease_batches_total", "Acquires that granted a batch of one or more rows.")
+	c.mLedgerAppends = r.Counter("dist_ledger_appends_total", "Lease-ledger appends, each one write and one fsync of one or more records.")
+	c.mJournalAppends = r.Counter("dist_journal_appends_total", "Job-journal appends, each one write and one fsync of one or more accepted rows.")
+	c.mBarriers = r.Counter("dist_repl_barriers_total", "Replication barriers: acks held until the standby applied what they published.")
 	c.mTerm = r.Gauge("dist_ha_term", "Coordinator term this process believes is current.")
 	c.mReplLag = r.Gauge("dist_repl_lag_records", "Replication-stream records the attached standby has not yet acknowledged.")
+	// Adopt the reign: a crash-restart resumes the ledger's recovered
+	// term; a promoting standby asserts its own, higher one; a fresh
+	// ledger starts at 1. The term record is appended (and fsynced)
+	// before any lease can be granted under it, so the ledger's term
+	// history is complete by construction.
+	c.term = rec.term
+	if opt.initialTerm > c.term {
+		c.term = opt.initialTerm
+	}
+	if c.term == 0 {
+		c.term = 1
+	}
+	if c.term != rec.term {
+		if err := c.logAppend(LedgerRecord{Kind: "term", Worker: c.id, GrantedNS: c.now().UnixNano()}); err != nil {
+			led.Close()
+			return nil, err
+		}
+	}
 	c.mTerm.Set(float64(c.term))
 	return c, nil
 }
@@ -304,20 +322,50 @@ func (c *Coordinator) emit(name string, js *jobState, parent string, kvs ...obs.
 	c.opt.Sink.Emit(name, "dist", 0, obs.SpanContext{TraceID: js.job.Trace.TraceID}, parent, time.Now(), 0, kvs...)
 }
 
-// logAppend writes one record to the ledger under the current term
-// and publishes its exact framed bytes to the replication stream.
-// Caller holds c.mu (or has exclusive access during construction).
-func (c *Coordinator) logAppend(rec LedgerRecord) error {
-	rec.Term = c.term
-	framed, err := frameRecord(rec)
+// ledgerAppend writes recs to the ledger under the current term in one
+// write and one fsync, and returns their exact framed bytes as "rec"
+// messages for the replication stream. Caller holds c.mu (or has
+// exclusive access during construction).
+func (c *Coordinator) ledgerAppend(recs []LedgerRecord) ([]replMsg, error) {
+	var buf []byte
+	msgs := make([]replMsg, len(recs))
+	for i, rec := range recs {
+		rec.Term = c.term
+		framed, err := frameRecord(rec)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, framed...)
+		msgs[i] = replMsg{Kind: "rec", Frame: framed}
+	}
+	if len(recs) == 0 {
+		return nil, nil
+	}
+	if err := c.ledger.Append(buf); err != nil {
+		return nil, fmt.Errorf("dist: appending ledger record: %w", err)
+	}
+	c.mLedgerAppends.Inc()
+	return msgs, nil
+}
+
+// logAppend appends recs to the ledger (ledgerAppend) and publishes
+// their frames. Caller holds c.mu (or has exclusive access during
+// construction).
+func (c *Coordinator) logAppend(recs ...LedgerRecord) error {
+	msgs, err := c.ledgerAppend(recs)
 	if err != nil {
 		return err
 	}
-	if err := c.ledger.Append(framed); err != nil {
-		return fmt.Errorf("dist: appending ledger record: %w", err)
-	}
-	c.repl.publish(replMsg{Kind: "rec", Frame: framed})
+	c.repl.publish(msgs...)
 	return nil
+}
+
+// signalLocked wakes every acquire and Run waiting for a change: a row
+// may have become grantable, or a job may have finished. Caller holds
+// c.mu.
+func (c *Coordinator) signalLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
 }
 
 // replBarrier is the synchronous half of append-before-ack: called
@@ -327,6 +375,7 @@ func (c *Coordinator) logAppend(rec LedgerRecord) error {
 // surfaced on the instruments rather than failing the worker's call —
 // the fencing rules absorb whatever a failover then loses.
 func (c *Coordinator) replBarrier() {
+	c.mBarriers.Inc()
 	target := c.repl.latest()
 	if !c.repl.waitAcked(target, c.opt.ReplTimeout) {
 		c.mReplTimeouts.Inc()
@@ -455,7 +504,8 @@ func (c *Coordinator) addJob(job Job) error {
 	if !job.Trace.Valid() {
 		job.Trace = obs.NewSpanContext()
 	}
-	js := &jobState{job: job, rows: make([]rowState, len(job.Kernels)), matrix: sweep.NewMatrix(job.Space, job.Kernels)}
+	js := &jobState{job: job, rows: make([]rowState, len(job.Kernels)),
+		matrix: sweep.NewMatrix(job.Space, job.Kernels), workers: map[string]bool{}}
 	now := c.now()
 	prior := job.Journal.Prior()
 	for r, k := range job.Kernels {
@@ -523,12 +573,14 @@ func (c *Coordinator) addJob(job Job) error {
 	// A crash mid-quarantine can leave a worker ledgered as
 	// quarantined with unverified completes not yet retracted: finish
 	// the job now, before any of its rows can be trusted.
+	var retracted []LedgerRecord
 	for r := range js.rows {
 		rs := &js.rows[r]
 		if rs.done && !rs.verified && rs.completedBy != "" && c.quarantined[rs.completedBy] {
-			c.invalidateLocked(js, r)
+			retracted = append(retracted, c.invalidateLocked(js, r))
 		}
 	}
+	c.logAppend(retracted...) //nolint:errcheck // best-effort audit, as in quarantineLocked
 	c.jobs[job.Name] = js
 	// Put the registration on the replication stream so a standby can
 	// re-register the job at promotion (the OnRow hook stays local),
@@ -536,11 +588,13 @@ func (c *Coordinator) addJob(job Job) error {
 	// forgets a job once its Run returns, so a job resumed after a
 	// restart reaches the standby's replica journal whole only this way.
 	if spec, err := specForJob(job); err == nil {
-		c.repl.publish(replMsg{Kind: "job", Job: &spec})
+		msgs := []replMsg{{Kind: "job", Job: &spec}}
 		for _, rp := range js.doneRows() {
-			c.repl.publish(replMsg{Kind: "row", Row: &rp})
+			msgs = append(msgs, replMsg{Kind: "row", Row: &rp})
 		}
+		c.repl.publish(msgs...)
 	}
+	c.signalLocked()
 	// A per-job term instant: the stitched trace shows which
 	// coordinator, under which term, served this job's grants.
 	c.opt.Sink.Emit("term", "dist", 0, job.Trace.Child(), job.Trace.SpanID, time.Now(), 0,
@@ -555,10 +609,16 @@ func laterOf(a, b time.Time) time.Time {
 	return b
 }
 
-// Close closes the ledger. Job journals belong to their owners.
+// Close closes the ledger and ends every waiting acquire. Job journals
+// belong to their owners.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	select {
+	case <-c.closed:
+	default:
+		close(c.closed)
+	}
 	return c.ledger.Close()
 }
 
@@ -626,10 +686,9 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.R
 	if err := c.AddJob(job); err != nil {
 		return nil, nil, err
 	}
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
 	for {
-		if m, ok := c.retire(job.Name, false); ok {
+		m, ok, changed := c.retire(job.Name, false)
+		if ok {
 			return m, reportFor(m), nil
 		}
 		var err error
@@ -641,10 +700,10 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.R
 			// job finish. Surface the partial matrix and the deposed
 			// error so the process can exit with the distinct code.
 			err = ErrDeposed
-		case <-tick.C:
+		case <-changed:
 			continue
 		}
-		m, _ := c.retire(job.Name, true)
+		m, _, _ = c.retire(job.Name, true)
 		return m, reportFor(m), err
 	}
 }
@@ -655,26 +714,28 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.R
 // no quarantine can retract its rows. The "left" message it publishes
 // follows the job's last row and complete frames on the replication
 // stream, and tells the standby to forget the job too. Without force,
-// a job with rows outstanding stays and retire reports false.
-func (c *Coordinator) retire(name string, force bool) (*sweep.Matrix, bool) {
+// a job with rows outstanding stays and retire reports false, with the
+// change signal to wait on before looking again.
+func (c *Coordinator) retire(name string, force bool) (*sweep.Matrix, bool, <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	js := c.jobs[name]
 	if !force && !c.statusLocked(js).Complete {
-		return nil, false
+		return nil, false, c.changed
 	}
 	delete(c.jobs, name)
 	c.repl.publish(replMsg{Kind: "left", Left: name})
-	return js.matrix, true
+	c.signalLocked()
+	return js.matrix, true, nil
 }
 
-// acquire grants the next available row to the requesting worker,
-// persisting the grant before returning it. Returns nil when nothing
-// is available. The version handshake and the quarantine fence run
-// before anything else: a worker that fails either never touches
-// lease state, never refreshes its federation target, and never sees
-// a row.
-func (c *Coordinator) acquire(req acquireRequest) (*Lease, error) {
+// acquire grants the requesting worker a batch of rows from the first
+// job with a grantable row, persisting every grant before returning
+// them. Returns nothing when no row is grantable. The version handshake
+// and the quarantine fence run before anything else: a worker that
+// fails either never touches lease state, never refreshes its
+// federation target, and never sees a row.
+func (c *Coordinator) acquire(req acquireRequest) ([]Lease, error) {
 	worker := req.Worker
 	if req.Proto != ProtoVersion || req.Fingerprint != EngineFingerprint() {
 		c.mVersionFenced.Inc()
@@ -717,56 +778,181 @@ func (c *Coordinator) acquire(req acquireRequest) (*Lease, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		js := c.jobs[name]
+		var free []int
+		open := 0
 		for r := range js.rows {
 			rs := &js.rows[r]
 			if rs.done || (rs.epoch > 0 && now.Before(rs.expiry)) {
 				continue
 			}
+			open++
 			if rs.pending && voteBlocked(rs, worker, now, c.opt.DefaultTTL) {
 				// The requester already voted on this row: re-verification
 				// needs an independent worker, so hold the row back from
 				// this one while the grace window is open.
 				continue
 			}
-			steal := rs.epoch > 0
-			epoch := rs.epoch + 1
-			expiry := now.Add(c.opt.DefaultTTL)
-			rec := LedgerRecord{Kind: "grant", Job: name, Row: r, Epoch: epoch,
-				Worker: worker, GrantedNS: now.UnixNano(), ExpiryNS: expiry.UnixNano(),
-				Steal: steal, Early: rs.releasedEarly}
-			// Fsync the grant BEFORE the worker can see it: a crash
-			// after this point recovers an epoch some worker may hold.
-			if err := c.logAppend(rec); err != nil {
-				return nil, err
-			}
-			// The lease span: a fresh child of the job span, minted per
-			// grant so each epoch is its own node in the stitched trace.
-			leaseSC := js.job.Trace.Child()
-			rs.epoch, rs.worker, rs.expiry, rs.span = epoch, worker, expiry, leaseSC.SpanID
-			rs.term = c.term
-			rs.releasedEarly = false
-			kraw, err := encodeKernel(js.job.Kernels[r])
-			if err != nil {
-				return nil, err
-			}
-			c.mGranted.Inc()
-			ev := "lease"
-			if steal {
-				c.mStolen.Inc()
-				ev = "steal"
-			}
-			c.opt.Sink.Emit(ev, "dist", 0, leaseSC, js.job.Trace.SpanID, time.Now(), 0,
-				obs.KS("job", name), obs.KN("row", float64(r)), obs.KN("epoch", float64(epoch)),
-				obs.KS("worker", worker), obs.KN("term", float64(c.term)))
-			return &Lease{
-				Job: name, Row: r, Epoch: epoch, Term: c.term, Kernel: kraw, Space: js.job.Space,
-				Seed: js.job.Seed + int64(r), NoiseStdDev: js.job.NoiseStdDev,
-				Engine: js.job.Engine.String(), TTLMillis: c.opt.DefaultTTL.Milliseconds(),
-				Traceparent: leaseSC.Traceparent(),
-			}, nil
+			free = append(free, r)
 		}
+		if len(free) == 0 {
+			continue
+		}
+		js.workers[worker] = true
+		if n := js.batchSize(open); len(free) > n {
+			free = free[:n]
+		}
+		return c.grantLocked(js, free, worker, now)
 	}
 	return nil, nil
+}
+
+// batchTarget is the worker compute and render one lease batch aims to
+// hold: long enough that a batch's round trips, fsyncs and barriers
+// are a small share of it, short enough that the last batches of a job
+// end close together.
+const batchTarget = 25 * time.Millisecond
+
+// maxBatchBytes bounds the packed planes of one batch. Every process
+// holds a batch's rows whole while it works on them — planes, wire
+// body, rendered records and their one journal write — and a
+// process's heap grows with what it holds, so the bound keeps a batch
+// at a few MB in flight (17 rows of the study's 891 configurations)
+// and its complete body far under decodeInto's 16 MiB limit whatever
+// the job's space.
+const maxBatchBytes = 256 << 10
+
+// batchSize is how many of the job's open rows (not done, not under a
+// live lease) the next grant may hold. A batch is one row while the
+// job's mean reported row cost is unknown or above batchTarget;
+// otherwise it holds batchTarget's worth of rows, at most
+// maxBatchBytes of planes, and at most half an equal split of the open
+// rows among the workers that have leased from the job, so the last
+// batches shrink and the workers finish together.
+func (js *jobState) batchSize(open int) int {
+	if js.costRows == 0 {
+		return 1
+	}
+	mean := js.costNS / js.costRows
+	if mean > batchTarget.Nanoseconds() {
+		return 1
+	}
+	n := min(int(batchTarget.Nanoseconds()/max(mean, 1)), open/(2*len(js.workers)),
+		maxBatchBytes/(17*js.job.Space.Size()))
+	return max(n, 1)
+}
+
+// grantLocked leases rows of js to worker: every grant goes to the
+// ledger in one append — fsynced before the worker can see any of them,
+// so a crash after it recovers every epoch some worker may hold — and
+// to the replication stream in one publish. Caller holds c.mu.
+func (c *Coordinator) grantLocked(js *jobState, rows []int, worker string, now time.Time) ([]Lease, error) {
+	expiry := now.Add(c.opt.DefaultTTL)
+	recs := make([]LedgerRecord, len(rows))
+	kernels := make([]json.RawMessage, len(rows))
+	for i, r := range rows {
+		rs := &js.rows[r]
+		recs[i] = LedgerRecord{Kind: "grant", Job: js.job.Name, Row: r, Epoch: rs.epoch + 1,
+			Worker: worker, GrantedNS: now.UnixNano(), ExpiryNS: expiry.UnixNano(),
+			Steal: rs.epoch > 0, Early: rs.releasedEarly}
+		var err error
+		if kernels[i], err = encodeKernel(js.job.Kernels[r]); err != nil {
+			return nil, err
+		}
+	}
+	if err := c.logAppend(recs...); err != nil {
+		return nil, err
+	}
+	c.mBatches.Inc()
+	leases := make([]Lease, len(rows))
+	for i, r := range rows {
+		rs := &js.rows[r]
+		// The lease span: a fresh child of the job span, minted per
+		// grant so each epoch is its own node in the stitched trace.
+		leaseSC := js.job.Trace.Child()
+		rs.epoch, rs.worker, rs.expiry, rs.span = recs[i].Epoch, worker, expiry, leaseSC.SpanID
+		rs.term = c.term
+		rs.releasedEarly = false
+		c.mGranted.Inc()
+		ev := "lease"
+		if recs[i].Steal {
+			c.mStolen.Inc()
+			ev = "steal"
+		}
+		c.opt.Sink.Emit(ev, "dist", 0, leaseSC, js.job.Trace.SpanID, time.Now(), 0,
+			obs.KS("job", js.job.Name), obs.KN("row", float64(r)), obs.KN("epoch", float64(rs.epoch)),
+			obs.KS("worker", worker), obs.KN("term", float64(c.term)))
+		leases[i] = Lease{
+			Job: js.job.Name, Row: r, Epoch: rs.epoch, Term: c.term, Kernel: kernels[i], Space: js.job.Space,
+			Seed: js.job.Seed + int64(r), NoiseStdDev: js.job.NoiseStdDev,
+			Engine: js.job.Engine.String(), TTLMillis: c.opt.DefaultTTL.Milliseconds(),
+			Traceparent: leaseSC.Traceparent(),
+		}
+	}
+	return leases, nil
+}
+
+// longPoll bounds how long an acquire waits for work, and a standby's
+// tail for messages, before answering empty: well under the
+// protocol's 30 s client and server timeouts.
+const longPoll = 500 * time.Millisecond
+
+// lease answers an acquire. When no row is grantable it waits, without
+// holding c.mu, for the change signal and tries again, until the
+// earliest live lease or re-verification hold can lapse, longPoll
+// passes, or the request, a step-down or Close ends the wait; only then
+// does it answer with nothing.
+func (c *Coordinator) lease(ctx context.Context, req acquireRequest) ([]Lease, error) {
+	deadline := time.Now().Add(longPoll)
+	for {
+		c.mu.Lock()
+		changed := c.changed
+		c.mu.Unlock()
+		leases, err := c.acquire(req)
+		if err != nil || len(leases) > 0 {
+			return leases, err
+		}
+		d := min(time.Until(deadline), c.untilGrantable(req.Worker))
+		if d <= 0 {
+			return nil, nil
+		}
+		t := time.NewTimer(d)
+		select {
+		case <-changed:
+		case <-t.C:
+		case <-c.deposedCh: // the next acquire answers ErrDeposed
+		case <-ctx.Done():
+			t.Stop()
+			return nil, nil
+		case <-c.closed:
+			t.Stop()
+			return nil, nil
+		}
+		t.Stop()
+	}
+}
+
+// untilGrantable is how long until a row can become grantable to
+// worker with no change signal: the earliest expiry of a live lease or
+// of worker's re-verification hold. longPoll when no row is waiting on
+// the clock.
+func (c *Coordinator) untilGrantable(worker string) time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.now()
+	wait := longPoll
+	for _, js := range c.jobs {
+		for r := range js.rows {
+			rs := &js.rows[r]
+			switch {
+			case rs.done:
+			case rs.epoch > 0 && now.Before(rs.expiry):
+				wait = min(wait, rs.expiry.Sub(now))
+			case rs.pending && voteBlocked(rs, worker, now, c.opt.DefaultTTL):
+				wait = min(wait, rs.lastVote.Add(2*c.opt.DefaultTTL).Sub(now))
+			}
+		}
+	}
+	return wait
 }
 
 // errStale marks a fenced (stale-epoch) renew or complete.
@@ -793,6 +979,10 @@ var errQuarantined = fmt.Errorf("dist: worker is quarantined")
 // shipped planes.
 var errBadAttest = fmt.Errorf("dist: bad row attestation")
 
+// errRepeatedRow marks a complete that names one row twice; no worker
+// sends one, and its verdicts could not be told apart.
+var errRepeatedRow = fmt.Errorf("dist: complete names a row twice")
+
 // voteBlocked reports whether a pending row must be held back from
 // worker: it already voted, and the grace window for finding an
 // independent worker is still open. After 2xTTL with no second voter
@@ -810,8 +1000,9 @@ func voteBlocked(rs *rowState, worker string, now time.Time, ttl time.Duration) 
 	return false
 }
 
-// renew extends a held lease. Fenced when the epoch is stale; reports
-// done when the row already completed (stop renewing).
+// renew extends a batch of held leases, row by row: a row is fenced
+// when its term or epoch is stale, and reported done when it already
+// completed (stop renewing it).
 func (c *Coordinator) renew(req renewRequest) (renewResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -821,46 +1012,71 @@ func (c *Coordinator) renew(req renewRequest) (renewResponse, error) {
 	if c.quarantined[req.Worker] {
 		return renewResponse{}, fmt.Errorf("%w: %s", errQuarantined, req.Worker)
 	}
-	js, ok := c.jobs[req.Job]
-	if !ok || req.Row < 0 || req.Row >= len(js.rows) {
-		return renewResponse{}, errUnknown
+	resp := renewResponse{Rows: make([]renewResult, len(req.Rows))}
+	for i, ref := range req.Rows {
+		resp.Rows[i] = c.renewRowLocked(ref, req.Worker)
 	}
-	rs := &js.rows[req.Row]
-	if rs.done {
-		return renewResponse{Done: true}, nil
-	}
-	if req.Term != rs.term {
-		c.mTermFenced.Inc()
-		return renewResponse{}, fmt.Errorf("%w: lease for %s row %d holds term %d, current is %d",
-			errStaleTerm, req.Job, req.Row, req.Term, rs.term)
-	}
-	if req.Epoch != rs.epoch {
-		return renewResponse{}, errStale
-	}
-	rs.expiry = c.now().Add(c.opt.DefaultTTL)
-	rs.worker = req.Worker
-	return renewResponse{}, nil
+	return resp, nil
 }
 
-// complete records a row's terminal state. Exactly-once discipline:
-// an already-done row acks as a duplicate (so retried completes are
-// idempotent); a stale epoch is fenced; an OK row is journaled and
-// ledgered — both fsynced — before the ack; a not-OK row is released
-// for immediate re-lease. The integrity plane hangs off the OK path:
-// the digest must hash the shipped planes, and a row in the
-// re-verification sample is held as a vote until an independent
-// worker agrees on its digest.
+// renewRowLocked extends one row's lease. Caller holds c.mu.
+func (c *Coordinator) renewRowLocked(ref rowRef, worker string) renewResult {
+	js, ok := c.jobs[ref.Job]
+	if !ok || ref.Row < 0 || ref.Row >= len(js.rows) {
+		return renewResult{refusal: refuse(errUnknown)}
+	}
+	rs := &js.rows[ref.Row]
+	if rs.done {
+		return renewResult{Done: true}
+	}
+	if ref.Term != rs.term {
+		c.mTermFenced.Inc()
+		return renewResult{refusal: refuse(fmt.Errorf("%w: lease for %s row %d holds term %d, current is %d",
+			errStaleTerm, ref.Job, ref.Row, ref.Term, rs.term))}
+	}
+	if ref.Epoch != rs.epoch {
+		return renewResult{refusal: refuse(errStale)}
+	}
+	rs.expiry = c.now().Add(c.opt.DefaultTTL)
+	rs.worker = worker
+	return renewResult{}
+}
+
+// complete records a batch of rows' terminal states, each row under
+// the single-row rules. Exactly-once discipline: an already-done row
+// acks as a duplicate (so retried completes are idempotent); a stale
+// term or epoch is fenced; a not-OK row is released for immediate
+// re-lease. The integrity plane hangs off the OK path: the digest must
+// hash the shipped planes, and a row in the re-verification sample is
+// held as a vote until an independent worker agrees on its digest. The
+// rows that need the disk land together (see landLocked): the accepted
+// rows' records in one journal append, then every vote and complete in
+// one ledger append, both fsynced before the ack.
 func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
-	// Unpacking, validating, rendering and digesting the row is most of
-	// a complete's CPU, and it reads only the job's space and kernel
+	// Unpacking, validating, rendering and digesting the rows is most of
+	// a complete's CPU, and it reads only each job's space and kernel
 	// names, which never change once the job is registered. So it runs
-	// before c.mu is taken; the verdict below still applies its outcome
+	// before c.mu is taken; the verdicts below still apply its outcome
 	// in the same check order, and a job retired or re-registered
 	// between the two looks is caught there.
+	seen := map[rowRef]bool{}
+	for _, rc := range req.Rows {
+		k := rowRef{Job: rc.Job, Row: rc.Row}
+		if seen[k] {
+			return completeResponse{}, fmt.Errorf("%w: %s row %d", errRepeatedRow, rc.Job, rc.Row)
+		}
+		seen[k] = true
+	}
+	pre := make([]*jobState, len(req.Rows))
 	c.mu.Lock()
-	pre := c.jobs[req.Job]
+	for i := range req.Rows {
+		pre[i] = c.jobs[req.Rows[i].Job]
+	}
 	c.mu.Unlock()
-	row := renderComplete(pre, req)
+	rendered := make([]completeRow, len(req.Rows))
+	for i := range req.Rows {
+		rendered[i] = renderComplete(pre[i], req.Rows[i])
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.deposed {
@@ -869,75 +1085,285 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 	if c.quarantined[req.Worker] {
 		return completeResponse{}, fmt.Errorf("%w: %s", errQuarantined, req.Worker)
 	}
-	js, ok := c.jobs[req.Job]
-	if !ok || req.Row < 0 || req.Row >= len(js.rows) {
-		return completeResponse{}, errUnknown
+	resp := completeResponse{Rows: make([]rowResult, len(req.Rows))}
+	var lands []landing
+	for i, rc := range req.Rows {
+		js, row := c.jobs[rc.Job], rendered[i]
+		if js == nil {
+			resp.Rows[i] = rowResult{refusal: refuse(errUnknown)}
+			continue
+		}
+		if js != pre[i] {
+			// Registered between the two looks at c.jobs.
+			row = renderComplete(js, rc)
+		}
+		var l *landing
+		if resp.Rows[i], l = c.verdictLocked(js, req.Worker, rc, row); l != nil {
+			l.i = i
+			lands = append(lands, *l)
+		}
+		if rc.OK && rc.CostNS > 0 {
+			// A reported cost sizes the job's later batches; it never
+			// touches a verdict.
+			js.costNS += rc.CostNS
+			js.costRows++
+		}
 	}
-	rs := &js.rows[req.Row]
+	c.landLocked(req.Worker, lands, &resp)
+	return resp, nil
+}
+
+// landing is an OK row whose verdict needs the disk: a re-verification
+// vote to ledger and hold, or an accept to journal and ledger — after
+// a vote when verify or the revote grace settled it. dissent names the
+// votes a verified accept proves to be lies.
+type landing struct {
+	i        int
+	js       *jobState
+	rs       *rowState
+	rc       rowComplete
+	row      completeRow
+	vote     bool
+	accept   bool
+	verified bool
+	dissent  []rowVote
+	err      error
+}
+
+// verdictLocked applies the single-row rules to one row of a complete
+// for registered job js, in their order. Verdicts that need no disk are final here; a vote or
+// an accept comes back as a landing for landLocked. Caller holds c.mu.
+func (c *Coordinator) verdictLocked(js *jobState, worker string, rc rowComplete, row completeRow) (rowResult, *landing) {
+	if rc.Row < 0 || rc.Row >= len(js.rows) {
+		return rowResult{refusal: refuse(errUnknown)}, nil
+	}
+	rs := &js.rows[rc.Row]
 	if rs.done {
 		// Idempotent even across a failover: a retried complete for a
 		// row that already landed acks as a duplicate regardless of
 		// which term granted it.
 		c.mDuplicate.Inc()
-		return completeResponse{Duplicate: true}, nil
+		return rowResult{Duplicate: true}, nil
 	}
-	if req.Term != rs.term {
+	if rc.Term != rs.term {
 		// The term fence: this lease was granted by a coordinator whose
 		// reign ended (or predates the row's current grant). Like the
 		// epoch fence one level down, the result would be bit-identical
 		// — rejecting it is what keeps "which primary granted which
 		// rows" answerable from the ledger.
 		c.mTermFenced.Inc()
-		c.emit("fence", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(req.Row)),
-			obs.KN("epoch", float64(req.Epoch)), obs.KS("worker", req.Worker),
-			obs.KN("term", float64(req.Term)), obs.KN("current_term", float64(rs.term)))
-		return completeResponse{}, fmt.Errorf("%w: lease for %s row %d holds term %d, current is %d",
-			errStaleTerm, req.Job, req.Row, req.Term, rs.term)
+		c.emit("fence", js, rs.span, obs.KS("job", rc.Job), obs.KN("row", float64(rc.Row)),
+			obs.KN("epoch", float64(rc.Epoch)), obs.KS("worker", worker),
+			obs.KN("term", float64(rc.Term)), obs.KN("current_term", float64(rs.term)))
+		return rowResult{refusal: refuse(fmt.Errorf("%w: lease for %s row %d holds term %d, current is %d",
+			errStaleTerm, rc.Job, rc.Row, rc.Term, rs.term))}, nil
 	}
-	if req.Epoch != rs.epoch {
+	if rc.Epoch != rs.epoch {
 		// The fence: a worker whose lease was stolen finished anyway.
 		// Its numbers are bit-identical to the thief's (seeded noise),
 		// but accepting them would hide real protocol bugs — reject
 		// and let the live epoch's complete land.
 		c.mFenced.Inc()
-		c.emit("fence", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(req.Row)),
-			obs.KN("epoch", float64(req.Epoch)), obs.KN("current", float64(rs.epoch)), obs.KS("worker", req.Worker))
-		return completeResponse{}, errStale
+		c.emit("fence", js, rs.span, obs.KS("job", rc.Job), obs.KN("row", float64(rc.Row)),
+			obs.KN("epoch", float64(rc.Epoch)), obs.KN("current", float64(rs.epoch)), obs.KS("worker", worker))
+		return rowResult{refusal: refuse(errStale)}, nil
 	}
-	if !req.OK {
+	if !rc.OK {
 		// Release for re-lease: epoch stays (the failed worker's token
 		// dies with this call), expiry is now so the next acquire can
 		// take the row.
 		rs.expiry = c.now()
 		rs.releasedEarly = true
 		c.mRequeued.Inc()
-		c.emit("requeue", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(req.Row)),
-			obs.KN("epoch", float64(req.Epoch)), obs.KS("worker", req.Worker))
-		return completeResponse{Requeued: true}, nil
-	}
-	if js != pre {
-		// Registered between the two looks at c.jobs.
-		row = renderComplete(js, req)
+		c.emit("requeue", js, rs.span, obs.KS("job", rc.Job), obs.KN("row", float64(rc.Row)),
+			obs.KN("epoch", float64(rc.Epoch)), obs.KS("worker", worker))
+		c.signalLocked()
+		return rowResult{Requeued: true}, nil
 	}
 	if row.err != nil {
-		return completeResponse{}, row.err
+		return rowResult{refusal: refuse(row.err)}, nil
 	}
 	// Attestation: the digest must hash exactly the planes shipped.
 	// A mismatch means the payload was damaged in flight or the worker
 	// attested bytes it did not send — either way these planes must
 	// not reach the matrix, and retrying the identical payload cannot
 	// succeed (400, not 409).
-	if req.Digest != row.digest {
+	if rc.Digest != row.digest {
 		c.mBadAttest.Inc()
-		c.emit("bad-attest", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(req.Row)),
-			obs.KS("worker", req.Worker), obs.KS("digest", req.Digest), obs.KS("want", row.digest))
-		return completeResponse{}, fmt.Errorf("%w: %s row %d digest %q does not hash the shipped planes (%s)",
-			errBadAttest, req.Job, req.Row, req.Digest, row.digest)
+		c.emit("bad-attest", js, rs.span, obs.KS("job", rc.Job), obs.KN("row", float64(rc.Row)),
+			obs.KS("worker", worker), obs.KS("digest", rc.Digest), obs.KS("want", row.digest))
+		return rowResult{refusal: refuse(fmt.Errorf("%w: %s row %d digest %q does not hash the shipped planes (%s)",
+			errBadAttest, rc.Job, rc.Row, rc.Digest, row.digest))}, nil
 	}
-	if rs.pending || verifySelected(js.job.Seed, req.Row, c.opt.VerifyFraction) {
-		return c.voteLocked(js, rs, req, row)
+	l := &landing{js: js, rs: rs, rc: rc, row: row, accept: true}
+	if rs.pending || verifySelected(js.job.Seed, rc.Row, c.opt.VerifyFraction) {
+		c.voteLocked(l, worker)
 	}
-	return c.acceptLocked(js, rs, req, row, false)
+	return rowResult{}, l
+}
+
+// voteLocked decides an attested row in the re-verification sample: its
+// claim is ledgered as a vote, and the row settles only when two
+// distinct workers agree on its digest — then every dissenting vote is
+// a proven lie. A lone worker re-voting its own digest after the grace
+// window settles the row unverified (availability over byzantine
+// safety when no independent worker exists). Otherwise the vote is
+// held. Caller holds c.mu.
+func (c *Coordinator) voteLocked(l *landing, worker string) {
+	l.vote = true
+	agree := 1 // the incoming claim
+	revote := false
+	for _, v := range l.rs.votes {
+		if v.worker == worker {
+			revote = true
+			continue // superseded by the incoming claim
+		}
+		if v.digest == l.rc.Digest {
+			agree++
+		} else {
+			l.dissent = append(l.dissent, v)
+		}
+	}
+	graceOver := revote && !l.rs.lastVote.IsZero() && c.now().Sub(l.rs.lastVote) >= 2*c.opt.DefaultTTL
+	l.verified = agree >= 2
+	l.accept = l.verified || graceOver
+}
+
+// landLocked makes a complete's votes and accepts durable and then
+// applies them, fsync before ack: the accepted rows' records go to
+// their job's journal in one append (the source of truth for
+// done-ness), then every vote and complete record to the ledger in one
+// append (the audit trail), then the accepted planes and the records'
+// frames to the replication stream in one publish, so no tail splits
+// the batch. A crash between the two appends recovers the rows as done
+// from the journal, so the ledger's complete records are best-effort
+// audit, not load-bearing state. A row whose append fails is refused
+// and changes nothing in memory. Caller holds c.mu.
+func (c *Coordinator) landLocked(worker string, lands []landing, resp *completeResponse) {
+	if len(lands) == 0 {
+		return
+	}
+	// One journal append per job: a batch holds one job's rows.
+	var jobs []*jobState
+	recsOf := map[*jobState][]sweep.RowRecord{}
+	for _, l := range lands {
+		if l.accept {
+			if recsOf[l.js] == nil {
+				jobs = append(jobs, l.js)
+			}
+			recsOf[l.js] = append(recsOf[l.js], l.row.rec)
+		}
+	}
+	failed := map[*jobState]error{}
+	for _, js := range jobs {
+		if err := js.job.Journal.AppendRecord(recsOf[js]...); err != nil {
+			failed[js] = err
+			continue
+		}
+		c.mJournalAppends.Inc()
+	}
+	for k := range lands {
+		if lands[k].accept {
+			lands[k].err = failed[lands[k].js]
+		}
+	}
+	var recs []LedgerRecord
+	for _, l := range lands {
+		if l.err != nil {
+			continue
+		}
+		r := l.rc
+		if l.vote {
+			recs = append(recs, LedgerRecord{Kind: "attest", Job: r.Job, Row: r.Row,
+				Epoch: r.Epoch, Worker: worker, Digest: r.Digest})
+		}
+		if l.accept {
+			recs = append(recs, LedgerRecord{Kind: "complete", Job: r.Job, Row: r.Row,
+				Epoch: r.Epoch, Worker: worker, Digest: r.Digest, Verified: l.verified})
+		}
+	}
+	frames, err := c.ledgerAppend(recs)
+	var msgs []replMsg
+	for k := range lands {
+		l := &lands[k]
+		if l.err == nil {
+			l.err = err
+		}
+		if l.err != nil {
+			resp.Rows[l.i] = rowResult{refusal: refuse(l.err)}
+			continue
+		}
+		if l.accept {
+			// The planes as received, ahead of the ledger frames: the
+			// standby journals them before it ledgers, as here.
+			msgs = append(msgs, replMsg{Kind: "row", Row: &RowPlanes{
+				Job: l.rc.Job, Row: l.rc.Row, Kernel: l.js.job.Kernels[l.rc.Row].Name, Planes: l.rc.Planes}})
+		}
+	}
+	c.repl.publish(append(msgs, frames...)...)
+	for k := range lands {
+		if l := &lands[k]; l.err == nil {
+			resp.Rows[l.i] = c.applyLocked(l, worker)
+		}
+	}
+	c.signalLocked()
+}
+
+// applyLocked settles a landed row in memory: a held vote releases the
+// row for an independent re-execution; an accept assigns its planes to
+// the matrix, hands the row to OnRow and quarantines every worker whose
+// vote it proves a lie. Caller holds c.mu.
+func (c *Coordinator) applyLocked(l *landing, worker string) rowResult {
+	js, rs, r := l.js, l.rs, l.rc.Row
+	if l.vote {
+		c.emit("attest", js, rs.span, obs.KS("job", js.job.Name), obs.KN("row", float64(r)),
+			obs.KN("epoch", float64(l.rc.Epoch)), obs.KS("worker", worker), obs.KS("digest", l.rc.Digest))
+	}
+	if !l.accept {
+		now := c.now()
+		replaced := false
+		for i := range rs.votes {
+			if rs.votes[i].worker == worker {
+				rs.votes[i] = rowVote{worker: worker, digest: l.rc.Digest, epoch: l.rc.Epoch}
+				replaced = true
+			}
+		}
+		if !replaced {
+			rs.votes = append(rs.votes, rowVote{worker: worker, digest: l.rc.Digest, epoch: l.rc.Epoch})
+		}
+		rs.pending = true
+		rs.lastVote = now
+		// Release the row for an independent re-execution; the voter's
+		// part is done.
+		rs.expiry = now
+		rs.releasedEarly = true
+		return rowResult{PendingVerify: true}
+	}
+	// The planes unpackPlanes allocated for this complete become the
+	// row; a fresh status row is all StatusOK, the zero value. If the
+	// row was invalidated earlier, its journal record supersedes the
+	// retracted bytes: journal replay is last-record-wins per kernel.
+	m := js.matrix
+	m.Throughput[r], m.TimeNS[r], m.Bound[r] = l.row.planes.tput, l.row.planes.timeNS, l.row.planes.bound
+	m.Status[r] = make([]sweep.CellStatus, len(l.row.planes.tput))
+	rs.done = true
+	rs.digest, rs.verified, rs.completedBy = l.rc.Digest, l.verified, worker
+	rs.pending, rs.votes = false, nil
+	if js.job.OnRow != nil {
+		js.job.OnRow(js.matrix, r)
+	}
+	c.mCompleted.Inc()
+	if l.verified {
+		c.mVerified.Inc()
+	}
+	c.emit("complete", js, rs.span, obs.KS("job", js.job.Name), obs.KN("row", float64(r)),
+		obs.KN("epoch", float64(l.rc.Epoch)), obs.KS("worker", worker), obs.KB("verified", l.verified))
+	if l.verified {
+		for _, v := range l.dissent {
+			c.quarantineLocked(js, v.worker, js.job.Name, r, v.digest)
+		}
+	}
+	return rowResult{Verified: l.verified}
 }
 
 // completeRow is an OK complete's row as the coordinator accepts it:
@@ -955,7 +1381,7 @@ type completeRow struct {
 // reads only js's immutable registration (space and kernel names), so
 // it needs no lock; a nil job, an out-of-range row or a not-OK complete
 // prepare nothing, because the verdict rejects them first.
-func renderComplete(js *jobState, req completeRequest) completeRow {
+func renderComplete(js *jobState, req rowComplete) completeRow {
 	if js == nil || !req.OK || req.Row < 0 || req.Row >= len(js.rows) {
 		return completeRow{}
 	}
@@ -970,124 +1396,6 @@ func renderComplete(js *jobState, req completeRequest) completeRow {
 	return completeRow{planes: p, rec: rec, digest: sweep.RecordDigest(rec)}
 }
 
-// acceptLocked lands an attested OK complete: the rendered record into
-// the job's journal, complete into the ledger — fsynced in that order
-// before the ack — and the planes, assigned whole, into the matrix
-// once the journal holds them; then the OnRow hook and instruments.
-// Caller holds c.mu.
-func (c *Coordinator) acceptLocked(js *jobState, rs *rowState, req completeRequest, row completeRow, verified bool) (completeResponse, error) {
-	r := req.Row
-	// Fsync-before-ack, twice: the row into the job's journal (the
-	// source of truth for done-ness), then the complete into the
-	// ledger (the audit trail). A crash between the two recovers as
-	// done from the journal, so the ledger's complete record is
-	// best-effort audit, not load-bearing state. If the row was
-	// invalidated earlier, this append supersedes the retracted bytes:
-	// journal replay is last-record-wins per kernel.
-	if err := js.job.Journal.AppendRecord(row.rec); err != nil {
-		return completeResponse{}, err
-	}
-	// The planes unpackPlanes allocated for this complete become the
-	// row; a fresh status row is all StatusOK, the zero value.
-	m := js.matrix
-	m.Throughput[r], m.TimeNS[r], m.Bound[r] = row.planes.tput, row.planes.timeNS, row.planes.bound
-	m.Status[r] = make([]sweep.CellStatus, len(row.planes.tput))
-	// Replicate the planes as received before the complete record,
-	// mirroring the local journal-then-ledger order: the standby's
-	// journal append for this row lands at a lower cursor than its
-	// complete frame, so a promotion between the two recovers done-ness
-	// from the journal exactly like a local crash would.
-	c.repl.publish(replMsg{Kind: "row", Row: &RowPlanes{
-		Job: req.Job, Row: r, Kernel: js.job.Kernels[r].Name, Planes: req.Planes}})
-	if err := c.logAppend(LedgerRecord{Kind: "complete", Job: req.Job, Row: r,
-		Epoch: req.Epoch, Worker: req.Worker, Digest: req.Digest, Verified: verified}); err != nil {
-		return completeResponse{}, err
-	}
-	rs.done = true
-	rs.digest, rs.verified, rs.completedBy = req.Digest, verified, req.Worker
-	rs.pending, rs.votes = false, nil
-	if js.job.OnRow != nil {
-		js.job.OnRow(js.matrix, r)
-	}
-	c.mCompleted.Inc()
-	if verified {
-		c.mVerified.Inc()
-	}
-	c.emit("complete", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(r)),
-		obs.KN("epoch", float64(req.Epoch)), obs.KS("worker", req.Worker), obs.KB("verified", verified))
-	return completeResponse{Verified: verified}, nil
-}
-
-// voteLocked handles an attested complete for a row in the
-// re-verification sample: the claim is ledgered as a vote, and the
-// row settles only when two distinct workers agree on its digest.
-// Dissenting votes at settlement are proven lies, and each quarantines
-// its worker. A lone worker re-voting its own digest after the
-// grace window settles the row unverified (availability over
-// byzantine safety when no independent worker exists). Caller holds
-// c.mu.
-func (c *Coordinator) voteLocked(js *jobState, rs *rowState, req completeRequest, row completeRow) (completeResponse, error) {
-	now := c.now()
-	agree := 1 // the incoming claim
-	revote := false
-	var dissent []rowVote
-	for _, v := range rs.votes {
-		if v.worker == req.Worker {
-			revote = true
-			continue // superseded by the incoming claim
-		}
-		if v.digest == req.Digest {
-			agree++
-		} else {
-			dissent = append(dissent, v)
-		}
-	}
-	// Fsync the vote before any ack: a restarted coordinator must
-	// remember every claim it held a row open for.
-	if err := c.logAppend(LedgerRecord{Kind: "attest", Job: req.Job, Row: req.Row,
-		Epoch: req.Epoch, Worker: req.Worker, Digest: req.Digest}); err != nil {
-		return completeResponse{}, err
-	}
-	c.emit("attest", js, rs.span, obs.KS("job", req.Job), obs.KN("row", float64(req.Row)),
-		obs.KN("epoch", float64(req.Epoch)), obs.KS("worker", req.Worker), obs.KS("digest", req.Digest))
-	if agree >= 2 {
-		// Independent agreement: accept verified, and every dissenting
-		// vote is now a proven lie.
-		resp, err := c.acceptLocked(js, rs, req, row, true)
-		if err != nil {
-			return resp, err
-		}
-		for _, v := range dissent {
-			c.quarantineLocked(js, v.worker, req.Job, req.Row, v.digest)
-		}
-		return resp, nil
-	}
-	if revote && !rs.lastVote.IsZero() && now.Sub(rs.lastVote) >= 2*c.opt.DefaultTTL {
-		// Grace elapsed with no independent worker: the same worker
-		// re-executed the row (fresh lease, fresh computation) and got
-		// the same digest. Accept unverified rather than deadlock a
-		// one-worker fleet.
-		return c.acceptLocked(js, rs, req, row, false)
-	}
-	replaced := false
-	for i := range rs.votes {
-		if rs.votes[i].worker == req.Worker {
-			rs.votes[i] = rowVote{worker: req.Worker, digest: req.Digest, epoch: req.Epoch}
-			replaced = true
-		}
-	}
-	if !replaced {
-		rs.votes = append(rs.votes, rowVote{worker: req.Worker, digest: req.Digest, epoch: req.Epoch})
-	}
-	rs.pending = true
-	rs.lastVote = now
-	// Release the row for an independent re-execution; the voter's
-	// part is done (its completeWithRetry stops here).
-	rs.expiry = now
-	rs.releasedEarly = true
-	return completeResponse{PendingVerify: true}, nil
-}
-
 // quarantineLocked charges worker a proven lie — its digest lost a
 // vote on job's row — and fences it fleet-wide, because honest workers
 // never lose a vote (seeded determinism makes honest re-executions
@@ -1096,21 +1404,24 @@ func (c *Coordinator) voteLocked(js *jobState, rs *rowState, req completeRequest
 // unverified row it completed in a job still registered is retracted
 // and reopened — graceful degradation, because healthy workers pick the
 // rows back up on their next acquire. A job Run has returned is out of
-// reach: its matrix belongs to the caller. The strike and quarantine
-// records are best-effort audit: the quarantine already holds in
-// memory, failing the accepted complete over an audit record would
-// trade integrity for bookkeeping, and replay quarantines on either
-// record. Caller holds c.mu.
+// reach: its matrix belongs to the caller. The strike, quarantine and
+// invalidate records go to the ledger in one append, and are
+// best-effort audit: the quarantine already holds in memory, failing
+// the accepted complete over an audit record would trade integrity for
+// bookkeeping, and replay quarantines on either of the first two.
+// Caller holds c.mu.
 func (c *Coordinator) quarantineLocked(js *jobState, worker, job string, row int, digest string) {
 	if c.quarantined[worker] {
 		return
 	}
 	c.quarantined[worker] = true
-	c.logAppend(LedgerRecord{Kind: "strike", Job: job, Row: row, Worker: worker, Digest: digest}) //nolint:errcheck // best-effort audit
+	recs := []LedgerRecord{
+		{Kind: "strike", Job: job, Row: row, Worker: worker, Digest: digest},
+		{Kind: "quarantine", Job: job, Row: row, Worker: worker, Digest: digest},
+	}
 	c.mMismatch.Inc()
 	c.emit("strike", js, js.job.Trace.SpanID, obs.KS("job", job), obs.KN("row", float64(row)),
 		obs.KS("worker", worker), obs.KS("digest", digest))
-	c.logAppend(LedgerRecord{Kind: "quarantine", Job: job, Row: row, Worker: worker, Digest: digest}) //nolint:errcheck // best-effort audit
 	c.mQuarantined.Inc()
 	c.emit("quarantine", js, js.job.Trace.SpanID, obs.KS("job", job), obs.KN("row", float64(row)),
 		obs.KS("worker", worker), obs.KS("digest", digest))
@@ -1123,7 +1434,7 @@ func (c *Coordinator) quarantineLocked(js *jobState, worker, job string, row int
 			rs := &other.rows[r]
 			if rs.done {
 				if rs.completedBy == worker && !rs.verified {
-					c.invalidateLocked(other, r)
+					recs = append(recs, c.invalidateLocked(other, r))
 				}
 				continue
 			}
@@ -1136,18 +1447,21 @@ func (c *Coordinator) quarantineLocked(js *jobState, worker, job string, row int
 			}
 		}
 	}
+	c.logAppend(recs...) //nolint:errcheck // best-effort audit
+	c.signalLocked()
 }
 
-// invalidateLocked retracts a done row: its ledgered invalidate names
-// the worker and digest being withdrawn, the matrix row is settled
-// anew as all-canceled and handed to OnRow, and the row reopens
-// pending with the retracted claim seeded as a vote — if an honest
-// worker reproduces the digest, the values were right after all and
-// one agreement settles the row verified. Caller holds c.mu.
-func (c *Coordinator) invalidateLocked(js *jobState, r int) {
+// invalidateLocked retracts a done row and returns the invalidate
+// record, naming the worker and digest being withdrawn, for the caller
+// to ledger: the matrix row is settled anew as all-canceled and handed
+// to OnRow, and the row reopens pending with the retracted claim
+// seeded as a vote — if an honest worker reproduces the digest, the
+// values were right after all and one agreement settles the row
+// verified. Caller holds c.mu.
+func (c *Coordinator) invalidateLocked(js *jobState, r int) LedgerRecord {
 	rs := &js.rows[r]
-	c.logAppend(LedgerRecord{Kind: "invalidate", Job: js.job.Name, Row: r,
-		Epoch: rs.epoch, Worker: rs.completedBy, Digest: rs.digest}) //nolint:errcheck // best-effort audit
+	rec := LedgerRecord{Kind: "invalidate", Job: js.job.Name, Row: r,
+		Epoch: rs.epoch, Worker: rs.completedBy, Digest: rs.digest}
 	rs.votes = []rowVote{{worker: rs.completedBy, digest: rs.digest, epoch: rs.epoch}}
 	rs.done = false
 	rs.pending = true
@@ -1163,6 +1477,7 @@ func (c *Coordinator) invalidateLocked(js *jobState, r int) {
 	c.mInvalid.Inc()
 	c.emit("invalidate", js, rs.span, obs.KS("job", js.job.Name), obs.KN("row", float64(r)),
 		obs.KN("epoch", float64(rs.epoch)))
+	return rec
 }
 
 // Handler serves the lease protocol under /v1/dist/.
@@ -1173,22 +1488,22 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decodeInto(w, r, &req) {
 			return
 		}
-		lease, err := c.acquire(req)
+		leases, err := c.lease(r.Context(), req)
 		if err != nil {
 			writeLeaseError(w, err)
 			return
 		}
-		if lease == nil {
+		if len(leases) == 0 {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		// Append-before-ack, replication half: the grant record is on
-		// the stream; hold the response until the standby holds it too
+		// Append-before-ack, replication half: the grant records are on
+		// the stream; hold the response until the standby holds them too
 		// (bounded — a timeout degrades to async, never fails the
 		// lease). Runs after c.mu is released, so a publisher never
 		// blocks the snapshot or tail handlers.
 		c.replBarrier()
-		writeJSON(w, http.StatusOK, lease)
+		writeJSON(w, http.StatusOK, acquireResponse{Leases: leases})
 	})
 	mux.HandleFunc("/v1/dist/renew", func(w http.ResponseWriter, r *http.Request) {
 		var req renewRequest
@@ -1212,8 +1527,8 @@ func (c *Coordinator) Handler() http.Handler {
 			writeLeaseError(w, err)
 			return
 		}
-		// As with grants: the worker's ack means the complete — planes
-		// and record — reached the standby (or the barrier degraded and
+		// As with grants: the worker's ack means the batch — planes and
+		// records — reached the standby (or the barrier degraded and
 		// said so on the instruments).
 		c.replBarrier()
 		writeJSON(w, http.StatusOK, resp)
@@ -1234,7 +1549,7 @@ func (c *Coordinator) Handler() http.Handler {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad cursor"})
 			return
 		}
-		msgs, next, ok := c.repl.tail(cursor, 500*time.Millisecond)
+		msgs, next, ok := c.repl.tail(cursor, longPoll)
 		if !ok {
 			writeJSON(w, http.StatusConflict, errorBody{
 				Error: "cursor outside the retained replication window", Code: "out-of-sync"})
@@ -1317,42 +1632,76 @@ func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err := dec.Decode(v); err != nil {
+	if err := readJSON(http.MaxBytesReader(w, r.Body, 16<<20), r.ContentLength, v); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return false
 	}
 	return true
 }
 
-// writeLeaseError maps protocol errors to status codes and machine
-// codes: the three fences — stale epoch, version mismatch, quarantine
-// — are 409 (retrying as-is cannot succeed, but the request was
-// well-formed), a bad attestation is 400 (the payload itself is
-// wrong), unknown rows 404, anything else 500.
-func writeLeaseError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, errStale):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Code: "stale-epoch"})
-	case errors.Is(err, errStaleTerm):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Code: "stale-term"})
-	case errors.Is(err, ErrDeposed):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Code: "deposed"})
-	case errors.Is(err, errVersionMismatch):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Code: "version-mismatch"})
-	case errors.Is(err, errQuarantined):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Code: "quarantined"})
-	case errors.Is(err, errBadAttest):
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Code: "bad-attestation"})
-	case errors.Is(err, errUnknown):
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+// readJSON decodes a JSON body of n bytes, or of unknown length when n
+// is negative. A known length is read into one buffer of that size, so
+// a batch's body costs one allocation instead of a decoder's doubling
+// refills.
+func readJSON(r io.Reader, n int64, v any) error {
+	if n < 0 {
+		return json.NewDecoder(r).Decode(v)
 	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
 }
 
+// writeLeaseError answers a protocol error with its status and
+// envelope (leaseErrorBody).
+func writeLeaseError(w http.ResponseWriter, err error) {
+	status, body := leaseErrorBody(err)
+	writeJSON(w, status, body)
+}
+
+// leaseErrorBody maps a protocol error — a whole call's, or one row's
+// verdict inside a batch — to its status code and machine code: the
+// fences — stale epoch, stale term, deposed, version mismatch,
+// quarantine — are 409 (retrying as-is cannot succeed, but the request
+// was well-formed), a bad attestation or a row named twice is 400 (the
+// payload itself is wrong), unknown rows 404, anything else 500.
+func leaseErrorBody(err error) (int, errorBody) {
+	body := errorBody{Error: err.Error()}
+	switch {
+	case errors.Is(err, errStale):
+		body.Code = "stale-epoch"
+	case errors.Is(err, errStaleTerm):
+		body.Code = "stale-term"
+	case errors.Is(err, ErrDeposed):
+		body.Code = "deposed"
+	case errors.Is(err, errVersionMismatch):
+		body.Code = "version-mismatch"
+	case errors.Is(err, errQuarantined):
+		body.Code = "quarantined"
+	case errors.Is(err, errBadAttest):
+		return http.StatusBadRequest, errorBody{Error: err.Error(), Code: "bad-attestation"}
+	case errors.Is(err, errRepeatedRow):
+		return http.StatusBadRequest, body
+	case errors.Is(err, errUnknown):
+		return http.StatusNotFound, body
+	default:
+		return http.StatusInternalServerError, body
+	}
+	return http.StatusConflict, body
+}
+
+// writeJSON answers v as one JSON line with its Content-Length, so the
+// reader can take the body in one buffer (readJSON).
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		code, b = http.StatusInternalServerError, mustJSON(errorBody{Error: err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)+1))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(b)
+	w.Write([]byte{'\n'})
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -97,11 +99,12 @@ func acq(worker string) acquireRequest {
 	return acquireRequest{Worker: worker, Proto: ProtoVersion, Fingerprint: EngineFingerprint()}
 }
 
-// okComplete builds a valid OK complete for the granted lease by
+// okRow builds a valid OK row complete for the granted lease by
 // actually sweeping the leased row — the same computation a worker
 // performs, so the planes pass validation, carry a truthful
-// attestation, and are deterministic.
-func okComplete(t *testing.T, l *Lease, worker string) completeRequest {
+// attestation, and are deterministic. It reports no cost, so the
+// coordinator keeps granting one row per batch.
+func okRow(t *testing.T, l *Lease) rowComplete {
 	t.Helper()
 	k, err := l.DecodeKernel()
 	if err != nil {
@@ -116,8 +119,45 @@ func okComplete(t *testing.T, l *Lease, worker string) completeRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return completeRequest{Job: l.Job, Row: l.Row, Epoch: l.Epoch, Term: l.Term, Worker: worker, OK: true,
+	return rowComplete{rowRef: l.ref(), OK: true,
 		Planes: packPlanes(m.Throughput[0], m.TimeNS[0], m.Bound[0]), Digest: digest}
+}
+
+// okComplete is a one-row batch complete of okRow.
+func okComplete(t *testing.T, l *Lease, worker string) completeRequest {
+	t.Helper()
+	return completeRequest{Worker: worker, Rows: []rowComplete{okRow(t, l)}}
+}
+
+// first is the first lease of an acquire's batch, or nil when it
+// granted nothing.
+func first(leases []Lease, err error) (*Lease, error) {
+	if len(leases) == 0 {
+		return nil, err
+	}
+	return &leases[0], err
+}
+
+// one is a one-row batch's verdict: the call's error, or else the
+// row's result and its refusal as an error.
+func one(resp completeResponse, err error) (rowResult, error) {
+	if err != nil {
+		return rowResult{}, err
+	}
+	if len(resp.Rows) != 1 {
+		return rowResult{}, fmt.Errorf("one-row complete answered %d verdicts", len(resp.Rows))
+	}
+	return resp.Rows[0], resp.Rows[0].err
+}
+
+// renewOne renews one row: the call's error, or else the row's result
+// and its refusal as an error.
+func renewOne(c *Coordinator, ref rowRef, worker string) (renewResult, error) {
+	resp, err := c.renew(renewRequest{Worker: worker, Rows: []rowRef{ref}})
+	if err != nil {
+		return renewResult{}, err
+	}
+	return resp.Rows[0], resp.Rows[0].err
 }
 
 func TestLeaseGrantCompleteDuplicate(t *testing.T) {
@@ -128,7 +168,7 @@ func TestLeaseGrantCompleteDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, err := c.acquire(acq("w1"))
+	l, err := first(c.acquire(acq("w1")))
 	if err != nil || l == nil {
 		t.Fatalf("acquire: %v %v", l, err)
 	}
@@ -140,12 +180,12 @@ func TestLeaseGrantCompleteDuplicate(t *testing.T) {
 	}
 
 	req := okComplete(t, l, "w1")
-	if resp, err := c.complete(req); err != nil || resp.Duplicate {
+	if resp, err := one(c.complete(req)); err != nil || resp.Duplicate {
 		t.Fatalf("first complete: %+v %v", resp, err)
 	}
 	// The retried complete (dropped-ack path) must be an idempotent
 	// duplicate, not a double-merge.
-	if resp, err := c.complete(req); err != nil || !resp.Duplicate {
+	if resp, err := one(c.complete(req)); err != nil || !resp.Duplicate {
 		t.Fatalf("retried complete should ack as duplicate: %+v %v", resp, err)
 	}
 
@@ -166,16 +206,16 @@ func TestExpiryRacesLateComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	orig, err := c.acquire(acq("slow"))
+	orig, err := first(c.acquire(acq("slow")))
 	if err != nil || orig == nil {
 		t.Fatalf("acquire: %v", err)
 	}
 	// Not expired yet: nothing to steal.
-	if l, _ := c.acquire(acq("eager")); l != nil {
+	if l, _ := first(c.acquire(acq("eager"))); l != nil {
 		t.Fatal("unexpired lease must not be re-granted")
 	}
 	clk.advance(2 * time.Second)
-	thief, err := c.acquire(acq("thief"))
+	thief, err := first(c.acquire(acq("thief")))
 	if err != nil || thief == nil {
 		t.Fatalf("steal after expiry: %v", err)
 	}
@@ -184,17 +224,17 @@ func TestExpiryRacesLateComplete(t *testing.T) {
 	}
 
 	// The original limps in late: fenced.
-	if _, err := c.complete(okComplete(t, orig, "slow")); err != errStale {
+	if _, err := one(c.complete(okComplete(t, orig, "slow"))); err != errStale {
 		t.Fatalf("stale-epoch complete should be fenced, got %v", err)
 	}
 	// The thief's complete lands.
-	if resp, err := c.complete(okComplete(t, thief, "thief")); err != nil || resp.Duplicate {
+	if resp, err := one(c.complete(okComplete(t, thief, "thief"))); err != nil || resp.Duplicate {
 		t.Fatalf("thief complete: %+v %v", resp, err)
 	}
 	// Steal-then-original-finishes, other order: original retries
 	// after the thief completed — idempotent duplicate, not a fence,
 	// because done-ness wins.
-	if resp, err := c.complete(okComplete(t, orig, "slow")); err != nil || !resp.Duplicate {
+	if resp, err := one(c.complete(okComplete(t, orig, "slow"))); err != nil || !resp.Duplicate {
 		t.Fatalf("post-done stale complete should be a duplicate ack: %+v %v", resp, err)
 	}
 
@@ -221,9 +261,9 @@ func TestExpiredButUnstolenCompleteAccepted(t *testing.T) {
 	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
-	l, _ := c.acquire(acq("slow"))
+	l, _ := first(c.acquire(acq("slow")))
 	clk.advance(time.Minute)
-	if resp, err := c.complete(okComplete(t, l, "slow")); err != nil || resp.Duplicate {
+	if resp, err := one(c.complete(okComplete(t, l, "slow"))); err != nil || resp.Duplicate {
 		t.Fatalf("expired-but-unstolen complete should be accepted: %+v %v", resp, err)
 	}
 }
@@ -239,7 +279,7 @@ func TestRenewalAfterCoordinatorRestart(t *testing.T) {
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
-	l, err := c.acquire(acq("w1"))
+	l, err := first(c.acquire(acq("w1")))
 	if err != nil || l == nil {
 		t.Fatalf("acquire: %v", err)
 	}
@@ -254,15 +294,17 @@ func TestRenewalAfterCoordinatorRestart(t *testing.T) {
 	if err := c2.AddJob(reopened(t, dir, job)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c2.renew(renewRequest{Job: l.Job, Row: l.Row, Epoch: l.Epoch, Term: l.Term, Worker: "w1"})
+	resp, err := renewOne(c2, l.ref(), "w1")
 	if err != nil || resp.Done {
 		t.Fatalf("renewal with pre-crash epoch should extend the open lease after restart: %+v %v", resp, err)
 	}
 	// A wrong epoch is still fenced after restart.
-	if _, err := c2.renew(renewRequest{Job: l.Job, Row: l.Row, Epoch: l.Epoch + 7, Term: l.Term, Worker: "x"}); err != errStale {
+	bogus := l.ref()
+	bogus.Epoch += 7
+	if _, err := renewOne(c2, bogus, "x"); err != errStale {
 		t.Fatalf("bogus epoch should be fenced, got %v", err)
 	}
-	if _, err := c2.complete(okComplete(t, l, "w1")); err != nil {
+	if _, err := one(c2.complete(okComplete(t, l, "w1"))); err != nil {
 		t.Fatalf("complete with pre-crash epoch should land: %v", err)
 	}
 }
@@ -277,8 +319,8 @@ func TestRestartAfterCompleteNeverRegrants(t *testing.T) {
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
-	l1, _ := c.acquire(acq("w1"))
-	if _, err := c.complete(okComplete(t, l1, "w1")); err != nil {
+	l1, _ := first(c.acquire(acq("w1")))
+	if _, err := one(c.complete(okComplete(t, l1, "w1"))); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -291,7 +333,7 @@ func TestRestartAfterCompleteNeverRegrants(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for {
-		l, err := c2.acquire(acq("w2"))
+		l, err := first(c2.acquire(acq("w2")))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,12 +363,12 @@ func TestNotOKCompleteRequeues(t *testing.T) {
 	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
-	l, _ := c.acquire(acq("w1"))
-	resp, err := c.complete(completeRequest{Job: l.Job, Row: l.Row, Epoch: l.Epoch, Term: l.Term, Worker: "w1"})
+	l, _ := first(c.acquire(acq("w1")))
+	resp, err := one(c.complete(completeRequest{Worker: "w1", Rows: []rowComplete{{rowRef: l.ref()}}}))
 	if err != nil || !resp.Requeued {
 		t.Fatalf("not-OK complete should requeue: %+v %v", resp, err)
 	}
-	l2, err := c.acquire(acq("w2"))
+	l2, err := first(c.acquire(acq("w2")))
 	if err != nil || l2 == nil {
 		t.Fatal("requeued row should be immediately re-leasable")
 	}
@@ -385,12 +427,12 @@ func TestCompleteValidation(t *testing.T) {
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
-	l, _ := c.acquire(acq("w1"))
+	l, _ := first(c.acquire(acq("w1")))
 	valid := okComplete(t, l, "w1")
-	for _, tc := range badPlanes(valid.Planes, job.Space.Size()) {
-		req := valid
-		req.Planes = tc.planes
-		_, err := c.complete(req)
+	for _, tc := range badPlanes(valid.Rows[0].Planes, job.Space.Size()) {
+		req := okComplete(t, l, "w1")
+		req.Rows[0].Planes = tc.planes
+		_, err := one(c.complete(req))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want a %q rejection, got %v", tc.name, tc.want, err)
 		}
@@ -402,7 +444,7 @@ func TestCompleteValidation(t *testing.T) {
 		t.Fatalf("a rejected complete landed: %+v", st)
 	}
 	// And the row is still leasable/completable afterwards.
-	if _, err := c.complete(valid); err != nil {
+	if _, err := one(c.complete(valid)); err != nil {
 		t.Fatalf("valid complete after rejected ones: %v", err)
 	}
 }
@@ -417,7 +459,7 @@ func TestLedgerTornTailSalvage(t *testing.T) {
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
-	l, _ := c.acquire(acq("w1"))
+	l, _ := first(c.acquire(acq("w1")))
 	c.Close()
 
 	// Tear the tail.
@@ -434,7 +476,7 @@ func TestLedgerTornTailSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The acked grant survived the torn tail.
-	if _, err := c2.renew(renewRequest{Job: l.Job, Row: l.Row, Epoch: l.Epoch, Term: l.Term, Worker: "w1"}); err != nil {
+	if _, err := renewOne(c2, l.ref(), "w1"); err != nil {
 		t.Fatalf("grant lost to torn tail: %v", err)
 	}
 }
@@ -497,7 +539,7 @@ func TestCanceledRunLeavesCoordinator(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := runInBackground(t, ctx, c, job)
-	l, err := c.acquire(acq("w1"))
+	l, err := first(c.acquire(acq("w1")))
 	if err != nil || l == nil {
 		t.Fatalf("acquire before the cancel: %+v %v", l, err)
 	}
@@ -511,7 +553,7 @@ func TestCanceledRunLeavesCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if l2, err := c.acquire(acq("w2")); err != nil || l2 != nil {
+	if l2, err := first(c.acquire(acq("w2"))); err != nil || l2 != nil {
 		t.Fatalf("acquire after Run returned: granted %v, error %v; want neither", l2 != nil, err)
 	}
 	w, err := NewWorker(WorkerOptions{Name: "w1", Peers: []string{srv.URL}, Client: srv.Client()})
@@ -519,17 +561,21 @@ func TestCanceledRunLeavesCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := okComplete(t, l, "w1")
-	if status, _ := postJSON(t, srv.URL+"/v1/dist/complete", req); status != http.StatusNotFound {
-		t.Fatalf("late complete answered %d, want 404", status)
+	var cresp completeResponse
+	if status := postRows(t, srv.URL+"/v1/dist/complete", req, &cresp); status != http.StatusOK ||
+		len(cresp.Rows) != 1 || cresp.Rows[0].Status != http.StatusNotFound {
+		t.Fatalf("late complete answered %d %+v, want its row 404", status, cresp.Rows)
 	}
 	cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer ccancel()
-	if w.completeWithRetry(cctx, req) || cctx.Err() != nil {
+	if acks := w.completeWithRetry(cctx, req); acks[0] || cctx.Err() != nil {
 		t.Fatalf("completeWithRetry should give up on the 404 (accepted or timed out instead)")
 	}
-	renew := renewRequest{Job: l.Job, Row: l.Row, Epoch: l.Epoch, Term: l.Term, Worker: "w1"}
-	if status, _ := postJSON(t, srv.URL+"/v1/dist/renew", renew); status != http.StatusNotFound {
-		t.Fatalf("late renew answered %d, want 404", status)
+	renew := renewRequest{Worker: "w1", Rows: []rowRef{l.ref()}}
+	var rresp renewResponse
+	if status := postRows(t, srv.URL+"/v1/dist/renew", renew, &rresp); status != http.StatusOK ||
+		len(rresp.Rows) != 1 || rresp.Rows[0].Status != http.StatusNotFound {
+		t.Fatalf("late renew answered %d %+v, want its row 404", status, rresp.Rows)
 	}
 	if st, ok := c.Status(job.Name); ok {
 		t.Fatalf("the returned job is still registered: %+v", st)
@@ -573,11 +619,11 @@ func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 	live.Seed = seedVote
 
 	done := runInBackground(t, context.Background(), c, finished)
-	l, err := c.acquire(acq("liar"))
+	l, err := first(c.acquire(acq("liar")))
 	if err != nil || l == nil || l.Job != finished.Name {
 		t.Fatalf("acquire: %+v %v", l, err)
 	}
-	if resp, err := c.complete(okComplete(t, l, "liar")); err != nil || resp.Verified || resp.PendingVerify {
+	if resp, err := one(c.complete(okComplete(t, l, "liar"))); err != nil || resp.Verified || resp.PendingVerify {
 		t.Fatalf("unsampled complete should be accepted unverified: %+v %v", resp, err)
 	}
 	res := <-done
@@ -594,16 +640,16 @@ func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 	if err := c.AddJob(live); err != nil {
 		t.Fatal(err)
 	}
-	lr, _ := c.acquire(acq("liar"))
-	if resp, err := c.complete(tamperedComplete(t, lr, "liar")); err != nil || !resp.PendingVerify {
+	lr, _ := first(c.acquire(acq("liar")))
+	if resp, err := one(c.complete(tamperedComplete(t, lr, "liar"))); err != nil || !resp.PendingVerify {
 		t.Fatalf("sampled tampered complete should be held: %+v %v", resp, err)
 	}
 	for _, h := range []string{"h1", "h2"} {
-		lh, err := c.acquire(acq(h))
+		lh, err := first(c.acquire(acq(h)))
 		if err != nil || lh == nil {
 			t.Fatalf("%s acquire: %+v %v", h, lh, err)
 		}
-		if _, err := c.complete(okComplete(t, lh, h)); err != nil {
+		if _, err := one(c.complete(okComplete(t, lh, h))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -618,4 +664,25 @@ func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("the returned matrix changed after the quarantine")
 	}
+}
+
+// postRows posts body as JSON and decodes a 200 answer's per-row
+// verdicts into out.
+func postRows(t *testing.T, url string, body, out any) int {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode
 }

@@ -20,12 +20,14 @@
 //   - Fsync-before-ack. A grant is recorded in the coordinator's
 //     lease ledger (CRC-framed, fsynced, torn-tail-salvaging — the
 //     same discipline as journal v2) before the lease response is
-//     sent, and a completed row is appended to the coordinator's
-//     matrix journal before the complete is acknowledged. A
-//     coordinator crash therefore resumes without double-granting a
-//     completed row: done-ness is recovered from the journal, epochs
-//     from the ledger, and recovered leases get a conservative fresh
-//     TTL so a live worker's renewals still land.
+//     sent, and a completed row is appended to the job's journal
+//     before the complete is acknowledged. Rows are leased in batches,
+//     and a batch's grants, and its accepted rows, each land in one
+//     append per file, so fsyncs follow batches while every record
+//     stays per row. A coordinator crash therefore resumes without
+//     double-granting a completed row: done-ness is recovered from the
+//     journal, epochs from the ledger, and recovered leases get a
+//     conservative fresh TTL so a live worker's renewals still land.
 //
 //   - Seeded determinism. The coordinator hands each worker
 //     Seed = job.Seed + row, which is exactly the per-row noise seed
@@ -55,7 +57,10 @@ import (
 	"gpuscale/internal/sweep"
 )
 
-// Lease is a coordinator's grant of one kernel row to one worker.
+// Lease is a coordinator's grant of one kernel row to one worker. An
+// acquire grants a batch of them (see acquireResponse), and every
+// rule of the protocol — epochs, terms, attestation, re-verification,
+// the ledger's records — still applies to each row on its own.
 type Lease struct {
 	// Job and Row name the work; Epoch is the fencing token every
 	// renew and complete must echo.
@@ -134,41 +139,67 @@ type acquireRequest struct {
 	Term uint64 `json:"term,omitempty"`
 }
 
-// renewRequest extends a held lease.
+// acquireResponse grants a batch of rows from one job, each with its
+// own epoch, term and lease span.
+type acquireResponse struct {
+	Leases []Lease `json:"leases"`
+}
+
+// rowRef names one leased row and echoes its fencing tokens.
+type rowRef struct {
+	Job   string `json:"job"`
+	Row   int    `json:"row"`
+	Epoch uint64 `json:"epoch"`
+	Term  uint64 `json:"term,omitempty"`
+}
+
+// ref is the lease's row reference.
+func (l *Lease) ref() rowRef { return rowRef{Job: l.Job, Row: l.Row, Epoch: l.Epoch, Term: l.Term} }
+
+// renewRequest extends a batch of held leases.
 type renewRequest struct {
-	Job    string `json:"job"`
-	Row    int    `json:"row"`
-	Epoch  uint64 `json:"epoch"`
-	Term   uint64 `json:"term,omitempty"`
-	Worker string `json:"worker"`
+	Worker string   `json:"worker"`
+	Rows   []rowRef `json:"rows"`
 }
 
-// renewResponse acknowledges a renewal: the lease lives a fresh TTL
-// from the coordinator's clock.
+// renewResponse answers a renewal row by row, in request order: each
+// row's lease lives a fresh TTL from the coordinator's clock unless the
+// row is refused.
 type renewResponse struct {
-	// Done reports the row completed under this epoch already — the
-	// worker's own complete, acked or not, landed. Stop renewing.
-	Done bool `json:"done,omitempty"`
+	Rows []renewResult `json:"rows"`
 }
 
-// completeRequest reports a row's terminal state. OK rows carry the
-// row's measurement planes in the packed wire form (see packPlanes); a
-// failed row carries none and just releases the lease for re-issue.
+// renewResult is one row's renewal.
+type renewResult struct {
+	// Done reports the row completed already — under this epoch or, after
+	// a steal, another one. Stop renewing it.
+	Done bool `json:"done,omitempty"`
+	refusal
+}
+
+// completeRequest reports a batch of rows' terminal states. OK rows
+// carry the row's measurement planes in the packed wire form (see
+// packPlanes); a failed row carries none and just releases its lease
+// for re-issue.
 type completeRequest struct {
-	Job    string `json:"job"`
-	Row    int    `json:"row"`
-	Epoch  uint64 `json:"epoch"`
-	Term   uint64 `json:"term,omitempty"`
-	Worker string `json:"worker"`
+	Worker string        `json:"worker"`
+	Rows   []rowComplete `json:"rows"`
+}
+
+// rowComplete is one row's terminal state in a complete.
+type rowComplete struct {
+	rowRef
 	OK     bool   `json:"ok"`
 	Planes []byte `json:"planes,omitempty"`
 	// Digest attests the row: sweep.RecordDigest over the journal
-	// record the worker rendered from these planes and journaled. The
-	// coordinator renders the received planes itself and rejects any
-	// OK complete whose record hashes differently (payload damaged in
-	// flight, or a worker attesting bytes it did not send). Required on
-	// every OK complete.
+	// record the worker rendered from these planes. The coordinator
+	// renders the received planes itself and rejects any OK row whose
+	// record hashes differently (payload damaged in flight, or a worker
+	// attesting bytes it did not send). Required on every OK row.
 	Digest string `json:"digest,omitempty"`
+	// CostNS is how long the worker took to compute and render the row.
+	// It sizes the job's later batches and never affects a verdict.
+	CostNS int64 `json:"cost_ns,omitempty"`
 }
 
 // packPlanes renders one row's measurement planes in the packed wire
@@ -222,14 +253,18 @@ func unpackPlanes(nCfg int, b []byte) (planes, error) {
 	return p, nil
 }
 
-// completeResponse acknowledges a complete.
+// completeResponse answers a complete row by row, in request order.
 type completeResponse struct {
+	Rows []rowResult `json:"rows"`
+}
+
+// rowResult is one row's verdict.
+type rowResult struct {
 	// Duplicate reports the row was already done when this complete
 	// arrived — the idempotent outcome of a retried complete whose
 	// first delivery's response was lost.
 	Duplicate bool `json:"duplicate,omitempty"`
-	// Requeued reports a not-OK complete released the row for
-	// re-lease.
+	// Requeued reports a not-OK row was released for re-lease.
 	Requeued bool `json:"requeued,omitempty"`
 	// PendingVerify reports the row is in the re-verification sample
 	// and this complete was recorded as a vote: the worker's part is
@@ -239,6 +274,25 @@ type completeResponse struct {
 	// Verified reports this complete settled a re-verified row: two
 	// independent workers agreed on the digest.
 	Verified bool `json:"verified,omitempty"`
+	refusal
+}
+
+// refusal is a refused row's verdict: the status and machine code a
+// call naming that row alone gets (see leaseErrorBody) — 409 for the
+// epoch and term fences, 400 for a bad attestation, 404 for an
+// unknown row, 500 for anything else. Zero when the row's verdict
+// succeeded. err is the same verdict in process.
+type refusal struct {
+	Status int    `json:"status,omitempty"`
+	Code   string `json:"code,omitempty"`
+	Error  string `json:"error,omitempty"`
+	err    error
+}
+
+// refuse records err as a row's refusal.
+func refuse(err error) refusal {
+	status, body := leaseErrorBody(err)
+	return refusal{Status: status, Code: body.Code, Error: body.Error, err: err}
 }
 
 // JobStatus is the coordinator's view of one job's progress.

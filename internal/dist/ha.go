@@ -14,11 +14,13 @@ package dist
 //     cursor. A departed job leaves the standby too, so the replica
 //     holds only the jobs the primary still runs.
 //   - The standby long-polls GET /v1/ha/tail?cursor=N, applies each
-//     message exactly once (fsync before advancing its cursor), and
-//     the next tail request's cursor acknowledges everything before
-//     it. A standby that falls off the log's retained window — or
-//     starts empty — resyncs from GET /v1/ha/snapshot, a full
-//     consistent copy taken under the coordinator lock.
+//     message exactly once — a tail's rows in one append per replica
+//     journal, then its ledger frames in one append, fsynced before
+//     it advances its cursor — and the next tail request's cursor
+//     acknowledges everything before it. A standby that falls off the
+//     log's retained window — or starts empty — resyncs from GET
+//     /v1/ha/snapshot, a full consistent copy taken under the
+//     coordinator lock.
 //   - Synchronous append-before-ack: the lease and complete handlers
 //     wait (bounded) for the attached standby's cursor to pass the
 //     records they appended before answering the worker, so anything
@@ -215,12 +217,18 @@ func newReplLog() *replLog {
 	return rl
 }
 
-// publish appends one message and returns its cursor.
-func (rl *replLog) publish(m replMsg) int64 {
+// publish appends msgs in one step, so a tail returns all of them or
+// none: a batch's messages never reach the standby split.
+func (rl *replLog) publish(msgs ...replMsg) {
+	if len(msgs) == 0 {
+		return
+	}
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	m.Cursor = rl.base + int64(len(rl.msgs))
-	rl.msgs = append(rl.msgs, m)
+	for _, m := range msgs {
+		m.Cursor = rl.base + int64(len(rl.msgs))
+		rl.msgs = append(rl.msgs, m)
+	}
 	// Trim what the standby already has, and bound the backlog: a
 	// standby that needs more than the window resyncs via snapshot.
 	for len(rl.msgs) > 0 && (rl.base < rl.acked || len(rl.msgs) > replBacklog) {
@@ -229,7 +237,6 @@ func (rl *replLog) publish(m replMsg) int64 {
 		rl.base++
 	}
 	rl.cond.Broadcast()
-	return m.Cursor
 }
 
 // latest returns the cursor one past the last published message.
@@ -394,8 +401,8 @@ type Standby struct {
 	jobs     map[string]*Job
 	promoted *Coordinator
 
-	mTerm, mCursor          *obs.Gauge
-	mFailovers, mApplyFails *obs.Counter
+	mTerm, mCursor                                     *obs.Gauge
+	mFailovers, mApplyFails, mLedgerApps, mJournalApps *obs.Counter
 }
 
 // NewStandby opens (or resumes) a standby rooted at dir. Existing
@@ -448,6 +455,8 @@ func NewStandby(dir string, o StandbyOptions) (*Standby, error) {
 	s.mCursor = r.Gauge("dist_repl_applied_cursor", "Replication cursor durably applied by this standby.")
 	s.mFailovers = r.Counter("dist_ha_failovers_total", "Standby promotions performed by this process.")
 	s.mApplyFails = r.Counter("dist_repl_apply_failures_total", "Answered tails and snapshots this standby could not apply.")
+	s.mLedgerApps = r.Counter("dist_standby_ledger_appends_total", "Replica-ledger appends, each one write and one fsync of one or more frames.")
+	s.mJournalApps = r.Counter("dist_standby_journal_appends_total", "Replica-journal appends, each one write and one fsync of one or more rows.")
 	s.mTerm.Set(float64(s.term))
 	return s, nil
 }
@@ -552,7 +561,9 @@ func (s *Standby) Run(ctx context.Context) (*Coordinator, error) {
 			s.o.Logf("dist standby %s: primary silent for %v — promoting", s.o.ID, quiet)
 			return s.Promote()
 		}
-		if err != nil || !synced {
+		// Only a failure waits: the primary's barriers wait for a standby
+		// only while it tails, so a fresh sync goes straight to tailing.
+		if err != nil {
 			if !sleepCtx(ctx, s.o.PollEvery) {
 				return nil, nil
 			}
@@ -578,7 +589,7 @@ func (s *Standby) syncOnce(ctx context.Context) error {
 		return fmt.Errorf("dist: snapshot: %s answered %d", s.o.Primary, resp.StatusCode)
 	}
 	var snap haSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := readJSON(resp.Body, resp.ContentLength, &snap); err != nil {
 		return fmt.Errorf("dist: decoding snapshot: %w", err)
 	}
 	s.mu.Lock()
@@ -642,10 +653,14 @@ func (s *Standby) applySnapshotLocked(snap haSnapshot) error {
 			return err
 		}
 	}
+	var st staged
 	for i := range snap.Rows {
-		if err := s.applyRowLocked(&snap.Rows[i]); err != nil {
+		if err := s.stageRowLocked(&st, &snap.Rows[i]); err != nil {
 			return err
 		}
+	}
+	if err := s.flushLocked(&st); err != nil {
+		return err
 	}
 	s.cursor = snap.Cursor
 	s.synced = true
@@ -694,7 +709,7 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 		return fmt.Errorf("dist: tail: %s answered %d", s.o.Primary, resp.StatusCode)
 	}
 	var tr tailResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+	if err := readJSON(resp.Body, resp.ContentLength, &tr); err != nil {
 		return fmt.Errorf("dist: decoding tail: %w", err)
 	}
 	s.mu.Lock()
@@ -706,45 +721,80 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 	// the standby fall behind.
 	s.touchLocked()
 	defer func() { s.mCursor.Set(float64(s.cursor)) }()
+	var st staged
+	next := s.cursor
+	var applyErr error
 	for i := range tr.Msgs {
 		m := &tr.Msgs[i]
-		if m.Cursor < s.cursor {
+		if m.Cursor < next {
 			continue // retried delivery of something already applied
 		}
-		if m.Cursor > s.cursor {
+		if m.Cursor > next {
 			s.synced = false // a gap: resync
-			return nil
+			break
 		}
-		if err := s.applyMsgLocked(m); err != nil {
-			s.mApplyFails.Inc()
-			return err
+		if applyErr = s.stageLocked(&st, m); applyErr != nil {
+			break
 		}
-		s.cursor++
+		next++
 	}
-	return nil
+	if err := s.flushLocked(&st); err != nil {
+		// A replica file may hold part of what was staged: rebuild them
+		// all from a snapshot rather than append it twice.
+		s.synced = false
+		s.mApplyFails.Inc()
+		return err
+	}
+	s.cursor = next
+	if applyErr != nil {
+		s.mApplyFails.Inc()
+	}
+	return applyErr
 }
 
 func (s *Standby) touchLocked() { s.lastContact = s.now() }
 
-// applyMsgLocked applies one replication message, fsync before the
-// cursor advance that acknowledges it.
-func (s *Standby) applyMsgLocked(m *replMsg) error {
+// staged is what a tail (or a snapshot) stages for the disk: each
+// replica journal's rendered rows and the ledger's frames, in stream
+// order, and the highest term a frame asserts. bytes counts the staged
+// rows' records; failed is a flush that failed part way, after which a
+// replica file may hold part of it.
+type staged struct {
+	jobs   []*Job
+	rows   map[*Job][]sweep.RowRecord
+	bytes  int
+	frames []byte
+	term   uint64
+	failed error
+}
+
+// maxStagedBytes bounds the rendered rows a standby holds before it
+// flushes: a tail normally carries a batch or two, which land in one
+// append per file, but a standby that fell behind can be handed
+// thousands of messages in one tail, and holding all their records
+// (and the one write that joins them) would grow its heap with the lag.
+const maxStagedBytes = 1 << 20
+
+// stageLocked applies one replication message. Rows and ledger frames
+// are staged for flushLocked; a job's registration or departure first
+// flushes what is staged, then lands at once. Caller holds s.mu.
+func (s *Standby) stageLocked(st *staged, m *replMsg) error {
 	switch m.Kind {
 	case "rec":
 		rec, _, ok := parseLedgerRecord(m.Frame, 0)
 		if !ok {
 			return fmt.Errorf("dist: replicated ledger frame failed its checksum")
 		}
-		if err := s.led.Append(m.Frame); err != nil {
-			return fmt.Errorf("dist: appending ledger record: %w", err)
-		}
-		if rec.Kind == "term" && rec.Term > s.term {
-			s.term = rec.Term
-			s.mTerm.Set(float64(s.term))
+		st.frames = append(st.frames, m.Frame...)
+		if rec.Kind == "term" && rec.Term > st.term {
+			st.term = rec.Term
 		}
 	case "job":
 		if m.Job == nil {
 			return fmt.Errorf("dist: job message without a spec")
+		}
+		if err := s.flushLocked(st); err != nil {
+			return err
 		}
 		if err := durable.WriteFile(s.specPath(m.Job.Name), durable.Bytes(mustJSON(*m.Job))); err != nil {
 			return err
@@ -754,8 +804,11 @@ func (s *Standby) applyMsgLocked(m *replMsg) error {
 		if m.Row == nil {
 			return fmt.Errorf("dist: row message without planes")
 		}
-		return s.applyRowLocked(m.Row)
+		return s.stageRowLocked(st, m.Row)
 	case "left":
+		if err := s.flushLocked(st); err != nil {
+			return err
+		}
 		return s.forgetJobLocked(m.Left)
 	default:
 		return fmt.Errorf("dist: unknown replication message kind %q", m.Kind)
@@ -763,11 +816,11 @@ func (s *Standby) applyMsgLocked(m *replMsg) error {
 	return nil
 }
 
-// applyRowLocked validates one completed row's packed planes with the
-// checks the primary applied to the worker's complete, renders the
-// row's journal record — the bytes the primary journaled — and
-// appends it to the replica journal.
-func (s *Standby) applyRowLocked(rp *RowPlanes) error {
+// stageRowLocked validates one completed row's packed planes with the
+// checks the primary applied to the worker's complete and renders the
+// row's journal record — the bytes the primary journaled — for its
+// replica journal. Caller holds s.mu.
+func (s *Standby) stageRowLocked(st *staged, rp *RowPlanes) error {
 	j := s.jobs[rp.Job]
 	if j == nil {
 		return fmt.Errorf("dist: row planes for unreplicated job %s", rp.Job)
@@ -784,7 +837,47 @@ func (s *Standby) applyRowLocked(rp *RowPlanes) error {
 	if err != nil {
 		return err
 	}
-	return j.Journal.AppendRecord(rec)
+	if st.rows == nil {
+		st.rows = map[*Job][]sweep.RowRecord{}
+	}
+	if _, ok := st.rows[j]; !ok {
+		st.jobs = append(st.jobs, j)
+	}
+	st.rows[j] = append(st.rows[j], rec)
+	if st.bytes += rec.Len(); st.bytes >= maxStagedBytes {
+		return s.flushLocked(st)
+	}
+	return nil
+}
+
+// flushLocked lands what is staged, fsync before the cursor advance
+// that acknowledges it: each replica journal's rows in one append, then
+// the ledger frames in one append — journal before ledger, as on the
+// primary. Once a flush fails it keeps failing. Caller holds s.mu.
+func (s *Standby) flushLocked(st *staged) error {
+	if st.failed != nil {
+		return st.failed
+	}
+	for _, j := range st.jobs {
+		if err := j.Journal.AppendRecord(st.rows[j]...); err != nil {
+			st.failed = err
+			return err
+		}
+		s.mJournalApps.Inc()
+	}
+	if len(st.frames) > 0 {
+		if err := s.led.Append(st.frames); err != nil {
+			st.failed = fmt.Errorf("dist: appending ledger record: %w", err)
+			return st.failed
+		}
+		s.mLedgerApps.Inc()
+	}
+	if st.term > s.term {
+		s.term = st.term
+		s.mTerm.Set(float64(s.term))
+	}
+	*st = staged{}
+	return nil
 }
 
 // Status reports this standby's probe view.

@@ -92,14 +92,14 @@ func TestReplicaLedgerByteIdentical(t *testing.T) {
 	}
 	syncStandby(t, s)
 	for i := 0; i < 2; i++ {
-		l, err := c.acquire(acq("w1"))
+		l, err := first(c.acquire(acq("w1")))
 		if err != nil || l == nil {
 			t.Fatalf("acquire %d: %+v %v", i, l, err)
 		}
 		if l.Term != 1 {
 			t.Fatalf("fresh coordinator should grant term 1, got %d", l.Term)
 		}
-		if _, err := c.complete(okComplete(t, l, "w1")); err != nil {
+		if _, err := one(c.complete(okComplete(t, l, "w1"))); err != nil {
 			t.Fatalf("complete %d: %v", i, err)
 		}
 	}
@@ -160,11 +160,11 @@ func TestStandbyForgetsRetiredJob(t *testing.T) {
 	defer cancel()
 	done := runInBackground(t, ctx, c, job)
 	syncStandby(t, s)
-	l, err := c.acquire(acq("w1"))
+	l, err := first(c.acquire(acq("w1")))
 	if err != nil || l == nil {
 		t.Fatalf("acquire: %+v %v", l, err)
 	}
-	if _, err := c.complete(okComplete(t, l, "w1")); err != nil {
+	if _, err := one(c.complete(okComplete(t, l, "w1"))); err != nil {
 		t.Fatal(err)
 	}
 	drainTail(t, s, c)
@@ -196,7 +196,7 @@ func TestStandbyForgetsRetiredJob(t *testing.T) {
 	if st, ok := c2.Status("j"); ok {
 		t.Fatalf("the promoted standby re-registered the retired job: %+v", st)
 	}
-	if l, err := c2.acquire(acq("w2")); err != nil || l != nil {
+	if l, err := first(c2.acquire(acq("w2"))); err != nil || l != nil {
 		t.Fatalf("the promoted standby granted %+v (%v) after the job left", l, err)
 	}
 }
@@ -213,11 +213,11 @@ func TestStandbyReplicaHoldsResumedRows(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := runInBackground(t, ctx, c, job)
 	syncStandby(t, s)
-	l, err := c.acquire(acq("w1"))
+	l, err := first(c.acquire(acq("w1")))
 	if err != nil || l == nil {
 		t.Fatalf("acquire: %+v %v", l, err)
 	}
-	if _, err := c.complete(okComplete(t, l, "w1")); err != nil {
+	if _, err := one(c.complete(okComplete(t, l, "w1"))); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
@@ -307,7 +307,7 @@ func TestPromotionMidGrantKeepsLeaseLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
-	l, err := c.acquire(acq("w1"))
+	l, err := first(c.acquire(acq("w1")))
 	if err != nil || l == nil {
 		t.Fatalf("acquire: %+v %v", l, err)
 	}
@@ -322,7 +322,7 @@ func TestPromotionMidGrantKeepsLeaseLive(t *testing.T) {
 	if c2.Term() != 2 {
 		t.Fatalf("promoted coordinator should assert term 2, got %d", c2.Term())
 	}
-	resp, err := c2.complete(okComplete(t, l, "w1"))
+	resp, err := one(c2.complete(okComplete(t, l, "w1")))
 	if err != nil || resp.Duplicate {
 		t.Fatalf("old-term lease should complete on the new primary: %+v %v", resp, err)
 	}
@@ -354,12 +354,12 @@ func TestPromotionAfterUnackedComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
-	l, err := c.acquire(acq("w1"))
+	l, err := first(c.acquire(acq("w1")))
 	if err != nil || l == nil {
 		t.Fatalf("acquire: %+v %v", l, err)
 	}
 	req := okComplete(t, l, "w1")
-	if resp, err := c.complete(req); err != nil || resp.Duplicate {
+	if resp, err := one(c.complete(req)); err != nil || resp.Duplicate {
 		t.Fatalf("primary complete: %+v %v", resp, err)
 	}
 	drainTail(t, s, c)
@@ -370,7 +370,7 @@ func TestPromotionAfterUnackedComplete(t *testing.T) {
 		t.Fatalf("promote: %v", err)
 	}
 	defer c2.Close()
-	resp, err := c2.complete(req)
+	resp, err := one(c2.complete(req))
 	if err != nil || !resp.Duplicate {
 		t.Fatalf("retried complete after failover should be a duplicate ack: %+v %v", resp, err)
 	}
@@ -391,11 +391,11 @@ func TestPromotionDuringVerifyRevote(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
-	l1, err := c.acquire(acq("w1"))
+	l1, err := first(c.acquire(acq("w1")))
 	if err != nil || l1 == nil {
 		t.Fatalf("acquire: %+v %v", l1, err)
 	}
-	if resp, err := c.complete(okComplete(t, l1, "w1")); err != nil || !resp.PendingVerify {
+	if resp, err := one(c.complete(okComplete(t, l1, "w1"))); err != nil || !resp.PendingVerify {
 		t.Fatalf("sampled complete should be held pending: %+v %v", resp, err)
 	}
 	drainTail(t, s, c)
@@ -412,14 +412,14 @@ func TestPromotionDuringVerifyRevote(t *testing.T) {
 	clk.advance(1100 * time.Millisecond)
 	// The voter is still blocked from verifying itself on the new
 	// primary — the pending vote replicated with the ledger.
-	if l, err := c2.acquire(acq("w1")); err != nil || l != nil {
+	if l, err := first(c2.acquire(acq("w1"))); err != nil || l != nil {
 		t.Fatalf("voter must not verify itself after failover: %+v %v", l, err)
 	}
-	l2, err := c2.acquire(acq("w2"))
+	l2, err := first(c2.acquire(acq("w2")))
 	if err != nil || l2 == nil || l2.Row != l1.Row {
 		t.Fatalf("independent worker should get the pending row: %+v %v", l2, err)
 	}
-	resp, err := c2.complete(okComplete(t, l2, "w2"))
+	resp, err := one(c2.complete(okComplete(t, l2, "w2")))
 	if err != nil || !resp.Verified {
 		t.Fatalf("agreeing revote should settle verified on the new primary: %+v %v", resp, err)
 	}
@@ -447,25 +447,27 @@ func TestStaleTermCompleteFenced(t *testing.T) {
 	}
 	defer c2.Close()
 
-	l, err := c2.acquire(acq("w1"))
+	l, err := first(c2.acquire(acq("w1")))
 	if err != nil || l == nil || l.Term != 2 {
 		t.Fatalf("post-failover grant should carry term 2: %+v %v", l, err)
 	}
 	req := okComplete(t, l, "w1")
-	req.Term = 1
-	if _, err := c2.complete(req); !errors.Is(err, errStaleTerm) {
+	req.Rows[0].Term = 1
+	if _, err := one(c2.complete(req)); !errors.Is(err, errStaleTerm) {
 		t.Fatalf("old-term complete on a new-term grant should fence, got %v", err)
 	}
 
 	srv2 := httptest.NewServer(c2.Handler())
 	defer srv2.Close()
-	status, eb := postJSON(t, srv2.URL+"/v1/dist/complete", req)
-	if status != http.StatusConflict || eb.Code != "stale-term" {
-		t.Fatalf("HTTP stale-term fence should be 409/stale-term, got %d/%q", status, eb.Code)
+	var resp completeResponse
+	status := postRows(t, srv2.URL+"/v1/dist/complete", req, &resp)
+	if status != http.StatusOK || len(resp.Rows) != 1 || resp.Rows[0].Status != http.StatusConflict ||
+		resp.Rows[0].Code != "stale-term" {
+		t.Fatalf("HTTP stale-term fence should answer its row 409/stale-term, got %d %+v", status, resp.Rows)
 	}
 	// The honest retry with the granted term still lands.
-	req.Term = l.Term
-	if resp, err := c2.complete(req); err != nil || resp.Duplicate {
+	req.Rows[0].Term = l.Term
+	if resp, err := one(c2.complete(req)); err != nil || resp.Duplicate {
 		t.Fatalf("correct-term complete should land: %+v %v", resp, err)
 	}
 }
@@ -502,7 +504,7 @@ func TestDeposedByPeerProbe(t *testing.T) {
 	default:
 		t.Fatal("Deposed() should be closed after stepping down")
 	}
-	if _, err := c.acquire(acq("w9")); !errors.Is(err, ErrDeposed) {
+	if _, err := first(c.acquire(acq("w9"))); !errors.Is(err, ErrDeposed) {
 		t.Fatalf("deposed acquire should refuse: %v", err)
 	}
 	status, eb := postJSON(t, srv.URL+"/v1/dist/lease", acq("w9"))
@@ -532,7 +534,7 @@ func TestDeposedByWorkerCarriedTerm(t *testing.T) {
 	}
 	req := acq("w1")
 	req.Term = 7
-	if _, err := c.acquire(req); !errors.Is(err, ErrDeposed) {
+	if _, err := first(c.acquire(req)); !errors.Is(err, ErrDeposed) {
 		t.Fatalf("worker-carried newer term should depose, got %v", err)
 	}
 	select {
@@ -664,11 +666,11 @@ func TestStandbyRestartResyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
-	l, err := c.acquire(acq("w1"))
+	l, err := first(c.acquire(acq("w1")))
 	if err != nil || l == nil {
 		t.Fatalf("acquire: %+v %v", l, err)
 	}
-	if _, err := c.complete(okComplete(t, l, "w1")); err != nil {
+	if _, err := one(c.complete(okComplete(t, l, "w1"))); err != nil {
 		t.Fatal(err)
 	}
 	drainTail(t, s, c)
@@ -678,11 +680,11 @@ func TestStandbyRestartResyncs(t *testing.T) {
 	}
 
 	// More work lands while the standby is down.
-	l2, err := c.acquire(acq("w1"))
+	l2, err := first(c.acquire(acq("w1")))
 	if err != nil || l2 == nil {
 		t.Fatalf("acquire while standby down: %+v %v", l2, err)
 	}
-	if _, err := c.complete(okComplete(t, l2, "w1")); err != nil {
+	if _, err := one(c.complete(okComplete(t, l2, "w1"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -755,18 +757,18 @@ func TestStandbyRefusesBadPlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
-	l, err := c.acquire(acq("w1"))
+	l, err := first(c.acquire(acq("w1")))
 	if err != nil || l == nil {
 		t.Fatalf("acquire: %+v %v", l, err)
 	}
 	valid := okComplete(t, l, "w1")
-	if _, err := c.complete(valid); err != nil {
+	if _, err := one(c.complete(valid)); err != nil {
 		t.Fatal(err)
 	}
 	drainTail(t, s, c)
 	journal := s.journalPath("j")
 	other := 1 - l.Row
-	for _, tc := range badPlanes(valid.Planes, job.Space.Size()) {
+	for _, tc := range badPlanes(valid.Rows[0].Planes, job.Space.Size()) {
 		syncStandby(t, s) // re-base past the previous case's refused message
 		before, err := os.ReadFile(journal)
 		if err != nil {

@@ -27,7 +27,13 @@ import (
 // independent re-execution can expose the lie.
 func tamperedComplete(t *testing.T, l *Lease, worker string) completeRequest {
 	t.Helper()
-	req := okComplete(t, l, worker)
+	return completeRequest{Worker: worker, Rows: []rowComplete{tamperedRow(t, l)}}
+}
+
+// tamperedRow is tamperedComplete's one row.
+func tamperedRow(t *testing.T, l *Lease) rowComplete {
+	t.Helper()
+	req := okRow(t, l)
 	k, err := l.DecodeKernel()
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +84,12 @@ func TestVersionHandshakeFencesOverHTTP(t *testing.T) {
 	if status != http.StatusConflict || eb.Code != "version-mismatch" {
 		t.Fatalf("pre-attestation acquire: status %d code %q, want 409 version-mismatch", status, eb.Code)
 	}
+	// The previous protocol, which leased one row per call: fenced
+	// before it can misread a batch.
+	status, eb = post(acquireRequest{Worker: "v4", Proto: "gpuscale-dist/4", Fingerprint: EngineFingerprint()})
+	if status != http.StatusConflict || eb.Code != "version-mismatch" {
+		t.Fatalf("gpuscale-dist/4 acquire: status %d code %q, want 409 version-mismatch", status, eb.Code)
+	}
 	// Right protocol, wrong engine fingerprint (a stale build).
 	status, eb = post(acquireRequest{Worker: "stale", Proto: ProtoVersion, Fingerprint: "deadbeef"})
 	if status != http.StatusConflict || eb.Code != "version-mismatch" {
@@ -88,12 +100,12 @@ func TestVersionHandshakeFencesOverHTTP(t *testing.T) {
 	}
 	// A fenced worker never consumed lease state: a healthy handshake
 	// still gets the first grant at epoch 1.
-	l, err := c.acquire(acq("healthy"))
+	l, err := first(c.acquire(acq("healthy")))
 	if err != nil || l == nil || l.Epoch != 1 {
 		t.Fatalf("healthy acquire after fences: %+v %v", l, err)
 	}
 	// In-process surface agrees with the HTTP one.
-	if _, err := c.acquire(acquireRequest{Worker: "old"}); !errors.Is(err, errVersionMismatch) {
+	if _, err := first(c.acquire(acquireRequest{Worker: "old"})); !errors.Is(err, errVersionMismatch) {
 		t.Fatalf("direct acquire with bad handshake: %v", err)
 	}
 }
@@ -108,11 +120,11 @@ func TestBadAttestationRejected(t *testing.T) {
 	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
 		t.Fatal(err)
 	}
-	l, _ := c.acquire(acq("w1"))
+	l, _ := first(c.acquire(acq("w1")))
 
 	req := okComplete(t, l, "w1")
-	req.Digest = "0000000000000000"
-	if _, err := c.complete(req); !errors.Is(err, errBadAttest) {
+	req.Rows[0].Digest = "0000000000000000"
+	if _, err := one(c.complete(req)); !errors.Is(err, errBadAttest) {
 		t.Fatalf("mismatched digest should be rejected as bad attestation, got %v", err)
 	}
 	st, _ := c.Status("j")
@@ -120,7 +132,7 @@ func TestBadAttestationRejected(t *testing.T) {
 		t.Fatalf("rejected attestation must not mark the row done: %+v", st)
 	}
 	// The same worker retrying with a truthful attestation lands.
-	if resp, err := c.complete(okComplete(t, l, "w1")); err != nil || resp.Duplicate {
+	if resp, err := one(c.complete(okComplete(t, l, "w1"))); err != nil || resp.Duplicate {
 		t.Fatalf("honest complete after rejected attestation: %+v %v", resp, err)
 	}
 }
@@ -140,8 +152,8 @@ func TestSampledRowSettlesByIndependentAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l1, _ := c.acquire(acq("w1"))
-	resp, err := c.complete(okComplete(t, l1, "w1"))
+	l1, _ := first(c.acquire(acq("w1")))
+	resp, err := one(c.complete(okComplete(t, l1, "w1")))
 	if err != nil || !resp.PendingVerify || resp.Verified {
 		t.Fatalf("sampled first complete should be held pending: %+v %v", resp, err)
 	}
@@ -150,15 +162,15 @@ func TestSampledRowSettlesByIndependentAgreement(t *testing.T) {
 		t.Fatalf("pending row should count as verifying: %+v", st)
 	}
 	// The voter cannot verify itself while the grace window is open.
-	if l, err := c.acquire(acq("w1")); err != nil || l != nil {
+	if l, err := first(c.acquire(acq("w1"))); err != nil || l != nil {
 		t.Fatalf("voter re-acquiring its own pending row: %+v %v", l, err)
 	}
 	// An independent worker can, and its agreement settles the row.
-	l2, err := c.acquire(acq("w2"))
+	l2, err := first(c.acquire(acq("w2")))
 	if err != nil || l2 == nil || l2.Row != l1.Row {
 		t.Fatalf("independent worker should get the pending row: %+v %v", l2, err)
 	}
-	resp, err = c.complete(okComplete(t, l2, "w2"))
+	resp, err = one(c.complete(okComplete(t, l2, "w2")))
 	if err != nil || !resp.Verified || resp.PendingVerify {
 		t.Fatalf("agreeing second complete should settle verified: %+v %v", resp, err)
 	}
@@ -197,19 +209,19 @@ func TestSingleWorkerGraceSettlesUnverified(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l1, _ := c.acquire(acq("solo"))
-	if resp, err := c.complete(okComplete(t, l1, "solo")); err != nil || !resp.PendingVerify {
+	l1, _ := first(c.acquire(acq("solo")))
+	if resp, err := one(c.complete(okComplete(t, l1, "solo"))); err != nil || !resp.PendingVerify {
 		t.Fatalf("first complete should be held: %+v %v", resp, err)
 	}
-	if l, _ := c.acquire(acq("solo")); l != nil {
+	if l, _ := first(c.acquire(acq("solo"))); l != nil {
 		t.Fatal("grace window still open: solo must not re-acquire yet")
 	}
 	clk.advance(2 * time.Second)
-	l2, err := c.acquire(acq("solo"))
+	l2, err := first(c.acquire(acq("solo")))
 	if err != nil || l2 == nil {
 		t.Fatalf("grace elapsed: solo should re-acquire, got %+v %v", l2, err)
 	}
-	resp, err := c.complete(okComplete(t, l2, "solo"))
+	resp, err := one(c.complete(okComplete(t, l2, "solo")))
 	if err != nil || resp.Verified || resp.PendingVerify {
 		t.Fatalf("grace revote should settle unverified: %+v %v", resp, err)
 	}
@@ -240,31 +252,31 @@ func TestDissentStrikesAndQuarantines(t *testing.T) {
 
 	// The liar votes a tampered digest on row 0, then takes (and holds)
 	// a live lease on row 1.
-	lr0, _ := c.acquire(acq("liar"))
-	if resp, err := c.complete(tamperedComplete(t, lr0, "liar")); err != nil || !resp.PendingVerify {
+	lr0, _ := first(c.acquire(acq("liar")))
+	if resp, err := one(c.complete(tamperedComplete(t, lr0, "liar"))); err != nil || !resp.PendingVerify {
 		t.Fatalf("tampered vote should be held pending: %+v %v", resp, err)
 	}
-	lr1, err := c.acquire(acq("liar"))
+	lr1, err := first(c.acquire(acq("liar")))
 	if err != nil || lr1 == nil || lr1.Row == lr0.Row {
 		t.Fatalf("liar should lease the other row: %+v %v", lr1, err)
 	}
 
 	// First honest worker dissents from the liar; no agreement yet.
-	h1r0, _ := c.acquire(acq("h1"))
+	h1r0, _ := first(c.acquire(acq("h1")))
 	if h1r0 == nil || h1r0.Row != lr0.Row {
 		t.Fatalf("h1 should get the pending row, got %+v", h1r0)
 	}
-	if resp, err := c.complete(okComplete(t, h1r0, "h1")); err != nil || !resp.PendingVerify {
+	if resp, err := one(c.complete(okComplete(t, h1r0, "h1"))); err != nil || !resp.PendingVerify {
 		t.Fatalf("lone honest dissent should stay pending: %+v %v", resp, err)
 	}
 	// Second honest worker agrees with h1: the row settles verified and
 	// the liar's dissenting vote is a proven lie — one strike, and the
 	// first proven lie quarantines.
-	h2r0, _ := c.acquire(acq("h2"))
+	h2r0, _ := first(c.acquire(acq("h2")))
 	if h2r0 == nil || h2r0.Row != lr0.Row {
 		t.Fatalf("h2 should get the pending row, got %+v", h2r0)
 	}
-	resp, err := c.complete(okComplete(t, h2r0, "h2"))
+	resp, err := one(c.complete(okComplete(t, h2r0, "h2")))
 	if err != nil || !resp.Verified {
 		t.Fatalf("two agreeing honest workers should settle verified: %+v %v", resp, err)
 	}
@@ -276,30 +288,30 @@ func TestDissentStrikesAndQuarantines(t *testing.T) {
 		t.Fatalf("OnQuarantine hook saw %v", quarantined)
 	}
 	// Every surface rejects the quarantined worker.
-	if _, err := c.acquire(acq("liar")); !errors.Is(err, errQuarantined) {
+	if _, err := first(c.acquire(acq("liar"))); !errors.Is(err, errQuarantined) {
 		t.Fatalf("quarantined acquire: %v", err)
 	}
-	if _, err := c.renew(renewRequest{Job: "j", Row: lr1.Row, Epoch: lr1.Epoch, Worker: "liar"}); !errors.Is(err, errQuarantined) {
+	if _, err := renewOne(c, lr1.ref(), "liar"); !errors.Is(err, errQuarantined) {
 		t.Fatalf("quarantined renew: %v", err)
 	}
-	if _, err := c.complete(okComplete(t, lr1, "liar")); !errors.Is(err, errQuarantined) {
+	if _, err := one(c.complete(okComplete(t, lr1, "liar"))); !errors.Is(err, errQuarantined) {
 		t.Fatalf("quarantined complete: %v", err)
 	}
 
 	// The liar's live lease on row 1 was revoked at quarantine: an
 	// honest worker gets it immediately, without waiting out the TTL.
-	h1r1, err := c.acquire(acq("h1"))
+	h1r1, err := first(c.acquire(acq("h1")))
 	if err != nil || h1r1 == nil || h1r1.Row != lr1.Row {
 		t.Fatalf("revoked lease should re-grant immediately: %+v %v", h1r1, err)
 	}
-	if resp, err := c.complete(okComplete(t, h1r1, "h1")); err != nil || !resp.PendingVerify {
+	if resp, err := one(c.complete(okComplete(t, h1r1, "h1"))); err != nil || !resp.PendingVerify {
 		t.Fatalf("row 1 first honest vote: %+v %v", resp, err)
 	}
-	h2r1, _ := c.acquire(acq("h2"))
+	h2r1, _ := first(c.acquire(acq("h2")))
 	if h2r1 == nil || h2r1.Row != lr1.Row {
 		t.Fatalf("h2 should get row 1, got %+v", h2r1)
 	}
-	if resp, err := c.complete(okComplete(t, h2r1, "h2")); err != nil || !resp.Verified {
+	if resp, err := one(c.complete(okComplete(t, h2r1, "h2"))); err != nil || !resp.Verified {
 		t.Fatalf("row 1 settlement: %+v %v", resp, err)
 	}
 
@@ -350,31 +362,31 @@ func TestQuarantineInvalidatesUnverifiedRows(t *testing.T) {
 
 	// Row 0 (unsampled): the tampered complete is accepted on the
 	// liar's word alone.
-	lr0, _ := c.acquire(acq("liar"))
+	lr0, _ := first(c.acquire(acq("liar")))
 	if lr0.Row != 0 {
 		t.Fatalf("expected row 0 first, got %d", lr0.Row)
 	}
-	if resp, err := c.complete(tamperedComplete(t, lr0, "liar")); err != nil || resp.Verified || resp.PendingVerify {
+	if resp, err := one(c.complete(tamperedComplete(t, lr0, "liar"))); err != nil || resp.Verified || resp.PendingVerify {
 		t.Fatalf("unsampled tampered complete should be accepted unverified: %+v %v", resp, err)
 	}
 	// Row 1 (sampled): the lie goes to a vote and loses to two honest
 	// workers — quarantine, which retracts row 0.
-	lr1, _ := c.acquire(acq("liar"))
-	if resp, err := c.complete(tamperedComplete(t, lr1, "liar")); err != nil || !resp.PendingVerify {
+	lr1, _ := first(c.acquire(acq("liar")))
+	if resp, err := one(c.complete(tamperedComplete(t, lr1, "liar"))); err != nil || !resp.PendingVerify {
 		t.Fatalf("sampled tampered complete should be held: %+v %v", resp, err)
 	}
-	h1r1, _ := c.acquire(acq("h1"))
+	h1r1, _ := first(c.acquire(acq("h1")))
 	if h1r1 == nil || h1r1.Row != 1 {
 		t.Fatalf("h1 should get row 1, got %+v", h1r1)
 	}
-	if _, err := c.complete(okComplete(t, h1r1, "h1")); err != nil {
+	if _, err := one(c.complete(okComplete(t, h1r1, "h1"))); err != nil {
 		t.Fatal(err)
 	}
-	h2r1, _ := c.acquire(acq("h2"))
+	h2r1, _ := first(c.acquire(acq("h2")))
 	if h2r1 == nil || h2r1.Row != 1 {
 		t.Fatalf("h2 should get row 1, got %+v", h2r1)
 	}
-	if resp, err := c.complete(okComplete(t, h2r1, "h2")); err != nil || !resp.Verified {
+	if resp, err := one(c.complete(okComplete(t, h2r1, "h2"))); err != nil || !resp.Verified {
 		t.Fatalf("row 1 settlement: %+v %v", resp, err)
 	}
 
@@ -389,11 +401,11 @@ func TestQuarantineInvalidatesUnverifiedRows(t *testing.T) {
 	// Healthy workers re-execute the retracted row. The liar's seeded
 	// claim dissents, so settlement still takes two honest voters.
 	for _, w := range []string{"h1", "h2"} {
-		l, err := c.acquire(acq(w))
+		l, err := first(c.acquire(acq(w)))
 		if err != nil || l == nil || l.Row != 0 {
 			t.Fatalf("%s should get retracted row 0: %+v %v", w, l, err)
 		}
-		if _, err := c.complete(okComplete(t, l, w)); err != nil {
+		if _, err := one(c.complete(okComplete(t, l, w))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -446,22 +458,22 @@ func TestRetractionLeavesDeliveredRowIntact(t *testing.T) {
 	if err := c.AddJob(withJournal(t, c.dir, job)); err != nil {
 		t.Fatal(err)
 	}
-	lr0, _ := c.acquire(acq("liar"))
-	if resp, err := c.complete(tamperedComplete(t, lr0, "liar")); err != nil || lr0.Row != 0 || resp.PendingVerify {
+	lr0, _ := first(c.acquire(acq("liar")))
+	if resp, err := one(c.complete(tamperedComplete(t, lr0, "liar"))); err != nil || lr0.Row != 0 || resp.PendingVerify {
 		t.Fatalf("row 0 should be accepted on the liar's word: %+v %v", resp, err)
 	}
 	if len(row0) != 1 {
 		t.Fatalf("OnRow saw row 0 %d times on its accept, want 1", len(row0))
 	}
-	first := row0[0]
-	want := delivery{slices.Clone(first.tput), slices.Clone(first.timeNS), slices.Clone(first.bound), slices.Clone(first.status)}
+	delivered := row0[0]
+	want := delivery{slices.Clone(delivered.tput), slices.Clone(delivered.timeNS), slices.Clone(delivered.bound), slices.Clone(delivered.status)}
 
 	stop, sum := make(chan struct{}), make(chan float64)
 	go func() {
 		total := 0.0
 		for {
-			for i := range first.tput {
-				total += first.tput[i] + first.timeNS[i] + float64(first.bound[i]) + float64(first.status[i])
+			for i := range delivered.tput {
+				total += delivered.tput[i] + delivered.timeNS[i] + float64(delivered.bound[i]) + float64(delivered.status[i])
 			}
 			select {
 			case <-stop:
@@ -473,16 +485,16 @@ func TestRetractionLeavesDeliveredRowIntact(t *testing.T) {
 	}()
 	// Row 1's lie loses the vote to two honest workers: quarantine,
 	// which retracts row 0.
-	lr1, _ := c.acquire(acq("liar"))
-	if resp, err := c.complete(tamperedComplete(t, lr1, "liar")); err != nil || !resp.PendingVerify {
+	lr1, _ := first(c.acquire(acq("liar")))
+	if resp, err := one(c.complete(tamperedComplete(t, lr1, "liar"))); err != nil || !resp.PendingVerify {
 		t.Fatalf("sampled tampered complete should be held: %+v %v", resp, err)
 	}
 	for _, h := range []string{"h1", "h2"} {
-		l, err := c.acquire(acq(h))
+		l, err := first(c.acquire(acq(h)))
 		if err != nil || l == nil || l.Row != 1 {
 			t.Fatalf("%s should get row 1: %+v %v", h, l, err)
 		}
-		if _, err := c.complete(okComplete(t, l, h)); err != nil {
+		if _, err := one(c.complete(okComplete(t, l, h))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -492,8 +504,8 @@ func TestRetractionLeavesDeliveredRowIntact(t *testing.T) {
 		t.Fatalf("liar should be quarantined, got %v", q)
 	}
 
-	if !slices.Equal(first.tput, want.tput) || !slices.Equal(first.timeNS, want.timeNS) ||
-		!slices.Equal(first.bound, want.bound) || !slices.Equal(first.status, want.status) {
+	if !slices.Equal(delivered.tput, want.tput) || !slices.Equal(delivered.timeNS, want.timeNS) ||
+		!slices.Equal(delivered.bound, want.bound) || !slices.Equal(delivered.status, want.status) {
 		t.Fatal("the retraction wrote into the row an earlier OnRow call delivered")
 	}
 	if len(row0) != 2 {
@@ -528,16 +540,16 @@ func TestReplayedStrikeQuarantines(t *testing.T) {
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
-	lr, _ := c.acquire(acq("liar"))
-	if resp, err := c.complete(tamperedComplete(t, lr, "liar")); err != nil || !resp.PendingVerify {
+	lr, _ := first(c.acquire(acq("liar")))
+	if resp, err := one(c.complete(tamperedComplete(t, lr, "liar"))); err != nil || !resp.PendingVerify {
 		t.Fatalf("tampered vote: %+v %v", resp, err)
 	}
 	for _, h := range []string{"h1", "h2"} {
-		l, err := c.acquire(acq(h))
+		l, err := first(c.acquire(acq(h)))
 		if err != nil || l == nil || l.Row != lr.Row {
 			t.Fatalf("%s should get the liar's row: %+v %v", h, l, err)
 		}
-		if _, err := c.complete(okComplete(t, l, h)); err != nil {
+		if _, err := one(c.complete(okComplete(t, l, h))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -575,10 +587,10 @@ func TestReplayedStrikeQuarantines(t *testing.T) {
 	if err := c.AddJob(reopened(t, dir, job)); err != nil {
 		t.Fatal(err)
 	}
-	if l, err := c.acquire(acq("liar")); !errors.Is(err, errQuarantined) {
+	if l, err := first(c.acquire(acq("liar"))); !errors.Is(err, errQuarantined) {
 		t.Fatalf("a replayed strike should fence the liar: granted %v, error %v", l != nil, err)
 	}
-	if l, err := c.acquire(acq("h3")); err != nil || l == nil || l.Row == lr.Row {
+	if l, err := first(c.acquire(acq("h3"))); err != nil || l == nil || l.Row == lr.Row {
 		t.Fatalf("an honest worker should get the open row: %+v %v", l, err)
 	}
 }
@@ -606,8 +618,8 @@ func TestIntegrityPlaneRecoveredAcrossRestarts(t *testing.T) {
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
-	lr, _ := c.acquire(acq("liar"))
-	if resp, err := c.complete(tamperedComplete(t, lr, "liar")); err != nil || !resp.PendingVerify {
+	lr, _ := first(c.acquire(acq("liar")))
+	if resp, err := one(c.complete(tamperedComplete(t, lr, "liar"))); err != nil || !resp.PendingVerify {
 		t.Fatalf("tampered vote: %+v %v", resp, err)
 	}
 	c.Close()
@@ -625,14 +637,14 @@ func TestIntegrityPlaneRecoveredAcrossRestarts(t *testing.T) {
 	if st, _ := c.Status("j"); st.Verifying != 1 {
 		t.Fatalf("pending vote lost across restart: %+v", st)
 	}
-	if l, _ := c.acquire(acq("liar")); l != nil {
+	if l, _ := first(c.acquire(acq("liar"))); l != nil {
 		t.Fatal("restored voter must stay blocked from its own row")
 	}
-	h1, err := c.acquire(acq("h1"))
+	h1, err := first(c.acquire(acq("h1")))
 	if err != nil || h1 == nil {
 		t.Fatalf("independent worker should get the row: %+v %v", h1, err)
 	}
-	if resp, err := c.complete(okComplete(t, h1, "h1")); err != nil || !resp.PendingVerify {
+	if resp, err := one(c.complete(okComplete(t, h1, "h1"))); err != nil || !resp.PendingVerify {
 		t.Fatalf("honest dissent should stay pending: %+v %v", resp, err)
 	}
 	c.Close()
@@ -646,11 +658,11 @@ func TestIntegrityPlaneRecoveredAcrossRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.advance(1100 * time.Millisecond)
-	h2, err := c.acquire(acq("h2"))
+	h2, err := first(c.acquire(acq("h2")))
 	if err != nil || h2 == nil {
 		t.Fatalf("h2 acquire: %+v %v", h2, err)
 	}
-	if resp, err := c.complete(okComplete(t, h2, "h2")); err != nil || !resp.Verified {
+	if resp, err := one(c.complete(okComplete(t, h2, "h2"))); err != nil || !resp.Verified {
 		t.Fatalf("settlement from restored votes: %+v %v", resp, err)
 	}
 	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
@@ -668,7 +680,7 @@ func TestIntegrityPlaneRecoveredAcrossRestarts(t *testing.T) {
 	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("quarantine lost across restart: %v", q)
 	}
-	if _, err := c.acquire(acq("liar")); !errors.Is(err, errQuarantined) {
+	if _, err := first(c.acquire(acq("liar"))); !errors.Is(err, errQuarantined) {
 		t.Fatalf("restored quarantine should fence acquires: %v", err)
 	}
 	assertMatrixCanonical(t, c, job, want)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gpuscale/internal/fault"
+	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
@@ -40,8 +41,10 @@ type WorkerOptions struct {
 	Retries    int
 	Backoff    time.Duration
 	SimTimeout time.Duration
-	// IdleSleep is the pause after "no work available"; defaults to
-	// 50ms.
+	// IdleSleep is the base of the backoff after an acquire error;
+	// defaults to 50ms. An acquire that finds no work is not an error:
+	// the coordinator holds it until work appears or its long-poll ends,
+	// and the worker asks again at once.
 	IdleSleep time.Duration
 	// Metrics receives worker-side counters, the renewal latency
 	// histogram and the row sweeps' telemetry; nil keeps them in a
@@ -54,9 +57,11 @@ type WorkerOptions struct {
 	// MetricsURL, when set, is advertised on every lease acquire so the
 	// coordinator can federate this worker's /metrics.
 	MetricsURL string
-	// Fault is the chaos seam: CorruptRowRate makes this worker lie
-	// (tamper a computed row before rendering and attesting it, so its
-	// wire payload and digest are consistently wrong), StaleVersion
+	// Fault is the chaos seam: the engine rates (ErrorRate, PanicRate,
+	// LatencyRate with Latency, ...) fault this worker's row sweeps as
+	// they fault a single-node sweep's, CorruptRowRate makes this worker
+	// lie (tamper a computed row before rendering and attesting it, so
+	// its wire payload and digest are consistently wrong), StaleVersion
 	// makes it present that protocol version on acquire. Zero value
 	// injects nothing.
 	Fault fault.Injector
@@ -97,6 +102,11 @@ type Worker struct {
 	// rng drives the full-jitter backoff; only the Run goroutine uses
 	// it.
 	rng *rand.Rand
+	// engines holds each engine's fault-wrapped row engine, so one
+	// cell's fault attempts continue across every row of this worker —
+	// a row the injector failed is not failed the same way again when
+	// the worker is leased it anew. Only the Run goroutine uses it.
+	engines map[sweep.Engine]gcn.RowEngine
 
 	// reg holds the instruments: Options.Metrics, or a private registry.
 	reg          *obs.Registry
@@ -115,7 +125,10 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	if o.IdleSleep <= 0 {
 		o.IdleSleep = 50 * time.Millisecond
 	}
-	w := &Worker{o: o, client: o.Client}
+	if err := o.Fault.Validate(); err != nil {
+		return nil, fmt.Errorf("dist: worker fault model: %w", err)
+	}
+	w := &Worker{o: o, client: o.Client, engines: map[sweep.Engine]gcn.RowEngine{}}
 	// Seed from the worker name so chaos runs replay; distinct names
 	// give distinct jitter streams, which is the whole point.
 	h := fnv.New64a()
@@ -132,11 +145,14 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	w.mLost = w.reg.Counter("dist_worker_leases_lost_total", "Leases this worker lost to fencing (stolen mid-row).")
 	w.hRenew = w.reg.Histogram("dist_worker_renew_seconds", "Lease renewal round-trip latency.",
 		[]float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1})
+	if w.o.Fault.Active() {
+		w.o.Fault.OnDecision = fault.Observe(w.reg, w.o.Sink)
+	}
 	return w, nil
 }
 
-// Run loops until ctx ends: acquire a lease, execute the row, report
-// it. Transport errors — including injected network faults — are
+// Run loops until ctx ends: acquire a lease batch, execute its rows,
+// report them. Transport errors — including injected network faults — are
 // absorbed with a short pause; the protocol's idempotency does the
 // rest. Two rejections are permanent and end the loop instead:
 // ErrVersionFenced (this binary cannot mix rows with that
@@ -149,7 +165,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return nil
 		}
-		lease, err := w.acquire(ctx)
+		leases, err := w.acquire(ctx)
 		if errors.Is(err, ErrVersionFenced) || errors.Is(err, ErrQuarantined) {
 			return err
 		}
@@ -166,13 +182,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		failures = 0
-		if lease == nil {
-			if !sleepCtx(ctx, w.o.IdleSleep) {
-				return nil
-			}
-			continue
+		if len(leases) > 0 {
+			w.runBatch(ctx, leases)
 		}
-		w.runLease(ctx, lease)
 	}
 }
 
@@ -222,17 +234,17 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // acquire asks the coordinator for work, presenting the version
-// handshake (protocol + engine fingerprint). nil lease means none
-// available.
-func (w *Worker) acquire(ctx context.Context) (*Lease, error) {
+// handshake (protocol + engine fingerprint). No leases means none
+// became available within the coordinator's long-poll.
+func (w *Worker) acquire(ctx context.Context) ([]Lease, error) {
 	proto := ProtoVersion
 	if w.o.Fault.StaleVersion != "" {
 		proto = w.o.Fault.StaleVersion
 	}
-	var lease Lease
+	var resp acquireResponse
 	status, code, err := w.post(ctx, "/v1/dist/lease",
 		acquireRequest{Worker: w.o.Name, MetricsURL: w.o.MetricsURL,
-			Proto: proto, Fingerprint: EngineFingerprint(), Term: w.maxTerm}, &lease)
+			Proto: proto, Fingerprint: EngineFingerprint(), Term: w.maxTerm}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -249,66 +261,116 @@ func (w *Worker) acquire(ctx context.Context) (*Lease, error) {
 		// worker, just wrong coordinator — the caller rotates.
 		return nil, fmt.Errorf("dist: lease acquire: status %d (%s)", status, code)
 	}
-	if lease.Term > w.maxTerm {
-		w.maxTerm = lease.Term
+	for _, l := range resp.Leases {
+		w.maxTerm = max(w.maxTerm, l.Term)
 	}
-	return &lease, nil
+	return resp.Leases, nil
 }
 
-// runLease executes one leased row end to end: compute, renew in the
-// background, complete with fencing-aware retries.
-func (w *Worker) runLease(ctx context.Context, lease *Lease) {
-	start := time.Now()
-	rowCtx, cancel := context.WithCancel(ctx)
+// batchRow is one row of a lease batch as the worker runs it: the
+// lease, its trace identity, the row's own context (canceled when its
+// lease is lost mid-row), and what became of it.
+type batchRow struct {
+	lease          *Lease
+	leaseSC, rowSC obs.SpanContext
+	ctx            context.Context
+	cancel         context.CancelFunc
+	// gone marks a row the renew loop learned is no longer this
+	// worker's to finish: fenced, or already done. Its complete would
+	// be refused or a duplicate, so none is sent.
+	gone  atomic.Bool
+	start time.Time
+	dur   time.Duration
+}
+
+// runBatch executes one lease batch end to end: renew the batch's live
+// rows in the background, compute and render its rows one at a time,
+// then report them all in one complete with fencing-aware retries. Each
+// row's span covers only that row's compute and render; one span covers
+// the complete call.
+func (w *Worker) runBatch(ctx context.Context, leases []Lease) {
+	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	// The lease span arrives over the wire; the row span is its child,
-	// so the coordinator's grant and this worker's execution stitch
-	// into one trace even though they live in different processes.
-	leaseSC, _ := obs.ParseTraceparent(lease.Traceparent)
-	var rowSC obs.SpanContext
-	if leaseSC.Valid() {
-		rowSC = leaseSC.Child()
+	rows := make([]batchRow, len(leases))
+	for i := range leases {
+		r := &rows[i]
+		r.lease = &leases[i]
+		// The lease span arrives over the wire; the row span is its
+		// child, so the coordinator's grant and this worker's execution
+		// stitch into one trace even though they live in different
+		// processes.
+		r.leaseSC, _ = obs.ParseTraceparent(r.lease.Traceparent)
+		if r.leaseSC.Valid() {
+			r.rowSC = r.leaseSC.Child()
+		}
+		r.ctx, r.cancel = context.WithCancel(bctx)
+		w.emit("lease.acquired", r.leaseSC, time.Now(), 0, r.lease)
 	}
-	w.emit("lease.acquired", leaseSC, time.Now(), 0, lease)
 
-	// Background renewal at a third of the TTL. A fenced renewal means
-	// the lease was stolen: abandon the row — the thief owns it now.
-	ttl := time.Duration(lease.TTLMillis) * time.Millisecond
+	// Background renewal at a third of the TTL. A fenced row is
+	// abandoned — the thief owns it now.
+	ttl := time.Duration(leases[0].TTLMillis) * time.Millisecond
 	renewDone := make(chan struct{})
 	go func() {
 		defer close(renewDone)
-		w.renewLoop(rowCtx, lease, leaseSC, ttl/3, cancel)
+		w.renewLoop(bctx, rows, ttl/3)
 	}()
 	defer func() { cancel(); <-renewDone }()
 
-	m, r, rec, err := w.executeRow(rowCtx, lease, rowSC)
-	if err != nil {
-		// Row incomplete (canceled, fenced, or engine trouble past the
-		// retry budget): tell the coordinator so the row re-leases
-		// immediately instead of waiting out the TTL. Best-effort — if
-		// this is lost, expiry re-leases it anyway.
-		req := completeRequest{Job: lease.Job, Row: lease.Row, Epoch: lease.Epoch,
-			Term: lease.Term, Worker: w.o.Name, OK: false}
-		var resp completeResponse
-		w.post(ctx, "/v1/dist/complete", req, &resp) //nolint:errcheck // best-effort release
-		w.emit("lease.abandoned", leaseSC, time.Now(), 0, lease, obs.KS("err", err.Error()))
+	req := completeRequest{Worker: w.o.Name}
+	var sent []*batchRow
+	for i := range rows {
+		r := &rows[i]
+		if r.gone.Load() {
+			continue
+		}
+		r.start = time.Now()
+		m, ri, rec, err := w.executeRow(r.ctx, r.lease, r.rowSC)
+		r.dur = time.Since(r.start)
+		r.cancel()
+		if r.gone.Load() {
+			continue
+		}
+		if err != nil {
+			// Row incomplete (canceled, or engine trouble past the retry
+			// budget): report it not-OK so the row re-leases at once
+			// instead of waiting out the TTL.
+			req.Rows = append(req.Rows, rowComplete{rowRef: r.lease.ref()})
+			sent = append(sent, r)
+			w.emit("lease.abandoned", r.leaseSC, time.Now(), 0, r.lease, obs.KS("err", err.Error()))
+			continue
+		}
+		// Attest the row: the digest hashes exactly the record this
+		// worker rendered from the planes it is now shipping, so the
+		// coordinator can hold these planes to this claim.
+		req.Rows = append(req.Rows, rowComplete{rowRef: r.lease.ref(), OK: true,
+			Planes: packPlanes(m.Throughput[ri], m.TimeNS[ri], m.Bound[ri]),
+			Digest: sweep.RecordDigest(rec), CostNS: r.dur.Nanoseconds()})
+		sent = append(sent, r)
+	}
+	if len(req.Rows) == 0 {
 		return
 	}
-
-	// Attest the row: the digest hashes exactly the record this worker
-	// rendered from the planes it is now shipping, so the coordinator
-	// can hold these planes to this claim.
-	req := completeRequest{Job: lease.Job, Row: lease.Row, Epoch: lease.Epoch,
-		Term: lease.Term, Worker: w.o.Name, OK: true,
-		Planes: packPlanes(m.Throughput[r], m.TimeNS[r], m.Bound[r]), Digest: sweep.RecordDigest(rec)}
-	accepted := w.completeWithRetry(ctx, req)
-	if accepted {
-		w.mRows.Inc()
+	start := time.Now()
+	acks := w.completeWithRetry(ctx, req)
+	end := time.Now()
+	accepted := 0
+	for k, r := range sent {
+		if !req.Rows[k].OK {
+			continue
+		}
+		if acks[k] {
+			accepted++
+			w.mRows.Inc()
+		}
+		w.o.Sink.Emit("row", "dist", 0, r.rowSC, r.leaseSC.SpanID, r.start, r.dur,
+			obs.KS("job", r.lease.Job), obs.KN("row", float64(r.lease.Row)), obs.KN("epoch", float64(r.lease.Epoch)),
+			obs.KS("worker", w.o.Name), obs.KB("accepted", acks[k]))
 	}
-	w.o.Sink.Emit("row", "dist", 0, rowSC, leaseSC.SpanID, start, time.Since(start),
-		obs.KS("job", lease.Job), obs.KN("row", float64(lease.Row)), obs.KN("epoch", float64(lease.Epoch)),
-		obs.KS("worker", w.o.Name), obs.KB("accepted", accepted))
+	first := &rows[0]
+	w.o.Sink.Emit("lease.complete", "dist", 0, first.leaseSC.Child(), first.leaseSC.SpanID, start, end.Sub(start),
+		obs.KS("job", first.lease.Job), obs.KS("worker", w.o.Name),
+		obs.KN("rows", float64(len(req.Rows))), obs.KN("accepted", float64(accepted)))
 }
 
 // emit records a lease event under the lease's span: the lease's
@@ -339,6 +401,7 @@ func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanCon
 	opts := sweep.Options{
 		Workers:     w.o.SweepWorkers,
 		Engine:      engine,
+		Row:         w.rowEngine(engine),
 		NoiseStdDev: lease.NoiseStdDev,
 		// The coordinator pre-offset the seed by the global row index;
 		// our local row 0 therefore reproduces the single-node noise
@@ -382,9 +445,26 @@ func tamperRow(m *sweep.Matrix, r int, sub uint64) {
 	m.Throughput[r][c] *= 1 + 1.0/1024
 }
 
-// renewLoop renews the lease every interval until the row context
-// ends; a fenced (409) renewal cancels the row.
-func (w *Worker) renewLoop(ctx context.Context, lease *Lease, leaseSC obs.SpanContext, every time.Duration, cancel context.CancelFunc) {
+// rowEngine is the row engine a sweep of engine runs through: under
+// an active fault model, this worker's one fault-wrapped engine for
+// it; otherwise nil, the engine's own.
+func (w *Worker) rowEngine(engine sweep.Engine) gcn.RowEngine {
+	if !w.o.Fault.Active() {
+		return nil
+	}
+	re, ok := w.engines[engine]
+	if !ok {
+		re = w.o.Fault.WrapRow(engine.Row())
+		w.engines[engine] = re
+	}
+	return re
+}
+
+// renewLoop renews the batch's live rows, in one call, every interval
+// until the batch context ends. A row the coordinator fences is lost:
+// its computation is canceled and it is left out of the complete. A row
+// already done is left alone.
+func (w *Worker) renewLoop(ctx context.Context, rows []batchRow, every time.Duration) {
 	if every <= 0 {
 		every = time.Second
 	}
@@ -396,15 +476,25 @@ func (w *Worker) renewLoop(ctx context.Context, lease *Lease, leaseSC obs.SpanCo
 			return
 		case <-t.C:
 		}
+		req := renewRequest{Worker: w.o.Name}
+		var live []*batchRow
+		for i := range rows {
+			if !rows[i].gone.Load() {
+				live = append(live, &rows[i])
+				req.Rows = append(req.Rows, rows[i].lease.ref())
+			}
+		}
+		if len(live) == 0 {
+			return
+		}
 		start := time.Now()
 		var resp renewResponse
-		status, code, err := w.post(ctx, "/v1/dist/renew",
-			renewRequest{Job: lease.Job, Row: lease.Row, Epoch: lease.Epoch,
-				Term: lease.Term, Worker: w.o.Name}, &resp)
+		status, code, err := w.post(ctx, "/v1/dist/renew", req, &resp)
 		d := time.Since(start)
 		if err == nil {
 			w.hRenew.Observe(d.Seconds())
-			w.emit("renew", leaseSC, start, d, lease, obs.KN("status", float64(status)))
+			w.emit("renew", live[0].leaseSC, start, d, live[0].lease,
+				obs.KN("status", float64(status)), obs.KN("rows", float64(len(live))))
 		}
 		switch {
 		case err != nil:
@@ -415,51 +505,92 @@ func (w *Worker) renewLoop(ctx context.Context, lease *Lease, leaseSC obs.SpanCo
 		case status == http.StatusConflict && code == "deposed",
 			status == http.StatusServiceUnavailable:
 			// The coordinator we renewed against is deposed (or is a
-			// standby): the lease itself may still be live on the new
-			// primary — it recovered our grant, term and epoch from the
+			// standby): the leases themselves may still be live on the new
+			// primary — it recovered our grants, terms and epochs from the
 			// replicated ledger — so rotate and renew there instead of
-			// abandoning the row.
+			// abandoning the rows.
 			w.rotate()
 		case status == http.StatusConflict:
-			w.mLost.Inc()
-			w.emit("lease.lost", leaseSC, time.Now(), 0, lease)
-			cancel()
+			// Quarantined: every row is lost.
+			for _, r := range live {
+				w.lose(r)
+			}
 			return
-		case resp.Done:
-			return
+		case status == http.StatusOK && len(resp.Rows) == len(live):
+			for k, r := range live {
+				switch {
+				case resp.Rows[k].Done:
+					r.gone.Store(true)
+				case resp.Rows[k].Status == http.StatusConflict:
+					w.lose(r)
+				}
+			}
 		}
 	}
 }
 
-// completeWithRetry reports an OK row until the coordinator acks it
-// or fences it. Dropped responses are retried — the server-side
-// duplicate check makes that safe. Every 4xx is a give-up: a 409
-// means the lease was stolen (or this worker was quarantined) and a
-// 400 means the attestation was rejected — resending the identical
-// payload cannot change either verdict.
-func (w *Worker) completeWithRetry(ctx context.Context, req completeRequest) bool {
+// lose abandons a row whose lease was fenced: the thief owns it now.
+func (w *Worker) lose(r *batchRow) {
+	r.gone.Store(true)
+	r.cancel()
+	w.mLost.Inc()
+	w.emit("lease.lost", r.leaseSC, time.Now(), 0, r.lease)
+}
+
+// completeWithRetry reports a batch until the coordinator has given
+// every row a verdict, and reports which rows it acked: accepted,
+// duplicate, requeued or held as a vote. Dropped responses and rows
+// refused with a 5xx are retried — the server-side duplicate check
+// makes that safe. Every 4xx is a give-up for its row, or for the
+// whole batch when the call itself is refused: a 409 means the lease
+// was stolen (or this worker was quarantined) and a 400 means the
+// attestation was rejected — resending the identical payload cannot
+// change either verdict.
+func (w *Worker) completeWithRetry(ctx context.Context, req completeRequest) []bool {
+	acked := make([]bool, len(req.Rows))
+	open := make([]int, len(req.Rows))
+	for i := range open {
+		open[i] = i
+	}
 	backoff := 5 * time.Millisecond
 	for {
+		call := completeRequest{Worker: req.Worker}
+		for _, i := range open {
+			call.Rows = append(call.Rows, req.Rows[i])
+		}
 		var resp completeResponse
-		status, code, err := w.post(ctx, "/v1/dist/complete", req, &resp)
+		status, code, err := w.post(ctx, "/v1/dist/complete", call, &resp)
 		switch {
-		case err == nil && status == http.StatusOK:
-			return true
+		case err == nil && status == http.StatusOK && len(resp.Rows) == len(open):
+			var retry []int
+			for k, i := range open {
+				switch st := resp.Rows[k].Status; {
+				case st == 0:
+					acked[i] = true
+				case st >= http.StatusInternalServerError:
+					retry = append(retry, i)
+				case st == http.StatusConflict:
+					w.mLost.Inc()
+				}
+			}
+			if open = retry; len(open) == 0 {
+				return acked
+			}
 		case err == nil && status == http.StatusConflict && code == "deposed":
-			// The coordinator lost its term mid-row; the promoted one
-			// recovered our grant from the replicated ledger and will
+			// The coordinator lost its term mid-batch; the promoted one
+			// recovered our grants from the replicated ledger and will
 			// accept this complete. Rotate and retry.
 			w.rotate()
 		case err == nil && status == http.StatusConflict:
-			w.mLost.Inc()
-			return false
+			w.mLost.Add(uint64(len(open)))
+			return acked
 		case err == nil && (status == http.StatusNotFound || status == http.StatusBadRequest):
-			return false
+			return acked
 		case err != nil:
 			w.rotate()
 		}
 		if !sleepCtx(ctx, backoff) {
-			return false
+			return acked
 		}
 		if backoff < 100*time.Millisecond {
 			backoff *= 2
@@ -500,7 +631,7 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) (int, str
 		return resp.StatusCode, eb.Code, nil
 	}
 	if out != nil && resp.StatusCode != http.StatusNoContent {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil && resp.StatusCode == http.StatusOK {
+		if err := readJSON(resp.Body, resp.ContentLength, out); err != nil && resp.StatusCode == http.StatusOK {
 			return resp.StatusCode, "", fmt.Errorf("dist: decoding %s response: %w", path, err)
 		}
 	}

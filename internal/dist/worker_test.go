@@ -256,7 +256,7 @@ func TestWorkerRecomputesReleasedRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := w.acquire(context.Background())
+	lease, err := first(w.acquire(context.Background()))
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: %v", err)
 	}

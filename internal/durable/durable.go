@@ -5,7 +5,7 @@
 //
 // where the CRC32 (IEEE) covers the payload bytes only; both append
 // frames to a Log behind their own magic header, one write and one
-// fsync per record; and every other state file is replaced whole with
+// fsync per append of one or more records; and every other state file is replaced whole with
 // WriteFile. What a payload means — its decoding, its validation and
 // what a salvaged tail costs — stays with each format.
 package durable
@@ -26,7 +26,13 @@ import (
 
 // Frame returns payload wrapped in its frame.
 func Frame(payload []byte) []byte {
-	b := fmt.Appendf(make([]byte, 0, len(payload)+20), "%08x %d ", crc32.ChecksumIEEE(payload), len(payload))
+	return AppendFrame(make([]byte, 0, len(payload)+20), payload)
+}
+
+// AppendFrame appends payload's frame to b, so several records can
+// land in one Append.
+func AppendFrame(b, payload []byte) []byte {
+	b = fmt.Appendf(b, "%08x %d ", crc32.ChecksumIEEE(payload), len(payload))
 	b = append(b, payload...)
 	return append(b, '\n')
 }

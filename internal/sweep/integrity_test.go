@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -221,3 +222,94 @@ func TestAppendRecordMatchesAppendRow(t *testing.T) {
 		t.Fatal("an incomplete row rendered a record")
 	}
 }
+
+// TestAppendRecordBatch: several records land in one append whose bytes
+// are the single appends' bytes in order, so a batch's journal reads
+// back exactly as a row-by-row one. A torn batch append acks none of
+// its records and leaves the file at its clean prefix, and a batch
+// holding one record of another space is refused whole before any
+// write.
+func TestAppendRecordBatch(t *testing.T) {
+	space := tinySpace(t)
+	m, rep, err := RunContext(context.Background(), testKernels(), space, journalOpts())
+	if err != nil || !rep.Complete() {
+		t.Fatalf("clean sweep: %v %s", err, rep.Summary())
+	}
+	var recs []RowRecord
+	for r := range m.Kernels {
+		rec, err := EncodeRow(m, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	dir := t.TempDir()
+	one, err := OpenJournal(filepath.Join(dir, "one.journal"), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	for _, rec := range recs {
+		if err := one.AppendRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tear := false
+	torn := fault.Injector{TornWriteRate: 1, Seed: 9}
+	batchPath := filepath.Join(dir, "batch.journal")
+	batch, err := OpenJournalWith(batchPath, space, JournalOptions{WrapWriter: func(w io.Writer) io.Writer {
+		tw := torn.WrapWriter(w)
+		return writerFunc(func(b []byte) (int, error) {
+			if tear {
+				return tw.Write(b)
+			}
+			return w.Write(b)
+		})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batch.Close()
+	clean, err := os.ReadFile(batchPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tear = true
+	if err := batch.AppendRecord(recs...); !errors.Is(err, fault.ErrTornWrite) {
+		t.Fatalf("torn batch append: %v, want ErrTornWrite", err)
+	}
+	tear = false
+	if got, err := os.ReadFile(batchPath); err != nil || !bytes.Equal(got, clean) {
+		t.Fatalf("a torn batch left bytes behind (%v)", err)
+	}
+	short, err := EncodePlanes("short", m.Throughput[0][:2], m.TimeNS[0][:2], m.Bound[0][:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.AppendRecord(recs[0], short); err == nil {
+		t.Fatal("a batch holding a record for another space was journaled")
+	}
+	if got, err := os.ReadFile(batchPath); err != nil || !bytes.Equal(got, clean) {
+		t.Fatalf("a refused batch changed the journal (%v)", err)
+	}
+
+	if err := batch.AppendRecord(recs...); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(filepath.Join(dir, "one.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(batchPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("a batch append wrote different bytes than one append per record")
+	}
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(b []byte) (int, error) { return f(b) }

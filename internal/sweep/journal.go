@@ -456,6 +456,9 @@ type RowRecord struct {
 	payload []byte
 }
 
+// Len is the size of the record's payload in bytes.
+func (r RowRecord) Len() int { return len(r.payload) }
+
 // EncodeRow renders row r of m as its v2 record payload. The row must
 // be complete (all StatusOK) — the only kind of row a journal holds.
 func EncodeRow(m *Matrix, r int) (RowRecord, error) {
@@ -532,20 +535,35 @@ func (j *Journal) AppendRow(m *Matrix, r int) error {
 	return j.AppendRecord(rec)
 }
 
-// AppendRecord frames a rendered row record, appends it and fsyncs it
-// before returning; a failed or torn write is rolled back so the file
-// stays clean. The record must have been rendered for this journal's
-// configuration space. Safe for concurrent use.
-func (j *Journal) AppendRecord(rec RowRecord) error {
-	if rec.payload == nil || rec.cells != j.space.Size() {
-		return fmt.Errorf("sweep: journaling %s: record holds %d cells, the journal's space has %d",
-			rec.kernel, rec.cells, j.space.Size())
+// AppendRecord frames rendered row records and appends them in one
+// write and one fsync before returning; a failed or torn write is
+// rolled back, so the file stays clean and holds none of them. Every
+// record must have been rendered for this journal's configuration
+// space. Safe for concurrent use.
+func (j *Journal) AppendRecord(recs ...RowRecord) error {
+	size := 0
+	for _, rec := range recs {
+		size += len(rec.payload) + 21 // the frame's CRC, length and separators
 	}
-	framed := durable.Frame(rec.payload)
+	framed := make([]byte, 0, size)
+	for _, rec := range recs {
+		if rec.payload == nil || rec.cells != j.space.Size() {
+			return fmt.Errorf("sweep: journaling %s: record holds %d cells, the journal's space has %d",
+				rec.kernel, rec.cells, j.space.Size())
+		}
+		framed = durable.AppendFrame(framed, rec.payload)
+	}
+	if len(recs) == 0 {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.log.Append(framed); err != nil {
-		return fmt.Errorf("sweep: journaling %s: %w", rec.kernel, err)
+		what := recs[0].kernel
+		if len(recs) > 1 {
+			what = fmt.Sprintf("%d rows from %s", len(recs), what)
+		}
+		return fmt.Errorf("sweep: journaling %s: %w", what, err)
 	}
 	return nil
 }
