@@ -77,8 +77,8 @@ func writeFleetTraces(t *testing.T) []string {
 		w, err := dist.NewWorker(dist.WorkerOptions{
 			Name: name, Peers: []string{srv.URL},
 			Client:       &http.Client{Timeout: 10 * time.Second},
-			SweepWorkers: 2, IdleSleep: 2 * time.Millisecond,
-			Sink: obs.NewSink(newTrace(name), nil),
+			SweepWorkers: 2,
+			Sink:         obs.NewSink(newTrace(name), nil),
 		})
 		if err != nil {
 			t.Fatal(err)

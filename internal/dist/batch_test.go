@@ -60,10 +60,11 @@ func leaseRows(t *testing.T, c *Coordinator, worker string, n int) []*Lease {
 	return ls
 }
 
-// batchOf is one complete carrying every lease's OK row.
+// batchOf is one complete carrying every lease's OK row; the leases
+// are one job's.
 func batchOf(t *testing.T, worker string, ls []*Lease) completeRequest {
 	t.Helper()
-	req := completeRequest{Worker: worker}
+	req := completeRequest{Worker: worker, Job: ls[0].Job}
 	for _, l := range ls {
 		req.Rows = append(req.Rows, okRow(t, l))
 	}
@@ -364,7 +365,7 @@ func TestMixedBatchKeepsSingleRowVerdicts(t *testing.T) {
 // cost is above the target stay one per lease; cheap rows fill batches
 // up to the cap — half an equal split of the open rows among the
 // workers that leased, and a byte bound that keeps the largest batch's
-// complete body far under decodeInto's 16 MiB limit.
+// complete body far under maxBody.
 func TestBatchSizing(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
@@ -385,7 +386,7 @@ func TestBatchSizing(t *testing.T) {
 	}
 	report := func(worker string, ls []Lease, cost time.Duration) {
 		t.Helper()
-		req := completeRequest{Worker: worker}
+		req := completeRequest{Worker: worker, Job: ls[0].Job}
 		for i := range ls {
 			rc := okRow(t, &ls[i])
 			rc.CostNS = cost.Nanoseconds()
@@ -437,24 +438,24 @@ func TestBatchSizing(t *testing.T) {
 	}
 
 	// The byte bound on the study's space: the largest batch's complete
-	// body stays far under the 16 MiB a coordinator reads.
+	// body stays far under the maxBody a coordinator reads.
 	space := hw.StudySpace()
 	big := &jobState{job: Job{Space: space}, workers: map[string]bool{"a": true}, costNS: 1, costRows: 1}
 	n := big.batchSize(1 << 20)
 	if n < 2 {
 		t.Fatalf("cheap rows on the study space batch %d rows", n)
 	}
-	req := completeRequest{Worker: "a"}
+	req := completeRequest{Worker: "a", Job: "job-000000"}
 	for i := 0; i < n; i++ {
-		req.Rows = append(req.Rows, rowComplete{rowRef: rowRef{Job: "job-000000", Row: 266, Epoch: 9, Term: 9},
-			OK: true, Planes: make([]byte, 17*space.Size()), Digest: "0123456789abcdef", CostNS: 1 << 40})
+		req.Rows = append(req.Rows, rowComplete{rowRef: rowRef{Row: 266, Epoch: 9, Term: 9},
+			OK: true, Planes: make([]byte, packedBytes(space.Size())), Digest: "0123456789abcdef", CostNS: 1 << 40})
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(body) > 2<<20 {
-		t.Fatalf("the largest batch of %d rows has a %d-byte complete body, want well under 16 MiB", n, len(body))
+	if len(body) > maxBody/8 {
+		t.Fatalf("the largest batch of %d rows has a %d-byte complete body, want well under %d", n, len(body), maxBody)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -817,7 +816,7 @@ const batchTarget = 25 * time.Millisecond
 // body, rendered records and their one journal write — and a
 // process's heap grows with what it holds, so the bound keeps a batch
 // at a few MB in flight (17 rows of the study's 891 configurations)
-// and its complete body far under decodeInto's 16 MiB limit whatever
+// and its complete body far under maxBody whatever
 // the job's space.
 const maxBatchBytes = 256 << 10
 
@@ -837,7 +836,7 @@ func (js *jobState) batchSize(open int) int {
 		return 1
 	}
 	n := min(int(batchTarget.Nanoseconds()/max(mean, 1)), open/(2*len(js.workers)),
-		maxBatchBytes/(17*js.job.Space.Size()))
+		maxBatchBytes/packedBytes(js.job.Space.Size()))
 	return max(n, 1)
 }
 
@@ -1000,9 +999,9 @@ func voteBlocked(rs *rowState, worker string, now time.Time, ttl time.Duration) 
 	return false
 }
 
-// renew extends a batch of held leases, row by row: a row is fenced
-// when its term or epoch is stale, and reported done when it already
-// completed (stop renewing it).
+// renew extends a batch of held leases of one job, row by row: a row is
+// fenced when its term or epoch is stale, and reported done when it
+// already completed (stop renewing it).
 func (c *Coordinator) renew(req renewRequest) (renewResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1012,17 +1011,20 @@ func (c *Coordinator) renew(req renewRequest) (renewResponse, error) {
 	if c.quarantined[req.Worker] {
 		return renewResponse{}, fmt.Errorf("%w: %s", errQuarantined, req.Worker)
 	}
+	js, ok := c.jobs[req.Job]
+	if !ok {
+		return renewResponse{}, fmt.Errorf("%w: job %s", errUnknown, req.Job)
+	}
 	resp := renewResponse{Rows: make([]renewResult, len(req.Rows))}
 	for i, ref := range req.Rows {
-		resp.Rows[i] = c.renewRowLocked(ref, req.Worker)
+		resp.Rows[i] = c.renewRowLocked(js, ref, req.Worker)
 	}
 	return resp, nil
 }
 
 // renewRowLocked extends one row's lease. Caller holds c.mu.
-func (c *Coordinator) renewRowLocked(ref rowRef, worker string) renewResult {
-	js, ok := c.jobs[ref.Job]
-	if !ok || ref.Row < 0 || ref.Row >= len(js.rows) {
+func (c *Coordinator) renewRowLocked(js *jobState, ref rowRef, worker string) renewResult {
+	if ref.Row < 0 || ref.Row >= len(js.rows) {
 		return renewResult{refusal: refuse(errUnknown)}
 	}
 	rs := &js.rows[ref.Row]
@@ -1032,7 +1034,7 @@ func (c *Coordinator) renewRowLocked(ref rowRef, worker string) renewResult {
 	if ref.Term != rs.term {
 		c.mTermFenced.Inc()
 		return renewResult{refusal: refuse(fmt.Errorf("%w: lease for %s row %d holds term %d, current is %d",
-			errStaleTerm, ref.Job, ref.Row, ref.Term, rs.term))}
+			errStaleTerm, js.job.Name, ref.Row, ref.Term, rs.term))}
 	}
 	if ref.Epoch != rs.epoch {
 		return renewResult{refusal: refuse(errStale)}
@@ -1042,8 +1044,8 @@ func (c *Coordinator) renewRowLocked(ref rowRef, worker string) renewResult {
 	return renewResult{}
 }
 
-// complete records a batch of rows' terminal states, each row under
-// the single-row rules. Exactly-once discipline: an already-done row
+// complete records the terminal states of a batch of one job's rows,
+// each row under the single-row rules. Exactly-once discipline: an already-done row
 // acks as a duplicate (so retried completes are idempotent); a stale
 // term or epoch is fenced; a not-OK row is released for immediate
 // re-lease. The integrity plane hangs off the OK path: the digest must
@@ -1054,29 +1056,22 @@ func (c *Coordinator) renewRowLocked(ref rowRef, worker string) renewResult {
 // one ledger append, both fsynced before the ack.
 func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 	// Unpacking, validating, rendering and digesting the rows is most of
-	// a complete's CPU, and it reads only each job's space and kernel
+	// a complete's CPU, and it reads only the job's space and kernel
 	// names, which never change once the job is registered. So it runs
 	// before c.mu is taken; the verdicts below still apply its outcome
 	// in the same check order, and a job retired or re-registered
 	// between the two looks is caught there.
-	seen := map[rowRef]bool{}
+	seen := make(map[int]bool, len(req.Rows))
 	for _, rc := range req.Rows {
-		k := rowRef{Job: rc.Job, Row: rc.Row}
-		if seen[k] {
-			return completeResponse{}, fmt.Errorf("%w: %s row %d", errRepeatedRow, rc.Job, rc.Row)
+		if seen[rc.Row] {
+			return completeResponse{}, fmt.Errorf("%w: %s row %d", errRepeatedRow, req.Job, rc.Row)
 		}
-		seen[k] = true
+		seen[rc.Row] = true
 	}
-	pre := make([]*jobState, len(req.Rows))
 	c.mu.Lock()
-	for i := range req.Rows {
-		pre[i] = c.jobs[req.Rows[i].Job]
-	}
+	pre := c.jobs[req.Job]
 	c.mu.Unlock()
-	rendered := make([]completeRow, len(req.Rows))
-	for i := range req.Rows {
-		rendered[i] = renderComplete(pre[i], req.Rows[i])
-	}
+	rendered := renderAll(pre, req.Rows)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.deposed {
@@ -1085,20 +1080,19 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 	if c.quarantined[req.Worker] {
 		return completeResponse{}, fmt.Errorf("%w: %s", errQuarantined, req.Worker)
 	}
+	js := c.jobs[req.Job]
+	if js == nil {
+		return completeResponse{}, fmt.Errorf("%w: job %s", errUnknown, req.Job)
+	}
+	if js != pre {
+		// Registered between the two looks at c.jobs.
+		rendered = renderAll(js, req.Rows)
+	}
 	resp := completeResponse{Rows: make([]rowResult, len(req.Rows))}
 	var lands []landing
 	for i, rc := range req.Rows {
-		js, row := c.jobs[rc.Job], rendered[i]
-		if js == nil {
-			resp.Rows[i] = rowResult{refusal: refuse(errUnknown)}
-			continue
-		}
-		if js != pre[i] {
-			// Registered between the two looks at c.jobs.
-			row = renderComplete(js, rc)
-		}
 		var l *landing
-		if resp.Rows[i], l = c.verdictLocked(js, req.Worker, rc, row); l != nil {
+		if resp.Rows[i], l = c.verdictLocked(js, req.Worker, rc, rendered[i]); l != nil {
 			l.i = i
 			lands = append(lands, *l)
 		}
@@ -1109,7 +1103,7 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 			js.costRows++
 		}
 	}
-	c.landLocked(req.Worker, lands, &resp)
+	c.landLocked(js, req.Worker, lands, &resp)
 	return resp, nil
 }
 
@@ -1119,7 +1113,6 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 // votes a verified accept proves to be lies.
 type landing struct {
 	i        int
-	js       *jobState
 	rs       *rowState
 	rc       rowComplete
 	row      completeRow
@@ -1127,12 +1120,12 @@ type landing struct {
 	accept   bool
 	verified bool
 	dissent  []rowVote
-	err      error
 }
 
 // verdictLocked applies the single-row rules to one row of a complete
-// for registered job js, in their order. Verdicts that need no disk are final here; a vote or
-// an accept comes back as a landing for landLocked. Caller holds c.mu.
+// for registered job js, in their order. Verdicts that need no disk are
+// final here; a vote or an accept comes back as a landing for
+// landLocked. Caller holds c.mu.
 func (c *Coordinator) verdictLocked(js *jobState, worker string, rc rowComplete, row completeRow) (rowResult, *landing) {
 	if rc.Row < 0 || rc.Row >= len(js.rows) {
 		return rowResult{refusal: refuse(errUnknown)}, nil
@@ -1152,11 +1145,11 @@ func (c *Coordinator) verdictLocked(js *jobState, worker string, rc rowComplete,
 		// — rejecting it is what keeps "which primary granted which
 		// rows" answerable from the ledger.
 		c.mTermFenced.Inc()
-		c.emit("fence", js, rs.span, obs.KS("job", rc.Job), obs.KN("row", float64(rc.Row)),
+		c.emit("fence", js, rs.span, obs.KS("job", js.job.Name), obs.KN("row", float64(rc.Row)),
 			obs.KN("epoch", float64(rc.Epoch)), obs.KS("worker", worker),
 			obs.KN("term", float64(rc.Term)), obs.KN("current_term", float64(rs.term)))
 		return rowResult{refusal: refuse(fmt.Errorf("%w: lease for %s row %d holds term %d, current is %d",
-			errStaleTerm, rc.Job, rc.Row, rc.Term, rs.term))}, nil
+			errStaleTerm, js.job.Name, rc.Row, rc.Term, rs.term))}, nil
 	}
 	if rc.Epoch != rs.epoch {
 		// The fence: a worker whose lease was stolen finished anyway.
@@ -1164,7 +1157,7 @@ func (c *Coordinator) verdictLocked(js *jobState, worker string, rc rowComplete,
 		// but accepting them would hide real protocol bugs — reject
 		// and let the live epoch's complete land.
 		c.mFenced.Inc()
-		c.emit("fence", js, rs.span, obs.KS("job", rc.Job), obs.KN("row", float64(rc.Row)),
+		c.emit("fence", js, rs.span, obs.KS("job", js.job.Name), obs.KN("row", float64(rc.Row)),
 			obs.KN("epoch", float64(rc.Epoch)), obs.KN("current", float64(rs.epoch)), obs.KS("worker", worker))
 		return rowResult{refusal: refuse(errStale)}, nil
 	}
@@ -1175,7 +1168,7 @@ func (c *Coordinator) verdictLocked(js *jobState, worker string, rc rowComplete,
 		rs.expiry = c.now()
 		rs.releasedEarly = true
 		c.mRequeued.Inc()
-		c.emit("requeue", js, rs.span, obs.KS("job", rc.Job), obs.KN("row", float64(rc.Row)),
+		c.emit("requeue", js, rs.span, obs.KS("job", js.job.Name), obs.KN("row", float64(rc.Row)),
 			obs.KN("epoch", float64(rc.Epoch)), obs.KS("worker", worker))
 		c.signalLocked()
 		return rowResult{Requeued: true}, nil
@@ -1190,12 +1183,12 @@ func (c *Coordinator) verdictLocked(js *jobState, worker string, rc rowComplete,
 	// succeed (400, not 409).
 	if rc.Digest != row.digest {
 		c.mBadAttest.Inc()
-		c.emit("bad-attest", js, rs.span, obs.KS("job", rc.Job), obs.KN("row", float64(rc.Row)),
+		c.emit("bad-attest", js, rs.span, obs.KS("job", js.job.Name), obs.KN("row", float64(rc.Row)),
 			obs.KS("worker", worker), obs.KS("digest", rc.Digest), obs.KS("want", row.digest))
 		return rowResult{refusal: refuse(fmt.Errorf("%w: %s row %d digest %q does not hash the shipped planes (%s)",
-			errBadAttest, rc.Job, rc.Row, rc.Digest, row.digest))}, nil
+			errBadAttest, js.job.Name, rc.Row, rc.Digest, row.digest))}, nil
 	}
-	l := &landing{js: js, rs: rs, rc: rc, row: row, accept: true}
+	l := &landing{rs: rs, rc: rc, row: row, accept: true}
 	if rs.pending || verifySelected(js.job.Seed, rc.Row, c.opt.VerifyFraction) {
 		c.voteLocked(l, worker)
 	}
@@ -1231,80 +1224,62 @@ func (c *Coordinator) voteLocked(l *landing, worker string) {
 
 // landLocked makes a complete's votes and accepts durable and then
 // applies them, fsync before ack: the accepted rows' records go to
-// their job's journal in one append (the source of truth for
-// done-ness), then every vote and complete record to the ledger in one
-// append (the audit trail), then the accepted planes and the records'
-// frames to the replication stream in one publish, so no tail splits
-// the batch. A crash between the two appends recovers the rows as done
-// from the journal, so the ledger's complete records are best-effort
-// audit, not load-bearing state. A row whose append fails is refused
-// and changes nothing in memory. Caller holds c.mu.
-func (c *Coordinator) landLocked(worker string, lands []landing, resp *completeResponse) {
+// js's journal in one append (the source of truth for done-ness), then
+// every vote and complete record to the ledger in one append (the
+// audit trail), then the accepted planes and the records' frames to
+// the replication stream in one publish, so no tail splits the batch.
+// A crash between the two appends recovers the rows as done from the
+// journal, so the ledger's complete records are best-effort audit, not
+// load-bearing state. When an append fails, every row of the landing
+// is refused and nothing changes in memory, so the worker's retry lands
+// them anew. Caller holds c.mu.
+func (c *Coordinator) landLocked(js *jobState, worker string, lands []landing, resp *completeResponse) {
 	if len(lands) == 0 {
 		return
 	}
-	// One journal append per job: a batch holds one job's rows.
-	var jobs []*jobState
-	recsOf := map[*jobState][]sweep.RowRecord{}
-	for _, l := range lands {
-		if l.accept {
-			if recsOf[l.js] == nil {
-				jobs = append(jobs, l.js)
-			}
-			recsOf[l.js] = append(recsOf[l.js], l.row.rec)
-		}
-	}
-	failed := map[*jobState]error{}
-	for _, js := range jobs {
-		if err := js.job.Journal.AppendRecord(recsOf[js]...); err != nil {
-			failed[js] = err
-			continue
-		}
-		c.mJournalAppends.Inc()
-	}
-	for k := range lands {
-		if lands[k].accept {
-			lands[k].err = failed[lands[k].js]
-		}
-	}
+	var accepted []sweep.RowRecord
 	var recs []LedgerRecord
 	for _, l := range lands {
-		if l.err != nil {
-			continue
-		}
 		r := l.rc
 		if l.vote {
-			recs = append(recs, LedgerRecord{Kind: "attest", Job: r.Job, Row: r.Row,
+			recs = append(recs, LedgerRecord{Kind: "attest", Job: js.job.Name, Row: r.Row,
 				Epoch: r.Epoch, Worker: worker, Digest: r.Digest})
 		}
 		if l.accept {
-			recs = append(recs, LedgerRecord{Kind: "complete", Job: r.Job, Row: r.Row,
+			accepted = append(accepted, l.row.rec)
+			recs = append(recs, LedgerRecord{Kind: "complete", Job: js.job.Name, Row: r.Row,
 				Epoch: r.Epoch, Worker: worker, Digest: r.Digest, Verified: l.verified})
 		}
 	}
+	refuseAll := func(err error) {
+		for _, l := range lands {
+			resp.Rows[l.i] = rowResult{refusal: refuse(err)}
+		}
+	}
+	if len(accepted) > 0 {
+		if err := js.job.Journal.AppendRecord(accepted...); err != nil {
+			refuseAll(err)
+			return
+		}
+		c.mJournalAppends.Inc()
+	}
 	frames, err := c.ledgerAppend(recs)
+	if err != nil {
+		refuseAll(err)
+		return
+	}
 	var msgs []replMsg
-	for k := range lands {
-		l := &lands[k]
-		if l.err == nil {
-			l.err = err
-		}
-		if l.err != nil {
-			resp.Rows[l.i] = rowResult{refusal: refuse(l.err)}
-			continue
-		}
+	for _, l := range lands {
 		if l.accept {
 			// The planes as received, ahead of the ledger frames: the
 			// standby journals them before it ledgers, as here.
 			msgs = append(msgs, replMsg{Kind: "row", Row: &RowPlanes{
-				Job: l.rc.Job, Row: l.rc.Row, Kernel: l.js.job.Kernels[l.rc.Row].Name, Planes: l.rc.Planes}})
+				Job: js.job.Name, Row: l.rc.Row, Kernel: js.job.Kernels[l.rc.Row].Name, Planes: l.rc.Planes}})
 		}
 	}
 	c.repl.publish(append(msgs, frames...)...)
 	for k := range lands {
-		if l := &lands[k]; l.err == nil {
-			resp.Rows[l.i] = c.applyLocked(l, worker)
-		}
+		resp.Rows[lands[k].i] = c.applyLocked(js, &lands[k], worker)
 	}
 	c.signalLocked()
 }
@@ -1313,8 +1288,8 @@ func (c *Coordinator) landLocked(worker string, lands []landing, resp *completeR
 // row for an independent re-execution; an accept assigns its planes to
 // the matrix, hands the row to OnRow and quarantines every worker whose
 // vote it proves a lie. Caller holds c.mu.
-func (c *Coordinator) applyLocked(l *landing, worker string) rowResult {
-	js, rs, r := l.js, l.rs, l.rc.Row
+func (c *Coordinator) applyLocked(js *jobState, l *landing, worker string) rowResult {
+	rs, r := l.rs, l.rc.Row
 	if l.vote {
 		c.emit("attest", js, rs.span, obs.KS("job", js.job.Name), obs.KN("row", float64(r)),
 			obs.KN("epoch", float64(l.rc.Epoch)), obs.KS("worker", worker), obs.KS("digest", l.rc.Digest))
@@ -1377,6 +1352,15 @@ type completeRow struct {
 	err    error
 }
 
+// renderAll prepares a complete's rows for the verdicts (renderComplete).
+func renderAll(js *jobState, rows []rowComplete) []completeRow {
+	out := make([]completeRow, len(rows))
+	for i := range rows {
+		out[i] = renderComplete(js, rows[i])
+	}
+	return out
+}
+
 // renderComplete prepares an OK complete's row for the verdict. It
 // reads only js's immutable registration (space and kernel names), so
 // it needs no lock; a nil job, an out-of-range row or a not-OK complete
@@ -1387,7 +1371,7 @@ func renderComplete(js *jobState, req rowComplete) completeRow {
 	}
 	p, err := unpackPlanes(js.job.Space.Size(), req.Planes)
 	if err != nil {
-		return completeRow{err: fmt.Errorf("dist: complete for %s row %d has %v", req.Job, req.Row, err)}
+		return completeRow{err: fmt.Errorf("dist: complete for %s row %d has %v", js.job.Name, req.Row, err)}
 	}
 	rec, err := sweep.EncodePlanes(js.job.Kernels[req.Row].Name, p.tput, p.timeNS, p.bound)
 	if err != nil {
@@ -1626,32 +1610,23 @@ func (js *jobState) doneRows() []RowPlanes {
 	return out
 }
 
+// maxBody bounds the request body the coordinator reads. The decoder
+// grows its buffer only with the bytes that arrive, so a claimed
+// Content-Length costs nothing by itself.
+const maxBody = 16 << 20
+
 // decodeInto parses a POST body, answering 4xx itself on failure.
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return false
 	}
-	if err := readJSON(http.MaxBytesReader(w, r.Body, 16<<20), r.ContentLength, v); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	if err := dec.Decode(v); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return false
 	}
 	return true
-}
-
-// readJSON decodes a JSON body of n bytes, or of unknown length when n
-// is negative. A known length is read into one buffer of that size, so
-// a batch's body costs one allocation instead of a decoder's doubling
-// refills.
-func readJSON(r io.Reader, n int64, v any) error {
-	if n < 0 {
-		return json.NewDecoder(r).Decode(v)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return err
-	}
-	return json.Unmarshal(b, v)
 }
 
 // writeLeaseError answers a protocol error with its status and
@@ -1692,16 +1667,8 @@ func leaseErrorBody(err error) (int, errorBody) {
 	return http.StatusConflict, body
 }
 
-// writeJSON answers v as one JSON line with its Content-Length, so the
-// reader can take the body in one buffer (readJSON).
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		code, b = http.StatusInternalServerError, mustJSON(errorBody{Error: err.Error()})
-	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)+1))
 	w.WriteHeader(code)
-	w.Write(b)
-	w.Write([]byte{'\n'})
+	json.NewEncoder(w).Encode(v)
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -8,10 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -126,7 +129,7 @@ func okRow(t *testing.T, l *Lease) rowComplete {
 // okComplete is a one-row batch complete of okRow.
 func okComplete(t *testing.T, l *Lease, worker string) completeRequest {
 	t.Helper()
-	return completeRequest{Worker: worker, Rows: []rowComplete{okRow(t, l)}}
+	return completeRequest{Worker: worker, Job: l.Job, Rows: []rowComplete{okRow(t, l)}}
 }
 
 // first is the first lease of an acquire's batch, or nil when it
@@ -150,10 +153,10 @@ func one(resp completeResponse, err error) (rowResult, error) {
 	return resp.Rows[0], resp.Rows[0].err
 }
 
-// renewOne renews one row: the call's error, or else the row's result
+// renewOne renews l's row: the call's error, or else the row's result
 // and its refusal as an error.
-func renewOne(c *Coordinator, ref rowRef, worker string) (renewResult, error) {
-	resp, err := c.renew(renewRequest{Worker: worker, Rows: []rowRef{ref}})
+func renewOne(c *Coordinator, l *Lease, worker string) (renewResult, error) {
+	resp, err := c.renew(renewRequest{Worker: worker, Job: l.Job, Rows: []rowRef{l.ref()}})
 	if err != nil {
 		return renewResult{}, err
 	}
@@ -294,14 +297,14 @@ func TestRenewalAfterCoordinatorRestart(t *testing.T) {
 	if err := c2.AddJob(reopened(t, dir, job)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := renewOne(c2, l.ref(), "w1")
+	resp, err := renewOne(c2, l, "w1")
 	if err != nil || resp.Done {
 		t.Fatalf("renewal with pre-crash epoch should extend the open lease after restart: %+v %v", resp, err)
 	}
 	// A wrong epoch is still fenced after restart.
-	bogus := l.ref()
+	bogus := *l
 	bogus.Epoch += 7
-	if _, err := renewOne(c2, bogus, "x"); err != errStale {
+	if _, err := renewOne(c2, &bogus, "x"); err != errStale {
 		t.Fatalf("bogus epoch should be fenced, got %v", err)
 	}
 	if _, err := one(c2.complete(okComplete(t, l, "w1"))); err != nil {
@@ -364,7 +367,7 @@ func TestNotOKCompleteRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, _ := first(c.acquire(acq("w1")))
-	resp, err := one(c.complete(completeRequest{Worker: "w1", Rows: []rowComplete{{rowRef: l.ref()}}}))
+	resp, err := one(c.complete(completeRequest{Worker: "w1", Job: l.Job, Rows: []rowComplete{{rowRef: l.ref()}}}))
 	if err != nil || !resp.Requeued {
 		t.Fatalf("not-OK complete should requeue: %+v %v", resp, err)
 	}
@@ -449,6 +452,46 @@ func TestCompleteValidation(t *testing.T) {
 	}
 }
 
+// TestClaimedBodyLengthCostsNothing: a lease request whose headers
+// claim a 100 GB body and which then sends none is refused with a 4xx,
+// and the coordinator goes on granting leases. The body is decoded as
+// it arrives, so a claimed length alone allocates nothing.
+func TestClaimedBodyLengthCostsNothing(t *testing.T) {
+	clk := newTestClock()
+	c := newTestCoordinator(t, t.TempDir(), clk)
+	defer c.Close()
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fmt.Fprint(conn, "POST /v1/dist/lease HTTP/1.1\r\nHost: coordinator\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 100000000000\r\n\r\n")
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("a headers-only request claiming 100 GB answered %d, want a 4xx", resp.StatusCode)
+	}
+	if runtime.ReadMemStats(&after); after.HeapSys > before.HeapSys+1<<30 {
+		t.Fatalf("the claimed length grew the heap from %d to %d bytes", before.HeapSys, after.HeapSys)
+	}
+	var ar acquireResponse
+	if status := postRows(t, srv.URL+"/v1/dist/lease", acq("w1"), &ar); status != http.StatusOK || len(ar.Leases) != 1 {
+		t.Fatalf("acquire after the refused request answered %d with %d leases, want one lease", status, len(ar.Leases))
+	}
+}
+
 // TestLedgerTornTailSalvage: a crash mid-append costs at most the
 // unacked record.
 func TestLedgerTornTailSalvage(t *testing.T) {
@@ -476,7 +519,7 @@ func TestLedgerTornTailSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The acked grant survived the torn tail.
-	if _, err := renewOne(c2, l.ref(), "w1"); err != nil {
+	if _, err := renewOne(c2, l, "w1"); err != nil {
 		t.Fatalf("grant lost to torn tail: %v", err)
 	}
 }
@@ -561,21 +604,17 @@ func TestCanceledRunLeavesCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := okComplete(t, l, "w1")
-	var cresp completeResponse
-	if status := postRows(t, srv.URL+"/v1/dist/complete", req, &cresp); status != http.StatusOK ||
-		len(cresp.Rows) != 1 || cresp.Rows[0].Status != http.StatusNotFound {
-		t.Fatalf("late complete answered %d %+v, want its row 404", status, cresp.Rows)
+	if status, _ := postJSON(t, srv.URL+"/v1/dist/complete", req); status != http.StatusNotFound {
+		t.Fatalf("late complete answered %d, want 404", status)
 	}
 	cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer ccancel()
 	if acks := w.completeWithRetry(cctx, req); acks[0] || cctx.Err() != nil {
 		t.Fatalf("completeWithRetry should give up on the 404 (accepted or timed out instead)")
 	}
-	renew := renewRequest{Worker: "w1", Rows: []rowRef{l.ref()}}
-	var rresp renewResponse
-	if status := postRows(t, srv.URL+"/v1/dist/renew", renew, &rresp); status != http.StatusOK ||
-		len(rresp.Rows) != 1 || rresp.Rows[0].Status != http.StatusNotFound {
-		t.Fatalf("late renew answered %d %+v, want its row 404", status, rresp.Rows)
+	renew := renewRequest{Worker: "w1", Job: l.Job, Rows: []rowRef{l.ref()}}
+	if status, _ := postJSON(t, srv.URL+"/v1/dist/renew", renew); status != http.StatusNotFound {
+		t.Fatalf("late renew answered %d, want 404", status)
 	}
 	if st, ok := c.Status(job.Name); ok {
 		t.Fatalf("the returned job is still registered: %+v", st)
@@ -666,8 +705,7 @@ func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 	}
 }
 
-// postRows posts body as JSON and decodes a 200 answer's per-row
-// verdicts into out.
+// postRows posts body as JSON and decodes a 200 answer into out.
 func postRows(t *testing.T, url string, body, out any) int {
 	t.Helper()
 	b, err := json.Marshal(body)

@@ -145,20 +145,22 @@ type acquireResponse struct {
 	Leases []Lease `json:"leases"`
 }
 
-// rowRef names one leased row and echoes its fencing tokens.
+// rowRef names one leased row of the request's job and echoes its
+// fencing tokens.
 type rowRef struct {
-	Job   string `json:"job"`
 	Row   int    `json:"row"`
 	Epoch uint64 `json:"epoch"`
 	Term  uint64 `json:"term,omitempty"`
 }
 
 // ref is the lease's row reference.
-func (l *Lease) ref() rowRef { return rowRef{Job: l.Job, Row: l.Row, Epoch: l.Epoch, Term: l.Term} }
+func (l *Lease) ref() rowRef { return rowRef{Row: l.Row, Epoch: l.Epoch, Term: l.Term} }
 
-// renewRequest extends a batch of held leases.
+// renewRequest extends a batch of held leases. A batch holds one job's
+// rows, so the job is named once.
 type renewRequest struct {
 	Worker string   `json:"worker"`
+	Job    string   `json:"job"`
 	Rows   []rowRef `json:"rows"`
 }
 
@@ -177,12 +179,13 @@ type renewResult struct {
 	refusal
 }
 
-// completeRequest reports a batch of rows' terminal states. OK rows
-// carry the row's measurement planes in the packed wire form (see
-// packPlanes); a failed row carries none and just releases its lease
-// for re-issue.
+// completeRequest reports the terminal states of a batch of one job's
+// rows. OK rows carry the row's measurement planes in the packed wire
+// form (see packPlanes); a failed row carries none and just releases
+// its lease for re-issue.
 type completeRequest struct {
 	Worker string        `json:"worker"`
+	Job    string        `json:"job"`
 	Rows   []rowComplete `json:"rows"`
 }
 
@@ -204,13 +207,12 @@ type rowComplete struct {
 
 // packPlanes renders one row's measurement planes in the packed wire
 // form: every throughput, then every time, as little-endian float64
-// bits, then one byte per bound — 17 bytes per configuration. The
-// planes cross each process boundary as these exact bits, so no
-// process parses text to learn a row, and each renders the row's
-// journal record exactly once.
+// bits, then one byte per bound (packedBytes). The planes cross each
+// process boundary as these exact bits, so no process parses text to
+// learn a row, and each renders the row's journal record exactly once.
 func packPlanes(tput, timeNS []float64, bound []gcn.Bound) []byte {
 	n := len(tput)
-	b := make([]byte, 17*n)
+	b := make([]byte, packedBytes(n))
 	for c := 0; c < n; c++ {
 		binary.LittleEndian.PutUint64(b[8*c:], math.Float64bits(tput[c]))
 		binary.LittleEndian.PutUint64(b[8*(n+c):], math.Float64bits(timeNS[c]))
@@ -218,6 +220,11 @@ func packPlanes(tput, timeNS []float64, bound []gcn.Bound) []byte {
 	}
 	return b
 }
+
+// packedBytes is the packed planes' length for an n-configuration
+// space: 8 bytes of throughput, 8 of time and 1 of bound per
+// configuration.
+func packedBytes(n int) int { return 17 * n }
 
 // planes is one row's measurement planes, unpacked from the wire.
 type planes struct {
@@ -231,7 +238,7 @@ type planes struct {
 // number, every bound a known one — checked cell by cell in that
 // order, so the first offending cell names the error.
 func unpackPlanes(nCfg int, b []byte) (planes, error) {
-	if len(b) != 17*nCfg {
+	if len(b) != packedBytes(nCfg) {
 		return planes{}, errors.New("wrong plane length")
 	}
 	p := planes{tput: make([]float64, nCfg), timeNS: make([]float64, nCfg), bound: make([]gcn.Bound, nCfg)}

@@ -589,7 +589,7 @@ func (s *Standby) syncOnce(ctx context.Context) error {
 		return fmt.Errorf("dist: snapshot: %s answered %d", s.o.Primary, resp.StatusCode)
 	}
 	var snap haSnapshot
-	if err := readJSON(resp.Body, resp.ContentLength, &snap); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		return fmt.Errorf("dist: decoding snapshot: %w", err)
 	}
 	s.mu.Lock()
@@ -709,7 +709,7 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 		return fmt.Errorf("dist: tail: %s answered %d", s.o.Primary, resp.StatusCode)
 	}
 	var tr tailResponse
-	if err := readJSON(resp.Body, resp.ContentLength, &tr); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 		return fmt.Errorf("dist: decoding tail: %w", err)
 	}
 	s.mu.Lock()

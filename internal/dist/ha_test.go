@@ -628,7 +628,6 @@ func TestJobSpecRoundtrip(t *testing.T) {
 // full-jitter schedule: window doubles per attempt up to the cap, the
 // roll scales inside the window, and the floor is 1ms.
 func TestBackoffDelaySchedule(t *testing.T) {
-	base, max := 50*time.Millisecond, 2*time.Second
 	// roll=1 walks the deterministic ceiling of each window.
 	want := []time.Duration{
 		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
@@ -636,24 +635,17 @@ func TestBackoffDelaySchedule(t *testing.T) {
 		2 * time.Second, 2 * time.Second, 2 * time.Second,
 	}
 	for attempt, w := range want {
-		if got := backoffDelay(base, max, attempt, 1); got != w {
+		if got := backoffDelay(attempt, 1); got != w {
 			t.Fatalf("attempt %d ceiling: got %v want %v", attempt, got, w)
 		}
 	}
 	// Full jitter: the roll scales linearly inside the window.
-	if got := backoffDelay(base, max, 3, 0.5); got != 200*time.Millisecond {
+	if got := backoffDelay(3, 0.5); got != 200*time.Millisecond {
 		t.Fatalf("half roll in the 400ms window should be 200ms, got %v", got)
 	}
 	// Floor: a zero roll still sleeps at least 1ms (never a hot spin).
-	if got := backoffDelay(base, max, 0, 0); got != time.Millisecond {
+	if got := backoffDelay(0, 0); got != time.Millisecond {
 		t.Fatalf("zero roll should floor at 1ms, got %v", got)
-	}
-	// Defaults guard nonsensical configs.
-	if got := backoffDelay(0, 0, 0, 1); got != 50*time.Millisecond {
-		t.Fatalf("zero base should default to 50ms, got %v", got)
-	}
-	if got := backoffDelay(time.Second, time.Millisecond, 5, 1); got != time.Second {
-		t.Fatalf("max below base clamps to base, got %v", got)
 	}
 }
 

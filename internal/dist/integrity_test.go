@@ -27,7 +27,7 @@ import (
 // independent re-execution can expose the lie.
 func tamperedComplete(t *testing.T, l *Lease, worker string) completeRequest {
 	t.Helper()
-	return completeRequest{Worker: worker, Rows: []rowComplete{tamperedRow(t, l)}}
+	return completeRequest{Worker: worker, Job: l.Job, Rows: []rowComplete{tamperedRow(t, l)}}
 }
 
 // tamperedRow is tamperedComplete's one row.
@@ -291,7 +291,7 @@ func TestDissentStrikesAndQuarantines(t *testing.T) {
 	if _, err := first(c.acquire(acq("liar"))); !errors.Is(err, errQuarantined) {
 		t.Fatalf("quarantined acquire: %v", err)
 	}
-	if _, err := renewOne(c, lr1.ref(), "liar"); !errors.Is(err, errQuarantined) {
+	if _, err := renewOne(c, lr1, "liar"); !errors.Is(err, errQuarantined) {
 		t.Fatalf("quarantined renew: %v", err)
 	}
 	if _, err := one(c.complete(okComplete(t, lr1, "liar"))); !errors.Is(err, errQuarantined) {

@@ -100,7 +100,7 @@ func spawnByzWorker(t *testing.T, ctx context.Context, url, name string, in faul
 	w, err := NewWorker(WorkerOptions{
 		Name: name, Peers: []string{url},
 		Client:       &http.Client{Timeout: 10 * time.Second},
-		SweepWorkers: 2, Retries: 2, IdleSleep: 10 * time.Millisecond,
+		SweepWorkers: 2, Retries: 2,
 		MetricsURL: msrv.URL + "/metrics", Fault: in,
 	})
 	if err != nil {

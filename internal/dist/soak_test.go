@@ -79,7 +79,7 @@ func workerMain() int {
 		Name:         os.Getenv("GPUSCALE_DIST_NAME"),
 		Peers:        peers,
 		Client:       &http.Client{Transport: in.WrapTransport(nil), Timeout: 10 * time.Second},
-		SweepWorkers: 2, Retries: 2, IdleSleep: 10 * time.Millisecond,
+		SweepWorkers: 2, Retries: 2,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "worker:", err)

@@ -53,8 +53,7 @@ func tracedFleet(t *testing.T, job Job, n int) (coordEvs []obs.Event, workerEvs 
 		w, err := NewWorker(WorkerOptions{
 			Name: name, Peers: []string{srv.URL},
 			Client: srv.Client(), SweepWorkers: 2, Retries: 2,
-			IdleSleep: 5 * time.Millisecond,
-			Sink:      obs.NewSink(tw, fr),
+			Sink: obs.NewSink(tw, fr),
 		})
 		if err != nil {
 			t.Fatal(err)

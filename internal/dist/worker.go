@@ -41,11 +41,6 @@ type WorkerOptions struct {
 	Retries    int
 	Backoff    time.Duration
 	SimTimeout time.Duration
-	// IdleSleep is the base of the backoff after an acquire error;
-	// defaults to 50ms. An acquire that finds no work is not an error:
-	// the coordinator holds it until work appears or its long-poll ends,
-	// and the worker asks again at once.
-	IdleSleep time.Duration
 	// Metrics receives worker-side counters, the renewal latency
 	// histogram and the row sweeps' telemetry; nil keeps them in a
 	// private registry.
@@ -67,11 +62,17 @@ type WorkerOptions struct {
 	Fault fault.Injector
 }
 
-// maxBackoff caps the acquire-error backoff window. Errors back off
-// exponentially from IdleSleep with full jitter (a uniform draw over
-// the window), so a whole fleet reconnecting after a failover spreads
-// its retries instead of thundering-herding the new primary.
-const maxBackoff = 2 * time.Second
+// minBackoff and maxBackoff bound the acquire-error backoff window.
+// Errors back off exponentially from minBackoff with full jitter (a
+// uniform draw over the window), so a whole fleet reconnecting after a
+// failover spreads its retries instead of thundering-herding the new
+// primary. An acquire that finds no work is not an error: the
+// coordinator holds it until work appears or its long-poll ends, and
+// the worker asks again at once.
+const (
+	minBackoff = 50 * time.Millisecond
+	maxBackoff = 2 * time.Second
+)
 
 // ErrVersionFenced reports the coordinator refused this worker's
 // version/fingerprint handshake. Permanent for this binary pair:
@@ -121,9 +122,6 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	}
 	if len(o.Peers) == 0 {
 		return nil, fmt.Errorf("dist: worker needs a coordinator peer list")
-	}
-	if o.IdleSleep <= 0 {
-		o.IdleSleep = 50 * time.Millisecond
 	}
 	if err := o.Fault.Validate(); err != nil {
 		return nil, fmt.Errorf("dist: worker fault model: %w", err)
@@ -176,7 +174,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// thundering-herd the new primary.
 			w.rotate()
 			failures++
-			if !sleepCtx(ctx, backoffDelay(w.o.IdleSleep, maxBackoff, failures-1, w.rng.Float64())) {
+			if !sleepCtx(ctx, backoffDelay(failures-1, w.rng.Float64())) {
 				return nil
 			}
 			continue
@@ -189,24 +187,18 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // backoffDelay is the rejoin schedule: a uniform draw (roll in [0,1))
-// over an exponentially growing window — base·2^attempt, capped at
-// max. Full jitter rather than jittered-exponential: the delays of N
-// workers retrying the same failed primary spread over the whole
-// window, which is what flattens the reconnect spike after a
+// over an exponentially growing window — minBackoff·2^attempt, capped
+// at maxBackoff. Full jitter rather than jittered-exponential: the
+// delays of N workers retrying the same failed primary spread over the
+// whole window, which is what flattens the reconnect spike after a
 // failover.
-func backoffDelay(base, max time.Duration, attempt int, roll float64) time.Duration {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if max < base {
-		max = base
-	}
-	window := base
-	for i := 0; i < attempt && window < max; i++ {
+func backoffDelay(attempt int, roll float64) time.Duration {
+	window := minBackoff
+	for i := 0; i < attempt && window < maxBackoff; i++ {
 		window *= 2
 	}
-	if window > max {
-		window = max
+	if window > maxBackoff {
+		window = maxBackoff
 	}
 	d := time.Duration(roll * float64(window))
 	if d < time.Millisecond {
@@ -285,9 +277,9 @@ type batchRow struct {
 
 // runBatch executes one lease batch end to end: renew the batch's live
 // rows in the background, compute and render its rows one at a time,
-// then report them all in one complete with fencing-aware retries. Each
-// row's span covers only that row's compute and render; one span covers
-// the complete call.
+// then report them all in one complete with fencing-aware retries. A
+// batch holds one job's rows. Each row's span covers only that row's
+// compute and render; one span covers the complete call.
 func (w *Worker) runBatch(ctx context.Context, leases []Lease) {
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -317,7 +309,7 @@ func (w *Worker) runBatch(ctx context.Context, leases []Lease) {
 	}()
 	defer func() { cancel(); <-renewDone }()
 
-	req := completeRequest{Worker: w.o.Name}
+	req := completeRequest{Worker: w.o.Name, Job: leases[0].Job}
 	var sent []*batchRow
 	for i := range rows {
 		r := &rows[i]
@@ -476,7 +468,7 @@ func (w *Worker) renewLoop(ctx context.Context, rows []batchRow, every time.Dura
 			return
 		case <-t.C:
 		}
-		req := renewRequest{Worker: w.o.Name}
+		req := renewRequest{Worker: w.o.Name, Job: rows[0].lease.Job}
 		var live []*batchRow
 		for i := range rows {
 			if !rows[i].gone.Load() {
@@ -554,7 +546,7 @@ func (w *Worker) completeWithRetry(ctx context.Context, req completeRequest) []b
 	}
 	backoff := 5 * time.Millisecond
 	for {
-		call := completeRequest{Worker: req.Worker}
+		call := completeRequest{Worker: req.Worker, Job: req.Job}
 		for _, i := range open {
 			call.Rows = append(call.Rows, req.Rows[i])
 		}
@@ -631,7 +623,7 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) (int, str
 		return resp.StatusCode, eb.Code, nil
 	}
 	if out != nil && resp.StatusCode != http.StatusNoContent {
-		if err := readJSON(resp.Body, resp.ContentLength, out); err != nil && resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil && resp.StatusCode == http.StatusOK {
 			return resp.StatusCode, "", fmt.Errorf("dist: decoding %s response: %w", path, err)
 		}
 	}

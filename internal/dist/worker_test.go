@@ -60,7 +60,7 @@ func runFleet(t *testing.T, job Job, n int, clientFor func(i int) *http.Client) 
 		}
 		w, err := NewWorker(WorkerOptions{
 			Name: string(rune('A' + i)), Peers: []string{srv.URL}, Client: client,
-			SweepWorkers: 2, Retries: 2, IdleSleep: 5 * time.Millisecond,
+			SweepWorkers: 2, Retries: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +181,7 @@ func TestFleetUnderNetworkFaults(t *testing.T) {
 		w, err := NewWorker(WorkerOptions{
 			Name: string(rune('A' + i)), Peers: []string{srv.URL},
 			Client:       &http.Client{Transport: in.WrapTransport(nil), Timeout: 10 * time.Second},
-			SweepWorkers: 2, Retries: 2, IdleSleep: 5 * time.Millisecond,
+			SweepWorkers: 2, Retries: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
