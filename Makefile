@@ -73,9 +73,12 @@ soak-byzantine:
 # promoted coordinator's matrix byte-identical to a single-node run,
 # and the monotonic-terms / no-two-live-primaries ledger audit. On failure the
 # log prints the seed; replay with GPUSCALE_FAULT_SEED=<seed> make
-# soak-failover.
+# soak-failover. Then the same failover through gpuscaled's job API: a
+# -coordinator primary killed with a job complete, one mid-sweep and
+# one queued, and every one of them answered by the promoted -standby.
 soak-failover:
 	GPUSCALE_SOAK_MS=10000 $(GO) test -race -run TestChaosSoakFailover -v -count=1 ./internal/dist/
+	$(GO) test -race -run TestFailoverAnswersThroughJobAPI -v -count=1 ./cmd/gpuscaled/
 
 # End-to-end fleet smoke: the real gpuscaled processes — a primary, a
 # warm standby and two workers — run the end-to-end benchmark's fleet

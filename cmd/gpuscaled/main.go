@@ -61,22 +61,31 @@
 // unverified rows, and drops it from /metrics/fleet.
 //
 // Coordinators come in pairs. `-standby -join URL` runs a warm
-// replica that tails the primary's lease ledger over `/v1/ha/` and
-// promotes itself (at the next coordinator term) after
-// `-promote-after` of primary silence; `-peers` lets a primary probe
-// for a newer term and step down instead of splitting the brain.
-// Workers given a comma-separated `-join` (or extra `-peers`) rotate
-// between coordinators on failure, so a failover loses no in-flight
-// lease that completes within its TTL.
+// replica: its -state becomes a copy of the primary's (the lease
+// ledger, every job's admission and terminal records and journal, but
+// no matrix archive), replicated over `/v1/ha/`; until it promotes it
+// answers the lease protocol and `/v1/jobs` with 503 not-primary. After
+// `-promote-after` of primary silence it promotes at the next
+// coordinator term, and promotion is a -coordinator's own start-up
+// over that directory: every job without a terminal record resumes,
+// and the job API behaves as on the primary. The admission flags
+// (-runners, -max-jobs, -rate, -burst, -client-cap, -max-deadline,
+// -drain-grace) take effect on a standby at promotion. A job terminal
+// before the failover answers its status, and 404 for its /matrix:
+// archives do not replicate. `-peers` lets a primary probe for a newer
+// term and step down instead of splitting the brain. Workers given a comma-separated `-join` (or extra
+// `-peers`) rotate between coordinators on failure, so a failover
+// loses no in-flight lease that completes within its TTL.
 //
 // Every mode either uses an executor flag (-retries, -backoff,
 // -sim-timeout, -breaker, -workers and the five -fault-* engine and
 // journal flags) or refuses it at start-up, naming it: a plain daemon
 // uses them all; a -worker uses all but -breaker and -fault-torn-rate,
 // so its row sweeps retry, time out and take injected faults exactly as
-// a plain daemon's do; a -coordinator uses only -fault-torn-rate (its
-// jobs' journals); a -standby uses none. A job's "retries" field is
-// ignored under -coordinator: the workers' -retries applies.
+// a plain daemon's do; a -coordinator, and a -standby, which becomes
+// one, use only -fault-torn-rate (its jobs' journals). A fleet answers
+// a job's "retries" field 400 at admission: the workers' -retries
+// applies to every cell.
 //
 // Exit codes: 0 clean drain, 1 startup or serve error, 2 a flag the
 // mode refuses, 4 worker fenced by the version/fingerprint handshake,
@@ -157,8 +166,8 @@ type cliOptions struct {
 func main() {
 	var o cliOptions
 	flag.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
-	flag.StringVar(&o.stateDir, "state", "gpuscaled-state", "state directory (job specs, journals, matrices)")
-	flag.IntVar(&o.runners, "runners", 1, "jobs run concurrently")
+	flag.StringVar(&o.stateDir, "state", "gpuscaled-state", "state directory (job specs, journals, matrices); a -standby keeps its replica of the primary's here")
+	flag.IntVar(&o.runners, "runners", 1, "jobs run concurrently (a -standby's take effect at promotion, as do the other admission flags)")
 	flag.IntVar(&o.workers, "workers", 0, "sweep workers per job (0 = GOMAXPROCS)")
 	flag.IntVar(&o.maxJobs, "max-jobs", 16, "open (queued+running) job bound; beyond it submissions shed with 503")
 	flag.Float64Var(&o.rate, "rate", 0, "admission rate limit in submissions/second (0 = unlimited)")
@@ -179,7 +188,7 @@ func main() {
 	flag.Float64Var(&o.corruptRate, "fault-corrupt-row-rate", 0, "make this -worker byzantine: tamper computed rows at this rate before rendering and attesting them (chaos drills)")
 	flag.StringVar(&o.staleVersion, "fault-stale-version", "", "make this -worker present the given protocol version on acquire instead of its real one (chaos drills)")
 	flag.BoolVar(&o.coordinator, "coordinator", false, "execute jobs by leasing kernel rows to a worker fleet over /v1/dist/")
-	flag.BoolVar(&o.standby, "standby", false, "run as a warm standby coordinator replicating from -join; promotes after -promote-after of primary silence")
+	flag.BoolVar(&o.standby, "standby", false, "run as a warm standby coordinator replicating the primary at -join into -state; promotes after -promote-after of primary silence and then serves as a -coordinator")
 	flag.BoolVar(&o.worker, "worker", false, "run as a fleet worker instead of serving the job API (requires -join)")
 	flag.StringVar(&o.join, "join", "", "coordinator base URL(s), comma separated: a -worker acquires leases from them (rotating on failure), a -standby replicates from the first")
 	flag.StringVar(&o.peers, "peers", "", "comma-separated peer coordinator base URLs: a -coordinator probes them for newer terms (and steps down if one is live); a -worker adds them to its rotation list")
@@ -240,7 +249,8 @@ var errUsage = errors.New("usage")
 // sweeps rows with all but -breaker (it has no breaker) and
 // -fault-torn-rate (it writes no journal); a coordinator's only journal
 // is serve's, so it uses -fault-torn-rate and leaves the sweeps — and
-// the other nine — to its workers; a standby runs no sweep at all.
+// the other nine — to its workers; a standby becomes a coordinator when
+// it promotes, and takes the same flags.
 func checkExecutorFlags(o cliOptions) error {
 	set := map[string]bool{
 		"-retries": o.retries != 0, "-backoff": o.backoff != 0, "-sim-timeout": o.simTimeout != 0,
@@ -254,12 +264,11 @@ func checkExecutorFlags(o cliOptions) error {
 	case o.worker:
 		mode, why = "-worker", "a worker has no breaker and writes no journal"
 		refused = []string{"-breaker", "-fault-torn-rate"}
-	case o.standby:
-		mode, why = "-standby", "a standby runs no sweep"
-		refused = []string{"-retries", "-backoff", "-sim-timeout", "-breaker", "-workers", "-fault-rate",
-			"-fault-panic-rate", "-fault-torn-rate", "-fault-latency", "-fault-latency-rate"}
-	case o.coordinator:
+	case o.coordinator || o.standby:
 		mode, why = "-coordinator", "the fleet's workers run the sweeps: start them with it"
+		if o.standby {
+			mode = "-standby"
+		}
 		refused = []string{"-retries", "-backoff", "-sim-timeout", "-breaker", "-workers", "-fault-rate",
 			"-fault-panic-rate", "-fault-latency", "-fault-latency-rate"}
 	}
@@ -409,7 +418,8 @@ func mountPprof(mux *http.ServeMux) {
 // then drains: readiness flips, in-flight jobs get their grace, the
 // HTTP server shuts down cleanly, and unfinished work stays journaled
 // for the next start. With -worker it instead joins a coordinator's
-// fleet and never serves the job API.
+// fleet and never serves the job API; with -standby it replicates a
+// primary until it promotes, and then serves as the primary.
 func run(ctx context.Context, o cliOptions) error {
 	if err := checkExecutorFlags(o); err != nil {
 		return err
@@ -417,13 +427,17 @@ func run(ctx context.Context, o cliOptions) error {
 	if o.worker {
 		return runWorker(ctx, o)
 	}
-	if o.standby {
-		return runStandby(ctx, o)
+	if o.standby && o.join == "" {
+		return fmt.Errorf("-standby requires -join <primary URL>")
 	}
-	if o.join != "" {
+	if !o.standby && o.join != "" {
 		return fmt.Errorf("-join only makes sense with -worker or -standby")
 	}
-	sink, flight, closeSink, err := openSink(o, "coordinator")
+	proc := "coordinator"
+	if o.standby {
+		proc = processName(o)
+	}
+	sink, flight, closeSink, err := openSink(o, proc)
 	if err != nil {
 		return err
 	}
@@ -436,27 +450,21 @@ func run(ctx context.Context, o cliOptions) error {
 	reg := obs.NewRegistry()
 	fed := obs.NewFederation(reg, nil)
 	var coord *dist.Coordinator
-	var runSweep func(ctx context.Context, req serve.SweepRequest) (*sweep.Matrix, *sweep.RunReport, error)
-	if o.coordinator {
-		coord, err = dist.NewCoordinator(filepath.Join(o.stateDir, "dist"), dist.CoordinatorOptions{
-			ID:         coordinatorID(o),
-			DefaultTTL: o.leaseTTL, Metrics: reg, Sink: sink,
-			OnWorker:       fed.SetTarget,
-			VerifyFraction: o.verifyFraction,
-			Peers:          splitList(o.peers),
-			CheckEvery:     o.heartbeatEvery,
-			SelfFenceAfter: o.selfFenceAfter,
-			// A quarantined worker leaves the federation too: its target
-			// is never scraped again, and fleet_scrape_up pins to 0 so
-			// the departure is visible on /metrics/fleet.
-			OnQuarantine: func(worker string) {
-				fed.Depart(worker)
-				fmt.Fprintf(os.Stderr, "gpuscaled: worker %s quarantined and dropped from the federation\n", worker)
-			},
-		})
+	var f *front
+	switch {
+	case o.standby:
+		if coord, f, err = replicate(ctx, o, reg, fed, sink, flight); coord == nil {
+			return err
+		}
+		defer f.srv.Close()
+	case o.coordinator:
+		coord, err = dist.NewCoordinator(filepath.Join(o.stateDir, "dist"),
+			coordinatorOptions(o, splitList(o.peers), reg, fed, sink))
 		if err != nil {
 			return err
 		}
+	}
+	if coord != nil {
 		defer coord.Close()
 		// Probe peers once before serving — starting up next to a live
 		// newer term must fail fast with the deposed exit code — then
@@ -464,24 +472,99 @@ func run(ctx context.Context, o cliOptions) error {
 		if err := coord.StartHA(ctx); err != nil {
 			return err
 		}
-		// The fan-out seam: every admitted job becomes a dist job whose
-		// rows the fleet leases. The coordinator appends each accepted
-		// row to the job's one journal, which serve owns, and serve's
-		// OnRow hook keeps its live snapshot current as completes land.
-		// The job's trace context rides along so every lease grant is a
-		// child span of the job.
-		runSweep = func(ctx context.Context, req serve.SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
-			return coord.Run(ctx, dist.Job{
-				Name: req.JobID, Kernels: req.Kernels, Space: req.Space,
-				Engine: req.Engine, Seed: req.Seed, NoiseStdDev: req.Noise,
-				Journal: req.Journal, OnRow: req.OnRow, Trace: req.Trace,
-			})
-		}
 	}
+	return serveJobs(ctx, o, f, coord, reg, fed, sink, flight)
+}
 
+// coordinatorOptions configures a -coordinator, or the coordinator a
+// -standby promotes into; peers are the coordinators whose terms it
+// probes.
+func coordinatorOptions(o cliOptions, peers []string, reg *obs.Registry, fed *obs.Federation,
+	sink *obs.Sink) dist.CoordinatorOptions {
+	return dist.CoordinatorOptions{
+		ID:         processName(o),
+		DefaultTTL: o.leaseTTL, Metrics: reg, Sink: sink,
+		OnWorker:       fed.SetTarget,
+		VerifyFraction: o.verifyFraction,
+		Peers:          peers,
+		CheckEvery:     o.heartbeatEvery,
+		SelfFenceAfter: o.selfFenceAfter,
+		// A quarantined worker leaves the federation too: its target
+		// is never scraped again, and fleet_scrape_up pins to 0 so
+		// the departure is visible on /metrics/fleet.
+		OnQuarantine: func(worker string) {
+			fed.Depart(worker)
+			fmt.Fprintf(os.Stderr, "gpuscaled: worker %s quarantined and dropped from the federation\n", worker)
+		},
+	}
+}
+
+// fleet is serve's seam onto a coordinator: every admitted job becomes
+// a dist job whose rows the fleet leases, appended to the job's one
+// journal, which serve owns (its OnRow hook keeps the live snapshot
+// current, and the job's trace context makes every lease grant a child
+// span of the job), and every record serve writes reaches the standby
+// through Replicate.
+type fleet struct{ *dist.Coordinator }
+
+func (f fleet) RunSweep(ctx context.Context, req serve.SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+	return f.Run(ctx, dist.Job{
+		Name: req.JobID, Kernels: req.Kernels, Space: req.Space,
+		Engine: req.Engine, Seed: req.Seed, NoiseStdDev: req.Noise,
+		Journal: req.Journal, OnRow: req.OnRow, Trace: req.Trace,
+	})
+}
+
+// front is a daemon's one listener. Its mux can be swapped while it
+// serves: a standby answers there as a replica until it promotes, and
+// then as the primary.
+type front struct {
+	ln   net.Listener
+	srv  *http.Server
+	mux  atomic.Pointer[http.ServeMux]
+	errc chan error
+}
+
+// listen binds -addr and serves mux there.
+func listen(o cliOptions, mux *http.ServeMux) (*front, error) {
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return nil, err
+	}
+	f := &front{ln: ln, errc: make(chan error, 1)}
+	f.mux.Store(mux)
+	f.srv = obs.Server(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.mux.Load().ServeHTTP(w, r)
+	}))
+	go func() { f.errc <- f.srv.Serve(ln) }()
+	return f, nil
+}
+
+func (f *front) url() string { return "http://" + f.ln.Addr().String() }
+
+// diagMux starts a mux with the diagnostics every mode serves: the
+// flight ring, always, and profiling when asked for.
+func diagMux(o cliOptions, flight *obs.FlightRecorder) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/debug/flight", obs.FlightHandler(flight))
+	if o.pprof {
+		mountPprof(mux)
+	}
+	return mux
+}
+
+// serveJobs serves the job API over -state until ctx ends, then
+// drains: a plain daemon, a -coordinator (coord non-nil) and a promoted
+// standby, which passes the front it already serves on, alike.
+func serveJobs(ctx context.Context, o cliOptions, f *front, coord *dist.Coordinator, reg *obs.Registry,
+	fed *obs.Federation, sink *obs.Sink, flight *obs.FlightRecorder) error {
+	var fl serve.Fleet
+	if coord != nil {
+		fl = fleet{coord}
+	}
 	svc, err := serve.New(serve.Config{
 		Registry:     reg,
-		RunSweep:     runSweep,
+		Fleet:        fl,
 		Sink:         sink,
 		Dir:          o.stateDir,
 		Runners:      o.runners,
@@ -508,34 +591,30 @@ func run(ctx context.Context, o cliOptions) error {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
 	// Diagnostics ride the same listener as the job API: the flight
 	// ring is always fetchable, profiling is opt-in, and coordinator
 	// mode adds the lease protocol plus the fleet-wide metrics view.
-	mux := http.NewServeMux()
-	mux.Handle("/debug/flight", obs.FlightHandler(flight))
-	if o.pprof {
-		mountPprof(mux)
-	}
+	mux := diagMux(o, flight)
 	if coord != nil {
 		mux.Handle("/v1/dist/", coord.Handler())
 		mux.Handle("/v1/ha/", coord.Handler())
 		mux.Handle("/metrics/fleet", fed.Handler())
 	}
 	mux.Handle("/", svc.Handler())
-	srv := obs.Server(mux)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	mode := ""
-	if coord != nil {
-		mode = ", coordinating a fleet on /v1/dist/"
-	}
-	fmt.Fprintf(os.Stderr, "gpuscaled: serving on http://%s (state in %s%s)\n", ln.Addr(), o.stateDir, mode)
-	if o.ready != nil {
-		o.ready("http://" + ln.Addr().String())
+	if f != nil {
+		f.mux.Store(mux)
+	} else {
+		if f, err = listen(o, mux); err != nil {
+			return err
+		}
+		mode := ""
+		if coord != nil {
+			mode = ", coordinating a fleet on /v1/dist/"
+		}
+		fmt.Fprintf(os.Stderr, "gpuscaled: serving on %s (state in %s%s)\n", f.url(), o.stateDir, mode)
+		if o.ready != nil {
+			o.ready(f.url())
+		}
 	}
 
 	var deposed <-chan struct{}
@@ -543,13 +622,13 @@ func run(ctx context.Context, o cliOptions) error {
 		deposed = coord.Deposed() // nil channel (blocks forever) otherwise
 	}
 	select {
-	case err := <-serveErr:
+	case err := <-f.errc:
 		return err
 	case <-deposed:
 		// A newer term is live: every grant and ack this process could
 		// make is already fenced, so serving on only confuses clients.
 		fmt.Fprintln(os.Stderr, "gpuscaled: deposed — a newer coordinator term is live; exiting")
-		srv.Close()
+		f.srv.Close()
 		return dist.ErrDeposed
 	case <-ctx.Done():
 	}
@@ -564,12 +643,12 @@ func run(ctx context.Context, o cliOptions) error {
 	}
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer scancel()
-	if err := srv.Shutdown(sctx); err != nil {
+	if err := f.srv.Shutdown(sctx); err != nil {
 		// A keep-alive connection that was dialed but never carried a
 		// request sits in StateNew until ReadHeaderTimeout, which races
 		// this shutdown budget. Every job is already settled, so
 		// force-close the stragglers instead of failing a clean drain.
-		srv.Close()
+		f.srv.Close()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			return fmt.Errorf("http shutdown: %w", err)
 		}
@@ -579,9 +658,9 @@ func run(ctx context.Context, o cliOptions) error {
 	return nil
 }
 
-// coordinatorID names a coordinator (or standby) in term records and
-// status probes: -worker-name if given, else host-pid.
-func coordinatorID(o cliOptions) string {
+// processName names this process in term records, leases, traces
+// and status probes: -worker-name if given, else host-pid.
+func processName(o cliOptions) string {
 	if o.workerName != "" {
 		return o.workerName
 	}
@@ -589,121 +668,53 @@ func coordinatorID(o cliOptions) string {
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
-// runStandby runs the warm-replica half of an HA pair: tail the
-// primary's replication stream into this process's own state
-// directory, serve term probes (and typed 503s for lease traffic) in
-// the meantime, and — after -promote-after of primary silence —
-// promote into a live coordinator at the next term. The promoted
-// coordinator serves the lease protocol on the same listener, so
-// workers carrying this address in their peer list converge without
-// reconfiguration. It does not serve the job API: replicated jobs
-// already live in the dist layer, and admission stays with whichever
-// process owns the client-facing address.
-func runStandby(ctx context.Context, o cliOptions) error {
-	if o.join == "" {
-		return fmt.Errorf("-standby requires -join <primary URL>")
-	}
+// replicate runs the warm-replica half of an HA pair: it tails the
+// primary into -state, a replica of the primary's state directory
+// without its matrix archives, and serves term probes and typed 503s
+// meanwhile. After -promote-after of primary silence it returns the
+// coordinator it promoted into and the front it served on, and run
+// starts it there as a -coordinator over the replica. It returns no
+// coordinator once ctx ends first.
+func replicate(ctx context.Context, o cliOptions, reg *obs.Registry, fed *obs.Federation, sink *obs.Sink,
+	flight *obs.FlightRecorder) (*dist.Coordinator, *front, error) {
 	primaries := splitList(o.join)
-	name := coordinatorID(o)
-	sink, flight, closeSink, err := openSink(o, name)
-	if err != nil {
-		return err
-	}
-	defer closeSink()
-	defer dumpOnPanic(sink, flight, o.stateDir)
-
-	reg := obs.NewRegistry()
-	fed := obs.NewFederation(reg, nil)
-	sb, err := dist.NewStandby(filepath.Join(o.stateDir, "dist"), dist.StandbyOptions{
-		ID:           name,
+	sb, err := dist.NewStandby(o.stateDir, dist.StandbyOptions{
+		ID:           processName(o),
 		Primary:      primaries[0],
 		PollEvery:    o.heartbeatEvery,
 		PromoteAfter: o.promoteAfter,
 		Metrics:      reg,
-		Coordinator: dist.CoordinatorOptions{
-			ID:         name,
-			DefaultTTL: o.leaseTTL, Metrics: reg, Sink: sink,
-			OnWorker:       fed.SetTarget,
-			VerifyFraction: o.verifyFraction,
-			// After promotion the old primary is a peer to keep probing:
-			// if an operator wrongly restarts it as primary, whoever holds
-			// the older term steps down.
-			Peers:          primaries,
-			CheckEvery:     o.heartbeatEvery,
-			SelfFenceAfter: o.selfFenceAfter,
-			OnQuarantine: func(worker string) {
-				fed.Depart(worker)
-				fmt.Fprintf(os.Stderr, "gpuscaled: worker %s quarantined and dropped from the federation\n", worker)
-			},
-		},
+		// After promotion the old primary is a peer to keep probing: if
+		// an operator wrongly restarts it as primary, whoever holds the
+		// older term steps down.
+		Coordinator: coordinatorOptions(o, primaries, reg, fed, sink),
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer sb.Close()
-
-	ln, err := net.Listen("tcp", o.addr)
+	mux := diagMux(o, flight)
+	mux.Handle("/metrics", obs.Handler(reg, nil))
+	mux.Handle("/", sb.Handler())
+	f, err := listen(o, mux)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	// The listener outlives the promotion, so the handler behind it is
-	// swappable: standby surface first, the promoted coordinator's
-	// protocol after.
-	var handler atomic.Value
-	smux := http.NewServeMux()
-	smux.Handle("/debug/flight", obs.FlightHandler(flight))
-	smux.Handle("/metrics", obs.Handler(reg, nil))
-	if o.pprof {
-		mountPprof(smux)
-	}
-	smux.Handle("/", sb.Handler())
-	handler.Store(http.Handler(smux))
-	srv := obs.Server(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().(http.Handler).ServeHTTP(w, r)
-	}))
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "gpuscaled: standby %s on http://%s replicating %s (state in %s)\n",
-		name, ln.Addr(), primaries[0], o.stateDir)
+	fmt.Fprintf(os.Stderr, "gpuscaled: standby %s on %s replicating %s (state in %s)\n",
+		processName(o), f.url(), primaries[0], o.stateDir)
 	if o.ready != nil {
-		o.ready("http://" + ln.Addr().String())
+		o.ready(f.url())
 	}
-
 	coord, err := sb.Run(ctx)
-	if err != nil {
-		return err
+	if coord == nil {
+		f.srv.Close()
+		return nil, nil, err
 	}
-	if coord == nil { // ctx ended while still a standby
-		return nil
-	}
-	defer coord.Close()
-	pmux := http.NewServeMux()
-	pmux.Handle("/debug/flight", obs.FlightHandler(flight))
-	pmux.Handle("/metrics", obs.Handler(reg, nil))
-	if o.pprof {
-		mountPprof(pmux)
-	}
-	pmux.Handle("/v1/dist/", coord.Handler())
-	pmux.Handle("/v1/ha/", coord.Handler())
-	pmux.Handle("/metrics/fleet", fed.Handler())
-	handler.Store(http.Handler(pmux))
 	fmt.Fprintf(os.Stderr, "gpuscaled: promoted to primary at term %d\n", coord.Term())
-	if err := coord.StartHA(ctx); err != nil {
-		return err
-	}
-	select {
-	case err := <-serveErr:
-		return err
-	case <-coord.Deposed():
-		fmt.Fprintln(os.Stderr, "gpuscaled: deposed — a newer coordinator term is live; exiting")
-		return dist.ErrDeposed
-	case <-ctx.Done():
-		return nil
-	}
+	return coord, f, nil
 }
 
 // runWorker joins a coordinator's fleet: acquire a row lease, sweep
@@ -716,11 +727,7 @@ func runWorker(ctx context.Context, o cliOptions) error {
 	if o.join == "" {
 		return fmt.Errorf("-worker requires -join <coordinator URL>")
 	}
-	name := o.workerName
-	if name == "" {
-		host, _ := os.Hostname()
-		name = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
+	name := processName(o)
 	sink, flight, closeSink, err := openSink(o, name)
 	if err != nil {
 		return err

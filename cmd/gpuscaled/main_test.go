@@ -141,9 +141,9 @@ func TestExitCodeFor(t *testing.T) {
 
 // TestExecutorFlagRefusals: in every mode an executor flag is either
 // used or refused at start-up with a usage error naming it — never
-// accepted and ignored. A -coordinator uses only -fault-torn-rate, a
-// -standby none, a -worker all but -breaker and -fault-torn-rate, and a
-// plain daemon all ten.
+// accepted and ignored. A -coordinator, and a -standby, which becomes
+// one, use only -fault-torn-rate, a -worker all but -breaker and
+// -fault-torn-rate, and a plain daemon all ten.
 func TestExecutorFlagRefusals(t *testing.T) {
 	flags := []struct {
 		name string
@@ -167,7 +167,8 @@ func TestExecutorFlagRefusals(t *testing.T) {
 	}{
 		{"plain", func(*cliOptions) {}, func(string) bool { return true }},
 		{"-coordinator", func(o *cliOptions) { o.coordinator = true }, func(f string) bool { return f == "-fault-torn-rate" }},
-		{"-standby", func(o *cliOptions) { o.standby = true; o.join = "http://127.0.0.1:1" }, func(string) bool { return false }},
+		{"-standby", func(o *cliOptions) { o.standby = true; o.join = "http://127.0.0.1:1" },
+			func(f string) bool { return f == "-fault-torn-rate" }},
 		{"-worker", func(o *cliOptions) { o.worker = true; o.join = "http://127.0.0.1:1" },
 			func(f string) bool { return f != "-breaker" && f != "-fault-torn-rate" }},
 	}

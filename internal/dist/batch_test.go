@@ -491,7 +491,7 @@ func TestBatchCountsScaleWithBatches(t *testing.T) {
 	if kinds["grant"] != rows || kinds["complete"] != rows {
 		t.Fatalf("ledger holds %d grants and %d completes, want %d of each", kinds["grant"], kinds["complete"], rows)
 	}
-	m, ok := coord.Matrix(job.Name)
+	m, ok := completeMatrix(coord, job.Name)
 	if !ok {
 		t.Fatal("job incomplete")
 	}

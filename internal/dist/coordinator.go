@@ -157,13 +157,15 @@ type rowState struct {
 	releasedEarly bool
 }
 
-// jobState is one registered job's lease state and matrix, and what
-// sizes its lease batches: the workers that have leased from it and
-// the compute-and-render time its completes reported.
+// jobState is one registered job's lease state and matrix, the order
+// its journal holds done rows in, and what sizes its lease batches:
+// the workers that have leased from it and the compute-and-render time
+// its completes reported.
 type jobState struct {
 	job      Job
 	rows     []rowState
 	matrix   *sweep.Matrix
+	order    []int
 	workers  map[string]bool
 	costNS   int64
 	costRows int64
@@ -196,6 +198,8 @@ type Coordinator struct {
 	// quarantined is fleet-wide (cross-job) integrity state, recovered
 	// from the ledger on restart.
 	quarantined map[string]bool
+	// files are the paths of the records Replicate published.
+	files []string
 	// changed is closed, and replaced, whenever a row may have become
 	// grantable or a job may have finished (signalLocked): a waiting
 	// acquire and Run wake on it instead of polling. closed ends every
@@ -442,18 +446,6 @@ func (c *Coordinator) probePeers(ctx context.Context, client *http.Client) error
 	return nil
 }
 
-// Quarantined returns the quarantined worker names, sorted.
-func (c *Coordinator) Quarantined() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []string
-	for w := range c.quarantined {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // LedgerPath returns the coordinator's lease ledger file.
 func (c *Coordinator) LedgerPath() string { return filepath.Join(c.dir, "lease.ledger") }
 
@@ -580,19 +572,23 @@ func (c *Coordinator) addJob(job Job) error {
 		}
 	}
 	c.logAppend(retracted...) //nolint:errcheck // best-effort audit, as in quarantineLocked
-	c.jobs[job.Name] = js
-	// Put the registration on the replication stream so a standby can
-	// re-register the job at promotion (the OnRow hook stays local),
-	// followed by the rows the job's journal already held: a standby
-	// forgets a job once its Run returns, so a job resumed after a
-	// restart reaches the standby's replica journal whole only this way.
-	if spec, err := specForJob(job); err == nil {
-		msgs := []replMsg{{Kind: "job", Job: &spec}}
-		for _, rp := range js.doneRows() {
-			msgs = append(msgs, replMsg{Kind: "row", Row: &rp})
+	// js.order starts with the journal's rows, in the journal's order.
+	if prior != nil {
+		for _, k := range prior.Kernels {
+			if r := js.matrix.Row(k); r >= 0 && js.rows[r].done {
+				js.order = append(js.order, r)
+			}
 		}
-		c.repl.publish(msgs...)
 	}
+	c.jobs[job.Name] = js
+	// The registration starts the job's replica journal afresh, so the
+	// rows the job's journal already held follow it.
+	shape := js.shape()
+	msgs := []replMsg{{Kind: "job", Job: &shape}}
+	for _, rp := range js.doneRows() {
+		msgs = append(msgs, replMsg{Kind: "row", Row: &rp})
+	}
+	c.repl.publish(msgs...)
 	c.signalLocked()
 	// A per-job term instant: the stitched trace shows which
 	// coordinator, under which term, served this job's grants.
@@ -651,31 +647,6 @@ func (c *Coordinator) statusLocked(js *jobState) JobStatus {
 	return st
 }
 
-// TraceID returns a registered job's trace ID, or "" when the job is
-// unknown — the handle tests and tools use to find the job's stitched
-// trace.
-func (c *Coordinator) TraceID(job string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	js, ok := c.jobs[job]
-	if !ok {
-		return ""
-	}
-	return js.job.Trace.TraceID
-}
-
-// Matrix returns a copy-free snapshot of a job's matrix once the job
-// is complete, or false while rows are outstanding.
-func (c *Coordinator) Matrix(job string) (*sweep.Matrix, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	js, ok := c.jobs[job]
-	if !ok || !c.statusLocked(js).Complete {
-		return nil, false
-	}
-	return js.matrix, true
-}
-
 // Run registers job and blocks until every row is done or ctx ends.
 // On cancellation the partial matrix and its report are returned
 // alongside the context error, mirroring sweep.RunContext. However
@@ -712,7 +683,8 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.R
 // renews and completes for it answer 404, the HA snapshot drops it and
 // no quarantine can retract its rows. The "left" message it publishes
 // follows the job's last row and complete frames on the replication
-// stream, and tells the standby to forget the job too. Without force,
+// stream, and tells the standby to close the job's replica journal
+// too, as the job's owner closes its own. Without force,
 // a job with rows outstanding stays and retire reports false, with the
 // change signal to wait on before looking again.
 func (c *Coordinator) retire(name string, force bool) (*sweep.Matrix, bool, <-chan struct{}) {
@@ -1324,6 +1296,7 @@ func (c *Coordinator) applyLocked(js *jobState, l *landing, worker string) rowRe
 	rs.done = true
 	rs.digest, rs.verified, rs.completedBy = l.rc.Digest, l.verified, worker
 	rs.pending, rs.votes = false, nil
+	js.order = append(js.order, r)
 	if js.job.OnRow != nil {
 		js.job.OnRow(js.matrix, r)
 	}
@@ -1533,10 +1506,10 @@ func (c *Coordinator) Handler() http.Handler {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad cursor"})
 			return
 		}
-		msgs, next, ok := c.repl.tail(cursor, longPoll)
+		msgs, next, ok := c.repl.tail(cursor, r.URL.Query().Get("log"), longPoll)
 		if !ok {
 			writeJSON(w, http.StatusConflict, errorBody{
-				Error: "cursor outside the retained replication window", Code: "out-of-sync"})
+				Error: "cursor outside the retained replication window, or of another log", Code: "out-of-sync"})
 			return
 		}
 		writeJSON(w, http.StatusOK, tailResponse{ID: c.id, Term: term, Next: next, Msgs: msgs})
@@ -1565,21 +1538,23 @@ func (c *Coordinator) haStatus() HAStatus {
 
 // snapshot builds a consistent full copy of the durable state for a
 // standby that cannot catch up from the tail: the exact ledger bytes,
-// every registered job's spec and completed rows, and the cursor at
-// which tailing resumes. Taken under c.mu, so no publish can
-// interleave — the cursor and the state describe the same instant.
+// every registered job's shape and completed rows, the job owner's
+// records, and the cursor at which tailing resumes. It is taken under
+// c.mu, so the cursor and the state describe the same instant; a
+// record is read back after, as it is never rewritten.
 func (c *Coordinator) snapshot() (*haSnapshot, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.deposed {
+		c.mu.Unlock()
 		return nil, ErrDeposed
 	}
 	// Ship only what was acked, never a failed append's partial bytes.
 	ledgerBytes, err := c.ledger.Prefix()
 	if err != nil {
+		c.mu.Unlock()
 		return nil, fmt.Errorf("dist: reading ledger for snapshot: %w", err)
 	}
-	snap := &haSnapshot{ID: c.id, Term: c.term, Cursor: c.repl.latest(), Ledger: ledgerBytes}
+	snap := &haSnapshot{ID: c.id, Log: c.repl.id, Term: c.term, Cursor: c.repl.latest(), Ledger: ledgerBytes}
 	var names []string
 	for name := range c.jobs {
 		names = append(names, name)
@@ -1587,25 +1562,61 @@ func (c *Coordinator) snapshot() (*haSnapshot, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		js := c.jobs[name]
-		spec, err := specForJob(js.job)
-		if err != nil {
-			return nil, err
-		}
-		snap.Jobs = append(snap.Jobs, spec)
+		snap.Jobs = append(snap.Jobs, js.shape())
 		snap.Rows = append(snap.Rows, js.doneRows()...)
+	}
+	paths := append([]string(nil), c.files...)
+	c.mu.Unlock()
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("dist: reading a replicated record for snapshot: %w", err)
+		}
+		snap.Files = append(snap.Files, fileRecord{Name: filepath.Base(path), Data: b})
 	}
 	return snap, nil
 }
 
-// doneRows packs every done row of js for the replication stream.
-// Caller holds c.mu.
+// Replicate publishes a record the job owner has just written once at
+// path (serve's admission and terminal records), opaque to dist, and
+// waits (bounded) for the standby to hold it, as an ack does. Only the
+// path is kept: a snapshot reads the record back. Nil data names a
+// record from before this coordinator started, which only a snapshot
+// carries: every standby of this log starts from one.
+func (c *Coordinator) Replicate(path string, data []byte) {
+	c.mu.Lock()
+	c.files = append(c.files, path)
+	if data != nil {
+		c.repl.publish(replMsg{Kind: "file", File: &fileRecord{Name: filepath.Base(path), Data: data}})
+	}
+	c.mu.Unlock()
+	if data != nil {
+		c.replBarrier()
+	}
+}
+
+// shape is js's registration on the replication stream.
+func (js *jobState) shape() jobShape {
+	kernels := make([]string, len(js.job.Kernels))
+	for i, k := range js.job.Kernels {
+		kernels[i] = k.Name
+	}
+	return jobShape{Name: js.job.Name, Space: js.job.Space, Kernels: kernels}
+}
+
+// doneRows packs every done row of js for the replication stream, each
+// once, in journal order, so a replica journal rebuilt from them is
+// the journal byte for byte. Caller holds c.mu.
 func (js *jobState) doneRows() []RowPlanes {
 	var out []RowPlanes
-	for r := range js.rows {
-		if js.rows[r].done {
-			out = append(out, RowPlanes{Job: js.job.Name, Row: r, Kernel: js.job.Kernels[r].Name,
-				Planes: packPlanes(js.matrix.Throughput[r], js.matrix.TimeNS[r], js.matrix.Bound[r])})
+	seen := make([]bool, len(js.rows))
+	for _, r := range js.order {
+		if !js.rows[r].done || seen[r] {
+			continue
 		}
+		seen[r] = true
+		out = append(out, RowPlanes{Job: js.job.Name, Row: r, Kernel: js.job.Kernels[r].Name,
+			Planes: packPlanes(js.matrix.Throughput[r], js.matrix.TimeNS[r], js.matrix.Bound[r])})
 	}
 	return out
 }

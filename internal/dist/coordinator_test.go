@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +96,30 @@ func newTestCoordinator(t *testing.T, dir string, clk *testClock) *Coordinator {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// completeMatrix is a registered job's matrix once every row is done,
+// or false while rows are outstanding.
+func completeMatrix(c *Coordinator, job string) (*sweep.Matrix, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	js, ok := c.jobs[job]
+	if !ok || !c.statusLocked(js).Complete {
+		return nil, false
+	}
+	return js.matrix, true
+}
+
+// quarantinedWorkers returns c's quarantined worker names, sorted.
+func quarantinedWorkers(c *Coordinator) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []string
+	for w := range c.quarantined {
+		out = append(out, w)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // acq builds a handshake-passing acquire for worker.
@@ -692,7 +717,7 @@ func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
+	if q := quarantinedWorkers(c); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("liar should be quarantined, got %v", q)
 	}
 

@@ -1,19 +1,18 @@
 package dist
 
 // Coordinator high availability: a warm standby tails the primary's
-// lease ledger over a typed HTTP replication stream and promotes
-// itself when the primary goes silent.
+// replication stream into a replica of the primary's state directory,
+// and promotes itself when the primary goes silent.
 //
 // The design is pull-based and crash-only, like everything else in
 // this repo:
 //
 //   - The primary publishes every durable event — ledger frames (the
-//     exact CRC-framed bytes it fsynced), job specs, completed row
-//     planes, and a job's departure once its Run returns — into an
-//     in-memory replication log with a monotonically increasing
-//     cursor. A departed job leaves the standby too, so the replica
-//     holds only the jobs the primary still runs.
-//   - The standby long-polls GET /v1/ha/tail?cursor=N, applies each
+//     exact CRC-framed bytes it fsynced), a job's registration and its
+//     completed row planes, a job's departure once its Run returns, and
+//     each record the job owner writes (Replicate) — into an in-memory
+//     replication log with a monotonically increasing cursor.
+//   - The standby long-polls GET /v1/ha/tail?cursor=N&log=L, applies each
 //     message exactly once — a tail's rows in one append per replica
 //     journal, then its ledger frames in one append, fsynced before
 //     it advances its cursor — and the next tail request's cursor
@@ -37,12 +36,14 @@ package dist
 //     its deposition from peer probes, worker traffic carrying a
 //     newer term, or tail silence — and exits through ErrDeposed.
 //
-// Because the standby appends the primary's exact ledger frames, and
-// validates each row's packed planes with the primary's checks before
-// rendering the same journal record the primary journaled, the
-// promoted coordinator's durable state is byte-identical to the
-// primary's — the job's matrix stays byte-identical to a single-node
-// run across a failover, which is the repo's north-star invariant.
+// The standby's directory is laid out as the primary's (dist/lease.ledger,
+// each job's journal and the owner's records at their own names), so a
+// failover is a restart: the job owner recovers over the replica as
+// over its own directory. The standby appends the primary's exact
+// ledger frames and renders, from validated planes, the journal record
+// the primary journaled, so the replica is the primary's durable state
+// byte for byte, and the matrix stays byte-identical to a single-node
+// run across a failover.
 
 import (
 	"bytes"
@@ -51,17 +52,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"gpuscale/internal/durable"
 	"gpuscale/internal/hw"
-	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
 	"gpuscale/internal/sweep"
 )
@@ -77,57 +79,6 @@ var ErrDeposed = errors.New("dist: coordinator deposed: a newer term is live")
 // has not promoted — the worker should try the next peer.
 var errNotPrimary = errors.New("dist: not primary: warm standby has not promoted")
 
-// JobSpec is the wire form of a dist Job — everything a standby needs
-// to re-register the job at promotion (the OnRow hook and the journal
-// handle, which belong to the primary's serve layer, do not
-// replicate).
-type JobSpec struct {
-	Name        string          `json:"name"`
-	Kernels     json.RawMessage `json:"kernels"` // kernel.WriteAll wire form
-	Space       hw.Space        `json:"space"`
-	Seed        int64           `json:"seed"`
-	NoiseStdDev float64         `json:"noise_stddev,omitempty"`
-	Engine      string          `json:"engine"`
-	Traceparent string          `json:"traceparent,omitempty"`
-}
-
-// specForJob captures a registered job for the replication stream.
-func specForJob(job Job) (JobSpec, error) {
-	var buf bytes.Buffer
-	if err := kernel.WriteAll(&buf, job.Kernels); err != nil {
-		return JobSpec{}, fmt.Errorf("dist: encoding job spec: %w", err)
-	}
-	return JobSpec{
-		Name: job.Name, Kernels: buf.Bytes(), Space: job.Space,
-		Seed: job.Seed, NoiseStdDev: job.NoiseStdDev, Engine: job.Engine.String(),
-		Traceparent: job.Trace.Traceparent(),
-	}, nil
-}
-
-// job rebuilds the registrable Job. The trace context round-trips, so
-// a promoted coordinator's grants stay stitched to the original
-// submission's trace.
-func (s JobSpec) job() (Job, error) {
-	ks, err := kernel.ReadAll(bytes.NewReader(s.Kernels))
-	if err != nil {
-		return Job{}, fmt.Errorf("dist: decoding job spec %s: %w", s.Name, err)
-	}
-	space, err := hw.NewSpace(s.Space.CUCounts, s.Space.CoreClocksMHz, s.Space.MemClocksMHz)
-	if err != nil {
-		return Job{}, fmt.Errorf("dist: job spec %s: %w", s.Name, err)
-	}
-	engine, err := sweep.ParseEngine(s.Engine)
-	if err != nil {
-		return Job{}, fmt.Errorf("dist: job spec %s: %w", s.Name, err)
-	}
-	j := Job{Name: s.Name, Kernels: ks, Space: space, Seed: s.Seed,
-		NoiseStdDev: s.NoiseStdDev, Engine: engine}
-	if sc, err := obs.ParseTraceparent(s.Traceparent); err == nil {
-		j.Trace = sc
-	}
-	return j, nil
-}
-
 // RowPlanes is one completed row's measurement planes on the
 // replication stream — the ledger's complete record carries only the
 // digest, so the planes travel as their own message, in the packed
@@ -140,18 +91,37 @@ type RowPlanes struct {
 	Planes []byte `json:"planes"`
 }
 
+// jobShape is a registered job as its replica journal sees it: the
+// space every row's planes must fill and the kernel each row must
+// name. It is all a registration carries; the job itself travels as
+// its owner's admission record.
+type jobShape struct {
+	Name    string   `json:"name"`
+	Space   hw.Space `json:"space"`
+	Kernels []string `json:"kernels"`
+}
+
+// fileRecord is one record the job owner wrote to its directory, on
+// the replication stream: the standby writes Data verbatim at Name in
+// its own directory.
+type fileRecord struct {
+	Name string `json:"name"`
+	Data []byte `json:"data"`
+}
+
 // replMsg is one replication-stream message.
 type replMsg struct {
 	Cursor int64  `json:"cursor"`
-	Kind   string `json:"kind"` // "rec" | "job" | "row" | "left"
+	Kind   string `json:"kind"` // "rec" | "job" | "row" | "left" | "file"
 	// Frame is the exact framed ledger bytes for "rec" — appended
 	// verbatim on the standby, so the replica ledger is byte-identical.
 	Frame []byte     `json:"frame,omitempty"`
-	Job   *JobSpec   `json:"job,omitempty"`
+	Job   *jobShape  `json:"job,omitempty"`
 	Row   *RowPlanes `json:"row,omitempty"`
 	// Left names the job a "left" message retires: its Run returned on
-	// the primary, so the standby forgets it.
-	Left string `json:"left,omitempty"`
+	// the primary, so the standby closes its replica journal.
+	Left string      `json:"left,omitempty"`
+	File *fileRecord `json:"file,omitempty"`
 }
 
 // tailResponse answers GET /v1/ha/tail.
@@ -165,12 +135,14 @@ type tailResponse struct {
 // haSnapshot answers GET /v1/ha/snapshot: a consistent full copy of
 // the primary's durable state plus the cursor tailing resumes from.
 type haSnapshot struct {
-	ID     string      `json:"id"`
-	Term   uint64      `json:"term"`
-	Cursor int64       `json:"cursor"`
-	Ledger []byte      `json:"ledger"`
-	Jobs   []JobSpec   `json:"jobs,omitempty"`
-	Rows   []RowPlanes `json:"rows,omitempty"`
+	ID     string       `json:"id"`
+	Log    string       `json:"log"`
+	Term   uint64       `json:"term"`
+	Cursor int64        `json:"cursor"`
+	Ledger []byte       `json:"ledger"`
+	Jobs   []jobShape   `json:"jobs,omitempty"`
+	Rows   []RowPlanes  `json:"rows,omitempty"`
+	Files  []fileRecord `json:"files,omitempty"`
 }
 
 // HAStatus answers GET /v1/ha/status — the probe surface peers (and
@@ -194,9 +166,14 @@ const replBacklog = 4096
 // condition variable the synchronous-append barrier waits on. Its
 // mutex nests strictly inside the coordinator's (publishes happen
 // under c.mu; the tail handler never takes c.mu while holding rl.mu).
+// A cursor means something only in the log that numbered it, and a
+// restarted primary numbers a new log from 0, so id names this log:
+// a snapshot hands it to the standby, and a tail that names another
+// log is sent back to resync.
 type replLog struct {
 	mu   sync.Mutex
 	cond *sync.Cond
+	id   string
 	base int64
 	msgs []replMsg
 	// acked is the standby's durable cursor: everything below it was
@@ -212,7 +189,7 @@ type replLog struct {
 }
 
 func newReplLog() *replLog {
-	rl := &replLog{}
+	rl := &replLog{id: strconv.FormatUint(rand.Uint64(), 16)}
 	rl.cond = sync.NewCond(&rl.mu)
 	return rl
 }
@@ -282,19 +259,20 @@ func (rl *replLog) waitAcked(target int64, timeout time.Duration) bool {
 
 // tail serves one tail request: cursor acknowledges everything below
 // it, then the call long-polls (bounded by wait) for messages at or
-// past it. ok is false when the cursor fell off the retained window.
-func (rl *replLog) tail(cursor int64, wait time.Duration) (msgs []replMsg, next int64, ok bool) {
+// past it. ok is false, and nothing is acknowledged, when log is not
+// this log's id or the cursor is outside the retained window.
+func (rl *replLog) tail(cursor int64, log string, wait time.Duration) (msgs []replMsg, next int64, ok bool) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	rl.lastTail = time.Now()
 	rl.attached = true
 	rl.everTailed = true
+	if log != rl.id || cursor < rl.base || cursor > rl.base+int64(len(rl.msgs)) {
+		return nil, 0, false
+	}
 	if cursor > rl.acked {
 		rl.acked = cursor
 		rl.cond.Broadcast()
-	}
-	if cursor < rl.base {
-		return nil, 0, false
 	}
 	if cursor == rl.base+int64(len(rl.msgs)) && wait > 0 {
 		deadline := time.Now().Add(wait)
@@ -308,7 +286,7 @@ func (rl *replLog) tail(cursor int64, wait time.Duration) (msgs []replMsg, next 
 			rl.cond.Wait()
 		}
 	}
-	if cursor > rl.base+int64(len(rl.msgs)) {
+	if cursor < rl.base {
 		return nil, 0, false
 	}
 	msgs = append(msgs, rl.msgs[cursor-rl.base:]...)
@@ -382,34 +360,43 @@ type StandbyOptions struct {
 }
 
 // Standby is a warm coordinator replica: it tails the primary's
-// replication stream into its own directory and can promote itself
-// into a full Coordinator when the primary goes silent.
+// replication stream into a replica of the primary's state directory
+// and can promote itself into a full Coordinator when the primary goes
+// silent.
 type Standby struct {
 	dir    string
 	o      StandbyOptions
 	client *http.Client
 	now    func() time.Time
 
-	mu          sync.Mutex
-	led         *durable.Log
-	term        uint64
+	mu   sync.Mutex
+	led  *durable.Log
+	term uint64
+	// log names the primary's replication log cursor counts in.
+	log         string
 	cursor      int64
 	synced      bool
 	lastContact time.Time
-	// jobs are the replicated jobs the primary still runs; each one's
-	// Journal is its replica journal.
-	jobs     map[string]*Job
+	// jobs are the replica journals of the jobs the primary still runs.
+	jobs     map[string]*replica
 	promoted *Coordinator
 
 	mTerm, mCursor                                     *obs.Gauge
 	mFailovers, mApplyFails, mLedgerApps, mJournalApps *obs.Counter
 }
 
-// NewStandby opens (or resumes) a standby rooted at dir. Existing
-// replica state — the ledger, journals and job specs a previous
-// incarnation replicated — is reloaded, but the first contact with
-// the primary always starts from a snapshot: the replication cursor
-// is process-local, so a restarted standby re-bases before tailing.
+// replica is one live job's open replica journal and the shape its
+// replicated rows are checked against.
+type replica struct {
+	shape   jobShape
+	journal *sweep.Journal
+}
+
+// NewStandby opens (or resumes) a standby whose replica directory is
+// dir: its ledger lives in dir/dist, as the primary's does. The first
+// contact with the primary always starts from a snapshot: the
+// replication cursor is process-local, so a restarted standby re-bases
+// before tailing.
 func NewStandby(dir string, o StandbyOptions) (*Standby, error) {
 	if o.Primary == "" {
 		return nil, fmt.Errorf("dist: standby needs a primary URL")
@@ -426,26 +413,22 @@ func NewStandby(dir string, o StandbyOptions) (*Standby, error) {
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "dist"), 0o755); err != nil {
 		return nil, fmt.Errorf("dist: creating standby dir: %w", err)
 	}
-	s := &Standby{dir: dir, o: o, client: o.Client, now: o.now, jobs: map[string]*Job{}}
+	s := &Standby{dir: dir, o: o, client: o.Client, now: o.now, jobs: map[string]*replica{}}
 	if s.client == nil {
 		s.client = &http.Client{Timeout: 10 * time.Second}
 	}
 	if s.now == nil {
 		s.now = time.Now
 	}
-	led, rec, err := openLedger(filepath.Join(dir, "lease.ledger"))
+	led, rec, err := openLedger(s.ledgerPath())
 	if err != nil {
 		return nil, err
 	}
 	s.led = led
 	s.term = rec.term
-	if err := s.reloadJobs(); err != nil {
-		led.Close()
-		return nil, err
-	}
 	s.lastContact = s.now()
 	r := o.Metrics
 	if r == nil {
@@ -461,74 +444,57 @@ func NewStandby(dir string, o StandbyOptions) (*Standby, error) {
 	return s, nil
 }
 
-// reloadJobs reopens every *.jobspec a previous incarnation
-// replicated. Caller holds s.mu or has exclusive access.
-func (s *Standby) reloadJobs() error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) != ".jobspec" {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			return err
-		}
-		var spec JobSpec
-		if err := json.Unmarshal(b, &spec); err != nil {
-			return fmt.Errorf("dist: corrupt replicated job spec %s: %w", e.Name(), err)
-		}
-		if err := s.registerJob(spec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// ledgerPath is the replica ledger: dist/lease.ledger, where the
+// promoted coordinator opens it.
+func (s *Standby) ledgerPath() string { return filepath.Join(s.dir, "dist", "lease.ledger") }
 
-// registerJob opens (or reopens) one replicated job's journal.
-// Idempotent per name.
-func (s *Standby) registerJob(spec JobSpec) error {
-	if _, ok := s.jobs[spec.Name]; ok {
-		return nil
-	}
-	j, err := spec.job()
-	if err != nil {
-		return err
-	}
-	if j.Journal, err = sweep.OpenJournal(s.journalPath(spec.Name), j.Space); err != nil {
-		return err
-	}
-	s.jobs[spec.Name] = &j
-	return nil
-}
-
-// forgetJobLocked drops a job the primary retired: its replica journal
-// is closed, and its spec and journal files are removed, so neither a
-// restart (reloadJobs) nor a promotion brings it back. A job the
-// standby does not hold is already forgotten. Caller holds s.mu.
-func (s *Standby) forgetJobLocked(name string) error {
-	if j := s.jobs[name]; j != nil {
-		j.Journal.Close()
-		delete(s.jobs, name)
-	}
-	for _, path := range []string{s.specPath(name), s.journalPath(name)} {
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("dist: forgetting job %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// specPath is where one replicated job spec is persisted.
-func (s *Standby) specPath(name string) string {
-	return filepath.Join(s.dir, sanitize(name)+".jobspec")
-}
-
-// journalPath is one replicated job's replica journal.
+// journalPath is a job's replica journal, at the job's own journal
+// path, where its owner reopens it after a promotion.
 func (s *Standby) journalPath(name string) string {
 	return filepath.Join(s.dir, sanitize(name)+".journal")
+}
+
+// openReplicaLocked starts a job's replica journal afresh, closing one
+// already open: the rows that follow a registration or a snapshot are
+// all it holds, in the primary's journal order. Caller holds s.mu.
+func (s *Standby) openReplicaLocked(shape jobShape) error {
+	if err := s.closeReplicaLocked(shape.Name); err != nil {
+		return err
+	}
+	path := s.journalPath(shape.Name)
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	j, err := sweep.OpenJournal(path, shape.Space)
+	if err != nil {
+		return err
+	}
+	s.jobs[shape.Name] = &replica{shape: shape, journal: j}
+	return nil
+}
+
+// closeReplicaLocked closes a job's replica journal and keeps its file,
+// as the primary keeps its own. A job the standby does not hold is
+// already closed. Caller holds s.mu.
+func (s *Standby) closeReplicaLocked(name string) error {
+	rp := s.jobs[name]
+	if rp == nil {
+		return nil
+	}
+	delete(s.jobs, name)
+	return rp.journal.Close()
+}
+
+// writeFileLocked writes one of the owner's records into the replica
+// directory, verbatim and atomically. It refuses a name that is not a
+// plain file name, or that names a replica journal: nothing may land
+// outside the directory, and a replica journal holds validated rows.
+func (s *Standby) writeFileLocked(f fileRecord) error {
+	if f.Name == "" || f.Name == "." || f.Name == ".." || strings.ContainsAny(f.Name, `/\`) ||
+		strings.HasSuffix(f.Name, ".journal") {
+		return fmt.Errorf("dist: refusing replicated file %q: not a plain record name", f.Name)
+	}
+	return durable.WriteFile(filepath.Join(s.dir, f.Name), durable.Bytes(f.Data))
 }
 
 // Run replicates until ctx ends or the standby promotes. It returns
@@ -589,67 +555,58 @@ func (s *Standby) syncOnce(ctx context.Context) error {
 		return fmt.Errorf("dist: snapshot: %s answered %d", s.o.Primary, resp.StatusCode)
 	}
 	var snap haSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("dist: decoding snapshot: %w", err)
-	}
+	decodeErr := json.NewDecoder(resp.Body).Decode(&snap)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// An answered snapshot is contact even when it cannot be applied:
-	// the primary is alive, and promoting over it would depose it. The
-	// standby stays unsynced and fetches a fresh snapshot next round.
+	// An answered snapshot is contact even when it cannot be decoded or
+	// applied: the primary is alive, and promoting over it would depose
+	// it. The failure is counted, and the standby fetches a fresh
+	// snapshot next round.
 	s.touchLocked()
+	if decodeErr != nil {
+		s.mApplyFails.Inc()
+		return fmt.Errorf("dist: decoding snapshot: %w", decodeErr)
+	}
 	if err := s.applySnapshotLocked(snap); err != nil {
 		s.mApplyFails.Inc()
 		return err
 	}
-	s.o.Logf("dist standby %s: synced snapshot from %s (term %d, cursor %d, %d jobs)",
-		s.o.ID, snap.ID, snap.Term, snap.Cursor, len(snap.Jobs))
+	s.o.Logf("dist standby %s: synced snapshot from %s (term %d, cursor %d, %d jobs, %d records)",
+		s.o.ID, snap.ID, snap.Term, snap.Cursor, len(snap.Jobs), len(snap.Files))
 	return nil
 }
 
-// applySnapshotLocked replaces the replica state wholesale with the
-// snapshot: ledger bytes verbatim, journals rebuilt row by row. A job
-// the standby held that the snapshot no longer lists left the primary
-// while the standby was away, and is forgotten.
+// applySnapshotLocked makes the replica the snapshot's: ledger bytes
+// verbatim, the owner's records written, and the listed jobs' replica
+// journals rebuilt row by row. A job the standby held that the
+// snapshot no longer lists left the primary while the standby was
+// away: its replica journal is closed, and kept.
 func (s *Standby) applySnapshotLocked(snap haSnapshot) error {
 	if !bytes.HasPrefix(snap.Ledger, []byte(ledgerMagic)) {
 		return fmt.Errorf("dist: snapshot ledger is not a lease ledger")
 	}
 	s.led.Close()
-	listed := map[string]bool{}
-	for _, spec := range snap.Jobs {
-		listed[spec.Name] = true
-	}
-	for name, j := range s.jobs {
-		if !listed[name] {
-			if err := s.forgetJobLocked(name); err != nil {
-				return err
-			}
-			continue
+	for name := range s.jobs {
+		if err := s.closeReplicaLocked(name); err != nil {
+			return err
 		}
-		j.Journal.Close()
 	}
-	path := filepath.Join(s.dir, "lease.ledger")
-	if err := durable.WriteFile(path, durable.Bytes(snap.Ledger)); err != nil {
+	if err := durable.WriteFile(s.ledgerPath(), durable.Bytes(snap.Ledger)); err != nil {
 		return fmt.Errorf("dist: persisting snapshot ledger: %w", err)
 	}
-	led, rec, err := openLedger(path)
+	led, rec, err := openLedger(s.ledgerPath())
 	if err != nil {
 		return err
 	}
 	s.led = led
 	s.term = rec.term
-	s.jobs = map[string]*Job{}
-	for _, spec := range snap.Jobs {
-		if err := durable.WriteFile(s.specPath(spec.Name), durable.Bytes(mustJSON(spec))); err != nil {
+	for _, f := range snap.Files {
+		if err := s.writeFileLocked(f); err != nil {
 			return err
 		}
-		// Journals are rebuilt from the snapshot's rows, not the old
-		// replica file: remove first so stale rows cannot linger.
-		if err := os.Remove(s.journalPath(spec.Name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-		if err := s.registerJob(spec); err != nil {
+	}
+	for _, shape := range snap.Jobs {
+		if err := s.openReplicaLocked(shape); err != nil {
 			return err
 		}
 	}
@@ -662,28 +619,20 @@ func (s *Standby) applySnapshotLocked(snap haSnapshot) error {
 	if err := s.flushLocked(&st); err != nil {
 		return err
 	}
-	s.cursor = snap.Cursor
+	s.log, s.cursor = snap.Log, snap.Cursor
 	s.synced = true
 	s.mTerm.Set(float64(s.term))
 	s.mCursor.Set(float64(s.cursor))
 	return nil
 }
 
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err) // wire types marshal by construction
-	}
-	return b
-}
-
 // tailOnce runs one tail round trip and applies what it returns.
 func (s *Standby) tailOnce(ctx context.Context) error {
 	s.mu.Lock()
-	cursor := s.cursor
+	cursor, log := s.cursor, s.log
 	s.mu.Unlock()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		s.o.Primary+"/v1/ha/tail?cursor="+strconv.FormatInt(cursor, 10), nil)
+		s.o.Primary+"/v1/ha/tail?cursor="+strconv.FormatInt(cursor, 10)+"&log="+url.QueryEscape(log), nil)
 	if err != nil {
 		return err
 	}
@@ -698,8 +647,8 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusConflict:
-		// Fell off the retained window (or the primary restarted and
-		// re-based): resync from a fresh snapshot.
+		// Fell off the retained window, or the primary restarted and
+		// numbers a new log: resync from a fresh snapshot.
 		s.mu.Lock()
 		s.synced = false
 		s.touchLocked()
@@ -709,17 +658,19 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 		return fmt.Errorf("dist: tail: %s answered %d", s.o.Primary, resp.StatusCode)
 	}
 	var tr tailResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		return fmt.Errorf("dist: decoding tail: %w", err)
-	}
+	decodeErr := json.NewDecoder(resp.Body).Decode(&tr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// An answered tail is contact even when a message fails to apply:
-	// the primary is alive, and promoting over it would depose it. The
-	// failing message is counted (Run logs it) and the cursor stays on
-	// it, so the next tail retries it and the primary's barrier sees
-	// the standby fall behind.
+	// An answered tail is contact even when it cannot be decoded or a
+	// message fails to apply: the primary is alive, and promoting over
+	// it would depose it. The failure is counted (Run logs it) and the
+	// cursor stays on the failing message, so the next tail retries it
+	// and the primary's barrier sees the standby fall behind.
 	s.touchLocked()
+	if decodeErr != nil {
+		s.mApplyFails.Inc()
+		return fmt.Errorf("dist: decoding tail: %w", decodeErr)
+	}
 	defer func() { s.mCursor.Set(float64(s.cursor)) }()
 	var st staged
 	next := s.cursor
@@ -760,8 +711,8 @@ func (s *Standby) touchLocked() { s.lastContact = s.now() }
 // rows' records; failed is a flush that failed part way, after which a
 // replica file may hold part of it.
 type staged struct {
-	jobs   []*Job
-	rows   map[*Job][]sweep.RowRecord
+	jobs   []*replica
+	rows   map[*replica][]sweep.RowRecord
 	bytes  int
 	frames []byte
 	term   uint64
@@ -776,8 +727,8 @@ type staged struct {
 const maxStagedBytes = 1 << 20
 
 // stageLocked applies one replication message. Rows and ledger frames
-// are staged for flushLocked; a job's registration or departure first
-// flushes what is staged, then lands at once. Caller holds s.mu.
+// are staged for flushLocked; a registration, a departure or a record
+// first flushes what is staged, then lands at once. Caller holds s.mu.
 func (s *Standby) stageLocked(st *staged, m *replMsg) error {
 	switch m.Kind {
 	case "rec":
@@ -789,31 +740,28 @@ func (s *Standby) stageLocked(st *staged, m *replMsg) error {
 		if rec.Kind == "term" && rec.Term > st.term {
 			st.term = rec.Term
 		}
-	case "job":
-		if m.Job == nil {
-			return fmt.Errorf("dist: job message without a spec")
-		}
-		if err := s.flushLocked(st); err != nil {
-			return err
-		}
-		if err := durable.WriteFile(s.specPath(m.Job.Name), durable.Bytes(mustJSON(*m.Job))); err != nil {
-			return err
-		}
-		return s.registerJob(*m.Job)
+		return nil
 	case "row":
 		if m.Row == nil {
 			return fmt.Errorf("dist: row message without planes")
 		}
 		return s.stageRowLocked(st, m.Row)
-	case "left":
-		if err := s.flushLocked(st); err != nil {
-			return err
-		}
-		return s.forgetJobLocked(m.Left)
+	case "job", "left", "file":
 	default:
 		return fmt.Errorf("dist: unknown replication message kind %q", m.Kind)
 	}
-	return nil
+	if err := s.flushLocked(st); err != nil {
+		return err
+	}
+	switch {
+	case m.Kind == "left":
+		return s.closeReplicaLocked(m.Left)
+	case m.Kind == "job" && m.Job != nil:
+		return s.openReplicaLocked(*m.Job)
+	case m.Kind == "file" && m.File != nil:
+		return s.writeFileLocked(*m.File)
+	}
+	return fmt.Errorf("dist: %s message without its body", m.Kind)
 }
 
 // stageRowLocked validates one completed row's packed planes with the
@@ -826,10 +774,10 @@ func (s *Standby) stageRowLocked(st *staged, rp *RowPlanes) error {
 		return fmt.Errorf("dist: row planes for unreplicated job %s", rp.Job)
 	}
 	r := rp.Row
-	if r < 0 || r >= len(j.Kernels) || j.Kernels[r].Name != rp.Kernel {
+	if r < 0 || r >= len(j.shape.Kernels) || j.shape.Kernels[r] != rp.Kernel {
 		return fmt.Errorf("dist: row planes for %s name a row/kernel mismatch (%d/%s)", rp.Job, r, rp.Kernel)
 	}
-	p, err := unpackPlanes(j.Space.Size(), rp.Planes)
+	p, err := unpackPlanes(j.shape.Space.Size(), rp.Planes)
 	if err != nil {
 		return fmt.Errorf("dist: row planes for %s row %d have %v", rp.Job, r, err)
 	}
@@ -838,7 +786,7 @@ func (s *Standby) stageRowLocked(st *staged, rp *RowPlanes) error {
 		return err
 	}
 	if st.rows == nil {
-		st.rows = map[*Job][]sweep.RowRecord{}
+		st.rows = map[*replica][]sweep.RowRecord{}
 	}
 	if _, ok := st.rows[j]; !ok {
 		st.jobs = append(st.jobs, j)
@@ -859,7 +807,7 @@ func (s *Standby) flushLocked(st *staged) error {
 		return st.failed
 	}
 	for _, j := range st.jobs {
-		if err := j.Journal.AppendRecord(st.rows[j]...); err != nil {
+		if err := j.journal.AppendRecord(st.rows[j]...); err != nil {
 			st.failed = err
 			return err
 		}
@@ -890,39 +838,45 @@ func (s *Standby) Status() HAStatus {
 	return HAStatus{ID: s.o.ID, Role: "standby", Term: s.term, Cursor: s.cursor}
 }
 
-// Term returns the highest term this standby has replicated (or, once
-// promoted, the term it asserted).
-func (s *Standby) Term() uint64 { return s.Status().Term }
-
-// Handler serves the standby's probe surface. Lease-protocol paths
-// answer a typed 503 ("not-primary") so a worker with this standby in
-// its peer list rotates on instead of hanging; /v1/ha/status answers
-// term probes. After promotion the caller should swap in the promoted
-// Coordinator's Handler — until it does, this handler keeps answering
-// status with the promoted term.
+// Handler serves the standby's probe surface: /v1/ha/status answers
+// term probes, and the lease protocol and the job API a typed 503
+// ("not-primary"), so a worker or client with this standby in its peer
+// list rotates on instead of hanging or reading "no such job". After
+// promotion the caller should swap in the primary's handlers; until
+// then this one answers status with the promoted term.
 func (s *Standby) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/ha/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Status())
 	})
-	mux.HandleFunc("/v1/dist/", func(w http.ResponseWriter, r *http.Request) {
+	notPrimary := func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable,
 			errorBody{Error: errNotPrimary.Error(), Code: "not-primary"})
-	})
+	}
+	for _, path := range []string{"/v1/dist/", "/v1/jobs", "/v1/jobs/"} {
+		mux.HandleFunc(path, notPrimary)
+	}
 	return mux
 }
 
-// Promote turns the replica into a live Coordinator: the replica
-// ledger is replayed with the same conservative-expiry recovery a
-// crash-restart uses, every job the primary still ran is re-registered
-// with its reopened replica journal, and the new coordinator asserts
-// term+1 in the ledger — from which point the old primary's term is
-// fenced everywhere.
+// Promote turns the replica into a live Coordinator over its dist/
+// directory: the replica ledger is replayed with the same
+// conservative-expiry recovery a crash-restart uses, and the new
+// coordinator asserts term+1 in the ledger — from which point the old
+// primary's term is fenced everywhere. It registers no job: the replica
+// journals are closed and belong to the job owner, which recovers over
+// the replica directory as it does over its own and registers every
+// job it finds open.
 func (s *Standby) Promote() (*Coordinator, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.promoted != nil {
 		return s.promoted, nil
+	}
+	for name := range s.jobs {
+		if err := s.closeReplicaLocked(name); err != nil {
+			return nil, fmt.Errorf("dist: promoting standby: %w", err)
+		}
 	}
 	s.led.Close()
 	opt := s.o.Coordinator
@@ -933,41 +887,19 @@ func (s *Standby) Promote() (*Coordinator, error) {
 		opt.now = s.o.now
 	}
 	opt.initialTerm = s.term + 1
-	c, err := NewCoordinator(s.dir, opt)
+	c, err := NewCoordinator(filepath.Join(s.dir, "dist"), opt)
 	if err != nil {
 		return nil, fmt.Errorf("dist: promoting standby: %w", err)
 	}
-	names := make([]string, 0, len(s.jobs))
-	for name := range s.jobs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		// A journal's Prior is read when its file is opened: reopen the
-		// replica so the promoted coordinator recovers every row
-		// streamed since the standby opened it.
-		job := s.jobs[name]
-		job.Journal.Close()
-		j, err := sweep.OpenJournal(s.journalPath(name), job.Space)
-		if err == nil {
-			job.Journal = j
-			err = c.AddJob(*job)
-		}
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
 	s.mFailovers.Inc()
 	s.mTerm.Set(float64(c.Term()))
-	s.o.Logf("dist standby %s: promoted to primary at term %d (%d jobs)", s.o.ID, c.Term(), len(names))
+	s.o.Logf("dist standby %s: promoted to primary at term %d", s.o.ID, c.Term())
 	s.promoted = c
 	return c, nil
 }
 
 // Close releases the replica's files. A promoted standby's ledger
-// belongs to the Coordinator, but its job journals stay the
-// standby's: close the promoted Coordinator first.
+// belongs to the Coordinator, and it holds no replica journal.
 func (s *Standby) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -975,8 +907,8 @@ func (s *Standby) Close() error {
 	if s.promoted == nil {
 		err = s.led.Close()
 	}
-	for _, j := range s.jobs {
-		if cerr := j.Journal.Close(); err == nil {
+	for name := range s.jobs {
+		if cerr := s.closeReplicaLocked(name); err == nil {
 			err = cerr
 		}
 	}

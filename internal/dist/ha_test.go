@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,6 +53,24 @@ func newHAPair(t *testing.T, clk *testClock, copt CoordinatorOptions) (*Coordina
 	}
 	t.Cleanup(func() { s.Close() })
 	return c, srv, s
+}
+
+// promote promotes s, then registers jobs on the promoted coordinator
+// as their owner's recovery does over the replica directory: each
+// job's replica journal reopened, then AddJob.
+func promote(t *testing.T, s *Standby, jobs ...Job) *Coordinator {
+	t.Helper()
+	c, err := s.Promote()
+	if err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	for _, job := range jobs {
+		if err := c.AddJob(withJournal(t, s.dir, job)); err != nil {
+			c.Close()
+			t.Fatalf("registering %s on the promoted coordinator: %v", job.Name, err)
+		}
+	}
+	return c
 }
 
 func syncStandby(t *testing.T, s *Standby) {
@@ -109,14 +130,14 @@ func TestReplicaLedgerByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := os.ReadFile(filepath.Join(s.dir, "lease.ledger"))
+	sb, err := os.ReadFile(s.ledgerPath())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pb, sb) {
 		t.Fatalf("replica ledger diverged: primary %d bytes, replica %d bytes", len(pb), len(sb))
 	}
-	recs, err := ReadLedger(filepath.Join(s.dir, "lease.ledger"))
+	recs, err := ReadLedger(s.ledgerPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +169,10 @@ func TestReplicaLedgerByteIdentical(t *testing.T) {
 }
 
 // TestStandbyForgetsRetiredJob: once the primary's Run returns, the
-// standby forgets the job too. A job canceled with one of three rows
-// done leaves no spec or replica journal in the standby's directory,
-// and the promoted standby neither knows the job nor grants its
-// remaining rows.
+// standby lets the job go too. A job canceled with one of three rows
+// done has its replica journal closed and kept, as the primary keeps
+// its own, byte for byte; the promoted standby neither knows the job
+// nor grants its remaining rows.
 func TestStandbyForgetsRetiredJob(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
@@ -177,21 +198,22 @@ func TestStandbyForgetsRetiredJob(t *testing.T) {
 		t.Fatalf("Run after cancel = %v, want context.Canceled", res.err)
 	}
 	drainTail(t, s, c)
-	entries, err := os.ReadDir(s.dir)
+	s.mu.Lock()
+	open := s.jobs["j"] != nil
+	s.mu.Unlock()
+	if open {
+		t.Error("standby still holds the retired job's replica journal open")
+	}
+	pj, err := os.ReadFile(journalPath(c.dir, "j"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "j.") {
-			t.Errorf("standby still holds %s for the retired job", e.Name())
-		}
+	if sj, err := os.ReadFile(s.journalPath("j")); err != nil || !bytes.Equal(pj, sj) {
+		t.Errorf("the retired job's replica journal was not kept as the primary's (%v)", err)
 	}
 
 	srv.Close()
-	c2, err := s.Promote()
-	if err != nil {
-		t.Fatalf("promote: %v", err)
-	}
+	c2 := promote(t, s)
 	defer c2.Close()
 	if st, ok := c2.Status("j"); ok {
 		t.Fatalf("the promoted standby re-registered the retired job: %+v", st)
@@ -203,9 +225,10 @@ func TestStandbyForgetsRetiredJob(t *testing.T) {
 
 // TestStandbyReplicaHoldsResumedRows: a job resumed after its Run
 // returned, as a restarted owner resumes an interrupted job, brings the
-// rows its journal already held back to the standby, which forgot the
-// job when the first Run returned. The replica journal holds them
-// again, and a promotion counts them done instead of re-granting them.
+// rows its journal already held back to the standby, which closed the
+// job's replica when the first Run returned. The replica journal holds
+// them again, once each, and the promoted standby's owner, recovering
+// over the replica, counts them done instead of re-granting them.
 func TestStandbyReplicaHoldsResumedRows(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
@@ -232,12 +255,13 @@ func TestStandbyReplicaHoldsResumedRows(t *testing.T) {
 	if err != nil || m == nil || len(m.Kernels) != 1 || m.Kernels[0] != job.Kernels[l.Row].Name {
 		t.Fatalf("the standby's replica should hold the resumed job's finished row: %v", err)
 	}
+	pj, _ := os.ReadFile(journalPath(c.dir, "j"))
+	if sj, err := os.ReadFile(s.journalPath("j")); err != nil || !bytes.Equal(pj, sj) {
+		t.Fatalf("the resumed job's replica journal is not the primary's (%v)", err)
+	}
 
 	srv.Close()
-	c2, err := s.Promote()
-	if err != nil {
-		t.Fatalf("promote: %v", err)
-	}
+	c2 := promote(t, s, job)
 	defer c2.Close()
 	if st, ok := c2.Status("j"); !ok || st.Done != 1 {
 		t.Fatalf("the promoted standby should resume the job with its finished row: %+v", st)
@@ -272,7 +296,7 @@ func TestSelfFenceAfterStandbySilence(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(srv.URL + "/v1/ha/tail?cursor=0")
+	resp, err := http.Get(srv.URL + "/v1/ha/tail?cursor=0&log=" + armed.repl.id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +327,8 @@ func TestSelfFenceAfterStandbySilence(t *testing.T) {
 func TestPromotionMidGrantKeepsLeaseLive(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
-	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
+	job := testJob(t, "j", 1)
+	if err := c.AddJob(withJournal(t, c.dir, job)); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -314,10 +339,7 @@ func TestPromotionMidGrantKeepsLeaseLive(t *testing.T) {
 	drainTail(t, s, c)
 	srv.Close() // primary dies mid-grant
 
-	c2, err := s.Promote()
-	if err != nil {
-		t.Fatalf("promote: %v", err)
-	}
+	c2 := promote(t, s, job)
 	defer c2.Close()
 	if c2.Term() != 2 {
 		t.Fatalf("promoted coordinator should assert term 2, got %d", c2.Term())
@@ -350,7 +372,8 @@ func TestPromotionMidGrantKeepsLeaseLive(t *testing.T) {
 func TestPromotionAfterUnackedComplete(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
-	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
+	job := testJob(t, "j", 1)
+	if err := c.AddJob(withJournal(t, c.dir, job)); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -365,10 +388,7 @@ func TestPromotionAfterUnackedComplete(t *testing.T) {
 	drainTail(t, s, c)
 	srv.Close() // the 200 never reached the worker
 
-	c2, err := s.Promote()
-	if err != nil {
-		t.Fatalf("promote: %v", err)
-	}
+	c2 := promote(t, s, job)
 	defer c2.Close()
 	resp, err := one(c2.complete(req))
 	if err != nil || !resp.Duplicate {
@@ -387,7 +407,8 @@ func TestPromotionAfterUnackedComplete(t *testing.T) {
 func TestPromotionDuringVerifyRevote(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{VerifyFraction: 1})
-	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
+	job := testJob(t, "j", 1)
+	if err := c.AddJob(withJournal(t, c.dir, job)); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -401,10 +422,7 @@ func TestPromotionDuringVerifyRevote(t *testing.T) {
 	drainTail(t, s, c)
 	srv.Close() // primary dies mid-revote
 
-	c2, err := s.Promote()
-	if err != nil {
-		t.Fatalf("promote: %v", err)
-	}
+	c2 := promote(t, s, job)
 	defer c2.Close()
 	// Promotion replays with the crash-restart rules: the recovered
 	// grant is conservatively re-extended a fresh TTL from replay time,
@@ -435,16 +453,14 @@ func TestPromotionDuringVerifyRevote(t *testing.T) {
 func TestStaleTermCompleteFenced(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
-	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
+	job := testJob(t, "j", 1)
+	if err := c.AddJob(withJournal(t, c.dir, job)); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
 	drainTail(t, s, c)
 	srv.Close()
-	c2, err := s.Promote()
-	if err != nil {
-		t.Fatalf("promote: %v", err)
-	}
+	c2 := promote(t, s, job)
 	defer c2.Close()
 
 	l, err := first(c2.acquire(acq("w1")))
@@ -484,10 +500,7 @@ func TestDeposedByPeerProbe(t *testing.T) {
 	}
 	syncStandby(t, s)
 	drainTail(t, s, c)
-	c2, err := s.Promote()
-	if err != nil {
-		t.Fatalf("promote: %v", err)
-	}
+	c2 := promote(t, s)
 	defer c2.Close()
 	srv2 := httptest.NewServer(c2.Handler())
 	defer srv2.Close()
@@ -590,40 +603,6 @@ func TestAuditLedgerTermRules(t *testing.T) {
 	}
 }
 
-// TestJobSpecRoundtrip: the replicated job wire form reconstructs the
-// job a promoted standby re-registers.
-func TestJobSpecRoundtrip(t *testing.T) {
-	job := testJob(t, "jr", 2)
-	spec, err := specForJob(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The spec must survive JSON (it rides the snapshot and jobspec
-	// files).
-	b, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back JobSpec
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.job()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != job.Name || len(got.Kernels) != len(job.Kernels) ||
-		got.Space.Size() != job.Space.Size() || got.Seed != job.Seed ||
-		got.NoiseStdDev != job.NoiseStdDev {
-		t.Fatalf("job spec roundtrip mangled the job: %+v vs %+v", got, job)
-	}
-	for i := range got.Kernels {
-		if got.Kernels[i].Name != job.Kernels[i].Name {
-			t.Fatalf("kernel %d name %q != %q", i, got.Kernels[i].Name, job.Kernels[i].Name)
-		}
-	}
-}
-
 // TestBackoffDelaySchedule pins the worker's capped exponential
 // full-jitter schedule: window doubles per attempt up to the cap, the
 // roll scales inside the window, and the floor is 1ms.
@@ -692,7 +671,7 @@ func TestStandbyRestartResyncs(t *testing.T) {
 	syncStandby(t, s2)
 	drainTail(t, s2, c)
 	pb, _ := os.ReadFile(c.LedgerPath())
-	sb, _ := os.ReadFile(filepath.Join(dir, "lease.ledger"))
+	sb, _ := os.ReadFile(s2.ledgerPath())
 	if !bytes.Equal(pb, sb) {
 		t.Fatalf("restarted replica diverged: primary %d bytes, replica %d bytes", len(pb), len(sb))
 	}
@@ -735,6 +714,266 @@ func TestUnappliableTailIsStillContact(t *testing.T) {
 	if got := s.mApplyFails.Value(); got != 5 {
 		t.Fatalf("apply failures counted %d, want 5", got)
 	}
+}
+
+// TestUndecodableTailIsStillContact: a primary that answers every tail
+// and every snapshot with 200 is alive even when the body does not
+// decode (a standby one build away from its primary reads exactly
+// that). Each answer counts as contact and as an apply failure, and the
+// cursor holds, so the standby never reaches its promotion deadline
+// over a live primary.
+func TestUndecodableTailIsStillContact(t *testing.T) {
+	clk := newTestClock()
+	c, err := NewCoordinator(t.TempDir(), CoordinatorOptions{DefaultTTL: testTTL, now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var garbled atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !garbled.Load() {
+			c.Handler().ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		switch r.URL.Path {
+		case "/v1/ha/tail":
+			io.WriteString(w, `{"id":"p","term":1,"next":1,"msgs":[{"cursor":0,"kind":"job","job":"not-an-object"}]}`)
+		case "/v1/ha/snapshot":
+			io.WriteString(w, `{"id":"p","term":1,"cursor":0,"ledger":"bm90IGJhc2U2NA==","jobs":"not-an-object"}`)
+		}
+	}))
+	defer srv.Close()
+	s, err := NewStandby(t.TempDir(), StandbyOptions{Primary: srv.URL, now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	syncStandby(t, s)
+	garbled.Store(true)
+	s.mu.Lock()
+	cursor := s.cursor
+	s.mu.Unlock()
+	for round, call := range []func(context.Context) error{s.tailOnce, s.syncOnce} {
+		for i := 0; i < 5; i++ {
+			clk.advance(time.Second)
+			if err := call(context.Background()); err == nil || !strings.Contains(err.Error(), "decoding") {
+				t.Fatalf("call %d.%d applied an undecodable answer (%v)", round, i, err)
+			}
+		}
+		s.mu.Lock()
+		quiet, after := s.now().Sub(s.lastContact), s.cursor
+		s.mu.Unlock()
+		if quiet >= s.o.PromoteAfter {
+			t.Fatalf("round %d: a primary that answered every call counts as silent for %v (promotes after %v)",
+				round, quiet, s.o.PromoteAfter)
+		}
+		if after != cursor {
+			t.Fatalf("round %d: cursor moved past an undecodable answer: %d -> %d", round, cursor, after)
+		}
+		if got, want := s.mApplyFails.Value(), uint64(5*(round+1)); got != want {
+			t.Fatalf("round %d: apply failures counted %d, want %d", round, got, want)
+		}
+	}
+}
+
+// TestReplicatedRecordsLandVerbatim: a record the job owner hands to
+// Replicate reaches the standby's directory byte for byte, by the tail
+// and by a snapshot, which reads it back from the owner's disk — a
+// record named without its bytes, as a restarted owner names what it
+// recovers, included.
+func TestReplicatedRecordsLandVerbatim(t *testing.T) {
+	clk := newTestClock()
+	c, _, s := newHAPair(t, clk, CoordinatorOptions{})
+	owner := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(owner, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c.Replicate(filepath.Join(owner, name), []byte(body))
+	}
+	if err := os.WriteFile(filepath.Join(owner, "job-000000.state"), []byte(`{"state":"canceled"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c.Replicate(filepath.Join(owner, "job-000000.state"), nil)
+	write("job-000001.job", `{"id":"job-000001"}`)
+	syncStandby(t, s) // the snapshot carries the first two records
+	write("job-000001.state", `{"state":"complete"}`)
+	drainTail(t, s, c) // the tail the third
+	for _, name := range []string{"job-000000.state", "job-000001.job", "job-000001.state"} {
+		want, _ := os.ReadFile(filepath.Join(owner, name))
+		if got, err := os.ReadFile(filepath.Join(s.dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("replica %s = %q (%v), want %q", name, got, err, want)
+		}
+	}
+}
+
+// TestStandbyRefusesBadRecordNames: a record whose name is not a plain
+// file name, or that names a replica journal, is refused: the refusal
+// is counted, the cursor holds on it, and nothing is written.
+func TestStandbyRefusesBadRecordNames(t *testing.T) {
+	clk := newTestClock()
+	c, _, s := newHAPair(t, clk, CoordinatorOptions{})
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
+		t.Fatal(err)
+	}
+	syncStandby(t, s)
+	listing := func() []string {
+		var out []string
+		filepath.WalkDir(filepath.Dir(s.dir), func(path string, d os.DirEntry, err error) error {
+			if err == nil {
+				b, _ := os.ReadFile(path)
+				out = append(out, path+"="+string(b))
+			}
+			return nil
+		})
+		return out
+	}
+	before := listing()
+	for i, name := range []string{"", ".", "..", "../escape.job", "dist/lease.ledger", "a/b.state", `a\b.state`,
+		"j.journal", "job-000009.journal"} {
+		s.mu.Lock()
+		cursor := s.cursor
+		s.mu.Unlock()
+		c.repl.publish(replMsg{Kind: "file", File: &fileRecord{Name: name, Data: []byte("x")}})
+		if err := s.tailOnce(context.Background()); err == nil || !strings.Contains(err.Error(), "refusing") {
+			t.Errorf("record %q: want a refusal, got %v", name, err)
+		}
+		s.mu.Lock()
+		after := s.cursor
+		s.mu.Unlock()
+		if after != cursor {
+			t.Errorf("record %q: cursor moved past the refused record: %d -> %d", name, cursor, after)
+		}
+		if got := s.mApplyFails.Value(); got != uint64(i+1) {
+			t.Errorf("record %q: %d apply failures counted, want %d", name, got, i+1)
+		}
+		syncStandby(t, s) // re-base past the refused record
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused records changed the standby's directory:\nbefore %q\nafter  %q", before, after)
+	}
+}
+
+// TestReplicaJournalFollowsPrimaryAcrossRestart: rows complete out of
+// row order, the primary restarts and resumes the job, and the
+// standby, re-based on the restarted primary, rebuilds the job's
+// replica journal in the journal's order: after the restart and after
+// the job's last row, it is the primary's journal byte for byte.
+func TestReplicaJournalFollowsPrimaryAcrossRestart(t *testing.T) {
+	clk := newTestClock()
+	dir := t.TempDir()
+	opt := CoordinatorOptions{ID: "primary-1", DefaultTTL: testTTL, ReplTimeout: 50 * time.Millisecond, now: clk.now}
+	c, err := NewCoordinator(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h atomic.Pointer[http.Handler]
+	serveC := func(c *Coordinator) {
+		handler := c.Handler()
+		h.Store(&handler)
+	}
+	serveC(c)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*h.Load()).ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	s, err := NewStandby(t.TempDir(), StandbyOptions{Primary: srv.URL, now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	same := func(when string) {
+		t.Helper()
+		pj, err := os.ReadFile(journalPath(dir, "j"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sj, err := os.ReadFile(s.journalPath("j")); err != nil || !bytes.Equal(pj, sj) {
+			t.Fatalf("%s: replica journal is not the primary's: %d vs %d bytes (%v)", when, len(sj), len(pj), err)
+		}
+	}
+
+	job := withJournal(t, dir, testJob(t, "j", 3))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := runInBackground(t, ctx, c, job)
+	syncStandby(t, s)
+	l0, err := first(c.acquire(acq("w1")))
+	if err != nil || l0 == nil {
+		t.Fatalf("acquire: %+v %v", l0, err)
+	}
+	l1, err := first(c.acquire(acq("w2")))
+	if err != nil || l1 == nil {
+		t.Fatalf("acquire: %+v %v", l1, err)
+	}
+	// Out of row order: the journal holds row 1 before row 0.
+	if _, err := one(c.complete(okComplete(t, l1, "w2"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := one(c.complete(okComplete(t, l0, "w1"))); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	<-done
+	drainTail(t, s, c)
+	same("before the restart")
+
+	c.Close()
+	c2, err := NewCoordinator(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	serveC(c2)
+	job = reopened(t, dir, job)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	done = runInBackground(t, ctx, c2, job)
+	// The restarted primary numbers a new log, and has already
+	// published past the cursor the standby holds: a tail must not take
+	// that cursor as a place in the new log.
+	owner := t.TempDir()
+	s.mu.Lock()
+	stale := s.cursor
+	s.mu.Unlock()
+	for i := 0; c2.repl.latest() <= stale; i++ {
+		path := filepath.Join(owner, fmt.Sprintf("job-%06d.job", i))
+		if err := os.WriteFile(path, []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c2.Replicate(path, []byte("{}"))
+	}
+	for i := 0; ; i++ {
+		if i == 100 {
+			t.Fatal("the standby never re-based on the restarted primary")
+		}
+		if err := s.tailOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		synced := s.synced
+		s.mu.Unlock()
+		if !synced {
+			syncStandby(t, s)
+			break
+		}
+	}
+	drainTail(t, s, c2)
+	same("after the restart")
+	clk.advance(2 * testTTL) // the recovered grants lapse
+	l2, err := first(c2.acquire(acq("w1")))
+	if err != nil || l2 == nil || l2.Row == l0.Row || l2.Row == l1.Row {
+		t.Fatalf("acquire after the restart: %+v %v", l2, err)
+	}
+	if _, err := one(c2.complete(okComplete(t, l2, "w1"))); err != nil {
+		t.Fatal(err)
+	}
+	if res := <-done; res.err != nil {
+		t.Fatal(res.err)
+	}
+	drainTail(t, s, c2)
+	same("after the last row")
 }
 
 // TestStandbyRefusesBadPlanes: the standby validates replicated packed

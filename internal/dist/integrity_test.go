@@ -178,7 +178,7 @@ func TestSampledRowSettlesByIndependentAgreement(t *testing.T) {
 	if !st.Complete || st.Verifying != 0 {
 		t.Fatalf("settled job status: %+v", st)
 	}
-	if q := c.Quarantined(); len(q) != 0 {
+	if q := quarantinedWorkers(c); len(q) != 0 {
 		t.Fatalf("agreement must not quarantine anyone: %v", q)
 	}
 	recs, err := ReadLedger(c.LedgerPath())
@@ -281,7 +281,7 @@ func TestDissentStrikesAndQuarantines(t *testing.T) {
 		t.Fatalf("two agreeing honest workers should settle verified: %+v %v", resp, err)
 	}
 
-	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
+	if q := quarantinedWorkers(c); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("liar should be quarantined, got %v", q)
 	}
 	if len(quarantined) != 1 || quarantined[0] != "liar" {
@@ -390,7 +390,7 @@ func TestQuarantineInvalidatesUnverifiedRows(t *testing.T) {
 		t.Fatalf("row 1 settlement: %+v %v", resp, err)
 	}
 
-	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
+	if q := quarantinedWorkers(c); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("liar should be quarantined, got %v", q)
 	}
 	st, _ := c.Status("j")
@@ -500,7 +500,7 @@ func TestRetractionLeavesDeliveredRowIntact(t *testing.T) {
 	}
 	close(stop)
 	<-sum
-	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
+	if q := quarantinedWorkers(c); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("liar should be quarantined, got %v", q)
 	}
 
@@ -553,7 +553,7 @@ func TestReplayedStrikeQuarantines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
+	if q := quarantinedWorkers(c); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("liar should be quarantined, got %v", q)
 	}
 	c.Close()
@@ -665,7 +665,7 @@ func TestIntegrityPlaneRecoveredAcrossRestarts(t *testing.T) {
 	if resp, err := one(c.complete(okComplete(t, h2, "h2"))); err != nil || !resp.Verified {
 		t.Fatalf("settlement from restored votes: %+v %v", resp, err)
 	}
-	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
+	if q := quarantinedWorkers(c); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("quarantine from restored vote: %v", q)
 	}
 	c.Close()
@@ -677,7 +677,7 @@ func TestIntegrityPlaneRecoveredAcrossRestarts(t *testing.T) {
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
-	if q := c.Quarantined(); len(q) != 1 || q[0] != "liar" {
+	if q := quarantinedWorkers(c); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("quarantine lost across restart: %v", q)
 	}
 	if _, err := first(c.acquire(acq("liar"))); !errors.Is(err, errQuarantined) {
@@ -740,7 +740,7 @@ func splitSeed(t *testing.T) int64 {
 // given canonical journal bytes.
 func assertMatrixCanonical(t *testing.T, c *Coordinator, job Job, want []byte) {
 	t.Helper()
-	m, ok := c.Matrix(job.Name)
+	m, ok := completeMatrix(c, job.Name)
 	if !ok {
 		t.Fatal("job should be complete")
 	}

@@ -202,7 +202,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 	if err := liar.waitErr(t, "liar", budget); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("liar should exit ErrQuarantined, got %v (seed %d)", err, seed)
 	}
-	if q := p.coord.Quarantined(); len(q) != 1 || q[0] != "liar" {
+	if q := quarantinedWorkers(p.coord); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("quarantine roster %v (seed %d)", q, seed)
 	}
 
@@ -211,7 +211,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 	// must come back from disk.
 	p.crash()
 	p = startCoordWith(t, coordDir, addr, job, opts)
-	if q := p.coord.Quarantined(); len(q) != 1 || q[0] != "liar" {
+	if q := quarantinedWorkers(p.coord); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("quarantine lost across coordinator crash: %v (seed %d)", q, seed)
 	}
 
@@ -235,7 +235,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 
 	// 1. Byte-identity: matrix and job journal match the
 	// single-node run despite six corrupt completions.
-	m, ok := p.coord.Matrix(job.Name)
+	m, ok := completeMatrix(p.coord, job.Name)
 	if !ok {
 		t.Fatalf("complete job must expose its matrix (seed %d)", seed)
 	}

@@ -11,9 +11,11 @@ package dist
 //  2. mid-sweep — at least two rows done, the rest in flight — the
 //     primary is crashed without ceremony;
 //  3. the standby promotes after the missed-heartbeat deadline (its
-//     replication client is still partition-prone during promotion)
-//     and the workers re-join it through peer rotation with jittered
-//     backoff, finishing the sweep under the new term;
+//     replication client is still partition-prone during promotion),
+//     the job is registered on it as its owner's recovery does (its
+//     replica journal reopened, then AddJob), and the workers re-join
+//     it through peer rotation with jittered backoff, finishing the
+//     sweep under the new term;
 //  4. the deposed primary limps back from its own directory, probes
 //     its peer list, finds a newer term live, and is fenced with
 //     ErrDeposed before it can serve a single lease;
@@ -109,8 +111,6 @@ func TestChaosSoakFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deferred before the promoted coordinator's Close, so it runs
-	// after it: the replica journals stay the standby's.
 	defer sb.Close()
 
 	// The standby's address serves "not-primary" refusals until
@@ -161,7 +161,7 @@ func TestChaosSoakFailover(t *testing.T) {
 	midSweep := func() bool {
 		latest := p.coord.repl.latest()
 		st, ok := p.coord.Status(job.Name)
-		return ok && st.Done >= 2 && !st.Complete && sb.Term() > 0 &&
+		return ok && st.Done >= 2 && !st.Complete && sb.Status().Term > 0 &&
 			sb.Status().Cursor >= latest
 	}
 	deadline := time.Now().Add(60 * time.Second)
@@ -169,7 +169,7 @@ func TestChaosSoakFailover(t *testing.T) {
 		if time.Now().After(deadline) {
 			st, _ := p.coord.Status(job.Name)
 			t.Fatalf("sweep never reached mid-flight: %+v standby term %d (seed %d)",
-				st, sb.Term(), seed)
+				st, sb.Status().Term, seed)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -191,6 +191,16 @@ func TestChaosSoakFailover(t *testing.T) {
 		t.Fatalf("standby never promoted after primary crash (seed %d)", seed)
 	}
 	defer pc.Close()
+	// Promotion registers no job: the owner recovers over the replica,
+	// reopening the job's replica journal before registering it.
+	resumed := job
+	if resumed.Journal, err = sweep.OpenJournal(sb.journalPath(job.Name), job.Space); err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Journal.Close()
+	if err := pc.AddJob(resumed); err != nil {
+		t.Fatalf("registering the job on the promoted coordinator: %v (seed %d)", err, seed)
+	}
 	handler.Store(http.Handler(pc.Handler()))
 	t.Logf("standby promoted at term %d", pc.Term())
 
@@ -250,7 +260,7 @@ func TestChaosSoakFailover(t *testing.T) {
 
 	// Phase 5a: byte-identity — the promoted coordinator's matrix and
 	// journal match the single-node run exactly.
-	m, ok := pc.Matrix(job.Name)
+	m, ok := completeMatrix(pc, job.Name)
 	if !ok {
 		t.Fatalf("complete job must expose its matrix (seed %d)", seed)
 	}

@@ -275,7 +275,7 @@ func TestChaosSoakDistributed(t *testing.T) {
 	}
 
 	// 1. Byte-identity: coordinator matrix == single-node run.
-	m, ok := p.coord.Matrix(job.Name)
+	m, ok := completeMatrix(p.coord, job.Name)
 	if !ok {
 		t.Fatalf("complete job must expose its matrix (seed %d)", seed)
 	}

@@ -108,7 +108,9 @@ func TestFleetTraceStitchesAcrossProcesses(t *testing.T) {
 	job := testJob(t, "traced", 4)
 	coordEvs, workerEvs, _, coord := tracedFleet(t, job, 2)
 
-	traceID := coord.TraceID(job.Name)
+	coord.mu.Lock()
+	traceID := coord.jobs[job.Name].job.Trace.TraceID
+	coord.mu.Unlock()
 	if len(traceID) != 32 {
 		t.Fatalf("job should carry a 32-hex trace ID, got %q", traceID)
 	}

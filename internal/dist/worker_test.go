@@ -100,7 +100,7 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 
 	coord := runFleet(t, job, 2, nil)
 
-	m, ok := coord.Matrix(job.Name)
+	m, ok := completeMatrix(coord, job.Name)
 	if !ok {
 		t.Fatal("complete job should expose its matrix")
 	}
@@ -207,7 +207,7 @@ func TestFleetUnderNetworkFaults(t *testing.T) {
 	cancel()
 	wg.Wait()
 
-	m, _ := coord.Matrix(job.Name)
+	m, _ := completeMatrix(coord, job.Name)
 	got, err := sweep.CanonicalJournalBytes(m, m.Kernels)
 	if err != nil {
 		t.Fatal(err)

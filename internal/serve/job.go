@@ -77,7 +77,8 @@ type JobSpec struct {
 	// Noise and Seed configure measurement-noise emulation.
 	Noise float64 `json:"noise,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
-	// Retries is the per-cell retry budget.
+	// Retries is the per-cell retry budget. A service running its sweeps
+	// on a fleet refuses it: the workers' own budget applies.
 	Retries int `json:"retries,omitempty"`
 	// DeadlineMS bounds the job's total runtime in milliseconds; the
 	// deadline propagates as a context into the executor and an
@@ -171,11 +172,15 @@ type jobFile struct {
 // absence of this file, which is what makes the store crash-only: a
 // kill at any instant leaves either "recoverable" or "terminal",
 // never a half-written in-between (writes are atomic replacements).
+// RowsDone and OKCells are the job's settled rows and validated cells,
+// so a recovered terminal job answers the status it answered before.
 type stateFile struct {
 	State    State   `json:"state"`
 	Reason   string  `json:"reason,omitempty"`
 	Summary  string  `json:"summary,omitempty"`
 	Coverage float64 `json:"coverage"`
+	RowsDone int     `json:"rows_done,omitempty"`
+	OKCells  int     `json:"ok_cells,omitempty"`
 }
 
 // JobStatus is the client-visible view of one job.

@@ -265,8 +265,9 @@ func TestRecoverNeverReRunsTerminalJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := waitTerminal(t, s1, st.ID); got.State != StateComplete {
-		t.Fatalf("first run = %+v", got)
+	first := waitTerminal(t, s1, st.ID)
+	if first.State != StateComplete {
+		t.Fatalf("first run = %+v", first)
 	}
 	drain(t, s1)
 	wantMatrix, err := os.ReadFile(s1.matrixPath(st.ID))
@@ -295,6 +296,11 @@ func TestRecoverNeverReRunsTerminalJobs(t *testing.T) {
 	}
 	if got.State != StateComplete {
 		t.Fatalf("terminal job after restart = %+v", got)
+	}
+	// The recovered job answers the status it answered before: its
+	// state record carries the settled rows and validated cells.
+	if got != first {
+		t.Fatalf("terminal job's status changed across restart:\n got %+v\nwant %+v", got, first)
 	}
 	time.Sleep(20 * time.Millisecond) // give a hypothetical re-run time to do damage
 	if b, _ := os.ReadFile(s2.matrixPath(st.ID)); !bytes.Equal(b, wantMatrix) {

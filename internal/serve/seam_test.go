@@ -1,15 +1,52 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"reflect"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"gpuscale/internal/sweep"
 )
+
+// sweepFleet is a Fleet whose sweeps run fn and which keeps every
+// record the service replicates, by path.
+type sweepFleet struct {
+	fn func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error)
+
+	mu      sync.Mutex
+	paths   []string
+	records map[string][]byte
+}
+
+func (f *sweepFleet) RunSweep(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+	return f.fn(ctx, req)
+}
+
+func (f *sweepFleet) Replicate(path string, data []byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.records == nil {
+		f.records = map[string][]byte{}
+	}
+	f.paths = append(f.paths, path)
+	f.records[path] = data
+}
+
+// replicated returns the paths handed to Replicate so far, in order.
+func (f *sweepFleet) replicated() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.paths...)
+}
 
 // standIn is a stand-in distributed executor: it runs the sweep
 // locally, but through the request's parameters and hooks only —
@@ -29,7 +66,7 @@ func standIn(ctx context.Context, t *testing.T, req SweepRequest) (*sweep.Matrix
 	}, req.Journal.Prior())
 }
 
-// TestRunSweepSeam: a Config.RunSweep override receives the resolved
+// TestRunSweepSeam: a Fleet's RunSweep receives the resolved
 // job, its open journal and the OnRow hook, and an executor that
 // journals each row and drives OnRow keeps the service's journal,
 // snapshot and terminal bookkeeping exactly as the local path would.
@@ -39,7 +76,7 @@ func TestRunSweepSeam(t *testing.T) {
 		calls  int
 	)
 	cfg := Config{Dir: t.TempDir(), SweepWorkers: 2}
-	cfg.RunSweep = func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+	cfg.Fleet = &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
 		calls++
 		gotJob = req.JobID
 		if req.Journal == nil || req.OnRow == nil {
@@ -47,7 +84,7 @@ func TestRunSweepSeam(t *testing.T) {
 			return nil, nil, errors.New("incomplete SweepRequest")
 		}
 		return standIn(ctx, t, req)
-	}
+	}}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +120,7 @@ func TestRunSweepSeam(t *testing.T) {
 	}
 }
 
-// TestRunSweepSeamResumesFromJournal: the journal a RunSweep executor
+// TestRunSweepSeamResumesFromJournal: the journal a Fleet's RunSweep
 // appends to is the one the job resumes from. A job interrupted by a
 // shutdown after k journaled rows hands the next process's RunSweep a
 // req.Journal whose Prior holds exactly those k rows.
@@ -91,7 +128,7 @@ func TestRunSweepSeamResumesFromJournal(t *testing.T) {
 	const k = 1
 	cfg := Config{Dir: t.TempDir(), SweepWorkers: 1}
 	var first *sweep.Matrix
-	cfg.RunSweep = func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+	cfg.Fleet = &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
 		m, err := sweep.Run(req.Kernels, req.Space, sweep.Options{
 			Workers: 1, Engine: req.Engine, Seed: req.Seed, NoiseStdDev: req.Noise})
 		if err != nil {
@@ -106,7 +143,7 @@ func TestRunSweepSeamResumesFromJournal(t *testing.T) {
 		first = m
 		<-ctx.Done() // interrupted before the other rows land
 		return m, nil, ctx.Err()
-	}
+	}}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,10 +162,10 @@ func TestRunSweepSeamResumesFromJournal(t *testing.T) {
 	}
 
 	var prior *sweep.Matrix
-	cfg.RunSweep = func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+	cfg.Fleet = &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
 		prior = req.Journal.Prior()
 		return standIn(ctx, t, req)
-	}
+	}}
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -148,6 +185,123 @@ func TestRunSweepSeamResumesFromJournal(t *testing.T) {
 			!reflect.DeepEqual(prior.Bound[pr], first.Bound[r]) {
 			t.Fatalf("Prior row for %s is not the journaled row", first.Kernels[r])
 		}
+	}
+}
+
+// TestFleetReplicatesRecords: a Fleet is handed each record the
+// service writes, byte for byte — the admission record before the
+// submission is answered, the terminal record before the terminal
+// state shows — and, after a restart, every record the service
+// recovers, by name alone. The CSV archive and the journal are never
+// handed over.
+func TestFleetReplicatesRecords(t *testing.T) {
+	dir := t.TempDir()
+	fl := &sweepFleet{}
+	var s *Service
+	fl.fn = func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+		if got := fl.replicated(); len(got) != 1 || got[0] != s.jobPath(req.JobID) {
+			t.Errorf("records replicated before the sweep = %v, want the admission record alone", got)
+		}
+		return standIn(ctx, t, req)
+	}
+	s, err := New(Config{Dir: dir, SweepWorkers: 2, Fleet: fl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Submit("alice", testSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fl.replicated(); len(got) < 1 || got[0] != s.jobPath(st.ID) {
+		t.Fatalf("the 202 came before the admission record replicated: %v", got)
+	}
+	if waitTerminal(t, s, st.ID).State != StateComplete {
+		t.Fatal("job did not complete")
+	}
+	drain(t, s)
+	want := []string{s.jobPath(st.ID), s.statePath(st.ID)}
+	if got := fl.replicated(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replicated %v, want %v", got, want)
+	}
+	for _, path := range want {
+		disk, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(disk, fl.records[path]) {
+			t.Fatalf("%s replicated %q, disk holds %q (%v)", path, fl.records[path], disk, err)
+		}
+	}
+
+	again := &sweepFleet{fn: fl.fn}
+	s2, err := New(Config{Dir: dir, SweepWorkers: 2, Fleet: again})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s2)
+	if got := again.replicated(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a restart replicated %v, want the recovered records %v", got, want)
+	}
+	for _, path := range want {
+		if again.records[path] != nil {
+			t.Fatalf("a restart handed over %s's bytes, want its name alone", path)
+		}
+	}
+}
+
+// TestFleetRefusesRetries: a service whose sweeps run on a fleet
+// answers a job's retries field 400 at admission, naming the field and
+// the workers' -retries, while a node keeps the field. A job journaled
+// with the field before still recovers and completes on the fleet.
+func TestFleetRefusesRetries(t *testing.T) {
+	spec := testSpec(t)
+	spec.Retries = 2
+	node, err := New(Config{Dir: t.TempDir(), SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, node)
+	st, err := node.Submit("alice", spec)
+	if err != nil {
+		t.Fatalf("a node refused the retries field: %v", err)
+	}
+	if got := waitTerminal(t, node, st.ID); got.State != StateComplete {
+		t.Fatalf("node job = %+v", got)
+	}
+	// The node's admission record is what a fleet later recovers.
+	dir := t.TempDir()
+	jf, err := os.ReadFile(node.jobPath(st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir+"/"+st.ID+".job", jf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fleet, err := New(Config{Dir: dir, SweepWorkers: 2, Fleet: &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+		return standIn(ctx, t, req)
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, fleet)
+	if got := waitTerminal(t, fleet, st.ID); got.State != StateComplete {
+		t.Fatalf("a journaled job with retries did not resume on the fleet: %+v", got)
+	}
+	if _, err := fleet.Submit("alice", spec); err == nil || !strings.Contains(err.Error(), "retries") ||
+		!strings.Contains(err.Error(), "-retries") {
+		t.Fatalf("fleet admission of a job with retries = %v, want a refusal naming the field and -retries", err)
+	}
+	ts := httptest.NewServer(fleet.Handler())
+	defer ts.Close()
+	res, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"suite":"microbench","retries":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusBadRequest {
+		t.Fatalf("fleet POST with retries = %d, want 400", res.StatusCode)
+	}
+	spec.Retries = 0
+	if _, err := fleet.Submit("alice", spec); err != nil {
+		t.Fatalf("fleet refused a job without retries: %v", err)
 	}
 }
 

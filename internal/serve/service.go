@@ -57,16 +57,11 @@ type Config struct {
 	SimTimeout time.Duration
 	// Breaker is the per-kernel circuit breaker threshold (0 disables).
 	Breaker int
-	// RunSweep, when non-nil, executes each job's sweep in place of
-	// the local executor — the fan-out seam a distributed coordinator
-	// (internal/dist) plugs into. The callback receives everything the
-	// local path would use, including the job's open journal and the
-	// OnRow hook that keeps the service's live snapshot current;
-	// implementations must append each settled row to the journal and
-	// invoke OnRow (or accept that restarts recompute and partial
-	// fetches stay empty). Admission, journaling, terminal-state and
-	// recovery semantics are identical on both paths.
-	RunSweep func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error)
+	// Fleet, when non-nil, runs each job's sweep in place of the local
+	// executor and replicates the service's records. Admission,
+	// journaling, terminal-state and recovery semantics are identical
+	// on both paths, but a fleet refuses a job's retries field.
+	Fleet Fleet
 	// Registry receives service metrics; nil creates a private one.
 	Registry *obs.Registry
 	// Sink, when non-nil, receives shed decisions, admissions, job spans
@@ -84,7 +79,27 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// SweepRequest is what Config.RunSweep receives for one job: the
+// Fleet is the one seam a distributed coordinator (internal/dist)
+// plugs into.
+type Fleet interface {
+	// RunSweep executes one job's sweep. It receives everything the
+	// local path would use, including the job's open journal and the
+	// OnRow hook that keeps the service's live snapshot current;
+	// implementations must append each settled row to the journal and
+	// invoke OnRow (or accept that restarts recompute and partial
+	// fetches stay empty).
+	RunSweep(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error)
+	// Replicate hands over a record the service has just written
+	// durably, and for good, at path: a job's admission record
+	// (<id>.job) or terminal record (<id>.state). It returns once the
+	// fleet's standby holds it, or the fleet stops waiting (which it
+	// reports itself). The service calls it before it answers the
+	// admission or shows the terminal state, and with nil data for each
+	// record it recovers at start-up, before any standby can follow it.
+	Replicate(path string, data []byte)
+}
+
+// SweepRequest is what Fleet.RunSweep receives for one job: the
 // resolved work plus the hooks that keep the service's crash-only
 // bookkeeping intact however the sweep is executed.
 type SweepRequest struct {
@@ -321,6 +336,7 @@ func (s *Service) recover() error {
 		if err := json.Unmarshal(b, &jf); err != nil {
 			return fmt.Errorf("serve: corrupt job file %s: %w", s.jobPath(id), err)
 		}
+		s.replicate(s.jobPath(id), nil)
 		j := &job{id: id, client: jf.Client, spec: jf.Spec, admitted: time.Now()}
 		if sc, err := obs.ParseTraceparent(jf.Trace); err == nil {
 			j.trace, j.parent = sc, jf.Parent
@@ -335,9 +351,11 @@ func (s *Service) recover() error {
 			if err := json.Unmarshal(sb, &sf); err != nil {
 				return fmt.Errorf("serve: corrupt state file %s: %w", s.statePath(id), err)
 			}
+			s.replicate(s.statePath(id), nil)
 			j.state = sf.State
 			j.reason = sf.Reason
 			j.summary = sf.Summary
+			j.rowsDone, j.okCells = sf.RowsDone, sf.OKCells
 			if res, rerr := jf.Spec.resolve(s.cfg.MaxDeadline); rerr == nil {
 				j.res = res
 			}
@@ -385,6 +403,14 @@ func (c *clientCaps) forceAcquire(client string) {
 	c.mu.Unlock()
 }
 
+// replicate hands a record just written at path to the fleet
+// (Fleet.Replicate); a service without a fleet has no standby.
+func (s *Service) replicate(path string, data []byte) {
+	if s.cfg.Fleet != nil {
+		s.cfg.Fleet.Replicate(path, data)
+	}
+}
+
 func (s *Service) jobPath(id string) string     { return filepath.Join(s.cfg.Dir, id+".job") }
 func (s *Service) statePath(id string) string   { return filepath.Join(s.cfg.Dir, id+".state") }
 func (s *Service) journalPath(id string) string { return filepath.Join(s.cfg.Dir, id+".journal") }
@@ -424,6 +450,11 @@ func (s *Service) SubmitTraced(client string, spec JobSpec, caller obs.SpanConte
 	}
 	if ok, wait := s.bucket.take(); !ok {
 		return JobStatus{}, s.shedding(ShedRateLimited, client, wait)
+	}
+	if s.cfg.Fleet != nil && spec.Retries != 0 {
+		// Checked here only, not in resolve: a job journaled before this
+		// rule still recovers and resumes.
+		return JobStatus{}, fmt.Errorf("retries: a fleet job cannot set it; the workers' -retries applies to every cell")
 	}
 	res, err := spec.resolve(s.cfg.MaxDeadline)
 	if err != nil {
@@ -473,13 +504,19 @@ func (s *Service) SubmitTraced(client string, spec JobSpec, caller obs.SpanConte
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.open++
-	s.queue = append(s.queue, j)
 	s.met.openJobs.Set(float64(s.open))
-	s.met.queueDepth.Set(float64(len(s.queue)))
 	s.met.admitted.Inc()
 	// The reply is snapshotted before a runner can pick the job up, so
 	// it says queued however fast the job starts.
 	st := j.status()
+	s.mu.Unlock()
+	// A fleet's standby holds the admission before a runner can start
+	// the job, and before the 202 announces it: a replica never holds a
+	// job's journal without its admission record.
+	s.replicate(s.jobPath(id), b)
+	s.mu.Lock()
+	s.queue = append(s.queue, j)
+	s.met.queueDepth.Set(float64(len(s.queue)))
 	s.cond.Signal()
 	s.mu.Unlock()
 	s.cfg.Sink.Emit("job.admit", "serve", 0, obs.SpanContext{TraceID: sc.TraceID}, sc.SpanID, time.Now(), 0,
@@ -625,7 +662,8 @@ func (s *Service) settle(j *job) {
 
 // persistTerminal writes a job's terminal record: the archived matrix
 // first (when there is one), then the state file — so a state file's
-// existence implies its matrix is on disk.
+// existence implies its matrix is on disk — and hands the state file
+// to the fleet. The archive stays local.
 func (s *Service) persistTerminal(id string, m *sweep.Matrix, sf stateFile) error {
 	if m != nil {
 		if err := m.WriteCSVFile(s.matrixPath(id)); err != nil {
@@ -637,7 +675,11 @@ func (s *Service) persistTerminal(id string, m *sweep.Matrix, sf stateFile) erro
 	if err != nil {
 		return err
 	}
-	return durable.WriteFile(s.statePath(id), durable.Bytes(b))
+	if err := durable.WriteFile(s.statePath(id), durable.Bytes(b)); err != nil {
+		return err
+	}
+	s.replicate(s.statePath(id), b)
+	return nil
 }
 
 // finish settles a job terminally: persistence first, the in-memory
@@ -647,7 +689,10 @@ func (s *Service) persistTerminal(id string, m *sweep.Matrix, sf stateFile) erro
 // on disk, the next start re-enqueues it and its journal resumes it.
 // Either way the job lets go of its matrix: /matrix serves the archive.
 func (s *Service) finish(j *job, m *sweep.Matrix, state State, reason, summary string) {
-	if err := s.persistTerminal(j.id, m, stateFile{State: state, Reason: reason, Summary: summary}); err != nil {
+	j.mu.Lock()
+	sf := stateFile{State: state, Reason: reason, Summary: summary, RowsDone: j.rowsDone, OKCells: j.okCells}
+	j.mu.Unlock()
+	if err := s.persistTerminal(j.id, m, sf); err != nil {
 		s.cfg.Logf("serve: %s: persisting terminal state: %v", j.id, err)
 		state, reason = StateFailed, fmt.Sprintf("persisting terminal state: %v", err)
 	}
@@ -727,7 +772,7 @@ func (s *Service) runJob(j *job) {
 		Engine:      j.res.engine,
 		NoiseStdDev: j.spec.Noise,
 		Seed:        j.spec.Seed,
-		Retries:     maxInt(j.spec.Retries, s.cfg.Retries),
+		Retries:     max(j.spec.Retries, s.cfg.Retries),
 		Backoff:     s.cfg.Backoff,
 		SimTimeout:  s.cfg.SimTimeout,
 		Breaker:     s.cfg.Breaker,
@@ -737,7 +782,7 @@ func (s *Service) runJob(j *job) {
 	}
 	if s.cfg.Sink != nil {
 		// The local executor's row and retry events join the job's
-		// trace; a distributed RunSweep gets the same identity via
+		// trace; a distributed Fleet.RunSweep gets the same identity via
 		// req.Trace instead (its workers emit their own events).
 		tel := sweep.NewTelemetry(s.reg, s.cfg.Sink)
 		tel.SetSpanContext(j.trace)
@@ -781,8 +826,8 @@ func (s *Service) runJob(j *job) {
 		m   *sweep.Matrix
 		rep *sweep.RunReport
 	)
-	if s.cfg.RunSweep != nil {
-		m, rep, err = s.cfg.RunSweep(ctx, SweepRequest{
+	if s.cfg.Fleet != nil {
+		m, rep, err = s.cfg.Fleet.RunSweep(ctx, SweepRequest{
 			JobID: j.id, Kernels: j.res.kernels, Space: j.res.space,
 			Engine: j.res.engine, Seed: j.spec.Seed, Noise: j.spec.Noise,
 			Journal: journal, OnRow: settle, Trace: j.trace,
@@ -834,13 +879,6 @@ func userCanceledJob(j *job) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.userCanceled
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Drain stops the service gracefully: admission flips to shedding
