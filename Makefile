@@ -98,13 +98,14 @@ e2e-smoke:
 	done
 
 # Short coverage-guided fuzz of the journal decoder, the CSV loaders,
-# the lease-ledger scanner and the packed-plane wire decoder (go test
-# takes one -fuzz target per invocation).
+# the lease-ledger scanner and the row format's two decoders, packed
+# planes and row records (go test takes one -fuzz target per
+# invocation).
 fuzz-smoke:
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzJournalScan$$' -fuzztime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzReadCSV$$' -fuzztime 5s
 	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzLedgerScan$$' -fuzztime 5s
-	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzUnpackPlanes$$' -fuzztime 5s
+	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzUnpackPlanes$$' -fuzztime 5s
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -208,10 +208,11 @@ func fetchMatrix(t *testing.T, base, id string) (int, []byte) {
 // complete, job B part way and job C queued behind it (-runners 1).
 // Until it promotes the standby answers /v1/jobs 503 not-primary; then
 // it is primary at term 2, B and C complete on it with the matrices an
-// in-process run gives, A answers the status the primary gave and a
-// 404 for its matrix (archives do not replicate), a new job gets the
-// next ID, and the old primary, restarted over its own state next to
-// the standby, exits deposed (6).
+// in-process run gives (B reporting the rows its replica journal held
+// as reused), A answers the status the primary gave and a 404 for its
+// matrix (archives do not replicate), a new job gets the next ID, and
+// the old primary, restarted over its own state next to the standby,
+// exits deposed (6).
 func TestFailoverAnswersThroughJobAPI(t *testing.T) {
 	dir := t.TempDir()
 	primaryDir, standbyDir := filepath.Join(dir, "primary"), filepath.Join(dir, "standby")
@@ -305,6 +306,14 @@ func TestFailoverAnswersThroughJobAPI(t *testing.T) {
 			t.Fatalf("job %s's matrix on the promoted standby (%d, %d bytes) differs from an in-process run (%d bytes)",
 				j.st.ID, code, len(got), len(j.job.want))
 		}
+	}
+	// B resumed from its replica journal: those rows' cells are reused,
+	// whole rows of them, and the workers measured the rest.
+	var cells, ok, failed, canceled, quarantined, reused int
+	if _, err := fmt.Sscanf(b.Summary, "%d cells: %d ok, %d failed, %d canceled, %d quarantined, %d reused",
+		&cells, &ok, &failed, &canceled, &quarantined, &reused); err != nil ||
+		reused == 0 || reused%b.Configs != 0 || ok+reused != cells {
+		t.Fatalf("job B's report after the failover = %q (%v), want its journaled rows reused", b.Summary, err)
 	}
 	var after jobStatus
 	if getJSON(standby+"/v1/jobs/"+a.ID, &after) != http.StatusOK || after != a {

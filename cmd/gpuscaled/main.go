@@ -25,7 +25,7 @@
 // The daemon also scales out. `-coordinator` keeps the whole client
 // API unchanged but executes each admitted job by leasing kernel rows
 // to a fleet over `/v1/dist/` (internal/dist, protocol
-// gpuscale-dist/5): monotonic lease epochs, expiry + work-stealing,
+// gpuscale-dist/6): monotonic lease epochs, expiry + work-stealing,
 // fsync-before-ack completion, with rows leased in batches sized from
 // their measured cost — one fsync per file, one replication barrier
 // and one round trip per batch. `-worker -join URL` runs the

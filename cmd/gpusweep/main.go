@@ -7,7 +7,7 @@
 // per-kernel circuit breaker that quarantines pathological rows,
 // prompt Ctrl-C cancellation on every engine that keeps completed work, a
 // deterministic fault injector for robustness drills, and a journaled
-// resume mode (checksummed journal v2) that recomputes only the rows
+// resume mode (checksummed journal v3) that recomputes only the rows
 // a previous (crashed or canceled) run did not finish. A corrupt or
 // torn journal is salvaged, not fatal: the readable prefix is kept,
 // the rest recomputed, and the process exits with code 3 so scripts
@@ -37,6 +37,7 @@
 //	gpusweep -breaker 5               # quarantine a kernel row after
 //	                                  # 5 consecutive hard failures
 //	gpusweep -o run.csv -resume       # journal rows; rerun to finish
+//	gpusweep -dump-journal j.journal  # print a journal's rows as CSV
 //	gpusweep -trace-out run.trace -progress  # live telemetry
 //	gpusweep -metrics-addr :9090      # curl /metrics and /progress
 package main
@@ -116,10 +117,18 @@ func main() {
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /progress over HTTP on this address")
 	flag.BoolVar(&o.progress, "progress", false, "print a throttled progress/ETA line to stderr")
 	dumpCorpus := flag.String("dump-corpus", "", "write the built-in corpus as JSON to this file and exit")
+	dumpJournal := flag.String("dump-journal", "", "print this journal's rows as matrix CSV on stdout and exit")
 	flag.Parse()
 
 	if *dumpCorpus != "" {
 		if err := writeCorpus(*dumpCorpus); err != nil {
+			fmt.Fprintln(os.Stderr, "gpusweep:", err)
+			os.Exit(1)
+		}
+		return
+	}
+	if *dumpJournal != "" {
+		if err := writeJournalCSV(os.Stdout, *dumpJournal); err != nil {
 			fmt.Fprintln(os.Stderr, "gpusweep:", err)
 			os.Exit(1)
 		}
@@ -158,6 +167,21 @@ func writeCorpus(path string) error {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
+}
+
+// writeJournalCSV prints a journal's rows, in journal order, as the
+// matrix CSV a -o archive holds: a journal's records are binary, so
+// this is how a person reads one. The journal is read as it is, never
+// repaired, against the space its own space record names.
+func writeJournalCSV(w io.Writer, path string) error {
+	m, err := sweep.ReadJournal(path, hw.Space{})
+	if err != nil {
+		return err
+	}
+	if m == nil { // a space record and no rows
+		m = &sweep.Matrix{}
+	}
+	return m.WriteCSV(w)
 }
 
 // loadCorpus reads a JSON kernel list for a custom sweep.
@@ -301,8 +325,8 @@ func run(ctx context.Context, o cliOptions) (salvaged bool, err error) {
 		}
 		defer journal.Close()
 		if s := journal.Salvage(); s != nil {
-			if s.MigratedV1 {
-				fmt.Fprintf(info, "gpusweep: journal %s migrated from v1 CSV format\n", o.out)
+			if s.MigratedFrom != "" {
+				fmt.Fprintf(info, "gpusweep: journal %s migrated from %s format\n", o.out, s.MigratedFrom)
 			}
 			if s.DroppedBytes > 0 {
 				salvaged = true

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,10 +15,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
+	"gpuscale/internal/serve"
 	"gpuscale/internal/sweep"
 )
 
@@ -392,5 +396,57 @@ func TestCorpusFlagConflicts(t *testing.T) {
 	}
 	if _, err := run(bg, cliOptions{engine: "round", corpusFile: "/no/such/corpus.json"}); err == nil {
 		t.Error("missing corpus file accepted")
+	}
+}
+
+// TestDumpJournalMatchesMatrix: -dump-journal prints a gpuscaled job's
+// journal as the CSV the job's /matrix serves, byte for byte (one
+// sweep worker journals the rows in kernel order, the matrix's order),
+// reads the journal against the space its own space record names, and
+// refuses a file that is not a journal.
+func TestDumpJournalMatchesMatrix(t *testing.T) {
+	dir := t.TempDir()
+	s, err := serve.New(serve.Config{Dir: dir, SweepWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	}()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	st, err := s.Submit("t", serve.JobSpec{Suite: "graphana", Noise: 0.05, Seed: 3,
+		Space: &hw.Space{CUCounts: []int{4, 24}, CoreClocksMHz: []float64{200, 1000}, MemClocksMHz: []float64{150, 1250}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); !st.State.Terminal(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s did not finish", st.ID)
+		}
+		if st, err = s.Get(st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/matrix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("/matrix = %d (%v)", res.StatusCode, err)
+	}
+	var got bytes.Buffer
+	if err := writeJournalCSV(&got, filepath.Join(dir, st.ID+".journal")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("the dumped journal (%d bytes) differs from the job's /matrix (%d bytes)", got.Len(), len(want))
+	}
+	if err := writeJournalCSV(io.Discard, filepath.Join(dir, st.ID+".job")); err == nil {
+		t.Fatal("an admission record dumped as a journal")
 	}
 }

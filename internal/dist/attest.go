@@ -38,11 +38,13 @@ import (
 // any work is granted. /3 added coordinator terms to every lease,
 // renew and complete: a /2 binary would drop the second fencing
 // factor, so it must not mix rows with an HA fleet. /4 ships a
-// complete's planes, and the replication stream's, packed (see
-// packPlanes) where /3 sent JSON arrays. /5 leases rows in batches: an
-// acquire answers a list of leases, and renew and complete carry lists
-// of rows, which a /4 binary cannot read.
-const ProtoVersion = "gpuscale-dist/5"
+// complete's planes, and the replication stream's, packed where /3
+// sent JSON arrays. /5 leases rows in batches: an acquire answers a
+// list of leases, and renew and complete carry lists of rows, which a
+// /4 binary cannot read. /6 attests a row with its journal v3 digest
+// (sweep.RecordDigest over the packed planes), which a /5 binary
+// computes over JSON and would never match.
+const ProtoVersion = "gpuscale-dist/6"
 
 var (
 	fpOnce sync.Once

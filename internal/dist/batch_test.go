@@ -448,7 +448,7 @@ func TestBatchSizing(t *testing.T) {
 	req := completeRequest{Worker: "a", Job: "job-000000"}
 	for i := 0; i < n; i++ {
 		req.Rows = append(req.Rows, rowComplete{rowRef: rowRef{Row: 266, Epoch: 9, Term: 9},
-			OK: true, Planes: make([]byte, packedBytes(space.Size())), Digest: "0123456789abcdef", CostNS: 1 << 40})
+			OK: true, Planes: make([]byte, sweep.PackedBytes(space.Size())), Digest: "v3:0123456789abcdef", CostNS: 1 << 40})
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -548,7 +548,7 @@ func TestLongPollAcquireWakesOnChange(t *testing.T) {
 	}
 	accepted := time.Now()
 	res := <-done
-	if res.err != nil || !reportFor(res.m).Complete() {
+	if res.err != nil || !reportFor(res.m, nil).Complete() {
 		t.Fatalf("Run = %v", res.err)
 	}
 	if d := time.Since(accepted); d > 100*time.Millisecond {
@@ -670,12 +670,12 @@ func TestStandbyBoundsStagedRows(t *testing.T) {
 	var msgs []replMsg
 	size := 0
 	for r, k := range job.Kernels {
-		msgs = append(msgs, replMsg{Kind: "row", Row: &RowPlanes{Job: job.Name, Row: r, Kernel: k.Name,
-			Planes: packPlanes(tput, timeNS, bound)}})
 		rec, err := sweep.EncodePlanes(k.Name, tput, timeNS, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
+		msgs = append(msgs, replMsg{Kind: "row", Row: &RowPlanes{Job: job.Name, Row: r, Kernel: k.Name,
+			Planes: rec.Packed()}})
 		size += rec.Len()
 	}
 	c.repl.publish(msgs...)

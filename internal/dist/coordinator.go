@@ -155,11 +155,14 @@ type rowState struct {
 	// records it so the ledger audit can tell an early re-grant from
 	// an overlapping lease.
 	releasedEarly bool
+	// reused marks a done row taken from the job's journal at
+	// registration, which no worker computed for this run.
+	reused bool
 }
 
 // jobState is one registered job's lease state and matrix, the order
 // its journal holds done rows in, and what sizes its lease batches:
-// the workers that have leased from it and the compute-and-render time
+// the workers that have leased from it and the compute-and-encode time
 // its completes reported.
 type jobState struct {
 	job      Job
@@ -510,8 +513,9 @@ func (c *Coordinator) addJob(job Job) error {
 		if rr != nil && rr.invalidated {
 			// The ledger retracted this row after the journal recorded
 			// it: the journaled bytes are the suspect's and must be
-			// ignored. Reopen pending with the replayed votes (at least
-			// the retracted claim) so one honest agreement settles it.
+			// ignored. Reopen pending with the replayed votes (the
+			// retracted claim among them, unless its digest is of an
+			// earlier record format), so honest agreement settles it.
 			rs.pending = true
 			rs.lastVote = now
 			for _, v := range rr.votes {
@@ -530,25 +534,31 @@ func (c *Coordinator) addJob(job Job) error {
 		case havePrior:
 			js.matrix.Throughput[r], js.matrix.TimeNS[r] = prior.Throughput[pr], prior.TimeNS[pr]
 			js.matrix.Bound[r], js.matrix.Status[r] = prior.Bound[pr], prior.Status[pr]
-			rs.done = true
+			rs.done, rs.reused = true, true
 			if rr != nil && rr.completed {
 				rs.digest, rs.verified, rs.completedBy = rr.digest, rr.verified, rr.completedBy
 			} else {
 				// Crash between the journal fsync and the ledger's
 				// complete record: the journal is the source of truth, so
-				// the row is done — recompute its digest from the
-				// journaled bytes and credit the last granted worker,
+				// the row is done — credit the last granted worker,
 				// unverified.
+				rs.completedBy = rs.worker
+			}
+			if !sweep.CurrentDigest(rs.digest) {
+				// No ledgered digest, or one of an earlier record format:
+				// digest the journaled row, so a later retraction votes
+				// with a digest an honest re-execution can match.
 				if d, derr := sweep.RowDigest(js.matrix, r); derr == nil {
 					rs.digest = d
 				}
-				rs.completedBy = rs.worker
 			}
-		case rr != nil && rr.completed:
+		case rr != nil && rr.completed && sweep.CurrentDigest(rr.digest):
 			// The ledger acked a complete the journal lost (torn-tail
 			// salvage dropped the row). Done-ness follows the journal:
 			// re-lease the row, keeping the ledgered digest as a vote so
-			// an honest re-execution settles it verified.
+			// an honest re-execution settles it verified. A digest of an
+			// earlier record format could only lose that vote, so such a
+			// row is simply re-leased.
 			rs.pending = true
 			rs.lastVote = now
 			rs.votes = []rowVote{{worker: rr.completedBy, digest: rr.digest, epoch: rs.epoch}}
@@ -657,9 +667,9 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.R
 		return nil, nil, err
 	}
 	for {
-		m, ok, changed := c.retire(job.Name, false)
-		if ok {
-			return m, reportFor(m), nil
+		js, changed := c.retire(job.Name, false)
+		if js != nil {
+			return js.matrix, js.report(), nil
 		}
 		var err error
 		select {
@@ -673,31 +683,41 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.R
 		case <-changed:
 			continue
 		}
-		m, _, _ = c.retire(job.Name, true)
-		return m, reportFor(m), err
+		js, _ = c.retire(job.Name, true)
+		return js.matrix, js.report(), err
 	}
 }
 
+// report is a retired job's run report (reportFor): rows still marked
+// reused came from its journal.
+func (js *jobState) report() *sweep.RunReport {
+	reused := make([]bool, len(js.rows))
+	for r := range js.rows {
+		reused[r] = js.rows[r].reused
+	}
+	return reportFor(js.matrix, reused)
+}
+
 // retire takes a job out of the coordinator in the critical section
-// that reads its final matrix: its rows are never granted again,
+// that reads its final state: its rows are never granted again,
 // renews and completes for it answer 404, the HA snapshot drops it and
-// no quarantine can retract its rows. The "left" message it publishes
-// follows the job's last row and complete frames on the replication
-// stream, and tells the standby to close the job's replica journal
-// too, as the job's owner closes its own. Without force,
-// a job with rows outstanding stays and retire reports false, with the
-// change signal to wait on before looking again.
-func (c *Coordinator) retire(name string, force bool) (*sweep.Matrix, bool, <-chan struct{}) {
+// no quarantine can retract its rows, so the caller owns what retire
+// returns. The "left" message it publishes follows the job's last row
+// and complete frames on the replication stream, and tells the standby
+// to close the job's replica journal too, as the job's owner closes
+// its own. Without force, a job with rows outstanding stays and retire
+// returns nil, with the change signal to wait on before looking again.
+func (c *Coordinator) retire(name string, force bool) (*jobState, <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	js := c.jobs[name]
 	if !force && !c.statusLocked(js).Complete {
-		return nil, false, c.changed
+		return nil, c.changed
 	}
 	delete(c.jobs, name)
 	c.repl.publish(replMsg{Kind: "left", Left: name})
 	c.signalLocked()
-	return js.matrix, true, nil
+	return js, nil
 }
 
 // acquire grants the requesting worker a batch of rows from the first
@@ -777,15 +797,15 @@ func (c *Coordinator) acquire(req acquireRequest) ([]Lease, error) {
 	return nil, nil
 }
 
-// batchTarget is the worker compute and render one lease batch aims to
-// hold: long enough that a batch's round trips, fsyncs and barriers
+// batchTarget is the worker compute and encoding one lease batch aims
+// to hold: long enough that a batch's round trips, fsyncs and barriers
 // are a small share of it, short enough that the last batches of a job
 // end close together.
 const batchTarget = 25 * time.Millisecond
 
 // maxBatchBytes bounds the packed planes of one batch. Every process
 // holds a batch's rows whole while it works on them — planes, wire
-// body, rendered records and their one journal write — and a
+// body, records and their one journal write — and a
 // process's heap grows with what it holds, so the bound keeps a batch
 // at a few MB in flight (17 rows of the study's 891 configurations)
 // and its complete body far under maxBody whatever
@@ -808,7 +828,7 @@ func (js *jobState) batchSize(open int) int {
 		return 1
 	}
 	n := min(int(batchTarget.Nanoseconds()/max(mean, 1)), open/(2*len(js.workers)),
-		maxBatchBytes/packedBytes(js.job.Space.Size()))
+		maxBatchBytes/sweep.PackedBytes(js.job.Space.Size()))
 	return max(n, 1)
 }
 
@@ -1027,12 +1047,12 @@ func (c *Coordinator) renewRowLocked(js *jobState, ref rowRef, worker string) re
 // rows' records in one journal append, then every vote and complete in
 // one ledger append, both fsynced before the ack.
 func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
-	// Unpacking, validating, rendering and digesting the rows is most of
-	// a complete's CPU, and it reads only the job's space and kernel
-	// names, which never change once the job is registered. So it runs
-	// before c.mu is taken; the verdicts below still apply its outcome
-	// in the same check order, and a job retired or re-registered
-	// between the two looks is caught there.
+	// Validating and digesting the rows is most of a complete's CPU, and
+	// it reads only the job's space and kernel names, which never change
+	// once the job is registered. So it runs before c.mu is taken; the
+	// verdicts below still apply its outcome in the same check order,
+	// and a job retired or re-registered between the two looks is
+	// caught there.
 	seen := make(map[int]bool, len(req.Rows))
 	for _, rc := range req.Rows {
 		if seen[rc.Row] {
@@ -1043,7 +1063,7 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 	c.mu.Lock()
 	pre := c.jobs[req.Job]
 	c.mu.Unlock()
-	rendered := renderAll(pre, req.Rows)
+	checked := checkAll(pre, req.Rows)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.deposed {
@@ -1058,13 +1078,13 @@ func (c *Coordinator) complete(req completeRequest) (completeResponse, error) {
 	}
 	if js != pre {
 		// Registered between the two looks at c.jobs.
-		rendered = renderAll(js, req.Rows)
+		checked = checkAll(js, req.Rows)
 	}
 	resp := completeResponse{Rows: make([]rowResult, len(req.Rows))}
 	var lands []landing
 	for i, rc := range req.Rows {
 		var l *landing
-		if resp.Rows[i], l = c.verdictLocked(js, req.Worker, rc, rendered[i]); l != nil {
+		if resp.Rows[i], l = c.verdictLocked(js, req.Worker, rc, checked[i]); l != nil {
 			l.i = i
 			lands = append(lands, *l)
 		}
@@ -1286,13 +1306,13 @@ func (c *Coordinator) applyLocked(js *jobState, l *landing, worker string) rowRe
 		rs.releasedEarly = true
 		return rowResult{PendingVerify: true}
 	}
-	// The planes unpackPlanes allocated for this complete become the
-	// row; a fresh status row is all StatusOK, the zero value. If the
-	// row was invalidated earlier, its journal record supersedes the
-	// retracted bytes: journal replay is last-record-wins per kernel.
+	// The record's planes, unpacked afresh, become the row; a fresh
+	// status row is all StatusOK, the zero value. If the row was
+	// invalidated earlier, its journal record supersedes the retracted
+	// bytes: journal replay is last-record-wins per kernel.
 	m := js.matrix
-	m.Throughput[r], m.TimeNS[r], m.Bound[r] = l.row.planes.tput, l.row.planes.timeNS, l.row.planes.bound
-	m.Status[r] = make([]sweep.CellStatus, len(l.row.planes.tput))
+	m.Throughput[r], m.TimeNS[r], m.Bound[r] = l.row.rec.Planes()
+	m.Status[r] = make([]sweep.CellStatus, len(m.Throughput[r]))
 	rs.done = true
 	rs.digest, rs.verified, rs.completedBy = l.rc.Digest, l.verified, worker
 	rs.pending, rs.votes = false, nil
@@ -1315,42 +1335,37 @@ func (c *Coordinator) applyLocked(js *jobState, l *landing, worker string) rowRe
 }
 
 // completeRow is an OK complete's row as the coordinator accepts it:
-// the planes unpacked and validated, rendered once as the row's
-// journal record, and that record's digest. err is the verdict on a
-// payload that failed validation.
+// the row's journal record over the received planes, which passed its
+// hygiene checks, and that record's digest. err is the verdict on a
+// payload that failed them.
 type completeRow struct {
-	planes planes
 	rec    sweep.RowRecord
 	digest string
 	err    error
 }
 
-// renderAll prepares a complete's rows for the verdicts (renderComplete).
-func renderAll(js *jobState, rows []rowComplete) []completeRow {
+// checkAll prepares a complete's rows for the verdicts (checkRow).
+func checkAll(js *jobState, rows []rowComplete) []completeRow {
 	out := make([]completeRow, len(rows))
 	for i := range rows {
-		out[i] = renderComplete(js, rows[i])
+		out[i] = checkRow(js, rows[i])
 	}
 	return out
 }
 
-// renderComplete prepares an OK complete's row for the verdict. It
-// reads only js's immutable registration (space and kernel names), so
-// it needs no lock; a nil job, an out-of-range row or a not-OK complete
-// prepare nothing, because the verdict rejects them first.
-func renderComplete(js *jobState, req rowComplete) completeRow {
+// checkRow prepares an OK complete's row for the verdict. It reads only
+// js's immutable registration (space and kernel names), so it needs no
+// lock; a nil job, an out-of-range row or a not-OK complete prepare
+// nothing, because the verdict rejects them first.
+func checkRow(js *jobState, req rowComplete) completeRow {
 	if js == nil || !req.OK || req.Row < 0 || req.Row >= len(js.rows) {
 		return completeRow{}
 	}
-	p, err := unpackPlanes(js.job.Space.Size(), req.Planes)
+	rec, err := sweep.PackedRecord(js.job.Kernels[req.Row].Name, js.job.Space.Size(), req.Planes)
 	if err != nil {
 		return completeRow{err: fmt.Errorf("dist: complete for %s row %d has %v", js.job.Name, req.Row, err)}
 	}
-	rec, err := sweep.EncodePlanes(js.job.Kernels[req.Row].Name, p.tput, p.timeNS, p.bound)
-	if err != nil {
-		return completeRow{err: err}
-	}
-	return completeRow{planes: p, rec: rec, digest: sweep.RecordDigest(rec)}
+	return completeRow{rec: rec, digest: sweep.RecordDigest(rec)}
 }
 
 // quarantineLocked charges worker a proven lie — its digest lost a
@@ -1420,7 +1435,7 @@ func (c *Coordinator) invalidateLocked(js *jobState, r int) LedgerRecord {
 	rec := LedgerRecord{Kind: "invalidate", Job: js.job.Name, Row: r,
 		Epoch: rs.epoch, Worker: rs.completedBy, Digest: rs.digest}
 	rs.votes = []rowVote{{worker: rs.completedBy, digest: rs.digest, epoch: rs.epoch}}
-	rs.done = false
+	rs.done, rs.reused = false, false
 	rs.pending = true
 	rs.digest, rs.verified, rs.completedBy = "", false, ""
 	now := c.now()
@@ -1615,8 +1630,12 @@ func (js *jobState) doneRows() []RowPlanes {
 			continue
 		}
 		seen[r] = true
-		out = append(out, RowPlanes{Job: js.job.Name, Row: r, Kernel: js.job.Kernels[r].Name,
-			Planes: packPlanes(js.matrix.Throughput[r], js.matrix.TimeNS[r], js.matrix.Bound[r])})
+		// A done row is complete and passed the hygiene checks.
+		rec, err := sweep.EncodeRow(js.matrix, r)
+		if err != nil {
+			continue
+		}
+		out = append(out, RowPlanes{Job: js.job.Name, Row: r, Kernel: js.job.Kernels[r].Name, Planes: rec.Packed()})
 	}
 	return out
 }

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
@@ -63,6 +64,23 @@ const testTTL = time.Second
 // coordinator's directory, next to its ledger.
 func journalPath(dir, job string) string {
 	return filepath.Join(dir, sanitize(job)+".journal")
+}
+
+// journalFrames counts the framed records of a journal image, its space
+// record included, by walking the frames past the magic line: a row
+// record is binary and may hold any byte, so lines do not count
+// records.
+func journalFrames(t *testing.T, raw []byte) int {
+	t.Helper()
+	n := 0
+	for off := int64(bytes.IndexByte(raw, '\n') + 1); off < int64(len(raw)); n++ {
+		_, next, reason := durable.Parse(raw, off)
+		if reason != "" {
+			t.Fatalf("journal frame at byte %d: %s", off, reason)
+		}
+		off = next
+	}
+	return n
 }
 
 // withJournal opens job's journal at journalPath(dir, job.Name), as
@@ -143,12 +161,11 @@ func okRow(t *testing.T, l *Lease) rowComplete {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest, err := sweep.RowDigest(m, 0)
+	rec, err := sweep.EncodeRow(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rowComplete{rowRef: l.ref(), OK: true,
-		Planes: packPlanes(m.Throughput[0], m.TimeNS[0], m.Bound[0]), Digest: digest}
+	return rowComplete{rowRef: l.ref(), OK: true, Planes: rec.Packed(), Digest: sweep.RecordDigest(rec)}
 }
 
 // okComplete is a one-row batch complete of okRow.
@@ -413,7 +430,7 @@ type badPlane struct {
 }
 
 // badPlanes derives, from valid packed planes for an nCfg-config row,
-// one case per validation rule unpackPlanes enforces: too short and
+// one case per hygiene check packed planes must pass: too short and
 // too long a byte length; a zero, negative, NaN or infinite
 // throughput; the same values for time; an out-of-range bound byte.
 func badPlanes(valid []byte, nCfg int) []badPlane {
@@ -559,20 +576,20 @@ func TestReportForCountsStalledAsCanceled(t *testing.T) {
 	stalled := make([]sweep.CellStatus, n) // all StatusOK
 	stalled[0] = sweep.StatusStalled
 	m.Status[0], m.Status[1] = make([]sweep.CellStatus, n), stalled
-	rep := reportFor(m)
+	rep := reportFor(m, nil)
 	if rep.Canceled != 1 || rep.OK != rep.Cells-1 || rep.Complete() {
 		t.Fatalf("report for one stalled cell = %s", rep.Summary())
 	}
 }
 
 // runInBackground starts c.Run(ctx, job) and waits until the job is
-// registered. The returned channel yields Run's matrix and error.
+// registered. The returned channel yields what Run returns.
 func runInBackground(t *testing.T, ctx context.Context, c *Coordinator, job Job) <-chan runResult {
 	t.Helper()
 	done := make(chan runResult, 1)
 	go func() {
-		m, _, err := c.Run(ctx, job)
-		done <- runResult{m, err}
+		m, rep, err := c.Run(ctx, job)
+		done <- runResult{m, rep, err}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -588,6 +605,7 @@ func runInBackground(t *testing.T, ctx context.Context, c *Coordinator, job Job)
 
 type runResult struct {
 	m   *sweep.Matrix
+	rep *sweep.RunReport
 	err error
 }
 
@@ -691,7 +709,7 @@ func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 		t.Fatalf("unsampled complete should be accepted unverified: %+v %v", resp, err)
 	}
 	res := <-done
-	if res.err != nil || !reportFor(res.m).Complete() {
+	if res.err != nil || !reportFor(res.m, nil).Complete() {
 		t.Fatalf("Run = %v; want the complete matrix", res.err)
 	}
 	want, err := sweep.CanonicalJournalBytes(res.m, res.m.Kernels)
@@ -722,8 +740,8 @@ func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 	}
 
 	got, err := sweep.CanonicalJournalBytes(res.m, res.m.Kernels)
-	if err != nil || !reportFor(res.m).Complete() {
-		t.Fatalf("the returned matrix lost rows after the quarantine: %v (%s)", err, reportFor(res.m).Summary())
+	if err != nil || !reportFor(res.m, nil).Complete() {
+		t.Fatalf("the returned matrix lost rows after the quarantine: %v (%s)", err, reportFor(res.m, nil).Summary())
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("the returned matrix changed after the quarantine")

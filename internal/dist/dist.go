@@ -7,7 +7,7 @@
 //
 // The protocol is built from the row up on the repo's crash-only
 // primitives. A kernel row is already the unit of idempotent,
-// journaled recovery (journal v2 appends whole rows, fsynced, and a
+// journaled recovery (the journal appends whole rows, fsynced, and a
 // resume recomputes exactly the missing ones), so it is also the unit
 // of distribution. Three properties carry the fleet:
 //
@@ -19,7 +19,7 @@
 //
 //   - Fsync-before-ack. A grant is recorded in the coordinator's
 //     lease ledger (CRC-framed, fsynced, torn-tail-salvaging — the
-//     same discipline as journal v2) before the lease response is
+//     same discipline as the journal) before the lease response is
 //     sent, and a completed row is appended to the job's journal
 //     before the complete is acknowledged. Rows are leased in batches,
 //     and a batch's grants, and its accepted rows, each land in one
@@ -45,13 +45,9 @@ package dist
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 
-	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/sweep"
@@ -180,9 +176,9 @@ type renewResult struct {
 }
 
 // completeRequest reports the terminal states of a batch of one job's
-// rows. OK rows carry the row's measurement planes in the packed wire
-// form (see packPlanes); a failed row carries none and just releases
-// its lease for re-issue.
+// rows. OK rows carry the row's measurement planes packed, as its
+// journal record holds them (sweep.RowRecord); a failed row carries
+// none and just releases its lease for re-issue.
 type completeRequest struct {
 	Worker string        `json:"worker"`
 	Job    string        `json:"job"`
@@ -194,70 +190,15 @@ type rowComplete struct {
 	rowRef
 	OK     bool   `json:"ok"`
 	Planes []byte `json:"planes,omitempty"`
-	// Digest attests the row: sweep.RecordDigest over the journal
-	// record the worker rendered from these planes. The coordinator
-	// renders the received planes itself and rejects any OK row whose
+	// Digest attests the row: sweep.RecordDigest over the row's journal
+	// record, the kernel's name and exactly these bytes. The coordinator
+	// digests the received bytes itself and rejects any OK row whose
 	// record hashes differently (payload damaged in flight, or a worker
 	// attesting bytes it did not send). Required on every OK row.
 	Digest string `json:"digest,omitempty"`
-	// CostNS is how long the worker took to compute and render the row.
+	// CostNS is how long the worker took to compute and encode the row.
 	// It sizes the job's later batches and never affects a verdict.
 	CostNS int64 `json:"cost_ns,omitempty"`
-}
-
-// packPlanes renders one row's measurement planes in the packed wire
-// form: every throughput, then every time, as little-endian float64
-// bits, then one byte per bound (packedBytes). The planes cross each
-// process boundary as these exact bits, so no process parses text to
-// learn a row, and each renders the row's journal record exactly once.
-func packPlanes(tput, timeNS []float64, bound []gcn.Bound) []byte {
-	n := len(tput)
-	b := make([]byte, packedBytes(n))
-	for c := 0; c < n; c++ {
-		binary.LittleEndian.PutUint64(b[8*c:], math.Float64bits(tput[c]))
-		binary.LittleEndian.PutUint64(b[8*(n+c):], math.Float64bits(timeNS[c]))
-		b[16*n+c] = byte(bound[c])
-	}
-	return b
-}
-
-// packedBytes is the packed planes' length for an n-configuration
-// space: 8 bytes of throughput, 8 of time and 1 of bound per
-// configuration.
-func packedBytes(n int) int { return 17 * n }
-
-// planes is one row's measurement planes, unpacked from the wire.
-type planes struct {
-	tput, timeNS []float64
-	bound        []gcn.Bound
-}
-
-// unpackPlanes decodes packed planes for an nCfg-configuration space
-// and applies journal-grade hygiene before they can reach a matrix or
-// a journal: the exact length, every measurement a positive finite
-// number, every bound a known one — checked cell by cell in that
-// order, so the first offending cell names the error.
-func unpackPlanes(nCfg int, b []byte) (planes, error) {
-	if len(b) != packedBytes(nCfg) {
-		return planes{}, errors.New("wrong plane length")
-	}
-	p := planes{tput: make([]float64, nCfg), timeNS: make([]float64, nCfg), bound: make([]gcn.Bound, nCfg)}
-	for c := 0; c < nCfg; c++ {
-		tput := math.Float64frombits(binary.LittleEndian.Uint64(b[8*c:]))
-		timeNS := math.Float64frombits(binary.LittleEndian.Uint64(b[8*(nCfg+c):]))
-		bound := gcn.Bound(b[16*nCfg+c])
-		if !(tput > 0) || math.IsInf(tput, 0) {
-			return planes{}, errors.New("out-of-range throughput")
-		}
-		if !(timeNS > 0) || math.IsInf(timeNS, 0) {
-			return planes{}, errors.New("out-of-range time")
-		}
-		if bound < gcn.BoundCompute || bound > gcn.BoundLaunch {
-			return planes{}, errors.New("unknown bound")
-		}
-		p.tput[c], p.timeNS[c], p.bound[c] = tput, timeNS, bound
-	}
-	return p, nil
 }
 
 // completeResponse answers a complete row by row, in request order.
@@ -327,17 +268,23 @@ type errorBody struct {
 }
 
 // reportFor synthesizes a sweep report from a finished distributed
-// matrix: every cell was measured exactly once from the caller's view
-// (worker-side retries are the workers' business). A stalled cell,
-// decoded from an earlier version's journal, was never measured and
-// counts as canceled: Resume recomputes its row.
-func reportFor(m *sweep.Matrix) *sweep.RunReport {
+// matrix: every cell of a row reused from the job's journal is reused
+// (Skipped), as Resume counts it, and every other cell was measured
+// exactly once from the caller's view (worker-side retries are the
+// workers' business). A stalled cell, decoded from an earlier
+// version's journal, was never measured and counts as canceled: Resume
+// recomputes its row.
+func reportFor(m *sweep.Matrix, reused []bool) *sweep.RunReport {
 	rep := &sweep.RunReport{
 		Kernels: len(m.Kernels),
 		Configs: m.Space.Size(),
 		Cells:   len(m.Kernels) * m.Space.Size(),
 	}
 	for r := range m.Kernels {
+		if r < len(reused) && reused[r] {
+			rep.Skipped += m.Space.Size()
+			continue
+		}
 		for c := 0; c < m.Space.Size(); c++ {
 			switch m.Status[r][c] {
 			case sweep.StatusOK:

@@ -3,11 +3,11 @@ package dist
 import (
 	"bytes"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
+	"gpuscale/internal/kernel"
 	"gpuscale/internal/sweep"
 )
 
@@ -93,61 +93,50 @@ func FuzzLedgerScan(f *testing.F) {
 	})
 }
 
-// FuzzUnpackPlanes hammers the packed-plane decoder — the one parser
-// between the wire and every fleet journal — with arbitrary bytes. It
-// must never panic; every input it accepts must round-trip bit-exactly
-// through packPlanes; and every accepted plane set must render to a
-// record the journal's own validation accepts on reload, so nothing
-// the wire admits can truncate a journal at recovery.
+// FuzzUnpackPlanes hammers the coordinator's unpacking of a complete's
+// planes (checkRow) — the one path between the wire and every fleet
+// journal — with arbitrary bytes. It must never panic, and every input
+// it accepts must come back as the accepted record's packed planes,
+// bit for bit, digested as a worker digests the same row, so the
+// digest a coordinator checks is the one an honest worker attests.
+// The row format itself is fuzzed in internal/sweep.
 func FuzzUnpackPlanes(f *testing.F) {
 	space, err := hw.NewSpace([]int{4, 44}, []float64{200}, []float64{150, 1250})
 	if err != nil {
 		f.Fatal(err)
 	}
 	n := space.Size()
-	valid := packPlanes(
+	k := kernel.New("s", "p", "fuzz").Geometry(64, 256).MustBuild()
+	rec, err := sweep.EncodePlanes(k.Name,
 		[]float64{1, 2.5, 1e-300, math.MaxFloat64},
 		[]float64{math.SmallestNonzeroFloat64, 3, 1e21, 7e-7},
 		[]gcn.Bound{gcn.BoundCompute, gcn.BoundDRAM, gcn.BoundLatency, gcn.BoundLaunch})
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := rec.Packed()
 	f.Add(valid)
 	for _, tc := range badPlanes(valid, n) {
 		f.Add(tc.planes)
 	}
 	f.Add([]byte(nil))
+	js := &jobState{job: Job{Name: "j", Kernels: []*kernel.Kernel{k}, Space: space}, rows: make([]rowState, 1)}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		p, err := unpackPlanes(n, b)
-		if err != nil {
+		row := checkRow(js, rowComplete{OK: true, Planes: b})
+		if row.err != nil {
 			return
 		}
-		if !bytes.Equal(packPlanes(p.tput, p.timeNS, p.bound), b) {
-			t.Fatal("accepted planes do not round-trip bit-exactly")
+		if !bytes.Equal(row.rec.Packed(), b) {
+			t.Fatal("accepted planes are not the record's, bit for bit")
 		}
-		rec, err := sweep.EncodePlanes("fuzz", p.tput, p.timeNS, p.bound)
+		tput, timeNS, bound := row.rec.Planes()
+		worker, err := sweep.EncodePlanes(k.Name, tput, timeNS, bound)
 		if err != nil {
-			t.Fatalf("accepted planes do not render: %v", err)
+			t.Fatalf("accepted planes do not encode: %v", err)
 		}
-		path := filepath.Join(t.TempDir(), "fuzz.journal")
-		j, err := sweep.OpenJournal(path, space)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = j.AppendRecord(rec)
-		if cerr := j.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := sweep.ReadJournal(path, space)
-		if err != nil || m == nil || len(m.Kernels) != 1 {
-			t.Fatalf("the journal refused a record rendered from accepted planes: %v", err)
-		}
-		for c := 0; c < n; c++ {
-			if math.Float64bits(m.Throughput[0][c]) != math.Float64bits(p.tput[c]) ||
-				math.Float64bits(m.TimeNS[0][c]) != math.Float64bits(p.timeNS[c]) || m.Bound[0][c] != p.bound[c] {
-				t.Fatalf("config %d changed on its way through the journal", c)
-			}
+		if d := sweep.RecordDigest(worker); d != row.digest {
+			t.Fatalf("coordinator digest %s, worker digest %s", row.digest, d)
 		}
 	})
 }

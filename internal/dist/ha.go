@@ -40,8 +40,8 @@ package dist
 // each job's journal and the owner's records at their own names), so a
 // failover is a restart: the job owner recovers over the replica as
 // over its own directory. The standby appends the primary's exact
-// ledger frames and renders, from validated planes, the journal record
-// the primary journaled, so the replica is the primary's durable state
+// ledger frames and, after the same checks, the row records the
+// primary journaled, so the replica is the primary's durable state
 // byte for byte, and the matrix stays byte-identical to a single-node
 // run across a failover.
 
@@ -81,9 +81,9 @@ var errNotPrimary = errors.New("dist: not primary: warm standby has not promoted
 
 // RowPlanes is one completed row's measurement planes on the
 // replication stream — the ledger's complete record carries only the
-// digest, so the planes travel as their own message, in the packed
-// form a complete carries them (see packPlanes), and the standby
-// renders and appends the row's journal record itself.
+// digest, so the planes travel as their own message, packed as a
+// complete carries them, and the standby checks them and appends the
+// row's journal record over them itself.
 type RowPlanes struct {
 	Job    string `json:"job"`
 	Row    int    `json:"row"`
@@ -706,7 +706,7 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 func (s *Standby) touchLocked() { s.lastContact = s.now() }
 
 // staged is what a tail (or a snapshot) stages for the disk: each
-// replica journal's rendered rows and the ledger's frames, in stream
+// replica journal's row records and the ledger's frames, in stream
 // order, and the highest term a frame asserts. bytes counts the staged
 // rows' records; failed is a flush that failed part way, after which a
 // replica file may hold part of it.
@@ -719,7 +719,7 @@ type staged struct {
 	failed error
 }
 
-// maxStagedBytes bounds the rendered rows a standby holds before it
+// maxStagedBytes bounds the row records a standby holds before it
 // flushes: a tail normally carries a batch or two, which land in one
 // append per file, but a standby that fell behind can be handed
 // thousands of messages in one tail, and holding all their records
@@ -764,10 +764,10 @@ func (s *Standby) stageLocked(st *staged, m *replMsg) error {
 	return fmt.Errorf("dist: %s message without its body", m.Kind)
 }
 
-// stageRowLocked validates one completed row's packed planes with the
-// checks the primary applied to the worker's complete and renders the
-// row's journal record — the bytes the primary journaled — for its
-// replica journal. Caller holds s.mu.
+// stageRowLocked checks one completed row's packed planes as the
+// primary checked the worker's complete, and stages the row's journal
+// record over them — the bytes the primary journaled — for its replica
+// journal. Caller holds s.mu.
 func (s *Standby) stageRowLocked(st *staged, rp *RowPlanes) error {
 	j := s.jobs[rp.Job]
 	if j == nil {
@@ -777,13 +777,9 @@ func (s *Standby) stageRowLocked(st *staged, rp *RowPlanes) error {
 	if r < 0 || r >= len(j.shape.Kernels) || j.shape.Kernels[r] != rp.Kernel {
 		return fmt.Errorf("dist: row planes for %s name a row/kernel mismatch (%d/%s)", rp.Job, r, rp.Kernel)
 	}
-	p, err := unpackPlanes(j.shape.Space.Size(), rp.Planes)
+	rec, err := sweep.PackedRecord(rp.Kernel, j.shape.Space.Size(), rp.Planes)
 	if err != nil {
 		return fmt.Errorf("dist: row planes for %s row %d have %v", rp.Job, r, err)
-	}
-	rec, err := sweep.EncodePlanes(rp.Kernel, p.tput, p.timeNS, p.bound)
-	if err != nil {
-		return err
 	}
 	if st.rows == nil {
 		st.rows = map[*replica][]sweep.RowRecord{}

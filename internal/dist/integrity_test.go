@@ -7,16 +7,21 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/sweep"
 )
@@ -38,16 +43,16 @@ func tamperedRow(t *testing.T, l *Lease) rowComplete {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := unpackPlanes(l.Space.Size(), req.Planes)
+	rec, err := sweep.PackedRecord(k.Name, l.Space.Size(), req.Planes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.tput[0] *= 1 + 1.0/1024
-	rec, err := sweep.EncodePlanes(k.Name, p.tput, p.timeNS, p.bound)
-	if err != nil {
+	tput, timeNS, bound := rec.Planes()
+	tput[0] *= 1 + 1.0/1024
+	if rec, err = sweep.EncodePlanes(k.Name, tput, timeNS, bound); err != nil {
 		t.Fatal(err)
 	}
-	req.Planes = packPlanes(p.tput, p.timeNS, p.bound)
+	req.Planes = rec.Packed()
 	req.Digest = sweep.RecordDigest(rec)
 	return req
 }
@@ -84,11 +89,14 @@ func TestVersionHandshakeFencesOverHTTP(t *testing.T) {
 	if status != http.StatusConflict || eb.Code != "version-mismatch" {
 		t.Fatalf("pre-attestation acquire: status %d code %q, want 409 version-mismatch", status, eb.Code)
 	}
-	// The previous protocol, which leased one row per call: fenced
-	// before it can misread a batch.
-	status, eb = post(acquireRequest{Worker: "v4", Proto: "gpuscale-dist/4", Fingerprint: EngineFingerprint()})
-	if status != http.StatusConflict || eb.Code != "version-mismatch" {
-		t.Fatalf("gpuscale-dist/4 acquire: status %d code %q, want 409 version-mismatch", status, eb.Code)
+	// Earlier protocols: /4 leased one row per call and would misread a
+	// batch; /5 attests rows with journal v2 digests, which no /6
+	// coordinator computes.
+	for _, proto := range []string{"gpuscale-dist/4", "gpuscale-dist/5"} {
+		status, eb = post(acquireRequest{Worker: "old", Proto: proto, Fingerprint: EngineFingerprint()})
+		if status != http.StatusConflict || eb.Code != "version-mismatch" {
+			t.Fatalf("%s acquire: status %d code %q, want 409 version-mismatch", proto, status, eb.Code)
+		}
 	}
 	// Right protocol, wrong engine fingerprint (a stale build).
 	status, eb = post(acquireRequest{Worker: "stale", Proto: ProtoVersion, Fingerprint: "deadbeef"})
@@ -833,5 +841,172 @@ func TestAuditLedgerIntegrityInvariants(t *testing.T) {
 				t.Fatalf("audit error %v should contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// v2Row is row l's journal v2 record — its JSON object, as journal v2
+// wrote it — and the digest a pre-v3 worker attested it with: FNV-64a
+// over that record, as 16 bare hex digits.
+func v2Row(t *testing.T, l *Lease) (record []byte, digest string) {
+	t.Helper()
+	k, err := l.DecodeKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := sweep.PackedRecord(k.Name, l.Space.Size(), okRow(t, l).Planes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tput, timeNS, bound := rec.Planes()
+	record, err = json.Marshal(struct {
+		Kernel string      `json:"kernel"`
+		Tput   []float64   `json:"tput"`
+		TimeNS []float64   `json:"time_ns"`
+		Bound  []gcn.Bound `json:"bound"`
+	}{k.Name, tput, timeNS, bound})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(record)
+	return record, fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestUpgradeDropsV2DigestVotes: a job upgraded mid-way from journal v2.
+// Row 0 was completed and journaled under v2, so its ledgered digest is
+// a v2 one; row 1 is open and sampled, and the ledger holds an honest
+// worker's vote on it under its v2 digest, which no worker computes any
+// more. At registration the journal migrates, row 0 is re-digested from
+// it, and replay drops the v2 vote: two honest workers settle row 1
+// verified, nobody is quarantined for a digest of another format, the
+// matrix is the single-node run's and the ledger audits clean.
+func TestUpgradeDropsV2DigestVotes(t *testing.T) {
+	dir := t.TempDir()
+	clk := newTestClock()
+	job := testJob(t, "j", 2)
+	want := singleNodeCanonical(t, job)
+
+	// What a pre-v3 coordinator left: its term, row 0 granted to "old"
+	// and completed, row 1 granted to "old" and held as its vote, and
+	// the job's v2 journal holding row 0.
+	c := newTestCoordinator(t, t.TempDir(), clk)
+	if err := c.AddJob(withJournal(t, t.TempDir(), job)); err != nil {
+		t.Fatal(err)
+	}
+	l0, _ := first(c.acquire(acq("old")))
+	l1, _ := first(c.acquire(acq("old2")))
+	c.Close()
+	row0, digest0 := v2Row(t, l0)
+	_, digest1 := v2Row(t, l1)
+	space, err := json.Marshal(map[string]any{"space": job.Space})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := append([]byte("gpuscale-journal v2\n"), durable.Frame(space)...)
+	if err := os.WriteFile(journalPath(dir, job.Name), append(v2, durable.Frame(row0)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	now := clk.now()
+	grant := func(row int) LedgerRecord {
+		return LedgerRecord{Kind: "grant", Job: "j", Row: row, Epoch: 1, Worker: "old", Term: 1,
+			GrantedNS: now.UnixNano(), ExpiryNS: now.Add(testTTL).UnixNano()}
+	}
+	ledger := []byte(ledgerMagic)
+	for _, r := range []LedgerRecord{
+		{Kind: "term", Worker: "coordinator", Term: 1, GrantedNS: now.UnixNano()},
+		grant(0),
+		{Kind: "complete", Job: "j", Row: 0, Epoch: 1, Worker: "old", Term: 1, Digest: digest0},
+		grant(1),
+		{Kind: "attest", Job: "j", Row: 1, Epoch: 1, Worker: "old", Term: 1, Digest: digest1},
+	} {
+		framed, err := frameRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger = append(ledger, framed...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "lease.ledger"), ledger, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err = NewCoordinator(dir, CoordinatorOptions{DefaultTTL: testTTL, now: clk.now, VerifyFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	job = withJournal(t, dir, job)
+	if s := job.Journal.Salvage(); s == nil || s.MigratedFrom != "v2" {
+		t.Fatalf("the job's v2 journal did not migrate: %+v", s)
+	}
+	if err := c.AddJob(job); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	js := c.jobs[job.Name]
+	d0, err := sweep.RowDigest(js.matrix, 0)
+	rs0 := js.rows[0]
+	c.mu.Unlock()
+	if err != nil || !rs0.done || rs0.digest != d0 {
+		t.Fatalf("journaled row 0: done %v digest %q, want its v3 digest %q (%v)", rs0.done, rs0.digest, d0, err)
+	}
+	clk.advance(1100 * time.Millisecond) // past the recovered grant
+	h1, err := first(c.acquire(acq("h1")))
+	if err != nil || h1 == nil || h1.Row != 1 {
+		t.Fatalf("h1 acquire: %+v %v", h1, err)
+	}
+	if resp, err := one(c.complete(okComplete(t, h1, "h1"))); err != nil || !resp.PendingVerify {
+		t.Fatalf("the first honest vote on the sampled row should be held: %+v %v", resp, err)
+	}
+	h2, err := first(c.acquire(acq("h2")))
+	if err != nil || h2 == nil {
+		t.Fatalf("h2 acquire: %+v %v", h2, err)
+	}
+	if resp, err := one(c.complete(okComplete(t, h2, "h2"))); err != nil || !resp.Verified {
+		t.Fatalf("two honest workers should settle the row verified: %+v %v", resp, err)
+	}
+	if q := quarantinedWorkers(c); len(q) != 0 {
+		t.Fatalf("quarantined %v for a vote of another digest format", q)
+	}
+	assertMatrixCanonical(t, c, job, want)
+	recs, err := ReadLedger(c.LedgerPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AuditLedger(recs); err != nil {
+		t.Fatalf("ledger audit across the upgrade: %v", err)
+	}
+}
+
+// TestJournaledRowsReportReused: a job registered over a journal that
+// already holds some of its rows — a job resumed after a restart or a
+// failover — reports their cells as reused, as Resume does, and only
+// the rows workers computed as measured.
+func TestJournaledRowsReportReused(t *testing.T) {
+	dir := t.TempDir()
+	clk := newTestClock()
+	c := newTestCoordinator(t, dir, clk)
+	defer c.Close()
+	job := withJournal(t, dir, testJob(t, "j", 3))
+	m, err := sweep.Run(job.Kernels, job.Space, sweep.Options{NoiseStdDev: job.NoiseStdDev, Seed: job.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Journal.AppendRow(m, 1); err != nil {
+		t.Fatal(err)
+	}
+	done := runInBackground(t, context.Background(), c, reopened(t, dir, job))
+	for i := 0; i < 2; i++ {
+		l, err := first(c.acquire(acq("w1")))
+		if err != nil || l == nil || l.Row == 1 {
+			t.Fatalf("acquire %d: %+v %v, want an unjournaled row", i, l, err)
+		}
+		if _, err := one(c.complete(okComplete(t, l, "w1"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := <-done
+	n := job.Space.Size()
+	if res.err != nil || !res.rep.Complete() || res.rep.Skipped != n || res.rep.OK != 2*n || res.rep.Attempts != 2*n {
+		t.Fatalf("report %s (%v), want %d cells reused and %d measured", res.rep.Summary(), res.err, n, 2*n)
 	}
 }

@@ -2,7 +2,7 @@ package dist
 
 // The lease ledger: the coordinator's crash-only record of every
 // grant and complete, in the same CRC-framed, fsync-before-ack,
-// torn-tail-salvaging internal/durable log as sweep's journal v2:
+// torn-tail-salvaging internal/durable log as sweep's journal:
 //
 //	gpuscale-lease v1\n
 //	<crc32:8-hex> <len:decimal> <json-payload>\n
@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"gpuscale/internal/durable"
+	"gpuscale/internal/sweep"
 )
 
 // ledgerMagic is the version header.
@@ -111,7 +112,11 @@ type rowRecovery struct {
 	completedBy string
 	// votes are the open re-verification votes (worker + digest); an
 	// invalidate seeds them with the suspect's retracted claim so one
-	// honest agreement can still settle the row.
+	// honest agreement can still settle the row. Only votes whose
+	// digest is of the current record format (sweep.CurrentDigest) are
+	// replayed: an honest vote of an earlier format matches no digest a
+	// worker computes now, so it could only lose, and quarantine its
+	// voter as a liar.
 	votes []LedgerRecord
 }
 
@@ -165,7 +170,9 @@ func openLedger(path string) (*durable.Log, *ledgerRecovery, error) {
 			rr.digest, rr.verified, rr.completedBy = r.Digest, r.Verified, r.Worker
 			rr.votes = nil
 		case "attest":
-			rec.row(k).votes = append(rec.row(k).votes, r)
+			if sweep.CurrentDigest(r.Digest) {
+				rec.row(k).votes = append(rec.row(k).votes, r)
+			}
 		case "strike", "quarantine":
 			rec.quarantined[r.Worker] = true
 		case "invalidate":
@@ -175,8 +182,11 @@ func openLedger(path string) (*durable.Log, *ledgerRecovery, error) {
 			// The retracted claim stays on the record as a vote: if an
 			// honest worker reproduces the suspect's digest, the values
 			// were right after all and one agreement settles the row.
-			rr.votes = []LedgerRecord{{Kind: "attest", Job: r.Job, Row: r.Row,
-				Epoch: r.Epoch, Worker: r.Worker, Digest: r.Digest}}
+			rr.votes = nil
+			if sweep.CurrentDigest(r.Digest) {
+				rr.votes = []LedgerRecord{{Kind: "attest", Job: r.Job, Row: r.Row,
+					Epoch: r.Epoch, Worker: r.Worker, Digest: r.Digest}}
+			}
 			rr.digest, rr.verified, rr.completedBy = "", false, ""
 		}
 	}

@@ -275,9 +275,9 @@ func TestChaosSoakFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := bytes.Count(raw, []byte{'\n'}); lines != 2+len(job.Kernels) {
-		t.Fatalf("promoted journal has %d lines, want %d — a row completed twice across the failover (seed %d)",
-			lines, 2+len(job.Kernels), seed)
+	if records := 1 + journalFrames(t, raw); records != 2+len(job.Kernels) {
+		t.Fatalf("promoted journal holds magic + %d records, want %d — a row completed twice across the failover (seed %d)",
+			records-1, 1+len(job.Kernels), seed)
 	}
 
 	// Phase 5b: the ledger that survived replication + promotion must

@@ -294,9 +294,9 @@ func TestChaosSoakDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := bytes.Count(raw, []byte{'\n'}); lines != 2+len(job.Kernels) {
-		t.Fatalf("job journal has %d lines, want %d — a row completed twice (seed %d)",
-			lines, 2+len(job.Kernels), seed)
+	if records := 1 + journalFrames(t, raw); records != 2+len(job.Kernels) {
+		t.Fatalf("job journal holds magic + %d records, want %d — a row completed twice (seed %d)",
+			records-1, 1+len(job.Kernels), seed)
 	}
 	jm, err := sweep.ReadJournal(journalPath(coordDir, job.Name), job.Space)
 	if err != nil {

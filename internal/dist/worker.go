@@ -55,7 +55,7 @@ type WorkerOptions struct {
 	// Fault is the chaos seam: the engine rates (ErrorRate, PanicRate,
 	// LatencyRate with Latency, ...) fault this worker's row sweeps as
 	// they fault a single-node sweep's, CorruptRowRate makes this worker
-	// lie (tamper a computed row before rendering and attesting it, so
+	// lie (tamper a computed row before encoding and attesting it, so
 	// its wire payload and digest are consistently wrong), StaleVersion
 	// makes it present that protocol version on acquire. Zero value
 	// injects nothing.
@@ -108,6 +108,11 @@ type Worker struct {
 	// a row the injector failed is not failed the same way again when
 	// the worker is leased it anew. Only the Run goroutine uses it.
 	engines map[sweep.Engine]gcn.RowEngine
+	// space is the configuration space of the last lease executed,
+	// validated once: hw.NewSpace builds every configuration to check
+	// it, and a batch holds one job's rows, which all carry the job's
+	// space. Only the Run goroutine uses it.
+	space hw.Space
 
 	// reg holds the instruments: Options.Metrics, or a private registry.
 	reg          *obs.Registry
@@ -276,10 +281,10 @@ type batchRow struct {
 }
 
 // runBatch executes one lease batch end to end: renew the batch's live
-// rows in the background, compute and render its rows one at a time,
+// rows in the background, compute and encode its rows one at a time,
 // then report them all in one complete with fencing-aware retries. A
 // batch holds one job's rows. Each row's span covers only that row's
-// compute and render; one span covers the complete call.
+// compute and encoding; one span covers the complete call.
 func (w *Worker) runBatch(ctx context.Context, leases []Lease) {
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -317,7 +322,7 @@ func (w *Worker) runBatch(ctx context.Context, leases []Lease) {
 			continue
 		}
 		r.start = time.Now()
-		m, ri, rec, err := w.executeRow(r.ctx, r.lease, r.rowSC)
+		rec, err := w.executeRow(r.ctx, r.lease, r.rowSC)
 		r.dur = time.Since(r.start)
 		r.cancel()
 		if r.gone.Load() {
@@ -332,12 +337,11 @@ func (w *Worker) runBatch(ctx context.Context, leases []Lease) {
 			w.emit("lease.abandoned", r.leaseSC, time.Now(), 0, r.lease, obs.KS("err", err.Error()))
 			continue
 		}
-		// Attest the row: the digest hashes exactly the record this
-		// worker rendered from the planes it is now shipping, so the
-		// coordinator can hold these planes to this claim.
+		// Attest the row: the digest hashes exactly the record whose
+		// planes this worker is now shipping, so the coordinator can hold
+		// these planes to this claim.
 		req.Rows = append(req.Rows, rowComplete{rowRef: r.lease.ref(), OK: true,
-			Planes: packPlanes(m.Throughput[ri], m.TimeNS[ri], m.Bound[ri]),
-			Digest: sweep.RecordDigest(rec), CostNS: r.dur.Nanoseconds()})
+			Planes: rec.Packed(), Digest: sweep.RecordDigest(rec), CostNS: r.dur.Nanoseconds()})
 		sent = append(sent, r)
 	}
 	if len(req.Rows) == 0 {
@@ -373,22 +377,22 @@ func (w *Worker) emit(name string, leaseSC obs.SpanContext, start time.Time, d t
 	w.o.Sink.Emit(name, "dist", 0, obs.SpanContext{TraceID: leaseSC.TraceID}, leaseSC.SpanID, start, d, kvs...)
 }
 
-// executeRow computes the leased row and renders its journal record
-// once, for the attested digest. rowSC, when valid, joins the row
-// sweep's events to the job's distributed trace.
-func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanContext) (*sweep.Matrix, int, sweep.RowRecord, error) {
-	var rec sweep.RowRecord
+// executeRow computes the leased row and returns its journal record:
+// the planes the worker ships and the bytes its digest attests. rowSC,
+// when valid, joins the row sweep's events to the job's distributed
+// trace.
+func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanContext) (sweep.RowRecord, error) {
 	k, err := lease.DecodeKernel()
 	if err != nil {
-		return nil, 0, rec, err
+		return sweep.RowRecord{}, err
 	}
-	space, err := hw.NewSpace(lease.Space.CUCounts, lease.Space.CoreClocksMHz, lease.Space.MemClocksMHz)
+	space, err := w.leaseSpace(lease)
 	if err != nil {
-		return nil, 0, rec, err
+		return sweep.RowRecord{}, err
 	}
 	engine, err := sweep.ParseEngine(lease.Engine)
 	if err != nil {
-		return nil, 0, rec, err
+		return sweep.RowRecord{}, err
 	}
 	opts := sweep.Options{
 		Workers:     w.o.SweepWorkers,
@@ -408,29 +412,40 @@ func (w *Worker) executeRow(ctx context.Context, lease *Lease, rowSC obs.SpanCon
 	opts.Observer = tel
 	m, _, err := sweep.RunContext(ctx, []*kernel.Kernel{k}, space, opts)
 	if err != nil {
-		return nil, 0, rec, err
+		return sweep.RowRecord{}, err
 	}
 	r := m.Row(k.Name)
 	if r < 0 || !m.RowComplete(r) {
-		return nil, 0, rec, fmt.Errorf("dist: row %s incomplete after sweep", k.Name)
+		return sweep.RowRecord{}, fmt.Errorf("dist: row %s incomplete after sweep", k.Name)
 	}
 	// The byzantine seam: a lying worker corrupts the row BEFORE
-	// rendering it, so its wire payload and its digest are consistent —
+	// encoding it, so its wire payload and its digest are consistent —
 	// the lie is only catchable by independent re-execution, which is
 	// exactly what sampled re-verification does.
 	if hit, sub := w.o.Fault.RowTamper(lease.Job+"/"+m.Kernels[r], 0); hit {
 		tamperRow(m, r, sub)
 	}
-	if rec, err = sweep.EncodeRow(m, r); err != nil {
-		return nil, 0, rec, err
+	return sweep.EncodeRow(m, r)
+}
+
+// leaseSpace returns the lease's configuration space, validated: the
+// last lease's when it carries the same axes, else a new one.
+func (w *Worker) leaseSpace(lease *Lease) (hw.Space, error) {
+	if w.space.Size() > 0 && w.space.Equal(lease.Space) {
+		return w.space, nil
 	}
-	return m, r, rec, nil
+	space, err := hw.NewSpace(lease.Space.CUCounts, lease.Space.CoreClocksMHz, lease.Space.MemClocksMHz)
+	if err != nil {
+		return hw.Space{}, err
+	}
+	w.space = space
+	return space, nil
 }
 
 // tamperRow is the injected lie: one cell's throughput nudged by one
-// part in 1024 — small enough to stay positive, finite and
-// plausible (it sails through unpackPlanes), large enough to change
-// the float64 bit pattern and therefore the digest. Which cell is
+// part in 1024 — small enough to stay positive, finite and plausible
+// (it passes the record's hygiene checks), large enough to change the
+// float64 bit pattern and therefore the digest. Which cell is
 // chosen by the injector's sub-roll, deterministically.
 func tamperRow(m *sweep.Matrix, r int, sub uint64) {
 	c := int(sub % uint64(m.Space.Size()))

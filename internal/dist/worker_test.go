@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gpuscale/internal/fault"
+	"gpuscale/internal/hw"
 	"gpuscale/internal/obs"
 	"gpuscale/internal/sweep"
 )
@@ -236,7 +237,7 @@ func TestFleetUnderNetworkFaults(t *testing.T) {
 
 // TestWorkerRecomputesReleasedRow: a worker keeps no row state, so a
 // row it finished but lost the lease (or the ack) for is recomputed
-// when it is leased again — and the recomputation renders the same
+// when it is leased again — and the recomputation encodes the same
 // record, so its attestation is unchanged.
 func TestWorkerRecomputesReleasedRow(t *testing.T) {
 	job := testJob(t, "recompute", 1)
@@ -260,15 +261,59 @@ func TestWorkerRecomputesReleasedRow(t *testing.T) {
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	_, _, rec1, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
+	rec1, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, rec2, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
+	rec2, err := w.executeRow(context.Background(), lease, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d1, d2 := sweep.RecordDigest(rec1), sweep.RecordDigest(rec2); d1 != d2 {
 		t.Fatalf("recomputed row's record digest %s, first execution %s", d2, d1)
+	}
+}
+
+// TestWorkerBuildsJobSpaceOnce: a worker validates a job's space once
+// — hw.NewSpace builds all of the grid's configurations to check them
+// — and every later row of the job reuses it, however many batches the
+// rows arrive in: a second row's space costs no allocation and keeps
+// the first row's axes. A lease of another space gets its own.
+func TestWorkerBuildsJobSpaceOnce(t *testing.T) {
+	job := testJob(t, "once", 2)
+	job.Space = hw.StudySpace()
+	w, err := NewWorker(WorkerOptions{Name: "W", Peers: []string{"http://127.0.0.1:1"}, SweepWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := func(r int, space hw.Space) *Lease {
+		k, err := encodeKernel(job.Kernels[r])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Lease{Job: job.Name, Row: r, Epoch: 1, Kernel: k, Space: space.Clone(), Seed: job.Seed + int64(r),
+			NoiseStdDev: job.NoiseStdDev, Engine: job.Engine.String()}
+	}
+	row0, row1 := lease(0, job.Space), lease(1, job.Space)
+	if _, err := w.executeRow(context.Background(), row0, obs.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	axes := &w.space.CUCounts[0]
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := w.leaseSpace(row1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("the job's second row rebuilt its space: %v allocations", allocs)
+	}
+	if _, err := w.executeRow(context.Background(), row1, obs.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	if &w.space.CUCounts[0] != axes {
+		t.Fatal("the job's second row did not reuse the first row's space")
+	}
+	other := lease(0, testSpace(t))
+	if space, err := w.leaseSpace(other); err != nil || !space.Equal(testSpace(t)) {
+		t.Fatalf("a lease of another space got %+v (%v)", space, err)
 	}
 }

@@ -33,7 +33,7 @@ import (
 //     pages don't — which is exactly the black-box semantics the name
 //     promises. Only machine loss loses the ring. A torn slot (kill
 //     mid-store) fails its CRC and is skipped at recovery, like
-//     journal v2's torn tail.
+//     the journal's torn tail.
 //
 // Events reach the ring through the process's Sink, so the ring and
 // the trace record the same events under the same names. Recording is

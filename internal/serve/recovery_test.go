@@ -8,6 +8,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -18,7 +19,10 @@ import (
 	"testing"
 	"time"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/fault"
+	"gpuscale/internal/gcn"
+	"gpuscale/internal/sweep"
 )
 
 // referenceMatrix runs spec uninterrupted in a fresh directory and
@@ -409,5 +413,137 @@ func TestFailedPersistSettlesJobFailed(t *testing.T) {
 	}
 	if !bytes.Equal(jobMatrix(t, s2, id), want) {
 		t.Fatal("resumed matrix differs from an uninterrupted run")
+	}
+}
+
+// TestRecoverIndentedRecords: the service writes its admission and
+// terminal records compactly, and still recovers the indented ones an
+// earlier version wrote: a terminal job answers the status it had, and
+// an admitted one runs to the matrix an uninterrupted run gives.
+func TestRecoverIndentedRecords(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(t)
+	want := referenceMatrix(t, Config{SweepWorkers: 2}, spec)
+	s1, err := New(Config{Dir: dir, SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s1.Submit("alice", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitTerminal(t, s1, st.ID)
+	drain(t, s1)
+	// A service with no runners admits a job and "crashes" before it
+	// starts.
+	s0, err := New(Config{Dir: dir, Runners: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := s0.Submit("bob", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{s1.jobPath(st.ID), s1.statePath(st.ID), s1.jobPath(queued.ID)} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, b, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.ContainsRune(b, '\n') || indented.Len() <= len(b) {
+			t.Fatalf("%s is not compact: %d bytes, %d indented", path, len(b), indented.Len())
+		}
+		if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := New(Config{Dir: dir, SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s2)
+	if got, err := s2.Get(st.ID); err != nil || got != done {
+		t.Fatalf("terminal job from indented records = %+v (%v), want %+v", got, err, done)
+	}
+	if got := waitTerminal(t, s2, queued.ID); got.State != StateComplete || got.Client != "bob" {
+		t.Fatalf("job from an indented admission record = %+v", got)
+	}
+	if !bytes.Equal(jobMatrix(t, s2, queued.ID), want) {
+		t.Fatal("job from an indented admission record serves a different matrix")
+	}
+}
+
+// v2Journal renders m's first n rows as a journal v2 image, with the
+// encoder journal v2 wrote: the magic, the space record, then one
+// JSON record per row.
+func v2Journal(t *testing.T, m *sweep.Matrix, n int) []byte {
+	t.Helper()
+	b := []byte("gpuscale-journal v2\n")
+	payload, err := json.Marshal(map[string]any{"space": m.Space})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = append(b, durable.Frame(payload)...)
+	for r := 0; r < n; r++ {
+		payload, err := json.Marshal(struct {
+			Kernel string      `json:"kernel"`
+			Tput   []float64   `json:"tput"`
+			TimeNS []float64   `json:"time_ns"`
+			Bound  []gcn.Bound `json:"bound"`
+		}{m.Kernels[r], m.Throughput[r], m.TimeNS[r], m.Bound[r]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append(b, durable.Frame(payload)...)
+	}
+	return b
+}
+
+// TestResumeFromV2Journal: a job interrupted with a journal v2 on disk
+// resumes after an upgrade: the journal migrates to v3 when the job
+// reopens it, its row is reused rather than recomputed, and the job
+// serves the /matrix bytes an uninterrupted run serves.
+func TestResumeFromV2Journal(t *testing.T) {
+	spec := testSpec(t)
+	want := referenceMatrix(t, Config{SweepWorkers: 2}, spec)
+	dir := t.TempDir()
+	s0, err := New(Config{Dir: dir, Runners: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s0.Submit("alice", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := spec.resolve(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sweep.Run(res.kernels, res.space, sweep.Options{Engine: res.engine, NoiseStdDev: spec.Noise, Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s0.journalPath(st.ID), v2Journal(t, m, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s1, err := New(Config{Dir: dir, SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s1)
+	got := waitTerminal(t, s1, st.ID)
+	if got.State != StateComplete || !strings.Contains(got.Summary, fmt.Sprintf(" %d reused ", res.space.Size())) {
+		t.Fatalf("job resumed from a v2 journal = %+v, want complete with one row reused", got)
+	}
+	if !bytes.Equal(jobMatrix(t, s1, st.ID), want) {
+		t.Fatal("job resumed from a v2 journal serves a different matrix")
+	}
+	if b, err := os.ReadFile(s1.journalPath(st.ID)); err != nil || !bytes.HasPrefix(b, []byte("gpuscale-journal v3\n")) {
+		t.Fatalf("the job's journal was not migrated to v3 (%v)", err)
 	}
 }

@@ -490,8 +490,8 @@ func (s *Service) SubmitTraced(client string, spec JobSpec, caller obs.SpanConte
 	// Persist the admission before announcing it: once Submit returns
 	// 202 the job must survive any crash. The trace context rides
 	// along, so a recovered job resumes under its original trace ID.
-	b, err := json.MarshalIndent(jobFile{ID: id, Client: client, Spec: spec,
-		Trace: sc.Traceparent(), Parent: parent}, "", "  ")
+	b, err := json.Marshal(jobFile{ID: id, Client: client, Spec: spec,
+		Trace: sc.Traceparent(), Parent: parent})
 	if err == nil {
 		err = durable.WriteFile(s.jobPath(id), durable.Bytes(b))
 	}
@@ -671,7 +671,7 @@ func (s *Service) persistTerminal(id string, m *sweep.Matrix, sf stateFile) erro
 		}
 		sf.Coverage = m.Coverage()
 	}
-	b, err := json.MarshalIndent(sf, "", "  ")
+	b, err := json.Marshal(sf)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strconv"
@@ -27,40 +28,30 @@ func fuzzSpace(f *testing.F) hw.Space {
 	return s
 }
 
-// FuzzJournalScan hammers the v2 journal recovery scanner with
-// arbitrary bytes: it must never panic, never claim a clean prefix
-// longer than the input, and anything it does recover must satisfy the
-// journal's row invariants (full planes, positive finite measurements,
-// all-OK statuses).
+// FuzzJournalScan hammers the journal recovery scanner with arbitrary
+// bytes: it must never panic, never claim a clean prefix longer than
+// the input, and anything it does recover must satisfy the journal's
+// row invariants (full planes, positive finite measurements, all-OK
+// statuses). What it recovers from a v2 journal goes through
+// migration: the v3 image a migration writes must read back to the
+// same matrix, bit for bit.
 func FuzzJournalScan(f *testing.F) {
 	space := fuzzSpace(f)
-	full := func() []byte {
-		m, err := Run(testKernels(), space, Options{})
-		if err != nil {
-			f.Fatal(err)
-		}
-		var b []byte
-		b = append(b, journalMagic...)
-		sp, err := frameRecord(journalRecord{Space: &space})
-		if err != nil {
-			f.Fatal(err)
-		}
-		b = append(b, sp...)
-		for r := range m.Kernels {
-			row, err := rowRecord(m, r)
-			if err != nil {
-				f.Fatal(err)
-			}
-			b = append(b, row...)
-		}
-		return b
-	}()
+	m, err := Run(testKernels(), space, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	full, err := CanonicalJournalBytes(m, m.Kernels)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(full)
 	f.Add(full[:len(full)-7])        // torn tail
 	f.Add([]byte(journalMagic))      // header only
 	f.Add([]byte(journalMagic[:9]))  // torn magic
 	f.Add([]byte("deadbeef 3 {}\n")) // frame without magic
 	f.Add([]byte(nil))               // empty
+	f.Add(refV2Journal(f, m))        // v2, the seeds in testdata/ are v2 too
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, good, _, err := scanJournal(data, space)
 		if err != nil {
@@ -101,6 +92,91 @@ func FuzzJournalScan(f *testing.F) {
 				if !(m.TimeNS[r][c] > 0) || math.IsInf(m.TimeNS[r][c], 0) {
 					t.Fatalf("row %d cell %d time %g", r, c, m.TimeNS[r][c])
 				}
+			}
+		}
+		if isV2(data) {
+			image, err := CanonicalJournalBytes(m, m.Kernels)
+			if err != nil {
+				t.Fatalf("recovered v2 rows do not migrate: %v", err)
+			}
+			back, good, reason, err := scanJournal(image, space)
+			if err != nil || good != int64(len(image)) || back == nil || !sameMatrix(back, m) {
+				t.Fatalf("the migrated image reads back differently (%v, %s)", err, reason)
+			}
+		}
+	})
+}
+
+// FuzzUnpackPlanes hammers the two decoders of the row format with
+// arbitrary bytes. As packed planes — what a fleet process receives
+// from the wire — every input the hygiene checks accept must unpack
+// and pack back bit-exactly, and its record must append to a journal
+// that reads it back unchanged, so nothing the wire admits can
+// truncate a journal at recovery. As a row record — what recovery
+// reads — every input accepted must pass the hygiene checks and
+// encode back to exactly its own bytes.
+func FuzzUnpackPlanes(f *testing.F) {
+	space, err := hw.NewSpace([]int{4, 44}, []float64{200}, []float64{150, 1250})
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := space.Size()
+	rec, err := EncodePlanes("fuzz",
+		[]float64{1, 2.5, 1e-300, math.MaxFloat64},
+		[]float64{math.SmallestNonzeroFloat64, 3, 1e21, 7e-7},
+		[]gcn.Bound{gcn.BoundCompute, gcn.BoundDRAM, gcn.BoundLatency, gcn.BoundLaunch})
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := rec.Packed()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(slices.Clone(valid[:8*(n-1)]), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf7, 0x7f)) // NaN
+	f.Add(rec.payload)
+	f.Add(append([]byte{0x84, 0x00}, rec.payload[1:]...)) // the name's length padded
+	f.Add([]byte(nil))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if checkPlanes(n, b) == nil {
+			tput, timeNS, bound := unpackPlanes(n, b)
+			rec, err := EncodePlanes("fuzz", tput, timeNS, bound)
+			if err != nil {
+				t.Fatalf("accepted planes do not encode: %v", err)
+			}
+			if !bytes.Equal(rec.Packed(), b) {
+				t.Fatal("accepted planes do not round-trip bit-exactly")
+			}
+			path := filepath.Join(t.TempDir(), "fuzz.journal")
+			j, err := OpenJournal(path, space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = j.AppendRecord(rec)
+			if cerr := j.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := ReadJournal(path, space)
+			if err != nil || m == nil || len(m.Kernels) != 1 {
+				t.Fatalf("the journal refused a record of accepted planes: %v", err)
+			}
+			if !sameMatrix(m, &Matrix{Kernels: []string{"fuzz"}, Throughput: [][]float64{tput},
+				TimeNS: [][]float64{timeNS}, Bound: [][]gcn.Bound{bound}, Status: m.Status}) {
+				t.Fatal("accepted planes changed on their way through the journal")
+			}
+		}
+		if row, why := decodeRowRecord(b, n); why == "" {
+			for c := 0; c < n; c++ {
+				if !(row.tput[c] > 0) || math.IsInf(row.tput[c], 0) || !(row.timeNS[c] > 0) ||
+					math.IsInf(row.timeNS[c], 0) || row.bound[c] < gcn.BoundCompute || row.bound[c] > gcn.BoundLaunch {
+					t.Fatalf("accepted record fails hygiene at config %d", c)
+				}
+			}
+			rec, err := EncodePlanes(row.kernel, row.tput, row.timeNS, row.bound)
+			if err != nil || !bytes.Equal(rec.payload, b) {
+				t.Fatalf("accepted record does not encode back to its own bytes (%v)", err)
 			}
 		}
 	})

@@ -1,31 +1,34 @@
 package sweep
 
-// Journal v2: a crash-only, per-record checksummed checkpoint log.
+// Journal v3: a crash-only, per-record checksummed checkpoint log.
 //
 // The v1 journal was a plain CSV file — readable, but a single torn
 // write (power loss mid-append) made the whole file unparsable and
-// forced the operator to delete hours of finished work. v2 frames
+// forced the operator to delete hours of finished work. v2 framed
 // every record so the loader can tell exactly where a crash landed
-// and salvage everything before it:
+// and salvage everything before it; v3 keeps the frame and makes a row
+// record the row's packed planes (record.go) instead of JSON:
 //
-//	gpuscale-journal v2\n
-//	<crc32:8-hex> <len:decimal> <json-payload>\n
-//	<crc32:8-hex> <len:decimal> <json-payload>\n
+//	gpuscale-journal v3\n
+//	<crc32:8-hex> <len:decimal> <space record: JSON>\n
+//	<crc32:8-hex> <len:decimal> <row record: kernel name + packed planes>\n
 //	...
 //
-// The CRC32 (IEEE) covers the JSON payload bytes only. The first
-// record describes the configuration grid (so a journal can never be
-// resumed against the wrong space); every later record is one
-// completed kernel row. Recovery scans records in order and truncates
-// the file at the first framing, checksum, parse, or validation
-// failure instead of erroring — a torn tail costs at most the row
-// that was being written. The frame, the fsynced self-healing append
-// and the atomic rewrite are internal/durable's; this file owns the
-// payloads and what recovery makes of them.
+// The CRC32 (IEEE) covers the payload bytes only, and the length
+// delimits a payload, so a row record's binary bytes may hold any
+// byte, newlines included. The first record describes the
+// configuration grid (so a journal can never be resumed against the
+// wrong space); every later record is one completed kernel row.
+// Recovery scans records in order and truncates the file at the first
+// framing, checksum, parse, or validation failure instead of erroring
+// — a torn tail costs at most the row that was being written. The
+// frame, the fsynced self-healing append and the atomic rewrite are
+// internal/durable's; this file owns the payloads and what recovery
+// makes of them.
 //
-// v1 CSV journals (and completed WriteCSV archives) are still
-// accepted: complete all-OK rows are salvaged and the file is
-// migrated to v2 atomically.
+// v2 journals (journalv2.go) and v1 CSV journals (and completed
+// WriteCSV archives) are still accepted: their complete rows are
+// salvaged and the file is migrated to v3 atomically.
 
 import (
 	"bytes"
@@ -33,9 +36,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math"
+	"strconv"
 	"sync"
 
 	"gpuscale/internal/durable"
@@ -45,19 +47,21 @@ import (
 
 // journalMagic is the version header; bumping the version means old
 // binaries refuse the file instead of misreading it.
-const journalMagic = "gpuscale-journal v2\n"
+const journalMagic = "gpuscale-journal v3\n"
 
-// journalRecord is the JSON payload of one framed record: either a
-// space record (Space set, row fields empty) or a row record (Kernel
-// and the three planes set). Cells in a row record are all StatusOK
-// by construction — AppendRow refuses incomplete rows — so status is
-// not stored.
-type journalRecord struct {
-	Space  *hw.Space   `json:"space,omitempty"`
-	Kernel string      `json:"kernel,omitempty"`
-	Tput   []float64   `json:"tput,omitempty"`
-	TimeNS []float64   `json:"time_ns,omitempty"`
-	Bound  []gcn.Bound `json:"bound,omitempty"`
+// spaceRecord is the payload of a journal's first record, the space
+// record: the configuration grid as JSON.
+type spaceRecord struct {
+	Space *hw.Space `json:"space"`
+}
+
+// journalRow is one row record as recovery reads it, from a v3 record
+// or a v2 one. Its cells are all StatusOK by construction — a journal
+// holds complete rows only — so status is not stored.
+type journalRow struct {
+	kernel       string
+	tput, timeNS []float64
+	bound        []gcn.Bound
 }
 
 // SalvageReport describes what recovery had to discard to make a
@@ -67,11 +71,12 @@ type SalvageReport struct {
 	// DroppedBytes is how much of the file tail was cut off.
 	DroppedBytes int64
 	// DroppedRecords approximates how many records the dropped tail
-	// held (newline count — a torn record has no reliable framing).
+	// held: frames counted by their length fields, or lines of a v1
+	// CSV journal (a torn record has no reliable framing).
 	DroppedRecords int
-	// MigratedV1 reports that the file was a v1 CSV journal and has
-	// been rewritten in v2 format.
-	MigratedV1 bool
+	// MigratedFrom names the format the file was rewritten from in v3
+	// format — "v1 CSV" or "v2" — or is empty when it was v3 already.
+	MigratedFrom string
 	// Reason says what stopped the scan, for logs.
 	Reason string
 }
@@ -99,11 +104,11 @@ type Journal struct {
 }
 
 // OpenJournal opens or creates a sweep journal at path. An existing
-// v2 file is scanned record by record and truncated at the first
-// corrupt record; a v1 CSV journal (or completed archive) is salvaged
-// and migrated to v2; a file that is neither is rejected rather than
-// overwritten. Check Salvage() after opening to learn whether
-// recovery had to drop anything.
+// v3 file is scanned record by record and truncated at the first
+// corrupt record; a v2 journal or a v1 CSV journal (or completed
+// archive) is salvaged and migrated to v3; a file that is none of
+// these is rejected rather than overwritten. Check Salvage() after
+// opening to learn whether recovery had to drop or migrate anything.
 func OpenJournal(path string, space hw.Space) (*Journal, error) {
 	return OpenJournalWith(path, space, JournalOptions{})
 }
@@ -130,11 +135,13 @@ func OpenJournalWith(path string, space hw.Space, opts JournalOptions) (*Journal
 			j.salvage = &SalvageReport{DroppedBytes: torn, DroppedRecords: 1, Reason: "torn journal header"}
 		}
 	case bytes.HasPrefix(data, []byte(journalMagic)):
-		err = j.recoverV2(data)
+		err = j.recoverV3(data)
+	case isV2(data):
+		err = j.migrate(data, "v2")
 	case looksLikeSweepCSV(data):
-		err = j.migrateV1(data)
+		err = j.migrate(data, "v1 CSV")
 	default:
-		err = fmt.Errorf("sweep: journal %s is neither a v2 journal nor a sweep CSV (delete it to start over)", path)
+		err = fmt.Errorf("sweep: journal %s is neither a journal nor a sweep CSV (delete it to start over)", path)
 	}
 	if err != nil {
 		log.Close()
@@ -152,16 +159,16 @@ func looksLikeSweepCSV(data []byte) bool {
 // journalHeader is a fresh journal's first write: the magic line
 // plus the record pinning its configuration space.
 func journalHeader(space hw.Space) ([]byte, error) {
-	framed, err := frameRecord(journalRecord{Space: &space})
+	payload, err := json.Marshal(spaceRecord{Space: &space})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sweep: encoding journal space record: %w", err)
 	}
-	return append([]byte(journalMagic), framed...), nil
+	return append([]byte(journalMagic), durable.Frame(payload)...), nil
 }
 
-// recoverV2 scans an existing v2 file, truncating at the first bad
+// recoverV3 scans an existing v3 file, truncating at the first bad
 // record. A clean file costs one pass and no writes.
-func (j *Journal) recoverV2(data []byte) error {
+func (j *Journal) recoverV3(data []byte) error {
 	prior, good, reason, err := scanJournal(data, j.space)
 	switch {
 	case err != nil:
@@ -174,7 +181,7 @@ func (j *Journal) recoverV2(data []byte) error {
 		err = j.log.Cut(good)
 		j.salvage = &SalvageReport{
 			DroppedBytes:   int64(len(data)) - good,
-			DroppedRecords: countRecords(data[good:]),
+			DroppedRecords: countFrames(data[good:]),
 			Reason:         reason,
 		}
 	}
@@ -185,7 +192,7 @@ func (j *Journal) recoverV2(data []byte) error {
 	return nil
 }
 
-// countRecords approximates how many records a byte region held.
+// countRecords approximates how many lines a byte region held.
 func countRecords(b []byte) int {
 	n := bytes.Count(b, []byte{'\n'})
 	if len(b) > 0 && b[len(b)-1] != '\n' {
@@ -194,60 +201,91 @@ func countRecords(b []byte) int {
 	return n
 }
 
-// scanJournal walks a v2 journal image and returns the recovered
-// matrix (nil if no rows), the clean prefix length in bytes, and a
-// human-readable reason when the scan stopped before the end. The
-// error return is reserved for files that must not be silently
-// repaired: a journal written for a different configuration space.
+// countFrames approximates how many records a dropped journal tail
+// held: it steps from frame to frame by their length fields, trusting
+// no checksum, and counts what is left where a frame header does not
+// read as one more record.
+func countFrames(b []byte) int {
+	n := 0
+	for len(b) > 0 {
+		n++
+		if len(b) < 10 || b[8] != ' ' {
+			return n
+		}
+		end := bytes.IndexByte(b[9:], ' ')
+		if end <= 0 {
+			return n
+		}
+		size, err := strconv.Atoi(string(b[9 : 9+end]))
+		if err != nil || size <= 0 || size > len(b) || 9+end+size+2 > len(b) {
+			return n
+		}
+		b = b[9+end+size+2:]
+	}
+	return n
+}
+
+// scanJournal walks a journal image — v3, or v2 (journalv2.go) — and
+// returns the recovered matrix (nil if no rows), the clean prefix
+// length in bytes, and a human-readable reason when the scan stopped
+// before the end. The error return is reserved for files that must
+// not be silently repaired: a journal written for a different
+// configuration space. A zero space takes the space record's own.
 // good == 0 with nil error means nothing before the space record was
 // usable and the caller should start fresh.
 func scanJournal(data []byte, space hw.Space) (m *Matrix, good int64, reason string, err error) {
-	if !bytes.HasPrefix(data, []byte(journalMagic)) {
+	magic, decodeRow := journalMagic, decodeRowRecord
+	if isV2(data) {
+		magic, decodeRow = journalMagicV2, decodeV2Row
+	}
+	if !bytes.HasPrefix(data, []byte(magic)) {
 		return nil, 0, "missing journal magic", nil
 	}
-	off := int64(len(journalMagic))
-	nCfg := space.Size()
+	off := int64(len(magic))
 	rows := map[string]int{}
 	sawSpace := false
 	for off < int64(len(data)) {
-		rec, next, why := parseRecord(data, off)
+		payload, next, why := durable.Parse(data, off)
 		if why != "" {
 			return m, journalGood(sawSpace, off), fmt.Sprintf("%s at byte %d", why, off), nil
 		}
-		if rec.Space != nil {
-			if sawSpace {
-				return m, off, fmt.Sprintf("duplicate space record at byte %d", off), nil
+		if !sawSpace {
+			// The first record is the space record.
+			sp, why := parseSpaceRecord(payload)
+			if why == "" && space.Size() == 0 {
+				if space = sp; space.Size() == 0 {
+					why = "empty configuration space"
+				}
 			}
-			if !rec.Space.Equal(space) {
+			if why != "" {
+				return nil, 0, fmt.Sprintf("%s at byte %d", why, off), nil
+			}
+			if !sp.Equal(space) {
 				return nil, 0, "", fmt.Errorf("sweep: journal was written for a different configuration space")
 			}
 			sawSpace = true
 			off = next
 			continue
 		}
-		if !sawSpace {
-			return nil, 0, fmt.Sprintf("row record before space record at byte %d", off), nil
-		}
-		if why := validateRowRecord(rec, nCfg); why != "" {
+		row, why := decodeRow(payload, space.Size())
+		if why != "" {
 			return m, off, fmt.Sprintf("%s at byte %d", why, off), nil
 		}
 		if m == nil {
 			m = &Matrix{Space: space}
 		}
-		ri, ok := rows[rec.Kernel]
+		ri, ok := rows[row.kernel]
 		if !ok {
 			ri = len(m.Kernels)
-			rows[rec.Kernel] = ri
-			m.Kernels = append(m.Kernels, rec.Kernel)
+			rows[row.kernel] = ri
+			m.Kernels = append(m.Kernels, row.kernel)
 			m.Throughput = append(m.Throughput, nil)
 			m.TimeNS = append(m.TimeNS, nil)
 			m.Bound = append(m.Bound, nil)
 			m.Status = append(m.Status, nil)
 		}
-		m.Throughput[ri] = rec.Tput
-		m.TimeNS[ri] = rec.TimeNS
-		m.Bound[ri] = rec.Bound
-		m.Status[ri] = make([]CellStatus, nCfg) // all StatusOK
+		m.Throughput[ri], m.TimeNS[ri], m.Bound[ri] = row.tput, row.timeNS, row.bound
+		m.Status[ri] = make([]CellStatus, space.Size()) // all StatusOK
 		off = next
 	}
 	if !sawSpace {
@@ -267,65 +305,44 @@ func journalGood(sawSpace bool, off int64) int64 {
 	return off
 }
 
-// parseRecord decodes one framed record starting at off. It returns
-// the record, the offset just past its trailing newline, and a
-// non-empty reason on any framing/checksum/parse failure.
-func parseRecord(data []byte, off int64) (rec journalRecord, next int64, reason string) {
-	payload, next, reason := durable.Parse(data, off)
-	if reason != "" {
-		return rec, 0, reason
-	}
+// parseSpaceRecord decodes a space record's payload, refusing unknown
+// fields; reason is non-empty when it is not one.
+func parseSpaceRecord(payload []byte) (space hw.Space, reason string) {
+	var rec spaceRecord
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		return rec, 0, "unparsable record payload"
+	if err := dec.Decode(&rec); err != nil || rec.Space == nil {
+		return space, "unparsable space record"
 	}
 	if dec.More() {
-		return rec, 0, "trailing data in record payload"
+		return space, "trailing data in space record"
 	}
-	return rec, next, ""
+	return *rec.Space, ""
 }
 
-// validateRowRecord applies the same hygiene as the CSV loader:
-// journaled cells are all StatusOK, so every measurement must be a
-// positive finite number and every bound in range. Returns a reason
-// or "".
-func validateRowRecord(rec journalRecord, nCfg int) string {
-	if rec.Kernel == "" {
-		return "record with no kernel"
-	}
-	if len(rec.Tput) != nCfg || len(rec.TimeNS) != nCfg || len(rec.Bound) != nCfg {
-		return fmt.Sprintf("row record for %q has wrong plane length", rec.Kernel)
-	}
-	for i := range rec.Tput {
-		if !(rec.Tput[i] > 0) || math.IsInf(rec.Tput[i], 0) {
-			return fmt.Sprintf("row record for %q has out-of-range throughput", rec.Kernel)
+// migrate salvages a v2 journal or a v1 CSV journal (or a completed
+// WriteCSV archive) and atomically rewrites the file in v3 format.
+// Only complete rows survive — exactly what AppendRow ever wrote — and
+// a torn tail is dropped rather than fatal. A crash mid-migration
+// leaves the old file, which simply migrates again next open.
+func (j *Journal) migrate(data []byte, from string) error {
+	var (
+		prior   *Matrix
+		dropped int64
+		records int
+		reason  = from + " journal migrated to v3"
+	)
+	if from == "v1 CSV" {
+		prior, dropped, records = salvageV1CSV(data, j.space)
+	} else {
+		m, good, why, err := scanJournal(data, j.space)
+		if err != nil {
+			return err
 		}
-		if !(rec.TimeNS[i] > 0) || math.IsInf(rec.TimeNS[i], 0) {
-			return fmt.Sprintf("row record for %q has out-of-range time", rec.Kernel)
-		}
-		if rec.Bound[i] < gcn.BoundCompute || rec.Bound[i] > gcn.BoundLaunch {
-			return fmt.Sprintf("row record for %q has unknown bound", rec.Kernel)
+		if prior, dropped = m, int64(len(data))-good; dropped > 0 {
+			records, reason = countFrames(data[good:]), why
 		}
 	}
-	return ""
-}
-
-// frameRecord renders a record in its durable frame.
-func frameRecord(rec journalRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: encoding journal record: %w", err)
-	}
-	return durable.Frame(payload), nil
-}
-
-// migrateV1 salvages a v1 CSV journal (or a completed WriteCSV
-// archive) and atomically rewrites the file in v2 format. Only
-// complete all-OK kernel rows survive — exactly what v1's AppendRow
-// ever wrote — and a torn CSV tail is dropped rather than fatal.
-func (j *Journal) migrateV1(data []byte) error {
-	prior, droppedBytes, droppedRecords := salvageV1CSV(data, j.space)
 	image, err := journalHeader(j.space)
 	if prior != nil {
 		image, err = CanonicalJournalBytes(prior, prior.Kernels)
@@ -333,18 +350,11 @@ func (j *Journal) migrateV1(data []byte) error {
 	if err != nil {
 		return err
 	}
-	// A crash mid-migration leaves the old v1 file, which simply
-	// migrates again next open.
 	if err := j.log.Replace(image); err != nil {
-		return fmt.Errorf("sweep: migrating v1 journal: %w", err)
+		return fmt.Errorf("sweep: migrating %s journal: %w", from, err)
 	}
 	j.prior = prior
-	j.salvage = &SalvageReport{
-		DroppedBytes:   droppedBytes,
-		DroppedRecords: droppedRecords,
-		MigratedV1:     true,
-		Reason:         "v1 CSV journal migrated to v2",
-	}
+	j.salvage = &SalvageReport{DroppedBytes: dropped, DroppedRecords: records, MigratedFrom: from, Reason: reason}
 	return nil
 }
 
@@ -435,7 +445,7 @@ func salvageV1CSV(data []byte, space hw.Space) (*Matrix, int64, int) {
 	return kept, droppedBytes, droppedLines
 }
 
-// rowRecord frames row r of m as a v2 row record.
+// rowRecord frames row r of m as a row record.
 func rowRecord(m *Matrix, r int) ([]byte, error) {
 	rec, err := EncodeRow(m, r)
 	if err != nil {
@@ -444,73 +454,9 @@ func rowRecord(m *Matrix, r int) ([]byte, error) {
 	return durable.Frame(rec.payload), nil
 }
 
-// RowRecord is one complete kernel row's v2 journal record payload:
-// the bytes a journal frames and fsyncs, and the bytes a row digest
-// hashes. Only EncodeRow and EncodePlanes produce one, so a journal
-// append can carry nothing but a rendered row. A process renders each
-// row once and hands the same record to every journal and digest that
-// needs it.
-type RowRecord struct {
-	kernel  string
-	cells   int
-	payload []byte
-}
-
-// Len is the size of the record's payload in bytes.
-func (r RowRecord) Len() int { return len(r.payload) }
-
-// EncodeRow renders row r of m as its v2 record payload. The row must
-// be complete (all StatusOK) — the only kind of row a journal holds.
-func EncodeRow(m *Matrix, r int) (RowRecord, error) {
-	if !m.RowComplete(r) {
-		return RowRecord{}, fmt.Errorf("sweep: incomplete row %s has no journal record", m.Kernels[r])
-	}
-	return EncodePlanes(m.Kernels[r], m.Throughput[r], m.TimeNS[r], m.Bound[r])
-}
-
-// EncodePlanes renders one complete row's measurement planes as the
-// v2 record payload EncodeRow would give the same row: the planes must
-// be equally long, one entry per configuration. Rendering is the JSON
-// encoding the journal has always written, so records — and the
-// digests over them — are byte-stable across versions.
-func EncodePlanes(kernelName string, tput, timeNS []float64, bound []gcn.Bound) (RowRecord, error) {
-	if len(timeNS) != len(tput) || len(bound) != len(tput) {
-		return RowRecord{}, fmt.Errorf("sweep: encoding %s: planes of unequal length", kernelName)
-	}
-	payload, err := json.Marshal(journalRecord{Kernel: kernelName, Tput: tput, TimeNS: timeNS, Bound: bound})
-	if err != nil {
-		return RowRecord{}, fmt.Errorf("sweep: encoding journal record: %w", err)
-	}
-	return RowRecord{kernel: kernelName, cells: len(tput), payload: payload}, nil
-}
-
-// RecordDigest hashes a row record: FNV-64a over its payload, as 16
-// hex digits. Because the digest covers exactly the bytes a journal
-// append writes (modulo the CRC frame, which the CRC already guards),
-// "the digest matches" and "the journaled bytes match" are the same
-// statement — which is what lets a coordinator attest a row it
-// received over the wire without re-running the engine. Honest
-// re-executions of a row are bit-identical (seeded noise), so equal
-// digests mean equal rows.
-func RecordDigest(rec RowRecord) string {
-	h := fnv.New64a()
-	h.Write(rec.payload)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// RowDigest is RecordDigest over row r of m. The row must be complete
-// (all StatusOK) — the only kind of row a journal holds.
-func RowDigest(m *Matrix, r int) (string, error) {
-	rec, err := EncodeRow(m, r)
-	if err != nil {
-		return "", err
-	}
-	return RecordDigest(rec), nil
-}
-
 // Prior returns the matrix recovered from an existing journal file,
 // or nil for a fresh journal. Pass it to Resume. Recovered cells are
-// exact: JSON float64 encoding round-trips, so a resumed sweep's
+// exact: a row record holds each float64's bits, so a resumed sweep's
 // final matrix is byte-identical to an uninterrupted run's.
 func (j *Journal) Prior() *Matrix { return j.prior }
 
@@ -535,11 +481,11 @@ func (j *Journal) AppendRow(m *Matrix, r int) error {
 	return j.AppendRecord(rec)
 }
 
-// AppendRecord frames rendered row records and appends them in one
-// write and one fsync before returning; a failed or torn write is
-// rolled back, so the file stays clean and holds none of them. Every
-// record must have been rendered for this journal's configuration
-// space. Safe for concurrent use.
+// AppendRecord frames row records and appends them in one write and
+// one fsync before returning; a failed or torn write is rolled back, so
+// the file stays clean and holds none of them. Every record must hold
+// a row of this journal's configuration space. Safe for concurrent
+// use.
 func (j *Journal) AppendRecord(recs ...RowRecord) error {
 	size := 0
 	for _, rec := range recs {

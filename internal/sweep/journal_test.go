@@ -3,11 +3,16 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -181,7 +186,7 @@ func TestJournalBitFlipAtEveryOffset(t *testing.T) {
 }
 
 // TestJournalV1MigrationAndSalvage: a v1 CSV journal — including one
-// with a torn tail — still resumes, and the file comes back as v2.
+// with a torn tail — still resumes, and the file comes back as v3.
 func TestJournalV1MigrationAndSalvage(t *testing.T) {
 	space := tinySpace(t)
 	m, rep, err := RunContext(context.Background(), testKernels(), space, journalOpts())
@@ -207,8 +212,8 @@ func TestJournalV1MigrationAndSalvage(t *testing.T) {
 		t.Fatalf("v1 journal rejected: %v", err)
 	}
 	s := j.Salvage()
-	if s == nil || !s.MigratedV1 {
-		t.Fatalf("salvage report %+v, want MigratedV1", s)
+	if s == nil || s.MigratedFrom != "v1 CSV" {
+		t.Fatalf("salvage report %+v, want a v1 CSV migration", s)
 	}
 	if s.DroppedBytes == 0 || s.DroppedRecords == 0 {
 		t.Fatalf("torn v1 tail not counted: %+v", s)
@@ -217,13 +222,13 @@ func TestJournalV1MigrationAndSalvage(t *testing.T) {
 	if prior == nil || len(prior.Kernels) != 2 {
 		t.Fatalf("v1 salvage recovered %v, want the two complete rows", prior)
 	}
-	// The migrated file on disk is now v2.
+	// The migrated file on disk is now v3.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte(journalMagic)) {
-		t.Fatalf("migrated file does not start with v2 magic: %.40q", data)
+	if !bytes.HasPrefix(data, []byte("gpuscale-journal v3\n")) {
+		t.Fatalf("migrated file does not start with v3 magic: %.40q", data)
 	}
 	j.Close()
 
@@ -445,52 +450,155 @@ func TestScanJournalRejectsForeignSpace(t *testing.T) {
 	}
 }
 
-// TestJournalRecordFraming pins the v2 wire format: CRC over the JSON
-// payload, decimal length, one record per line.
+// TestJournalRecordFraming pins the v3 format: the magic; the space
+// record, hw.Space's JSON form under "space", which refuses an unknown
+// field; a row record, the kernel name (uvarint length, then bytes)
+// then the packed planes — every throughput, then every time, as
+// little-endian float64 bits, then one byte per bound — whose binary
+// bytes the CRC frame delimits by length; and a row digest, "v3:" then
+// FNV-64a over the row record as 16 hex digits.
 func TestJournalRecordFraming(t *testing.T) {
-	rec := journalRecord{Kernel: "k", Tput: []float64{1}, TimeNS: []float64{2}, Bound: []gcn.Bound{0}}
-	framed, err := frameRecord(rec)
+	space := hw.Space{CUCounts: []int{4}, CoreClocksMHz: []float64{200}, MemClocksMHz: []float64{150.5, 1250}}
+	header, err := journalHeader(space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var crc uint32
-	var plen int
-	var payload string
-	n, err := fmt.Sscanf(string(framed), "%08x %d %s", &crc, &plen, &payload)
-	if err != nil || n != 3 {
-		t.Fatalf("framed record %q does not parse: %v", framed, err)
+	const spaceJSON = `{"space":{"cus":[4],"core_mhz":[200],"mem_mhz":[150.5,1250]}}`
+	if want := append([]byte("gpuscale-journal v3\n"), durable.Frame([]byte(spaceJSON))...); !bytes.Equal(header, want) {
+		t.Fatalf("journal header %q, want %q", header, want)
 	}
-	if framed[len(framed)-1] != '\n' {
-		t.Fatalf("record not newline-terminated: %q", framed)
+	if got, reason := parseSpaceRecord([]byte(spaceJSON)); reason != "" || !got.Equal(space) {
+		t.Fatalf("space record round trip: %+v %q", got, reason)
 	}
-	got, next, reason := parseRecord(framed, 0)
-	if reason != "" {
-		t.Fatalf("parseRecord rejected its own framing: %s", reason)
-	}
-	if next != int64(len(framed)) {
-		t.Fatalf("parseRecord consumed %d of %d bytes", next, len(framed))
-	}
-	if got.Kernel != "k" || len(got.Tput) != 1 || got.Tput[0] != 1 {
-		t.Fatalf("round-tripped record %+v", got)
+	extra := `{"space":{"cus":[4],"core_mhz":[200],"mem_mhz":[150.5],"l2_kb":[1024]}}`
+	if _, reason := parseSpaceRecord([]byte(extra)); reason == "" {
+		t.Fatal("a space record with an unknown field was accepted")
 	}
 
-	// The space record is hw.Space's JSON form, and the decoder refuses
-	// an unknown field inside it as it does at the top level.
-	space := hw.Space{CUCounts: []int{4}, CoreClocksMHz: []float64{200}, MemClocksMHz: []float64{150.5}}
-	framed, err = frameRecord(journalRecord{Space: &space})
+	rec, err := EncodePlanes("k", []float64{1, 0.5}, []float64{2, 10},
+		[]gcn.Bound{gcn.BoundCompute, gcn.BoundLaunch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"space":{"cus":[4],"core_mhz":[200],"mem_mhz":[150.5]}}`
-	if !bytes.HasSuffix(framed, []byte(want+"\n")) {
-		t.Fatalf("space record %q, want payload %s", framed, want)
+	want := []byte{1, 'k'}
+	for _, v := range []float64{1, 0.5, 2, 10} { // 10 encodes a '\n' byte
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
 	}
-	if got, _, reason := parseRecord(framed, 0); reason != "" || !got.Space.Equal(space) {
-		t.Fatalf("space record round trip: %+v %q", got.Space, reason)
+	want = append(want, byte(gcn.BoundCompute), byte(gcn.BoundLaunch))
+	if !bytes.Equal(rec.payload, want) || !bytes.Equal(rec.Packed(), want[2:]) {
+		t.Fatalf("row record %x, want %x", rec.payload, want)
 	}
-	extra := durable.Frame([]byte(`{"space":{"cus":[4],"core_mhz":[200],"mem_mhz":[150.5],"l2_kb":[1024]}}`))
-	if _, _, reason := parseRecord(extra, 0); reason == "" {
-		t.Fatal("a space record with an unknown field was accepted")
+	if _, err := EncodePlanes("k", []float64{1}, []float64{1}, []gcn.Bound{gcn.BoundLaunch + 256}); err == nil {
+		t.Fatal("a bound that would wrap into range as a byte was encoded")
+	}
+	image := append(header, durable.Frame(rec.payload)...)
+	m, good, reason, err := scanJournal(image, space)
+	if err != nil || good != int64(len(image)) || m == nil || m.Kernels[0] != "k" ||
+		m.Throughput[0][1] != 0.5 || m.TimeNS[0][1] != 10 || m.Bound[0][1] != gcn.BoundLaunch {
+		t.Fatalf("row record round trip: %+v %d/%d %q %v", m, good, len(image), reason, err)
+	}
+
+	h := fnv.New64a()
+	h.Write(want)
+	if d := RecordDigest(rec); d != fmt.Sprintf("v3:%016x", h.Sum64()) || !CurrentDigest(d) {
+		t.Fatalf("record digest %q", d)
+	}
+	if CurrentDigest(fmt.Sprintf("%016x", h.Sum64())) {
+		t.Fatal("a bare 16-hex-digit (v2) digest reads as current")
+	}
+}
+
+// refV2Journal renders m's rows, in order, as a journal v2 image, with
+// the encoder journal v2 wrote: the magic, the space record, then each
+// row as one JSON record. A kernel may appear twice.
+func refV2Journal(tb testing.TB, m *Matrix) []byte {
+	tb.Helper()
+	b := []byte("gpuscale-journal v2\n")
+	payload, err := json.Marshal(map[string]any{"space": m.Space})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b = append(b, durable.Frame(payload)...)
+	for r, k := range m.Kernels {
+		payload, err := json.Marshal(struct {
+			Kernel string      `json:"kernel"`
+			Tput   []float64   `json:"tput"`
+			TimeNS []float64   `json:"time_ns"`
+			Bound  []gcn.Bound `json:"bound"`
+		}{k, m.Throughput[r], m.TimeNS[r], m.Bound[r]})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		b = append(b, durable.Frame(payload)...)
+	}
+	return b
+}
+
+// TestJournalV2Migration: a v2 journal, written by v2's own encoder
+// with one kernel journaled twice (replay is last-record-wins) and a
+// torn last record, opens to the prior the v2 decoder reads from it,
+// bit for bit, and comes back as v3: the file is that prior's
+// canonical v3 image, it reopens clean to the same prior, and it
+// resumes to the uninterrupted run's matrix.
+func TestJournalV2Migration(t *testing.T) {
+	space := tinySpace(t)
+	m, rep, err := RunContext(context.Background(), testKernels(), space, journalOpts())
+	if err != nil || !rep.Complete() {
+		t.Fatalf("clean sweep: %v %s", err, rep.Summary())
+	}
+	baseline := matrixBytes(t, m)
+	stale := slices.Clone(m.Throughput[0])
+	stale[0] *= 2
+	v2 := refV2Journal(t, &Matrix{Space: space, Kernels: []string{m.Kernels[0], m.Kernels[1], m.Kernels[0], m.Kernels[2]},
+		Throughput: [][]float64{stale, m.Throughput[1], m.Throughput[0], m.Throughput[2]},
+		TimeNS:     [][]float64{m.TimeNS[0], m.TimeNS[1], m.TimeNS[0], m.TimeNS[2]},
+		Bound:      [][]gcn.Bound{m.Bound[0], m.Bound[1], m.Bound[0], m.Bound[2]}})
+	v2 = v2[:len(v2)-7] // tear the last record
+	path := filepath.Join(t.TempDir(), "v2.journal")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadJournal(path, space); err == nil {
+		t.Fatal("ReadJournal accepted a torn v2 journal")
+	}
+	before, _, _, err := scanJournal(v2, space)
+	if err != nil || before == nil || !slices.Equal(before.Kernels, m.Kernels[:2]) ||
+		!sameMatrix(before, &Matrix{Kernels: m.Kernels[:2], Throughput: m.Throughput[:2],
+			TimeNS: m.TimeNS[:2], Bound: m.Bound[:2], Status: before.Status}) {
+		t.Fatalf("the v2 decoder read %+v (%v), want the first two rows, last record winning", before, err)
+	}
+
+	j, err := OpenJournal(path, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := j.Salvage()
+	if s == nil || s.MigratedFrom != "v2" || s.DroppedBytes == 0 || s.DroppedRecords != 1 {
+		t.Fatalf("salvage report %+v, want a v2 migration that dropped the torn record", s)
+	}
+	if !sameMatrix(j.Prior(), before) {
+		t.Fatal("the migrated journal's Prior differs from the v2 rows")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := CanonicalJournalBytes(before, before.Kernels); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("the migrated file is not the v3 image of the v2 rows (%v)", err)
+	}
+	j2, err := OpenJournal(path, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := j2.Salvage(); s != nil || !sameMatrix(j2.Prior(), before) {
+		t.Fatalf("the migrated journal reopens with salvage %+v or a different Prior", s)
+	}
+	j2.Close()
+	if got := resumeFromFile(t, path, space); !bytes.Equal(got, baseline) {
+		t.Fatal("resume from a migrated v2 journal differs from the uninterrupted run")
 	}
 }
 

@@ -15,12 +15,13 @@ import (
 	"gpuscale/internal/hw"
 )
 
-// ReadJournal reads a v2 journal image without opening it for append:
-// no truncation, no migration, no repair. Unlike OpenJournal it
-// rejects a torn or corrupt tail instead of salvaging — a comparison
-// must not silently drop rows the journal claims to hold. Returns the
-// recovered matrix, which is nil when the journal holds a space record
-// but no rows.
+// ReadJournal reads a journal image (v3, or v2) without opening it
+// for append: no truncation, no migration, no repair. Unlike
+// OpenJournal it rejects a torn or corrupt tail instead of salvaging —
+// a comparison must not silently drop rows the journal claims to hold.
+// A zero space reads the journal against the space its space record
+// names. Returns the recovered matrix, which is nil when the journal
+// holds a space record but no rows.
 func ReadJournal(path string, space hw.Space) (*Matrix, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -39,7 +40,7 @@ func ReadJournal(path string, space hw.Space) (*Matrix, error) {
 	return m, nil
 }
 
-// CanonicalJournalBytes renders m as v2 journal bytes with rows in
+// CanonicalJournalBytes renders m as journal bytes with rows in
 // the given kernel order, without touching disk — the comparison form
 // for byte-identity assertions. Every named kernel must be present in
 // m with a fully OK row.

@@ -3,12 +3,16 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
+	"gpuscale/internal/suites"
 )
 
 // sweepToJournal runs a clean journaled sweep of ks at the given seed
@@ -139,5 +143,43 @@ func TestWriteCanonicalJournalValidation(t *testing.T) {
 	}
 	if _, err := CanonicalJournalBytes(nil, nil); err == nil {
 		t.Fatal("nil matrix should fail")
+	}
+}
+
+// TestSeed1StudyPins pins the seed-1 study — the whole corpus in the
+// order seed 1 permutes it, swept on the round engine with 2% noise
+// at seed 1, as the end-to-end benchmark submits it — in both its
+// forms: the matrix CSV a job's /matrix serves, and the journal's
+// canonical bytes. The CSV has never changed; the journal's bytes
+// changed once, by design, with journal v3's binary row records.
+func TestSeed1StudyPins(t *testing.T) {
+	entries := suites.AllEntries(suites.Corpus())
+	ks := make([]*kernel.Kernel, len(entries))
+	for i, j := range rand.New(rand.NewSource(1)).Perm(len(entries)) {
+		ks[i] = entries[j].Kernel
+	}
+	m, err := Run(ks, hw.StudySpace(), Options{Engine: Round, NoiseStdDev: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := m.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := CanonicalJournalBytes(m, m.Kernels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct {
+		what string
+		b    []byte
+		want string
+	}{
+		{"matrix CSV", csv.Bytes(), "fe9349c0ba3aed88ad760c56cb0133c37d12b3b9ff5c9bac32348fbc31354ba5"},
+		{"canonical journal", canonical, "58002c1f136b4f8bcd4b0945ad0f7a33b2fc90b386a30aedd7d9906f55c83d7b"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(pin.b)); got != pin.want {
+			t.Errorf("seed-1 %s sha256 %s (%d bytes), want %s", pin.what, got, len(pin.b), pin.want)
+		}
 	}
 }
