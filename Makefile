@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check loc fuzz-smoke soak-smoke soak-dist soak-byzantine soak-failover e2e-smoke bench bench-obs bench-sweep bench-smoke bench-gate bench-e2e
+.PHONY: build test check loc fuzz-smoke soak-smoke soak-dist soak-byzantine soak-failover e2e-smoke no-strays bench bench-obs bench-sweep bench-smoke bench-gate bench-e2e
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,15 @@ e2e-smoke:
 		case "$$out" in *'"correct":true'*'"failed":0'*) ;; \
 			*) echo "e2e-smoke: $$w did not run correctly"; tail -n 20 $$log; exit 1;; esac; \
 	done
+
+# Stray-process gate: fails, and lists them, while a gpuscaled or
+# benche2e built under .bench_build/ or a Go test binary (a child a
+# test spawned, or the test itself) is still running. The bracketed
+# pattern never matches the shell that runs pgrep.
+STRAYS = '[.]bench_build/(gpuscaled|benche2e)|go-build[0-9]+/.*[.]test'
+
+no-strays:
+	@if pgrep -af $(STRAYS); then echo "no-strays: the processes above outlived their run"; exit 1; fi
 
 # Short coverage-guided fuzz of the journal decoder, the CSV loaders,
 # the lease-ledger scanner and the row format's two decoders, packed

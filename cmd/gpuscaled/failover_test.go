@@ -53,6 +53,7 @@ func startDaemon(t *testing.T, log string, args ...string) *daemon {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "GPUSCALED_TEST_DAEMON=1")
 	cmd.Stdout, cmd.Stderr = f, f
+	dieWithTest(cmd)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -695,7 +695,6 @@ func replicate(ctx context.Context, o cliOptions, reg *obs.Registry, fed *obs.Fe
 	if err != nil {
 		return nil, nil, err
 	}
-	defer sb.Close()
 	mux := diagMux(o, flight)
 	mux.Handle("/metrics", obs.Handler(reg, nil))
 	mux.Handle("/", sb.Handler())

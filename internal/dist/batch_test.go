@@ -626,7 +626,6 @@ func TestStandbyTailsRightAfterSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	stopped := make(chan struct{})
 	go func() {
@@ -669,14 +668,14 @@ func TestStandbyBoundsStagedRows(t *testing.T) {
 	}
 	var msgs []replMsg
 	size := 0
-	for r, k := range job.Kernels {
+	for _, k := range job.Kernels {
 		rec, err := sweep.EncodePlanes(k.Name, tput, timeNS, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
-		msgs = append(msgs, replMsg{Kind: "row", Row: &RowPlanes{Job: job.Name, Row: r, Kernel: k.Name,
-			Planes: rec.Packed()}})
-		size += rec.Len()
+		frame := rowFrame(k.Name, rec.Packed())
+		msgs = append(msgs, appendMsg("wide.journal", frame))
+		size += len(frame)
 	}
 	c.repl.publish(msgs...)
 	before := s.mJournalApps.Value()
@@ -688,7 +687,7 @@ func TestStandbyBoundsStagedRows(t *testing.T) {
 		t.Fatalf("%d rows of %d record bytes took %d journal appends, want %d or %d",
 			len(job.Kernels), size, appends, min, min+1)
 	}
-	m, err := sweep.ReadJournal(s.journalPath(job.Name), job.Space)
+	m, err := sweep.ReadJournal(journalPath(s.dir, job.Name), job.Space)
 	if err != nil || m == nil || len(m.Kernels) != len(job.Kernels) {
 		t.Fatalf("the replica journal holds %v rows (%v), want %d", m, err, len(job.Kernels))
 	}

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -160,15 +159,13 @@ type rowState struct {
 	reused bool
 }
 
-// jobState is one registered job's lease state and matrix, the order
-// its journal holds done rows in, and what sizes its lease batches:
-// the workers that have leased from it and the compute-and-encode time
-// its completes reported.
+// jobState is one registered job's lease state and matrix, and what
+// sizes its lease batches: the workers that have leased from it and
+// the compute-and-encode time its completes reported.
 type jobState struct {
 	job      Job
 	rows     []rowState
 	matrix   *sweep.Matrix
-	order    []int
 	workers  map[string]bool
 	costNS   int64
 	costRows int64
@@ -329,20 +326,18 @@ func (c *Coordinator) emit(name string, js *jobState, parent string, kvs ...obs.
 }
 
 // ledgerAppend writes recs to the ledger under the current term in one
-// write and one fsync, and returns their exact framed bytes as "rec"
-// messages for the replication stream. Caller holds c.mu (or has
-// exclusive access during construction).
+// write and one fsync, and returns the append — their exact framed
+// bytes — as a message for the replication stream. Caller holds c.mu
+// (or has exclusive access during construction).
 func (c *Coordinator) ledgerAppend(recs []LedgerRecord) ([]replMsg, error) {
 	var buf []byte
-	msgs := make([]replMsg, len(recs))
-	for i, rec := range recs {
+	for _, rec := range recs {
 		rec.Term = c.term
 		framed, err := frameRecord(rec)
 		if err != nil {
 			return nil, err
 		}
 		buf = append(buf, framed...)
-		msgs[i] = replMsg{Kind: "rec", Frame: framed}
 	}
 	if len(recs) == 0 {
 		return nil, nil
@@ -351,7 +346,7 @@ func (c *Coordinator) ledgerAppend(recs []LedgerRecord) ([]replMsg, error) {
 		return nil, fmt.Errorf("dist: appending ledger record: %w", err)
 	}
 	c.mLedgerAppends.Inc()
-	return msgs, nil
+	return []replMsg{{Append: true, replFile: replFile{Name: ledgerName, Data: buf}}}, nil
 }
 
 // logAppend appends recs to the ledger (ledgerAppend) and publishes
@@ -452,18 +447,6 @@ func (c *Coordinator) probePeers(ctx context.Context, client *http.Client) error
 // LedgerPath returns the coordinator's lease ledger file.
 func (c *Coordinator) LedgerPath() string { return filepath.Join(c.dir, "lease.ledger") }
 
-// sanitize maps a job name to a filename.
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
-}
-
 // AddJob registers a job, resuming from its journal and the lease
 // ledger: rows already journaled are done and will never be granted
 // again; rows with a recovered grant keep their epoch (so a worker
@@ -497,6 +480,12 @@ func (c *Coordinator) addJob(job Job) error {
 	}
 	if !job.Trace.Valid() {
 		job.Trace = obs.NewSpanContext()
+	}
+	// The registration replicates the job's journal whole: the replica
+	// is the journal as it stands, whatever it held before.
+	image, err := job.Journal.Image()
+	if err != nil {
+		return fmt.Errorf("dist: reading job %s's journal: %w", job.Name, err)
 	}
 	js := &jobState{job: job, rows: make([]rowState, len(job.Kernels)),
 		matrix: sweep.NewMatrix(job.Space, job.Kernels), workers: map[string]bool{}}
@@ -582,23 +571,8 @@ func (c *Coordinator) addJob(job Job) error {
 		}
 	}
 	c.logAppend(retracted...) //nolint:errcheck // best-effort audit, as in quarantineLocked
-	// js.order starts with the journal's rows, in the journal's order.
-	if prior != nil {
-		for _, k := range prior.Kernels {
-			if r := js.matrix.Row(k); r >= 0 && js.rows[r].done {
-				js.order = append(js.order, r)
-			}
-		}
-	}
 	c.jobs[job.Name] = js
-	// The registration starts the job's replica journal afresh, so the
-	// rows the job's journal already held follow it.
-	shape := js.shape()
-	msgs := []replMsg{{Kind: "job", Job: &shape}}
-	for _, rp := range js.doneRows() {
-		msgs = append(msgs, replMsg{Kind: "row", Row: &rp})
-	}
-	c.repl.publish(msgs...)
+	c.repl.publish(replMsg{replFile: replFile{Name: filepath.Base(job.Journal.Path()), Data: image}})
 	c.signalLocked()
 	// A per-job term instant: the stitched trace shows which
 	// coordinator, under which term, served this job's grants.
@@ -663,13 +637,14 @@ func (c *Coordinator) statusLocked(js *jobState) JobStatus {
 // Run returns, the job has left the coordinator (see retire), so the
 // caller owns the returned matrix and may close the job's journal.
 func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.RunReport, error) {
+	start := time.Now()
 	if err := c.AddJob(job); err != nil {
 		return nil, nil, err
 	}
 	for {
 		js, changed := c.retire(job.Name, false)
 		if js != nil {
-			return js.matrix, js.report(), nil
+			return js.matrix, js.report(start), nil
 		}
 		var err error
 		select {
@@ -684,28 +659,27 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.R
 			continue
 		}
 		js, _ = c.retire(job.Name, true)
-		return js.matrix, js.report(), err
+		return js.matrix, js.report(start), err
 	}
 }
 
-// report is a retired job's run report (reportFor): rows still marked
-// reused came from its journal.
-func (js *jobState) report() *sweep.RunReport {
+// report is a retired job's run report (reportFor), over the wall time
+// since start: rows still marked reused came from its journal.
+func (js *jobState) report(start time.Time) *sweep.RunReport {
 	reused := make([]bool, len(js.rows))
 	for r := range js.rows {
 		reused[r] = js.rows[r].reused
 	}
-	return reportFor(js.matrix, reused)
+	rep := reportFor(js.matrix, reused)
+	rep.WallTime = time.Since(start)
+	return rep
 }
 
 // retire takes a job out of the coordinator in the critical section
 // that reads its final state: its rows are never granted again,
 // renews and completes for it answer 404, the HA snapshot drops it and
 // no quarantine can retract its rows, so the caller owns what retire
-// returns. The "left" message it publishes follows the job's last row
-// and complete frames on the replication stream, and tells the standby
-// to close the job's replica journal too, as the job's owner closes
-// its own. Without force, a job with rows outstanding stays and retire
+// returns. Without force, a job with rows outstanding stays and retire
 // returns nil, with the change signal to wait on before looking again.
 func (c *Coordinator) retire(name string, force bool) (*jobState, <-chan struct{}) {
 	c.mu.Lock()
@@ -715,7 +689,6 @@ func (c *Coordinator) retire(name string, force bool) (*jobState, <-chan struct{
 		return nil, c.changed
 	}
 	delete(c.jobs, name)
-	c.repl.publish(replMsg{Kind: "left", Left: name})
 	c.signalLocked()
 	return js, nil
 }
@@ -1218,8 +1191,8 @@ func (c *Coordinator) voteLocked(l *landing, worker string) {
 // applies them, fsync before ack: the accepted rows' records go to
 // js's journal in one append (the source of truth for done-ness), then
 // every vote and complete record to the ledger in one append (the
-// audit trail), then the accepted planes and the records' frames to
-// the replication stream in one publish, so no tail splits the batch.
+// audit trail), then both appends' bytes to the replication stream in
+// one publish, so no tail splits the batch.
 // A crash between the two appends recovers the rows as done from the
 // journal, so the ledger's complete records are best-effort audit, not
 // load-bearing state. When an append fails, every row of the landing
@@ -1248,28 +1221,25 @@ func (c *Coordinator) landLocked(js *jobState, worker string, lands []landing, r
 			resp.Rows[l.i] = rowResult{refusal: refuse(err)}
 		}
 	}
+	var msgs []replMsg
 	if len(accepted) > 0 {
-		if err := js.job.Journal.AppendRecord(accepted...); err != nil {
+		framed, err := js.job.Journal.AppendRecord(accepted...)
+		if err != nil {
 			refuseAll(err)
 			return
 		}
 		c.mJournalAppends.Inc()
+		msgs = append(msgs, replMsg{Append: true,
+			replFile: replFile{Name: filepath.Base(js.job.Journal.Path()), Data: framed}})
 	}
 	frames, err := c.ledgerAppend(recs)
+	// The journal append stands even when the ledger's fails, so the
+	// standby gets it either way.
+	c.repl.publish(append(msgs, frames...)...)
 	if err != nil {
 		refuseAll(err)
 		return
 	}
-	var msgs []replMsg
-	for _, l := range lands {
-		if l.accept {
-			// The planes as received, ahead of the ledger frames: the
-			// standby journals them before it ledgers, as here.
-			msgs = append(msgs, replMsg{Kind: "row", Row: &RowPlanes{
-				Job: js.job.Name, Row: l.rc.Row, Kernel: js.job.Kernels[l.rc.Row].Name, Planes: l.rc.Planes}})
-		}
-	}
-	c.repl.publish(append(msgs, frames...)...)
 	for k := range lands {
 		resp.Rows[lands[k].i] = c.applyLocked(js, &lands[k], worker)
 	}
@@ -1316,7 +1286,6 @@ func (c *Coordinator) applyLocked(js *jobState, l *landing, worker string) rowRe
 	rs.done = true
 	rs.digest, rs.verified, rs.completedBy = l.rc.Digest, l.verified, worker
 	rs.pending, rs.votes = false, nil
-	js.order = append(js.order, r)
 	if js.job.OnRow != nil {
 		js.job.OnRow(js.matrix, r)
 	}
@@ -1552,42 +1521,42 @@ func (c *Coordinator) haStatus() HAStatus {
 }
 
 // snapshot builds a consistent full copy of the durable state for a
-// standby that cannot catch up from the tail: the exact ledger bytes,
-// every registered job's shape and completed rows, the job owner's
-// records, and the cursor at which tailing resumes. It is taken under
-// c.mu, so the cursor and the state describe the same instant; a
-// record is read back after, as it is never rewritten.
+// standby that cannot catch up from the tail: the ledger, every
+// registered job's journal and the job owner's records, whole, and the
+// cursor at which tailing resumes. It is taken under c.mu, so the
+// cursor and the files describe the same instant.
 func (c *Coordinator) snapshot() (*haSnapshot, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.deposed {
-		c.mu.Unlock()
 		return nil, ErrDeposed
 	}
 	// Ship only what was acked, never a failed append's partial bytes.
 	ledgerBytes, err := c.ledger.Prefix()
 	if err != nil {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("dist: reading ledger for snapshot: %w", err)
 	}
-	snap := &haSnapshot{ID: c.id, Log: c.repl.id, Term: c.term, Cursor: c.repl.latest(), Ledger: ledgerBytes}
+	snap := &haSnapshot{ID: c.id, Log: c.repl.id, Term: c.term, Cursor: c.repl.latest(),
+		Files: []replFile{{Name: ledgerName, Data: ledgerBytes}}}
 	var names []string
 	for name := range c.jobs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		js := c.jobs[name]
-		snap.Jobs = append(snap.Jobs, js.shape())
-		snap.Rows = append(snap.Rows, js.doneRows()...)
+		j := c.jobs[name].job.Journal
+		image, err := j.Image()
+		if err != nil {
+			return nil, fmt.Errorf("dist: reading job %s's journal for snapshot: %w", name, err)
+		}
+		snap.Files = append(snap.Files, replFile{Name: filepath.Base(j.Path()), Data: image})
 	}
-	paths := append([]string(nil), c.files...)
-	c.mu.Unlock()
-	for _, path := range paths {
+	for _, path := range c.files {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("dist: reading a replicated record for snapshot: %w", err)
 		}
-		snap.Files = append(snap.Files, fileRecord{Name: filepath.Base(path), Data: b})
+		snap.Files = append(snap.Files, replFile{Name: filepath.Base(path), Data: b})
 	}
 	return snap, nil
 }
@@ -1602,42 +1571,12 @@ func (c *Coordinator) Replicate(path string, data []byte) {
 	c.mu.Lock()
 	c.files = append(c.files, path)
 	if data != nil {
-		c.repl.publish(replMsg{Kind: "file", File: &fileRecord{Name: filepath.Base(path), Data: data}})
+		c.repl.publish(replMsg{replFile: replFile{Name: filepath.Base(path), Data: data}})
 	}
 	c.mu.Unlock()
 	if data != nil {
 		c.replBarrier()
 	}
-}
-
-// shape is js's registration on the replication stream.
-func (js *jobState) shape() jobShape {
-	kernels := make([]string, len(js.job.Kernels))
-	for i, k := range js.job.Kernels {
-		kernels[i] = k.Name
-	}
-	return jobShape{Name: js.job.Name, Space: js.job.Space, Kernels: kernels}
-}
-
-// doneRows packs every done row of js for the replication stream, each
-// once, in journal order, so a replica journal rebuilt from them is
-// the journal byte for byte. Caller holds c.mu.
-func (js *jobState) doneRows() []RowPlanes {
-	var out []RowPlanes
-	seen := make([]bool, len(js.rows))
-	for _, r := range js.order {
-		if !js.rows[r].done || seen[r] {
-			continue
-		}
-		seen[r] = true
-		// A done row is complete and passed the hygiene checks.
-		rec, err := sweep.EncodeRow(js.matrix, r)
-		if err != nil {
-			continue
-		}
-		out = append(out, RowPlanes{Job: js.job.Name, Row: r, Kernel: js.job.Kernels[r].Name, Planes: rec.Packed()})
-	}
-	return out
 }
 
 // maxBody bounds the request body the coordinator reads. The decoder

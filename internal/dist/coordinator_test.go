@@ -61,9 +61,22 @@ func testJob(t *testing.T, name string, n int) Job {
 const testTTL = time.Second
 
 // journalPath is where the tests keep a job's journal: in the
-// coordinator's directory, next to its ledger.
+// coordinator's directory, next to its ledger (and, on a standby, at
+// the top of its replica directory, where the journal replicates).
 func journalPath(dir, job string) string {
 	return filepath.Join(dir, sanitize(job)+".journal")
+}
+
+// sanitize maps a job name to a filename.
+func sanitize(s string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
+			return r
+		default:
+			return '_'
+		}
+	}, s)
 }
 
 // journalFrames counts the framed records of a journal image, its space
@@ -579,6 +592,31 @@ func TestReportForCountsStalledAsCanceled(t *testing.T) {
 	rep := reportFor(m, nil)
 	if rep.Canceled != 1 || rep.OK != rep.Cells-1 || rep.Complete() {
 		t.Fatalf("report for one stalled cell = %s", rep.Summary())
+	}
+}
+
+// TestRunReportsWallTime: a fleet job's report carries the wall time
+// from its registration to its retirement, as a local sweep's does, so
+// its summary does not end "in 0s".
+func TestRunReportsWallTime(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestCoordinator(t, dir, newTestClock())
+	defer c.Close()
+	done := runInBackground(t, context.Background(), c, withJournal(t, dir, testJob(t, "j", 1)))
+	time.Sleep(2 * time.Millisecond)
+	l, err := first(c.acquire(acq("w1")))
+	if err != nil || l == nil {
+		t.Fatalf("acquire: %+v %v", l, err)
+	}
+	if _, err := one(c.complete(okComplete(t, l, "w1"))); err != nil {
+		t.Fatal(err)
+	}
+	res := <-done
+	if res.err != nil || !res.rep.Complete() {
+		t.Fatalf("Run: %v", res.err)
+	}
+	if res.rep.WallTime < 2*time.Millisecond {
+		t.Fatalf("the report's wall time is %v, want at least the 2ms the job ran", res.rep.WallTime)
 	}
 }
 

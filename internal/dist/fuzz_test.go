@@ -71,13 +71,13 @@ func FuzzLedgerScan(f *testing.F) {
 		if !bytes.HasPrefix(data, []byte(ledgerMagic)) {
 			return
 		}
-		recs, good := scanLedger(data)
+		recs, good := scanLedger(data, int64(len(ledgerMagic)))
 		if good < int64(len(ledgerMagic)) || good > int64(len(data)) {
 			t.Fatalf("clean prefix %d outside [%d,%d]", good, len(ledgerMagic), len(data))
 		}
 		// Torn-tail salvage must be a fixpoint: rescanning the clean
 		// prefix recovers exactly the same records.
-		recs2, good2 := scanLedger(data[:good])
+		recs2, good2 := scanLedger(data[:good], int64(len(ledgerMagic)))
 		if good2 != good || len(recs2) != len(recs) {
 			t.Fatalf("rescan of clean prefix diverged: %d/%d records, %d/%d bytes",
 				len(recs2), len(recs), good2, good)

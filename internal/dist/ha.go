@@ -7,19 +7,24 @@ package dist
 // The design is pull-based and crash-only, like everything else in
 // this repo:
 //
-//   - The primary publishes every durable event — ledger frames (the
-//     exact CRC-framed bytes it fsynced), a job's registration and its
-//     completed row planes, a job's departure once its Run returns, and
-//     each record the job owner writes (Replicate) — into an in-memory
-//     replication log with a monotonically increasing cursor.
-//   - The standby long-polls GET /v1/ha/tail?cursor=N&log=L, applies each
-//     message exactly once — a tail's rows in one append per replica
-//     journal, then its ledger frames in one append, fsynced before
-//     it advances its cursor — and the next tail request's cursor
-//     acknowledges everything before it. A standby that falls off the
-//     log's retained window — or starts empty — resyncs from GET
-//     /v1/ha/snapshot, a full consistent copy taken under the
-//     coordinator lock.
+//   - The replication stream mirrors the primary's durable writes. A
+//     message is a whole file or the next bytes of one, named by its
+//     place in the state directory (dist/lease.ledger, <id>.journal,
+//     <id>.job, <id>.state), and carries exactly the bytes the primary
+//     wrote: the frames of each ledger append, the framed row records
+//     of each journal append, a job's journal whole at registration,
+//     and each record the job owner writes (Replicate). The primary
+//     publishes them into an in-memory replication log with a
+//     monotonically increasing cursor.
+//   - The standby long-polls GET /v1/ha/tail?cursor=N&log=L and applies
+//     each message exactly once: it checks the message, then writes a
+//     whole file atomically or appends — a tail's appends in one append
+//     per file, fsynced before it advances its cursor — and the next
+//     tail request's cursor acknowledges everything before it. A
+//     standby that falls off the log's retained window — or starts
+//     empty — resyncs from GET /v1/ha/snapshot: the ledger, every
+//     registered job's journal and the owner's records, whole, taken
+//     under the coordinator lock.
 //   - Synchronous append-before-ack: the lease and complete handlers
 //     wait (bounded) for the attached standby's cursor to pass the
 //     records they appended before answering the worker, so anything
@@ -36,14 +41,15 @@ package dist
 //     its deposition from peer probes, worker traffic carrying a
 //     newer term, or tail silence — and exits through ErrDeposed.
 //
-// The standby's directory is laid out as the primary's (dist/lease.ledger,
-// each job's journal and the owner's records at their own names), so a
-// failover is a restart: the job owner recovers over the replica as
-// over its own directory. The standby appends the primary's exact
-// ledger frames and, after the same checks, the row records the
-// primary journaled, so the replica is the primary's durable state
-// byte for byte, and the matrix stays byte-identical to a single-node
-// run across a failover.
+// So the standby's directory is the primary's, without the matrix
+// archives, byte for byte, and a failover is a restart: the job owner
+// recovers over the replica as over its own directory, and the matrix
+// stays byte-identical to a single-node run across a failover. The
+// standby holds no file open and no job state. What it checks before
+// it writes is what recovery would refuse: a name outside its
+// directory, an append to anything but the ledger or a journal it
+// holds, and bytes that are not whole ledger frames or journal
+// records of the journal's own space.
 
 import (
 	"bytes"
@@ -63,7 +69,6 @@ import (
 	"time"
 
 	"gpuscale/internal/durable"
-	"gpuscale/internal/hw"
 	"gpuscale/internal/obs"
 	"gpuscale/internal/sweep"
 )
@@ -79,49 +84,27 @@ var ErrDeposed = errors.New("dist: coordinator deposed: a newer term is live")
 // has not promoted — the worker should try the next peer.
 var errNotPrimary = errors.New("dist: not primary: warm standby has not promoted")
 
-// RowPlanes is one completed row's measurement planes on the
-// replication stream — the ledger's complete record carries only the
-// digest, so the planes travel as their own message, packed as a
-// complete carries them, and the standby checks them and appends the
-// row's journal record over them itself.
-type RowPlanes struct {
-	Job    string `json:"job"`
-	Row    int    `json:"row"`
-	Kernel string `json:"kernel"`
-	Planes []byte `json:"planes"`
-}
+// ledgerName is the lease ledger's place in a state directory: serve's
+// records and journals lie at its top, the coordinator's ledger in
+// dist/.
+const ledgerName = "dist/lease.ledger"
 
-// jobShape is a registered job as its replica journal sees it: the
-// space every row's planes must fill and the kernel each row must
-// name. It is all a registration carries; the job itself travels as
-// its owner's admission record.
-type jobShape struct {
-	Name    string   `json:"name"`
-	Space   hw.Space `json:"space"`
-	Kernels []string `json:"kernels"`
-}
-
-// fileRecord is one record the job owner wrote to its directory, on
-// the replication stream: the standby writes Data verbatim at Name in
-// its own directory.
-type fileRecord struct {
+// replFile is one file of the primary's state directory on the
+// replication stream, named by its place there (ledgerName,
+// <id>.journal, <id>.job, <id>.state), with bytes the primary wrote to
+// it.
+type replFile struct {
 	Name string `json:"name"`
 	Data []byte `json:"data"`
 }
 
-// replMsg is one replication-stream message.
+// replMsg is one replication-stream message: a whole file, or, when
+// Append is set, the next bytes of one — a ledger append's frames, or
+// the framed row records a journal append wrote.
 type replMsg struct {
-	Cursor int64  `json:"cursor"`
-	Kind   string `json:"kind"` // "rec" | "job" | "row" | "left" | "file"
-	// Frame is the exact framed ledger bytes for "rec" — appended
-	// verbatim on the standby, so the replica ledger is byte-identical.
-	Frame []byte     `json:"frame,omitempty"`
-	Job   *jobShape  `json:"job,omitempty"`
-	Row   *RowPlanes `json:"row,omitempty"`
-	// Left names the job a "left" message retires: its Run returned on
-	// the primary, so the standby closes its replica journal.
-	Left string      `json:"left,omitempty"`
-	File *fileRecord `json:"file,omitempty"`
+	Cursor int64 `json:"cursor"`
+	Append bool  `json:"append,omitempty"`
+	replFile
 }
 
 // tailResponse answers GET /v1/ha/tail.
@@ -132,17 +115,15 @@ type tailResponse struct {
 	Msgs []replMsg `json:"msgs,omitempty"`
 }
 
-// haSnapshot answers GET /v1/ha/snapshot: a consistent full copy of
-// the primary's durable state plus the cursor tailing resumes from.
+// haSnapshot answers GET /v1/ha/snapshot: the primary's durable files,
+// whole and consistent with each other, plus the cursor tailing
+// resumes from.
 type haSnapshot struct {
-	ID     string       `json:"id"`
-	Log    string       `json:"log"`
-	Term   uint64       `json:"term"`
-	Cursor int64        `json:"cursor"`
-	Ledger []byte       `json:"ledger"`
-	Jobs   []jobShape   `json:"jobs,omitempty"`
-	Rows   []RowPlanes  `json:"rows,omitempty"`
-	Files  []fileRecord `json:"files,omitempty"`
+	ID     string     `json:"id"`
+	Log    string     `json:"log"`
+	Term   uint64     `json:"term"`
+	Cursor int64      `json:"cursor"`
+	Files  []replFile `json:"files"`
 }
 
 // HAStatus answers GET /v1/ha/status — the probe surface peers (and
@@ -362,7 +343,8 @@ type StandbyOptions struct {
 // Standby is a warm coordinator replica: it tails the primary's
 // replication stream into a replica of the primary's state directory
 // and can promote itself into a full Coordinator when the primary goes
-// silent.
+// silent. It holds no file open and no job state: every message lands
+// in one write of one file.
 type Standby struct {
 	dir    string
 	o      StandbyOptions
@@ -370,26 +352,16 @@ type Standby struct {
 	now    func() time.Time
 
 	mu   sync.Mutex
-	led  *durable.Log
 	term uint64
 	// log names the primary's replication log cursor counts in.
 	log         string
 	cursor      int64
 	synced      bool
 	lastContact time.Time
-	// jobs are the replica journals of the jobs the primary still runs.
-	jobs     map[string]*replica
-	promoted *Coordinator
+	promoted    *Coordinator
 
 	mTerm, mCursor                                     *obs.Gauge
 	mFailovers, mApplyFails, mLedgerApps, mJournalApps *obs.Counter
-}
-
-// replica is one live job's open replica journal and the shape its
-// replicated rows are checked against.
-type replica struct {
-	shape   jobShape
-	journal *sweep.Journal
 }
 
 // NewStandby opens (or resumes) a standby whose replica directory is
@@ -416,18 +388,20 @@ func NewStandby(dir string, o StandbyOptions) (*Standby, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "dist"), 0o755); err != nil {
 		return nil, fmt.Errorf("dist: creating standby dir: %w", err)
 	}
-	s := &Standby{dir: dir, o: o, client: o.Client, now: o.now, jobs: map[string]*replica{}}
+	s := &Standby{dir: dir, o: o, client: o.Client, now: o.now}
 	if s.client == nil {
 		s.client = &http.Client{Timeout: 10 * time.Second}
 	}
 	if s.now == nil {
 		s.now = time.Now
 	}
+	// A replica ledger left by an earlier run names the term this
+	// standby may promote past, even before it reaches the primary.
 	led, rec, err := openLedger(s.ledgerPath())
 	if err != nil {
 		return nil, err
 	}
-	s.led = led
+	led.Close()
 	s.term = rec.term
 	s.lastContact = s.now()
 	r := o.Metrics
@@ -446,55 +420,52 @@ func NewStandby(dir string, o StandbyOptions) (*Standby, error) {
 
 // ledgerPath is the replica ledger: dist/lease.ledger, where the
 // promoted coordinator opens it.
-func (s *Standby) ledgerPath() string { return filepath.Join(s.dir, "dist", "lease.ledger") }
+func (s *Standby) ledgerPath() string { return filepath.Join(s.dir, ledgerName) }
 
-// journalPath is a job's replica journal, at the job's own journal
-// path, where its owner reopens it after a promotion.
-func (s *Standby) journalPath(name string) string {
-	return filepath.Join(s.dir, sanitize(name)+".journal")
-}
-
-// openReplicaLocked starts a job's replica journal afresh, closing one
-// already open: the rows that follow a registration or a snapshot are
-// all it holds, in the primary's journal order. Caller holds s.mu.
-func (s *Standby) openReplicaLocked(shape jobShape) error {
-	if err := s.closeReplicaLocked(shape.Name); err != nil {
-		return err
+// check checks one replicated file before any of it is written, and
+// returns where it lands in the replica directory and, for the ledger,
+// the highest term its frames assert. The name must be a plain file
+// name or the ledger's, so nothing lands outside the directory; only
+// the ledger and journals take appends; a ledger's bytes must be whole
+// ledger frames, after its magic when the ledger is whole; and a
+// journal's must pass sweep.CheckReplica, so an append needs a replica
+// journal to follow.
+func (s *Standby) check(f replFile, appended bool) (path string, term uint64, err error) {
+	name := f.Name
+	switch {
+	case name == ledgerName:
+		off := int64(0)
+		if !appended {
+			if !bytes.HasPrefix(f.Data, []byte(ledgerMagic)) {
+				err = errors.New("not a lease ledger")
+				break
+			}
+			off = int64(len(ledgerMagic))
+		}
+		recs, good := scanLedger(f.Data, off)
+		if good < int64(len(f.Data)) {
+			err = fmt.Errorf("no ledger record at byte %d", good)
+		}
+		for _, rec := range recs {
+			if rec.Kind == "term" {
+				term = max(term, rec.Term)
+			}
+		}
+		path = s.ledgerPath()
+	case name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`):
+		err = errors.New("not a plain file name")
+	case strings.HasSuffix(name, ".journal"):
+		path = filepath.Join(s.dir, name)
+		err = sweep.CheckReplica(path, f.Data, appended)
+	case appended:
+		err = errors.New("only the ledger and journals take appends")
+	default:
+		path = filepath.Join(s.dir, name)
 	}
-	path := s.journalPath(shape.Name)
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	j, err := sweep.OpenJournal(path, shape.Space)
 	if err != nil {
-		return err
+		return "", 0, fmt.Errorf("dist: refusing replicated file %q: %w", name, err)
 	}
-	s.jobs[shape.Name] = &replica{shape: shape, journal: j}
-	return nil
-}
-
-// closeReplicaLocked closes a job's replica journal and keeps its file,
-// as the primary keeps its own. A job the standby does not hold is
-// already closed. Caller holds s.mu.
-func (s *Standby) closeReplicaLocked(name string) error {
-	rp := s.jobs[name]
-	if rp == nil {
-		return nil
-	}
-	delete(s.jobs, name)
-	return rp.journal.Close()
-}
-
-// writeFileLocked writes one of the owner's records into the replica
-// directory, verbatim and atomically. It refuses a name that is not a
-// plain file name, or that names a replica journal: nothing may land
-// outside the directory, and a replica journal holds validated rows.
-func (s *Standby) writeFileLocked(f fileRecord) error {
-	if f.Name == "" || f.Name == "." || f.Name == ".." || strings.ContainsAny(f.Name, `/\`) ||
-		strings.HasSuffix(f.Name, ".journal") {
-		return fmt.Errorf("dist: refusing replicated file %q: not a plain record name", f.Name)
-	}
-	return durable.WriteFile(filepath.Join(s.dir, f.Name), durable.Bytes(f.Data))
+	return path, term, nil
 }
 
 // Run replicates until ctx ends or the standby promotes. It returns
@@ -571,54 +542,37 @@ func (s *Standby) syncOnce(ctx context.Context) error {
 		s.mApplyFails.Inc()
 		return err
 	}
-	s.o.Logf("dist standby %s: synced snapshot from %s (term %d, cursor %d, %d jobs, %d records)",
-		s.o.ID, snap.ID, snap.Term, snap.Cursor, len(snap.Jobs), len(snap.Files))
+	s.o.Logf("dist standby %s: synced snapshot from %s (term %d, cursor %d, %d files)",
+		s.o.ID, snap.ID, snap.Term, snap.Cursor, len(snap.Files))
 	return nil
 }
 
-// applySnapshotLocked makes the replica the snapshot's: ledger bytes
-// verbatim, the owner's records written, and the listed jobs' replica
-// journals rebuilt row by row. A job the standby held that the
-// snapshot no longer lists left the primary while the standby was
-// away: its replica journal is closed, and kept.
+// applySnapshotLocked makes the replica the snapshot's: every file is
+// checked, then every file is written whole. A snapshot must hold the
+// ledger, whose terms the standby adopts. A file the snapshot does not
+// list — a journal of a job that left the primary while the standby
+// was away — is kept as it is.
 func (s *Standby) applySnapshotLocked(snap haSnapshot) error {
-	if !bytes.HasPrefix(snap.Ledger, []byte(ledgerMagic)) {
-		return fmt.Errorf("dist: snapshot ledger is not a lease ledger")
-	}
-	s.led.Close()
-	for name := range s.jobs {
-		if err := s.closeReplicaLocked(name); err != nil {
+	paths := make([]string, len(snap.Files))
+	term, ledger := uint64(0), false
+	for i := range snap.Files {
+		var err error
+		var t uint64
+		if paths[i], t, err = s.check(snap.Files[i], false); err != nil {
 			return err
 		}
+		term = max(term, t)
+		ledger = ledger || snap.Files[i].Name == ledgerName
 	}
-	if err := durable.WriteFile(s.ledgerPath(), durable.Bytes(snap.Ledger)); err != nil {
-		return fmt.Errorf("dist: persisting snapshot ledger: %w", err)
+	if !ledger {
+		return fmt.Errorf("dist: snapshot holds no lease ledger")
 	}
-	led, rec, err := openLedger(s.ledgerPath())
-	if err != nil {
-		return err
-	}
-	s.led = led
-	s.term = rec.term
-	for _, f := range snap.Files {
-		if err := s.writeFileLocked(f); err != nil {
-			return err
+	for i, f := range snap.Files {
+		if err := durable.WriteFile(paths[i], durable.Bytes(f.Data)); err != nil {
+			return fmt.Errorf("dist: persisting snapshot file %s: %w", f.Name, err)
 		}
 	}
-	for _, shape := range snap.Jobs {
-		if err := s.openReplicaLocked(shape); err != nil {
-			return err
-		}
-	}
-	var st staged
-	for i := range snap.Rows {
-		if err := s.stageRowLocked(&st, &snap.Rows[i]); err != nil {
-			return err
-		}
-	}
-	if err := s.flushLocked(&st); err != nil {
-		return err
-	}
+	s.term = term
 	s.log, s.cursor = snap.Log, snap.Cursor
 	s.synced = true
 	s.mTerm.Set(float64(s.term))
@@ -662,8 +616,8 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// An answered tail is contact even when it cannot be decoded or a
-	// message fails to apply: the primary is alive, and promoting over
-	// it would depose it. The failure is counted (Run logs it) and the
+	// message is refused: the primary is alive, and promoting over it
+	// would depose it. The failure is counted (Run logs it) and the
 	// cursor stays on the failing message, so the next tail retries it
 	// and the primary's barrier sees the standby fall behind.
 	s.touchLocked()
@@ -690,7 +644,7 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 		next++
 	}
 	if err := s.flushLocked(&st); err != nil {
-		// A replica file may hold part of what was staged: rebuild them
+		// A replica file may hold part of what was staged: rewrite them
 		// all from a snapshot rather than append it twice.
 		s.synced = false
 		s.mApplyFails.Inc()
@@ -705,18 +659,18 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 
 func (s *Standby) touchLocked() { s.lastContact = s.now() }
 
-// staged is what a tail (or a snapshot) stages for the disk: each
-// replica journal's row records and the ledger's frames, in stream
-// order, and the highest term a frame asserts. bytes counts the staged
-// rows' records; failed is a flush that failed part way, after which a
+// staged is what a tail stages for the disk: the bytes to append to
+// each replica journal and to the ledger, in stream order per file, and
+// the highest term a ledger frame asserts. bytes counts the journals'
+// staged bytes; failed is a flush that failed part way, after which a
 // replica file may hold part of it.
 type staged struct {
-	jobs   []*replica
-	rows   map[*replica][]sweep.RowRecord
-	bytes  int
-	frames []byte
-	term   uint64
-	failed error
+	journals []string
+	rows     map[string][]byte
+	bytes    int
+	frames   []byte
+	term     uint64
+	failed   error
 }
 
 // maxStagedBytes bounds the row records a standby holds before it
@@ -726,70 +680,40 @@ type staged struct {
 // (and the one write that joins them) would grow its heap with the lag.
 const maxStagedBytes = 1 << 20
 
-// stageLocked applies one replication message. Rows and ledger frames
-// are staged for flushLocked; a registration, a departure or a record
-// first flushes what is staged, then lands at once. Caller holds s.mu.
+// stageLocked checks one message and lands it: an append is staged for
+// flushLocked, and a whole file first flushes what is staged, then is
+// written at once. Caller holds s.mu.
 func (s *Standby) stageLocked(st *staged, m *replMsg) error {
-	switch m.Kind {
-	case "rec":
-		rec, _, ok := parseLedgerRecord(m.Frame, 0)
-		if !ok {
-			return fmt.Errorf("dist: replicated ledger frame failed its checksum")
+	path, term, err := s.check(m.replFile, m.Append)
+	switch {
+	case err != nil:
+		return err
+	case m.Append && m.Name == ledgerName:
+		st.frames = append(st.frames, m.Data...)
+		st.term = max(st.term, term)
+		return nil
+	case m.Append:
+		if st.rows == nil {
+			st.rows = map[string][]byte{}
 		}
-		st.frames = append(st.frames, m.Frame...)
-		if rec.Kind == "term" && rec.Term > st.term {
-			st.term = rec.Term
+		if _, ok := st.rows[path]; !ok {
+			st.journals = append(st.journals, path)
+		}
+		st.rows[path] = append(st.rows[path], m.Data...)
+		if st.bytes += len(m.Data); st.bytes >= maxStagedBytes {
+			return s.flushLocked(st)
 		}
 		return nil
-	case "row":
-		if m.Row == nil {
-			return fmt.Errorf("dist: row message without planes")
-		}
-		return s.stageRowLocked(st, m.Row)
-	case "job", "left", "file":
-	default:
-		return fmt.Errorf("dist: unknown replication message kind %q", m.Kind)
 	}
 	if err := s.flushLocked(st); err != nil {
 		return err
 	}
-	switch {
-	case m.Kind == "left":
-		return s.closeReplicaLocked(m.Left)
-	case m.Kind == "job" && m.Job != nil:
-		return s.openReplicaLocked(*m.Job)
-	case m.Kind == "file" && m.File != nil:
-		return s.writeFileLocked(*m.File)
+	if err := durable.WriteFile(path, durable.Bytes(m.Data)); err != nil {
+		return fmt.Errorf("dist: writing replicated file %s: %w", m.Name, err)
 	}
-	return fmt.Errorf("dist: %s message without its body", m.Kind)
-}
-
-// stageRowLocked checks one completed row's packed planes as the
-// primary checked the worker's complete, and stages the row's journal
-// record over them — the bytes the primary journaled — for its replica
-// journal. Caller holds s.mu.
-func (s *Standby) stageRowLocked(st *staged, rp *RowPlanes) error {
-	j := s.jobs[rp.Job]
-	if j == nil {
-		return fmt.Errorf("dist: row planes for unreplicated job %s", rp.Job)
-	}
-	r := rp.Row
-	if r < 0 || r >= len(j.shape.Kernels) || j.shape.Kernels[r] != rp.Kernel {
-		return fmt.Errorf("dist: row planes for %s name a row/kernel mismatch (%d/%s)", rp.Job, r, rp.Kernel)
-	}
-	rec, err := sweep.PackedRecord(rp.Kernel, j.shape.Space.Size(), rp.Planes)
-	if err != nil {
-		return fmt.Errorf("dist: row planes for %s row %d have %v", rp.Job, r, err)
-	}
-	if st.rows == nil {
-		st.rows = map[*replica][]sweep.RowRecord{}
-	}
-	if _, ok := st.rows[j]; !ok {
-		st.jobs = append(st.jobs, j)
-	}
-	st.rows[j] = append(st.rows[j], rec)
-	if st.bytes += rec.Len(); st.bytes >= maxStagedBytes {
-		return s.flushLocked(st)
+	if m.Name == ledgerName {
+		s.term = term
+		s.mTerm.Set(float64(s.term))
 	}
 	return nil
 }
@@ -802,15 +726,15 @@ func (s *Standby) flushLocked(st *staged) error {
 	if st.failed != nil {
 		return st.failed
 	}
-	for _, j := range st.jobs {
-		if err := j.journal.AppendRecord(st.rows[j]...); err != nil {
-			st.failed = err
-			return err
+	for _, path := range st.journals {
+		if err := durable.AppendFile(path, st.rows[path]); err != nil {
+			st.failed = fmt.Errorf("dist: appending to replica journal %s: %w", filepath.Base(path), err)
+			return st.failed
 		}
 		s.mJournalApps.Inc()
 	}
 	if len(st.frames) > 0 {
-		if err := s.led.Append(st.frames); err != nil {
+		if err := durable.AppendFile(s.ledgerPath(), st.frames); err != nil {
 			st.failed = fmt.Errorf("dist: appending ledger record: %w", err)
 			return st.failed
 		}
@@ -860,21 +784,15 @@ func (s *Standby) Handler() http.Handler {
 // conservative-expiry recovery a crash-restart uses, and the new
 // coordinator asserts term+1 in the ledger — from which point the old
 // primary's term is fenced everywhere. It registers no job: the replica
-// journals are closed and belong to the job owner, which recovers over
-// the replica directory as it does over its own and registers every
-// job it finds open.
+// journals belong to the job owner, which recovers over the replica
+// directory as it does over its own and registers every job it finds
+// open.
 func (s *Standby) Promote() (*Coordinator, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.promoted != nil {
 		return s.promoted, nil
 	}
-	for name := range s.jobs {
-		if err := s.closeReplicaLocked(name); err != nil {
-			return nil, fmt.Errorf("dist: promoting standby: %w", err)
-		}
-	}
-	s.led.Close()
 	opt := s.o.Coordinator
 	if opt.ID == "" {
 		opt.ID = s.o.ID
@@ -892,21 +810,4 @@ func (s *Standby) Promote() (*Coordinator, error) {
 	s.o.Logf("dist standby %s: promoted to primary at term %d", s.o.ID, c.Term())
 	s.promoted = c
 	return c, nil
-}
-
-// Close releases the replica's files. A promoted standby's ledger
-// belongs to the Coordinator, and it holds no replica journal.
-func (s *Standby) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var err error
-	if s.promoted == nil {
-		err = s.led.Close()
-	}
-	for name := range s.jobs {
-		if cerr := s.closeReplicaLocked(name); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,6 +18,8 @@ import (
 	"testing"
 	"time"
 
+	"gpuscale/internal/durable"
+	"gpuscale/internal/gcn"
 	"gpuscale/internal/sweep"
 )
 
@@ -51,7 +54,6 @@ func newHAPair(t *testing.T, clk *testClock, copt CoordinatorOptions) (*Coordina
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
 	return c, srv, s
 }
 
@@ -148,10 +150,10 @@ func TestReplicaLedgerByteIdentical(t *testing.T) {
 	if len(audit.Terms) != 1 || audit.Terms[0].Term != 1 || audit.Completes != 2 {
 		t.Fatalf("replica audit: terms %v completes %d", audit.Terms, audit.Completes)
 	}
-	// The standby validated each row's packed planes and rendered the
-	// record the primary journaled: the replica journal is the
-	// primary's job journal, byte for byte.
-	replica := s.journalPath("j")
+	// The standby checked each row record the primary journaled and
+	// appended it: the replica journal is the primary's job journal,
+	// byte for byte.
+	replica := journalPath(s.dir, "j")
 	pj, err := os.ReadFile(journalPath(c.dir, "j"))
 	if err != nil {
 		t.Fatal(err)
@@ -168,11 +170,220 @@ func TestReplicaLedgerByteIdentical(t *testing.T) {
 	}
 }
 
+// TestStandbyMirrorsRetractedJournal: a quarantine retracts a row the
+// coordinator accepted on a liar's word, and honest workers re-run it,
+// so the primary's journal holds that row twice. A standby that syncs
+// from a snapshot afterwards holds the journal byte for byte: the
+// snapshot ships the journal's file, not the rows the coordinator
+// counts done.
+func TestStandbyMirrorsRetractedJournal(t *testing.T) {
+	clk := newTestClock()
+	c, _, s := newHAPair(t, clk, CoordinatorOptions{VerifyFraction: 0.5})
+	// Row 0 is outside the 50% sample, row 1 inside it.
+	job := testJob(t, "j", 2)
+	job.Seed = splitSeed(t)
+	if err := c.AddJob(withJournal(t, c.dir, job)); err != nil {
+		t.Fatal(err)
+	}
+	land := func(worker string, row int, lie bool) rowResult {
+		t.Helper()
+		l, err := first(c.acquire(acq(worker)))
+		if err != nil || l == nil || l.Row != row {
+			t.Fatalf("%s should lease row %d: %+v %v", worker, row, l, err)
+		}
+		req := okComplete(t, l, worker)
+		if lie {
+			req = tamperedComplete(t, l, worker)
+		}
+		res, err := one(c.complete(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// The liar's row 0 is accepted on its word; its row 1 lie loses the
+	// vote to two honest workers, which quarantines it and retracts row
+	// 0; the honest workers then settle row 0 anew.
+	land("liar", 0, true)
+	land("liar", 1, true)
+	land("h1", 1, false)
+	if res := land("h2", 1, false); !res.Verified {
+		t.Fatalf("row 1 should settle verified: %+v", res)
+	}
+	land("h1", 0, false)
+	if res := land("h2", 0, false); !res.Verified {
+		t.Fatalf("retracted row 0 should settle verified: %+v", res)
+	}
+	if st, _ := c.Status("j"); !st.Complete {
+		t.Fatalf("job should be complete: %+v", st)
+	}
+
+	syncStandby(t, s)
+	pj, err := os.ReadFile(journalPath(c.dir, "j"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := journalFrames(t, pj); n != 4 {
+		t.Fatalf("the primary's journal holds %d records, want its space record, the lie and both honest rows", n)
+	}
+	sj, err := os.ReadFile(journalPath(s.dir, "j"))
+	if err != nil || !bytes.Equal(pj, sj) {
+		t.Fatalf("the synced replica journal is not the primary's: %d vs %d bytes (%v)", len(sj), len(pj), err)
+	}
+}
+
+// TestStandbyMirrorsStateDirectory: the replica directory is the
+// primary's state directory without its archives, file for file and
+// byte for byte — ledger, journals and the owner's records — at every
+// point the standby has drained the stream: after a fresh sync, a
+// tail, a resumed job, a primary restart with its resync, and a job's
+// retirement.
+func TestStandbyMirrorsStateDirectory(t *testing.T) {
+	clk := newTestClock()
+	dir := t.TempDir()
+	opt := CoordinatorOptions{ID: "primary-1", DefaultTTL: testTTL, ReplTimeout: 50 * time.Millisecond, now: clk.now}
+	c, err := NewCoordinator(filepath.Join(dir, "dist"), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h atomic.Pointer[http.Handler]
+	serveC := func(c *Coordinator) {
+		handler := c.Handler()
+		h.Store(&handler)
+	}
+	serveC(c)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*h.Load()).ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	s, err := NewStandby(t.TempDir(), StandbyOptions{Primary: srv.URL, now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(c *Coordinator, name, body string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c.Replicate(path, []byte(body))
+	}
+	complete := func(c *Coordinator) {
+		t.Helper()
+		l, err := first(c.acquire(acq("w1")))
+		if err != nil || l == nil {
+			t.Fatalf("acquire: %+v %v", l, err)
+		}
+		if _, err := one(c.complete(okComplete(t, l, "w1"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mirrored := func(when string) {
+		t.Helper()
+		want, got := fileTree(t, dir), fileTree(t, s.dir)
+		for name, b := range want {
+			if g, ok := got[name]; !ok || g != b {
+				t.Errorf("%s: the replica's %s is not the primary's (%d vs %d bytes, present %v)",
+					when, name, len(g), len(b), ok)
+			}
+		}
+		for name := range got {
+			if _, ok := want[name]; !ok {
+				t.Errorf("%s: the replica holds %s, which the primary does not", when, name)
+			}
+		}
+	}
+
+	a := withJournal(t, dir, testJob(t, "a", 2))
+	if err := c.AddJob(a); err != nil {
+		t.Fatal(err)
+	}
+	record(c, "a.job", `{"id":"a"}`)
+	syncStandby(t, s)
+	mirrored("after a fresh sync")
+
+	complete(c)
+	drainTail(t, s, c)
+	mirrored("after a tail")
+
+	b := withJournal(t, dir, testJob(t, "b", 3))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := runInBackground(t, ctx, c, b)
+	complete(c) // a's last row
+	complete(c) // b's first
+	cancel()
+	<-done
+	b = reopened(t, dir, b)
+	if err := c.AddJob(b); err != nil {
+		t.Fatal(err)
+	}
+	complete(c)
+	drainTail(t, s, c)
+	mirrored("after a resumed job")
+
+	// The restarted primary numbers a new log: the standby's next tail
+	// is sent back to resync.
+	c.Close()
+	c2, err := NewCoordinator(filepath.Join(dir, "dist"), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	serveC(c2)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	done = runInBackground(t, ctx, c2, reopened(t, dir, b))
+	if err := s.tailOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	synced := s.synced
+	s.mu.Unlock()
+	if synced {
+		t.Fatal("the standby kept tailing a restarted primary's new log")
+	}
+	syncStandby(t, s)
+	drainTail(t, s, c2)
+	mirrored("after a primary restart")
+
+	clk.advance(2 * testTTL) // the recovered grants lapse
+	complete(c2)
+	if res := <-done; res.err != nil || !res.rep.Complete() {
+		t.Fatalf("b's Run: %v", res.err)
+	}
+	record(c2, "b.state", `{"state":"complete"}`)
+	drainTail(t, s, c2)
+	mirrored("after a job retired")
+}
+
+// fileTree reads every regular file under root, keyed by its path
+// relative to root.
+func fileTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		files[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // TestStandbyForgetsRetiredJob: once the primary's Run returns, the
-// standby lets the job go too. A job canceled with one of three rows
-// done has its replica journal closed and kept, as the primary keeps
-// its own, byte for byte; the promoted standby neither knows the job
-// nor grants its remaining rows.
+// job is gone from the replica too. A job canceled with one of three
+// rows done keeps its replica journal, as the primary keeps its own,
+// byte for byte; the promoted standby neither knows the job nor grants
+// its remaining rows.
 func TestStandbyForgetsRetiredJob(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
@@ -189,7 +400,7 @@ func TestStandbyForgetsRetiredJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainTail(t, s, c)
-	if _, err := os.Stat(s.journalPath("j")); err != nil {
+	if _, err := os.Stat(journalPath(s.dir, "j")); err != nil {
 		t.Fatalf("the standby should hold the live job's replica journal: %v", err)
 	}
 
@@ -198,17 +409,11 @@ func TestStandbyForgetsRetiredJob(t *testing.T) {
 		t.Fatalf("Run after cancel = %v, want context.Canceled", res.err)
 	}
 	drainTail(t, s, c)
-	s.mu.Lock()
-	open := s.jobs["j"] != nil
-	s.mu.Unlock()
-	if open {
-		t.Error("standby still holds the retired job's replica journal open")
-	}
 	pj, err := os.ReadFile(journalPath(c.dir, "j"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sj, err := os.ReadFile(s.journalPath("j")); err != nil || !bytes.Equal(pj, sj) {
+	if sj, err := os.ReadFile(journalPath(s.dir, "j")); err != nil || !bytes.Equal(pj, sj) {
 		t.Errorf("the retired job's replica journal was not kept as the primary's (%v)", err)
 	}
 
@@ -224,11 +429,11 @@ func TestStandbyForgetsRetiredJob(t *testing.T) {
 }
 
 // TestStandbyReplicaHoldsResumedRows: a job resumed after its Run
-// returned, as a restarted owner resumes an interrupted job, brings the
-// rows its journal already held back to the standby, which closed the
-// job's replica when the first Run returned. The replica journal holds
-// them again, once each, and the promoted standby's owner, recovering
-// over the replica, counts them done instead of re-granting them.
+// returned, as a restarted owner resumes an interrupted job, replicates
+// its journal whole again, with the rows it already held. The replica
+// journal holds them, once each, and the promoted standby's owner,
+// recovering over the replica, counts them done instead of re-granting
+// them.
 func TestStandbyReplicaHoldsResumedRows(t *testing.T) {
 	clk := newTestClock()
 	c, srv, s := newHAPair(t, clk, CoordinatorOptions{})
@@ -251,12 +456,12 @@ func TestStandbyReplicaHoldsResumedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainTail(t, s, c)
-	m, err := sweep.ReadJournal(s.journalPath("j"), job.Space)
+	m, err := sweep.ReadJournal(journalPath(s.dir, "j"), job.Space)
 	if err != nil || m == nil || len(m.Kernels) != 1 || m.Kernels[0] != job.Kernels[l.Row].Name {
 		t.Fatalf("the standby's replica should hold the resumed job's finished row: %v", err)
 	}
 	pj, _ := os.ReadFile(journalPath(c.dir, "j"))
-	if sj, err := os.ReadFile(s.journalPath("j")); err != nil || !bytes.Equal(pj, sj) {
+	if sj, err := os.ReadFile(journalPath(s.dir, "j")); err != nil || !bytes.Equal(pj, sj) {
 		t.Fatalf("the resumed job's replica journal is not the primary's (%v)", err)
 	}
 
@@ -646,9 +851,6 @@ func TestStandbyRestartResyncs(t *testing.T) {
 	}
 	drainTail(t, s, c)
 	dir := s.dir
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// More work lands while the standby is down.
 	l2, err := first(c.acquire(acq("w1")))
@@ -667,7 +869,6 @@ func TestStandbyRestartResyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 	syncStandby(t, s2)
 	drainTail(t, s2, c)
 	pb, _ := os.ReadFile(c.LedgerPath())
@@ -690,8 +891,9 @@ func TestUnappliableTailIsStillContact(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
-	// A row for a job the standby never replicated cannot apply.
-	c.repl.publish(replMsg{Kind: "row", Row: &RowPlanes{Job: "ghost", Row: 0, Kernel: "x"}})
+	// A row appended to a journal the standby does not hold cannot
+	// apply, however sound the row.
+	c.repl.publish(appendMsg("ghost.journal", rowFrame("x", validPlanes(t, testSpace(t).Size()))))
 	s.mu.Lock()
 	cursor := s.cursor
 	s.mu.Unlock()
@@ -738,9 +940,9 @@ func TestUndecodableTailIsStillContact(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		switch r.URL.Path {
 		case "/v1/ha/tail":
-			io.WriteString(w, `{"id":"p","term":1,"next":1,"msgs":[{"cursor":0,"kind":"job","job":"not-an-object"}]}`)
+			io.WriteString(w, `{"id":"p","term":1,"next":1,"msgs":[{"cursor":0,"name":{"not":"a name"},"data":"eA=="}]}`)
 		case "/v1/ha/snapshot":
-			io.WriteString(w, `{"id":"p","term":1,"cursor":0,"ledger":"bm90IGJhc2U2NA==","jobs":"not-an-object"}`)
+			io.WriteString(w, `{"id":"p","term":1,"cursor":0,"files":"not-a-list"}`)
 		}
 	}))
 	defer srv.Close()
@@ -748,7 +950,6 @@ func TestUndecodableTailIsStillContact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	syncStandby(t, s)
 	garbled.Store(true)
 	s.mu.Lock()
@@ -809,9 +1010,11 @@ func TestReplicatedRecordsLandVerbatim(t *testing.T) {
 	}
 }
 
-// TestStandbyRefusesBadRecordNames: a record whose name is not a plain
-// file name, or that names a replica journal, is refused: the refusal
-// is counted, the cursor holds on it, and nothing is written.
+// TestStandbyRefusesBadRecordNames: a file whose name is not a plain
+// file name, or whose bytes are not what its name calls for (a lease
+// ledger, ledger frames, a journal), is refused, and so is an append
+// to a record: the refusal is counted, the cursor holds on it, and
+// nothing is written.
 func TestStandbyRefusesBadRecordNames(t *testing.T) {
 	clk := newTestClock()
 	c, _, s := newHAPair(t, clk, CoordinatorOptions{})
@@ -831,12 +1034,19 @@ func TestStandbyRefusesBadRecordNames(t *testing.T) {
 		return out
 	}
 	before := listing()
-	for i, name := range []string{"", ".", "..", "../escape.job", "dist/lease.ledger", "a/b.state", `a\b.state`,
+	var msgs []replMsg
+	for _, name := range []string{"", ".", "..", "../escape.job", "dist/lease.ledger", "a/b.state", `a\b.state`,
 		"j.journal", "job-000009.journal"} {
+		msgs = append(msgs, replMsg{replFile: replFile{Name: name, Data: []byte("x")}})
+	}
+	msgs = append(msgs, appendMsg("job-000000.state", []byte("x")), appendMsg(ledgerName, []byte("x")),
+		replMsg{replFile: replFile{Name: ledgerName, Data: []byte(ledgerMagic + "x")}})
+	for i, m := range msgs {
+		name := m.Name
 		s.mu.Lock()
 		cursor := s.cursor
 		s.mu.Unlock()
-		c.repl.publish(replMsg{Kind: "file", File: &fileRecord{Name: name, Data: []byte("x")}})
+		c.repl.publish(m)
 		if err := s.tailOnce(context.Background()); err == nil || !strings.Contains(err.Error(), "refusing") {
 			t.Errorf("record %q: want a refusal, got %v", name, err)
 		}
@@ -883,14 +1093,13 @@ func TestReplicaJournalFollowsPrimaryAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	same := func(when string) {
 		t.Helper()
 		pj, err := os.ReadFile(journalPath(dir, "j"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sj, err := os.ReadFile(s.journalPath("j")); err != nil || !bytes.Equal(pj, sj) {
+		if sj, err := os.ReadFile(journalPath(s.dir, "j")); err != nil || !bytes.Equal(pj, sj) {
 			t.Fatalf("%s: replica journal is not the primary's: %d vs %d bytes (%v)", when, len(sj), len(pj), err)
 		}
 	}
@@ -976,10 +1185,12 @@ func TestReplicaJournalFollowsPrimaryAcrossRestart(t *testing.T) {
 	same("after the last row")
 }
 
-// TestStandbyRefusesBadPlanes: the standby validates replicated packed
-// planes with the checks the primary applies to a complete. Every case
-// of the validation table is refused with its error, the cursor holds
-// on the refused message, and the replica journal is untouched.
+// TestStandbyRefusesBadPlanes: the standby checks a replicated row
+// record with the checks the primary applies to a complete. Every case
+// of the validation table, and a record with no kernel name or a torn
+// frame, is refused with its error — as an append to the replica
+// journal and inside a whole journal image — the cursor holds on the
+// refused message, and the replica journal is untouched.
 func TestStandbyRefusesBadPlanes(t *testing.T) {
 	clk := newTestClock()
 	c, _, s := newHAPair(t, clk, CoordinatorOptions{})
@@ -997,32 +1208,71 @@ func TestStandbyRefusesBadPlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainTail(t, s, c)
-	journal := s.journalPath("j")
-	other := 1 - l.Row
+	journal := journalPath(s.dir, "j")
+	kernel := job.Kernels[1-l.Row].Name
+	type badFrame struct{ name, frame, want string }
+	var cases []badFrame
 	for _, tc := range badPlanes(valid.Rows[0].Planes, job.Space.Size()) {
-		syncStandby(t, s) // re-base past the previous case's refused message
-		before, err := os.ReadFile(journal)
+		cases = append(cases, badFrame{tc.name, string(rowFrame(kernel, tc.planes)), tc.want})
+	}
+	good := rowFrame(kernel, valid.Rows[0].Planes)
+	cases = append(cases,
+		badFrame{"no-kernel", string(rowFrame("", valid.Rows[0].Planes)), "no kernel"},
+		badFrame{"torn", string(good[:len(good)-2]), "torn record"})
+	for _, tc := range cases {
+		image, err := os.ReadFile(journal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.mu.Lock()
-		cursor := s.cursor
-		s.mu.Unlock()
-		c.repl.publish(replMsg{Kind: "row", Row: &RowPlanes{
-			Job: "j", Row: other, Kernel: job.Kernels[other].Name, Planes: tc.planes}})
-		if err := s.tailOnce(context.Background()); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: want a %q refusal, got %v", tc.name, tc.want, err)
-		}
-		s.mu.Lock()
-		after := s.cursor
-		s.mu.Unlock()
-		if after != cursor {
-			t.Errorf("%s: cursor moved past the refused row: %d -> %d", tc.name, cursor, after)
-		}
-		if got, err := os.ReadFile(journal); err != nil || !bytes.Equal(got, before) {
-			t.Errorf("%s: refused row changed the replica journal (%v)", tc.name, err)
+		for _, m := range []replMsg{appendMsg("j.journal", []byte(tc.frame)),
+			{replFile: replFile{Name: "j.journal", Data: append(image, tc.frame...)}}} {
+			syncStandby(t, s) // re-base past the previous case's refused message
+			s.mu.Lock()
+			cursor := s.cursor
+			s.mu.Unlock()
+			c.repl.publish(m)
+			if err := s.tailOnce(context.Background()); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s (append %v): want a %q refusal, got %v", tc.name, m.Append, tc.want, err)
+			}
+			s.mu.Lock()
+			after := s.cursor
+			s.mu.Unlock()
+			if after != cursor {
+				t.Errorf("%s (append %v): cursor moved past the refused row: %d -> %d", tc.name, m.Append, cursor, after)
+			}
+			if got, err := os.ReadFile(journal); err != nil || !bytes.Equal(got, image) {
+				t.Errorf("%s (append %v): refused row changed the replica journal (%v)", tc.name, m.Append, err)
+			}
 		}
 	}
+}
+
+// appendMsg is a replication message that appends data to the named
+// file.
+func appendMsg(name string, data []byte) replMsg {
+	return replMsg{Append: true, replFile: replFile{Name: name, Data: data}}
+}
+
+// rowFrame frames a row record over planes, sound or not, as a journal
+// append writes it: the kernel name, its length first, then the
+// planes.
+func rowFrame(kernel string, planes []byte) []byte {
+	payload := append(binary.AppendUvarint(nil, uint64(len(kernel))), kernel...)
+	return durable.Frame(append(payload, planes...))
+}
+
+// validPlanes packs a sound row of n configurations.
+func validPlanes(t *testing.T, n int) []byte {
+	t.Helper()
+	tput, timeNS, bound := make([]float64, n), make([]float64, n), make([]gcn.Bound, n)
+	for i := range tput {
+		tput[i], timeNS[i] = 1+float64(i), 2+float64(i)
+	}
+	rec, err := sweep.EncodePlanes("valid", tput, timeNS, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Packed()
 }
 
 // postJSON posts body as JSON and decodes the typed error envelope.

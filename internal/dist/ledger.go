@@ -153,7 +153,7 @@ func openLedger(path string) (*durable.Log, *ledgerRecovery, error) {
 		l.Close()
 		return nil, nil, fmt.Errorf("dist: %s is not a lease ledger (delete it to start over)", path)
 	}
-	records, good := scanLedger(data)
+	records, good := scanLedger(data, int64(len(ledgerMagic)))
 	for _, r := range records {
 		k := rowKey{r.Job, r.Row}
 		switch r.Kind {
@@ -199,11 +199,11 @@ func openLedger(path string) (*durable.Log, *ledgerRecovery, error) {
 	return l, rec, nil
 }
 
-// scanLedger walks a ledger image and returns the clean records plus
-// the clean prefix length.
-func scanLedger(data []byte) ([]LedgerRecord, int64) {
+// scanLedger walks ledger frames from off, just past the magic in a
+// ledger image, and returns the clean records plus the clean prefix
+// length.
+func scanLedger(data []byte, off int64) ([]LedgerRecord, int64) {
 	var out []LedgerRecord
-	off := int64(len(ledgerMagic))
 	for off < int64(len(data)) {
 		rec, next, ok := parseLedgerRecord(data, off)
 		if !ok {
@@ -247,7 +247,7 @@ func ReadLedger(path string) ([]LedgerRecord, error) {
 	if !bytes.HasPrefix(data, []byte(ledgerMagic)) {
 		return nil, fmt.Errorf("dist: %s is not a lease ledger", path)
 	}
-	recs, _ := scanLedger(data)
+	recs, _ := scanLedger(data, int64(len(ledgerMagic)))
 	return recs, nil
 }
 

@@ -111,7 +111,6 @@ func TestChaosSoakFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sb.Close()
 
 	// The standby's address serves "not-primary" refusals until
 	// promotion swaps the promoted coordinator's handler in — the same
@@ -191,10 +190,33 @@ func TestChaosSoakFailover(t *testing.T) {
 		t.Fatalf("standby never promoted after primary crash (seed %d)", seed)
 	}
 	defer pc.Close()
+	// The ledger the standby promoted over is the primary's, byte for
+	// byte, up to the last append it applied: the promoted ledger is
+	// that replica and then the promoted term's record.
+	promoted, err := os.ReadFile(pc.LedgerPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	primaryLedger, err := os.ReadFile(p.coord.LedgerPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, last := int64(len(ledgerMagic)), int64(0)
+	for off < int64(len(promoted)) {
+		rec, next, ok := parseLedgerRecord(promoted, off)
+		if !ok || (next == int64(len(promoted)) && rec.Kind != "term") {
+			t.Fatalf("the promoted ledger at byte %d: %+v, want records ending in its term's (seed %d)", off, rec, seed)
+		}
+		last, off = off, next
+	}
+	if !bytes.HasPrefix(primaryLedger, promoted[:last]) {
+		t.Fatalf("the replica ledger (%d bytes) is not the primary's (%d bytes) byte for byte (seed %d)",
+			last, len(primaryLedger), seed)
+	}
 	// Promotion registers no job: the owner recovers over the replica,
 	// reopening the job's replica journal before registering it.
 	resumed := job
-	if resumed.Journal, err = sweep.OpenJournal(sb.journalPath(job.Name), job.Space); err != nil {
+	if resumed.Journal, err = sweep.OpenJournal(journalPath(sb.dir, job.Name), job.Space); err != nil {
 		t.Fatal(err)
 	}
 	defer resumed.Journal.Close()
@@ -271,7 +293,7 @@ func TestChaosSoakFailover(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatalf("promoted coordinator matrix differs from single-node run (seed %d)", seed)
 	}
-	raw, err := os.ReadFile(sb.journalPath(job.Name))
+	raw, err := os.ReadFile(journalPath(sb.dir, job.Name))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,6 +184,7 @@ func spawnWorker(t *testing.T, url, name string, faultSeed int64, extraEnv ...st
 	)
 	cmd.Env = append(cmd.Env, extraEnv...)
 	cmd.Stderr = os.Stderr
+	dieWithTest(cmd)
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("spawning worker %s: %v", name, err)
 	}

@@ -6,7 +6,9 @@
 // where the CRC32 (IEEE) covers the payload bytes only; both append
 // frames to a Log behind their own magic header, one write and one
 // fsync per append of one or more records; and every other state file is replaced whole with
-// WriteFile. What a payload means — its decoding, its validation and
+// WriteFile. A replica of such a file takes the same two operations:
+// WriteFile for a whole copy, AppendFile for the next bytes. What a
+// payload means — its decoding, its validation and
 // what a salvaged tail costs — stays with each format.
 package durable
 
@@ -145,6 +147,26 @@ func (l *Log) Append(b []byte) error {
 	}
 	l.good += int64(len(b))
 	return nil
+}
+
+// AppendFile appends b to the existing file at path as Log.Append
+// does — one write and one fsync, and on any failure the file is cut
+// back to what it held before — and closes it again, so a caller that
+// appends to many files holds none of them open.
+func AppendFile(path string, b []byte) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	l := &Log{path: path, f: f}
+	l.w = logFile{l}
+	if l.good, err = f.Seek(0, io.SeekEnd); err == nil {
+		err = l.Append(b)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Cut truncates the log to good, the clean prefix a scan of its image

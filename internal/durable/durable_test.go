@@ -91,6 +91,29 @@ func TestLogTornAppendLeavesCleanPrefix(t *testing.T) {
 	}
 }
 
+// TestAppendFile: AppendFile lands its bytes after the file's own, and
+// refuses a file that does not exist instead of creating it.
+func TestAppendFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.log")
+	if err := AppendFile(path, []byte("x")); err == nil {
+		t.Fatal("AppendFile created a missing file")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a refused append left %s behind (%v)", path, err)
+	}
+	if err := WriteFile(path, Bytes([]byte("head\n"))); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []string{"one\n", "two\n"} {
+		if err := AppendFile(path, []byte(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := os.ReadFile(path); string(got) != "head\none\ntwo\n" {
+		t.Fatalf("appended file holds %q", got)
+	}
+}
+
 // TestWriteFileFailureKeepsOldFile: a write callback that fails midway
 // leaves the old file byte-identical and no temp file behind.
 func TestWriteFileFailureKeepsOldFile(t *testing.T) {

@@ -151,7 +151,7 @@ func FuzzUnpackPlanes(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = j.AppendRecord(rec)
+			_, err = j.AppendRecord(rec)
 			if cerr := j.Close(); err == nil {
 				err = cerr
 			}

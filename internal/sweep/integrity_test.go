@@ -181,7 +181,7 @@ func TestAppendRecordMatchesAppendRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := viaRecord.AppendRecord(rec); err != nil {
+		if _, err := viaRecord.AppendRecord(rec); err != nil {
 			t.Fatal(err)
 		}
 		want, err := RowDigest(m, r)
@@ -204,14 +204,14 @@ func TestAppendRecordMatchesAppendRow(t *testing.T) {
 		t.Fatal("AppendRecord wrote different bytes than AppendRow")
 	}
 
-	if err := viaRecord.AppendRecord(RowRecord{}); err == nil {
+	if _, err := viaRecord.AppendRecord(RowRecord{}); err == nil {
 		t.Fatal("an empty record was journaled")
 	}
 	short, err := EncodePlanes("short", m.Throughput[0][:2], m.TimeNS[0][:2], m.Bound[0][:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := viaRecord.AppendRecord(short); err == nil {
+	if _, err := viaRecord.AppendRecord(short); err == nil {
 		t.Fatal("a record rendered for another space was journaled")
 	}
 	if after, err := os.ReadFile(filepath.Join(dir, "record.journal")); err != nil || !bytes.Equal(after, b) {
@@ -250,7 +250,7 @@ func TestAppendRecordBatch(t *testing.T) {
 	}
 	defer one.Close()
 	for _, rec := range recs {
-		if err := one.AppendRecord(rec); err != nil {
+		if _, err := one.AppendRecord(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,7 +276,7 @@ func TestAppendRecordBatch(t *testing.T) {
 	}
 
 	tear = true
-	if err := batch.AppendRecord(recs...); !errors.Is(err, fault.ErrTornWrite) {
+	if _, err := batch.AppendRecord(recs...); !errors.Is(err, fault.ErrTornWrite) {
 		t.Fatalf("torn batch append: %v, want ErrTornWrite", err)
 	}
 	tear = false
@@ -287,14 +287,15 @@ func TestAppendRecordBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := batch.AppendRecord(recs[0], short); err == nil {
+	if _, err := batch.AppendRecord(recs[0], short); err == nil {
 		t.Fatal("a batch holding a record for another space was journaled")
 	}
 	if got, err := os.ReadFile(batchPath); err != nil || !bytes.Equal(got, clean) {
 		t.Fatalf("a refused batch changed the journal (%v)", err)
 	}
 
-	if err := batch.AppendRecord(recs...); err != nil {
+	framed, err := batch.AppendRecord(recs...)
+	if err != nil {
 		t.Fatal(err)
 	}
 	a, err := os.ReadFile(filepath.Join(dir, "one.journal"))
@@ -307,6 +308,9 @@ func TestAppendRecordBatch(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("a batch append wrote different bytes than one append per record")
+	}
+	if !bytes.Equal(framed, b[len(clean):]) {
+		t.Fatal("AppendRecord returned other bytes than it appended")
 	}
 }
 

@@ -37,6 +37,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 
@@ -95,6 +97,7 @@ type JournalOptions struct {
 // and reopening the file recovers them — salvaging past any torn or
 // corrupt tail — so a Resume only recomputes what is missing.
 type Journal struct {
+	path    string
 	space   hw.Space
 	prior   *Matrix
 	salvage *SalvageReport
@@ -126,7 +129,7 @@ func OpenJournalWith(path string, space hw.Space, opts JournalOptions) (*Journal
 	if err != nil {
 		return nil, fmt.Errorf("sweep: opening journal: %w", err)
 	}
-	j := &Journal{space: space, log: log}
+	j := &Journal{path: path, space: space, log: log}
 	switch {
 	case data == nil:
 		if torn > 0 {
@@ -320,6 +323,78 @@ func parseSpaceRecord(payload []byte) (space hw.Space, reason string) {
 	return *rec.Space, ""
 }
 
+// CheckReplica checks bytes bound for a journal's replica at path
+// before any of them is written: a whole v3 journal image or, when
+// appended, frames to follow the replica the file already holds.
+// Either way every record must pass recovery's checks — its frame, the
+// space record, and each row record's kernel name and planes for the
+// space the image, or the replica's own space record, names — so the
+// replica recovers as the journal it copies does. The planes are
+// checked where they lie, never unpacked.
+func CheckReplica(path string, b []byte, appended bool) error {
+	var space hw.Space
+	var off int64
+	var why string
+	if appended {
+		var err error
+		if space, why, err = replicaSpace(path); err != nil {
+			return fmt.Errorf("sweep: reading the replica journal: %w", err)
+		}
+	} else {
+		space, off, why = headSpace(b)
+	}
+	for why == "" && off < int64(len(b)) {
+		payload, next, reason := durable.Parse(b, off)
+		if why = reason; why == "" {
+			_, _, why = checkRowRecord(payload, space.Size())
+		}
+		if why == "" {
+			off = next
+		}
+	}
+	if why != "" {
+		return fmt.Errorf("sweep: not a replica of journal %s: %s at byte %d", filepath.Base(path), why, off)
+	}
+	return nil
+}
+
+// headSpace reads the magic and the space record a v3 journal image
+// begins with, and returns the space and the offset of the first row
+// record; reason is non-empty when the image does not begin so.
+func headSpace(data []byte) (space hw.Space, off int64, reason string) {
+	if !bytes.HasPrefix(data, []byte(journalMagic)) {
+		return space, 0, "missing journal magic"
+	}
+	payload, off, reason := durable.Parse(data, int64(len(journalMagic)))
+	if reason != "" {
+		return space, 0, reason
+	}
+	if space, reason = parseSpaceRecord(payload); reason == "" && space.Size() == 0 {
+		reason = "empty configuration space"
+	}
+	return space, off, reason
+}
+
+// replicaSpace reads the space record at the head of the journal file
+// at path, and none of the rows behind it.
+func replicaSpace(path string) (hw.Space, string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return hw.Space{}, "", err
+	}
+	defer f.Close()
+	for size := 4 << 10; ; size *= 2 {
+		head := make([]byte, size)
+		n, err := f.ReadAt(head, 0)
+		if err != nil && err != io.EOF {
+			return hw.Space{}, "", err
+		}
+		if space, _, why := headSpace(head[:n]); why == "" || n < size {
+			return space, why, nil
+		}
+	}
+}
+
 // migrate salvages a v2 journal or a v1 CSV journal (or a completed
 // WriteCSV archive) and atomically rewrites the file in v3 format.
 // Only complete rows survive — exactly what AppendRow ever wrote — and
@@ -464,6 +539,17 @@ func (j *Journal) Prior() *Matrix { return j.prior }
 // opened, or nil if the file was clean (or new).
 func (j *Journal) Salvage() *SalvageReport { return j.salvage }
 
+// Path returns the journal's file path.
+func (j *Journal) Path() string { return j.path }
+
+// Image reads back the journal's clean prefix: its header and every
+// record an append acked. Safe for concurrent use.
+func (j *Journal) Image() ([]byte, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.log.Prefix()
+}
+
 // AppendRow checkpoints row r of m if — and only if — every cell is
 // StatusOK: rows with failed, stalled or quarantined cells are left
 // out so the next Resume recomputes them. Safe for concurrent use;
@@ -478,15 +564,16 @@ func (j *Journal) AppendRow(m *Matrix, r int) error {
 	if err != nil {
 		return err
 	}
-	return j.AppendRecord(rec)
+	_, err = j.AppendRecord(rec)
+	return err
 }
 
 // AppendRecord frames row records and appends them in one write and
-// one fsync before returning; a failed or torn write is rolled back, so
-// the file stays clean and holds none of them. Every record must hold
-// a row of this journal's configuration space. Safe for concurrent
-// use.
-func (j *Journal) AppendRecord(recs ...RowRecord) error {
+// one fsync before returning the framed bytes it wrote; a failed or
+// torn write is rolled back, so the file stays clean and holds none of
+// them. Every record must hold a row of this journal's configuration
+// space. Safe for concurrent use.
+func (j *Journal) AppendRecord(recs ...RowRecord) ([]byte, error) {
 	size := 0
 	for _, rec := range recs {
 		size += len(rec.payload) + 21 // the frame's CRC, length and separators
@@ -494,13 +581,13 @@ func (j *Journal) AppendRecord(recs ...RowRecord) error {
 	framed := make([]byte, 0, size)
 	for _, rec := range recs {
 		if rec.payload == nil || rec.cells != j.space.Size() {
-			return fmt.Errorf("sweep: journaling %s: record holds %d cells, the journal's space has %d",
+			return nil, fmt.Errorf("sweep: journaling %s: record holds %d cells, the journal's space has %d",
 				rec.kernel, rec.cells, j.space.Size())
 		}
 		framed = durable.AppendFrame(framed, rec.payload)
 	}
 	if len(recs) == 0 {
-		return nil
+		return nil, nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -509,9 +596,9 @@ func (j *Journal) AppendRecord(recs ...RowRecord) error {
 		if len(recs) > 1 {
 			what = fmt.Sprintf("%d rows from %s", len(recs), what)
 		}
-		return fmt.Errorf("sweep: journaling %s: %w", what, err)
+		return nil, fmt.Errorf("sweep: journaling %s: %w", what, err)
 	}
-	return nil
+	return framed, nil
 }
 
 // Close closes the journal file.

@@ -185,6 +185,82 @@ func TestJournalBitFlipAtEveryOffset(t *testing.T) {
 	}
 }
 
+// TestCheckReplicaMatchesRecovery: a replica check accepts exactly the
+// bytes recovery keeps whole. A journal cut at every offset, or with
+// one bit flipped at every offset, passes CheckReplica as a whole image
+// if and only if scanJournal keeps every byte of it; so do its row
+// records appended to a replica that holds its header. An append to a
+// replica that does not exist is refused, and Image gives back what the
+// journal holds on disk.
+func TestCheckReplicaMatchesRecovery(t *testing.T) {
+	space := tinySpace(t)
+	full, _ := buildFullJournal(t, space)
+	_, head, why := headSpace(full)
+	if why != "" {
+		t.Fatal(why)
+	}
+	dir := t.TempDir()
+	replica := filepath.Join(dir, "replica.journal")
+	if err := os.WriteFile(replica, full[:head], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	kept := func(img []byte) bool {
+		_, good, _, err := scanJournal(img, hw.Space{})
+		return err == nil && good > 0 && good == int64(len(img))
+	}
+	check := func(what string, img []byte) {
+		t.Helper()
+		want := kept(img)
+		if err := CheckReplica(replica, img, false); (err == nil) != want {
+			t.Fatalf("%s: whole image refused %v, recovery keeps it whole %v (%v)", what, err != nil, want, err)
+		}
+		if int64(len(img)) >= head && bytes.Equal(img[:head], full[:head]) {
+			if err := CheckReplica(replica, img[head:], true); (err == nil) != want {
+				t.Fatalf("%s: append refused %v, recovery keeps it whole %v (%v)", what, err != nil, want, err)
+			}
+		}
+	}
+	for off := 0; off <= len(full); off++ {
+		check(fmt.Sprintf("cut at %d", off), full[:off])
+	}
+	for off := 0; off < len(full); off++ {
+		damaged := append([]byte(nil), full...)
+		damaged[off] ^= 1 << 3
+		check(fmt.Sprintf("bit flipped at %d", off), damaged)
+	}
+	// A soundly framed row record of another space, and a record whose
+	// planes fail the hygiene checks, are refused although their frames
+	// hold.
+	other, err := EncodePlanes("other", []float64{1, 2}, []float64{1, 2}, []gcn.Bound{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a row of another space", append(append([]byte(nil), full...), durable.Frame(other.payload)...))
+	first, _, why := durable.Parse(full, head)
+	if why != "" {
+		t.Fatal(why)
+	}
+	zero := append([]byte(nil), first...)
+	clear(zero[len(zero)-PackedBytes(space.Size()):][:8]) // the first cell's throughput
+	check("a zero throughput", append(append([]byte(nil), full...), durable.Frame(zero)...))
+	if err := CheckReplica(filepath.Join(dir, "missing.journal"), full[head:], true); err == nil {
+		t.Fatal("an append to a missing replica passed")
+	}
+
+	path := filepath.Join(dir, "copy.journal")
+	if err := os.WriteFile(path, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if img, err := j.Image(); err != nil || !bytes.Equal(img, full) {
+		t.Fatalf("Image of a reopened journal: %d bytes, want %d (%v)", len(img), len(full), err)
+	}
+}
+
 // TestJournalV1MigrationAndSalvage: a v1 CSV journal — including one
 // with a torn tail — still resumes, and the file comes back as v3.
 func TestJournalV1MigrationAndSalvage(t *testing.T) {

@@ -81,7 +81,7 @@ func TestMergeByteIdenticalToSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := job.AppendRecord(rec); err != nil {
+		if _, err := job.AppendRecord(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -116,27 +116,38 @@ func checkRecord(name string, nCfg int, packed []byte) error {
 }
 
 // decodeRowRecord reads a v3 row record for an nCfg-configuration
-// space, with the hygiene checks every constructor applies; reason is
-// non-empty when the payload is not such a record. The name's length
-// must be in its shortest form, so a record reads back to the same
-// bytes it was read from.
+// space, with the hygiene checks every constructor applies (see
+// checkRowRecord).
 func decodeRowRecord(payload []byte, nCfg int) (row journalRow, reason string) {
+	name, packed, reason := checkRowRecord(payload, nCfg)
+	if reason != "" {
+		return row, reason
+	}
+	row.kernel = string(name)
+	row.tput, row.timeNS, row.bound = unpackPlanes(nCfg, packed)
+	return row, ""
+}
+
+// checkRowRecord applies the hygiene checks to a v3 row record for an
+// nCfg-configuration space where it lies, and returns its kernel name
+// and packed planes; reason is non-empty when the payload is not such
+// a record. The name's length must be in its shortest form, so a
+// record reads back to the same bytes it was read from.
+func checkRowRecord(payload []byte, nCfg int) (name, packed []byte, reason string) {
 	l, n := binary.Uvarint(payload)
 	if n <= 0 || payload[n-1] == 0 {
 		// payload[n-1] == 0 is an empty name or a padded length.
-		return row, "row record with no kernel"
+		return nil, nil, "row record with no kernel"
 	}
 	rest := payload[n:]
 	if l > uint64(len(rest)) {
-		return row, "row record with a torn kernel name"
+		return nil, nil, "row record with a torn kernel name"
 	}
-	row.kernel = string(rest[:l])
-	packed := rest[l:]
+	name, packed = rest[:l], rest[l:]
 	if err := checkPlanes(nCfg, packed); err != nil {
-		return row, fmt.Sprintf("row record for %q has %v", row.kernel, err)
+		return nil, nil, fmt.Sprintf("row record for %q has %v", name, err)
 	}
-	row.tput, row.timeNS, row.bound = unpackPlanes(nCfg, packed)
-	return row, ""
+	return name, packed, ""
 }
 
 // checkPlanes applies the journal's hygiene to packed planes for an
