@@ -80,15 +80,16 @@ soak-failover:
 	GPUSCALE_SOAK_MS=10000 $(GO) test -race -run TestChaosSoakFailover -v -count=1 ./internal/dist/
 	$(GO) test -race -run TestFailoverAnswersThroughJobAPI -v -count=1 ./cmd/gpuscaled/
 
-# End-to-end fleet smoke: the real gpuscaled processes — a primary, a
-# warm standby and two workers — run the end-to-end benchmark's fleet
-# workloads for one second each, and every study is compared with the
-# in-process reference. A correctness check, not a timing one: it
-# fails unless the result line reads "correct":true and "failed":0.
-# Logs go to .bench_build/.
+# End-to-end smoke: real gpuscaled processes — one node, then a
+# primary, a warm standby and two workers — run the end-to-end
+# benchmark's node and fleet workloads for one second each, and every
+# study's /matrix, which serve renders from the job's journal, is
+# compared with the in-process reference. A correctness check, not a
+# timing one: it fails unless the result line reads "correct":true and
+# "failed":0. Logs go to .bench_build/.
 e2e-smoke:
 	@mkdir -p .bench_build
-	@for w in round-fleet-ha pipeline-fleet-ha; do \
+	@for w in round-node round-fleet-ha pipeline-fleet-ha; do \
 		log=.bench_build/e2e-smoke-$$w.log; \
 		out=$$(bash cmd/benche2e/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 2>$$log | tail -n 1) || \
 			{ tail -n 20 $$log; exit 1; }; \
@@ -106,12 +107,13 @@ STRAYS = '[.]bench_build/(gpuscaled|benche2e)|go-build[0-9]+/.*[.]test'
 no-strays:
 	@if pgrep -af $(STRAYS); then echo "no-strays: the processes above outlived their run"; exit 1; fi
 
-# Short coverage-guided fuzz of the journal decoder, the CSV loaders,
-# the lease-ledger scanner and the row format's two decoders, packed
-# planes and row records (go test takes one -fuzz target per
-# invocation).
+# Short coverage-guided fuzz of the journal decoder, the journal's CSV
+# renderer, the CSV loaders, the lease-ledger scanner and the row
+# format's two decoders, packed planes and row records (go test takes
+# one -fuzz target per invocation).
 fuzz-smoke:
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzJournalScan$$' -fuzztime 5s
+	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzJournalCSV$$' -fuzztime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzReadCSV$$' -fuzztime 5s
 	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzLedgerScan$$' -fuzztime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzUnpackPlanes$$' -fuzztime 5s

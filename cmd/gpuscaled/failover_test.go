@@ -210,10 +210,11 @@ func fetchMatrix(t *testing.T, base, id string) (int, []byte) {
 // Until it promotes the standby answers /v1/jobs 503 not-primary; then
 // it is primary at term 2, B and C complete on it with the matrices an
 // in-process run gives (B reporting the rows its replica journal held
-// as reused), A answers the status the primary gave and a 404 for its
-// matrix (archives do not replicate), a new job gets the next ID, and
-// the old primary, restarted over its own state next to the standby,
-// exits deposed (6).
+// as reused, and counting them done), A answers the status and the
+// matrix bytes the primary gave (its journal and terminal record
+// replicated, and they are its matrix), a new job gets the next ID,
+// and the old primary, restarted over its own state next to the
+// standby, exits deposed (6).
 func TestFailoverAnswersThroughJobAPI(t *testing.T) {
 	dir := t.TempDir()
 	primaryDir, standbyDir := filepath.Join(dir, "primary"), filepath.Join(dir, "standby")
@@ -256,6 +257,11 @@ func TestFailoverAnswersThroughJobAPI(t *testing.T) {
 	await(t, "job A to complete", func() bool {
 		return getJSON(primary+"/v1/jobs/"+a.ID, &a) == http.StatusOK && a.State == "complete"
 	})
+	code, matrixA := fetchMatrix(t, primary, a.ID)
+	if code != http.StatusOK || !bytes.Equal(matrixA, jobA.want) {
+		t.Fatalf("job A's matrix on the primary (%d, %d bytes) differs from an in-process run (%d bytes)",
+			code, len(matrixA), len(jobA.want))
+	}
 	b, c := submit(t, primary, jobB.body), submit(t, primary, jobC.body)
 	await(t, "job B to finish a row", func() bool {
 		return getJSON(primary+"/v1/jobs/"+b.ID, &b) == http.StatusOK && b.RowsDone >= 1
@@ -263,7 +269,8 @@ func TestFailoverAnswersThroughJobAPI(t *testing.T) {
 	if getJSON(primary+"/v1/jobs/"+c.ID, &c) != http.StatusOK || b.State != "running" || c.State != "queued" {
 		t.Fatalf("before the failover: B %s with %d rows, C %s; want B running, C queued", b.State, b.RowsDone, c.State)
 	}
-	// The standby's directory is the primary's, without archives.
+	// The standby's directory is the primary's, and neither holds an
+	// archive.
 	for _, name := range []string{a.ID + ".job", a.ID + ".state", a.ID + ".journal"} {
 		pb, err := os.ReadFile(filepath.Join(primaryDir, name))
 		if err != nil {
@@ -277,6 +284,9 @@ func TestFailoverAnswersThroughJobAPI(t *testing.T) {
 		if m, _ := filepath.Glob(filepath.Join(standbyDir, pattern)); len(m) != 0 {
 			t.Fatalf("the standby holds %v", m)
 		}
+	}
+	if m, _ := filepath.Glob(filepath.Join(primaryDir, "*.csv")); len(m) != 0 {
+		t.Fatalf("the primary holds %v", m)
 	}
 	var refusal struct {
 		Code string `json:"code"`
@@ -316,13 +326,16 @@ func TestFailoverAnswersThroughJobAPI(t *testing.T) {
 		reused == 0 || reused%b.Configs != 0 || ok+reused != cells {
 		t.Fatalf("job B's report after the failover = %q (%v), want its journaled rows reused", b.Summary, err)
 	}
+	if b.RowsDone != b.Kernels || b.Coverage != 1 {
+		t.Fatalf("job B after the failover reports %d of %d rows done, coverage %g; want all of them and 1",
+			b.RowsDone, b.Kernels, b.Coverage)
+	}
 	var after jobStatus
 	if getJSON(standby+"/v1/jobs/"+a.ID, &after) != http.StatusOK || after != a {
 		t.Fatalf("job A after the failover:\n got %+v\nwant %+v", after, a)
 	}
-	if code, body := fetchMatrix(t, standby, a.ID); code != http.StatusNotFound ||
-		!strings.Contains(string(body), "has no archived matrix") {
-		t.Fatalf("job A's matrix after the failover = %d %q, want 404 with no archived matrix", code, body)
+	if code, body := fetchMatrix(t, standby, a.ID); code != http.StatusOK || !bytes.Equal(body, matrixA) {
+		t.Fatalf("job A's matrix after the failover = %d (%d bytes), want the primary's %d bytes", code, len(body), len(matrixA))
 	}
 	if d := submit(t, standby, jobC.body); d.ID <= c.ID {
 		t.Fatalf("a job submitted after the failover got %s, not an ID after %s", d.ID, c.ID)

@@ -6,6 +6,7 @@ package main
 // cleanly.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -16,6 +17,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gpuscale/internal/dist"
+	"gpuscale/internal/durable"
+	"gpuscale/internal/hw"
+	"gpuscale/internal/kernel"
+	"gpuscale/internal/serve"
+	"gpuscale/internal/sweep"
 )
 
 func TestDaemonFleetMode(t *testing.T) {
@@ -183,4 +191,122 @@ func journalsUnder(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	return journals
+}
+
+// TestFleetRetractedRowRendersCanceled: a fleet job restarts with a row
+// its journal holds and its lease ledger retracted (a quarantined
+// worker's complete, retracted before the crash). Registration hands
+// the row to serve all-canceled, so the job counts it unmeasured, and,
+// canceled before the row is re-run, answers it canceled in /matrix —
+// live and, from its terminal record, after a restart — never with the
+// retracted record's values.
+func TestFleetRetractedRowRendersCanceled(t *testing.T) {
+	dir := t.TempDir()
+	ks := []*kernel.Kernel{
+		kernel.New("rt", "p", "a").Geometry(512, 256).MustBuild(),
+		kernel.New("rt", "p", "b").Geometry(512, 256).Compute(30000, 100).MustBuild(),
+	}
+	space, err := hw.NewSpace([]int{4, 24}, []float64{200, 1000}, []float64{150, 1250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kb bytes.Buffer
+	if err := kernel.WriteAll(&kb, ks); err != nil {
+		t.Fatal(err)
+	}
+	s0, err := serve.New(serve.Config{Dir: dir, Runners: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s0.Submit("alice", serve.JobSpec{Kernels: kb.Bytes(), Space: &space, Noise: 0.05, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s0.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := sweep.RunContext(context.Background(), ks, space, sweep.Options{NoiseStdDev: 0.05, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := sweep.OpenJournal(filepath.Join(dir, st.ID+".journal"), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range ks {
+		if err := j.AppendRow(m, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	digest, err := sweep.RowDigest(m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(dist.LedgerRecord{Kind: "invalidate", Job: st.ID, Row: 0, Worker: "liar", Digest: digest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "dist"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ledger := append([]byte("gpuscale-lease v1\n"), durable.Frame(rec)...)
+	if err := os.WriteFile(filepath.Join(dir, "dist", "lease.ledger"), ledger, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.SettleRow(0, sweep.StatusCanceled)
+	var want bytes.Buffer
+	if err := m.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	matrix := func(s *serve.Service) []byte {
+		var b bytes.Buffer
+		if err := s.MatrixCSV(st.ID, &b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+
+	// No worker joins, so the retracted row is never re-run.
+	coord, err := dist.NewCoordinator(filepath.Join(dir, "dist"), dist.CoordinatorOptions{DefaultTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	svc, err := serve.New(serve.Config{Dir: dir, Fleet: fleet{coord}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	await(t, "the job to register with the coordinator", func() bool {
+		_, ok := coord.Status(st.ID)
+		return ok
+	})
+	if got, _ := svc.Get(st.ID); got.State != serve.StateRunning || got.RowsDone != 2 || got.Coverage != 0.5 {
+		t.Fatalf("job with a retracted row = %+v, want running, 2 rows done, coverage 0.5", got)
+	}
+	if got := matrix(svc); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("running job's matrix renders the retracted record:\n%s", got)
+	}
+	if _, err := svc.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	await(t, "the job to settle", func() bool {
+		got, _ := svc.Get(st.ID)
+		return got.State == serve.StateCanceled
+	})
+	if got := matrix(svc); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("canceled job's matrix renders the retracted record:\n%s", got)
+	}
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	again, err := serve.New(serve.Config{Dir: dir, Runners: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := matrix(again); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("canceled job's matrix after a restart renders the retracted record:\n%s", got)
+	}
 }

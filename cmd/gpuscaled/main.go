@@ -16,7 +16,9 @@
 //   - State is crash-only: admissions, per-row journal checkpoints and
 //     terminal states are fsynced in -state; kill -9 the daemon at any
 //     instant, restart it, and every unfinished job resumes with its
-//     completed rows intact.
+//     completed rows intact. A job's journal, with the few rows its
+//     terminal record carries, is its matrix: /matrix renders the CSV
+//     from them, and nothing writes a CSV archive.
 //   - SIGTERM/SIGINT drains: admission flips to shedding (watch
 //     /readyz), in-flight jobs get -drain-grace to finish, and whatever
 //     is still running is interrupted and left journaled for the next
@@ -62,8 +64,8 @@
 //
 // Coordinators come in pairs. `-standby -join URL` runs a warm
 // replica: its -state becomes a copy of the primary's (the lease
-// ledger, every job's admission and terminal records and journal, but
-// no matrix archive), replicated over `/v1/ha/`; until it promotes it
+// ledger, every job's admission and terminal records and journal),
+// replicated over `/v1/ha/`; until it promotes it
 // answers the lease protocol and `/v1/jobs` with 503 not-primary. After
 // `-promote-after` of primary silence it promotes at the next
 // coordinator term, and promotion is a -coordinator's own start-up
@@ -71,8 +73,9 @@
 // and the job API behaves as on the primary. The admission flags
 // (-runners, -max-jobs, -rate, -burst, -client-cap, -max-deadline,
 // -drain-grace) take effect on a standby at promotion. A job terminal
-// before the failover answers its status, and 404 for its /matrix:
-// archives do not replicate. `-peers` lets a primary probe for a newer
+// before the failover answers its status and its /matrix as it did on
+// the primary: its journal and terminal record replicated, and they
+// are its matrix. `-peers` lets a primary probe for a newer
 // term and step down instead of splitting the brain. Workers given a comma-separated `-join` (or extra
 // `-peers`) rotate between coordinators on failure, so a failover
 // loses no in-flight lease that completes within its TTL.
@@ -501,18 +504,20 @@ func coordinatorOptions(o cliOptions, peers []string, reg *obs.Registry, fed *ob
 
 // fleet is serve's seam onto a coordinator: every admitted job becomes
 // a dist job whose rows the fleet leases, appended to the job's one
-// journal, which serve owns (its OnRow hook keeps the live snapshot
-// current, and the job's trace context makes every lease grant a child
-// span of the job), and every record serve writes reaches the standby
-// through Replicate.
+// journal, which serve owns (its OnRow hook settles each row, and the
+// job's trace context makes every lease grant a child span of the job),
+// and every record serve writes reaches the standby through Replicate.
+// The matrix the coordinator returns is left to it: serve renders a
+// job's matrix from the journal.
 type fleet struct{ *dist.Coordinator }
 
-func (f fleet) RunSweep(ctx context.Context, req serve.SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
-	return f.Run(ctx, dist.Job{
+func (f fleet) RunSweep(ctx context.Context, req serve.SweepRequest) (*sweep.RunReport, error) {
+	_, rep, err := f.Run(ctx, dist.Job{
 		Name: req.JobID, Kernels: req.Kernels, Space: req.Space,
 		Engine: req.Engine, Seed: req.Seed, NoiseStdDev: req.Noise,
 		Journal: req.Journal, OnRow: req.OnRow, Trace: req.Trace,
 	})
+	return rep, err
 }
 
 // front is a daemon's one listener. Its mux can be swapped while it
@@ -669,8 +674,8 @@ func processName(o cliOptions) string {
 }
 
 // replicate runs the warm-replica half of an HA pair: it tails the
-// primary into -state, a replica of the primary's state directory
-// without its matrix archives, and serves term probes and typed 503s
+// primary into -state, a replica of the primary's state directory,
+// and serves term probes and typed 503s
 // meanwhile. After -promote-after of primary silence it returns the
 // coordinator it promoted into and the front it served on, and run
 // starts it there as a -coordinator over the replica. It returns no

@@ -42,13 +42,14 @@ type Job struct {
 	Journal *sweep.Journal
 	// OnRow, when non-nil, is invoked as each row's complete is
 	// accepted (after the row is durably journaled), with the job's
-	// matrix and the row index — the hook internal/serve keeps its live
-	// snapshot current with. A settled row is assigned whole and never
-	// written again, so OnRow may keep the row's slices: a quarantine
-	// that retracts the row assigns a fresh all-canceled row and calls
-	// OnRow again. Not invoked for rows recovered already-done from the
-	// journal at AddJob. Called with the coordinator's lock held: it
-	// must not call back into the Coordinator.
+	// matrix and the row index — the hook internal/serve settles its
+	// rows with. A settled row is assigned whole and never written
+	// again, so OnRow may keep the row's slices: a quarantine that
+	// retracts the row assigns a fresh all-canceled row and calls OnRow
+	// again. At AddJob it is invoked, with an all-canceled row, for each
+	// row the journal holds and the ledger retracted, and for no other
+	// row recovered from the journal. Called with the coordinator's lock
+	// held: it must not call back into the Coordinator.
 	OnRow func(m *sweep.Matrix, r int)
 }
 
@@ -499,25 +500,30 @@ func (c *Coordinator) addJob(job Job) error {
 		}
 		rs := &js.rows[r]
 		rr := c.recovered.rows[key]
-		if rr != nil && rr.invalidated {
-			// The ledger retracted this row after the journal recorded
-			// it: the journaled bytes are the suspect's and must be
-			// ignored. Reopen pending with the replayed votes (the
-			// retracted claim among them, unless its digest is of an
-			// earlier record format), so honest agreement settles it.
-			rs.pending = true
-			rs.lastVote = now
-			for _, v := range rr.votes {
-				rs.votes = append(rs.votes, rowVote{worker: v.Worker, digest: v.Digest, epoch: v.Epoch})
-			}
-			continue
-		}
 		havePrior := false
 		var pr int
 		if prior != nil {
 			if pr = prior.Row(k.Name); pr >= 0 && prior.RowComplete(pr) {
 				havePrior = true
 			}
+		}
+		if rr != nil && rr.invalidated {
+			// The ledger retracted this row after the journal recorded
+			// it: the journaled bytes are the suspect's and must be
+			// ignored. Reopen pending with the replayed votes (the
+			// retracted claim among them, unless its digest is of an
+			// earlier record format), so honest agreement settles it,
+			// and hand OnRow the row all-canceled, as a live retraction
+			// does, so the journaled record never stands for it.
+			rs.pending = true
+			rs.lastVote = now
+			for _, v := range rr.votes {
+				rs.votes = append(rs.votes, rowVote{worker: v.Worker, digest: v.Digest, epoch: v.Epoch})
+			}
+			if havePrior && job.OnRow != nil {
+				job.OnRow(js.matrix, r)
+			}
+			continue
 		}
 		switch {
 		case havePrior:

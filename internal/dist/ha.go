@@ -41,10 +41,11 @@ package dist
 //     its deposition from peer probes, worker traffic carrying a
 //     newer term, or tail silence — and exits through ErrDeposed.
 //
-// So the standby's directory is the primary's, without the matrix
-// archives, byte for byte, and a failover is a restart: the job owner
-// recovers over the replica as over its own directory, and the matrix
-// stays byte-identical to a single-node run across a failover. The
+// So the standby's directory is the primary's, byte for byte, and a
+// failover is a restart: the job owner recovers over the replica as
+// over its own directory, and a job's matrix, which its journal and
+// terminal record are, stays byte-identical to a single-node run
+// across a failover, for a job that finished before it too. The
 // standby holds no file open and no job state. What it checks before
 // it writes is what recovery would refuse: a name outside its
 // directory, an append to anything but the ledger or a journal it

@@ -47,22 +47,10 @@ func AppendFrame(b, payload []byte) []byte {
 // costs only the record that was being written.
 func Parse(data []byte, off int64) (payload []byte, next int64, reason string) {
 	rest := data[off:]
-	if bytes.IndexByte(rest, ' ') != 8 {
-		return nil, 0, "bad record framing"
+	crc, start, n, reason := header(rest)
+	if reason != "" {
+		return nil, 0, reason
 	}
-	crc, err := strconv.ParseUint(string(rest[:8]), 16, 32)
-	if err != nil {
-		return nil, 0, "bad record checksum field"
-	}
-	sp := bytes.IndexByte(rest[9:], ' ')
-	if sp <= 0 || sp > 10 {
-		return nil, 0, "bad record framing"
-	}
-	n, err := strconv.ParseInt(string(rest[9:9+sp]), 10, 32)
-	if err != nil || n <= 0 {
-		return nil, 0, "bad record length field"
-	}
-	start := int64(9 + sp + 1)
 	if start+n+1 > int64(len(rest)) {
 		return nil, 0, "torn record"
 	}
@@ -70,10 +58,41 @@ func Parse(data []byte, off int64) (payload []byte, next int64, reason string) {
 		return nil, 0, "bad record framing"
 	}
 	payload = rest[start : start+n]
-	if crc32.ChecksumIEEE(payload) != uint32(crc) {
+	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, 0, "record checksum mismatch"
 	}
 	return payload, off + start + n + 1, ""
+}
+
+// FrameSize reads the header of the frame b begins with and returns
+// the frame's whole length in bytes, newline included, or ok false when
+// b does not begin with a frame header: how much a reader must hold of
+// a frame before Parse can judge it.
+func FrameSize(b []byte) (size int64, ok bool) {
+	_, start, n, reason := header(b)
+	return start + n + 1, reason == ""
+}
+
+// header reads the frame header b begins with: the payload's CRC, and
+// its offset and length; reason is non-empty when b does not begin
+// with one.
+func header(b []byte) (crc uint32, start, n int64, reason string) {
+	if bytes.IndexByte(b, ' ') != 8 {
+		return 0, 0, 0, "bad record framing"
+	}
+	c, err := strconv.ParseUint(string(b[:8]), 16, 32)
+	if err != nil {
+		return 0, 0, 0, "bad record checksum field"
+	}
+	sp := bytes.IndexByte(b[9:], ' ')
+	if sp <= 0 || sp > 10 {
+		return 0, 0, 0, "bad record framing"
+	}
+	n, err = strconv.ParseInt(string(b[9:9+sp]), 10, 32)
+	if err != nil || n <= 0 {
+		return 0, 0, 0, "bad record length field"
+	}
+	return uint32(c), int64(9 + sp + 1), n, ""
 }
 
 // Log is an append-only file behind a magic header. Each append is

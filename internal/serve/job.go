@@ -15,9 +15,12 @@
 // Persistence is crash-only, built on the CRC-journaled sweep.Journal:
 // every admitted job writes an atomic spec file, every completed row
 // is fsynced into the job's journal, and only terminal transitions
-// write a state file. A killed daemon restarts, rescans the directory,
-// and Resumes every queued and in-flight job — completed rows are
-// reused, so the recovered matrices are byte-identical to an
+// write a state file, which carries the few rows the journal does not
+// hold as they are (rows with failed or canceled cells). The journal
+// and that record are the job's matrix: /matrix renders it from them
+// on any process that holds them. A killed daemon restarts, rescans
+// the directory, and Resumes every queued and in-flight job — completed
+// rows are reused, so the recovered matrices are byte-identical to an
 // uninterrupted run, and an already-terminal job is never re-run.
 package serve
 
@@ -174,13 +177,16 @@ type jobFile struct {
 // never a half-written in-between (writes are atomic replacements).
 // RowsDone and OKCells are the job's settled rows and validated cells,
 // so a recovered terminal job answers the status it answered before.
+// Unjournaled holds, by row, the settled rows the job's journal does
+// not hold as they are (a fault-free study has none): with the journal
+// they are the job's matrix.
 type stateFile struct {
-	State    State   `json:"state"`
-	Reason   string  `json:"reason,omitempty"`
-	Summary  string  `json:"summary,omitempty"`
-	Coverage float64 `json:"coverage"`
-	RowsDone int     `json:"rows_done,omitempty"`
-	OKCells  int     `json:"ok_cells,omitempty"`
+	State       State             `json:"state"`
+	Reason      string            `json:"reason,omitempty"`
+	Summary     string            `json:"summary,omitempty"`
+	RowsDone    int               `json:"rows_done,omitempty"`
+	OKCells     int               `json:"ok_cells,omitempty"`
+	Unjournaled map[int]sweep.Row `json:"unjournaled,omitempty"`
 }
 
 // JobStatus is the client-visible view of one job.

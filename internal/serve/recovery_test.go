@@ -8,6 +8,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -179,10 +180,14 @@ func TestRecoverJobInterruptedMidSweep(t *testing.T) {
 	if got.State != StateComplete {
 		t.Fatalf("resumed job = %+v", got)
 	}
-	// The journal made the resume reuse completed rows: fewer rows
-	// settled in this process than the job has kernels.
-	if got.RowsDone >= got.Kernels {
-		t.Fatalf("resume recomputed every row (%d of %d) — journal unused", got.RowsDone, got.Kernels)
+	// The journal made the resume reuse completed rows, and those rows
+	// count: the job reports every row done and every cell measured.
+	if !strings.Contains(got.Summary, fmt.Sprintf(" %d reused ", got.Configs)) {
+		t.Fatalf("resume did not reuse the journaled row: %s", got.Summary)
+	}
+	if got.RowsDone != got.Kernels || got.Coverage != 1 {
+		t.Fatalf("resumed job reports %d of %d rows done, coverage %g; want all of them and 1",
+			got.RowsDone, got.Kernels, got.Coverage)
 	}
 	if !bytes.Equal(jobMatrix(t, s2, st.ID), want) {
 		t.Fatal("resumed matrix differs from uninterrupted run")
@@ -273,8 +278,9 @@ func TestRecoverNeverReRunsTerminalJobs(t *testing.T) {
 	if first.State != StateComplete {
 		t.Fatalf("first run = %+v", first)
 	}
+	wantMatrix := jobMatrix(t, s1, st.ID)
 	drain(t, s1)
-	wantMatrix, err := os.ReadFile(s1.matrixPath(st.ID))
+	wantJournal, err := os.ReadFile(s1.journalPath(st.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,15 +313,46 @@ func TestRecoverNeverReRunsTerminalJobs(t *testing.T) {
 		t.Fatalf("terminal job's status changed across restart:\n got %+v\nwant %+v", got, first)
 	}
 	time.Sleep(20 * time.Millisecond) // give a hypothetical re-run time to do damage
-	if b, _ := os.ReadFile(s2.matrixPath(st.ID)); !bytes.Equal(b, wantMatrix) {
-		t.Fatal("terminal job's matrix changed across restart")
+	if b, _ := os.ReadFile(s2.journalPath(st.ID)); !bytes.Equal(b, wantJournal) {
+		t.Fatal("terminal job's journal changed across restart")
 	}
 	if b, _ := os.ReadFile(s2.statePath(st.ID)); !bytes.Equal(b, wantState) {
 		t.Fatal("terminal job's state record changed across restart")
 	}
-	// And the terminal job still serves its matrix (read back from disk).
+	// And the terminal job still serves its matrix, rendered from disk.
 	if !bytes.Equal(jobMatrix(t, s2, st.ID), wantMatrix) {
-		t.Fatal("terminal job's served matrix differs from its archive")
+		t.Fatal("terminal job's served matrix changed across restart")
+	}
+}
+
+// TestServesEarlierArchive: a terminal job whose matrix an earlier
+// version archived as <id>.csv serves that archive's bytes as they are,
+// and no job this version runs writes one.
+func TestServesEarlierArchive(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := New(Config{Dir: dir, SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s1.Submit("alice", testSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s1, st.ID)
+	drain(t, s1)
+	if _, err := os.Stat(dir + "/" + st.ID + ".csv"); !os.IsNotExist(err) {
+		t.Fatalf("a finished job wrote an archive (err=%v)", err)
+	}
+	archive := []byte("kernel,cus,core_mhz,mem_mhz,throughput,time_ns,bound,status\nold,4,200,150,1,1,compute,ok\n")
+	if err := os.WriteFile(dir+"/"+st.ID+".csv", archive, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(Config{Dir: dir, Runners: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := jobMatrix(t, s2, st.ID); !bytes.Equal(got, archive) {
+		t.Fatalf("terminal job with an earlier archive served %.80q, want the archive", got)
 	}
 }
 
@@ -349,9 +386,10 @@ func TestRecoverOpenJobsRespectAdmissionBound(t *testing.T) {
 
 // TestFailedPersistSettlesJobFailed: a job whose terminal record cannot
 // be made durable settles failed with the persistence error as its
-// reason, answers /matrix with a 404 and writes no state record — so
-// a restart on the same directory re-enqueues it and its journal
-// resumes it to complete, with the matrix an uninterrupted run gives.
+// reason, answers /matrix with a 404 (its journal alone is not its
+// matrix) and writes no state record — so a restart on the same
+// directory re-enqueues it and its journal resumes it to complete, with
+// the matrix an uninterrupted run gives.
 func TestFailedPersistSettlesJobFailed(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(t)
@@ -362,9 +400,9 @@ func TestFailedPersistSettlesJobFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A directory where the archive goes makes its rename fail.
+	// A directory where the terminal record goes makes its rename fail.
 	const id = "job-000000"
-	if err := os.Mkdir(s1.matrixPath(id), 0o755); err != nil {
+	if err := os.Mkdir(s1.statePath(id), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	st, err := s1.Submit("alice", spec)
@@ -386,14 +424,14 @@ func TestFailedPersistSettlesJobFailed(t *testing.T) {
 	res.Body.Close()
 	ts.Close()
 	if res.StatusCode != http.StatusNotFound {
-		t.Fatalf("matrix of a job with no archive = %d, want 404", res.StatusCode)
+		t.Fatalf("matrix of a job with no terminal record = %d, want 404", res.StatusCode)
 	}
-	if _, err := os.Stat(s1.statePath(id)); !os.IsNotExist(err) {
+	if fi, err := os.Stat(s1.statePath(id)); err != nil || !fi.IsDir() {
 		t.Fatalf("failed persist left a state record (err=%v)", err)
 	}
 	drain(t, s1)
 
-	if err := os.Remove(s1.matrixPath(id)); err != nil {
+	if err := os.Remove(s1.statePath(id)); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := New(cfg)
@@ -418,8 +456,10 @@ func TestFailedPersistSettlesJobFailed(t *testing.T) {
 
 // TestRecoverIndentedRecords: the service writes its admission and
 // terminal records compactly, and still recovers the indented ones an
-// earlier version wrote: a terminal job answers the status it had, and
-// an admitted one runs to the matrix an uninterrupted run gives.
+// earlier version wrote, a terminal record carrying the coverage field
+// it wrote too: a terminal job answers the status and the matrix it
+// had, and an admitted one runs to the matrix an uninterrupted run
+// gives.
 func TestRecoverIndentedRecords(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(t)
@@ -433,6 +473,7 @@ func TestRecoverIndentedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := waitTerminal(t, s1, st.ID)
+	doneMatrix := jobMatrix(t, s1, st.ID)
 	drain(t, s1)
 	// A service with no runners admits a job and "crashes" before it
 	// starts.
@@ -456,6 +497,16 @@ func TestRecoverIndentedRecords(t *testing.T) {
 		if bytes.ContainsRune(b, '\n') || indented.Len() <= len(b) {
 			t.Fatalf("%s is not compact: %d bytes, %d indented", path, len(b), indented.Len())
 		}
+		if path == s1.statePath(st.ID) {
+			if bytes.Contains(b, []byte(`"coverage"`)) {
+				t.Fatalf("%s carries a coverage field: %s", path, b)
+			}
+			indented.Reset()
+			old := append([]byte(`{"coverage": 1, `), b[1:]...)
+			if err := json.Indent(&indented, old, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -468,6 +519,9 @@ func TestRecoverIndentedRecords(t *testing.T) {
 	defer drain(t, s2)
 	if got, err := s2.Get(st.ID); err != nil || got != done {
 		t.Fatalf("terminal job from indented records = %+v (%v), want %+v", got, err, done)
+	}
+	if !bytes.Equal(jobMatrix(t, s2, st.ID), doneMatrix) {
+		t.Fatal("terminal job from indented records serves a different matrix")
 	}
 	if got := waitTerminal(t, s2, queued.ID); got.State != StateComplete || got.Client != "bob" {
 		t.Fatalf("job from an indented admission record = %+v", got)
@@ -545,5 +599,58 @@ func TestResumeFromV2Journal(t *testing.T) {
 	}
 	if b, err := os.ReadFile(s1.journalPath(st.ID)); err != nil || !bytes.HasPrefix(b, []byte("gpuscale-journal v3\n")) {
 		t.Fatalf("the job's journal was not migrated to v3 (%v)", err)
+	}
+}
+
+// TestUnjournaledRowsSurviveRestart: rows the journal does not hold —
+// rows with cells the injected faults failed, and complete rows whose
+// torn append was rolled back — render from the running job's memory,
+// then from its terminal record, before and after a restart, exactly
+// as an in-process sweep with the same faults renders them.
+func TestUnjournaledRowsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(t)
+	spec.Noise, spec.Seed = 0.05, 4
+	// At this seed one row has failed cells and the other, complete,
+	// tears its append: the journal holds neither.
+	inj := fault.Injector{ErrorRate: 0.1, TornWriteRate: 0.5, Seed: 5}
+	s1, err := New(Config{Dir: dir, SweepWorkers: 1, Injector: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s1.Submit("alice", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, s1, st.ID); got.State != StateComplete || got.Coverage == 1 {
+		t.Fatalf("job under faults = %+v, want complete with failed cells", got)
+	}
+	res, err := spec.resolve(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := sweep.RunContext(context.Background(), res.kernels, res.space, sweep.Options{Engine: res.engine,
+		NoiseStdDev: spec.Noise, Seed: spec.Seed, Row: inj.WrapRow(res.engine.Row())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := m.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(jobMatrix(t, s1, st.ID), want.Bytes()) {
+		t.Fatal("a job with failed cells serves a different matrix than an in-process run")
+	}
+	drain(t, s1)
+	var sf stateFile
+	if b, err := os.ReadFile(s1.statePath(st.ID)); err != nil || json.Unmarshal(b, &sf) != nil || len(sf.Unjournaled) != 2 {
+		t.Fatalf("terminal record carries %d unjournaled rows (%v), want both rows", len(sf.Unjournaled), err)
+	}
+	s2, err := New(Config{Dir: dir, Runners: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(jobMatrix(t, s2, st.ID), want.Bytes()) {
+		t.Fatal("a job with failed cells serves a different matrix after a restart")
 	}
 }

@@ -20,14 +20,14 @@ import (
 // sweepFleet is a Fleet whose sweeps run fn and which keeps every
 // record the service replicates, by path.
 type sweepFleet struct {
-	fn func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error)
+	fn func(ctx context.Context, req SweepRequest) (*sweep.RunReport, error)
 
 	mu      sync.Mutex
 	paths   []string
 	records map[string][]byte
 }
 
-func (f *sweepFleet) RunSweep(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+func (f *sweepFleet) RunSweep(ctx context.Context, req SweepRequest) (*sweep.RunReport, error) {
 	return f.fn(ctx, req)
 }
 
@@ -53,8 +53,8 @@ func (f *sweepFleet) replicated() []string {
 // resuming from req.Journal's Prior, appending each settled row to
 // req.Journal and then calling req.OnRow, exactly what a distributed
 // coordinator does.
-func standIn(ctx context.Context, t *testing.T, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
-	return sweep.Resume(ctx, req.Kernels, req.Space, sweep.Options{
+func standIn(ctx context.Context, t *testing.T, req SweepRequest) (*sweep.RunReport, error) {
+	_, rep, err := sweep.Resume(ctx, req.Kernels, req.Space, sweep.Options{
 		Workers: 2, Engine: req.Engine, Seed: req.Seed,
 		NoiseStdDev: req.Noise, OnRow: func(m *sweep.Matrix, r int) {
 			if err := req.Journal.AppendRow(m, r); err != nil {
@@ -64,24 +64,26 @@ func standIn(ctx context.Context, t *testing.T, req SweepRequest) (*sweep.Matrix
 			req.OnRow(m, r)
 		},
 	}, req.Journal.Prior())
+	return rep, err
 }
 
 // TestRunSweepSeam: a Fleet's RunSweep receives the resolved
 // job, its open journal and the OnRow hook, and an executor that
 // journals each row and drives OnRow keeps the service's journal,
-// snapshot and terminal bookkeeping exactly as the local path would.
+// row accounts and terminal bookkeeping exactly as the local path
+// would.
 func TestRunSweepSeam(t *testing.T) {
 	var (
 		gotJob string
 		calls  int
 	)
 	cfg := Config{Dir: t.TempDir(), SweepWorkers: 2}
-	cfg.Fleet = &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+	cfg.Fleet = &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.RunReport, error) {
 		calls++
 		gotJob = req.JobID
 		if req.Journal == nil || req.OnRow == nil {
 			t.Error("SweepRequest lacks its journal or OnRow; the seam cannot keep the job durable")
-			return nil, nil, errors.New("incomplete SweepRequest")
+			return nil, errors.New("incomplete SweepRequest")
 		}
 		return standIn(ctx, t, req)
 	}}
@@ -102,7 +104,7 @@ func TestRunSweepSeam(t *testing.T) {
 	if calls != 1 || gotJob != st.ID {
 		t.Fatalf("RunSweep calls=%d job=%q, want 1 call for %q", calls, gotJob, st.ID)
 	}
-	// OnRow drove the snapshot: rows and coverage are fully accounted.
+	// OnRow drove the accounts: rows and coverage are fully accounted.
 	if st.RowsDone != 2 || st.Coverage != 1 {
 		t.Fatalf("rows done %d coverage %g, want 2 and 1", st.RowsDone, st.Coverage)
 	}
@@ -128,21 +130,21 @@ func TestRunSweepSeamResumesFromJournal(t *testing.T) {
 	const k = 1
 	cfg := Config{Dir: t.TempDir(), SweepWorkers: 1}
 	var first *sweep.Matrix
-	cfg.Fleet = &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+	cfg.Fleet = &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.RunReport, error) {
 		m, err := sweep.Run(req.Kernels, req.Space, sweep.Options{
 			Workers: 1, Engine: req.Engine, Seed: req.Seed, NoiseStdDev: req.Noise})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for r := 0; r < k; r++ {
 			if err := req.Journal.AppendRow(m, r); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			req.OnRow(m, r)
 		}
 		first = m
 		<-ctx.Done() // interrupted before the other rows land
-		return m, nil, ctx.Err()
+		return nil, ctx.Err()
 	}}
 	s, err := New(cfg)
 	if err != nil {
@@ -162,7 +164,7 @@ func TestRunSweepSeamResumesFromJournal(t *testing.T) {
 	}
 
 	var prior *sweep.Matrix
-	cfg.Fleet = &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+	cfg.Fleet = &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.RunReport, error) {
 		prior = req.Journal.Prior()
 		return standIn(ctx, t, req)
 	}}
@@ -192,13 +194,12 @@ func TestRunSweepSeamResumesFromJournal(t *testing.T) {
 // service writes, byte for byte — the admission record before the
 // submission is answered, the terminal record before the terminal
 // state shows — and, after a restart, every record the service
-// recovers, by name alone. The CSV archive and the journal are never
-// handed over.
+// recovers, by name alone. The journal is never handed over.
 func TestFleetReplicatesRecords(t *testing.T) {
 	dir := t.TempDir()
 	fl := &sweepFleet{}
 	var s *Service
-	fl.fn = func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+	fl.fn = func(ctx context.Context, req SweepRequest) (*sweep.RunReport, error) {
 		if got := fl.replicated(); len(got) != 1 || got[0] != s.jobPath(req.JobID) {
 			t.Errorf("records replicated before the sweep = %v, want the admission record alone", got)
 		}
@@ -275,7 +276,7 @@ func TestFleetRefusesRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fleet, err := New(Config{Dir: dir, SweepWorkers: 2, Fleet: &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error) {
+	fleet, err := New(Config{Dir: dir, SweepWorkers: 2, Fleet: &sweepFleet{fn: func(ctx context.Context, req SweepRequest) (*sweep.RunReport, error) {
 		return standIn(ctx, t, req)
 	}}})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,7 +16,6 @@ import (
 
 	"gpuscale/internal/durable"
 	"gpuscale/internal/fault"
-	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
@@ -25,8 +25,9 @@ import (
 // Config sizes the service. Every bound has a safe default; the zero
 // value (plus a Dir) is a working single-runner service.
 type Config struct {
-	// Dir is the state directory: job specs, journals, archived
-	// matrices and terminal states all live here. Required.
+	// Dir is the state directory: job specs, journals and terminal
+	// states all live here, and a job's journal with its terminal record
+	// is its matrix. Required.
 	Dir string
 	// Runners is how many jobs run concurrently. 0 means 1; negative
 	// means none (tests drive recovery without execution).
@@ -84,11 +85,12 @@ type Config struct {
 type Fleet interface {
 	// RunSweep executes one job's sweep. It receives everything the
 	// local path would use, including the job's open journal and the
-	// OnRow hook that keeps the service's live snapshot current;
-	// implementations must append each settled row to the journal and
-	// invoke OnRow (or accept that restarts recompute and partial
-	// fetches stay empty).
-	RunSweep(ctx context.Context, req SweepRequest) (*sweep.Matrix, *sweep.RunReport, error)
+	// OnRow hook that settles each row into the job's accounts;
+	// implementations must append each complete row to the journal
+	// before they invoke OnRow with it, and invoke OnRow for every row
+	// they settle (or accept that restarts recompute and /matrix shows
+	// the row as not yet run).
+	RunSweep(ctx context.Context, req SweepRequest) (*sweep.RunReport, error)
 	// Replicate hands over a record the service has just written
 	// durably, and for good, at path: a job's admission record
 	// (<id>.job) or terminal record (<id>.state). It returns once the
@@ -120,15 +122,19 @@ type SweepRequest struct {
 	// and the executor appends each settled, complete row to it before
 	// calling OnRow. The service closes it once RunSweep returns.
 	Journal *sweep.Journal
-	// OnRow puts a settled row into the job's live snapshot; safe for
-	// concurrent use. A settled row is assigned whole and never written
-	// again, so the snapshot keeps the row's slices rather than copying
-	// them. A distributed executor may invoke it more than once for the
-	// same row: when a quarantined worker's complete is retracted, the
-	// retraction arrives as a second call with an all-canceled row, and
-	// a healthy worker's re-execution as a third, with the corrected
-	// planes (and a second journal append, which supersedes the
-	// retracted one: replay is last-record-wins per kernel).
+	// OnRow settles a row into the job's accounts (rows_done and
+	// coverage); safe for concurrent use. A complete row must be in the
+	// journal before OnRow sees it; any other row is one of the job's
+	// unjournaled rows, which /matrix renders in place of the journal's
+	// record. A settled row is assigned whole and never written again,
+	// so the job keeps such a row's slices rather than copying them. A
+	// distributed executor may invoke it more than once for the same
+	// row: when a quarantined worker's complete is retracted — live, or
+	// at registration for a journaled row the ledger retracted before a
+	// restart — the retraction arrives as a call with an all-canceled
+	// row, and a healthy worker's re-execution as a later one, with the
+	// corrected planes (and a second journal append, which supersedes
+	// the retracted one: replay is last-record-wins per kernel).
 	OnRow func(m *sweep.Matrix, r int)
 	// Trace is the job's span context; a distributed executor hands it
 	// to the coordinator so lease grants become children of the job
@@ -184,13 +190,15 @@ type job struct {
 	parent   string
 	admitted time.Time
 
-	mu           sync.Mutex
-	state        State
-	reason       string
-	summary      string
-	rowsDone     int
-	okCells      int
-	snapshot     *sweep.Matrix // partial results, row-settled under mu; nil once terminal
+	mu       sync.Mutex
+	state    State
+	reason   string
+	summary  string
+	rowsDone int
+	okCells  int
+	// unjournaled holds, by row, the rows a run settled that its journal
+	// does not hold as they are; nil once the terminal record holds them.
+	unjournaled  map[int]sweep.Row
 	cancel       context.CancelFunc
 	userCanceled bool
 }
@@ -374,7 +382,7 @@ func (s *Service) recover() error {
 			j.reason = fmt.Sprintf("spec no longer resolvable: %v", err)
 			s.jobs[id] = j
 			s.order = append(s.order, id)
-			if err := s.persistTerminal(id, nil, stateFile{State: StateFailed, Reason: j.reason}); err != nil {
+			if err := s.persistTerminal(id, stateFile{State: StateFailed, Reason: j.reason}); err != nil {
 				return err
 			}
 			continue
@@ -414,7 +422,6 @@ func (s *Service) replicate(path string, data []byte) {
 func (s *Service) jobPath(id string) string     { return filepath.Join(s.cfg.Dir, id+".job") }
 func (s *Service) statePath(id string) string   { return filepath.Join(s.cfg.Dir, id+".state") }
 func (s *Service) journalPath(id string) string { return filepath.Join(s.cfg.Dir, id+".journal") }
-func (s *Service) matrixPath(id string) string  { return filepath.Join(s.cfg.Dir, id+".csv") }
 
 // shedding increments the shed counter for reason and records the
 // decision in the flight recorder before returning the typed error.
@@ -590,7 +597,7 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 			}
 		}
 		s.mu.Unlock()
-		if err := s.persistTerminal(j.id, nil, stateFile{State: StateCanceled, Reason: "canceled by client"}); err != nil {
+		if err := s.persistTerminal(j.id, stateFile{State: StateCanceled, Reason: "canceled by client"}); err != nil {
 			return JobStatus{}, err
 		}
 		s.settle(j)
@@ -598,9 +605,13 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 	return j.status(), nil
 }
 
-// MatrixCSV streams the job's matrix as CSV: for terminal jobs the
-// bytes of the archive persistTerminal fsynced, for running ones the
-// live row-settled snapshot.
+// MatrixCSV streams the job's matrix as CSV, rendered from its journal
+// and the rows the journal does not hold as they are: for a running
+// job the rows settled so far, for a terminal one those its terminal
+// record carries. A terminal job an earlier version archived as
+// <id>.csv serves that archive as it is. A queued job, and a job
+// without a journal or a terminal record to render, answer
+// ErrNoSuchJob.
 func (s *Service) MatrixCSV(id string, w io.Writer) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -609,38 +620,53 @@ func (s *Service) MatrixCSV(id string, w io.Writer) error {
 		return ErrNoSuchJob
 	}
 	j.mu.Lock()
+	state, res, rows := j.state, j.res, maps.Clone(j.unjournaled)
+	j.mu.Unlock()
 	switch {
-	case j.state.Terminal():
-		j.mu.Unlock()
-		f, err := os.Open(s.matrixPath(id))
-		var fi os.FileInfo
-		if err == nil {
+	case state.Terminal():
+		if f, err := os.Open(filepath.Join(s.cfg.Dir, id+".csv")); err == nil {
 			defer f.Close()
-			fi, err = f.Stat()
+			if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+				_, err = io.Copy(w, f)
+				return err
+			}
 		}
-		// A failed persist may leave something other than a file there.
-		if err != nil || !fi.Mode().IsRegular() {
-			return fmt.Errorf("%w: job %s has no archived matrix", ErrNoSuchJob, id)
+		var sf stateFile
+		b, err := os.ReadFile(s.statePath(id))
+		if err == nil {
+			err = json.Unmarshal(b, &sf)
 		}
-		_, err = io.Copy(w, f)
-		return err
-	case j.snapshot != nil:
-		// Copy the row slices under the lock; rows are settled whole, so
-		// the copy is a consistent partial matrix.
-		m := &sweep.Matrix{
-			Space:      j.snapshot.Space,
-			Kernels:    append([]string(nil), j.snapshot.Kernels...),
-			Throughput: append([][]float64(nil), j.snapshot.Throughput...),
-			TimeNS:     append([][]float64(nil), j.snapshot.TimeNS...),
-			Bound:      append([][]gcn.Bound(nil), j.snapshot.Bound...),
-			Status:     append([][]sweep.CellStatus(nil), j.snapshot.Status...),
+		if err != nil || res == nil {
+			return fmt.Errorf("%w: job %s has no terminal record to render (%v)", ErrNoSuchJob, id, err)
 		}
-		j.mu.Unlock()
-		return m.WriteCSV(w)
-	default:
-		j.mu.Unlock()
+		rows = sf.Unjournaled
+	case state == StateQueued:
 		return fmt.Errorf("%w: job %s has not produced rows yet", ErrNoSuchJob, id)
 	}
+	names := make([]string, len(res.kernels))
+	for r, k := range res.kernels {
+		names[r] = k.Name
+	}
+	out := &countingWriter{w: w}
+	err := sweep.WriteJournalCSV(out, s.journalPath(id), res.space, names, rows)
+	if err != nil && out.n == 0 {
+		// The renderer writes nothing before it has read the journal's
+		// head: nothing written means nothing to render.
+		return fmt.Errorf("%w: job %s has no journal to render (%v)", ErrNoSuchJob, id, err)
+	}
+	return err
+}
+
+// countingWriter counts the bytes that reach w.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(b []byte) (int, error) {
+	n, err := c.w.Write(b)
+	c.n += int64(n)
+	return n, err
 }
 
 // settle releases a job's admission resources after it reaches a
@@ -660,17 +686,10 @@ func (s *Service) settle(j *job) {
 	}
 }
 
-// persistTerminal writes a job's terminal record: the archived matrix
-// first (when there is one), then the state file — so a state file's
-// existence implies its matrix is on disk — and hands the state file
-// to the fleet. The archive stays local.
-func (s *Service) persistTerminal(id string, m *sweep.Matrix, sf stateFile) error {
-	if m != nil {
-		if err := m.WriteCSVFile(s.matrixPath(id)); err != nil {
-			return err
-		}
-		sf.Coverage = m.Coverage()
-	}
+// persistTerminal writes a job's terminal record, which carries the
+// rows its journal does not hold as they are, so that the record and
+// the journal are the job's matrix, and hands it to the fleet.
+func (s *Service) persistTerminal(id string, sf stateFile) error {
 	b, err := json.Marshal(sf)
 	if err != nil {
 		return err
@@ -687,18 +706,20 @@ func (s *Service) persistTerminal(id string, m *sweep.Matrix, sf stateFile) erro
 // record is not yet durable. A job whose record could not be persisted
 // settles as failed for this process's lifetime; with no state record
 // on disk, the next start re-enqueues it and its journal resumes it.
-// Either way the job lets go of its matrix: /matrix serves the archive.
-func (s *Service) finish(j *job, m *sweep.Matrix, state State, reason, summary string) {
+// Either way the job lets go of its unjournaled rows: /matrix reads a
+// terminal job's from its record, and a job with none answers 404.
+func (s *Service) finish(j *job, state State, reason, summary string) {
 	j.mu.Lock()
-	sf := stateFile{State: state, Reason: reason, Summary: summary, RowsDone: j.rowsDone, OKCells: j.okCells}
+	sf := stateFile{State: state, Reason: reason, Summary: summary, RowsDone: j.rowsDone, OKCells: j.okCells,
+		Unjournaled: j.unjournaled}
 	j.mu.Unlock()
-	if err := s.persistTerminal(j.id, m, sf); err != nil {
+	if err := s.persistTerminal(j.id, sf); err != nil {
 		s.cfg.Logf("serve: %s: persisting terminal state: %v", j.id, err)
 		state, reason = StateFailed, fmt.Sprintf("persisting terminal state: %v", err)
 	}
 	j.mu.Lock()
 	j.state, j.reason, j.summary = state, reason, summary
-	j.snapshot = nil
+	j.unjournaled = nil
 	j.cancel = nil
 	j.mu.Unlock()
 	s.settle(j)
@@ -745,11 +766,7 @@ func (s *Service) runJob(j *job) {
 		ctx, cancel = context.WithCancel(ctx)
 	}
 	j.cancel = cancel
-	nCfg := j.res.space.Size()
-	// Snapshot rows start as canceled ("not yet run"); OnRow replaces
-	// each as it settles, so partial fetches never show phantom OK cells.
-	snap := sweep.NewMatrix(j.res.space, j.res.kernels)
-	j.snapshot = snap
+	j.unjournaled = map[int]sweep.Row{}
 	j.mu.Unlock()
 	defer cancel()
 
@@ -759,7 +776,7 @@ func (s *Service) runJob(j *job) {
 	}
 	journal, err := sweep.OpenJournalWith(s.journalPath(j.id), j.res.space, jopts)
 	if err != nil {
-		s.finish(j, nil, StateFailed, fmt.Sprintf("opening journal: %v", err), "")
+		s.finish(j, StateFailed, fmt.Sprintf("opening journal: %v", err), "")
 		return
 	}
 	defer journal.Close()
@@ -794,18 +811,21 @@ func (s *Service) runJob(j *job) {
 	// second delivery replaces the first instead of double-counting.
 	rowSeen := make([]bool, len(j.res.kernels))
 	rowOK := make([]int, len(j.res.kernels))
-	settle := func(m *sweep.Matrix, r int) {
+	// settle puts a settled row r into the job's accounts, and into its
+	// unjournaled rows unless the journal holds it as it is.
+	settle := func(r int, row sweep.Row, journaled bool) {
 		ok := 0
-		for c := 0; c < nCfg; c++ {
-			if m.CellOK(r, c) {
+		for _, st := range row.Status {
+			if st == sweep.StatusOK {
 				ok++
 			}
 		}
 		j.mu.Lock()
-		snap.Throughput[r] = m.Throughput[r]
-		snap.TimeNS[r] = m.TimeNS[r]
-		snap.Bound[r] = m.Bound[r]
-		snap.Status[r] = m.Status[r]
+		if journaled {
+			delete(j.unjournaled, r)
+		} else {
+			j.unjournaled[r] = row
+		}
 		if !rowSeen[r] {
 			rowSeen[r] = true
 			j.rowsDone++
@@ -814,26 +834,34 @@ func (s *Service) runJob(j *job) {
 		rowOK[r] = ok
 		j.mu.Unlock()
 	}
+	// The rows the run reuses from the journal settle first, on both
+	// paths, so a resumed job counts every row it holds.
+	if prior := journal.Prior(); prior != nil {
+		for r, k := range j.res.kernels {
+			if pr := prior.Row(k.Name); pr >= 0 {
+				settle(r, rowOf(prior, pr), true)
+			}
+		}
+	}
 	opts.OnRow = func(m *sweep.Matrix, r int) {
-		if err := journal.AppendRow(m, r); err != nil {
+		err := journal.AppendRow(m, r)
+		if err != nil {
 			s.cfg.Logf("serve: %s: journal: %v", j.id, err)
 		}
-		settle(m, r)
+		settle(r, rowOf(m, r), err == nil && m.RowComplete(r))
 	}
 
 	runStart := time.Now()
-	var (
-		m   *sweep.Matrix
-		rep *sweep.RunReport
-	)
+	var rep *sweep.RunReport
 	if s.cfg.Fleet != nil {
-		m, rep, err = s.cfg.Fleet.RunSweep(ctx, SweepRequest{
+		rep, err = s.cfg.Fleet.RunSweep(ctx, SweepRequest{
 			JobID: j.id, Kernels: j.res.kernels, Space: j.res.space,
 			Engine: j.res.engine, Seed: j.spec.Seed, Noise: j.spec.Noise,
-			Journal: journal, OnRow: settle, Trace: j.trace,
+			Journal: journal, Trace: j.trace,
+			OnRow: func(m *sweep.Matrix, r int) { settle(r, rowOf(m, r), m.RowComplete(r)) },
 		})
 	} else {
-		m, rep, err = sweep.Resume(ctx, j.res.kernels, j.res.space, opts, journal.Prior())
+		_, rep, err = sweep.Resume(ctx, j.res.kernels, j.res.space, opts, journal.Prior())
 	}
 	summary := ""
 	if rep != nil {
@@ -846,13 +874,13 @@ func (s *Service) runJob(j *job) {
 	// DeadlineExceeded on the job context specifically.
 	switch {
 	case err == nil:
-		s.finish(j, m, StateComplete, "", summary)
+		s.finish(j, StateComplete, "", summary)
 		s.cfg.Logf("serve: %s complete: %s", j.id, summary)
 	case userCanceledJob(j):
-		s.finish(j, m, StateCanceled, "canceled by client", summary)
+		s.finish(j, StateCanceled, "canceled by client", summary)
 		s.cfg.Logf("serve: %s canceled by client", j.id)
 	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		s.finish(j, m, StateCanceled, "deadline exceeded", summary)
+		s.finish(j, StateCanceled, "deadline exceeded", summary)
 		s.cfg.Logf("serve: %s hit its deadline", j.id)
 	default:
 		// Shutdown interrupted the job: write nothing terminal. Its
@@ -860,6 +888,7 @@ func (s *Service) runJob(j *job) {
 		// it and Resume recomputes only the holes.
 		j.mu.Lock()
 		j.state = StateQueued
+		j.unjournaled = nil
 		j.cancel = nil
 		j.mu.Unlock()
 		s.cfg.Logf("serve: %s interrupted by shutdown (%s); will resume", j.id, summary)
@@ -873,6 +902,11 @@ func (s *Service) runJob(j *job) {
 	j.mu.Unlock()
 	s.cfg.Sink.Emit("job", "serve", 0, j.trace, j.parent, runStart, time.Since(runStart),
 		obs.KS("job", j.id), obs.KS("client", j.client), obs.KS("state", string(state)), obs.KN("rows_done", float64(rows)))
+}
+
+// rowOf is row r of m, by value.
+func rowOf(m *sweep.Matrix, r int) sweep.Row {
+	return sweep.Row{Throughput: m.Throughput[r], TimeNS: m.TimeNS[r], Bound: m.Bound[r], Status: m.Status[r]}
 }
 
 func userCanceledJob(j *job) bool {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"gpuscale/internal/fault"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
+	"gpuscale/internal/sweep"
 )
 
 // testSpec returns a small, fast job: 2 kernels x 8 configurations.
@@ -112,26 +114,42 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	if !strings.HasPrefix(csvBuf.String(), "kernel,") {
 		t.Fatalf("matrix does not look like sweep CSV: %.40q", csvBuf.String())
 	}
-	// A finished job serves its archive's bytes and keeps no matrix in
-	// memory.
-	if archived, err := os.ReadFile(s.matrixPath(st.ID)); err != nil || !bytes.Equal(csvBuf.Bytes(), archived) {
-		t.Fatalf("served matrix differs from the archive (err=%v)", err)
+	// A finished job renders from its journal the matrix an in-process
+	// run gives, and holds no rows in memory.
+	spec := testSpec(t)
+	res, err := spec.resolve(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sweep.Run(res.kernels, res.space, sweep.Options{Engine: res.engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := m.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csvBuf.Bytes(), want.Bytes()) {
+		t.Fatal("served matrix differs from an in-process run")
 	}
 	s.mu.Lock()
 	j := s.jobs[st.ID]
 	s.mu.Unlock()
 	j.mu.Lock()
-	held := j.snapshot != nil
+	held := j.unjournaled != nil
 	j.mu.Unlock()
 	if held {
-		t.Fatal("finished job still holds its matrix")
+		t.Fatal("finished job still holds rows")
 	}
-	// Crash-only persistence: admission record, journal, archived
-	// matrix and terminal state are all on disk.
-	for _, p := range []string{s.jobPath(st.ID), s.journalPath(st.ID), s.matrixPath(st.ID), s.statePath(st.ID)} {
+	// Crash-only persistence: admission record, journal and terminal
+	// state are all on disk, and no archive beside them.
+	for _, p := range []string{s.jobPath(st.ID), s.journalPath(st.ID), s.statePath(st.ID)} {
 		if _, err := os.Stat(p); err != nil {
 			t.Errorf("missing %s after completion", p)
 		}
+	}
+	if csvs, _ := filepath.Glob(filepath.Join(dir, "*.csv")); len(csvs) != 0 {
+		t.Errorf("a finished job left %v", csvs)
 	}
 }
 
@@ -254,12 +272,19 @@ func TestCancelQueuedJobFreesItsSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := s.MatrixCSV(st.ID, &bytes.Buffer{}); !errors.Is(err, ErrNoSuchJob) {
+		t.Fatalf("matrix of a queued job: %v, want ErrNoSuchJob", err)
+	}
 	got, err := s.Cancel(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.State != StateCanceled || got.Reason != "canceled by client" {
 		t.Fatalf("canceled queued job = %+v", got)
+	}
+	// It never ran, so it has no journal to render.
+	if err := s.MatrixCSV(st.ID, &bytes.Buffer{}); !errors.Is(err, ErrNoSuchJob) {
+		t.Fatalf("matrix of a job with no journal: %v, want ErrNoSuchJob", err)
 	}
 	if _, err := os.Stat(s.statePath(st.ID)); err != nil {
 		t.Fatalf("canceled job has no terminal state file: %v", err)

@@ -29,49 +29,78 @@ var csvHeader = []string{"kernel", "cus", "core_mhz", "mem_mhz", "throughput", "
 // call, and a cell formats just its two measurements. A kernel's lines
 // go out in one Write.
 func (m *Matrix) WriteCSV(w io.Writer) error {
-	var rec bytes.Buffer
-	cw := csv.NewWriter(&rec)
-	// record renders fields as encoding/csv does, newline included; the
-	// result is valid until the next call.
-	record := func(fields ...string) []byte {
-		rec.Reset()
-		cw.Write(fields) // writes to a bytes.Buffer cannot fail
-		cw.Flush()
-		return rec.Bytes()
+	out, err := newCSVRows(w, m.Space)
+	if err != nil {
+		return err
 	}
-	if _, err := w.Write(record(csvHeader...)); err != nil {
-		return fmt.Errorf("sweep: writing header: %w", err)
-	}
-	cfgText := configSpellings(m.Space)
-	var lines []byte
 	for r, name := range m.Kernels {
-		kernel := record(name)
-		kernel[len(kernel)-1] = ',' // the record's newline becomes the separator
 		var status []CellStatus
 		if m.Status != nil {
 			status = m.Status[r]
 		}
-		lines = lines[:0]
-		for c, text := range cfgText {
-			lines = append(lines, kernel...)
-			lines = append(lines, text...)
-			lines = append(lines, ',')
-			lines = strconv.AppendFloat(lines, m.Throughput[r][c], 'g', -1, 64)
-			lines = append(lines, ',')
-			lines = strconv.AppendFloat(lines, m.TimeNS[r][c], 'g', -1, 64)
-			lines = append(lines, ',')
-			lines = append(lines, m.Bound[r][c].String()...)
-			lines = append(lines, ',')
-			st := StatusOK
-			if status != nil {
-				st = status[c]
-			}
-			lines = append(lines, st.String()...)
-			lines = append(lines, '\n')
+		if err := out.row(name, m.Throughput[r], m.TimeNS[r], m.Bound[r], status); err != nil {
+			return err
 		}
-		if _, err := w.Write(lines); err != nil {
-			return fmt.Errorf("sweep: writing row: %w", err)
+	}
+	return nil
+}
+
+// csvRows writes a matrix's rows as WriteCSV does, one kernel's lines
+// per Write, reusing its buffers from row to row.
+type csvRows struct {
+	w       io.Writer
+	rec     bytes.Buffer
+	cw      *csv.Writer
+	cfgText []string
+	lines   []byte
+}
+
+// newCSVRows writes the CSV header to w and returns the writer of the
+// rows of a matrix over space.
+func newCSVRows(w io.Writer, space hw.Space) (*csvRows, error) {
+	out := &csvRows{w: w, cfgText: configSpellings(space)}
+	out.cw = csv.NewWriter(&out.rec)
+	if _, err := w.Write(out.record(csvHeader...)); err != nil {
+		return nil, fmt.Errorf("sweep: writing header: %w", err)
+	}
+	return out, nil
+}
+
+// record renders fields as encoding/csv does, newline included; the
+// result is valid until the next call.
+func (out *csvRows) record(fields ...string) []byte {
+	out.rec.Reset()
+	out.cw.Write(fields) // writes to a bytes.Buffer cannot fail
+	out.cw.Flush()
+	return out.rec.Bytes()
+}
+
+// row writes one kernel's lines, one per configuration. A nil status
+// means every cell is StatusOK.
+func (out *csvRows) row(name string, tput, timeNS []float64, bound []gcn.Bound, status []CellStatus) error {
+	kernel := out.record(name)
+	kernel[len(kernel)-1] = ',' // the record's newline becomes the separator
+	lines := out.lines[:0]
+	for c, text := range out.cfgText {
+		lines = append(lines, kernel...)
+		lines = append(lines, text...)
+		lines = append(lines, ',')
+		lines = strconv.AppendFloat(lines, tput[c], 'g', -1, 64)
+		lines = append(lines, ',')
+		lines = strconv.AppendFloat(lines, timeNS[c], 'g', -1, 64)
+		lines = append(lines, ',')
+		lines = append(lines, bound[c].String()...)
+		lines = append(lines, ',')
+		st := StatusOK
+		if status != nil {
+			st = status[c]
 		}
+		lines = append(lines, st.String()...)
+		lines = append(lines, '\n')
+	}
+	out.lines = lines
+	if _, err := out.w.Write(lines); err != nil {
+		return fmt.Errorf("sweep: writing row: %w", err)
 	}
 	return nil
 }

@@ -37,21 +37,9 @@ func fuzzSpace(f *testing.F) hw.Space {
 // same matrix, bit for bit.
 func FuzzJournalScan(f *testing.F) {
 	space := fuzzSpace(f)
-	m, err := Run(testKernels(), space, Options{})
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range journalSeeds(f, space) {
+		f.Add(seed)
 	}
-	full, err := CanonicalJournalBytes(m, m.Kernels)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(full)
-	f.Add(full[:len(full)-7])        // torn tail
-	f.Add([]byte(journalMagic))      // header only
-	f.Add([]byte(journalMagic[:9]))  // torn magic
-	f.Add([]byte("deadbeef 3 {}\n")) // frame without magic
-	f.Add([]byte(nil))               // empty
-	f.Add(refV2Journal(f, m))        // v2, the seeds in testdata/ are v2 too
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, good, _, err := scanJournal(data, space)
 		if err != nil {

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"gpuscale/internal/hw"
@@ -151,7 +153,11 @@ func TestWriteCanonicalJournalValidation(t *testing.T) {
 // at seed 1, as the end-to-end benchmark submits it — in both its
 // forms: the matrix CSV a job's /matrix serves, and the journal's
 // canonical bytes. The CSV has never changed; the journal's bytes
-// changed once, by design, with journal v3's binary row records.
+// changed once, by design, with journal v3's binary row records. The
+// CSV is also what WriteJournalCSV renders from the study's journal,
+// written in reverse kernel order as completion order may have it,
+// and the render allocates under 1 MB: it holds one row, not the 4 MB
+// journal or the 21 MB CSV.
 func TestSeed1StudyPins(t *testing.T) {
 	entries := suites.AllEntries(suites.Corpus())
 	ks := make([]*kernel.Kernel, len(entries))
@@ -170,16 +176,44 @@ func TestSeed1StudyPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const csvPin = "fe9349c0ba3aed88ad760c56cb0133c37d12b3b9ff5c9bac32348fbc31354ba5"
 	for _, pin := range []struct {
 		what string
 		b    []byte
 		want string
 	}{
-		{"matrix CSV", csv.Bytes(), "fe9349c0ba3aed88ad760c56cb0133c37d12b3b9ff5c9bac32348fbc31354ba5"},
+		{"matrix CSV", csv.Bytes(), csvPin},
 		{"canonical journal", canonical, "58002c1f136b4f8bcd4b0945ad0f7a33b2fc90b386a30aedd7d9906f55c83d7b"},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(pin.b)); got != pin.want {
 			t.Errorf("seed-1 %s sha256 %s (%d bytes), want %s", pin.what, got, len(pin.b), pin.want)
 		}
+	}
+
+	reversed := slices.Clone(m.Kernels)
+	slices.Reverse(reversed)
+	journal, err := CanonicalJournalBytes(m, reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "seed1.journal")
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = WriteJournalCSV(h, path, m.Space, m.Kernels, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != csvPin {
+		t.Errorf("seed-1 journal renders to sha256 %s, want %s", got, csvPin)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("rendering the seed-1 journal allocated %d bytes", alloc)
+	if alloc >= 1<<20 {
+		t.Errorf("rendering the %d-byte seed-1 journal allocated %d bytes, want under 1 MB", len(journal), alloc)
 	}
 }

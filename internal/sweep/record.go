@@ -178,12 +178,19 @@ func checkPlanes(nCfg int, b []byte) error {
 // unpackPlanes decodes packed planes checkPlanes accepted.
 func unpackPlanes(nCfg int, b []byte) (tput, timeNS []float64, bound []gcn.Bound) {
 	tput, timeNS, bound = make([]float64, nCfg), make([]float64, nCfg), make([]gcn.Bound, nCfg)
+	unpackInto(b, tput, timeNS, bound)
+	return tput, timeNS, bound
+}
+
+// unpackInto decodes packed planes checkPlanes accepted into planes of
+// one entry per configuration.
+func unpackInto(b []byte, tput, timeNS []float64, bound []gcn.Bound) {
+	nCfg := len(tput)
 	for c := 0; c < nCfg; c++ {
 		tput[c] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*c:]))
 		timeNS[c] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*(nCfg+c):]))
 		bound[c] = gcn.Bound(b[16*nCfg+c])
 	}
-	return tput, timeNS, bound
 }
 
 // digestPrefix marks a v3 record digest. Journal v2 digested a row's

@@ -256,15 +256,8 @@ func NewMatrix(space hw.Space, kernels []*kernel.Kernel) *Matrix {
 // it is replaced whole, by assigning new slices, and never written in
 // place, so a reader holding an earlier row keeps reading it unchanged.
 func (m *Matrix) SettleRow(r int, status CellStatus) {
-	cells := m.Space.Size()
-	st := make([]CellStatus, cells)
-	for c := range st {
-		st[c] = status
-	}
-	m.Throughput[r] = make([]float64, cells)
-	m.TimeNS[r] = make([]float64, cells)
-	m.Bound[r] = make([]gcn.Bound, cells)
-	m.Status[r] = st
+	row := newRow(m.Space.Size(), status)
+	m.Throughput[r], m.TimeNS[r], m.Bound[r], m.Status[r] = row.Throughput, row.TimeNS, row.Bound, row.Status
 }
 
 // Row returns the row index of a kernel name, or -1. The lookup map is
@@ -303,27 +296,6 @@ func (m *Matrix) RowComplete(r int) bool {
 		}
 	}
 	return true
-}
-
-// Coverage returns the fraction of cells holding validated
-// measurements (1 for a fault-free matrix).
-func (m *Matrix) Coverage() float64 {
-	if len(m.Kernels) == 0 {
-		return 0
-	}
-	total, ok := 0, 0
-	for r := range m.Kernels {
-		for c := range m.Throughput[r] {
-			total++
-			if m.CellOK(r, c) {
-				ok++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(ok) / float64(total)
 }
 
 // CellFailure identifies one cell that exhausted its attempts.
