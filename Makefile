@@ -12,13 +12,15 @@ test:
 # race-test the sweep runtime (including the supervised executor,
 # journal recovery and kill-resume tests), the durable-file layer, the
 # fault injector, and the observability layer (the concurrency-heavy
-# packages) plus the CLIs,
-# vet and short-test the end-to-end benchmark (its own module, so
-# ./... never builds it), then smoke the fuzz targets.
+# packages) plus the CLIs; race the matrix CSV's parallel row writer
+# and two-stage parser 20 times over (batch edges, failures, goroutine
+# joins); vet and short-test the end-to-end benchmark (its own module,
+# so ./... never builds it), then smoke the fuzz targets.
 check:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./internal/sweep/... ./internal/durable/... ./internal/fault/... ./internal/obs/... ./internal/serve/... ./internal/dist/... ./cmd/gpusweep/... ./cmd/gpuscaled/... ./cmd/sweeptrace/...
+	$(GO) test -race -count=20 -run 'TestReadCSVBatchEdges|TestWriteRowsStopsAtFailure' ./internal/sweep/
 	$(GO) test -race -run 'TestPreparedRowMatchesPerCell|TestResidentSetMatchesReference|TestBudget' ./internal/gcn/
 	cd cmd/benche2e && $(GO) vet . && $(GO) test -short .
 	$(MAKE) fuzz-smoke

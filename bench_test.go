@@ -15,6 +15,8 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -419,8 +421,10 @@ var benchStudyMatrix = sync.OnceValues(func() (*sweep.Matrix, error) {
 })
 
 // BenchmarkMatrixCSV prices the matrix CSV codec on the seed-1 study
-// matrix (267×891 cells, about 20 MB): write is the export a finished
-// job archives, read is the parse a client runs on the fetched body.
+// matrix (267×891 cells, about 20 MB): write is gpusweep's export of a
+// matrix in memory, render is what a job's /matrix serves (the matrix
+// rendered from the study's journal), and read is the parse a client
+// runs on the fetched body.
 func BenchmarkMatrixCSV(b *testing.B) {
 	m, err := benchStudyMatrix()
 	if err != nil {
@@ -431,11 +435,28 @@ func BenchmarkMatrixCSV(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
+	journal, err := sweep.CanonicalJournalBytes(m, m.Kernels)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "seed1.journal")
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		b.Fatal(err)
+	}
 	b.Run("write", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := m.WriteCSV(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("render", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := sweep.WriteJournalCSV(io.Discard, path, m.Space, m.Kernels, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,9 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"gpuscale/internal/gcn"
+	"gpuscale/internal/sweep"
 )
 
 // postJob submits spec as client over the test server and returns the
@@ -319,5 +323,61 @@ func TestHTTPPartialMatrixWhileRunning(t *testing.T) {
 	}
 	if !strings.Contains(string(body), ",ok") {
 		t.Fatalf("partial matrix has no settled cells:\n%.200s", body)
+	}
+}
+
+// TestHTTPMatrixRefusesMalformedRecord: a terminal record is read from
+// disk on every /matrix fetch, so a row in it whose planes do not match
+// the job's space — a damaged or hand-edited record — must be refused
+// before anything is written (a 404), not render, on every fetch, and
+// leave the daemon answering.
+func TestHTTPMatrixRefusesMalformedRecord(t *testing.T) {
+	s, err := New(Config{Dir: t.TempDir(), SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	st, err := s.Submit("alice", testSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, s, st.ID); got.State != StateComplete {
+		t.Fatalf("job = %+v, want complete", got)
+	}
+	b, err := os.ReadFile(s.statePath(st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sf stateFile
+	if err := json.Unmarshal(b, &sf); err != nil {
+		t.Fatal(err)
+	}
+	sf.Unjournaled = map[int]sweep.Row{1: {Throughput: []float64{1}, TimeNS: []float64{2},
+		Bound: []gcn.Bound{0}, Status: []sweep.CellStatus{sweep.StatusFailed}}}
+	if b, err = json.Marshal(sf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.statePath(st.ID), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		res, err := ts.Client().Get(ts.URL + "/v1/jobs/" + st.ID + "/matrix")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(res.Body)
+		res.Body.Close()
+		if res.StatusCode != http.StatusNotFound || bytes.HasPrefix(body, []byte("kernel,")) {
+			t.Fatalf("/matrix of a record with a short row = %d %q, want a 404 and no CSV", res.StatusCode, body)
+		}
+	}
+	res, err := ts.Client().Get(ts.URL + "/v1/jobs/" + st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decodeStatus(t, res); got.State != StateComplete {
+		t.Fatalf("status after the refused fetches = %+v", got)
 	}
 }

@@ -602,6 +602,72 @@ func TestResumeFromV2Journal(t *testing.T) {
 	}
 }
 
+// TestBlankRowsStayOutOfTheRecord: a job past its deadline settles the
+// rows it had not started as canceled rows of zeros, which is what
+// /matrix renders for a kernel the journal lacks, so its terminal
+// record carries none of them, and the job serves exactly the render
+// of its journal with those rows passed back in.
+func TestBlankRowsStayOutOfTheRecord(t *testing.T) {
+	spec := JobSpec{Suite: "sdk-samples", Space: testSpec(t).Space, DeadlineMS: 50}
+	s, err := New(Config{Dir: t.TempDir(), SweepWorkers: 1, Injector: slowInjector()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Submit("alice", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, s, st.ID); got.State != StateCanceled || got.Reason != "deadline exceeded" {
+		t.Fatalf("deadlined job = %+v", got)
+	}
+	served := jobMatrix(t, s, st.ID)
+	drain(t, s)
+	b, err := os.ReadFile(s.statePath(st.ID))
+	var sf stateFile
+	if err != nil || json.Unmarshal(b, &sf) != nil {
+		t.Fatalf("reading the terminal record: %v", err)
+	}
+	res, err := spec.resolve(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled, err := sweep.ReadJournal(s.journalPath(st.ID), res.space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nCfg := res.space.Size()
+	rows := map[int]sweep.Row{}
+	names := make([]string, len(res.kernels))
+	for r, k := range res.kernels {
+		names[r] = k.Name
+		if row, ok := sf.Unjournaled[r]; ok {
+			if row.Blank() {
+				t.Errorf("the terminal record carries row %d, a canceled row of zeros", r)
+			}
+			rows[r] = row
+		} else if journaled == nil || journaled.Row(k.Name) < 0 {
+			blank := sweep.Row{Throughput: make([]float64, nCfg), TimeNS: make([]float64, nCfg),
+				Bound: make([]gcn.Bound, nCfg), Status: make([]sweep.CellStatus, nCfg)}
+			for c := range blank.Status {
+				blank.Status[c] = sweep.StatusCanceled
+			}
+			rows[r] = blank
+		}
+	}
+	dropped := len(rows) - len(sf.Unjournaled)
+	t.Logf("%d of %d rows dropped; the terminal record is %d bytes", dropped, len(names), len(b))
+	if dropped == 0 {
+		t.Fatal("the deadline left no row unstarted")
+	}
+	var want bytes.Buffer
+	if err := sweep.WriteJournalCSV(&want, s.journalPath(st.ID), res.space, names, rows); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, want.Bytes()) {
+		t.Fatal("the job's matrix differs from its journal's render with the dropped rows passed back in")
+	}
+}
+
 // TestUnjournaledRowsSurviveRestart: rows the journal does not hold —
 // rows with cells the injected faults failed, and complete rows whose
 // torn append was rolled back — render from the running job's memory,

@@ -811,9 +811,10 @@ func (s *Service) runJob(j *job) {
 	// second delivery replaces the first instead of double-counting.
 	rowSeen := make([]bool, len(j.res.kernels))
 	rowOK := make([]int, len(j.res.kernels))
-	// settle puts a settled row r into the job's accounts, and into its
-	// unjournaled rows unless the journal holds it as it is.
-	settle := func(r int, row sweep.Row, journaled bool) {
+	// settle puts a settled row r into the job's accounts and, if keep
+	// is set, into its unjournaled rows: keep is unset for a row that
+	// /matrix renders as it is without them.
+	settle := func(r int, row sweep.Row, keep bool) {
 		ok := 0
 		for _, st := range row.Status {
 			if st == sweep.StatusOK {
@@ -821,10 +822,10 @@ func (s *Service) runJob(j *job) {
 			}
 		}
 		j.mu.Lock()
-		if journaled {
-			delete(j.unjournaled, r)
-		} else {
+		if keep {
 			j.unjournaled[r] = row
+		} else {
+			delete(j.unjournaled, r)
 		}
 		if !rowSeen[r] {
 			rowSeen[r] = true
@@ -839,16 +840,20 @@ func (s *Service) runJob(j *job) {
 	if prior := journal.Prior(); prior != nil {
 		for r, k := range j.res.kernels {
 			if pr := prior.Row(k.Name); pr >= 0 {
-				settle(r, rowOf(prior, pr), true)
+				settle(r, rowOf(prior, pr), false)
 			}
 		}
 	}
+	// A row the journal holds renders from it; so does a blank row,
+	// which renders as a kernel the journal lacks. On this path no
+	// journal record lies behind a blank row: each row settles once.
 	opts.OnRow = func(m *sweep.Matrix, r int) {
 		err := journal.AppendRow(m, r)
 		if err != nil {
 			s.cfg.Logf("serve: %s: journal: %v", j.id, err)
 		}
-		settle(r, rowOf(m, r), err == nil && m.RowComplete(r))
+		row := rowOf(m, r)
+		settle(r, row, (err != nil || !m.RowComplete(r)) && !row.Blank())
 	}
 
 	runStart := time.Now()
@@ -858,7 +863,7 @@ func (s *Service) runJob(j *job) {
 			JobID: j.id, Kernels: j.res.kernels, Space: j.res.space,
 			Engine: j.res.engine, Seed: j.spec.Seed, Noise: j.spec.Noise,
 			Journal: journal, Trace: j.trace,
-			OnRow: func(m *sweep.Matrix, r int) { settle(r, rowOf(m, r), m.RowComplete(r)) },
+			OnRow: func(m *sweep.Matrix, r int) { settle(r, rowOf(m, r), !m.RowComplete(r)) },
 		})
 	} else {
 		_, rep, err = sweep.Resume(ctx, j.res.kernels, j.res.space, opts, journal.Prior())

@@ -5,16 +5,20 @@ import (
 	"context"
 	"encoding/csv"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gpuscale/internal/fault"
 	"gpuscale/internal/gcn"
@@ -426,5 +430,124 @@ func TestOpenJournalRejectsForeignFile(t *testing.T) {
 	}
 	if string(data) != "do not overwrite me\n" {
 		t.Fatal("foreign file was modified")
+	}
+}
+
+// syntheticMatrix is a complete matrix of n kernels over space whose
+// every cell is an OK measurement unique to it.
+func syntheticMatrix(space hw.Space, n int) *Matrix {
+	m := &Matrix{Space: space}
+	for r := range n {
+		tput, tns := make([]float64, space.Size()), make([]float64, space.Size())
+		for c := range tput {
+			tput[c], tns[c] = 1+float64(r)/7+float64(c)/1000, 100+float64(r*space.Size()+c)/3
+		}
+		m.Kernels = append(m.Kernels, fmt.Sprintf("s/p/k%03d", r))
+		m.Throughput = append(m.Throughput, tput)
+		m.TimeNS = append(m.TimeNS, tns)
+		m.Bound = append(m.Bound, make([]gcn.Bound, space.Size()))
+		m.Status = append(m.Status, okRow(space.Size()))
+	}
+	return m
+}
+
+// failingReader serves data, then fails every read with err.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if len(f.data) == 0 {
+		return 0, f.err
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, nil
+}
+
+// checkJoined fails t unless the goroutine count is back to before (or
+// below it, if a goroutine an earlier test left has since ended). A
+// joined goroutine may still be leaving for a moment after its join, so
+// the count gets a short while to settle; a goroutine left blocked
+// never lets it.
+func checkJoined(t *testing.T, before int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%s: %d goroutines before the call, %d after", what, before, n)
+	}
+}
+
+// TestReadCSVBatchEdges: the loaders' two stages hand records over in
+// batches, so every kind of error — a bad number, a wrong field count,
+// a bare quote (encoding/csv's own error) and a failing reader — is
+// planted at the first and the last record of a batch and on the
+// file's last line, in files that end on a batch edge and past one.
+// Each must come back as the reference decoder's error, clean files as
+// its matrix, and every call must join its goroutine before it returns.
+func TestReadCSVBatchEdges(t *testing.T) {
+	space := tinySpace(t)
+	for _, kernels := range []int{4 * csvBatchRecords / space.Size(), 4*csvBatchRecords/space.Size() + 1} {
+		var buf bytes.Buffer
+		if err := syntheticMatrix(space, kernels).WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(buf.String(), "\n")
+		lines = lines[:len(lines)-1] // the empty string after the last newline
+		records := len(lines) - 1
+		mutate := func(i int, f func(fields []string) []string) string {
+			fields := strings.Split(strings.TrimSuffix(lines[1+i], "\n"), ",")
+			out := slices.Clone(lines)
+			out[1+i] = strings.Join(f(fields), ",") + "\n"
+			return strings.Join(out, "")
+		}
+		planted := map[string]func(i int) io.Reader{
+			"bad float": func(i int) io.Reader {
+				return strings.NewReader(mutate(i, func(f []string) []string { f[4] = "fast"; return f }))
+			},
+			"wrong field count": func(i int) io.Reader {
+				return strings.NewReader(mutate(i, func(f []string) []string { return f[:7] }))
+			},
+			"bare quote": func(i int) io.Reader {
+				return strings.NewReader(mutate(i, func(f []string) []string { f[0] = `s/p"/k`; return f }))
+			},
+			"failing reader": func(i int) io.Reader {
+				return &failingReader{data: []byte(strings.Join(lines[:1+i], "")), err: errors.New("disk on fire")}
+			},
+		}
+		for _, i := range []int{0, csvBatchRecords - 1, csvBatchRecords, 2*csvBatchRecords - 1, records - 1} {
+			for what, input := range planted {
+				for _, strict := range []bool{true, false} {
+					_, want := refReadCSV(input(i), space, strict)
+					if want == nil {
+						t.Fatalf("%s at record %d: the reference decoder accepts it", what, i)
+					}
+					load := ReadCSVPartial
+					if strict {
+						load = ReadCSV
+					}
+					before := runtime.NumGoroutine()
+					_, err := load(input(i), space)
+					checkJoined(t, before, fmt.Sprintf("%s at record %d of %d", what, i, records))
+					if err == nil || err.Error() != want.Error() {
+						t.Errorf("%s at record %d of %d, strict=%v: error %v, want %v", what, i, records, strict, err, want)
+					}
+				}
+			}
+		}
+		for _, strict := range []bool{true, false} {
+			before := runtime.NumGoroutine()
+			got, err := readCSV(bytes.NewReader(buf.Bytes()), space, strict)
+			checkJoined(t, before, fmt.Sprintf("a clean file of %d records", records))
+			want, werr := refReadCSV(bytes.NewReader(buf.Bytes()), space, strict)
+			if err != nil || werr != nil || !sameMatrix(got, want) {
+				t.Errorf("a clean file of %d records, strict=%v: %v (reference: %v), or the matrices differ", records, strict, err, werr)
+			}
+		}
 	}
 }

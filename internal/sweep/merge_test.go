@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -155,9 +156,12 @@ func TestWriteCanonicalJournalValidation(t *testing.T) {
 // canonical bytes. The CSV has never changed; the journal's bytes
 // changed once, by design, with journal v3's binary row records. The
 // CSV is also what WriteJournalCSV renders from the study's journal,
-// written in reverse kernel order as completion order may have it,
-// and the render allocates under 1 MB: it holds one row, not the 4 MB
-// journal or the 21 MB CSV.
+// written in reverse kernel order as completion order may have it.
+// Both writers render rows on up to GOMAXPROCS goroutines, so both
+// are pinned at 1, 2 and 8. A render holds one row per renderer, and
+// runs no more renderers than its budget of row text allows, so at
+// every GOMAXPROCS it allocates under 1 MB: rows, not the 4 MB journal
+// or the 21 MB CSV.
 func TestSeed1StudyPins(t *testing.T) {
 	entries := suites.AllEntries(suites.Corpus())
 	ks := make([]*kernel.Kernel, len(entries))
@@ -200,20 +204,31 @@ func TestSeed1StudyPins(t *testing.T) {
 	if err := os.WriteFile(path, journal, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err = WriteJournalCSV(h, path, m.Space, m.Kernels, nil)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != csvPin {
-		t.Errorf("seed-1 journal renders to sha256 %s, want %s", got, csvPin)
-	}
-	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("rendering the seed-1 journal allocated %d bytes", alloc)
-	if alloc >= 1<<20 {
-		t.Errorf("rendering the %d-byte seed-1 journal allocated %d bytes, want under 1 MB", len(journal), alloc)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		written := sha256.New()
+		if err := m.WriteCSV(written); err != nil {
+			t.Fatal(err)
+		}
+		rendered := sha256.New()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = WriteJournalCSV(rendered, path, m.Space, m.Kernels, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, h := range map[string]hash.Hash{"matrix": written, "journal": rendered} {
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != csvPin {
+				t.Errorf("GOMAXPROCS %d: the seed-1 %s writes to sha256 %s, want %s", procs, what, got, csvPin)
+			}
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("GOMAXPROCS %d: rendering the seed-1 journal allocated %d bytes", procs, alloc)
+		if alloc >= 1<<20 {
+			t.Errorf("GOMAXPROCS %d: rendering the %d-byte seed-1 journal allocated %d bytes, want under 1 MB",
+				procs, len(journal), alloc)
+		}
 	}
 }

@@ -8,14 +8,16 @@ package sweep
 // journal plus those rows is the job's matrix, so WriteJournalCSV
 // renders it as WriteCSV renders a Matrix without building one: it
 // walks the journal's frames where they lie to find each kernel's last
-// record, then unpacks and writes one row at a time, in job order. It
-// reads the file through a descriptor of its own, so a render takes no
-// lock of an open Journal's and never stalls an append.
+// record, then unpacks and renders one row per renderer at a time,
+// and writes the rows in job order. It reads the file through a
+// descriptor of its own, so a render takes no lock of an open
+// Journal's and never stalls an append.
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"gpuscale/internal/durable"
@@ -41,7 +43,11 @@ type Row struct {
 // not yet settled. The file must be a v3 journal of space or what a
 // crash left of one; a file without a clean space record holds no
 // rows. Nothing is written to w before the journal's head is read, so
-// a missing, refused or unreadable journal leaves w untouched.
+// a missing, refused or unreadable journal leaves w untouched. Rows
+// render as WriteCSV's do, on up to runtime.GOMAXPROCS(0) goroutines,
+// each with its own frame buffer, joined before WriteJournalCSV
+// returns; only the calling goroutine writes to w, and a record that
+// changed during the render stops it with the rows before it written.
 func WriteJournalCSV(w io.Writer, path string, space hw.Space, kernels []string, unjournaled map[int]Row) error {
 	nCfg := space.Size()
 	if nCfg == 0 {
@@ -62,28 +68,44 @@ func WriteJournalCSV(w io.Writer, path string, space hw.Space, kernels []string,
 	if err != nil {
 		return fmt.Errorf("sweep: rendering %s: %w", path, err)
 	}
-	out, err := newCSVRows(w, space)
-	if err != nil {
-		return err
-	}
 	canceled := newRow(nCfg, StatusCanceled)
-	journaled := newRow(nCfg, StatusOK)
-	for r, name := range kernels {
-		row, ok := unjournaled[r]
-		if !ok {
-			row = canceled
-			if off, ok := ix.last[name]; ok {
-				if err := ix.unpack(off, name, journaled); err != nil {
-					return fmt.Errorf("sweep: rendering %s: %w", path, err)
-				}
-				row = journaled
+	return writeRows(w, space, kernels, func() rowFunc {
+		// A renderer's own frame buffer, as large as the largest
+		// record, and planes to unpack into.
+		fr := &frameReader{f: f, size: ix.size, buf: make([]byte, ix.largest)}
+		journaled := newRow(nCfg, StatusOK)
+		return func(r int) (Row, error) {
+			if row, ok := unjournaled[r]; ok {
+				return row, nil
 			}
+			off, ok := ix.last[kernels[r]]
+			if !ok {
+				return canceled, nil
+			}
+			if err := fr.unpack(off, kernels[r], journaled); err != nil {
+				return Row{}, fmt.Errorf("sweep: rendering %s: %w", path, err)
+			}
+			return journaled, nil
 		}
-		if err := out.row(name, row.Throughput, row.TimeNS, row.Bound, row.Status); err != nil {
-			return err
+	})
+}
+
+// Blank reports whether row is, bit for bit, a canceled row of zeros:
+// the row WriteJournalCSV renders for a kernel that neither the journal
+// nor the unjournaled rows hold. Where no journal record lies behind
+// it, a blank row renders the same whether its owner keeps it or not.
+func (row Row) Blank() bool {
+	n := len(row.Status)
+	if len(row.Throughput) != n || len(row.TimeNS) != n || len(row.Bound) != n {
+		return false
+	}
+	for c, st := range row.Status {
+		if st != StatusCanceled || math.Float64bits(row.Throughput[c]) != 0 ||
+			math.Float64bits(row.TimeNS[c]) != 0 || row.Bound[c] != 0 {
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
 // newRow returns a row of zeros whose every cell has status st.
@@ -99,10 +121,16 @@ func newRow(nCfg int, st CellStatus) Row {
 // journalIndex is where, in a journal file's clean prefix, the last
 // record of each kernel lies.
 type journalIndex struct {
+	frameReader
+	last    map[string]int64 // the offset of a kernel's last record
+	largest int64            // the size of the largest row record's frame
+}
+
+// frameReader reads the frames of a journal file through one buffer.
+type frameReader struct {
 	f    *os.File
-	size int64            // the file's size when the walk began
-	last map[string]int64 // the offset of a kernel's last record
-	buf  []byte           // one frame's bytes
+	size int64  // the file's size when the walk began
+	buf  []byte // one frame's bytes
 }
 
 // indexJournal walks f's frames as recovery scans them (scanJournal),
@@ -115,7 +143,7 @@ func indexJournal(f *os.File, space hw.Space) (*journalIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &journalIndex{f: f, size: fi.Size(), last: map[string]int64{}, buf: make([]byte, 4<<10)}
+	ix := &journalIndex{frameReader: frameReader{f: f, size: fi.Size(), buf: make([]byte, 4<<10)}, last: map[string]int64{}}
 	n, err := f.ReadAt(ix.buf[:len(journalMagic)], 0)
 	if err != nil && err != io.EOF {
 		return nil, err
@@ -150,6 +178,7 @@ func indexJournal(f *os.File, space hw.Space) (*journalIndex, error) {
 			break
 		}
 		ix.last[string(name)] = off
+		ix.largest = max(ix.largest, next-off)
 		off = next
 	}
 	return ix, nil
@@ -161,26 +190,26 @@ func indexJournal(f *os.File, space hw.Space) (*journalIndex, error) {
 // not a whole frame. It reads a frame the buffer cannot hold whole only
 // when the file does, so a length field never sizes an allocation past
 // the file.
-func (ix *journalIndex) frame(off int64) (payload []byte, next int64, reason string, err error) {
-	n, err := ix.f.ReadAt(ix.buf, off)
+func (fr *frameReader) frame(off int64) (payload []byte, next int64, reason string, err error) {
+	n, err := fr.f.ReadAt(fr.buf, off)
 	if err != nil && err != io.EOF {
 		return nil, 0, "", err
 	}
-	if size, ok := durable.FrameSize(ix.buf[:n]); ok && size > int64(n) && off+size <= ix.size {
+	if size, ok := durable.FrameSize(fr.buf[:n]); ok && size > int64(n) && off+size <= fr.size {
 		// Room for a few more bytes of kernel name in the frames to come.
-		ix.buf = make([]byte, size+size/8)
-		if n, err = ix.f.ReadAt(ix.buf, off); err != nil && err != io.EOF {
+		fr.buf = make([]byte, size+size/8)
+		if n, err = fr.f.ReadAt(fr.buf, off); err != nil && err != io.EOF {
 			return nil, 0, "", err
 		}
 	}
-	payload, next, reason = durable.Parse(ix.buf[:n], 0)
+	payload, next, reason = durable.Parse(fr.buf[:n], 0)
 	return payload, off + next, reason, nil
 }
 
 // unpack reads the record at off, which the walk found to be name's
 // last, into row's planes.
-func (ix *journalIndex) unpack(off int64, name string, row Row) error {
-	payload, _, why, err := ix.frame(off)
+func (fr *frameReader) unpack(off int64, name string, row Row) error {
+	payload, _, why, err := fr.frame(off)
 	if err != nil {
 		return err
 	}

@@ -3,9 +3,14 @@ package sweep
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -267,5 +272,149 @@ func journalSeeds(f *testing.F, space hw.Space) [][]byte {
 		nil,                       // empty
 		refV2Journal(f, m),        // v2, the seeds in testdata/ are v2 too
 		append(full, durable.Frame([]byte("\x01x"))...), // a record that is no row
+	}
+}
+
+// failingWriter passes its first n writes to w and fails every later
+// one, counting the writes it refused.
+type failingWriter struct {
+	w       io.Writer
+	n       int
+	refused int
+}
+
+var errWriterFull = errors.New("writer full")
+
+func (f *failingWriter) Write(b []byte) (int, error) {
+	if f.n == 0 {
+		f.refused++
+		return 0, errWriterFull
+	}
+	f.n--
+	return f.w.Write(b)
+}
+
+// hookWriter calls hook before its first write.
+type hookWriter struct {
+	w    io.Writer
+	hook func()
+}
+
+func (h *hookWriter) Write(b []byte) (int, error) {
+	if h.hook != nil {
+		h.hook()
+		h.hook = nil
+	}
+	return h.w.Write(b)
+}
+
+// TestWriteRowsStopsAtFailure: rows render in parallel but reach w in
+// order, so a failure at row k — a writer that refuses row k, a row
+// whose planes are short, or row k's journal record changed under the
+// render — returns its error with exactly the rows before k written
+// and nothing after, and every call, failed or not, joins its
+// renderers before it returns, whatever the renderer count.
+func TestWriteRowsStopsAtFailure(t *testing.T) {
+	space := tinySpace(t)
+	m := syntheticMatrix(space, 40)
+	want := matrixBytes(t, m)
+	path := filepath.Join(t.TempDir(), "job.journal")
+	writeJournal := func() {
+		image, err := CanonicalJournalBytes(m, m.Kernels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// rows is the header and m's rows before k, as WriteCSV writes them.
+	rows := func(k int) []byte {
+		return want[:bytes.Index(want, []byte(m.Kernels[k]+","))]
+	}
+	renders := map[string]func(io.Writer) error{
+		"WriteCSV":        m.WriteCSV,
+		"WriteJournalCSV": func(w io.Writer) error { return WriteJournalCSV(w, path, space, m.Kernels, nil) },
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		writeJournal()
+		for what, render := range renders {
+			var got bytes.Buffer
+			before := runtime.NumGoroutine()
+			err := render(&got)
+			checkJoined(t, before, fmt.Sprintf("%s, GOMAXPROCS %d", what, procs))
+			if err != nil || !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s, GOMAXPROCS %d: error %v, %d bytes; want the matrix's %d bytes", what, procs, err, got.Len(), len(want))
+			}
+		}
+		for _, k := range []int{0, 1, procs, 39} {
+			writeJournal()
+			for what, render := range renders {
+				var got bytes.Buffer
+				fw := &failingWriter{w: &got, n: 1 + k}
+				before := runtime.NumGoroutine()
+				err := render(fw)
+				checkJoined(t, before, fmt.Sprintf("%s refused at row %d, GOMAXPROCS %d", what, k, procs))
+				if !errors.Is(err, errWriterFull) || fw.refused != 1 || !bytes.Equal(got.Bytes(), rows(k)) {
+					t.Errorf("%s refused at row %d, GOMAXPROCS %d: error %v, %d refused writes, %d bytes written; want the writer's error, one refused write and the %d bytes before row %d",
+						what, k, procs, err, fw.refused, got.Len(), len(rows(k)), k)
+				}
+			}
+			// A row whose planes are short stops the write where a
+			// renderer would have indexed past them.
+			short := &Matrix{Space: space, Kernels: m.Kernels, Throughput: m.Throughput,
+				TimeNS: slices.Clone(m.TimeNS), Bound: m.Bound, Status: m.Status}
+			short.TimeNS[k] = short.TimeNS[k][:space.Size()-1]
+			var shortGot bytes.Buffer
+			before := runtime.NumGoroutine()
+			err := short.WriteCSV(&shortGot)
+			checkJoined(t, before, fmt.Sprintf("row %d short, GOMAXPROCS %d", k, procs))
+			if err == nil || !bytes.Equal(shortGot.Bytes(), rows(k)) {
+				t.Errorf("row %d short, GOMAXPROCS %d: error %v, %d bytes written; want an error and the %d bytes before row %d",
+					k, procs, err, shortGot.Len(), len(rows(k)), k)
+			}
+			// Row k's record, and every record after it, is cut off
+			// once the header is written: the renderers start after.
+			cut, err := CanonicalJournalBytes(m, m.Kernels[:k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			cutter := &hookWriter{w: &got, hook: func() {
+				if err := os.Truncate(path, int64(len(cut))); err != nil {
+					t.Error(err)
+				}
+			}}
+			before = runtime.NumGoroutine()
+			err = WriteJournalCSV(cutter, path, space, m.Kernels, nil)
+			checkJoined(t, before, fmt.Sprintf("record %d cut, GOMAXPROCS %d", k, procs))
+			if err == nil || !strings.Contains(err.Error(), "record for "+m.Kernels[k]+" ") || !bytes.Equal(got.Bytes(), rows(k)) {
+				t.Errorf("record %d cut under the render, GOMAXPROCS %d: error %v, %d bytes written; want row %d's error and the %d bytes before it",
+					k, procs, err, got.Len(), k, len(rows(k)))
+			}
+		}
+	}
+}
+
+// TestRowBlank: a row is blank only when it is, bit for bit, the
+// canceled row of zeros a render gives a kernel nothing holds.
+func TestRowBlank(t *testing.T) {
+	if !newRow(4, StatusCanceled).Blank() {
+		t.Error("a canceled row of zeros is not blank")
+	}
+	for what, spoil := range map[string]func(*Row){
+		"a failed cell":      func(r *Row) { r.Status[1] = StatusFailed },
+		"a negative zero":    func(r *Row) { r.Throughput[2] = math.Copysign(0, -1) },
+		"a measured time":    func(r *Row) { r.TimeNS[3] = 1 },
+		"a bound":            func(r *Row) { r.Bound[0] = 1 },
+		"a short time plane": func(r *Row) { r.TimeNS = r.TimeNS[:3] },
+	} {
+		row := newRow(4, StatusCanceled)
+		spoil(&row)
+		if row.Blank() {
+			t.Errorf("a canceled row with %s is blank", what)
+		}
 	}
 }
