@@ -314,10 +314,16 @@ func run(ctx context.Context, o cliOptions) (salvaged bool, err error) {
 	var journal *sweep.Journal
 	var prior *sweep.Matrix
 	if o.resume {
-		var jopts sweep.JournalOptions
-		if in.TornWriteRate > 0 {
-			jopts.WrapWriter = in.WrapWriter
-		}
+		// Each group append is one span and one count; a failed one
+		// costs its rows, which the run then reports incomplete.
+		jopts := sweep.JournalOptions{WrapWriter: in.WrapWriter, OnAppend: func(g sweep.GroupAppend) {
+			if tel != nil {
+				tel.JournalAppend(g)
+			}
+			if g.Err != nil {
+				fmt.Fprintln(os.Stderr, "gpusweep: journal:", g.Err)
+			}
+		}}
 		var err error
 		journal, err = sweep.OpenJournalWith(o.out, space, jopts)
 		if err != nil {
@@ -335,19 +341,27 @@ func run(ctx context.Context, o cliOptions) (salvaged bool, err error) {
 			}
 		}
 		prior = journal.Prior()
+		// A worker encodes its complete row and queues it for the
+		// journal's next group append; it never waits for the fsync.
 		opts.OnRow = func(m *sweep.Matrix, r int) {
-			start := time.Now()
-			err := journal.AppendRow(m, r)
-			if tel != nil {
-				tel.JournalAppend(m.Kernels[r], time.Since(start), err)
+			if !m.RowComplete(r) {
+				return
 			}
+			rec, err := sweep.EncodeRow(m, r)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "gpusweep: journal:", err)
+				return
 			}
+			journal.Commit(rec, nil)
 		}
 	}
 
 	m, rep, err := sweep.Resume(ctx, ks, space, opts, prior)
+	if journal != nil {
+		// Every queued row is appended, and its span emitted, before the
+		// trace is flushed and the journal verified.
+		journal.Flush()
+	}
 	if rep != nil {
 		// Accounting is printed on every path — success, cancel, or
 		// error — so no run ends as a black box.

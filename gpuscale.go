@@ -199,9 +199,12 @@ func ResumeSweep(ctx context.Context, ks []*Kernel, space Space, opts SweepOptio
 	return sweep.Resume(ctx, ks, space, opts, prior)
 }
 
-// OpenSweepJournal opens or creates a row-level sweep checkpoint file;
-// wire its AppendRow into SweepOptions.OnRow and pass Prior to
-// ResumeSweep to make long sweeps crash-safe.
+// OpenSweepJournal opens or creates a row-level sweep checkpoint file.
+// To make a long sweep crash-safe, wire its AppendRow into
+// SweepOptions.OnRow, pass Prior to ResumeSweep, and Close the journal
+// once the sweep returns. AppendRow returns once its row is fsynced;
+// rows that finish together share one write and one fsync, through the
+// journal's group committer (Commit, Flush).
 func OpenSweepJournal(path string, space Space) (*SweepJournal, error) {
 	return sweep.OpenJournal(path, space)
 }

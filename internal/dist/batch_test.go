@@ -503,7 +503,12 @@ func TestBatchCountsScaleWithBatches(t *testing.T) {
 // TestLongPollAcquireWakesOnChange: an acquire that finds no work waits
 // on the change signal, so a worker already waiting gets a newly added
 // job's first row as AddJob lands, not after an idle poll; and Run
-// returns as its last row is accepted.
+// returns as its last row is accepted. Each clock starts at the event
+// under test — the job registered, the last row accepted — and stops
+// where the woken goroutine stamps its return, so neither bound times
+// the job's set-up or the test's own scheduling. A wake by the
+// long-poll timer instead would land about 400 ms after the job is
+// added, far past the 100 ms bound.
 func TestLongPollAcquireWakesOnChange(t *testing.T) {
 	clk := newTestClock()
 	dir := t.TempDir()
@@ -533,8 +538,8 @@ func TestLongPollAcquireWakesOnChange(t *testing.T) {
 	default:
 	}
 	job := withJournal(t, dir, testJob(t, "j", 1))
-	added := time.Now()
 	done := runInBackground(t, context.Background(), c, job)
+	added := time.Now()
 	a := <-got
 	if a.err != nil || len(a.leases) != 1 {
 		t.Fatalf("the waiting acquire got %d leases, %v; want the new job's row", len(a.leases), a.err)
@@ -551,7 +556,7 @@ func TestLongPollAcquireWakesOnChange(t *testing.T) {
 	if res.err != nil || !reportFor(res.m, nil).Complete() {
 		t.Fatalf("Run = %v", res.err)
 	}
-	if d := time.Since(accepted); d > 100*time.Millisecond {
+	if d := res.at.Sub(accepted); d > 100*time.Millisecond {
 		t.Fatalf("Run returned %v after the last accept", d)
 	}
 

@@ -627,7 +627,7 @@ func runInBackground(t *testing.T, ctx context.Context, c *Coordinator, job Job)
 	done := make(chan runResult, 1)
 	go func() {
 		m, rep, err := c.Run(ctx, job)
-		done <- runResult{m, rep, err}
+		done <- runResult{m, rep, err, time.Now()}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -645,6 +645,7 @@ type runResult struct {
 	m   *sweep.Matrix
 	rep *sweep.RunReport
 	err error
+	at  time.Time // when Run returned
 }
 
 // TestCanceledRunLeavesCoordinator: once Run returns context.Canceled

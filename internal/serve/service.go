@@ -770,20 +770,6 @@ func (s *Service) runJob(j *job) {
 	j.mu.Unlock()
 	defer cancel()
 
-	var jopts sweep.JournalOptions
-	if s.cfg.Injector.TornWriteRate > 0 {
-		jopts.WrapWriter = s.cfg.Injector.WrapWriter
-	}
-	journal, err := sweep.OpenJournalWith(s.journalPath(j.id), j.res.space, jopts)
-	if err != nil {
-		s.finish(j, StateFailed, fmt.Sprintf("opening journal: %v", err), "")
-		return
-	}
-	defer journal.Close()
-	if rep := journal.Salvage(); rep != nil && rep.DroppedBytes > 0 {
-		s.cfg.Logf("serve: %s: journal salvaged: dropped %d bytes (%s)", j.id, rep.DroppedBytes, rep.Reason)
-	}
-
 	opts := sweep.Options{
 		Workers:     s.cfg.SweepWorkers,
 		Engine:      j.res.engine,
@@ -797,13 +783,35 @@ func (s *Service) runJob(j *job) {
 	if s.cfg.Injector.Active() {
 		opts.Row = s.cfg.Injector.WrapRow(j.res.engine.Row())
 	}
+	var tel *sweep.Telemetry
 	if s.cfg.Sink != nil {
-		// The local executor's row and retry events join the job's
-		// trace; a distributed Fleet.RunSweep gets the same identity via
-		// req.Trace instead (its workers emit their own events).
-		tel := sweep.NewTelemetry(s.reg, s.cfg.Sink)
+		// The local executor's row and retry events, and the journal's
+		// group appends, join the job's trace as children of its span; a
+		// distributed Fleet.RunSweep gets the same identity via req.Trace
+		// instead (its workers emit their own events).
+		tel = sweep.NewTelemetry(s.reg, s.cfg.Sink)
 		tel.SetSpanContext(j.trace)
 		opts.Observer = tel
+	}
+	// The injector's writer faults, torn writes and write errors alike,
+	// reach every journal; with neither rate set WrapWriter is the
+	// identity.
+	jopts := sweep.JournalOptions{WrapWriter: s.cfg.Injector.WrapWriter, OnAppend: func(g sweep.GroupAppend) {
+		if g.Err != nil {
+			s.cfg.Logf("serve: %s: journal: %v", j.id, g.Err)
+		}
+		if tel != nil {
+			tel.JournalAppend(g)
+		}
+	}}
+	journal, err := sweep.OpenJournalWith(s.journalPath(j.id), j.res.space, jopts)
+	if err != nil {
+		s.finish(j, StateFailed, fmt.Sprintf("opening journal: %v", err), "")
+		return
+	}
+	defer journal.Close()
+	if rep := journal.Salvage(); rep != nil && rep.DroppedBytes > 0 {
+		s.cfg.Logf("serve: %s: journal salvaged: dropped %d bytes (%s)", j.id, rep.DroppedBytes, rep.Reason)
 	}
 	// A distributed executor may deliver the same row more than once —
 	// a retracted byzantine complete followed by the healthy worker's
@@ -844,16 +852,26 @@ func (s *Service) runJob(j *job) {
 			}
 		}
 	}
-	// A row the journal holds renders from it; so does a blank row,
-	// which renders as a kernel the journal lacks. On this path no
-	// journal record lies behind a blank row: each row settles once.
+	// A worker encodes its complete row and queues it for the journal's
+	// next group append; the row settles only in its callback, once its
+	// group is durable, and stays unjournaled if the append failed. Any
+	// other row settles at once. A row the journal holds renders from
+	// it; so does a blank row, which renders as a kernel the journal
+	// lacks. On this path no journal record lies behind a blank row:
+	// each row settles once.
 	opts.OnRow = func(m *sweep.Matrix, r int) {
-		err := journal.AppendRow(m, r)
+		row := rowOf(m, r)
+		if !m.RowComplete(r) {
+			settle(r, row, !row.Blank())
+			return
+		}
+		rec, err := sweep.EncodeRow(m, r)
 		if err != nil {
 			s.cfg.Logf("serve: %s: journal: %v", j.id, err)
+			settle(r, row, true)
+			return
 		}
-		row := rowOf(m, r)
-		settle(r, row, (err != nil || !m.RowComplete(r)) && !row.Blank())
+		journal.Commit(rec, func(err error) { settle(r, row, err != nil) })
 	}
 
 	runStart := time.Now()
@@ -868,6 +886,9 @@ func (s *Service) runJob(j *job) {
 	} else {
 		_, rep, err = sweep.Resume(ctx, j.res.kernels, j.res.space, opts, journal.Prior())
 	}
+	// Every queued row settles before the run's outcome is decided, so
+	// the terminal record carries each row whose group append failed.
+	journal.Flush()
 	summary := ""
 	if rep != nil {
 		summary = rep.Summary()

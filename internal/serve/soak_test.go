@@ -2,8 +2,9 @@ package serve
 
 // Chaos soak: concurrent clients hammer the service over real HTTP
 // while the fault injector breaks simulations (errors, panics,
-// latency) and the daemon is drained and restarted mid-soak. The
-// invariants under test are the service's whole contract:
+// latency) and tears journal writes, and the daemon is drained and
+// restarted mid-soak. The invariants under test are the service's
+// whole contract:
 //
 //   - no admitted job is lost: every 202'd ID ends terminal
 //   - no job completes twice: exactly one terminal record per ID
@@ -49,12 +50,18 @@ func TestChaosSoak(t *testing.T) {
 		Retries:      3,
 		Backoff:      time.Millisecond,
 		DrainGrace:   50 * time.Millisecond,
+		// Torn journal writes fail whole group appends, whose rows the
+		// terminal records then carry, across the drain and restart. A
+		// journal's tears follow its own write count, so every journal
+		// tears at the same writes: at seed 3 and rate 0.1 a fresh
+		// journal's header lands and its first group append tears.
 		Injector: fault.Injector{
-			ErrorRate:   0.05,
-			PanicRate:   0.01,
-			LatencyRate: 0.5,
-			Latency:     2 * time.Millisecond,
-			Seed:        11,
+			ErrorRate:     0.05,
+			PanicRate:     0.01,
+			LatencyRate:   0.5,
+			Latency:       2 * time.Millisecond,
+			TornWriteRate: 0.1,
+			Seed:          3,
 		},
 	}
 	spec := testSpec(t)

@@ -21,10 +21,12 @@ package sweep
 // wrong space); every later record is one completed kernel row.
 // Recovery scans records in order and truncates the file at the first
 // framing, checksum, parse, or validation failure instead of erroring
-// — a torn tail costs at most the row that was being written. The
-// frame, the fsynced self-healing append and the atomic rewrite are
-// internal/durable's; this file owns the payloads and what recovery
-// makes of them.
+// — a torn tail costs at most the append that was being written. An
+// append is one write and one fsync of one or more whole records: a
+// group of rows the journal's committer took together (Commit), or a
+// fleet batch (AppendRecord). The frame, the fsynced self-healing
+// append and the atomic rewrite are internal/durable's; this file owns
+// the payloads and what recovery makes of them.
 //
 // v2 journals (journalv2.go) and v1 CSV journals (and completed
 // WriteCSV archives) are still accepted: their complete rows are
@@ -41,6 +43,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"time"
 
 	"gpuscale/internal/durable"
 	"gpuscale/internal/gcn"
@@ -90,20 +93,54 @@ type JournalOptions struct {
 	// appends through. It exists so fault injection (torn writes) can
 	// interpose deterministically; see fault.Injector.WrapWriter.
 	WrapWriter func(io.Writer) io.Writer
+	// OnAppend, if non-nil, hears about each group append the journal's
+	// committer makes (see Commit): on the committer's goroutine, after
+	// the write and fsync and before the group's callbacks run.
+	OnAppend func(GroupAppend)
+}
+
+// GroupAppend describes one group append: one write and one fsync of
+// Rows row records, Bytes framed bytes in all, that began at Start and
+// took Took. Err is the append's error; the file then holds none of
+// the group.
+type GroupAppend struct {
+	Rows, Bytes int
+	Start       time.Time
+	Took        time.Duration
+	Err         error
 }
 
 // Journal is an append-only, checksummed checkpoint log for a sweep:
 // completed kernel rows are framed, CRC'd and fsynced as they finish,
-// and reopening the file recovers them — salvaging past any torn or
-// corrupt tail — so a Resume only recomputes what is missing.
+// as many to an append as are waiting, and reopening the file recovers
+// them — salvaging past any torn or corrupt tail — so a Resume only
+// recomputes what is missing.
 type Journal struct {
-	path    string
-	space   hw.Space
-	prior   *Matrix
-	salvage *SalvageReport
+	path     string
+	space    hw.Space
+	prior    *Matrix
+	salvage  *SalvageReport
+	onAppend func(GroupAppend)
 
 	mu  sync.Mutex
 	log *durable.Log
+
+	// The committer's state, under cmu: the rows Commit queued, and,
+	// while a committer runs, the channel it closes as it exits. buf is
+	// the running committer's frame buffer, kept from group to group.
+	cmu   sync.Mutex
+	queue []queued
+	idle  chan struct{}
+	buf   []byte
+}
+
+// queued is one row waiting for the committer: its record, its
+// callback, and the error it settles with when it cannot go into this
+// journal at all.
+type queued struct {
+	rec  RowRecord
+	done func(error)
+	err  error
 }
 
 // OpenJournal opens or creates a sweep journal at path. An existing
@@ -129,7 +166,7 @@ func OpenJournalWith(path string, space hw.Space, opts JournalOptions) (*Journal
 	if err != nil {
 		return nil, fmt.Errorf("sweep: opening journal: %w", err)
 	}
-	j := &Journal{path: path, space: space, log: log}
+	j := &Journal{path: path, space: space, log: log, onAppend: opts.OnAppend}
 	switch {
 	case data == nil:
 		if torn > 0 {
@@ -552,10 +589,11 @@ func (j *Journal) Image() ([]byte, error) {
 
 // AppendRow checkpoints row r of m if — and only if — every cell is
 // StatusOK: rows with failed, stalled or quarantined cells are left
-// out so the next Resume recomputes them. Safe for concurrent use;
-// matches the Options.OnRow signature via a closure. The record is
-// fsynced before AppendRow returns, and a failed or torn write is
-// rolled back so the file stays clean.
+// out so the next Resume recomputes them. It commits the row's record
+// (Commit) and waits for its group: the record is fsynced before
+// AppendRow returns, and a failed or torn write is rolled back so the
+// file stays clean. Safe for concurrent use, and concurrent calls
+// share appends; matches the Options.OnRow signature via a closure.
 func (j *Journal) AppendRow(m *Matrix, r int) error {
 	if !m.RowComplete(r) {
 		return nil
@@ -564,8 +602,99 @@ func (j *Journal) AppendRow(m *Matrix, r int) error {
 	if err != nil {
 		return err
 	}
-	_, err = j.AppendRecord(rec)
-	return err
+	done := make(chan error, 1)
+	j.Commit(rec, func(err error) { done <- err })
+	return <-done
+}
+
+// Commit queues rec, one complete row's record (EncodeRow) of this
+// journal's configuration space, for the journal's next group append
+// and returns at once. One committer goroutine per journal, started
+// when a row is queued and none runs and gone once the queue is empty,
+// frames everything queued into one write and one fsync, then calls
+// each queued row's done, in queue order, with that append's error:
+// nil once the row is durable, or the error after which the file holds
+// none of the group. A group is whatever is queued when the previous
+// one's callbacks have returned; nothing waits for more rows.
+//
+// done may be nil. It runs on the committer's goroutine and holds up
+// the next group, so it must return promptly, and it must not append
+// to its own journal, flush it or close it: AppendRow, Flush and Close
+// wait for the very goroutine that runs it. Safe for concurrent use.
+func (j *Journal) Commit(rec RowRecord, done func(error)) {
+	q := queued{rec: rec, done: done, err: j.fits(rec)}
+	j.cmu.Lock()
+	defer j.cmu.Unlock()
+	j.queue = append(j.queue, q)
+	if j.idle == nil {
+		j.idle = make(chan struct{})
+		go j.commit(j.idle)
+	}
+}
+
+// commit is the committer: it appends what is queued as one group and
+// runs the group's callbacks until it finds the queue empty, then
+// closes idle.
+func (j *Journal) commit(idle chan struct{}) {
+	defer close(idle)
+	for {
+		j.cmu.Lock()
+		group := j.queue
+		j.queue = nil
+		if len(group) == 0 {
+			j.idle = nil
+			j.cmu.Unlock()
+			return
+		}
+		j.cmu.Unlock()
+		j.appendGroup(group)
+		for _, q := range group {
+			if q.done != nil {
+				q.done(q.err)
+			}
+		}
+	}
+}
+
+// appendGroup frames every record of group that fits the journal into
+// one append and gives each of them that append's error.
+func (j *Journal) appendGroup(group []queued) {
+	start := time.Now()
+	b, rows, first := j.buf[:0], 0, ""
+	for _, q := range group {
+		if q.err == nil {
+			if rows == 0 {
+				first = q.rec.kernel
+			}
+			b = durable.AppendFrame(b, q.rec.payload)
+			rows++
+		}
+	}
+	j.buf = b
+	if rows == 0 {
+		return
+	}
+	err := j.write(b, first, rows)
+	if j.onAppend != nil {
+		j.onAppend(GroupAppend{Rows: rows, Bytes: len(b), Start: start, Took: time.Since(start), Err: err})
+	}
+	for i := range group {
+		if group[i].err == nil {
+			group[i].err = err
+		}
+	}
+}
+
+// Flush waits until every row queued before it has been appended and
+// its callback has returned; rows queued meanwhile may keep it waiting.
+// Once it returns, no committer goroutine is left behind those rows.
+func (j *Journal) Flush() {
+	j.cmu.Lock()
+	idle := j.idle
+	j.cmu.Unlock()
+	if idle != nil {
+		<-idle
+	}
 }
 
 // AppendRecord frames row records and appends them in one write and
@@ -576,33 +705,52 @@ func (j *Journal) AppendRow(m *Matrix, r int) error {
 func (j *Journal) AppendRecord(recs ...RowRecord) ([]byte, error) {
 	size := 0
 	for _, rec := range recs {
-		size += len(rec.payload) + 21 // the frame's CRC, length and separators
-	}
-	framed := make([]byte, 0, size)
-	for _, rec := range recs {
-		if rec.payload == nil || rec.cells != j.space.Size() {
-			return nil, fmt.Errorf("sweep: journaling %s: record holds %d cells, the journal's space has %d",
-				rec.kernel, rec.cells, j.space.Size())
+		if err := j.fits(rec); err != nil {
+			return nil, err
 		}
-		framed = durable.AppendFrame(framed, rec.payload)
+		size += len(rec.payload) + 21 // the frame's CRC, length and separators
 	}
 	if len(recs) == 0 {
 		return nil, nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.log.Append(framed); err != nil {
-		what := recs[0].kernel
-		if len(recs) > 1 {
-			what = fmt.Sprintf("%d rows from %s", len(recs), what)
-		}
-		return nil, fmt.Errorf("sweep: journaling %s: %w", what, err)
+	framed := make([]byte, 0, size)
+	for _, rec := range recs {
+		framed = durable.AppendFrame(framed, rec.payload)
+	}
+	if err := j.write(framed, recs[0].kernel, len(recs)); err != nil {
+		return nil, err
 	}
 	return framed, nil
 }
 
-// Close closes the journal file.
+// fits reports why rec cannot go into this journal, or nil.
+func (j *Journal) fits(rec RowRecord) error {
+	if rec.payload == nil || rec.cells != j.space.Size() {
+		return fmt.Errorf("sweep: journaling %s: record holds %d cells, the journal's space has %d",
+			rec.kernel, rec.cells, j.space.Size())
+	}
+	return nil
+}
+
+// write appends framed, the frames of rows records from first on, in
+// one write and one fsync.
+func (j *Journal) write(framed []byte, first string, rows int) error {
+	j.mu.Lock()
+	err := j.log.Append(framed)
+	j.mu.Unlock()
+	if err != nil {
+		what := first
+		if rows > 1 {
+			what = fmt.Sprintf("%d rows from %s", rows, first)
+		}
+		return fmt.Errorf("sweep: journaling %s: %w", what, err)
+	}
+	return nil
+}
+
+// Close flushes the journal (Flush), then closes its file.
 func (j *Journal) Close() error {
+	j.Flush()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.log.Close()

@@ -70,9 +70,13 @@ const (
 	// MetricQueueWait is a histogram of row queue wait in seconds
 	// (sweep start to worker pickup).
 	MetricQueueWait = "sweep_queue_wait_seconds"
-	// MetricJournalAppends counts journal row checkpoints.
+	// MetricJournalAppends counts journal appends, each one write and
+	// one fsync of one or more rows.
 	MetricJournalAppends = "sweep_journal_appends_total"
-	// MetricJournalErrors counts failed journal checkpoints.
+	// MetricJournalRows counts the rows those appends carried, so rows
+	// per append is its ratio to MetricJournalAppends.
+	MetricJournalRows = "sweep_journal_rows_total"
+	// MetricJournalErrors counts failed journal appends.
 	MetricJournalErrors = "sweep_journal_errors_total"
 	// MetricBreakerTrips counts kernel rows whose circuit breaker
 	// opened (Options.Breaker consecutive hard failures).
@@ -122,6 +126,7 @@ type Telemetry struct {
 	breakerTrips    *obs.Counter
 	queueWait       *obs.Histogram
 	journalAppends  *obs.Counter
+	journalRows     *obs.Counter
 	journalErrors   *obs.Counter
 
 	progress  *obs.Progress
@@ -160,8 +165,9 @@ func NewTelemetry(reg *obs.Registry, sink *obs.Sink) *Telemetry {
 		retries:         reg.Counter(MetricRetries, "invocations beyond each cell's first"),
 		breakerTrips:    reg.Counter(MetricBreakerTrips, "kernel rows whose circuit breaker opened"),
 		queueWait:       reg.Histogram(MetricQueueWait, "row queue wait (s)", nil),
-		journalAppends:  reg.Counter(MetricJournalAppends, "journal row checkpoints"),
-		journalErrors:   reg.Counter(MetricJournalErrors, "failed journal checkpoints"),
+		journalAppends:  reg.Counter(MetricJournalAppends, "journal appends, each one write and one fsync of one or more rows"),
+		journalRows:     reg.Counter(MetricJournalRows, "rows the journal appends carried"),
+		journalErrors:   reg.Counter(MetricJournalErrors, "failed journal appends"),
 	}
 	t.progress = obs.NewProgress(func() uint64 {
 		return t.doneOK.Value() + t.doneFailed.Value() + t.doneCanceled.Value() +
@@ -275,15 +281,17 @@ func (t *Telemetry) SweepEnd(rep *RunReport) {
 	}
 }
 
-// JournalAppend records one journal checkpoint (not part of the
-// Observer interface — journals are wired through Options.OnRow, so
-// the CLI calls this from the same closure that appends the row).
-func (t *Telemetry) JournalAppend(kernel string, d time.Duration, err error) {
+// JournalAppend records one journal append, a group of one or more
+// rows in one write and one fsync, as a span carrying its rows, bytes
+// and error. It is not part of the Observer interface: wire it as the
+// journal's JournalOptions.OnAppend.
+func (t *Telemetry) JournalAppend(g GroupAppend) {
 	t.journalAppends.Inc()
-	kvs := []obs.KV{obs.KS("kernel", kernel)}
-	if err != nil {
+	t.journalRows.Add(uint64(g.Rows))
+	kvs := []obs.KV{obs.KN("rows", float64(g.Rows)), obs.KN("bytes", float64(g.Bytes))}
+	if g.Err != nil {
 		t.journalErrors.Inc()
-		kvs = append(kvs, obs.KS("err", err.Error()))
+		kvs = append(kvs, obs.KS("err", g.Err.Error()))
 	}
-	t.emit("journal.append", "journal", 0, time.Now().Add(-d), d, kvs...)
+	t.emit("journal.append", "journal", 0, g.Start, g.Took, kvs...)
 }

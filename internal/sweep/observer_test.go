@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gpuscale/internal/fault"
 	"gpuscale/internal/gcn"
@@ -214,22 +213,25 @@ func TestTelemetrySkippedCellsOnResume(t *testing.T) {
 }
 
 // TestJournalResumeWithObserverUnderCancellation drives the full
-// production wiring — journal OnRow, Telemetry observer with tracing
-// and progress, fault injection — through a mid-sweep cancellation,
-// then resumes. Run under -race (make check does) this doubles as the
-// concurrency proof for the observer delivery path.
+// production wiring — OnRow committing each complete row to the
+// journal, the journal's group appends reported to a Telemetry
+// observer with tracing and progress, fault injection — through a
+// mid-sweep cancellation, then resumes. Run under -race (make check
+// does) this doubles as the concurrency proof for the observer
+// delivery path.
 func TestJournalResumeWithObserverUnderCancellation(t *testing.T) {
 	space := testSpace(t)
 	ks := testKernels()
 	path := filepath.Join(t.TempDir(), "journal.csv")
 
-	j, err := OpenJournal(path, space)
+	var buf bytes.Buffer
+	sink := obs.NewSink(obs.NewTraceWriter(&buf), nil)
+	tel := NewTelemetry(nil, sink)
+	tel.EmitProgress(discardWriter{}, 0)
+	j, err := OpenJournalWith(path, space, JournalOptions{OnAppend: tel.JournalAppend})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tel := NewTelemetry(nil, obs.NewSink(obs.NewTraceWriter(&buf), nil))
-	tel.EmitProgress(discardWriter{}, 0)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
@@ -245,16 +247,23 @@ func TestJournalResumeWithObserverUnderCancellation(t *testing.T) {
 		Workers: 1, // one row at a time => first row journals before cancel
 		Row:     cellFunc(slowSim),
 		OnRow: func(m *Matrix, r int) {
-			start := time.Now()
-			err := j.AppendRow(m, r)
-			tel.JournalAppend(m.Kernels[r], time.Since(start), err)
-			if err != nil {
-				t.Errorf("journal append: %v", err)
+			if !m.RowComplete(r) {
+				return
 			}
+			rec, err := EncodeRow(m, r)
+			if err != nil {
+				t.Errorf("encoding row %d: %v", r, err)
+				return
+			}
+			j.Commit(rec, func(err error) {
+				if err != nil {
+					t.Errorf("journal append: %v", err)
+				}
+			})
 		},
 		Observer: tel,
 	}
-	_, rep, err := RunContext(ctx, ks, space, opts)
+	m, rep, err := RunContext(ctx, ks, space, opts)
 	if err == nil {
 		t.Fatal("canceled sweep returned nil error")
 	}
@@ -265,11 +274,37 @@ func TestJournalResumeWithObserverUnderCancellation(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tel.Registry().Counter(MetricJournalAppends, "").Value(); got != uint64(rep.Kernels) {
-		t.Fatalf("journal appends = %d, want one per row (%d)", got, rep.Kernels)
+	complete := 0
+	for r := range m.Kernels {
+		if m.RowComplete(r) {
+			complete++
+		}
 	}
-	if _, err := obs.ReadEvents(&buf); err != nil {
+	// One append per group: the counters count appends and the rows
+	// they carried, which are the complete rows.
+	appends := tel.Registry().Counter(MetricJournalAppends, "").Value()
+	rows := tel.Registry().Counter(MetricJournalRows, "").Value()
+	if complete == 0 || rows != uint64(complete) || appends == 0 || appends > rows {
+		t.Fatalf("journal appends = %d carrying %d rows, want 1 to %d appends carrying the %d complete rows",
+			appends, rows, complete, complete)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadEvents(&buf)
+	if err != nil {
 		t.Fatalf("trace corrupted by cancellation: %v", err)
+	}
+	spans, spanRows := 0, 0.0
+	for _, e := range evs {
+		if e.Name == "journal.append" {
+			spans++
+			n, _ := e.Args["rows"].(float64)
+			spanRows += n
+		}
+	}
+	if uint64(spans) != appends || spanRows != float64(rows) {
+		t.Fatalf("%d journal.append spans carrying %g rows, want %d carrying %d", spans, spanRows, appends, rows)
 	}
 
 	// Resume with a fresh journal + observer must complete and reuse
