@@ -114,15 +114,20 @@ no-strays:
 	@if pgrep -af $(STRAYS); then echo "no-strays: the processes above outlived their run"; exit 1; fi
 
 # Short coverage-guided fuzz of the journal decoder, the journal's CSV
-# renderer, the CSV loaders, the lease-ledger scanner and the row
-# format's two decoders, packed planes and row records (go test takes
-# one -fuzz target per invocation).
+# renderer, the CSV loaders, the lease-ledger scanner, the row format's
+# two decoders (packed planes and row records), the coordinator's check
+# of a complete's planes, and the fleet's framed bodies as the
+# coordinator reads a complete and the standby reads a tail (go test
+# takes one -fuzz target per invocation).
 fuzz-smoke:
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzJournalScan$$' -fuzztime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzJournalCSV$$' -fuzztime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzReadCSV$$' -fuzztime 5s
 	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzLedgerScan$$' -fuzztime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzUnpackPlanes$$' -fuzztime 5s
+	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzUnpackPlanes$$' -fuzztime 5s
+	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzCompleteBody$$' -fuzztime 5s
+	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzTailBody$$' -fuzztime 5s
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -43,8 +43,11 @@ import (
 // list of leases, and renew and complete carry lists of rows, which a
 // /4 binary cannot read. /6 attests a row with its journal v3 digest
 // (sweep.RecordDigest over the packed planes), which a /5 binary
-// computes over JSON and would never match.
-const ProtoVersion = "gpuscale-dist/6"
+// computes over JSON and would never match. /7 sends a complete, a
+// tail and a snapshot as durable frames — a JSON header, then each
+// row's planes or each file's bytes in a frame of its own — where a /6
+// binary sends and reads JSON with those bytes in base64.
+const ProtoVersion = "gpuscale-dist/7"
 
 var (
 	fpOnce sync.Once

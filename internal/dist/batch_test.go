@@ -9,12 +9,12 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -450,11 +450,7 @@ func TestBatchSizing(t *testing.T) {
 		req.Rows = append(req.Rows, rowComplete{rowRef: rowRef{Row: 266, Epoch: 9, Term: 9},
 			OK: true, Planes: make([]byte, sweep.PackedBytes(space.Size())), Digest: "v3:0123456789abcdef", CostNS: 1 << 40})
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(body) > maxBody/8 {
+	if body := req.encode(); len(body) > maxBody/8 {
 		t.Fatalf("the largest batch of %d rows has a %d-byte complete body, want well under %d", n, len(body), maxBody)
 	}
 }
@@ -653,16 +649,25 @@ func TestStandbyTailsRightAfterSync(t *testing.T) {
 	}
 }
 
-// TestStandbyBoundsStagedRows: a tail far longer than a batch — a
-// standby that fell behind — lands in appends of at most
-// maxStagedBytes of records each, not in one write that holds them all,
-// and the replica journal ends up with every row.
-func TestStandbyBoundsStagedRows(t *testing.T) {
+// TestTailBoundsBytes: a standby that fell behind by 50 journal
+// appends of about 100 KB each catches up over several tails. Every
+// tail answer stays within maxTailBytes plus one message, every tail
+// lands in one replica-journal append, and the replica ends up with the
+// primary's journal and ledger byte for byte.
+func TestTailBoundsBytes(t *testing.T) {
 	clk := newTestClock()
 	c, _, s := newHAPair(t, clk, CoordinatorOptions{})
-	job := testJob(t, "wide", 60)
+	var answered atomic.Int64
+	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c.Handler().ServeHTTP(countingWriter{w, &answered}, r)
+	}))
+	defer counting.Close()
+	s.o.Primary = counting.URL
+	const msgs, rowsPerMsg = 50, 7
+	job := testJob(t, "wide", msgs*rowsPerMsg)
 	job.Space = hw.StudySpace()
-	if err := c.AddJob(withJournal(t, c.dir, job)); err != nil {
+	job = withJournal(t, c.dir, job)
+	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
 	syncStandby(t, s)
@@ -671,29 +676,61 @@ func TestStandbyBoundsStagedRows(t *testing.T) {
 	for i := range tput {
 		tput[i], timeNS[i] = 1+float64(i), 2+float64(i)
 	}
-	var msgs []replMsg
-	size := 0
-	for _, k := range job.Kernels {
-		rec, err := sweep.EncodePlanes(k.Name, tput, timeNS, bound)
+	largest := 0
+	for m := 0; m < msgs; m++ {
+		var recs []sweep.RowRecord
+		for _, k := range job.Kernels[m*rowsPerMsg : (m+1)*rowsPerMsg] {
+			rec, err := sweep.EncodePlanes(k.Name, tput, timeNS, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
+		}
+		framed, err := job.Journal.AppendRecord(recs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame := rowFrame(k.Name, rec.Packed())
-		msgs = append(msgs, appendMsg("wide.journal", frame))
-		size += len(frame)
+		largest = max(largest, len(framed))
+		c.repl.publish(appendMsg("wide.journal", framed))
 	}
-	c.repl.publish(msgs...)
-	before := s.mJournalApps.Value()
-	if err := s.tailOnce(context.Background()); err != nil {
-		t.Fatal(err)
+	cursor := func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.cursor
 	}
-	appends := s.mJournalApps.Value() - before
-	if min := uint64(size / maxStagedBytes); appends < min || appends > min+1 {
-		t.Fatalf("%d rows of %d record bytes took %d journal appends, want %d or %d",
-			len(job.Kernels), size, appends, min, min+1)
+	tails := 0
+	for ; cursor() < c.repl.latest(); tails++ {
+		answered.Store(0)
+		before := s.mJournalApps.Value()
+		if err := s.tailOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := answered.Load(); got > maxTailBytes+int64(largest) {
+			t.Fatalf("tail %d answered %d bytes, want at most %d plus one %d-byte message", tails, got, maxTailBytes, largest)
+		}
+		if apps := s.mJournalApps.Value() - before; apps != 1 {
+			t.Fatalf("tail %d landed in %d replica-journal appends, want 1", tails, apps)
+		}
 	}
-	m, err := sweep.ReadJournal(journalPath(s.dir, job.Name), job.Space)
-	if err != nil || m == nil || len(m.Kernels) != len(job.Kernels) {
-		t.Fatalf("the replica journal holds %v rows (%v), want %d", m, err, len(job.Kernels))
+	if min := msgs * largest / maxTailBytes; tails < min {
+		t.Fatalf("the standby caught up in %d tails, want at least %d", tails, min)
 	}
+	for primary, replica := range map[string]string{journalPath(c.dir, "wide"): journalPath(s.dir, "wide"),
+		c.LedgerPath(): s.ledgerPath()} {
+		want, _ := os.ReadFile(primary)
+		if got, err := os.ReadFile(replica); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("replica %s holds %d bytes (%v), the primary's %d", replica, len(got), err, len(want))
+		}
+	}
+}
+
+// countingWriter counts the bytes a handler answers.
+type countingWriter struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (w countingWriter) Write(b []byte) (int, error) {
+	w.n.Add(int64(len(b)))
+	return w.ResponseWriter.Write(b)
 }

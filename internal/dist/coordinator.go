@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -326,6 +327,31 @@ func (c *Coordinator) emit(name string, js *jobState, parent string, kvs ...obs.
 	c.opt.Sink.Emit(name, "dist", 0, obs.SpanContext{TraceID: js.job.Trace.TraceID}, parent, time.Now(), 0, kvs...)
 }
 
+// span records, as a child of a job's span, one span of a call's work
+// on the job from start until now, with the rows and bytes it handled.
+// It records nothing under an invalid job span.
+func (c *Coordinator) span(name string, job obs.SpanContext, start time.Time, rows, bytes int) {
+	if job.Valid() {
+		c.opt.Sink.Emit(name, "dist", 0, obs.SpanContext{TraceID: job.TraceID}, job.SpanID, start, time.Since(start),
+			obs.KN("rows", float64(rows)), obs.KN("bytes", float64(bytes)))
+	}
+}
+
+// jobTrace is a registered job's span context, for the spans a call on
+// it emits; invalid for a job that is not registered, and when there
+// is no sink to emit to.
+func (c *Coordinator) jobTrace(job string) obs.SpanContext {
+	if c.opt.Sink == nil {
+		return obs.SpanContext{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if js := c.jobs[job]; js != nil {
+		return js.job.Trace
+	}
+	return obs.SpanContext{}
+}
+
 // ledgerAppend writes recs to the ledger under the current term in one
 // write and one fsync, and returns the append — their exact framed
 // bytes — as a message for the replication stream. Caller holds c.mu
@@ -375,14 +401,22 @@ func (c *Coordinator) signalLocked() {
 // to durably apply everything published so far. No standby attached
 // means nothing to wait for; a timeout degrades to async and is
 // surfaced on the instruments rather than failing the worker's call —
-// the fencing rules absorb whatever a failover then loses.
-func (c *Coordinator) replBarrier() {
+// the fencing rules absorb whatever a failover then loses. Under a
+// valid job span it records a repl.barrier span with the call's rows
+// and the bytes the standby had yet to apply.
+func (c *Coordinator) replBarrier(job obs.SpanContext, rows int) {
+	start := time.Now()
 	c.mBarriers.Inc()
 	target := c.repl.latest()
+	bytes := 0
+	if job.Valid() {
+		bytes = c.repl.unackedBytes()
+	}
 	if !c.repl.waitAcked(target, c.opt.ReplTimeout) {
 		c.mReplTimeouts.Inc()
 	}
 	c.mReplLag.Set(float64(c.repl.lag()))
+	c.span("repl.barrier", job, start, rows, bytes)
 }
 
 // StartHA begins this coordinator's term bookkeeping against its
@@ -460,7 +494,7 @@ func (c *Coordinator) AddJob(job Job) error {
 	}
 	// The registration is on the replication stream: wait for the
 	// standby to hold it before the caller can announce the job.
-	c.replBarrier()
+	c.replBarrier(obs.SpanContext{}, 0)
 	return nil
 }
 
@@ -782,13 +816,14 @@ func (c *Coordinator) acquire(req acquireRequest) ([]Lease, error) {
 // end close together.
 const batchTarget = 25 * time.Millisecond
 
-// maxBatchBytes bounds the packed planes of one batch. Every process
-// holds a batch's rows whole while it works on them — planes, wire
-// body, records and their one journal write — and a
-// process's heap grows with what it holds, so the bound keeps a batch
-// at a few MB in flight (17 rows of the study's 891 configurations)
-// and its complete body far under maxBody whatever
-// the job's space.
+// maxBatchBytes bounds the packed planes of one batch by the memory
+// every process holds per batch: the worker its records and its
+// complete body, the primary that body, the records and their one
+// journal write, the standby the tail that carries them, and each heap
+// grows with what it holds. 256 KiB is 17 rows of the study's 891
+// configurations. With framed bodies a larger batch saves no
+// measurable time: on a 2-vCPU host a 1 MiB bound ran the round study
+// in 0.309 s against 0.313 s, and peaked 4.9% higher in RSS.
 const maxBatchBytes = 256 << 10
 
 // batchSize is how many of the job's open rows (not done, not under a
@@ -1227,6 +1262,7 @@ func (c *Coordinator) landLocked(js *jobState, worker string, lands []landing, r
 			resp.Rows[l.i] = rowResult{refusal: refuse(err)}
 		}
 	}
+	start := time.Now()
 	var msgs []replMsg
 	if len(accepted) > 0 {
 		framed, err := js.job.Journal.AppendRecord(accepted...)
@@ -1241,7 +1277,15 @@ func (c *Coordinator) landLocked(js *jobState, worker string, lands []landing, r
 	frames, err := c.ledgerAppend(recs)
 	// The journal append stands even when the ledger's fails, so the
 	// standby gets it either way.
-	c.repl.publish(append(msgs, frames...)...)
+	msgs = append(msgs, frames...)
+	c.repl.publish(msgs...)
+	if c.opt.Sink != nil {
+		bytes := 0
+		for _, m := range msgs {
+			bytes += len(m.Data)
+		}
+		c.span("complete.land", js.job.Trace, start, len(lands), bytes)
+	}
 	if err != nil {
 		refuseAll(err)
 		return
@@ -1449,7 +1493,7 @@ func (c *Coordinator) Handler() http.Handler {
 		// (bounded — a timeout degrades to async, never fails the
 		// lease). Runs after c.mu is released, so a publisher never
 		// blocks the snapshot or tail handlers.
-		c.replBarrier()
+		c.replBarrier(c.jobTrace(leases[0].Job), len(leases))
 		writeJSON(w, http.StatusOK, acquireResponse{Leases: leases})
 	})
 	mux.HandleFunc("/v1/dist/renew", func(w http.ResponseWriter, r *http.Request) {
@@ -1465,10 +1509,20 @@ func (c *Coordinator) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("/v1/dist/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req completeRequest
-		if !decodeInto(w, r, &req) {
+		start := time.Now()
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
+		// req's planes alias body: nothing may keep them past this call
+		// (checkRow copies each row's planes into its record).
+		req, err := decodeComplete(body)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+			return
+		}
+		trace := c.jobTrace(req.Job)
+		c.span("complete.decode", trace, start, len(req.Rows), len(body))
 		resp, err := c.complete(req)
 		if err != nil {
 			writeLeaseError(w, err)
@@ -1477,7 +1531,7 @@ func (c *Coordinator) Handler() http.Handler {
 		// As with grants: the worker's ack means the batch — planes and
 		// records — reached the standby (or the barrier degraded and
 		// said so on the instruments).
-		c.replBarrier()
+		c.replBarrier(trace, len(req.Rows))
 		writeJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("/v1/ha/status", func(w http.ResponseWriter, r *http.Request) {
@@ -1502,7 +1556,7 @@ func (c *Coordinator) Handler() http.Handler {
 				Error: "cursor outside the retained replication window, or of another log", Code: "out-of-sync"})
 			return
 		}
-		writeJSON(w, http.StatusOK, tailResponse{ID: c.id, Term: term, Next: next, Msgs: msgs})
+		writeBody(w, tailResponse{ID: c.id, Term: term, Next: next, Msgs: msgs}.encode())
 	})
 	mux.HandleFunc("/v1/ha/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		snap, err := c.snapshot()
@@ -1510,7 +1564,7 @@ func (c *Coordinator) Handler() http.Handler {
 			writeLeaseError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, snap)
+		writeBody(w, snap.encode())
 	})
 	return mux
 }
@@ -1581,23 +1635,36 @@ func (c *Coordinator) Replicate(path string, data []byte) {
 	}
 	c.mu.Unlock()
 	if data != nil {
-		c.replBarrier()
+		c.replBarrier(obs.SpanContext{}, 0)
 	}
 }
 
-// maxBody bounds the request body the coordinator reads. The decoder
+// maxBody bounds the request body the coordinator reads. The read
 // grows its buffer only with the bytes that arrive, so a claimed
-// Content-Length costs nothing by itself.
+// Content-Length, or a frame's claimed length, costs nothing by itself.
 const maxBody = 16 << 20
 
-// decodeInto parses a POST body, answering 4xx itself on failure.
-func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
+// readBody reads a POST body whole, answering 4xx itself on failure.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeInto parses a JSON POST body, answering 4xx itself on failure.
+func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := readBody(w, r)
+	if !ok {
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	if err := dec.Decode(v); err != nil {
+	if err := json.Unmarshal(body, v); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return false
 	}
@@ -1640,6 +1707,12 @@ func leaseErrorBody(err error) (int, errorBody) {
 		return http.StatusInternalServerError, body
 	}
 	return http.StatusConflict, body
+}
+
+// writeBody answers 200 with a framed body (encodeBody).
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(body)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -507,10 +507,13 @@ func TestCompleteValidation(t *testing.T) {
 	}
 }
 
-// TestClaimedBodyLengthCostsNothing: a lease request whose headers
-// claim a 100 GB body and which then sends none is refused with a 4xx,
-// and the coordinator goes on granting leases. The body is decoded as
-// it arrives, so a claimed length alone allocates nothing.
+// TestClaimedBodyLengthCostsNothing: a request whose headers claim a
+// 100 GB body and which then sends none is refused with a 4xx, on the
+// lease and on the complete path, and so is a complete whose header
+// frame claims more bytes than arrive; none of them grows the heap, and
+// the coordinator goes on granting leases and landing completes. The
+// body is read as it arrives, so a claimed length alone allocates
+// nothing.
 func TestClaimedBodyLengthCostsNothing(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
@@ -520,30 +523,130 @@ func TestClaimedBodyLengthCostsNothing(t *testing.T) {
 	}
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fmt.Fprint(conn, "POST /v1/dist/lease HTTP/1.1\r\nHost: coordinator\r\n"+
-		"Content-Type: application/json\r\nContent-Length: 100000000000\r\n\r\n")
-	conn.(*net.TCPConn).CloseWrite()
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
-		t.Fatalf("a headers-only request claiming 100 GB answered %d, want a 4xx", resp.StatusCode)
-	}
-	if runtime.ReadMemStats(&after); after.HeapSys > before.HeapSys+1<<30 {
-		t.Fatalf("the claimed length grew the heap from %d to %d bytes", before.HeapSys, after.HeapSys)
+	claimed := "00000000 2000000000 {\"worker\":"
+	for _, tc := range []struct{ name, head, body string }{
+		{"lease, headers only", "POST /v1/dist/lease HTTP/1.1\r\nContent-Length: 100000000000\r\n", ""},
+		{"complete, headers only", "POST /v1/dist/complete HTTP/1.1\r\nContent-Length: 100000000000\r\n", ""},
+		{"complete, a header frame claiming 2 GB", fmt.Sprintf("POST /v1/dist/complete HTTP/1.1\r\nContent-Length: %d\r\n", len(claimed)), claimed},
+	} {
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fmt.Fprint(conn, tc.head+"Host: coordinator\r\n\r\n"+tc.body)
+		conn.(*net.TCPConn).CloseWrite()
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		conn.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Fatalf("%s answered %d, want a 4xx", tc.name, resp.StatusCode)
+		}
+		if runtime.ReadMemStats(&after); after.HeapSys > before.HeapSys+1<<30 {
+			t.Fatalf("%s grew the heap from %d to %d bytes", tc.name, before.HeapSys, after.HeapSys)
+		}
 	}
 	var ar acquireResponse
 	if status := postRows(t, srv.URL+"/v1/dist/lease", acq("w1"), &ar); status != http.StatusOK || len(ar.Leases) != 1 {
-		t.Fatalf("acquire after the refused request answered %d with %d leases, want one lease", status, len(ar.Leases))
+		t.Fatalf("acquire after the refused requests answered %d with %d leases, want one lease", status, len(ar.Leases))
+	}
+	var cr completeResponse
+	status := postRows(t, srv.URL+"/v1/dist/complete", okComplete(t, &ar.Leases[0], "w1"), &cr)
+	if st, _ := c.Status("j"); status != http.StatusOK || len(cr.Rows) != 1 || cr.Rows[0].Status != 0 || st.Done != 1 {
+		t.Fatalf("complete after the refused requests answered %d %+v, job %+v; want the row landed", status, cr.Rows, st)
+	}
+}
+
+// TestMalformedCompleteBodyChangesNothing: a complete body that is not
+// the frames a worker sends answers 400 and changes nothing — a JSON
+// body, as an earlier protocol sent; a header whose JSON is not in the
+// form a worker writes; a missing planes frame, or one too many, for
+// the OK rows; bytes after the last frame — and the row still lands
+// afterwards.
+func TestMalformedCompleteBodyChangesNothing(t *testing.T) {
+	clk := newTestClock()
+	c := newTestCoordinator(t, t.TempDir(), clk)
+	defer c.Close()
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	l, _ := first(c.acquire(acq("w1")))
+	req := okComplete(t, l, "w1")
+	body := req.encode()
+	header, next, _ := durable.Parse(body, 0)
+	jsonBody, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := req
+	failed.Rows = []rowComplete{{rowRef: l.ref()}}
+	for name, bad := range map[string][]byte{
+		"json":                  jsonBody,
+		"empty":                 nil,
+		"indented header":       append(durable.Frame(append([]byte(" "), header...)), body[next:]...),
+		"no planes frame":       durable.Frame(header),
+		"a frame for a failure": append(failed.encode(), body[next:]...),
+		"trailing bytes":        append(append([]byte(nil), body...), '\n'),
+	} {
+		resp, err := http.Post(srv.URL+"/v1/dist/complete", "application/octet-stream", bytes.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: answered %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if st, _ := c.Status("j"); st.Done != 0 || st.Leased != 1 {
+		t.Fatalf("a refused body changed the job: %+v", st)
+	}
+	var cr completeResponse
+	if status := postRows(t, srv.URL+"/v1/dist/complete", req, &cr); status != http.StatusOK || cr.Rows[0].Status != 0 {
+		t.Fatalf("the valid complete answered %d %+v", status, cr.Rows)
+	}
+}
+
+// TestLandedRowKeepsNoBodyBytes: a complete's planes alias the body
+// they were read from, and nothing the coordinator keeps past the call
+// does: scribbling over the body once the complete has landed changes
+// neither the job's matrix row nor any replication message.
+func TestLandedRowKeepsNoBodyBytes(t *testing.T) {
+	clk := newTestClock()
+	c := newTestCoordinator(t, t.TempDir(), clk)
+	defer c.Close()
+	if err := c.AddJob(withJournal(t, c.dir, testJob(t, "j", 1))); err != nil {
+		t.Fatal(err)
+	}
+	l, _ := first(c.acquire(acq("w1")))
+	body := okComplete(t, l, "w1").encode()
+	req, err := decodeComplete(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := one(c.complete(req)); err != nil {
+		t.Fatal(err)
+	}
+	kept := func() string {
+		m, ok := completeMatrix(c, "j")
+		if !ok {
+			t.Fatal("the row did not land")
+		}
+		c.repl.mu.Lock()
+		defer c.repl.mu.Unlock()
+		return fmt.Sprint(m.Throughput[0], m.TimeNS[0], m.Bound[0], c.repl.msgs)
+	}
+	before := kept()
+	for i := range body {
+		body[i] ^= 0xff
+	}
+	if kept() != before {
+		t.Fatal("the coordinator kept bytes of a complete's body past the call")
 	}
 }
 
@@ -686,7 +789,7 @@ func TestCanceledRunLeavesCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := okComplete(t, l, "w1")
-	if status, _ := postJSON(t, srv.URL+"/v1/dist/complete", req); status != http.StatusNotFound {
+	if status, _ := postRequest(t, srv.URL+"/v1/dist/complete", req); status != http.StatusNotFound {
 		t.Fatalf("late complete answered %d, want 404", status)
 	}
 	cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -695,7 +798,7 @@ func TestCanceledRunLeavesCoordinator(t *testing.T) {
 		t.Fatalf("completeWithRetry should give up on the 404 (accepted or timed out instead)")
 	}
 	renew := renewRequest{Worker: "w1", Job: l.Job, Rows: []rowRef{l.ref()}}
-	if status, _ := postJSON(t, srv.URL+"/v1/dist/renew", renew); status != http.StatusNotFound {
+	if status, _ := postRequest(t, srv.URL+"/v1/dist/renew", renew); status != http.StatusNotFound {
 		t.Fatalf("late renew answered %d, want 404", status)
 	}
 	if st, ok := c.Status(job.Name); ok {
@@ -787,14 +890,10 @@ func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 	}
 }
 
-// postRows posts body as JSON and decodes a 200 answer into out.
+// postRows posts body (requestBody) and decodes a 200 answer into out.
 func postRows(t *testing.T, url string, body, out any) int {
 	t.Helper()
-	b, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	resp, err := http.Post(url, "application/json", bytes.NewReader(requestBody(t, body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -805,4 +904,18 @@ func postRows(t *testing.T, url string, body, out any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// requestBody is body as a worker sends it: a complete framed, any
+// other request as JSON.
+func requestBody(t *testing.T, body any) []byte {
+	t.Helper()
+	if req, ok := body.(completeRequest); ok {
+		return req.encode()
+	}
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -46,8 +46,10 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/sweep"
@@ -178,7 +180,9 @@ type renewResult struct {
 // completeRequest reports the terminal states of a batch of one job's
 // rows. OK rows carry the row's measurement planes packed, as its
 // journal record holds them (sweep.RowRecord); a failed row carries
-// none and just releases its lease for re-issue.
+// none and just releases its lease for re-issue. On the wire it is a
+// framed body (encodeBody): the request without its planes, then each
+// OK row's planes in row order.
 type completeRequest struct {
 	Worker string        `json:"worker"`
 	Job    string        `json:"job"`
@@ -189,7 +193,7 @@ type completeRequest struct {
 type rowComplete struct {
 	rowRef
 	OK     bool   `json:"ok"`
-	Planes []byte `json:"planes,omitempty"`
+	Planes []byte `json:"-"`
 	// Digest attests the row: sweep.RecordDigest over the row's journal
 	// record, the kernel's name and exactly these bytes. The coordinator
 	// digests the received bytes itself and rejects any OK row whose
@@ -199,6 +203,42 @@ type rowComplete struct {
 	// CostNS is how long the worker took to compute and encode the row.
 	// It sizes the job's later batches and never affects a verdict.
 	CostNS int64 `json:"cost_ns,omitempty"`
+}
+
+// encode is the complete's body.
+func (r completeRequest) encode() []byte {
+	var planes [][]byte
+	for _, rc := range r.Rows {
+		if rc.OK {
+			planes = append(planes, rc.Planes)
+		}
+	}
+	return encodeBody(r, planes)
+}
+
+// decodeComplete reads a complete's body. Every OK row takes the next
+// frame as its planes, which alias body; there must be exactly one
+// frame per OK row.
+func decodeComplete(body []byte) (completeRequest, error) {
+	var req completeRequest
+	frames, err := splitBody(body, &req)
+	if err != nil {
+		return completeRequest{}, err
+	}
+	ok := 0
+	for i := range req.Rows {
+		if !req.Rows[i].OK {
+			continue
+		}
+		if ok < len(frames) {
+			req.Rows[i].Planes = frames[ok]
+		}
+		ok++
+	}
+	if ok != len(frames) {
+		return completeRequest{}, fmt.Errorf("dist: %d planes frames for %d OK rows", len(frames), ok)
+	}
+	return req, nil
 }
 
 // completeResponse answers a complete row by row, in request order.
@@ -265,6 +305,64 @@ type JobStatus struct {
 type errorBody struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
+}
+
+// encodeBody is a framed body: header as JSON in a durable frame (the
+// journal's and the ledger's frame), then each non-empty blob in a
+// frame of its own, holding exactly its bytes. A frame cannot be empty,
+// so the header must say which blobs carry no bytes. This is how the
+// bodies that carry rows and files cross the wire — a complete, a
+// tail, a snapshot — with no JSON or base64 pass over their bytes.
+func encodeBody(header any, blobs [][]byte) []byte {
+	h, err := json.Marshal(header)
+	if err != nil {
+		// The headers are plain structs of strings, integers and
+		// booleans, which always marshal.
+		panic(fmt.Sprintf("dist: marshaling a body header: %v", err))
+	}
+	size := len(h) + frameOverhead
+	for _, blob := range blobs {
+		size += len(blob) + frameOverhead
+	}
+	b := durable.AppendFrame(make([]byte, 0, size), h)
+	for _, blob := range blobs {
+		if len(blob) > 0 {
+			b = durable.AppendFrame(b, blob)
+		}
+	}
+	return b
+}
+
+// frameOverhead is the most a frame adds to its payload: the CRC, the
+// length and three separators.
+const frameOverhead = 8 + 10 + 3
+
+// splitBody reads a body encodeBody wrote: it decodes the header frame
+// into header and returns the frames after it, which alias body. It
+// refuses anything else: bytes that are not whole frames, and a header
+// that is not the JSON encodeBody writes for what it decodes to, so a
+// body it accepts is the one encoding of what it carries.
+func splitBody(body []byte, header any) ([][]byte, error) {
+	h, off, reason := durable.Parse(body, 0)
+	if reason != "" {
+		return nil, fmt.Errorf("dist: body header frame: %s", reason)
+	}
+	if err := json.Unmarshal(h, header); err != nil {
+		return nil, fmt.Errorf("dist: body header: %w", err)
+	}
+	if canon, err := json.Marshal(header); err != nil || !bytes.Equal(canon, h) {
+		return nil, errors.New("dist: body header is not in the form the protocol writes")
+	}
+	var frames [][]byte
+	for off < int64(len(body)) {
+		frame, next, reason := durable.Parse(body, off)
+		if reason != "" {
+			return nil, fmt.Errorf("dist: body frame at byte %d: %s", off, reason)
+		}
+		frames = append(frames, frame)
+		off = next
+	}
+	return frames, nil
 }
 
 // reportFor synthesizes a sweep report from a finished distributed

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
@@ -137,6 +138,63 @@ func FuzzUnpackPlanes(f *testing.F) {
 		}
 		if d := sweep.RecordDigest(worker); d != row.digest {
 			t.Fatalf("coordinator digest %s, worker digest %s", row.digest, d)
+		}
+	})
+}
+
+// FuzzCompleteBody hammers the coordinator's reading of a complete's
+// body (decodeComplete) with arbitrary bytes. It must never panic, and
+// a body it accepts must be the one encoding of what it read: the
+// request encodes back to the body, byte for byte.
+func FuzzCompleteBody(f *testing.F) {
+	body := completeRequest{Worker: "w", Job: "j", Rows: []rowComplete{
+		{rowRef: rowRef{Row: 3, Epoch: 1, Term: 2}, OK: true, Planes: []byte("planes"), Digest: "v3:00aa", CostNS: 7},
+		{rowRef: rowRef{Row: 4, Epoch: 2, Term: 2}},
+		{rowRef: rowRef{Row: 5, Epoch: 1, Term: 2}, OK: true, Planes: []byte{0, '\n', 0xff}, Digest: "v3:11bb"},
+	}}.encode()
+	f.Add(body)
+	f.Add(body[:len(body)-3])                              // torn planes frame
+	f.Add(completeRequest{Worker: "w", Job: "j"}.encode()) // no rows
+	f.Add([]byte(`{"worker":"w","job":"j","rows":[]}`))    // JSON, no frames
+	f.Add(append(durable.Frame([]byte(`{"worker":"w","job":"j","rows":[{"row":4,"epoch":2,"ok":false}]}`)),
+		durable.Frame([]byte("planes"))...)) // a frame for a failed row
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		req, err := decodeComplete(b)
+		if err != nil {
+			return
+		}
+		if again := req.encode(); !bytes.Equal(again, b) {
+			t.Fatalf("accepted body %q encodes back as %q", b, again)
+		}
+	})
+}
+
+// FuzzTailBody hammers the standby's reading of a tail's body
+// (decodeTail) with arbitrary bytes. It must never panic, and a body
+// it accepts must be the one encoding of what it read: the answer
+// encodes back to the body, byte for byte.
+func FuzzTailBody(f *testing.F) {
+	body := tailResponse{ID: "p", Term: 2, Next: 7, Msgs: []replMsg{
+		{Cursor: 4, Append: true, replFile: replFile{Name: ledgerName, Data: []byte("frames")}},
+		{Cursor: 5, replFile: replFile{Name: "job-000001.state"}}, // an empty file: no frame
+		{Cursor: 6, replFile: replFile{Name: "job-000001.journal", Data: []byte{0, '\n', 0xff}}},
+	}}.encode()
+	f.Add(body)
+	f.Add(body[:len(body)-2])                      // torn last frame
+	f.Add(tailResponse{ID: "p", Term: 1}.encode()) // no messages
+	f.Add([]byte(`{"id":"p","term":1,"next":1,"msgs":[{"cursor":0,"name":"x","data":"eA=="}]}`))
+	f.Add(append(durable.Frame([]byte(`{"id":"p","term":1,"next":1,"msgs":[{"cursor":0,"name":"x","len":5}]}`)),
+		durable.Frame([]byte("abc"))...)) // a length its frame does not hold
+	f.Add(durable.Frame([]byte(`{"id":"p","term":1,"next":1,"msgs":[{"cursor":0,"name":"x","len":3}]}`))) // no frame
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tr, err := decodeTail(b)
+		if err != nil {
+			return
+		}
+		if again := tr.encode(); !bytes.Equal(again, b) {
+			t.Fatalf("accepted body %q encodes back as %q", b, again)
 		}
 	})
 }

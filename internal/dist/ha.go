@@ -16,7 +16,8 @@ package dist
 //     and each record the job owner writes (Replicate). The primary
 //     publishes them into an in-memory replication log with a
 //     monotonically increasing cursor.
-//   - The standby long-polls GET /v1/ha/tail?cursor=N&log=L and applies
+//   - The standby long-polls GET /v1/ha/tail?cursor=N&log=L, which
+//     answers the messages from N on up to maxTailBytes, and applies
 //     each message exactly once: it checks the message, then writes a
 //     whole file atomically or appends — a tail's appends in one append
 //     per file, fsynced before it advances its cursor — and the next
@@ -24,7 +25,9 @@ package dist
 //     standby that falls off the log's retained window — or starts
 //     empty — resyncs from GET /v1/ha/snapshot: the ledger, every
 //     registered job's journal and the owner's records, whole, taken
-//     under the coordinator lock.
+//     under the coordinator lock. Both answers are durable frames: a
+//     JSON header naming each message or file and its length, then
+//     each one's bytes in a frame of its own.
 //   - Synchronous append-before-ack: the lease and complete handlers
 //     wait (bounded) for the attached standby's cursor to pass the
 //     records they appended before answering the worker, so anything
@@ -93,10 +96,12 @@ const ledgerName = "dist/lease.ledger"
 // replFile is one file of the primary's state directory on the
 // replication stream, named by its place there (ledgerName,
 // <id>.journal, <id>.job, <id>.state), with bytes the primary wrote to
-// it.
+// it. On the wire the header carries Len, and Data follows in a frame
+// of its own when it is not empty (encodeBody).
 type replFile struct {
 	Name string `json:"name"`
-	Data []byte `json:"data"`
+	Len  int    `json:"len,omitempty"`
+	Data []byte `json:"-"`
 }
 
 // replMsg is one replication-stream message: a whole file, or, when
@@ -125,6 +130,71 @@ type haSnapshot struct {
 	Term   uint64     `json:"term"`
 	Cursor int64      `json:"cursor"`
 	Files  []replFile `json:"files"`
+}
+
+// encode is the tail's body: its header, with each message's Len set,
+// then each message's bytes.
+func (t tailResponse) encode() []byte {
+	data := make([][]byte, len(t.Msgs))
+	for i := range t.Msgs {
+		data[i] = t.Msgs[i].Data
+		t.Msgs[i].Len = len(data[i])
+	}
+	return encodeBody(t, data)
+}
+
+// decodeTail reads a tail's body; each message's Data aliases body.
+func decodeTail(body []byte) (tailResponse, error) {
+	var t tailResponse
+	frames, err := splitBody(body, &t)
+	if err == nil {
+		err = fillFiles(len(t.Msgs), func(i int) *replFile { return &t.Msgs[i].replFile }, frames)
+	}
+	return t, err
+}
+
+// encode is the snapshot's body: its header, with each file's Len set,
+// then each file's bytes.
+func (s haSnapshot) encode() []byte {
+	data := make([][]byte, len(s.Files))
+	for i := range s.Files {
+		data[i] = s.Files[i].Data
+		s.Files[i].Len = len(data[i])
+	}
+	return encodeBody(s, data)
+}
+
+// decodeSnapshot reads a snapshot's body; each file's Data aliases
+// body.
+func decodeSnapshot(body []byte) (haSnapshot, error) {
+	var s haSnapshot
+	frames, err := splitBody(body, &s)
+	if err == nil {
+		err = fillFiles(len(s.Files), func(i int) *replFile { return &s.Files[i] }, frames)
+	}
+	return s, err
+}
+
+// fillFiles hands each of n files, in order, its bytes: a file whose
+// Len is not zero takes the next frame, which must hold exactly Len
+// bytes, and every frame must be taken.
+func fillFiles(n int, file func(int) *replFile, frames [][]byte) error {
+	k := 0
+	for i := 0; i < n; i++ {
+		f := file(i)
+		if f.Len == 0 {
+			continue
+		}
+		if k == len(frames) || len(frames[k]) != f.Len {
+			return fmt.Errorf("dist: %q claims %d bytes its frame does not hold", f.Name, f.Len)
+		}
+		f.Data = frames[k]
+		k++
+	}
+	if k != len(frames) {
+		return fmt.Errorf("dist: %d frames for %d files with bytes", len(frames), k)
+	}
+	return nil
 }
 
 // HAStatus answers GET /v1/ha/status — the probe surface peers (and
@@ -176,8 +246,10 @@ func newReplLog() *replLog {
 	return rl
 }
 
-// publish appends msgs in one step, so a tail returns all of them or
-// none: a batch's messages never reach the standby split.
+// publish appends msgs in one step. A tail returns them together unless
+// it reaches maxTailBytes among them; a standby that then holds a
+// batch's journal rows without its ledger records recovers them as the
+// primary recovers a crash between its two appends.
 func (rl *replLog) publish(msgs ...replMsg) {
 	if len(msgs) == 0 {
 		return
@@ -203,6 +275,20 @@ func (rl *replLog) latest() int64 {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	return rl.base + int64(len(rl.msgs))
+}
+
+// unackedBytes is the bytes of the published messages an attached
+// standby has yet to acknowledge; none when no standby is attached.
+func (rl *replLog) unackedBytes() int {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	n := 0
+	if rl.attached {
+		for _, m := range rl.msgs[max(rl.acked-rl.base, 0):] {
+			n += len(m.Data)
+		}
+	}
+	return n
 }
 
 // lag returns how many published messages the standby has not yet
@@ -239,10 +325,17 @@ func (rl *replLog) waitAcked(target int64, timeout time.Duration) bool {
 	return true
 }
 
+// maxTailBytes bounds the bytes one tail answer carries, so a standby
+// that fell behind catches up over several tails and never holds more
+// than one of them: a tail stops before the message that would take it
+// past the bound, and a message larger than the bound travels alone.
+const maxTailBytes = 1 << 20
+
 // tail serves one tail request: cursor acknowledges everything below
 // it, then the call long-polls (bounded by wait) for messages at or
-// past it. ok is false, and nothing is acknowledged, when log is not
-// this log's id or the cursor is outside the retained window.
+// past it, and answers those up to maxTailBytes. ok is false, and
+// nothing is acknowledged, when log is not this log's id or the cursor
+// is outside the retained window.
 func (rl *replLog) tail(cursor int64, log string, wait time.Duration) (msgs []replMsg, next int64, ok bool) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
@@ -271,7 +364,13 @@ func (rl *replLog) tail(cursor int64, log string, wait time.Duration) (msgs []re
 	if cursor < rl.base {
 		return nil, 0, false
 	}
-	msgs = append(msgs, rl.msgs[cursor-rl.base:]...)
+	size := 0
+	for _, m := range rl.msgs[cursor-rl.base:] {
+		if size += len(m.Data); len(msgs) > 0 && size > maxTailBytes {
+			break
+		}
+		msgs = append(msgs, m)
+	}
 	return msgs, cursor + int64(len(msgs)), true
 }
 
@@ -527,7 +626,10 @@ func (s *Standby) syncOnce(ctx context.Context) error {
 		return fmt.Errorf("dist: snapshot: %s answered %d", s.o.Primary, resp.StatusCode)
 	}
 	var snap haSnapshot
-	decodeErr := json.NewDecoder(resp.Body).Decode(&snap)
+	body, decodeErr := io.ReadAll(resp.Body)
+	if decodeErr == nil {
+		snap, decodeErr = decodeSnapshot(body)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// An answered snapshot is contact even when it cannot be decoded or
@@ -613,7 +715,10 @@ func (s *Standby) tailOnce(ctx context.Context) error {
 		return fmt.Errorf("dist: tail: %s answered %d", s.o.Primary, resp.StatusCode)
 	}
 	var tr tailResponse
-	decodeErr := json.NewDecoder(resp.Body).Decode(&tr)
+	body, decodeErr := io.ReadAll(resp.Body)
+	if decodeErr == nil {
+		tr, decodeErr = decodeTail(body)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// An answered tail is contact even when it cannot be decoded or a
@@ -662,24 +767,17 @@ func (s *Standby) touchLocked() { s.lastContact = s.now() }
 
 // staged is what a tail stages for the disk: the bytes to append to
 // each replica journal and to the ledger, in stream order per file, and
-// the highest term a ledger frame asserts. bytes counts the journals'
-// staged bytes; failed is a flush that failed part way, after which a
-// replica file may hold part of it.
+// the highest term a ledger frame asserts. failed is a flush that
+// failed part way, after which a replica file may hold part of it. The
+// primary bounds a tail's bytes (maxTailBytes), so a tail's appends
+// land in one flush.
 type staged struct {
 	journals []string
 	rows     map[string][]byte
-	bytes    int
 	frames   []byte
 	term     uint64
 	failed   error
 }
-
-// maxStagedBytes bounds the row records a standby holds before it
-// flushes: a tail normally carries a batch or two, which land in one
-// append per file, but a standby that fell behind can be handed
-// thousands of messages in one tail, and holding all their records
-// (and the one write that joins them) would grow its heap with the lag.
-const maxStagedBytes = 1 << 20
 
 // stageLocked checks one message and lands it: an append is staged for
 // flushLocked, and a whole file first flushes what is staged, then is
@@ -701,9 +799,6 @@ func (s *Standby) stageLocked(st *staged, m *replMsg) error {
 			st.journals = append(st.journals, path)
 		}
 		st.rows[path] = append(st.rows[path], m.Data...)
-		if st.bytes += len(m.Data); st.bytes >= maxStagedBytes {
-			return s.flushLocked(st)
-		}
 		return nil
 	}
 	if err := s.flushLocked(st); err != nil {

@@ -515,7 +515,7 @@ func TestSelfFenceAfterStandbySilence(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("a primary whose standby went silent never self-fenced")
 	}
-	if status, eb := postJSON(t, srv.URL+"/v1/dist/lease", acq("w1")); status != http.StatusConflict || eb.Code != "deposed" {
+	if status, eb := postRequest(t, srv.URL+"/v1/dist/lease", acq("w1")); status != http.StatusConflict || eb.Code != "deposed" {
 		t.Fatalf("self-fenced lease should be 409/deposed, got %d/%q", status, eb.Code)
 	}
 	select {
@@ -725,7 +725,7 @@ func TestDeposedByPeerProbe(t *testing.T) {
 	if _, err := first(c.acquire(acq("w9"))); !errors.Is(err, ErrDeposed) {
 		t.Fatalf("deposed acquire should refuse: %v", err)
 	}
-	status, eb := postJSON(t, srv.URL+"/v1/dist/lease", acq("w9"))
+	status, eb := postRequest(t, srv.URL+"/v1/dist/lease", acq("w9"))
 	if status != http.StatusConflict || eb.Code != "deposed" {
 		t.Fatalf("deposed HTTP lease should be 409/deposed, got %d/%q", status, eb.Code)
 	}
@@ -982,7 +982,8 @@ func TestUndecodableTailIsStillContact(t *testing.T) {
 // Replicate reaches the standby's directory byte for byte, by the tail
 // and by a snapshot, which reads it back from the owner's disk — a
 // record named without its bytes, as a restarted owner names what it
-// recovers, included.
+// recovers, and an empty record, which has no frame on the wire,
+// included.
 func TestReplicatedRecordsLandVerbatim(t *testing.T) {
 	clk := newTestClock()
 	c, _, s := newHAPair(t, clk, CoordinatorOptions{})
@@ -999,10 +1000,12 @@ func TestReplicatedRecordsLandVerbatim(t *testing.T) {
 	}
 	c.Replicate(filepath.Join(owner, "job-000000.state"), nil)
 	write("job-000001.job", `{"id":"job-000001"}`)
-	syncStandby(t, s) // the snapshot carries the first two records
+	write("job-000002.job", "")
+	syncStandby(t, s) // the snapshot carries the first three records
 	write("job-000001.state", `{"state":"complete"}`)
-	drainTail(t, s, c) // the tail the third
-	for _, name := range []string{"job-000000.state", "job-000001.job", "job-000001.state"} {
+	write("job-000002.state", "")
+	drainTail(t, s, c) // the tail the last two
+	for _, name := range []string{"job-000000.state", "job-000001.job", "job-000002.job", "job-000001.state", "job-000002.state"} {
 		want, _ := os.ReadFile(filepath.Join(owner, name))
 		if got, err := os.ReadFile(filepath.Join(s.dir, name)); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("replica %s = %q (%v), want %q", name, got, err, want)
@@ -1275,14 +1278,11 @@ func validPlanes(t *testing.T, n int) []byte {
 	return rec.Packed()
 }
 
-// postJSON posts body as JSON and decodes the typed error envelope.
-func postJSON(t *testing.T, url string, body any) (int, errorBody) {
+// postRequest posts body (requestBody) and decodes the typed error
+// envelope.
+func postRequest(t *testing.T, url string, body any) (int, errorBody) {
 	t.Helper()
-	b, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	resp, err := http.Post(url, "application/json", bytes.NewReader(requestBody(t, body)))
 	if err != nil {
 		t.Fatal(err)
 	}

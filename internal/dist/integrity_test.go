@@ -90,9 +90,10 @@ func TestVersionHandshakeFencesOverHTTP(t *testing.T) {
 		t.Fatalf("pre-attestation acquire: status %d code %q, want 409 version-mismatch", status, eb.Code)
 	}
 	// Earlier protocols: /4 leased one row per call and would misread a
-	// batch; /5 attests rows with journal v2 digests, which no /6
-	// coordinator computes.
-	for _, proto := range []string{"gpuscale-dist/4", "gpuscale-dist/5"} {
+	// batch; /5 attests rows with journal v2 digests, which no later
+	// coordinator computes; /6 sends its completes as JSON, which a /7
+	// coordinator refuses.
+	for _, proto := range []string{"gpuscale-dist/4", "gpuscale-dist/5", "gpuscale-dist/6"} {
 		status, eb = post(acquireRequest{Worker: "old", Proto: proto, Fingerprint: EngineFingerprint()})
 		if status != http.StatusConflict || eb.Code != "version-mismatch" {
 			t.Fatalf("%s acquire: status %d code %q, want 409 version-mismatch", proto, status, eb.Code)

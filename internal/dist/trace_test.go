@@ -82,6 +82,7 @@ func tracedFleet(t *testing.T, job Job, n int) (coordEvs []obs.Event, workerEvs 
 	}
 	cancel()
 	wg.Wait()
+	srv.Close() // waits for the handlers, which emit after they answer
 	coordTW.Flush()
 
 	coordEvs, err = obs.ReadEvents(&coordBuf)
@@ -183,6 +184,34 @@ func TestFleetTraceStitchesAcrossProcesses(t *testing.T) {
 	}
 	if sweepRows < len(rowSpans) || len(rowSpans) < len(job.Kernels) {
 		t.Fatalf("%d sweep row events for %d dist row spans of %d rows", sweepRows, len(rowSpans), len(job.Kernels))
+	}
+
+	// The coordinator's own layers: each complete call it read is one
+	// complete.decode and one repl.barrier span, each grant batch one
+	// repl.barrier, and a call that lands rows one complete.land, every
+	// one a child of the job span carrying its rows and bytes.
+	spans := map[string]int{}
+	for _, e := range coordEvs {
+		switch e.Name {
+		case "complete.decode", "complete.land", "repl.barrier":
+			if e.Phase != "X" || e.Parent != jobRoot || e.Args["rows"].(float64) < 1 || e.Args["bytes"] == nil {
+				t.Fatalf("coordinator %s is not a span of the job's rows and bytes: %+v", e.Name, e)
+			}
+			spans[e.Name]++
+		}
+	}
+	calls := 0
+	for _, evs := range workerEvs {
+		for _, e := range evs {
+			if e.Name == "lease.complete" {
+				calls++
+			}
+		}
+	}
+	decoded := spans["complete.decode"]
+	if decoded < 1 || decoded > calls || spans["repl.barrier"] != decoded+int(coord.mBatches.Value()) ||
+		spans["complete.land"] < 1 || spans["complete.land"] > decoded {
+		t.Fatalf("coordinator spans %v for %d complete calls and %d grant batches", spans, calls, coord.mBatches.Value())
 	}
 
 	// Exactly-once: every row completed once, no more, no less.

@@ -239,7 +239,7 @@ func (w *Worker) acquire(ctx context.Context) ([]Lease, error) {
 		proto = w.o.Fault.StaleVersion
 	}
 	var resp acquireResponse
-	status, code, err := w.post(ctx, "/v1/dist/lease",
+	status, code, err := w.postJSON(ctx, "/v1/dist/lease",
 		acquireRequest{Worker: w.o.Name, MetricsURL: w.o.MetricsURL,
 			Proto: proto, Fingerprint: EngineFingerprint(), Term: w.maxTerm}, &resp)
 	if err != nil {
@@ -496,7 +496,7 @@ func (w *Worker) renewLoop(ctx context.Context, rows []batchRow, every time.Dura
 		}
 		start := time.Now()
 		var resp renewResponse
-		status, code, err := w.post(ctx, "/v1/dist/renew", req, &resp)
+		status, code, err := w.postJSON(ctx, "/v1/dist/renew", req, &resp)
 		d := time.Since(start)
 		if err == nil {
 			w.hRenew.Observe(d.Seconds())
@@ -566,7 +566,7 @@ func (w *Worker) completeWithRetry(ctx context.Context, req completeRequest) []b
 			call.Rows = append(call.Rows, req.Rows[i])
 		}
 		var resp completeResponse
-		status, code, err := w.post(ctx, "/v1/dist/complete", call, &resp)
+		status, code, err := w.post(ctx, "/v1/dist/complete", "application/octet-stream", call.encode(), &resp)
 		switch {
 		case err == nil && status == http.StatusOK && len(resp.Rows) == len(open):
 			var retry []int
@@ -605,22 +605,27 @@ func (w *Worker) completeWithRetry(ctx context.Context, req completeRequest) []b
 	}
 }
 
-// post sends one JSON request and decodes a JSON response into out on
-// success; on an error status it decodes the errorBody envelope
-// instead and returns its machine code ("stale-epoch",
-// "version-mismatch", "quarantined", "bad-attestation"), best-effort.
-// Injected network faults surface here as transport errors.
-func (w *Worker) post(ctx context.Context, path string, body, out any) (int, string, error) {
+// postJSON posts body as JSON (post).
+func (w *Worker) postJSON(ctx context.Context, path string, body, out any) (int, string, error) {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return 0, "", err
 	}
+	return w.post(ctx, path, "application/json", b, out)
+}
+
+// post sends one request body and decodes a JSON response into out on
+// success; on an error status it decodes the errorBody envelope
+// instead and returns its machine code ("stale-epoch",
+// "version-mismatch", "quarantined", "bad-attestation"), best-effort.
+// Injected network faults surface here as transport errors.
+func (w *Worker) post(ctx context.Context, path, contentType string, body []byte, out any) (int, string, error) {
 	base := w.o.Peers[int(uint32(w.peer.Load()))%len(w.o.Peers)]
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(b))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, "", err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	resp, err := w.client.Do(req)
 	if err != nil {
 		if errors.Is(err, fault.ErrDroppedResponse) {

@@ -1,5 +1,6 @@
 // Package durable is how gpuscale makes a file survive a crash. The
-// sweep journal and the lease ledger share one record frame,
+// sweep journal and the lease ledger share one record frame, which the
+// fleet's wire bodies use too,
 //
 //	<crc32:8-hex> <len:decimal> <payload>\n
 //
@@ -75,13 +76,15 @@ func FrameSize(b []byte) (size int64, ok bool) {
 
 // header reads the frame header b begins with: the payload's CRC, and
 // its offset and length; reason is non-empty when b does not begin
-// with one.
+// with one. Only the header AppendFrame writes is one — lower-case hex,
+// a decimal length with no sign or leading zero — so a payload has one
+// frame, byte for byte.
 func header(b []byte) (crc uint32, start, n int64, reason string) {
 	if bytes.IndexByte(b, ' ') != 8 {
 		return 0, 0, 0, "bad record framing"
 	}
 	c, err := strconv.ParseUint(string(b[:8]), 16, 32)
-	if err != nil {
+	if err != nil || bytes.ContainsAny(b[:8], "ABCDEF") {
 		return 0, 0, 0, "bad record checksum field"
 	}
 	sp := bytes.IndexByte(b[9:], ' ')
@@ -89,7 +92,7 @@ func header(b []byte) (crc uint32, start, n int64, reason string) {
 		return 0, 0, 0, "bad record framing"
 	}
 	n, err = strconv.ParseInt(string(b[9:9+sp]), 10, 32)
-	if err != nil || n <= 0 {
+	if err != nil || n <= 0 || b[9] < '1' || b[9] > '9' {
 		return 0, 0, 0, "bad record length field"
 	}
 	return uint32(c), int64(9 + sp + 1), n, ""

@@ -36,6 +36,25 @@ func TestFrameMatchesReference(t *testing.T) {
 	}
 }
 
+// TestParseTakesOnlyAppendFramesHeader: a header Parse would read as
+// the same checksum and length, spelled otherwise than AppendFrame
+// spells it, is refused, so an accepted frame re-frames to its own
+// bytes.
+func TestParseTakesOnlyAppendFramesHeader(t *testing.T) {
+	p := []byte("payload")
+	crc := crc32.ChecksumIEEE(p)
+	for _, frame := range []string{
+		fmt.Sprintf("%08X %d %s\n", crc, len(p), p),
+		fmt.Sprintf("%08x +%d %s\n", crc, len(p), p),
+		fmt.Sprintf("%08x 0%d %s\n", crc, len(p), p),
+		fmt.Sprintf("%08x 0 \n", crc32.ChecksumIEEE(nil)),
+	} {
+		if payload, _, reason := Parse([]byte(frame), 0); reason == "" {
+			t.Errorf("Parse(%q) accepted %q", frame, payload)
+		}
+	}
+}
+
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(b []byte) (int, error) { return f(b) }
