@@ -116,9 +116,10 @@ no-strays:
 # Short coverage-guided fuzz of the journal decoder, the journal's CSV
 # renderer, the CSV loaders, the lease-ledger scanner, the row format's
 # two decoders (packed planes and row records), the coordinator's check
-# of a complete's planes, and the fleet's framed bodies as the
-# coordinator reads a complete and the standby reads a tail (go test
-# takes one -fuzz target per invocation).
+# of a complete's planes, the fleet's framed bodies as the coordinator
+# reads a complete and the standby reads a tail, and the pipeline
+# engine's resident-set scheduler against its cycle-by-cycle oracle
+# (go test takes one -fuzz target per invocation).
 fuzz-smoke:
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzJournalScan$$' -fuzztime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzJournalCSV$$' -fuzztime 5s
@@ -128,6 +129,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzUnpackPlanes$$' -fuzztime 5s
 	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzCompleteBody$$' -fuzztime 5s
 	$(GO) test ./internal/dist -run '^$$' -fuzz 'FuzzTailBody$$' -fuzztime 5s
+	$(GO) test ./internal/gcn -run '^$$' -fuzz 'FuzzResidentSet$$' -fuzztime 5s
 
 bench:
 	$(GO) test -bench=. -benchmem

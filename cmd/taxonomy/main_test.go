@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,6 +59,35 @@ func TestRunCSVExport(t *testing.T) {
 	}
 	if err := run(0, 0, false, false, 8, "/no/such/dir/x.csv", "", ""); err == nil {
 		t.Error("unwritable CSV path accepted")
+	}
+}
+
+// TestClassificationsCSVPinned regenerates docs/classifications.csv,
+// the per-kernel dataset the repository publishes, through the -csv
+// path and requires the committed file byte for byte: a change to any
+// noise-free verdict, shape or fit statistic must regenerate it.
+func TestClassificationsCSVPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "classifications.csv")
+	if err := run(0, 0, false, false, 8, path, "", ""); err != nil {
+		t.Fatalf("-csv: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "classifications.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gotLines), len(wantLines)) {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("docs/classifications.csv is stale from line %d: -csv writes\n%s\nthe file has\n%s\n(regenerate it with go run ./cmd/taxonomy -csv docs/classifications.csv)",
+					i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("docs/classifications.csv is stale: -csv writes %d lines, the file has %d", len(gotLines), len(wantLines))
 	}
 }
 

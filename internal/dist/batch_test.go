@@ -499,12 +499,13 @@ func TestBatchCountsScaleWithBatches(t *testing.T) {
 // TestLongPollAcquireWakesOnChange: an acquire that finds no work waits
 // on the change signal, so a worker already waiting gets a newly added
 // job's first row as AddJob lands, not after an idle poll; and Run
-// returns as its last row is accepted. Each clock starts at the event
-// under test — the job registered, the last row accepted — and stops
-// where the woken goroutine stamps its return, so neither bound times
-// the job's set-up or the test's own scheduling. A wake by the
-// long-poll timer instead would land about 400 ms after the job is
-// added, far past the 100 ms bound.
+// returns as its last row is accepted. What proves the wake is a
+// deadline no timer can meet, not a latency bound: the waiting
+// acquire's only timer fires at its long-poll deadline, longPoll after
+// the coordinator received it, so an answer carrying the new job's row
+// before the acquire's start + longPoll came from the change signal.
+// Run waits on nothing but the signal (it has no timer at all), so it
+// must return within longPoll of the last accept.
 func TestLongPollAcquireWakesOnChange(t *testing.T) {
 	clk := newTestClock()
 	dir := t.TempDir()
@@ -523,6 +524,7 @@ func TestLongPollAcquireWakesOnChange(t *testing.T) {
 		at     time.Time
 	}
 	got := make(chan acquired, 1)
+	sent := time.Now()
 	go func() {
 		ls, err := w.acquire(context.Background())
 		got <- acquired{ls, err, time.Now()}
@@ -535,13 +537,12 @@ func TestLongPollAcquireWakesOnChange(t *testing.T) {
 	}
 	job := withJournal(t, dir, testJob(t, "j", 1))
 	done := runInBackground(t, context.Background(), c, job)
-	added := time.Now()
 	a := <-got
 	if a.err != nil || len(a.leases) != 1 {
 		t.Fatalf("the waiting acquire got %d leases, %v; want the new job's row", len(a.leases), a.err)
 	}
-	if d := a.at.Sub(added); d > 100*time.Millisecond {
-		t.Fatalf("the waiting acquire took %v after AddJob", d)
+	if d := a.at.Sub(sent); d >= longPoll {
+		t.Fatalf("the waiting acquire answered %v after it was sent, not before its %v long-poll deadline: no change signal woke it", d, longPoll)
 	}
 
 	if _, err := one(c.complete(okComplete(t, &a.leases[0], "w1"))); err != nil {
@@ -552,8 +553,8 @@ func TestLongPollAcquireWakesOnChange(t *testing.T) {
 	if res.err != nil || !reportFor(res.m, nil).Complete() {
 		t.Fatalf("Run = %v", res.err)
 	}
-	if d := res.at.Sub(accepted); d > 100*time.Millisecond {
-		t.Fatalf("Run returned %v after the last accept", d)
+	if d := res.at.Sub(accepted); d > longPoll {
+		t.Fatalf("Run returned %v after the last accept, want within %v", d, longPoll)
 	}
 
 	// With nothing left, an acquire waits out the long-poll and answers

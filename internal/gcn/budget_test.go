@@ -42,13 +42,16 @@ func TestBudgetCutOffLeavesRowClean(t *testing.T) {
 		// inside the engine: the detailed engine drains identical
 		// workgroups a whole resident batch per quantum, and the
 		// pipeline's launch loop handles a resident batch per iteration,
-		// so both get longer launches.
+		// so both get longer launches. The pipeline's resident set
+		// crosses its compute stretches in a step each, so its waves
+		// also get enough loads for the simulation to pass a check.
 		k := capVALU(capWGs(computeBoundKernel(), 2048), 2000)
 		switch name {
 		case "detailed":
 			k.Workgroups = 1 << 16
 		case "pipeline":
 			k.Workgroups = 1 << 20
+			k.Mem.LoadsPerWave = 64
 		}
 		t.Run(name, func(t *testing.T) {
 			prepare := func(ctx context.Context, perCell time.Duration) PreparedRow {

@@ -1,18 +1,21 @@
 package gcn
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"gpuscale/internal/isa"
 	"gpuscale/internal/kernel"
+	"gpuscale/internal/suites"
 )
 
-// The optimized resident-set scheduler caches instruction classes and
-// skips scans via per-class counts, which must not change issue order.
-// referenceResidentSet is the original straightforward implementation
-// — Body lookups and predicate calls every cycle — kept verbatim as a
-// differential oracle: both must agree on the exact cycle count for
-// every program, latency, and policy.
+// The resident-set scheduler picks waves from eligibility bitsets and
+// fast-forwards stretches of pure port rotation, which must not change
+// issue order. referenceResidentSet is the original straightforward
+// implementation — Body lookups and predicate calls every cycle, one
+// loop iteration per cycle — kept verbatim as a differential oracle:
+// both must agree on the exact cycle count for every program, latency,
+// and policy.
 
 func refIsVector(op isa.Op) bool { return op == isa.OpVALU || op == isa.OpLDS }
 func refIsMemory(op isa.Op) bool { return op == isa.OpLoad || op == isa.OpStore }
@@ -169,20 +172,162 @@ func TestResidentSetMatchesReference(t *testing.T) {
 		for _, policy := range []SchedPolicy{RoundRobin, GreedyThenOldest} {
 			for _, latency := range []int64{1, 7, 63, 400} {
 				for _, wgs := range []int{1, 3, 8} {
-					want, err := referenceResidentSet(prog, wgs, 4, latency, policy)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := SimulateResidentSetPolicy(prog, wgs, 4, latency, policy)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Errorf("%s policy=%v latency=%d wgs=%d: optimized %d cycles, reference %d",
-							k.Name, policy, latency, wgs, got, want)
-					}
+					matchReference(t, &cuPipeline{}, prog, wgs, 4, latency, policy)
 				}
 			}
 		}
 	}
+
+	// The pipeline study's kernels at a full 40-wave resident set: the
+	// fast-forward must carry part of every run, so the oracle cannot
+	// pass by never taking it.
+	for _, k := range studyKernels(t) {
+		prog, err := isa.Lower(k)
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		wavesPerWG := k.WavesPerWG()
+		for _, run := range []struct {
+			policy  SchedPolicy
+			latency int64
+		}{{RoundRobin, 400}, {GreedyThenOldest, 63}} {
+			p := &cuPipeline{}
+			matchReference(t, p, prog, 40/wavesPerWG, wavesPerWG, run.latency, run.policy)
+			if p.skipped == 0 {
+				t.Errorf("%s policy=%v latency=%d: no cycle fast-forwarded", k.Name, run.policy, run.latency)
+			}
+		}
+	}
+}
+
+// matchReference runs one resident set on p and on the reference and
+// fails the test unless both take the same number of cycles.
+func matchReference(t *testing.T, p *cuPipeline, prog *isa.Program, wgs, wavesPerWG int, latency int64, policy SchedPolicy) {
+	t.Helper()
+	want, err := referenceResidentSet(prog, wgs, wavesPerWG, latency, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runResidentSet(p, nil, prog, wgs, wavesPerWG, latency, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("%s policy=%v latency=%d wgs=%d x %d waves: optimized %d cycles, reference %d",
+			prog.Name, policy, latency, wgs, wavesPerWG, got, want)
+	}
+}
+
+// studyKernels are the pipeline study's kernels: the first corpus
+// kernel of each of eight archetypes, in the end-to-end benchmark's
+// order.
+func studyKernels(t testing.TB) []*kernel.Kernel {
+	t.Helper()
+	var out []*kernel.Kernel
+	entries := suites.AllEntries(suites.Corpus())
+	for _, a := range []suites.Archetype{suites.Balanced, suites.Stencil, suites.DenseCompute, suites.LDSHeavy,
+		suites.CacheSensitive, suites.Reduction, suites.StreamBW, suites.GraphGather} {
+		for _, e := range entries {
+			if e.Archetype == a {
+				out = append(out, e.Kernel)
+				break
+			}
+		}
+	}
+	if len(out) != 8 {
+		t.Fatalf("the corpus has %d of the study's 8 archetypes", len(out))
+	}
+	return out
+}
+
+// maxFuzzSlots bounds a fuzzed input's issue slots — its program's
+// dynamic length times its waves — since the reference scans every
+// wave each cycle and coverage instrumentation slows it about twenty
+// times: at 2000 the fuzzer runs over 2000 inputs a second on two
+// workers, at 5000 under 100. The seeds' study programs are cut there
+// too; TestResidentSetMatchesReference runs them whole.
+const maxFuzzSlots = 2000
+
+// fuzzOps are the instruction classes a fuzzed program draws from; the
+// decoder appends the OpEnd itself.
+var fuzzOps = [...]isa.Op{isa.OpVALU, isa.OpLDS, isa.OpLoad, isa.OpStore, isa.OpSALU, isa.OpBarrier}
+
+// decodeResidentSet turns arbitrary bytes into one resident-set input:
+//
+//	byte 0     bit 0 the policy (1 = GreedyThenOldest), the rest 1-10 workgroups
+//	byte 1     1-4 waves per workgroup
+//	bytes 2-3  a latency of 1-1000 cycles (big-endian)
+//	3 bytes    per instruction: the op (low 7 bits, over fuzzOps)
+//	           and DependsOnLoad (bit 7), then a count of 1-2000
+//	           (big-endian)
+//
+// Missing header bytes read as zero; a trailing partial instruction is
+// dropped, and OpEnd closes the program. Instructions stop at 256, or
+// before the program's dynamic length times its waves would pass
+// maxFuzzSlots.
+func decodeResidentSet(data []byte) (prog *isa.Program, wgs, wavesPerWG int, latency int64, policy SchedPolicy) {
+	var hdr [4]byte
+	n := copy(hdr[:], data)
+	data = data[n:]
+	policy = SchedPolicy(hdr[0] & 1)
+	wgs = 1 + int(hdr[0]>>1)%10
+	wavesPerWG = 1 + int(hdr[1])%4
+	latency = 1 + int64(binary.BigEndian.Uint16(hdr[2:]))%1000
+	prog = &isa.Program{Name: "fuzz"}
+	for dyn := 0; len(data) >= 3 && len(prog.Body) < 256; data = data[3:] {
+		in := isa.Instr{
+			Op:            fuzzOps[int(data[0]&0x7f)%len(fuzzOps)],
+			Count:         1 + int(binary.BigEndian.Uint16(data[1:]))%2000,
+			DependsOnLoad: data[0]&0x80 != 0,
+		}
+		if dyn += in.Count; dyn*wgs*wavesPerWG > maxFuzzSlots {
+			break
+		}
+		prog.Body = append(prog.Body, in)
+	}
+	prog.Body = append(prog.Body, isa.Instr{Op: isa.OpEnd, Count: 1, DependsOnLoad: true})
+	return prog, wgs, wavesPerWG, latency, policy
+}
+
+// encodeResidentSet is decodeResidentSet's inverse for a program whose
+// only OpEnd is its last instruction and whose counts are at most 2000.
+// It stops where the decoder would, so a seed holds no byte the fuzzer
+// would spend time minimizing away.
+func encodeResidentSet(prog *isa.Program, wgs, wavesPerWG int, latency int64, policy SchedPolicy) []byte {
+	out := []byte{byte(policy) | byte(wgs-1)<<1, byte(wavesPerWG - 1), 0, 0}
+	binary.BigEndian.PutUint16(out[2:], uint16(latency-1))
+	dyn := 0
+	for _, in := range prog.Body[:len(prog.Body)-1] {
+		if dyn += in.Count; dyn*wgs*wavesPerWG > maxFuzzSlots {
+			break
+		}
+		op := 0
+		for op < len(fuzzOps) && fuzzOps[op] != in.Op {
+			op++
+		}
+		if in.DependsOnLoad {
+			op |= 0x80
+		}
+		out = append(out, byte(op))
+		out = binary.BigEndian.AppendUint16(out, uint16(in.Count-1))
+	}
+	return out
+}
+
+// FuzzResidentSet holds the scheduler to its oracle on arbitrary
+// programs, residencies, latencies and policies, from a corpus seeded
+// with the pipeline study's programs, one workgroup each.
+func FuzzResidentSet(f *testing.F) {
+	for i, k := range studyKernels(f) {
+		prog, err := isa.Lower(k)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeResidentSet(prog, 1, k.WavesPerWG(), 300, SchedPolicy(i&1)))
+	}
+	p := &cuPipeline{}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prog, wgs, wavesPerWG, latency, policy := decodeResidentSet(data)
+		matchReference(t, p, prog, wgs, wavesPerWG, latency, policy)
+	})
 }

@@ -30,9 +30,9 @@ func capWGs(k *kernel.Kernel, wgs int) *kernel.Kernel {
 }
 
 // capVALU additionally shrinks the per-wave instruction count — the
-// cycle-level engine is O(instructions x waves), and a 2000-VALU wave
-// against ~10 memory accesses is exactly as compute-bound as a
-// 50000-VALU one.
+// pipeline's cycle-by-cycle reference scheduler is O(instructions x
+// waves), and a 2000-VALU wave against ~10 memory accesses is exactly
+// as compute-bound as a 50000-VALU one.
 func capVALU(k *kernel.Kernel, n int) *kernel.Kernel {
 	if k.VALUPerWave > n {
 		k.VALUPerWave = n

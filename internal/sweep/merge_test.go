@@ -149,6 +149,37 @@ func TestWriteCanonicalJournalValidation(t *testing.T) {
 	}
 }
 
+// TestPipelineStudyPin pins the pipeline engine's output end to end:
+// the noise-free pipeline study — the first corpus kernel of each of
+// the eight archetypes the end-to-end benchmark's pipeline workload
+// submits, in its order — over the study grid, as the journal's
+// canonical bytes. Any change to the engine's cycle counts moves it.
+func TestPipelineStudyPin(t *testing.T) {
+	entries := suites.AllEntries(suites.Corpus())
+	var ks []*kernel.Kernel
+	for _, a := range []suites.Archetype{suites.Balanced, suites.Stencil, suites.DenseCompute, suites.LDSHeavy,
+		suites.CacheSensitive, suites.Reduction, suites.StreamBW, suites.GraphGather} {
+		for _, e := range entries {
+			if e.Archetype == a {
+				ks = append(ks, e.Kernel)
+				break
+			}
+		}
+	}
+	m, err := Run(ks, hw.StudySpace(), Options{Engine: Pipeline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := CanonicalJournalBytes(m, m.Kernels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "93002eed7b3d5cc7db80270a47cff59cd916905ace51b81482369718691cc425"
+	if got := fmt.Sprintf("%x", sha256.Sum256(canonical)); got != want || len(canonical) != 121717 {
+		t.Errorf("pipeline study journal sha256 %s (%d bytes), want %s (121717 bytes)", got, len(canonical), want)
+	}
+}
+
 // TestSeed1StudyPins pins the seed-1 study — the whole corpus in the
 // order seed 1 permutes it, swept on the round engine with 2% noise
 // at seed 1, as the end-to-end benchmark submits it — in both its
