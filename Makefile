@@ -50,10 +50,13 @@ soak-smoke:
 # Multi-process distributed chaos soak: a coordinator plus three
 # child-process workers, with SIGKILLs, coordinator crash-restarts and
 # injected network faults (dropped acks, duplicated deliveries,
-# delays), race-enabled. Asserts exactly-once completion, a matrix and
-# job journal byte-identical to a single-node run, and the
-# no-two-live-epochs ledger invariant. On failure the log prints the chaos seed;
-# replay it with GPUSCALE_FAULT_SEED=<seed> make soak-dist.
+# delays), race-enabled, registering a fresh job each time one
+# completes until the chaos window closes. Asserts exactly-once
+# completion, every job's journal byte-identical to a single-node run,
+# and the no-two-live-epochs ledger invariant. The log names the window
+# used, the jobs finished and the crash and kill counts. On failure the
+# log prints the chaos seed; replay it with
+# GPUSCALE_FAULT_SEED=<seed> make soak-dist.
 soak-dist:
 	GPUSCALE_SOAK_MS=10000 $(GO) test -race -run TestChaosSoakDistributed -v -count=1 ./internal/dist/
 
@@ -75,9 +78,11 @@ soak-byzantine:
 # primary is killed mid-sweep, the standby promotes itself under a new
 # term, workers re-join it through peer rotation with jittered
 # backoff, and the deposed primary is term-fenced when it limps back —
-# race-enabled. Asserts exactly-once completion across the failover, a
-# promoted coordinator's matrix byte-identical to a single-node run,
-# and the monotonic-terms / no-two-live-primaries ledger audit. On failure the
+# race-enabled. After the promotion it registers a fresh job each time
+# one completes until the chaos window closes. Asserts exactly-once
+# completion across the failover, every job's journal byte-identical to
+# a single-node run, and the monotonic-terms / no-two-live-primaries
+# ledger audit. On failure the
 # log prints the seed; replay with GPUSCALE_FAULT_SEED=<seed> make
 # soak-failover. Then the same failover through gpuscaled's job API: a
 # -coordinator primary killed with a job complete, one mid-sweep and
@@ -114,7 +119,7 @@ no-strays:
 	@if pgrep -af $(STRAYS); then echo "no-strays: the processes above outlived their run"; exit 1; fi
 
 # Short coverage-guided fuzz of the journal decoder, the journal's CSV
-# renderer, the CSV loaders, the lease-ledger scanner, the row format's
+# renderer, the CSV loader, the lease-ledger scanner, the row format's
 # two decoders (packed planes and row records), the coordinator's check
 # of a complete's planes, the fleet's framed bodies as the coordinator
 # reads a complete and the standby reads a tail, and the pipeline

@@ -507,17 +507,16 @@ func coordinatorOptions(o cliOptions, peers []string, reg *obs.Registry, fed *ob
 // journal, which serve owns (its OnRow hook settles each row, and the
 // job's trace context makes every lease grant a child span of the job),
 // and every record serve writes reaches the standby through Replicate.
-// The matrix the coordinator returns is left to it: serve renders a
-// job's matrix from the journal.
+// The coordinator keeps no matrix: the journal, plus the rows serve
+// keeps, is the job's matrix, and serve renders /matrix from them.
 type fleet struct{ *dist.Coordinator }
 
 func (f fleet) RunSweep(ctx context.Context, req serve.SweepRequest) (*sweep.RunReport, error) {
-	_, rep, err := f.Run(ctx, dist.Job{
+	return f.Run(ctx, dist.Job{
 		Name: req.JobID, Kernels: req.Kernels, Space: req.Space,
 		Engine: req.Engine, Seed: req.Seed, NoiseStdDev: req.Noise,
 		Journal: req.Journal, OnRow: req.OnRow, Trace: req.Trace,
 	})
-	return rep, err
 }
 
 // front is a daemon's one listener. Its mux can be swapped while it

@@ -11,7 +11,10 @@
 // a previous (crashed or canceled) run did not finish. A corrupt or
 // torn journal is salvaged, not fatal: the readable prefix is kept,
 // the rest recomputed, and the process exits with code 3 so scripts
-// can detect that truncation happened.
+// can detect that truncation happened. A finished -resume run archives
+// its journal in place as plain CSV; -resume over that archive, or
+// over a journal an earlier build wrote, is refused with an error that
+// names the file's format, and the file is left as it is.
 //
 // Long campaigns are observable while they run: -trace-out streams a
 // span per kernel row, retry and journal append and an instant per
@@ -112,7 +115,7 @@ func main() {
 	flag.DurationVar(&o.latency, "fault-latency", 0, "maximum injected per-call latency (deterministic, needs -fault-latency-rate)")
 	flag.Float64Var(&o.latencyRate, "fault-latency-rate", 0, "inject seeded per-call latency at this rate (robustness drills)")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed")
-	flag.BoolVar(&o.resume, "resume", false, "journal completed rows to -o and, on rerun, recompute only missing rows")
+	flag.BoolVar(&o.resume, "resume", false, "journal completed rows to -o and, on rerun, recompute only missing rows (the finished run's CSV archive, or an earlier build's journal, is refused)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write per-row, per-retry and per-fault events to this JSONL trace file (see sweeptrace)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /progress over HTTP on this address")
 	flag.BoolVar(&o.progress, "progress", false, "print a throttled progress/ETA line to stderr")
@@ -330,15 +333,10 @@ func run(ctx context.Context, o cliOptions) (salvaged bool, err error) {
 			return false, err
 		}
 		defer journal.Close()
-		if s := journal.Salvage(); s != nil {
-			if s.MigratedFrom != "" {
-				fmt.Fprintf(info, "gpusweep: journal %s migrated from %s format\n", o.out, s.MigratedFrom)
-			}
-			if s.DroppedBytes > 0 {
-				salvaged = true
-				fmt.Fprintf(info, "gpusweep: journal %s salvaged: dropped %d bytes (~%d records): %s\n",
-					o.out, s.DroppedBytes, s.DroppedRecords, s.Reason)
-			}
+		if s := journal.Salvage(); s != nil && s.DroppedBytes > 0 {
+			salvaged = true
+			fmt.Fprintf(info, "gpusweep: journal %s salvaged: dropped %d bytes (~%d records): %s\n",
+				o.out, s.DroppedBytes, s.DroppedRecords, s.Reason)
 		}
 		prior = journal.Prior()
 		// A worker encodes its complete row and queues it for the
@@ -399,7 +397,7 @@ func run(ctx context.Context, o cliOptions) (salvaged bool, err error) {
 	case journal != nil:
 		// Rows were checkpointed as they completed; verify, then
 		// atomically archive the finished matrix as plain CSV over the
-		// journal (a later -resume run migrates it back if needed).
+		// journal (a later -resume run refuses the archive by name).
 		if err := journal.VerifyComplete(m.Kernels); err != nil {
 			return salvaged, fmt.Errorf("%w (rerun with -resume to finish)", err)
 		}

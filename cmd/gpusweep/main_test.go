@@ -143,6 +143,20 @@ func TestRunResumeJournalCompletesAcrossRuns(t *testing.T) {
 	if len(m.Kernels) != 24 {
 		t.Fatalf("resumed journal has %d kernels, want 24", len(m.Kernels))
 	}
+
+	// Third pass: -resume over the finished archive is refused by name
+	// (main exits 1 on the error), and the archive is left as it is.
+	archive, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = run(context.Background(), second)
+	if err == nil || !strings.Contains(err.Error(), "a sweep CSV") {
+		t.Fatalf("-resume over the finished archive: %v, want an error naming the sweep CSV", err)
+	}
+	if after, rerr := os.ReadFile(out); rerr != nil || !bytes.Equal(after, archive) {
+		t.Fatalf("the refused archive changed (%v)", rerr)
+	}
 }
 
 // metricValue extracts one series value from a Prometheus exposition.

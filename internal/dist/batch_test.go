@@ -247,8 +247,8 @@ func TestCrashMidBatchRecoversWholeFrames(t *testing.T) {
 // TestMixedBatchKeepsSingleRowVerdicts: one complete carrying a stolen
 // epoch, a duplicate, a bad digest, a sampled row and two good rows
 // gives each row the verdict a one-row complete gets, and only the good
-// rows reach the journal, the ledger's completes, the matrix and OnRow
-// — through one journal append and one ledger append.
+// rows reach the journal, the ledger's completes and OnRow — through
+// one journal append and one ledger append.
 func TestMixedBatchKeepsSingleRowVerdicts(t *testing.T) {
 	const sampled = 3
 	seed := int64(-1)
@@ -273,7 +273,11 @@ func TestMixedBatchKeepsSingleRowVerdicts(t *testing.T) {
 	job := testJob(t, "j", 6)
 	job.Seed = seed
 	delivered := map[int]int{}
-	job.OnRow = func(_ *sweep.Matrix, r int) { delivered[r]++ }
+	job.OnRow = func(r int, journaled bool) {
+		if journaled {
+			delivered[r]++
+		}
+	}
 	if err := c.AddJob(withJournal(t, dir, job)); err != nil {
 		t.Fatal(err)
 	}
@@ -487,12 +491,12 @@ func TestBatchCountsScaleWithBatches(t *testing.T) {
 	if kinds["grant"] != rows || kinds["complete"] != rows {
 		t.Fatalf("ledger holds %d grants and %d completes, want %d of each", kinds["grant"], kinds["complete"], rows)
 	}
-	m, ok := completeMatrix(coord, job.Name)
+	got, ok := completeJournal(t, coord, job.Name)
 	if !ok {
 		t.Fatal("job incomplete")
 	}
-	if got, err := sweep.CanonicalJournalBytes(m, m.Kernels); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("batched fleet matrix differs from a single-node run (%v)", err)
+	if !bytes.Equal(got, want) {
+		t.Fatal("batched fleet journal differs from a single-node run")
 	}
 }
 
@@ -550,7 +554,7 @@ func TestLongPollAcquireWakesOnChange(t *testing.T) {
 	}
 	accepted := time.Now()
 	res := <-done
-	if res.err != nil || !reportFor(res.m, nil).Complete() {
+	if res.err != nil || !res.rep.Complete() {
 		t.Fatalf("Run = %v", res.err)
 	}
 	if d := res.at.Sub(accepted); d > longPoll {

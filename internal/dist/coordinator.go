@@ -41,17 +41,18 @@ type Job struct {
 	// (required). AddJob recovers done rows from its Prior, and each
 	// accepted complete is appended to it before the ack.
 	Journal *sweep.Journal
-	// OnRow, when non-nil, is invoked as each row's complete is
-	// accepted (after the row is durably journaled), with the job's
-	// matrix and the row index — the hook internal/serve settles its
-	// rows with. A settled row is assigned whole and never written
-	// again, so OnRow may keep the row's slices: a quarantine that
-	// retracts the row assigns a fresh all-canceled row and calls OnRow
-	// again. At AddJob it is invoked, with an all-canceled row, for each
-	// row the journal holds and the ledger retracted, and for no other
-	// row recovered from the journal. Called with the coordinator's lock
-	// held: it must not call back into the Coordinator.
-	OnRow func(m *sweep.Matrix, r int)
+	// OnRow, when non-nil, hears each row the fleet settles — the hook
+	// internal/serve settles its rows with. journaled means the row's
+	// record is in the job's journal: its complete was accepted, after
+	// the record was durably appended. Not journaled means a quarantine
+	// retracted the row, live or, at AddJob, for a row the journal holds
+	// and the ledger retracted: the row is canceled, and the journal's
+	// record for it no longer stands. A fleet settles no other kind of
+	// row: a failed complete only requeues its row. A retracted row
+	// settles journaled again once a healthy worker's complete is
+	// accepted. Called with the coordinator's lock held: it must not
+	// call back into the Coordinator.
+	OnRow func(r int, journaled bool)
 }
 
 // CoordinatorOptions tunes a Coordinator; the zero value is usable.
@@ -161,13 +162,13 @@ type rowState struct {
 	reused bool
 }
 
-// jobState is one registered job's lease state and matrix, and what
-// sizes its lease batches: the workers that have leased from it and
-// the compute-and-encode time its completes reported.
+// jobState is one registered job's lease state, and what sizes its
+// lease batches: the workers that have leased from it and the
+// compute-and-encode time its completes reported. Its rows' planes are
+// in the job's journal, never here.
 type jobState struct {
 	job      Job
 	rows     []rowState
-	matrix   *sweep.Matrix
 	workers  map[string]bool
 	costNS   int64
 	costRows int64
@@ -308,7 +309,7 @@ func (c *Coordinator) Term() uint64 {
 func (c *Coordinator) Deposed() <-chan struct{} { return c.deposedCh }
 
 // stepDownLocked fences this coordinator permanently: a newer term is
-// live somewhere, so nothing it grants or acks may reach the matrix
+// live somewhere, so nothing it grants or acks may reach the journal
 // again. Caller holds c.mu.
 func (c *Coordinator) stepDownLocked(reason string) {
 	if c.deposed {
@@ -522,8 +523,7 @@ func (c *Coordinator) addJob(job Job) error {
 	if err != nil {
 		return fmt.Errorf("dist: reading job %s's journal: %w", job.Name, err)
 	}
-	js := &jobState{job: job, rows: make([]rowState, len(job.Kernels)),
-		matrix: sweep.NewMatrix(job.Space, job.Kernels), workers: map[string]bool{}}
+	js := &jobState{job: job, rows: make([]rowState, len(job.Kernels)), workers: map[string]bool{}}
 	now := c.now()
 	prior := job.Journal.Prior()
 	for r, k := range job.Kernels {
@@ -547,22 +547,21 @@ func (c *Coordinator) addJob(job Job) error {
 			// ignored. Reopen pending with the replayed votes (the
 			// retracted claim among them, unless its digest is of an
 			// earlier record format), so honest agreement settles it,
-			// and hand OnRow the row all-canceled, as a live retraction
-			// does, so the journaled record never stands for it.
+			// and tell OnRow the row is not journaled, as a live
+			// retraction does, so the journaled record never stands for
+			// it.
 			rs.pending = true
 			rs.lastVote = now
 			for _, v := range rr.votes {
 				rs.votes = append(rs.votes, rowVote{worker: v.Worker, digest: v.Digest, epoch: v.Epoch})
 			}
 			if havePrior && job.OnRow != nil {
-				job.OnRow(js.matrix, r)
+				job.OnRow(r, false)
 			}
 			continue
 		}
 		switch {
 		case havePrior:
-			js.matrix.Throughput[r], js.matrix.TimeNS[r] = prior.Throughput[pr], prior.TimeNS[pr]
-			js.matrix.Bound[r], js.matrix.Status[r] = prior.Bound[pr], prior.Status[pr]
 			rs.done, rs.reused = true, true
 			if rr != nil && rr.completed {
 				rs.digest, rs.verified, rs.completedBy = rr.digest, rr.verified, rr.completedBy
@@ -577,7 +576,7 @@ func (c *Coordinator) addJob(job Job) error {
 				// No ledgered digest, or one of an earlier record format:
 				// digest the journaled row, so a later retraction votes
 				// with a digest an honest re-execution can match.
-				if d, derr := sweep.RowDigest(js.matrix, r); derr == nil {
+				if d, derr := sweep.RowDigest(prior, pr); derr == nil {
 					rs.digest = d
 				}
 			}
@@ -672,19 +671,19 @@ func (c *Coordinator) statusLocked(js *jobState) JobStatus {
 }
 
 // Run registers job and blocks until every row is done or ctx ends.
-// On cancellation the partial matrix and its report are returned
-// alongside the context error, mirroring sweep.RunContext. However
-// Run returns, the job has left the coordinator (see retire), so the
-// caller owns the returned matrix and may close the job's journal.
-func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.RunReport, error) {
+// On cancellation the partial run's report is returned alongside the
+// context error, mirroring sweep.RunContext. However Run returns, the
+// job has left the coordinator (see retire), so its journal holds the
+// job's rows for good and the caller may close it.
+func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.RunReport, error) {
 	start := time.Now()
 	if err := c.AddJob(job); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for {
 		js, changed := c.retire(job.Name, false)
 		if js != nil {
-			return js.matrix, js.report(start), nil
+			return js.report(start), nil
 		}
 		var err error
 		select {
@@ -692,26 +691,36 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sweep.Matrix, *sweep.R
 			err = ctx.Err()
 		case <-c.deposedCh:
 			// A newer term is live: this coordinator will never see the
-			// job finish. Surface the partial matrix and the deposed
+			// job finish. Surface the partial report and the deposed
 			// error so the process can exit with the distinct code.
 			err = ErrDeposed
 		case <-changed:
 			continue
 		}
 		js, _ = c.retire(job.Name, true)
-		return js.matrix, js.report(start), err
+		return js.report(start), err
 	}
 }
 
-// report is a retired job's run report (reportFor), over the wall time
-// since start: rows still marked reused came from its journal.
+// report is a retired job's run report over the wall time since start,
+// counted from its rows' state: every cell of a row reused from the
+// job's journal is skipped, as Resume counts it; every cell of a row
+// done in this run was measured once from the caller's view (worker
+// retries are the workers' business); every other cell is canceled.
 func (js *jobState) report(start time.Time) *sweep.RunReport {
-	reused := make([]bool, len(js.rows))
-	for r := range js.rows {
-		reused[r] = js.rows[r].reused
+	n := js.job.Space.Size()
+	rep := &sweep.RunReport{Kernels: len(js.rows), Configs: n, Cells: len(js.rows) * n, WallTime: time.Since(start)}
+	for _, rs := range js.rows {
+		switch {
+		case rs.reused:
+			rep.Skipped += n
+		case rs.done:
+			rep.OK += n
+		default:
+			rep.Canceled += n
+		}
 	}
-	rep := reportFor(js.matrix, reused)
-	rep.WallTime = time.Since(start)
+	rep.Attempts = rep.OK
 	return rep
 }
 
@@ -1185,7 +1194,7 @@ func (c *Coordinator) verdictLocked(js *jobState, worker string, rc rowComplete,
 	// Attestation: the digest must hash exactly the planes shipped.
 	// A mismatch means the payload was damaged in flight or the worker
 	// attested bytes it did not send — either way these planes must
-	// not reach the matrix, and retrying the identical payload cannot
+	// not reach the journal, and retrying the identical payload cannot
 	// succeed (400, not 409).
 	if rc.Digest != row.digest {
 		c.mBadAttest.Inc()
@@ -1297,9 +1306,9 @@ func (c *Coordinator) landLocked(js *jobState, worker string, lands []landing, r
 }
 
 // applyLocked settles a landed row in memory: a held vote releases the
-// row for an independent re-execution; an accept assigns its planes to
-// the matrix, hands the row to OnRow and quarantines every worker whose
-// vote it proves a lie. Caller holds c.mu.
+// row for an independent re-execution; an accept marks the row done,
+// tells OnRow it is journaled and quarantines every worker whose vote
+// it proves a lie. Caller holds c.mu.
 func (c *Coordinator) applyLocked(js *jobState, l *landing, worker string) rowResult {
 	rs, r := l.rs, l.rc.Row
 	if l.vote {
@@ -1326,18 +1335,13 @@ func (c *Coordinator) applyLocked(js *jobState, l *landing, worker string) rowRe
 		rs.releasedEarly = true
 		return rowResult{PendingVerify: true}
 	}
-	// The record's planes, unpacked afresh, become the row; a fresh
-	// status row is all StatusOK, the zero value. If the row was
-	// invalidated earlier, its journal record supersedes the retracted
-	// bytes: journal replay is last-record-wins per kernel.
-	m := js.matrix
-	m.Throughput[r], m.TimeNS[r], m.Bound[r] = l.row.rec.Planes()
-	m.Status[r] = make([]sweep.CellStatus, len(m.Throughput[r]))
+	// If the row was invalidated earlier, its journal record supersedes
+	// the retracted bytes: journal replay is last-record-wins per kernel.
 	rs.done = true
 	rs.digest, rs.verified, rs.completedBy = l.rc.Digest, l.verified, worker
 	rs.pending, rs.votes = false, nil
 	if js.job.OnRow != nil {
-		js.job.OnRow(js.matrix, r)
+		js.job.OnRow(r, true)
 	}
 	c.mCompleted.Inc()
 	if l.verified {
@@ -1395,7 +1399,7 @@ func checkRow(js *jobState, req rowComplete) completeRow {
 // unverified row it completed in a job still registered is retracted
 // and reopened — graceful degradation, because healthy workers pick the
 // rows back up on their next acquire. A job Run has returned is out of
-// reach: its matrix belongs to the caller. The strike, quarantine and
+// reach: its journal belongs to the caller. The strike, quarantine and
 // invalidate records go to the ledger in one append, and are
 // best-effort audit: the quarantine already holds in memory, failing
 // the accepted complete over an audit record would trade integrity for
@@ -1444,8 +1448,8 @@ func (c *Coordinator) quarantineLocked(js *jobState, worker, job string, row int
 
 // invalidateLocked retracts a done row and returns the invalidate
 // record, naming the worker and digest being withdrawn, for the caller
-// to ledger: the matrix row is settled anew as all-canceled and handed
-// to OnRow, and the row reopens pending with the retracted claim
+// to ledger: OnRow hears that the row is no longer journaled, and the
+// row reopens pending with the retracted claim
 // seeded as a vote — if an honest worker reproduces the digest, the
 // values were right after all and one agreement settles the row
 // verified. Caller holds c.mu.
@@ -1461,9 +1465,8 @@ func (c *Coordinator) invalidateLocked(js *jobState, r int) LedgerRecord {
 	rs.lastVote = now
 	rs.expiry = now
 	rs.releasedEarly = true
-	js.matrix.SettleRow(r, sweep.StatusCanceled)
 	if js.job.OnRow != nil {
-		js.job.OnRow(js.matrix, r)
+		js.job.OnRow(r, false)
 	}
 	c.mInvalid.Inc()
 	c.emit("invalidate", js, rs.span, obs.KS("job", js.job.Name), obs.KN("row", float64(r)),

@@ -129,16 +129,38 @@ func newTestCoordinator(t *testing.T, dir string, clk *testClock) *Coordinator {
 	return c
 }
 
-// completeMatrix is a registered job's matrix once every row is done,
-// or false while rows are outstanding.
-func completeMatrix(c *Coordinator, job string) (*sweep.Matrix, bool) {
+// completeJournal is a registered job's journal as jobCanonical reads
+// it, once every row is done, or false while rows are outstanding.
+func completeJournal(t testing.TB, c *Coordinator, name string) ([]byte, bool) {
+	t.Helper()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	js, ok := c.jobs[job]
-	if !ok || !c.statusLocked(js).Complete {
+	js, ok := c.jobs[name]
+	complete := ok && c.statusLocked(js).Complete
+	c.mu.Unlock()
+	if !complete {
 		return nil, false
 	}
-	return js.matrix, true
+	return jobCanonical(t, js.job), true
+}
+
+// jobCanonical reads job's journal (ReadJournal) and renders its rows
+// canonically in job order: the job's matrix in the form byte-identity
+// checks compare with a single-node run's.
+func jobCanonical(t testing.TB, job Job) []byte {
+	t.Helper()
+	m, err := sweep.ReadJournal(job.Journal.Path(), job.Space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]string, len(job.Kernels))
+	for r, k := range job.Kernels {
+		order[r] = k.Name
+	}
+	b, err := sweep.CanonicalJournalBytes(m, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // quarantinedWorkers returns c's quarantined worker names, sorted.
@@ -615,7 +637,7 @@ func TestMalformedCompleteBodyChangesNothing(t *testing.T) {
 // TestLandedRowKeepsNoBodyBytes: a complete's planes alias the body
 // they were read from, and nothing the coordinator keeps past the call
 // does: scribbling over the body once the complete has landed changes
-// neither the job's matrix row nor any replication message.
+// neither the job's journal nor any replication message.
 func TestLandedRowKeepsNoBodyBytes(t *testing.T) {
 	clk := newTestClock()
 	c := newTestCoordinator(t, t.TempDir(), clk)
@@ -633,13 +655,13 @@ func TestLandedRowKeepsNoBodyBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept := func() string {
-		m, ok := completeMatrix(c, "j")
+		b, ok := completeJournal(t, c, "j")
 		if !ok {
 			t.Fatal("the row did not land")
 		}
 		c.repl.mu.Lock()
 		defer c.repl.mu.Unlock()
-		return fmt.Sprint(m.Throughput[0], m.TimeNS[0], m.Bound[0], c.repl.msgs)
+		return fmt.Sprint(b, c.repl.msgs)
 	}
 	before := kept()
 	for i := range body {
@@ -682,22 +704,6 @@ func TestLedgerTornTailSalvage(t *testing.T) {
 	}
 }
 
-// TestReportForCountsStalledAsCanceled: a stalled cell, decoded from an
-// earlier version's journal, was never measured — the report counts it
-// canceled, so the run reads incomplete and Resume recomputes its row.
-func TestReportForCountsStalledAsCanceled(t *testing.T) {
-	job := testJob(t, "stalled", 2)
-	m := sweep.NewMatrix(job.Space, job.Kernels)
-	n := job.Space.Size()
-	stalled := make([]sweep.CellStatus, n) // all StatusOK
-	stalled[0] = sweep.StatusStalled
-	m.Status[0], m.Status[1] = make([]sweep.CellStatus, n), stalled
-	rep := reportFor(m, nil)
-	if rep.Canceled != 1 || rep.OK != rep.Cells-1 || rep.Complete() {
-		t.Fatalf("report for one stalled cell = %s", rep.Summary())
-	}
-}
-
 // TestRunReportsWallTime: a fleet job's report carries the wall time
 // from its registration to its retirement, as a local sweep's does, so
 // its summary does not end "in 0s".
@@ -729,8 +735,8 @@ func runInBackground(t *testing.T, ctx context.Context, c *Coordinator, job Job)
 	t.Helper()
 	done := make(chan runResult, 1)
 	go func() {
-		m, rep, err := c.Run(ctx, job)
-		done <- runResult{m, rep, err, time.Now()}
+		rep, err := c.Run(ctx, job)
+		done <- runResult{rep, err, time.Now()}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -745,7 +751,6 @@ func runInBackground(t *testing.T, ctx context.Context, c *Coordinator, job Job)
 }
 
 type runResult struct {
-	m   *sweep.Matrix
 	rep *sweep.RunReport
 	err error
 	at  time.Time // when Run returned
@@ -773,8 +778,8 @@ func TestCanceledRunLeavesCoordinator(t *testing.T) {
 	}
 	cancel()
 	res := <-done
-	if !errors.Is(res.err, context.Canceled) || res.m == nil {
-		t.Fatalf("Run after cancel = %v, %v; want the partial matrix and context.Canceled", res.m, res.err)
+	if !errors.Is(res.err, context.Canceled) || res.rep == nil || res.rep.Complete() {
+		t.Fatalf("Run after cancel = %v, %v; want the partial report and context.Canceled", res.rep, res.err)
 	}
 	before, err := os.Stat(journalPath(dir, job.Name))
 	if err != nil {
@@ -814,10 +819,10 @@ func TestCanceledRunLeavesCoordinator(t *testing.T) {
 }
 
 // TestQuarantineSparesReturnedMatrix: a worker computes every row of a
-// job, Run returns that job's matrix, and the worker is then
-// quarantined for lying on another job. Its rows in the returned job
-// were accepted unverified, but that job has left the coordinator, so
-// the matrix Run returned stays unchanged and complete.
+// job, Run returns, and the worker is then quarantined for lying on
+// another job. Its rows in the returned job were accepted unverified,
+// but that job has left the coordinator, so its OnRow hears no
+// retraction and its journal stays unchanged and complete.
 func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 	clk := newTestClock()
 	dir := t.TempDir()
@@ -839,6 +844,8 @@ func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 	}
 	finished := withJournal(t, dir, testJob(t, "finished", 1))
 	finished.Seed = seedDone
+	var heard []bool // what the finished job's OnRow heard, in order
+	finished.OnRow = func(_ int, journaled bool) { heard = append(heard, journaled) }
 	live := withJournal(t, dir, testJob(t, "live", 1))
 	live.Seed = seedVote
 
@@ -851,13 +858,10 @@ func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 		t.Fatalf("unsampled complete should be accepted unverified: %+v %v", resp, err)
 	}
 	res := <-done
-	if res.err != nil || !reportFor(res.m, nil).Complete() {
-		t.Fatalf("Run = %v; want the complete matrix", res.err)
+	if res.err != nil || !res.rep.Complete() {
+		t.Fatalf("Run = %v; want a complete run", res.err)
 	}
-	want, err := sweep.CanonicalJournalBytes(res.m, res.m.Kernels)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := jobCanonical(t, finished)
 
 	// The same worker lies on the live job and loses the vote to two
 	// honest workers: quarantine.
@@ -881,12 +885,14 @@ func TestQuarantineSparesReturnedMatrix(t *testing.T) {
 		t.Fatalf("liar should be quarantined, got %v", q)
 	}
 
-	got, err := sweep.CanonicalJournalBytes(res.m, res.m.Kernels)
-	if err != nil || !reportFor(res.m, nil).Complete() {
-		t.Fatalf("the returned matrix lost rows after the quarantine: %v (%s)", err, reportFor(res.m, nil).Summary())
+	c.mu.Lock()
+	retracted := len(heard) != 1 || !heard[0]
+	c.mu.Unlock()
+	if retracted {
+		t.Fatalf("the returned job's OnRow heard %v, want its one accept and nothing after", heard)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("the returned matrix changed after the quarantine")
+	if !bytes.Equal(jobCanonical(t, finished), want) {
+		t.Fatal("the returned job's journal changed after the quarantine")
 	}
 }
 

@@ -52,7 +52,6 @@ import (
 	"gpuscale/internal/durable"
 	"gpuscale/internal/hw"
 	"gpuscale/internal/kernel"
-	"gpuscale/internal/sweep"
 )
 
 // Lease is a coordinator's grant of one kernel row to one worker. An
@@ -363,39 +362,4 @@ func splitBody(body []byte, header any) ([][]byte, error) {
 		off = next
 	}
 	return frames, nil
-}
-
-// reportFor synthesizes a sweep report from a finished distributed
-// matrix: every cell of a row reused from the job's journal is reused
-// (Skipped), as Resume counts it, and every other cell was measured
-// exactly once from the caller's view (worker-side retries are the
-// workers' business). A stalled cell, decoded from an earlier
-// version's journal, was never measured and counts as canceled: Resume
-// recomputes its row.
-func reportFor(m *sweep.Matrix, reused []bool) *sweep.RunReport {
-	rep := &sweep.RunReport{
-		Kernels: len(m.Kernels),
-		Configs: m.Space.Size(),
-		Cells:   len(m.Kernels) * m.Space.Size(),
-	}
-	for r := range m.Kernels {
-		if r < len(reused) && reused[r] {
-			rep.Skipped += m.Space.Size()
-			continue
-		}
-		for c := 0; c < m.Space.Size(); c++ {
-			switch m.Status[r][c] {
-			case sweep.StatusOK:
-				rep.OK++
-			case sweep.StatusFailed:
-				rep.Failed++
-			case sweep.StatusQuarantined:
-				rep.Quarantined++
-			default:
-				rep.Canceled++
-			}
-		}
-	}
-	rep.Attempts = rep.OK
-	return rep
 }

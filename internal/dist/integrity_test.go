@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"gpuscale/internal/durable"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/sweep"
 )
@@ -437,31 +436,23 @@ func TestQuarantineInvalidatesUnverifiedRows(t *testing.T) {
 	}
 }
 
-// TestRetractionLeavesDeliveredRowIntact: a quarantine retracts a row
-// the coordinator accepted on the liar's word and already handed to
-// OnRow. The retraction settles a fresh all-canceled row and hands it
-// to OnRow in a second call; the slices the first call delivered are
-// never written again, so a reader still holding them — as serve's
-// live snapshot does — reads them unchanged, concurrently with the
-// retraction, without a data race.
-func TestRetractionLeavesDeliveredRowIntact(t *testing.T) {
+// TestOnRowHearsAcceptThenRetraction: a quarantine retracts a row the
+// coordinator accepted on the liar's word. OnRow hears the accept, with
+// the row journaled, and then the retraction, with the row no longer
+// journaled, in that order and once each.
+func TestOnRowHearsAcceptThenRetraction(t *testing.T) {
 	clk := newTestClock()
 	c, err := NewCoordinator(t.TempDir(), CoordinatorOptions{DefaultTTL: testTTL, now: clk.now, VerifyFraction: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	type delivery struct {
-		tput, timeNS []float64
-		bound        []gcn.Bound
-		status       []sweep.CellStatus
-	}
-	var row0 []delivery
+	var row0 []bool // what OnRow heard of row 0, in order
 	job := testJob(t, "j", 2)
 	job.Seed = splitSeed(t) // row 0 outside the sample, row 1 inside
-	job.OnRow = func(m *sweep.Matrix, r int) {
+	job.OnRow = func(r int, journaled bool) {
 		if r == 0 {
-			row0 = append(row0, delivery{m.Throughput[r], m.TimeNS[r], m.Bound[r], m.Status[r]})
+			row0 = append(row0, journaled)
 		}
 	}
 	if err := c.AddJob(withJournal(t, c.dir, job)); err != nil {
@@ -471,27 +462,9 @@ func TestRetractionLeavesDeliveredRowIntact(t *testing.T) {
 	if resp, err := one(c.complete(tamperedComplete(t, lr0, "liar"))); err != nil || lr0.Row != 0 || resp.PendingVerify {
 		t.Fatalf("row 0 should be accepted on the liar's word: %+v %v", resp, err)
 	}
-	if len(row0) != 1 {
-		t.Fatalf("OnRow saw row 0 %d times on its accept, want 1", len(row0))
+	if !slices.Equal(row0, []bool{true}) {
+		t.Fatalf("OnRow heard %v of row 0 on its accept, want one journaled row", row0)
 	}
-	delivered := row0[0]
-	want := delivery{slices.Clone(delivered.tput), slices.Clone(delivered.timeNS), slices.Clone(delivered.bound), slices.Clone(delivered.status)}
-
-	stop, sum := make(chan struct{}), make(chan float64)
-	go func() {
-		total := 0.0
-		for {
-			for i := range delivered.tput {
-				total += delivered.tput[i] + delivered.timeNS[i] + float64(delivered.bound[i]) + float64(delivered.status[i])
-			}
-			select {
-			case <-stop:
-				sum <- total
-				return
-			default:
-			}
-		}
-	}()
 	// Row 1's lie loses the vote to two honest workers: quarantine,
 	// which retracts row 0.
 	lr1, _ := first(c.acquire(acq("liar")))
@@ -507,24 +480,11 @@ func TestRetractionLeavesDeliveredRowIntact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	<-sum
 	if q := quarantinedWorkers(c); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("liar should be quarantined, got %v", q)
 	}
-
-	if !slices.Equal(delivered.tput, want.tput) || !slices.Equal(delivered.timeNS, want.timeNS) ||
-		!slices.Equal(delivered.bound, want.bound) || !slices.Equal(delivered.status, want.status) {
-		t.Fatal("the retraction wrote into the row an earlier OnRow call delivered")
-	}
-	if len(row0) != 2 {
-		t.Fatalf("OnRow saw row 0 %d times, want its accept and then its retraction", len(row0))
-	}
-	for i, st := range row0[1].status {
-		if st != sweep.StatusCanceled || row0[1].tput[i] != 0 || row0[1].timeNS[i] != 0 {
-			t.Fatalf("the retraction delivered cell %d as %v (%g, %g), want an all-canceled row",
-				i, st, row0[1].tput[i], row0[1].timeNS[i])
-		}
+	if !slices.Equal(row0, []bool{true, false}) {
+		t.Fatalf("OnRow heard %v of row 0, want its accept (journaled) and then its retraction (not)", row0)
 	}
 }
 
@@ -745,20 +705,16 @@ func splitSeed(t *testing.T) int64 {
 	return 0
 }
 
-// assertMatrixCanonical checks a complete job's matrix renders to the
+// assertMatrixCanonical checks a complete job's journal renders to the
 // given canonical journal bytes.
 func assertMatrixCanonical(t *testing.T, c *Coordinator, job Job, want []byte) {
 	t.Helper()
-	m, ok := completeMatrix(c, job.Name)
+	got, ok := completeJournal(t, c, job.Name)
 	if !ok {
 		t.Fatal("job should be complete")
 	}
-	got, err := sweep.CanonicalJournalBytes(m, m.Kernels)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !bytes.Equal(want, got) {
-		t.Fatal("matrix differs from single-node run")
+		t.Fatal("journal differs from single-node run")
 	}
 }
 
@@ -873,14 +829,15 @@ func v2Row(t *testing.T, l *Lease) (record []byte, digest string) {
 	return record, fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestUpgradeDropsV2DigestVotes: a job upgraded mid-way from journal v2.
-// Row 0 was completed and journaled under v2, so its ledgered digest is
-// a v2 one; row 1 is open and sampled, and the ledger holds an honest
+// TestUpgradeDropsV2DigestVotes: a ledger a pre-v3 coordinator left
+// holds digests of the v2 record format. Row 0 was completed, and its
+// record is in the job's (v3) journal, but its ledgered digest is a v2
+// one; row 1 is open and sampled, and the ledger holds an honest
 // worker's vote on it under its v2 digest, which no worker computes any
-// more. At registration the journal migrates, row 0 is re-digested from
-// it, and replay drops the v2 vote: two honest workers settle row 1
-// verified, nobody is quarantined for a digest of another format, the
-// matrix is the single-node run's and the ledger audits clean.
+// more. At registration row 0 is re-digested from the journal, and
+// replay drops the v2 vote: two honest workers settle row 1 verified,
+// nobody is quarantined for a digest of another format, the journal is
+// the single-node run's and the ledger audits clean.
 func TestUpgradeDropsV2DigestVotes(t *testing.T) {
 	dir := t.TempDir()
 	clk := newTestClock()
@@ -889,7 +846,7 @@ func TestUpgradeDropsV2DigestVotes(t *testing.T) {
 
 	// What a pre-v3 coordinator left: its term, row 0 granted to "old"
 	// and completed, row 1 granted to "old" and held as its vote, and
-	// the job's v2 journal holding row 0.
+	// the job's journal holding row 0.
 	c := newTestCoordinator(t, t.TempDir(), clk)
 	if err := c.AddJob(withJournal(t, t.TempDir(), job)); err != nil {
 		t.Fatal(err)
@@ -897,14 +854,14 @@ func TestUpgradeDropsV2DigestVotes(t *testing.T) {
 	l0, _ := first(c.acquire(acq("old")))
 	l1, _ := first(c.acquire(acq("old2")))
 	c.Close()
-	row0, digest0 := v2Row(t, l0)
+	_, digest0 := v2Row(t, l0)
 	_, digest1 := v2Row(t, l1)
-	space, err := json.Marshal(map[string]any{"space": job.Space})
+	m, err := sweep.Run(job.Kernels, job.Space, sweep.Options{NoiseStdDev: job.NoiseStdDev, Seed: job.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := append([]byte("gpuscale-journal v2\n"), durable.Frame(space)...)
-	if err := os.WriteFile(journalPath(dir, job.Name), append(v2, durable.Frame(row0)...), 0o644); err != nil {
+	old := withJournal(t, dir, job)
+	if err := old.Journal.AppendRow(m, 0); err != nil {
 		t.Fatal(err)
 	}
 	now := clk.now()
@@ -935,17 +892,14 @@ func TestUpgradeDropsV2DigestVotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	job = withJournal(t, dir, job)
-	if s := job.Journal.Salvage(); s == nil || s.MigratedFrom != "v2" {
-		t.Fatalf("the job's v2 journal did not migrate: %+v", s)
-	}
+	job = reopened(t, dir, old)
 	if err := c.AddJob(job); err != nil {
 		t.Fatal(err)
 	}
+	prior := job.Journal.Prior()
+	d0, err := sweep.RowDigest(prior, prior.Row(job.Kernels[0].Name))
 	c.mu.Lock()
-	js := c.jobs[job.Name]
-	d0, err := sweep.RowDigest(js.matrix, 0)
-	rs0 := js.rows[0]
+	rs0 := c.jobs[job.Name].rows[0]
 	c.mu.Unlock()
 	if err != nil || !rs0.done || rs0.digest != d0 {
 		t.Fatalf("journaled row 0: done %v digest %q, want its v3 digest %q (%v)", rs0.done, rs0.digest, d0, err)

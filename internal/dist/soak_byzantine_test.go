@@ -17,7 +17,7 @@ package dist
 //     are invalidated, and healthy workers re-execute every one,
 //   - quarantine membership, open votes and strikes survive the
 //     coordinator crash,
-//   - the final matrix and the job journal are byte-identical to the
+//   - the job journal, the job's matrix, is byte-identical to the
 //     single-node run,
 //   - the ledger audit passes and names the quarantine, the strikes,
 //     and every one of the liar's corrupt rows,
@@ -43,7 +43,6 @@ import (
 	"gpuscale/internal/fault"
 	"gpuscale/internal/kernel"
 	"gpuscale/internal/obs"
-	"gpuscale/internal/sweep"
 )
 
 // byzTTL is the soak coordinators' lease TTL, deliberately generous:
@@ -158,7 +157,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 	opts := CoordinatorOptions{DefaultTTL: byzTTL, VerifyFraction: 0.5, Sink: obs.NewSink(tw, nil),
 		OnWorker: fed.SetTarget, OnQuarantine: fed.Depart}
 
-	p := startCoordWith(t, coordDir, "127.0.0.1:0", job, opts)
+	p := startCoordWith(t, coordDir, "127.0.0.1:0", opts, job)
 	addr := p.addr
 	url := "http://" + addr
 	defer func() { p.crash() }()
@@ -210,7 +209,7 @@ func TestChaosSoakByzantine(t *testing.T) {
 	// its ledger; the honest workers ride it out, and the quarantine
 	// must come back from disk.
 	p.crash()
-	p = startCoordWith(t, coordDir, addr, job, opts)
+	p = startCoordWith(t, coordDir, addr, opts, job)
 	if q := quarantinedWorkers(p.coord); len(q) != 1 || q[0] != "liar" {
 		t.Fatalf("quarantine lost across coordinator crash: %v (seed %d)", q, seed)
 	}
@@ -233,28 +232,13 @@ func TestChaosSoakByzantine(t *testing.T) {
 		}
 	}
 
-	// 1. Byte-identity: matrix and job journal match the
-	// single-node run despite six corrupt completions.
-	m, ok := completeMatrix(p.coord, job.Name)
+	// 1. Byte-identity: the job journal matches the single-node run
+	// despite six corrupt completions.
+	got, ok := completeJournal(t, p.coord, job.Name)
 	if !ok {
-		t.Fatalf("complete job must expose its matrix (seed %d)", seed)
-	}
-	got, err := sweep.CanonicalJournalBytes(m, m.Kernels)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("complete job must be registered (seed %d)", seed)
 	}
 	if !bytes.Equal(want, got) {
-		t.Fatalf("matrix differs from single-node run (seed %d)", seed)
-	}
-	jm, err := sweep.ReadJournal(journalPath(coordDir, job.Name), job.Space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := sweep.CanonicalJournalBytes(jm, m.Kernels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, jb) {
 		t.Fatalf("job journal differs from single-node run (seed %d)", seed)
 	}
 

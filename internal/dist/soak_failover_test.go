@@ -15,15 +15,15 @@ package dist
 //     the job is registered on it as its owner's recovery does (its
 //     replica journal reopened, then AddJob), and the workers re-join
 //     it through peer rotation with jittered backoff, finishing the
-//     sweep under the new term;
+//     sweep under the new term — and, under worker-kill chaos, one
+//     fresh job after another until the chaos window closes;
 //  4. the deposed primary limps back from its own directory, probes
 //     its peer list, finds a newer term live, and is fenced with
 //     ErrDeposed before it can serve a single lease;
 //  5. the promoted coordinator's ledger audit proves terms increased
 //     monotonically with no record written under a stale term
 //     (no-two-live-primaries), every row completed exactly once, and
-//     the promoted coordinator's matrix is byte-identical to a
-//     single-node run.
+//     every job's journal is byte-identical to a single-node run.
 //
 // Runs short by default; GPUSCALE_SOAK_MS extends the post-promotion
 // worker-kill chaos window and GPUSCALE_FAULT_SEED replays a failure.
@@ -44,7 +44,6 @@ import (
 
 	"gpuscale/internal/fault"
 	"gpuscale/internal/kernel"
-	"gpuscale/internal/sweep"
 )
 
 func TestChaosSoakFailover(t *testing.T) {
@@ -75,7 +74,7 @@ func TestChaosSoakFailover(t *testing.T) {
 	root := t.TempDir()
 	primaryDir := root + "/primary"
 
-	p := startCoordWith(t, primaryDir, "127.0.0.1:0", job, CoordinatorOptions{ID: "primary-1", DefaultTTL: soakTTL})
+	p := startCoordWith(t, primaryDir, "127.0.0.1:0", CoordinatorOptions{ID: "primary-1", DefaultTTL: soakTTL}, job)
 	url1 := "http://" + p.addr
 
 	// The standby's address is bound before any worker starts so the
@@ -214,47 +213,64 @@ func TestChaosSoakFailover(t *testing.T) {
 			last, len(primaryLedger), seed)
 	}
 	// Promotion registers no job: the owner recovers over the replica,
-	// reopening the job's replica journal before registering it.
-	resumed := job
-	if resumed.Journal, err = sweep.OpenJournal(journalPath(sb.dir, job.Name), job.Space); err != nil {
-		t.Fatal(err)
+	// reopening the job's replica journal before registering it. Every
+	// job registered from here on is owned the same way, in sb.dir.
+	var jobs []Job
+	register := func(job Job) {
+		job, err := openAndAdd(pc, sb.dir, job)
+		if err != nil {
+			t.Fatalf("registering job %s on the promoted coordinator: %v (seed %d)", job.Name, err, seed)
+		}
+		t.Cleanup(func() { job.Journal.Close() })
+		jobs = append(jobs, job)
 	}
-	defer resumed.Journal.Close()
-	if err := pc.AddJob(resumed); err != nil {
-		t.Fatalf("registering the job on the promoted coordinator: %v (seed %d)", err, seed)
-	}
+	register(job)
 	handler.Store(http.Handler(pc.Handler()))
 	t.Logf("standby promoted at term %d", pc.Term())
 
 	// Phase 3: keep the partitioned fleet under worker-kill chaos
-	// while it re-joins the promoted primary and finishes the sweep.
-	complete := func() bool {
-		st, ok := pc.Status(job.Name)
+	// while it re-joins the promoted primary and finishes the sweep;
+	// whenever the live job completes, a fresh one takes its place, so
+	// the fleet has work until the window closes.
+	complete := func(name string) bool {
+		st, ok := pc.Status(name)
 		return ok && st.Complete
 	}
-	chaosEnd := time.Now().Add(chaosWindow)
+	start := time.Now()
+	chaosEnd := start.Add(chaosWindow)
 	workerKills := 0
-	for time.Now().Before(chaosEnd) && !complete() {
-		time.Sleep(time.Duration(50+rng.Intn(120)) * time.Millisecond)
+	for time.Now().Before(chaosEnd) {
+		pause := time.Now().Add(time.Duration(50+rng.Intn(120)) * time.Millisecond)
+		for now := time.Now(); now.Before(pause); now = time.Now() {
+			if live := jobs[len(jobs)-1]; now.Before(chaosEnd) && complete(live.Name) {
+				live.Name = fmt.Sprintf("%s-%02d", job.Name, len(jobs))
+				register(live)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 		i := rng.Intn(nWorkers)
 		workers[i].kill()
 		workerKills++
 		respawns++
 		workers[i] = spawnWorker(t, url1, fmt.Sprintf("w%d", i), seed+int64(1000*respawns+i), peersEnv...)
 	}
-	t.Logf("post-promotion chaos: %d worker kills", workerKills)
+	window := time.Since(start)
 
 	deadline = time.Now().Add(90 * time.Second)
-	for !complete() {
-		if time.Now().After(deadline) {
-			st, _ := pc.Status(job.Name)
-			t.Fatalf("fleet never converged on the promoted primary: %+v (seed %d)", st, seed)
+	for _, j := range jobs {
+		for !complete(j.Name) {
+			if time.Now().After(deadline) {
+				st, _ := pc.Status(j.Name)
+				t.Fatalf("fleet never converged on the promoted primary: %+v (seed %d)", st, seed)
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	for _, w := range workers {
 		w.kill()
 	}
+	t.Logf("post-promotion chaos: %v of a %v window, %d jobs finished, %d worker kills",
+		window.Round(time.Millisecond), chaosWindow, len(jobs), workerKills)
 
 	// Phase 4: the deposed primary limps back from its own directory
 	// with the standby in its peer list. The initial probe must fence
@@ -280,27 +296,10 @@ func TestChaosSoakFailover(t *testing.T) {
 		t.Fatalf("deposed primary must refuse leases: %v (seed %d)", err, seed)
 	}
 
-	// Phase 5a: byte-identity — the promoted coordinator's matrix and
-	// journal match the single-node run exactly.
-	m, ok := completeMatrix(pc, job.Name)
-	if !ok {
-		t.Fatalf("complete job must expose its matrix (seed %d)", seed)
-	}
-	got, err := sweep.CanonicalJournalBytes(m, m.Kernels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("promoted coordinator matrix differs from single-node run (seed %d)", seed)
-	}
-	raw, err := os.ReadFile(journalPath(sb.dir, job.Name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if records := 1 + journalFrames(t, raw); records != 2+len(job.Kernels) {
-		t.Fatalf("promoted journal holds magic + %d records, want %d — a row completed twice across the failover (seed %d)",
-			records-1, 1+len(job.Kernels), seed)
-	}
+	// Phase 5a: byte-identity and exactly-once — every job's journal
+	// on the promoted side matches the single-node run exactly, with
+	// one record per row, the failed-over job's across the failover.
+	checkSoakJobs(t, pc, jobs, want, seed)
 
 	// Phase 5b: the ledger that survived replication + promotion must
 	// audit clean — terms strictly monotonic, every record written
@@ -332,9 +331,9 @@ func TestChaosSoakFailover(t *testing.T) {
 	// least the rows done before the crash (the cursor gate pulled
 	// their frames), and work visibly landed under both terms — the
 	// failover carried in-flight work rather than redoing everything.
-	if audit.Completes > len(job.Kernels) {
+	if rows := len(jobs) * len(job.Kernels); audit.Completes > rows {
 		t.Fatalf("%d live completes for %d rows — a row completed twice (seed %d)",
-			audit.Completes, len(job.Kernels), seed)
+			audit.Completes, rows, seed)
 	}
 	if audit.Completes < 2 {
 		t.Fatalf("replica lost pre-crash completes: %d in ledger, %d done at crash (seed %d)",

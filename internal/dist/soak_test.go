@@ -4,17 +4,19 @@ package dist
 //
 // Workers run as real child processes (this test binary re-exec'd
 // with GPUSCALE_DIST_WORKER=1) and die by SIGKILL; the coordinator is
-// crashed by abruptly closing its listener, ledger and job journal and
-// resuming a fresh Coordinator from the same directory, with the
+// crashed by abruptly closing its listener, ledger and job journals and
+// resuming a fresh Coordinator from the same directory, with every
 // journal reopened at the same path, on the same address. Worker HTTP
 // clients run under injected network faults (dropped responses,
-// duplicated deliveries, seeded delays). The soak asserts the
-// protocol's whole contract afterwards:
+// duplicated deliveries, seeded delays). Each time a job completes, a
+// fresh one (a new name and journal) is registered, so the chaos lasts
+// the whole window however fast a job is. The soak asserts the
+// protocol's whole contract afterwards, for every job:
 //
 //   - every row completed exactly once (ledger audit + one journal
 //     record per kernel),
-//   - the coordinator's matrix and the job journal are byte-identical
-//     to a single-node run of the same job,
+//   - the job journal is byte-identical to a single-node run of the
+//     same job,
 //   - no lease was ever held by two live epochs (grant[n+1] starts at
 //     or after grant[n]'s recorded expiry).
 //
@@ -106,65 +108,114 @@ func soakJob(t *testing.T) Job {
 
 // coordProc is the crashable coordinator: listener + server + state,
 // all torn down and rebuilt on the same address from the same dir.
-// job carries the journal the incarnation opened.
+// jobs are every job registered, in order, each carrying the journal
+// the incarnation opened.
 type coordProc struct {
 	dir   string
 	addr  string
-	job   Job
+	jobs  []Job
 	coord *Coordinator
 	srv   *http.Server
 	ln    net.Listener
 }
 
-func startCoord(t *testing.T, dir, addr string, job Job) *coordProc {
+func startCoord(t *testing.T, dir, addr string, jobs ...Job) *coordProc {
 	t.Helper()
-	return startCoordWith(t, dir, addr, job, CoordinatorOptions{DefaultTTL: soakTTL})
+	return startCoordWith(t, dir, addr, CoordinatorOptions{DefaultTTL: soakTTL}, jobs...)
 }
 
 // startCoordWith is startCoord with explicit coordinator options —
 // the byzantine soak wires the integrity plane (verification
 // fraction, federation hooks, traces) through here.
-func startCoordWith(t *testing.T, dir, addr string, job Job, opts CoordinatorOptions) *coordProc {
+func startCoordWith(t *testing.T, dir, addr string, opts CoordinatorOptions, jobs ...Job) *coordProc {
 	t.Helper()
 	c, err := NewCoordinator(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The job's owner opens its journal, as a restarted gpuscaled does.
-	if job.Journal, err = sweep.OpenJournal(journalPath(dir, job.Name), job.Space); err != nil {
-		c.Close()
-		t.Fatal(err)
+	p := &coordProc{dir: dir, coord: c}
+	for _, job := range jobs {
+		p.add(t, job)
 	}
-	if err := c.AddJob(job); err != nil {
-		c.Close()
-		job.Journal.Close()
-		t.Fatal(err)
-	}
-	var ln net.Listener
 	// The previous incarnation's socket may take a moment to release.
 	for i := 0; ; i++ {
-		ln, err = net.Listen("tcp", addr)
+		p.ln, err = net.Listen("tcp", addr)
 		if err == nil {
 			break
 		}
 		if i > 200 {
-			c.Close()
-			job.Journal.Close()
+			p.crash()
 			t.Fatalf("rebinding %s: %v", addr, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	srv := &http.Server{Handler: c.Handler()}
-	go srv.Serve(ln)
-	return &coordProc{dir: dir, addr: ln.Addr().String(), job: job, coord: c, srv: srv, ln: ln}
+	p.srv = &http.Server{Handler: c.Handler()}
+	go p.srv.Serve(p.ln)
+	p.addr = p.ln.Addr().String()
+	return p
+}
+
+// add registers job on the incarnation, after opening its journal as
+// its owner does — a restarted gpuscaled, or one admitting a new job.
+func (p *coordProc) add(t *testing.T, job Job) {
+	t.Helper()
+	job, err := openAndAdd(p.coord, p.dir, job)
+	if err != nil {
+		p.crash()
+		t.Fatal(err)
+	}
+	p.jobs = append(p.jobs, job)
+}
+
+// openAndAdd opens job's journal in dir and registers job on c,
+// returning it with its journal, which the caller closes.
+func openAndAdd(c *Coordinator, dir string, job Job) (Job, error) {
+	var err error
+	if job.Journal, err = sweep.OpenJournal(journalPath(dir, job.Name), job.Space); err != nil {
+		return job, err
+	}
+	if err := c.AddJob(job); err != nil {
+		job.Journal.Close()
+		return job, err
+	}
+	return job, nil
 }
 
 // crash tears the incarnation down without ceremony.
 func (p *coordProc) crash() {
-	p.ln.Close()
-	p.srv.Close()
+	if p.ln != nil {
+		p.ln.Close()
+		p.srv.Close()
+	}
 	p.coord.Close()
-	p.job.Journal.Close()
+	for _, job := range p.jobs {
+		job.Journal.Close()
+	}
+}
+
+// checkSoakJobs checks every job of a soak once it has converged on c:
+// each job's journal holds magic + space + exactly one record per
+// kernel row, and reads back byte-identical to want, the single-node
+// run's canonical bytes.
+func checkSoakJobs(t *testing.T, c *Coordinator, jobs []Job, want []byte, seed int64) {
+	t.Helper()
+	for _, job := range jobs {
+		got, ok := completeJournal(t, c, job.Name)
+		if !ok {
+			t.Fatalf("job %s is not complete (seed %d)", job.Name, seed)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("job %s's journal differs from single-node run (seed %d)", job.Name, seed)
+		}
+		raw, err := os.ReadFile(job.Journal.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if records := 1 + journalFrames(t, raw); records != 2+len(job.Kernels) {
+			t.Fatalf("job %s's journal holds magic + %d records, want %d — a row completed twice (seed %d)",
+				job.Name, records-1, 1+len(job.Kernels), seed)
+		}
+	}
 }
 
 // workerProc is one child worker.
@@ -236,22 +287,31 @@ func TestChaosSoakDistributed(t *testing.T) {
 		p.crash()
 	}()
 
-	complete := func() bool {
-		st, ok := p.coord.Status(job.Name)
+	complete := func(name string) bool {
+		st, ok := p.coord.Status(name)
 		return ok && st.Complete
 	}
 
 	// Chaos window: kill workers and the coordinator at random while
-	// the sweep runs.
+	// the sweeps run. Whenever the live job completes, a fresh one
+	// takes its place, so the fleet has work until the window closes.
 	coordCrashes, workerKills := 0, 0
-	chaosEnd := time.Now().Add(chaosWindow)
-	for time.Now().Before(chaosEnd) && !complete() {
-		time.Sleep(time.Duration(50+rng.Intn(120)) * time.Millisecond)
+	start := time.Now()
+	chaosEnd := start.Add(chaosWindow)
+	for time.Now().Before(chaosEnd) {
+		pause := time.Now().Add(time.Duration(50+rng.Intn(120)) * time.Millisecond)
+		for now := time.Now(); now.Before(pause); now = time.Now() {
+			if live := p.jobs[len(p.jobs)-1]; now.Before(chaosEnd) && complete(live.Name) {
+				live.Name = fmt.Sprintf("%s-%02d", job.Name, len(p.jobs))
+				p.add(t, live)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 		if rng.Intn(4) == 0 {
 			// Coordinator crash: everything not fsynced is gone.
 			p.crash()
 			coordCrashes++
-			p = startCoord(t, coordDir, addr, job)
+			p = startCoord(t, coordDir, addr, p.jobs...)
 		} else {
 			i := rng.Intn(nWorkers)
 			workers[i].kill()
@@ -260,56 +320,28 @@ func TestChaosSoakDistributed(t *testing.T) {
 			workers[i] = spawnWorker(t, url, fmt.Sprintf("w%d", i), seed+int64(1000*respawns+i))
 		}
 	}
-	t.Logf("chaos: %d coordinator crashes, %d worker kills", coordCrashes, workerKills)
+	window := time.Since(start)
 
 	// Quiescence: no more crashes; the fleet must converge.
 	deadline := time.Now().Add(90 * time.Second)
-	for !complete() {
-		if time.Now().After(deadline) {
-			st, _ := p.coord.Status(job.Name)
-			t.Fatalf("fleet never converged after chaos: %+v (seed %d)", st, seed)
+	for _, j := range p.jobs {
+		for !complete(j.Name) {
+			if time.Now().After(deadline) {
+				st, _ := p.coord.Status(j.Name)
+				t.Fatalf("fleet never converged after chaos: %+v (seed %d)", st, seed)
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	for _, w := range workers {
 		w.kill()
 	}
+	t.Logf("chaos: %v of a %v window, %d jobs finished, %d coordinator crashes, %d worker kills",
+		window.Round(time.Millisecond), chaosWindow, len(p.jobs), coordCrashes, workerKills)
 
-	// 1. Byte-identity: coordinator matrix == single-node run.
-	m, ok := completeMatrix(p.coord, job.Name)
-	if !ok {
-		t.Fatalf("complete job must expose its matrix (seed %d)", seed)
-	}
-	got, err := sweep.CanonicalJournalBytes(m, m.Kernels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("coordinator matrix differs from single-node run (seed %d)", seed)
-	}
-
-	// 2. Exactly-once at the byte level: the job journal holds
-	// magic + space + exactly one record per kernel row, and re-reads
-	// to the same canonical bytes.
-	raw, err := os.ReadFile(journalPath(coordDir, job.Name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if records := 1 + journalFrames(t, raw); records != 2+len(job.Kernels) {
-		t.Fatalf("job journal holds magic + %d records, want %d — a row completed twice (seed %d)",
-			records-1, 1+len(job.Kernels), seed)
-	}
-	jm, err := sweep.ReadJournal(journalPath(coordDir, job.Name), job.Space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := sweep.CanonicalJournalBytes(jm, m.Kernels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, jb) {
-		t.Fatalf("job journal differs from single-node run (seed %d)", seed)
-	}
+	// 1 and 2. Byte-identity and exactly-once at the byte level, for
+	// every job.
+	checkSoakJobs(t, p.coord, p.jobs, want, seed)
 
 	// 3. Lease-protocol audit: epochs monotonic, no two live epochs,
 	// at most one complete per row — and exactly one actually landed.
@@ -326,7 +358,7 @@ func TestChaosSoakDistributed(t *testing.T) {
 			completes++
 		}
 	}
-	if completes != len(job.Kernels) {
-		t.Fatalf("want %d ledger completes, got %d (seed %d)", len(job.Kernels), completes, seed)
+	if rows := len(p.jobs) * len(job.Kernels); completes != rows {
+		t.Fatalf("want %d ledger completes, got %d (seed %d)", rows, completes, seed)
 	}
 }

@@ -91,45 +91,32 @@ func runFleet(t *testing.T, job Job, n int, clientFor func(i int) *http.Client) 
 	return coord
 }
 
-// TestFleetMatchesSingleNode: two clean workers produce a coordinator
-// matrix and job journal byte-identical to the single-node run, and
-// every row's attested digest hashes exactly the record the job's
-// journal holds for it.
+// TestFleetMatchesSingleNode: two clean workers produce a job journal
+// byte-identical to the single-node run, and every row's attested
+// digest hashes exactly the record the job's journal holds for it.
 func TestFleetMatchesSingleNode(t *testing.T) {
 	job := testJob(t, "fleet", 4)
 	want := singleNodeCanonical(t, job)
 
 	coord := runFleet(t, job, 2, nil)
 
-	m, ok := completeMatrix(coord, job.Name)
+	// The job's journal, which the coordinator appended to, re-reads to
+	// the single-node run's bytes.
+	got, ok := completeJournal(t, coord, job.Name)
 	if !ok {
-		t.Fatal("complete job should expose its matrix")
-	}
-	got, err := sweep.CanonicalJournalBytes(m, m.Kernels)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatal("complete job should be registered")
 	}
 	if !bytes.Equal(want, got) {
-		t.Fatal("coordinator matrix differs from single-node run")
-	}
-
-	// The job's journal, which the coordinator appended to, re-reads to
-	// the same bytes.
-	jm, err := sweep.ReadJournal(journalPath(coord.dir, job.Name), job.Space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := sweep.CanonicalJournalBytes(jm, m.Kernels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, jb) {
-		t.Fatal("coordinator journal differs from single-node run")
+		t.Fatal("job journal differs from single-node run")
 	}
 
 	// Render once: the digest each worker attested, which the ledger's
 	// complete record keeps, is the digest of the record the job's
 	// journal holds for that kernel.
+	jm, err := sweep.ReadJournal(journalPath(coord.dir, job.Name), job.Space)
+	if err != nil {
+		t.Fatal(err)
+	}
 	recs, err := ReadLedger(coord.LedgerPath())
 	if err != nil {
 		t.Fatal(err)
@@ -208,13 +195,8 @@ func TestFleetUnderNetworkFaults(t *testing.T) {
 	cancel()
 	wg.Wait()
 
-	m, _ := completeMatrix(coord, job.Name)
-	got, err := sweep.CanonicalJournalBytes(m, m.Kernels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatal("chaos fleet result differs from single-node run")
+	if got, ok := completeJournal(t, coord, job.Name); !ok || !bytes.Equal(want, got) {
+		t.Fatal("chaos fleet journal differs from single-node run")
 	}
 	recs, err := ReadLedger(coord.LedgerPath())
 	if err != nil {

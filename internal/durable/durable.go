@@ -102,36 +102,28 @@ func header(b []byte) (crc uint32, start, n int64, reason string) {
 // one write and one fsync, and a failed append leaves no trace: the
 // file is cut back to its clean prefix. Not safe for concurrent use.
 type Log struct {
-	path   string
 	header []byte
 	f      *os.File
 	w      io.Writer // writes to f, possibly wrapped for fault injection
 	good   int64     // the clean prefix: every byte the log has acked
 }
 
-// logFile writes to the log's current file, so a writer wrapped
-// around it at open keeps working after Replace.
-type logFile struct{ l *Log }
-
-func (w logFile) Write(b []byte) (int, error) { return w.l.f.Write(b) }
-
 // OpenLog opens or creates the log at path. A file that is empty, or
 // that holds a torn prefix of magic (a crash while it was created),
 // gets a fresh header — header, which begins with magic — and torn is
 // how many bytes that dropped. Any other file comes back whole as
 // image: the caller scans it and calls Cut with its clean prefix or,
-// for bytes that are not its format, decides between Replace and
-// refusing the file. wrap, if non-nil, wraps the writer every append
-// goes through.
+// for bytes that are not its format, refuses the file. wrap, if
+// non-nil, wraps the log's *os.File, and every append goes through
+// the writer it returns.
 func OpenLog(path, magic string, header []byte, wrap func(io.Writer) io.Writer) (l *Log, image []byte, torn int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	l = &Log{path: path, header: header, f: f}
-	l.w = logFile{l}
+	l = &Log{header: header, f: f, w: f}
 	if wrap != nil {
-		l.w = wrap(l.w)
+		l.w = wrap(f)
 	}
 	image, err = io.ReadAll(f)
 	l.good = int64(len(image))
@@ -180,8 +172,7 @@ func AppendFile(path string, b []byte) error {
 	if err != nil {
 		return err
 	}
-	l := &Log{path: path, f: f}
-	l.w = logFile{l}
+	l := &Log{f: f, w: f}
 	if l.good, err = f.Seek(0, io.SeekEnd); err == nil {
 		err = l.Append(b)
 	}
@@ -212,22 +203,6 @@ func (l *Log) Reset() error {
 	}
 	l.good = 0
 	return l.Append(l.header)
-}
-
-// Replace swaps the log's file for one holding image, atomically (see
-// WriteFile), and appends after image from then on: a crash leaves
-// either the old file or the new one.
-func (l *Log) Replace(image []byte) error {
-	if err := WriteFile(l.path, Bytes(image)); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(l.path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	l.f.Close()
-	l.f, l.good = f, int64(len(image))
-	return nil
 }
 
 // Prefix reads back the clean prefix: the header and every acked

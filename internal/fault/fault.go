@@ -36,6 +36,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -430,27 +431,34 @@ func (f *faultRow) hold(d time.Duration) error {
 // on disk. When a write error fires, the same deterministic prefix
 // lands and the call returns ErrWriteFail — the disk filled up
 // mid-record, and the partial bytes are the caller's to clean up.
-// Decisions are a pure function of (seed, write sequence), so a given
-// writer faults at the same writes every run. The returned writer is
-// safe for concurrent use; with both rates zero, w is returned
-// unchanged.
+// Decisions are a pure function of (seed, write sequence) and, when w
+// has a Name() string method as an *os.File does, of the base name of
+// the file it names: a given file faults at the same writes every run,
+// reopened or not, and two files fault at different writes. The
+// returned writer is safe for concurrent use; with both rates zero, w
+// is returned unchanged.
 func (in Injector) WrapWriter(w io.Writer) io.Writer {
 	if in.TornWriteRate <= 0 && in.WriteErrRate <= 0 {
 		return w
 	}
-	return &tornWriter{in: in, w: w}
+	stream := "torn-write-stream"
+	if f, ok := w.(interface{ Name() string }); ok {
+		stream += "|" + filepath.Base(f.Name())
+	}
+	return &tornWriter{in: in, w: w, stream: stream}
 }
 
 // tornWriter is the WrapWriter implementation: a write-sequence
 // counter drives the same splitmix-finished roll the engine path
-// uses, under a distinct stream label so engine and writer faults
-// stay decorrelated. Torn writes and write errors share the roll:
-// at most one fires per write.
+// uses, under a distinct stream label (per file, where the writer
+// names one) so engine and writer faults stay decorrelated. Torn
+// writes and write errors share the roll: at most one fires per write.
 type tornWriter struct {
-	in  Injector
-	mu  sync.Mutex
-	w   io.Writer
-	seq uint64
+	in     Injector
+	stream string
+	mu     sync.Mutex
+	w      io.Writer
+	seq    uint64
 }
 
 func (t *tornWriter) Write(b []byte) (int, error) {
@@ -458,7 +466,7 @@ func (t *tornWriter) Write(b []byte) (int, error) {
 	defer t.mu.Unlock()
 	seq := t.seq
 	t.seq++
-	roll, sub := t.in.roll("torn-write-stream", hw.Config{}, seq)
+	roll, sub := t.in.roll(t.stream, hw.Config{}, seq)
 	if roll >= t.in.TornWriteRate+t.in.WriteErrRate || len(b) == 0 {
 		return t.w.Write(b)
 	}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -363,6 +365,40 @@ func TestWrapWriterTearsDeterministically(t *testing.T) {
 	}
 	if torn == 0 || torn == len(a) {
 		t.Fatalf("rate 0.5 tore %d of %d writes", torn, len(a))
+	}
+}
+
+// TestWrapWriterTearsEachFileAtItsOwnWrites: a writer that names a
+// file rolls its tears on that file's base name, so two files wrapped
+// by one injector tear at different write indices, and a file reopened
+// under the same name replays its tears exactly.
+func TestWrapWriterTearsEachFileAtItsOwnWrites(t *testing.T) {
+	in := Injector{TornWriteRate: 0.3, Seed: 1}
+	dir := t.TempDir()
+	torn := func(name string) []int {
+		t.Helper()
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		w := in.WrapWriter(f)
+		var at []int
+		for i := range 64 {
+			if _, err := w.Write([]byte("0123456789abcdef")); errors.Is(err, ErrTornWrite) {
+				at = append(at, i)
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return at
+	}
+	a, b := torn("a.journal"), torn("b.journal")
+	if len(a) == 0 || len(b) == 0 || reflect.DeepEqual(a, b) {
+		t.Fatalf("two files tore at writes %v and %v, want different, non-empty sets", a, b)
+	}
+	if again := torn("a.journal"); !reflect.DeepEqual(again, a) {
+		t.Fatalf("a.journal reopened tore at writes %v, want %v as before", again, a)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -325,10 +326,12 @@ func TestRecoverNeverReRunsTerminalJobs(t *testing.T) {
 	}
 }
 
-// TestServesEarlierArchive: a terminal job whose matrix an earlier
-// version archived as <id>.csv serves that archive's bytes as they are,
-// and no job this version runs writes one.
-func TestServesEarlierArchive(t *testing.T) {
+// TestRefusesEarlierArchive: no job this version runs writes an
+// <id>.csv archive, and a terminal job whose matrix an earlier version
+// archived so answers /matrix with a 404 that names the archive, which
+// is left as it is: its journal's render could lack rows the archive
+// held.
+func TestRefusesEarlierArchive(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := New(Config{Dir: dir, SweepWorkers: 2})
 	if err != nil {
@@ -351,8 +354,19 @@ func TestServesEarlierArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := jobMatrix(t, s2, st.ID); !bytes.Equal(got, archive) {
-		t.Fatalf("terminal job with an earlier archive served %.80q, want the archive", got)
+	ts := httptest.NewServer(s2.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/matrix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), st.ID+".csv") {
+		t.Fatalf("terminal job with an earlier archive answered %d %q (%v), want a 404 naming the archive", resp.StatusCode, body, err)
+	}
+	if got, err := os.ReadFile(dir + "/" + st.ID + ".csv"); err != nil || !bytes.Equal(got, archive) {
+		t.Fatalf("the earlier archive changed (%v)", err)
 	}
 }
 
@@ -558,12 +572,10 @@ func v2Journal(t *testing.T, m *sweep.Matrix, n int) []byte {
 }
 
 // TestResumeFromV2Journal: a job interrupted with a journal v2 on disk
-// resumes after an upgrade: the journal migrates to v3 when the job
-// reopens it, its row is reused rather than recomputed, and the job
-// serves the /matrix bytes an uninterrupted run serves.
+// does not resume after an upgrade: it settles as failed, with a reason
+// that names the v2 journal, which is left byte for byte as it was.
 func TestResumeFromV2Journal(t *testing.T) {
 	spec := testSpec(t)
-	want := referenceMatrix(t, Config{SweepWorkers: 2}, spec)
 	dir := t.TempDir()
 	s0, err := New(Config{Dir: dir, Runners: -1})
 	if err != nil {
@@ -581,7 +593,8 @@ func TestResumeFromV2Journal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s0.journalPath(st.ID), v2Journal(t, m, 1), 0o644); err != nil {
+	v2 := v2Journal(t, m, 1)
+	if err := os.WriteFile(s0.journalPath(st.ID), v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -591,14 +604,11 @@ func TestResumeFromV2Journal(t *testing.T) {
 	}
 	defer drain(t, s1)
 	got := waitTerminal(t, s1, st.ID)
-	if got.State != StateComplete || !strings.Contains(got.Summary, fmt.Sprintf(" %d reused ", res.space.Size())) {
-		t.Fatalf("job resumed from a v2 journal = %+v, want complete with one row reused", got)
+	if got.State != StateFailed || !strings.Contains(got.Reason, "a v2 journal") {
+		t.Fatalf("job over a v2 journal = %+v, want failed with a reason naming the v2 journal", got)
 	}
-	if !bytes.Equal(jobMatrix(t, s1, st.ID), want) {
-		t.Fatal("job resumed from a v2 journal serves a different matrix")
-	}
-	if b, err := os.ReadFile(s1.journalPath(st.ID)); err != nil || !bytes.HasPrefix(b, []byte("gpuscale-journal v3\n")) {
-		t.Fatalf("the job's journal was not migrated to v3 (%v)", err)
+	if b, err := os.ReadFile(s1.journalPath(st.ID)); err != nil || !bytes.Equal(b, v2) {
+		t.Fatalf("the job's v2 journal changed (%v)", err)
 	}
 }
 
@@ -678,8 +688,9 @@ func TestUnjournaledRowsSurviveRestart(t *testing.T) {
 	spec := testSpec(t)
 	spec.Noise, spec.Seed = 0.05, 4
 	// At this seed one row has failed cells and the other, complete,
-	// tears its append: the journal holds neither.
-	inj := fault.Injector{ErrorRate: 0.1, TornWriteRate: 0.5, Seed: 5}
+	// tears its append to the job's journal (tears roll on the file's
+	// name): the journal holds neither.
+	inj := fault.Injector{ErrorRate: 0.1, TornWriteRate: 0.5, Seed: 4}
 	s1, err := New(Config{Dir: dir, SweepWorkers: 1, Injector: inj})
 	if err != nil {
 		t.Fatal(err)

@@ -51,8 +51,9 @@ func (f *sweepFleet) replicated() []string {
 // standIn is a stand-in distributed executor: it runs the sweep
 // locally, but through the request's parameters and hooks only —
 // resuming from req.Journal's Prior, appending each settled row to
-// req.Journal and then calling req.OnRow, exactly what a distributed
-// coordinator does.
+// req.Journal and then telling req.OnRow it is journaled, exactly what
+// a distributed coordinator does. Its sweeps inject no faults, so
+// every row is complete.
 func standIn(ctx context.Context, t *testing.T, req SweepRequest) (*sweep.RunReport, error) {
 	_, rep, err := sweep.Resume(ctx, req.Kernels, req.Space, sweep.Options{
 		Workers: 2, Engine: req.Engine, Seed: req.Seed,
@@ -61,7 +62,7 @@ func standIn(ctx context.Context, t *testing.T, req SweepRequest) (*sweep.RunRep
 				t.Error(err)
 				return
 			}
-			req.OnRow(m, r)
+			req.OnRow(r, true)
 		},
 	}, req.Journal.Prior())
 	return rep, err
@@ -140,7 +141,7 @@ func TestRunSweepSeamResumesFromJournal(t *testing.T) {
 			if err := req.Journal.AppendRow(m, r); err != nil {
 				return nil, err
 			}
-			req.OnRow(m, r)
+			req.OnRow(r, true)
 		}
 		first = m
 		<-ctx.Done() // interrupted before the other rows land

@@ -122,20 +122,19 @@ type SweepRequest struct {
 	// and the executor appends each settled, complete row to it before
 	// calling OnRow. The service closes it once RunSweep returns.
 	Journal *sweep.Journal
-	// OnRow settles a row into the job's accounts (rows_done and
-	// coverage); safe for concurrent use. A complete row must be in the
-	// journal before OnRow sees it; any other row is one of the job's
-	// unjournaled rows, which /matrix renders in place of the journal's
-	// record. A settled row is assigned whole and never written again,
-	// so the job keeps such a row's slices rather than copying them. A
-	// distributed executor may invoke it more than once for the same
-	// row: when a quarantined worker's complete is retracted — live, or
-	// at registration for a journaled row the ledger retracted before a
-	// restart — the retraction arrives as a call with an all-canceled
-	// row, and a healthy worker's re-execution as a later one, with the
-	// corrected planes (and a second journal append, which supersedes
-	// the retracted one: replay is last-record-wins per kernel).
-	OnRow func(m *sweep.Matrix, r int)
+	// OnRow settles row r into the job's accounts (rows_done and
+	// coverage); safe for concurrent use. journaled means the row's
+	// record is in the journal, appended before OnRow hears of it: the
+	// row is all OK and renders from there. Not journaled means a
+	// quarantine retracted the row — live, or at registration for a
+	// journaled row the ledger retracted before a restart — and the row
+	// is canceled: the job keeps a canceled row for it, which /matrix
+	// renders in place of the journal's record. A distributed executor
+	// may invoke it more than once for the same row: a retraction, then
+	// a healthy worker's re-execution, with a second journal append
+	// that supersedes the retracted one (replay is last-record-wins per
+	// kernel).
+	OnRow func(r int, journaled bool)
 	// Trace is the job's span context; a distributed executor hands it
 	// to the coordinator so lease grants become children of the job
 	// span and the whole fleet run stitches into one trace.
@@ -608,10 +607,10 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 // MatrixCSV streams the job's matrix as CSV, rendered from its journal
 // and the rows the journal does not hold as they are: for a running
 // job the rows settled so far, for a terminal one those its terminal
-// record carries. A terminal job an earlier version archived as
-// <id>.csv serves that archive as it is. A queued job, and a job
-// without a journal or a terminal record to render, answer
-// ErrNoSuchJob.
+// record carries. A queued job, a job without a journal or a terminal
+// record to render, and a terminal job that an earlier build archived
+// as <id>.csv answer ErrNoSuchJob: rendering such a job's journal could
+// lack rows the archive held, and the archive is left as it is.
 func (s *Service) MatrixCSV(id string, w io.Writer) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -624,12 +623,8 @@ func (s *Service) MatrixCSV(id string, w io.Writer) error {
 	j.mu.Unlock()
 	switch {
 	case state.Terminal():
-		if f, err := os.Open(filepath.Join(s.cfg.Dir, id+".csv")); err == nil {
-			defer f.Close()
-			if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
-				_, err = io.Copy(w, f)
-				return err
-			}
+		if _, err := os.Stat(filepath.Join(s.cfg.Dir, id+".csv")); err == nil {
+			return fmt.Errorf("%w: job %s has %s.csv, a matrix archive an earlier build wrote, which this build does not serve", ErrNoSuchJob, id, id)
 		}
 		var sf stateFile
 		b, err := os.ReadFile(s.statePath(id))
@@ -877,11 +872,22 @@ func (s *Service) runJob(j *job) {
 	runStart := time.Now()
 	var rep *sweep.RunReport
 	if s.cfg.Fleet != nil {
+		// A journaled row renders from the journal, so the job keeps
+		// none; a retracted one is kept canceled, which hides the
+		// journal's record for it. Both are read-only values.
+		nCfg := j.res.space.Size()
+		ok, canceled := sweep.NewRow(nCfg, sweep.StatusOK), sweep.NewRow(nCfg, sweep.StatusCanceled)
 		rep, err = s.cfg.Fleet.RunSweep(ctx, SweepRequest{
 			JobID: j.id, Kernels: j.res.kernels, Space: j.res.space,
 			Engine: j.res.engine, Seed: j.spec.Seed, Noise: j.spec.Noise,
 			Journal: journal, Trace: j.trace,
-			OnRow: func(m *sweep.Matrix, r int) { settle(r, rowOf(m, r), !m.RowComplete(r)) },
+			OnRow: func(r int, journaled bool) {
+				if journaled {
+					settle(r, ok, false)
+				} else {
+					settle(r, canceled, true)
+				}
+			},
 		})
 	} else {
 		_, rep, err = sweep.Resume(ctx, j.res.kernels, j.res.space, opts, journal.Prior())

@@ -52,9 +52,10 @@ func TestChaosSoak(t *testing.T) {
 		DrainGrace:   50 * time.Millisecond,
 		// Torn journal writes fail whole group appends, whose rows the
 		// terminal records then carry, across the drain and restart. A
-		// journal's tears follow its own write count, so every journal
-		// tears at the same writes: at seed 3 and rate 0.1 a fresh
-		// journal's header lands and its first group append tears.
+		// journal's tears roll on its file name and its own write
+		// count, so journals tear at different writes: at seed 3 and
+		// rate 0.1, about one job in ten fails on a torn header and
+		// about one in thirteen loses a group append.
 		Injector: fault.Injector{
 			ErrorRate:     0.05,
 			PanicRate:     0.01,

@@ -45,6 +45,41 @@ func TestLinearConstantY(t *testing.T) {
 	}
 }
 
+// TestLinearRoundingResidueIsConstant: a constant curve reads R2 = 1,
+// and so does the same curve with one point an ulp off, whose spread
+// is rounding residue; a curve with a real 1% spread reads the R2 of
+// its fit, the squared correlation.
+func TestLinearRoundingResidueIsConstant(t *testing.T) {
+	xs := []float64{4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44}
+	flat := make([]float64, len(xs))
+	for i := range flat {
+		flat[i] = 1
+	}
+	if fit, err := Linear(xs, flat); err != nil || fit.R2 != 1 {
+		t.Fatalf("constant curve: R2 %g (%v), want 1", fit.R2, err)
+	}
+	for i := range flat {
+		off := append([]float64(nil), flat...)
+		off[i] = math.Nextafter(1, 2)
+		if fit, err := Linear(xs, off); err != nil || fit.R2 != 1 {
+			t.Fatalf("constant curve with point %d an ulp off: R2 %g (%v), want 1", i, fit.R2, err)
+		}
+		off[i] = math.Nextafter(1, 0)
+		if fit, err := Linear(xs, off); err != nil || fit.R2 != 1 {
+			t.Fatalf("constant curve with point %d an ulp under: R2 %g (%v), want 1", i, fit.R2, err)
+		}
+	}
+	spread := []float64{1, 1.01, 0.99, 1.005, 1, 0.995, 1.01, 0.99, 1, 1.005, 0.995}
+	fit, err := Linear(xs, spread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Pearson(xs, spread)
+	if math.Abs(fit.R2-r*r) > 1e-9 || fit.R2 == 1 {
+		t.Fatalf("1%% spread: R2 %g, want its squared correlation %g", fit.R2, r*r)
+	}
+}
+
 func TestLinearErrors(t *testing.T) {
 	if _, err := Linear([]float64{1}, []float64{1}); err == nil {
 		t.Error("single point accepted")

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -18,8 +19,8 @@ import (
 // csvHeader is the long-form measurement schema: one row per
 // (kernel, configuration) cell, mirroring the raw data file a hardware
 // study would archive. The trailing status column records per-cell
-// fate; files written before it existed (7 columns) read back with
-// every cell StatusOK.
+// fate; ReadCSV refuses a file from before it existed (7 columns) by
+// name.
 var csvHeader = []string{"kernel", "cus", "core_mhz", "mem_mhz", "throughput", "time_ns", "bound", "status"}
 
 // WriteCSV persists a matrix as long-form CSV, one row per
@@ -250,28 +251,6 @@ func (m *Matrix) WriteCSVFile(path string) error {
 	return nil
 }
 
-// ReadCSV loads a matrix written by WriteCSV. The configuration space
-// must be supplied (the CSV stores points, not the grid definition)
-// and every (kernel, configuration) cell must be present; use
-// ReadCSVPartial for journals and interrupted runs. It parses in two
-// stages: a goroutine of its own reads r, joined before ReadCSV
-// returns, while the calling goroutine decodes and fills the matrix,
-// so errors and their line numbers are in file order. After a decode
-// error r may have been read up to one batch (512 records) further.
-func ReadCSV(r io.Reader, space hw.Space) (*Matrix, error) {
-	return readCSV(r, space, true)
-}
-
-// ReadCSVPartial loads a possibly incomplete matrix: kernels may be
-// missing cells (e.g. a journal cut short by a crash). Absent cells
-// are marked StatusFailed so downstream consumers mask them and a
-// Resume recomputes them. It reads r as ReadCSV does: on a goroutine
-// of its own, joined before it returns, up to one batch further than
-// a decode error.
-func ReadCSVPartial(r io.Reader, space hw.Space) (*Matrix, error) {
-	return readCSV(r, space, false)
-}
-
 // csvCell is one decoded CSV record: a cell's position and payload.
 type csvCell struct {
 	kernel string
@@ -290,8 +269,7 @@ type csvCell struct {
 // shuffled) is parsed and looked up in the grid, which gives the same
 // configuration whenever the comparison would have matched.
 type csvDecoder struct {
-	space  hw.Space
-	legacy bool // 7-column archives written before the status column
+	space hw.Space
 	// canon[c] is configuration c's three fields as WriteCSV spells
 	// them, or empty where that spelling does not look up to c (a NaN
 	// or repeated axis value), so that its records always take the
@@ -301,14 +279,14 @@ type csvDecoder struct {
 	next int
 }
 
-func newCSVDecoder(space hw.Space, legacy bool) *csvDecoder {
+func newCSVDecoder(space hw.Space) *csvDecoder {
 	canon := configFields(space)
 	for c, cfg := range space.Configs() {
 		if space.Index(cfg) != c {
 			canon[c] = [3]string{}
 		}
 	}
-	return &csvDecoder{space: space, legacy: legacy, canon: canon}
+	return &csvDecoder{space: space, canon: canon}
 }
 
 // parseBound inverts gcn.Bound.String over the named bounds.
@@ -328,12 +306,8 @@ func parseBound(s string) (gcn.Bound, bool) {
 // into core.
 func (d *csvDecoder) decode(rec []string, line int) (csvCell, error) {
 	var cell csvCell
-	want := len(csvHeader)
-	if d.legacy {
-		want--
-	}
-	if len(rec) != want {
-		return cell, fmt.Errorf("sweep: line %d: %d fields, want %d", line, len(rec), want)
+	if len(rec) != len(csvHeader) {
+		return cell, fmt.Errorf("sweep: line %d: %d fields, want %d", line, len(rec), len(csvHeader))
 	}
 	if rec[0] == "" {
 		return cell, fmt.Errorf("sweep: line %d: empty kernel name", line)
@@ -388,11 +362,8 @@ func (d *csvDecoder) decode(rec []string, line int) (csvCell, error) {
 		return cell, fmt.Errorf("sweep: line %d: unknown bound %q", line, rec[6])
 	}
 	cell.bound = b
-	cell.status = StatusOK
-	if !d.legacy {
-		if cell.status, err = ParseStatus(rec[7]); err != nil {
-			return cell, fmt.Errorf("sweep: line %d: %w", line, err)
-		}
+	if cell.status, err = ParseStatus(rec[7]); err != nil {
+		return cell, fmt.Errorf("sweep: line %d: %w", line, err)
 	}
 	// A cell that claims a validated measurement must carry one.
 	if cell.status == StatusOK && (cell.tput <= 0 || cell.tns <= 0) {
@@ -401,7 +372,7 @@ func (d *csvDecoder) decode(rec []string, line int) (csvCell, error) {
 	return cell, nil
 }
 
-// csvBatchRecords is how many records readCSV's reading stage hands
+// csvBatchRecords is how many records ReadCSV's reading stage hands
 // its decoding stage at a time.
 const csvBatchRecords = 512
 
@@ -414,13 +385,19 @@ type csvBatch struct {
 	err error
 }
 
-// readCSV parses in two stages: a goroutine runs encoding/csv and hands
+// ReadCSV loads a matrix written by WriteCSV. The configuration space
+// must be supplied (the CSV stores points, not the grid definition)
+// and every (kernel, configuration) cell must be present. A 7-column
+// file, written before the status column, is refused by name. It
+// parses in two stages: a goroutine runs encoding/csv and hands
 // batches of records, two of them taking turns, to the caller's
 // goroutine, which decodes them and fills the matrix in file order, so
 // each error and its line number are the ones a loop over cr.Read
-// would return. The reading stage is at most one batch ahead of the
-// decoding one, and it is joined before readCSV returns.
-func readCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
+// would return. The reading stage is at most one batch
+// (csvBatchRecords) ahead of the decoding one, so after a decode error
+// r may have been read up to one batch further, and it is joined
+// before ReadCSV returns.
+func ReadCSV(r io.Reader, space hw.Space) (*Matrix, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // field-count errors carry line numbers via decode
 	// Only the record slice is reused: each record's fields are fresh
@@ -430,8 +407,10 @@ func readCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: reading header: %w", err)
 	}
-	legacy := len(header) == 7
-	if (len(header) != 8 && !legacy) || header[0] != "kernel" {
+	if len(header) == 7 && header[0] == "kernel" {
+		return nil, errors.New("sweep: a 7-column sweep CSV, written before the status column; this build does not read it")
+	}
+	if len(header) != len(csvHeader) || header[0] != "kernel" {
 		return nil, fmt.Errorf("sweep: unexpected header %v", header)
 	}
 
@@ -471,7 +450,7 @@ func readCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
 		<-stopped
 	}()
 
-	d := newCSVDecoder(space, legacy)
+	d := newCSVDecoder(space)
 	m := &Matrix{Space: space}
 	rows := map[string]int{}
 	nCfg := space.Size()
@@ -499,7 +478,7 @@ func readCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
 					m.Throughput = append(m.Throughput, make([]float64, nCfg))
 					m.TimeNS = append(m.TimeNS, make([]float64, nCfg))
 					m.Bound = append(m.Bound, make([]gcn.Bound, nCfg))
-					m.Status = append(m.Status, failedRow(nCfg))
+					m.Status = append(m.Status, make([]CellStatus, nCfg))
 					filled = append(filled, make([]bool, nCfg))
 				}
 			}
@@ -518,32 +497,19 @@ func readCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
 		}
 		free <- b
 	}
-	if strict {
-		for i, cells := range filled {
-			n := 0
-			for _, f := range cells {
-				if f {
-					n++
-				}
-			}
-			if n != nCfg {
-				return nil, fmt.Errorf("sweep: kernel %s has %d/%d cells", m.Kernels[i], n, nCfg)
+	for i, cells := range filled {
+		n := 0
+		for _, f := range cells {
+			if f {
+				n++
 			}
 		}
+		if n != nCfg {
+			return nil, fmt.Errorf("sweep: kernel %s has %d/%d cells", m.Kernels[i], n, nCfg)
+		}
 	}
-	if strict && len(m.Kernels) == 0 {
+	if len(m.Kernels) == 0 {
 		return nil, fmt.Errorf("sweep: empty CSV")
 	}
 	return m, nil
-}
-
-// failedRow returns a row of StatusFailed cells — the starting state
-// of a partially read kernel, flipped to the recorded status as cells
-// arrive.
-func failedRow(n int) []CellStatus {
-	row := make([]CellStatus, n)
-	for i := range row {
-		row[i] = StatusFailed
-	}
-	return row
 }

@@ -181,7 +181,7 @@ func TestCSVRoundTripWithStatus(t *testing.T) {
 
 // TestReadCSVDegenerateGrids: on grids where an axis value's spelling
 // does not name its own position — a repeated value, NaN, a zero of
-// either sign — both loaders decode WriteCSV's output exactly as the
+// either sign — ReadCSV decodes WriteCSV's output exactly as the
 // reference decoder does.
 func TestReadCSVDegenerateGrids(t *testing.T) {
 	negZero := math.Copysign(0, -1)
@@ -201,46 +201,13 @@ func TestReadCSVDegenerateGrids(t *testing.T) {
 		if err := m.WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
-		for _, strict := range []bool{false, true} {
-			got, err := readCSV(bytes.NewReader(buf.Bytes()), space, strict)
-			want, werr := refReadCSV(bytes.NewReader(buf.Bytes()), space, strict)
-			if (err == nil) != (werr == nil) {
-				t.Fatalf("grid %v strict=%v: error %v, the reference decoder %v", space, strict, err, werr)
-			}
-			if err == nil && !sameMatrix(got, want) {
-				t.Fatalf("grid %v strict=%v: matrix differs from the reference decoder's", space, strict)
-			}
+		got, err := ReadCSV(bytes.NewReader(buf.Bytes()), space)
+		want, werr := refReadCSV(bytes.NewReader(buf.Bytes()), space)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("grid %v: error %v, the reference decoder %v", space, err, werr)
 		}
-	}
-}
-
-// TestReadCSVLegacySevenColumns keeps archives written before the
-// status column readable: every cell comes back StatusOK.
-func TestReadCSVLegacySevenColumns(t *testing.T) {
-	space := testSpace(t)
-	m, err := Run(testKernels(), space, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Strip the status column to emulate an old archive.
-	var legacy bytes.Buffer
-	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-		legacy.WriteString(line[:strings.LastIndex(line, ",")] + "\n")
-	}
-	got, err := ReadCSV(&legacy, space)
-	if err != nil {
-		t.Fatalf("legacy CSV rejected: %v", err)
-	}
-	if !reflect.DeepEqual(got.Throughput, m.Throughput) {
-		t.Fatal("legacy throughput differs")
-	}
-	for r := range got.Kernels {
-		if !got.RowComplete(r) {
-			t.Fatalf("legacy row %d not all StatusOK", r)
+		if err == nil && !sameMatrix(got, want) {
+			t.Fatalf("grid %v: matrix differs from the reference decoder's", space)
 		}
 	}
 }
@@ -271,44 +238,6 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 		if err.Error() == "" {
 			t.Errorf("case %q produced an empty error", c.name)
 		}
-	}
-}
-
-// TestReadCSVPartialToleratesHoles: the lenient reader marks missing
-// cells failed instead of erroring, and an only-header file is fine.
-func TestReadCSVPartialToleratesHoles(t *testing.T) {
-	space := testSpace(t)
-	const hdr = "kernel,cus,core_mhz,mem_mhz,throughput,time_ns,bound,status\n"
-	input := hdr + "p.a,4,200,150,1.5,100,compute,ok\n"
-	m, err := ReadCSVPartial(strings.NewReader(input), space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Kernels) != 1 || m.Kernels[0] != "p.a" {
-		t.Fatalf("kernels = %v", m.Kernels)
-	}
-	okCells := 0
-	for c := range m.Status[0] {
-		if m.Status[0][c] == StatusOK {
-			okCells++
-		}
-	}
-	if okCells != 1 {
-		t.Fatalf("ok cells = %d, want exactly the one present row", okCells)
-	}
-	if m.RowComplete(0) {
-		t.Fatal("hole-ridden row reported complete")
-	}
-	empty, err := ReadCSVPartial(strings.NewReader(hdr), space)
-	if err != nil {
-		t.Fatalf("header-only file rejected by partial reader: %v", err)
-	}
-	if len(empty.Kernels) != 0 {
-		t.Fatalf("header-only file produced kernels %v", empty.Kernels)
-	}
-	// Strict mode still rejects both.
-	if _, err := ReadCSV(strings.NewReader(input), space); err == nil {
-		t.Error("strict reader accepted an incomplete grid")
 	}
 }
 
@@ -483,7 +412,7 @@ func checkJoined(t *testing.T, before int, what string) {
 	}
 }
 
-// TestReadCSVBatchEdges: the loaders' two stages hand records over in
+// TestReadCSVBatchEdges: ReadCSV's two stages hand records over in
 // batches, so every kind of error — a bad number, a wrong field count,
 // a bare quote (encoding/csv's own error) and a failing reader — is
 // planted at the first and the last record of a batch and on the
@@ -522,32 +451,24 @@ func TestReadCSVBatchEdges(t *testing.T) {
 		}
 		for _, i := range []int{0, csvBatchRecords - 1, csvBatchRecords, 2*csvBatchRecords - 1, records - 1} {
 			for what, input := range planted {
-				for _, strict := range []bool{true, false} {
-					_, want := refReadCSV(input(i), space, strict)
-					if want == nil {
-						t.Fatalf("%s at record %d: the reference decoder accepts it", what, i)
-					}
-					load := ReadCSVPartial
-					if strict {
-						load = ReadCSV
-					}
-					before := runtime.NumGoroutine()
-					_, err := load(input(i), space)
-					checkJoined(t, before, fmt.Sprintf("%s at record %d of %d", what, i, records))
-					if err == nil || err.Error() != want.Error() {
-						t.Errorf("%s at record %d of %d, strict=%v: error %v, want %v", what, i, records, strict, err, want)
-					}
+				_, want := refReadCSV(input(i), space)
+				if want == nil {
+					t.Fatalf("%s at record %d: the reference decoder accepts it", what, i)
+				}
+				before := runtime.NumGoroutine()
+				_, err := ReadCSV(input(i), space)
+				checkJoined(t, before, fmt.Sprintf("%s at record %d of %d", what, i, records))
+				if err == nil || err.Error() != want.Error() {
+					t.Errorf("%s at record %d of %d: error %v, want %v", what, i, records, err, want)
 				}
 			}
 		}
-		for _, strict := range []bool{true, false} {
-			before := runtime.NumGoroutine()
-			got, err := readCSV(bytes.NewReader(buf.Bytes()), space, strict)
-			checkJoined(t, before, fmt.Sprintf("a clean file of %d records", records))
-			want, werr := refReadCSV(bytes.NewReader(buf.Bytes()), space, strict)
-			if err != nil || werr != nil || !sameMatrix(got, want) {
-				t.Errorf("a clean file of %d records, strict=%v: %v (reference: %v), or the matrices differ", records, strict, err, werr)
-			}
+		before := runtime.NumGoroutine()
+		got, err := ReadCSV(bytes.NewReader(buf.Bytes()), space)
+		checkJoined(t, before, fmt.Sprintf("a clean file of %d records", records))
+		want, werr := refReadCSV(bytes.NewReader(buf.Bytes()), space)
+		if err != nil || werr != nil || !sameMatrix(got, want) {
+			t.Errorf("a clean file of %d records: %v (reference: %v), or the matrices differ", records, err, werr)
 		}
 	}
 }

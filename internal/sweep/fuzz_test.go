@@ -32,9 +32,7 @@ func fuzzSpace(f *testing.F) hw.Space {
 // bytes: it must never panic, never claim a clean prefix longer than
 // the input, and anything it does recover must satisfy the journal's
 // row invariants (full planes, positive finite measurements, all-OK
-// statuses). What it recovers from a v2 journal goes through
-// migration: the v3 image a migration writes must read back to the
-// same matrix, bit for bit.
+// statuses).
 func FuzzJournalScan(f *testing.F) {
 	space := fuzzSpace(f)
 	for _, seed := range journalSeeds(f, space) {
@@ -43,8 +41,8 @@ func FuzzJournalScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, good, _, err := scanJournal(data, space)
 		if err != nil {
-			// Only the wrong-space refusal may error; it must salvage
-			// nothing.
+			// Only a refusal may error — a file of an earlier format, or
+			// a journal of another space — and it must salvage nothing.
 			if m != nil {
 				t.Fatal("scan errored but returned a matrix")
 			}
@@ -80,16 +78,6 @@ func FuzzJournalScan(f *testing.F) {
 				if !(m.TimeNS[r][c] > 0) || math.IsInf(m.TimeNS[r][c], 0) {
 					t.Fatalf("row %d cell %d time %g", r, c, m.TimeNS[r][c])
 				}
-			}
-		}
-		if isV2(data) {
-			image, err := CanonicalJournalBytes(m, m.Kernels)
-			if err != nil {
-				t.Fatalf("recovered v2 rows do not migrate: %v", err)
-			}
-			back, good, reason, err := scanJournal(image, space)
-			if err != nil || good != int64(len(image)) || back == nil || !sameMatrix(back, m) {
-				t.Fatalf("the migrated image reads back differently (%v, %s)", err, reason)
 			}
 		}
 	})
@@ -170,11 +158,11 @@ func FuzzUnpackPlanes(f *testing.F) {
 	})
 }
 
-// FuzzReadCSV hammers both CSV loaders: no panics; both agree with
-// the decode loop they replaced on which inputs are errors, with the
-// same message, and on the matrix of every other; any matrix the
-// lenient loader accepts has sane statuses and measurements and reads
-// back unchanged from its own WriteCSV bytes.
+// FuzzReadCSV hammers ReadCSV: no panics; it agrees with the decode
+// loop it replaced on which inputs are errors, with the same message,
+// and on the matrix of every other; any matrix it accepts has sane
+// statuses and measurements and reads back unchanged from its own
+// WriteCSV bytes.
 func FuzzReadCSV(f *testing.F) {
 	space := fuzzSpace(f)
 	const hdr = "kernel,cus,core_mhz,mem_mhz,throughput,time_ns,bound,status\n"
@@ -186,65 +174,49 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("not,a,sweep\n1,2,3\n")
 	f.Add(hdr + "\"a\r\r\nb\",4,200,150,1.5,100,compute,ok\n") // reads back as "a\r\nb", then "a\nb"
 	f.Fuzz(func(t *testing.T, data string) {
-		for _, strict := range []bool{false, true} {
-			got, err := readCSV(strings.NewReader(data), space, strict)
-			want, werr := refReadCSV(strings.NewReader(data), space, strict)
-			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
-				t.Fatalf("strict=%v: error %v, the reference decoder %v", strict, err, werr)
-			}
-			if err == nil && !sameMatrix(got, want) {
-				t.Fatalf("strict=%v: matrix differs from the reference decoder's", strict)
-			}
+		m, err := ReadCSV(strings.NewReader(data), space)
+		want, werr := refReadCSV(strings.NewReader(data), space)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("error %v, the reference decoder %v", err, werr)
 		}
-		m, err := ReadCSVPartial(strings.NewReader(data), space)
-		if err == nil {
-			nCfg := space.Size()
-			for r, k := range m.Kernels {
-				if k == "" {
-					t.Fatal("accepted row with empty kernel name")
-				}
-				for c := 0; c < nCfg; c++ {
-					s := m.Status[r][c]
-					if s < StatusOK || s > StatusQuarantined {
-						t.Fatalf("row %d cell %d has out-of-range status %d", r, c, s)
-					}
-					if s != StatusOK {
-						continue
-					}
-					if !(m.Throughput[r][c] > 0) || math.IsInf(m.Throughput[r][c], 0) ||
-						math.IsNaN(m.Throughput[r][c]) {
-						t.Fatalf("OK cell (%d,%d) has throughput %g", r, c, m.Throughput[r][c])
-					}
-				}
+		if err != nil {
+			return
+		}
+		if !sameMatrix(m, want) {
+			t.Fatal("matrix differs from the reference decoder's")
+		}
+		nCfg := space.Size()
+		for r, k := range m.Kernels {
+			if k == "" {
+				t.Fatal("accepted row with empty kernel name")
 			}
-			// encoding/csv reads a "\r\n" inside a quoted field back as
-			// "\n", so only names without one can round-trip.
-			if !slices.ContainsFunc(m.Kernels, func(k string) bool { return strings.Contains(k, "\r\n") }) {
-				var buf bytes.Buffer
-				if err := m.WriteCSV(&buf); err != nil {
-					t.Fatal(err)
+			for c := 0; c < nCfg; c++ {
+				s := m.Status[r][c]
+				if s < StatusOK || s > StatusQuarantined {
+					t.Fatalf("row %d cell %d has out-of-range status %d", r, c, s)
 				}
-				back, err := ReadCSVPartial(&buf, space)
-				if err != nil {
-					t.Fatalf("WriteCSV of an accepted matrix does not read back: %v", err)
+				if s != StatusOK {
+					continue
 				}
-				if !sameMatrix(back, m) {
-					t.Fatal("WriteCSV of an accepted matrix reads back different")
+				if !(m.Throughput[r][c] > 0) || math.IsInf(m.Throughput[r][c], 0) ||
+					math.IsNaN(m.Throughput[r][c]) {
+					t.Fatalf("OK cell (%d,%d) has throughput %g", r, c, m.Throughput[r][c])
 				}
 			}
 		}
-		// The strict loader must agree with the lenient one about what
-		// parses at all, and only ever accepts complete grids.
-		if sm, serr := ReadCSV(strings.NewReader(data), space); serr == nil {
+		// encoding/csv reads a "\r\n" inside a quoted field back as
+		// "\n", so only names without one can round-trip.
+		if !slices.ContainsFunc(m.Kernels, func(k string) bool { return strings.Contains(k, "\r\n") }) {
+			var buf bytes.Buffer
+			if err := m.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadCSV(&buf, space)
 			if err != nil {
-				t.Fatal("strict loader accepted what the lenient loader rejected")
+				t.Fatalf("WriteCSV of an accepted matrix does not read back: %v", err)
 			}
-			for r := range sm.Kernels {
-				for c := 0; c < space.Size(); c++ {
-					if sm.Status[r][c] == StatusFailed && sm.Throughput[r][c] != 0 {
-						t.Fatalf("failed cell (%d,%d) carries a measurement", r, c)
-					}
-				}
+			if !sameMatrix(back, m) {
+				t.Fatal("WriteCSV of an accepted matrix reads back different")
 			}
 		}
 	})
@@ -270,18 +242,20 @@ func sameMatrix(a, b *Matrix) bool {
 		reflect.DeepEqual(bits(a.TimeNS), bits(b.TimeNS))
 }
 
-// refReadCSV is the decode loop ReadCSV and ReadCSVPartial replaced,
-// kept as their oracle: a fresh record per line, and every field of
-// every record parsed and looked up.
-func refReadCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
+// refReadCSV is the decode loop ReadCSV replaced, kept as its oracle: a
+// fresh record per line, and every field of every record parsed and
+// looked up.
+func refReadCSV(r io.Reader, space hw.Space) (*Matrix, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("sweep: reading header: %w", err)
 	}
-	legacy := len(header) == 7
-	if (len(header) != 8 && !legacy) || header[0] != "kernel" {
+	if len(header) == 7 && header[0] == "kernel" {
+		return nil, fmt.Errorf("sweep: a 7-column sweep CSV, written before the status column; this build does not read it")
+	}
+	if len(header) != 8 || header[0] != "kernel" {
 		return nil, fmt.Errorf("sweep: unexpected header %v", header)
 	}
 	m := &Matrix{Space: space}
@@ -302,7 +276,7 @@ func refReadCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: line %d: %w", line, err)
 		}
-		cell, err := refDecodeCSVRecord(rec, line, space, bounds, legacy)
+		cell, err := refDecodeCSVRecord(rec, line, space, bounds)
 		if err != nil {
 			return nil, err
 		}
@@ -314,7 +288,7 @@ func refReadCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
 			m.Throughput = append(m.Throughput, make([]float64, nCfg))
 			m.TimeNS = append(m.TimeNS, make([]float64, nCfg))
 			m.Bound = append(m.Bound, make([]gcn.Bound, nCfg))
-			m.Status = append(m.Status, failedRow(nCfg))
+			m.Status = append(m.Status, make([]CellStatus, nCfg))
 			filled = append(filled, make([]bool, nCfg))
 		}
 		m.Throughput[ri][cell.ci] = cell.tput
@@ -323,33 +297,27 @@ func refReadCSV(r io.Reader, space hw.Space, strict bool) (*Matrix, error) {
 		m.Status[ri][cell.ci] = cell.status
 		filled[ri][cell.ci] = true
 	}
-	if strict {
-		for i, cells := range filled {
-			n := 0
-			for _, f := range cells {
-				if f {
-					n++
-				}
-			}
-			if n != nCfg {
-				return nil, fmt.Errorf("sweep: kernel %s has %d/%d cells", m.Kernels[i], n, nCfg)
+	for i, cells := range filled {
+		n := 0
+		for _, f := range cells {
+			if f {
+				n++
 			}
 		}
+		if n != nCfg {
+			return nil, fmt.Errorf("sweep: kernel %s has %d/%d cells", m.Kernels[i], n, nCfg)
+		}
 	}
-	if strict && len(m.Kernels) == 0 {
+	if len(m.Kernels) == 0 {
 		return nil, fmt.Errorf("sweep: empty CSV")
 	}
 	return m, nil
 }
 
-func refDecodeCSVRecord(rec []string, line int, space hw.Space, bounds map[string]gcn.Bound, legacy bool) (csvCell, error) {
+func refDecodeCSVRecord(rec []string, line int, space hw.Space, bounds map[string]gcn.Bound) (csvCell, error) {
 	var cell csvCell
-	want := len(csvHeader)
-	if legacy {
-		want--
-	}
-	if len(rec) != want {
-		return cell, fmt.Errorf("sweep: line %d: %d fields, want %d", line, len(rec), want)
+	if len(rec) != len(csvHeader) {
+		return cell, fmt.Errorf("sweep: line %d: %d fields, want %d", line, len(rec), len(csvHeader))
 	}
 	if rec[0] == "" {
 		return cell, fmt.Errorf("sweep: line %d: empty kernel name", line)
@@ -390,11 +358,8 @@ func refDecodeCSVRecord(rec []string, line int, space hw.Space, bounds map[strin
 		return cell, fmt.Errorf("sweep: line %d: unknown bound %q", line, rec[6])
 	}
 	cell.bound = b
-	cell.status = StatusOK
-	if !legacy {
-		if cell.status, err = ParseStatus(rec[7]); err != nil {
-			return cell, fmt.Errorf("sweep: line %d: %w", line, err)
-		}
+	if cell.status, err = ParseStatus(rec[7]); err != nil {
+		return cell, fmt.Errorf("sweep: line %d: %w", line, err)
 	}
 	if cell.status == StatusOK && (cell.tput <= 0 || cell.tns <= 0) {
 		return cell, fmt.Errorf("sweep: line %d: ok cell with non-positive measurement %g/%g", line, cell.tput, cell.tns)

@@ -24,17 +24,17 @@ package sweep
 // — a torn tail costs at most the append that was being written. An
 // append is one write and one fsync of one or more whole records: a
 // group of rows the journal's committer took together (Commit), or a
-// fleet batch (AppendRecord). The frame, the fsynced self-healing
-// append and the atomic rewrite are internal/durable's; this file owns
-// the payloads and what recovery makes of them.
+// fleet batch (AppendRecord). The frame and the fsynced self-healing
+// append are internal/durable's; this file owns the payloads and what
+// recovery makes of them.
 //
-// v2 journals (journalv2.go) and v1 CSV journals (and completed
-// WriteCSV archives) are still accepted: their complete rows are
-// salvaged and the file is migrated to v3 atomically.
+// A file an earlier build wrote — a v2 journal, whose row records were
+// JSON, or a v1 journal, which was a plain CSV like a finished WriteCSV
+// archive — is refused with an error that names its format, and its
+// bytes are left exactly as they were.
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,15 +54,18 @@ import (
 // binaries refuse the file instead of misreading it.
 const journalMagic = "gpuscale-journal v3\n"
 
+// journalMagicV2 begins a v2 journal, which this build refuses by name.
+const journalMagicV2 = "gpuscale-journal v2"
+
 // spaceRecord is the payload of a journal's first record, the space
 // record: the configuration grid as JSON.
 type spaceRecord struct {
 	Space *hw.Space `json:"space"`
 }
 
-// journalRow is one row record as recovery reads it, from a v3 record
-// or a v2 one. Its cells are all StatusOK by construction — a journal
-// holds complete rows only — so status is not stored.
+// journalRow is one row record as recovery reads it. Its cells are
+// all StatusOK by construction — a journal holds complete rows only —
+// so status is not stored.
 type journalRow struct {
 	kernel       string
 	tput, timeNS []float64
@@ -76,12 +79,9 @@ type SalvageReport struct {
 	// DroppedBytes is how much of the file tail was cut off.
 	DroppedBytes int64
 	// DroppedRecords approximates how many records the dropped tail
-	// held: frames counted by their length fields, or lines of a v1
-	// CSV journal (a torn record has no reliable framing).
+	// held: frames counted by their length fields (a torn record has
+	// no reliable framing).
 	DroppedRecords int
-	// MigratedFrom names the format the file was rewritten from in v3
-	// format — "v1 CSV" or "v2" — or is empty when it was v3 already.
-	MigratedFrom string
 	// Reason says what stopped the scan, for logs.
 	Reason string
 }
@@ -145,10 +145,9 @@ type queued struct {
 
 // OpenJournal opens or creates a sweep journal at path. An existing
 // v3 file is scanned record by record and truncated at the first
-// corrupt record; a v2 journal or a v1 CSV journal (or completed
-// archive) is salvaged and migrated to v3; a file that is none of
-// these is rejected rather than overwritten. Check Salvage() after
-// opening to learn whether recovery had to drop or migrate anything.
+// corrupt record; any other file is refused, with an error that names
+// what it is (earlierFormat), and left as it is. Check Salvage() after
+// opening to learn whether recovery had to drop anything.
 func OpenJournal(path string, space hw.Space) (*Journal, error) {
 	return OpenJournalWith(path, space, JournalOptions{})
 }
@@ -176,12 +175,12 @@ func OpenJournalWith(path string, space hw.Space, opts JournalOptions) (*Journal
 		}
 	case bytes.HasPrefix(data, []byte(journalMagic)):
 		err = j.recoverV3(data)
-	case isV2(data):
-		err = j.migrate(data, "v2")
-	case looksLikeSweepCSV(data):
-		err = j.migrate(data, "v1 CSV")
 	default:
-		err = fmt.Errorf("sweep: journal %s is neither a journal nor a sweep CSV (delete it to start over)", path)
+		what := earlierFormat(data)
+		if what == "" {
+			what = "not a journal"
+		}
+		err = fmt.Errorf("sweep: %s is %s; this build reads only v3 journals, and the file is left as it is (move it aside to start over)", path, what)
 	}
 	if err != nil {
 		log.Close()
@@ -190,10 +189,16 @@ func OpenJournalWith(path string, space hw.Space, opts JournalOptions) (*Journal
 	return j, nil
 }
 
-// looksLikeSweepCSV sniffs a v1 journal / WriteCSV archive by its
-// header line.
-func looksLikeSweepCSV(data []byte) bool {
-	return bytes.HasPrefix(data, []byte("kernel,"))
+// earlierFormat names the earlier format whose file data begins, or is
+// empty when data begins as no earlier build's file did.
+func earlierFormat(data []byte) string {
+	switch {
+	case bytes.HasPrefix(data, []byte(journalMagicV2)):
+		return "a v2 journal"
+	case bytes.HasPrefix(data, []byte("kernel,")):
+		return "a sweep CSV (a v1 journal or a finished gpusweep archive)"
+	}
+	return ""
 }
 
 // journalHeader is a fresh journal's first write: the magic line
@@ -232,15 +237,6 @@ func (j *Journal) recoverV3(data []byte) error {
 	return nil
 }
 
-// countRecords approximates how many lines a byte region held.
-func countRecords(b []byte) int {
-	n := bytes.Count(b, []byte{'\n'})
-	if len(b) > 0 && b[len(b)-1] != '\n' {
-		n++
-	}
-	return n
-}
-
 // countFrames approximates how many records a dropped journal tail
 // held: it steps from frame to frame by their length fields, trusting
 // no checksum, and counts what is left where a frame header does not
@@ -265,23 +261,22 @@ func countFrames(b []byte) int {
 	return n
 }
 
-// scanJournal walks a journal image — v3, or v2 (journalv2.go) — and
-// returns the recovered matrix (nil if no rows), the clean prefix
-// length in bytes, and a human-readable reason when the scan stopped
-// before the end. The error return is reserved for files that must
-// not be silently repaired: a journal written for a different
-// configuration space. A zero space takes the space record's own.
-// good == 0 with nil error means nothing before the space record was
-// usable and the caller should start fresh.
+// scanJournal walks a v3 journal image and returns the recovered
+// matrix (nil if no rows), the clean prefix length in bytes, and a
+// human-readable reason when the scan stopped before the end. The
+// error return is reserved for files that must not be silently
+// repaired: a file of an earlier format (earlierFormat), and a journal
+// written for a different configuration space. A zero space takes the
+// space record's own. good == 0 with nil error means nothing before
+// the space record was usable and the caller should start fresh.
 func scanJournal(data []byte, space hw.Space) (m *Matrix, good int64, reason string, err error) {
-	magic, decodeRow := journalMagic, decodeRowRecord
-	if isV2(data) {
-		magic, decodeRow = journalMagicV2, decodeV2Row
-	}
-	if !bytes.HasPrefix(data, []byte(magic)) {
+	if !bytes.HasPrefix(data, []byte(journalMagic)) {
+		if what := earlierFormat(data); what != "" {
+			return nil, 0, "", fmt.Errorf("sweep: the journal is %s; this build reads only v3 journals", what)
+		}
 		return nil, 0, "missing journal magic", nil
 	}
-	off := int64(len(magic))
+	off := int64(len(journalMagic))
 	rows := map[string]int{}
 	sawSpace := false
 	for off < int64(len(data)) {
@@ -307,7 +302,7 @@ func scanJournal(data []byte, space hw.Space) (m *Matrix, good int64, reason str
 			off = next
 			continue
 		}
-		row, why := decodeRow(payload, space.Size())
+		row, why := decodeRowRecord(payload, space.Size())
 		if why != "" {
 			return m, off, fmt.Sprintf("%s at byte %d", why, off), nil
 		}
@@ -430,131 +425,6 @@ func replicaSpace(path string) (hw.Space, string, error) {
 			return space, why, nil
 		}
 	}
-}
-
-// migrate salvages a v2 journal or a v1 CSV journal (or a completed
-// WriteCSV archive) and atomically rewrites the file in v3 format.
-// Only complete rows survive — exactly what AppendRow ever wrote — and
-// a torn tail is dropped rather than fatal. A crash mid-migration
-// leaves the old file, which simply migrates again next open.
-func (j *Journal) migrate(data []byte, from string) error {
-	var (
-		prior   *Matrix
-		dropped int64
-		records int
-		reason  = from + " journal migrated to v3"
-	)
-	if from == "v1 CSV" {
-		prior, dropped, records = salvageV1CSV(data, j.space)
-	} else {
-		m, good, why, err := scanJournal(data, j.space)
-		if err != nil {
-			return err
-		}
-		if prior, dropped = m, int64(len(data))-good; dropped > 0 {
-			records, reason = countFrames(data[good:]), why
-		}
-	}
-	image, err := journalHeader(j.space)
-	if prior != nil {
-		image, err = CanonicalJournalBytes(prior, prior.Kernels)
-	}
-	if err != nil {
-		return err
-	}
-	if err := j.log.Replace(image); err != nil {
-		return fmt.Errorf("sweep: migrating %s journal: %w", from, err)
-	}
-	j.prior = prior
-	j.salvage = &SalvageReport{DroppedBytes: dropped, DroppedRecords: records, MigratedFrom: from, Reason: reason}
-	return nil
-}
-
-// salvageV1CSV reads a v1 CSV journal tolerantly: it stops at the
-// first malformed line instead of erroring, then keeps only kernels
-// whose rows are complete and all-OK. Returns the salvaged matrix
-// (nil if none), bytes of unreadable tail, and the count of dropped
-// data lines (torn tail plus lines of incomplete kernels).
-func salvageV1CSV(data []byte, space hw.Space) (*Matrix, int64, int) {
-	br := bytes.NewReader(data)
-	cr := csv.NewReader(br)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil || len(header) < 7 || header[0] != "kernel" {
-		return nil, int64(len(data)), countRecords(data)
-	}
-	legacy := len(header) == 7
-	nCfg := space.Size()
-	d := newCSVDecoder(space, legacy)
-	m := &Matrix{Space: space}
-	rows := map[string]int{}
-	var filled [][]bool
-	var rowLines []int
-	goodOffset := cr.InputOffset()
-	tornLines := 0
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		line++
-		if err != nil {
-			tornLines = countRecords(data[goodOffset:])
-			break
-		}
-		cell, derr := d.decode(rec, line)
-		if derr != nil {
-			tornLines = countRecords(data[goodOffset:])
-			break
-		}
-		ri, ok := rows[cell.kernel]
-		if !ok {
-			ri = len(m.Kernels)
-			rows[cell.kernel] = ri
-			m.Kernels = append(m.Kernels, cell.kernel)
-			m.Throughput = append(m.Throughput, make([]float64, nCfg))
-			m.TimeNS = append(m.TimeNS, make([]float64, nCfg))
-			m.Bound = append(m.Bound, make([]gcn.Bound, nCfg))
-			m.Status = append(m.Status, failedRow(nCfg))
-			filled = append(filled, make([]bool, nCfg))
-			rowLines = append(rowLines, 0)
-		}
-		m.Throughput[ri][cell.ci] = cell.tput
-		m.TimeNS[ri][cell.ci] = cell.tns
-		m.Bound[ri][cell.ci] = cell.bound
-		m.Status[ri][cell.ci] = cell.status
-		filled[ri][cell.ci] = true
-		rowLines[ri]++
-		goodOffset = cr.InputOffset()
-	}
-	droppedBytes := int64(len(data)) - goodOffset
-	// Keep only kernels with every cell present and StatusOK; a
-	// partial or failed row is recomputed by the resume anyway.
-	kept := &Matrix{Space: space}
-	droppedLines := tornLines
-	for ri := range m.Kernels {
-		complete := true
-		for c := 0; c < nCfg; c++ {
-			if !filled[ri][c] || m.Status[ri][c] != StatusOK {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			droppedLines += rowLines[ri]
-			continue
-		}
-		kept.Kernels = append(kept.Kernels, m.Kernels[ri])
-		kept.Throughput = append(kept.Throughput, m.Throughput[ri])
-		kept.TimeNS = append(kept.TimeNS, m.TimeNS[ri])
-		kept.Bound = append(kept.Bound, m.Bound[ri])
-		kept.Status = append(kept.Status, m.Status[ri])
-	}
-	if len(kept.Kernels) == 0 {
-		kept = nil
-	}
-	return kept, droppedBytes, droppedLines
 }
 
 // rowRecord frames row r of m as a row record.

@@ -11,8 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
-	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -261,86 +260,81 @@ func TestCheckReplicaMatchesRecovery(t *testing.T) {
 	}
 }
 
-// TestJournalV1MigrationAndSalvage: a v1 CSV journal — including one
-// with a torn tail — still resumes, and the file comes back as v3.
-func TestJournalV1MigrationAndSalvage(t *testing.T) {
+// TestEarlierFormatsRefusedByName: a file an earlier build wrote — a
+// v2 journal, whole or torn, a v1 CSV journal with a torn tail, a
+// finished WriteCSV archive — and a foreign file are refused by
+// OpenJournal with an error that names what the file is, as a v2
+// journal is by ReadJournal and a 7-column CSV by ReadCSV, and every
+// such file is left byte for byte as it was.
+func TestEarlierFormatsRefusedByName(t *testing.T) {
 	space := tinySpace(t)
 	m, rep, err := RunContext(context.Background(), testKernels(), space, journalOpts())
 	if err != nil || !rep.Complete() {
 		t.Fatalf("clean sweep: %v %s", err, rep.Summary())
 	}
-	baseline := matrixBytes(t, m)
-
-	// A v1 journal was a plain CSV; drop the last kernel's rows and
-	// tear the final line to emulate a crash mid-append.
-	lines := bytes.Split(bytes.TrimRight(baseline, "\n"), []byte("\n"))
+	archive := matrixBytes(t, m)
+	v2 := refV2Journal(t, m)
+	// A v1 journal was a plain CSV: two complete rows, then a line torn
+	// by a crash mid-append.
+	lines := bytes.SplitAfter(archive, []byte("\n"))
 	cut := 1 + 2*space.Size() // header + two complete rows
-	v1 := bytes.Join(lines[:cut], []byte("\n"))
-	v1 = append(v1, '\n')
-	v1 = append(v1, lines[cut][:len(lines[cut])/2]...) // torn line, no newline
-
-	path := filepath.Join(t.TempDir(), "v1.journal")
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
+	v1 := append(bytes.Join(lines[:cut], nil), lines[cut][:len(lines[cut])/2]...)
+	var seven bytes.Buffer // the archive without its status column
+	for _, line := range lines[:len(lines)-1] {
+		seven.Write(line[:bytes.LastIndexByte(line, ',')])
+		seven.WriteByte('\n')
 	}
-	j, err := OpenJournal(path, space)
-	if err != nil {
-		t.Fatalf("v1 journal rejected: %v", err)
+	openJournal := func(path string) error {
+		j, err := OpenJournal(path, space)
+		if err == nil {
+			j.Close()
+		}
+		return err
 	}
-	s := j.Salvage()
-	if s == nil || s.MigratedFrom != "v1 CSV" {
-		t.Fatalf("salvage report %+v, want a v1 CSV migration", s)
+	readJournal := func(path string) error {
+		_, err := ReadJournal(path, space)
+		return err
 	}
-	if s.DroppedBytes == 0 || s.DroppedRecords == 0 {
-		t.Fatalf("torn v1 tail not counted: %+v", s)
+	readCSV := func(path string) error {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		_, err = ReadCSV(f, space)
+		return err
 	}
-	prior := j.Prior()
-	if prior == nil || len(prior.Kernels) != 2 {
-		t.Fatalf("v1 salvage recovered %v, want the two complete rows", prior)
-	}
-	// The migrated file on disk is now v3.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte("gpuscale-journal v3\n")) {
-		t.Fatalf("migrated file does not start with v3 magic: %.40q", data)
-	}
-	j.Close()
-
-	got := resumeFromFile(t, path, space)
-	if !bytes.Equal(got, baseline) {
-		t.Fatal("resume from migrated v1 journal differs from clean run")
-	}
-}
-
-// TestJournalCompletedArchiveReadable: gpusweep archives a finished
-// journal as plain CSV; pointing -resume at that archive must skip
-// everything rather than start over.
-func TestJournalCompletedArchiveReadable(t *testing.T) {
-	space := tinySpace(t)
-	m, rep, err := RunContext(context.Background(), testKernels(), space, journalOpts())
-	if err != nil || !rep.Complete() {
-		t.Fatalf("clean sweep: %v %s", err, rep.Summary())
-	}
-	path := filepath.Join(t.TempDir(), "archive.csv")
-	if err := m.WriteCSVFile(path); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(path, space)
-	if err != nil {
-		t.Fatalf("completed archive rejected: %v", err)
-	}
-	defer j.Close()
-	prior := j.Prior()
-	if prior == nil || len(prior.Kernels) != 3 {
-		t.Fatalf("archive recovered %v rows, want all 3", prior)
-	}
-	if err := j.VerifyComplete(m.Kernels); err != nil {
-		t.Fatalf("complete archive fails verification: %v", err)
-	}
-	if !reflect.DeepEqual(prior.Throughput, m.Throughput) {
-		t.Fatal("archived values changed across CSV->journal migration")
+	const (
+		v2Name  = "a v2 journal"
+		csvName = "a sweep CSV (a v1 journal or a finished gpusweep archive)"
+	)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		open func(path string) error
+		want string
+	}{
+		{"v2-journal", v2, openJournal, v2Name},
+		{"torn-v2-journal", v2[:len(v2)-7], openJournal, v2Name},
+		{"v2-journal-read", v2, readJournal, v2Name},
+		{"torn-v2-journal-read", v2[:len(v2)-7], readJournal, v2Name},
+		{"torn-v1-csv-journal", v1, openJournal, csvName},
+		{"writecsv-archive", archive, openJournal, csvName},
+		{"seven-column-csv", seven.Bytes(), readCSV, "a 7-column sweep CSV"},
+		{"foreign-file", []byte("do not overwrite me\n"), openJournal, "is not a journal"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "file")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.open(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one naming %q", err, tc.want)
+			}
+			if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, tc.data) {
+				t.Fatalf("the refused file changed (%v)", err)
+			}
+		})
 	}
 }
 
@@ -586,7 +580,8 @@ func TestJournalRecordFraming(t *testing.T) {
 
 // refV2Journal renders m's rows, in order, as a journal v2 image, with
 // the encoder journal v2 wrote: the magic, the space record, then each
-// row as one JSON record. A kernel may appear twice.
+// row as one JSON record. It is the earlier format the journal must
+// refuse by name.
 func refV2Journal(tb testing.TB, m *Matrix) []byte {
 	tb.Helper()
 	b := []byte("gpuscale-journal v2\n")
@@ -610,79 +605,10 @@ func refV2Journal(tb testing.TB, m *Matrix) []byte {
 	return b
 }
 
-// TestJournalV2Migration: a v2 journal, written by v2's own encoder
-// with one kernel journaled twice (replay is last-record-wins) and a
-// torn last record, opens to the prior the v2 decoder reads from it,
-// bit for bit, and comes back as v3: the file is that prior's
-// canonical v3 image, it reopens clean to the same prior, and it
-// resumes to the uninterrupted run's matrix.
-func TestJournalV2Migration(t *testing.T) {
-	space := tinySpace(t)
-	m, rep, err := RunContext(context.Background(), testKernels(), space, journalOpts())
-	if err != nil || !rep.Complete() {
-		t.Fatalf("clean sweep: %v %s", err, rep.Summary())
-	}
-	baseline := matrixBytes(t, m)
-	stale := slices.Clone(m.Throughput[0])
-	stale[0] *= 2
-	v2 := refV2Journal(t, &Matrix{Space: space, Kernels: []string{m.Kernels[0], m.Kernels[1], m.Kernels[0], m.Kernels[2]},
-		Throughput: [][]float64{stale, m.Throughput[1], m.Throughput[0], m.Throughput[2]},
-		TimeNS:     [][]float64{m.TimeNS[0], m.TimeNS[1], m.TimeNS[0], m.TimeNS[2]},
-		Bound:      [][]gcn.Bound{m.Bound[0], m.Bound[1], m.Bound[0], m.Bound[2]}})
-	v2 = v2[:len(v2)-7] // tear the last record
-	path := filepath.Join(t.TempDir(), "v2.journal")
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadJournal(path, space); err == nil {
-		t.Fatal("ReadJournal accepted a torn v2 journal")
-	}
-	before, _, _, err := scanJournal(v2, space)
-	if err != nil || before == nil || !slices.Equal(before.Kernels, m.Kernels[:2]) ||
-		!sameMatrix(before, &Matrix{Kernels: m.Kernels[:2], Throughput: m.Throughput[:2],
-			TimeNS: m.TimeNS[:2], Bound: m.Bound[:2], Status: before.Status}) {
-		t.Fatalf("the v2 decoder read %+v (%v), want the first two rows, last record winning", before, err)
-	}
-
-	j, err := OpenJournal(path, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := j.Salvage()
-	if s == nil || s.MigratedFrom != "v2" || s.DroppedBytes == 0 || s.DroppedRecords != 1 {
-		t.Fatalf("salvage report %+v, want a v2 migration that dropped the torn record", s)
-	}
-	if !sameMatrix(j.Prior(), before) {
-		t.Fatal("the migrated journal's Prior differs from the v2 rows")
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, err := CanonicalJournalBytes(before, before.Kernels); err != nil || !bytes.Equal(data, want) {
-		t.Fatalf("the migrated file is not the v3 image of the v2 rows (%v)", err)
-	}
-	j2, err := OpenJournal(path, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := j2.Salvage(); s != nil || !sameMatrix(j2.Prior(), before) {
-		t.Fatalf("the migrated journal reopens with salvage %+v or a different Prior", s)
-	}
-	j2.Close()
-	if got := resumeFromFile(t, path, space); !bytes.Equal(got, baseline) {
-		t.Fatal("resume from a migrated v2 journal differs from the uninterrupted run")
-	}
-}
-
 // TestResumeRecomputesStalledRow: an archive written by an earlier
-// version can hold stalled cells. It still decodes, and Resume
-// recomputes the stalled cell's row — reusing every other row — to the
-// uninterrupted run's matrix, whether the archive is read as a prior
-// matrix or reopened as a journal.
+// version can hold stalled cells. It still decodes through ReadCSV,
+// and Resume recomputes the stalled cell's row — reusing every other
+// row — to the uninterrupted run's matrix.
 func TestResumeRecomputesStalledRow(t *testing.T) {
 	space := tinySpace(t)
 	m, err := Run(testKernels(), space, journalOpts())
@@ -708,12 +634,5 @@ func TestResumeRecomputesStalledRow(t *testing.T) {
 	}
 	if !bytes.Equal(matrixBytes(t, got), baseline) {
 		t.Fatal("resumed matrix differs from the uninterrupted run")
-	}
-	path := filepath.Join(t.TempDir(), "old.csv")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resumeFromFile(t, path, space), baseline) {
-		t.Fatal("journal resume differs from the uninterrupted run")
 	}
 }

@@ -15,8 +15,9 @@ import (
 	"gpuscale/internal/hw"
 )
 
-// ReadJournal reads a journal image (v3, or v2) without opening it
-// for append: no truncation, no migration, no repair. Unlike
+// ReadJournal reads a v3 journal image without opening it for append:
+// no truncation, no repair. A file of an earlier format is refused by
+// name, as OpenJournal refuses it. Unlike
 // OpenJournal it rejects a torn or corrupt tail instead of salvaging —
 // a comparison must not silently drop rows the journal claims to hold.
 // A zero space reads the journal against the space its space record

@@ -68,12 +68,12 @@ func WriteJournalCSV(w io.Writer, path string, space hw.Space, kernels []string,
 	if err != nil {
 		return fmt.Errorf("sweep: rendering %s: %w", path, err)
 	}
-	canceled := newRow(nCfg, StatusCanceled)
+	canceled := NewRow(nCfg, StatusCanceled)
 	return writeRows(w, space, kernels, func() rowFunc {
 		// A renderer's own frame buffer, as large as the largest
 		// record, and planes to unpack into.
 		fr := &frameReader{f: f, size: ix.size, buf: make([]byte, ix.largest)}
-		journaled := newRow(nCfg, StatusOK)
+		journaled := NewRow(nCfg, StatusOK)
 		return func(r int) (Row, error) {
 			if row, ok := unjournaled[r]; ok {
 				return row, nil
@@ -108,8 +108,8 @@ func (row Row) Blank() bool {
 	return true
 }
 
-// newRow returns a row of zeros whose every cell has status st.
-func newRow(nCfg int, st CellStatus) Row {
+// NewRow returns a row of zeros whose every cell has status st.
+func NewRow(nCfg int, st CellStatus) Row {
 	row := Row{Throughput: make([]float64, nCfg), TimeNS: make([]float64, nCfg),
 		Bound: make([]gcn.Bound, nCfg), Status: make([]CellStatus, nCfg)}
 	for c := range row.Status {
@@ -137,7 +137,8 @@ type frameReader struct {
 // from the magic and the space record to the first frame that is not a
 // whole frame holding a row record for space, and notes each kernel's
 // last record. A file whose magic or space record is torn holds no
-// rows; a v2 journal, or one of another space, is refused.
+// rows; a file of an earlier format (earlierFormat), or a journal of
+// another space, is refused.
 func indexJournal(f *os.File, space hw.Space) (*journalIndex, error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -149,8 +150,8 @@ func indexJournal(f *os.File, space hw.Space) (*journalIndex, error) {
 		return nil, err
 	}
 	if magic := ix.buf[:n]; string(magic) != journalMagic {
-		if string(magic) == journalMagicV2 {
-			return nil, errors.New("a v2 journal; opening it migrates it to v3")
+		if what := earlierFormat(magic); what != "" {
+			return nil, fmt.Errorf("the journal is %s; this build reads only v3 journals", what)
 		}
 		return ix, nil
 	}

@@ -233,30 +233,13 @@ type Matrix struct {
 	rowIdx  map[string]int
 }
 
-// NewMatrix returns the matrix of kernels over space with every cell
-// canceled: not yet measured. All rows share one canceled row, so the
-// matrix costs one row of storage until its rows are settled.
-func NewMatrix(space hw.Space, kernels []*kernel.Kernel) *Matrix {
-	n := len(kernels)
-	m := &Matrix{Space: space, Kernels: make([]string, n), Throughput: make([][]float64, n),
-		TimeNS: make([][]float64, n), Bound: make([][]gcn.Bound, n), Status: make([][]CellStatus, n)}
-	for r, k := range kernels {
-		m.Kernels[r] = k.Name
-		if r == 0 {
-			m.SettleRow(0, StatusCanceled)
-		}
-		m.Throughput[r], m.TimeNS[r], m.Bound[r], m.Status[r] = m.Throughput[0], m.TimeNS[0], m.Bound[0], m.Status[0]
-	}
-	return m
-}
-
 // SettleRow replaces row r with a fresh row of NaN-free zeros and one
 // uniform status: how a row that holds no measurements is settled (a
 // canceled, quarantined or unpreparable row). A settled row is a value:
 // it is replaced whole, by assigning new slices, and never written in
 // place, so a reader holding an earlier row keeps reading it unchanged.
 func (m *Matrix) SettleRow(r int, status CellStatus) {
-	row := newRow(m.Space.Size(), status)
+	row := NewRow(m.Space.Size(), status)
 	m.Throughput[r], m.TimeNS[r], m.Bound[r], m.Status[r] = row.Throughput, row.TimeNS, row.Bound, row.Status
 }
 
