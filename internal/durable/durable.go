@@ -196,12 +196,18 @@ func (l *Log) Cut(good int64) error {
 }
 
 // Reset empties the log and writes its header afresh. The header's
-// fsync makes the truncation durable too.
+// fsync makes the truncation durable too. A failed header write has
+// been cut back to the empty file, and nothing was acked yet, so it is
+// tried once more: a torn write costs nothing, while a failure that
+// persists (a full disk) still fails the reset.
 func (l *Log) Reset() error {
 	if err := l.f.Truncate(0); err != nil {
 		return err
 	}
 	l.good = 0
+	if err := l.Append(l.header); err == nil {
+		return nil
+	}
 	return l.Append(l.header)
 }
 

@@ -110,6 +110,64 @@ func TestLogTornAppendLeavesCleanPrefix(t *testing.T) {
 	}
 }
 
+// TestLogRetriesATornHeader: a fresh log whose first write fails gets
+// its header from the retry, and nothing of the failed write remains.
+func TestLogRetriesATornHeader(t *testing.T) {
+	const magic = "test-log v1\n"
+	path := filepath.Join(t.TempDir(), "t.log")
+	writes := 0
+	wrap := func(w io.Writer) io.Writer {
+		return writerFunc(func(b []byte) (int, error) {
+			if writes++; writes == 1 {
+				n, _ := w.Write(b[:len(b)/2])
+				return n, fault.ErrTornWrite
+			}
+			return w.Write(b)
+		})
+	}
+	l, image, torn, err := OpenLog(path, magic, []byte(magic), wrap)
+	if err != nil || image != nil || torn != 0 {
+		t.Fatalf("fresh log: image %q, torn %d, err %v", image, torn, err)
+	}
+	defer l.Close()
+	if writes != 2 {
+		t.Errorf("opening took %d writes, want the torn one and its retry", writes)
+	}
+	if got, err := l.Prefix(); err != nil || string(got) != magic {
+		t.Errorf("Prefix = %q, %v; want the header %q", got, err, magic)
+	}
+	if got, _ := os.ReadFile(path); string(got) != magic {
+		t.Errorf("file holds %q, want the header %q", got, magic)
+	}
+}
+
+// TestLogHeaderFailureThatPersists: a header write that fails again on
+// its retry fails the open and leaves the file empty.
+func TestLogHeaderFailureThatPersists(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.log")
+	full := errors.New("no space left on device")
+	writes := 0
+	wrap := func(w io.Writer) io.Writer {
+		return writerFunc(func(b []byte) (int, error) {
+			writes++
+			n, _ := w.Write(b[:1])
+			return n, full
+		})
+	}
+	if l, _, _, err := OpenLog(path, "test-log v1\n", []byte("test-log v1\n"), wrap); !errors.Is(err, full) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("OpenLog = %v, want %v", err, full)
+	}
+	if writes != 2 {
+		t.Errorf("opening took %d writes, want one and its retry", writes)
+	}
+	if got, err := os.ReadFile(path); err != nil || len(got) != 0 {
+		t.Errorf("file holds %q (%v), want it empty", got, err)
+	}
+}
+
 // TestAppendFile: AppendFile lands its bytes after the file's own, and
 // refuses a file that does not exist instead of creating it.
 func TestAppendFile(t *testing.T) {

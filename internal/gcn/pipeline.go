@@ -37,17 +37,23 @@ const (
 // Eligibility sets. Every wave sits in at most one: its port's set
 // (setVector, setMemory and setScalar share the port classes' values)
 // while the scoreboard lets it issue, setResolve while it is at a
-// barrier or at its end with no load outstanding, and none otherwise.
+// barrier, or at its end with no load outstanding, setWait while it is
+// blocked on its loads (at an instruction that depends on them, or at
+// its end), and setNone while it is parked at a barrier or retired.
 // A wave moves only where its eligibility changes: when it finishes an
-// instruction, issues or retires a load, parks at or leaves a barrier,
-// or retires. Picking a port's wave is then a bit scan.
+// instruction, issues a load that depends on loads, is woken by its
+// newest load's completion, parks at or leaves a barrier, or retires.
+// Picking a port's wave is then a bit scan, and waking the waves
+// blocked on loads is a heap pop.
 const (
 	setVector  = clsVector
 	setMemory  = clsMemory
 	setScalar  = clsScalar
 	setResolve = clsBarrier
+	numPorts   = setResolve
 	numSets    = 4
 	setNone    = numSets
+	setWait    = numSets + 1
 )
 
 func classOfOp(op isa.Op) uint8 {
@@ -76,20 +82,22 @@ type cuPipeline struct {
 	waves      []pipeWave
 	wavesPerWG int
 
-	// classOf/depOf mirror prog.Body per instruction index.
-	classOf []uint8
-	depOf   []bool
+	// classOf/depOf mirror prog.Body per instruction index; depLoadOf
+	// marks the loads that depend on loads, each issue of which blocks
+	// its wave.
+	classOf   []uint8
+	depOf     []bool
+	depLoadOf []bool
 
 	// sets holds one bitset over the waves per eligibility set, each a
 	// window of the one backing array bits.
 	sets [numSets][]uint64
 	bits []uint64
 
-	// Load completions are FIFO because latency is constant. loadHead
-	// indexes the next un-retired completion; consuming by advancing
-	// the head instead of reslicing keeps the buffer reusable.
-	loadDone []loadCompletion
-	loadHead int
+	// wait is a min-heap, on doneAt, of the waves in setWait. A blocked
+	// wave issues nothing, so its doneAt holds until it is woken, and it
+	// has at most one entry.
+	wait []int
 
 	// barrier bookkeeping per resident workgroup.
 	arrived []int
@@ -97,36 +105,37 @@ type cuPipeline struct {
 	policy SchedPolicy
 
 	cycle int64
-	// skipped counts the cycles the run fast-forwarded.
-	skipped int64
+	// steps counts the last run's loop steps, skipped the cycles it
+	// fast-forwarded and memSkipped those of them in which the memory
+	// port rotated too.
+	steps, skipped, memSkipped int64
 }
 
 type pipeWave struct {
-	wg        int   // resident workgroup index
-	instr     int   // index into prog.Body
-	remaining int   // repetitions left of the current instruction
-	loads     int   // outstanding loads
+	wg        int // resident workgroup index
+	instr     int // index into prog.Body
+	remaining int // repetitions left of the current instruction
+	// doneAt is the cycle at which the wave's newest load completes.
+	// Latency is constant, so loads complete in issue order: the wave
+	// has loads outstanding exactly while doneAt > cycle.
+	doneAt    int64
 	cls       uint8 // class of Body[instr], clsBlocked when parked/done
-	set       uint8 // eligibility set holding the wave, setNone if none
+	set       uint8 // eligibility set holding the wave
 	dep       bool  // Body[instr].DependsOnLoad
 	atBarrier bool
 }
 
-type loadCompletion struct {
-	cycle int64
-	wave  int
-}
-
 // SimulatePipeline runs the execution-driven engine for one kernel on
 // one configuration. Use for validation. The resident-set simulation
-// costs a step per issue event, not per cycle: each memory issue, each
-// load completion that ends a stall, each instruction a wave finishes
-// and each barrier or end, while a stretch of pure vector and scalar
-// rotation costs one step and a scan of the waves it rotates over. The
-// launch loop adds a step per resident batch. For whole-row
-// evaluation, Prepare once and call EvalPipeline per config: the
-// resident-set simulation is memoized on its quantized inputs, which
-// collapses most of a row onto a few cycle runs.
+// costs a step per change of a wave's eligibility, not per cycle: each
+// instruction a wave finishes, each load that depends on loads, each
+// completion that wakes a blocked wave and each barrier or end, while a
+// stretch in which the issue ports only rotate costs one step and a
+// scan of the waves they rotate over. The launch loop adds a step per
+// resident batch. For whole-row evaluation, Prepare once and call
+// EvalPipeline per config: the resident-set simulation is memoized on
+// its quantized inputs, which collapses most of a row onto a few cycle
+// runs.
 func SimulatePipeline(k *kernel.Kernel, cfg hw.Config) (Result, error) {
 	p, err := Prepare(k)
 	if err != nil {
@@ -291,31 +300,33 @@ func SimulateResidentSetPolicy(prog *isa.Program, wgs, wavesPerWG int, latencyCy
 // is reset completely before use, so callers may hand in a reused
 // scratch pipeline — including one a cut-off run left mid-simulation.
 //
-// The loop's cost follows issue events, not cycles: a cycle in which
-// every wave is stalled jumps to the next load completion, and a
-// stretch in which only the vector and scalar ports' rotations advance
-// is crossed in one step (fastForward). Every cycle count is the one a
-// cycle-by-cycle walk gives (TestResidentSetMatchesReference,
-// FuzzResidentSet).
+// The loop's cost follows changes of eligibility, not cycles: a cycle
+// in which every wave is blocked or parked jumps to the next completion
+// that wakes a wave, and a stretch in which the vector, memory and
+// scalar ports only rotate is crossed in one step (fastForward). Every
+// cycle count is the one a cycle-by-cycle walk gives
+// (TestResidentSetMatchesReference, FuzzResidentSet).
 func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPerWG int, latencyCycles int64, policy SchedPolicy) (int64, error) {
 	p.prog = prog
 	p.wavesPerWG = wavesPerWG
 	p.policy = policy
 	p.cycle = 0
-	p.skipped = 0
-	p.loadDone = p.loadDone[:0]
-	p.loadHead = 0
+	p.steps, p.skipped, p.memSkipped = 0, 0, 0
+	p.wait = p.wait[:0]
 	p.arrived = growI(p.arrived, wgs)
 	body := prog.Body
 	if cap(p.classOf) < len(body) {
 		p.classOf = make([]uint8, len(body))
 		p.depOf = make([]bool, len(body))
+		p.depLoadOf = make([]bool, len(body))
 	}
 	p.classOf = p.classOf[:len(body)]
 	p.depOf = p.depOf[:len(body)]
+	p.depLoadOf = p.depLoadOf[:len(body)]
 	for i := range body {
 		p.classOf[i] = classOfOp(body[i].Op)
 		p.depOf[i] = body[i].DependsOnLoad
+		p.depLoadOf[i] = body[i].DependsOnLoad && body[i].Op == isa.OpLoad
 	}
 	n := wgs * wavesPerWG
 	words := (n + 63) >> 6
@@ -342,47 +353,43 @@ func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPer
 	}
 
 	live := n
-	rrVec, rrMem, rrScalar := 0, 0, 0
+	var rr [numPorts]int // each port's round-robin pointer
 	const safety = int64(1) << 40
-	for steps := 1; live > 0; steps++ {
+	for live > 0 {
 		if p.cycle > safety {
 			return 0, fmt.Errorf("gcn: pipeline engine ran away on %s", prog.Name)
 		}
-		if steps&(budgetEvery-1) == 0 {
+		if p.steps++; p.steps&(budgetEvery-1) == 0 {
 			if err := bud.check(); err != nil {
 				return 0, err
 			}
 		}
-		// Retire loads completing at or before this cycle.
-		for p.loadHead < len(p.loadDone) && p.loadDone[p.loadHead].cycle <= p.cycle {
-			w := p.loadDone[p.loadHead].wave
-			p.loadHead++
-			if p.waves[w].loads--; p.waves[w].loads == 0 {
-				p.place(w)
-			}
+		// Wake the waves whose newest load completes at or before this
+		// cycle.
+		for len(p.wait) > 0 && p.waves[p.wait[0]].doneAt <= p.cycle {
+			p.place(p.pop())
 		}
-		if p.fastForward(&rrVec, &rrScalar) {
+		if p.fastForward(&rr) {
 			continue
 		}
 
 		issued := false
 		// One vector (VALU/LDS), one memory (load/store), one scalar
 		// issue per cycle, each from any ready wave, round-robin.
-		if w := p.pick(&rrVec, setVector); w >= 0 {
+		if w := p.pick(&rr[setVector], setVector); w >= 0 {
 			p.step(w)
 			issued = true
 		}
-		if w := p.pick(&rrMem, setMemory); w >= 0 {
+		if w := p.pick(&rr[setMemory], setMemory); w >= 0 {
 			wv := &p.waves[w]
 			if p.prog.Body[wv.instr].Op == isa.OpLoad {
-				wv.loads++
-				p.loadDone = append(p.loadDone, loadCompletion{cycle: p.cycle + latencyCycles, wave: w})
+				wv.doneAt = p.cycle + latencyCycles
 			}
 			p.step(w)
 			p.place(w)
 			issued = true
 		}
-		if w := p.pick(&rrScalar, setScalar); w >= 0 {
+		if w := p.pick(&rr[setScalar], setScalar); w >= 0 {
 			p.step(w)
 			issued = true
 		}
@@ -410,9 +417,10 @@ func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPer
 			p.cycle++
 			continue
 		}
-		// Everything is stalled: skip to the next load completion.
-		if p.loadHead < len(p.loadDone) {
-			p.cycle = p.loadDone[p.loadHead].cycle
+		// Every wave is blocked on its loads or parked at a barrier:
+		// skip to the first wake.
+		if len(p.wait) > 0 {
+			p.cycle = p.waves[p.wait[0]].doneAt
 			continue
 		}
 		return 0, fmt.Errorf("gcn: pipeline deadlock on %s at cycle %d", prog.Name, p.cycle)
@@ -421,66 +429,106 @@ func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPer
 }
 
 // fastForward crosses, in one step, the cycles in which nothing
-// happens but the vector and scalar ports' rotations: no wave can use
-// the memory port, none waits to resolve a barrier or its end (a wave
-// at its end is still waiting on a load), no load completes, and no
-// issuing wave finishes its instruction. Each port issues every cycle
-// of such a stretch, so its waves' repetitions, the cycle and the
-// round-robin pointers move exactly as that many single cycles would
-// move them. It reports whether it advanced; a stretch shorter than
-// two cycles is left to the loop's single cycle.
-func (p *cuPipeline) fastForward(rrVec, rrScalar *int) bool {
-	if !empty(p.sets[setMemory]) || !empty(p.sets[setResolve]) {
+// happens but the issue ports' rotations: no wave waits to resolve a
+// barrier or its end, no blocked wave wakes, and no issue changes a
+// wave's eligibility — no issuing wave finishes its instruction, and
+// none issues a load that depends on loads. Each port with waves issues
+// every cycle of such a stretch, so its waves' repetitions, the cycle
+// and the round-robin pointers move exactly as that many single cycles
+// would move them. A store or an independent load changes nothing
+// else: its wave's doneAt matters only once the wave has moved past the
+// instruction, and the instruction's last repetition, which a stretch
+// never takes, sets it again. It reports whether it advanced; a
+// stretch shorter than two cycles is left to the loop's single cycle,
+// and the O(1) tests (opens) reject one before any scan over the waves.
+func (p *cuPipeline) fastForward(rr *[numPorts]int) bool {
+	if !empty(p.sets[setResolve]) {
 		return false
 	}
-	vec, scalar := p.sets[setVector], p.sets[setScalar]
-	hasVec, hasScalar := !empty(vec), !empty(scalar)
 	m := int64(math.MaxInt64)
-	if p.loadHead < len(p.loadDone) {
-		m = p.loadDone[p.loadHead].cycle - p.cycle
-	}
-	if m < 2 || !hasVec && !hasScalar {
-		return false
-	}
-	if hasVec {
-		m = min(m, p.span(vec, *rrVec))
-	}
-	if hasScalar {
-		m = min(m, p.span(scalar, *rrScalar))
+	if len(p.wait) > 0 {
+		m = p.waves[p.wait[0]].doneAt - p.cycle
 	}
 	if m < 2 {
 		return false
 	}
-	if hasVec {
-		p.advance(vec, rrVec, m)
+	var busy [numPorts]bool
+	rotating := false
+	for s := range busy {
+		if busy[s] = !empty(p.sets[s]); busy[s] {
+			if !p.opens(p.sets[s], rr[s]) {
+				return false
+			}
+			rotating = true
+		}
 	}
-	if hasScalar {
-		p.advance(scalar, rrScalar, m)
+	if !rotating {
+		return false
+	}
+	for s := range busy {
+		if busy[s] {
+			m = min(m, p.span(p.sets[s], rr[s]))
+		}
+	}
+	for s := range busy {
+		if busy[s] {
+			p.advance(p.sets[s], &rr[s], m)
+		}
+	}
+	if busy[setMemory] {
+		p.memSkipped += m
 	}
 	p.cycle += m
 	p.skipped += m
 	return true
 }
 
+// run is how many picks wave w takes up to and including the one that
+// changes its eligibility: its instruction's repetitions left, or one
+// at a load that depends on loads, whose issue blocks the wave.
+func (p *cuPipeline) run(w int) int {
+	if wv := &p.waves[w]; !p.depLoadOf[wv.instr] {
+		return wv.remaining
+	}
+	return 1
+}
+
+// opens reports whether the port whose waves are b can issue for two
+// cycles before any issue changes a wave's eligibility: neither of its
+// next two picks is the last of its wave's run (under GreedyThenOldest
+// the lowest wave takes both, so it needs a run of three). It looks at
+// two waves, where span scans them all.
+func (p *cuPipeline) opens(b []uint64, rr int) bool {
+	if p.policy == GreedyThenOldest {
+		return p.run(nextBit(b, 0)) > 2
+	}
+	w := nextBitWrap(b, rr)
+	next := w + 1
+	if next == len(p.waves) {
+		next = 0
+	}
+	if v := nextBitWrap(b, next); v != w {
+		return p.run(w) > 1 && p.run(v) > 1
+	}
+	return p.run(w) > 2
+}
+
 // span is how many consecutive cycles the port whose waves are b can
-// issue from them before one would finish its instruction. Under
-// GreedyThenOldest the lowest wave issues alone. Under RoundRobin the
-// rotation from rr picks the wave at offset o of it at cycles o,
-// o+e, o+2e, ... (e waves), so a wave with r repetitions left can be
+// issue from them before an issue would change a wave's eligibility.
+// Under GreedyThenOldest the lowest wave issues alone. Under RoundRobin
+// the rotation from rr picks the wave at offset o of it at cycles o,
+// o+e, o+2e, ... (e waves), so a wave with a run of r picks can be
 // picked until cycle o+(r-1)e.
 func (p *cuPipeline) span(b []uint64, rr int) int64 {
 	if p.policy == GreedyThenOldest {
-		return int64(p.waves[nextBit(b, 0)].remaining - 1)
-	}
-	if p.waves[nextBitWrap(b, rr)].remaining == 1 {
-		return 0
+		return int64(p.run(nextBit(b, 0)) - 1)
 	}
 	e, o := rotation(b, rr)
 	m := int64(math.MaxInt64)
 	for j, x := range b {
 		for ; x != 0; x &= x - 1 {
 			w := j<<6 | bits.TrailingZeros64(x)
-			m = min(m, int64(o+(p.waves[w].remaining-1)*e))
+			m = min(m, int64(o+(p.run(w)-1)*e))
 			if o++; o == e {
 				o = 0
 			}
@@ -560,33 +608,84 @@ func (p *cuPipeline) pick(rr *int, s uint8) int {
 	return w
 }
 
-// place moves wave w into the eligibility set its state calls for.
+// place moves wave w into the eligibility set its state calls for,
+// queueing it on the wait heap when it blocks on its loads.
 func (p *cuPipeline) place(w int) {
 	wv := &p.waves[w]
 	s := uint8(setNone)
 	switch wv.cls {
 	case clsVector, clsMemory, clsScalar:
-		if !wv.dep || wv.loads == 0 {
-			s = wv.cls
+		s = wv.cls
+		if wv.dep && wv.doneAt > p.cycle {
+			s = setWait
 		}
 	case clsBarrier:
 		s = setResolve
 	case clsEnd:
-		if wv.loads == 0 {
-			s = setResolve
+		s = setResolve
+		if wv.doneAt > p.cycle {
+			s = setWait
 		}
 	}
 	if s == wv.set {
 		return
 	}
 	bit := uint64(1) << (w & 63)
-	if wv.set != setNone {
+	if wv.set < numSets {
 		p.sets[wv.set][w>>6] &^= bit
 	}
-	if s != setNone {
+	if s < numSets {
 		p.sets[s][w>>6] |= bit
+	} else if s == setWait {
+		p.push(w)
 	}
 	wv.set = s
+}
+
+// push queues wave w on the wait heap.
+func (p *cuPipeline) push(w int) {
+	at := p.waves[w].doneAt
+	h := append(p.wait, w)
+	i := len(h) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if p.waves[h[up]].doneAt <= at {
+			break
+		}
+		h[i] = h[up]
+		i = up
+	}
+	h[i] = w
+	p.wait = h
+}
+
+// pop removes the wait heap's wave with the earliest doneAt and
+// returns it.
+func (p *cuPipeline) pop() int {
+	h := p.wait
+	top, w := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	if len(h) > 0 {
+		at := p.waves[w].doneAt
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				break
+			}
+			if c+1 < len(h) && p.waves[h[c+1]].doneAt < p.waves[h[c]].doneAt {
+				c++
+			}
+			if at <= p.waves[h[c]].doneAt {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = w
+	}
+	p.wait = h
+	return top
 }
 
 // step consumes one repetition of wave w's current instruction and

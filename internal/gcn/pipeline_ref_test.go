@@ -30,6 +30,11 @@ type refWave struct {
 	done      bool
 }
 
+type loadCompletion struct {
+	cycle int64
+	wave  int
+}
+
 type refPipeline struct {
 	prog       *isa.Program
 	waves      []refWave
@@ -179,9 +184,13 @@ func TestResidentSetMatchesReference(t *testing.T) {
 	}
 
 	// The pipeline study's kernels at a full 40-wave resident set: the
-	// fast-forward must carry part of every run, so the oracle cannot
-	// pass by never taking it.
-	for _, k := range studyKernels(t) {
+	// fast-forward must carry part of every run, with the memory port
+	// rotating in some of it, so the oracle cannot pass by never taking
+	// either. A step is spent only where a wave's eligibility changes,
+	// which bounds the heaviest kernels' steps at round-robin, latency
+	// 400 (cycle by cycle they take 265,705 and 50,080 cycles).
+	maxSteps := map[suites.Archetype]int64{suites.Balanced: 7000, suites.StreamBW: 10000}
+	for i, k := range studyKernels(t) {
 		prog, err := isa.Lower(k)
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
@@ -193,8 +202,12 @@ func TestResidentSetMatchesReference(t *testing.T) {
 		}{{RoundRobin, 400}, {GreedyThenOldest, 63}} {
 			p := &cuPipeline{}
 			matchReference(t, p, prog, 40/wavesPerWG, wavesPerWG, run.latency, run.policy)
-			if p.skipped == 0 {
-				t.Errorf("%s policy=%v latency=%d: no cycle fast-forwarded", k.Name, run.policy, run.latency)
+			if p.skipped == 0 || p.memSkipped == 0 {
+				t.Errorf("%s policy=%v latency=%d: %d cycles fast-forwarded, %d of them with the memory port rotating",
+					k.Name, run.policy, run.latency, p.skipped, p.memSkipped)
+			}
+			if limit, ok := maxSteps[studyArchetypes[i]]; ok && run.policy == RoundRobin && p.steps > limit {
+				t.Errorf("%s policy=%v latency=%d: %d steps, want at most %d", k.Name, run.policy, run.latency, p.steps, limit)
 			}
 		}
 	}
@@ -218,15 +231,18 @@ func matchReference(t *testing.T, p *cuPipeline, prog *isa.Program, wgs, wavesPe
 	}
 }
 
+// studyArchetypes are the pipeline study's archetypes, in the
+// end-to-end benchmark's order.
+var studyArchetypes = []suites.Archetype{suites.Balanced, suites.Stencil, suites.DenseCompute, suites.LDSHeavy,
+	suites.CacheSensitive, suites.Reduction, suites.StreamBW, suites.GraphGather}
+
 // studyKernels are the pipeline study's kernels: the first corpus
-// kernel of each of eight archetypes, in the end-to-end benchmark's
-// order.
+// kernel of each of studyArchetypes, in order.
 func studyKernels(t testing.TB) []*kernel.Kernel {
 	t.Helper()
 	var out []*kernel.Kernel
 	entries := suites.AllEntries(suites.Corpus())
-	for _, a := range []suites.Archetype{suites.Balanced, suites.Stencil, suites.DenseCompute, suites.LDSHeavy,
-		suites.CacheSensitive, suites.Reduction, suites.StreamBW, suites.GraphGather} {
+	for _, a := range studyArchetypes {
 		for _, e := range entries {
 			if e.Archetype == a {
 				out = append(out, e.Kernel)
@@ -234,8 +250,8 @@ func studyKernels(t testing.TB) []*kernel.Kernel {
 			}
 		}
 	}
-	if len(out) != 8 {
-		t.Fatalf("the corpus has %d of the study's 8 archetypes", len(out))
+	if len(out) != len(studyArchetypes) {
+		t.Fatalf("the corpus has %d of the study's %d archetypes", len(out), len(studyArchetypes))
 	}
 	return out
 }
@@ -316,7 +332,9 @@ func encodeResidentSet(prog *isa.Program, wgs, wavesPerWG int, latency int64, po
 
 // FuzzResidentSet holds the scheduler to its oracle on arbitrary
 // programs, residencies, latencies and policies, from a corpus seeded
-// with the pipeline study's programs, one workgroup each.
+// with the pipeline study's programs, one workgroup each, and with
+// programs that reach the states where a stretch with the memory port
+// rotating must stop short, or where a blocked wave must wake.
 func FuzzResidentSet(f *testing.F) {
 	for i, k := range studyKernels(f) {
 		prog, err := isa.Lower(k)
@@ -324,6 +342,35 @@ func FuzzResidentSet(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(encodeResidentSet(prog, 1, k.WavesPerWG(), 300, SchedPolicy(i&1)))
+	}
+	load := func(n int, dep bool) isa.Instr { return isa.Instr{Op: isa.OpLoad, Count: n, DependsOnLoad: dep} }
+	store := isa.Instr{Op: isa.OpStore, Count: 6}
+	valu := func(n int, dep bool) isa.Instr { return isa.Instr{Op: isa.OpVALU, Count: n, DependsOnLoad: dep} }
+	salu := isa.Instr{Op: isa.OpSALU, Count: 9}
+	barrier := isa.Instr{Op: isa.OpBarrier, Count: 1}
+	for _, seed := range []struct {
+		body          []isa.Instr
+		wgs, wavesPer int
+		latency       int64
+		policy        SchedPolicy
+	}{
+		// A wave reaches a dependent load while the others still rotate
+		// over independent loads and stores.
+		{[]isa.Instr{salu, load(1, false), load(8, true), load(12, false), store}, 2, 2, 20, RoundRobin},
+		{[]isa.Instr{load(4, false), valu(60, false), load(5, true), store, valu(10, true)}, 1, 3, 20, GreedyThenOldest},
+		// Waves park at a barrier, or reach their end, with loads
+		// outstanding while the other workgroups rotate.
+		{[]isa.Instr{load(12, false), barrier, valu(30, true), salu, load(8, false)}, 3, 2, 200, RoundRobin},
+		// Latencies of one and two cycles complete loads inside a
+		// stretch, some of them loads a dependent instruction waits on.
+		{[]isa.Instr{load(16, false), valu(20, false), salu, load(1, true), valu(12, true), store}, 2, 3, 1, RoundRobin},
+		{[]isa.Instr{load(16, false), valu(20, false), salu, load(1, true), valu(12, true), store}, 2, 3, 2, GreedyThenOldest},
+		// Under GreedyThenOldest the oldest wave drains a run of
+		// independent loads and stores alone.
+		{[]isa.Instr{load(40, false), store, valu(30, true), load(3, true), salu}, 2, 2, 100, GreedyThenOldest},
+	} {
+		body := append(seed.body, isa.Instr{Op: isa.OpEnd, Count: 1, DependsOnLoad: true})
+		f.Add(encodeResidentSet(&isa.Program{Name: "seed", Body: body}, seed.wgs, seed.wavesPer, seed.latency, seed.policy))
 	}
 	p := &cuPipeline{}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -54,8 +54,10 @@ func TestChaosSoak(t *testing.T) {
 		// terminal records then carry, across the drain and restart. A
 		// journal's tears roll on its file name and its own write
 		// count, so journals tear at different writes: at seed 3 and
-		// rate 0.1, about one job in ten fails on a torn header and
-		// about one in thirteen loses a group append.
+		// rate 0.1, about one job in ten tears its header, which is
+		// written once more, so about one in a hundred (torn again)
+		// fails opening its journal, and about one in thirteen loses a
+		// group append.
 		Injector: fault.Injector{
 			ErrorRate:     0.05,
 			PanicRate:     0.01,
