@@ -84,10 +84,14 @@ type cuPipeline struct {
 
 	// classOf/depOf mirror prog.Body per instruction index; depLoadOf
 	// marks the loads that depend on loads, each issue of which blocks
-	// its wave.
+	// its wave. tail[i] sums the counts of the instructions after i that
+	// share its port and depend on no load, up to the first that does
+	// not: a wave crosses those instruction ends without leaving its
+	// port's set.
 	classOf   []uint8
 	depOf     []bool
 	depLoadOf []bool
+	tail      []int
 
 	// sets holds one bitset over the waves per eligibility set, each a
 	// window of the one backing array bits.
@@ -102,13 +106,15 @@ type cuPipeline struct {
 	// barrier bookkeeping per resident workgroup.
 	arrived []int
 
-	policy SchedPolicy
+	policy  SchedPolicy
+	latency int64 // load latency, in cycles
 
 	cycle int64
 	// steps counts the last run's loop steps, skipped the cycles it
-	// fast-forwarded and memSkipped those of them in which the memory
-	// port rotated too.
-	steps, skipped, memSkipped int64
+	// fast-forwarded, memSkipped those of them in which the memory port
+	// rotated too, and crossed the instruction ends its waves passed
+	// inside those stretches.
+	steps, skipped, memSkipped, crossed int64
 }
 
 type pipeWave struct {
@@ -128,10 +134,11 @@ type pipeWave struct {
 // SimulatePipeline runs the execution-driven engine for one kernel on
 // one configuration. Use for validation. The resident-set simulation
 // costs a step per change of a wave's eligibility, not per cycle: each
-// instruction a wave finishes, each load that depends on loads, each
-// completion that wakes a blocked wave and each barrier or end, while a
-// stretch in which the issue ports only rotate costs one step and a
-// scan of the waves they rotate over. The launch loop adds a step per
+// run a wave ends (it changes port, or reaches an instruction that
+// depends on loads), each load that depends on loads, each completion
+// that wakes a blocked wave and each barrier or end, while a stretch in
+// which the issue ports only rotate costs one step and a scan of the
+// waves they rotate over. The launch loop adds a step per
 // resident batch. For whole-row evaluation, Prepare once and call
 // EvalPipeline per config: the resident-set simulation is memoized on
 // its quantized inputs, which collapses most of a row onto a few cycle
@@ -303,15 +310,17 @@ func SimulateResidentSetPolicy(prog *isa.Program, wgs, wavesPerWG int, latencyCy
 // The loop's cost follows changes of eligibility, not cycles: a cycle
 // in which every wave is blocked or parked jumps to the next completion
 // that wakes a wave, and a stretch in which the vector, memory and
-// scalar ports only rotate is crossed in one step (fastForward). Every
-// cycle count is the one a cycle-by-cycle walk gives
+// scalar ports only rotate is crossed in one step (fastForward), across
+// the instruction ends that keep each wave on its port. Every cycle
+// count is the one a cycle-by-cycle walk gives
 // (TestResidentSetMatchesReference, FuzzResidentSet).
 func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPerWG int, latencyCycles int64, policy SchedPolicy) (int64, error) {
 	p.prog = prog
 	p.wavesPerWG = wavesPerWG
 	p.policy = policy
+	p.latency = latencyCycles
 	p.cycle = 0
-	p.steps, p.skipped, p.memSkipped = 0, 0, 0
+	p.steps, p.skipped, p.memSkipped, p.crossed = 0, 0, 0, 0
 	p.wait = p.wait[:0]
 	p.arrived = growI(p.arrived, wgs)
 	body := prog.Body
@@ -319,14 +328,21 @@ func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPer
 		p.classOf = make([]uint8, len(body))
 		p.depOf = make([]bool, len(body))
 		p.depLoadOf = make([]bool, len(body))
+		p.tail = make([]int, len(body))
 	}
 	p.classOf = p.classOf[:len(body)]
 	p.depOf = p.depOf[:len(body)]
 	p.depLoadOf = p.depLoadOf[:len(body)]
-	for i := range body {
-		p.classOf[i] = classOfOp(body[i].Op)
+	p.tail = p.tail[:len(body)]
+	for i := len(body) - 1; i >= 0; i-- {
+		c := classOfOp(body[i].Op)
+		p.classOf[i] = c
 		p.depOf[i] = body[i].DependsOnLoad
 		p.depLoadOf[i] = body[i].DependsOnLoad && body[i].Op == isa.OpLoad
+		p.tail[i] = 0
+		if j := i + 1; j < len(body) && c < numPorts && p.classOf[j] == c && !p.depOf[j] {
+			p.tail[i] = body[j].Count + p.tail[j]
+		}
 	}
 	n := wgs * wavesPerWG
 	words := (n + 63) >> 6
@@ -431,16 +447,17 @@ func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPer
 // fastForward crosses, in one step, the cycles in which nothing
 // happens but the issue ports' rotations: no wave waits to resolve a
 // barrier or its end, no blocked wave wakes, and no issue changes a
-// wave's eligibility — no issuing wave finishes its instruction, and
-// none issues a load that depends on loads. Each port with waves issues
-// every cycle of such a stretch, so its waves' repetitions, the cycle
-// and the round-robin pointers move exactly as that many single cycles
-// would move them. A store or an independent load changes nothing
-// else: its wave's doneAt matters only once the wave has moved past the
-// instruction, and the instruction's last repetition, which a stretch
-// never takes, sets it again. It reports whether it advanced; a
-// stretch shorter than two cycles is left to the loop's single cycle,
-// and the O(1) tests (opens) reject one before any scan over the waves.
+// wave's eligibility — no issuing wave ends its run (it may finish
+// instructions inside it), and none issues a load that depends on
+// loads. Each port with waves issues every cycle of such a stretch, so
+// its waves' instructions and repetitions, the cycle and the
+// round-robin pointers move exactly as that many single cycles would
+// move them. A store or an independent load changes nothing else: its
+// wave's doneAt matters only once the wave has left its run, so advance
+// sets it from the wave's last load pick in the stretch. It reports
+// whether it advanced; a stretch shorter than two cycles is left to the
+// loop's single cycle, and the O(1) tests (opens) reject one before any
+// scan over the waves.
 func (p *cuPipeline) fastForward(rr *[numPorts]int) bool {
 	if !empty(p.sets[setResolve]) {
 		return false
@@ -484,11 +501,13 @@ func (p *cuPipeline) fastForward(rr *[numPorts]int) bool {
 }
 
 // run is how many picks wave w takes up to and including the one that
-// changes its eligibility: its instruction's repetitions left, or one
-// at a load that depends on loads, whose issue blocks the wave.
+// can change its eligibility: its instruction's repetitions left plus
+// its tail, the instructions after it on the same port that depend on
+// no load, or one at a load that depends on loads, whose issue blocks
+// the wave.
 func (p *cuPipeline) run(w int) int {
 	if wv := &p.waves[w]; !p.depLoadOf[wv.instr] {
-		return wv.remaining
+		return wv.remaining + p.tail[wv.instr]
 	}
 	return 1
 }
@@ -514,11 +533,12 @@ func (p *cuPipeline) opens(b []uint64, rr int) bool {
 }
 
 // span is how many consecutive cycles the port whose waves are b can
-// issue from them before an issue would change a wave's eligibility.
-// Under GreedyThenOldest the lowest wave issues alone. Under RoundRobin
-// the rotation from rr picks the wave at offset o of it at cycles o,
-// o+e, o+2e, ... (e waves), so a wave with a run of r picks can be
-// picked until cycle o+(r-1)e.
+// issue from them before an issue would change a wave's eligibility:
+// the stretch takes every pick of a wave's run but its last. Under
+// GreedyThenOldest the lowest wave issues alone. Under RoundRobin the
+// rotation from rr picks the wave at offset o of it at cycles o, o+e,
+// o+2e, ... (e waves), so a wave with a run of r picks can be picked
+// until cycle o+(r-1)e.
 func (p *cuPipeline) span(b []uint64, rr int) int64 {
 	if p.policy == GreedyThenOldest {
 		return int64(p.run(nextBit(b, 0)) - 1)
@@ -538,11 +558,12 @@ func (p *cuPipeline) span(b []uint64, rr int) int64 {
 }
 
 // advance issues m cycles' worth of the port whose waves are b, which
-// span allows: m/e whole rotations, then the first m%e picks of one
-// more. It leaves *rr where the m-th pick leaves it.
+// span allows: under GreedyThenOldest m picks of the lowest wave, under
+// RoundRobin m/e whole rotations, then the first m%e picks of one more.
+// It leaves *rr where the m-th pick leaves it.
 func (p *cuPipeline) advance(b []uint64, rr *int, m int64) {
 	if p.policy == GreedyThenOldest {
-		p.waves[nextBit(b, 0)].remaining -= int(m)
+		p.take(nextBit(b, 0), int(m), 0, 1)
 		return
 	}
 	e, o := rotation(b, *rr)
@@ -554,10 +575,11 @@ func (p *cuPipeline) advance(b []uint64, rr *int, m int64) {
 	for j, x := range b {
 		for ; x != 0; x &= x - 1 {
 			w := j<<6 | bits.TrailingZeros64(x)
-			p.waves[w].remaining -= rounds
+			picks := rounds
 			if o < extra {
-				p.waves[w].remaining--
+				picks++
 			}
+			p.take(w, picks, int64(o), int64(e))
 			if o == last {
 				if *rr = w + 1; *rr == len(p.waves) {
 					*rr = 0
@@ -566,6 +588,29 @@ func (p *cuPipeline) advance(b []uint64, rr *int, m int64) {
 			if o++; o == e {
 				o = 0
 			}
+		}
+	}
+}
+
+// take moves wave w through n picks of a stretch, the first at cycle
+// offset o and then one every e cycles, which its run allows: it walks
+// the wave across the instruction ends they cover (its set cannot
+// change) and sets doneAt from the last of them that issues a load.
+func (p *cuPipeline) take(w, n int, o, e int64) {
+	wv := &p.waves[w]
+	at := p.cycle + o // the cycle of the wave's next pick
+	for n > 0 {
+		c := min(n, wv.remaining)
+		at += int64(c) * e
+		if p.prog.Body[wv.instr].Op == isa.OpLoad {
+			wv.doneAt = at - e + p.latency
+		}
+		n -= c
+		if wv.remaining -= c; wv.remaining == 0 {
+			wv.instr++
+			wv.remaining = p.prog.Body[wv.instr].Count
+			wv.dep = p.depOf[wv.instr]
+			p.crossed++
 		}
 	}
 }

@@ -21,12 +21,14 @@ import (
 // own, supervised rows still evaluate in one batch, and no goroutine
 // is ever spawned to watch (or abandoned by) an engine call.
 
-// TestCancelReturnsPromptlyMidRow cancels a default-option sweep about
-// 25ms into a corpus row that takes several times that (on a 2-vCPU
-// host about 0.7 s on the wave engine and 0.12–0.17 s on the pipeline
-// engine): RunContext must return within a tenth of the row's
-// uncanceled time, with every cell it did not evaluate marked
-// canceled. On the pipeline engine that row is
+// TestCancelReturnsPromptlyMidRow cancels a default-option sweep half
+// way through a corpus row (on a 2-vCPU host the row takes about 0.7 s
+// on the wave engine and 70–90 ms on the pipeline engine):
+// RunContext must return within a tenth of the row's uncanceled time,
+// with every cell it did not evaluate marked canceled. The cancel
+// follows the row's measured time, so a faster engine or host does not
+// leave it past the row's end; a row under minRow is too short to
+// measure a tenth of. On the pipeline engine that row is
 // scicomp-p02.k2_balanced, the corpus's heaviest pipeline row among
 // the pipeline study's kernels.
 func TestCancelReturnsPromptlyMidRow(t *testing.T) {
@@ -44,10 +46,11 @@ func TestCancelReturnsPromptlyMidRow(t *testing.T) {
 			if err != nil || !rep.Complete() {
 				t.Fatalf("uncanceled row: %v %s", err, rep.Summary())
 			}
-			const after = 25 * time.Millisecond
-			if full < 2*after {
+			const minRow = 20 * time.Millisecond
+			if full < minRow {
 				t.Fatalf("row %s takes only %v on %s; too short to cancel mid-row", ks[0].Name, full, c.engine)
 			}
+			after := full / 2
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
