@@ -118,13 +118,15 @@ STRAYS = '[.]bench_build/(gpuscaled|benche2e)|go-build[0-9]+/.*[.]test'
 no-strays:
 	@if pgrep -af $(STRAYS); then echo "no-strays: the processes above outlived their run"; exit 1; fi
 
-# Short coverage-guided fuzz of the journal decoder, the journal's CSV
-# renderer, the CSV loader, the lease-ledger scanner, the row format's
-# two decoders (packed planes and row records), the coordinator's check
-# of a complete's planes, the fleet's framed bodies as the coordinator
-# reads a complete and the standby reads a tail, and the pipeline
-# engine's resident-set scheduler against its cycle-by-cycle oracle
-# (go test takes one -fuzz target per invocation).
+# Short coverage-guided fuzz of the journal walk and the journal's CSV
+# renderer, each held to a reference scan kept in test code (a plain
+# frame-parse and row-check loop), the CSV loader, the lease-ledger
+# scanner, the row format's two decoders (packed planes and row
+# records), the coordinator's check of a complete's planes, the
+# fleet's framed bodies as the coordinator reads a complete and the
+# standby reads a tail, and the pipeline engine's resident-set
+# scheduler against its cycle-by-cycle oracle (go test takes one
+# -fuzz target per invocation).
 fuzz-smoke:
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzJournalScan$$' -fuzztime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzJournalCSV$$' -fuzztime 5s

@@ -201,8 +201,9 @@ type Coordinator struct {
 	// quarantined is fleet-wide (cross-job) integrity state, recovered
 	// from the ledger on restart.
 	quarantined map[string]bool
-	// files are the paths of the records Replicate published.
-	files []string
+	// files maps each file but the ledger the stream carried — journals
+	// and Replicate's records — from its name in the replica to its path.
+	files map[string]string
 	// changed is closed, and replaced, whenever a row may have become
 	// grantable or a job may have finished (signalLocked): a waiting
 	// acquire and Run wake on it instead of polling. closed ends every
@@ -234,7 +235,7 @@ func NewCoordinator(dir string, opt CoordinatorOptions) (*Coordinator, error) {
 	}
 	c := &Coordinator{dir: dir, opt: opt, ledger: led, jobs: map[string]*jobState{}, recovered: rec,
 		quarantined: rec.quarantined, repl: newReplLog(), deposedCh: make(chan struct{}),
-		changed: make(chan struct{}), closed: make(chan struct{})}
+		changed: make(chan struct{}), closed: make(chan struct{}), files: map[string]string{}}
 	c.now = opt.now
 	if c.now == nil {
 		c.now = time.Now
@@ -611,7 +612,9 @@ func (c *Coordinator) addJob(job Job) error {
 	}
 	c.logAppend(retracted...) //nolint:errcheck // best-effort audit, as in quarantineLocked
 	c.jobs[job.Name] = js
-	c.repl.publish(replMsg{replFile: replFile{Name: filepath.Base(job.Journal.Path()), Data: image}})
+	name := filepath.Base(job.Journal.Path())
+	c.files[name] = job.Journal.Path()
+	c.repl.publish(replMsg{replFile: replFile{Name: name, Data: image}})
 	c.signalLocked()
 	// A per-job term instant: the stitched trace shows which
 	// coordinator, under which term, served this job's grants.
@@ -726,10 +729,11 @@ func (js *jobState) report(start time.Time) *sweep.RunReport {
 
 // retire takes a job out of the coordinator in the critical section
 // that reads its final state: its rows are never granted again,
-// renews and completes for it answer 404, the HA snapshot drops it and
-// no quarantine can retract its rows, so the caller owns what retire
-// returns. Without force, a job with rows outstanding stays and retire
-// returns nil, with the change signal to wait on before looking again.
+// renews and completes for it answer 404 and no quarantine can
+// retract its rows, so the caller owns what retire returns (a snapshot
+// reads its journal from disk). Without force, a job with rows
+// outstanding stays and retire returns nil, with the change signal to
+// wait on before looking again.
 func (c *Coordinator) retire(name string, force bool) (*jobState, <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1584,10 +1588,10 @@ func (c *Coordinator) haStatus() HAStatus {
 }
 
 // snapshot builds a consistent full copy of the durable state for a
-// standby that cannot catch up from the tail: the ledger, every
-// registered job's journal and the job owner's records, whole, and the
-// cursor at which tailing resumes. It is taken under c.mu, so the
-// cursor and the files describe the same instant.
+// standby that cannot catch up from the tail: the ledger and every file
+// the stream carried (c.files), whole, and the cursor at which tailing
+// resumes. It is taken under c.mu, so the cursor and the files describe
+// the same instant.
 func (c *Coordinator) snapshot() (*haSnapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1601,25 +1605,29 @@ func (c *Coordinator) snapshot() (*haSnapshot, error) {
 	}
 	snap := &haSnapshot{ID: c.id, Log: c.repl.id, Term: c.term, Cursor: c.repl.latest(),
 		Files: []replFile{{Name: ledgerName, Data: ledgerBytes}}}
+	// A registered job's journal is read as acked (Image); a retired
+	// job's takes no more appends, so it is whole on disk, as records are.
+	live := map[string]*sweep.Journal{}
+	for _, js := range c.jobs {
+		live[filepath.Base(js.job.Journal.Path())] = js.job.Journal
+	}
 	var names []string
-	for name := range c.jobs {
+	for name := range c.files {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		j := c.jobs[name].job.Journal
-		image, err := j.Image()
-		if err != nil {
-			return nil, fmt.Errorf("dist: reading job %s's journal for snapshot: %w", name, err)
+		var b []byte
+		var err error
+		if j := live[name]; j != nil {
+			b, err = j.Image()
+		} else {
+			b, err = os.ReadFile(c.files[name])
 		}
-		snap.Files = append(snap.Files, replFile{Name: filepath.Base(j.Path()), Data: image})
-	}
-	for _, path := range c.files {
-		b, err := os.ReadFile(path)
 		if err != nil {
-			return nil, fmt.Errorf("dist: reading a replicated record for snapshot: %w", err)
+			return nil, fmt.Errorf("dist: reading %s for snapshot: %w", name, err)
 		}
-		snap.Files = append(snap.Files, replFile{Name: filepath.Base(path), Data: b})
+		snap.Files = append(snap.Files, replFile{Name: name, Data: b})
 	}
 	return snap, nil
 }
@@ -1627,12 +1635,13 @@ func (c *Coordinator) snapshot() (*haSnapshot, error) {
 // Replicate publishes a record the job owner has just written once at
 // path (serve's admission and terminal records), opaque to dist, and
 // waits (bounded) for the standby to hold it, as an ack does. Only the
-// path is kept: a snapshot reads the record back. Nil data names a
-// record from before this coordinator started, which only a snapshot
-// carries: every standby of this log starts from one.
+// path is kept: a snapshot reads the file back. Nil data names a file
+// from before this coordinator started — a record, or the journal of a
+// job that finished — which only a snapshot carries: every standby of
+// this log starts from one.
 func (c *Coordinator) Replicate(path string, data []byte) {
 	c.mu.Lock()
-	c.files = append(c.files, path)
+	c.files[filepath.Base(path)] = path
 	if data != nil {
 		c.repl.publish(replMsg{replFile: replFile{Name: filepath.Base(path), Data: data}})
 	}

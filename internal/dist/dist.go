@@ -319,9 +319,9 @@ func encodeBody(header any, blobs [][]byte) []byte {
 		// booleans, which always marshal.
 		panic(fmt.Sprintf("dist: marshaling a body header: %v", err))
 	}
-	size := len(h) + frameOverhead
+	size := len(h) + durable.FrameOverhead
 	for _, blob := range blobs {
-		size += len(blob) + frameOverhead
+		size += len(blob) + durable.FrameOverhead
 	}
 	b := durable.AppendFrame(make([]byte, 0, size), h)
 	for _, blob := range blobs {
@@ -331,10 +331,6 @@ func encodeBody(header any, blobs [][]byte) []byte {
 	}
 	return b
 }
-
-// frameOverhead is the most a frame adds to its payload: the CRC, the
-// length and three separators.
-const frameOverhead = 8 + 10 + 3
 
 // splitBody reads a body encodeBody wrote: it decodes the header frame
 // into header and returns the frames after it, which alias body. It

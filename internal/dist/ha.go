@@ -23,9 +23,9 @@ package dist
 //     per file, fsynced before it advances its cursor — and the next
 //     tail request's cursor acknowledges everything before it. A
 //     standby that falls off the log's retained window — or starts
-//     empty — resyncs from GET /v1/ha/snapshot: the ledger, every
-//     registered job's journal and the owner's records, whole, taken
-//     under the coordinator lock. Both answers are durable frames: a
+//     empty — resyncs from GET /v1/ha/snapshot: the ledger and every
+//     journal and record the stream carried, a finished job's too,
+//     whole, taken under the coordinator lock. Both answers are durable frames: a
 //     JSON header naming each message or file and its length, then
 //     each one's bytes in a frame of its own.
 //   - Synchronous append-before-ack: the lease and complete handlers
@@ -48,12 +48,12 @@ package dist
 // failover is a restart: the job owner recovers over the replica as
 // over its own directory, and a job's matrix, which its journal and
 // terminal record are, stays byte-identical to a single-node run
-// across a failover, for a job that finished before it too. The
-// standby holds no file open and no job state. What it checks before
-// it writes is what recovery would refuse: a name outside its
-// directory, an append to anything but the ledger or a journal it
-// holds, and bytes that are not whole ledger frames or journal
-// records of the journal's own space.
+// across a failover, also for a job that finished before it or before
+// the standby first synced. The standby holds no file open and no job
+// state. What it checks before it writes is what recovery would
+// refuse: a name outside its directory, an append to anything but the
+// ledger or a journal it holds, and bytes that are not whole ledger
+// frames or journal records of the journal's own space.
 
 import (
 	"bytes"

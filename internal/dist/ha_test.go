@@ -280,18 +280,7 @@ func TestStandbyMirrorsStateDirectory(t *testing.T) {
 	}
 	mirrored := func(when string) {
 		t.Helper()
-		want, got := fileTree(t, dir), fileTree(t, s.dir)
-		for name, b := range want {
-			if g, ok := got[name]; !ok || g != b {
-				t.Errorf("%s: the replica's %s is not the primary's (%d vs %d bytes, present %v)",
-					when, name, len(g), len(b), ok)
-			}
-		}
-		for name := range got {
-			if _, ok := want[name]; !ok {
-				t.Errorf("%s: the replica holds %s, which the primary does not", when, name)
-			}
-		}
+		checkMirror(t, when, dir, s.dir)
 	}
 
 	a := withJournal(t, dir, testJob(t, "a", 2))
@@ -354,6 +343,97 @@ func TestStandbyMirrorsStateDirectory(t *testing.T) {
 	record(c2, "b.state", `{"state":"complete"}`)
 	drainTail(t, s, c2)
 	mirrored("after a job retired")
+}
+
+// TestLateStandbyMirrorsFinishedJobs: a standby that first syncs after
+// a job finished mirrors the primary's directory, the job's journal
+// included, both while the primary that ran the job still runs and
+// after a primary restart, whose owner hands over the records and the
+// finished job's journal it recovered by name, as serve's start-up
+// does.
+func TestLateStandbyMirrorsFinishedJobs(t *testing.T) {
+	clk := newTestClock()
+	dir := t.TempDir()
+	opt := CoordinatorOptions{ID: "primary-1", DefaultTTL: testTTL, ReplTimeout: 50 * time.Millisecond, now: clk.now}
+	c, err := NewCoordinator(filepath.Join(dir, "dist"), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h atomic.Pointer[http.Handler]
+	serveC := func(c *Coordinator) {
+		handler := c.Handler()
+		h.Store(&handler)
+	}
+	serveC(c)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*h.Load()).ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	record := func(name, body string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c.Replicate(path, []byte(body))
+	}
+	lateStandby := func(when string) {
+		t.Helper()
+		s, err := NewStandby(t.TempDir(), StandbyOptions{Primary: srv.URL, now: clk.now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		syncStandby(t, s)
+		checkMirror(t, when, dir, s.dir)
+	}
+
+	job := withJournal(t, dir, testJob(t, "a", 2))
+	record("a.job", `{"id":"a"}`)
+	done := runInBackground(t, context.Background(), c, job)
+	for i := 0; i < 2; i++ {
+		l, err := first(c.acquire(acq("w1")))
+		if err != nil || l == nil {
+			t.Fatalf("acquire: %+v %v", l, err)
+		}
+		if _, err := one(c.complete(okComplete(t, l, "w1"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := <-done; res.err != nil || !res.rep.Complete() {
+		t.Fatalf("a's Run: %v", res.err)
+	}
+	record("a.state", `{"state":"complete"}`)
+	lateStandby("after the job retired")
+
+	c.Close()
+	c, err = NewCoordinator(filepath.Join(dir, "dist"), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	serveC(c)
+	for _, name := range []string{"a.job", "a.state", "a.journal"} {
+		c.Replicate(filepath.Join(dir, name), nil)
+	}
+	lateStandby("after a primary restart")
+}
+
+// checkMirror fails the test unless the replica directory holds the
+// primary directory's files, byte for byte, and no others.
+func checkMirror(t *testing.T, when, primary, replica string) {
+	t.Helper()
+	want, got := fileTree(t, primary), fileTree(t, replica)
+	for name, b := range want {
+		if g, ok := got[name]; !ok || g != b {
+			t.Errorf("%s: the replica's %s is not the primary's (%d vs %d bytes, present %v)",
+				when, name, len(g), len(b), ok)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: the replica holds %s, which the primary does not", when, name)
+		}
+	}
 }
 
 // fileTree reads every regular file under root, keyed by its path

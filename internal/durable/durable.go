@@ -27,9 +27,13 @@ import (
 	"strings"
 )
 
+// FrameOverhead is the most a frame adds to its payload: the CRC, the
+// length, the two spaces after them and the newline.
+const FrameOverhead = 8 + 1 + 10 + 1 + 1
+
 // Frame returns payload wrapped in its frame.
 func Frame(payload []byte) []byte {
-	return AppendFrame(make([]byte, 0, len(payload)+20), payload)
+	return AppendFrame(make([]byte, 0, len(payload)+FrameOverhead), payload)
 }
 
 // AppendFrame appends payload's frame to b, so several records can

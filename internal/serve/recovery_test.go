@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -573,7 +574,9 @@ func v2Journal(t *testing.T, m *sweep.Matrix, n int) []byte {
 
 // TestResumeFromV2Journal: a job interrupted with a journal v2 on disk
 // does not resume after an upgrade: it settles as failed, with a reason
-// that names the v2 journal, which is left byte for byte as it was.
+// that names the v2 journal, which is left byte for byte as it was. A
+// later start-up hands a fleet the job's records but not that journal,
+// which no replica takes.
 func TestResumeFromV2Journal(t *testing.T) {
 	spec := testSpec(t)
 	dir := t.TempDir()
@@ -602,13 +605,22 @@ func TestResumeFromV2Journal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer drain(t, s1)
 	got := waitTerminal(t, s1, st.ID)
+	drain(t, s1)
 	if got.State != StateFailed || !strings.Contains(got.Reason, "a v2 journal") {
 		t.Fatalf("job over a v2 journal = %+v, want failed with a reason naming the v2 journal", got)
 	}
 	if b, err := os.ReadFile(s1.journalPath(st.ID)); err != nil || !bytes.Equal(b, v2) {
 		t.Fatalf("the job's v2 journal changed (%v)", err)
+	}
+	fl := &sweepFleet{}
+	s2, err := New(Config{Dir: dir, SweepWorkers: 2, Fleet: fl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s2)
+	if got, want := fl.replicated(), []string{s2.jobPath(st.ID), s2.statePath(st.ID)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("a restart replicated %v, want the records alone %v", got, want)
 	}
 }
 

@@ -195,7 +195,9 @@ func TestRunSweepSeamResumesFromJournal(t *testing.T) {
 // service writes, byte for byte — the admission record before the
 // submission is answered, the terminal record before the terminal
 // state shows — and, after a restart, every record the service
-// recovers, by name alone. The journal is never handed over.
+// recovers and a finished job's journal, by name alone. A running
+// job's journal is the fleet's to replicate, so it is not handed over
+// before the restart.
 func TestFleetReplicatesRecords(t *testing.T) {
 	dir := t.TempDir()
 	fl := &sweepFleet{}
@@ -238,8 +240,9 @@ func TestFleetReplicatesRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, s2)
+	want = append(want, s.journalPath(st.ID))
 	if got := again.replicated(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("a restart replicated %v, want the recovered records %v", got, want)
+		t.Fatalf("a restart replicated %v, want the recovered records and journal %v", got, want)
 	}
 	for _, path := range want {
 		if again.records[path] != nil {

@@ -97,7 +97,8 @@ type Fleet interface {
 	// fleet's standby holds it, or the fleet stops waiting (which it
 	// reports itself). The service calls it before it answers the
 	// admission or shows the terminal state, and with nil data for each
-	// record it recovers at start-up, before any standby can follow it.
+	// record, and each terminal job's journal, it recovers at start-up,
+	// before any standby can follow it.
 	Replicate(path string, data []byte)
 }
 
@@ -359,6 +360,10 @@ func (s *Service) recover() error {
 				return fmt.Errorf("serve: corrupt state file %s: %w", s.statePath(id), err)
 			}
 			s.replicate(s.statePath(id), nil)
+			// So does its journal, when it has one a replica can follow.
+			if s.cfg.Fleet != nil && sweep.CheckReplica(s.journalPath(id), nil, true) == nil {
+				s.replicate(s.journalPath(id), nil)
+			}
 			j.state = sf.State
 			j.reason = sf.Reason
 			j.summary = sf.Summary

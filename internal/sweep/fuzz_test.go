@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"gpuscale/internal/durable"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 )
@@ -28,42 +29,49 @@ func fuzzSpace(f *testing.F) hw.Space {
 	return s
 }
 
-// FuzzJournalScan hammers the journal recovery scanner with arbitrary
-// bytes: it must never panic, never claim a clean prefix longer than
-// the input, and anything it does recover must satisfy the journal's
-// row invariants (full planes, positive finite measurements, all-OK
-// statuses).
+// FuzzJournalScan hammers the journal walk, as recovery uses it, with
+// arbitrary bytes: it must never panic, it must agree with the
+// reference scan (refScan) on what it refuses, on the clean prefix and
+// on every row it recovers, and anything it does recover must satisfy
+// the journal's row invariants (full planes, positive finite
+// measurements, all-OK statuses).
 func FuzzJournalScan(f *testing.F) {
 	space := fuzzSpace(f)
 	for _, seed := range journalSeeds(f, space) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, good, _, err := scanJournal(data, space)
+		want, wantGood, refused := refScan(data, space)
+		w, err := walkJournal(imageFrames(data), space)
+		if (err != nil) != refused {
+			t.Fatalf("the walk refused %v (%v), the reference scan %v", err != nil, err, refused)
+		}
 		if err != nil {
 			// Only a refusal may error — a file of an earlier format, or
-			// a journal of another space — and it must salvage nothing.
-			if m != nil {
-				t.Fatal("scan errored but returned a matrix")
-			}
+			// a journal of another space.
 			return
 		}
-		if good < 0 || good > int64(len(data)) {
-			t.Fatalf("clean prefix %d outside [0,%d]", good, len(data))
+		if w.good != wantGood {
+			t.Fatalf("clean prefix %d, the reference scan's %d", w.good, wantGood)
+		}
+		if (w.reason == "") != (w.good > 0 && w.good == int64(len(data))) {
+			t.Fatalf("clean prefix %d of %d bytes with reason %q", w.good, len(data), w.reason)
+		}
+		m, err := w.matrix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (m == nil) != (want == nil) || m != nil && !sameMatrix(m, want) {
+			t.Fatal("recovered rows differ from the reference scan's")
 		}
 		if m == nil {
 			return
 		}
 		nCfg := space.Size()
-		seen := map[string]bool{}
 		for r, k := range m.Kernels {
 			if k == "" {
 				t.Fatal("recovered row with empty kernel name")
 			}
-			if seen[k] {
-				t.Fatalf("kernel %q recovered twice", k)
-			}
-			seen[k] = true
 			if len(m.Throughput[r]) != nCfg || len(m.TimeNS[r]) != nCfg ||
 				len(m.Bound[r]) != nCfg || len(m.Status[r]) != nCfg {
 				t.Fatalf("row %d has ragged planes", r)
@@ -81,6 +89,59 @@ func FuzzJournalScan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refScan is the reference journal scan the walk is held to: a plain
+// loop of durable.Parse and checkRowRecord over a journal image, with
+// none of the walk's machinery. It returns the rows recovery keeps,
+// each kernel's last record in the order the kernels first appear (nil
+// when there are none), the clean prefix (0 when the magic or the space
+// record is not whole), and whether the image is refused: a file of an
+// earlier format, or a journal of a space other than space. A zero
+// space takes the space record's own.
+func refScan(data []byte, space hw.Space) (m *Matrix, good int64, refused bool) {
+	if !bytes.HasPrefix(data, []byte(journalMagic)) {
+		return nil, 0, earlierFormat(data) != ""
+	}
+	payload, off, why := durable.Parse(data, int64(len(journalMagic)))
+	var sp hw.Space
+	if why == "" {
+		sp, why = parseSpaceRecord(payload)
+	}
+	if why == "" && space.Size() == 0 {
+		space = sp
+	}
+	if why != "" || space.Size() == 0 {
+		return nil, 0, false
+	}
+	if !sp.Equal(space) {
+		return nil, 0, true
+	}
+	rows := map[string]int{}
+	for off < int64(len(data)) {
+		payload, next, why := durable.Parse(data, off)
+		var name, packed []byte
+		if why == "" {
+			name, packed, why = checkRowRecord(payload, space.Size())
+		}
+		if why != "" {
+			break
+		}
+		if m == nil {
+			m = &Matrix{Space: space}
+		}
+		r, ok := rows[string(name)]
+		if !ok {
+			r = len(m.Kernels)
+			rows[string(name)] = r
+			m.Kernels = append(m.Kernels, string(name))
+			m.Throughput, m.TimeNS = append(m.Throughput, nil), append(m.TimeNS, nil)
+			m.Bound, m.Status = append(m.Bound, nil), append(m.Status, make([]CellStatus, space.Size()))
+		}
+		m.Throughput[r], m.TimeNS[r], m.Bound[r] = unpackPlanes(space.Size(), packed)
+		off = next
+	}
+	return m, off, false
 }
 
 // FuzzUnpackPlanes hammers the two decoders of the row format with
@@ -143,14 +204,15 @@ func FuzzUnpackPlanes(f *testing.F) {
 				t.Fatal("accepted planes changed on their way through the journal")
 			}
 		}
-		if row, why := decodeRowRecord(b, n); why == "" {
+		if name, packed, why := checkRowRecord(b, n); why == "" {
+			tput, timeNS, bound := unpackPlanes(n, packed)
 			for c := 0; c < n; c++ {
-				if !(row.tput[c] > 0) || math.IsInf(row.tput[c], 0) || !(row.timeNS[c] > 0) ||
-					math.IsInf(row.timeNS[c], 0) || row.bound[c] < gcn.BoundCompute || row.bound[c] > gcn.BoundLaunch {
+				if !(tput[c] > 0) || math.IsInf(tput[c], 0) || !(timeNS[c] > 0) ||
+					math.IsInf(timeNS[c], 0) || bound[c] < gcn.BoundCompute || bound[c] > gcn.BoundLaunch {
 					t.Fatalf("accepted record fails hygiene at config %d", c)
 				}
 			}
-			rec, err := EncodePlanes(row.kernel, row.tput, row.timeNS, row.bound)
+			rec, err := EncodePlanes(string(name), tput, timeNS, bound)
 			if err != nil || !bytes.Equal(rec.payload, b) {
 				t.Fatalf("accepted record does not encode back to its own bytes (%v)", err)
 			}

@@ -19,14 +19,15 @@ package sweep
 // byte, newlines included. The first record describes the
 // configuration grid (so a journal can never be resumed against the
 // wrong space); every later record is one completed kernel row.
-// Recovery scans records in order and truncates the file at the first
-// framing, checksum, parse, or validation failure instead of erroring
-// — a torn tail costs at most the append that was being written. An
-// append is one write and one fsync of one or more whole records: a
-// group of rows the journal's committer took together (Commit), or a
-// fleet batch (AppendRecord). The frame and the fsynced self-healing
-// append are internal/durable's; this file owns the payloads and what
-// recovery makes of them.
+// Every reader walks a journal one way (journalWalk), so recovery, the
+// render and a replica's check keep the same clean prefix; recovery
+// truncates the file at the first framing, checksum, parse or
+// validation failure instead of erroring — a torn tail costs at most
+// the append that was being written. An append is one write and one
+// fsync of one or more whole records: a group of rows the journal's
+// committer took together (Commit), or a fleet batch (AppendRecord).
+// The frame and the fsynced self-healing append are internal/durable's;
+// this file owns the payloads and what a walk makes of them.
 //
 // A file an earlier build wrote — a v2 journal, whose row records were
 // JSON, or a v1 journal, which was a plain CSV like a finished WriteCSV
@@ -41,12 +42,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
 	"gpuscale/internal/durable"
-	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 )
 
@@ -61,15 +60,6 @@ const journalMagicV2 = "gpuscale-journal v2"
 // record: the configuration grid as JSON.
 type spaceRecord struct {
 	Space *hw.Space `json:"space"`
-}
-
-// journalRow is one row record as recovery reads it. Its cells are
-// all StatusOK by construction — a journal holds complete rows only —
-// so status is not stored.
-type journalRow struct {
-	kernel       string
-	tput, timeNS []float64
-	bound        []gcn.Bound
 }
 
 // SalvageReport describes what recovery had to discard to make a
@@ -211,133 +201,236 @@ func journalHeader(space hw.Space) ([]byte, error) {
 	return append([]byte(journalMagic), durable.Frame(payload)...), nil
 }
 
-// recoverV3 scans an existing v3 file, truncating at the first bad
+// recoverV3 walks an existing v3 file, truncating at the first bad
 // record. A clean file costs one pass and no writes.
 func (j *Journal) recoverV3(data []byte) error {
-	prior, good, reason, err := scanJournal(data, j.space)
+	w, err := walkJournal(imageFrames(data), j.space)
+	if err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
 	switch {
-	case err != nil:
-		return err
-	case good == 0:
+	case w.good == 0:
 		// Header or space record was torn/corrupt — start over.
 		err = j.log.Reset()
-		j.salvage = &SalvageReport{DroppedBytes: int64(len(data)), DroppedRecords: 1, Reason: reason}
-	case good < int64(len(data)):
-		err = j.log.Cut(good)
-		j.salvage = &SalvageReport{
-			DroppedBytes:   int64(len(data)) - good,
-			DroppedRecords: countFrames(data[good:]),
-			Reason:         reason,
-		}
+		j.salvage = &SalvageReport{DroppedBytes: int64(len(data)), DroppedRecords: 1, Reason: w.reason}
+	case w.good < int64(len(data)):
+		err = j.log.Cut(w.good)
+		j.salvage = &SalvageReport{DroppedBytes: int64(len(data)) - w.good,
+			DroppedRecords: countFrames(data[w.good:]), Reason: w.reason}
 	}
 	if err != nil {
 		return fmt.Errorf("sweep: salvaging journal: %w", err)
 	}
-	j.prior = prior
-	return nil
+	j.prior, err = w.matrix()
+	return err
 }
 
 // countFrames approximates how many records a dropped journal tail
-// held: it steps from frame to frame by their length fields, trusting
-// no checksum, and counts what is left where a frame header does not
-// read as one more record.
+// held: it steps from frame to frame by their headers, trusting no
+// checksum, and counts what is left where a header does not read as
+// one more whole frame.
 func countFrames(b []byte) int {
 	n := 0
 	for len(b) > 0 {
 		n++
-		if len(b) < 10 || b[8] != ' ' {
-			return n
+		size, ok := durable.FrameSize(b)
+		if !ok || size > int64(len(b)) {
+			break
 		}
-		end := bytes.IndexByte(b[9:], ' ')
-		if end <= 0 {
-			return n
-		}
-		size, err := strconv.Atoi(string(b[9 : 9+end]))
-		if err != nil || size <= 0 || size > len(b) || 9+end+size+2 > len(b) {
-			return n
-		}
-		b = b[9+end+size+2:]
+		b = b[size:]
 	}
 	return n
 }
 
-// scanJournal walks a v3 journal image and returns the recovered
-// matrix (nil if no rows), the clean prefix length in bytes, and a
-// human-readable reason when the scan stopped before the end. The
-// error return is reserved for files that must not be silently
-// repaired: a file of an earlier format (earlierFormat), and a journal
-// written for a different configuration space. A zero space takes the
-// space record's own. good == 0 with nil error means nothing before
-// the space record was usable and the caller should start fresh.
-func scanJournal(data []byte, space hw.Space) (m *Matrix, good int64, reason string, err error) {
-	if !bytes.HasPrefix(data, []byte(journalMagic)) {
-		if what := earlierFormat(data); what != "" {
-			return nil, 0, "", fmt.Errorf("sweep: the journal is %s; this build reads only v3 journals", what)
-		}
-		return nil, 0, "missing journal magic", nil
-	}
-	off := int64(len(journalMagic))
-	rows := map[string]int{}
-	sawSpace := false
-	for off < int64(len(data)) {
-		payload, next, why := durable.Parse(data, off)
-		if why != "" {
-			return m, journalGood(sawSpace, off), fmt.Sprintf("%s at byte %d", why, off), nil
-		}
-		if !sawSpace {
-			// The first record is the space record.
-			sp, why := parseSpaceRecord(payload)
-			if why == "" && space.Size() == 0 {
-				if space = sp; space.Size() == 0 {
-					why = "empty configuration space"
-				}
-			}
-			if why != "" {
-				return nil, 0, fmt.Sprintf("%s at byte %d", why, off), nil
-			}
-			if !sp.Equal(space) {
-				return nil, 0, "", fmt.Errorf("sweep: journal was written for a different configuration space")
-			}
-			sawSpace = true
-			off = next
-			continue
-		}
-		row, why := decodeRowRecord(payload, space.Size())
-		if why != "" {
-			return m, off, fmt.Sprintf("%s at byte %d", why, off), nil
-		}
-		if m == nil {
-			m = &Matrix{Space: space}
-		}
-		ri, ok := rows[row.kernel]
-		if !ok {
-			ri = len(m.Kernels)
-			rows[row.kernel] = ri
-			m.Kernels = append(m.Kernels, row.kernel)
-			m.Throughput = append(m.Throughput, nil)
-			m.TimeNS = append(m.TimeNS, nil)
-			m.Bound = append(m.Bound, nil)
-			m.Status = append(m.Status, nil)
-		}
-		m.Throughput[ri], m.TimeNS[ri], m.Bound[ri] = row.tput, row.timeNS, row.bound
-		m.Status[ri] = make([]CellStatus, space.Size()) // all StatusOK
-		off = next
-	}
-	if !sawSpace {
-		// Magic with no space record: a write tore exactly at the
-		// header boundary. Nothing is salvageable past the magic.
-		return nil, 0, "journal has no space record", nil
-	}
-	return m, off, "", nil
+// frames reads a journal's frames: in place from its image in memory,
+// or from a file through one buffer.
+type frames struct {
+	f    *os.File // nil when the journal is img
+	img  []byte
+	size int64  // the journal's size when the walk began
+	buf  []byte // one frame's bytes, read from f
 }
 
-// journalGood maps "scan stopped at off" to a truncation point: if
-// the space record itself never parsed, nothing is salvageable.
-func journalGood(sawSpace bool, off int64) int64 {
-	if !sawSpace {
-		return 0
+// imageFrames reads the frames of a journal image in memory.
+func imageFrames(img []byte) frames { return frames{img: img, size: int64(len(img))} }
+
+// openFrames opens the journal file at path to read its frames; the
+// caller closes fr.f.
+func openFrames(path string) (fr frames, err error) {
+	if fr.f, err = os.Open(path); err != nil {
+		return fr, err
 	}
-	return off
+	fi, err := fr.f.Stat()
+	if err != nil {
+		fr.f.Close()
+		return fr, err
+	}
+	fr.size, fr.buf = fi.Size(), make([]byte, 4<<10)
+	return fr, nil
+}
+
+// frame parses the frame at off as durable.Parse parses the journal's
+// bytes from off: it returns the payload, valid until the next call,
+// and the next frame's offset, or why the bytes there are not a whole
+// frame. From a file it reads a frame the buffer cannot hold whole only
+// when the file does, so a length field never sizes an allocation past
+// the file.
+func (fr *frames) frame(off int64) (payload []byte, next int64, reason string, err error) {
+	if fr.f == nil {
+		payload, next, reason = durable.Parse(fr.img, off)
+		return payload, next, reason, nil
+	}
+	n, err := fr.f.ReadAt(fr.buf, off)
+	if err != nil && err != io.EOF {
+		return nil, 0, "", err
+	}
+	if size, ok := durable.FrameSize(fr.buf[:n]); ok && size > int64(n) && off+size <= fr.size {
+		// Room for a few more bytes of kernel name in the frames to come.
+		fr.buf = make([]byte, size+size/8)
+		if n, err = fr.f.ReadAt(fr.buf, off); err != nil && err != io.EOF {
+			return nil, 0, "", err
+		}
+	}
+	payload, next, reason = durable.Parse(fr.buf[:n], 0)
+	return payload, off + next, reason, nil
+}
+
+// unpack reads the record at off, which a walk found to be name's
+// last, into row's planes.
+func (fr *frames) unpack(off int64, name string, row Row) error {
+	payload, _, why, err := fr.frame(off)
+	if err != nil {
+		return err
+	}
+	var got, packed []byte
+	if why == "" {
+		got, packed, why = checkRowRecord(payload, len(row.Throughput))
+	}
+	if why != "" || string(got) != name {
+		return fmt.Errorf("the record for %s at byte %d changed during the render", name, off)
+	}
+	unpackInto(packed, row.Throughput, row.TimeNS, row.Bound)
+	return nil
+}
+
+// journalWalk is what one walk of a v3 journal found: its space, its
+// clean prefix (what recovery keeps) and where each kernel's last row
+// record in it lies. Every reader of a journal reads it through one.
+type journalWalk struct {
+	frames
+	space   hw.Space
+	good    int64          // the clean prefix; 0 when the head is not whole
+	reason  string         // why the walk stopped before the end, or ""
+	index   map[string]int // each kernel's place in last, in first-seen order, or nil
+	last    []int64        // the offset of each kernel's last record
+	largest int64          // the size of the largest row record's frame
+}
+
+// walkJournal walks the journal fr reads, from its head to the first
+// frame that is not a row record of its space (readHead, rows).
+func walkJournal(fr frames, space hw.Space) (*journalWalk, error) {
+	w, err := readHead(fr, space)
+	if err == nil && w.good > 0 {
+		w.index = map[string]int{}
+		err = w.rows(w.good)
+	}
+	return w, err
+}
+
+// readHead starts a walk of the journal fr reads with its head, the
+// magic and the space record, and reads nothing past them. A zero space
+// takes the space record's own. A file of an earlier format
+// (earlierFormat), or a journal of a space other than space, is refused
+// with an error; a torn or corrupt head leaves no clean prefix.
+func readHead(fr frames, space hw.Space) (*journalWalk, error) {
+	w := &journalWalk{frames: fr}
+	magic := w.img
+	if w.f != nil {
+		n, err := w.f.ReadAt(w.buf[:len(journalMagic)], 0)
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		magic = w.buf[:n]
+	}
+	if !bytes.HasPrefix(magic, []byte(journalMagic)) {
+		if what := earlierFormat(magic); what != "" {
+			return nil, fmt.Errorf("the journal is %s; this build reads only v3 journals", what)
+		}
+		w.reason = "missing journal magic"
+		return w, nil
+	}
+	off := int64(len(journalMagic))
+	payload, next, why, err := w.frame(off)
+	if err != nil {
+		return nil, err
+	}
+	var sp hw.Space
+	if why == "" {
+		if sp, why = parseSpaceRecord(payload); why == "" && space.Size() == 0 {
+			if space = sp; space.Size() == 0 {
+				why = "empty configuration space"
+			}
+		}
+	}
+	if why != "" {
+		w.reason = fmt.Sprintf("%s at byte %d", why, off)
+		return w, nil
+	}
+	if !sp.Equal(space) {
+		return nil, errors.New("journal was written for a different configuration space")
+	}
+	w.space, w.good = space, next
+	return w, nil
+}
+
+// rows walks row records of the walk's space from off to the first
+// frame that is not one, and notes each kernel's last record unless the
+// walk keeps no index, as a replica append's check allocates nothing.
+func (w *journalWalk) rows(off int64) error {
+	for w.good = off; w.good < w.size; {
+		payload, next, why, err := w.frame(w.good)
+		if err != nil {
+			return err
+		}
+		var name []byte
+		if why == "" {
+			name, _, why = checkRowRecord(payload, w.space.Size())
+		}
+		if why != "" {
+			w.reason = fmt.Sprintf("%s at byte %d", why, w.good)
+			return nil
+		}
+		if i, ok := w.index[string(name)]; ok {
+			w.last[i] = w.good
+		} else if w.index != nil {
+			w.index[string(name)] = len(w.last)
+			w.last = append(w.last, w.good)
+		}
+		w.largest = max(w.largest, next-w.good)
+		w.good = next
+	}
+	return nil
+}
+
+// matrix unpacks the walk's rows, each kernel's last record, in the
+// order the kernels first appear; it is nil when the walk found none.
+func (w *journalWalk) matrix() (*Matrix, error) {
+	if len(w.last) == 0 {
+		return nil, nil
+	}
+	m := &Matrix{Space: w.space, Kernels: make([]string, len(w.last))}
+	for k, i := range w.index {
+		m.Kernels[i] = k
+	}
+	for i, k := range m.Kernels {
+		row := NewRow(w.space.Size(), StatusOK)
+		if err := w.unpack(w.last[i], k, row); err != nil {
+			return nil, err
+		}
+		m.Throughput, m.TimeNS = append(m.Throughput, row.Throughput), append(m.TimeNS, row.TimeNS)
+		m.Bound, m.Status = append(m.Bound, row.Bound), append(m.Status, row.Status)
+	}
+	return m, nil
 }
 
 // parseSpaceRecord decodes a space record's payload, refusing unknown
@@ -358,73 +451,40 @@ func parseSpaceRecord(payload []byte) (space hw.Space, reason string) {
 // CheckReplica checks bytes bound for a journal's replica at path
 // before any of them is written: a whole v3 journal image or, when
 // appended, frames to follow the replica the file already holds.
-// Either way every record must pass recovery's checks — its frame, the
-// space record, and each row record's kernel name and planes for the
-// space the image, or the replica's own space record, names — so the
-// replica recovers as the journal it copies does. The planes are
-// checked where they lie, never unpacked.
+// Either way recovery must keep every byte — each frame, the space
+// record, and each row record's kernel name and planes for the space
+// the image, or the replica's own space record, names — so the replica
+// recovers as the journal it copies does. An append reads only the
+// replica's head from disk; the bytes are walked where they lie, and
+// the planes checked, never unpacked.
 func CheckReplica(path string, b []byte, appended bool) error {
-	var space hw.Space
-	var off int64
-	var why string
-	if appended {
-		var err error
-		if space, why, err = replicaSpace(path); err != nil {
-			return fmt.Errorf("sweep: reading the replica journal: %w", err)
-		}
-	} else {
-		space, off, why = headSpace(b)
+	var w *journalWalk
+	var err error
+	if !appended {
+		w, err = walkJournal(imageFrames(b), hw.Space{})
+	} else if w, err = replicaHead(path); err == nil && w.reason == "" {
+		// The replica's space record names the space of b's rows.
+		w.frames = imageFrames(b)
+		err = w.rows(0)
 	}
-	for why == "" && off < int64(len(b)) {
-		payload, next, reason := durable.Parse(b, off)
-		if why = reason; why == "" {
-			_, _, why = checkRowRecord(payload, space.Size())
-		}
-		if why == "" {
-			off = next
-		}
+	if err == nil && w.reason != "" {
+		err = errors.New(w.reason)
 	}
-	if why != "" {
-		return fmt.Errorf("sweep: not a replica of journal %s: %s at byte %d", filepath.Base(path), why, off)
+	if err != nil {
+		return fmt.Errorf("sweep: not a replica of journal %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }
 
-// headSpace reads the magic and the space record a v3 journal image
-// begins with, and returns the space and the offset of the first row
-// record; reason is non-empty when the image does not begin so.
-func headSpace(data []byte) (space hw.Space, off int64, reason string) {
-	if !bytes.HasPrefix(data, []byte(journalMagic)) {
-		return space, 0, "missing journal magic"
-	}
-	payload, off, reason := durable.Parse(data, int64(len(journalMagic)))
-	if reason != "" {
-		return space, 0, reason
-	}
-	if space, reason = parseSpaceRecord(payload); reason == "" && space.Size() == 0 {
-		reason = "empty configuration space"
-	}
-	return space, off, reason
-}
-
-// replicaSpace reads the space record at the head of the journal file
-// at path, and none of the rows behind it.
-func replicaSpace(path string) (hw.Space, string, error) {
-	f, err := os.Open(path)
+// replicaHead reads the head of the journal file at path (readHead),
+// and none of the rows behind it.
+func replicaHead(path string) (*journalWalk, error) {
+	fr, err := openFrames(path)
 	if err != nil {
-		return hw.Space{}, "", err
+		return nil, err
 	}
-	defer f.Close()
-	for size := 4 << 10; ; size *= 2 {
-		head := make([]byte, size)
-		n, err := f.ReadAt(head, 0)
-		if err != nil && err != io.EOF {
-			return hw.Space{}, "", err
-		}
-		if space, _, why := headSpace(head[:n]); why == "" || n < size {
-			return space, why, nil
-		}
-	}
+	defer fr.f.Close()
+	return readHead(fr, hw.Space{})
 }
 
 // rowRecord frames row r of m as a row record.
@@ -578,7 +638,7 @@ func (j *Journal) AppendRecord(recs ...RowRecord) ([]byte, error) {
 		if err := j.fits(rec); err != nil {
 			return nil, err
 		}
-		size += len(rec.payload) + 21 // the frame's CRC, length and separators
+		size += len(rec.payload) + durable.FrameOverhead
 	}
 	if len(recs) == 0 {
 		return nil, nil
@@ -631,8 +691,8 @@ func (j *Journal) Close() error {
 var ErrJournalIncomplete = errors.New("sweep: journal incomplete")
 
 // VerifyComplete re-reads the journal's clean prefix from disk and
-// checks that it now covers every named kernel with a fully OK row — the post-Resume
-// sanity check before the journal is archived.
+// checks that it now holds every named kernel, a complete row as every
+// journal row is — the post-Resume check before it is archived.
 func (j *Journal) VerifyComplete(kernels []string) error {
 	j.mu.Lock()
 	data, err := j.log.Prefix()
@@ -640,19 +700,15 @@ func (j *Journal) VerifyComplete(kernels []string) error {
 	if err != nil {
 		return err
 	}
-	m, good, reason, err := scanJournal(data, j.space)
+	w, err := walkJournal(imageFrames(data), j.space)
 	if err != nil {
-		return err
+		return fmt.Errorf("sweep: %w", err)
 	}
-	if good < int64(len(data)) {
-		return fmt.Errorf("%w: %s", ErrJournalIncomplete, reason)
+	if w.good < int64(len(data)) {
+		return fmt.Errorf("%w: %s", ErrJournalIncomplete, w.reason)
 	}
 	for _, k := range kernels {
-		if m == nil {
-			return fmt.Errorf("%w: kernel %s", ErrJournalIncomplete, k)
-		}
-		r := m.Row(k)
-		if r < 0 || !m.RowComplete(r) {
+		if _, ok := w.index[k]; !ok {
 			return fmt.Errorf("%w: kernel %s", ErrJournalIncomplete, k)
 		}
 	}

@@ -184,17 +184,63 @@ func TestJournalBitFlipAtEveryOffset(t *testing.T) {
 	}
 }
 
+// TestSalvageCountsDroppedRecords pins SalvageReport.DroppedRecords,
+// which gpusweep -resume prints, with DroppedBytes: a journal cut
+// inside its last record drops that one record; a checksum failure
+// drops the record it breaks and the k whole records behind it, each
+// counted by its frame; a garbage tail counts as one record.
+func TestSalvageCountsDroppedRecords(t *testing.T) {
+	space := tinySpace(t)
+	full, _ := buildFullJournal(t, space)
+	_, off, why := durable.Parse(full, int64(len(journalMagic)))
+	var starts []int64 // where each row record begins
+	for why == "" && off < int64(len(full)) {
+		starts = append(starts, off)
+		_, off, why = durable.Parse(full, off)
+	}
+	if why != "" || len(starts) < 3 {
+		t.Fatalf("the journal holds %d whole row records (%s), want at least 3", len(starts), why)
+	}
+	flipped := append([]byte(nil), full...)
+	flipped[starts[0]+30] ^= 1 // in the first row record's payload
+	size := int64(len(full))
+	for _, c := range []struct {
+		what    string
+		data    []byte
+		bytes   int64
+		records int
+	}{
+		{"a cut inside the last record", full[:size-5], size - 5 - starts[len(starts)-1], 1},
+		{"a checksum failure", flipped, size - starts[0], len(starts)},
+		{"a garbage tail", append(append([]byte(nil), full...), "not a frame\n"...), 12, 1},
+	} {
+		path := filepath.Join(t.TempDir(), "salvage.journal")
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, space)
+		if err != nil {
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		s := j.Salvage()
+		j.Close()
+		if s == nil || s.DroppedBytes != c.bytes || s.DroppedRecords != c.records {
+			t.Errorf("%s: salvage %+v, want %d bytes and %d records dropped", c.what, s, c.bytes, c.records)
+		}
+	}
+}
+
 // TestCheckReplicaMatchesRecovery: a replica check accepts exactly the
 // bytes recovery keeps whole. A journal cut at every offset, or with
 // one bit flipped at every offset, passes CheckReplica as a whole image
-// if and only if scanJournal keeps every byte of it; so do its row
-// records appended to a replica that holds its header. An append to a
+// if and only if the reference scan (refScan) keeps every byte of it;
+// so do its row records appended to a replica that holds its header. An append to a
 // replica that does not exist is refused, and Image gives back what the
 // journal holds on disk.
 func TestCheckReplicaMatchesRecovery(t *testing.T) {
 	space := tinySpace(t)
 	full, _ := buildFullJournal(t, space)
-	_, head, why := headSpace(full)
+	_, head, why := durable.Parse(full, int64(len(journalMagic)))
 	if why != "" {
 		t.Fatal(why)
 	}
@@ -204,8 +250,8 @@ func TestCheckReplicaMatchesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept := func(img []byte) bool {
-		_, good, _, err := scanJournal(img, hw.Space{})
-		return err == nil && good > 0 && good == int64(len(img))
+		_, good, refused := refScan(img, hw.Space{})
+		return !refused && good > 0 && good == int64(len(img))
 	}
 	check := func(what string, img []byte) {
 		t.Helper()
@@ -257,6 +303,37 @@ func TestCheckReplicaMatchesRecovery(t *testing.T) {
 	defer j.Close()
 	if img, err := j.Image(); err != nil || !bytes.Equal(img, full) {
 		t.Fatalf("Image of a reopened journal: %d bytes, want %d (%v)", len(img), len(full), err)
+	}
+}
+
+// TestReplicaAppendCheckAllocatesPerAppend: a replica append's check
+// reads the replica's head and walks the appended records where they
+// lie, keeping no index of them, so what it allocates does not grow
+// with the rows it checks.
+func TestReplicaAppendCheckAllocatesPerAppend(t *testing.T) {
+	space := tinySpace(t)
+	full, _ := buildFullJournal(t, space)
+	_, head, why := durable.Parse(full, int64(len(journalMagic)))
+	if why != "" {
+		t.Fatal(why)
+	}
+	_, second, why := durable.Parse(full, head)
+	if why != "" {
+		t.Fatal(why)
+	}
+	replica := filepath.Join(t.TempDir(), "replica.journal")
+	if err := os.WriteFile(replica, full[:head], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(b []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := CheckReplica(replica, b, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, all := allocs(full[head:second]), allocs(full[head:]); all > one {
+		t.Fatalf("checking an append of one row allocated %v times, of every row %v times", one, all)
 	}
 }
 
@@ -562,10 +639,14 @@ func TestJournalRecordFraming(t *testing.T) {
 		t.Fatal("a bound that would wrap into range as a byte was encoded")
 	}
 	image := append(header, durable.Frame(rec.payload)...)
-	m, good, reason, err := scanJournal(image, space)
-	if err != nil || good != int64(len(image)) || m == nil || m.Kernels[0] != "k" ||
+	w, err := walkJournal(imageFrames(image), space)
+	if err != nil || w.good != int64(len(image)) {
+		t.Fatalf("row record walk: %+v %v", w, err)
+	}
+	m, err := w.matrix()
+	if err != nil || m == nil || m.Kernels[0] != "k" ||
 		m.Throughput[0][1] != 0.5 || m.TimeNS[0][1] != 10 || m.Bound[0][1] != gcn.BoundLaunch {
-		t.Fatalf("row record round trip: %+v %d/%d %q %v", m, good, len(image), reason, err)
+		t.Fatalf("row record round trip: %+v %v", m, err)
 	}
 
 	h := fnv.New64a()

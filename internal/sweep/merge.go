@@ -28,17 +28,17 @@ func ReadJournal(path string, space hw.Space) (*Matrix, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: reading journal: %w", err)
 	}
-	m, good, reason, err := scanJournal(data, space)
+	w, err := walkJournal(imageFrames(data), space)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	if good < int64(len(data)) {
-		return nil, fmt.Errorf("sweep: journal %s: %s", path, reason)
+	if w.good < int64(len(data)) {
+		return nil, fmt.Errorf("sweep: journal %s: %s", path, w.reason)
 	}
-	if good == 0 {
+	if w.good == 0 {
 		return nil, fmt.Errorf("sweep: journal %s: missing or torn header", path)
 	}
-	return m, nil
+	return w.matrix()
 }
 
 // CanonicalJournalBytes renders m as journal bytes with rows in

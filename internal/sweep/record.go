@@ -115,19 +115,6 @@ func checkRecord(name string, nCfg int, packed []byte) error {
 	return checkPlanes(nCfg, packed)
 }
 
-// decodeRowRecord reads a v3 row record for an nCfg-configuration
-// space, with the hygiene checks every constructor applies (see
-// checkRowRecord).
-func decodeRowRecord(payload []byte, nCfg int) (row journalRow, reason string) {
-	name, packed, reason := checkRowRecord(payload, nCfg)
-	if reason != "" {
-		return row, reason
-	}
-	row.kernel = string(name)
-	row.tput, row.timeNS, row.bound = unpackPlanes(nCfg, packed)
-	return row, ""
-}
-
 // checkRowRecord applies the hygiene checks to a v3 row record for an
 // nCfg-configuration space where it lies, and returns its kernel name
 // and packed planes; reason is non-empty when the payload is not such

@@ -7,20 +7,17 @@ package sweep
 // — are few, and the job's owner keeps them: its unjournaled rows. The
 // journal plus those rows is the job's matrix, so WriteJournalCSV
 // renders it as WriteCSV renders a Matrix without building one: it
-// walks the journal's frames where they lie to find each kernel's last
-// record, then unpacks and renders one row per renderer at a time,
+// walks the journal (journalWalk) to find each kernel's last record
+// in the file, then unpacks and renders one row per renderer at a time,
 // and writes the rows in job order. It reads the file through a
 // descriptor of its own, so a render takes no lock of an open
 // Journal's and never stalls an append.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
-	"gpuscale/internal/durable"
 	"gpuscale/internal/gcn"
 	"gpuscale/internal/hw"
 )
@@ -59,12 +56,12 @@ func WriteJournalCSV(w io.Writer, path string, space hw.Space, kernels []string,
 			return fmt.Errorf("sweep: rendering %s: unjournaled row %d is not a row of the job", path, r)
 		}
 	}
-	f, err := os.Open(path)
+	fr, err := openFrames(path)
 	if err != nil {
 		return fmt.Errorf("sweep: rendering journal: %w", err)
 	}
-	defer f.Close()
-	ix, err := indexJournal(f, space)
+	defer fr.f.Close()
+	jw, err := walkJournal(fr, space)
 	if err != nil {
 		return fmt.Errorf("sweep: rendering %s: %w", path, err)
 	}
@@ -72,17 +69,18 @@ func WriteJournalCSV(w io.Writer, path string, space hw.Space, kernels []string,
 	return writeRows(w, space, kernels, func() rowFunc {
 		// A renderer's own frame buffer, as large as the largest
 		// record, and planes to unpack into.
-		fr := &frameReader{f: f, size: ix.size, buf: make([]byte, ix.largest)}
+		fr := jw.frames
+		fr.buf = make([]byte, jw.largest)
 		journaled := NewRow(nCfg, StatusOK)
 		return func(r int) (Row, error) {
 			if row, ok := unjournaled[r]; ok {
 				return row, nil
 			}
-			off, ok := ix.last[kernels[r]]
+			i, ok := jw.index[kernels[r]]
 			if !ok {
 				return canceled, nil
 			}
-			if err := fr.unpack(off, kernels[r], journaled); err != nil {
+			if err := fr.unpack(jw.last[i], kernels[r], journaled); err != nil {
 				return Row{}, fmt.Errorf("sweep: rendering %s: %w", path, err)
 			}
 			return journaled, nil
@@ -116,111 +114,4 @@ func NewRow(nCfg int, st CellStatus) Row {
 		row.Status[c] = st
 	}
 	return row
-}
-
-// journalIndex is where, in a journal file's clean prefix, the last
-// record of each kernel lies.
-type journalIndex struct {
-	frameReader
-	last    map[string]int64 // the offset of a kernel's last record
-	largest int64            // the size of the largest row record's frame
-}
-
-// frameReader reads the frames of a journal file through one buffer.
-type frameReader struct {
-	f    *os.File
-	size int64  // the file's size when the walk began
-	buf  []byte // one frame's bytes
-}
-
-// indexJournal walks f's frames as recovery scans them (scanJournal),
-// from the magic and the space record to the first frame that is not a
-// whole frame holding a row record for space, and notes each kernel's
-// last record. A file whose magic or space record is torn holds no
-// rows; a file of an earlier format (earlierFormat), or a journal of
-// another space, is refused.
-func indexJournal(f *os.File, space hw.Space) (*journalIndex, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	ix := &journalIndex{frameReader: frameReader{f: f, size: fi.Size(), buf: make([]byte, 4<<10)}, last: map[string]int64{}}
-	n, err := f.ReadAt(ix.buf[:len(journalMagic)], 0)
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	if magic := ix.buf[:n]; string(magic) != journalMagic {
-		if what := earlierFormat(magic); what != "" {
-			return nil, fmt.Errorf("the journal is %s; this build reads only v3 journals", what)
-		}
-		return ix, nil
-	}
-	payload, off, why, err := ix.frame(int64(len(journalMagic)))
-	if err != nil || why != "" {
-		return ix, err
-	}
-	sp, why := parseSpaceRecord(payload)
-	if why != "" {
-		return ix, nil
-	}
-	if !sp.Equal(space) {
-		return nil, errors.New("journal was written for a different configuration space")
-	}
-	for off < ix.size {
-		payload, next, why, err := ix.frame(off)
-		if err != nil {
-			return nil, err
-		}
-		if why != "" {
-			break
-		}
-		name, _, why := checkRowRecord(payload, space.Size())
-		if why != "" {
-			break
-		}
-		ix.last[string(name)] = off
-		ix.largest = max(ix.largest, next-off)
-		off = next
-	}
-	return ix, nil
-}
-
-// frame reads the frame at off and parses it as durable.Parse parses
-// the file's bytes from off: it returns the payload, valid until the
-// next call, and the next frame's offset, or why the bytes there are
-// not a whole frame. It reads a frame the buffer cannot hold whole only
-// when the file does, so a length field never sizes an allocation past
-// the file.
-func (fr *frameReader) frame(off int64) (payload []byte, next int64, reason string, err error) {
-	n, err := fr.f.ReadAt(fr.buf, off)
-	if err != nil && err != io.EOF {
-		return nil, 0, "", err
-	}
-	if size, ok := durable.FrameSize(fr.buf[:n]); ok && size > int64(n) && off+size <= fr.size {
-		// Room for a few more bytes of kernel name in the frames to come.
-		fr.buf = make([]byte, size+size/8)
-		if n, err = fr.f.ReadAt(fr.buf, off); err != nil && err != io.EOF {
-			return nil, 0, "", err
-		}
-	}
-	payload, next, reason = durable.Parse(fr.buf[:n], 0)
-	return payload, off + next, reason, nil
-}
-
-// unpack reads the record at off, which the walk found to be name's
-// last, into row's planes.
-func (fr *frameReader) unpack(off int64, name string, row Row) error {
-	payload, _, why, err := fr.frame(off)
-	if err != nil {
-		return err
-	}
-	var got, packed []byte
-	if why == "" {
-		got, packed, why = checkRowRecord(payload, len(row.Throughput))
-	}
-	if why != "" || string(got) != name {
-		return fmt.Errorf("the record for %s at byte %d changed during the render", name, off)
-	}
-	unpackInto(packed, row.Throughput, row.TimeNS, row.Bound)
-	return nil
 }

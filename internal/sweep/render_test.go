@@ -199,11 +199,11 @@ func TestWriteJournalCSVRefuses(t *testing.T) {
 }
 
 // FuzzJournalCSV hammers the renderer with arbitrary journal bytes: it
-// must never panic, and it renders exactly the rows scanJournal
-// recovers from the clean prefix, the last record per kernel, byte for
-// byte as WriteCSV renders them — or refuses, with nothing written, a
-// file of an earlier format or a journal of another space, as recovery
-// refuses it. The seeds are FuzzJournalScan's, its corpus files
+// must never panic, and it renders exactly the rows the reference scan
+// (refScan) recovers from the clean prefix, the last record per kernel,
+// byte for byte as WriteCSV renders them — or refuses, with nothing
+// written, a file of an earlier format or a journal of another space,
+// as the reference scan refuses it. The seeds are FuzzJournalScan's, its corpus files
 // included.
 func FuzzJournalCSV(f *testing.F) {
 	space := fuzzSpace(f)
@@ -240,8 +240,8 @@ func FuzzJournalCSV(f *testing.F) {
 		}
 		var got bytes.Buffer
 		err := WriteJournalCSV(&got, path, space, kernels, unjournaled)
-		m, _, _, scanErr := scanJournal(data, space)
-		if scanErr != nil {
+		m, _, refused := refScan(data, space)
+		if refused {
 			if err == nil || got.Len() != 0 {
 				t.Fatalf("rendered %d bytes (%v) of a journal recovery refuses", got.Len(), err)
 			}

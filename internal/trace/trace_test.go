@@ -162,7 +162,7 @@ func TestAnalyticModelTracksTraceDirection(t *testing.T) {
 	aThrash := memory.EstimateHitRates(kThrash, 1, 4)
 
 	if !(tFits.L1 > tThrash.L1) {
-		t.Skipf("trace did not separate the cases (%.3f vs %.3f)", tFits.L1, tThrash.L1)
+		t.Fatalf("test premise broken: the trace did not separate the cases (%.3f vs %.3f)", tFits.L1, tThrash.L1)
 	}
 	if !(aFits.L1 > aThrash.L1) {
 		t.Fatalf("analytic model disagrees with trace direction: fits %.3f vs thrash %.3f",
