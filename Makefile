@@ -17,15 +17,18 @@ test:
 # journal's group committer (callback order, blocked and failed groups,
 # Close, goroutine joins) and the node's settle order (a row counts
 # only once its group is durable; a failed group costs its rows) 20
-# times over; vet and short-test the end-to-end benchmark (its own
-# module, so ./... never builds it), then smoke the fuzz targets.
+# times over; race the engines' row memos, the pipeline engine's
+# resident set against its cycle-by-cycle oracle and its memo's lines
+# against direct runs at every latency from 100 to 1,100; vet and
+# short-test the end-to-end benchmark (its own module, so ./... never
+# builds it), then smoke the fuzz targets.
 check:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./internal/sweep/... ./internal/durable/... ./internal/fault/... ./internal/obs/... ./internal/serve/... ./internal/dist/... ./cmd/gpusweep/... ./cmd/gpuscaled/... ./cmd/sweeptrace/...
 	$(GO) test -race -count=20 -run 'TestReadCSVBatchEdges|TestWriteRowsStopsAtFailure|TestCommit' ./internal/sweep/
 	$(GO) test -race -count=20 -run 'TestRowsSettleOnlyWhenDurable|TestFailedGroupAppendsCostTheirRows' ./internal/serve/
-	$(GO) test -race -run 'TestPreparedRowMatchesPerCell|TestResidentSetMatchesReference|TestBudget' ./internal/gcn/
+	$(GO) test -race -run 'TestPreparedRowMatchesPerCell|TestResidentSetMatchesReference|TestResidentSetLinesMatchRuns|TestBudget' ./internal/gcn/
 	cd cmd/benche2e && $(GO) vet . && $(GO) test -short .
 	$(MAKE) fuzz-smoke
 

@@ -107,9 +107,12 @@ type cuPipeline struct {
 	arrived []int
 
 	policy  SchedPolicy
-	latency int64 // load latency, in cycles
+	latency int64 // the run's load latency L0, in cycles
 
-	cycle int64
+	cycle tick
+	// lo and hi bound the load latencies at which every comparison of
+	// times the run has made so far gives the answer it gave at L0.
+	lo, hi int64
 	// steps counts the last run's loop steps, skipped the cycles it
 	// fast-forwarded, memSkipped those of them in which the memory port
 	// rotated too, and crossed the instruction ends its waves passed
@@ -124,12 +127,29 @@ type pipeWave struct {
 	// doneAt is the cycle at which the wave's newest load completes.
 	// Latency is constant, so loads complete in issue order: the wave
 	// has loads outstanding exactly while doneAt > cycle.
-	doneAt    int64
+	doneAt    tick
 	cls       uint8 // class of Body[instr], clsBlocked when parked/done
 	set       uint8 // eligibility set holding the wave
 	dep       bool  // Body[instr].DependsOnLoad
 	atBarrier bool
 }
+
+// tick is a time in cycles as a line in the load latency L: v is its
+// value at the run's own latency L0, and k the cycles it gains per
+// cycle of latency, so at L it reads v + k·(L − L0). A load's
+// completion adds one L to the cycle it issues at, a stall jump takes
+// the k of the completion it jumps to, and nothing else moves k.
+type tick struct{ v, k int64 }
+
+func (t tick) plus(n int64) tick { return tick{t.v + n, t.k} }
+
+// rsLine is what one resident-set run at a load latency certifies: at
+// every latency L in [lo, hi] the run takes each branch as it did, so
+// it is the same run, and its cycle count, a sum of the same steps, is
+// cycles + k·(L − latency).
+type rsLine struct{ lo, hi, latency, cycles, k int64 }
+
+func (l rsLine) at(latency int64) int64 { return l.cycles + l.k*(latency-l.latency) }
 
 // SimulatePipeline runs the execution-driven engine for one kernel on
 // one configuration. Use for validation. The resident-set simulation
@@ -140,9 +160,10 @@ type pipeWave struct {
 // which the issue ports only rotate costs one step and a scan of the
 // waves they rotate over. The launch loop adds a step per
 // resident batch. For whole-row evaluation, Prepare once and call
-// EvalPipeline per config: the resident-set simulation is memoized on
-// its quantized inputs, which collapses most of a row onto a few cycle
-// runs.
+// EvalPipeline per config: a resident-set run certifies the range of
+// load latencies over which its cycle count is a line in the latency,
+// and the row's memo answers every latency inside a stored line, so
+// most rows simulate one resident set in all.
 func SimulatePipeline(k *kernel.Kernel, cfg hw.Config) (Result, error) {
 	p, err := Prepare(k)
 	if err != nil {
@@ -156,7 +177,9 @@ func SimulatePipeline(k *kernel.Kernel, cfg hw.Config) (Result, error) {
 
 // EvalPipeline runs the pipeline engine on one already-validated
 // configuration using the prepared (lazily lowered) program and the
-// resident-set memo.
+// resident-set memo, whose lines answer any load latency they cover:
+// the core and memory clocks reach the resident set only as that
+// latency, in core cycles.
 func (p *Prepared) EvalPipeline(cfg hw.Config) (Result, error) {
 	k := p.k
 	occWGs := p.occWGs
@@ -189,9 +212,8 @@ func (p *Prepared) EvalPipeline(cfg hw.Config) (Result, error) {
 		latencyCycles = 1
 	}
 
-	// Cycle-simulate one CU holding one full resident set. The memo
-	// key is the simulation's full input tuple beyond the (fixed)
-	// program.
+	// Cycle-simulate one CU holding one full resident set, or read its
+	// cycles off a line an earlier run certified.
 	residentWGs := occWGs
 	if k.Workgroups < residentWGs {
 		residentWGs = k.Workgroups
@@ -298,11 +320,13 @@ func SimulateResidentSetPolicy(prog *isa.Program, wgs, wavesPerWG int, latencyCy
 	if err := prog.Validate(); err != nil {
 		return 0, err
 	}
-	return runResidentSet(&cuPipeline{}, nil, prog, wgs, wavesPerWG, latencyCycles, policy)
+	l, err := runResidentSet(&cuPipeline{}, nil, prog, wgs, wavesPerWG, latencyCycles, policy)
+	return l.cycles, err
 }
 
 // runResidentSet runs wgs workgroups (wavesPerWG waves each) of prog
-// on one CU and returns the cycles to drain them all, or the budget's
+// on one CU at load latency latencyCycles and returns the line it
+// certifies, whose cycles drain them all, or the budget's
 // error if it expires first. The program must already be validated. p
 // is reset completely before use, so callers may hand in a reused
 // scratch pipeline — including one a cut-off run left mid-simulation.
@@ -313,13 +337,26 @@ func SimulateResidentSetPolicy(prog *isa.Program, wgs, wavesPerWG int, latencyCy
 // scalar ports only rotate is crossed in one step (fastForward), across
 // the instruction ends that keep each wave on its port. Every cycle
 // count is the one a cycle-by-cycle walk gives
-// (TestResidentSetMatchesReference, FuzzResidentSet).
-func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPerWG int, latencyCycles int64, policy SchedPolicy) (int64, error) {
+// (TestResidentSetMatchesReference, FuzzResidentSet), and so is every
+// line's answer inside its range (FuzzResidentSet,
+// TestResidentSetLinesMatchRuns).
+//
+// The line: every time is a tick, and every comparison of two goes
+// through before, which narrows [lo, hi] to the latencies that give the
+// same answer. The runaway guard is one of them, so a line never covers
+// a latency at which the run would stop. Inside [lo, hi] each branch
+// goes the same way and each time is built by the same additions, so
+// the run is the same run. One step breaks this: a stretch bounded by
+// the next wake, whose length has k ≠ 0, splits a length that changes
+// with the latency into whole rotations and a remainder, so the waves'
+// positions after it change too; such a stretch pins the line to L0.
+func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPerWG int, latencyCycles int64, policy SchedPolicy) (rsLine, error) {
 	p.prog = prog
 	p.wavesPerWG = wavesPerWG
 	p.policy = policy
 	p.latency = latencyCycles
-	p.cycle = 0
+	p.cycle = tick{}
+	p.lo, p.hi = 1, math.MaxInt64
 	p.steps, p.skipped, p.memSkipped, p.crossed = 0, 0, 0, 0
 	p.wait = p.wait[:0]
 	p.arrived = growI(p.arrived, wgs)
@@ -370,19 +407,19 @@ func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPer
 
 	live := n
 	var rr [numPorts]int // each port's round-robin pointer
-	const safety = int64(1) << 40
+	safety := tick{1 << 40, 0}
 	for live > 0 {
-		if p.cycle > safety {
-			return 0, fmt.Errorf("gcn: pipeline engine ran away on %s", prog.Name)
+		if p.before(safety, p.cycle) {
+			return rsLine{}, fmt.Errorf("gcn: pipeline engine ran away on %s", prog.Name)
 		}
 		if p.steps++; p.steps&(budgetEvery-1) == 0 {
 			if err := bud.check(); err != nil {
-				return 0, err
+				return rsLine{}, err
 			}
 		}
 		// Wake the waves whose newest load completes at or before this
 		// cycle.
-		for len(p.wait) > 0 && p.waves[p.wait[0]].doneAt <= p.cycle {
+		for len(p.wait) > 0 && !p.before(p.cycle, p.waves[p.wait[0]].doneAt) {
 			p.place(p.pop())
 		}
 		if p.fastForward(&rr) {
@@ -399,7 +436,7 @@ func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPer
 		if w := p.pick(&rr[setMemory], setMemory); w >= 0 {
 			wv := &p.waves[w]
 			if p.prog.Body[wv.instr].Op == isa.OpLoad {
-				wv.doneAt = p.cycle + latencyCycles
+				wv.doneAt = tick{p.cycle.v + latencyCycles, p.cycle.k + 1}
 			}
 			p.step(w)
 			p.place(w)
@@ -430,7 +467,7 @@ func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPer
 		}
 
 		if issued {
-			p.cycle++
+			p.cycle.v++
 			continue
 		}
 		// Every wave is blocked on its loads or parked at a barrier:
@@ -439,9 +476,30 @@ func runResidentSet(p *cuPipeline, bud *budget, prog *isa.Program, wgs, wavesPer
 			p.cycle = p.waves[p.wait[0]].doneAt
 			continue
 		}
-		return 0, fmt.Errorf("gcn: pipeline deadlock on %s at cycle %d", prog.Name, p.cycle)
+		return rsLine{}, fmt.Errorf("gcn: pipeline deadlock on %s at cycle %d", prog.Name, p.cycle.v)
 	}
-	return p.cycle, nil
+	return rsLine{p.lo, p.hi, latencyCycles, p.cycle.v, p.cycle.k}, nil
+}
+
+// before reports whether time x comes before time y at the run's own
+// latency L0, and narrows [lo, hi] to the latencies at which it gives
+// the same answer: with y − x = s + k·(L − L0), x comes before y while
+// that difference is at least one, and not while it is at most zero.
+func (p *cuPipeline) before(x, y tick) bool {
+	s, k := y.v-x.v, y.k-x.k
+	yes := s > 0
+	if yes {
+		s--
+	} else {
+		s, k = -s, -k
+	}
+	// The answer holds while s + k·(L − L0) >= 0, and s >= 0.
+	if k > 0 {
+		p.lo = max(p.lo, p.latency-s/k)
+	} else if k < 0 {
+		p.hi = min(p.hi, p.latency+s/-k)
+	}
+	return yes
 }
 
 // fastForward crosses, in one step, the cycles in which nothing
@@ -462,12 +520,12 @@ func (p *cuPipeline) fastForward(rr *[numPorts]int) bool {
 	if !empty(p.sets[setResolve]) {
 		return false
 	}
-	m := int64(math.MaxInt64)
-	if len(p.wait) > 0 {
-		m = p.waves[p.wait[0]].doneAt - p.cycle
-	}
-	if m < 2 {
-		return false
+	waking := len(p.wait) > 0
+	var wake tick
+	if waking {
+		if wake = p.waves[p.wait[0]].doneAt; p.before(wake, p.cycle.plus(2)) {
+			return false
+		}
 	}
 	var busy [numPorts]bool
 	rotating := false
@@ -482,9 +540,17 @@ func (p *cuPipeline) fastForward(rr *[numPorts]int) bool {
 	if !rotating {
 		return false
 	}
+	m := int64(math.MaxInt64)
 	for s := range busy {
 		if busy[s] {
 			m = min(m, p.span(p.sets[s], rr[s]))
+		}
+	}
+	// A stretch the next wake cuts short ends at it; if its length
+	// moves with the latency, so do the waves' positions after it.
+	if waking && p.before(wake, p.cycle.plus(m)) {
+		if m = wake.v - p.cycle.v; wake.k != p.cycle.k {
+			p.lo, p.hi = p.latency, p.latency
 		}
 	}
 	for s := range busy {
@@ -495,7 +561,7 @@ func (p *cuPipeline) fastForward(rr *[numPorts]int) bool {
 	if busy[setMemory] {
 		p.memSkipped += m
 	}
-	p.cycle += m
+	p.cycle.v += m
 	p.skipped += m
 	return true
 }
@@ -598,12 +664,12 @@ func (p *cuPipeline) advance(b []uint64, rr *int, m int64) {
 // change) and sets doneAt from the last of them that issues a load.
 func (p *cuPipeline) take(w, n int, o, e int64) {
 	wv := &p.waves[w]
-	at := p.cycle + o // the cycle of the wave's next pick
+	at := p.cycle.v + o // the cycle of the wave's next pick
 	for n > 0 {
 		c := min(n, wv.remaining)
 		at += int64(c) * e
 		if p.prog.Body[wv.instr].Op == isa.OpLoad {
-			wv.doneAt = at - e + p.latency
+			wv.doneAt = tick{at - e + p.latency, p.cycle.k + 1}
 		}
 		n -= c
 		if wv.remaining -= c; wv.remaining == 0 {
@@ -661,14 +727,14 @@ func (p *cuPipeline) place(w int) {
 	switch wv.cls {
 	case clsVector, clsMemory, clsScalar:
 		s = wv.cls
-		if wv.dep && wv.doneAt > p.cycle {
+		if wv.dep && p.before(p.cycle, wv.doneAt) {
 			s = setWait
 		}
 	case clsBarrier:
 		s = setResolve
 	case clsEnd:
 		s = setResolve
-		if wv.doneAt > p.cycle {
+		if p.before(p.cycle, wv.doneAt) {
 			s = setWait
 		}
 	}
@@ -694,7 +760,7 @@ func (p *cuPipeline) push(w int) {
 	i := len(h) - 1
 	for i > 0 {
 		up := (i - 1) / 2
-		if p.waves[h[up]].doneAt <= at {
+		if !p.before(at, p.waves[h[up]].doneAt) {
 			break
 		}
 		h[i] = h[up]
@@ -718,10 +784,10 @@ func (p *cuPipeline) pop() int {
 			if c >= len(h) {
 				break
 			}
-			if c+1 < len(h) && p.waves[h[c+1]].doneAt < p.waves[h[c]].doneAt {
+			if c+1 < len(h) && p.before(p.waves[h[c+1]].doneAt, p.waves[h[c]].doneAt) {
 				c++
 			}
-			if at <= p.waves[h[c]].doneAt {
+			if !p.before(p.waves[h[c]].doneAt, at) {
 				break
 			}
 			h[i] = h[c]

@@ -2,6 +2,7 @@ package gcn
 
 import (
 	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"gpuscale/internal/isa"
@@ -220,9 +221,10 @@ func TestResidentSetMatchesReference(t *testing.T) {
 	}
 }
 
-// matchReference runs one resident set on p and on the reference and
-// fails the test unless both take the same number of cycles.
-func matchReference(t *testing.T, p *cuPipeline, prog *isa.Program, wgs, wavesPerWG int, latency int64, policy SchedPolicy) {
+// matchReference runs one resident set on p and on the reference,
+// fails the test unless both take the same number of cycles, and
+// returns the line the run certified.
+func matchReference(t *testing.T, p *cuPipeline, prog *isa.Program, wgs, wavesPerWG int, latency int64, policy SchedPolicy) rsLine {
 	t.Helper()
 	want, err := referenceResidentSet(prog, wgs, wavesPerWG, latency, policy)
 	if err != nil {
@@ -232,9 +234,38 @@ func matchReference(t *testing.T, p *cuPipeline, prog *isa.Program, wgs, wavesPe
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
+	if got.cycles != want {
 		t.Errorf("%s policy=%v latency=%d wgs=%d x %d waves: optimized %d cycles, reference %d",
-			prog.Name, policy, latency, wgs, wavesPerWG, got, want)
+			prog.Name, policy, latency, wgs, wavesPerWG, got.cycles, want)
+	}
+	return got
+}
+
+// lineReach bounds how far above its own latency a line is checked
+// against the reference: the reference's cost grows with the latency
+// of a dependent chain.
+const lineReach = 1000
+
+// matchLine fails the test unless line, certified by a run at latency
+// of the resident set, covers that latency and answers as the
+// reference does at its lowest latency, at the highest within
+// lineReach of latency, and at the latency draw picks between them.
+func matchLine(t *testing.T, line rsLine, prog *isa.Program, wgs, wavesPerWG int, latency int64, policy SchedPolicy, draw uint64) {
+	t.Helper()
+	if line.lo > latency || latency > line.hi || line.latency != latency {
+		t.Fatalf("%s policy=%v latency=%d: line [%d, %d] at %d does not cover its own latency",
+			prog.Name, policy, latency, line.lo, line.hi, line.latency)
+	}
+	top := min(line.hi, latency+lineReach)
+	for _, at := range []int64{line.lo, top, line.lo + int64(draw%uint64(top-line.lo+1))} {
+		want, err := referenceResidentSet(prog, wgs, wavesPerWG, at, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := line.at(at); got != want {
+			t.Errorf("%s policy=%v wgs=%d x %d waves: the line from latency %d over [%d, %d] answers %d cycles at %d, the reference %d",
+				prog.Name, policy, wgs, wavesPerWG, latency, line.lo, line.hi, got, at, want)
+		}
 	}
 }
 
@@ -342,7 +373,8 @@ func encodeResidentSet(prog *isa.Program, wgs, wavesPerWG int, latency int64, po
 // with the pipeline study's programs, one workgroup each, and with
 // programs that reach the states where a stretch with the memory port
 // rotating must stop short, where a stretch crosses instruction ends,
-// or where a blocked wave must wake.
+// or where a blocked wave must wake. It holds the line each run
+// certifies to the same oracle at three latencies inside it.
 func FuzzResidentSet(f *testing.F) {
 	for i, k := range studyKernels(f) {
 		prog, err := isa.Lower(k)
@@ -399,6 +431,43 @@ func FuzzResidentSet(f *testing.F) {
 	p := &cuPipeline{}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog, wgs, wavesPerWG, latency, policy := decodeResidentSet(data)
-		matchReference(t, p, prog, wgs, wavesPerWG, latency, policy)
+		line := matchReference(t, p, prog, wgs, wavesPerWG, latency, policy)
+		h := fnv.New64a()
+		h.Write(data)
+		matchLine(t, line, prog, wgs, wavesPerWG, latency, policy, h.Sum64())
 	})
+}
+
+// TestResidentSetLinesMatchRuns holds a row's resident-set memo to
+// direct runs: for each of the pipeline study's kernels at its full
+// resident set, every load latency from 100 to 1,100 read off the
+// memo's lines must give the cycles a run at that latency gives. The
+// -v log counts the runs each row's memo made.
+func TestResidentSetLinesMatchRuns(t *testing.T) {
+	direct := &cuPipeline{}
+	for _, k := range studyKernels(t) {
+		p, err := Prepare(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := p.program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wgs := min(p.occWGs, k.Workgroups)
+		for latency := int64(100); latency <= 1100; latency++ {
+			got, err := p.residentSetCycles(prog, wgs, p.der.WavesPerWG, latency, RoundRobin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runResidentSet(direct, nil, prog, wgs, p.der.WavesPerWG, latency, RoundRobin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want.cycles {
+				t.Errorf("%s latency %d: the memo answers %d cycles, a run takes %d", k.Name, latency, got, want.cycles)
+			}
+		}
+		t.Logf("%-32s %d runs for 1,001 latencies", k.Name, p.stats.ResidentSetMisses)
+	}
 }

@@ -2,11 +2,13 @@ package gcn
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"gpuscale/internal/hw"
 	"gpuscale/internal/isa"
 	"gpuscale/internal/kernel"
+	"gpuscale/internal/suites"
 )
 
 func mustSimPipeline(t *testing.T, k *kernel.Kernel, cfg hw.Config) Result {
@@ -234,5 +236,49 @@ func TestSchedulerPolicies(t *testing.T) {
 func TestSchedPolicyString(t *testing.T) {
 	if RoundRobin.String() != "round-robin" || GreedyThenOldest.String() != "gto" {
 		t.Error("policy names wrong")
+	}
+}
+
+// TestResidentSetLineStopsShortOfRunaway holds a row's memo to the
+// runaway guard: a line certified at a study latency must not answer a
+// latency at which a run stops with "ran away". The corpus's first
+// pointer-chase row rises 2,368 cycles per cycle of latency, so its
+// runs pass the guard's 2^40 cycles near a latency of 4.6·10^8; its
+// line ends at the last latency a run completes at.
+func TestResidentSetLineStopsShortOfRunaway(t *testing.T) {
+	var k *kernel.Kernel
+	for _, e := range suites.AllEntries(suites.Corpus()) {
+		if e.Archetype == suites.PointerChase {
+			k = e.Kernel
+			break
+		}
+	}
+	p, err := Prepare(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := p.program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wgs, waves := min(p.occWGs, k.Workgroups), p.der.WavesPerWG
+	if _, err := p.residentSetCycles(prog, wgs, waves, 400, RoundRobin); err != nil {
+		t.Fatal(err)
+	}
+	line := p.rsLines[rsKey{wgs, waves, RoundRobin}][0]
+	if line.k != 2368 {
+		t.Fatalf("%s: the line rises %d cycles per cycle of latency, want 2,368", k.Name, line.k)
+	}
+	for _, latency := range []int64{line.hi, line.hi + 1, 500_000_000} {
+		want, runErr := SimulateResidentSetPolicy(prog, wgs, waves, latency, RoundRobin)
+		got, err := p.residentSetCycles(prog, wgs, waves, latency, RoundRobin)
+		switch {
+		case runErr == nil && (err != nil || got != want):
+			t.Errorf("%s latency %d: the memo answers %d cycles (%v), a run %d", k.Name, latency, got, err, want)
+		case runErr != nil && (err == nil || !strings.Contains(runErr.Error(), "ran away")):
+			t.Errorf("%s latency %d: a run stops (%v), the memo answers %d cycles (%v)", k.Name, latency, runErr, got, err)
+		case runErr == nil && latency > line.hi:
+			t.Errorf("%s latency %d, past the line's end %d: a run completes in %d cycles", k.Name, latency, line.hi, want)
+		}
 	}
 }

@@ -40,13 +40,11 @@ type hrKey struct {
 	resident, cus, l2Bytes int
 }
 
-// rsKey is the full input of the resident-set cycle simulation beyond
-// the lowered program, which is fixed per kernel. Latency is
-// quantized to integer cycles before it gets here, so most of a row's
-// configurations collapse onto a handful of keys.
+// rsKey is the input of the resident-set cycle simulation beyond the
+// lowered program, which is fixed per kernel, and the load latency,
+// which the lines stored under it cover.
 type rsKey struct {
 	wgs, wavesPerWG int
-	latencyCycles   int64
 	policy          SchedPolicy
 }
 
@@ -77,7 +75,9 @@ type Prepared struct {
 	prog *isa.Program
 
 	hrMemo map[hrKey]memory.HitRates
-	rsMemo map[rsKey]int64
+	// rsLines holds, per resident set, the lines its runs certified;
+	// most rows need one.
+	rsLines map[rsKey][]rsLine
 	// hrByCU is the dense fast path of the hit-rate memo for the
 	// common key shape (resident == occWGs, stock L2 capacity): the
 	// CU count is small and bounded, so an array lookup replaces map
@@ -196,26 +196,31 @@ func (p *Prepared) program() (*isa.Program, error) {
 }
 
 // residentSetCycles memoizes the cycle-level resident-set simulation
-// on its full input tuple (the program is fixed per kernel).
+// (the program is fixed per kernel): a latency inside a line an
+// earlier run of the same resident set certified is read off that
+// line, and only a latency outside every line runs a simulation.
 func (p *Prepared) residentSetCycles(prog *isa.Program, wgs, wavesPerWG int, latencyCycles int64, policy SchedPolicy) (int64, error) {
-	key := rsKey{wgs: wgs, wavesPerWG: wavesPerWG, latencyCycles: latencyCycles, policy: policy}
-	if c, ok := p.rsMemo[key]; ok {
-		p.stats.ResidentSetHits++
-		return c, nil
+	key := rsKey{wgs: wgs, wavesPerWG: wavesPerWG, policy: policy}
+	lines := p.rsLines[key]
+	for _, l := range lines {
+		if l.lo <= latencyCycles && latencyCycles <= l.hi {
+			p.stats.ResidentSetHits++
+			return l.at(latencyCycles), nil
+		}
 	}
 	if p.pipe == nil {
 		p.pipe = &cuPipeline{}
 	}
-	c, err := runResidentSet(p.pipe, p.bud, prog, wgs, wavesPerWG, latencyCycles, policy)
+	l, err := runResidentSet(p.pipe, p.bud, prog, wgs, wavesPerWG, latencyCycles, policy)
 	if err != nil {
 		return 0, err
 	}
-	if p.rsMemo == nil {
-		p.rsMemo = make(map[rsKey]int64, 16)
+	if p.rsLines == nil {
+		p.rsLines = make(map[rsKey][]rsLine, 1)
 	}
-	p.rsMemo[key] = c
+	p.rsLines[key] = append(lines, l)
 	p.stats.ResidentSetMisses++
-	return c, nil
+	return l.cycles, nil
 }
 
 // PreparedRow is one kernel prepared for a row of evaluations on one

@@ -22,23 +22,31 @@ import (
 // is ever spawned to watch (or abandoned by) an engine call.
 
 // TestCancelReturnsPromptlyMidRow cancels a default-option sweep half
-// way through a corpus row (on a 2-vCPU host the row takes about 0.7 s
-// on the wave engine and 70–90 ms on the pipeline engine):
-// RunContext must return within a tenth of the row's uncanceled time,
-// with every cell it did not evaluate marked canceled. The cancel
-// follows the row's measured time, so a faster engine or host does not
-// leave it past the row's end; a row under minRow is too short to
-// measure a tenth of. On the pipeline engine that row is
-// scicomp-p02.k2_balanced, the corpus's heaviest pipeline row among
-// the pipeline study's kernels.
+// way through a row (on a 2-vCPU host the row takes about 0.7 s on the
+// wave engine and about 0.1 s on the pipeline engine): RunContext must
+// return within a tenth of the row's uncanceled time, with every cell
+// it did not evaluate marked canceled. The cancel follows the row's
+// measured time, so a faster engine or host does not leave it past the
+// row's end; a row under minRow is too short to measure a tenth of.
+// The wave row is the corpus's first kernel. A pipeline row costs about
+// one resident-set run, whose line answers the rest of the row, and a
+// corpus row's run takes about a millisecond, so the pipeline row is
+// scicomp-p02.k2_balanced with 300 times the work per wave: the cancel
+// lands inside that one long run and tests its budget checks.
 func TestCancelReturnsPromptlyMidRow(t *testing.T) {
 	corpus := suites.AllKernels(suites.Corpus())
+	long := *corpus[30]
+	long.VALUPerWave *= 300
+	long.SALUPerWave *= 300
+	long.LDSOpsPerWave *= 300
+	long.Mem.LoadsPerWave *= 300
+	long.Mem.StoresPerWave *= 300
 	space := hw.StudySpace()
 	for _, c := range []struct {
 		engine Engine
-		kernel int
-	}{{Wave, 0}, {Pipeline, 30}} {
-		ks := []*kernel.Kernel{corpus[c.kernel]}
+		kernel *kernel.Kernel
+	}{{Wave, corpus[0]}, {Pipeline, &long}} {
+		ks := []*kernel.Kernel{c.kernel}
 		t.Run(c.engine.String(), func(t *testing.T) {
 			start := time.Now()
 			_, rep, err := RunContext(context.Background(), ks, space, Options{Engine: c.engine})

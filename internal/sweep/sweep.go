@@ -49,8 +49,9 @@ const (
 	// small spaces or validation runs).
 	Wave
 	// Pipeline uses the execution-driven cycle-level engine. Practical
-	// for sweeps because the prepared row's resident-set memo collapses
-	// most of a row onto a few cycle simulations.
+	// for sweeps because a resident-set run certifies its cycle count
+	// as a line in the load latency, so most rows run one cycle
+	// simulation in all.
 	Pipeline
 )
 
